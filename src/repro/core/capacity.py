@@ -79,12 +79,12 @@ def enforce_weight_capacity(
         within = mat[sorted_tgt, pos]
     else:
         # degenerate padding (one giant group among many near-empty
-        # parts): fall back to per-part slices
+        # parts — the common case at hundreds of parts): per-part slices,
+        # visiting only the parts that have candidates
         within = np.empty_like(w_sorted)
-        for k in range(cap.size):
+        for k in np.flatnonzero(np.diff(bounds)):
             lo, hi = bounds[k], bounds[k + 1]
-            if hi > lo:
-                within[lo:hi] = np.cumsum(w_sorted[lo:hi])
+            np.cumsum(w_sorted[lo:hi], out=within[lo:hi])
     keep_sorted = within <= np.maximum(cap, 0.0)[sorted_tgt]
     keep = np.zeros(tgt.size, dtype=bool)
     keep[order] = keep_sorted

@@ -30,31 +30,30 @@ import numpy as np
 
 from repro.core.capacity import enforce_weight_capacity
 from repro.core.frontier import FrontierSweeper
+from repro.core.scoring import score_block
 from repro.core.state import RankState
 from repro.simmpi.comm import SimComm
 
 
 def _commit(
     state: RankState,
-    lids: np.ndarray,
-    cand: np.ndarray,
-    w: np.ndarray,
-    plain: np.ndarray,
+    moved: np.ndarray,
+    new: np.ndarray,
+    deg: np.ndarray,
+    n_x: np.ndarray,
+    n_w: np.ndarray,
     Cv: np.ndarray,
     Ce: np.ndarray,
     Cc: np.ndarray,
-) -> np.ndarray:
-    """Apply the admitted moves; fold deltas into Cv/Ce/Cc."""
-    p = state.num_parts
-    moved = lids[cand]
+) -> None:
+    """Apply the admitted moves of owned lids ``moved`` (degrees ``deg``,
+    ``n_x`` / ``n_w`` neighbours in the old / new part) to parts ``new``;
+    fold the deltas into Cv/Ce/Cc."""
     if moved.size == 0:
-        return moved
-    old = state.parts[moved].copy()
-    new = w[cand]
-    deg = state.dg.local_degrees[moved].astype(np.float64)
+        return
+    p = state.num_parts
+    old = state.parts[moved]
     mw = state.vweights[moved]
-    n_x = plain[cand, old].astype(np.float64)
-    n_w = plain[cand, new].astype(np.float64)
     state.parts[moved] = new
     Cv += np.bincount(new, weights=mw, minlength=p)
     Cv -= np.bincount(old, weights=mw, minlength=p)
@@ -62,7 +61,6 @@ def _commit(
     Ce -= np.bincount(old, weights=deg, minlength=p)
     Cc += np.bincount(old, weights=2.0 * n_x - deg, minlength=p)
     Cc += np.bincount(new, weights=deg - 2.0 * n_w, minlength=p)
-    return moved
 
 
 def _finish_iteration(
@@ -87,10 +85,10 @@ def _finish_iteration(
 def edge_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
     """Edge balancing iterations (the §III.E analog of Algorithm 4)."""
     p = state.num_parts
-    dg = state.dg
     imb_v = state.target_max_vertices
     imb_e = state.target_max_edges
     params = state.params
+    degrees = state.dg.local_degrees.astype(np.float64)
     with comm.phase("edge_balance"):
         from repro.core.initialization import reseed_dead_parts
 
@@ -122,26 +120,15 @@ def edge_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 est_c = Sc + mult * Cc
                 We = np.maximum(imb_e / np.maximum(est_e, 1.0) - 1.0, 0.0)
                 Wc = np.maximum(maxc / np.maximum(est_c, 1.0) - 1.0, 0.0)
-                weighted, plain = state.block_part_counts(
-                    lids, degree_weighted=True
+                vw = state.vweights[lids]
+                deg = degrees[lids]
+                cand, w, n_x, n_w = score_block(
+                    state, lids, tally="degree",
+                    part_weight=re_bias * We + rc_bias * Wc,
+                    constraints=[(est_v, vw, maxv), (est_e, deg, maxe)],
+                    plain_counts=True,
                 )
-                scores = weighted * (re_bias * We + rc_bias * Wc)
-                deg = dg.local_degrees[lids].astype(np.float64)
-                blocked = ((est_v + 1.0) > maxv)[None, :] | (
-                    est_e[None, :] + deg[:, None] > maxe
-                )
-                scores[blocked] = 0.0
-                x = state.parts[lids]
-                wsel = np.argmax(scores, axis=1)
-                rows = np.arange(lids.size)
-                move = (
-                    (wsel != x)
-                    & (scores[rows, wsel] > scores[rows, x])
-                    & (scores[rows, wsel] > 0.0)
-                )
-                cand = np.flatnonzero(move)
                 if cand.size:
-                    vw = state.vweights[lids]
                     cap_v = (maxv - est_v) / max(mult, 1e-12)
                     # two-tier edge capacity: a part below the target fills
                     # only to Imb_e (the We weight's zero-crossing); a part
@@ -149,13 +136,13 @@ def edge_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
                     # to the ratcheted maximum
                     limit_e = np.where(est_e < imb_e, imb_e, maxe)
                     cap_e = (limit_e - est_e) / max(mult, 1e-12)
-                    keep = enforce_weight_capacity(wsel[cand], vw[cand], cap_v)
-                    keep &= enforce_weight_capacity(
-                        wsel[cand], deg[cand], cap_e
-                    )
+                    keep = enforce_weight_capacity(w, vw[cand], cap_v)
+                    keep &= enforce_weight_capacity(w, deg[cand], cap_e)
                     cand = cand[keep]
-                moved = _commit(state, lids, cand, wsel, plain, Cv, Ce, Cc)
-                sweeper.note_moves(moved)
+                    moved = lids[cand]
+                    _commit(state, moved, w[keep], deg[cand],
+                            n_x[keep], n_w[keep], Cv, Ce, Cc)
+                    sweeper.note_moves(moved)
             _finish_iteration(comm, state, sweeper, Sv, Se, Sc, Cv, Ce, Cc)
         state.Sv, state.Se, state.Sc = Sv, Se, Sc  # for boundary snapshots
 
@@ -164,9 +151,9 @@ def edge_refine_phase(comm: SimComm, state: RankState, iters: int) -> None:
     """Edge-stage refinement: plurality moves constrained by the current
     vertex, edge, *and* cut maxima (the paper's final stage)."""
     p = state.num_parts
-    dg = state.dg
     imb_v = state.target_max_vertices
     imb_e = state.target_max_edges
+    degrees = state.dg.local_degrees.astype(np.float64)
     with comm.phase("edge_refine"):
         Sv = state.compute_vertex_sizes(comm).astype(np.float64)
         Se = state.compute_edge_sizes(comm).astype(np.float64)
@@ -191,32 +178,25 @@ def edge_refine_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 est_v = Sv + mult * Cv
                 est_e = Se + mult * Ce
                 est_c = Sc + mult * Cc
-                _, plain = state.block_part_counts(lids, degree_weighted=False)
-                scores = plain.astype(np.float64)
-                deg = dg.local_degrees[lids].astype(np.float64)
-                d_cut_gain = deg[:, None] - 2.0 * plain  # ΔSc at the target
-                blocked = (
-                    ((est_v + 1.0) > maxv)[None, :]
-                    | (est_e[None, :] + deg[:, None] > maxe)
-                    | (est_c[None, :] + d_cut_gain > maxc)
+                vw = state.vweights[lids]
+                deg = degrees[lids]
+                cand, w, n_x, n_w = score_block(
+                    state, lids, tally="unit",
+                    constraints=[(est_v, vw, maxv), (est_e, deg, maxe)],
+                    cut=(est_c, maxc),
                 )
-                scores[blocked] = 0.0
-                x = state.parts[lids]
-                wsel = np.argmax(scores, axis=1)
-                rows = np.arange(lids.size)
-                move = (wsel != x) & (scores[rows, wsel] > scores[rows, x])
-                cand = np.flatnonzero(move)
                 if cand.size:
-                    vw = state.vweights[lids]
                     cap_v = (maxv - est_v) / max(mult, 1e-12)
                     cap_e = (maxe - est_e) / max(mult, 1e-12)
                     cap_c = (maxc - est_c) / max(mult, 1e-12)
-                    gain = deg[cand] - 2.0 * plain[cand, wsel[cand]]
-                    keep = enforce_weight_capacity(wsel[cand], vw[cand], cap_v)
-                    keep &= enforce_weight_capacity(wsel[cand], deg[cand], cap_e)
-                    keep &= enforce_weight_capacity(wsel[cand], gain, cap_c)
+                    gain = deg[cand] - 2.0 * n_w  # ΔSc at the target
+                    keep = enforce_weight_capacity(w, vw[cand], cap_v)
+                    keep &= enforce_weight_capacity(w, deg[cand], cap_e)
+                    keep &= enforce_weight_capacity(w, gain, cap_c)
                     cand = cand[keep]
-                moved = _commit(state, lids, cand, wsel, plain, Cv, Ce, Cc)
-                sweeper.note_moves(moved)
+                    moved = lids[cand]
+                    _commit(state, moved, w[keep], deg[cand],
+                            n_x[keep], n_w[keep], Cv, Ce, Cc)
+                    sweeper.note_moves(moved)
             _finish_iteration(comm, state, sweeper, Sv, Se, Sc, Cv, Ce, Cc)
         state.Sv, state.Se, state.Sc = Sv, Se, Sc  # for boundary snapshots

@@ -45,8 +45,8 @@ therefore yields bit-identical blocks — hence bit-identical moves — to
 the legacy path (``params.frontier = "full"`` forces this every
 iteration; ``False`` bypasses the engine's bookkeeping entirely).
 
-Work model: scoring work is charged by ``block_part_counts`` only for
-blocks actually swept, so a shrinking active set shrinks
+Work model: scoring work is charged by ``RankState.gather_block`` only
+for blocks actually swept, so a shrinking active set shrinks
 ``CommStats.work_by_tag()`` and the modeled gamma term directly;
 frontier maintenance charges the transpose edges it walks plus one
 O(n_local) mask pass per iteration (the same convention used for other

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.capacity import enforce_weight_capacity
 from repro.core.frontier import FrontierSweeper
+from repro.core.scoring import score_block
 from repro.core.state import RankState
 from repro.simmpi.comm import SimComm
 
@@ -46,26 +47,21 @@ def vertex_refine_phase(comm: SimComm, state: RankState, iters: int) -> None:
             for lids in sweeper.blocks():
                 est = Sv + mult * Cv
                 vw = state.vweights[lids]
-                _, plain = state.block_part_counts(lids, degree_weighted=False)
-                scores = plain.astype(np.float64)
-                # part full for vertex v once est + w(v) would exceed Maxv
-                scores[(est[None, :] + vw[:, None]) > maxv] = 0.0
-                x = state.parts[lids]
-                w = np.argmax(scores, axis=1)
-                rows = np.arange(lids.size)
-                move = (w != x) & (scores[rows, w] > scores[rows, x])
-                cand = np.flatnonzero(move)
+                cand, w, _, _ = score_block(
+                    state, lids, tally="unit",
+                    # part full for vertex v once est + w(v) would exceed Maxv
+                    constraints=[(est, vw, maxv)],
+                )
                 if cand.size:
                     cap = (maxv - est) / max(mult, 1e-12)
-                    keep = enforce_weight_capacity(w[cand], vw[cand], cap)
-                    cand = cand[keep]
+                    keep = enforce_weight_capacity(w, vw[cand], cap)
+                    cand, w = cand[keep], w[keep]
                 if cand.size:
                     moved = lids[cand]
-                    old = x[cand]
-                    new = w[cand]
-                    state.parts[moved] = new
+                    old = state.parts[moved]
+                    state.parts[moved] = w
                     mw = state.vweights[moved]
-                    Cv += np.bincount(new, weights=mw, minlength=p)
+                    Cv += np.bincount(w, weights=mw, minlength=p)
                     Cv -= np.bincount(old, weights=mw, minlength=p)
                     sweeper.note_moves(moved)
             sweeper.exchange(comm)

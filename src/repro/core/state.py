@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.params import PulpParams
 from repro.dist.distgraph import DistGraph
 from repro.dist.wire import WireSpec, make_wire_spec
-from repro.graph.gather import neighbor_gather_with_sources
+from repro.graph.gather import expand_ranges, neighbor_gather_with_sources
 from repro.simmpi.comm import SimComm
 
 UNASSIGNED = np.int64(-1)
@@ -207,68 +207,72 @@ class RankState:
             stop = min(start + bs, n)
             yield np.arange(start, stop, dtype=np.int64), slice(start, stop)
 
-    # -- neighbor-part score matrices -------------------------------------------
+    # -- block neighbourhoods ------------------------------------------------
+
+    def gather_block(
+        self, lids: np.ndarray, tally: Union[str, np.ndarray] = "unit"
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+        """Gather a block's labelled arcs and charge the sweep's work.
+
+        Returns ``(rows, nparts, w_arc, counts)``: per arc (row-major, in
+        CSR order) the position of its source in ``lids`` and its
+        neighbour's part; arcs to UNASSIGNED neighbours are dropped.
+        ``w_arc`` holds the tally weight of each kept arc — None for
+        ``tally="unit"``, the neighbour's degree for ``"degree"``, or the
+        matching entries of a per-arc weight array aligned with
+        ``dg.adj``.  ``counts[i]`` is ``degree(lids[i])``.
+
+        This is the one place scoring work is charged: gather + tally
+        passes over the kept arcs plus the per-row / per-part vector work,
+        whatever kernel then consumes the arcs.
+        """
+        dg = self.dg
+        starts = dg.offsets[lids]
+        counts = dg.offsets[lids + 1] - starts
+        arcs = expand_ranges(starts, counts)
+        neigh = dg.adj[arcs]
+        rows = np.repeat(np.arange(lids.size, dtype=np.int64), counts)
+        nparts = self.parts[neigh]
+        ok = nparts >= 0
+        if not np.all(ok):
+            neigh, rows, nparts = neigh[ok], rows[ok], nparts[ok]
+            arcs = arcs[ok]
+        if isinstance(tally, str):
+            w_arc = (
+                dg.degrees_full[neigh].astype(np.float64)
+                if tally == "degree" else None
+            )
+        else:
+            w_arc = tally[arcs]
+        self.work_pending += (
+            2.0 * nparts.size + float(lids.size) + float(self.num_parts)
+        )
+        self.edges_touched += float(nparts.size)
+        return rows, nparts, w_arc, counts
 
     def block_part_counts(
-        self,
-        lids: np.ndarray,
-        *,
-        degree_weighted: bool,
-        sparse: Optional[bool] = None,
+        self, lids: np.ndarray, *, degree_weighted: bool
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-vertex, per-part neighbor tallies for a block.
+        """Dense per-vertex, per-part neighbor tallies for a block.
 
         Returns ``(weighted, plain)``: ``weighted[i, k]`` sums
         ``degree(u)`` (or 1) over neighbors ``u`` of ``lids[i]`` in part k;
         ``plain`` is always the unweighted tally (needed for cut deltas).
-        Neighbors still UNASSIGNED are ignored.
-
-        For large ``num_parts`` the dense ``nb × p`` bincount is mostly
-        zeros (each vertex's neighbors span few parts), so a sparse tally
-        — ``np.unique`` over ``srcs * p + nparts`` keys, counts scattered
-        into the dense result — avoids streaming a huge mostly-zero
-        histogram per pass.  ``sparse=None`` picks by a density heuristic;
-        both paths produce bit-identical matrices (the per-key summation
-        order is preserved by ``unique``'s stable inverse).
+        Neighbors still UNASSIGNED are ignored.  The phases score through
+        :func:`repro.core.scoring.score_block`, which skips this matrix
+        when it would be mostly zeros.
         """
         p = self.num_parts
         nb = lids.size
-        neigh, srcs, _ = neighbor_gather_with_sources(
-            self.dg.offsets, self.dg.adj, lids
+        rows, nparts, w_arc, _ = self.gather_block(
+            lids, "degree" if degree_weighted else "unit"
         )
-        nparts = self.parts[neigh]
-        ok = nparts >= 0
-        if not np.all(ok):
-            neigh, srcs, nparts = neigh[ok], srcs[ok], nparts[ok]
-        key = srcs * p + nparts
-        # sweep cost: gather + tally passes over the block's edges, plus the
-        # per-part weight/cap vector work
-        self.work_pending += 2.0 * neigh.size + float(nb) + float(p)
-        self.edges_touched += float(neigh.size)
-        if sparse is None:
-            # sparse pays an O(E log E) sort to skip O(nb * p) histogram
-            # passes; worthwhile once the dense matrix is <1/8 occupied
-            # and wide enough for the difference to matter
-            sparse = p >= 64 and neigh.size * 8 < nb * p
-        if sparse:
-            uniq, inv = np.unique(key, return_inverse=True)
-            plain = np.zeros(nb * p, dtype=np.int64)
-            plain[uniq] = np.bincount(inv, minlength=uniq.size)
-            plain = plain.reshape(nb, p)
-            if degree_weighted:
-                w = self.dg.degrees_full[neigh].astype(np.float64)
-                weighted = np.zeros(nb * p, dtype=np.float64)
-                weighted[uniq] = np.bincount(
-                    inv, weights=w, minlength=uniq.size
-                )
-                weighted = weighted.reshape(nb, p)
-            else:
-                weighted = plain.astype(np.float64)
-            return weighted, plain
+        key = rows * p + nparts
         plain = np.bincount(key, minlength=nb * p).reshape(nb, p)
         if degree_weighted:
-            w = self.dg.degrees_full[neigh].astype(np.float64)
-            weighted = np.bincount(key, weights=w, minlength=nb * p).reshape(nb, p)
+            weighted = np.bincount(
+                key, weights=w_arc, minlength=nb * p
+            ).reshape(nb, p)
         else:
             weighted = plain.astype(np.float64)
         return weighted, plain

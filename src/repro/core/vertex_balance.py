@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.capacity import enforce_weight_capacity
 from repro.core.frontier import FrontierSweeper
+from repro.core.scoring import score_block
 from repro.core.state import RankState
 from repro.simmpi.comm import SimComm
 
@@ -97,29 +98,22 @@ def vertex_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 est = Sv + mult * Cv
                 vw = state.vweights[lids]
                 Wv = np.maximum(imb_v / np.maximum(est, 1.0) - 1.0, 0.0)
-                weighted, _ = state.block_part_counts(lids, degree_weighted=True)
-                scores = weighted * Wv
-                # a part is full for vertex v once est + w(v) exceeds Maxv
-                scores[(est[None, :] + vw[:, None]) > maxv] = 0.0
-                x = state.parts[lids]
-                w = np.argmax(scores, axis=1)
-                rows = np.arange(lids.size)
-                move = (w != x) & (scores[rows, w] > scores[rows, x]) & (
-                    scores[rows, w] > 0.0
+                cand, w, _, _ = score_block(
+                    state, lids, tally="degree", part_weight=Wv,
+                    # a part is full for vertex v once est + w(v) exceeds Maxv
+                    constraints=[(est, vw, maxv)],
                 )
-                cand = np.flatnonzero(move)
                 if cand.size:
                     # admission capacity: weight reaches 0 at est == Imb_v
                     cap = (imb_v - est) / max(mult, 1e-12)
-                    keep = enforce_weight_capacity(w[cand], vw[cand], cap)
-                    cand = cand[keep]
+                    keep = enforce_weight_capacity(w, vw[cand], cap)
+                    cand, w = cand[keep], w[keep]
                 if cand.size:
                     moved = lids[cand]
-                    old = x[cand]
-                    new = w[cand]
-                    state.parts[moved] = new
+                    old = state.parts[moved]
+                    state.parts[moved] = w
                     mw = state.vweights[moved]
-                    Cv += np.bincount(new, weights=mw, minlength=p)
+                    Cv += np.bincount(w, weights=mw, minlength=p)
                     Cv -= np.bincount(old, weights=mw, minlength=p)
                     sweeper.note_moves(moved)
             sweeper.exchange(comm)

@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.core.capacity import enforce_weight_capacity
 from repro.core.frontier import FrontierSweeper
+from repro.core.scoring import score_block
 from repro.core.state import RankState
-from repro.graph.gather import expand_ranges
 from repro.simmpi.comm import SimComm
 
 
@@ -64,7 +64,6 @@ def ml_refine_phase(
     edge weights, aligned with ``state.dg.adj``).
     """
     p = state.num_parts
-    dg = state.dg
     imb_v = state.target_max_vertices
     with comm.phase("ml_refine"):
         Sv = state.compute_vertex_sizes(comm).astype(np.float64)
@@ -82,41 +81,20 @@ def ml_refine_phase(
             for lids in sweeper.blocks():
                 est = Sv + mult * Cv
                 vw = state.vweights[lids]
-                starts = dg.offsets[lids]
-                counts = dg.offsets[lids + 1] - starts
-                arcs = expand_ranges(starts, counts)
-                neigh = dg.adj[arcs]
-                nparts = state.parts[neigh]
-                rows = np.repeat(
-                    np.arange(lids.size, dtype=np.int64), counts
+                cand, w, _, _ = score_block(
+                    state, lids, tally=ew_local,
+                    constraints=[(est, vw, maxv)],
                 )
-                ok = nparts >= 0
-                # weighted tally via the same sparse-key bincount trick as
-                # block_part_counts, with arc weights instead of counts
-                key = rows[ok] * np.int64(p) + nparts[ok]
-                scores = np.bincount(
-                    key, weights=ew_local[arcs][ok],
-                    minlength=lids.size * p,
-                ).reshape(lids.size, p)
-                state.work_pending += 2.0 * neigh.size + float(lids.size + p)
-                state.edges_touched += float(neigh.size)
-                scores[(est[None, :] + vw[:, None]) > maxv] = 0.0
-                x = state.parts[lids]
-                w = np.argmax(scores, axis=1)
-                rr = np.arange(lids.size)
-                move = (w != x) & (scores[rr, w] > scores[rr, x])
-                cand = np.flatnonzero(move)
                 if cand.size:
                     cap = (maxv - est) / max(mult, 1e-12)
-                    keep = enforce_weight_capacity(w[cand], vw[cand], cap)
-                    cand = cand[keep]
+                    keep = enforce_weight_capacity(w, vw[cand], cap)
+                    cand, w = cand[keep], w[keep]
                 if cand.size:
                     moved = lids[cand]
-                    old = x[cand]
-                    new = w[cand]
-                    state.parts[moved] = new
+                    old = state.parts[moved]
+                    state.parts[moved] = w
                     mw = state.vweights[moved]
-                    Cv += np.bincount(new, weights=mw, minlength=p)
+                    Cv += np.bincount(w, weights=mw, minlength=p)
                     Cv -= np.bincount(old, weights=mw, minlength=p)
                     sweeper.note_moves(moved)
             sweeper.exchange(comm)

@@ -109,3 +109,24 @@ def test_weight_capacity_matches_sequential_simulation(moves, caps):
         running[t] += weight
         expected.append(bool(running[t] <= max(cap[t], 0.0)))
     np.testing.assert_array_equal(keep, expected)
+
+
+def test_weight_capacity_many_parts_few_candidates():
+    # p = 256 with one crowded target among mostly empty parts: padding
+    # every part to the widest group would be degenerate, so this takes
+    # the per-part path, which must visit the non-empty groups only and
+    # still agree with the sequential rule (float weights, sums in order)
+    p = 256
+    rng = np.random.default_rng(5)
+    tgt = np.concatenate([np.full(40, 17), rng.integers(0, p, 12)])
+    rng.shuffle(tgt)
+    w = rng.uniform(-1.0, 3.0, tgt.size)
+    cap = rng.uniform(0.0, 20.0, p)
+    assert p * np.bincount(tgt).max() > max(8 * tgt.size, 4096)
+    keep = enforce_weight_capacity(tgt, w, cap)
+    running = np.zeros(p)
+    expected = []
+    for t, weight in zip(tgt, w):
+        running[t] += weight
+        expected.append(bool(running[t] <= cap[t]))
+    np.testing.assert_array_equal(keep, expected)

@@ -70,45 +70,6 @@ def test_block_part_counts_against_reference():
             )
 
 
-def test_block_part_counts_sparse_dense_equivalence():
-    # many parts, few neighbors per vertex: the regime the sparse tally
-    # targets; both paths must agree bit-for-bit (weighted sums included —
-    # the per-key accumulation order is identical)
-    g = rmat(9, 12, seed=8)
-    p = 97
-    (state,) = make_state(g, p, nprocs=1)
-    rng = np.random.default_rng(1)
-    state.parts[:] = rng.integers(0, p, state.parts.size)
-    state.parts[::7] = UNASSIGNED  # exercise the unassigned filter too
-    lids = np.arange(64, dtype=np.int64)
-    for dw in (True, False):
-        wd, pd = state.block_part_counts(
-            lids, degree_weighted=dw, sparse=False
-        )
-        ws, ps = state.block_part_counts(
-            lids, degree_weighted=dw, sparse=True
-        )
-        np.testing.assert_array_equal(pd, ps)
-        np.testing.assert_array_equal(wd, ws)
-        assert ps.dtype == pd.dtype
-
-
-def test_block_part_counts_heuristic_picks_sparse_when_wide():
-    # with p >> degree the auto path must equal both explicit paths
-    g = rmat(8, 6, seed=9)
-    p = 128
-    (state,) = make_state(g, p, nprocs=1)
-    rng = np.random.default_rng(2)
-    state.parts[:] = rng.integers(0, p, state.parts.size)
-    lids = np.arange(state.dg.n_local, dtype=np.int64)
-    w_auto, p_auto = state.block_part_counts(lids, degree_weighted=True)
-    w_dense, p_dense = state.block_part_counts(
-        lids, degree_weighted=True, sparse=False
-    )
-    np.testing.assert_array_equal(p_auto, p_dense)
-    np.testing.assert_array_equal(w_auto, w_dense)
-
-
 def test_block_part_counts_ignores_unassigned():
     g = ring(10)
     (state,) = make_state(g, 2, nprocs=1)

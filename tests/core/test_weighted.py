@@ -95,3 +95,42 @@ def test_weighted_with_initial_parts(g):
     # must never leave the feasible region the start satisfied
     assert vb_after <= max(vb_before, 1.10) + 1e-2
     assert res.quality().cut_ratio <= 0.35
+
+
+def test_edge_balance_blocks_targets_by_vertex_weight():
+    """A heavy vertex must not be aimed at a part that has room for a unit
+    vertex but not for *it*: the part is blocked for that vertex and its
+    second choice gets the move (the edge stage used to test ``est + 1``,
+    lose the admission on weight, and leave the vertex where it was).
+
+    Vertex 0 (weight 3, part 0) has three neighbours in part 1 (weight 5
+    of ``Maxv`` 7 — room for 1, not for 3) and one in part 2 (weight 2).
+    """
+    from repro.core.edge_balance import edge_balance_phase
+    from repro.core.state import RankState
+    from repro.dist import build_dist_graph, make_distribution
+    from repro.graph import from_edges
+    from repro.simmpi import create_runtime
+
+    edges = np.array([(0, 5), (0, 6), (0, 7), (0, 10), (10, 11), (11, 1),
+                      (1, 2), (3, 4), (2, 3), (1, 4), (1, 3)])
+    graph = from_edges(12, edges[:, 0], edges[:, 1])
+    labels = np.array([0] * 5 + [1] * 5 + [2] * 2)
+    weights = np.ones(12)
+    weights[0] = 3.0
+
+    def main(comm):
+        dg = build_dist_graph(comm, graph, make_distribution("block", 12, 1))
+        state = RankState(dg=dg, num_parts=3, params=PulpParams())
+        state.parts[:] = labels
+        state.set_vertex_weights(weights, float(weights.sum()))
+        edge_balance_phase(comm, state, 1)
+        return state.parts.copy()
+
+    rt = create_runtime("serial", nprocs=1)
+    try:
+        (parts,) = rt.run(main)
+    finally:
+        rt.close()
+    assert parts[0] == 2
+    assert np.bincount(parts, weights=weights).max() <= 7.0
