@@ -53,9 +53,7 @@ def _directed_reach(
         if frontier.size:
             neigh, _ = neighbor_gather(offsets, adj, frontier)
             comm.charge(neigh.size)
-            fresh = neigh[(reach[neigh] == 0) & alive[neigh]]
-            if fresh.size:
-                reach[np.unique(fresh)] = 1
+            reach[neigh[(reach[neigh] == 0) & alive[neigh]]] = 1
         # ghost discoveries fold back to their owners, then owners'
         # authoritative state refreshes every ghost copy
         plan.push(comm, reach, op="max")

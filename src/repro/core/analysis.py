@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.quality import PartitionQuality, partition_quality
 from repro.graph.csr import Graph
-from repro.graph.gather import neighbor_gather
+from repro.graph.gather import neighbor_gather, sorted_unique
 
 
 def boundary_vertices(graph: Graph, parts: np.ndarray) -> np.ndarray:
@@ -61,13 +61,8 @@ def ghost_counts(graph: Graph, parts: np.ndarray, num_parts: int) -> np.ndarray:
     parts = np.asarray(parts, dtype=np.int64)
     src, dst = graph.edges()
     remote = parts[src] != parts[dst]
-    if not np.any(remote):
-        return np.zeros(num_parts, dtype=np.int64)
-    key = parts[src][remote] * np.int64(graph.n) + dst[remote]
-    key = np.unique(key)
-    return np.bincount(
-        (key // graph.n).astype(np.int64), minlength=num_parts
-    ).astype(np.int64)
+    key = sorted_unique(parts[src][remote] * np.int64(graph.n) + dst[remote])
+    return np.bincount(key // graph.n, minlength=num_parts)
 
 
 def part_connectivity(
@@ -90,7 +85,7 @@ def part_connectivity(
             while frontier.size:
                 neigh, _ = neighbor_gather(graph.offsets, graph.adj, frontier)
                 same = neigh[(parts[neigh] == k) & ~visited[neigh]]
-                frontier = np.unique(same)
+                frontier = sorted_unique(same)
                 visited[frontier] = True
         out[k] = comps
     return out

@@ -61,6 +61,7 @@ import numpy as np
 
 from repro.core.exchange import exchange_updates
 from repro.core.state import RankState
+from repro.graph.gather import sorted_unique
 from repro.simmpi.comm import SimComm
 
 #: A vertex reactivates once touches-since-last-eval >= max(1, frac * deg).
@@ -127,9 +128,7 @@ class FrontierSweeper:
             # seeds cluster boundaries): start from that active set instead
             # of the exhaustive iteration-0 sweep.  The cleanup pass still
             # catches anything the seed missed.
-            self._frontier = np.unique(
-                np.asarray(seed_lids, dtype=np.int64)
-            )
+            self._frontier = sorted_unique(np.asarray(seed_lids, np.int64))
 
     # -- checkpointing -------------------------------------------------------
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.exchange import exchange_updates
 from repro.core.state import UNASSIGNED, RankState
-from repro.graph.gather import neighbor_gather_with_sources
+from repro.graph.gather import neighbor_gather_with_sources, sorted_unique
 from repro.simmpi.comm import SimComm
 
 
@@ -44,7 +44,7 @@ def _random_distinct_neighbor_parts(
     if srcs.size == 0:
         return chosen, has
     # dedupe (vertex, part) pairs so each distinct part is equally likely
-    keys = np.unique(srcs * np.int64(p) + nparts)
+    keys = sorted_unique(srcs * np.int64(p) + nparts)
     verts = keys // p
     parts = keys % p
     # group boundaries per vertex in the deduped list

@@ -20,7 +20,7 @@ from repro.dist.distgraph import DistGraph
 from repro.dist.distribution import Distribution
 from repro.dist.packing import bucket_by_rank
 from repro.graph.csr import Graph
-from repro.graph.gather import neighbor_gather
+from repro.graph.gather import neighbor_gather, sorted_unique
 from repro.simmpi.comm import SimComm
 
 
@@ -31,51 +31,43 @@ def _localize(
     neighbor_gids: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map neighbor gids → local ids; returns (local_adj, ghost_gids, owners)."""
-    owner_of = dist.owner(neighbor_gids) if neighbor_gids.size else np.empty(
-        0, dtype=np.int32
-    )
-    mine = owner_of == rank
-    local_adj = np.empty(neighbor_gids.size, dtype=np.int64)
-    if np.any(mine):
-        local_adj[mine] = dist.lid(rank, neighbor_gids[mine])
+    mine = dist.owner(neighbor_gids) == rank
     other = ~mine
-    ghost_gids = np.unique(neighbor_gids[other]) if np.any(other) else np.empty(
-        0, dtype=np.int64
+    local_adj = np.empty(neighbor_gids.size, dtype=np.int64)
+    local_adj[mine] = dist.lid(rank, neighbor_gids[mine])
+    remote_gids = neighbor_gids[other]
+    ghost_gids = sorted_unique(remote_gids)
+    local_adj[other] = (
+        np.searchsorted(ghost_gids, remote_gids) + owned_gids.size
     )
-    if np.any(other):
-        local_adj[other] = (
-            np.searchsorted(ghost_gids, neighbor_gids[other]) + owned_gids.size
-        )
-    ghost_owners = (
-        dist.owner(ghost_gids).astype(np.int32)
-        if ghost_gids.size
-        else np.empty(0, dtype=np.int32)
-    )
-    return local_adj, ghost_gids, ghost_owners
+    return local_adj, ghost_gids, dist.owner(ghost_gids).astype(np.int32)
+
+
+def _ghost_arcs(
+    offsets: np.ndarray, local_adj: np.ndarray, n_local: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(source lid, ghost index) of every arc that leaves the rank, in CSR
+    order — so the sources are non-decreasing."""
+    src = np.repeat(np.arange(n_local, dtype=np.int64), np.diff(offsets))
+    is_ghost = local_adj >= n_local
+    return src[is_ghost], local_adj[is_ghost] - n_local
 
 
 def _send_rank_lists(
     nprocs: int,
-    rank: int,
-    offsets: np.ndarray,
-    local_adj: np.ndarray,
     n_local: int,
+    sources: np.ndarray,
+    targets: np.ndarray,
     ghost_owners: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per owned vertex, the sorted unique off-rank owners of its neighbors."""
-    degrees = np.diff(offsets)
-    src = np.repeat(np.arange(n_local, dtype=np.int64), degrees)
-    is_ghost = local_adj >= n_local
-    src_g = src[is_ghost]
-    owners_g = ghost_owners[local_adj[is_ghost] - n_local].astype(np.int64)
-    if src_g.size == 0:
-        return np.zeros(n_local + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    key = np.unique(src_g * np.int64(nprocs) + owners_g)
+    key = sorted_unique(
+        sources * np.int64(nprocs) + ghost_owners[targets].astype(np.int64)
+    )
     verts = key // nprocs
-    ranks = key % nprocs
     sr_offsets = np.zeros(n_local + 1, dtype=np.int64)
     np.cumsum(np.bincount(verts, minlength=n_local), out=sr_offsets[1:])
-    return sr_offsets, ranks
+    return sr_offsets, key % nprocs
 
 
 def _ghost_routing(
@@ -109,10 +101,7 @@ def _ghost_routing(
 
 
 def _ghost_incidence(
-    offsets: np.ndarray,
-    local_adj: np.ndarray,
-    n_local: int,
-    n_ghost: int,
+    sources: np.ndarray, targets: np.ndarray, n_ghost: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR transpose of the ghost columns: for each ghost lid, the owned
     vertices adjacent to it (sorted ascending within each ghost's slice).
@@ -121,12 +110,9 @@ def _ghost_incidence(
     into the set of owned vertices that must re-evaluate their scores —
     ghosts own no forward CSR row, so the reverse structure is required.
     """
-    degrees = np.diff(offsets)
-    src = np.repeat(np.arange(n_local, dtype=np.int64), degrees)
-    is_ghost = local_adj >= n_local
-    targets = local_adj[is_ghost] - n_local
-    sources = src[is_ghost]
-    order = np.lexsort((sources, targets))
+    # ``sources`` is non-decreasing, so a stable sort on ``targets`` alone
+    # is the ``lexsort((sources, targets))`` order at half the cost
+    order = np.argsort(targets, kind="stable")
     gin_offsets = np.zeros(n_ghost + 1, dtype=np.int64)
     np.cumsum(np.bincount(targets, minlength=n_ghost), out=gin_offsets[1:])
     return gin_offsets, sources[order]
@@ -164,13 +150,14 @@ def build_dist_graph(
         # ghost degrees read from the shared input (static data; a real MPI
         # build exchanges them once — volume negligible and one-time)
         degrees_full = graph.degrees[l2g].astype(np.int64)
+        sources, targets = _ghost_arcs(offsets, local_adj, owned_gids.size)
         sr_offsets, sr_adj = _send_rank_lists(
-            comm.size, rank, offsets, local_adj, owned_gids.size, ghost_owners
+            comm.size, owned_gids.size, sources, targets, ghost_owners
         )
         send_ghost_slot = _ghost_routing(comm, ghost_gids, ghost_owners, sr_adj)
         max_ghost_global = comm.allreduce(int(ghost_gids.size), op="max")
         gin_offsets, gin_adj = _ghost_incidence(
-            offsets, local_adj, owned_gids.size, ghost_gids.size
+            sources, targets, ghost_gids.size
         )
         # sanity rendezvous: global edge count must be conserved
         total_local = comm.allreduce(int(local_adj.size), op="sum")

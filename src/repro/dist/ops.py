@@ -113,8 +113,7 @@ def distributed_bfs_levels(
         if frontier.size:
             neigh, _ = neighbor_gather(dg.offsets, dg.adj, frontier)
             comm.charge(neigh.size)
-            fresh = np.unique(neigh[levels[neigh] > depth])
-            levels[fresh] = depth
+            levels[neigh[levels[neigh] > depth]] = depth
         # fold ghost discoveries to owners, then re-broadcast to ghosts
         plan.push(comm, levels, op="min")
         plan.pull(comm, levels)

@@ -7,6 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import Graph
+from repro.graph.gather import sorted_unique
 
 
 def _clean_edges(
@@ -33,8 +34,7 @@ def _clean_edges(
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     if dedup and src.size:
         # sort by (src, dst) once; uniqueness on the combined key
-        key = src * np.int64(n) + dst
-        key = np.unique(key)
+        key = sorted_unique(src * np.int64(n) + dst)
         src = key // n
         dst = key % n
     elif src.size:

@@ -32,6 +32,19 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - prefix, counts) + np.arange(total, dtype=np.int64)
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Ascending distinct elements of ``values`` (flattened, dtype kept).
+
+    Use instead of ``np.unique`` without a ``return_*`` keyword, which from
+    NumPy 2.3 hashes and is 10-80x slower than this sort + neighbour
+    compare on integer keys (DESIGN.md §4; ``tests/test_no_bare_unique.py``).
+    """
+    ordered = np.sort(values, axis=None)
+    keep = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def neighbor_gather(
     offsets: np.ndarray, adj: np.ndarray, verts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:

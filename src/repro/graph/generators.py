@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.graph.builders import from_edges
 from repro.graph.csr import Graph
+from repro.graph.gather import sorted_unique
 
 
 def _rng(seed: Optional[int]) -> np.random.Generator:
@@ -343,8 +344,7 @@ def barabasi_albert(
     for v in range(m_attach + 1, n):
         flat = np.concatenate(pool) if len(pool) > 1 else pool[0]
         pool = [flat]
-        targets = flat[rng.integers(0, pool_size, size=m_attach)]
-        targets = np.unique(targets)
+        targets = sorted_unique(flat[rng.integers(0, pool_size, size=m_attach)])
         src_v = np.full(targets.size, v, dtype=np.int64)
         src_list.append(src_v)
         dst_list.append(targets)

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.graph.gather import neighbor_gather
+from repro.graph.gather import neighbor_gather, sorted_unique
 
 
 def bfs_levels(graph: Graph, source: int) -> np.ndarray:
@@ -26,12 +26,7 @@ def bfs_levels(graph: Graph, source: int) -> np.ndarray:
     while frontier.size:
         depth += 1
         neigh, _ = neighbor_gather(graph.offsets, graph.adj, frontier)
-        if neigh.size == 0:
-            break
-        fresh = neigh[levels[neigh] < 0]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
+        frontier = sorted_unique(neigh[levels[neigh] < 0])
         levels[frontier] = depth
     return levels
 

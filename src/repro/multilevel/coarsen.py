@@ -40,7 +40,11 @@ from repro.dist.distribution import Distribution, RandomDistribution
 from repro.dist.ops import ExchangePlan
 from repro.graph.csr import Graph
 from repro.graph.gather import expand_ranges
-from repro.multilevel.kernels import heavy_edge_matching, segment_best_label
+from repro.multilevel.kernels import (
+    aggregate_coarse_arcs,
+    heavy_edge_matching,
+    segment_best_label,
+)
 from repro.simmpi.comm import SimComm
 
 #: Label-propagation clustering rounds per level (the KaHIP default, same
@@ -222,6 +226,17 @@ def hem_cluster_labels(
 # contraction
 # ---------------------------------------------------------------------------
 
+def allgather_owned(
+    comm: SimComm, dist: Distribution, owned_values: np.ndarray
+) -> np.ndarray:
+    """Allgatherv one int64 per owned vertex; returns the values of all
+    ``dist.n`` vertices indexed by global id, identical on every rank."""
+    chunks, _ = comm.Allgatherv(owned_values.astype(np.int64))
+    full = np.empty(dist.n, dtype=np.int64)
+    full[np.concatenate([dist.owned(r) for r in range(comm.size)])] = chunks
+    return full
+
+
 def contract_level(
     comm: SimComm,
     level: MLLevel,
@@ -246,16 +261,13 @@ def contract_level(
         # each rank contributes the labels of its owned vertices; the
         # replicated aggregation below is charged per-rank at its share
         comm.charge(2.0 * dg.adj.size + float(dg.n_local))
-        all_labels, counts = comm.Allgatherv(owned_labels.astype(np.int64))
-        full = np.empty(g.n, dtype=np.int64)
-        off = 0
-        for r in range(comm.size):
-            gids = level.dist.owned(r)
-            full[gids] = all_labels[off:off + gids.size]
-            off += gids.size
-        uniq, fine2coarse = np.unique(full, return_inverse=True)
-        fine2coarse = fine2coarse.astype(np.int64)
-        nc = int(uniq.size)
+        full = allgather_owned(comm, level.dist, owned_labels)
+        # labels are gids of this level, so a presence bitmap + prefix sum
+        # numbers the surviving clusters ascending without a sort
+        present = np.zeros(g.n, dtype=bool)
+        present[full] = True
+        fine2coarse = (np.cumsum(present) - 1)[full]
+        nc = int(np.count_nonzero(present))
         shrink = 1.0 - nc / max(g.n, 1)
         stop = nc < min_vertices or shrink < MIN_SHRINK
         # collective agreement on the stop decision (inputs are identical,
@@ -267,27 +279,22 @@ def contract_level(
             )
         if stop:
             return None
-        # weighted coarse arcs: aggregate fine arcs by (coarse src, coarse
-        # dst) key; keys sort ascending == CSR order
-        src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-        cs = fine2coarse[src]
+        # weighted coarse arcs: one arc per (coarse src, coarse dst) pair,
+        # in CSR order, via the kernel the shared-memory baseline uses
+        cs = np.repeat(fine2coarse, g.degrees)
         cd = fine2coarse[g.adj]
-        off_diag = cs != cd
-        key = cs[off_diag] * np.int64(nc) + cd[off_diag]
-        uk, kinv = np.unique(key, return_inverse=True)
-        cw = np.bincount(kinv, weights=level.eweights[off_diag],
-                         minlength=uk.size)
-        csrc = uk // nc
-        cdst = uk % nc
-        coffsets = np.zeros(nc + 1, dtype=np.int64)
-        np.cumsum(np.bincount(csrc, minlength=nc), out=coffsets[1:])
-        coarse = Graph(coffsets, cdst, directed=False, validate=False)
+        csr = aggregate_coarse_arcs(cs, cd, level.eweights, nc)
+        cw = csr.data
+        coarse = Graph(
+            csr.indptr.astype(np.int64), csr.indices.astype(np.int64),
+            directed=False, validate=False,
+        )
         cvw = np.bincount(fine2coarse, weights=level.vweights, minlength=nc)
         # conservation invariants: vertex mass exactly, edge weight up to
         # the intra-cluster weight folded away by the contraction
         if not np.isclose(cvw.sum(), level.vweights.sum()):
             raise AssertionError("contraction lost vertex weight")
-        intra = float(level.eweights[~off_diag].sum())
+        intra = float(level.eweights[cs == cd].sum())
         if not np.isclose(cw.sum() + intra, level.eweights.sum()):
             raise AssertionError("contraction lost edge weight")
     cdist = RandomDistribution(

@@ -40,8 +40,10 @@ from repro.core.vertex_balance import vertex_balance_phase
 from repro.dist.distribution import Distribution
 from repro.ft.checkpoint import CkptContext, checkpoint_after, write_checkpoint
 from repro.graph.csr import Graph
+from repro.graph.gather import sorted_unique
 from repro.multilevel.coarsen import (
     MLLevel,
+    allgather_owned,
     contract_level,
     hem_cluster_labels,
     lp_cluster_labels,
@@ -177,14 +179,9 @@ def _project(
     fdg = fine_level.dg
     f2c = coarse_level.fine2coarse
     with comm.phase("project"):
-        owned = coarse_state.parts[: cdg.n_local].astype(np.int64)
-        all_parts, _counts = comm.Allgatherv(owned)
-        gparts = np.empty(coarse_level.graph.n, dtype=np.int64)
-        off = 0
-        for r in range(comm.size):
-            gids = coarse_level.dist.owned(r)
-            gparts[gids] = all_parts[off:off + gids.size]
-            off += gids.size
+        gparts = allgather_owned(
+            comm, coarse_level.dist, coarse_state.parts[: cdg.n_local]
+        )
         # scatter + two gather passes over this rank's fine view
         comm.charge(float(cdg.n_local) + 2.0 * fdg.l2g.size + fdg.adj.size)
         cluster_of = f2c[fdg.l2g]
@@ -200,7 +197,7 @@ def _project(
             np.arange(fdg.n_local, dtype=np.int64), fdg.local_degrees
         )
         boundary = cluster_of[srcs] != cluster_of[fdg.adj]
-        seeds = np.unique(srcs[boundary])
+        seeds = sorted_unique(srcs[boundary])
     return state, seeds
 
 

@@ -154,7 +154,7 @@ def lp_clustering(
     weight_of = vweights.astype(np.float64).copy()  # per-label mass
     for _ in range(iters):
         lab = labels[dst]
-        best, best_w = segment_best_label(src, lab, w, n)
+        best, _ = segment_best_label(src, lab, w, n)
         movable = (best >= 0) & (best != labels)
         cand = np.flatnonzero(movable)
         if cand.size == 0:
@@ -164,11 +164,25 @@ def lp_clustering(
         tgt = best[cand]
         room = weight_of[tgt] + vweights[cand] <= max_cluster
         cand, tgt = cand[room], tgt[room]
-        _ = best_w
         np.subtract.at(weight_of, labels[cand], vweights[cand])
         np.add.at(weight_of, tgt, vweights[cand])
         labels[cand] = tgt
     return labels
+
+
+def aggregate_coarse_arcs(
+    cs: np.ndarray, cd: np.ndarray, weights: np.ndarray, nc: int
+) -> sparse.csr_matrix:
+    """Sum the fine arcs ``(cs[i], cd[i], weights[i])`` into one weighted
+    arc per coarse ``(src, dst)`` pair, dropping self-arcs.  COO → CSR
+    bucketing, not a global key sort; returns canonical CSR (arcs in
+    ascending ``(src, dst)`` order)."""
+    off_diag = cs != cd
+    coarse = sparse.coo_matrix(
+        (weights[off_diag], (cs[off_diag], cd[off_diag])), shape=(nc, nc)
+    ).tocsr()
+    coarse.sum_duplicates()
+    return coarse
 
 
 def contract(
@@ -179,12 +193,8 @@ def contract(
     uniq, mapping = np.unique(labels, return_inverse=True)
     nc = uniq.size
     coo = adj.tocoo()
-    cs = mapping[coo.row]
-    cd = mapping[coo.col]
-    off_diag = cs != cd
-    coarse = sparse.coo_matrix(
-        (coo.data[off_diag], (cs[off_diag], cd[off_diag])), shape=(nc, nc)
-    ).tocsr()
-    coarse.sum_duplicates()
+    coarse = aggregate_coarse_arcs(
+        mapping[coo.row], mapping[coo.col], coo.data, nc
+    )
     cvw = np.bincount(mapping, weights=vweights.astype(np.float64), minlength=nc)
     return coarse, cvw, mapping.astype(np.int64)

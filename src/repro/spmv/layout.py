@@ -23,6 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.graph.csr import Graph
+from repro.graph.gather import sorted_unique
 
 
 def grid_shape(p: int) -> Tuple[int, int]:
@@ -55,7 +56,7 @@ class Layout1D:
         mine = owner[src] == rank
         s, d = src[mine], dst[mine]
         row_l = np.searchsorted(rows, s)
-        col_gids = np.unique(d)
+        col_gids = sorted_unique(d)
         col_l = np.searchsorted(col_gids, d)
         mat = sparse.coo_matrix(
             (np.ones(s.size), (row_l, col_l)),
@@ -67,9 +68,7 @@ class Layout1D:
             rows=rows,
             matrix=mat,
             col_gids=col_gids,
-            col_owner=owner[col_gids].astype(np.int64)
-            if col_gids.size
-            else np.empty(0, dtype=np.int64),
+            col_owner=owner[col_gids].astype(np.int64),
         )
 
 
@@ -100,8 +99,8 @@ class Layout2D:
         src, dst = graph.edges()
         mine = ((parts[src] % pr) == a) & ((parts[dst] // pr) == b)
         s, d = src[mine], dst[mine]
-        row_gids = np.unique(s)
-        col_gids = np.unique(d)
+        row_gids = sorted_unique(s)
+        col_gids = sorted_unique(d)
         mat = sparse.coo_matrix(
             (
                 np.ones(s.size),

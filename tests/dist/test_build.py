@@ -143,3 +143,24 @@ def test_max_ghost_global_is_global_max():
     dgs, _ = build_all(g, 3, "random", seed=4)
     true_max = max(dg.n_ghost for dg in dgs)
     assert all(dg.max_ghost_global == true_max for dg in dgs)
+
+
+@pytest.mark.parametrize("kind", ["block", "random"])
+def test_ghost_incidence_equals_lexsort_form(kind):
+    """``_ghost_incidence`` stable-sorts on the ghost target alone; that is
+    the ``lexsort((sources, targets))`` transpose because arc sources come
+    out of the local CSR already non-decreasing."""
+    g = rmat(9, 12, seed=3)
+    dgs, _ = build_all(g, 4, kind, seed=2)
+    for dg in dgs:
+        src = np.repeat(np.arange(dg.n_local), dg.local_degrees)
+        is_ghost = dg.adj >= dg.n_local
+        targets = dg.adj[is_ghost] - dg.n_local
+        sources = src[is_ghost]
+        assert targets.size  # the case is not vacuous
+        order = np.lexsort((sources, targets))
+        np.testing.assert_array_equal(dg.ghost_in_adj, sources[order])
+        np.testing.assert_array_equal(
+            np.diff(dg.ghost_in_offsets),
+            np.bincount(targets, minlength=dg.n_ghost),
+        )

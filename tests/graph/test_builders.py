@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from repro.graph import from_edges, from_networkx, from_scipy, to_networkx, to_scipy
@@ -103,3 +104,31 @@ def test_relabel_validates_permutation():
         relabel(g, np.array([0, 0, 1, 2]))
     with pytest.raises(ValueError):
         relabel(g, np.array([0, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=60,
+            ),
+        )
+    ),
+    st.booleans(),
+)
+def test_from_edges_matches_set_of_pairs(case, directed):
+    """Against a brute-force set: duplicates collapse, self-loops go,
+    undirected input yields both arcs, rows come out sorted."""
+    n, pairs = case
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    g = from_edges(n, src, dst, directed=directed)
+    want = {(u, v) for u, v in pairs if u != v}
+    if not directed:
+        want |= {(v, u) for u, v in want}
+    assert g.n == n and g.num_directed_edges == len(want)
+    for u in range(n):
+        assert g.neighbors(u).tolist() == sorted(v for s, v in want if s == u)

@@ -7,6 +7,7 @@ from repro.graph.gather import (
     expand_ranges,
     neighbor_gather,
     neighbor_gather_with_sources,
+    sorted_unique,
 )
 from repro.graph import rmat
 
@@ -65,3 +66,38 @@ def test_neighbor_gather_with_sources():
     np.testing.assert_array_equal(
         neigh[sources == 1], g.neighbors(100)
     )
+
+
+def _assert_same_as_np_unique(a):
+    got, want = sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype == a.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([np.int64, np.int32, np.uint32]),
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=60),
+    st.booleans(),
+    st.booleans(),
+)
+def test_sorted_unique_matches_np_unique(dtype, values, wide, presorted):
+    info = np.iinfo(dtype)
+    if wide:  # spread to the dtype's extremes (negative where signed)
+        values = [v * (info.max // 50) for v in values]
+    a = np.array(values, dtype=np.int64).clip(info.min, info.max).astype(dtype)
+    if presorted:
+        a.sort()
+    _assert_same_as_np_unique(a)
+
+
+def test_sorted_unique_edge_shapes():
+    for dtype in (np.int64, np.int32, np.uint32):
+        _assert_same_as_np_unique(np.empty(0, dtype=dtype))
+        _assert_same_as_np_unique(np.array([7], dtype=dtype))
+        _assert_same_as_np_unique(np.full(9, 3, dtype=dtype))
+    _assert_same_as_np_unique(np.array([-3, 5, -3, -9, 5], dtype=np.int64))
+    # flattens like np.unique, and never aliases or reorders its input
+    a = np.array([[4, 1], [1, 4]])
+    _assert_same_as_np_unique(a)
+    np.testing.assert_array_equal(a, [[4, 1], [1, 4]])

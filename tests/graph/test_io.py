@@ -22,6 +22,30 @@ def test_edge_list_directed(tmp_path):
     assert d == d2
 
 
+def test_edge_list_directed_roundtrip_from_header(tmp_path):
+    # the header records the kind; reading must not silently symmetrize
+    d = from_edges(4, np.array([0, 2, 3]), np.array([1, 1, 0]), directed=True)
+    path = tmp_path / "d.txt"
+    io.write_edge_list(d, path)
+    d2 = io.read_edge_list(path)
+    assert d2.directed and d == d2
+    # an explicit argument still wins over the header
+    u = io.read_edge_list(path, directed=False)
+    assert not u.directed and u.num_directed_edges == 6
+
+
+def test_edge_list_headerless_defaults(tmp_path):
+    path = tmp_path / "g.txt"
+    io.write_edge_list(ring(5), path, header=False)
+    g = io.read_edge_list(path)
+    assert not g.directed and g == ring(5)
+    # first line is data, not a header: it must not be skipped
+    path.write_text("3 4\n0 1\n")
+    g = io.read_edge_list(path)
+    assert g.n == 5 and g.num_edges == 2
+    assert io.read_edge_list(path, directed=True).num_directed_edges == 2
+
+
 def test_edge_list_infers_n(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 5\n2 3\n")

@@ -18,14 +18,17 @@ what makes checkpoint resume re-execute it deterministically.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PulpParams
 from repro.dist import make_distribution
-from repro.graph import rmat
+from repro.graph import mesh3d, rmat, webcrawl
+from repro.multilevel import driver
 from repro.multilevel.coarsen import local_eweights
 from repro.multilevel.driver import build_hierarchy
 from repro.simmpi import Runtime
+from tests.reference.contraction import reference_contract
 
 
 def _arc_sources(graph):
@@ -129,3 +132,47 @@ def test_hierarchy_is_deterministic():
     for la, lb in zip(a[0], b[0]):
         np.testing.assert_array_equal(la.graph.adj, lb.graph.adj)
         np.testing.assert_array_equal(la.eweights, lb.eweights)
+
+
+@pytest.mark.parametrize("mode", ["lp", "hem"])
+@pytest.mark.parametrize(
+    "graph",
+    [rmat(9, 8, seed=3), mesh3d(9, 9, 9), webcrawl(1024, 12, seed=5)],
+    ids=["rmat", "mesh", "webcrawl"],
+)
+def test_contract_level_matches_unique_reference(monkeypatch, graph, mode):
+    """The shared COO -> CSR aggregation + bitmap relabel yield exactly the
+    arrays of the ``np.unique``-based contraction they replaced."""
+    nprocs = 3
+    owned_labels = {}
+    real = driver.contract_level
+
+    def spy(comm, level, labels, params, level_index, min_vertices):
+        owned_labels[level_index, comm.rank] = labels.copy()
+        return real(comm, level, labels, params, level_index, min_vertices)
+
+    monkeypatch.setattr(driver, "contract_level", spy)
+    params = PulpParams(
+        multilevel=True, ml_coarsen=mode, ml_levels=4,
+        ml_coarsest_factor=8, seed=7,
+    )
+    dist = make_distribution("random", graph.n, nprocs, seed=7)
+    levels = Runtime(nprocs).run(
+        lambda comm: build_hierarchy(comm, graph, dist, 2, params, None)
+    )[0]
+    assert len(levels) >= 2
+    for i in range(1, len(levels)):
+        fine, coarse = levels[i - 1], levels[i]
+        full = np.empty(fine.graph.n, dtype=np.int64)
+        for r in range(nprocs):
+            full[fine.dist.owned(r)] = owned_labels[i - 1, r]
+        offsets, adj, cw, cvw, f2c = reference_contract(
+            fine.graph, fine.eweights, fine.vweights, full
+        )
+        for got, want in [
+            (coarse.graph.offsets, offsets), (coarse.graph.adj, adj),
+            (coarse.eweights, cw), (coarse.vweights, cvw),
+            (coarse.fine2coarse, f2c),
+        ]:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
