@@ -16,6 +16,8 @@ import json
 from pathlib import Path
 from typing import Dict
 
+import numpy as np
+
 from repro.core import PulpParams, xtrapulp
 from repro.graph import generators
 
@@ -28,14 +30,20 @@ def load_cases() -> list:
 
 def digests(case: dict, backend: str) -> Dict[str, str]:
     """Run one pinned configuration; sha256 of its partition and record."""
-    graph = getattr(generators, case["generator"])(
-        *case["gen_args"], seed=case["graph_seed"]
-    )
+    # mesh3d takes no seed: a null graph_seed passes none
+    seed = {} if case["graph_seed"] is None else {"seed": case["graph_seed"]}
+    graph = getattr(generators, case["generator"])(*case["gen_args"], **seed)
+    weights = None
+    if case.get("vertex_weights_seed") is not None:
+        # non-integer weights, so the constraints' ``add_i`` is not 1.0
+        weights = np.random.default_rng(
+            case["vertex_weights_seed"]).uniform(0.5, 2.5, graph.n)
     result = xtrapulp(
         graph,
         case["num_parts"],
         nprocs=case["nprocs"],
         params=PulpParams(seed=case["seed"], **case["params"]),
+        vertex_weights=weights,
         backend=backend,
     )
     return {

@@ -1,6 +1,7 @@
 """Partitions and communication records pinned in ``scoring.json``
-(captured at the commit before the two-kernel scorer landed): one case on
-each side of the kernel choice, flat and multilevel, on every backend."""
+(each captured at the commit before the kernel change it guards — see
+README.md): both sides of the kernel choice, flat and multilevel, four
+graph classes, unit and weighted vertices, on every backend."""
 
 import pytest
 
