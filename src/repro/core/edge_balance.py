@@ -88,7 +88,7 @@ def edge_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
     imb_v = state.target_max_vertices
     imb_e = state.target_max_edges
     params = state.params
-    degrees = state.dg.local_degrees.astype(np.float64)
+    degrees = state.degrees_f64
     with comm.phase("edge_balance"):
         from repro.core.initialization import reseed_dead_parts
 
@@ -136,8 +136,9 @@ def edge_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
                     # to the ratcheted maximum
                     limit_e = np.where(est_e < imb_e, imb_e, maxe)
                     cap_e = (limit_e - est_e) / max(mult, 1e-12)
-                    keep = enforce_weight_capacity(w, vw[cand], cap_v)
-                    keep &= enforce_weight_capacity(w, deg[cand], cap_e)
+                    keep = enforce_weight_capacity(
+                        w, [(vw[cand], cap_v), (deg[cand], cap_e)]
+                    )
                     cand = cand[keep]
                     moved = lids[cand]
                     _commit(state, moved, w[keep], deg[cand],
@@ -153,7 +154,7 @@ def edge_refine_phase(comm: SimComm, state: RankState, iters: int) -> None:
     p = state.num_parts
     imb_v = state.target_max_vertices
     imb_e = state.target_max_edges
-    degrees = state.dg.local_degrees.astype(np.float64)
+    degrees = state.degrees_f64
     with comm.phase("edge_refine"):
         Sv = state.compute_vertex_sizes(comm).astype(np.float64)
         Se = state.compute_edge_sizes(comm).astype(np.float64)
@@ -190,9 +191,9 @@ def edge_refine_phase(comm: SimComm, state: RankState, iters: int) -> None:
                     cap_e = (maxe - est_e) / max(mult, 1e-12)
                     cap_c = (maxc - est_c) / max(mult, 1e-12)
                     gain = deg[cand] - 2.0 * n_w  # ΔSc at the target
-                    keep = enforce_weight_capacity(w, vw[cand], cap_v)
-                    keep &= enforce_weight_capacity(w, deg[cand], cap_e)
-                    keep &= enforce_weight_capacity(w, gain, cap_c)
+                    keep = enforce_weight_capacity(w, [
+                        (vw[cand], cap_v), (deg[cand], cap_e), (gain, cap_c),
+                    ])
                     cand = cand[keep]
                     moved = lids[cand]
                     _commit(state, moved, w[keep], deg[cand],

@@ -117,9 +117,11 @@ class FrontierSweeper:
         if self.track and not self.force_full:
             # per-vertex touch accumulator + activation thresholds
             self._dirt = np.zeros(self.dg.n_local, dtype=np.int64)
-            self._thresh = np.maximum(
-                DIRT_FRACTION * self.dg.local_degrees, 1.0
-            )
+            if state.dirt_thresholds is None:
+                state.dirt_thresholds = np.maximum(
+                    DIRT_FRACTION * self.dg.local_degrees, 1.0
+                )
+            self._thresh = state.dirt_thresholds
         else:
             self._dirt = None
             self._thresh = None
@@ -184,14 +186,12 @@ class FrontierSweeper:
         self._edges_mark = self.state.edges_touched
         if self._iter == self.cleanup_iter:
             self._frontier = None  # cleanup: exhaustive final pass
-        bs = self.state.params.block_size
         if self._frontier is None:
-            n = self.dg.n_local
-            for start in range(0, n, bs):
-                stop = min(start + bs, n)
-                yield np.arange(start, stop, dtype=np.int64)
+            for lids, _ in self.state.iter_blocks():
+                yield lids
         else:
             lids = self._frontier
+            bs = self.state.params.block_size
             for start in range(0, lids.size, bs):
                 yield lids[start:start + bs]
 
@@ -246,9 +246,8 @@ class FrontierSweeper:
         touched = 0.0
         if moved.size:
             neigh, _ = dg.neighbor_block(moved)
-            owned = neigh[neigh < n]
-            if owned.size:
-                dirt += np.bincount(owned, minlength=n)
+            # cheaper to count ghost neighbours too than to compress them out
+            dirt += np.bincount(neigh, minlength=dg.n_total)[:n]
             touched += float(neigh.size)
         if ghost_lids.size:
             srcs = dg.ghost_touch_sources(ghost_lids)

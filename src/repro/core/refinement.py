@@ -54,7 +54,7 @@ def vertex_refine_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 )
                 if cand.size:
                     cap = (maxv - est) / max(mult, 1e-12)
-                    keep = enforce_weight_capacity(w, vw[cand], cap)
+                    keep = enforce_weight_capacity(w, [(vw[cand], cap)])
                     cand, w = cand[keep], w[keep]
                 if cand.size:
                     moved = lids[cand]

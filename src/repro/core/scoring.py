@@ -13,16 +13,16 @@ with ``tally`` the (unit / neighbour-degree / per-arc weighted) sum over
 lowest-numbered part attaining the maximum.  Scores are non-negative, so
 a part without neighbours of ``i`` (score 0) can never be a target.
 
-:func:`score_block` gathers the block's arcs once and hands them to one
-of two kernels with identical outputs:
+:func:`score_block` gathers the block's arcs once, as ``row·p + part``
+keys (:meth:`RankState.gather_block`), and hands them to one of two
+kernels with identical outputs:
 
 * :func:`score_dense` materialises the ``nb × p`` score matrix and
   ``argmax``es it — the right shape when most of the matrix is occupied;
-* :func:`score_sparse` sorts the block's ``row·p + part`` arc keys,
-  run-length-reduces them to the occupied ``(row, part)`` entries and
-  picks each row's best by segment reduction — the rating-map idea of
-  dKaMinPar's label propagation (arXiv:2303.01417); nothing in it is
-  O(``nb · p``).
+* :func:`score_sparse` sorts the keys, run-length-reduces them to the
+  occupied ``(row, part)`` entries and picks each row's best by segment
+  reduction — the rating-map idea of dKaMinPar's label propagation
+  (arXiv:2303.01417); nothing in it is O(``nb · p``).
 
 The kernel is chosen per block from the matrix's occupancy bound
 ``arcs / (nb · p)`` (see :data:`SPARSE_MIN_PARTS`,
@@ -61,6 +61,12 @@ Scored = Tuple[
 SPARSE_MIN_PARTS = 64
 SPARSE_MAX_OCCUPANCY = 0.25
 
+#: Up to this many cells a constraint is tested on the whole block, not
+#: only where it can bind (:func:`_corner`): finding the corner is five
+#: small calls, more than a 2-D test of the 32 × 16 matrices that
+#: many-rank runs score by the thousand.
+PRUNE_MIN_CELLS = 4096
+
 _EMPTY = np.empty(0, dtype=np.int64)
 _ZERO = np.zeros(1, dtype=np.int64)
 
@@ -80,7 +86,8 @@ def score_block(
     Parameters
     ----------
     lids:
-        The block's owned local ids, all assigned to a part.
+        The block's owned local ids, all assigned to a part (a
+        ``ValueError`` otherwise: a row's own label indexes its scores).
     tally:
         ``"unit"`` (plurality), ``"degree"`` (neighbours weighted by their
         degree) or a non-negative per-arc weight array aligned with
@@ -100,30 +107,90 @@ def score_block(
     """
     p = state.num_parts
     nb = lids.size
-    rows, nparts, w_arc, counts = state.gather_block(lids, tally)
+    x = state.parts[lids]
+    if nb and x.min() < 0:
+        raise ValueError(
+            f"lid {int(lids[np.argmin(x)])} is UNASSIGNED: a block scores "
+            f"assigned vertices only")
+    key, w_arc, counts = state.gather_block(lids, tally)
     want_counts = plain_counts or cut is not None
-    if nparts.size == 0:
+    if key.size == 0:
         # isolated or all-UNASSIGNED neighbourhoods: every score is 0
         none = _EMPTY if want_counts else None
         return _EMPTY, _EMPTY, none, none
     kernel = (
         score_sparse
         if p >= SPARSE_MIN_PARTS
-        and nparts.size < SPARSE_MAX_OCCUPANCY * nb * p
+        and key.size < SPARSE_MAX_OCCUPANCY * nb * p
         else score_dense
     )
-    return kernel(
-        nb, p, state.parts[lids], rows, nparts, w_arc,
-        part_weight, constraints, cut, counts, want_counts,
-    )
+    return kernel(nb, p, x, key, w_arc, part_weight, constraints, cut,
+                  counts, want_counts)
+
+
+def _corner(cells: int, est_k: np.ndarray, add_i: np.ndarray, limit: float):
+    """Masks of the ``(rows, parts)`` among which ``est_k[k] + add_i[i] >
+    limit`` can hold: None for nowhere, ``(None, None)`` for everywhere —
+    and for a block of at most :data:`PRUNE_MIN_CELLS` cells.
+
+    Float addition is monotone in each operand: a part that takes the
+    largest addend is open to every row, a row that fits the fullest part
+    fits every part, so testing the remaining corner alone writes exactly
+    the zeros the full test would (finite inputs; a NaN poisons a max).
+    """
+    if cells <= PRUNE_MIN_CELLS:
+        return None, None
+    parts = est_k + add_i.max() > limit
+    if not parts.any():
+        return None
+    rows = est_k.max() + add_i > limit
+    return (None, None) if rows.all() and parts.all() else (rows, parts)
+
+
+def _close_cells(
+    scores: np.ndarray, est_k: np.ndarray, add_i: np.ndarray, limit: float,
+    plain: Optional[np.ndarray] = None,
+) -> None:
+    """Zero ``scores[i, k]`` where ``est_k[k] + add_i[i] > limit`` — with
+    ``plain``, the cut rule ``est_k[k] + (add_i[i] - 2 plain[i, k]) >
+    limit``, whose addend ``add_i[i]`` bounds from above."""
+    if (corner := _corner(scores.size, est_k, add_i, limit)) is None:
+        return
+    rows, parts = corner
+    if rows is None:
+        twice = 0.0 if plain is None else 2.0 * plain
+        scores[(est_k + (add_i[:, None] - twice)) > limit] = 0.0
+    else:
+        rows, parts = np.flatnonzero(rows), np.flatnonzero(parts)
+        twice = 0.0 if plain is None else 2.0 * plain[rows[:, None], parts]
+        r, c = np.nonzero((est_k[parts] + (add_i[rows, None] - twice)) > limit)
+        scores[rows[r], parts[c]] = 0.0
+
+
+def _close_entries(
+    scores: np.ndarray, erow: np.ndarray, epart: np.ndarray,
+    est_k: np.ndarray, add_i: np.ndarray, limit: float,
+    plain: Optional[np.ndarray] = None,
+) -> None:
+    """:func:`_close_cells` for the sparse kernel's occupied entries
+    (``scores`` / ``erow`` / ``epart`` / ``plain``: one value per entry)."""
+    if (corner := _corner(scores.size, est_k, add_i, limit)) is None:
+        return
+    rows, parts = corner
+    sel = slice(None)
+    if rows is not None:
+        sel = np.flatnonzero(parts[epart])
+        sel = sel[rows[erow[sel]]]
+    twice = 0.0 if plain is None else 2.0 * plain[sel]
+    blocked = (est_k[epart[sel]] + (add_i[erow[sel]] - twice)) > limit
+    scores[blocked if rows is None else sel[blocked]] = 0.0
 
 
 def score_dense(
     nb: int,
     p: int,
     x: np.ndarray,
-    rows: np.ndarray,
-    nparts: np.ndarray,
+    key: np.ndarray,
     w_arc: Optional[np.ndarray],
     part_weight: Optional[np.ndarray],
     constraints: Sequence[Constraint],
@@ -132,9 +199,8 @@ def score_dense(
     want_counts: bool,
 ) -> Scored:
     """The ``nb × p`` matrix kernel (``x``: current part of each row;
-    ``rows`` / ``nparts`` / ``w_arc``: the gathered arcs, at least one;
-    ``counts``: row degrees)."""
-    key = rows * p + nparts
+    ``key`` / ``w_arc``: the gathered arcs' ``row·p + part`` and tally
+    weight, at least one; ``counts``: row degrees)."""
     plain = None
     if w_arc is None or want_counts:
         plain = np.bincount(key, minlength=nb * p).reshape(nb, p)
@@ -146,11 +212,9 @@ def score_dense(
     if part_weight is not None:
         scores *= part_weight
     for est_k, add_i, limit in constraints:
-        scores[(est_k[None, :] + add_i[:, None]) > limit] = 0.0
+        _close_cells(scores, est_k, add_i, limit)
     if cut is not None:
-        est_c, maxc = cut
-        d_cut = counts[:, None] - 2.0 * plain
-        scores[(est_c[None, :] + d_cut) > maxc] = 0.0
+        _close_cells(scores, cut[0], counts, cut[1], plain)
     target = np.argmax(scores, axis=1)
     r = np.arange(nb)
     cand = np.flatnonzero(scores[r, target] > scores[r, x])
@@ -163,8 +227,9 @@ def score_dense(
 def _sorted_runs(
     key: np.ndarray, bound: int, w_arc: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Sort ``key`` (values in ``[0, bound)``), stably when weights ride
-    along; return ``(sorted key, run starts, weights in sorted order)``."""
+    """Sort ``key`` (values in ``[0, bound)``; overwritten), stably when
+    weights ride along; return ``(sorted key, run starts, weights in
+    sorted order)``."""
     n = key.size
     if w_arc is None:
         # equal keys are indistinguishable: a plain value sort will do,
@@ -178,10 +243,12 @@ def _sorted_runs(
         # makes a value sort stable, at a fraction of argsort's cost.
         bits = (n - 1).bit_length()
         if int(bound).bit_length() + bits <= 63:
-            packed = (key << bits) | np.arange(n, dtype=np.int64)
-            packed.sort()
-            ks = packed >> bits
-            w_sorted = w_arc[packed & ((1 << bits) - 1)]
+            key <<= bits
+            key |= np.arange(n, dtype=np.int64)
+            key.sort()
+            w_sorted = w_arc[key & ((1 << bits) - 1)]
+            key >>= bits
+            ks = key
         else:
             order = np.argsort(key, kind="stable")
             ks = key[order]
@@ -195,8 +262,7 @@ def score_sparse(
     nb: int,
     p: int,
     x: np.ndarray,
-    rows: np.ndarray,
-    nparts: np.ndarray,
+    key: np.ndarray,
     w_arc: Optional[np.ndarray],
     part_weight: Optional[np.ndarray],
     constraints: Sequence[Constraint],
@@ -204,10 +270,11 @@ def score_sparse(
     counts: np.ndarray,
     want_counts: bool,
 ) -> Scored:
-    """The occupied-entries kernel; same contract as :func:`score_dense`."""
-    n = nparts.size
+    """The occupied-entries kernel; same contract as :func:`score_dense`
+    (and it sorts ``key`` in place)."""
+    n = key.size
     # one entry per occupied (row, part) cell, ordered by row then part
-    ks, starts, w_sorted = _sorted_runs(rows * p + nparts, nb * p, w_arc)
+    ks, starts, w_sorted = _sorted_runs(key, nb * p, w_arc)
     ekey = ks[starts].astype(np.int64, copy=False)  # int64 indexes fastest
     erow = ekey // p
     epart = ekey - erow * p
@@ -221,11 +288,9 @@ def score_sparse(
     if part_weight is not None:
         scores *= part_weight[epart]
     for est_k, add_i, limit in constraints:
-        scores[(est_k[epart] + add_i[erow]) > limit] = 0.0
+        _close_entries(scores, erow, epart, est_k, add_i, limit)
     if cut is not None:
-        est_c, maxc = cut
-        d_cut = counts[erow] - 2.0 * plain
-        scores[(est_c[epart] + d_cut) > maxc] = 0.0
+        _close_entries(scores, erow, epart, cut[0], counts, cut[1], plain)
     # rows present among the entries; rows without entries never move
     rstarts = np.concatenate(
         (_ZERO, np.flatnonzero(erow[1:] != erow[:-1]) + 1)

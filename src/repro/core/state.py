@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from repro.core.params import PulpParams
 from repro.dist.distgraph import DistGraph
 from repro.dist.wire import WireSpec, make_wire_spec
-from repro.graph.gather import expand_ranges, neighbor_gather_with_sources
+from repro.graph.gather import expand_ranges
 from repro.simmpi.comm import SimComm
 
 UNASSIGNED = np.int64(-1)
@@ -48,6 +49,9 @@ class RankState:
     Sv: Optional[np.ndarray] = None
     Se: Optional[np.ndarray] = None
     Sc: Optional[np.ndarray] = None
+    #: Frontier activation thresholds: a function of the graph alone, so
+    #: the first phase's FrontierSweeper leaves them here for the others.
+    dirt_thresholds: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.parts = np.full(self.dg.n_total, UNASSIGNED, dtype=np.int64)
@@ -60,6 +64,12 @@ class RankState:
         # unit vertex weights by default; see set_vertex_weights
         self.vweights = np.ones(self.dg.n_local, dtype=np.float64)
         self.global_vweight = float(self.dg.global_n)
+
+    @cached_property
+    def degrees_f64(self) -> np.ndarray:
+        """Owned + ghost degrees as float64 (tally weights, edge-size
+        deltas): built on first use, once per state, freed with it."""
+        return self.dg.degrees_full.astype(np.float64)
 
     def set_vertex_weights(self, weights: np.ndarray, total: float) -> None:
         """Enable weighted vertex balancing: ``weights`` are this rank's
@@ -171,10 +181,9 @@ class RankState:
         """Global per-part edge sizes ``Se`` = sum of member degrees."""
         comm.charge(self.dg.n_local)
         owned = self.parts[: self.dg.n_local]
-        deg = self.dg.local_degrees
         ok = owned >= 0
         local = np.bincount(
-            owned[ok], weights=deg[ok].astype(np.float64),
+            owned[ok], weights=self.dg.local_degrees[ok],
             minlength=self.num_parts,
         ).astype(np.int64)
         return comm.Allreduce(local, op="sum")
@@ -185,15 +194,14 @@ class RankState:
         Counting from the owned endpoint of every stored arc credits each
         undirected cut edge once to each of its two endpoint parts.
         """
-        comm.charge(self.dg.adj.size)
+        dg = self.dg
+        comm.charge(dg.adj.size)
         local = np.zeros(self.num_parts, dtype=np.int64)
-        for lids, _ in self.iter_blocks():
-            neigh, srcs, _ = neighbor_gather_with_sources(
-                self.dg.offsets, self.dg.adj, lids
-            )
-            p_src = self.parts[lids][srcs]
-            p_dst = self.parts[neigh]
-            cut = p_src != p_dst
+        for _, rows in self.iter_blocks():
+            # consecutive rows: their arcs are one slice of the CSR
+            arcs = slice(dg.offsets[rows.start], dg.offsets[rows.stop])
+            p_src = np.repeat(self.parts[rows], dg.local_degrees[rows])
+            cut = p_src != self.parts[dg.adj[arcs]]
             local += np.bincount(p_src[cut], minlength=self.num_parts)
         return comm.Allreduce(local, op="sum")
 
@@ -211,68 +219,67 @@ class RankState:
 
     def gather_block(
         self, lids: np.ndarray, tally: Union[str, np.ndarray] = "unit"
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         """Gather a block's labelled arcs and charge the sweep's work.
 
-        Returns ``(rows, nparts, w_arc, counts)``: per arc (row-major, in
-        CSR order) the position of its source in ``lids`` and its
-        neighbour's part; arcs to UNASSIGNED neighbours are dropped.
-        ``w_arc`` holds the tally weight of each kept arc — None for
-        ``tally="unit"``, the neighbour's degree for ``"degree"``, or the
-        matching entries of a per-arc weight array aligned with
-        ``dg.adj``.  ``counts[i]`` is ``degree(lids[i])``.
+        Returns ``(key, w_arc, counts)``: per arc (row-major, in CSR order)
+        the scoring key ``row * num_parts + part`` (``row``: position of
+        its source in ``lids``; ``part``: its neighbour's), which the
+        caller owns and may overwrite; arcs to UNASSIGNED neighbours are
+        dropped.  ``w_arc`` holds the tally weight of each kept arc — None
+        for ``tally="unit"``, the neighbour's degree for ``"degree"``, or
+        the matching entries (maybe a view) of a per-arc weight array
+        aligned with ``dg.adj``.  ``counts[i]`` is ``degree(lids[i])``.
 
         This is the one place scoring work is charged: gather + tally
         passes over the kept arcs plus the per-row / per-part vector work,
         whatever kernel then consumes the arcs.
         """
         dg = self.dg
-        starts = dg.offsets[lids]
-        counts = dg.offsets[lids + 1] - starts
-        arcs = expand_ranges(starts, counts)
+        nb = lids.size
+        if nb and lids[-1] - lids[0] == nb - 1 and (
+            nb == 1 or (lids[1:] - lids[:-1]).min() == 1
+        ):
+            # a run of consecutive lids (every block of an exhaustive
+            # sweep): arcs, neighbours and weights are slices of the CSR
+            rows = slice(lids[0], lids[0] + nb)
+            arcs = slice(dg.offsets[rows.start], dg.offsets[rows.stop])
+            counts = dg.local_degrees[rows]
+        else:
+            counts = dg.local_degrees[lids]
+            arcs = expand_ranges(dg.offsets[lids], counts)
         neigh = dg.adj[arcs]
-        rows = np.repeat(np.arange(lids.size, dtype=np.int64), counts)
         nparts = self.parts[neigh]
-        ok = nparts >= 0
-        if not np.all(ok):
-            neigh, rows, nparts = neigh[ok], rows[ok], nparts[ok]
-            arcs = arcs[ok]
         if isinstance(tally, str):
-            w_arc = (
-                dg.degrees_full[neigh].astype(np.float64)
-                if tally == "degree" else None
-            )
+            w_arc = self.degrees_f64[neigh] if tally == "degree" else None
         else:
             w_arc = tally[arcs]
-        self.work_pending += (
-            2.0 * nparts.size + float(lids.size) + float(self.num_parts)
-        )
-        self.edges_touched += float(nparts.size)
-        return rows, nparts, w_arc, counts
+        p = self.num_parts
+        key = np.repeat(np.arange(0, nb * p, p), counts)
+        if nparts.size and nparts.min() < 0:
+            ok = nparts >= 0
+            key, nparts = key[ok], nparts[ok]
+            if w_arc is not None:
+                w_arc = w_arc[ok]
+        key += nparts
+        self.work_pending += 2.0 * key.size + float(nb) + float(p)
+        self.edges_touched += float(key.size)
+        return key, w_arc, counts
 
     def block_part_counts(
         self, lids: np.ndarray, *, degree_weighted: bool
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense per-vertex, per-part neighbor tallies for a block.
-
-        Returns ``(weighted, plain)``: ``weighted[i, k]`` sums
-        ``degree(u)`` (or 1) over neighbors ``u`` of ``lids[i]`` in part k;
-        ``plain`` is always the unweighted tally (needed for cut deltas).
-        Neighbors still UNASSIGNED are ignored.  The phases score through
-        :func:`repro.core.scoring.score_block`, which skips this matrix
-        when it would be mostly zeros.
-        """
-        p = self.num_parts
-        nb = lids.size
-        rows, nparts, w_arc, _ = self.gather_block(
+        """Dense per-vertex, per-part neighbor tallies ``(weighted, plain)``
+        of a block: ``weighted[i, k]`` sums ``degree(u)`` (or 1) over the
+        neighbors ``u`` of ``lids[i]`` in part k, ``plain`` counts them;
+        UNASSIGNED neighbors are ignored.  For probes and tests: the phases
+        score through :func:`repro.core.scoring.score_block`."""
+        key, w_arc, _ = self.gather_block(
             lids, "degree" if degree_weighted else "unit"
         )
-        key = rows * p + nparts
+        nb, p = lids.size, self.num_parts
         plain = np.bincount(key, minlength=nb * p).reshape(nb, p)
-        if degree_weighted:
-            weighted = np.bincount(
-                key, weights=w_arc, minlength=nb * p
-            ).reshape(nb, p)
-        else:
-            weighted = plain.astype(np.float64)
-        return weighted, plain
+        if not degree_weighted:
+            return plain.astype(np.float64), plain
+        weighted = np.bincount(key, weights=w_arc, minlength=nb * p)
+        return weighted.reshape(nb, p), plain

@@ -62,7 +62,7 @@ def _rebalance_isolated(
     take = min(movers.size, slots.size)
     movers = movers[:take]
     new = slots[:take]
-    keep = enforce_weight_capacity(new, vw[movers], gaps)
+    keep = enforce_weight_capacity(new, [(vw[movers], gaps)])
     movers, new = movers[keep], new[keep]
     if movers.size == 0:
         return movers
@@ -106,7 +106,7 @@ def vertex_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 if cand.size:
                     # admission capacity: weight reaches 0 at est == Imb_v
                     cap = (imb_v - est) / max(mult, 1e-12)
-                    keep = enforce_weight_capacity(w, vw[cand], cap)
+                    keep = enforce_weight_capacity(w, [(vw[cand], cap)])
                     cand, w = cand[keep], w[keep]
                 if cand.size:
                     moved = lids[cand]

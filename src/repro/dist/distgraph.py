@@ -32,6 +32,7 @@ class DistGraph:
         "l2g",
         "ghost_owners",
         "degrees_full",
+        "local_degrees",
         "send_rank_offsets",
         "send_rank_adj",
         "send_ghost_slot",
@@ -73,6 +74,9 @@ class DistGraph:
         self.l2g = l2g
         self.ghost_owners = ghost_owners
         self.degrees_full = degrees_full
+        #: Degrees of owned vertices: all their edges are stored locally, so
+        #: the global degrees are the row lengths ``np.diff(offsets)``.
+        self.local_degrees = degrees_full[: self.n_local]
         self.send_rank_offsets = send_rank_offsets
         self.send_rank_adj = send_rank_adj
         #: Compact-wire routing table, aligned with ``send_rank_adj``:
@@ -94,8 +98,8 @@ class DistGraph:
         self.dir_in_offsets: Optional[np.ndarray] = None
         self.dir_in_adj: Optional[np.ndarray] = None
         for arr in (offsets, adj, l2g, ghost_owners, degrees_full,
-                    send_rank_offsets, send_rank_adj, send_ghost_slot,
-                    ghost_in_offsets, ghost_in_adj):
+                    self.local_degrees, send_rank_offsets, send_rank_adj,
+                    send_ghost_slot, ghost_in_offsets, ghost_in_adj):
             arr.setflags(write=False)
 
     # -- id mapping ---------------------------------------------------------
@@ -135,12 +139,6 @@ class DistGraph:
 
     def neighbor_block(self, lids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return neighbor_gather(self.offsets, self.adj, lids)
-
-    @property
-    def local_degrees(self) -> np.ndarray:
-        """Degrees of owned vertices (== global degrees: every incident
-        edge of an owned vertex is stored locally)."""
-        return np.diff(self.offsets)
 
     @property
     def num_local_edges(self) -> int:

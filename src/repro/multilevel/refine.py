@@ -87,7 +87,7 @@ def ml_refine_phase(
                 )
                 if cand.size:
                     cap = (maxv - est) / max(mult, 1e-12)
-                    keep = enforce_weight_capacity(w, vw[cand], cap)
+                    keep = enforce_weight_capacity(w, [(vw[cand], cap)])
                     cand, w = cand[keep], w[keep]
                 if cand.size:
                     moved = lids[cand]

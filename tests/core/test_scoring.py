@@ -1,6 +1,8 @@
 """The block scorer: dense and sparse kernels against each other and
 against a per-row loop, for the five phase configurations."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,12 +105,14 @@ def reference(state, lids, tally="unit", part_weight=None, constraints=(),
 
 def both_kernels(state, lids, tally="unit", part_weight=None,
                  constraints=(), cut=None, plain_counts=False):
-    """Both kernels on the block's arcs (at least one, as they require)."""
-    rows, nparts, w_arc, counts = state.gather_block(lids, tally)
-    args = (lids.size, state.num_parts, state.parts[lids], rows, nparts,
-            w_arc, part_weight, constraints, cut, counts,
+    """Both kernels on the block's arcs (at least one, as they require);
+    each gets its own copy of the key, which the sparse one sorts in place."""
+    key, w_arc, counts = state.gather_block(lids, tally)
+    head = (lids.size, state.num_parts, state.parts[lids])
+    tail = (w_arc, part_weight, constraints, cut, counts,
             plain_counts or cut is not None)
-    return scoring.score_dense(*args), scoring.score_sparse(*args)
+    return (scoring.score_dense(*head, key.copy(), *tail),
+            scoring.score_sparse(*head, key.copy(), *tail))
 
 
 def assert_same(got, want, exact_dtype):
@@ -148,7 +152,7 @@ def test_kernels_agree_with_each_other_and_the_loop(case, phase, tight):
     kwargs = phase_config(phase, state, lids, np.random.default_rng(seed),
                           tight)
     want = reference(state, lids, **kwargs)
-    if state.gather_block(lids)[1].size == 0:
+    if state.gather_block(lids)[0].size == 0:
         # no labelled arc: the entry point answers before any kernel runs
         assert want[0] == []
         assert_same(scoring.score_block(state, lids, **kwargs), want,
@@ -202,7 +206,7 @@ def test_empty_arc_list_yields_no_candidates(graph, labels, lids):
     state = one_rank_state(graph, 3)
     state.parts[:] = labels
     lids = np.array(lids, dtype=np.int64)
-    assert state.gather_block(lids)[1].size == 0
+    assert state.gather_block(lids)[0].size == 0
     assert_same(scoring.score_block(state, lids),
                 ([], [], None, None), exact_dtype=False)
     assert_same(scoring.score_block(state, lids, plain_counts=True),
@@ -243,3 +247,131 @@ def test_score_block_picks_the_kernel_by_occupancy(monkeypatch):
         assert state.work_pending == 2.0 * arcs + lids.size + p
     assert calls == ["score_dense", "score_sparse", "score_dense"]
     assert outs[256][0].size  # the sparse side found candidates
+
+
+@pytest.mark.parametrize("p, kernel", [(8, "score_dense"),
+                                       (256, "score_sparse")])
+def test_unassigned_own_label_is_an_error_in_both_kernels(
+        monkeypatch, p, kernel):
+    # x = -1 would wrap to part p - 1 in the dense kernel and match no
+    # entry in the sparse one: two different wrong answers, no complaint
+    graph = rmat(8, 8, seed=2)
+    state = one_rank_state(graph, p)
+    state.parts[:] = np.arange(state.dg.n_total) % p
+    lids = np.arange(40, 120, dtype=np.int64)
+    ran = []
+    monkeypatch.setattr(
+        scoring, kernel,
+        lambda *a, _k=getattr(scoring, kernel): ran.append(1) or _k(*a))
+    scoring.score_block(state, lids)
+    assert ran  # this p does reach the kernel in question
+    state.parts[57] = -1
+    with pytest.raises(ValueError, match=r"lid 57 is UNASSIGNED"):
+        scoring.score_block(state, lids)
+    # nothing was gathered or charged for the refused block
+    state.work_pending = 0.0
+    with pytest.raises(ValueError):
+        scoring.score_block(state, lids, plain_counts=True)
+    assert state.work_pending == 0.0
+    # an UNASSIGNED *neighbour* outside the block stays legal
+    scoring.score_block(state, np.arange(0, 40, dtype=np.int64))
+
+
+# -- constraints tested only where they can bind ------------------------------
+
+SHAPES = ("tie", "one_row", "one_part", "nothing", "everything", "mixed")
+
+
+def shaped_constraint(rng, shape, scale, add, p, cell=(0, 0), plain=0):
+    """``(est, add, limit)`` at magnitude ``scale`` whose blocked cells have
+    the given shape.  ``add`` is used as drawn except for "one_row";
+    "tie" puts ``cell`` = (row, part) exactly on the limit (for the cut
+    rule, given the cell's ``plain`` count)."""
+    est = rng.uniform(0.5, 4.0, p) * scale
+    add = add * scale
+    if shape == "one_row":
+        add = add.copy()
+        add[rng.integers(add.size)] = 8.0 * add.max()
+    if shape == "one_part":
+        est[rng.integers(p)] = 8.0 * est.max()
+    if shape == "tie":
+        # an occupied cell sits exactly on the limit and must stay open
+        limit = est[cell[1]] + (add[cell[0]] - 2.0 * plain)
+    elif shape == "nothing":
+        limit = est.max() + add.max()     # the fullest cell ties: open
+    elif shape == "everything":
+        limit = (est.min() + add.min()) / 2.0
+    elif shape == "one_row":
+        limit = est.min() + np.sort(add)[-2]
+    elif shape == "one_part":
+        limit = np.sort(est)[-2] + add.max() if p > 1 else est[0]
+    else:
+        limit = rng.uniform(est.min() + add.min(), est.max() + add.max())
+    return est, add, float(limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_graphs(), st.sampled_from(SHAPES), st.sampled_from(SHAPES),
+       st.sampled_from([1e-3, 1.0, 1e6, 1e15]), st.booleans())
+def test_pruned_constraints_equal_the_loop(case, shape, cut_shape, scale,
+                                           weighted):
+    graph, p, labels, seed = case
+    state = one_rank_state(graph, p)
+    state.parts[:] = labels
+    lids = np.flatnonzero(labels >= 0).astype(np.int64)
+    if lids.size == 0 or state.gather_block(lids)[0].size == 0:
+        return
+    rng = np.random.default_rng(seed)
+    # a cell some row has neighbours in: closing it changes that row's scores
+    key = state.gather_block(lids)[0]
+    at = int(rng.choice(key))
+    cell = divmod(at, p)
+    vertex = shaped_constraint(
+        rng, shape, scale, rng.uniform(0.5, 2.5, lids.size), p, cell)
+    # the cut rule's addend is the row degree; rows with plain = 0
+    # (isolated, or every neighbour UNASSIGNED) come with the graphs
+    deg = state.dg.local_degrees[lids].astype(np.float64)
+    est_c, _, maxc = shaped_constraint(
+        rng, cut_shape, 1.0, deg, p, cell, np.count_nonzero(key == at))
+    kwargs = dict(constraints=[vertex], cut=(est_c, maxc),
+                  tally="degree" if weighted else "unit",
+                  part_weight=rng.integers(0, 3, p) / 2.0)
+    want = reference(state, lids, **kwargs)
+    # blocks this small are below the pruning rule's size threshold
+    with mock.patch.object(scoring, "PRUNE_MIN_CELLS", 0):
+        dense, sparse = both_kernels(state, lids, **kwargs)
+    assert_same(sparse, dense, exact_dtype=True)
+    assert_same(dense, want, exact_dtype=False)
+    unpruned = both_kernels(state, lids, **kwargs)
+    assert_same(unpruned[0], dense, exact_dtype=True)
+    assert_same(unpruned[1], dense, exact_dtype=True)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_pruning_at_its_real_size_matches_the_full_test(shape):
+    # 512 x 64 cells: above PRUNE_MIN_CELLS, so the corner path runs as
+    # shipped; the reference is the same kernels with pruning turned off
+    graph = rmat(9, 8, seed=4)
+    p = 64
+    state = one_rank_state(graph, p)
+    rng = np.random.default_rng(9)
+    state.parts[:] = rng.integers(0, p, state.dg.n_total)
+    lids = np.arange(state.dg.n_local, dtype=np.int64)
+    assert lids.size * p > scoring.PRUNE_MIN_CELLS
+    deg = state.dg.local_degrees.astype(np.float64)
+    vw = rng.uniform(0.5, 2.5, lids.size)
+    kwargs = dict(
+        constraints=[
+            shaped_constraint(rng, shape, 3.0, vw, p),
+            shaped_constraint(rng, "mixed", 1.0, deg, p),
+        ],
+        cut=shaped_constraint(rng, shape, 1.0, deg, p)[::2],
+    )
+    pruned = both_kernels(state, lids, **kwargs)
+    with mock.patch.object(scoring, "PRUNE_MIN_CELLS", 2 ** 62):
+        full = both_kernels(state, lids, **kwargs)
+    for got in pruned:
+        assert_same(got, full[0], exact_dtype=True)
+    assert_same(full[1], full[0], exact_dtype=True)
+    if shape not in ("everything", "nothing"):
+        assert 0 < pruned[0][0].size

@@ -6,7 +6,7 @@ import pytest
 from repro.core.params import PulpParams
 from repro.core.state import UNASSIGNED, RankState
 from repro.dist import build_dist_graph, make_distribution
-from repro.graph import rmat, ring
+from repro.graph import from_edges, rmat, ring
 from repro.simmpi import Runtime
 
 
@@ -122,3 +122,111 @@ def test_mult_delegates_to_params():
     state.iter_tot = 10_000
     assert state.mult(FakeComm()) == pytest.approx(4.0)
     _ = other
+
+
+def general_gather(state, lids, tally):
+    """``gather_block`` the long way: one arc at a time, no CSR slices."""
+    dg, p = state.dg, state.num_parts
+    key, w_arc = [], []
+    for row, lid in enumerate(lids):
+        for a in range(dg.offsets[lid], dg.offsets[lid + 1]):
+            part = state.parts[dg.adj[a]]
+            if part < 0:
+                continue
+            key.append(row * p + part)
+            if isinstance(tally, str):
+                w_arc.append(float(dg.degrees_full[dg.adj[a]]))
+            else:
+                w_arc.append(tally[a])
+    counts = [dg.offsets[lid + 1] - dg.offsets[lid] for lid in lids]
+    return key, (None if isinstance(tally, str) and tally == "unit"
+                 else w_arc), counts
+
+
+@pytest.fixture
+def ragged_state():
+    # 0 and 1 isolated, a star on 2, a path 3-4-5-6, 7 and 8 isolated
+    src = np.array([2, 2, 2, 2, 3, 4, 5])
+    dst = np.array([3, 4, 5, 6, 4, 5, 6])
+    (state,) = make_state(from_edges(9, src, dst), 4, nprocs=1)
+    # block distribution on one rank keeps lid == gid
+    np.testing.assert_array_equal(state.dg.owned_gids, np.arange(9))
+    state.parts[:] = [0, 1, 2, UNASSIGNED, 3, 3, UNASSIGNED, 1, 0]
+    return state
+
+
+@pytest.mark.parametrize("tally", ["unit", "degree", "per-arc"])
+@pytest.mark.parametrize("lids", [
+    np.arange(0, 9),            # the whole rank: degree-0 rows at both edges
+    np.arange(2, 7),            # a run in the middle
+    np.arange(1, 3),            # starts on a degree-0 row
+    np.arange(5, 9),            # ends on degree-0 rows
+    np.arange(4, 5),            # a single row
+    np.arange(7, 9),            # only degree-0 rows
+    np.arange(3, 3),            # an empty block
+    np.array([2, 4, 6]),        # ascending with gaps
+    np.array([0, 2, 1, 3]),     # run-like endpoints, unsorted
+    np.array([5, 4, 3, 2]),     # descending
+    np.array([2, 3, 3, 5]),     # run-like endpoints, a repeat
+    np.array([4, 4, 4]),        # all the same row
+], ids=lambda lids: "-".join(map(str, lids)) or "empty")
+def test_gather_block_slices_equal_the_general_path(
+        ragged_state, tally, lids):
+    state = ragged_state
+    lids = lids.astype(np.int64)
+    if tally == "per-arc":
+        tally = np.random.default_rng(2).choice(
+            [0.1, 0.2, 0.7], state.dg.adj.size)
+    want_key, want_w, want_counts = general_gather(state, lids, tally)
+    state.work_pending = state.edges_touched = 0.0
+    key, w_arc, counts = state.gather_block(lids, tally)
+    np.testing.assert_array_equal(key, np.array(want_key, dtype=np.int64))
+    assert key.dtype == np.int64 and key.flags.writeable
+    if want_w is None:
+        assert w_arc is None
+    else:
+        np.testing.assert_array_equal(w_arc, np.array(want_w))
+        assert w_arc.dtype == np.float64
+    np.testing.assert_array_equal(
+        counts, np.array(want_counts, dtype=np.int64))
+    assert state.edges_touched == len(want_key)
+    assert state.work_pending == 2.0 * len(want_key) + lids.size + 4
+
+
+def test_gather_block_on_a_real_graph_runs_and_scattered_lids():
+    g = rmat(8, 10, seed=3)
+    (state,) = make_state(g, 7, nprocs=1)
+    rng = np.random.default_rng(1)
+    state.parts[:] = rng.integers(-1, 7, state.dg.n_total)
+    ew = rng.random(state.dg.adj.size)
+    blocks = [np.arange(0, 256), np.arange(17, 93), np.arange(200, 256),
+              np.sort(rng.choice(256, 90, replace=False)),
+              rng.integers(0, 256, 40)]
+    for tally in ("unit", "degree", ew):
+        for lids in blocks:
+            lids = lids.astype(np.int64)
+            want_key, want_w, want_counts = general_gather(state, lids, tally)
+            key, w_arc, counts = state.gather_block(lids, tally)
+            np.testing.assert_array_equal(key, want_key)
+            np.testing.assert_array_equal(counts, want_counts)
+            if want_w is not None:
+                np.testing.assert_array_equal(w_arc, want_w)
+
+
+def test_degree_vectors_are_built_once_not_per_phase():
+    (state,) = make_state(rmat(7, 8, seed=2), 3, nprocs=1)
+    dg = state.dg
+    np.testing.assert_array_equal(dg.local_degrees, np.diff(dg.offsets))
+    assert dg.local_degrees is dg.local_degrees  # a slot, not a recompute
+    assert not dg.local_degrees.flags.writeable
+    deg = state.degrees_f64
+    assert deg is state.degrees_f64 and deg.dtype == np.float64
+    np.testing.assert_array_equal(deg, dg.degrees_full)
+    np.testing.assert_array_equal(deg[: dg.n_local], dg.local_degrees)
+    from repro.core.frontier import DIRT_FRACTION, FrontierSweeper
+
+    assert state.dirt_thresholds is None
+    first = FrontierSweeper(state, phase="vertex_balance")._thresh
+    assert FrontierSweeper(state, phase="edge_refine")._thresh is first
+    np.testing.assert_array_equal(
+        first, np.maximum(DIRT_FRACTION * dg.local_degrees, 1.0))

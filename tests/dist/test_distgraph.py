@@ -34,6 +34,11 @@ def test_local_degrees_match_global():
         np.testing.assert_array_equal(
             dg.local_degrees, g.degrees[dg.owned_gids]
         )
+        # ... and they are the local row lengths: every incident edge of
+        # an owned vertex is stored locally (local_degrees is a view of
+        # degrees_full, which leans on exactly this)
+        np.testing.assert_array_equal(dg.local_degrees, np.diff(dg.offsets))
+        assert not dg.local_degrees.flags.writeable
 
 
 def test_owned_lids_roundtrip():
