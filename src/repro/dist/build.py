@@ -25,21 +25,21 @@ from repro.simmpi.comm import SimComm
 
 
 def _localize(
-    dist: Distribution,
-    rank: int,
-    owned_gids: np.ndarray,
-    neighbor_gids: np.ndarray,
+    dist: Distribution, owned_gids: np.ndarray, neighbor_gids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map neighbor gids → local ids; returns (local_adj, ghost_gids, owners)."""
-    mine = dist.owner(neighbor_gids) == rank
-    other = ~mine
-    local_adj = np.empty(neighbor_gids.size, dtype=np.int64)
-    local_adj[mine] = dist.lid(rank, neighbor_gids[mine])
-    remote_gids = neighbor_gids[other]
-    ghost_gids = sorted_unique(remote_gids)
-    local_adj[other] = (
-        np.searchsorted(ghost_gids, remote_gids) + owned_gids.size
-    )
+    """Map neighbor gids → local ids; returns (local_adj, ghost_gids, owners).
+
+    One gather through a gid → lid table: ghosts are the off-rank neighbors
+    in ascending gid order (bitmap + prefix sum), numbered after the owned
+    vertices.  O(n) transient per rank, as ``Distribution``'s owner array.
+    """
+    present = np.zeros(dist.n, dtype=bool)
+    present[neighbor_gids] = True
+    present[owned_gids] = False
+    ghost_gids = np.flatnonzero(present)
+    table = np.cumsum(present) + (owned_gids.size - 1)
+    table[owned_gids] = np.arange(owned_gids.size)
+    local_adj = table[neighbor_gids]
     return local_adj, ghost_gids, dist.owner(ghost_gids).astype(np.int32)
 
 
@@ -144,7 +144,7 @@ def build_dist_graph(
         offsets = np.zeros(owned_gids.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         local_adj, ghost_gids, ghost_owners = _localize(
-            dist, rank, owned_gids, neighbor_gids
+            dist, owned_gids, neighbor_gids
         )
         l2g = np.concatenate([owned_gids, ghost_gids])
         # ghost degrees read from the shared input (static data; a real MPI

@@ -16,20 +16,21 @@ Clustering (the "matcher") runs in one of two modes:
   Clusters never cross ranks (the ParMETIS-style local-matching
   compromise), so no label exchange is needed.
 
-Contraction then Allgathers the owned labels — every rank deterministically
-assembles the same coarse weighted graph (the same replicated-input
-convention the flat pipeline uses for the level-0 graph, with each rank
-charged for its own share of the aggregation work) — and rebuilds ghost
-routing tables for the coarse level via :func:`repro.dist.build.build_dist_graph`.
-
-Both cluster-mass conservation and edge-weight conservation are collective
-invariants checked at every contraction.
+Contraction then Allgathers the owned labels.  The coarse weighted graph is
+a pure function of those labels and the replicated fine level, so it is
+assembled once per address space — where the Allgatherv executes
+(``SimComm.Allgatherv(then=)``) — and every rank gets the same sealed arrays
+(in-process) or a private copy (per process).  Each rank is still *charged*
+its own share of the aggregation — the model describes a distributed
+contraction; the simulator just does not repeat identical work P times — and
+rebuilds its ghost routing via :func:`repro.dist.build.build_dist_graph`.
+Cluster-mass and edge-weight conservation are checked at every contraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -60,10 +61,10 @@ MIN_SHRINK = 0.02
 class MLLevel:
     """One hierarchy level, as seen by one rank.
 
-    The global ``graph``/``eweights``/``vweights`` arrays are replicated
-    (the simulator's shared-read-only-input convention); ``dg`` and
-    ``ew_local`` are this rank's distributed view.  ``fine2coarse`` maps
-    the *finer* level's global ids onto this level's (None at level 0).
+    The global ``graph``/``eweights``/``vweights``/``fine2coarse`` arrays are
+    read-only and shared by the ranks of an address space (the simulator's
+    shared-input convention); ``dg`` and ``ew_local`` are this rank's view.
+    ``fine2coarse`` maps the *finer* level's gids onto this level's.
     """
 
     graph: Graph
@@ -96,7 +97,8 @@ def make_level0(
 ) -> MLLevel:
     """The finest level: unit edge weights, given (or unit) vertex weights."""
     dg = build_dist_graph(comm, graph, dist)
-    eweights = np.ones(graph.adj.size, dtype=np.float64)
+    # a 0-stride view: every consumer indexes or sums it, none writes
+    eweights = np.broadcast_to(np.float64(1.0), (graph.adj.size,))
     vweights = (
         np.asarray(vertex_weights, dtype=np.float64)
         if vertex_weights is not None
@@ -104,7 +106,7 @@ def make_level0(
     )
     return MLLevel(
         graph=graph, dist=dist, dg=dg, eweights=eweights,
-        ew_local=local_eweights(graph, eweights, dg),
+        ew_local=np.ones(dg.adj.size, dtype=np.float64),
         vweights=vweights, fine2coarse=None,
     )
 
@@ -153,7 +155,7 @@ def lp_cluster_labels(
             best, _bw = segment_best_label(
                 srcs, labels[dg.adj], level.ew_local, n
             )
-            # scoring: lexsort + reduceat over local arcs, plus the
+            # scoring: key sort + reduceat over local arcs, plus the
             # per-vertex selection passes
             comm.charge(3.0 * level.ew_local.size + float(n))
             cand = np.flatnonzero((best >= 0) & (best != labels[:n]))
@@ -227,14 +229,56 @@ def hem_cluster_labels(
 # ---------------------------------------------------------------------------
 
 def allgather_owned(
-    comm: SimComm, dist: Distribution, owned_values: np.ndarray
-) -> np.ndarray:
+    comm: SimComm, dist: Distribution, owned_values: np.ndarray,
+    then: Optional[Callable[[np.ndarray], Any]] = None,
+) -> Any:
     """Allgatherv one int64 per owned vertex; returns the values of all
-    ``dist.n`` vertices indexed by global id, identical on every rank."""
-    chunks, _ = comm.Allgatherv(owned_values.astype(np.int64))
-    full = np.empty(dist.n, dtype=np.int64)
-    full[np.concatenate([dist.owned(r) for r in range(comm.size)])] = chunks
-    return full
+    ``dist.n`` vertices indexed by global id (read-only where ranks share
+    results) — or ``then`` of it, evaluated once where the collective
+    executes (see :meth:`SimComm.Allgatherv`)."""
+
+    def scatter(chunks: np.ndarray, _counts: np.ndarray) -> Any:
+        full = np.empty(dist.n, dtype=np.int64)
+        full[np.concatenate([dist.owned(r) for r in range(comm.size)])] = chunks
+        return full if then is None else then(full)
+
+    return comm.Allgatherv(owned_values.astype(np.int64), then=scatter)
+
+
+def _contract(
+    level: MLLevel, level_index: int, min_vertices: int, full: np.ndarray
+) -> Tuple[int, Optional[Tuple[np.ndarray, ...]]]:
+    """The replicated half of a contraction, a pure function of the level
+    and the Allgathered labels: ``(nc, None)`` to stop coarsening here, else
+    ``(nc, (offsets, adj, eweights, vweights, fine2coarse))`` of the coarse
+    level — plain arrays, which the comm layer can seal or copy."""
+    g = level.graph
+    # labels are gids of this level, so a presence bitmap + prefix sum
+    # numbers the surviving clusters ascending without a sort
+    present = np.zeros(g.n, dtype=bool)
+    present[full] = True
+    nc = int(np.count_nonzero(present))
+    if nc < min_vertices or 1.0 - nc / max(g.n, 1) < MIN_SHRINK:
+        return nc, None
+    fine2coarse = (np.cumsum(present) - 1)[full]
+    # weighted coarse arcs: one arc per (coarse src, coarse dst) pair,
+    # in CSR order, via the kernel the shared-memory baseline uses
+    cs = np.repeat(fine2coarse, g.degrees)
+    cd = fine2coarse[g.adj]
+    csr = aggregate_coarse_arcs(cs, cd, level.eweights, nc)
+    cvw = np.bincount(fine2coarse, weights=level.vweights, minlength=nc)
+    # conservation invariants: vertex mass exactly, edge weight up to
+    # the intra-cluster weight folded away by the contraction
+    kept_vw, fine_vw = float(cvw.sum()), float(level.vweights.sum())
+    kept_ew = float(csr.data.sum() + level.eweights[cs == cd].sum())
+    fine_ew = float(level.eweights.sum())
+    for what, kept, fine in (("vertex", kept_vw, fine_vw),
+                             ("edge", kept_ew, fine_ew)):
+        if not np.isclose(kept, fine):
+            raise AssertionError(f"contraction of level {level_index} lost "
+                                 f"{what} weight: {fine!r} -> {kept!r}")
+    return nc, (csr.indptr.astype(np.int64), csr.indices.astype(np.int64),
+                csr.data, cvw, fine2coarse)
 
 
 def contract_level(
@@ -247,29 +291,23 @@ def contract_level(
 ) -> Optional[MLLevel]:
     """Contract the clustering into the next coarser level.
 
-    Allgathers owned labels, relabels clusters densely ``0..nc-1``, builds
-    the weighted coarse graph identically on every rank (duplicate arcs
-    dedup-summed, self-arcs dropped), and rebuilds the distributed view
-    through :func:`build_dist_graph`.  Returns None — collectively, all
-    ranks agree — when the clustering stagnated or the coarse graph would
-    drop below ``min_vertices``; the caller then stops coarsening and uses
-    the current level as the coarsest.
+    Allgathers owned labels; :func:`_contract` (clusters relabelled
+    ``0..nc-1``, duplicate arcs dedup-summed, self-arcs dropped) runs once
+    where that collective executes, and each rank wraps the shared arrays and
+    rebuilds its distributed view through :func:`build_dist_graph`.  Returns
+    None — collectively, all ranks agree — when the clustering stagnated or
+    the coarse graph would drop below ``min_vertices``; the caller then stops
+    coarsening and uses the current level as the coarsest.
     """
-    g = level.graph
     dg = level.dg
     with comm.phase("coarsen"):
-        # each rank contributes the labels of its owned vertices; the
-        # replicated aggregation below is charged per-rank at its share
+        # each rank contributes the labels of its owned vertices and is
+        # charged its share of the aggregation, which executes once
         comm.charge(2.0 * dg.adj.size + float(dg.n_local))
-        full = allgather_owned(comm, level.dist, owned_labels)
-        # labels are gids of this level, so a presence bitmap + prefix sum
-        # numbers the surviving clusters ascending without a sort
-        present = np.zeros(g.n, dtype=bool)
-        present[full] = True
-        fine2coarse = (np.cumsum(present) - 1)[full]
-        nc = int(np.count_nonzero(present))
-        shrink = 1.0 - nc / max(g.n, 1)
-        stop = nc < min_vertices or shrink < MIN_SHRINK
+        nc, arrays = allgather_owned(
+            comm, level.dist, owned_labels,
+            then=lambda full: _contract(level, level_index, min_vertices, full),
+        )
         # collective agreement on the stop decision (inputs are identical,
         # so this is a cheap cross-rank sanity rendezvous, not a vote)
         agreed = comm.allreduce(int(nc), op="max")
@@ -277,26 +315,10 @@ def contract_level(
             raise AssertionError(
                 f"ranks disagree on coarse size: {agreed} != {nc}"
             )
-        if stop:
+        if arrays is None:
             return None
-        # weighted coarse arcs: one arc per (coarse src, coarse dst) pair,
-        # in CSR order, via the kernel the shared-memory baseline uses
-        cs = np.repeat(fine2coarse, g.degrees)
-        cd = fine2coarse[g.adj]
-        csr = aggregate_coarse_arcs(cs, cd, level.eweights, nc)
-        cw = csr.data
-        coarse = Graph(
-            csr.indptr.astype(np.int64), csr.indices.astype(np.int64),
-            directed=False, validate=False,
-        )
-        cvw = np.bincount(fine2coarse, weights=level.vweights, minlength=nc)
-        # conservation invariants: vertex mass exactly, edge weight up to
-        # the intra-cluster weight folded away by the contraction
-        if not np.isclose(cvw.sum(), level.vweights.sum()):
-            raise AssertionError("contraction lost vertex weight")
-        intra = float(level.eweights[cs == cd].sum())
-        if not np.isclose(cw.sum() + intra, level.eweights.sum()):
-            raise AssertionError("contraction lost edge weight")
+    offsets, adj, cw, cvw, fine2coarse = arrays
+    coarse = Graph(offsets, adj, directed=False, validate=False)
     cdist = RandomDistribution(
         nc, comm.size, seed=params.seed + 211 * (level_index + 1)
     )

@@ -4,8 +4,8 @@ These are the per-address-space building blocks of the multilevel family,
 factored out of :mod:`repro.baselines.multilevel` so the distributed
 coarsener (:mod:`repro.multilevel.coarsen`) reuses the exact same kernels:
 the baseline applies them to the whole graph, a simulated rank applies
-them to its owned subgraph.  The bodies are unchanged — the baseline's
-partitions stay bit-identical (enforced by its tests).
+them to its owned subgraph.  Their outputs are pinned — the baseline's
+partitions stay bit-identical (enforced by its tests and the goldens).
 
 All kernels operate on a SciPy CSR adjacency with positive edge weights
 and no diagonal.
@@ -29,29 +29,37 @@ def segment_best_label(
     """For every vertex, the neighbor label with maximum total edge weight.
 
     Returns ``(best_label, best_weight)``; vertices with no edges get
-    label -1 / weight 0.
+    label -1 / weight 0, and among labels of equal weight the smallest wins.
+    Labels are non-negative and ``n * (lab.max() + 1) < 2**63``: the arcs
+    are grouped by the one key ``src * (lab.max() + 1) + lab``.
     """
     best_label = np.full(n, -1, dtype=np.int64)
     best_weight = np.zeros(n, dtype=np.float64)
     if src.size == 0:
         return best_label, best_weight
-    order = np.lexsort((lab, src))
-    s, l, ww = src[order], lab[order], w[order]
-    group = np.empty(s.size, dtype=bool)
-    group[0] = True
-    group[1:] = (s[1:] != s[:-1]) | (l[1:] != l[:-1])
-    starts = np.flatnonzero(group)
-    sums = np.add.reduceat(ww, starts)
-    g_src = s[starts]
-    g_lab = l[starts]
-    # pick the max-sum group per source (stable: first max wins)
-    order2 = np.lexsort((-sums, g_src))
-    g_src2 = g_src[order2]
-    first = np.empty(g_src2.size, dtype=bool)
-    first[0] = True
-    first[1:] = g_src2[1:] != g_src2[:-1]
-    sel = order2[first]
-    best_label[g_src[sel]] = g_lab[sel]
+    span = int(lab.max()) + 1
+    if lab.min() < 0 or n * span >= 2 ** 63:
+        raise ValueError(f"labels must lie in [0, 2**63 / n): got "
+                         f"{int(lab.min())}..{span - 1} with n = {n}")
+    # the ``lexsort((lab, src))`` permutation: equal keys keep input order in
+    # both, so a group's weights add in the same order; arcs in CSR order
+    # cost one verification pass
+    key = src * np.int64(span) + lab
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sums = np.add.reduceat(w[order], starts)
+    first_arc = order[starts]
+    g_src = src[first_arc]
+    # per source, the first group that attains the segment maximum — the one
+    # a stable sort by descending sum puts first, ties included
+    heads = np.flatnonzero(np.r_[True, g_src[1:] != g_src[:-1]])
+    seg_max = np.maximum.reduceat(sums, heads)
+    at_max = np.flatnonzero(
+        sums == np.repeat(seg_max, np.diff(np.r_[heads, sums.size]))
+    )
+    sel = at_max[np.searchsorted(at_max, heads)]
+    best_label[g_src[sel]] = lab[first_arc[sel]]
     best_weight[g_src[sel]] = sums[sel]
     return best_label, best_weight
 

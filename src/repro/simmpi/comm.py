@@ -38,6 +38,7 @@ backend, data plane, and sharing mode.
 
 from __future__ import annotations
 
+import copy
 import pickle
 import time
 from contextlib import contextmanager
@@ -432,11 +433,22 @@ class SimComm:
 
         return self._collective("reduce", arr, nbytes, execute, root=root)
 
-    def Allgatherv(self, array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def Allgatherv(
+        self, array: np.ndarray, then: Optional[Callable[..., Any]] = None
+    ) -> Any:
         """Concatenate per-rank 1-D arrays onto every rank.
 
         Returns ``(concatenated, counts)`` where ``counts[r]`` is rank ``r``'s
-        contribution length.
+        contribution length — or, given ``then``, the value of
+        ``then(concatenated, counts)``: it runs exactly once, where the
+        collective executes, so a pure function of replicated inputs costs
+        one evaluation per address space, not one per rank.  It must return
+        plain tuples / lists of arrays and scalars.  Ranks that share results
+        get the same sealed object; the others copy it out on return, so a
+        long-lived result holds no lease on the procs result arena.  Metered
+        as a plain ``Allgatherv``.  ``then`` runs while the peers wait at the
+        rendezvous — it counts against the watchdog deadline, like a
+        ``Checkpoint`` writer — and an exception it raises fails the run.
         """
         arr = np.ascontiguousarray(array)
         if arr.ndim != 1:
@@ -455,17 +467,19 @@ class SimComm:
                 np.concatenate(contribs, out=merged)
             else:
                 merged = contribs[0][:0]
-            result = (merged, counts)
-            if _dataplane.plane_active():
-                return [result] * len(contribs)
+            result = (merged, counts) if then is None else then(merged, counts)
             if share:
-                _dataplane.seal(merged)
-                _dataplane.seal(counts)
-                return [result] * len(contribs)
-            return [result if r == 0 else (merged.copy(), counts.copy())
-                    for r in range(len(contribs))]
+                _dataplane.seal(result)
+            elif then is None and not _dataplane.plane_active():
+                # (a ``then`` result is copied out rank-side, below)
+                return [result if r == 0 else (merged.copy(), counts.copy())
+                        for r in range(len(contribs))]
+            return [result] * len(contribs)
 
-        return self._collective("allgatherv", arr, arr.nbytes, execute)
+        result = self._collective("allgatherv", arr, arr.nbytes, execute)
+        if then is not None and not share:
+            result = copy.deepcopy(result)  # ends the arena lease (if any)
+        return result
 
     def Gatherv(self, array: np.ndarray, root: int = 0) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Concatenate per-rank 1-D arrays at ``root`` (None elsewhere)."""

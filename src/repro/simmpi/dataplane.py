@@ -162,15 +162,20 @@ def default_result_sharing() -> str:
     return name
 
 
-def seal(arr: np.ndarray) -> np.ndarray:
-    """Mark an array read-only so it can be shared across in-process ranks.
+def seal(obj: Any) -> Any:
+    """Mark an array — or every array inside nested tuples / lists — read-
+    only, so it can be shared across in-process ranks.
 
     The PR-7 zero-copy contract, extended inward: a sealed result object is
     handed to *every* rank of a collective, and any accidental in-place
     mutation raises instead of silently leaking into other ranks.
     """
-    arr.flags.writeable = False
-    return arr
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            seal(item)
+    return obj
 
 
 def _create_segment(name: str, size: int) -> shared_memory.SharedMemory:

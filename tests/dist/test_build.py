@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.dist import build_dist_graph, make_distribution
-from repro.graph import from_edges, rmat, ring
+from repro.dist.build import _localize
+from repro.dist.distribution import (
+    BlockDistribution, PartitionDistribution, RandomDistribution,
+)
+from repro.graph import from_edges, mesh3d, rmat, ring
+from repro.graph.gather import neighbor_gather, sorted_unique
 from repro.simmpi import Runtime
 
 
@@ -164,3 +169,41 @@ def test_ghost_incidence_equals_lexsort_form(kind):
             np.diff(dg.ghost_in_offsets),
             np.bincount(targets, minlength=dg.n_ghost),
         )
+
+
+# -- _localize: one gid -> lid table against the sort + binary searches ------
+
+def _localize_by_search(dist, rank, owned_gids, neighbor_gids):
+    """``_localize`` as it was until PR 18: ``sorted_unique`` for the ghost
+    list, one ``searchsorted`` per side for the local ids."""
+    mine = dist.owner(neighbor_gids) == rank
+    local_adj = np.empty(neighbor_gids.size, dtype=np.int64)
+    local_adj[mine] = dist.lid(rank, neighbor_gids[mine])
+    remote = neighbor_gids[~mine]
+    ghost_gids = sorted_unique(remote)
+    local_adj[~mine] = np.searchsorted(ghost_gids, remote) + owned_gids.size
+    return local_adj, ghost_gids, dist.owner(ghost_gids).astype(np.int32)
+
+
+def _two_cliques():
+    # ranks 0 and 1 each own one clique: neither has a ghost
+    u, v = np.triu_indices(4, k=1)
+    return from_edges(8, np.concatenate([u, u + 4]), np.concatenate([v, v + 4]))
+
+
+@pytest.mark.parametrize("graph,dist", [
+    (rmat(9, 12, seed=3), RandomDistribution(512, 4, seed=1)),
+    (mesh3d(7, 7, 7), BlockDistribution(343, 3)),
+    (_two_cliques(), BlockDistribution(8, 2)),
+    # rank 1 owns nothing (and rank 2 everything)
+    (rmat(6, 6, seed=2), PartitionDistribution(np.full(64, 2), 3)),
+], ids=["rmat-random", "mesh-block", "no-ghosts", "empty-rank"])
+def test_localize_matches_sort_and_search(graph, dist):
+    for rank in range(dist.nprocs):
+        owned = dist.owned(rank)
+        neighbor_gids, _ = neighbor_gather(graph.offsets, graph.adj, owned)
+        got = _localize(dist, owned, neighbor_gids)
+        want = _localize_by_search(dist, rank, owned, neighbor_gids)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)

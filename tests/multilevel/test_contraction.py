@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import PulpParams
+from repro.core import PulpParams, xtrapulp
 from repro.dist import make_distribution
 from repro.graph import mesh3d, rmat, webcrawl
-from repro.multilevel import driver
+from repro.multilevel import coarsen, driver
 from repro.multilevel.coarsen import local_eweights
 from repro.multilevel.driver import build_hierarchy
 from repro.simmpi import Runtime
@@ -176,3 +176,45 @@ def test_contract_level_matches_unique_reference(monkeypatch, graph, mode):
         ]:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+def test_coarse_arcs_are_aggregated_once_per_level(monkeypatch, backend):
+    """The replicated half of a contraction runs where the label Allgatherv
+    executes — once per level per address space, not once per rank."""
+    calls = []
+    real = coarsen.aggregate_coarse_arcs
+
+    def counting(cs, cd, weights, nc):
+        calls.append(nc)
+        return real(cs, cd, weights, nc)
+
+    monkeypatch.setattr(coarsen, "aggregate_coarse_arcs", counting)
+    result = xtrapulp(
+        mesh3d(16, 16, 16), 4, nprocs=4, backend=backend,
+        params=PulpParams(seed=5, multilevel=True, ml_coarsen="hem"),
+    )
+    sizes = [n for n, _ in result.multilevel.level_sizes]
+    assert calls == sizes[1:]
+    assert len(calls) == 7  # it was 28: 7 levels x 4 ranks
+
+
+def test_lost_edge_weight_names_the_level_and_both_sums(monkeypatch):
+    """A conservation failure now surfaces from inside a collective; it
+    must say where and by how much."""
+    real = coarsen.aggregate_coarse_arcs
+
+    def lossy(cs, cd, weights, nc):
+        csr = real(cs, cd, weights, nc)
+        csr.data[0] += 64.0
+        return csr
+
+    monkeypatch.setattr(coarsen, "aggregate_coarse_arcs", lossy)
+    g = mesh3d(6, 6, 6)
+    with pytest.raises(AssertionError) as info:
+        xtrapulp(g, 2, nprocs=2, backend="serial",
+                 params=PulpParams(seed=5, multilevel=True, ml_coarsen="hem"))
+    msg = str(info.value)
+    assert "level 0 lost edge weight" in msg
+    assert repr(float(g.adj.size)) in msg            # the fine total
+    assert repr(float(g.adj.size) + 64.0) in msg     # what was kept

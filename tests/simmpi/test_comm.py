@@ -1,10 +1,14 @@
 """Collective semantics: every SimComm operation against a sequential
 reference, at several rank counts."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
 from repro.simmpi import Runtime, run_spmd
+from repro.simmpi.backends import create_runtime
 from repro.simmpi.dataplane import materialize
 
 NPROCS = [1, 2, 3, 4, 8]
@@ -327,3 +331,96 @@ def test_phase_tagging():
     rt.run(fn)
     tags = [e.tag for e in rt.stats.events]
     assert tags == ["alpha", "beta", ""]
+
+
+# -- Allgatherv(then=): run-once hook on the one-result collective ----------
+
+BACKENDS = ["serial", "threads", "procs"]
+
+
+def _run(backend, nprocs, fn, **kwargs):
+    rt = create_runtime(backend, nprocs=nprocs, meter_compute=False, **kwargs)
+    try:
+        return rt.run(fn), rt.stats
+    finally:
+        rt.close()
+
+
+def _mine(comm):
+    return np.arange(1000 * (comm.rank + 1), dtype=np.int64) + comm.rank
+
+
+def _then(merged, counts):
+    # plain containers of arrays and scalars; ``merged * 2`` is big enough
+    # to travel as a shared-memory view on procs
+    return ((os.getpid(), time.perf_counter_ns()),
+            [merged * 2, counts.copy()], int(merged.sum()))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_Allgatherv_then_runs_once_and_reaches_every_rank(backend):
+    def fn(comm):
+        with comm.phase("hooked"):
+            return comm.Allgatherv(_mine(comm), then=_then)
+
+    def plain(comm):
+        with comm.phase("hooked"):
+            return comm.Allgatherv(_mine(comm))
+
+    out, stats = _run(backend, 3, fn)
+    ref, ref_stats = _run(backend, 3, plain)
+    # one execution: every rank sees the same (pid, timestamp)
+    assert len({who for who, _, _ in out}) == 1
+    merged, counts = ref[0]
+    for _, (doubled, cts), total in out:
+        np.testing.assert_array_equal(doubled, merged * 2)
+        np.testing.assert_array_equal(cts, counts)
+        assert total == int(merged.sum())
+    # metered exactly as the plain collective of the same arrays
+    assert stats.signature() == ref_stats.signature()
+    assert stats.total_bytes == ref_stats.total_bytes
+    assert [e.op for e in stats.events] == ["allgatherv"]
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+def test_Allgatherv_then_result_is_one_sealed_object_when_shared(backend):
+    def fn(comm):
+        _, (doubled, cts), _ = comm.Allgatherv(_mine(comm), then=_then)
+        for arr in (doubled, cts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = -1
+        return id(doubled)
+
+    out, _ = _run(backend, 3, fn, result_sharing="shared")
+    assert len(set(out)) == 1
+
+
+@pytest.mark.parametrize("backend,kwargs", [
+    ("serial", {"result_sharing": "copy"}),
+    ("threads", {"result_sharing": "copy"}),
+    ("procs", {}),
+])
+def test_Allgatherv_then_result_is_a_private_copy_when_not_shared(
+        backend, kwargs):
+    def fn(comm):
+        _, (big, _), _ = comm.Allgatherv(_mine(comm), then=_then)
+        assert big.flags.owndata  # not a lease on the result arena
+        big += comm.rank          # must not reach any other rank
+        comm.barrier()
+        return big
+
+    out, _ = _run(backend, 3, fn, **kwargs)
+    for r, big in enumerate(out):
+        np.testing.assert_array_equal(big, out[0] + r)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_Allgatherv_then_exception_surfaces_as_itself(backend):
+    def boom(merged, counts):
+        raise ValueError("then() failed on purpose")
+
+    def fn(comm):
+        return comm.Allgatherv(_mine(comm), then=boom)
+
+    with pytest.raises(ValueError, match="failed on purpose"):
+        _run(backend, 3, fn)

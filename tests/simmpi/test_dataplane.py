@@ -7,12 +7,16 @@ that carries descriptors (:mod:`repro.simmpi.backends.procs`), the
 programs on both data planes.
 """
 
+import glob
 import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core import PulpParams, xtrapulp
+from repro.graph import generators
 from repro.simmpi import dataplane
 from repro.simmpi.backends import create_runtime
 from repro.simmpi.backends.procs import _Slot, _sanitize_exc, _sweep_shm
@@ -386,3 +390,39 @@ def test_views_survive_across_supersteps():
     got = rt.run(program)
     ref = create_runtime("serial", nprocs=2, meter_compute=False).run(program)
     assert got == ref
+
+
+def test_multilevel_hierarchy_does_not_lease_the_result_arena():
+    """The V-cycle's coarse levels come out of ``Allgatherv(then=)`` and
+    live for the whole run.  Held as zero-copy views they would stop every
+    later result segment from being recycled (33 MiB of arena on this
+    input); copied out rank-side, the arena stays at the largest level in
+    transit (10 MiB; 2 MiB before the hook existed)."""
+    graph = generators.mesh3d(40, 40, 40)
+    pattern = f"/dev/shm/simmpi{os.getpid()}x*dpr*"
+    peak = [0]
+    done = threading.Event()
+
+    def poll():
+        while not done.wait(0.005):
+            total = 0
+            for path in glob.glob(pattern):
+                try:
+                    total += os.path.getsize(path)
+                except OSError:  # unlinked between glob and stat
+                    pass
+            peak[0] = max(peak[0], total)
+
+    poller = threading.Thread(target=poll)
+    poller.start()
+    try:
+        result = xtrapulp(
+            graph, 16, nprocs=4, backend="procs",
+            params=PulpParams(seed=5, multilevel=True, ml_coarsen="hem"),
+        )
+    finally:
+        done.set()
+        poller.join(timeout=10)
+    assert not poller.is_alive()
+    assert result.multilevel.levels >= 4
+    assert 0 < peak[0] < 16 << 20
