@@ -12,6 +12,8 @@ Three guarantees are enforced here:
    active set provably shrinks (edges touched drop vs legacy).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +48,19 @@ def test_full_frontier_matches_legacy_bit_for_bit():
     assert full.stats.bytes_by_tag() == legacy.stats.bytes_by_tag()
     assert full.stats.work_by_tag() == legacy.stats.work_by_tag()
     assert full.modeled_seconds == legacy.modeled_seconds
+
+
+def test_exhaustive_sweeps_pinned_digests():
+    # captured from ``frontier=False`` on serial ranks: the schedule every
+    # exhaustive-sweep comparison in this file is made against
+    r = _run(generators.rmat(10, avg_degree=8, seed=11), False)
+    assert hashlib.sha256(r.parts.tobytes()).hexdigest() == (
+        "75b64793dd0b730115f110e4cc3f33ad0864b1d35c6b7b5c512a20554fe3da7b")
+    assert hashlib.sha256(
+        repr(r.stats.signature()).encode()
+    ).hexdigest() == (
+        "b7a03831ad5de85f07f9568c433c83e756553aba5cdc823afc92064121e0294b")
+    assert r.modeled_seconds == 0.0011026835833333332
 
 
 def test_frontier_modes_are_deterministic():
