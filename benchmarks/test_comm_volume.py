@@ -1,82 +1,76 @@
-"""Communication volume: compact wire protocol vs the gid64 baseline.
+"""Communication volume of ExchangeUpdates against the paper's record.
 
-Runs the full XtraPuLP pipeline on the standard bench graphs twice —
-``wire="compact"`` (the default: build-time-routed ghost-slot records in
-the narrowest dtypes) and ``wire="gid64"`` (the paper's 16-byte
-``(gid, part)`` int64 pairs) — and records the metered Alltoallv payload
-bytes per exchange phase.  Acceptance: >=3x reduction in every
-balance/refine phase on every graph, with bit-identical partitions.
+Runs the full XtraPuLP pipeline on the standard bench graphs and records
+the metered Alltoallv payload bytes per exchange phase beside what the
+same records would weigh as the paper's 16-byte ``(gid, part)`` int64
+pairs (``16 * bytes / bytes_per_record``).  Acceptance: every phase ships
+whole records, and a record is at least 3x smaller than the paper's.
 """
-
-import numpy as np
 
 from repro.bench import ExperimentTable
 from repro.core import PulpParams, xtrapulp
+from repro.dist import build_dist_graph, make_distribution
+from repro.dist.wire import make_wire_spec
+from repro.simmpi import run_spmd
 
 PARTS = 8
 NPROCS = 4
 GRAPHS = ("rmat", "webcrawl")
 PHASES = ("vertex_balance", "vertex_refine", "edge_balance", "edge_refine")
-REDUCTION_FLOOR = 3.0  # acceptance: >=3x smaller exchange payloads
+PAPER_RECORD = 16  # two interleaved int64 items
+REDUCTION_FLOOR = 3.0  # acceptance: >=3x smaller records
 
 
-def _run(graph, wire, seed=42):
-    return xtrapulp(
-        graph, PARTS, nprocs=NPROCS,
-        params=PulpParams(seed=seed, wire=wire),
+def _run(graph, seed=42):
+    """The default pipeline and the record width its exchanges used."""
+    dist = make_distribution("random", graph.n, NPROCS, seed=seed)
+    max_ghost = run_spmd(
+        NPROCS,
+        lambda comm: build_dist_graph(comm, graph, dist).max_ghost_global,
+    )[0][0]
+    result = xtrapulp(
+        graph, PARTS, nprocs=NPROCS, params=PulpParams(seed=seed),
+        distribution=dist,
     )
-
-
-def _payload(stats):
-    """Per-phase Alltoallv payload bytes (the ExchangeUpdates wire data;
-    the fixed-size counts Alltoall is identical in both formats)."""
-    per_tag = stats.bytes_by_tag_op()
-    return {ph: per_tag.get(ph, {}).get("alltoallv", 0) for ph in PHASES}
+    return result, make_wire_spec(max_ghost, PARTS).bytes_per_record
 
 
 def test_comm_volume(benchmark, suite_graph):
     table = ExperimentTable(
         "comm_volume",
-        ["graph", "phase", "bytes_gid64", "bytes_compact", "reduction",
-         "exchange_gid64", "exchange_compact"],
+        ["graph", "phase", "bytes", "bytes_per_record", "bytes_paper_record",
+         "reduction", "exchange_bytes"],
         notes=f"{'/'.join(GRAPHS)}/small, {PARTS} parts on {NPROCS} ranks, "
-              "Alltoallv payload bytes per phase; exchange_* columns add "
-              "the counts Alltoall; TOTAL rows gate the acceptance "
-              f"(>= {REDUCTION_FLOOR}x per phase and overall)",
+              "metered Alltoallv payload bytes per phase beside the same "
+              f"records at the paper's {PAPER_RECORD} B; exchange_bytes "
+              "adds the counts Alltoall; acceptance: whole records, "
+              f">= {REDUCTION_FLOOR}x smaller",
     )
 
     def experiment():
-        out = {}
-        for name in GRAPHS:
-            g = suite_graph(name, "small")
-            out[name] = (_run(g, "compact"), _run(g, "gid64"))
-        return out
+        return {name: _run(suite_graph(name, "small")) for name in GRAPHS}
 
     runs = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
     for name in GRAPHS:
-        compact, legacy = runs[name]
-        # the compact format is an encoding change only: same partition,
-        # same BSP rounds, record for record
-        np.testing.assert_array_equal(compact.parts, legacy.parts)
-        assert compact.stats.rounds == legacy.stats.rounds
-
-        pay_c, pay_l = _payload(compact.stats), _payload(legacy.stats)
-        exch_c = compact.stats.exchange_bytes_by_tag()
-        exch_l = legacy.stats.exchange_bytes_by_tag()
-        for ph in PHASES:
-            ratio = pay_l[ph] / max(pay_c[ph], 1)
-            table.add(name, ph, pay_l[ph], pay_c[ph], round(ratio, 2),
-                      exch_l.get(ph, 0), exch_c.get(ph, 0))
-            assert ratio >= REDUCTION_FLOOR, (
-                f"{name}/{ph}: only {ratio:.2f}x payload reduction"
-            )
-        tot_l, tot_c = sum(pay_l.values()), sum(pay_c.values())
-        total_ratio = tot_l / max(tot_c, 1)
-        table.add(name, "TOTAL", tot_l, tot_c, round(total_ratio, 2),
-                  sum(exch_l.get(ph, 0) for ph in PHASES),
-                  sum(exch_c.get(ph, 0) for ph in PHASES))
-        assert total_ratio >= REDUCTION_FLOOR, (
-            f"{name}: only {total_ratio:.2f}x overall payload reduction"
+        result, record = runs[name]
+        reduction = PAPER_RECORD / record
+        assert reduction >= REDUCTION_FLOOR, (
+            f"{name}: a {record} B record is only {reduction:.2f}x smaller"
         )
+        per_tag = result.stats.bytes_by_tag_op()
+        exch = result.stats.exchange_bytes_by_tag()
+        total = 0
+        for ph in PHASES:
+            payload = per_tag.get(ph, {}).get("alltoallv", 0)
+            assert payload > 0 and payload % record == 0, (
+                f"{name}/{ph}: {payload} B is not whole {record} B records"
+            )
+            total += payload
+            table.add(name, ph, payload, record,
+                      PAPER_RECORD * payload // record, round(reduction, 2),
+                      exch.get(ph, 0))
+        table.add(name, "TOTAL", total, record,
+                  PAPER_RECORD * total // record, round(reduction, 2),
+                  sum(exch.get(ph, 0) for ph in PHASES))
     table.emit()

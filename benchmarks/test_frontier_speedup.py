@@ -1,8 +1,9 @@
-"""Frontier (active-set) sweeps vs legacy exhaustive sweeps.
+"""Frontier (active-set) sweeps vs the paper's exhaustive sweeps.
 
 Runs the full XtraPuLP pipeline at default iteration counts on the
-standard bench graphs twice — ``frontier=True`` (the default) and
-``frontier=False`` (legacy) — and records, for every sweep, the fraction
+standard bench graphs twice — as shipped, and under the test-only
+exhaustive schedule of ``tests/reference/exhaustive.py`` (column suffix
+``_legacy``) — and records, for every sweep, the fraction
 of owned vertices that were active and the edges gathered/tallied by the
 scoring kernel, summed across ranks.  The acceptance bar for the active
 set is a >=2x reduction in total edges touched; the per-sweep rows show
@@ -21,7 +22,8 @@ from repro.core.refinement import vertex_refine_phase
 from repro.core.state import RankState
 from repro.core.vertex_balance import vertex_balance_phase
 from repro.dist import build_dist_graph, make_distribution
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
+from tests.reference.exhaustive import exhaustive_sweeps
 
 PARTS = 8
 NPROCS = 4
@@ -29,13 +31,13 @@ GRAPHS = ("rmat", "webcrawl")
 SPEEDUP_FLOOR = 2.0  # acceptance: >=2x fewer edges touched overall
 
 
-def _run_logged(graph, frontier, seed=42):
+def _run_logged(graph, seed=42):
     """Full default pipeline; returns (global parts, merged sweep log).
 
     The merged log has one entry per sweep: (phase, active, owned, edges)
     summed across ranks.
     """
-    params = PulpParams(seed=seed, frontier=frontier)
+    params = PulpParams(seed=seed)
     dist = make_distribution("random", graph.n, NPROCS, seed=seed)
 
     def main(comm):
@@ -54,7 +56,7 @@ def _run_logged(graph, frontier, seed=42):
         return dg.owned_gids.copy(), state.parts[: dg.n_local].copy(), \
             state.sweep_log
 
-    results = Runtime(NPROCS).run(main)
+    results = run_spmd(NPROCS, main)[0]
     parts = np.empty(graph.n, dtype=np.int64)
     for gids, owned, _ in results:
         parts[gids] = owned
@@ -86,7 +88,9 @@ def test_frontier_speedup(benchmark, suite_graph):
         out = {}
         for name in GRAPHS:
             g = suite_graph(name, "small")
-            out[name] = (g, _run_logged(g, True), _run_logged(g, False))
+            active = _run_logged(g)
+            with exhaustive_sweeps():
+                out[name] = (g, active, _run_logged(g))
         return out
 
     runs = benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -1,19 +1,18 @@
-"""Zero-copy data-plane gate for the procs backend.
+"""Zero-copy data-plane check for the procs backend.
 
 The procs backend ships collective payloads between rank processes
-through a selectable data plane (:mod:`repro.simmpi.dataplane`): the
-default ``shm`` plane parks large buffers in long-lived arena segments
-and exchanges ``(segment, offset, nbytes)`` descriptors, the ``pickle``
-plane is the original copy-through transport kept as a verification
-mode.  This bench is the perf gate: a collectives-heavy storm (the
-workload the zero-copy plane exists for — payload movement, not rank
-compute) must run at least ``SPEEDUP_GATE``x faster on the shm plane,
-with identical checksums, and leak nothing in /dev/shm.
+through its data plane (:mod:`repro.simmpi.dataplane`): large buffers are
+parked in long-lived arena segments and ranks exchange
+``(segment, offset, nbytes)`` descriptors.  This bench runs a
+collectives-heavy storm (the workload the plane exists for — payload
+movement, not rank compute): it must deliver the serial backend's
+checksums and leak nothing in /dev/shm.  Its wall is recorded, not gated:
+the perf ledger's ``procs_guarded`` workload bounds ``partition_wall_s``
+(``benchmarks/perf``).
 
 A second test locks the correctness half at partitioning scale: parts
-and ``CommStats.signature()`` must be bit-identical across data planes,
-wire formats, and communicator strategies, against a serial-backend
-reference.
+and ``CommStats.signature()`` must be bit-identical across communicator
+strategies, against a serial-backend reference.
 """
 
 import glob
@@ -27,7 +26,6 @@ from repro.bench import ExperimentTable
 from repro.core import PulpParams, xtrapulp
 from repro.graph import generators
 from repro.simmpi.backends import create_runtime
-from repro.simmpi.dataplane import DATAPLANES
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
@@ -36,13 +34,12 @@ pytestmark = pytest.mark.skipif(
 NPROCS = 4
 ITERS = 12
 WORDS = 1_500_000  # int64 words per payload ≈ 11.4 MiB
-SPEEDUP_GATE = 1.5  # shm plane must beat pickle plane by this factor
 
 
 def _storm(comm):
     """Collectives-heavy per-rank program: big Alltoallv + Allgatherv +
     Bcast every iteration, trivial compute.  Returns a checksum that
-    folds every received buffer, so both planes must deliver identical
+    folds every received buffer, so both backends must deliver identical
     bytes to pass."""
     rng = np.random.default_rng(1000 + comm.rank)
     payload = rng.integers(0, 1 << 40, size=WORDS, dtype=np.int64)
@@ -61,75 +58,52 @@ def _storm(comm):
     return int(acc)
 
 
-def _run_storm(plane):
-    rt = create_runtime("procs", nprocs=NPROCS, meter_compute=False,
-                        dataplane=plane)
+def _run_storm(backend):
+    rt = create_runtime(backend, nprocs=NPROCS, meter_compute=False)
     t0 = time.perf_counter()
     checksums = rt.run(_storm)
-    wall = time.perf_counter() - t0
-    leaked = glob.glob(
-        os.path.join("/dev/shm", glob.escape(rt.last_shm_prefix) + "*"))
-    return {"wall": wall, "checksums": checksums, "leaked": leaked,
-            "reclaimed": rt.last_shm_reclaimed}
+    return rt, time.perf_counter() - t0, checksums
 
 
-def test_procs_zero_copy_speedup(benchmark):
+def test_procs_zero_copy_storm(benchmark):
     table = ExperimentTable(
         "procs_zero_copy",
-        ["dataplane", "wall_s", "speedup_vs_pickle", "payload_MiB",
-         "checksums_match", "shm_leaked"],
+        ["backend", "wall_s", "payload_MiB", "checksums_match", "shm_leaked"],
         notes=f"{ITERS} iters of Alltoallv+Allgatherv+Bcast on {NPROCS} "
-              f"procs ranks, {WORDS * 8 / 2**20:.1f} MiB payloads; gate: "
-              f"shm >= {SPEEDUP_GATE}x over pickle",
+              f"ranks, {WORDS * 8 / 2**20:.1f} MiB payloads; wall recorded, "
+              "not gated (the perf ledger's procs_guarded workload bounds "
+              "the wall)",
     )
 
-    def experiment():
-        return {plane: _run_storm(plane) for plane in DATAPLANES}
-
-    runs = benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    ref = runs["pickle"]
-    for plane in DATAPLANES:
-        r = runs[plane]
-        table.add(
-            plane,
-            round(r["wall"], 3),
-            round(ref["wall"] / r["wall"], 2),
-            round(ITERS * WORDS * 8 / 2**20, 1),
-            r["checksums"] == ref["checksums"],
-            len(r["leaked"]),
-        )
+    rt, wall, checksums = benchmark.pedantic(
+        lambda: _run_storm("procs"), rounds=1, iterations=1
+    )
+    _, ref_wall, ref = _run_storm("serial")
+    leaked = glob.glob(
+        os.path.join("/dev/shm", glob.escape(rt.last_shm_prefix) + "*"))
+    payload_mib = round(ITERS * WORDS * 8 / 2**20, 1)
+    table.add("procs", round(wall, 3), payload_mib, checksums == ref,
+              len(leaked))
+    table.add("serial", round(ref_wall, 3), payload_mib, True, 0)
     table.emit()
 
-    for plane in DATAPLANES:
-        assert runs[plane]["checksums"] == ref["checksums"]
-        assert runs[plane]["leaked"] == []
-        assert runs[plane]["reclaimed"] == []
-    speedup = ref["wall"] / runs["shm"]["wall"]
-    assert speedup >= SPEEDUP_GATE, (
-        f"shm data plane only {speedup:.2f}x over pickle "
-        f"(gate {SPEEDUP_GATE}x)"
-    )
+    assert checksums == ref
+    assert leaked == []
+    assert rt.last_shm_reclaimed == []
 
 
-def test_partitions_identical_across_planes_wires_comms(monkeypatch):
-    """Data plane x wire format x communicator strategy: parts and the
-    communication record must be bit-identical, serial vs procs."""
+def test_partitions_identical_across_comms():
+    """Communicator strategy x backend: parts and the communication record
+    must be bit-identical, serial vs procs."""
     g = generators.rmat(9, avg_degree=8, seed=21)
     parts = 6
-    for wire in ("compact", "gid64"):
-        for comm in ("flat", "hierarchical:2"):
-            params = PulpParams(seed=11, outer_iters=2, wire=wire, comm=comm)
-            ref = xtrapulp(g, parts, nprocs=NPROCS, params=params,
-                           backend="serial")
-            for plane in DATAPLANES:
-                monkeypatch.setenv("REPRO_DATAPLANE", plane)
-                rt = create_runtime("procs", nprocs=NPROCS,
-                                    meter_compute=False)
-                r = xtrapulp(g, parts, nprocs=NPROCS, params=params,
-                             backend=rt)
-                np.testing.assert_array_equal(r.parts, ref.parts)
-                assert r.stats.signature() == ref.stats.signature()
-                assert glob.glob(os.path.join(
-                    "/dev/shm",
-                    glob.escape(rt.last_shm_prefix) + "*")) == []
+    for comm in ("flat", "hierarchical:2"):
+        params = PulpParams(seed=11, outer_iters=2, comm=comm)
+        ref = xtrapulp(g, parts, nprocs=NPROCS, params=params,
+                       backend="serial")
+        rt = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
+        r = xtrapulp(g, parts, nprocs=NPROCS, params=params, backend=rt)
+        np.testing.assert_array_equal(r.parts, ref.parts)
+        assert r.stats.signature() == ref.stats.signature()
+        assert glob.glob(os.path.join(
+            "/dev/shm", glob.escape(rt.last_shm_prefix) + "*")) == []

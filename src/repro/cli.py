@@ -96,34 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution backend for the simulated ranks "
                              "(default: $REPRO_BACKEND or 'threads'); all "
                              "backends produce identical partitions")
-    parser.add_argument("--dataplane", choices=["shm", "pickle"],
-                        default=None,
-                        help="payload transport of the procs backend: 'shm' "
-                             "zero-copy shared-memory descriptors (default) "
-                             "or 'pickle' copy-through (verification mode); "
-                             "equivalent to $REPRO_DATAPLANE, ignored by "
-                             "in-process backends, identical partitions "
-                             "either way")
-    parser.add_argument("--result-sharing", choices=["shared", "copy"],
-                        default=None,
-                        help="in-process collective result delivery: "
-                             "'shared' sealed read-only results handed to "
-                             "every rank (default; O(ranks) result bytes "
-                             "per collective) or 'copy' per-rank private "
-                             "copies (verification mode); equivalent to "
-                             "$REPRO_RESULT_SHARING, identical partitions "
-                             "either way")
-    parser.add_argument("--wire", choices=["compact", "gid64"],
-                        default="compact",
-                        help="ExchangeUpdates message format: 'compact' "
-                             "ghost-slot records (default) or the paper's "
-                             "64-bit (gid, part) pairs; both produce "
-                             "identical partitions")
     parser.add_argument("--comm", metavar="STRATEGY[:R[xK]]",
                         default=None,
                         help="communicator strategy for topology-aware "
-                             "metering: 'flat' (one rank = one node), "
-                             "'naive' (alias), or 'hierarchical[:R[xK]]' "
+                             "metering: 'flat' (one rank = one node) or "
+                             "'hierarchical[:R[xK]]' "
                              "(hierarchical exchange, R ranks/node, default "
                              "8; K nodes/rack adds a third cross-rack tier, "
                              "e.g. hierarchical:16x4). Default: $REPRO_COMM "
@@ -172,32 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.dataplane:
-        import os
-
-        from repro.simmpi.dataplane import DATAPLANE_ENV_VAR
-
-        os.environ[DATAPLANE_ENV_VAR] = args.dataplane
-    if args.result_sharing:
-        import os
-
-        from repro.simmpi.dataplane import RESULT_SHARING_ENV_VAR
-
-        os.environ[RESULT_SHARING_ENV_VAR] = args.result_sharing
-    if args.watchdog_timeout is not None:
-        import os
-
-        from repro.ft.watchdog import WATCHDOG_ENV_VAR
-
-        # exported too, so a wrapper's --resume re-exec and any forked
-        # rank process see the same liveness policy
-        os.environ[WATCHDOG_ENV_VAR] = repr(args.watchdog_timeout)
-    if args.integrity:
-        import os
-
-        from repro.ft.integrity import INTEGRITY_ENV_VAR
-
-        os.environ[INTEGRITY_ENV_VAR] = args.integrity
     try:
         graph = _load_graph(args.graph)
     except Exception as exc:
@@ -215,7 +166,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             edge_imbalance=args.edge_imbalance,
             single_objective=args.single_objective,
             seed=args.seed,
-            wire=args.wire,
             comm=args.comm,
             multilevel=args.multilevel,
             ml_levels=args.ml_levels,

@@ -40,10 +40,9 @@ edge cut within a few percent of the exhaustive sweeps).
 
 Determinism: the active set lives in a boolean mask over owned lids and
 is materialized with ``flatnonzero`` (ascending lids), then chunked with
-the same ``params.block_size`` as the legacy sweep.  A full active set
-therefore yields bit-identical blocks — hence bit-identical moves — to
-the legacy path (``params.frontier = "full"`` forces this every
-iteration; ``False`` bypasses the engine's bookkeeping entirely).
+the same ``params.block_size`` as an exhaustive sweep.  A full active set
+therefore yields the blocks — hence the moves — of
+``RankState.iter_blocks`` exactly.
 
 Work model: scoring work is charged by ``RankState.gather_block`` only
 for blocks actually swept, so a shrinking active set shrinks
@@ -71,7 +70,7 @@ DIRT_FRACTION = 1.0 / 16.0
 class FrontierSweeper:
     """Drives one phase's sweep iterations over the active set.
 
-    Usage, replacing the legacy ``iter_blocks`` inner loop::
+    Usage::
 
         sweeper = FrontierSweeper(state, phase="vertex_balance")
         for _ in range(iters):
@@ -83,8 +82,8 @@ class FrontierSweeper:
 
     ``blocks()`` yields the iteration's active lid chunks; ``note_moves``
     feeds admitted moves back; ``exchange`` runs the collective update
-    exchange (all moved vertices, exactly as the legacy path) and seeds
-    the next iteration's frontier from local and ghost touches.
+    exchange (all moved vertices) and seeds the next iteration's frontier
+    from local and ghost touches.
     """
 
     def __init__(
@@ -104,28 +103,18 @@ class FrontierSweeper:
         #: approximation missed
         self.cleanup_iter = cleanup_iter
         self._iter = 0
-        mode = state.params.frontier
-        # track=False → legacy full sweeps with zero frontier bookkeeping;
-        # "full" keeps the bookkeeping but re-seeds everything (bit-identity
-        # verification mode)
-        self.track = bool(mode)
-        self.force_full = mode == "full"
         #: active owned lids for the current iteration; None = all owned
         self._frontier: Optional[np.ndarray] = None
         self._moved: List[np.ndarray] = []
         self._edges_mark = state.edges_touched
-        if self.track and not self.force_full:
-            # per-vertex touch accumulator + activation thresholds
-            self._dirt = np.zeros(self.dg.n_local, dtype=np.int64)
-            if state.dirt_thresholds is None:
-                state.dirt_thresholds = np.maximum(
-                    DIRT_FRACTION * self.dg.local_degrees, 1.0
-                )
-            self._thresh = state.dirt_thresholds
-        else:
-            self._dirt = None
-            self._thresh = None
-        if seed_lids is not None and self.track and not self.force_full:
+        # per-vertex touch accumulator + activation thresholds
+        self._dirt = np.zeros(self.dg.n_local, dtype=np.int64)
+        if state.dirt_thresholds is None:
+            state.dirt_thresholds = np.maximum(
+                DIRT_FRACTION * self.dg.local_degrees, 1.0
+            )
+        self._thresh = state.dirt_thresholds
+        if seed_lids is not None:
             # caller knows where the action is (e.g. multilevel projection
             # seeds cluster boundaries): start from that active set instead
             # of the exhaustive iteration-0 sweep.  The cleanup pass still
@@ -149,7 +138,7 @@ class FrontierSweeper:
                 None if self._frontier is None else self._frontier.copy()
             ),
             "moved": [m.copy() for m in self._moved],
-            "dirt": None if self._dirt is None else self._dirt.copy(),
+            "dirt": self._dirt.copy(),
             "edges_mark": float(self._edges_mark),
         }
 
@@ -163,8 +152,7 @@ class FrontierSweeper:
         fr = snap["frontier"]
         self._frontier = None if fr is None else np.asarray(fr, dtype=np.int64)
         self._moved = [np.asarray(m, dtype=np.int64) for m in snap["moved"]]
-        if self._dirt is not None and snap["dirt"] is not None:
-            self._dirt[:] = snap["dirt"]
+        self._dirt[:] = snap["dirt"]
         self._edges_mark = float(snap["edges_mark"])
 
     # -- iteration body ------------------------------------------------------
@@ -179,7 +167,7 @@ class FrontierSweeper:
     def blocks(self) -> Iterator[np.ndarray]:
         """Yield the iteration's active lids in ``block_size`` chunks.
 
-        A full frontier yields exactly the legacy ``iter_blocks`` chunks
+        A full frontier yields exactly the ``iter_blocks`` chunks
         (ascending lids, same boundaries), preserving the between-block
         estimate-refresh schedule bit-for-bit.
         """
@@ -224,17 +212,10 @@ class FrontierSweeper:
             comm, self.dg, state.parts, moved, wire=state.wire
         )
         self._iter += 1
-        if self.track:
-            if self.force_full:
-                # verification mode: seed every owned vertex, exercising
-                # the explicit-lids chunking path; charges nothing extra,
-                # so stats AND partitions must match the legacy path
-                self._frontier = np.arange(self.dg.n_local, dtype=np.int64)
-            else:
-                self._seed_next(moved, ghost_lids)
-                # frontier-maintenance work rides the iteration's trailing
-                # collective (every phase Allreduces its size deltas next)
-                state.flush_work(comm)
+        self._seed_next(moved, ghost_lids)
+        # frontier-maintenance work rides the iteration's trailing
+        # collective (every phase Allreduces its size deltas next)
+        state.flush_work(comm)
         return moved
 
     def _seed_next(self, moved: np.ndarray, ghost_lids: np.ndarray) -> None:

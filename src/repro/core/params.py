@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -39,32 +39,14 @@ class PulpParams:
         weights refresh *between* blocks, approximating the paper's
         asynchronous thread-level updates; smaller blocks ≈ finer-grained
         asynchrony (ablation bench).
-    frontier:
-        Active-set sweep control (:mod:`repro.core.frontier`).  ``True``
-        (default): iteration 0 of every balance/refine phase sweeps all
-        owned vertices, later iterations re-score only vertices that moved
-        or are adjacent to a moved vertex (owned or ghost).  ``False``:
-        legacy full sweeps every iteration.  ``"full"``: run the frontier
-        machinery but re-seed every owned vertex each iteration — a
-        verification mode that must reproduce the legacy path bit-for-bit
-        (enforced by the frontier tests).
-    wire:
-        ``ExchangeUpdates`` message format (:mod:`repro.dist.wire`).
-        ``"compact"`` (default): owner-relative ghost-slot addressing in
-        the narrowest sufficient dtypes (4–8 bytes/record, applied on
-        receive by direct indexing); ``"gid64"``: the paper's interleaved
-        64-bit ``(gid, part)`` pairs (16 bytes/record, gid ``searchsorted``
-        on receive) — kept as a bit-identity verification mode, same
-        pattern as ``frontier="full"`` (enforced by the wire tests).
     comm:
         Communicator strategy spec (:mod:`repro.simmpi.topology`), the
         ChainerMN-style ``name[:ranks_per_node[xnodes_per_rack]]`` grammar:
-        ``"flat"`` (one rank = one node, today's metering), ``"naive"``
-        (alias), or ``"hierarchical[:R[xK]]"`` (two-level exchange metering
-        with ``R`` ranks/node).  None (default) honors ``$REPRO_COMM``,
-        falling back to ``flat``.  Strategy choice never changes the
-        partition or the communication record — only the tier metering the
-        tiered machine models price.
+        ``"flat"`` (one rank = one node) or ``"hierarchical[:R[xK]]"``
+        (two-level exchange metering with ``R`` ranks/node).  None
+        (default) honors ``$REPRO_COMM``, falling back to ``flat``.
+        Strategy choice never changes the partition or the communication
+        record — only the tier metering the tiered machine models price.
     re_init, re_step, rc_init, rc_step:
         Schedule for the edge-balance bias factors (§III.E): ``Re`` grows by
         ``re_step`` per iteration while the edge-balance constraint is
@@ -124,8 +106,6 @@ class PulpParams:
     vert_imbalance: float = 0.10
     edge_imbalance: float = 0.10
     block_size: int = 4096
-    frontier: Union[bool, str] = True
-    wire: str = "compact"
     comm: Optional[str] = None
     re_init: float = 1.0
     re_step: float = 1.0
@@ -152,14 +132,6 @@ class PulpParams:
             raise ValueError("imbalance ratios must be non-negative")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if self.frontier not in (True, False, "full"):
-            raise ValueError(
-                f"frontier must be True, False, or 'full', got {self.frontier!r}"
-            )
-        if self.wire not in ("compact", "gid64"):
-            raise ValueError(
-                f"wire must be 'compact' or 'gid64', got {self.wire!r}"
-            )
         if self.comm is not None:
             # grammar check only (cheap, import-light); the registry
             # validates the strategy name when the runtime is built

@@ -59,7 +59,7 @@ class RankState:
         # resolved from global quantities, so every rank picks the same
         # record dtypes (a cross-rank invariant of the wire protocol)
         self.wire = make_wire_spec(
-            self.params.wire, self.dg.max_ghost_global, self.num_parts
+            self.dg.max_ghost_global, self.num_parts
         )
         # unit vertex weights by default; see set_vertex_weights
         self.vweights = np.ones(self.dg.n_local, dtype=np.float64)

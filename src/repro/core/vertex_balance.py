@@ -12,8 +12,7 @@ semantics.
 
 Sweeps run over the active set maintained by
 :class:`repro.core.frontier.FrontierSweeper`: after the first iteration of
-a phase only vertices that moved or saw a neighbor move are re-scored
-(``params.frontier`` restores exhaustive sweeps).
+a phase only vertices that moved or saw a neighbor move are re-scored.
 """
 
 from __future__ import annotations

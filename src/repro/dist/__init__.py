@@ -18,7 +18,7 @@ from repro.dist.distribution import (
 from repro.dist.distgraph import DistGraph
 from repro.dist.build import build_dist_graph
 from repro.dist.ops import ExchangePlan, distributed_bfs_levels
-from repro.dist.wire import WIRE_FORMATS, WireSpec, make_wire_spec
+from repro.dist.wire import WireSpec, make_wire_spec
 
 __all__ = [
     "Distribution",
@@ -30,7 +30,6 @@ __all__ = [
     "build_dist_graph",
     "ExchangePlan",
     "distributed_bfs_levels",
-    "WIRE_FORMATS",
     "WireSpec",
     "make_wire_spec",
 ]

@@ -1,27 +1,18 @@
 """Buffer packing for Alltoallv exchanges.
 
 Algorithm 3 in the paper assembles a send buffer ordered by destination
-rank (counts → prefix sums → fill).  These helpers are the vectorized
-equivalent, in two flavors:
+rank (counts → prefix sums → fill).  :func:`pack_fields_by_rank` is the
+vectorized equivalent, struct-of-arrays: each record field stays a
+contiguous array in its own (narrowest sufficient) dtype, the layout
+:meth:`SimComm.Alltoallv_fields` ships as independently-typed planes.  It
+is built on :func:`bucket_by_rank`, an O(n) stable counting-sort bucketing.
 
-* :func:`pack_fields_by_rank` — struct-of-arrays: each record field stays
-  a contiguous array in its own (narrowest sufficient) dtype, the layout
-  :meth:`SimComm.Alltoallv_fields` ships as independently-typed planes.
-  This is the compact wire format's packer.
-* :func:`pack_by_rank` / :func:`unpack_fields` — the legacy ``gid64``
-  format: records with ``k`` fields interleaved ``f0, f1, ..., f(k-1)``
-  per record in one flat int64 buffer, exactly like the paper's
-  ``(vertex, part)`` pairs.  Kept as the bit-identity verification mode.
-
-Both are built on :func:`bucket_by_rank`, an O(n) stable counting-sort
-bucketing (the argsort it replaces was O(n log n) comparison sorting).
-
-Zero-copy contract: packers *produce* fresh buffers (fancy indexing
+Zero-copy contract: the packer *produces* fresh buffers (fancy indexing
 copies), so senders may hand them to a collective and forget them; the
 matching *received* buffers may be read-only shared-memory views under the
 procs backend's shm data plane (:mod:`repro.simmpi.dataplane`), so
-consumers — :func:`unpack_fields` included — must never write into them
-(slice/index/cast, or :func:`repro.simmpi.dataplane.materialize` first).
+consumers must never write into them (slice/index/cast, or
+:func:`repro.simmpi.dataplane.materialize` first).
 """
 
 from __future__ import annotations
@@ -94,48 +85,3 @@ def pack_fields_by_rank(
     order, counts = bucket_by_rank(nprocs, dest)
     planes = [np.ascontiguousarray(np.asarray(f)[order]) for f in fields]
     return planes, counts
-
-
-def pack_by_rank(
-    nprocs: int, dest: np.ndarray, fields: Sequence[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack records into a destination-ordered flat int64 buffer (legacy
-    ``gid64`` interleave).
-
-    Returns
-    -------
-    (sendbuf, sendcounts):
-        ``sendbuf`` is int64, records interleaved, grouped by destination in
-        rank order; ``sendcounts[r]`` counts *buffer items* (records × k)
-        going to rank ``r`` — the unit :meth:`SimComm.Alltoallv` expects.
-    """
-    k = len(fields)
-    planes, counts = pack_fields_by_rank(nprocs, dest, fields)
-    nrec = planes[0].shape[0]
-    # contiguous (nrec, k) view: one write pass per field column, then one
-    # flat ravel — replaces the k strided sendbuf[j::k] passes
-    records = np.empty((nrec, k), dtype=np.int64)
-    for j, plane in enumerate(planes):
-        records[:, j] = plane
-    return records.reshape(-1), counts * k
-
-
-def unpack_fields(recvbuf: np.ndarray, k: int) -> List[np.ndarray]:
-    """Inverse of the interleaving in :func:`pack_by_rank`."""
-    if recvbuf.size % k:
-        raise ValueError(f"buffer size {recvbuf.size} not divisible by {k}")
-    records = recvbuf.reshape(-1, k)
-    return [np.ascontiguousarray(records[:, j]) for j in range(k)]
-
-
-def counts_to_record_ranges(
-    recvcounts: np.ndarray, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-source-rank record ranges ``(starts, stops)`` in record units."""
-    rc = np.asarray(recvcounts, dtype=np.int64)
-    if np.any(rc % k):
-        raise ValueError("received counts not divisible by record width")
-    rec = rc // k
-    stops = np.cumsum(rec)
-    starts = stops - rec
-    return starts, stops

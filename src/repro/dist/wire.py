@@ -1,34 +1,23 @@
-"""Wire formats for the ghost-update exchanges (``ExchangeUpdates``).
+"""Wire format of the ghost-update exchanges (``ExchangeUpdates``).
 
-Two formats ship a ``(vertex, new part)`` update record:
-
-``gid64`` (legacy)
-    The paper's literal Algorithm 3 record: interleaved 64-bit
-    ``(global id, part)`` pairs in one int64 buffer — 16 bytes per record
-    on the wire, resolved on receive with a ``searchsorted`` over the
-    ghost gids.  Kept as the bit-identity verification mode.
-
-``compact`` (default)
-    Owner-relative addressing over static per-neighbor-rank routing
-    tables precomputed at :class:`~repro.dist.distgraph.DistGraph` build
-    time: the sender ships the *destination rank's ghost slot index*
-    (``DistGraph.send_ghost_slot``) in the narrowest dtype that covers
-    every rank's ghost count, plus the part label in the narrowest dtype
-    that covers ``num_parts`` — 4 to 8 bytes per record, applied on
-    receive by direct indexed assignment (no gid lookup at all).
-
-Both formats send identical record *sets* in identical order (the packer
-is a stable bucketing either way), so partitions, frontier seeds, and
-iteration counts are bit-identical across formats — enforced by the wire
-equivalence tests.
+The paper's Algorithm 3 record is an interleaved 64-bit ``(global id,
+part)`` pair — 16 bytes, resolved on receive with a ``searchsorted`` over
+the ghost gids.  This reproduction ships the same update with
+owner-relative addressing over static per-neighbor-rank routing tables
+precomputed at :class:`~repro.dist.distgraph.DistGraph` build time: the
+sender ships the *destination rank's ghost slot index*
+(``DistGraph.send_ghost_slot``) in the narrowest dtype that covers every
+rank's ghost count, plus the part label in the narrowest dtype that covers
+``num_parts`` — 4 to 8 bytes per record, applied on receive by direct
+indexed assignment (no gid lookup at all).  The record *set* and its
+stable destination-major order are the paper's.
 
 The wire format is orthogonal to the *communicator strategy*
-(:mod:`repro.simmpi.topology`): both formats route through
-``SimComm.Alltoallv_fields``/``Alltoallv``, so under the ``hierarchical``
-strategy the same records are additionally metered as a two-level exchange
-(aggregated per node pair, count headers narrowed to ``uint32`` on the
-inter-node wire) — compounding with the compact format's 2-4x record
-shrink rather than replacing it.
+(:mod:`repro.simmpi.topology`): records route through
+``SimComm.Alltoallv_fields``, so under the ``hierarchical`` strategy they
+are additionally metered as a two-level exchange (aggregated per node
+pair, count headers narrowed to ``uint32`` on the inter-node wire) —
+compounding with the 2-4x record shrink rather than replacing it.
 """
 
 from __future__ import annotations
@@ -37,33 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Valid ``PulpParams.wire`` values.
-WIRE_FORMATS = ("compact", "gid64")
-
 
 @dataclass(frozen=True)
 class WireSpec:
-    """Resolved wire format for one partitioning run.
+    """Record dtypes of one partitioning run.
 
     ``slot_dtype``/``part_dtype`` are chosen once from *global* quantities
     (max per-rank ghost count, ``num_parts``) so every rank selects the
     same dtypes — a per-rank choice would trip the cross-rank dtype guard.
     """
 
-    mode: str                 # "compact" | "gid64"
-    slot_dtype: np.dtype      # ghost slot index dtype (compact sends)
-    part_dtype: np.dtype      # part label dtype (compact sends)
-
-    @property
-    def compact(self) -> bool:
-        return self.mode == "compact"
+    slot_dtype: np.dtype      # ghost slot index dtype
+    part_dtype: np.dtype      # part label dtype
 
     @property
     def bytes_per_record(self) -> int:
         """Payload bytes per update record on the wire."""
-        if self.compact:
-            return self.slot_dtype.itemsize + self.part_dtype.itemsize
-        return 16  # two interleaved int64 items
+        return self.slot_dtype.itemsize + self.part_dtype.itemsize
 
 
 def _narrowest_uint(max_value: int) -> np.dtype:
@@ -80,22 +59,15 @@ def _narrowest_int(max_value: int) -> np.dtype:
     return np.dtype(np.int64)  # pragma: no cover - >2B parts
 
 
-def make_wire_spec(
-    mode: str, max_ghost_global: int, num_parts: int
-) -> WireSpec:
-    """Resolve a wire format name into concrete record dtypes.
+def make_wire_spec(max_ghost_global: int, num_parts: int) -> WireSpec:
+    """Resolve the record dtypes of a run.
 
     ``max_ghost_global`` is the maximum ghost count over *all* ranks
     (``DistGraph.max_ghost_global``, Allreduced once at build time);
     slot indices are ``< max_ghost_global`` and part labels are
     ``< num_parts`` (signed, so the UNASSIGNED sentinel -1 also fits).
     """
-    if mode not in WIRE_FORMATS:
-        raise ValueError(
-            f"wire must be one of {WIRE_FORMATS}, got {mode!r}"
-        )
     return WireSpec(
-        mode=mode,
         slot_dtype=_narrowest_uint(max(max_ghost_global - 1, 0)),
         part_dtype=_narrowest_int(max(num_parts - 1, 1)),
     )

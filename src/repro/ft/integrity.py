@@ -68,14 +68,6 @@ def validate_integrity(mode: str) -> str:
     return mode
 
 
-def checksum_bytes(*chunks: Any) -> int:
-    """crc32 over a sequence of bytes-like chunks (order-sensitive)."""
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(chunk, crc)
-    return crc
-
-
 def checksum_obj(obj: Any) -> int:
     """crc32 of an object's full serialized form (pickle-5, zero-copy).
 

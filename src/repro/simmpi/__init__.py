@@ -12,13 +12,11 @@ runs them as a deterministic round-robin superstep interpreter, ``threads``
 runs one native thread per rank (NumPy releases the GIL), and ``procs``
 forks one process per rank and moves payloads through
 ``multiprocessing.shared_memory``, escaping the GIL for pure-Python rank
-code.  The procs backend's payload transport is itself selectable
-(:mod:`repro.simmpi.dataplane`): the default ``shm`` data plane parks
-large NumPy buffers in long-lived arena segments and ships zero-copy
+code.  The procs backend's data plane (:mod:`repro.simmpi.dataplane`)
+parks large NumPy buffers in long-lived arena segments and ships zero-copy
 ``(segment, offset, nbytes)`` descriptors — receivers get read-only
 shared views; :func:`~repro.simmpi.dataplane.materialize` is the
-copy-on-write escape hatch — while ``pickle`` is the original
-copy-through plane kept as a verification mode (``$REPRO_DATAPLANE``).
+copy-on-write escape hatch.
 Collectives are rendezvous points in every backend; because the
 algorithms built on top are bulk-synchronous (all communication happens in
 collectives, ranks only mutate rank-local state in between), a fixed-seed
@@ -61,12 +59,7 @@ from repro.simmpi.backends import (
     register_backend,
 )
 from repro.simmpi.comm import SimComm
-from repro.simmpi.dataplane import (
-    DATAPLANE_ENV_VAR,
-    DATAPLANES,
-    default_dataplane,
-    materialize,
-)
+from repro.simmpi.dataplane import materialize
 from repro.simmpi.errors import (
     CollectiveMismatchError,
     DeadlockError,
@@ -78,7 +71,7 @@ from repro.simmpi.errors import (
     format_ranks,
 )
 from repro.simmpi.metrics import CommStats, CollectiveEvent, TierMetering
-from repro.simmpi.runtime import Runtime, run_spmd
+from repro.simmpi.runtime import run_spmd
 from repro.simmpi.timing import (
     BLUE_WATERS_LIKE,
     BLUE_WATERS_TIERED,
@@ -101,7 +94,6 @@ from repro.simmpi.topology import (
 
 __all__ = [
     "SimComm",
-    "Runtime",
     "run_spmd",
     "Backend",
     "SerialBackend",
@@ -111,9 +103,6 @@ __all__ = [
     "register_backend",
     "available_backends",
     "default_backend",
-    "DATAPLANES",
-    "DATAPLANE_ENV_VAR",
-    "default_dataplane",
     "materialize",
     "CommStats",
     "CollectiveEvent",

@@ -28,12 +28,10 @@ with the ``REPRO_BACKEND`` environment variable — which is how CI runs the
 whole backend-tagged test selection once per backend.  Third-party backends
 can be added with :func:`register_backend`.
 
-The ``procs`` backend additionally has a selectable **data plane**
-(:mod:`repro.simmpi.dataplane`): ``shm`` (default) moves large payloads as
-zero-copy shared-memory descriptors, ``pickle`` is the original
-copy-through transport kept for verification.  Select it with the
-``dataplane`` argument or ``$REPRO_DATAPLANE``; the in-process backends
-ignore it (they have no wire to cross).
+The ``procs`` backend moves large payloads between its processes as
+zero-copy shared-memory descriptors (:mod:`repro.simmpi.dataplane`); the
+in-process backends hand every rank of a one-result collective the same
+sealed object (``Backend.shares_results``).
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from repro.simmpi.backends.base import Backend
 from repro.simmpi.backends.procs import ProcsBackend
 from repro.simmpi.backends.serial import SerialBackend
 from repro.simmpi.backends.threads import ThreadsBackend
-from repro.simmpi.dataplane import RESULT_SHARING_MODES
 from repro.simmpi.topology import Communicator, create_communicator
 
 #: Environment variable consulted when ``create_runtime(backend=None)``.
@@ -80,8 +77,6 @@ def create_runtime(
     nprocs: int,
     meter_compute: bool = True,
     comm: Union[str, None, Communicator] = None,
-    dataplane: Optional[str] = None,
-    result_sharing: Optional[str] = None,
     watchdog: Any = None,
     integrity: Optional[str] = None,
 ) -> Backend:
@@ -104,20 +99,6 @@ def create_runtime(
         :class:`~repro.simmpi.topology.Communicator` instance, or None to
         honor ``$REPRO_COMM`` falling back to ``"flat"``.  See
         :mod:`repro.simmpi.topology`.
-    dataplane:
-        Payload transport for the ``procs`` backend (``"shm"`` zero-copy
-        descriptors — the default — or ``"pickle"`` copy-through), or None
-        to honor ``$REPRO_DATAPLANE``.  Backends without a data plane
-        accept only None (they move no bytes between address spaces).  See
-        :mod:`repro.simmpi.dataplane`.
-    result_sharing:
-        In-process result delivery (``"shared"`` sealed read-only results
-        handed to every rank — the default — or ``"copy"`` historical
-        per-rank private copies), or None to honor
-        ``$REPRO_RESULT_SHARING``.  Applies to the in-process backends
-        (serial/threads); the procs backend's results already cross
-        process boundaries, so its rank endpoints pin the historical
-        copy semantics either way.  See :mod:`repro.simmpi.dataplane`.
     watchdog:
         Liveness deadline — seconds (a number), a
         :class:`~repro.ft.watchdog.WatchdogConfig`, or None to honor
@@ -134,11 +115,6 @@ def create_runtime(
     from repro.ft.integrity import validate_integrity
     from repro.ft.watchdog import as_watchdog_config
 
-    if result_sharing is not None and result_sharing not in RESULT_SHARING_MODES:
-        raise ValueError(
-            f"unknown result-sharing mode {result_sharing!r}; "
-            f"choices: {RESULT_SHARING_MODES}"
-        )
     if integrity is not None:
         integrity = validate_integrity(integrity)
     if isinstance(backend, Backend):
@@ -149,8 +125,6 @@ def create_runtime(
             )
         if comm is not None:
             backend.comm_strategy = create_communicator(comm, nprocs=nprocs)
-        if result_sharing is not None:
-            backend.result_sharing = result_sharing
         if watchdog is not None:
             backend.watchdog = as_watchdog_config(watchdog)
         if integrity is not None:
@@ -164,18 +138,8 @@ def create_runtime(
             f"unknown execution backend {name!r}; "
             f"valid choices: {available_backends()}"
         ) from None
-    kwargs = {"meter_compute": meter_compute}
-    if dataplane is not None:
-        if not issubclass(cls, ProcsBackend):
-            raise ValueError(
-                f"backend {name!r} has no data plane; dataplane= applies "
-                f"to 'procs' only"
-            )
-        kwargs["dataplane_name"] = dataplane
-    rt = cls(nprocs, **kwargs)
+    rt = cls(nprocs, meter_compute=meter_compute)
     rt.comm_strategy = create_communicator(comm, nprocs=nprocs)
-    if result_sharing is not None:
-        rt.result_sharing = result_sharing
     if watchdog is not None:
         rt.watchdog = as_watchdog_config(watchdog)
     if integrity is not None:

@@ -79,6 +79,11 @@ class Backend(ABC):
     #: Registry name of the backend (set by each subclass).
     name: str = "abstract"
 
+    #: Whether the ranks a :class:`~repro.simmpi.comm.SimComm` of this
+    #: runtime serves live in one address space, so that a one-result
+    #: collective hands them all the same sealed (read-only) object.
+    shares_results = True
+
     def __init__(self, nprocs: int, *, meter_compute: bool = True) -> None:
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
@@ -102,13 +107,6 @@ class Backend(ABC):
         #: prefix, and running commit at record time orders it after the
         #: rank files were persisted by the collective's writer.
         self.ckpt_committer: Optional[Any] = None
-        #: Result-delivery mode for in-process collective results
-        #: (``"shared"`` sealed read-only objects handed to every rank, or
-        #: ``"copy"`` per-rank private copies); None defers to
-        #: ``$REPRO_RESULT_SHARING``.  See :mod:`repro.simmpi.dataplane`
-        #: and :mod:`repro.simmpi.comm`; set by
-        #: :func:`repro.simmpi.backends.create_runtime`.
-        self.result_sharing: Optional[str] = None
         # deferred import: repro.ft sits above simmpi in the layering, but
         # these two are leaf config modules (env parsing + dataclasses)
         # with no backend dependency, so the cycle is only cosmetic

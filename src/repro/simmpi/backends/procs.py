@@ -20,20 +20,15 @@ releases every rank with :class:`~repro.simmpi.errors.RemoteRankError`
 while the original exception is re-raised from :meth:`ProcsBackend.run`.
 
 How payload *bytes* move is the backend's **data plane**
-(:mod:`repro.simmpi.dataplane`), selected per backend instance or via
-``$REPRO_DATAPLANE``:
-
-* ``shm`` (default) — zero-copy descriptor passing.  Large NumPy buffers
-  are parked in per-rank arena segments (send arenas for contributions,
-  rank 0's result arena for results) and the slots carry compact
-  ``(segment, offset, nbytes)`` descriptors; receivers materialize
-  read-only ``np.frombuffer`` views and account for their lifetime with
-  per-rank release cursors so result segments are recycled only once no
-  rank still views them.
-* ``pickle`` — the original copy-through plane (every payload byte is
-  written into the slot and copied back out on receive), kept as the
-  verification mode; ``benchmarks/test_procs_zero_copy.py`` gates the
-  shm plane's wall-clock win and bit-identity against it.
+(:mod:`repro.simmpi.dataplane`): zero-copy descriptor passing.  Large NumPy
+buffers are parked in per-rank arena segments (send arenas for
+contributions, rank 0's result arena for results) and the slots carry
+compact ``(segment, offset, nbytes)`` descriptors; receivers materialize
+read-only ``np.frombuffer`` views and account for their lifetime with
+per-rank release cursors so result segments are recycled only once no
+rank still views them.  Buffers below
+:data:`~repro.simmpi.dataplane.DESCRIPTOR_MIN` bytes and control messages
+are written into the slot itself.
 
 Shared-memory lifecycle: all slots are created by the parent **before**
 forking (so every process shares one resource tracker), a slot that outgrows
@@ -252,9 +247,9 @@ class _Slot:
               arena: Optional[dataplane.SendArena] = None) -> None:
         """Serialize ``obj`` into the slot (NumPy buffers out-of-band).
 
-        With an ``arena`` (the shm data plane), out-of-band buffers of at
-        least :data:`~repro.simmpi.dataplane.DESCRIPTOR_MIN` bytes are
-        placed through the arena and only their descriptors enter the slot;
+        With an ``arena``, out-of-band buffers of at least
+        :data:`~repro.simmpi.dataplane.DESCRIPTOR_MIN` bytes are placed
+        through the arena and only their descriptors enter the slot;
         smaller buffers — and, without an arena, all buffers — are inlined.
         """
         oob: List[pickle.PickleBuffer] = []
@@ -311,8 +306,8 @@ class _Slot:
           buffers are copied (small, and the copies stay privately
           writable).
         * ``"own"`` — every buffer is copied out, so returned arrays own
-          writable data (the pickle data plane, and the parent collecting
-          exit payloads after the children are gone).
+          writable data (the failure cell, and the parent collecting exit
+          payloads after the children are gone).
         """
         buf = self._segment().buf
         payload_len, spec_len, inline_len, crc = _HEADER.unpack_from(buf, 0)
@@ -350,8 +345,8 @@ class _Slot:
                         raise PayloadCorruptionError(
                             f"arena descriptor checksum mismatch (expected "
                             f"{e.crc:#010x}, got {actual:#010x}) for "
-                            f"{e.nbytes} bytes in segment {e.name!r}",
-                            location=f"descriptor {e.name!r}+{e.offset}",
+                            f"{e.nbytes} bytes in segment {e.segment!r}",
+                            location=f"descriptor {e.segment!r}+{e.offset}",
                         )
                 if mode == "own":
                     buffers.append(bytearray(view))
@@ -414,11 +409,9 @@ class _Session:
     """Per-run shared state: slots, barrier, failure cell, stats channel,
     and the data plane's release cursors."""
 
-    def __init__(self, ctx, nprocs: int, plane: str,
-                 integrity: bool = False,
+    def __init__(self, ctx, nprocs: int, integrity: bool = False,
                  watchdog: Optional[WatchdogConfig] = None) -> None:
         self.nprocs = nprocs
-        self.dataplane = plane
         self.integrity = integrity
         self.watchdog = watchdog
         self.shm_prefix = _session_prefix()
@@ -476,11 +469,10 @@ class _Session:
 class _RankEndpoint:
     """Rank-side collective engine; satisfies SimComm's runtime protocol."""
 
-    #: Procs results already cross a process boundary (pickle slots or shm
-    #: descriptors), so in-process result sharing buys nothing and would
-    #: leak the sealed (read-only) flag through pickling — pin the
-    #: historical copy semantics regardless of $REPRO_RESULT_SHARING.
-    result_sharing = "copy"
+    #: Results cross a process boundary here (slots or shm descriptors):
+    #: sharing one object buys nothing and the sealed (read-only) flag
+    #: would leak through pickling.
+    shares_results = False
 
     def __init__(self, session: _Session, rank: int, meter_compute: bool,
                  fault_plan: Any = None, comm_strategy: Any = None) -> None:
@@ -498,20 +490,16 @@ class _RankEndpoint:
             session.watchdog.rank_barrier_timeout()
             if session.watchdog is not None else None
         )
-        shm_plane = session.dataplane == "shm"
-        self._shm_plane = shm_plane
         self._cache = dataplane.SegmentCache()
-        self._send_arena = (
-            dataplane.SendArena(f"{session.shm_prefix}dps{rank}",
-                                integrity=session.integrity)
-            if shm_plane else None
+        self._send_arena = dataplane.SendArena(
+            f"{session.shm_prefix}dps{rank}", integrity=session.integrity
         )
         self._result_arena = (
             dataplane.ResultArena(f"{session.shm_prefix}dpr",
                                   integrity=session.integrity)
-            if shm_plane and rank == 0 else None
+            if rank == 0 else None
         )
-        self._ledger = dataplane.ViewLedger() if shm_plane else None
+        self._ledger = dataplane.ViewLedger()
 
     # SimComm calls this with the same signature as Backend.collective.
     def collective(
@@ -582,10 +570,9 @@ class _RankEndpoint:
                    corrupt_seed: Optional[int] = None) -> tuple:
         sess = self._session
         step = self._step
-        if self._ledger is not None:
-            # publish before the barrier so rank 0 reads it after: "every
-            # view of supersteps <= cursor is dead on this rank"
-            sess.release_cursors[self.rank] = self._ledger.released(step)
+        # publish before the barrier so rank 0 reads it after: "every
+        # view of supersteps <= cursor is dead on this rank"
+        sess.release_cursors[self.rank] = self._ledger.released(step)
         if self._watchdog is not None:
             phase = action[2] if action[0] == "coll" else action[0]
             sess.heartbeats.beat(self.rank, step, phase)
@@ -593,8 +580,7 @@ class _RankEndpoint:
         if corrupt_seed is not None:
             # in-flight corruption: flip one byte after the checksum (if
             # any) was sealed — arena payload first, slot region otherwise
-            if (self._send_arena is None
-                    or not self._send_arena.corrupt(corrupt_seed)):
+            if not self._send_arena.corrupt(corrupt_seed):
                 sess.request[self.rank].corrupt(corrupt_seed)
         self._barrier()
         if self.rank == 0:
@@ -610,11 +596,8 @@ class _RankEndpoint:
             raise RemoteRankError(
                 f"rank {self.rank}: aborted"
             ) from failure
-        obj, leases = sess.response[self.rank].read(
-            "view" if self._shm_plane else "own", self._cache
-        )
-        if self._ledger is not None:
-            self._ledger.track(obj, leases, step)
+        obj, leases = sess.response[self.rank].read("view", self._cache)
+        self._ledger.track(obj, leases, step)
         return obj
 
     def _compute(self, execute: Optional[Callable]) -> None:
@@ -637,8 +620,7 @@ class _RankEndpoint:
     def _compute_inner(self, execute: Optional[Callable]) -> None:
         sess = self._session
         arena = self._result_arena
-        if arena is not None:
-            arena.begin_step(self._step, min(sess.release_cursors))
+        arena.begin_step(self._step, min(sess.release_cursors))
         nchecks0 = sum(s.nchecks for s in sess.request)
         # "borrow": zero-copy contribution views, valid only inside this
         # superstep — every reference is a local dropped on return, before
@@ -701,8 +683,7 @@ class _RankEndpoint:
         for slot in (*self._session.request, *self._session.response,
                      self._session.failure):
             slot.close()
-        if self._send_arena is not None:
-            self._send_arena.close()
+        self._send_arena.close()
         if self._result_arena is not None:
             self._result_arena.close()
         self._cache.close()
@@ -758,22 +739,13 @@ class ProcsBackend(Backend):
 
     name = "procs"
 
-    def __init__(self, nprocs: int, *, meter_compute: bool = True,
-                 dataplane_name: Optional[str] = None) -> None:
+    def __init__(self, nprocs: int, *, meter_compute: bool = True) -> None:
         super().__init__(nprocs, meter_compute=meter_compute)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ValueError(
                 "the 'procs' backend requires the 'fork' start method "
                 "(POSIX); use backend='threads' or 'serial' instead"
             )
-        if dataplane_name is None:
-            dataplane_name = dataplane.default_dataplane()
-        if dataplane_name not in dataplane.DATAPLANES:
-            raise ValueError(
-                f"unknown data plane {dataplane_name!r}; "
-                f"choices: {dataplane.DATAPLANES}"
-            )
-        self.dataplane = dataplane_name
         self._ctx = multiprocessing.get_context("fork")
         #: shm name prefix of the most recent session and the orphaned
         #: segment names its teardown sweep reclaimed (hygiene tests
@@ -788,7 +760,7 @@ class ProcsBackend(Backend):
         rank_args: Optional[Sequence[Sequence[Any]]],
         kwargs: dict,
     ) -> List[Any]:
-        session = _Session(self._ctx, self.nprocs, self.dataplane,
+        session = _Session(self._ctx, self.nprocs,
                            integrity=self.integrity == "crc",
                            watchdog=self.watchdog)
         self.last_shm_prefix = session.shm_prefix

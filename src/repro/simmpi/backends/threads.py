@@ -1,4 +1,4 @@
-"""Thread-per-rank execution backend (the historical ``Runtime``).
+"""Thread-per-rank execution backend.
 
 Each rank runs as a native thread executing the user's rank function with a
 :class:`repro.simmpi.comm.SimComm` handle.  All inter-rank interaction goes

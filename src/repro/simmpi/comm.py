@@ -13,27 +13,23 @@ Alltoall(v) (self-directed slices excluded), and the standard pipelined/
 butterfly bandwidth proxy for rooted and all- collectives.
 
 Result allocation goes through :func:`repro.simmpi.dataplane.result_buffer`:
-inert ``np.empty`` on the in-process backends and the pickle data plane,
-but under the procs backend's shm data plane the designated computer's
-merges land directly in the shared result arena, so receivers materialize
-them zero-copy.  Executes that deliver one result object to *several*
-ranks hand the same object to all of them when
-:func:`~repro.simmpi.dataplane.plane_active` (receivers get independent
-read-only views — safe across processes).
+inert ``np.empty`` on the in-process backends, but on the procs backend the
+designated computer's merges land directly in the shared result arena, so
+receivers materialize them zero-copy.  Executes that deliver one result
+object to *several* ranks hand the same object to all of them there
+(receivers get independent read-only views — safe across processes).
 
 In-process backends (serial/threads) share an address space, so object
-sharing there needs the read-only contract instead: in the default
-``shared`` result mode (:func:`~repro.simmpi.dataplane.default_result_sharing`)
-the one-result collectives — ``Allreduce``, ``Bcast``, ``Allgatherv``,
-``allgather`` — hand every rank the *same* sealed (non-writeable) array,
+sharing there needs the read-only contract instead
+(``Backend.shares_results``): the one-result collectives — ``Allreduce``,
+``Bcast``, ``Allgatherv``, ``allgather`` — hand every rank the *same*
+sealed (non-writeable) array,
 turning O(P^2) result bytes per collective into O(P), and the
 all-to-all collectives replace their per-destination Python merge loops
 with one vectorized destination bucketing whose per-rank results are
 sealed views of a single buffer.  A rank that must mutate a received
 result calls :func:`~repro.simmpi.dataplane.materialize` (copy-on-write).
-``result_sharing="copy"`` keeps the historical per-rank private copies as
-the verification mode; either way the *values* are bit-identical on every
-backend, data plane, and sharing mode.
+The *values* are bit-identical on every backend.
 """
 
 from __future__ import annotations
@@ -163,15 +159,10 @@ class SimComm:
             self._comm_strategy is not None
             and getattr(self._comm_strategy, "tiered", False)
         )
-        #: Shared read-only result delivery (see module docstring): from
-        #: the backend's ``result_sharing`` attribute, falling back to
-        #: ``$REPRO_RESULT_SHARING``.  The procs backend's rank endpoints
-        #: pin ``"copy"`` — their results cross a process boundary, so
-        #: sharing buys nothing and sealing would leak through pickling.
-        self._share_results = (
-            getattr(runtime, "result_sharing", None)
-            or _dataplane.default_result_sharing()
-        ) == "shared"
+        #: Shared read-only result delivery (see module docstring): True
+        #: where the ranks share an address space, False on the procs
+        #: backend's rank endpoints, whose results cross a process boundary.
+        self._share_results = runtime.shares_results
         #: Collectives completed by this rank so far.  A BSP program keeps
         #: this identical across ranks; checkpoints record it so a resumed
         #: run knows where its re-executed prologue (graph build) ends.
@@ -206,17 +197,6 @@ class SimComm:
             self._tag = prev
 
     # -- internals -----------------------------------------------------------
-
-    def _compute_delta(self) -> float:
-        if not self._meter:
-            return 0.0
-        now = time.thread_time()
-        delta = now - self._last_thread_time
-        return max(delta, 0.0)
-
-    def _mark_resume(self) -> None:
-        if self._meter:
-            self._last_thread_time = time.thread_time()
 
     def _collective(
         self,
@@ -383,20 +363,14 @@ class SimComm:
         share = self._share_results
 
         def execute(contribs: List[Any]) -> List[Any]:
+            # one result object for every non-root rank (the root keeps its
+            # own array and needs nothing back): a sealed copy where ranks
+            # share an address space — the root's writable input is never
+            # sealed — else the value itself, copied into the arena once at
+            # descriptor-write time and descriptor-shared
             value = contribs[root]
-            n = len(contribs)
-            if _dataplane.plane_active():
-                # one shared result object: copied into the arena once at
-                # descriptor-write time, then descriptor-shared; the root
-                # needs nothing back (it keeps its own array)
-                return [None if r == root else value for r in range(n)]
-            if share:
-                # one sealed copy shared by every non-root rank; the
-                # root's own (writable) array is never sealed — it keeps
-                # its input unchanged, exactly as before
-                out = _dataplane.seal(value.copy())
-                return [None if r == root else out for r in range(n)]
-            return [value if r == root else value.copy() for r in range(n)]
+            out = _dataplane.seal(value.copy()) if share else value
+            return [None if r == root else out for r in range(len(contribs))]
 
         result = self._collective("bcast", arr, nbytes, execute, root=root)
         return arr if mine else result
@@ -412,11 +386,9 @@ class SimComm:
             if len(shapes) != 1:
                 raise ValueError(f"Allreduce shape mismatch across ranks: {shapes}")
             total = reducer(np.stack(contribs), axis=0)
-            if _dataplane.plane_active():
-                return [total] * len(contribs)
             if share:
-                return [_dataplane.seal(total)] * len(contribs)
-            return [total if r == 0 else total.copy() for r in range(len(contribs))]
+                _dataplane.seal(total)
+            return [total] * len(contribs)
 
         return self._collective("allreduce", arr, arr.nbytes, execute)
 
@@ -460,7 +432,7 @@ class SimComm:
             total = int(counts.sum())
             if total:
                 # same dtype promotion as np.concatenate (empties included),
-                # merged straight into the arena under the shm data plane
+                # merged straight into the arena on the procs backend
                 merged = _dataplane.result_buffer(
                     (total,), np.result_type(*contribs)
                 )
@@ -470,10 +442,6 @@ class SimComm:
             result = (merged, counts) if then is None else then(merged, counts)
             if share:
                 _dataplane.seal(result)
-            elif then is None and not _dataplane.plane_active():
-                # (a ``then`` result is copied out rank-side, below)
-                return [result if r == 0 else (merged.copy(), counts.copy())
-                        for r in range(len(contribs))]
             return [result] * len(contribs)
 
         result = self._collective("allgatherv", arr, arr.nbytes, execute)
@@ -564,7 +532,7 @@ class SimComm:
 
         def execute(contribs: List[Any]) -> List[Any]:
             stacked = np.stack(contribs)  # [src, dst, ...]
-            if share and not _dataplane.plane_active():
+            if share:
                 # one contiguous [dst, src, ...] transpose; each rank's
                 # result is a sealed row view — same values as the
                 # per-rank column copies, one vectorized copy total
@@ -590,74 +558,20 @@ class SimComm:
         Mirrors Algorithm 3's two-step pattern: real MPI first Alltoalls the
         counts, then Alltoallvs the payload; both rounds are metered here
         (the count exchange via :meth:`Alltoall`, the payload as one
-        ``alltoallv`` event).
+        ``alltoallv`` event).  The one-field case of
+        :meth:`Alltoallv_fields`.
         """
-        buf = np.ascontiguousarray(sendbuf)
-        cts = np.asarray(sendcounts, dtype=np.int64)
-        if buf.ndim != 1:
+        if np.ndim(sendbuf) != 1:
             raise ValueError("Alltoallv expects a 1-D send buffer")
-        if cts.shape != (self.size,):
-            raise ValueError(
-                f"sendcounts must have shape ({self.size},), got {cts.shape}"
-            )
-        if cts.sum() != buf.shape[0]:
-            raise ValueError(
-                f"sendcounts sum {cts.sum()} != sendbuf length {buf.shape[0]}"
-            )
-        recvcounts = self._alltoall_impl(cts, counts=True)
-        offrank = int(buf.nbytes - cts[self.rank] * buf.itemsize)
-        dest = self._dest_split(cts, buf.itemsize)
-        share = self._share_results
-
-        def execute(contribs: List[Any]) -> List[Any]:
-            nprocs = len(contribs)
-            bufs = [c[0] for c in contribs]
-            counts = [c[1] for c in contribs]
-            wire_dtype = _common_dtype(bufs, "Alltoallv")
-            if share and not _dataplane.plane_active():
-                cmat = np.stack(counts)
-                rcmat = _dataplane.seal(np.ascontiguousarray(cmat.T))
-                if wire_dtype is None:
-                    # nothing moves: per-destination empties keep the
-                    # legacy fallback dtype (the destination's own buffer)
-                    return [(_dataplane.seal(np.empty(0, bufs[r].dtype)),
-                             rcmat[r]) for r in range(nprocs)]
-                perm, dst_starts = _dest_perm(cmat)
-                out = np.empty(perm.size, dtype=wire_dtype)
-                out[perm] = _gather_live(bufs)
-                _dataplane.seal(out)
-                return [(out[dst_starts[r]:dst_starts[r + 1]], rcmat[r])
-                        for r in range(nprocs)]
-            send_offsets = []
-            for c in counts:
-                off = np.zeros(nprocs + 1, dtype=np.int64)
-                np.cumsum(c, out=off[1:])
-                send_offsets.append(off)
-            results = []
-            for dst in range(nprocs):
-                pieces = [
-                    bufs[src][send_offsets[src][dst]:send_offsets[src][dst + 1]]
-                    for src in range(nprocs)
-                ]
-                rc = np.array([p.shape[0] for p in pieces], dtype=np.int64)
-                fallback = wire_dtype if wire_dtype is not None else bufs[dst].dtype
-                results.append((_merge_pieces(pieces, fallback), rc))
-            return results
-
-        recvbuf, rcounts = self._collective(
-            "alltoallv", (buf, cts), offrank, execute, dest_bytes=dest
-        )
-        # cross-check the pre-exchanged counts against the payload split
-        if not np.array_equal(rcounts, recvcounts):
-            raise AssertionError("Alltoallv internal count mismatch")
-        return recvbuf, rcounts
+        (recvbuf,), recvcounts = self.Alltoallv_fields((sendbuf,), sendcounts)
+        return recvbuf, recvcounts
 
     def Alltoallv_fields(
         self, fields: Sequence[np.ndarray], sendcounts: np.ndarray
     ) -> Tuple[List[np.ndarray], np.ndarray]:
         """Variable-count all-to-all of a multi-field record batch.
 
-        The compact wire primitive: a record is one entry from each array
+        The wire primitive: a record is one entry from each array
         in ``fields`` (struct-of-arrays — every field keeps its own,
         possibly narrow, dtype), ``sendcounts[r]`` *records* go to rank
         ``r``, and all fields share the destination grouping (use
@@ -668,7 +582,7 @@ class SimComm:
         Metered as one ``alltoallv`` event of the *true* wire size: the
         off-rank record count times the summed field itemsizes — no
         int64 inflation of narrow fields.  Zero-length contributions are
-        dtype-exempt, as in :meth:`Alltoallv`.
+        dtype-exempt (see :func:`_common_dtype`).
         """
         bufs = tuple(np.ascontiguousarray(f) for f in fields)
         if not bufs:
@@ -709,7 +623,7 @@ class SimComm:
                 _common_dtype([b[j] for b in all_bufs], "Alltoallv_fields")
                 for j in range(k)
             ]
-            if share and not _dataplane.plane_active():
+            if share:
                 cmat = np.stack(counts)
                 rcmat = _dataplane.seal(np.ascontiguousarray(cmat.T))
                 if all(d is None for d in wire_dtypes):

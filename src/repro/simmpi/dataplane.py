@@ -1,13 +1,13 @@
 """Zero-copy shared-memory data plane for the ``procs`` backend.
 
-The pickle data plane (the ``procs`` backend's original transport) copies
-every collective payload up to four times: the sender memcpys it into a
-request slot, the designated computer merges contributions into fresh heap
-arrays, copies each rank's result into that rank's response slot, and every
-receiver copies it back out so the returned arrays own their data.  The
-*shm* data plane removes the response-side copies entirely: large NumPy
-buffers live directly in long-lived named ``multiprocessing.shared_memory``
-segments (per-rank *arenas*), the slots carry compact
+Writing every collective payload into the rendezvous slots would copy it
+up to four times: the sender memcpys it into a request slot, the
+designated computer merges contributions into fresh heap arrays, copies
+each rank's result into that rank's response slot, and every receiver
+copies it back out so the returned arrays own their data.  The data plane
+removes the response-side copies entirely: large NumPy buffers live
+directly in long-lived named ``multiprocessing.shared_memory`` segments
+(per-rank *arenas*), the slots carry compact
 ``(segment, offset, nbytes)`` descriptors instead of raw bytes, and the
 receiving side materializes zero-copy read-only ``np.frombuffer`` views.
 A rank that needs to mutate a received buffer copies it first
@@ -44,14 +44,17 @@ The compute-side allocation hook (:func:`result_buffer` /
 ``execute`` functions write merged results *directly* into the result
 arena, so the designated computer's merge pass is the only copy a large
 result ever pays.  Outside an active plane (the ``serial``/``threads``
-backends, or the pickle data plane) the hook degrades to ``np.empty`` and
-nothing changes — bit-identical results and CommStats on every backend,
-data plane, wire format, and communicator strategy.
+backends) the hook degrades to ``np.empty`` and nothing changes —
+bit-identical results and CommStats on every backend and communicator
+strategy.
+
+The in-process backends share collective results the other way: one
+sealed (read-only) object handed to every rank (:func:`seal`), under the
+same copy-on-write contract (:func:`materialize`).
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 import zlib
 from contextlib import contextmanager
@@ -59,16 +62,6 @@ from multiprocessing import shared_memory
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-
-#: Environment variable consulted when ``ProcsBackend(dataplane=None)``.
-DATAPLANE_ENV_VAR = "REPRO_DATAPLANE"
-
-#: Data planes accepted by the procs backend: ``shm`` (descriptor-passing
-#: zero-copy plane, default) and ``pickle`` (the original copy-through
-#: plane, kept as the verification mode).
-DATAPLANES = ("shm", "pickle")
-
-DEFAULT_DATAPLANE = "shm"
 
 #: Buffers below this many bytes stay inline in the rendezvous slot (and
 #: therefore arrive as private writable copies); buffers at or above it
@@ -80,17 +73,6 @@ _ALIGN = 64
 
 #: Smallest arena segment (segments grow geometrically from here).
 _MIN_SEGMENT = 1 << 20
-
-
-def default_dataplane() -> str:
-    """The procs data plane used when none is requested explicitly."""
-    name = os.environ.get(DATAPLANE_ENV_VAR) or DEFAULT_DATAPLANE
-    if name not in DATAPLANES:
-        raise ValueError(
-            f"${DATAPLANE_ENV_VAR}={name!r} is not a valid data plane; "
-            f"choices: {DATAPLANES}"
-        )
-    return name
 
 
 class ShmSpec(NamedTuple):
@@ -132,34 +114,6 @@ def materialize(arr: np.ndarray) -> np.ndarray:
     if isinstance(arr, np.ndarray) and not arr.flags.writeable:
         return arr.copy()
     return arr
-
-
-# -- shared read-only collective results (in-process backends) --------------
-
-#: Environment variable consulted when ``create_runtime(result_sharing=None)``.
-RESULT_SHARING_ENV_VAR = "REPRO_RESULT_SHARING"
-
-#: Result-delivery modes of the in-process backends: ``shared`` hands every
-#: rank the *same* sealed (read-only) result array — O(P) result bytes per
-#: collective instead of the O(P^2) of per-rank copies — while ``copy``
-#: keeps the historical private-copy path as the bit-identity verification
-#: mode.  Values are identical either way; a rank that must mutate a
-#: received result calls :func:`materialize` first (the same copy-on-write
-#: contract the shm data plane established).
-RESULT_SHARING_MODES = ("shared", "copy")
-
-DEFAULT_RESULT_SHARING = "shared"
-
-
-def default_result_sharing() -> str:
-    """The result-sharing mode used when none is requested explicitly."""
-    name = os.environ.get(RESULT_SHARING_ENV_VAR) or DEFAULT_RESULT_SHARING
-    if name not in RESULT_SHARING_MODES:
-        raise ValueError(
-            f"${RESULT_SHARING_ENV_VAR}={name!r} is not a valid result-"
-            f"sharing mode; choices: {RESULT_SHARING_MODES}"
-        )
-    return name
 
 
 def seal(obj: Any) -> Any:
@@ -527,19 +481,13 @@ class ViewLedger:
 _ACTIVE: Optional[ResultArena] = None
 
 
-def plane_active() -> bool:
-    """True while the shm data plane's designated computer is executing a
-    collective (rank 0 of the procs backend, between the barriers)."""
-    return _ACTIVE is not None
-
-
 def result_buffer(shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
     """Allocate a collective-result buffer.
 
-    Arena-backed under an active shm data plane — the merge that fills it
-    is then the only copy the result ever pays — and plain ``np.empty``
-    everywhere else (serial/threads backends, pickle data plane), keeping
-    results bit-identical across all of them.
+    Arena-backed under an active data plane — the merge that fills it is
+    then the only copy the result ever pays — and plain ``np.empty`` on the
+    serial/threads backends, keeping results bit-identical across all of
+    them.
     """
     if _ACTIVE is None:
         return np.empty(shape, dtype=dtype)

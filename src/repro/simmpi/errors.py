@@ -45,7 +45,8 @@ class RemoteRankError(SimMPIError):
 
     All surviving ranks blocked in collectives are released with this error
     so the whole SPMD program shuts down; the originating exception is
-    re-raised to the caller of :meth:`repro.simmpi.runtime.Runtime.run`.
+    re-raised to the caller of
+    :meth:`repro.simmpi.backends.base.Backend.run`.
     """
 
 

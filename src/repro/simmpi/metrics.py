@@ -1,6 +1,7 @@
 """Communication metering for the simulated MPI runtime.
 
-Every collective executed by :class:`repro.simmpi.runtime.Runtime` appends a
+Every collective executed by a
+:class:`repro.simmpi.backends.base.Backend` appends a
 :class:`CollectiveEvent` carrying, for each rank, the payload bytes it sent
 off-rank and the compute time it spent since the previous rendezvous.  The
 aggregate view (:class:`CommStats`) answers the questions the paper's

@@ -1,38 +1,12 @@
-"""Compatibility front door for the execution-backend subsystem.
-
-The SPMD engine now lives in :mod:`repro.simmpi.backends`: an abstract
-:class:`~repro.simmpi.backends.base.Backend` (spawn ranks, rendezvous,
-collective compute, teardown) with three interchangeable implementations —
-``serial`` (deterministic round-robin interpreter), ``threads`` (one native
-thread per rank, the historical behaviour), and ``procs`` (one forked
-process per rank over ``multiprocessing.shared_memory``).  Pick one with
-:func:`repro.simmpi.backends.create_runtime`.
-
-This module keeps the original entry points importable:
-
-* :class:`Runtime` — **deprecated** alias of
-  :class:`~repro.simmpi.backends.threads.ThreadsBackend`; prefer
-  ``create_runtime("threads", nprocs=...)``.
-* :func:`run_spmd` — one-shot convenience, now with a ``backend`` argument.
-"""
+"""One-shot entry point of the execution-backend subsystem
+(:mod:`repro.simmpi.backends`): :func:`run_spmd`."""
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.simmpi.backends import Backend, create_runtime
-from repro.simmpi.backends.threads import ThreadsBackend
 from repro.simmpi.metrics import CommStats
-
-
-class Runtime(ThreadsBackend):
-    """Deprecated alias of the thread-per-rank backend.
-
-    Kept so existing imports and subclasses continue to work; new code
-    should call ``create_runtime(backend, nprocs=...)`` and program against
-    the :class:`~repro.simmpi.backends.base.Backend` interface.
-    """
 
 
 def run_spmd(
@@ -43,7 +17,6 @@ def run_spmd(
     meter_compute: bool = True,
     backend: Union[str, None, Backend] = None,
     comm: Any = None,
-    result_sharing: Optional[str] = None,
     **kwargs: Any,
 ) -> tuple[List[Any], CommStats]:
     """One-shot convenience: run ``fn`` on ``nprocs`` ranks, return results
@@ -53,19 +26,12 @@ def run_spmd(
     ``threads`` / ``procs``); None honors ``$REPRO_BACKEND`` and defaults
     to ``threads``.  ``comm`` selects the communicator strategy for
     topology-aware metering (``flat`` / ``hierarchical[:R[xK]]``); None
-    honors ``$REPRO_COMM`` and defaults to ``flat``.  ``result_sharing``
-    selects the in-process collective result delivery (``shared`` /
-    ``copy``); None honors ``$REPRO_RESULT_SHARING`` and defaults to
-    ``shared``.
+    honors ``$REPRO_COMM`` and defaults to ``flat``.
     """
     rt = create_runtime(backend, nprocs=nprocs, meter_compute=meter_compute,
-                        comm=comm, result_sharing=result_sharing)
+                        comm=comm)
     try:
         out = rt.run(fn, *args, rank_args=rank_args, **kwargs)
     finally:
         rt.close()
     return out, rt.stats
-
-
-def _thread_time() -> float:
-    return time.thread_time()

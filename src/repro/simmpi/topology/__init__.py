@@ -8,8 +8,7 @@ Public surface:
   (ranks grouped into nodes, optionally racks) and the
   ``name[:ranks_per_node[xnodes_per_rack]]`` spec grammar;
 * :func:`~repro.simmpi.topology.registry.create_communicator` and friends —
-  the ChainerMN-style strategy registry (``flat`` / ``naive`` /
-  ``hierarchical``);
+  the ChainerMN-style strategy registry (``flat`` / ``hierarchical``);
 * :class:`~repro.simmpi.topology.hierarchical.HierarchicalCommunicator` —
   the two-level exchange metering strategy.
 """

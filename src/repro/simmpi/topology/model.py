@@ -19,7 +19,6 @@ A topology-aware communicator is requested with a compact spec string
 (``PulpParams.comm`` / ``--comm`` / ``$REPRO_COMM``)::
 
     flat                    today's single-tier behavior (default)
-    naive                   alias of flat
     hierarchical            two-level, 8 ranks/node
     hierarchical:16         two-level, 16 ranks/node
     hierarchical:8x4        two-level, 8 ranks/node, 4 nodes/rack

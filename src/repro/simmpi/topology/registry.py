@@ -17,7 +17,6 @@ Shipped strategies:
 name           topology                    metering
 =============  ==========================  =====================================
 flat           one rank = one node         single tier (today's behavior)
-naive          alias of ``flat``           single tier
 hierarchical   ranks grouped into nodes    two-level: intra/inter split + wire
 =============  ==========================  =====================================
 
@@ -189,5 +188,3 @@ def create_communicator(
 
 
 register_communicator(FlatCommunicator.name, FlatCommunicator)
-# ChainerMN calls its baseline "naive"; accept that name as an alias.
-register_communicator("naive", FlatCommunicator)

@@ -9,7 +9,7 @@ from repro.analytics.engine import attach_directed, segment_sums
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import from_edges, rmat, webcrawl
 from repro.graph.builders import symmetrize
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 
 
 def test_segment_sums_reference():
@@ -25,7 +25,7 @@ def test_segment_sums_reference():
             assert sums[v] == pytest.approx(vals[lo:hi].sum())
         return True
 
-    assert Runtime(1).run(main) == [True]
+    assert run_spmd(1, main)[0] == [True]
 
 
 def test_attach_directed_localizes_all_arcs():
@@ -57,7 +57,7 @@ def test_attach_directed_localizes_all_arcs():
             np.testing.assert_array_equal(got, expect)
         return True
 
-    assert all(Runtime(3).run(main))
+    assert all(run_spmd(3, main)[0])
 
 
 def test_attach_directed_rejects_undirected():
@@ -70,7 +70,7 @@ def test_attach_directed_rejects_undirected():
             attach_directed(dg, g)
         return True
 
-    assert Runtime(1).run(main) == [True]
+    assert run_spmd(1, main)[0] == [True]
 
 
 def test_run_analytic_distribution_kinds():

@@ -5,38 +5,10 @@ import pytest
 
 from repro.core.exchange import exchange_updates
 from repro.dist import build_dist_graph, make_distribution
-from repro.dist.packing import (
-    bucket_by_rank,
-    counts_to_record_ranges,
-    pack_by_rank,
-    pack_fields_by_rank,
-    unpack_fields,
-)
+from repro.dist.packing import bucket_by_rank, pack_fields_by_rank
+from repro.dist.wire import make_wire_spec
 from repro.graph import ring, rmat
-from repro.simmpi import Runtime
-
-
-def test_pack_by_rank_groups_and_interleaves():
-    dest = np.array([1, 0, 1, 0])
-    gids = np.array([10, 20, 30, 40])
-    parts = np.array([5, 6, 7, 8])
-    buf, counts = pack_by_rank(2, dest, (gids, parts))
-    np.testing.assert_array_equal(counts, [4, 4])  # 2 records * 2 fields
-    # rank 0 records (stable order): (20,6), (40,8); rank 1: (10,5), (30,7)
-    np.testing.assert_array_equal(buf, [20, 6, 40, 8, 10, 5, 30, 7])
-
-
-def test_pack_unpack_roundtrip():
-    dest = np.array([2, 0, 1, 2, 1])
-    a = np.arange(5) * 10
-    b = np.arange(5) + 100
-    buf, counts = pack_by_rank(3, dest, (a, b))
-    fields = unpack_fields(buf, 2)
-    order = np.argsort(dest, kind="stable")
-    np.testing.assert_array_equal(fields[0], a[order])
-    np.testing.assert_array_equal(fields[1], b[order])
-    starts, stops = counts_to_record_ranges(counts, 2)
-    np.testing.assert_array_equal(stops - starts, [1, 2, 2])
+from repro.simmpi import run_spmd
 
 
 def test_bucket_by_rank_matches_stable_argsort():
@@ -63,13 +35,11 @@ def test_pack_fields_by_rank_preserves_dtypes():
 
 def test_pack_validation():
     with pytest.raises(ValueError):
-        pack_by_rank(2, np.array([0, 3]), (np.array([1, 2]),))
+        pack_fields_by_rank(2, np.array([0, 3]), (np.array([1, 2]),))
     with pytest.raises(ValueError):
-        pack_by_rank(2, np.array([0]), (np.array([1, 2]),))
+        pack_fields_by_rank(2, np.array([0]), (np.array([1, 2]),))
     with pytest.raises(ValueError):
-        pack_by_rank(2, np.array([0]), ())
-    with pytest.raises(ValueError):
-        unpack_fields(np.arange(5), 2)
+        pack_fields_by_rank(2, np.array([0]), ())
 
 
 @pytest.mark.parametrize("nprocs", [2, 4])
@@ -82,14 +52,15 @@ def test_exchange_updates_ghost_consistency(nprocs):
         parts = np.full(dg.n_total, -1, dtype=np.int64)
         # every rank labels its owned vertices with its rank and announces
         parts[: dg.n_local] = comm.rank
-        exchange_updates(comm, dg, parts, np.arange(dg.n_local))
+        wire = make_wire_spec(dg.max_ghost_global, nprocs)
+        exchange_updates(comm, dg, parts, np.arange(dg.n_local), wire)
         # each ghost must now carry its owner's rank
         np.testing.assert_array_equal(
             parts[dg.n_local:], dg.ghost_owners.astype(np.int64)
         )
         return True
 
-    assert all(Runtime(nprocs).run(main))
+    assert all(run_spmd(nprocs, main)[0])
 
 
 def test_exchange_updates_partial_and_empty():
@@ -105,10 +76,11 @@ def test_exchange_updates_partial_and_empty():
             updated = dg.owned_lids(np.array([0]))
         else:
             updated = np.empty(0, dtype=np.int64)
-        received = exchange_updates(comm, dg, parts, updated)
+        wire = make_wire_spec(dg.max_ghost_global, 64)
+        received = exchange_updates(comm, dg, parts, updated, wire)
         return comm.rank, received, parts.copy(), dg
 
-    out = Runtime(3).run(main)
+    out = run_spmd(3, main)[0]
     # vertex 0's ghost copy lives only at rank 2 (ring neighbor 11)
     for rank, received, parts, dg in out:
         if rank == 2:
@@ -127,10 +99,11 @@ def test_exchange_updates_returns_updated_ghost_lids():
         dg = build_dist_graph(comm, g, dist)
         parts = np.zeros(dg.n_total, dtype=np.int64)
         parts[: dg.n_local] = comm.rank + 1
-        got = exchange_updates(comm, dg, parts, np.arange(dg.n_local))
+        wire = make_wire_spec(dg.max_ghost_global, 3)
+        got = exchange_updates(comm, dg, parts, np.arange(dg.n_local), wire)
         return got, dg.n_local, dg.n_ghost
 
-    out = Runtime(2).run(main)
+    out = run_spmd(2, main)[0]
     # each rank has 2 ghosts (both block endpoints of the other rank);
     # the returned lids are exactly the rewritten ghost entries
     for got, n_local, n_ghost in out:

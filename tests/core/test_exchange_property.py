@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.exchange import exchange_updates
 from repro.dist import build_dist_graph, make_distribution
+from repro.dist.wire import make_wire_spec
 from repro.graph import from_edges
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 
 
 @settings(max_examples=25, deadline=None)
@@ -30,7 +31,8 @@ def test_ghosts_track_owners_through_random_updates(n, m, nprocs, rounds, seed):
         rng = np.random.default_rng(1000 + comm.rank)
         parts = np.zeros(dg.n_total, dtype=np.int64)
         parts[: dg.n_local] = dg.owned_gids  # start: part = gid
-        exchange_updates(comm, dg, parts, np.arange(dg.n_local))
+        wire = make_wire_spec(dg.max_ghost_global, 1000)
+        exchange_updates(comm, dg, parts, np.arange(dg.n_local), wire)
         for _ in range(rounds):
             k = rng.integers(0, dg.n_local + 1) if dg.n_local else 0
             upd = (
@@ -38,13 +40,13 @@ def test_ghosts_track_owners_through_random_updates(n, m, nprocs, rounds, seed):
                 if k else np.empty(0, dtype=np.int64)
             )
             parts[upd] = rng.integers(0, 1000, size=upd.size)
-            exchange_updates(comm, dg, parts, upd)
+            exchange_updates(comm, dg, parts, upd, wire)
         return (
             dg.owned_gids.copy(), parts[: dg.n_local].copy(),
             dg.ghost_gids.copy(), parts[dg.n_local:].copy(),
         )
 
-    results = Runtime(nprocs).run(main)
+    results = run_spmd(nprocs, main)[0]
     truth = np.empty(g.n, dtype=np.int64)
     for gids, owned, _, _ in results:
         truth[gids] = owned

@@ -1,21 +1,22 @@
 """Frontier (active-set) sweep engine correctness.
 
+The oracle is the paper's exhaustive schedule — every iteration scores
+every owned vertex — which lives in ``tests/reference/exhaustive.py``.
 Three guarantees are enforced here:
 
-1. a frontier seeded with *all* vertices every iteration
-   (``frontier="full"``) reproduces the legacy exhaustive-sweep partition
-   bit-for-bit, including the communication record;
-2. the real active-set mode (``frontier=True``, the default) satisfies
-   the same balance constraints as the legacy path, with edge cut within
-   5% (hypothesis property test over random RMAT / Erdős–Rényi graphs);
+1. that reference reproduces the partition and communication record
+   captured from the ``frontier=False`` option before it was removed;
+2. the active set satisfies the same balance constraints as exhaustive
+   sweeps, with edge cut within 5% (hypothesis property test over random
+   RMAT / Erdős–Rényi graphs);
 3. the ghost→owned reverse incidence matches the forward CSR, and the
-   active set provably shrinks (edges touched drop vs legacy).
+   active set provably shrinks (edges touched drop vs exhaustive).
 """
 
 import hashlib
+from contextlib import nullcontext
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PulpParams, xtrapulp
@@ -25,35 +26,24 @@ from repro.core.vertex_balance import vertex_balance_phase
 from repro.core.refinement import vertex_refine_phase
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import generators
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
+from tests.reference.exhaustive import exhaustive_sweeps
 
 
-def _run(graph, frontier, *, num_parts=8, nprocs=3, seed=123):
-    return xtrapulp(
-        graph, num_parts, nprocs=nprocs,
-        params=PulpParams(seed=seed, frontier=frontier),
-    )
+def _run(graph, *, exhaustive=False, num_parts=8, nprocs=3, seed=123):
+    with exhaustive_sweeps() if exhaustive else nullcontext():
+        return xtrapulp(
+            graph, num_parts, nprocs=nprocs, params=PulpParams(seed=seed),
+        )
 
 
-# -- 1. full-frontier bit-identity ------------------------------------------
-
-
-def test_full_frontier_matches_legacy_bit_for_bit():
-    g = generators.rmat(9, avg_degree=8, seed=11)
-    legacy = _run(g, False)
-    full = _run(g, "full")
-    np.testing.assert_array_equal(full.parts, legacy.parts)
-    # the verification mode charges nothing extra either: identical comm
-    # record, hence identical modeled time
-    assert full.stats.bytes_by_tag() == legacy.stats.bytes_by_tag()
-    assert full.stats.work_by_tag() == legacy.stats.work_by_tag()
-    assert full.modeled_seconds == legacy.modeled_seconds
+# -- 1. the exhaustive reference ---------------------------------------------
 
 
 def test_exhaustive_sweeps_pinned_digests():
     # captured from ``frontier=False`` on serial ranks: the schedule every
     # exhaustive-sweep comparison in this file is made against
-    r = _run(generators.rmat(10, avg_degree=8, seed=11), False)
+    r = _run(generators.rmat(10, avg_degree=8, seed=11), exhaustive=True)
     assert hashlib.sha256(r.parts.tobytes()).hexdigest() == (
         "75b64793dd0b730115f110e4cc3f33ad0864b1d35c6b7b5c512a20554fe3da7b")
     assert hashlib.sha256(
@@ -65,16 +55,11 @@ def test_exhaustive_sweeps_pinned_digests():
 
 def test_frontier_modes_are_deterministic():
     g = generators.rmat(8, avg_degree=8, seed=5)
-    for mode in (True, False, "full"):
-        a = _run(g, mode)
-        b = _run(g, mode)
+    for exhaustive in (False, True):
+        a = _run(g, exhaustive=exhaustive)
+        b = _run(g, exhaustive=exhaustive)
         np.testing.assert_array_equal(a.parts, b.parts)
         assert a.stats.bytes_by_tag() == b.stats.bytes_by_tag()
-
-
-def test_frontier_param_validation():
-    with pytest.raises(ValueError, match="frontier"):
-        PulpParams(frontier="sometimes")
 
 
 # -- 2. active-set quality stays within tolerance ---------------------------
@@ -98,8 +83,8 @@ def test_frontier_preserves_balance_and_cut(family, scale, seed):
     # about out-lucking one particular legacy trajectory
     cut_a = cut_l = 0.0
     for s in range(seed % 1000, seed % 1000 + 3):
-        active = _run(g, True, num_parts=p, seed=s)
-        legacy = _run(g, False, num_parts=p, seed=s)
+        active = _run(g, num_parts=p, seed=s)
+        legacy = _run(g, exhaustive=True, num_parts=p, seed=s)
         qa, ql = active.quality(g), legacy.quality(g)
         cut_a += qa.cut
         cut_l += ql.cut
@@ -137,15 +122,15 @@ def test_ghost_incidence_matches_forward_adjacency():
             assert np.all(np.diff(got) >= 0)
         return True
 
-    assert all(Runtime(3).run(main))
+    assert all(run_spmd(3, main)[0])
 
 
 def test_frontier_shrinks_edges_touched():
     g = generators.rmat(10, avg_degree=8, seed=9)
     p = 8
 
-    def sweep_edges(frontier):
-        params = PulpParams(seed=7, frontier=frontier)
+    def sweep_edges(exhaustive):
+        params = PulpParams(seed=7)
         dist = make_distribution("random", g.n, 2, seed=7)
 
         def main(comm):
@@ -157,10 +142,11 @@ def test_frontier_shrinks_edges_touched():
             vertex_refine_phase(comm, state, 10)
             return state.edges_touched, state.sweep_log
 
-        return Runtime(2).run(main)
+        with exhaustive_sweeps() if exhaustive else nullcontext():
+            return run_spmd(2, main)[0]
 
-    active_runs = sweep_edges(True)
-    legacy_runs = sweep_edges(False)
+    active_runs = sweep_edges(False)
+    legacy_runs = sweep_edges(True)
     active_total = sum(e for e, _ in active_runs)
     legacy_total = sum(e for e, _ in legacy_runs)
     assert active_total < legacy_total
@@ -174,6 +160,6 @@ def test_frontier_shrinks_edges_touched():
         assert refine[len(refine) - 3][0] == n_local
         # the remaining active sweeps shrank well below a full sweep
         assert min(a for a, _ in refine) < n_local // 2
-    # legacy logs full sweeps every iteration
+    # the exhaustive schedule logs full sweeps every iteration
     for _, log in legacy_runs:
         assert all(active == n_local for _, _, active, n_local, _ in log)

@@ -8,7 +8,7 @@ from repro.core.params import PulpParams
 from repro.core.state import RankState
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import from_edges, rmat, ring, rand_hd
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 
 
 def init_global(graph, p, nprocs, strategy="hybrid", seed=42):
@@ -27,7 +27,7 @@ def init_global(graph, p, nprocs, strategy="hybrid", seed=42):
             state.parts[dg.n_local:].copy(),
         )
 
-    results = Runtime(nprocs).run(main)
+    results = run_spmd(nprocs, main)[0]
     parts = np.empty(graph.n, dtype=np.int64)
     for gids, owned, _, _ in results:
         parts[gids] = owned
@@ -103,14 +103,16 @@ def test_reseed_dead_parts_revives():
         state.parts[: dg.n_local] = owned
         from repro.core.exchange import exchange_updates
 
-        exchange_updates(comm, dg, state.parts, np.arange(dg.n_local))
+        exchange_updates(
+            comm, dg, state.parts, np.arange(dg.n_local), state.wire
+        )
         revived = reseed_dead_parts(comm, state)
         conn = state.parts[: dg.n_local][deg > 0]
         local = np.bincount(conn, minlength=p)
         alive = comm.Allreduce(local.astype(np.int64), op="sum")
         return revived, alive
 
-    results = Runtime(2).run(main)
+    results = run_spmd(2, main)[0]
     revived, alive = results[0]
     assert revived == 3  # parts 1..3 had no connected members
     assert (alive > 0).all()
@@ -127,10 +129,12 @@ def test_reseed_noop_when_all_alive():
         state.parts[: dg.n_local] = comm.rank
         from repro.core.exchange import exchange_updates
 
-        exchange_updates(comm, dg, state.parts, np.arange(dg.n_local))
+        exchange_updates(
+            comm, dg, state.parts, np.arange(dg.n_local), state.wire
+        )
         before = state.parts.copy()
         assert reseed_dead_parts(comm, state) == 0
         np.testing.assert_array_equal(state.parts, before)
         return True
 
-    assert all(Runtime(2).run(main))
+    assert all(run_spmd(2, main)[0])

@@ -14,7 +14,7 @@ def test_ghost_consistency_after_full_pipeline():
     labels — the ExchangeUpdates contract held through all phases."""
     from repro.core.driver import _rank_main
     from repro.dist.distribution import make_distribution
-    from repro.simmpi import Runtime
+    from repro.simmpi import run_spmd
 
     g = rmat(9, 12, seed=2)
     dist = make_distribution("random", g.n, 3, seed=5)
@@ -45,7 +45,7 @@ def test_ghost_consistency_after_full_pipeline():
             state.parts[dg.n_local:].copy(),
         )
 
-    results = Runtime(3).run(main)
+    results = run_spmd(3, main)[0]
     global_parts = np.empty(g.n, dtype=np.int64)
     for gids, owned, _, _ in results:
         global_parts[gids] = owned

@@ -12,7 +12,7 @@ from repro.core.state import RankState
 from repro.core.vertex_balance import vertex_balance_phase
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import rmat, webcrawl
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 
 
 def run_phases(graph, p, nprocs, steps, params=None, seed=42):
@@ -30,7 +30,7 @@ def run_phases(graph, p, nprocs, steps, params=None, seed=42):
             snaps.append(state.compute_vertex_sizes(comm).copy())
         return dg.owned_gids.copy(), state.parts[: dg.n_local].copy(), snaps
 
-    results = Runtime(nprocs).run(main)
+    results = run_spmd(nprocs, main)[0]
     parts = np.empty(graph.n, dtype=np.int64)
     for gids, owned, _ in results:
         parts[gids] = owned
@@ -88,7 +88,7 @@ def test_refinement_reduces_cut_without_worsening_balance():
         after = state.parts[: dg.n_local].copy()
         return gids, before, after, sv_before, sv_after
 
-    results = Runtime(2).run(main)
+    results = run_spmd(2, main)[0]
     parts_before = np.empty(g.n, dtype=np.int64)
     parts_after = np.empty(g.n, dtype=np.int64)
     for gids, b, a, svb, sva in results:
@@ -121,7 +121,7 @@ def test_edge_balance_phase_improves_edge_balance():
         se_after = state.compute_edge_sizes(comm)
         return se_before, se_after
 
-    se_before, se_after = Runtime(2).run(main)[0]
+    se_before, se_after = run_spmd(2, main)[0][0]
     assert se_after.max() <= se_before.max()
 
 
@@ -144,7 +144,7 @@ def test_tracked_edge_and_cut_sizes_match_recount():
         se = state.compute_edge_sizes(comm)
         return state.parts[: dg.n_local].copy(), dg.owned_gids.copy(), se, a
 
-    results = Runtime(2).run(main)
+    results = run_spmd(2, main)[0]
     parts = np.empty(g.n, dtype=np.int64)
     for owned, gids, _, _ in results:
         parts[gids] = owned

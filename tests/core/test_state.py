@@ -7,7 +7,7 @@ from repro.core.params import PulpParams
 from repro.core.state import UNASSIGNED, RankState
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import from_edges, rmat, ring
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 
 
 def make_state(graph, p, nprocs=2, params=None, seed=0):
@@ -18,12 +18,13 @@ def make_state(graph, p, nprocs=2, params=None, seed=0):
         dg = build_dist_graph(comm, graph, dist)
         return RankState(dg=dg, num_parts=p, params=params), comm
 
-    # single collection run: return states via Runtime
-    states = Runtime(nprocs).run(
+    # single collection run: return states via run_spmd
+    states = run_spmd(
+        nprocs,
         lambda comm: RankState(
             dg=build_dist_graph(comm, graph, dist), num_parts=p, params=params
-        )
-    )
+        ),
+    )[0]
     return states
 
 
@@ -100,7 +101,7 @@ def test_compute_sizes_cross_check():
             global_parts,
         )
 
-    sv, se, sc, parts = Runtime(3).run(main)[0]
+    sv, se, sc, parts = run_spmd(3, main)[0][0]
     np.testing.assert_array_equal(sv, np.bincount(parts, minlength=p))
     np.testing.assert_array_equal(
         se,

@@ -10,13 +10,14 @@ from repro.dist.distribution import (
 )
 from repro.graph import from_edges, mesh3d, rmat, ring
 from repro.graph.gather import neighbor_gather, sorted_unique
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 
 
 def build_all(graph, nprocs, kind="block", seed=0):
     dist = make_distribution(kind, graph.n, nprocs, seed=seed)
-    rt = Runtime(nprocs)
-    return rt.run(lambda comm: build_dist_graph(comm, graph, dist)), dist
+    return run_spmd(
+        nprocs, lambda comm: build_dist_graph(comm, graph, dist)
+    )[0], dist
 
 
 @pytest.mark.parametrize("kind", ["block", "random"])
@@ -112,10 +113,10 @@ def test_build_validates_inputs():
     g = ring(8)
     wrong_dist = make_distribution("block", 9, 2)
     with pytest.raises(ValueError):
-        Runtime(2).run(lambda comm: build_dist_graph(comm, g, wrong_dist))
+        run_spmd(2, lambda comm: build_dist_graph(comm, g, wrong_dist))
     dist = make_distribution("block", 8, 3)
     with pytest.raises(ValueError):
-        Runtime(2).run(lambda comm: build_dist_graph(comm, g, dist))
+        run_spmd(2, lambda comm: build_dist_graph(comm, g, dist))
 
 
 def test_repr():

@@ -5,14 +5,15 @@ import pytest
 
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import ring, rmat, star
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 
 
 def build_one(graph, nprocs=2, kind="block", seed=0):
     dist = make_distribution(kind, graph.n, nprocs, seed=seed)
-    return Runtime(nprocs).run(
-        lambda comm: build_dist_graph(comm, graph, dist)
-    )
+    return run_spmd(
+        nprocs,
+        lambda comm: build_dist_graph(comm, graph, dist),
+    )[0]
 
 
 def test_n_total_and_gid_views():

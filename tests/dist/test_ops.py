@@ -6,7 +6,7 @@ import pytest
 from repro.dist import ExchangePlan, build_dist_graph, distributed_bfs_levels
 from repro.dist.distribution import make_distribution
 from repro.graph import bfs_levels, from_edges, rmat, ring, rand_hd
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 
 
 def run_with_plan(graph, nprocs, fn, kind="random", seed=0):
@@ -17,7 +17,7 @@ def run_with_plan(graph, nprocs, fn, kind="random", seed=0):
         plan = ExchangePlan(comm, dg)
         return fn(comm, dg, plan)
 
-    return Runtime(nprocs).run(main)
+    return run_spmd(nprocs, main)[0]
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 4])

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import from_edges
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 
 
 @st.composite
@@ -25,7 +25,7 @@ def dist_cases(draw):
 def test_build_invariants(case):
     g, nprocs, kind, seed = case
     dist = make_distribution(kind, g.n, nprocs, seed=seed)
-    dgs = Runtime(nprocs).run(lambda comm: build_dist_graph(comm, g, dist))
+    dgs = run_spmd(nprocs, lambda comm: build_dist_graph(comm, g, dist))[0]
     # partition of vertices
     all_owned = np.sort(np.concatenate([dg.owned_gids for dg in dgs]))
     np.testing.assert_array_equal(all_owned, np.arange(g.n))
@@ -62,4 +62,4 @@ def test_halo_pull_propagates_arbitrary_values(case):
         np.testing.assert_allclose(vals[dg.n_local:], truth[dg.ghost_gids])
         return True
 
-    assert all(Runtime(nprocs).run(main))
+    assert all(run_spmd(nprocs, main)[0])

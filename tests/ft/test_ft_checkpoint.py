@@ -21,7 +21,7 @@ from repro.ft.checkpoint import (
     step_plan,
     validate_manifest,
 )
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 
 from tests.ft.conftest import NPROCS, PARTS
 
@@ -270,7 +270,7 @@ def test_rank_state_snapshot_roundtrip(ft_graph, ft_params):
         assert fresh.rng.integers(10**9) == state.rng.integers(10**9)
         return True
 
-    assert all(Runtime(NPROCS).run(main))
+    assert all(run_spmd(NPROCS, main)[0])
 
 
 def test_rank_state_restore_rejects_mismatch(ft_graph, ft_params):
@@ -287,7 +287,7 @@ def test_rank_state_restore_rejects_mismatch(ft_graph, ft_params):
         except ValueError:
             return True
 
-    assert all(Runtime(NPROCS).run(main))
+    assert all(run_spmd(NPROCS, main)[0])
 
 
 def test_frontier_sweeper_snapshot_roundtrip(ft_graph, ft_params):
@@ -313,4 +313,4 @@ def test_frontier_sweeper_snapshot_roundtrip(ft_graph, ft_params):
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         return True
 
-    assert all(Runtime(NPROCS).run(main))
+    assert all(run_spmd(NPROCS, main)[0])

@@ -3,8 +3,8 @@
 The detection oracle: a planted ``corrupt`` fault (one byte flipped in an
 outgoing payload, after its checksum was computed) is detected 100% of the
 time when ``integrity="crc"`` — typed as
-:class:`PayloadCorruptionError` — on every backend and both procs data
-planes.  The purity oracle: with no fault injected, ``crc`` changes
+:class:`PayloadCorruptionError` — on every backend and at both procs
+checksum sites (slot and arena descriptor).  The purity oracle: with no fault injected, ``crc`` changes
 nothing but the verification counters.
 """
 
@@ -99,17 +99,35 @@ def test_inprocess_corruption_detected(ft_graph, ft_params, backend):
     assert "crc" in str(ei.value).lower() or "checksum" in str(ei.value)
 
 
-@pytest.mark.parametrize("dataplane", ["shm", "pickle"])
-def test_procs_corruption_detected_on_both_planes(ft_graph, ft_params,
-                                                  dataplane, monkeypatch):
+@pytest.mark.parametrize("site", ["slot", "arena descriptor"])
+def test_procs_corruption_detected_at_both_sites(ft_graph, ft_params, site):
     """Transport-level detection: the flip lands in the rendezvous slot or
     the shared-memory arena after checksumming, and the receive-side crc
-    catches it before deserialization."""
-    monkeypatch.setenv("REPRO_DATAPLANE", dataplane)
-    with pytest.raises(PayloadCorruptionError):
-        xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
-                 backend="procs", fault_plan=_corrupt_plan(),
-                 integrity="crc")
+    catches it before deserialization.  Every payload of the rmat(8) run is
+    below ``DESCRIPTOR_MIN``, so its flipped byte is an inlined slot byte;
+    a 32 KiB contribution is parked in the send arena."""
+    from repro.simmpi import create_runtime
+
+    if site == "slot":
+        def run():
+            xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
+                     backend="procs", fault_plan=_corrupt_plan(),
+                     integrity="crc")
+    else:
+        def storm(comm):
+            with comm.phase("storm"):
+                for _ in range(4):
+                    comm.Allgatherv(np.arange(4096, dtype=np.int64))
+
+        rt = create_runtime("procs", nprocs=2, integrity="crc")
+        rt.fault_plan = FaultPlan([FaultSpec(1, "storm", 2, action="corrupt")])
+
+        def run():
+            rt.run(storm)
+
+    with pytest.raises(PayloadCorruptionError,
+                       match=f"{site} checksum mismatch"):
+        run()
 
 
 def test_corruption_is_undetected_without_integrity(ft_graph, ft_params):

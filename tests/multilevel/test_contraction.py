@@ -27,7 +27,7 @@ from repro.graph import mesh3d, rmat, webcrawl
 from repro.multilevel import coarsen, driver
 from repro.multilevel.coarsen import local_eweights
 from repro.multilevel.driver import build_hierarchy
-from repro.simmpi import Runtime
+from repro.simmpi import run_spmd
 from tests.reference.contraction import reference_contract
 
 
@@ -53,9 +53,10 @@ def _build(scale, deg, seed, nprocs, mode):
         ml_coarsest_factor=8, seed=seed,
     )
     dist = make_distribution("random", g.n, nprocs, seed=seed % 97)
-    per_rank = Runtime(nprocs).run(
-        lambda comm: build_hierarchy(comm, g, dist, 2, params, None)
-    )
+    per_rank = run_spmd(
+        nprocs,
+        lambda comm: build_hierarchy(comm, g, dist, 2, params, None),
+    )[0]
     return g, per_rank
 
 
@@ -157,9 +158,11 @@ def test_contract_level_matches_unique_reference(monkeypatch, graph, mode):
         ml_coarsest_factor=8, seed=7,
     )
     dist = make_distribution("random", graph.n, nprocs, seed=7)
-    levels = Runtime(nprocs).run(
-        lambda comm: build_hierarchy(comm, graph, dist, 2, params, None)
-    )[0]
+    levels = run_spmd(
+        nprocs,
+        lambda comm: build_hierarchy(comm, graph, dist, 2, params, None),
+        backend="threads",  # the spy records into this process
+    )[0][0]
     assert len(levels) >= 2
     for i in range(1, len(levels)):
         fine, coarse = levels[i - 1], levels[i]

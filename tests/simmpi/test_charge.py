@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simmpi import MachineModel, Runtime, TimeModel, run_spmd
+from repro.simmpi import MachineModel, TimeModel, run_spmd
 
 
 def test_charge_attaches_to_next_collective():

@@ -7,8 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.simmpi import Runtime, run_spmd
-from repro.simmpi.backends import create_runtime
+from repro.simmpi import run_spmd
 from repro.simmpi.dataplane import materialize
 
 NPROCS = [1, 2, 3, 4, 8]
@@ -327,9 +326,8 @@ def test_phase_tagging():
         comm.barrier()
         return True
 
-    rt = Runtime(2)
-    rt.run(fn)
-    tags = [e.tag for e in rt.stats.events]
+    _, stats = run_spmd(2, fn)
+    tags = [e.tag for e in stats.events]
     assert tags == ["alpha", "beta", ""]
 
 
@@ -338,12 +336,8 @@ def test_phase_tagging():
 BACKENDS = ["serial", "threads", "procs"]
 
 
-def _run(backend, nprocs, fn, **kwargs):
-    rt = create_runtime(backend, nprocs=nprocs, meter_compute=False, **kwargs)
-    try:
-        return rt.run(fn), rt.stats
-    finally:
-        rt.close()
+def _run(backend, nprocs, fn):
+    return run_spmd(nprocs, fn, meter_compute=False, backend=backend)
 
 
 def _mine(comm):
@@ -391,17 +385,11 @@ def test_Allgatherv_then_result_is_one_sealed_object_when_shared(backend):
                 arr[0] = -1
         return id(doubled)
 
-    out, _ = _run(backend, 3, fn, result_sharing="shared")
+    out, _ = _run(backend, 3, fn)
     assert len(set(out)) == 1
 
 
-@pytest.mark.parametrize("backend,kwargs", [
-    ("serial", {"result_sharing": "copy"}),
-    ("threads", {"result_sharing": "copy"}),
-    ("procs", {}),
-])
-def test_Allgatherv_then_result_is_a_private_copy_when_not_shared(
-        backend, kwargs):
+def test_Allgatherv_then_result_is_a_private_copy_when_not_shared():
     def fn(comm):
         _, (big, _), _ = comm.Allgatherv(_mine(comm), then=_then)
         assert big.flags.owndata  # not a lease on the result arena
@@ -409,7 +397,7 @@ def test_Allgatherv_then_result_is_a_private_copy_when_not_shared(
         comm.barrier()
         return big
 
-    out, _ = _run(backend, 3, fn, **kwargs)
+    out, _ = _run("procs", 3, fn)
     for r, big in enumerate(out):
         np.testing.assert_array_equal(big, out[0] + r)
 

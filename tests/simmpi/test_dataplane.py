@@ -4,7 +4,7 @@ Covers the pieces of :mod:`repro.simmpi.dataplane` in isolation (arenas,
 segment cache, view ledger, copy-on-write helper), the slot wire format
 that carries descriptors (:mod:`repro.simmpi.backends.procs`), the
 ``_sanitize_exc`` stand-in contract, and small end-to-end collective
-programs on both data planes.
+programs checked against the serial backend.
 """
 
 import glob
@@ -35,29 +35,6 @@ def prefix():
     name = f"simmpi0xdptest{os.getpid()}"
     yield name
     _sweep_shm(name)
-
-
-# -- data-plane selection ----------------------------------------------------
-
-
-def test_default_dataplane_honors_env(monkeypatch):
-    monkeypatch.delenv(dataplane.DATAPLANE_ENV_VAR, raising=False)
-    assert dataplane.default_dataplane() == "shm"
-    monkeypatch.setenv(dataplane.DATAPLANE_ENV_VAR, "pickle")
-    assert dataplane.default_dataplane() == "pickle"
-    monkeypatch.setenv(dataplane.DATAPLANE_ENV_VAR, "zmq")
-    with pytest.raises(ValueError, match="zmq"):
-        dataplane.default_dataplane()
-
-
-def test_backend_rejects_unknown_plane():
-    with pytest.raises(ValueError, match="unknown data plane"):
-        create_runtime("procs", nprocs=2, dataplane="carrier-pigeon")
-
-
-def test_in_process_backends_reject_dataplane():
-    with pytest.raises(ValueError, match="no data plane"):
-        create_runtime("serial", nprocs=2, dataplane="shm")
 
 
 # -- arenas ------------------------------------------------------------------
@@ -264,7 +241,7 @@ def test_slot_without_arena_inlines_everything(prefix):
     slot = _Slot(prefix + "req0")
     try:
         big = np.arange(4 * BIG, dtype=np.uint8)
-        slot.write(("coll", big))  # pickle plane: no arena
+        slot.write(("coll", big))  # control messages, exit fallback
         obj, leases = slot.read("own")
         np.testing.assert_array_equal(obj[1], big)
         assert obj[1].flags.writeable
@@ -323,7 +300,7 @@ def test_unpicklable_rank_exception_reaches_parent_with_context():
     assert "fail" in stand_in.original_traceback
 
 
-# -- end-to-end on both planes ----------------------------------------------
+# -- end-to-end against the serial backend -----------------------------------
 
 
 def _collective_program(comm):
@@ -340,10 +317,8 @@ def _collective_program(comm):
             int(counts.sum()), int(root_val.sum()), int(total.sum()))
 
 
-@pytest.mark.parametrize("plane", dataplane.DATAPLANES)
-def test_collectives_identical_across_planes(plane):
-    rt = create_runtime("procs", nprocs=3, meter_compute=False,
-                        dataplane=plane)
+def test_procs_collectives_match_serial():
+    rt = create_runtime("procs", nprocs=3, meter_compute=False)
     got = rt.run(_collective_program)
     ref = create_runtime("serial", nprocs=3, meter_compute=False).run(
         _collective_program
@@ -352,7 +327,7 @@ def test_collectives_identical_across_planes(plane):
     assert rt.last_shm_reclaimed == []
 
 
-def test_shm_plane_delivers_views_pickle_plane_copies():
+def test_shm_plane_delivers_views():
     def probe(comm):
         big = np.full(2 * BIG, comm.rank, dtype=np.int64)
         merged, _ = comm.Allgatherv(big)
@@ -361,13 +336,9 @@ def test_shm_plane_delivers_views_pickle_plane_copies():
         local += 1  # must always be legal on the materialized copy
         return writable, int(local.sum())
 
-    shm = create_runtime("procs", nprocs=2, meter_compute=False,
-                         dataplane="shm").run(probe)
-    pkl = create_runtime("procs", nprocs=2, meter_compute=False,
-                         dataplane="pickle").run(probe)
+    shm = create_runtime("procs", nprocs=2, meter_compute=False).run(probe)
     assert [w for w, _ in shm] == [False, False]  # zero-copy views
-    assert [w for w, _ in pkl] == [True, True]    # private copies
-    assert [s for _, s in shm] == [s for _, s in pkl]
+    assert [s for _, s in shm] == [2 * BIG * ((0 + 1) + (1 + 1))] * 2
 
 
 def test_views_survive_across_supersteps():
@@ -385,8 +356,7 @@ def test_views_survive_across_supersteps():
             comm.Alltoallv(buf, cts)
         return int(keep.sum())
 
-    rt = create_runtime("procs", nprocs=2, meter_compute=False,
-                        dataplane="shm")
+    rt = create_runtime("procs", nprocs=2, meter_compute=False)
     got = rt.run(program)
     ref = create_runtime("serial", nprocs=2, meter_compute=False).run(program)
     assert got == ref

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simmpi import Runtime, run_spmd
+from repro.simmpi import create_runtime, run_spmd
 from repro.simmpi.errors import CollectiveMismatchError
 
 
@@ -114,7 +114,7 @@ def test_reduce_ops_min_max():
 
 
 def test_stats_accumulate_across_runs_of_same_runtime():
-    rt = Runtime(2)
+    rt = create_runtime("threads", nprocs=2)
     rt.run(lambda comm: comm.barrier())
     first = rt.stats.rounds
     rt.run(lambda comm: comm.barrier())

@@ -6,7 +6,7 @@ import pytest
 from repro.simmpi import (
     CollectiveMismatchError,
     DeadlockError,
-    Runtime,
+    create_runtime,
     run_spmd,
 )
 
@@ -26,22 +26,20 @@ def test_rank_args():
     def fn(comm, bonus):
         return comm.rank + bonus
 
-    rt = Runtime(3)
-    out = rt.run(fn, rank_args=[(10,), (20,), (30,)])
+    out, _ = run_spmd(3, fn, rank_args=[(10,), (20,), (30,)])
     assert out == [10, 21, 32]
 
 
 def test_rank_args_length_checked():
-    rt = Runtime(3)
     with pytest.raises(ValueError, match="rank_args"):
-        rt.run(lambda comm: None, rank_args=[(1,)])
+        run_spmd(3, lambda comm: None, rank_args=[(1,)])
 
 
 def test_shared_args_and_kwargs():
     def fn(comm, a, b=0):
         return a + b + comm.rank
 
-    out = Runtime(2).run(fn, 5, b=7)
+    out, _ = run_spmd(2, fn, 5, b=7)
     assert out == [12, 13]
 
 
@@ -108,7 +106,7 @@ def test_deterministic_results_across_runs():
 
 
 def test_runtime_reusable_after_success():
-    rt = Runtime(2)
+    rt = create_runtime("threads", nprocs=2)
     out1 = rt.run(lambda comm: comm.allreduce(1))
     out2 = rt.run(lambda comm: comm.allreduce(2))
     assert out1 == [2, 2] and out2 == [4, 4]
@@ -117,7 +115,7 @@ def test_runtime_reusable_after_success():
 
 def test_invalid_nprocs_rejected():
     with pytest.raises(ValueError):
-        Runtime(0)
+        create_runtime("threads", nprocs=0)
 
 
 def test_many_ranks():

@@ -1,76 +1,25 @@
 """Shared read-only collective results (the thousands-of-ranks engine).
 
-In ``shared`` mode the in-process backends (serial/threads) hand every rank
-the *same* sealed (read-only) result array — O(P) result bytes per
-collective instead of the historical O(P^2) per-rank copies — while
-``copy`` mode keeps the private-copy path as the bit-identity verification
-engine.  These tests pin the contract: identical values and communication
-records in both modes on every backend, sealed results that refuse in-place
-mutation, :func:`materialize` as the copy-on-write escape hatch, and the
-procs backend's endpoints pinning the historical copy semantics (its
-results already cross a process boundary).
+The in-process backends (serial/threads) hand every rank the *same* sealed
+(read-only) result array — O(P) result bytes per collective instead of
+O(P^2) per-rank copies — while the procs backend's rank endpoints, whose
+results already cross a process boundary, deliver private writable ones.
+These tests pin the contract: sealed results that refuse in-place
+mutation, :func:`materialize` as the copy-on-write escape hatch, and
+identical values and communication records on both sides.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import PulpParams, xtrapulp
-from repro.graph import generators
 from repro.simmpi import run_spmd
-from repro.simmpi.backends import create_runtime
-from repro.simmpi.dataplane import (
-    DEFAULT_RESULT_SHARING,
-    RESULT_SHARING_ENV_VAR,
-    RESULT_SHARING_MODES,
-    default_result_sharing,
-    materialize,
-)
+from repro.simmpi.dataplane import materialize
 
 BACKENDS = ("serial", "threads", "procs")
 INPROC = ("serial", "threads")
 
 backends = pytest.mark.parametrize("backend", BACKENDS)
 inproc = pytest.mark.parametrize("backend", INPROC)
-modes = pytest.mark.parametrize("mode", RESULT_SHARING_MODES)
-
-
-# -- mode selection ----------------------------------------------------------
-
-def test_default_mode_is_shared(monkeypatch):
-    monkeypatch.delenv(RESULT_SHARING_ENV_VAR, raising=False)
-    assert DEFAULT_RESULT_SHARING == "shared"
-    assert default_result_sharing() == "shared"
-
-
-def test_env_var_selects_mode(monkeypatch):
-    monkeypatch.setenv(RESULT_SHARING_ENV_VAR, "copy")
-    assert default_result_sharing() == "copy"
-    monkeypatch.setenv(RESULT_SHARING_ENV_VAR, "shared")
-    assert default_result_sharing() == "shared"
-    monkeypatch.setenv(RESULT_SHARING_ENV_VAR, "")  # empty = unset
-    assert default_result_sharing() == DEFAULT_RESULT_SHARING
-
-
-def test_bogus_env_var_rejected(monkeypatch):
-    monkeypatch.setenv(RESULT_SHARING_ENV_VAR, "zero-copy")
-    with pytest.raises(ValueError, match="zero-copy"):
-        default_result_sharing()
-
-
-def test_create_runtime_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="result-sharing"):
-        create_runtime("serial", nprocs=2, result_sharing="mmap")
-
-
-@modes
-def test_create_runtime_kwarg_wins_over_env(monkeypatch, mode):
-    other = "copy" if mode == "shared" else "shared"
-    monkeypatch.setenv(RESULT_SHARING_ENV_VAR, other)
-    rt = create_runtime("serial", nprocs=2, result_sharing=mode)
-    try:
-        assert rt.result_sharing == mode
-    finally:
-        rt.close()
 
 
 # -- sealing and identity of the result objects ------------------------------
@@ -84,21 +33,12 @@ def _inspect_allreduce(comm):
 @inproc
 def test_allreduce_shared_hands_one_sealed_array(backend):
     out, _ = run_spmd(4, _inspect_allreduce, backend=backend,
-                      meter_compute=False, result_sharing="shared")
+                      meter_compute=False)
     ids = {i for i, _, _ in out}
     assert len(ids) == 1  # literally the same object on every rank
     assert all(not writable for _, writable, _ in out)
     expect = [0 + 1 + 2 + 3] * 8
     assert all(vals == expect for _, _, vals in out)
-
-
-@inproc
-def test_allreduce_copy_mode_keeps_private_writable_copies(backend):
-    out, _ = run_spmd(4, _inspect_allreduce, backend=backend,
-                      meter_compute=False, result_sharing="copy")
-    ids = {i for i, _, _ in out}
-    assert len(ids) == 4  # one private array per rank
-    assert all(writable for _, writable, _ in out)
 
 
 @inproc
@@ -111,8 +51,7 @@ def test_sealed_result_refuses_inplace_mutation(backend):
             return "sealed"
         return "mutable"
 
-    out, _ = run_spmd(2, fn, backend=backend, meter_compute=False,
-                      result_sharing="shared")
+    out, _ = run_spmd(2, fn, backend=backend, meter_compute=False)
     assert out == ["sealed", "sealed"]
 
 
@@ -124,8 +63,7 @@ def test_materialize_gives_private_writable_copy(backend):
         peek = comm.allgather(int(total[0]))
         return tuple(peek)
 
-    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False,
-                      result_sharing="shared")
+    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False)
     assert out == [(3, 4, 5)] * 3
 
 
@@ -137,8 +75,7 @@ def test_bcast_root_keeps_own_array_receivers_sealed(backend):
         got = comm.Bcast(arr, root=0)
         return got is arr, bool(got.flags.writeable), got.tolist()
 
-    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False,
-                      result_sharing="shared")
+    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False)
     assert out[0] == (True, True, [0, 1, 2, 3, 4])  # root: its own buffer
     for mine, writable, vals in out[1:]:
         assert not mine and not writable and vals == [0, 1, 2, 3, 4]
@@ -152,8 +89,7 @@ def test_allgatherv_shared_result_is_one_sealed_array(backend):
         return (id(merged), bool(merged.flags.writeable),
                 merged.tolist(), counts.tolist())
 
-    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False,
-                      result_sharing="shared")
+    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False)
     assert len({i for i, _, _, _ in out}) == 1
     for _, writable, vals, counts in out:
         assert not writable
@@ -173,8 +109,7 @@ def test_alltoallv_shared_rows_are_sealed_and_correct(backend):
         recv, rcts = comm.Alltoallv(payload, cts)
         return bool(recv.flags.writeable), recv.tolist(), rcts.tolist()
 
-    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False,
-                      result_sharing="shared")
+    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False)
     for rank, (writable, vals, rcts) in enumerate(out):
         assert not writable
         expect = [src * 10 + rank for src in range(3) if src != rank]
@@ -183,13 +118,12 @@ def test_alltoallv_shared_rows_are_sealed_and_correct(backend):
 
 
 @backends
-def test_procs_results_stay_writable_under_shared(backend, monkeypatch):
-    """The procs rank endpoints pin the historical copy semantics: results
-    crossing the process boundary must never arrive sealed (numpy pickling
-    preserves the read-only flag, so sealing would leak through)."""
+def test_procs_results_stay_writable_under_shared(backend):
+    """Results crossing the process boundary must never arrive sealed
+    (numpy pickling preserves the read-only flag, so sealing would leak
+    through)."""
     if backend != "procs":
         pytest.skip("procs-only contract")
-    monkeypatch.setenv(RESULT_SHARING_ENV_VAR, "shared")
 
     def fn(comm):
         total = comm.Allreduce(np.ones(4, dtype=np.int64))
@@ -219,7 +153,7 @@ def test_threads_backend_reports_no_saved_switches():
     assert st.saved_switches == 0
 
 
-# -- bit-identity: shared vs copy --------------------------------------------
+# -- bit-identity: shared (in-process) vs private copies (procs) -------------
 
 def _workout(comm):
     """Touch every collective family with rank-dependent data."""
@@ -238,27 +172,9 @@ def _workout(comm):
             mcts.tolist(), red.tolist())
 
 
-@backends
+@inproc
 def test_shared_vs_copy_bit_identical(backend):
-    out_s, st_s = run_spmd(8, _workout, backend=backend,
-                           meter_compute=False, result_sharing="shared")
-    out_c, st_c = run_spmd(8, _workout, backend=backend,
-                           meter_compute=False, result_sharing="copy")
+    out_s, st_s = run_spmd(8, _workout, backend=backend, meter_compute=False)
+    out_c, st_c = run_spmd(8, _workout, backend="procs", meter_compute=False)
     assert out_s == out_c
     assert st_s.signature() == st_c.signature()
-
-
-@backends
-def test_pipeline_partitions_invariant_under_sharing(backend):
-    graph = generators.rmat(8, avg_degree=8, seed=7)
-    params = PulpParams(seed=11, outer_iters=1)
-    parts = {}
-    for mode in RESULT_SHARING_MODES:
-        rt = create_runtime(backend, nprocs=4, result_sharing=mode)
-        try:
-            res = xtrapulp(graph, 4, nprocs=4, params=params, backend=rt)
-        finally:
-            rt.close()
-        parts[mode] = (res.parts, res.stats.signature())
-    np.testing.assert_array_equal(parts["shared"][0], parts["copy"][0])
-    assert parts["shared"][1] == parts["copy"][1]

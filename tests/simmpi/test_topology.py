@@ -111,7 +111,7 @@ def test_make_topology_defaults_and_clamps():
 # -- registry / factory ------------------------------------------------------
 
 def test_registry_lists_shipped_strategies():
-    assert {"flat", "naive", "hierarchical"} <= set(available_communicators())
+    assert {"flat", "hierarchical"} <= set(available_communicators())
 
 
 def test_create_by_name_and_spec():
@@ -121,11 +121,6 @@ def test_create_by_name_and_spec():
     assert c.topology.ranks_per_node == 4 and c.topology.n_nodes == 4
     f = create_communicator("flat", nprocs=16)
     assert isinstance(f, FlatCommunicator) and not f.tiered
-
-
-def test_naive_is_flat_alias():
-    assert isinstance(create_communicator("naive", nprocs=4),
-                      FlatCommunicator)
 
 
 def test_spec_suffix_wins_over_kwargs():

@@ -17,7 +17,6 @@ from repro.simmpi import (
     CollectiveMismatchError,
     DeadlockError,
     RemoteRankError,
-    Runtime,
     SerialBackend,
     ThreadsBackend,
     ProcsBackend,
@@ -72,11 +71,6 @@ def test_backend_instance_passthrough():
     assert create_runtime(rt, nprocs=3) is rt
     with pytest.raises(ValueError, match="nprocs"):
         create_runtime(rt, nprocs=4)
-
-
-def test_runtime_alias_is_threads_backend():
-    assert issubclass(Runtime, ThreadsBackend)
-    assert Runtime(2).name == "threads"
 
 
 def test_backend_classes_exported():
