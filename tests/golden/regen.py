@@ -19,7 +19,9 @@ from typing import Dict
 import numpy as np
 
 from repro.core import PulpParams, xtrapulp
+from repro.core.driver import PARTITION_PHASES
 from repro.graph import generators
+from repro.simmpi import BLUE_WATERS_TIERED, TimeModel
 
 GOLDEN = Path(__file__).with_name("scoring.json")
 
@@ -28,8 +30,25 @@ def load_cases() -> list:
     return json.loads(GOLDEN.read_text())["cases"]
 
 
+def tiers_sha256(stats) -> str:
+    """sha256 over every event's tier byte and wire columns, in event
+    order — the metering ``signature()`` leaves out."""
+    h = hashlib.sha256()
+    for e in stats.events:
+        t = e.tiers
+        h.update(e.op.encode())
+        for col in (() if t is None else (
+                t.intra_bytes, t.inter_bytes, t.xrack_bytes,
+                t.wire_intra, t.wire_inter, t.wire_xrack)):
+            h.update(b"-" if col is None
+                     else np.ascontiguousarray(col, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
 def digests(case: dict, backend: str) -> Dict[str, str]:
-    """Run one pinned configuration; sha256 of its partition and record."""
+    """Run one pinned configuration; sha256 of its partition and record —
+    and, for a tiered communicator, of its tier metering, with the time
+    the tiered machine model prices it at (hops included)."""
     # mesh3d takes no seed: a null graph_seed passes none
     seed = {} if case["graph_seed"] is None else {"seed": case["graph_seed"]}
     graph = getattr(generators, case["generator"])(*case["gen_args"], **seed)
@@ -46,12 +65,17 @@ def digests(case: dict, backend: str) -> Dict[str, str]:
         vertex_weights=weights,
         backend=backend,
     )
-    return {
+    out = {
         "parts_sha256": hashlib.sha256(result.parts.tobytes()).hexdigest(),
         "signature_sha256": hashlib.sha256(
             repr(result.stats.signature()).encode()
         ).hexdigest(),
     }
+    if case["params"].get("comm", "flat") != "flat":
+        out["modeled_s"] = repr(TimeModel(BLUE_WATERS_TIERED).total_time(
+            result.stats.filtered(PARTITION_PHASES)))
+        out["tiers_sha256"] = tiers_sha256(result.stats)
+    return out
 
 
 def main() -> None:
