@@ -49,17 +49,26 @@ def exchange_updates(
     (possibly with empty updates).
     """
     updated_lids = np.asarray(updated_lids, dtype=np.int64)
-    # destination ranks: each updated vertex goes to all its neighbor ranks
-    starts = dg.send_rank_offsets[updated_lids]
-    counts = dg.send_rank_offsets[updated_lids + 1] - starts
-    idx = expand_ranges(starts, counts)
-    dest = dg.send_rank_adj[idx]
-    new_parts = np.repeat(parts[updated_lids], counts)
+    if updated_lids.size == 0:
+        # a rank that moved nothing sends nothing — most ranks of most
+        # exchanges at high rank counts: empty planes of the wire dtypes,
+        # which is what packing zero records produces
+        planes = [np.empty(0, dtype=wire.slot_dtype),
+                  np.empty(0, dtype=wire.part_dtype)]
+        reccounts = np.zeros(comm.size, dtype=np.int64)
+    else:
+        # destination ranks: each updated vertex goes to all its neighbor
+        # ranks
+        starts = dg.send_rank_offsets[updated_lids]
+        counts = dg.send_rank_offsets[updated_lids + 1] - starts
+        idx = expand_ranges(starts, counts)
+        dest = dg.send_rank_adj[idx]
+        new_parts = np.repeat(parts[updated_lids], counts)
 
-    slots = dg.send_ghost_slot[idx].astype(wire.slot_dtype)
-    planes, reccounts = pack_fields_by_rank(
-        comm.size, dest, (slots, new_parts.astype(wire.part_dtype))
-    )
+        slots = dg.send_ghost_slot[idx].astype(wire.slot_dtype)
+        planes, reccounts = pack_fields_by_rank(
+            comm.size, dest, (slots, new_parts.astype(wire.part_dtype))
+        )
     recv, _ = comm.Alltoallv_fields(planes, reccounts)
     rslots, rparts = recv
     if rslots.size == 0:

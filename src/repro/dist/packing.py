@@ -21,6 +21,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+#: Largest destination rank a one- / two-byte sort key holds.
+_UINT8_MAX = int(np.iinfo(np.uint8).max)
+_UINT16_MAX = int(np.iinfo(np.uint16).max)
+
 
 def bucket_by_rank(
     nprocs: int, dest: np.ndarray
@@ -42,9 +46,10 @@ def bucket_by_rank(
     if dest.size and (dest.min() < 0 or dest.max() >= nprocs):
         raise ValueError("destination rank out of range")
     counts = np.bincount(dest, minlength=nprocs).astype(np.int64)
-    if nprocs <= np.iinfo(np.uint8).max:
+    # destinations are < nprocs: 256 ranks still sort one-byte keys
+    if nprocs - 1 <= _UINT8_MAX:
         key = dest.astype(np.uint8)
-    elif nprocs <= np.iinfo(np.uint16).max:
+    elif nprocs - 1 <= _UINT16_MAX:
         key = dest.astype(np.uint16)
     else:  # pragma: no cover - simulated rank counts never get here
         key = dest

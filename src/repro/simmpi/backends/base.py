@@ -39,7 +39,7 @@ class _Pending:
     """State of the collective currently being assembled (in-process)."""
 
     __slots__ = ("op", "tag", "contribs", "nbytes", "compute", "work",
-                 "tiers", "arrived", "results", "deposited", "checksums")
+                 "dest", "arrived", "results", "deposited", "checksums")
 
     def __init__(self, nprocs: int, op: str, tag: str) -> None:
         self.op = op
@@ -48,9 +48,10 @@ class _Pending:
         self.nbytes = np.zeros(nprocs, dtype=np.int64)
         self.compute = np.zeros(nprocs, dtype=np.float64)
         self.work = np.zeros(nprocs, dtype=np.float64)
-        #: Per-rank (intra, inter, wire_intra, wire_inter) tuples deposited
-        #: by tiered communicator strategies; all-None under ``flat``.
-        self.tiers: List[Optional[tuple]] = [None] * nprocs
+        #: Per-rank per-destination byte vectors of destination-addressed
+        #: ops under a tiered communicator strategy (the tier split's
+        #: input); None everywhere else.
+        self.dest: List[Optional[np.ndarray]] = [None] * nprocs
         self.arrived = 0
         self.results: Optional[List[Any]] = None
         #: Which ranks have deposited (diagnostics: deadlock/mismatch
@@ -61,6 +62,75 @@ class _Pending:
 
     def blocked_ranks(self) -> List[int]:
         return [r for r, d in enumerate(self.deposited) if d]
+
+
+def consult_fault_plan(plan: Any, rank: int, op: str, tag: str,
+                       header_slot: Optional[int], *, can_die: bool,
+                       deadline: Optional[float]) -> Optional[Any]:
+    """Give ``plan`` its turn before a deposit: one consultation per
+    *metered round*, so a deposit that also stands for its count header
+    (``header_slot``) takes two steps of the plan — the header's, then the
+    payload's — and a ``FaultSpec`` step means what it meant when the
+    header was a rendezvous of its own.  Returns the matched ``corrupt``
+    spec (the header's first), or None."""
+    header_spec = None
+    if header_slot is not None:
+        header_spec = plan.check(rank, "alltoall", tag, can_die=can_die,
+                                 deadline=deadline)
+    spec = plan.check(rank, op, tag, can_die=can_die, deadline=deadline)
+    return header_spec or spec
+
+
+def metered_rounds(
+    strategy: Optional[Any],
+    op: str,
+    nbytes: np.ndarray,
+    compute: np.ndarray,
+    work: np.ndarray,
+    dest_rows: Sequence[Optional[np.ndarray]] = (),
+    root: Optional[int] = None,
+    header_slot: Optional[int] = None,
+) -> List[tuple]:
+    """The ``(op, bytes, compute, work, tiers)`` rows one completed
+    rendezvous records, in event order.
+
+    A *rendezvous* is the simulator's unit (every rank parks once); a
+    *metered round* is the modeled machine's.  They differ for an
+    Alltoallv: Algorithm 3 exchanges the counts (an ``alltoall`` of one
+    ``header_slot``-byte entry per rank pair), then the payload, and both
+    rounds are metered, but the ranks deposit once — the payload deposit
+    carries the counts.  The header row comes first and takes the
+    superstep's compute and work; the payload row has none.
+
+    Tiers are split here, once per round for all ranks, from the inputs
+    the ranks deposited (``nbytes``, ``dest_rows``, ``root``); ``strategy``
+    None or flat leaves them None.
+    """
+    nprocs = len(nbytes)
+    tiered = strategy is not None and strategy.tiered
+    rows = []
+    if header_slot is not None:
+        # one count entry from every rank to every other rank
+        hdr = np.full(nprocs, (nprocs - 1) * header_slot, dtype=np.int64)
+        tiers = None
+        if tiered:
+            hdr_dest = np.full((nprocs, nprocs), header_slot, dtype=np.int64)
+            np.fill_diagonal(hdr_dest, 0)
+            tiers = strategy.tier_matrix("alltoall", hdr, hdr_dest,
+                                         counts=True)
+        rows.append(("alltoall", hdr, compute, work, tiers))
+        compute, work = np.zeros(nprocs), np.zeros(nprocs)
+    tiers = None
+    if tiered:
+        dest = None
+        if any(d is not None for d in dest_rows):
+            dest = np.zeros((nprocs, nprocs), dtype=np.int64)
+            for r, d in enumerate(dest_rows):
+                if d is not None:
+                    dest[r] = d
+        tiers = strategy.tier_matrix(op, nbytes, dest, root)
+    rows.append((op, nbytes, compute, work, tiers))
+    return rows
 
 
 class Backend(ABC):
@@ -126,21 +196,23 @@ class Backend(ABC):
 
     # -- fault injection ---------------------------------------------------
 
-    def _fault_check(self, rank: int, op: str, tag: str, *,
-                     can_die: bool = False) -> Optional[Any]:
-        """Give the fault plan a chance to fire before a deposit.
+    def _fault_check(self, rank: int, op: str, tag: str,
+                     header_slot: Optional[int] = None) -> Optional[Any]:
+        """Give the fault plan a chance to fire before a deposit (see
+        :func:`consult_fault_plan`).
 
-        ``can_die`` tells the plan whether hard process death is available
-        (only the ``procs`` backend runs ranks in killable processes; the
-        in-process backends downgrade ``die`` to a raised fault).  The
-        watchdog deadline, if any, is forwarded so injected delays past it
-        surface as hangs.  Returns the matched ``corrupt`` spec (or None).
+        Hard process death is not available here (only the ``procs``
+        backend runs ranks in killable processes; the in-process backends
+        downgrade ``die`` to a raised fault).  The watchdog deadline, if
+        any, is forwarded so injected delays past it surface as hangs.
+        Returns the matched ``corrupt`` spec (or None).
         """
         plan = self.fault_plan
         if plan is None:
             return None
         deadline = self.watchdog.timeout if self.watchdog is not None else None
-        return plan.check(rank, op, tag, can_die=can_die, deadline=deadline)
+        return consult_fault_plan(plan, rank, op, tag, header_slot,
+                                  can_die=False, deadline=deadline)
 
     # -- rendezvous + collective compute -----------------------------------
 
@@ -154,16 +226,23 @@ class Backend(ABC):
         execute: Callable[[List[Any]], List[Any]],
         compute_seconds: float,
         work_units: float = 0.0,
-        tier_bytes: Optional[tuple] = None,
+        dest_bytes: Optional[np.ndarray] = None,
+        root: Optional[int] = None,
+        header_slot: Optional[int] = None,
     ) -> Any:
         """Deposit ``contribution`` for ``op``; block until all ranks match.
 
         ``execute`` maps the full list of contributions (indexed by rank) to
         a list of per-rank results; it runs exactly once per superstep.
         ``nbytes_sent`` is this rank's off-rank payload for the metering
-        convention documented in :mod:`repro.simmpi.metrics`;
-        ``tier_bytes`` is the strategy's optional ``(intra, inter,
-        wire_intra, wire_inter)`` classification of that payload.
+        convention documented in :mod:`repro.simmpi.metrics`.  The rest are
+        the inputs of what is computed once, when the rendezvous is
+        recorded (:func:`metered_rounds`): ``dest_bytes`` that payload per
+        destination (destination-addressed ops under a tiered strategy),
+        ``root`` the root of a rooted op, and ``header_slot`` the bytes of
+        one entry of the count header this deposit also stands for — the
+        last two are the same on every rank, and the executing rank's are
+        used.
 
         Under ``integrity == "crc"`` the contribution is checksummed here
         (at "send time") and the checksum rides along to the rendezvous,
@@ -171,16 +250,11 @@ class Backend(ABC):
         ``execute`` runs — an injected ``corrupt`` fault flips a payload
         byte *after* the checksum is taken, modeling in-flight damage.
         """
-        corrupt_spec = self._fault_check(rank, op, tag)
+        corrupt_spec = self._fault_check(rank, op, tag, header_slot)
         if self.nprocs == 1:
-            results = execute([contribution])
-            # single-rank runs meter zero off-rank bytes, so there is no
-            # traffic to classify into tiers either
-            self._record(op, tag,
-                         np.zeros(1, dtype=np.int64),
-                         np.array([compute_seconds]),
-                         np.array([work_units]))
-            return results[0]
+            return self._collective_single(op, tag, contribution, execute,
+                                           compute_seconds, work_units,
+                                           header_slot)
         checksum: Optional[int] = None
         if self.integrity == "crc":
             from repro.ft.integrity import checksum_obj
@@ -194,8 +268,29 @@ class Backend(ABC):
             corrupt_object(contribution, seed)
         return self._collective_parallel(
             rank, op, tag, contribution, nbytes_sent, execute,
-            compute_seconds, work_units, tier_bytes, checksum=checksum,
+            compute_seconds, work_units, dest_bytes, root, header_slot,
+            checksum=checksum,
         )
+
+    def _collective_single(
+        self,
+        op: str,
+        tag: str,
+        contribution: Any,
+        execute: Callable[[List[Any]], List[Any]],
+        compute_seconds: float,
+        work_units: float,
+        header_slot: Optional[int],
+    ) -> Any:
+        """The one-rank case: nobody to wait for, and zero off-rank bytes,
+        so there is no traffic to classify into tiers either."""
+        results = execute([contribution])
+        self._record_rounds(tag, metered_rounds(
+            None, op, np.zeros(1, dtype=np.int64),
+            np.array([compute_seconds]), np.array([work_units]),
+            header_slot=header_slot,
+        ))
+        return results[0]
 
     def _collective_parallel(
         self,
@@ -207,7 +302,9 @@ class Backend(ABC):
         execute: Callable[[List[Any]], List[Any]],
         compute_seconds: float,
         work_units: float,
-        tier_bytes: Optional[tuple] = None,
+        dest_bytes: Optional[np.ndarray] = None,
+        root: Optional[int] = None,
+        header_slot: Optional[int] = None,
         checksum: Optional[int] = None,
     ) -> Any:
         raise NotImplementedError(
@@ -241,14 +338,18 @@ class Backend(ABC):
                 location=f"{self.name} rendezvous",
             )
 
-    @staticmethod
-    def _tier_matrix(tier_list: Sequence[Optional[tuple]]):
-        """Stack per-rank tier tuples into an ``(nprocs, 4)`` (two-tier) or
-        ``(nprocs, 6)`` (rack-tier) int64 matrix, or None if any rank
-        deposited without tier metering (flat)."""
-        if any(t is None for t in tier_list):
-            return None
-        return np.asarray(tier_list, dtype=np.int64)
+    def _record_pending(self, pending: _Pending, root: Optional[int],
+                        header_slot: Optional[int]) -> None:
+        """Record the metered round(s) of the rendezvous ``pending`` just
+        completed (in-process backends)."""
+        self._record_rounds(pending.tag, metered_rounds(
+            self.comm_strategy, pending.op, pending.nbytes, pending.compute,
+            pending.work, pending.dest, root, header_slot,
+        ))
+
+    def _record_rounds(self, tag: str, rounds: Sequence[tuple]) -> None:
+        for op, nbytes, compute, work, tiers in rounds:
+            self._record(op, tag, nbytes, compute, work, tiers=tiers)
 
     def _record(
         self,

@@ -70,7 +70,11 @@ import numpy as np
 
 from repro.ft.watchdog import HeartbeatBoard, Watchdog, WatchdogConfig
 from repro.simmpi import dataplane
-from repro.simmpi.backends.base import Backend
+from repro.simmpi.backends.base import (
+    Backend,
+    consult_fault_plan,
+    metered_rounds,
+)
 from repro.simmpi.errors import (
     CollectiveMismatchError,
     DeadlockError,
@@ -481,8 +485,9 @@ class _RankEndpoint:
         self.nprocs = session.nprocs
         self.meter_compute = meter_compute
         self._fault_plan = fault_plan
-        #: SimComm reads this to compute rank-side tier contributions,
-        #: exactly as it does off the in-process backends.
+        #: SimComm reads this to decide whether to deposit per-destination
+        #: bytes, and the designated computer splits the tiers with it —
+        #: exactly as off the in-process backends.
         self.comm_strategy = comm_strategy
         self._step = 0
         self._watchdog = session.watchdog
@@ -512,22 +517,24 @@ class _RankEndpoint:
         execute: Callable[[List[Any]], List[Any]],
         compute_seconds: float,
         work_units: float = 0.0,
-        tier_bytes: Any = None,
+        dest_bytes: Optional[np.ndarray] = None,
+        root: Optional[int] = None,
+        header_slot: Optional[int] = None,
     ) -> Any:
         corrupt_spec = None
         if self._fault_plan is not None:
             # can_die=True: ranks are real processes here, so a "die" fault
             # is an actual os._exit mid-superstep, and a long "delay" is a
             # real stall for the supervisor-side watchdog to detect.
-            corrupt_spec = self._fault_plan.check(
-                self.rank, op, tag, can_die=True,
+            corrupt_spec = consult_fault_plan(
+                self._fault_plan, self.rank, op, tag, header_slot,
+                can_die=True,
                 deadline=(self._watchdog.timeout
                           if self._watchdog is not None else None),
             )
-        if tier_bytes is not None:
-            tier_bytes = tuple(int(t) for t in tier_bytes)
         action = ("coll", op, tag, int(nbytes_sent), float(compute_seconds),
-                  float(work_units), contribution, tier_bytes)
+                  float(work_units), contribution, dest_bytes, root,
+                  header_slot)
         corrupt_seed = None
         if corrupt_spec is not None:
             from repro.ft.integrity import corruption_seed
@@ -663,17 +670,17 @@ class _RankEndpoint:
         except BaseException as exc:
             sess.set_failure(_sanitize_exc(exc))
             return
-        tier_rows = [a[7] for a in actions]
-        tiers = (None if any(t is None for t in tier_rows)
-                 else np.asarray(tier_rows, dtype=np.int64))
+        mine = actions[0]  # SPMD programs tag (and root) uniformly
         sess.stats_queue.put((
-            self._step,
-            actions[0][1],  # op
-            actions[0][2],  # tag (SPMD programs tag uniformly)
-            np.array([a[3] for a in actions], dtype=np.int64),
-            np.array([a[4] for a in actions], dtype=np.float64),
-            np.array([a[5] for a in actions], dtype=np.float64),
-            tiers,
+            mine[2],
+            metered_rounds(
+                self.comm_strategy,
+                mine[1],
+                np.array([a[3] for a in actions], dtype=np.int64),
+                np.array([a[4] for a in actions], dtype=np.float64),
+                np.array([a[5] for a in actions], dtype=np.float64),
+                [a[7] for a in actions], mine[8], mine[9],
+            ),
             sum(s.nchecks for s in sess.request) - nchecks0,
         ))
         for r, res in enumerate(results):
@@ -806,9 +813,8 @@ class ProcsBackend(Backend):
         while True:
             drained = False
             while not session.stats_queue.empty():
-                _step, op, tag, nbytes, compute, work, tiers, nchecks = \
-                    session.stats_queue.get()
-                self._record(op, tag, nbytes, compute, work, tiers=tiers)
+                tag, rounds, nchecks = session.stats_queue.get()
+                self._record_rounds(tag, rounds)
                 self.stats.checksum_verifications += nchecks
                 drained = True
             if not any(p.is_alive() for p in procs):
@@ -821,9 +827,8 @@ class ProcsBackend(Backend):
             if not drained:
                 time.sleep(0.001)
         while not session.stats_queue.empty():
-            _step, op, tag, nbytes, compute, work, tiers, nchecks = \
-                session.stats_queue.get()
-            self._record(op, tag, nbytes, compute, work, tiers=tiers)
+            tag, rounds, nchecks = session.stats_queue.get()
+            self._record_rounds(tag, rounds)
             self.stats.checksum_verifications += nchecks
 
     def _collect(self, session: _Session, procs: list,

@@ -125,6 +125,11 @@ class SerialBackend(Backend):
             # blame the rank actually holding the baton — it is the one
             # that stopped advancing; this rank is merely parked behind it
             holder = self._baton_holder
+            if self._failure is not None:
+                # a peer failed the run while this slice ran out: that
+                # failure is the report, not a second hang (tested after
+                # the holder is read — _fail re-points it at every rank)
+                return
             stalled = (holder,) if holder is not None and holder != rank \
                 else (rank,)
             exc = HungRankError(
@@ -159,20 +164,19 @@ class SerialBackend(Backend):
         execute: Callable[[List[Any]], List[Any]],
         compute_seconds: float,
         work_units: float = 0.0,
-        tier_bytes: Optional[tuple] = None,
+        dest_bytes: Optional[np.ndarray] = None,
+        root: Optional[int] = None,
+        header_slot: Optional[int] = None,
     ) -> Any:
         # The base class's dispatch layer (fault check, single-rank
         # short-circuit, delegate to _collective_parallel) is folded into
         # the deposit path: one Python frame per deposit is measurable at
         # thousands of ranks.
-        corrupt_spec = self._fault_check(rank, op, tag)
+        corrupt_spec = self._fault_check(rank, op, tag, header_slot)
         if self.nprocs == 1:
-            results = execute([contribution])
-            self._record(op, tag,
-                         np.zeros(1, dtype=np.int64),
-                         np.array([compute_seconds]),
-                         np.array([work_units]))
-            return results[0]
+            return self._collective_single(op, tag, contribution, execute,
+                                           compute_seconds, work_units,
+                                           header_slot)
         checksum: Optional[int] = None
         if self.integrity == "crc" or corrupt_spec is not None:
             from repro.ft import integrity as _integrity
@@ -213,7 +217,7 @@ class SerialBackend(Backend):
         pending.nbytes[rank] = nbytes_sent
         pending.compute[rank] = compute_seconds
         pending.work[rank] = work_units
-        pending.tiers[rank] = tier_bytes
+        pending.dest[rank] = dest_bytes
         pending.arrived += 1
         pending.deposited[rank] = True
         if checksum is not None:
@@ -230,9 +234,7 @@ class SerialBackend(Backend):
             except BaseException as exc:  # propagate to all ranks
                 self._fail(exc)
                 raise
-            self._record(op, pending.tag, pending.nbytes,
-                         pending.compute, pending.work,
-                         tiers=self._tier_matrix(pending.tiers))
+            self._record_pending(pending, root, header_slot)
             self._pending = None
             for r in range(self.nprocs):
                 self._in_collective[r] = False
@@ -250,25 +252,6 @@ class SerialBackend(Backend):
             raise RemoteRankError(f"rank {rank}: aborted") from self._failure
         assert pending.results is not None
         return pending.results[rank]
-
-    def _collective_parallel(
-        self,
-        rank: int,
-        op: str,
-        tag: str,
-        contribution: Any,
-        nbytes_sent: int,
-        execute: Callable[[List[Any]], List[Any]],
-        compute_seconds: float,
-        work_units: float,
-        tier_bytes: Optional[tuple] = None,
-        checksum: Optional[int] = None,
-    ) -> Any:
-        """Interface-compat shim: the deposit body lives in
-        :meth:`collective` (the base dispatch is folded in)."""
-        return self.collective(rank, op, tag, contribution, nbytes_sent,
-                               execute, compute_seconds, work_units,
-                               tier_bytes)
 
     # -- running SPMD programs ----------------------------------------------
 

@@ -30,6 +30,8 @@ import threading
 import time
 from typing import Any, Callable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.simmpi.backends.base import Backend, _Pending
 from repro.simmpi.errors import (
     CollectiveMismatchError,
@@ -74,7 +76,9 @@ class ThreadsBackend(Backend):
         execute: Callable[[List[Any]], List[Any]],
         compute_seconds: float,
         work_units: float,
-        tier_bytes: Optional[tuple] = None,
+        dest_bytes: Optional[np.ndarray] = None,
+        root: Optional[int] = None,
+        header_slot: Optional[int] = None,
         checksum: Optional[int] = None,
     ) -> Any:
         with self._cond:
@@ -106,7 +110,7 @@ class ThreadsBackend(Backend):
             pending.nbytes[rank] = nbytes_sent
             pending.compute[rank] = compute_seconds
             pending.work[rank] = work_units
-            pending.tiers[rank] = tier_bytes
+            pending.dest[rank] = dest_bytes
             pending.arrived += 1
             pending.deposited[rank] = True
             if checksum is not None:
@@ -123,9 +127,7 @@ class ThreadsBackend(Backend):
                 except BaseException as exc:  # propagate to all ranks
                     self._fail(exc)
                     raise
-                self._record(op, pending.tag, pending.nbytes,
-                             pending.compute, pending.work,
-                             tiers=self._tier_matrix(pending.tiers))
+                self._record_pending(pending, root, header_slot)
                 self._pending = None
                 self._generation += 1
                 self._cond.notify_all()

@@ -151,13 +151,14 @@ class SimComm:
         self.size = runtime.nprocs
         self._tag = ""
         self._work = 0.0
-        #: Communicator strategy (see :mod:`repro.simmpi.topology`).  Only
-        #: tiered strategies cost anything: the flat default short-circuits
-        #: every tier computation, keeping the historical fast path.
-        self._comm_strategy = getattr(runtime, "comm_strategy", None)
+        #: Whether the communicator strategy (see
+        #: :mod:`repro.simmpi.topology`) splits traffic into tiers.  The
+        #: split itself happens where a round is recorded; a rank only
+        #: deposits its per-destination bytes for it, and under the flat
+        #: default not even that.
+        strategy = getattr(runtime, "comm_strategy", None)
         self._tiered = bool(
-            self._comm_strategy is not None
-            and getattr(self._comm_strategy, "tiered", False)
+            strategy is not None and getattr(strategy, "tiered", False)
         )
         #: Shared read-only result delivery (see module docstring): True
         #: where the ranks share an address space, False on the procs
@@ -207,39 +208,38 @@ class SimComm:
         *,
         dest_bytes: Optional[np.ndarray] = None,
         root: Optional[int] = None,
-        counts: bool = False,
+        header_slot: Optional[int] = None,
     ) -> Any:
+        """One deposit.  ``dest_bytes`` / ``root`` / ``header_slot`` are
+        metering inputs the backend reads once per rendezvous (see
+        :meth:`Backend.collective`); with ``header_slot`` the deposit
+        stands for two metered rounds."""
         work = self._work
         self._work = 0.0
-        tier = None
-        if self._tiered:
-            tier = self._comm_strategy.tier_contribution(
-                op, self.rank, nbytes_sent,
-                dest_bytes=dest_bytes, root=root, counts=counts,
-            )
+        rounds = 1 if header_slot is None else 2
         if not self._meter:
             # unmetered fast path: no clock reads, no try frame — at
             # thousands of ranks this per-deposit overhead adds up
             result = self._runtime.collective(
                 self.rank, op, self._tag, contribution, nbytes_sent, execute,
-                0.0, work, tier_bytes=tier,
+                0.0, work, dest_bytes, root, header_slot,
             )
-            self.event_count += 1
+            self.event_count += rounds
             return result
         delta = max(time.thread_time() - self._last_thread_time, 0.0)
         try:
             result = self._runtime.collective(
                 self.rank, op, self._tag, contribution, nbytes_sent, execute,
-                delta, work, tier_bytes=tier,
+                delta, work, dest_bytes, root, header_slot,
             )
-            self.event_count += 1
+            self.event_count += rounds
             return result
         finally:
             self._last_thread_time = time.thread_time()
 
     def _dest_split(self, cts: np.ndarray, item_bytes: int) -> Optional[np.ndarray]:
-        """Per-destination payload bytes (self slot zeroed) for the tier
-        classification of destination-addressed collectives; None when the
+        """Per-destination payload bytes (self slot zeroed), the input of
+        the tier split of destination-addressed collectives; None when the
         strategy is flat (nothing would read it)."""
         if not self._tiered:
             return None
@@ -512,12 +512,6 @@ class SimComm:
         ``array`` must have leading dimension ``size``; returns an array of
         the same shape whose ``r``-th slot is what rank ``r`` sent to us.
         """
-        return self._alltoall_impl(array, counts=False)
-
-    def _alltoall_impl(self, array: np.ndarray, *, counts: bool) -> np.ndarray:
-        """Alltoall body; ``counts=True`` marks the Alltoallv-internal
-        count-header exchange, whose inter-node wire bytes the hierarchical
-        strategy models as re-encoded ``uint32`` entries."""
         arr = np.ascontiguousarray(array)
         if arr.shape[0] != self.size:
             raise ValueError(
@@ -544,7 +538,7 @@ class SimComm:
             return [_copy_result(stacked[:, r]) for r in range(len(contribs))]
 
         return self._collective("alltoall", arr, nbytes, execute,
-                                dest_bytes=dest, counts=counts)
+                                dest_bytes=dest)
 
     def Alltoallv(
         self, sendbuf: np.ndarray, sendcounts: np.ndarray
@@ -557,9 +551,8 @@ class SimComm:
 
         Mirrors Algorithm 3's two-step pattern: real MPI first Alltoalls the
         counts, then Alltoallvs the payload; both rounds are metered here
-        (the count exchange via :meth:`Alltoall`, the payload as one
-        ``alltoallv`` event).  The one-field case of
-        :meth:`Alltoallv_fields`.
+        (an ``alltoall`` event, then an ``alltoallv`` event).  The
+        one-field case of :meth:`Alltoallv_fields`.
         """
         if np.ndim(sendbuf) != 1:
             raise ValueError("Alltoallv expects a 1-D send buffer")
@@ -579,10 +572,18 @@ class SimComm:
         ``(recv_fields, recvcounts)`` with each field's pieces ordered by
         source rank and ``recvcounts`` in records.
 
-        Metered as one ``alltoallv`` event of the *true* wire size: the
-        off-rank record count times the summed field itemsizes — no
-        int64 inflation of narrow fields.  Zero-length contributions are
-        dtype-exempt (see :func:`_common_dtype`).
+        Two metered rounds, one rendezvous.  The modeled machine runs
+        Algorithm 3: an Alltoall of the counts — an ``alltoall`` event of
+        ``(size - 1) * sendcounts.itemsize`` bytes per rank, which also
+        carries the work and compute charged since the last collective and
+        whose inter-node wire bytes the hierarchical strategy models as
+        re-encoded ``uint32`` entries — then the payload, an ``alltoallv``
+        event of the *true* wire size: the off-rank record count times the
+        summed field itemsizes, no int64 inflation of narrow fields.  The
+        simulator parks the ranks once: the deposit that carries the
+        payload carries the counts, so ``event_count`` advances by two and
+        a fault plan takes two steps per call.  Zero-length contributions
+        are dtype-exempt (see :func:`_common_dtype`).
         """
         bufs = tuple(np.ascontiguousarray(f) for f in fields)
         if not bufs:
@@ -602,7 +603,6 @@ class SimComm:
             raise ValueError(
                 f"sendcounts sum {cts.sum()} != record count {nrec}"
             )
-        recvcounts = self._alltoall_impl(cts, counts=True)
         record_bytes = sum(b.itemsize for b in bufs)
         offrank = int((nrec - cts[self.rank]) * record_bytes)
         dest = self._dest_split(cts, record_bytes)
@@ -671,12 +671,10 @@ class SimComm:
                 results.append((merged, rc))
             return results
 
-        recv_fields, rcounts = self._collective(
-            "alltoallv", (bufs, cts), offrank, execute, dest_bytes=dest
+        return self._collective(
+            "alltoallv", (bufs, cts), offrank, execute, dest_bytes=dest,
+            header_slot=cts.itemsize,
         )
-        if not np.array_equal(rcounts, recvcounts):
-            raise AssertionError("Alltoallv_fields internal count mismatch")
-        return recv_fields, rcounts
 
     # -- scans -----------------------------------------------------------------
 

@@ -243,7 +243,9 @@ class CommStats:
 
     @property
     def rounds(self) -> int:
-        """Number of collective rendezvous executed."""
+        """Number of metered rounds of the modeled machine (events).  Not
+        the simulator's rendezvous count: an Alltoallv is two rounds — the
+        counts, then the payload — deposited in one rendezvous."""
         return len(self.events)
 
     @property

@@ -71,10 +71,16 @@ n_racks)`` (tree) cross-rack hops while the inter hop count narrows to
 the within-rack node count.  Without racks every formula reduces to the
 two-tier form above, bit-identically.
 
-All locality classes are computed as **contiguous slice sums** (ranks are
-packed node-major, nodes rack-major), so a deposit costs O(1) NumPy
-reductions instead of the per-rank boolean masks an explicit node-map
-comparison would allocate.
+The split runs **once per metered round, for every rank at once**
+(:meth:`HierarchicalCommunicator.tier_matrix`), where the backend records
+the round — not once per rank at its deposit: the ranks deposit only what
+they hold (their metered bytes and, for destination-addressed ops, the
+per-destination byte vector).  Ranks are packed node-major and nodes
+rack-major, so every locality class is a contiguous span of the
+destination axis and one ``np.add.reduceat`` over the stacked ``P x P``
+matrix sums it for all sources.  The rule one rank at a time — what the
+ranks used to evaluate — is the test oracle
+(``tests/reference/tiers.py``).
 """
 
 from __future__ import annotations
@@ -115,125 +121,145 @@ class HierarchicalCommunicator(Communicator):
         #: every event's TierMetering like :attr:`node_map`.
         self.rack_map = (topology.rack_of_ranks()
                          if topology.has_racks else None)
+        # what tier_matrix reads of the topology, once per run: ranks are
+        # packed node-major and nodes rack-major, so a node / rack is one
+        # slice of the rank / node axis and reduceat sums it
+        n, rpn = topology.nprocs, topology.ranks_per_node
+        ranks = np.arange(n)
+        self._ranks = ranks
+        self._node_starts = np.arange(0, n, rpn)
+        self._leader_of = ranks - ranks % rpn
+        self._leader = ranks % rpn == 0
+        #: ranks whose node holds more than one rank (a leader fans out)
+        self._has_peers = np.minimum(rpn, n - self._leader_of) > 1
+        if topology.multi_rack:
+            stride = topology.ranks_per_rack
+            self._rack_node_starts = np.arange(
+                0, topology.n_nodes, topology.nodes_per_rack)
+            self._rack_leader = ranks % stride == 0
+            #: ranks whose rack holds more than one node
+            self._rack_has_peers = np.minimum(
+                stride, n - (ranks - ranks % stride)) > rpn
 
-    def tier_contribution(
+    def _locality_sums(self, m: np.ndarray):
+        """Per source rank, the sum of ``m[src, dst]`` over every
+        destination, over the source's own node and over its own rack
+        (= every destination when there is one rack)."""
+        per_node = np.add.reduceat(m, self._node_starts, axis=1,
+                                   dtype=np.int64)
+        total = per_node.sum(axis=1)
+        node = per_node[self._ranks, self.node_map]
+        if not self.topology.multi_rack:
+            return total, node, total
+        per_rack = np.add.reduceat(per_node, self._rack_node_starts, axis=1)
+        return total, node, per_rack[self._ranks, self.rack_map]
+
+    def tier_matrix(
         self,
         op: str,
-        rank: int,
-        nbytes: int,
-        dest_bytes: Optional[np.ndarray] = None,
+        nbytes: np.ndarray,
+        dest: Optional[np.ndarray] = None,
         root: Optional[int] = None,
         counts: bool = False,
-    ) -> Tuple[int, ...]:
-        """Rack-less topologies return the historical 4-tuple ``(intra,
-        inter, wire_intra, wire_inter)``; rack topologies return a 6-tuple
-        with ``xrack`` and ``wire_xrack`` appended after each pair:
-        ``(intra, inter, xrack, wire_intra, wire_inter, wire_xrack)``.
-        Conservation holds per width: the classification entries sum to
-        ``nbytes`` either way."""
+    ) -> np.ndarray:
+        """Rack-less topologies fill the historical columns ``(intra,
+        inter, wire_intra, wire_inter)``; rack topologies six, with
+        ``xrack`` and ``wire_xrack`` after each pair: ``(intra, inter,
+        xrack, wire_intra, wire_inter, wire_xrack)``.  Conservation holds
+        per width: a row's classification entries sum to its ``nbytes``
+        either way."""
         topo = self.topology
-        racked = topo.has_racks
-        b = int(nbytes)
+        b = np.asarray(nbytes, dtype=np.int64)
         multi = topo.multi_node
         multi_rack = topo.multi_rack
-        leader = topo.is_leader(rank)
-        my_node = topo.node_of(rank)
+        leader = self._leader
 
         def out(intra, inter, wire_intra, wire_inter, xrack=0, wire_xrack=0):
-            if racked:
-                return intra, inter, xrack, wire_intra, wire_inter, wire_xrack
-            return intra, inter, wire_intra, wire_inter
+            cols = ((intra, inter, xrack, wire_intra, wire_inter, wire_xrack)
+                    if topo.has_racks
+                    else (intra, inter, wire_intra, wire_inter))
+            matrix = np.empty((topo.nprocs, len(cols)), dtype=np.int64)
+            for j, col in enumerate(cols):
+                matrix[:, j] = col
+            return matrix
 
-        if op in _DEST_OPS and dest_bytes is not None:
-            # contiguous packing (ranks node-major, nodes rack-major) turns
-            # every locality class into a slice sum — no O(P) boolean masks
-            dest = np.asarray(dest_bytes, dtype=np.int64)
-            node_lo = topo.leader_of(rank)
-            node_hi = node_lo + topo.node_size(my_node)
-            total = int(dest.sum())
-            intra = int(dest[node_lo:node_hi].sum())  # self slot is zero
+        if op in _DEST_OPS and dest is not None:
+            dest = np.asarray(dest, dtype=np.int64)
+            total, intra, in_rack = self._locality_sums(dest)  # self slot 0
             off_node = total - intra
             # wire model: local delivery + gather-to-leader for a
             # non-leader's outbound off-node bytes + remote scatter for
             # off-node bytes not addressed to the remote leader
-            gather_leg = 0 if leader else off_node
-            leaders_total = int(dest[::topo.ranks_per_node].sum())
-            scatter_leg = off_node - (leaders_total - int(dest[node_lo]))
+            gather_leg = np.where(leader, 0, off_node)
+            remote_leaders = (
+                dest[:, ::topo.ranks_per_node].sum(axis=1)
+                - dest[self._ranks, self._leader_of])
+            scatter_leg = off_node - remote_leaders
             wire_intra = intra + gather_leg + scatter_leg
-            if multi_rack:
-                rack_lo, rack_hi = topo.rack_span(topo.rack_of(rank))
-                in_rack = int(dest[rack_lo:rack_hi].sum())
-                inter = in_rack - intra
-                xrack = total - in_rack
-            else:
-                inter, xrack = off_node, 0
-            if counts:
-                nnz_total = int(np.count_nonzero(dest))
-                nnz_node = int(np.count_nonzero(dest[node_lo:node_hi]))
-                if multi_rack:
-                    nnz_rack = int(np.count_nonzero(dest[rack_lo:rack_hi]))
-                    wire_inter = COUNT_WIRE_BYTES * (nnz_rack - nnz_node)
-                    wire_xrack = COUNT_WIRE_BYTES * (nnz_total - nnz_rack)
-                else:
-                    wire_inter = COUNT_WIRE_BYTES * (nnz_total - nnz_node)
-                    wire_xrack = 0
-            else:
-                wire_inter, wire_xrack = inter, xrack
-            return out(intra, inter, wire_intra, wire_inter, xrack, wire_xrack)
+            inter = in_rack - intra
+            xrack = total - in_rack
+            if not counts:
+                return out(intra, inter, wire_intra, inter, xrack, xrack)
+            nnz_total, nnz_node, nnz_rack = self._locality_sums(dest != 0)
+            return out(intra, inter, wire_intra,
+                       COUNT_WIRE_BYTES * (nnz_rack - nnz_node), xrack,
+                       COUNT_WIRE_BYTES * (nnz_total - nnz_rack))
 
         if op in _REDUCE_OPS:
             if not multi:
                 return out(b, 0, b, 0)
-            if not leader:
-                return out(b, 0, b, 0)
-            # leader injects the node's reduced value upward and fans the
-            # result back down if the node has peers
-            fanout = b if topo.node_size(my_node) > 1 else 0
-            if multi_rack and topo.is_rack_leader(rank):
-                # rack leader carries the rack's value across racks and
-                # redistributes the global result to its peer node leaders
-                rack_lo, rack_hi = topo.rack_span(topo.rack_of(rank))
-                rack_nodes = -(-(rack_hi - rack_lo) // topo.ranks_per_node)
-                rack_fanout = b if rack_nodes > 1 else 0
-                return out(0, 0, fanout, rack_fanout, b, b)
-            return out(0, b, fanout, b)
+            # non-leaders reduce onto their leader; a leader injects the
+            # node's reduced value upward and fans the result back down
+            # if the node has peers
+            up = np.where(leader, b, 0)
+            wire_intra = np.where(leader & ~self._has_peers, 0, b)
+            if not multi_rack:
+                return out(b - up, up, wire_intra, up)
+            # a rack leader carries the rack's value across racks and
+            # redistributes the global result to its peer node leaders
+            xrack = np.where(self._rack_leader, b, 0)
+            rack_fanout = np.where(self._rack_has_peers, xrack, 0)
+            return out(b - up, up - xrack, wire_intra,
+                       up - xrack + rack_fanout, xrack, xrack)
 
         if op in _CONCAT_OPS:
             if not multi:
                 return out(b, 0, b, 0)
             # the contribution must reach every node: inter by nature;
             # non-leaders also pay the local gather, leaders the fan-out
-            local_leg = b if (not leader or topo.node_size(my_node) > 1) else 0
+            local_leg = np.where(~leader | self._has_peers, b, 0)
             if multi_rack:
                 return out(0, 0, local_leg, b, b, b)
             return out(0, b, local_leg, b)
 
         if op == "bcast":
-            if root is None or rank != root or b == 0:
+            if root is None:
                 return out(0, 0, 0, 0)
+            sent = np.where(self._ranks == root, b, 0)
             if not multi:
-                return out(b, 0, b, 0)
-            fanout = b if topo.node_size(my_node) > 1 else 0
+                return out(sent, 0, sent, 0)
+            fanout = np.where(self._has_peers, sent, 0)
             if multi_rack:
-                return out(0, 0, fanout, b, b, b)
-            return out(0, b, fanout, b)
+                return out(0, 0, fanout, sent, sent, sent)
+            return out(0, sent, fanout, sent)
 
         if op in _GATHER_OPS:
-            if root is None or b == 0:
+            if root is None:
                 return out(0, 0, 0, 0)
-            if topo.same_node(rank, root):
-                return out(b, 0, b, 0)
-            gather_leg = 0 if leader else b
-            if multi_rack and not topo.same_rack(rank, root):
-                return out(0, 0, gather_leg, b, b, b)
-            return out(0, b, gather_leg, b)
+            local = self.node_map == self.node_map[root]
+            off_node = np.where(local, 0, b)
+            wire_intra = np.where(local | ~leader, b, 0)  # the gather leg
+            if not multi_rack:
+                return out(b - off_node, off_node, wire_intra, off_node)
+            xrack = np.where(self.rack_map == self.rack_map[root], 0, b)
+            return out(b - off_node, off_node - xrack, wire_intra, off_node,
+                       xrack, xrack)
 
         if op == "checkpoint":
             # snapshots leave the node for stable storage regardless of
             # topology (documented exception: never charged to the rack
             # tier); non-leaders stage through the leader's writer
-            gather_leg = 0 if (leader or not multi) else b
-            return out(0, b, gather_leg, b)
+            return out(0, b, np.where(leader, 0, b) if multi else 0, b)
 
         # unknown op: conservatively charge every metered byte to the
         # widest tier the topology has

@@ -54,15 +54,16 @@ class Communicator:
     """Base communicator strategy.
 
     Subclasses set :attr:`name` and :attr:`tiered`; tiered strategies
-    implement :meth:`tier_contribution` (rank-side, called at every
-    collective deposit) and :meth:`hops` (per-op latency structure).
+    implement :meth:`tier_matrix` (all ranks of one metered round at once,
+    called where the round is recorded) and :meth:`hops` (per-op latency
+    structure).
     """
 
     #: Registry name of the strategy (set by each subclass).
     name: str = "abstract"
     #: Whether this strategy produces per-tier metering.  Non-tiered
-    #: strategies are zero-overhead: SimComm skips the tier computation
-    #: entirely and events carry ``tiers=None``.
+    #: strategies are zero-overhead: ranks deposit no per-destination
+    #: vectors, nothing is classified and events carry ``tiers=None``.
     tiered: bool = False
 
     #: Shared rank -> rack map, or None without a rack tier (tiered
@@ -74,29 +75,34 @@ class Communicator:
         #: Shared rank -> node map, reused by every event's TierMetering.
         self.node_map = topology.node_of_ranks()
 
-    def tier_contribution(
+    def tier_matrix(
         self,
         op: str,
-        rank: int,
-        nbytes: int,
-        dest_bytes: Optional[np.ndarray] = None,
+        nbytes: np.ndarray,
+        dest: Optional[np.ndarray] = None,
         root: Optional[int] = None,
         counts: bool = False,
-    ) -> Optional[Tuple[int, ...]]:
-        """This rank's ``(intra, inter, wire_intra, wire_inter)`` bytes for
-        one collective deposit, or None for single-tier metering.
+    ) -> Optional[np.ndarray]:
+        """Every rank's ``(intra, inter, wire_intra, wire_inter)`` bytes for
+        one metered round, as an ``(nprocs, 4)`` int64 matrix — or None for
+        single-tier metering.
 
-        ``intra + inter == nbytes`` always (a sum-preserving classification
-        of the metered payload); the ``wire_*`` pair is the separate
-        two-level protocol model and need not sum to ``nbytes``.
-        ``dest_bytes`` gives per-destination payload for destination-
-        addressed ops (self entry zero), ``root`` the root of rooted ops,
-        and ``counts`` flags an Alltoallv-internal count-header exchange.
+        Called once per round, where the backend records it, with the
+        metering inputs the ranks deposited: ``nbytes[r]`` is rank ``r``'s
+        metered payload, ``dest[r, d]`` its bytes addressed to rank ``d``
+        for destination-addressed ops (diagonal zero; None for every other
+        op), ``root`` the root of rooted ops, and ``counts`` flags the
+        count-header round of an Alltoallv.
 
-        Strategies over rack topologies return the widened 6-tuple
-        ``(intra, inter, xrack, wire_intra, wire_inter, wire_xrack)``
-        instead (conservation becomes ``intra + inter + xrack == nbytes``);
-        the width must be uniform across ranks and ops of a run.
+        ``intra + inter == nbytes`` on every row (a sum-preserving
+        classification of the metered payload); the ``wire_*`` pair is the
+        separate two-level protocol model and need not sum to ``nbytes``.
+
+        Strategies over rack topologies return the widened ``(nprocs, 6)``
+        matrix ``(intra, inter, xrack, wire_intra, wire_inter,
+        wire_xrack)`` instead (conservation becomes ``intra + inter +
+        xrack == nbytes``); the width must be uniform across the ops of a
+        run.
         """
         return None
 

@@ -5,7 +5,12 @@ import pytest
 
 from repro.core import xtrapulp
 from repro.ft import FaultPlan, FaultSpec, parse_fault_spec
-from repro.simmpi.errors import InjectedFault, RankFailure
+from repro.simmpi import create_runtime
+from repro.simmpi.errors import (
+    InjectedFault,
+    PayloadCorruptionError,
+    RankFailure,
+)
 
 from tests.ft.conftest import NPROCS, PARTS
 
@@ -157,3 +162,72 @@ def test_fault_wrapped_in_rank_failure_when_checkpointing(ft_graph, ft_params,
     assert ei.value.run_dir == str(tmp_path)
     assert ei.value.epoch == 0  # init epoch committed before the fault
     assert isinstance(ei.value.__cause__, InjectedFault)
+
+
+# -- an exchange is one rendezvous and two steps of the plan -----------------
+
+BACKENDS = ("serial", "threads", "procs")
+
+
+def _exchange_then_reduce(comm):
+    """Steps of phase "x": 0 header, 1 payload, 2 the Allreduce."""
+    with comm.phase("x"):
+        cts = np.ones(comm.size, dtype=np.int64)
+        comm.Alltoallv(np.arange(comm.size, dtype=np.int64), cts)
+        comm.Allreduce(np.ones(1))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("step,op", [(0, "alltoall"), (1, "alltoallv"),
+                                     (2, "allreduce")])
+def test_exchange_takes_two_steps_of_the_plan(backend, step, op):
+    """The count header no longer parks the ranks, but it is still a step:
+    a spec aimed at the header, at the payload or past the exchange fires
+    at the (phase, step) — and names the op — it always did."""
+    rt = create_runtime(backend, nprocs=3)
+    rt.fault_plan = FaultPlan.single(1, "x", step)
+    try:
+        with pytest.raises(
+                InjectedFault,
+                match=rf"rank 1, phase 'x', superstep {step} \(op '{op}'"):
+            rt.run(_exchange_then_reduce)
+    finally:
+        rt.close()
+
+
+def _second_exchange(reference, phase):
+    """``(header step, payload step)`` of ``phase``'s second exchange."""
+    ops = [e.op for e in reference.stats.events if e.tag == phase]
+    header = ops.index("alltoall", ops.index("alltoall") + 1)
+    assert ops[header + 1] == "alltoallv"
+    return header, header + 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_corrupt_at_the_header_step_is_detected(ft_graph, ft_params,
+                                                reference, backend):
+    """The counts ride in the payload deposit, under its checksum."""
+    header, _ = _second_exchange(reference, "vertex_balance")
+    plan = FaultPlan([FaultSpec(1, "vertex_balance", header,
+                                action="corrupt")])
+    with pytest.raises(PayloadCorruptionError):
+        xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
+                 backend=backend, fault_plan=plan, integrity="crc")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("which", ["header", "payload"])
+def test_crash_inside_an_exchange_resumes_bit_identically(
+        ft_graph, ft_params, reference, tmp_path, backend, which):
+    steps = dict(zip(("header", "payload"),
+                     _second_exchange(reference, "edge_balance")))
+    d = str(tmp_path / "run")
+    with pytest.raises(RankFailure):
+        xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
+                 backend=backend, checkpoint=d,
+                 fault_plan=FaultPlan.single(2, "edge_balance", steps[which]))
+    res = xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
+                   backend=backend, resume=d)
+    assert np.array_equal(res.parts, reference.parts)
+    assert [s for s in res.stats.signature()
+            if s[1] != "checkpoint"] == reference.stats.signature()

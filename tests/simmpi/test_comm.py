@@ -298,6 +298,42 @@ def test_Alltoallv_fields_meters_true_wire_bytes():
     )
 
 
+def _charged_exchange(comm):
+    before = comm.event_count
+    comm.charge(7.0 + comm.rank)
+    with comm.phase("x"):
+        comm.Alltoallv_fields(
+            (np.arange(comm.size, dtype=np.uint16),
+             np.zeros(comm.size, dtype=np.int16)),
+            np.ones(comm.size, dtype=np.int64),
+        )
+    return comm.event_count - before
+
+
+@pytest.mark.parametrize("nprocs", [1, 3])
+def test_Alltoallv_fields_is_two_metered_rounds(nprocs):
+    """Algorithm 3's counts Alltoall, then the payload: two events in that
+    order from the one rendezvous, the charged work on the first, and the
+    same record on every backend."""
+    signatures = []
+    for backend in ("serial", "threads", "procs"):
+        advanced, stats = run_spmd(nprocs, _charged_exchange,
+                                   meter_compute=False, backend=backend)
+        assert advanced == [2] * nprocs
+        header, payload = stats.events
+        assert (header.op, payload.op) == ("alltoall", "alltoallv")
+        assert header.tag == payload.tag == "x"
+        np.testing.assert_array_equal(
+            header.bytes_sent, np.full(nprocs, (nprocs - 1) * 8))
+        np.testing.assert_array_equal(
+            header.work_units, 7.0 + np.arange(nprocs))
+        np.testing.assert_array_equal(
+            payload.bytes_sent, np.full(nprocs, (nprocs - 1) * 4))
+        assert not payload.work_units.any()
+        signatures.append(stats.signature())
+    assert signatures[0] == signatures[1] == signatures[2]
+
+
 def test_Alltoallv_fields_validates():
     def fn(comm):
         comm.Alltoallv_fields(

@@ -6,6 +6,7 @@ that rack-less records price exactly as before the tier existed."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import PulpParams
 from repro.simmpi import (
@@ -20,6 +21,7 @@ from repro.simmpi.topology import (
     make_topology,
     parse_comm_spec,
 )
+from tests.reference.tiers import tier_contribution, tier_row
 
 BACKENDS = ("serial", "threads", "procs")
 
@@ -106,8 +108,8 @@ def test_degenerate_one_rank_racks():
     intra or in-rack, so every metered byte classifies cross-rack."""
     c = create_communicator("hierarchical:1x1", nprocs=4)
     dest = np.array([0, 10, 20, 30], dtype=np.int64)
-    intra, inter, xrack, *_ = c.tier_contribution(
-        "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
+    intra, inter, xrack, *_ = tier_row(
+        c, "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
     assert (intra, inter, xrack) == (0, 0, 60)
 
 
@@ -115,12 +117,71 @@ def test_tier_contribution_rack_split():
     # 8 ranks: nodes {0,1} {2,3} {4,5} {6,7}; racks {0..3} {4..7}
     c = create_communicator("hierarchical:2x2", nprocs=8)
     dest = np.array([0, 1, 2, 4, 8, 16, 32, 64], dtype=np.int64)
-    intra, inter, xrack, wi, we, wx = c.tier_contribution(
-        "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
+    intra, inter, xrack, wi, we, wx = tier_row(
+        c, "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
     assert intra == 1            # rank 1: same node
     assert inter == 2 + 4        # ranks 2,3: off-node, same rack
     assert xrack == 8 + 16 + 32 + 64
     assert intra + inter + xrack == dest.sum()
+
+
+# -- the matrix is the scalar rule, row by row --------------------------------
+
+#: one op of every class the rule distinguishes, "teleport" for the rest
+_OPS = ("alltoall", "alltoallv", "scatter", "scatterv", "allreduce", "reduce",
+        "exscan", "barrier", "allgather", "allgatherv", "bcast", "gather",
+        "gatherv", "checkpoint", "teleport")
+_DEST_ADDRESSED = _OPS[:4]
+
+
+#: (nprocs, ranks/node, nodes/rack): a single node, one rank per node, a
+#: short last node, a short last rack (and node), one-rank racks, one rack
+_SHAPES = [(4, 4, None), (5, 1, None), (10, 4, None), (22, 4, 2), (6, 1, 1),
+           (8, 2, 64)]
+
+
+@st.composite
+def _topologies(draw):
+    """The named shapes, and random two- and three-tier ones."""
+    nprocs, rpn, npr = draw(st.one_of(
+        st.sampled_from(_SHAPES),
+        st.integers(1, 24).flatmap(lambda n: st.tuples(
+            st.just(n), st.integers(1, n + 1),
+            st.one_of(st.none(), st.integers(1, 4))))))
+    spec = f"hierarchical:{rpn}" + ("" if npr is None else f"x{npr}")
+    return create_communicator(spec, nprocs=nprocs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(comm=_topologies(), op=st.sampled_from(_OPS), counts=st.booleans(),
+       with_dest=st.booleans(), data=st.data())
+def test_tier_matrix_rows_are_the_scalar_rule(comm, op, counts, with_dest,
+                                              data):
+    """Every rank of a round classified at once == the rule the ranks used
+    to evaluate one deposit at a time (``tests/reference/tiers.py``)."""
+    nprocs = comm.topology.nprocs
+    ranks = range(nprocs)
+    root = data.draw(st.one_of(st.none(), st.sampled_from(ranks)))
+    dest = None
+    if op in _DEST_ADDRESSED and with_dest:
+        # sparse, so the count-header rule sees zero and non-zero slots
+        dest = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0, 0, 1, 8, 1000]),
+                     min_size=nprocs, max_size=nprocs),
+            min_size=nprocs, max_size=nprocs)), dtype=np.int64)
+        np.fill_diagonal(dest, 0)
+        nbytes = dest.sum(axis=1)
+    else:
+        nbytes = np.array(data.draw(st.lists(
+            st.sampled_from([0, 8, 1000]),
+            min_size=nprocs, max_size=nprocs)), dtype=np.int64)
+    matrix = comm.tier_matrix(op, nbytes, dest, root, counts)
+    assert matrix.dtype == np.int64
+    for r in ranks:
+        assert tuple(matrix[r]) == tier_contribution(
+            comm.topology, op, r, nbytes[r],
+            dest_bytes=None if dest is None else dest[r],
+            root=root, counts=counts)
 
 
 # -- three-tier conservation on live runs ------------------------------------

@@ -23,6 +23,7 @@ from repro.simmpi.topology import (
     make_topology,
     parse_comm_spec,
 )
+from tests.reference.tiers import tier_row
 
 BACKENDS = ("serial", "threads", "procs")
 
@@ -169,8 +170,8 @@ def _hier(nprocs, rpn):
 def test_dest_split_is_sum_preserving():
     c = _hier(8, 4)  # nodes {0..3}, {4..7}
     dest = np.array([0, 10, 20, 30, 40, 50, 60, 70], dtype=np.int64)
-    intra, inter, wire_intra, wire_inter = c.tier_contribution(
-        "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
+    intra, inter, wire_intra, wire_inter = tier_row(
+        c, "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
     assert intra == 10 + 20 + 30
     assert inter == 40 + 50 + 60 + 70
     assert intra + inter == dest.sum()
@@ -185,15 +186,15 @@ def test_dest_wire_legs():
     # rank 1 (non-leader): local delivery (200 to ranks 0,2... minus self)
     # + gather-to-leader of its 400 inter bytes + remote scatter of the
     # 300 off-node bytes not addressed to the remote leader (rank 4)
-    intra, inter, wire_intra, _ = c.tier_contribution(
-        "alltoallv", 1, int(dest.sum()), dest_bytes=dest)
+    intra, inter, wire_intra, _ = tier_row(
+        c, "alltoallv", 1, int(dest.sum()), dest_bytes=dest)
     assert (intra, inter) == (300, 400)
     assert wire_intra == 300 + 400 + 300
     # the leader skips the gather leg
     dest0 = np.full(8, 100, dtype=np.int64)
     dest0[0] = 0
-    intra0, inter0, wire_intra0, _ = c.tier_contribution(
-        "alltoallv", 0, int(dest0.sum()), dest_bytes=dest0)
+    intra0, inter0, wire_intra0, _ = tier_row(
+        c, "alltoallv", 0, int(dest0.sum()), dest_bytes=dest0)
     assert (intra0, inter0) == (300, 400)
     assert wire_intra0 == 300 + 300
 
@@ -202,8 +203,8 @@ def test_count_headers_reencoded_uint32():
     c = _hier(8, 4)
     dest = np.full(8, 8, dtype=np.int64)  # int64 count slots per dest
     dest[0] = 0
-    _, _, _, wire_inter = c.tier_contribution(
-        "alltoall", 0, int(dest.sum()), dest_bytes=dest, counts=True)
+    _, _, _, wire_inter = tier_row(
+        c, "alltoall", 0, int(dest.sum()), dest_bytes=dest, counts=True)
     # 4 off-node destinations (ranks 4-7) at 4 wire bytes each, instead of
     # the 4 * 8 int64 bytes the flat exchange would ship
     assert wire_inter == 4 * COUNT_WIRE_BYTES
@@ -214,12 +215,12 @@ def test_reduce_leaders_only():
     c = _hier(8, 4)
     b = 64
     # non-leader: reduces onto its leader over shared memory
-    assert c.tier_contribution("allreduce", 1, b) == (b, 0, b, 0)
+    assert tier_row(c, "allreduce", 1, b) == (b, 0, b, 0)
     # leader: injects one value inter-node, fans the result back down
-    assert c.tier_contribution("allreduce", 0, b) == (0, b, b, b)
+    assert tier_row(c, "allreduce", 0, b) == (0, b, b, b)
     # single node: everything is intra
     single = _hier(4, 4)
-    assert single.tier_contribution("allreduce", 0, b) == (b, 0, b, 0)
+    assert tier_row(single, "allreduce", 0, b) == (b, 0, b, 0)
 
 
 def test_reduce_inter_wire_is_leaders_count():
@@ -228,48 +229,47 @@ def test_reduce_inter_wire_is_leaders_count():
     c = _hier(16, 8)
     b = 8
     wire_inter = sum(
-        c.tier_contribution("allreduce", r, b)[3] for r in range(16))
+        tier_row(c, "allreduce", r, b)[3] for r in range(16))
     assert wire_inter == c.topology.n_nodes * b  # 2*8, not 16*8
 
 
 def test_concat_all_inter_on_multi_node():
     c = _hier(8, 4)
-    intra, inter, wire_intra, wire_inter = c.tier_contribution(
-        "allgatherv", 1, 32)
+    intra, inter, wire_intra, wire_inter = tier_row(c, "allgatherv", 1, 32)
     assert (intra, inter) == (0, 32)
     assert wire_intra == 32 and wire_inter == 32  # local gather leg
 
 
 def test_bcast_classified_by_root():
     c = _hier(8, 4)
-    assert c.tier_contribution("bcast", 1, 64, root=0) == (0, 0, 0, 0)
-    assert c.tier_contribution("bcast", 0, 64, root=0) == (0, 64, 64, 64)
+    assert tier_row(c, "bcast", 1, 64, root=0) == (0, 0, 0, 0)
+    assert tier_row(c, "bcast", 0, 64, root=0) == (0, 64, 64, 64)
     single = _hier(4, 4)
-    assert single.tier_contribution("bcast", 0, 64, root=0) == (64, 0, 64, 0)
+    assert tier_row(single, "bcast", 0, 64, root=0) == (64, 0, 64, 0)
 
 
 def test_gather_classified_by_root_node():
     c = _hier(8, 4)
     # same node as root: shared-memory delivery
-    assert c.tier_contribution("gatherv", 2, 16, root=0) == (16, 0, 16, 0)
+    assert tier_row(c, "gatherv", 2, 16, root=0) == (16, 0, 16, 0)
     # off-node non-leader: stages through its leader
-    assert c.tier_contribution("gatherv", 5, 16, root=0) == (0, 16, 16, 16)
+    assert tier_row(c, "gatherv", 5, 16, root=0) == (0, 16, 16, 16)
     # off-node leader: injects directly
-    assert c.tier_contribution("gatherv", 4, 16, root=0) == (0, 16, 0, 16)
+    assert tier_row(c, "gatherv", 4, 16, root=0) == (0, 16, 0, 16)
 
 
 def test_checkpoint_always_inter():
     c = _hier(8, 4)
     single = _hier(4, 4)
-    assert c.tier_contribution("checkpoint", 1, 128)[:2] == (0, 128)
-    assert single.tier_contribution("checkpoint", 0, 128)[:2] == (0, 128)
+    assert tier_row(c, "checkpoint", 1, 128)[:2] == (0, 128)
+    assert tier_row(single, "checkpoint", 0, 128)[:2] == (0, 128)
 
 
 def test_unknown_op_conservatively_inter():
     c = _hier(8, 4)
-    assert c.tier_contribution("teleport", 3, 9) == (0, 9, 0, 9)
+    assert tier_row(c, "teleport", 3, 9) == (0, 9, 0, 9)
     single = _hier(4, 4)
-    assert single.tier_contribution("teleport", 3, 9) == (9, 0, 9, 0)
+    assert tier_row(single, "teleport", 3, 9) == (9, 0, 9, 0)
 
 
 def test_hops_structure():
