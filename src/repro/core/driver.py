@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -49,13 +49,15 @@ from repro.ft.checkpoint import (
     write_checkpoint,
 )
 from repro.graph.csr import Graph
-from repro.multilevel.info import MultilevelInfo
 from repro.simmpi.backends import Backend, create_runtime
 from repro.simmpi.comm import SimComm
 from repro.simmpi.topology import default_comm
 from repro.simmpi.errors import RankFailure
 from repro.simmpi.metrics import CommStats
 from repro.simmpi.timing import BLUE_WATERS_LIKE, MachineModel, TimeModel
+
+if TYPE_CHECKING:  # repro.multilevel loads scipy.sparse: flat runs never do
+    from repro.multilevel.info import MultilevelInfo
 
 #: Phase tags that count toward partitioning time (build/gather excluded,
 #: matching the paper's timed region).  The last three are emitted only
@@ -139,7 +141,7 @@ def _rank_main(
 
     ``params.multilevel`` swaps in the V-cycle body (which returns a
     3-tuple carrying its :class:`MultilevelInfo`); imported lazily to
-    keep ``core`` ↔ ``multilevel`` imports acyclic.
+    keep ``core`` ↔ ``multilevel`` imports acyclic and scipy out of flat runs.
     """
     if params.multilevel:
         from repro.multilevel.driver import multilevel_rank_main

@@ -2,45 +2,66 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.graph.gather import sorted_unique
 
 
-def _clean_edges(
+#: Key of an arc to drop; sorts behind every real ``src * n + dst``.
+_DROPPED = np.iinfo(np.int64).max
+
+
+def _arc_keys(
     n: int,
     src: np.ndarray,
     dst: np.ndarray,
     *,
-    symmetrize: bool,
-    dedup: bool,
+    directed: bool,
     drop_self_loops: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    src = np.asarray(src, dtype=np.int64).ravel()
-    dst = np.asarray(dst, dtype=np.int64).ravel()
+) -> np.ndarray:
+    """Validate the endpoints and return every arc as ``src * n + dst`` in
+    one fresh int64 buffer (both directions unless ``directed``)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    # reshape, not ravel: a strided column stays a view
+    src = np.asarray(src, dtype=np.int64).reshape(-1)
+    dst = np.asarray(dst, dtype=np.int64).reshape(-1)
     if src.shape != dst.shape:
         raise ValueError("src and dst must have equal length")
     if src.size and (
         src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n
     ):
         raise ValueError(f"edge endpoints out of range for n={n}")
+    arcs = np.empty((1 if directed else 2, src.size), dtype=np.int64)
+    np.multiply(src, n, out=arcs[0])
+    arcs[0] += dst
+    if not directed:
+        np.multiply(dst, n, out=arcs[1])
+        arcs[1] += src
     if drop_self_loops:
-        ok = src != dst
-        src, dst = src[ok], dst[ok]
-    if symmetrize:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    if dedup and src.size:
-        # sort by (src, dst) once; uniqueness on the combined key
-        key = sorted_unique(src * np.int64(n) + dst)
-        src = key // n
-        dst = key % n
-    elif src.size:
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-    return src, dst
+        arcs[:, src == dst] = _DROPPED
+    return arcs.reshape(-1)
+
+
+def _csr_from_keys(
+    n: int, key: np.ndarray, *, directed: bool, dedup: bool
+) -> Graph:
+    """Turn the :func:`_arc_keys` buffer into the graph: sorted in place by
+    (src, dst), compressed only if an arc repeats, then reduced to ``adj``
+    where it lies."""
+    key.sort()
+    key = key[: np.searchsorted(key, _DROPPED)]
+    if dedup and key.size:
+        keep = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        if not keep.all():
+            key = key[keep]
+    # arcs of sources below v are the keys below v * n
+    offsets = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(key, n, out=key)
+    return Graph(offsets, key, directed=directed, validate=False)
 
 
 def from_edges(
@@ -57,16 +78,10 @@ def from_edges(
     Undirected graphs (default) are symmetrized: each input pair produces
     both arcs.  Duplicate edges and self-loops are removed unless disabled.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    src, dst = _clean_edges(
-        n, src, dst,
-        symmetrize=not directed, dedup=dedup, drop_self_loops=drop_self_loops,
+    key = _arc_keys(
+        n, src, dst, directed=directed, drop_self_loops=drop_self_loops
     )
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    if src.size:
-        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return Graph(offsets, dst, directed=directed, validate=False)
+    return _csr_from_keys(n, key, directed=directed, dedup=dedup)
 
 
 def from_scipy(matrix, *, directed: bool = False) -> Graph:

@@ -63,18 +63,24 @@ def rmat_edges(
     rng = _rng(seed)
     src = np.zeros(nedges, dtype=np.int64)
     dst = np.zeros(nedges, dtype=np.int64)
-    # One vectorized pass per bit level: pick the quadrant for all edges.
-    p_right_given_any = b + d  # P(column bit = 1)
+    r1, r2 = np.empty(nedges), np.empty(nedges)
+    row_bit = np.empty(nedges, dtype=bool)
+    col_bit = np.empty(nedges, dtype=bool)
+    # One vectorized pass per bit level: pick the quadrant for all edges,
+    # in the buffers above (a fresh arc-sized array per step is most of
+    # the generation time).
     for bit in range(scale):
-        r1 = rng.random(nedges)
-        r2 = rng.random(nedges)
+        rng.random(out=r1)
+        rng.random(out=r2)
         # row bit: 1 with prob c + d; column bit conditional on row bit
-        row_bit = r1 < (c + d)
-        p_col = np.where(row_bit, d / max(c + d, 1e-12), b / max(a + b, 1e-12))
-        col_bit = r2 < p_col
-        src = (src << 1) | row_bit
-        dst = (dst << 1) | col_bit
-    _ = p_right_given_any
+        np.less(r1, c + d, out=row_bit)
+        r1.fill(b / max(a + b, 1e-12))
+        r1[row_bit] = d / max(c + d, 1e-12)
+        np.less(r2, r1, out=col_bit)
+        src <<= 1
+        src |= row_bit
+        dst <<= 1
+        dst |= col_bit
     return src, dst
 
 
@@ -123,8 +129,9 @@ def rand_hd(n: int, avg_degree: int = 16, *, seed: Optional[int] = None) -> Grap
         raise ValueError("avg_degree must be >= 1")
     rng = _rng(seed)
     src = np.repeat(np.arange(n, dtype=np.int64), avg_degree)
-    offset = rng.integers(-avg_degree + 1, avg_degree, size=src.size, dtype=np.int64)
-    dst = np.clip(src + offset, 0, n - 1)
+    dst = rng.integers(-avg_degree + 1, avg_degree, size=src.size, dtype=np.int64)
+    dst += src
+    np.clip(dst, 0, n - 1, out=dst)
     return from_edges(n, src, dst)
 
 
@@ -137,14 +144,14 @@ def grid2d(nx: int, ny: int, *, diagonals: bool = False) -> Graph:
     if nx < 1 or ny < 1:
         raise ValueError("grid dimensions must be >= 1")
     ids = np.arange(nx * ny, dtype=np.int64).reshape(nx, ny)
-    pieces = []
-    pieces.append((ids[:-1, :].ravel(), ids[1:, :].ravel()))    # down
-    pieces.append((ids[:, :-1].ravel(), ids[:, 1:].ravel()))    # right
+    pieces = []  # views; flattened straight into the endpoint arrays
+    pieces.append((ids[:-1, :], ids[1:, :]))    # down
+    pieces.append((ids[:, :-1], ids[:, 1:]))    # right
     if diagonals:
-        pieces.append((ids[:-1, :-1].ravel(), ids[1:, 1:].ravel()))
-        pieces.append((ids[:-1, 1:].ravel(), ids[1:, :-1].ravel()))
-    src = np.concatenate([p[0] for p in pieces])
-    dst = np.concatenate([p[1] for p in pieces])
+        pieces.append((ids[:-1, :-1], ids[1:, 1:]))
+        pieces.append((ids[:-1, 1:], ids[1:, :-1]))
+    src = np.concatenate([p[0] for p in pieces], axis=None)
+    dst = np.concatenate([p[1] for p in pieces], axis=None)
     return from_edges(nx * ny, src, dst)
 
 
@@ -161,10 +168,10 @@ def mesh3d(
     if stencil not in (7, 13, 27):
         raise ValueError("stencil must be one of 7, 13, 27")
     ids = np.arange(nx * ny * nz, dtype=np.int64).reshape(nx, ny, nz)
-    pieces = []
+    pieces = []  # views; flattened straight into the endpoint arrays
 
     def link(sl_a, sl_b):
-        pieces.append((ids[sl_a].ravel(), ids[sl_b].ravel()))
+        pieces.append((ids[sl_a], ids[sl_b]))
 
     s = slice(None)
     # 6 face neighbors (7-point stencil minus center)
@@ -197,8 +204,8 @@ def mesh3d(
             (slice(None, -1), slice(1, None), slice(1, None)),
             (slice(1, None), slice(None, -1), slice(None, -1)),
         )
-    src = np.concatenate([p[0] for p in pieces])
-    dst = np.concatenate([p[1] for p in pieces])
+    src = np.concatenate([p[0] for p in pieces], axis=None)
+    dst = np.concatenate([p[1] for p in pieces], axis=None)
     return from_edges(nx * ny * nz, src, dst)
 
 
@@ -226,7 +233,9 @@ def social(
     src %= n
     dst %= n
     perm = rng.permutation(n).astype(np.int64)
-    return from_edges(n, perm[src], perm[dst], directed=directed)
+    src = perm[src]  # rebound one at a time: three arrays alive, not four
+    dst = perm[dst]
+    return from_edges(n, src, dst, directed=directed)
 
 
 def webcrawl(
@@ -267,16 +276,20 @@ def webcrawl(
     site_of = np.repeat(np.arange(len(sizes_arr), dtype=np.int64), sizes_arr)
 
     nedges = (n * avg_degree) // 2
-    src = (n * rng.random(nedges) ** crawl_bias).astype(np.int64)
-    intra = rng.random(nedges) < intra_fraction
+    r = rng.random(nedges)  # one float buffer for the three draws
+    r **= crawl_bias
+    r *= n
+    src = r.astype(np.int64)
+    # inter-site edges: the draws at or above ``intra_fraction``
+    inter_idx = np.flatnonzero(rng.random(out=r) >= intra_fraction)
     # intra-site edges: uniform page within the source's site
     s_site = site_of[src]
-    dst = starts[s_site] + (
-        rng.random(nedges) * sizes_arr[s_site]
-    ).astype(np.int64)
-    # inter-site edges: preferential by site size (big hubs get linked),
+    rng.random(out=r)
+    r *= sizes_arr[s_site]
+    dst = r.astype(np.int64)
+    dst += starts[s_site]
+    # inter-site targets: preferential by site size (big hubs get linked),
     # skewed toward low page index within the site (landing pages)
-    inter_idx = np.flatnonzero(~intra)
     if inter_idx.size:
         probs = sizes_arr / sizes_arr.sum()
         tgt_site = rng.choice(len(sizes_arr), size=inter_idx.size, p=probs)
@@ -314,7 +327,6 @@ def watts_strogatz(
     offsets = np.tile(np.arange(1, k // 2 + 1, dtype=np.int64), n)
     dst = (src + offsets) % n
     flip = rng.random(dst.size) < rewire
-    dst = dst.copy()
     dst[flip] = rng.integers(0, n, size=int(flip.sum()), dtype=np.int64)
     return from_edges(n, src, dst)
 

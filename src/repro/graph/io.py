@@ -7,7 +7,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.graph.builders import from_edges
+from repro.graph.builders import _arc_keys, _csr_from_keys, from_edges
 from repro.graph.csr import Graph
 
 PathLike = Union[str, os.PathLike]
@@ -42,13 +42,14 @@ def read_edge_list(
         n = next((int(t[2:]) for t in header if t.startswith("n=")), None)
     if directed is None:
         directed = "directed" in header
-    if data.size == 0:
-        src = dst = np.empty(0, dtype=np.int64)
-    else:
-        src, dst = data[:, 0], data[:, 1]
+    data = data.reshape(-1, 2) if data.size == 0 else data[:, :2]
     if n is None:
-        n = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
-    return from_edges(n, src, dst, directed=directed)
+        n = int(data.max(initial=-1)) + 1
+    key = _arc_keys(
+        n, data[:, 0], data[:, 1], directed=directed, drop_self_loops=True
+    )
+    del data  # the parsed block is not held through the sort
+    return _csr_from_keys(n, key, directed=directed, dedup=True)
 
 
 def write_metis(graph: Graph, path: PathLike) -> None:
@@ -87,17 +88,11 @@ def read_metis(path: PathLike) -> Graph:
         raise ValueError(
             f"METIS header says {n} vertices, file has {len(lines) - 1}"
         )
-    srcs, dsts = [], []
-    for v, line in enumerate(lines[1:]):
-        if line.strip():
-            neigh = np.fromstring(line, dtype=np.int64, sep=" ") - 1
-            srcs.append(np.full(neigh.size, v, dtype=np.int64))
-            dsts.append(neigh)
-    if srcs:
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-    else:
-        src = dst = np.empty(0, dtype=np.int64)
+    # one tokenisation of the body; a non-integer token is a ValueError
+    tokens = [line.split() for line in lines[1:]]
+    counts = np.fromiter(map(len, tokens), dtype=np.int64, count=n)
+    src = np.repeat(np.arange(n, dtype=np.int64), counts)
+    dst = np.array([t for row in tokens for t in row], dtype=np.int64) - 1
     g = from_edges(n, src, dst)
     if g.num_edges != m:
         raise ValueError(
@@ -118,8 +113,7 @@ def save_npz(graph: Graph, path: PathLike) -> None:
 
 def load_npz(path: PathLike) -> Graph:
     with np.load(path) as data:
+        # each access decompresses into a fresh array: nothing to copy
         return Graph(
-            data["offsets"].copy(),
-            data["adj"].copy(),
-            directed=bool(data["directed"]),
+            data["offsets"], data["adj"], directed=bool(data["directed"])
         )

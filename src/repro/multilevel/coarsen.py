@@ -65,15 +65,20 @@ class MLLevel:
     read-only and shared by the ranks of an address space (the simulator's
     shared-input convention); ``dg`` and ``ew_local`` are this rank's view.
     ``fine2coarse`` maps the *finer* level's gids onto this level's.
+
+    ``graph`` and ``eweights`` exist to be contracted: ``build_hierarchy``
+    sets them to None once the next level is made (or coarsening stops), and
+    uncoarsening reads only the rest; ``size`` keeps the graph's ``(n, m)``.
     """
 
-    graph: Graph
+    graph: Optional[Graph]
     dist: Distribution
     dg: DistGraph
-    eweights: np.ndarray      # global, aligned with graph.adj
+    eweights: Optional[np.ndarray]  # global, aligned with graph.adj
     ew_local: np.ndarray      # this rank's arcs, aligned with dg.adj
     vweights: np.ndarray      # global per-vertex mass
     fine2coarse: Optional[np.ndarray]
+    size: Tuple[int, int]     # (vertices, undirected edges) of ``graph``
 
 
 def local_eweights(graph: Graph, eweights: np.ndarray, dg: DistGraph) -> np.ndarray:
@@ -97,7 +102,7 @@ def make_level0(
 ) -> MLLevel:
     """The finest level: unit edge weights, given (or unit) vertex weights."""
     dg = build_dist_graph(comm, graph, dist)
-    # a 0-stride view: every consumer indexes or sums it, none writes
+    # 0-stride views: every consumer indexes or sums them, none writes
     eweights = np.broadcast_to(np.float64(1.0), (graph.adj.size,))
     vweights = (
         np.asarray(vertex_weights, dtype=np.float64)
@@ -106,8 +111,8 @@ def make_level0(
     )
     return MLLevel(
         graph=graph, dist=dist, dg=dg, eweights=eweights,
-        ew_local=np.ones(dg.adj.size, dtype=np.float64),
-        vweights=vweights, fine2coarse=None,
+        ew_local=eweights[: dg.adj.size],
+        vweights=vweights, fine2coarse=None, size=(graph.n, graph.num_edges),
     )
 
 
@@ -326,5 +331,5 @@ def contract_level(
     return MLLevel(
         graph=coarse, dist=cdist, dg=cdg, eweights=cw,
         ew_local=local_eweights(coarse, cw, cdg),
-        vweights=cvw, fine2coarse=fine2coarse,
+        vweights=cvw, fine2coarse=fine2coarse, size=(nc, coarse.num_edges),
     )

@@ -99,14 +99,16 @@ def build_hierarchy(
     """Coarsen until the target size, the level cap, or stagnation.
 
     Purely a function of the inputs — no partition state — which is what
-    makes checkpoint resume re-execute it bit-identically.
+    makes checkpoint resume re-execute it bit-identically.  A level's
+    global ``graph`` / ``eweights`` are released as soon as the next level
+    is contracted from them: uncoarsening reads only the per-rank views.
     """
     levels = [make_level0(comm, graph, dist, vertex_weights)]
     target = max(params.ml_coarsest_factor * num_parts, 2 * comm.size)
     floor = max(num_parts, comm.size)
     while (
         len(levels) < params.ml_levels
-        and levels[-1].graph.n > target
+        and levels[-1].size[0] > target
     ):
         cur = levels[-1]
         level_index = len(levels) - 1
@@ -121,7 +123,9 @@ def build_hierarchy(
         )
         if nxt is None:
             break
+        cur.graph = cur.eweights = None
         levels.append(nxt)
+    levels[-1].graph = levels[-1].eweights = None
     return levels
 
 
@@ -242,6 +246,7 @@ def multilevel_rank_main(
     )
     n_build = comm.event_count  # deterministic prefix, incl. hierarchy
     n_levels = len(levels)
+    level_sizes = [lv.size for lv in levels]
     plan = ml_step_plan(params, n_levels)
     cuts: List[float] = []
     level_idx = n_levels - 1
@@ -251,6 +256,7 @@ def multilevel_rank_main(
     if resume is not None:
         snap = resume["snapshots"][comm.rank]
         level_idx = int(snap["level"])
+        del levels[level_idx + 1:]  # already projected through
         state = _fresh_state(levels[level_idx], num_parts, params,
                              level_idx, n_levels)
         state.restore(snap["inner"])
@@ -272,8 +278,10 @@ def multilevel_rank_main(
                         cuts.append(weighted_cut(
                             comm, state, levels[lvl + 1].ew_local
                         ))
+                # the coarse level is released once projected through (a
+                # resumed run rebuilds the hierarchy)
                 state, seeds = _project(
-                    comm, state, levels[lvl + 1], levels[lvl],
+                    comm, state, levels.pop(), levels[lvl],
                     num_parts, params, lvl, n_levels,
                 )
                 level_idx = lvl
@@ -314,11 +322,9 @@ def multilevel_rank_main(
     info = MultilevelInfo(
         levels=n_levels,
         coarsen_mode=params.ml_coarsen,
-        level_sizes=[
-            (lv.graph.n, lv.graph.num_edges) for lv in levels
-        ],
+        level_sizes=level_sizes,
         cut_trajectory=cuts,
-        coarsest_n=levels[-1].graph.n,
+        coarsest_n=level_sizes[-1][0],
     )
     dg0 = levels[0].dg
     return dg0.owned_gids, state.parts[: dg0.n_local].copy(), info

@@ -59,11 +59,10 @@ import os
 import pickle
 import struct
 import threading
-import time
 import traceback
 import uuid
 import zlib
-from multiprocessing import shared_memory, sharedctypes
+from multiprocessing import connection, shared_memory, sharedctypes
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -441,7 +440,8 @@ class _Session:
         self.release_cursors = sharedctypes.RawArray(
             "q", [-1] * nprocs
         )
-        self.stats_queue = ctx.SimpleQueue()
+        #: rank 0 (the one producer) → parent: the rounds of each superstep
+        self.stats_recv, self.stats_send = ctx.Pipe(duplex=False)
 
     def set_failure(self, exc: BaseException) -> None:
         self.failure.write(_sanitize_exc(exc))
@@ -671,7 +671,7 @@ class _RankEndpoint:
             sess.set_failure(_sanitize_exc(exc))
             return
         mine = actions[0]  # SPMD programs tag (and root) uniformly
-        sess.stats_queue.put((
+        sess.stats_send.send((
             mine[2],
             metered_rounds(
                 self.comm_strategy,
@@ -803,33 +803,32 @@ class ProcsBackend(Backend):
         """Drain the stats channel while children run; break the barrier if
         a child dies without reporting (so peers error out, not hang).
 
-        Events are **recorded as they drain**: the queue has a single
+        Events are **recorded as they drain**: the pipe has a single
         producer (rank 0, the designated computer) that enqueues in
         superstep order, so FIFO draining preserves the record order — and
         recording mid-run is what lets the checkpoint-commit hook in
         :meth:`Backend._record` fire at the epoch boundary instead of after
         the run (a crashed run must still have its committed epochs)."""
-        aborted = False
-        while True:
-            drained = False
-            while not session.stats_queue.empty():
-                tag, rounds, nchecks = session.stats_queue.get()
+
+        def drain() -> None:
+            while session.stats_recv.poll():
+                tag, rounds, nchecks = session.stats_recv.recv()
                 self._record_rounds(tag, rounds)
                 self.stats.checksum_verifications += nchecks
-                drained = True
-            if not any(p.is_alive() for p in procs):
-                break
+
+        aborted = False
+        live = list(procs)
+        while live:
+            # asleep until rank 0 reports a superstep or a child exits
+            connection.wait([session.stats_recv] + [p.sentinel for p in live])
+            drain()
+            live = [p for p in live if p.is_alive()]
             if not aborted and any(
                 p.exitcode not in (0, None) for p in procs
             ):
                 session.barrier.abort()
                 aborted = True
-            if not drained:
-                time.sleep(0.001)
-        while not session.stats_queue.empty():
-            tag, rounds, nchecks = session.stats_queue.get()
-            self._record_rounds(tag, rounds)
-            self.stats.checksum_verifications += nchecks
+        drain()
 
     def _collect(self, session: _Session, procs: list,
                  watchdog: Optional[Watchdog] = None) -> List[Any]:

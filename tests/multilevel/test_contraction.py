@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import PulpParams, xtrapulp
 from repro.dist import make_distribution
 from repro.graph import mesh3d, rmat, webcrawl
-from repro.multilevel import coarsen, driver
+from repro.multilevel import coarsen
 from repro.multilevel.coarsen import local_eweights
 from repro.multilevel.driver import build_hierarchy
 from repro.simmpi import run_spmd
@@ -34,6 +34,29 @@ from tests.reference.contraction import reference_contract
 def _arc_sources(graph):
     """Source vertex of every CSR arc (global view)."""
     return np.repeat(np.arange(graph.n), np.diff(graph.offsets))
+
+
+def walk_hierarchy(comm, graph, dist, num_parts, params):
+    """``build_hierarchy``'s loop over ``contract_level``, minus the release
+    of each level's global ``graph`` / ``eweights``: the invariants below
+    are stated on them.  Returns ``(levels, owned labels per contraction)``."""
+    levels, labels = [coarsen.make_level0(comm, graph, dist, None)], []
+    target = max(params.ml_coarsest_factor * num_parts, 2 * comm.size)
+    while len(levels) < params.ml_levels and levels[-1].size[0] > target:
+        lvl = len(levels) - 1
+        if params.ml_coarsen == "lp":
+            owned = coarsen.lp_cluster_labels(
+                comm, levels[-1], num_parts, params, lvl)
+        else:
+            owned = coarsen.hem_cluster_labels(comm, levels[-1], params, lvl)
+        nxt = coarsen.contract_level(
+            comm, levels[-1], owned, params, lvl,
+            min_vertices=max(num_parts, comm.size))
+        if nxt is None:
+            break
+        levels.append(nxt)
+        labels.append(owned)
+    return levels, labels
 
 
 @st.composite
@@ -54,8 +77,7 @@ def _build(scale, deg, seed, nprocs, mode):
     )
     dist = make_distribution("random", g.n, nprocs, seed=seed % 97)
     per_rank = run_spmd(
-        nprocs,
-        lambda comm: build_hierarchy(comm, g, dist, 2, params, None),
+        nprocs, lambda comm: walk_hierarchy(comm, g, dist, 2, params)[0],
     )[0]
     return g, per_rank
 
@@ -141,34 +163,25 @@ def test_hierarchy_is_deterministic():
     [rmat(9, 8, seed=3), mesh3d(9, 9, 9), webcrawl(1024, 12, seed=5)],
     ids=["rmat", "mesh", "webcrawl"],
 )
-def test_contract_level_matches_unique_reference(monkeypatch, graph, mode):
+def test_contract_level_matches_unique_reference(graph, mode):
     """The shared COO -> CSR aggregation + bitmap relabel yield exactly the
     arrays of the ``np.unique``-based contraction they replaced."""
     nprocs = 3
-    owned_labels = {}
-    real = driver.contract_level
-
-    def spy(comm, level, labels, params, level_index, min_vertices):
-        owned_labels[level_index, comm.rank] = labels.copy()
-        return real(comm, level, labels, params, level_index, min_vertices)
-
-    monkeypatch.setattr(driver, "contract_level", spy)
     params = PulpParams(
         multilevel=True, ml_coarsen=mode, ml_levels=4,
         ml_coarsest_factor=8, seed=7,
     )
     dist = make_distribution("random", graph.n, nprocs, seed=7)
-    levels = run_spmd(
-        nprocs,
-        lambda comm: build_hierarchy(comm, graph, dist, 2, params, None),
-        backend="threads",  # the spy records into this process
-    )[0][0]
+    per_rank = run_spmd(
+        nprocs, lambda comm: walk_hierarchy(comm, graph, dist, 2, params),
+    )[0]
+    levels = per_rank[0][0]
     assert len(levels) >= 2
     for i in range(1, len(levels)):
         fine, coarse = levels[i - 1], levels[i]
         full = np.empty(fine.graph.n, dtype=np.int64)
         for r in range(nprocs):
-            full[fine.dist.owned(r)] = owned_labels[i - 1, r]
+            full[fine.dist.owned(r)] = per_rank[r][1][i - 1]
         offsets, adj, cw, cvw, f2c = reference_contract(
             fine.graph, fine.eweights, fine.vweights, full
         )
@@ -221,3 +234,34 @@ def test_lost_edge_weight_names_the_level_and_both_sums(monkeypatch):
     assert "level 0 lost edge weight" in msg
     assert repr(float(g.adj.size)) in msg            # the fine total
     assert repr(float(g.adj.size) + 64.0) in msg     # what was kept
+
+
+@pytest.mark.parametrize("mode", ["lp", "hem"])
+def test_build_hierarchy_keeps_only_what_uncoarsening_reads(mode):
+    """``build_hierarchy`` is the walk above with every level's global
+    ``graph`` / ``eweights`` released once contracted (level 0's ``Graph``
+    stays the caller's); what uncoarsening reads is untouched."""
+    g = mesh3d(9, 9, 9)
+    nprocs = 3
+    params = PulpParams(
+        multilevel=True, ml_coarsen=mode, ml_levels=4,
+        ml_coarsest_factor=8, seed=7,
+    )
+    dist = make_distribution("random", g.n, nprocs, seed=7)
+    built = run_spmd(
+        nprocs, lambda comm: build_hierarchy(comm, g, dist, 2, params, None),
+    )[0]
+    walked = run_spmd(
+        nprocs, lambda comm: walk_hierarchy(comm, g, dist, 2, params)[0],
+    )[0]
+    for got, want in zip(built, walked):
+        assert len(got) == len(want) >= 2
+        for a, b in zip(got, want):
+            assert a.graph is None and a.eweights is None
+            assert a.size == b.size == (b.graph.n, b.graph.num_edges)
+            np.testing.assert_array_equal(a.dg.adj, b.dg.adj)
+            np.testing.assert_array_equal(a.dg.l2g, b.dg.l2g)
+            np.testing.assert_array_equal(a.ew_local, b.ew_local)
+            np.testing.assert_array_equal(a.vweights, b.vweights)
+            if b.fine2coarse is not None:
+                np.testing.assert_array_equal(a.fine2coarse, b.fine2coarse)
