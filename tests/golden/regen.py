@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Dict
 
@@ -20,6 +22,7 @@ import numpy as np
 
 from repro.core import PulpParams, xtrapulp
 from repro.core.driver import PARTITION_PHASES
+from repro.ft.checkpoint import CkptPolicy, load_checkpoint
 from repro.graph import generators
 from repro.simmpi import BLUE_WATERS_TIERED, TimeModel
 
@@ -28,6 +31,10 @@ GOLDEN = Path(__file__).with_name("scoring.json")
 
 def load_cases() -> list:
     return json.loads(GOLDEN.read_text())["cases"]
+
+
+def load_phase_cases() -> list:
+    return json.loads(GOLDEN.read_text())["phase_cases"]
 
 
 def tiers_sha256(stats) -> str:
@@ -78,11 +85,47 @@ def digests(case: dict, backend: str) -> Dict[str, str]:
     return out
 
 
+def phase_pins(case: dict) -> Dict[str, object]:
+    """Run one configuration on serial ranks with a checkpoint after every
+    step of the plan; per step, ``"stage index phase sha256"`` over the ranks'
+    owned ``parts`` and ``sweep_log`` as the epoch recorded them — plus the
+    bytes of everything the run directory holds (rank files, manifests,
+    event sidecars: ``ft.ckpt_bytes`` of the perf ledger), so a snapshot
+    that changes shape shows before it changes ``signature()``."""
+    graph = getattr(generators, case["generator"])(
+        *case["gen_args"], seed=case["graph_seed"])
+    steps = []
+    with tempfile.TemporaryDirectory() as run_dir:
+        xtrapulp(
+            graph, case["num_parts"], nprocs=case["nprocs"],
+            params=PulpParams(seed=case["seed"], **case["params"]),
+            backend="serial", checkpoint=CkptPolicy(run_dir, every="phase"),
+        )
+        for epoch in sorted(os.listdir(run_dir)):
+            data = load_checkpoint(os.path.join(run_dir, epoch))
+            h = hashlib.sha256()
+            for snap in data.snapshots:
+                snap = snap.get("inner", snap)  # multilevel wraps the rank's
+                h.update(snap["parts"][: snap["n_local"]].tobytes())
+                h.update(repr(snap["sweep_log"]).encode())
+            steps.append(" ".join(
+                [*map(str, data.manifest["step"]), h.hexdigest()]))
+        nbytes = sum(
+            os.path.getsize(os.path.join(root, f))
+            for root, _, files in os.walk(run_dir) for f in files
+        )
+    return {"steps": steps, "ckpt_bytes": nbytes}
+
+
 def main() -> None:
     cases = load_cases()
     for case in cases:
         case.update(digests(case, "serial"))
-    GOLDEN.write_text(json.dumps({"cases": cases}, indent=2) + "\n")
+    phase_cases = load_phase_cases()
+    for case in phase_cases:
+        case.update(phase_pins(case))
+    GOLDEN.write_text(json.dumps(
+        {"cases": cases, "phase_cases": phase_cases}, indent=2) + "\n")
 
 
 if __name__ == "__main__":
