@@ -15,12 +15,10 @@ import numpy as np
 
 from repro.bench import ExperimentTable
 from repro.core import PulpParams
-from repro.core.edge_balance import edge_balance_phase, edge_refine_phase
 from repro.core.initialization import initialize
+from repro.core.lp import SPECS, lp_phase
 from repro.core.quality import edge_cut
-from repro.core.refinement import vertex_refine_phase
 from repro.core.state import RankState
-from repro.core.vertex_balance import vertex_balance_phase
 from repro.dist import build_dist_graph, make_distribution
 from repro.simmpi import run_spmd
 from tests.reference.exhaustive import exhaustive_sweeps
@@ -47,12 +45,12 @@ def _run_logged(graph, seed=42):
         state.sweep_log.clear()
         state.iter_tot = 0
         for _ in range(params.outer_iters):
-            vertex_balance_phase(comm, state, params.balance_iters)
-            vertex_refine_phase(comm, state, params.refine_iters)
+            for spec in (SPECS["vertex_balance"], SPECS["vertex_refine"]):
+                lp_phase(comm, state, spec, getattr(params, spec.iters))
         state.iter_tot = 0
         for _ in range(params.outer_iters):
-            edge_balance_phase(comm, state, params.balance_iters)
-            edge_refine_phase(comm, state, params.refine_iters)
+            for spec in (SPECS["edge_balance"], SPECS["edge_refine"]):
+                lp_phase(comm, state, spec, getattr(params, spec.iters))
         return dg.owned_gids.copy(), state.parts[: dg.n_local].copy(), \
             state.sweep_log
 

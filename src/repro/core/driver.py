@@ -3,15 +3,19 @@
 ``xtrapulp(graph, num_parts, nprocs=...)`` runs the full pipeline inside a
 simulated-MPI SPMD program:
 
-1. distribute the graph (random or block 1-D distribution, §III.A);
-2. initialize (Algorithm 2 hybrid by default);
-3. ``I_outer`` rounds of vertex balancing + refinement (Algorithms 4, 5);
-4. ``I_outer`` rounds of edge balancing + refinement (§III.E) —
-   skipped in single-objective mode (the Fig. 6 configuration);
-5. gather the partition to a global array.
+1. distribute the graph (random or block 1-D distribution, §III.A) — and,
+   with ``params.multilevel``, coarsen it into a hierarchy;
+2. follow :func:`step_plan`: initialize (Algorithm 2 hybrid by default),
+   ``I_outer`` rounds of vertex balancing + refinement (Algorithms 4, 5),
+   the uncoarsening sweep of a V-cycle, then the edge balancing +
+   refinement rounds (§III.E) — skipped in single-objective mode (the
+   Fig. 6 configuration).  Every phase is :func:`repro.core.lp.lp_phase`
+   under one of its :data:`~repro.core.lp.SPECS`;
+3. gather the partition to a global array.
 
-The result carries the partition, per-phase communication stats, and the
-modeled parallel time (see :mod:`repro.simmpi.timing`).
+The flat pipeline is the one-level case of the V-cycle: one rank body, one
+plan.  The result carries the partition, per-phase communication stats,
+and the modeled parallel time (see :mod:`repro.simmpi.timing`).
 """
 
 from __future__ import annotations
@@ -19,17 +23,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.edge_balance import edge_balance_phase, edge_refine_phase
 from repro.core.initialization import initialize
+from repro.core.lp import SPECS, lp_phase
 from repro.core.params import PulpParams
 from repro.core.quality import PartitionQuality, partition_quality
-from repro.core.refinement import vertex_refine_phase
 from repro.core.state import RankState
-from repro.core.vertex_balance import vertex_balance_phase
 from repro.dist.build import build_dist_graph
 from repro.dist.distribution import Distribution, make_distribution
 from repro.ft.checkpoint import (
@@ -44,7 +46,6 @@ from repro.ft.checkpoint import (
     load_checkpoint,
     load_manifest,
     make_context,
-    step_plan,
     validate_manifest,
     write_checkpoint,
 )
@@ -109,14 +110,39 @@ class PartitionResult:
         return partition_quality(g, self.parts, self.num_parts)
 
 
-#: Phase functions of the step plan, with the params field naming their
-#: iteration count (see :func:`repro.ft.checkpoint.step_plan`).
-_PHASE_FUNCS = {
-    "vertex_balance": (vertex_balance_phase, "balance_iters"),
-    "vertex_refine": (vertex_refine_phase, "refine_iters"),
-    "edge_balance": (edge_balance_phase, "balance_iters"),
-    "edge_refine": (edge_refine_phase, "refine_iters"),
-}
+def step_plan(params: PulpParams, n_levels: int = 1) -> List[Tuple[str, int, str]]:
+    """The rank body's step sequence: ``(stage, index, phase)``, ``phase``
+    naming ``"init"`` or one of :data:`repro.core.lp.SPECS`.
+
+    Flat: init, ``outer_iters`` vertex rounds, ``outer_iters`` edge rounds.
+    Multilevel (``n_levels`` = levels of the hierarchy): the vertex stage
+    runs on the coarsest level with the edge-weighted refine; each
+    ``("uncoarsen", lvl, "ml_refine")`` step projects onto level ``lvl``,
+    balances and refines there; the edge stage closes the run on the fine
+    graph.
+    """
+    ml = params.multilevel
+    refine = "ml_refine" if ml else "vertex_refine"
+    plan = [("init", -1, "init")]
+    for o in range(params.outer_iters):
+        plan += [("vertex", o, "vertex_balance"), ("vertex", o, refine)]
+    if ml:
+        plan += [("uncoarsen", lvl, refine)
+                 for lvl in range(n_levels - 2, -1, -1)]
+        # fine-level polish: the V-cycle's per-level sweeps are bounded, so
+        # the finest level gets one full-strength round before the
+        # dual-constraint stage
+        plan += [("fine", 0, "vertex_balance"), ("fine", 0, refine)]
+    if not params.single_objective:
+        # a V-cycle has already converged the cut, so its edge stage is one
+        # constraint-satisfaction round: round 1 reaches the edge-balance
+        # target; further rounds only exercise the cut-size shuffle, whose
+        # moves the multilevel partition — with its evenly spread per-part
+        # cut sizes — cannot profitably undo (the ``maxc`` ratchet blocks
+        # the recovery moves that make extra rounds cut-neutral when flat)
+        for o in range(1 if ml else params.outer_iters):
+            plan += [("edge", o, "edge_balance"), ("edge", o, "edge_refine")]
+    return plan
 
 
 def _rank_main(
@@ -129,57 +155,306 @@ def _rank_main(
     vertex_weights: Optional[np.ndarray] = None,
     ckpt: Optional[CkptContext] = None,
     resume: Optional[Dict[str, Any]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The SPMD body: returns (owned gids, owned parts) per rank.
+) -> Tuple[np.ndarray, np.ndarray, Optional[MultilevelInfo]]:
+    """The SPMD body: returns ``(owned gids, owned parts, multilevel
+    info or None)`` per rank.
 
-    The outer loop executes the step plan of
-    :func:`repro.ft.checkpoint.step_plan`; a fresh run starts at step 0
+    The loop executes :func:`step_plan`; a fresh run starts at step 0
     (initialization), a resumed run restores its rank snapshot after the
-    (deterministic, re-executed) graph build and re-enters the loop at the
+    (deterministic, re-executed) build and re-enters the loop at the
     checkpoint's ``next_step``.  With a :class:`CkptContext`, the policy's
     boundaries deposit a checkpoint collective after the step completes.
 
-    ``params.multilevel`` swaps in the V-cycle body (which returns a
-    3-tuple carrying its :class:`MultilevelInfo`); imported lazily to
-    keep ``core`` ↔ ``multilevel`` imports acyclic and scipy out of flat runs.
+    ``levels`` is the part of the hierarchy not yet projected through,
+    finest first — None on a flat run, whose state sits on the one
+    ``DistGraph``.  A multilevel snapshot wraps the rank's with the level
+    and the cut trajectory, so a resume rebuilds the state on the right
+    level.  ``repro.multilevel`` is imported here, not at the top, to keep
+    ``core`` ↔ ``multilevel`` imports acyclic and scipy out of flat runs.
     """
+    levels = None
     if params.multilevel:
-        from repro.multilevel.driver import multilevel_rank_main
+        from repro.multilevel import hierarchy
+        from repro.multilevel.info import MultilevelInfo
 
-        return multilevel_rank_main(
-            comm, graph, dist, num_parts, params, initial_parts,
-            vertex_weights, ckpt, resume,
+        levels = hierarchy.build_hierarchy(
+            comm, graph, dist, num_parts, params, vertex_weights
         )
-    dg = build_dist_graph(comm, graph, dist)
-    n_build = comm.event_count  # same on every rank: the build is BSP
-    state = RankState(dg=dg, num_parts=num_parts, params=params)
-    if vertex_weights is not None:
-        state.set_vertex_weights(
-            vertex_weights[dg.owned_gids], float(vertex_weights.sum())
-        )
-    plan = step_plan(params)
+        level_sizes = [lv.size for lv in levels]
+        state = hierarchy.level_state(levels, num_parts, params,
+                                      len(level_sizes))
+        cuts: List[float] = []
+    else:
+        dg = build_dist_graph(comm, graph, dist)
+        state = RankState(dg=dg, num_parts=num_parts, params=params)
+        if vertex_weights is not None:
+            state.set_vertex_weights(
+                vertex_weights[dg.owned_gids], float(vertex_weights.sum())
+            )
+    # same on every rank, and on a resumed run: the build is BSP and a
+    # function of the inputs alone
+    n_build = comm.event_count
+    n_levels = len(levels) if levels else 1
+    plan = step_plan(params, n_levels)
     start = 0
     if resume is not None:
-        state.restore(resume["snapshots"][comm.rank])
+        snap = resume["snapshots"][comm.rank]
+        if levels:
+            del levels[int(snap["level"]) + 1:]  # already projected through
+            state = hierarchy.level_state(levels, num_parts, params, n_levels)
+            cuts = [float(c) for c in snap["cuts"]]
+            snap = snap["inner"]
+        state.restore(snap)
         start = int(resume["next_step"])
     for idx in range(start, len(plan)):
-        stage, _outer, phase_name = plan[idx]
-        if phase_name == "init":
+        stage, _index, phase = plan[idx]
+        if phase == "init":
             initialize(comm, state, initial_parts)
             state.iter_tot = 0
         else:
             if plan[idx - 1][0] != stage:
                 # first step of a stage: the iteration counter that drives
-                # the (X, Y) multiplier schedule restarts (as the legacy
-                # vertex/edge loop structure did)
+                # the (X, Y) multiplier schedule restarts
                 state.iter_tot = 0
-            fn, iters_field = _PHASE_FUNCS[phase_name]
-            fn(comm, state, getattr(params, iters_field))
-        if ckpt is not None and checkpoint_after(plan, idx, ckpt.policy.every):
-            write_checkpoint(
-                comm, state, ckpt, epoch=idx, step=plan[idx], n_build=n_build
+            spec = SPECS[phase]
+            iters = getattr(params, spec.iters)
+            seeds = None
+            if stage == "uncoarsen":
+                if not cuts:  # coarsest partition settled: open the trajectory
+                    cuts.append(hierarchy.weighted_cut(comm, state, levels[-1]))
+                state, seeds = hierarchy.project(
+                    comm, state, levels, num_parts, params, n_levels
+                )
+                # tighten toward this level's balance target before
+                # refining — the projected partition carries the coarser
+                # level's (looser) imbalance
+                lp_phase(comm, state, SPECS["vertex_balance"],
+                         params.balance_iters)
+                iters = params.ml_refine_iters
+            lp_phase(
+                comm, state, spec, iters, seed_lids=seeds,
+                arc_weights=levels[-1].ew_local if spec.tally == "arc" else None,
             )
-    return dg.owned_gids, state.parts[: dg.n_local].copy()
+            if stage == "uncoarsen":
+                cuts.append(hierarchy.weighted_cut(comm, state, levels[-1]))
+        if ckpt is not None and checkpoint_after(plan, idx, ckpt.policy.every):
+            snap = state.snapshot()
+            if levels:
+                snap = {"ml_format": 1, "level": len(levels) - 1,
+                        "cuts": [float(c) for c in cuts], "inner": snap}
+            write_checkpoint(
+                comm, snap, ckpt, epoch=idx, step=plan[idx], n_build=n_build
+            )
+    info = None
+    if levels:
+        # the trajectory closes with the final fine cut (after the edge
+        # stage when it runs; for a single-level run this is the only entry)
+        cuts.append(hierarchy.weighted_cut(comm, state, levels[-1]))
+        info = MultilevelInfo(
+            levels=n_levels,
+            coarsen_mode=params.ml_coarsen,
+            level_sizes=level_sizes,
+            cut_trajectory=cuts,
+            coarsest_n=level_sizes[-1][0],
+        )
+    dg = state.dg
+    return dg.owned_gids, state.parts[: dg.n_local].copy(), info
+
+
+@dataclass
+class _RunConfig:
+    """What the front door resolved from its arguments before a rank starts."""
+
+    params: PulpParams
+    dist: Distribution
+    vertex_weights: Optional[np.ndarray]
+    #: directory failures report against (checkpoint=, else resume='s run)
+    run_dir: Optional[str] = None
+    ckpt_ctx: Optional[CkptContext] = None
+    #: ``{"next_step", "snapshots"}`` for the rank body, with the event
+    #: prefix the resumed record splices onto and the (re-executed,
+    #: deterministic) build events to skip
+    resume: Optional[Dict[str, Any]] = None
+    base_events: list = field(default_factory=list)
+    n_skip: int = 0
+
+    @property
+    def fault_tolerant(self) -> bool:
+        return self.run_dir is not None
+
+
+def _resolve_config(
+    graph: Graph, num_parts: int, nprocs: int, params: Optional[PulpParams],
+    distribution: Union[str, Distribution],
+    initial_parts: Optional[np.ndarray],
+    vertex_weights: Optional[np.ndarray],
+    checkpoint: Union[None, str, os.PathLike, CkptPolicy],
+    resume: Union[None, str, os.PathLike],
+) -> _RunConfig:
+    """Validate the inputs; resolve the distribution, the checkpoint policy
+    and the epoch to resume from (fault tolerance is a no-op unless asked)."""
+    if graph.directed:
+        raise ValueError("xtrapulp partitions undirected (symmetric) graphs")
+    if num_parts < 1:
+        raise ValueError("num_parts must be >= 1")
+    if num_parts > graph.n:
+        raise ValueError(f"cannot cut {graph.n} vertices into {num_parts} parts")
+    if vertex_weights is not None:
+        vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
+        if vertex_weights.shape != (graph.n,):
+            raise ValueError("vertex_weights must have one entry per vertex")
+        if vertex_weights.size and vertex_weights.min() <= 0:
+            raise ValueError("vertex_weights must be positive")
+    params = params or PulpParams()
+    if params.multilevel and initial_parts is not None:
+        raise ValueError(
+            "multilevel does not accept initial_parts (projecting an "
+            "existing assignment down the hierarchy is not supported)"
+        )
+    if isinstance(distribution, str):
+        dist = make_distribution(
+            distribution, graph.n, nprocs, seed=params.seed
+        )
+    else:
+        dist = distribution
+        if dist.n != graph.n or dist.nprocs != nprocs:
+            raise ValueError("distribution does not match graph/nprocs")
+    cfg = _RunConfig(params, dist, vertex_weights)
+    if resume is not None:
+        ckpt_data = load_checkpoint(os.fspath(resume))
+        validate_manifest(
+            ckpt_data.manifest,
+            nprocs=nprocs,
+            num_parts=num_parts,
+            graph_sig=graph_signature(graph),
+            dist_sig=dist_signature(dist),
+            params_repr=repr(params),
+            inputs_sig=inputs_signature(initial_parts, vertex_weights),
+        )
+        cfg.base_events = ckpt_data.base_events
+        cfg.n_skip = int(ckpt_data.manifest["n_build"])
+        cfg.resume = {
+            "next_step": ckpt_data.next_step,
+            "snapshots": ckpt_data.snapshots,
+        }
+        cfg.run_dir = os.path.dirname(os.path.abspath(ckpt_data.epoch_dir))
+    if checkpoint is not None:
+        policy = (
+            checkpoint if isinstance(checkpoint, CkptPolicy)
+            else CkptPolicy(dir=os.fspath(checkpoint))
+        )
+        cfg.run_dir = policy.dir
+        if policy.every != "off":
+            cfg.ckpt_ctx = make_context(
+                policy, graph=graph, dist=dist, params=params, nprocs=nprocs,
+                num_parts=num_parts, initial_parts=initial_parts,
+                vertex_weights=vertex_weights,
+            )
+    return cfg
+
+
+def _open_runtime(cfg: _RunConfig, nprocs: int, backend, fault_plan,
+                  watchdog, integrity) -> Backend:
+    """Resolve backend, communicator, watchdog and integrity mode into a
+    runtime; arm the fault plan and the checkpoint committer on it."""
+    params = cfg.params
+    # all phases charge deterministic work units (priced by the machine
+    # model's gamma), so modeled times are exactly reproducible
+    runtime = create_runtime(
+        backend, nprocs=nprocs, meter_compute=False,
+        comm=params.comm if params.comm is not None else default_comm(),
+        watchdog=watchdog, integrity=integrity,
+    )
+    if cfg.fault_tolerant and runtime.stats.rounds:
+        runtime.close()
+        raise ValueError(
+            "checkpoint/resume needs a fresh runtime: the given backend "
+            "already carries recorded events, which would corrupt the "
+            "spliced communication record"
+        )
+    if fault_plan is not None:
+        runtime.fault_plan = fault_plan
+    if cfg.ckpt_ctx is not None:
+        os.makedirs(cfg.run_dir, exist_ok=True)
+        runtime.ckpt_committer = CkptCommitter(
+            cfg.run_dir, base_events=cfg.base_events, n_skip=cfg.n_skip
+        )
+    return runtime
+
+
+def _run(runtime: Backend, cfg: _RunConfig, graph: Graph, num_parts: int,
+         initial_parts: Optional[np.ndarray]) -> Tuple[list, float]:
+    """Run the rank body on ``runtime`` and close it; ``(per-rank results,
+    wall seconds)``.  A failed fault-tolerant run raises
+    :class:`RankFailure` naming the run directory and its last epoch."""
+    try:
+        t0 = time.perf_counter()
+        per_rank = runtime.run(
+            _rank_main, graph, cfg.dist, num_parts, cfg.params, initial_parts,
+            cfg.vertex_weights, cfg.ckpt_ctx, cfg.resume,
+        )
+        return per_rank, time.perf_counter() - t0
+    except Exception as exc:
+        if not cfg.fault_tolerant:
+            raise
+        latest = find_latest_committed(cfg.run_dir)
+        epoch = None if latest is None else int(load_manifest(latest)["epoch"])
+        raise RankFailure(
+            f"checkpointed run failed: {exc} "
+            f"(run_dir={cfg.run_dir!r}, last committed epoch: {epoch})",
+            run_dir=cfg.run_dir,
+            epoch=epoch,
+        ) from exc
+    finally:
+        runtime.close()
+
+
+def _assemble_result(
+    cfg: _RunConfig, graph: Graph, num_parts: int, nprocs: int,
+    machine: MachineModel, keep_graph: bool, runtime: Backend,
+    per_rank: list, wall: float,
+) -> PartitionResult:
+    """Gather the ranks' parts; on a resumed run splice the record."""
+    parts = np.empty(graph.n, dtype=np.int64)
+    seen = 0
+    ml_info = None
+    for gids, owned_parts, ml_info in per_rank:  # every rank: the same info
+        parts[gids] = owned_parts
+        seen += gids.size
+    if seen != graph.n:
+        raise AssertionError(f"gathered {seen} of {graph.n} vertex labels")
+
+    stats = runtime.stats
+    if cfg.resume is not None:
+        # splice: checkpointed prefix + live events minus the re-executed
+        # build (deterministic, so the prefix already contains it) — the
+        # record an uninterrupted run would have produced
+        spliced = CommStats(nprocs)
+        spliced.events = list(cfg.base_events) + stats.events[cfg.n_skip:]
+        spliced.recoveries = list(stats.recoveries)
+        # health counters describe the live engine, not the event record —
+        # carry them so a resumed run still reports its watchdog/integrity
+        # activity (they are excluded from the signature either way)
+        spliced.heartbeats_seen = stats.heartbeats_seen
+        spliced.deadline_extensions = stats.deadline_extensions
+        spliced.checksum_verifications = stats.checksum_verifications
+        spliced.checksum_failures = stats.checksum_failures
+        stats = spliced
+
+    return PartitionResult(
+        parts=parts,
+        num_parts=num_parts,
+        nprocs=nprocs,
+        params=cfg.params,
+        stats=stats,
+        wall_seconds=wall,
+        machine=machine,
+        backend=runtime.name,
+        comm=(runtime.comm_strategy.name if runtime.comm_strategy is not None
+              else "flat"),
+        multilevel=ml_info,
+        _graph=graph if keep_graph else None,
+    )
 
 
 def xtrapulp(
@@ -274,158 +549,15 @@ def xtrapulp(
         :class:`~repro.simmpi.errors.PayloadCorruptionError`); ``"off"``
         skips all checksum work; None honors ``$REPRO_INTEGRITY``.
     """
-    if graph.directed:
-        raise ValueError("xtrapulp partitions undirected (symmetric) graphs")
-    if num_parts < 1:
-        raise ValueError("num_parts must be >= 1")
-    if num_parts > graph.n:
-        raise ValueError(f"cannot cut {graph.n} vertices into {num_parts} parts")
-    if vertex_weights is not None:
-        vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
-        if vertex_weights.shape != (graph.n,):
-            raise ValueError("vertex_weights must have one entry per vertex")
-        if vertex_weights.size and vertex_weights.min() <= 0:
-            raise ValueError("vertex_weights must be positive")
-    params = params or PulpParams()
-    if params.multilevel and initial_parts is not None:
-        raise ValueError(
-            "multilevel does not accept initial_parts (projecting an "
-            "existing assignment down the hierarchy is not supported)"
-        )
-    if isinstance(distribution, str):
-        dist = make_distribution(
-            distribution, graph.n, nprocs, seed=params.seed
-        )
-    else:
-        dist = distribution
-        if dist.n != graph.n or dist.nprocs != nprocs:
-            raise ValueError("distribution does not match graph/nprocs")
-
-    # -- fault-tolerance setup (no-op unless requested) -------------------
-    ft_requested = checkpoint is not None or resume is not None
-    policy: Optional[CkptPolicy] = None
-    if checkpoint is not None:
-        policy = (
-            checkpoint if isinstance(checkpoint, CkptPolicy)
-            else CkptPolicy(dir=os.fspath(checkpoint))
-        )
-    resume_arg: Optional[Dict[str, Any]] = None
-    base_events: list = []
-    n_skip = 0
-    ft_run_dir: Optional[str] = None
-    if resume is not None:
-        ckpt_data = load_checkpoint(os.fspath(resume))
-        validate_manifest(
-            ckpt_data.manifest,
-            nprocs=nprocs,
-            num_parts=num_parts,
-            graph_sig=graph_signature(graph),
-            dist_sig=dist_signature(dist),
-            params_repr=repr(params),
-            inputs_sig=inputs_signature(initial_parts, vertex_weights),
-        )
-        base_events = ckpt_data.base_events
-        n_skip = int(ckpt_data.manifest["n_build"])
-        resume_arg = {
-            "next_step": ckpt_data.next_step,
-            "snapshots": ckpt_data.snapshots,
-        }
-        ft_run_dir = os.path.dirname(os.path.abspath(ckpt_data.epoch_dir))
-    ckpt_ctx: Optional[CkptContext] = None
-    if policy is not None:
-        ft_run_dir = policy.dir
-        if policy.every != "off":
-            ckpt_ctx = make_context(
-                policy, graph=graph, dist=dist, params=params, nprocs=nprocs,
-                num_parts=num_parts, initial_parts=initial_parts,
-                vertex_weights=vertex_weights,
-            )
-
-    # all phases charge deterministic work units (priced by the machine
-    # model's gamma), so modeled times are exactly reproducible
-    comm_spec = params.comm if params.comm is not None else default_comm()
-    runtime = create_runtime(backend, nprocs=nprocs, meter_compute=False,
-                             comm=comm_spec, watchdog=watchdog,
-                             integrity=integrity)
-    if ft_requested and runtime.stats.rounds:
-        runtime.close()
-        raise ValueError(
-            "checkpoint/resume needs a fresh runtime: the given backend "
-            "already carries recorded events, which would corrupt the "
-            "spliced communication record"
-        )
-    if fault_plan is not None:
-        runtime.fault_plan = fault_plan
-    if ckpt_ctx is not None:
-        os.makedirs(policy.dir, exist_ok=True)
-        runtime.ckpt_committer = CkptCommitter(
-            policy.dir, base_events=base_events, n_skip=n_skip
-        )
-    try:
-        t0 = time.perf_counter()
-        per_rank = runtime.run(
-            _rank_main, graph, dist, num_parts, params, initial_parts,
-            vertex_weights, ckpt_ctx, resume_arg,
-        )
-        wall = time.perf_counter() - t0
-    except Exception as exc:
-        if not ft_requested:
-            raise
-        epoch: Optional[int] = None
-        if ft_run_dir is not None:
-            latest = find_latest_committed(ft_run_dir)
-            if latest is not None:
-                epoch = int(load_manifest(latest)["epoch"])
-        raise RankFailure(
-            f"checkpointed run failed: {exc} "
-            f"(run_dir={ft_run_dir!r}, last committed epoch: {epoch})",
-            run_dir=ft_run_dir,
-            epoch=epoch,
-        ) from exc
-    finally:
-        runtime.close()
-
-    parts = np.empty(graph.n, dtype=np.int64)
-    seen = 0
-    ml_info: Optional[MultilevelInfo] = None
-    for item in per_rank:
-        gids, owned_parts = item[0], item[1]
-        if len(item) == 3:
-            # multilevel body: every rank returns the same info object
-            ml_info = item[2]
-        parts[gids] = owned_parts
-        seen += gids.size
-    if seen != graph.n:
-        raise AssertionError(f"gathered {seen} of {graph.n} vertex labels")
-
-    stats = runtime.stats
-    if resume_arg is not None:
-        # splice: checkpointed prefix + live events minus the re-executed
-        # build (deterministic, so the prefix already contains it) — the
-        # record an uninterrupted run would have produced
-        spliced = CommStats(nprocs)
-        spliced.events = list(base_events) + stats.events[n_skip:]
-        spliced.recoveries = list(stats.recoveries)
-        # health counters describe the live engine, not the event record —
-        # carry them so a resumed run still reports its watchdog/integrity
-        # activity (they are excluded from the signature either way)
-        spliced.heartbeats_seen = stats.heartbeats_seen
-        spliced.deadline_extensions = stats.deadline_extensions
-        spliced.checksum_verifications = stats.checksum_verifications
-        spliced.checksum_failures = stats.checksum_failures
-        stats = spliced
-
-    return PartitionResult(
-        parts=parts,
-        num_parts=num_parts,
-        nprocs=nprocs,
-        params=params,
-        stats=stats,
-        wall_seconds=wall,
-        machine=machine,
-        backend=runtime.name,
-        comm=(runtime.comm_strategy.name if runtime.comm_strategy is not None
-              else "flat"),
-        multilevel=ml_info,
-        _graph=graph if keep_graph else None,
+    cfg = _resolve_config(
+        graph, num_parts, nprocs, params, distribution, initial_parts,
+        vertex_weights, checkpoint, resume,
+    )
+    runtime = _open_runtime(
+        cfg, nprocs, backend, fault_plan, watchdog, integrity
+    )
+    per_rank, wall = _run(runtime, cfg, graph, num_parts, initial_parts)
+    return _assemble_result(
+        cfg, graph, num_parts, nprocs, machine, keep_graph, runtime,
+        per_rank, wall,
     )

@@ -32,17 +32,29 @@ from repro.graph.gather import expand_ranges
 from repro.simmpi.comm import SimComm
 
 
+def idle_send(nprocs: int, wire: WireSpec):
+    """What a rank that moved nothing ships — most ranks of most exchanges
+    at high rank counts: empty planes of the wire dtypes (what packing
+    zero records produces) and zero counts.  Collectives only read what is
+    deposited, so a caller with many exchanges builds this once."""
+    planes = [np.empty(0, dtype=wire.slot_dtype),
+              np.empty(0, dtype=wire.part_dtype)]
+    return planes, np.zeros(nprocs, dtype=np.int64)
+
+
 def exchange_updates(
     comm: SimComm,
     dg: DistGraph,
     parts: np.ndarray,
     updated_lids: np.ndarray,
     wire: WireSpec,
+    idle=None,
 ) -> np.ndarray:
     """Propagate part updates for ``updated_lids`` (owned local ids) and
     apply incoming updates to this rank's ghost entries of ``parts``.
 
-    ``wire`` carries the record dtypes (``RankState.wire``).  Returns the
+    ``wire`` carries the record dtypes (``RankState.wire``); ``idle`` is a
+    kept :func:`idle_send`, shipped when there are no updates.  Returns the
     local ids of the ghost entries that were updated (each ghost has one
     owner, so the ids are unique) — the frontier engine seeds the next
     active set from them.  Collective: all ranks must call it each sweep
@@ -50,12 +62,7 @@ def exchange_updates(
     """
     updated_lids = np.asarray(updated_lids, dtype=np.int64)
     if updated_lids.size == 0:
-        # a rank that moved nothing sends nothing — most ranks of most
-        # exchanges at high rank counts: empty planes of the wire dtypes,
-        # which is what packing zero records produces
-        planes = [np.empty(0, dtype=wire.slot_dtype),
-                  np.empty(0, dtype=wire.part_dtype)]
-        reccounts = np.zeros(comm.size, dtype=np.int64)
+        planes, reccounts = idle or idle_send(comm.size, wire)
     else:
         # destination ranks: each updated vertex goes to all its neighbor
         # ranks

@@ -58,13 +58,16 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.core.exchange import exchange_updates
+from repro.core.exchange import exchange_updates, idle_send
 from repro.core.state import RankState
 from repro.graph.gather import sorted_unique
 from repro.simmpi.comm import SimComm
 
 #: A vertex reactivates once touches-since-last-eval >= max(1, frac * deg).
 DIRT_FRACTION = 1.0 / 16.0
+
+_NONE = np.empty(0, dtype=np.int64)
+_NONE.flags.writeable = False
 
 
 class FrontierSweeper:
@@ -106,6 +109,8 @@ class FrontierSweeper:
         #: active owned lids for the current iteration; None = all owned
         self._frontier: Optional[np.ndarray] = None
         self._moved: List[np.ndarray] = []
+        #: what an iteration that moved nothing here ships, built on first use
+        self._idle = None
         self._edges_mark = state.edges_touched
         # per-vertex touch accumulator + activation thresholds
         self._dirt = np.zeros(self.dg.n_local, dtype=np.int64)
@@ -195,11 +200,13 @@ class FrontierSweeper:
         ``exchange_updates`` for every vertex moved this iteration, and
         seed the next iteration's frontier.  Returns the moved lids."""
         state = self.state
-        moved = (
-            np.concatenate(self._moved) if self._moved
-            else np.empty(0, dtype=np.int64)
-        )
-        self._moved = []
+        if self._moved:
+            moved = np.concatenate(self._moved)
+            self._moved = []
+        else:
+            moved = _NONE
+            if self._idle is None:
+                self._idle = idle_send(comm.size, state.wire)
         state.sweep_log.append((
             self.phase,
             state.iter_tot,
@@ -209,7 +216,8 @@ class FrontierSweeper:
         ))
         state.flush_work(comm)
         ghost_lids = exchange_updates(
-            comm, self.dg, state.parts, moved, wire=state.wire
+            comm, self.dg, state.parts, moved, wire=state.wire,
+            idle=self._idle,
         )
         self._iter += 1
         self._seed_next(moved, ghost_lids)
@@ -223,6 +231,13 @@ class FrontierSweeper:
         degree-proportional activation threshold}."""
         dg, state = self.dg, self.state
         n = dg.n_local
+        if moved.size == 0 and ghost_lids.size == 0:
+            # nothing moved here and no ghost copy changed — most ranks of
+            # most iterations at high rank counts: no touch count rose, so
+            # none reaches its threshold; the O(n) maintenance charge stays
+            state.work_pending += float(n)
+            self._frontier = _NONE
+            return
         dirt = self._dirt
         touched = 0.0
         if moved.size:

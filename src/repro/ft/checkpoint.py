@@ -1,7 +1,8 @@
 """Phase-boundary checkpointing with an atomic epoch-commit protocol.
 
-The partitioner's outer loop is a fixed **step plan** derived from
-:class:`~repro.core.params.PulpParams`::
+The partitioner's outer loop is a fixed **step plan**
+(:func:`repro.core.driver.step_plan`) derived from
+:class:`~repro.core.params.PulpParams`; for a flat run::
 
     step 0: init
     step 1: vertex_balance (outer 0)    step 2: vertex_refine (outer 0)
@@ -87,22 +88,6 @@ class CkptPolicy:
             raise ValueError(
                 f"CkptPolicy.every must be one of {_EVERY}, got {self.every!r}"
             )
-
-
-# -- step plan ---------------------------------------------------------------
-
-
-def step_plan(params) -> List[Tuple[str, int, str]]:
-    """The driver's step sequence: ``(stage, outer_index, phase_name)``."""
-    plan: List[Tuple[str, int, str]] = [("init", -1, "init")]
-    for o in range(params.outer_iters):
-        plan.append(("vertex", o, "vertex_balance"))
-        plan.append(("vertex", o, "vertex_refine"))
-    if not params.single_objective:
-        for o in range(params.outer_iters):
-            plan.append(("edge", o, "edge_balance"))
-            plan.append(("edge", o, "edge_refine"))
-    return plan
 
 
 def checkpoint_after(plan: Sequence[Tuple[str, int, str]], idx: int,
@@ -240,16 +225,16 @@ def make_context(
     return CkptContext(policy, base)
 
 
-def write_checkpoint(comm, state, ctx: CkptContext, *, epoch: int,
+def write_checkpoint(comm, snapshot: dict, ctx: CkptContext, *, epoch: int,
                      step: Tuple[str, int, str], n_build: int) -> None:
-    """Collective: snapshot this rank's state into epoch ``epoch``.
+    """Collective: deposit this rank's ``snapshot`` into epoch ``epoch``.
 
     Tagged ``checkpoint`` so the event is excluded from the modeled
     partitioning time (``PARTITION_PHASES``) and visible as its own line in
     per-tag breakdowns; the payload is a deterministic pickle, so the event
     is bit-reproducible run-to-run.
     """
-    payload = pickle.dumps(state.snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
+    payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
     meta = {"n_build": int(n_build), "epoch": int(epoch)}
     with comm.phase("checkpoint"):
         comm.Checkpoint(payload, meta, ctx.epoch_writer(epoch, step))

@@ -13,10 +13,11 @@ V-cycle on the simmpi SPMD runtime:
   baseline and the distributed coarsener;
 * :mod:`~repro.multilevel.coarsen` — distributed clustering + contraction
   producing a smaller :class:`~repro.dist.distgraph.DistGraph` per level;
-* :mod:`~repro.multilevel.refine` — the edge-weighted per-level refinement
-  sweeps (frontier-seeded from cluster boundaries);
-* :mod:`~repro.multilevel.driver` — the SPMD body wired into
-  :func:`repro.core.driver.xtrapulp` via ``PulpParams.multilevel``.
+* :mod:`~repro.multilevel.hierarchy` — hierarchy construction, per-level
+  state and projection, called by the one rank body
+  (:func:`repro.core.driver._rank_main`) under ``PulpParams.multilevel``;
+  the per-level refinement is :func:`repro.core.lp.lp_phase` under its
+  edge-weighted ``ml_refine`` spec.
 """
 
 from repro.multilevel.info import MultilevelInfo

@@ -1,9 +1,8 @@
 """Result metadata of a multilevel run (leaf module: no repro imports).
 
-Lives outside :mod:`repro.multilevel.driver` so
-:class:`repro.core.driver.PartitionResult` can reference the type without
-creating an import cycle (``core.driver`` loads the multilevel SPMD body
-lazily, inside the rank function).
+Its own module so :class:`repro.core.driver.PartitionResult` can reference
+the type without an import cycle (``core.driver`` loads
+:mod:`repro.multilevel.hierarchy` lazily, inside the rank function).
 """
 
 from __future__ import annotations

@@ -21,9 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import PulpParams, xtrapulp
 from repro.core.initialization import initialize
+from repro.core.lp import SPECS, lp_phase
 from repro.core.state import RankState
-from repro.core.vertex_balance import vertex_balance_phase
-from repro.core.refinement import vertex_refine_phase
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import generators
 from repro.simmpi import run_spmd
@@ -138,8 +137,8 @@ def test_frontier_shrinks_edges_touched():
             state = RankState(dg=dg, num_parts=p, params=params)
             initialize(comm, state)
             state.edges_touched = 0.0
-            vertex_balance_phase(comm, state, 5)
-            vertex_refine_phase(comm, state, 10)
+            lp_phase(comm, state, SPECS["vertex_balance"], 5)
+            lp_phase(comm, state, SPECS["vertex_refine"], 10)
             return state.edges_touched, state.sweep_log
 
         with exhaustive_sweeps() if exhaustive else nullcontext():

@@ -21,23 +21,21 @@ def test_ghost_consistency_after_full_pipeline():
     params = PulpParams(seed=5)
 
     def main(comm):
-        from repro.core.edge_balance import edge_balance_phase, edge_refine_phase
         from repro.core.initialization import initialize
+        from repro.core.lp import SPECS, lp_phase
         from repro.core.state import RankState
-        from repro.core.vertex_balance import vertex_balance_phase
-        from repro.core.refinement import vertex_refine_phase
         from repro.dist.build import build_dist_graph
 
         dg = build_dist_graph(comm, g, dist)
         state = RankState(dg=dg, num_parts=4, params=params)
         initialize(comm, state)
         for _ in range(params.outer_iters):
-            vertex_balance_phase(comm, state, params.balance_iters)
-            vertex_refine_phase(comm, state, params.refine_iters)
+            for spec in (SPECS["vertex_balance"], SPECS["vertex_refine"]):
+                lp_phase(comm, state, spec, getattr(params, spec.iters))
         state.iter_tot = 0
         for _ in range(params.outer_iters):
-            edge_balance_phase(comm, state, params.balance_iters)
-            edge_refine_phase(comm, state, params.refine_iters)
+            for spec in (SPECS["edge_balance"], SPECS["edge_refine"]):
+                lp_phase(comm, state, spec, getattr(params, spec.iters))
         return (
             dg.owned_gids.copy(),
             state.parts[: dg.n_local].copy(),

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.edge_balance import edge_balance_phase, edge_refine_phase
 from repro.core.initialization import initialize
+from repro.core.lp import SPECS, lp_phase
 from repro.core.params import PulpParams
 from repro.core.quality import edge_cut
-from repro.core.refinement import vertex_refine_phase
 from repro.core.state import RankState
-from repro.core.vertex_balance import vertex_balance_phase
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import rmat, webcrawl
 from repro.simmpi import run_spmd
@@ -42,7 +40,7 @@ def test_vertex_balance_improves_balance():
     p = 8
     parts, snaps = run_phases(
         g, p, 2,
-        [lambda c, s: vertex_balance_phase(c, s, 5)],
+        [lambda c, s: lp_phase(c, s, SPECS["vertex_balance"], 5)],
     )
     before, after = snaps[0], snaps[-1]
     assert after.max() < before.max()
@@ -55,10 +53,10 @@ def test_sizes_conserved_through_phases():
     parts, snaps = run_phases(
         g, 4, 2,
         [
-            lambda c, s: vertex_balance_phase(c, s, 5),
-            lambda c, s: vertex_refine_phase(c, s, 10),
-            lambda c, s: edge_balance_phase(c, s, 5),
-            lambda c, s: edge_refine_phase(c, s, 10),
+            lambda c, s: lp_phase(c, s, SPECS["vertex_balance"], 5),
+            lambda c, s: lp_phase(c, s, SPECS["vertex_refine"], 10),
+            lambda c, s: lp_phase(c, s, SPECS["edge_balance"], 5),
+            lambda c, s: lp_phase(c, s, SPECS["edge_refine"], 10),
         ],
     )
     for snap in snaps:
@@ -79,11 +77,11 @@ def test_refinement_reduces_cut_without_worsening_balance():
         dg = build_dist_graph(comm, g, dist)
         state = RankState(dg=dg, num_parts=p, params=params)
         initialize(comm, state)
-        vertex_balance_phase(comm, state, 5)
+        lp_phase(comm, state, SPECS["vertex_balance"], 5)
         sv_before = state.compute_vertex_sizes(comm)
         gids = dg.owned_gids.copy()
         before = state.parts[: dg.n_local].copy()
-        vertex_refine_phase(comm, state, 10)
+        lp_phase(comm, state, SPECS["vertex_refine"], 10)
         sv_after = state.compute_vertex_sizes(comm)
         after = state.parts[: dg.n_local].copy()
         return gids, before, after, sv_before, sv_after
@@ -112,12 +110,12 @@ def test_edge_balance_phase_improves_edge_balance():
         dg = build_dist_graph(comm, g, dist)
         state = RankState(dg=dg, num_parts=p, params=params)
         initialize(comm, state)
-        vertex_balance_phase(comm, state, 5)
-        vertex_refine_phase(comm, state, 10)
+        lp_phase(comm, state, SPECS["vertex_balance"], 5)
+        lp_phase(comm, state, SPECS["vertex_refine"], 10)
         se_before = state.compute_edge_sizes(comm)
         state.iter_tot = 0
-        edge_balance_phase(comm, state, 5)
-        edge_refine_phase(comm, state, 10)
+        lp_phase(comm, state, SPECS["edge_balance"], 5)
+        lp_phase(comm, state, SPECS["edge_refine"], 10)
         se_after = state.compute_edge_sizes(comm)
         return se_before, se_after
 
@@ -135,7 +133,7 @@ def test_tracked_edge_and_cut_sizes_match_recount():
         dg = build_dist_graph(comm, g, dist)
         state = RankState(dg=dg, num_parts=p, params=params)
         initialize(comm, state)
-        edge_balance_phase(comm, state, 3)
+        lp_phase(comm, state, SPECS["edge_balance"], 3)
         # recompute from scratch and compare with a second recompute —
         # compute_* methods must be pure
         a = state.compute_cut_sizes(comm)

@@ -106,7 +106,7 @@ def test_edge_balance_blocks_targets_by_vertex_weight():
     Vertex 0 (weight 3, part 0) has three neighbours in part 1 (weight 5
     of ``Maxv`` 7 — room for 1, not for 3) and one in part 2 (weight 2).
     """
-    from repro.core.edge_balance import edge_balance_phase
+    from repro.core.lp import SPECS, lp_phase
     from repro.core.state import RankState
     from repro.dist import build_dist_graph, make_distribution
     from repro.graph import from_edges
@@ -124,7 +124,7 @@ def test_edge_balance_blocks_targets_by_vertex_weight():
         state = RankState(dg=dg, num_parts=3, params=PulpParams())
         state.parts[:] = labels
         state.set_vertex_weights(weights, float(weights.sum()))
-        edge_balance_phase(comm, state, 1)
+        lp_phase(comm, state, SPECS["edge_balance"], 1)
         return state.parts.copy()
 
     rt = create_runtime("serial", nprocs=1)

@@ -11,11 +11,9 @@ are pinned by ``tests/golden``, case ``rmat-p8-ranks3-flat``).
 import numpy as np
 
 from repro.core import PulpParams, xtrapulp
-from repro.core.edge_balance import edge_balance_phase, edge_refine_phase
 from repro.core.initialization import initialize
-from repro.core.refinement import vertex_refine_phase
+from repro.core.lp import SPECS, lp_phase
 from repro.core.state import RankState
-from repro.core.vertex_balance import vertex_balance_phase
 from repro.dist import build_dist_graph, make_distribution
 from repro.dist.wire import make_wire_spec
 from repro.graph import generators
@@ -48,10 +46,10 @@ def test_exchange_payload_is_whole_records():
         dg = build_dist_graph(comm, g, dist)
         state = RankState(dg=dg, num_parts=8, params=PulpParams(seed=123))
         initialize(comm, state)
-        vertex_balance_phase(comm, state, 5)
-        vertex_refine_phase(comm, state, 10)
-        edge_balance_phase(comm, state, 5)
-        edge_refine_phase(comm, state, 10)
+        lp_phase(comm, state, SPECS["vertex_balance"], 5)
+        lp_phase(comm, state, SPECS["vertex_refine"], 10)
+        lp_phase(comm, state, SPECS["edge_balance"], 5)
+        lp_phase(comm, state, SPECS["edge_refine"], 10)
         return state.wire.bytes_per_record
 
     out, stats = run_spmd(4, main, meter_compute=False)

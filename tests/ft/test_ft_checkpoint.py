@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import PulpParams, xtrapulp
+from repro.core.driver import step_plan
 from repro.core.state import RankState
 from repro.dist import build_dist_graph, make_distribution
 from repro.ft import CheckpointError, CkptPolicy, find_latest_committed
@@ -18,7 +19,6 @@ from repro.ft.checkpoint import (
     checkpoint_after,
     load_checkpoint,
     load_manifest,
-    step_plan,
     validate_manifest,
 )
 from repro.simmpi import run_spmd

@@ -26,7 +26,7 @@ from repro.dist import make_distribution
 from repro.graph import mesh3d, rmat, webcrawl
 from repro.multilevel import coarsen
 from repro.multilevel.coarsen import local_eweights
-from repro.multilevel.driver import build_hierarchy
+from repro.multilevel.hierarchy import build_hierarchy
 from repro.simmpi import run_spmd
 from tests.reference.contraction import reference_contract
 

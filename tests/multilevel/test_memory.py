@@ -8,7 +8,8 @@ import tracemalloc
 from repro.core import PulpParams, xtrapulp
 from repro.graph import mesh3d
 from repro.graph.csr import Graph
-from repro.multilevel import driver
+from repro.core import driver
+from repro.core.lp import SPECS
 
 
 def live_graphs():
@@ -23,16 +24,17 @@ def test_uncoarsening_holds_no_coarse_graph_and_the_peak_is_pinned(monkeypatch):
         graph, 16, nprocs=4, backend="serial", params=params)
     run(mesh3d(6, 6, 6))  # imports and caches are not the run's memory
     seen = []
-    real = driver.vertex_balance_phase
+    real = driver.lp_phase
 
-    def spy(comm, state, iters):
+    def spy(comm, state, spec, iters, **kwargs):
         # first call: every rank has left build_hierarchy (initialize, just
         # before, is collective) and all eight levels are still in place
         if not seen:
+            assert spec is SPECS["vertex_balance"]
             seen.append(live_graphs())
-        return real(comm, state, iters)
+        return real(comm, state, spec, iters, **kwargs)
 
-    monkeypatch.setattr(driver, "vertex_balance_phase", spy)
+    monkeypatch.setattr(driver, "lp_phase", spy)
     before = live_graphs()
     tracemalloc.start()
     try:
