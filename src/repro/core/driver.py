@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -35,18 +35,15 @@ from repro.core.state import RankState
 from repro.dist.build import build_dist_graph
 from repro.dist.distribution import Distribution, make_distribution
 from repro.ft.checkpoint import (
+    CheckpointData,
     CkptContext,
     CkptCommitter,
     CkptPolicy,
     checkpoint_after,
-    dist_signature,
     find_latest_committed,
-    graph_signature,
-    inputs_signature,
-    load_checkpoint,
+    load_for_run,
     load_manifest,
     make_context,
-    validate_manifest,
     write_checkpoint,
 )
 from repro.graph.csr import Graph
@@ -172,7 +169,7 @@ def _rank_main(
     level.  ``repro.multilevel`` is imported here, not at the top, to keep
     ``core`` ↔ ``multilevel`` imports acyclic and scipy out of flat runs.
     """
-    levels = None
+    levels, n_levels = None, 1
     if params.multilevel:
         from repro.multilevel import hierarchy
         from repro.multilevel.info import MultilevelInfo
@@ -181,8 +178,8 @@ def _rank_main(
             comm, graph, dist, num_parts, params, vertex_weights
         )
         level_sizes = [lv.size for lv in levels]
-        state = hierarchy.level_state(levels, num_parts, params,
-                                      len(level_sizes))
+        n_levels = len(levels)
+        state = hierarchy.level_state(levels, num_parts, params, n_levels)
         cuts: List[float] = []
     else:
         dg = build_dist_graph(comm, graph, dist)
@@ -194,7 +191,6 @@ def _rank_main(
     # same on every rank, and on a resumed run: the build is BSP and a
     # function of the inputs alone
     n_build = comm.event_count
-    n_levels = len(levels) if levels else 1
     plan = step_plan(params, n_levels)
     start = 0
     if resume is not None:
@@ -268,19 +264,13 @@ class _RunConfig:
     params: PulpParams
     dist: Distribution
     vertex_weights: Optional[np.ndarray]
-    #: directory failures report against (checkpoint=, else resume='s run)
+    #: where epochs go (or the resumed one came from); None: no fault tolerance
     run_dir: Optional[str] = None
     ckpt_ctx: Optional[CkptContext] = None
-    #: ``{"next_step", "snapshots"}`` for the rank body, with the event
-    #: prefix the resumed record splices onto and the (re-executed,
-    #: deterministic) build events to skip
-    resume: Optional[Dict[str, Any]] = None
-    base_events: list = field(default_factory=list)
-    n_skip: int = 0
-
-    @property
-    def fault_tolerant(self) -> bool:
-        return self.run_dir is not None
+    #: the epoch to resume from: rank snapshots, the event prefix the live
+    #: record is spliced onto, the count of build events to skip
+    resumed: Optional[CheckpointData] = None
+    runtime: Optional[Backend] = None
 
 
 def _resolve_config(
@@ -288,11 +278,11 @@ def _resolve_config(
     distribution: Union[str, Distribution],
     initial_parts: Optional[np.ndarray],
     vertex_weights: Optional[np.ndarray],
-    checkpoint: Union[None, str, os.PathLike, CkptPolicy],
-    resume: Union[None, str, os.PathLike],
+    backend, checkpoint, resume, fault_plan, watchdog, integrity,
 ) -> _RunConfig:
-    """Validate the inputs; resolve the distribution, the checkpoint policy
-    and the epoch to resume from (fault tolerance is a no-op unless asked)."""
+    """Validate the inputs; resolve the distribution, the checkpoint policy,
+    the epoch to resume from, and the runtime with its guards (backend,
+    communicator, watchdog, integrity mode, fault plan, committer)."""
     if graph.directed:
         raise ValueError("xtrapulp partitions undirected (symmetric) graphs")
     if num_parts < 1:
@@ -320,24 +310,16 @@ def _resolve_config(
         if dist.n != graph.n or dist.nprocs != nprocs:
             raise ValueError("distribution does not match graph/nprocs")
     cfg = _RunConfig(params, dist, vertex_weights)
+
+    # fault tolerance: a no-op unless requested
+    identity = dict(
+        graph=graph, dist=dist, params=params, nprocs=nprocs,
+        num_parts=num_parts, initial_parts=initial_parts,
+        vertex_weights=vertex_weights,
+    )
     if resume is not None:
-        ckpt_data = load_checkpoint(os.fspath(resume))
-        validate_manifest(
-            ckpt_data.manifest,
-            nprocs=nprocs,
-            num_parts=num_parts,
-            graph_sig=graph_signature(graph),
-            dist_sig=dist_signature(dist),
-            params_repr=repr(params),
-            inputs_sig=inputs_signature(initial_parts, vertex_weights),
-        )
-        cfg.base_events = ckpt_data.base_events
-        cfg.n_skip = int(ckpt_data.manifest["n_build"])
-        cfg.resume = {
-            "next_step": ckpt_data.next_step,
-            "snapshots": ckpt_data.snapshots,
-        }
-        cfg.run_dir = os.path.dirname(os.path.abspath(ckpt_data.epoch_dir))
+        cfg.resumed = load_for_run(os.fspath(resume), **identity)
+        cfg.run_dir = os.path.dirname(os.path.abspath(cfg.resumed.epoch_dir))
     if checkpoint is not None:
         policy = (
             checkpoint if isinstance(checkpoint, CkptPolicy)
@@ -345,27 +327,16 @@ def _resolve_config(
         )
         cfg.run_dir = policy.dir
         if policy.every != "off":
-            cfg.ckpt_ctx = make_context(
-                policy, graph=graph, dist=dist, params=params, nprocs=nprocs,
-                num_parts=num_parts, initial_parts=initial_parts,
-                vertex_weights=vertex_weights,
-            )
-    return cfg
+            cfg.ckpt_ctx = make_context(policy, **identity)
 
-
-def _open_runtime(cfg: _RunConfig, nprocs: int, backend, fault_plan,
-                  watchdog, integrity) -> Backend:
-    """Resolve backend, communicator, watchdog and integrity mode into a
-    runtime; arm the fault plan and the checkpoint committer on it."""
-    params = cfg.params
     # all phases charge deterministic work units (priced by the machine
     # model's gamma), so modeled times are exactly reproducible
-    runtime = create_runtime(
+    cfg.runtime = runtime = create_runtime(
         backend, nprocs=nprocs, meter_compute=False,
         comm=params.comm if params.comm is not None else default_comm(),
         watchdog=watchdog, integrity=integrity,
     )
-    if cfg.fault_tolerant and runtime.stats.rounds:
+    if cfg.run_dir is not None and runtime.stats.rounds:
         runtime.close()
         raise ValueError(
             "checkpoint/resume needs a fresh runtime: the given backend "
@@ -377,25 +348,29 @@ def _open_runtime(cfg: _RunConfig, nprocs: int, backend, fault_plan,
     if cfg.ckpt_ctx is not None:
         os.makedirs(cfg.run_dir, exist_ok=True)
         runtime.ckpt_committer = CkptCommitter(
-            cfg.run_dir, base_events=cfg.base_events, n_skip=cfg.n_skip
+            cfg.run_dir,
+            base_events=cfg.resumed.base_events if cfg.resumed else None,
+            n_skip=cfg.resumed.n_build if cfg.resumed else 0,
         )
-    return runtime
+    return cfg
 
 
-def _run(runtime: Backend, cfg: _RunConfig, graph: Graph, num_parts: int,
+def _run(cfg: _RunConfig, graph: Graph, num_parts: int,
          initial_parts: Optional[np.ndarray]) -> Tuple[list, float]:
-    """Run the rank body on ``runtime`` and close it; ``(per-rank results,
-    wall seconds)``.  A failed fault-tolerant run raises
-    :class:`RankFailure` naming the run directory and its last epoch."""
+    """Run the rank body and close the runtime; ``(per-rank results, wall
+    seconds)``.  A failed fault-tolerant run raises :class:`RankFailure`
+    naming the run directory and its last committed epoch."""
+    resume = cfg.resumed and {"next_step": cfg.resumed.next_step,
+                              "snapshots": cfg.resumed.snapshots}
     try:
         t0 = time.perf_counter()
-        per_rank = runtime.run(
+        per_rank = cfg.runtime.run(
             _rank_main, graph, cfg.dist, num_parts, cfg.params, initial_parts,
-            cfg.vertex_weights, cfg.ckpt_ctx, cfg.resume,
+            cfg.vertex_weights, cfg.ckpt_ctx, resume,
         )
         return per_rank, time.perf_counter() - t0
     except Exception as exc:
-        if not cfg.fault_tolerant:
+        if cfg.run_dir is None:
             raise
         latest = find_latest_committed(cfg.run_dir)
         epoch = None if latest is None else int(load_manifest(latest)["epoch"])
@@ -406,15 +381,13 @@ def _run(runtime: Backend, cfg: _RunConfig, graph: Graph, num_parts: int,
             epoch=epoch,
         ) from exc
     finally:
-        runtime.close()
+        cfg.runtime.close()
 
 
-def _assemble_result(
-    cfg: _RunConfig, graph: Graph, num_parts: int, nprocs: int,
-    machine: MachineModel, keep_graph: bool, runtime: Backend,
-    per_rank: list, wall: float,
-) -> PartitionResult:
-    """Gather the ranks' parts; on a resumed run splice the record."""
+def _assemble_result(cfg: _RunConfig, graph: Graph, num_parts: int,
+                     per_rank: list) -> Tuple[np.ndarray, CommStats, Any]:
+    """Gather the ranks' parts; on a resumed run splice the record.
+    Returns ``(parts, stats, multilevel info)``."""
     parts = np.empty(graph.n, dtype=np.int64)
     seen = 0
     ml_info = None
@@ -423,38 +396,18 @@ def _assemble_result(
         seen += gids.size
     if seen != graph.n:
         raise AssertionError(f"gathered {seen} of {graph.n} vertex labels")
-
-    stats = runtime.stats
-    if cfg.resume is not None:
+    stats = cfg.runtime.stats
+    if cfg.resumed is not None:
         # splice: checkpointed prefix + live events minus the re-executed
         # build (deterministic, so the prefix already contains it) — the
-        # record an uninterrupted run would have produced
-        spliced = CommStats(nprocs)
-        spliced.events = list(cfg.base_events) + stats.events[cfg.n_skip:]
-        spliced.recoveries = list(stats.recoveries)
-        # health counters describe the live engine, not the event record —
-        # carry them so a resumed run still reports its watchdog/integrity
-        # activity (they are excluded from the signature either way)
-        spliced.heartbeats_seen = stats.heartbeats_seen
-        spliced.deadline_extensions = stats.deadline_extensions
-        spliced.checksum_verifications = stats.checksum_verifications
-        spliced.checksum_failures = stats.checksum_failures
-        stats = spliced
-
-    return PartitionResult(
-        parts=parts,
-        num_parts=num_parts,
-        nprocs=nprocs,
-        params=cfg.params,
-        stats=stats,
-        wall_seconds=wall,
-        machine=machine,
-        backend=runtime.name,
-        comm=(runtime.comm_strategy.name if runtime.comm_strategy is not None
-              else "flat"),
-        multilevel=ml_info,
-        _graph=graph if keep_graph else None,
-    )
+        # record an uninterrupted run would have produced.  Recoveries and
+        # health counters describe the live engine, not the event record
+        # (and are no part of the signature): a resumed run reports its own.
+        stats = replace(
+            stats, recoveries=list(stats.recoveries),
+            events=cfg.resumed.base_events + stats.events[cfg.resumed.n_build:],
+        )
+    return parts, stats, ml_info
 
 
 def xtrapulp(
@@ -551,13 +504,22 @@ def xtrapulp(
     """
     cfg = _resolve_config(
         graph, num_parts, nprocs, params, distribution, initial_parts,
-        vertex_weights, checkpoint, resume,
+        vertex_weights, backend, checkpoint, resume, fault_plan, watchdog,
+        integrity,
     )
-    runtime = _open_runtime(
-        cfg, nprocs, backend, fault_plan, watchdog, integrity
-    )
-    per_rank, wall = _run(runtime, cfg, graph, num_parts, initial_parts)
-    return _assemble_result(
-        cfg, graph, num_parts, nprocs, machine, keep_graph, runtime,
-        per_rank, wall,
+    per_rank, wall = _run(cfg, graph, num_parts, initial_parts)
+    parts, stats, ml_info = _assemble_result(cfg, graph, num_parts, per_rank)
+    strategy = cfg.runtime.comm_strategy
+    return PartitionResult(
+        parts=parts,
+        num_parts=num_parts,
+        nprocs=nprocs,
+        params=cfg.params,
+        stats=stats,
+        wall_seconds=wall,
+        machine=machine,
+        backend=cfg.runtime.name,
+        comm=strategy.name if strategy is not None else "flat",
+        multilevel=ml_info,
+        _graph=graph if keep_graph else None,
     )

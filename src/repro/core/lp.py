@@ -1,30 +1,23 @@
 """The one constrained label-propagation phase (Algorithms 4–5, §III.E).
 
-Every XtraPuLP phase is the same loop: per iteration refresh the limits,
+Every XtraPuLP phase is the same loop.  Per iteration: refresh the limits;
 sweep the active set block by block — estimate the global sizes as
 ``S + mult · C`` (last Allreduced totals plus this rank's deltas, scaled
 by the dynamic multiplier of §III.C), score the block
 (:func:`repro.core.scoring.score_block`), admit candidates first-come
-within each part's throttled capacity ``(limit − est) / mult``
-(:mod:`repro.core.capacity`, the paper's per-move atomic updates recovered
-for vectorized blocks), commit them into ``C`` — then ExchangeUpdates and
-Allreduce the ``[d × p]`` delta block into the totals.  What differs
-between phases is a rule set, a :class:`PhaseSpec`; :data:`SPECS` holds
-the five the pipeline runs, and a sixth — a rebalancer, a d-dimensional
-balance — is one more literal, not one more loop.
+within each part's throttled capacity ``(bound − est) / mult``
+(:mod:`repro.core.capacity`: the paper's per-move atomic updates,
+recovered for vectorized blocks), commit them into ``C`` — then
+ExchangeUpdates and Allreduce the ``[d × p]`` delta block into the totals.
+What differs between phases is a rule set, a :class:`PhaseSpec`;
+:data:`SPECS` holds the five the pipeline runs (tabulated in DESIGN.md
+§4), and a sixth is one more literal, not one more loop.
 
 Tracked totals per part: ``v`` vertex weight, ``e`` sum of member degrees
 (the incrementally trackable edge size), ``c`` cut edges touching the
-part.  Moving vertex ``i`` (degree ``deg``, ``n_x`` / ``n_w`` neighbours
-in its old part ``x`` / new part ``w``) changes the cut sizes by
-``ΔSc(x) = 2 n_x − deg`` and ``ΔSc(w) = deg − 2 n_w``.
-
-Sweeps run over the :class:`repro.core.frontier.FrontierSweeper` active
-set: a full first iteration (or the caller's seeds), then only vertices
-that moved or saw enough neighbours move; refine phases force one late
-exhaustive cleanup sweep, a few iterations before the end so the
-remaining active sweeps damp the simultaneous-move overshoot a full BSP
-sweep commits when the state is not yet a fixed point.
+part.  Moving a vertex of degree ``deg`` with ``n_x`` / ``n_w`` neighbours
+in its old / new part changes their cut sizes by ``2 n_x − deg`` and
+``deg − 2 n_w``.
 """
 
 from __future__ import annotations
@@ -56,23 +49,22 @@ _WEIGHTS = (None, "vertex", "edge_cut")
 class Constraint(NamedTuple):
     """One tracked per-part total and the rules that bound it.
 
-    ``limit`` — the bound ``Max`` a part may not be pushed over, refreshed
-    every iteration from the Allreduced totals: ``"recompute"`` takes
-    ``max(S.max(), target)``; ``"ratchet"`` also never lets it grow within
-    the phase, so the phase can only maintain or improve the worst
-    imbalance (the paper's "without increasing the size of any part
-    greater than the current most imbalanced part", made robust against
-    the BSP attractor creep per-iteration recomputation allows).  The
-    target is ``Imb_v`` / ``Imb_e`` for ``v`` / ``e`` and 1 for ``c``.
+    ``limit`` — how the bound ``Max`` is refreshed every iteration from the
+    Allreduced totals: ``"recompute"`` takes ``max(S.max(), target)``
+    (target: ``Imb_v`` / ``Imb_e``; 1 for ``c``); ``"ratchet"`` also never
+    lets it grow within the phase, so the phase can only maintain or
+    improve the worst imbalance — the paper's "without increasing the size
+    of any part greater than the current most imbalanced part", robust
+    against the creep per-iteration recomputation allows BSP sweeps.
 
-    ``cap`` — None tracks the total without bounding moves by it;
-    otherwise the constraint gates scoring (a part is closed to a vertex
+    ``cap`` — None tracks the total without bounding moves by it.
+    Otherwise the constraint gates scoring (a part is closed to a vertex
     that would push its estimate over ``Max``) and admits moves up to
-    ``(bound − est) / mult`` with bound ``"target"`` (where the balance
+    ``(bound − est) / mult``, with bound ``"target"`` (where the balance
     weight reaches zero), ``"limit"`` (``Max``), ``"two_tier"`` (a part
-    below the target fills only to it; one already above may still take
-    moves up to ``Max``), or — for ``c`` — ``"gain"``: ``Max`` in units of
-    the signed cut delta at the target, gated by the scoring cut rule.
+    below the target fills only to it; one above may still take moves up
+    to ``Max``) or, for ``c``, ``"gain"``: ``Max``, in units of the signed
+    cut delta at the target, gated by the scoring cut rule.
     """
 
     total: str
@@ -102,7 +94,9 @@ class PhaseSpec:
     reseed: bool = False
     #: rebalance degree-0 vertices every iteration (:func:`_rebalance_isolated`)
     isolated: bool = False
-    #: exhaustive cleanup sweep this many iterations before the end
+    #: one exhaustive cleanup sweep, this many iterations before the end:
+    #: it catches moves the active set missed, and the active sweeps left
+    #: damp the simultaneous-move overshoot a full BSP sweep commits
     cleanup: Optional[int] = None
 
     def __post_init__(self) -> None:

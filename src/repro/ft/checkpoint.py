@@ -322,6 +322,11 @@ class CheckpointData:
     def next_step(self) -> int:
         return int(self.manifest["next_step"])
 
+    @property
+    def n_build(self) -> int:
+        """Collectives the (deterministic, re-executed) build consumes."""
+        return int(self.manifest["n_build"])
+
 
 def find_latest_committed(run_dir: str) -> Optional[str]:
     """Path of the newest epoch directory holding a committed manifest."""
@@ -430,3 +435,20 @@ def validate_manifest(
                 f"checkpoint was written for a different {field_name}: "
                 f"checkpoint has {have!r}, this run has {want!r}"
             )
+
+
+def load_for_run(path: str, *, graph, dist, params, nprocs: int,
+                 num_parts: int, initial_parts, vertex_weights) -> CheckpointData:
+    """:func:`load_checkpoint`, validated against the run described by the
+    keywords of :func:`make_context`."""
+    data = load_checkpoint(path)
+    validate_manifest(
+        data.manifest,
+        nprocs=nprocs,
+        num_parts=num_parts,
+        graph_sig=graph_signature(graph),
+        dist_sig=dist_signature(dist),
+        params_repr=repr(params),
+        inputs_sig=inputs_signature(initial_parts, vertex_weights),
+    )
+    return data
