@@ -107,7 +107,9 @@ class PartitionResult:
         return partition_quality(g, self.parts, self.num_parts)
 
 
-def step_plan(params: PulpParams, n_levels: int = 1) -> List[Tuple[str, int, str]]:
+def step_plan(
+    params: PulpParams, n_levels: int = 1
+) -> List[Tuple[str, int, str]]:
     """The rank body's step sequence: ``(stage, index, phase)``, ``phase``
     naming ``"init"`` or one of :data:`repro.core.lp.SPECS`.
 
@@ -227,10 +229,8 @@ def _rank_main(
                 lp_phase(comm, state, SPECS["vertex_balance"],
                          params.balance_iters)
                 iters = params.ml_refine_iters
-            lp_phase(
-                comm, state, spec, iters, seed_lids=seeds,
-                arc_weights=levels[-1].ew_local if spec.tally == "arc" else None,
-            )
+            ew = levels[-1].ew_local if spec.tally == "arc" else None
+            lp_phase(comm, state, spec, iters, arc_weights=ew, seed_lids=seeds)
             if stage == "uncoarsen":
                 cuts.append(hierarchy.weighted_cut(comm, state, levels[-1]))
         if ckpt is not None and checkpoint_after(plan, idx, ckpt.policy.every):
@@ -384,10 +384,11 @@ def _run(cfg: _RunConfig, graph: Graph, num_parts: int,
         cfg.runtime.close()
 
 
-def _assemble_result(cfg: _RunConfig, graph: Graph, num_parts: int,
-                     per_rank: list) -> Tuple[np.ndarray, CommStats, Any]:
-    """Gather the ranks' parts; on a resumed run splice the record.
-    Returns ``(parts, stats, multilevel info)``."""
+def _assemble_result(
+    cfg: _RunConfig, graph: Graph, num_parts: int, nprocs: int,
+    per_rank: list, wall: float, machine: MachineModel, keep_graph: bool,
+) -> PartitionResult:
+    """Gather the ranks' parts; on a resumed run splice the record."""
     parts = np.empty(graph.n, dtype=np.int64)
     seen = 0
     ml_info = None
@@ -396,18 +397,31 @@ def _assemble_result(cfg: _RunConfig, graph: Graph, num_parts: int,
         seen += gids.size
     if seen != graph.n:
         raise AssertionError(f"gathered {seen} of {graph.n} vertex labels")
-    stats = cfg.runtime.stats
+    runtime = cfg.runtime
+    stats = runtime.stats
     if cfg.resumed is not None:
         # splice: checkpointed prefix + live events minus the re-executed
         # build (deterministic, so the prefix already contains it) — the
         # record an uninterrupted run would have produced.  Recoveries and
         # health counters describe the live engine, not the event record
         # (and are no part of the signature): a resumed run reports its own.
-        stats = replace(
-            stats, recoveries=list(stats.recoveries),
-            events=cfg.resumed.base_events + stats.events[cfg.resumed.n_build:],
-        )
-    return parts, stats, ml_info
+        prefix, n_skip = cfg.resumed.base_events, cfg.resumed.n_build
+        stats = replace(stats, recoveries=list(stats.recoveries),
+                        events=prefix + stats.events[n_skip:])
+    return PartitionResult(
+        parts=parts,
+        num_parts=num_parts,
+        nprocs=nprocs,
+        params=cfg.params,
+        stats=stats,
+        wall_seconds=wall,
+        machine=machine,
+        backend=runtime.name,
+        comm=(runtime.comm_strategy.name if runtime.comm_strategy is not None
+              else "flat"),
+        multilevel=ml_info,
+        _graph=graph if keep_graph else None,
+    )
 
 
 def xtrapulp(
@@ -508,18 +522,6 @@ def xtrapulp(
         integrity,
     )
     per_rank, wall = _run(cfg, graph, num_parts, initial_parts)
-    parts, stats, ml_info = _assemble_result(cfg, graph, num_parts, per_rank)
-    strategy = cfg.runtime.comm_strategy
-    return PartitionResult(
-        parts=parts,
-        num_parts=num_parts,
-        nprocs=nprocs,
-        params=cfg.params,
-        stats=stats,
-        wall_seconds=wall,
-        machine=machine,
-        backend=cfg.runtime.name,
-        comm=strategy.name if strategy is not None else "flat",
-        multilevel=ml_info,
-        _graph=graph if keep_graph else None,
+    return _assemble_result(
+        cfg, graph, num_parts, nprocs, per_rank, wall, machine, keep_graph
     )

@@ -92,7 +92,7 @@ class PhaseSpec:
     part_weight: Optional[str] = None
     #: revive parts without connected members at entry
     reseed: bool = False
-    #: rebalance degree-0 vertices every iteration (:func:`_rebalance_isolated`)
+    #: rebalance degree-0 vertices every iteration
     isolated: bool = False
     #: one exhaustive cleanup sweep, this many iterations before the end:
     #: it catches moves the active set missed, and the active sweeps left
@@ -174,7 +174,7 @@ SPECS = {s.tag: s for s in (
 
 
 def _attraction(target: float, est: np.ndarray) -> np.ndarray:
-    """``max(target / est − 1, 0)``: zero once the estimate reaches the target."""
+    """``max(target / est − 1, 0)``: zero once ``est`` reaches the target."""
     return np.maximum(target / np.maximum(est, 1.0) - 1.0, 0.0)
 
 
@@ -271,15 +271,16 @@ def lp_phase(
                           else max(0, iters - spec.cleanup)),
         )
         for _ in range(iters):
+            tops = [float(row.max()) for row in S]
             for i, c in enumerate(cons):
-                top = float(S[i].max())
+                top = tops[i]
                 if c.limit == "ratchet":
                     top = min(limits[i], top)
                 limits[i] = max(top, targets[i])
             mult = state.mult(comm)
             throttle = max(mult, 1e-12)
             if spec.part_weight == "edge_cut":
-                if float(S[1].max()) > targets[1]:
+                if tops[1] > targets[1]:
                     re_bias += params.re_step
                 else:
                     rc_bias += params.rc_step
@@ -316,11 +317,12 @@ def lp_phase(
                     if rule == "target":
                         bound = targets[i]
                     elif rule == "two_tier":
-                        bound = np.where(est[i] < targets[i], targets[i], bound)
+                        bound = np.where(
+                            est[i] < targets[i], targets[i], bound)
                     pairs.append((add[i][cand], (bound - est[i]) / throttle))
                 if cut_rule:
-                    pairs.append((add[1][cand] - 2.0 * n_w,  # ΔSc at the target
-                                  (limits[2] - est[2]) / throttle))
+                    gain = add[1][cand] - 2.0 * n_w  # ΔSc at the target
+                    pairs.append((gain, (limits[2] - est[2]) / throttle))
                 keep = enforce_weight_capacity(new, pairs)
                 cand, new = cand[keep], new[keep]
                 if cand.size == 0:
@@ -328,12 +330,12 @@ def lp_phase(
                 moved = lids[cand]
                 old = state.parts[moved]
                 state.parts[moved] = new
-                for row, w in zip(C, add):
-                    w = w[cand]
+                moved_w = [w[cand] for w in add]
+                for row, w in zip(C, moved_w):
                     row += np.bincount(new, weights=w, minlength=p)
                     row -= np.bincount(old, weights=w, minlength=p)
                 if d == 3:
-                    deg = add[1][cand]
+                    deg = moved_w[1]
                     C[2] += np.bincount(
                         old, weights=2.0 * n_x[keep] - deg, minlength=p)
                     C[2] += np.bincount(

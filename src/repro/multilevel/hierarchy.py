@@ -1,24 +1,16 @@
 """The V-cycle's hierarchy: coarsen, then project back level by level.
 
 What the rank body (:func:`repro.core.driver._rank_main`) calls when
-``params.multilevel`` is set; the plan it follows is
-:func:`repro.core.driver.step_plan`.  Shape of a run:
-
-1. **Hierarchy construction** — cluster + contract level by level until
-   the vertex count drops below ``max(ml_coarsest_factor * num_parts,
-   2 * nprocs)``, ``ml_levels`` is reached, or coarsening stagnates.
-   The hierarchy depends only on ``(graph, dist, params)`` — never on
-   partition state — so a resumed run re-executes it deterministically
-   and the event-splice machinery works unchanged (``n_build`` =
-   collectives consumed through hierarchy construction).
-2. **Coarsest partition** — init + the vertex stage on the coarsest
-   level, its refine half tallying by coarse edge weight.
-3. **Uncoarsening** — per level: project parts through the cluster map
-   (one Allgatherv of owned coarse parts), a balance pass at the level's
-   target, then bounded weighted refine sweeps seeded from
-   cluster-boundary vertices.
-4. **Edge stage** — on the *fine* graph, where structural degrees (the
-   edge-balance objective) are meaningful.
+``params.multilevel`` is set, in the order of
+:func:`repro.core.driver.step_plan`: build the hierarchy — cluster +
+contract until the vertex count drops below ``max(ml_coarsest_factor *
+num_parts, 2 * nprocs)``, ``ml_levels`` is reached, or coarsening
+stagnates; partition the coarsest level; per finer level, project the parts
+through the cluster map and hand back the state and refine seeds of that
+level; close on the fine graph.  The hierarchy depends only on ``(graph,
+dist, params)`` — never on partition state — so a resumed run re-executes
+it deterministically and the event splice works unchanged (``n_build`` =
+collectives consumed through hierarchy construction).
 """
 
 from __future__ import annotations
