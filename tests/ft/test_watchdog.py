@@ -167,6 +167,35 @@ def test_threads_peer_stall_detected_by_waiters():
     assert 0 in ei.value.ranks  # the napper is blamed, not the waiters
 
 
+def test_serial_baton_holder_stall_blames_the_holder():
+    """A genuine stall on ``serial``: rank 0 naps while it holds the baton,
+    so nobody else can run; the parked ranks' sliced waits trip the deadline
+    and blame the holder, not themselves.  The nap ends inside the abandon
+    window (timeout + grace after the failure), so the report is the parked
+    rank's, not the join's "thread abandoned"."""
+    def fn(comm):
+        with comm.phase("warmup"):
+            comm.barrier()
+        with comm.phase("napping"):
+            comm.barrier()  # rank 2 executes it and runs on to its return
+            if comm.rank == 0:
+                time.sleep(1.25)  # woken with the baton, parks nobody
+            return comm.allreduce(1)
+
+    rt = create_runtime("serial", nprocs=3, watchdog=0.5)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(HungRankError) as ei:
+            rt.run(fn)
+    finally:
+        rt.close()
+    assert time.monotonic() - t0 < 4.0
+    assert ei.value.ranks == (0,)
+    assert ei.value.phase == "napping"
+    assert ei.value.detection_seconds >= 0.5
+    assert "held the scheduling baton" in str(ei.value)
+
+
 def test_procs_watchdog_kills_the_hung_process(ft_graph, ft_params):
     """procs detection is a real kill: the HungRankError comes from the
     supervisor-side watchdog, with the stall phase on it."""

@@ -1,5 +1,8 @@
 """Runtime semantics: error propagation, deadlock detection, determinism."""
 
+import re
+import time
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,55 @@ def test_deadlock_when_rank_enters_extra_collective():
 
     with pytest.raises(DeadlockError):
         run_spmd(3, fn)
+
+
+# The three misuse errors of the in-process rendezvous, with the rank lists
+# they name.  A short nap makes the arrival order the same on ``threads`` as
+# the baton makes it on ``serial``.
+_IN_PROCESS = pytest.mark.parametrize("backend", ["serial", "threads"])
+
+
+@_IN_PROCESS
+def test_mismatch_names_caller_and_deposited_ranks(backend):
+    def fn(comm):
+        if comm.rank == 2:
+            time.sleep(0.3)
+            comm.allreduce(1)
+        else:
+            comm.barrier()
+
+    with pytest.raises(CollectiveMismatchError, match=re.escape(
+            "rank 2 called 'allreduce' (tag '') while ranks 0, 1 already in "
+            "'barrier' (tag '', superstep 0)")):
+        run_spmd(3, fn, backend=backend)
+
+
+@_IN_PROCESS
+def test_deadlock_names_rank_entering_after_a_return(backend):
+    def fn(comm):
+        if comm.rank == 0:
+            return
+        time.sleep(0.3)
+        comm.barrier()
+
+    with pytest.raises(DeadlockError, match=re.escape(
+            "rank 1 entered collective 'barrier' (tag '', superstep 0) but "
+            "1 rank(s) already returned")):
+        run_spmd(2, fn, backend=backend)
+
+
+@_IN_PROCESS
+def test_deadlock_names_ranks_stuck_after_a_return(backend):
+    def fn(comm):
+        if comm.rank == 2:
+            time.sleep(0.3)
+            return
+        comm.barrier()
+
+    with pytest.raises(DeadlockError, match=re.escape(
+            "2 rank(s) (ranks 0, 1) stuck in collective 'barrier' (tag '', "
+            "superstep 0) after other ranks returned")):
+        run_spmd(3, fn, backend=backend)
 
 
 def test_deterministic_results_across_runs():

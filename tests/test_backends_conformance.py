@@ -227,7 +227,12 @@ def test_collective_mismatch(backend):
         else:
             comm.allreduce(1)
 
-    with pytest.raises(CollectiveMismatchError):
+    # in-process: whoever arrives second names the rank already deposited;
+    # procs: the designated computer lists every rank's op
+    with pytest.raises(CollectiveMismatchError, match=(
+            r"rank 1 called 'allreduce' .* while rank 0 already in 'barrier'"
+            r"|rank 0 called 'barrier' .* while rank 1 already in 'allreduce'"
+            r"|rank 0: 'barrier', rank 1: 'allreduce'")):
         run_on(backend, 2, fn)
 
 
@@ -238,7 +243,9 @@ def test_deadlock_when_one_rank_returns_early(backend):
             return "done early"
         comm.barrier()
 
-    with pytest.raises(DeadlockError):
+    with pytest.raises(DeadlockError, match=(
+            r"rank 1 entered collective 'barrier' .* but 1 rank\(s\) already "
+            r"returned|1 rank\(s\) \(rank 1\) stuck in collective 'barrier'")):
         run_on(backend, 2, fn)
 
 
@@ -249,7 +256,10 @@ def test_deadlock_when_rank_enters_extra_collective(backend):
         if comm.rank == 0:
             comm.barrier()  # others never join
 
-    with pytest.raises(DeadlockError):
+    with pytest.raises(DeadlockError, match=(
+            r"rank 0 entered collective 'barrier' .* but [12] rank\(s\) "
+            r"already returned"
+            r"|1 rank\(s\) \(rank 0\) stuck in collective 'barrier'")):
         run_on(backend, 3, fn)
 
 
