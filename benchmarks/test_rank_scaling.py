@@ -32,12 +32,11 @@ PARAMS = dict(seed=42, outer_iters=1, balance_iters=2, refine_iters=3)
 
 
 def _run(graph, nprocs, backend="serial", comm=None):
-    rt = create_runtime(backend, nprocs=nprocs, meter_compute=False)
-    # the driver resolves the communicator from params.comm, so the spec
-    # must ride there (a comm set on the runtime instance would be replaced)
-    params = PulpParams(comm=comm, **PARAMS) if comm else PulpParams(**PARAMS)
+    rt = create_runtime(backend, nprocs=nprocs, meter_compute=False,
+                        comm=comm)
     t0 = time.perf_counter()
-    result = xtrapulp(graph, PARTS, nprocs=nprocs, params=params, backend=rt)
+    result = xtrapulp(graph, PARTS, nprocs=nprocs,
+                      params=PulpParams(**PARAMS), backend=rt)
     return time.perf_counter() - t0, result
 
 

@@ -49,7 +49,6 @@ from repro.ft.checkpoint import (
 from repro.graph.csr import Graph
 from repro.simmpi.backends import Backend, create_runtime
 from repro.simmpi.comm import SimComm
-from repro.simmpi.topology import default_comm
 from repro.simmpi.errors import RankFailure
 from repro.simmpi.metrics import CommStats
 from repro.simmpi.timing import BLUE_WATERS_LIKE, MachineModel, TimeModel
@@ -333,7 +332,7 @@ def _resolve_config(
     # model's gamma), so modeled times are exactly reproducible
     cfg.runtime = runtime = create_runtime(
         backend, nprocs=nprocs, meter_compute=False,
-        comm=params.comm if params.comm is not None else default_comm(),
+        comm=params.comm,
         watchdog=watchdog, integrity=integrity,
     )
     if cfg.run_dir is not None and runtime.stats.rounds:
@@ -479,10 +478,10 @@ def xtrapulp(
         :class:`~repro.simmpi.backends.base.Backend`); None honors
         ``$REPRO_BACKEND`` and defaults to ``"threads"``.  Identical
         partitions and communication stats are produced on every backend.
-        The communicator strategy (``params.comm`` / ``$REPRO_COMM``)
-        independently selects topology-aware metering — again without
-        changing partitions or the communication record (see
-        :mod:`repro.simmpi.topology`).
+        The communicator strategy (``params.comm``, else a pre-built
+        backend's own, else ``$REPRO_COMM``) independently selects
+        topology-aware metering — again without changing partitions or
+        the communication record (see :mod:`repro.simmpi.topology`).
     checkpoint:
         Enable phase-boundary checkpointing: a
         :class:`~repro.ft.checkpoint.CkptPolicy`, or a run-directory path

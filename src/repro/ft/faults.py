@@ -3,12 +3,12 @@
 A :class:`FaultPlan` plants failures at exact supersteps: "rank 2's third
 collective inside phase ``vertex_refine`` raises", or dies hard, or stalls
 for 50 ms, or ships a payload with one flipped byte (``corrupt`` — the
-integrity subsystem's detection oracle).  The runtime consults the plan right before every collective
-deposit — via :meth:`repro.simmpi.backends.base.Backend._fault_check` on the
-in-process backends, and inside ``_RankEndpoint.collective`` on the
-``procs`` backend, where a ``die`` fault is a real ``os._exit`` of the rank
-process mid-superstep (the case the shared-memory hygiene and supervision
-code must survive).
+integrity subsystem's detection oracle).  The runtime consults the plan
+right before every collective deposit, through
+:func:`repro.simmpi.backends.base.fault_preamble` on every backend; on
+``procs`` a ``die`` fault is a real ``os._exit`` of the rank process
+mid-superstep (the case the shared-memory hygiene and supervision code must
+survive).
 
 Determinism is the point: the same plan against the same program fails at
 the same superstep every time, so crash/recover tests can assert exact

@@ -11,16 +11,19 @@ chainermn-style factory::
 
 Shipped backends:
 
-=========  =======================  =============================  =======================================
-name       parallelism              determinism                    recommended use
-=========  =======================  =============================  =======================================
-serial     none (round-robin)       results *and* schedule         debugging rank code, minimal repros
-threads    native threads (GIL)     results                        default; NumPy-heavy kernels
-procs      forked processes + shm   results                        pure-Python rank code, strong scaling
-=========  =======================  =============================  =======================================
+=========  ===========================  ======================  =====================================
+name       parallelism                  determinism             recommended use
+=========  ===========================  ======================  =====================================
+serial     none (parked rank threads,   results *and* schedule  debugging rank code, minimal repros,
+           one round-robin baton)                               thousands of ranks
+threads    rank threads, all running    results                 default; NumPy-heavy kernels
+procs      forked processes + shm       results                 pure-Python rank code, strong scaling
+=========  ===========================  ======================  =====================================
 
-All backends execute identical collective semantics and metering, so a
-fixed-seed program yields bit-identical results and
+``serial`` and ``threads`` are the two schedules of one in-process
+rendezvous engine (:mod:`repro.simmpi.backends.engine`).  All backends
+execute identical collective semantics and metering, so a fixed-seed
+program yields bit-identical results and
 :class:`~repro.simmpi.metrics.CommStats` on every backend.
 
 The default backend (used when ``backend=None``) is ``threads``, overridable
@@ -40,9 +43,8 @@ import os
 from typing import Any, Dict, List, Optional, Type, Union
 
 from repro.simmpi.backends.base import Backend
+from repro.simmpi.backends.engine import SerialBackend, ThreadsBackend
 from repro.simmpi.backends.procs import ProcsBackend
-from repro.simmpi.backends.serial import SerialBackend
-from repro.simmpi.backends.threads import ThreadsBackend
 from repro.simmpi.topology import Communicator, create_communicator
 
 #: Environment variable consulted when ``create_runtime(backend=None)``.

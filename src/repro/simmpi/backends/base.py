@@ -25,7 +25,6 @@ Concrete backends live next to this module and are selected by name via
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -35,50 +34,37 @@ from repro.simmpi.errors import RemoteRankError
 from repro.simmpi.metrics import CollectiveEvent, CommStats, TierMetering
 
 
-class _Pending:
-    """State of the collective currently being assembled (in-process)."""
+def fault_preamble(plan: Any, watchdog: Any, rank: int, op: str, tag: str,
+                   header_slot: Optional[int], *,
+                   can_die: bool) -> Optional[int]:
+    """Give the fault plan its turn before a deposit, on every backend.
 
-    __slots__ = ("op", "tag", "contribs", "nbytes", "compute", "work",
-                 "dest", "arrived", "results", "deposited", "checksums")
+    One consultation per *metered round*, so a deposit that also stands
+    for its count header (``header_slot``) takes two steps of the plan —
+    the header's, then the payload's — and a ``FaultSpec`` step means what
+    it meant when the header was a rendezvous of its own.  ``can_die``
+    says whether the rank is a killable process (``procs``); elsewhere
+    ``die`` is downgraded to a raised fault.  The watchdog deadline, if
+    any, is forwarded so injected delays past it surface as hangs.
 
-    def __init__(self, nprocs: int, op: str, tag: str) -> None:
-        self.op = op
-        self.tag = tag
-        self.contribs: List[Any] = [None] * nprocs
-        self.nbytes = np.zeros(nprocs, dtype=np.int64)
-        self.compute = np.zeros(nprocs, dtype=np.float64)
-        self.work = np.zeros(nprocs, dtype=np.float64)
-        #: Per-rank per-destination byte vectors of destination-addressed
-        #: ops under a tiered communicator strategy (the tier split's
-        #: input); None everywhere else.
-        self.dest: List[Optional[np.ndarray]] = [None] * nprocs
-        self.arrived = 0
-        self.results: Optional[List[Any]] = None
-        #: Which ranks have deposited (diagnostics: deadlock/mismatch
-        #: errors name the blocked ranks, not just their count).
-        self.deposited: List[bool] = [False] * nprocs
-        #: Per-rank contribution crc32s (integrity mode only, else None).
-        self.checksums: Optional[List[Optional[int]]] = None
-
-    def blocked_ranks(self) -> List[int]:
-        return [r for r, d in enumerate(self.deposited) if d]
-
-
-def consult_fault_plan(plan: Any, rank: int, op: str, tag: str,
-                       header_slot: Optional[int], *, can_die: bool,
-                       deadline: Optional[float]) -> Optional[Any]:
-    """Give ``plan`` its turn before a deposit: one consultation per
-    *metered round*, so a deposit that also stands for its count header
-    (``header_slot``) takes two steps of the plan — the header's, then the
-    payload's — and a ``FaultSpec`` step means what it meant when the
-    header was a rendezvous of its own.  Returns the matched ``corrupt``
-    spec (the header's first), or None."""
+    Returns the seed of the byte flip a matched ``corrupt`` spec (the
+    header's first) asks for, or None; the caller applies it *after* the
+    send-side checksum is taken, modeling damage in flight.
+    """
+    if plan is None:
+        return None
+    deadline = watchdog.timeout if watchdog is not None else None
     header_spec = None
     if header_slot is not None:
         header_spec = plan.check(rank, "alltoall", tag, can_die=can_die,
                                  deadline=deadline)
     spec = plan.check(rank, op, tag, can_die=can_die, deadline=deadline)
-    return header_spec or spec
+    spec = header_spec or spec
+    if spec is None:
+        return None
+    from repro.ft.integrity import corruption_seed
+
+    return corruption_seed(rank, spec.step, spec.attempt)
 
 
 def metered_rounds(
@@ -194,26 +180,6 @@ class Backend(ABC):
         #: checksums every payload at send and verifies at receive.
         self.integrity = default_integrity()
 
-    # -- fault injection ---------------------------------------------------
-
-    def _fault_check(self, rank: int, op: str, tag: str,
-                     header_slot: Optional[int] = None) -> Optional[Any]:
-        """Give the fault plan a chance to fire before a deposit (see
-        :func:`consult_fault_plan`).
-
-        Hard process death is not available here (only the ``procs``
-        backend runs ranks in killable processes; the in-process backends
-        downgrade ``die`` to a raised fault).  The watchdog deadline, if
-        any, is forwarded so injected delays past it surface as hangs.
-        Returns the matched ``corrupt`` spec (or None).
-        """
-        plan = self.fault_plan
-        if plan is None:
-            return None
-        deadline = self.watchdog.timeout if self.watchdog is not None else None
-        return consult_fault_plan(plan, rank, op, tag, header_slot,
-                                  can_die=False, deadline=deadline)
-
     # -- rendezvous + collective compute -----------------------------------
 
     def collective(
@@ -249,103 +215,37 @@ class Backend(ABC):
         where the receiving side re-computes and compares before
         ``execute`` runs — an injected ``corrupt`` fault flips a payload
         byte *after* the checksum is taken, modeling in-flight damage.
+
+        One rank has nobody to wait for and is served here, on every
+        backend; more ranks meet in the backend's ``_rendezvous`` (the
+        in-process engine's — ``procs`` ranks deposit through their own
+        endpoints, never through the parent's backend object).
         """
-        corrupt_spec = self._fault_check(rank, op, tag, header_slot)
+        corrupt_seed = fault_preamble(self.fault_plan, self.watchdog, rank,
+                                      op, tag, header_slot, can_die=False)
         if self.nprocs == 1:
-            return self._collective_single(op, tag, contribution, execute,
-                                           compute_seconds, work_units,
-                                           header_slot)
+            # nobody to wait for, and zero off-rank bytes, so there is no
+            # traffic to classify into tiers either
+            results = execute([contribution])
+            self._record_rounds(tag, metered_rounds(
+                None, op, np.zeros(1, dtype=np.int64),
+                np.array([compute_seconds]), np.array([work_units]),
+                header_slot=header_slot,
+            ))
+            return results[0]
         checksum: Optional[int] = None
-        if self.integrity == "crc":
-            from repro.ft.integrity import checksum_obj
+        if self.integrity == "crc" or corrupt_seed is not None:
+            from repro.ft import integrity
 
-            checksum = checksum_obj(contribution)
-        if corrupt_spec is not None:
-            from repro.ft.integrity import corrupt_object, corruption_seed
-
-            seed = corruption_seed(rank, corrupt_spec.step,
-                                   corrupt_spec.attempt)
-            corrupt_object(contribution, seed)
-        return self._collective_parallel(
+            if self.integrity == "crc":
+                checksum = integrity.checksum_obj(contribution)
+            if corrupt_seed is not None:
+                integrity.corrupt_object(contribution, corrupt_seed)
+        return self._rendezvous(
             rank, op, tag, contribution, nbytes_sent, execute,
             compute_seconds, work_units, dest_bytes, root, header_slot,
-            checksum=checksum,
+            checksum,
         )
-
-    def _collective_single(
-        self,
-        op: str,
-        tag: str,
-        contribution: Any,
-        execute: Callable[[List[Any]], List[Any]],
-        compute_seconds: float,
-        work_units: float,
-        header_slot: Optional[int],
-    ) -> Any:
-        """The one-rank case: nobody to wait for, and zero off-rank bytes,
-        so there is no traffic to classify into tiers either."""
-        results = execute([contribution])
-        self._record_rounds(tag, metered_rounds(
-            None, op, np.zeros(1, dtype=np.int64),
-            np.array([compute_seconds]), np.array([work_units]),
-            header_slot=header_slot,
-        ))
-        return results[0]
-
-    def _collective_parallel(
-        self,
-        rank: int,
-        op: str,
-        tag: str,
-        contribution: Any,
-        nbytes_sent: int,
-        execute: Callable[[List[Any]], List[Any]],
-        compute_seconds: float,
-        work_units: float,
-        dest_bytes: Optional[np.ndarray] = None,
-        root: Optional[int] = None,
-        header_slot: Optional[int] = None,
-        checksum: Optional[int] = None,
-    ) -> Any:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not execute collectives in the "
-            "driver process; ranks use their own endpoints"
-        )
-
-    def _verify_checksums(self, pending: _Pending) -> None:
-        """Re-checksum every deposited contribution against its send-time
-        crc just before the collective executes (in-process receive side).
-
-        Raises :class:`~repro.simmpi.errors.PayloadCorruptionError` naming
-        the damaged ranks; the caller is expected to ``_fail`` peers first
-        — this helper only detects and counts.
-        """
-        from repro.ft.integrity import checksum_obj
-        from repro.simmpi.errors import PayloadCorruptionError, format_ranks
-
-        assert pending.checksums is not None
-        self.stats.checksum_verifications += self.nprocs
-        bad = [r for r, crc in enumerate(pending.checksums)
-               if crc is not None
-               and checksum_obj(pending.contribs[r]) != crc]
-        if bad:
-            self.stats.checksum_failures += len(bad)
-            raise PayloadCorruptionError(
-                f"payload checksum mismatch for {format_ranks(bad)} in "
-                f"collective {pending.op!r} (tag {pending.tag!r}, "
-                f"superstep {self.stats.rounds})",
-                rank=bad[0],
-                location=f"{self.name} rendezvous",
-            )
-
-    def _record_pending(self, pending: _Pending, root: Optional[int],
-                        header_slot: Optional[int]) -> None:
-        """Record the metered round(s) of the rendezvous ``pending`` just
-        completed (in-process backends)."""
-        self._record_rounds(pending.tag, metered_rounds(
-            self.comm_strategy, pending.op, pending.nbytes, pending.compute,
-            pending.work, pending.dest, root, header_slot,
-        ))
 
     def _record_rounds(self, tag: str, rounds: Sequence[tuple]) -> None:
         for op, nbytes, compute, work, tiers in rounds:
@@ -361,28 +261,19 @@ class Backend(ABC):
         tiers: Optional[np.ndarray] = None,
     ) -> None:
         tier_view: Optional[TierMetering] = None
-        if tiers is not None and self.comm_strategy is not None:
-            hop_parts = self.comm_strategy.hops(op)
-            intra_hops, inter_hops = hop_parts[0], hop_parts[1]
-            xrack_hops = hop_parts[2] if len(hop_parts) > 2 else 0
-            if tiers.shape[1] == 6:
-                # rack-tier column order: intra, inter, xrack, then wires
-                tier_view = TierMetering(
-                    intra_bytes=tiers[:, 0], inter_bytes=tiers[:, 1],
-                    wire_intra=tiers[:, 3], wire_inter=tiers[:, 4],
-                    intra_hops=intra_hops, inter_hops=inter_hops,
-                    node_of=self.comm_strategy.node_map,
-                    xrack_bytes=tiers[:, 2], wire_xrack=tiers[:, 5],
-                    xrack_hops=xrack_hops,
-                    rack_of=getattr(self.comm_strategy, "rack_map", None),
-                )
-            else:
-                tier_view = TierMetering(
-                    intra_bytes=tiers[:, 0], inter_bytes=tiers[:, 1],
-                    wire_intra=tiers[:, 2], wire_inter=tiers[:, 3],
-                    intra_hops=intra_hops, inter_hops=inter_hops,
-                    node_of=self.comm_strategy.node_map,
-                )
+        strategy = self.comm_strategy
+        if tiers is not None and strategy is not None:
+            # the byte columns then the wire columns, one of each per tier
+            # (two tiers, three over racks), and one hop count per tier
+            half = tiers.shape[1] // 2
+            names = (("intra_bytes", "inter_bytes", "xrack_bytes")[:half]
+                     + ("wire_intra", "wire_inter", "wire_xrack")[:half])
+            tier_view = TierMetering(
+                node_of=strategy.node_map, rack_of=strategy.rack_map,
+                **dict(zip(names, tiers.T)),
+                **dict(zip(("intra_hops", "inter_hops", "xrack_hops"),
+                           strategy.hops(op))),
+            )
         self.stats.record(CollectiveEvent(
             op=op, tag=tag, bytes_sent=bytes_sent,
             compute_seconds=compute_seconds, work_units=work_units,
@@ -427,38 +318,6 @@ class Backend(ABC):
         kwargs: dict,
     ) -> List[Any]:
         """Run the SPMD program with ``nprocs >= 2`` ranks."""
-
-    def _join_bounded(self, threads: Sequence[Any]) -> List[int]:
-        """Join rank worker threads under the watchdog deadline.
-
-        ``threads[r]`` carries rank ``r``.  Unlike the procs supervisor,
-        an in-process backend cannot kill a wedged rank — the deadline
-        machinery instead guarantees that every *parked* rank self-detects
-        a stall (sliced waits) and fails the run; this join then gives the
-        remaining threads one ``timeout + grace`` window to unwind and
-        **abandons** any that do not (they were created as daemons when a
-        watchdog is configured, so interpreter exit is not held hostage).
-        Returns the ranks abandoned this way ([] normally).
-        """
-        wd = self.watchdog
-        assert wd is not None
-        slice_s = wd.slice_seconds()
-        alive = {r: t for r, t in enumerate(threads)}
-        abandon_at: Optional[float] = None
-        while alive:
-            for r, t in list(alive.items()):
-                t.join(timeout=slice_s)
-                if not t.is_alive():
-                    del alive[r]
-            if not alive:
-                break
-            if getattr(self, "_failure", None) is not None:
-                now = time.monotonic()
-                if abandon_at is None:
-                    abandon_at = now + wd.timeout + wd.grace
-                elif now >= abandon_at:
-                    return sorted(alive)
-        return []
 
     @staticmethod
     def _raise_collected(

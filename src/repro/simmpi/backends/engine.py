@@ -1,0 +1,422 @@
+"""The in-process rendezvous engine and its two schedules.
+
+Every rank is carried by a worker thread, and every inter-rank interaction
+is a *collective*: each rank deposits its contribution into the rendezvous
+being assembled, the last depositor executes the collective once (pure
+NumPy, no further synchronization) and records its metered rounds, and
+every rank picks up its slice of the result.  Ranks only mutate rank-local
+state between rendezvous, so results are independent of thread scheduling.
+
+A rank that is not the last depositor *parks* on its own gate — a raw
+``threading.Lock`` it holds while it runs, allocated once per run: parking
+is one C-level ``acquire``, waking one ``release``, with no per-wait
+allocation.  Who may run, and who opens which gate, is the **schedule**,
+and it is all that tells the two backends apart:
+
+``serial`` — the baton
+    Exactly one rank runs at any instant.  Rank 0 runs until its first
+    deposit, then hands the baton (opens the gate of) the next rank round
+    robin that has neither returned nor deposited.  The last depositor
+    executes the collective and *keeps running* with its own result
+    (executor-continue: one park/wake cycle saved per collective, counted in
+    :attr:`~repro.simmpi.metrics.CommStats.saved_switches`); the others
+    resume one by one as the baton comes round.  The schedule is a pure
+    function of the program — prints, breakpoints and profiles repeat
+    run to run — which makes it the backend for debugging rank code and for
+    thousands of ranks (nothing contends).
+
+``threads`` — everyone runs
+    Every rank runs from the start; the last depositor opens every other
+    gate.  NumPy-heavy rank code overlaps for real (NumPy releases the
+    GIL); pure-Python rank code serializes on it — use ``procs`` for that.
+
+Misuse that would hang or corrupt a real MPI job is an error on both: ranks
+in different collectives at one superstep raise
+:class:`~repro.simmpi.errors.CollectiveMismatchError`, a rank returning
+while others wait (or entering after one returned)
+:class:`~repro.simmpi.errors.DeadlockError`; a failing rank releases the
+others with :class:`~repro.simmpi.errors.RemoteRankError` and its own
+exception is re-raised from :meth:`Backend.run`.  Under a watchdog a parked
+rank slices its wait and reports a stalled run as
+:class:`~repro.simmpi.errors.HungRankError` — blaming the baton holder on
+``serial``, the ranks missing from the rendezvous on ``threads``.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from typing import Any, Callable, List, Optional, Sequence
+
+import numpy as np
+
+from repro.simmpi.backends.base import Backend, metered_rounds
+from repro.simmpi.errors import (
+    CollectiveMismatchError,
+    DeadlockError,
+    HungRankError,
+    PayloadCorruptionError,
+    RemoteRankError,
+    format_ranks,
+)
+
+
+class _Pending:
+    """The rendezvous currently being assembled."""
+
+    __slots__ = ("op", "tag", "contribs", "nbytes", "compute", "work",
+                 "dest", "arrived", "results", "deposited", "checksums")
+
+    def __init__(self, nprocs: int, op: str, tag: str) -> None:
+        self.op = op
+        self.tag = tag
+        self.contribs: List[Any] = [None] * nprocs
+        self.nbytes = np.zeros(nprocs, dtype=np.int64)
+        self.compute = np.zeros(nprocs, dtype=np.float64)
+        self.work = np.zeros(nprocs, dtype=np.float64)
+        #: Per-rank per-destination byte vectors of destination-addressed
+        #: ops under a tiered communicator strategy (the tier split's
+        #: input); None everywhere else.
+        self.dest: List[Optional[np.ndarray]] = [None] * nprocs
+        self.arrived = 0
+        self.results: Optional[List[Any]] = None
+        #: Which ranks have deposited: the baton skips them, and the misuse
+        #: errors name them.
+        self.deposited: List[bool] = [False] * nprocs
+        #: Per-rank contribution crc32s (integrity mode only, else None).
+        self.checksums: Optional[List[Optional[int]]] = None
+
+    def ranks(self, deposited: bool = True) -> List[int]:
+        return [r for r, d in enumerate(self.deposited) if d == deposited]
+
+
+class InProcessBackend(Backend):
+    """Thread-carried ranks and one rendezvous; subclasses pick the
+    schedule by setting :attr:`baton`."""
+
+    #: True: one rank runs at a time and the baton is handed round robin
+    #: (``serial``).  False: every rank runs and the last depositor wakes
+    #: the rest (``threads``).
+    baton: bool = False
+
+    def __init__(self, nprocs: int, *, meter_compute: bool = True) -> None:
+        super().__init__(nprocs, meter_compute=meter_compute)
+        #: Guards the rendezvous state.  Never contended under the baton
+        #: (only its holder runs); never taken by a parked rank reporting a
+        #: hang, so a rank wedged inside ``execute`` cannot hide itself.
+        self._mutex = threading.Lock()
+        self._gates: List[threading.Lock] = []
+        self._finished: List[bool] = []
+        self._n_finished = 0
+        self._pending: Optional[_Pending] = None
+        self._failure: Optional[BaseException] = None
+        #: Rank most recently handed the baton — the one actually running.
+        self._running = 0
+
+    def _at(self, op: str, tag: str) -> str:
+        return (f"collective {op!r} (tag {tag!r}, "
+                f"superstep {self.stats.rounds})")
+
+    # -- gates ---------------------------------------------------------------
+
+    def _open(self, rank: int) -> None:
+        """Wake ``rank``, or let its next park fall through (idempotent: a
+        failure opens every gate, parked behind or not)."""
+        try:
+            self._gates[rank].release()
+        except RuntimeError:
+            pass  # already open — the wake is already in flight
+
+    def _pass_baton(self, from_rank: int) -> None:
+        """Hand execution to the next rank after ``from_rank`` that has
+        neither returned nor deposited into the pending rendezvous."""
+        pending = self._pending
+        for offset in range(1, self.nprocs + 1):
+            r = (from_rank + offset) % self.nprocs
+            if not self._finished[r] and not (
+                    pending is not None and pending.deposited[r]):
+                self._running = r
+                self._open(r)
+                return
+
+    def _park(self, rank: int) -> None:
+        """Block until this rank's gate opens.  Under a watchdog the wait
+        is sliced, so a run that stopped advancing (a peer wedged outside
+        any fault hook) surfaces as a HungRankError after the deadline
+        instead of blocking forever; under the baton the wait spans a full
+        scheduling round by design — see the deadline semantics note in
+        :mod:`repro.ft.watchdog`."""
+        gate = self._gates[rank]
+        wd = self.watchdog
+        if wd is None:
+            gate.acquire()
+            return
+        slice_s = wd.slice_seconds()
+        warn_at = wd.timeout * wd.warn_fraction
+        start = time.monotonic()
+        extensions = 0
+        while not gate.acquire(timeout=slice_s):
+            waited = time.monotonic() - start
+            if waited >= warn_at and extensions < wd.probes:
+                extensions += 1
+                self.stats.deadline_extensions += 1
+            if waited < wd.timeout:
+                continue
+            if self._failure is not None or (
+                    self._pending is None and not self.baton):
+                # a peer failed the run (that failure is the report, not a
+                # second hang) or, where everyone runs, completed the
+                # rendezvous as this slice ran out: the gate is opening
+                continue
+            raise self._fail(self._hung(rank, waited))
+
+    def _hung(self, rank: int, waited: float) -> HungRankError:
+        """The report of parked ``rank`` giving up after ``waited`` s: it
+        blames who stopped advancing, not itself for noticing."""
+        pending = self._pending
+        deadline = f"(deadline {self.watchdog.timeout:.3g}s)"
+        if self.baton:
+            stalled: tuple = (self._running,)
+            text = (f"{format_ranks(stalled)} held the scheduling baton for "
+                    f"{waited:.3g}s without progress {deadline} at superstep "
+                    f"{self.stats.rounds}; rank {rank} gave up waiting")
+        else:
+            stalled = tuple(pending.ranks(deposited=False)) or (rank,)
+            text = (f"{format_ranks(stalled)} made no progress for "
+                    f"{waited:.3g}s {deadline}: missing from "
+                    f"{self._at(pending.op, pending.tag)} with "
+                    f"{format_ranks(pending.ranks())} deposited and waiting")
+        return HungRankError(
+            text, ranks=stalled, detection_seconds=waited,
+            phase=pending.tag if pending is not None else "",
+        )
+
+    def _fail(self, exc: BaseException) -> BaseException:
+        """Record the first failure and release every rank; returns
+        ``exc`` for the caller to raise."""
+        if self._failure is None:
+            self._failure = exc
+        self._pending = None
+        for r in range(self.nprocs):
+            self._open(r)
+        return exc
+
+    # -- the rendezvous ------------------------------------------------------
+
+    def _rendezvous(
+        self,
+        rank: int,
+        op: str,
+        tag: str,
+        contribution: Any,
+        nbytes_sent: int,
+        execute: Callable[[List[Any]], List[Any]],
+        compute_seconds: float,
+        work_units: float,
+        dest_bytes: Optional[np.ndarray],
+        root: Optional[int],
+        header_slot: Optional[int],
+        checksum: Optional[int],
+    ) -> Any:
+        with self._mutex:
+            if self._failure is not None:
+                raise RemoteRankError(f"rank {rank}: aborted") from self._failure
+            if self._n_finished > 0:
+                raise self._fail(DeadlockError(
+                    f"rank {rank} entered {self._at(op, tag)} but "
+                    f"{self._n_finished} rank(s) already returned"
+                ))
+            pending = self._pending
+            if pending is None:
+                pending = self._pending = _Pending(self.nprocs, op, tag)
+            elif pending.op != op:
+                raise self._fail(CollectiveMismatchError(
+                    f"rank {rank} called {op!r} (tag {tag!r}) while "
+                    f"{format_ranks(pending.ranks())} already in "
+                    f"{pending.op!r} (tag {pending.tag!r}, "
+                    f"superstep {self.stats.rounds})"
+                ))
+
+            pending.contribs[rank] = contribution
+            pending.nbytes[rank] = nbytes_sent
+            pending.compute[rank] = compute_seconds
+            pending.work[rank] = work_units
+            pending.dest[rank] = dest_bytes
+            pending.arrived += 1
+            pending.deposited[rank] = True
+            if checksum is not None:
+                if pending.checksums is None:
+                    pending.checksums = [None] * self.nprocs
+                pending.checksums[rank] = checksum
+
+            if pending.arrived == self.nprocs:
+                try:
+                    if pending.checksums is not None:
+                        self._verify_checksums(pending)
+                    pending.results = execute(pending.contribs)
+                except BaseException as exc:  # propagate to all ranks
+                    self._fail(exc)
+                    raise
+                self._record_rounds(tag, metered_rounds(
+                    self.comm_strategy, op, pending.nbytes, pending.compute,
+                    pending.work, pending.dest, root, header_slot,
+                ))
+                self._pending = None
+                if self.baton:
+                    # executor-continue: this rank is the one running, so
+                    # it proceeds with its result instead of parking and
+                    # being re-woken; the others resume one by one as it
+                    # passes the baton at its next deposit (or on return)
+                    self.stats.saved_switches += 1
+                else:
+                    for r in range(self.nprocs):
+                        if r != rank:
+                            self._open(r)
+                return pending.results[rank]
+
+        if self.baton:
+            self._pass_baton(rank)
+        self._park(rank)
+        if self._failure is not None:
+            raise RemoteRankError(f"rank {rank}: aborted") from self._failure
+        return pending.results[rank]
+
+    def _verify_checksums(self, pending: _Pending) -> None:
+        """Re-checksum every deposited contribution against its send-time
+        crc just before the collective executes (the receive side)."""
+        from repro.ft.integrity import checksum_obj
+
+        self.stats.checksum_verifications += self.nprocs
+        bad = [r for r, crc in enumerate(pending.checksums)
+               if crc is not None
+               and checksum_obj(pending.contribs[r]) != crc]
+        if bad:
+            self.stats.checksum_failures += len(bad)
+            raise PayloadCorruptionError(
+                f"payload checksum mismatch for {format_ranks(bad)} in "
+                f"{self._at(pending.op, pending.tag)}",
+                rank=bad[0],
+                location=f"{self.name} rendezvous",
+            )
+
+    # -- running SPMD programs -----------------------------------------------
+
+    def _run_parallel(
+        self,
+        fn: Callable[..., Any],
+        args: tuple,
+        rank_args: Optional[Sequence[Sequence[Any]]],
+        kwargs: dict,
+    ) -> List[Any]:
+        from repro.simmpi.comm import SimComm
+
+        n = self.nprocs
+        # one reusable gate per rank, held from the start so a rank's first
+        # park blocks until somebody opens it
+        self._gates = [threading.Lock() for _ in range(n)]
+        for gate in self._gates:
+            gate.acquire()
+        self._finished = [False] * n
+        self._n_finished = 0
+        self._pending = None
+        self._failure = None
+        self._running = 0
+
+        results: List[Any] = [None] * n
+        errors: List[Optional[BaseException]] = [None] * n
+
+        def worker(rank: int) -> None:
+            if self.baton:
+                self._park(rank)  # until the baton first comes round
+            if self._failure is None:
+                comm = SimComm(self, rank)
+                extra = tuple(rank_args[rank]) if rank_args is not None else ()
+                try:
+                    results[rank] = fn(comm, *extra, *args, **kwargs)
+                except BaseException as exc:
+                    errors[rank] = exc
+                    if not isinstance(exc, RemoteRankError):
+                        with self._mutex:
+                            self._fail(exc)
+            with self._mutex:
+                self._finished[rank] = True
+                self._n_finished += 1
+                pending = self._pending
+                if (pending is not None and self._failure is None
+                        and pending.arrived + self._n_finished >= n):
+                    self._fail(DeadlockError(
+                        f"{pending.arrived} rank(s) "
+                        f"({format_ranks(pending.ranks())}) stuck in "
+                        f"{self._at(pending.op, pending.tag)} after other "
+                        f"ranks returned"
+                    ))
+            if self.baton and self._failure is None:
+                self._pass_baton(rank)
+
+        threads = [
+            threading.Thread(target=worker, args=(r,),
+                             name=f"simmpi-{self.name}-rank-{r}",
+                             daemon=self.watchdog is not None)
+            for r in range(n)
+        ]
+        for t in threads:
+            t.start()
+        if self.baton:
+            self._open(0)  # rank 0 opens the round robin
+        if self.watchdog is None:
+            for t in threads:
+                t.join()
+        else:
+            for r in self._join_bounded(threads):
+                if errors[r] is None:
+                    errors[r] = HungRankError(
+                        f"rank {r} never returned after the run failed; "
+                        f"thread abandoned past the "
+                        f"{self.watchdog.timeout:.3g}s deadline",
+                        ranks=(r,),
+                        detection_seconds=self.watchdog.timeout,
+                    )
+
+        self._raise_collected(errors, self._failure)
+        return results
+
+    def _join_bounded(self, threads: Sequence[threading.Thread]) -> List[int]:
+        """Join the rank threads under the watchdog deadline.
+
+        Unlike the procs supervisor this backend cannot kill a wedged rank:
+        the sliced parks guarantee that every *parked* rank self-detects a
+        stall and fails the run; this join then gives the remaining threads
+        one ``timeout + grace`` window to unwind and **abandons** any that
+        do not (they are daemons under a watchdog, so interpreter exit is
+        not held hostage).  Returns the ranks abandoned ([] normally).
+        """
+        wd = self.watchdog
+        slice_s = wd.slice_seconds()
+        alive = dict(enumerate(threads))
+        abandon_at: Optional[float] = None
+        while alive:
+            for r, t in list(alive.items()):
+                t.join(timeout=slice_s)
+                if not t.is_alive():
+                    del alive[r]
+            if alive and self._failure is not None:
+                now = time.monotonic()
+                if abandon_at is None:
+                    abandon_at = now + wd.timeout + wd.grace
+                elif now >= abandon_at:
+                    return sorted(alive)
+        return []
+
+
+class SerialBackend(InProcessBackend):
+    """Deterministic single-runner backend: the round-robin baton."""
+
+    name = "serial"
+    baton = True
+
+
+class ThreadsBackend(InProcessBackend):
+    """Every rank thread runs; the last depositor wakes the rest."""
+
+    name = "threads"
+    baton = False

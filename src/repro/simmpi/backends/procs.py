@@ -71,7 +71,7 @@ from repro.ft.watchdog import HeartbeatBoard, Watchdog, WatchdogConfig
 from repro.simmpi import dataplane
 from repro.simmpi.backends.base import (
     Backend,
-    consult_fault_plan,
+    fault_preamble,
     metered_rounds,
 )
 from repro.simmpi.errors import (
@@ -521,26 +521,15 @@ class _RankEndpoint:
         root: Optional[int] = None,
         header_slot: Optional[int] = None,
     ) -> Any:
-        corrupt_spec = None
-        if self._fault_plan is not None:
-            # can_die=True: ranks are real processes here, so a "die" fault
-            # is an actual os._exit mid-superstep, and a long "delay" is a
-            # real stall for the supervisor-side watchdog to detect.
-            corrupt_spec = consult_fault_plan(
-                self._fault_plan, self.rank, op, tag, header_slot,
-                can_die=True,
-                deadline=(self._watchdog.timeout
-                          if self._watchdog is not None else None),
-            )
+        # can_die=True: ranks are real processes here, so a "die" fault is
+        # an actual os._exit mid-superstep, and a long "delay" is a real
+        # stall for the supervisor-side watchdog to detect
+        corrupt_seed = fault_preamble(self._fault_plan, self._watchdog,
+                                      self.rank, op, tag, header_slot,
+                                      can_die=True)
         action = ("coll", op, tag, int(nbytes_sent), float(compute_seconds),
                   float(work_units), contribution, dest_bytes, root,
                   header_slot)
-        corrupt_seed = None
-        if corrupt_spec is not None:
-            from repro.ft.integrity import corruption_seed
-
-            corrupt_seed = corruption_seed(self.rank, corrupt_spec.step,
-                                           corrupt_spec.attempt)
         kind, value = self._superstep(action, execute,
                                       corrupt_seed=corrupt_seed)
         assert kind == "result"

@@ -24,12 +24,19 @@ sharing there needs the read-only contract instead
 (``Backend.shares_results``): the one-result collectives — ``Allreduce``,
 ``Bcast``, ``Allgatherv``, ``allgather`` — hand every rank the *same*
 sealed (non-writeable) array,
-turning O(P^2) result bytes per collective into O(P), and the
-all-to-all collectives replace their per-destination Python merge loops
-with one vectorized destination bucketing whose per-rank results are
-sealed views of a single buffer.  A rank that must mutate a received
-result calls :func:`~repro.simmpi.dataplane.materialize` (copy-on-write).
-The *values* are bit-identical on every backend.
+turning O(P^2) result bytes per collective into O(P).  The all-to-all
+collectives keep **two merges for two regimes**, selected by the same
+flag: where results are shared, one vectorized destination bucketing
+(concatenate, an int64 permutation, one fancy scatter — three
+element-sized passes) whose per-rank results are sealed views of a single
+buffer, which is what many tiny pieces at hundreds of ranks need; on
+``procs``, one ``np.concatenate(out=arena)`` per destination — a single
+pass straight into shared memory, which is what a few large pieces at
+2–8 ranks need (routing ``procs`` through the bucketing read 0.70 / 0.83
+→ 1.50 / 1.51 s on ``benchmarks/test_procs_zero_copy.py``; see
+EXPERIMENTS.md).  A rank that must mutate a received result calls
+:func:`~repro.simmpi.dataplane.materialize` (copy-on-write).  The
+*values* are bit-identical on every backend.
 """
 
 from __future__ import annotations

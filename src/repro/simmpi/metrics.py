@@ -86,37 +86,12 @@ class TierMetering:
         return int(self.wire_inter.sum())
 
     @property
-    def max_wire_intra(self) -> int:
-        return int(self.wire_intra.max()) if self.wire_intra.size else 0
-
-    @property
     def total_xrack(self) -> int:
         return int(self.xrack_bytes.sum()) if self.xrack_bytes is not None else 0
 
     @property
     def total_wire_xrack(self) -> int:
         return int(self.wire_xrack.sum()) if self.wire_xrack is not None else 0
-
-    def max_node_wire_inter(self) -> int:
-        """Busiest *node's* injected inter-node wire bytes — the bandwidth
-        bound of the inter tier (a node's NIC carries the sum of its
-        ranks' inter traffic, which under two-level is leader-injected)."""
-        if self.wire_inter.size == 0:
-            return 0
-        per_node = np.bincount(self.node_of, weights=self.wire_inter)
-        return int(per_node.max()) if per_node.size else 0
-
-    def max_rack_wire_xrack(self) -> int:
-        """Busiest *rack's* injected cross-rack wire bytes — the bandwidth
-        bound of the rack tier (cross-rack traffic is rack-leader
-        injected, so a rack's uplink carries the sum of its ranks'
-        ``wire_xrack``).  Zero on rack-less topologies."""
-        if self.wire_xrack is None or self.rack_of is None:
-            return 0
-        if self.wire_xrack.size == 0:
-            return 0
-        per_rack = np.bincount(self.rack_of, weights=self.wire_xrack)
-        return int(per_rack.max()) if per_rack.size else 0
 
 
 @dataclass(frozen=True)

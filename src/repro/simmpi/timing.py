@@ -67,31 +67,16 @@ class MachineModel:
     gamma: float = 4.0e-9
     name: str = "generic"
 
-    def cost_parts(
-        self, event: CollectiveEvent, nprocs: int
-    ) -> "tuple[float, float]":
-        """``(latency, bandwidth)`` cost components of one collective."""
-        if nprocs <= 1:
-            return 0.0, 0.0
-        if event.op in _PAIRWISE_OPS:
-            hops = nprocs - 1
-        else:
-            hops = max(1, ceil(log2(nprocs)))
-        return self.alpha * hops, self.beta * event.max_bytes
-
-    def collective_cost(self, event: CollectiveEvent, nprocs: int) -> float:
-        """Communication cost (seconds) of one matched collective."""
-        latency, bandwidth = self.cost_parts(event, nprocs)
-        return latency + bandwidth
-
     def cost_parts_batch(
         self, events: Sequence[CollectiveEvent], nprocs: int
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Per-event ``(latency, bandwidth)`` arrays — the NumPy-batched
-        form of :meth:`cost_parts`.  One stacked max over an
-        ``(events, ranks)`` matrix replaces per-event Python reductions,
-        which is what keeps :class:`TimeModel` evaluation flat in the
-        event count at thousands of ranks."""
+        """Per-event ``(latency, bandwidth)`` arrays: tree collectives pay
+        ``ceil(log2 p)`` latency hops, pairwise ones ``p - 1``, and the
+        bandwidth term is the busiest rank's payload.  One stacked max
+        over an ``(events, ranks)`` matrix instead of per-event Python
+        reductions keeps :class:`TimeModel` evaluation flat in the event
+        count at thousands of ranks (the per-event rule is the oracle in
+        ``tests/reference/pricing.py``)."""
         n = len(events)
         if n == 0 or nprocs <= 1:
             return np.zeros(n), np.zeros(n)
@@ -141,7 +126,7 @@ def _grouped_max(
     group maps are contiguous ascending by construction
     (:meth:`~repro.simmpi.topology.Topology.node_of_ranks`).  Values are
     integral, so both paths are exact and agree bit-for-bit with the
-    scalar accessors.
+    per-event rule.
     """
     n = len(wires)
     out = np.empty(n)
@@ -201,20 +186,6 @@ class TieredMachineModel(MachineModel):
     #: Seconds per byte of the busiest rack's cross-rack uplink (oversubscribed
     #: spine: a fraction of the in-rack injection bandwidth).
     beta_rack: float = 1.0 / 3.0e9
-
-    def cost_parts(
-        self, event: CollectiveEvent, nprocs: int
-    ) -> "tuple[float, float]":
-        tiers = event.tiers
-        if tiers is None:
-            return super().cost_parts(event, nprocs)
-        latency = (self.alpha_intra * tiers.intra_hops
-                   + self.alpha * tiers.inter_hops
-                   + self.alpha_rack * tiers.xrack_hops)
-        bandwidth = (self.beta_intra * tiers.max_wire_intra
-                     + self.beta * tiers.max_node_wire_inter()
-                     + self.beta_rack * tiers.max_rack_wire_xrack())
-        return latency, bandwidth
 
     def cost_parts_batch(
         self, events: Sequence[CollectiveEvent], nprocs: int
@@ -290,13 +261,6 @@ class TimeModel:
     """
 
     machine: MachineModel = BLUE_WATERS_LIKE
-
-    def superstep_time(self, event: CollectiveEvent, nprocs: int) -> float:
-        return (
-            self.machine.compute_scale * event.max_compute
-            + self.machine.gamma * event.max_work
-            + self.machine.collective_cost(event, nprocs)
-        )
 
     def _batched_parts(
         self, stats: CommStats

@@ -115,6 +115,25 @@ def test_comm_volume_scales_with_ranks(small_rmat):
     assert r8.stats.total_bytes > r2.stats.total_bytes
 
 
+def test_prebuilt_backend_keeps_its_communicator(small_rmat, monkeypatch):
+    """``params.comm=None`` means "not chosen here": a backend built with a
+    communicator keeps it; an explicit ``params.comm`` still wins."""
+    from repro.simmpi import create_runtime
+
+    monkeypatch.delenv("REPRO_COMM", raising=False)
+    rt = create_runtime("serial", nprocs=4, comm="hierarchical:2")
+    res = xtrapulp(small_rmat, 4, nprocs=4, backend=rt)
+    assert rt.comm_strategy.name == res.comm == "hierarchical"
+    assert res.stats.tiered
+    assert all(ev.tiers is not None for ev in res.stats.events)
+
+    rt = create_runtime("serial", nprocs=4, comm="hierarchical:2")
+    res = xtrapulp(small_rmat, 4, nprocs=4, backend=rt,
+                   params=PulpParams(comm="flat"))
+    assert rt.comm_strategy.name == res.comm == "flat"
+    assert not res.stats.tiered
+
+
 def test_num_parts_independent_of_nprocs(small_rmat):
     res = xtrapulp(small_rmat, 13, nprocs=4)  # p != nprocs, p not power of 2
     assert set(np.unique(res.parts)) <= set(range(13))

@@ -21,6 +21,7 @@ from repro.simmpi.topology import (
     make_topology,
     parse_comm_spec,
 )
+from tests.reference import pricing
 from tests.reference.tiers import tier_contribution, tier_row
 
 BACKENDS = ("serial", "threads", "procs")
@@ -280,12 +281,12 @@ def test_rackless_records_price_independent_of_rack_constants():
 
 
 def test_batched_pricing_matches_scalar():
-    """The NumPy-batched cost path must agree bit-for-bit with the scalar
-    per-event accessors, rack terms included."""
+    """The NumPy-batched cost path must agree bit-for-bit with the
+    per-event rule (``tests/reference/pricing.py``), rack terms included."""
     st = _stats("hierarchical:2x2")
     m = BLUE_WATERS_TIERED
     lat_b, bw_b = m.cost_parts_batch(st.events, st.nprocs)
     for i, e in enumerate(st.events):
-        lat_s, bw_s = m.cost_parts(e, st.nprocs)
+        lat_s, bw_s = pricing.cost_parts(m, e, st.nprocs)
         assert lat_b[i] == lat_s
         assert bw_b[i] == bw_s

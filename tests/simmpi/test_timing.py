@@ -12,6 +12,8 @@ from repro.simmpi import (
 )
 from repro.simmpi.metrics import CollectiveEvent, TierMetering
 
+from tests.reference import pricing
+
 
 def _event(op, nbytes, compute, tag="", tiers=None):
     return CollectiveEvent(
@@ -36,42 +38,64 @@ def _tiers(intra, inter, wire_intra, wire_inter, *, intra_hops, inter_hops,
     )
 
 
+def cost_parts(machine, event, nprocs):
+    """One event through the production (batched) pricing — and through the
+    per-event oracle, which must read the same."""
+    latency, bandwidth = machine.cost_parts_batch([event], nprocs)
+    parts = (float(latency[0]), float(bandwidth[0]))
+    assert parts == pricing.cost_parts(machine, event, nprocs)
+    return parts
+
+
+def collective_cost(machine, event, nprocs):
+    return sum(cost_parts(machine, event, nprocs))
+
+
+def superstep_time(model, event, nprocs):
+    stats = CommStats(nprocs)
+    stats.record(event)
+    total = model.total_time(stats)
+    assert total == pytest.approx(
+        pricing.superstep_time(model, event, nprocs))
+    return total
+
+
 def test_tree_collective_cost_log_hops():
     m = MachineModel(alpha=1.0, beta=0.0)
     e = _event("allreduce", [0, 0, 0, 0], [0, 0, 0, 0])
-    assert m.collective_cost(e, 4) == pytest.approx(2.0)  # log2(4) hops
-    assert m.collective_cost(e, 5) == pytest.approx(3.0)  # ceil(log2(5))
+    assert collective_cost(m, e, 4) == pytest.approx(2.0)  # log2(4) hops
+    assert collective_cost(m, e, 5) == pytest.approx(3.0)  # ceil(log2(5))
 
 
 def test_pairwise_collective_cost_p_minus_1():
     m = MachineModel(alpha=1.0, beta=0.0)
     e = _event("alltoallv", [0, 0, 0, 0], [0, 0, 0, 0])
-    assert m.collective_cost(e, 4) == pytest.approx(3.0)
+    assert collective_cost(m, e, 4) == pytest.approx(3.0)
 
 
 def test_bandwidth_term_uses_max_rank():
     m = MachineModel(alpha=0.0, beta=1.0)
     e = _event("allreduce", [10, 50, 20], [0, 0, 0])
-    assert m.collective_cost(e, 3) == pytest.approx(50.0)
+    assert collective_cost(m, e, 3) == pytest.approx(50.0)
 
 
 def test_single_rank_comm_is_free():
     m = MachineModel(alpha=1.0, beta=1.0)
     e = _event("allreduce", [100], [0])
-    assert m.collective_cost(e, 1) == 0.0
+    assert collective_cost(m, e, 1) == 0.0
 
 
 def test_superstep_time_is_compute_plus_comm():
     model = TimeModel(MachineModel(alpha=1.0, beta=2.0, compute_scale=1.0))
     e = _event("allreduce", [4, 8], [0.5, 0.25])
     # compute 0.5 + latency 1*log2(2) + bandwidth 2*8
-    assert model.superstep_time(e, 2) == pytest.approx(0.5 + 1.0 + 16.0)
+    assert superstep_time(model, e, 2) == pytest.approx(0.5 + 1.0 + 16.0)
 
 
 def test_compute_scale():
     model = TimeModel(MachineModel(alpha=0.0, beta=0.0, compute_scale=0.5))
     e = _event("barrier", [0, 0], [2.0, 1.0])
-    assert model.superstep_time(e, 2) == pytest.approx(1.0)
+    assert superstep_time(model, e, 2) == pytest.approx(1.0)
 
 
 def test_total_and_breakdown_consistent():
@@ -95,13 +119,13 @@ def test_tiered_model_prices_each_tier():
         intra_hops=3, inter_hops=2, node_of=[0, 0, 1, 1],
     )
     e = _event("alltoallv", [4, 4, 8, 8], [0, 0, 0, 0], tiers=tiers)
-    latency, bandwidth = m.cost_parts(e, 4)
+    latency, bandwidth = cost_parts(m, e, 4)
     # latency: 1.0 * 3 intra hops + 10.0 * 2 inter hops
     assert latency == pytest.approx(1.0 * 3 + 10.0 * 2)
     # bandwidth: busiest rank's shared-memory wire (6) at beta_intra,
     # busiest node's injected network wire (node 1: 8 + 16) at beta
     assert bandwidth == pytest.approx(0.5 * 6 + 2.0 * 24)
-    assert m.collective_cost(e, 4) == pytest.approx(latency + bandwidth)
+    assert collective_cost(m, e, 4) == pytest.approx(latency + bandwidth)
 
 
 def test_tiered_model_falls_back_untiered():
@@ -109,7 +133,7 @@ def test_tiered_model_falls_back_untiered():
     tiered = TieredMachineModel(alpha=10.0, beta=2.0, alpha_intra=1.0,
                                 beta_intra=0.5)
     e = _event("allreduce", [8, 16], [0, 0])  # no TierMetering attached
-    assert tiered.cost_parts(e, 2) == base.cost_parts(e, 2)
+    assert cost_parts(tiered, e, 2) == cost_parts(base, e, 2)
 
 
 def test_tiered_breakdown_consistent():
