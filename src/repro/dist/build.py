@@ -10,6 +10,12 @@ The input :class:`~repro.graph.csr.Graph` is shared read-only across rank
 threads — this models the load phase (in the paper each rank reads its
 slice from parallel I/O) and is excluded from partitioning-time metering
 via the ``"build"`` phase tag.
+
+Dtypes follow one rule (:func:`repro.dist.wire.stored_dtype`): the tables
+that are only gathered from — ``ghost_in_adj`` (owned lids) and
+``send_rank_adj`` (ranks) — are stored at 4 bytes when their values fit;
+everything used as an index (``offsets``, ``adj``, ``l2g``,
+``degrees_full``) stays int64.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from repro.dist.distgraph import DistGraph
 from repro.dist.distribution import Distribution
 from repro.dist.packing import bucket_by_rank
+from repro.dist.wire import stored_dtype
 from repro.graph.csr import Graph
 from repro.graph.gather import neighbor_gather, sorted_unique
 from repro.simmpi.comm import SimComm
@@ -47,8 +54,10 @@ def _ghost_arcs(
     offsets: np.ndarray, local_adj: np.ndarray, n_local: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(source lid, ghost index) of every arc that leaves the rank, in CSR
-    order — so the sources are non-decreasing."""
-    src = np.repeat(np.arange(n_local, dtype=np.int64), np.diff(offsets))
+    order — so the sources are non-decreasing.  The sources are stored
+    (as ``ghost_in_adj``), so they come in the elected dtype."""
+    src = np.repeat(np.arange(n_local, dtype=stored_dtype(n_local - 1)),
+                    np.diff(offsets))
     is_ghost = local_adj >= n_local
     return src[is_ghost], local_adj[is_ghost] - n_local
 
@@ -60,14 +69,15 @@ def _send_rank_lists(
     targets: np.ndarray,
     ghost_owners: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per owned vertex, the sorted unique off-rank owners of its neighbors."""
-    key = sorted_unique(
-        sources * np.int64(nprocs) + ghost_owners[targets].astype(np.int64)
-    )
-    verts = key // nprocs
+    """Per owned vertex, the sorted unique off-rank owners of its neighbors
+    (ranks in the elected dtype)."""
+    key = np.multiply(sources, nprocs, dtype=np.int64)
+    key += ghost_owners[targets]
+    key = sorted_unique(key)
     sr_offsets = np.zeros(n_local + 1, dtype=np.int64)
-    np.cumsum(np.bincount(verts, minlength=n_local), out=sr_offsets[1:])
-    return sr_offsets, key % nprocs
+    np.cumsum(np.bincount(key // nprocs, minlength=n_local),
+              out=sr_offsets[1:])
+    return sr_offsets, (key % nprocs).astype(stored_dtype(nprocs - 1))
 
 
 def _ghost_routing(

@@ -51,6 +51,11 @@ class Distribution:
             return int(self._owner[gids])
         return self._owner[np.asarray(gids, dtype=np.int64)]
 
+    @property
+    def owner_table(self) -> np.ndarray:
+        """Owning rank of every global vertex (read-only int32, length n)."""
+        return self._owner
+
     def owned(self, rank: int) -> np.ndarray:
         """Sorted global ids owned by ``rank`` (read-only)."""
         return self._owned[rank]

@@ -18,6 +18,11 @@ The wire format is orthogonal to the *communicator strategy*
 are additionally metered as a two-level exchange (aggregated per node
 pair, count headers narrowed to ``uint32`` on the inter-node wire) —
 compounding with the 2-4x record shrink rather than replacing it.
+
+:func:`stored_dtype` makes the same kind of election for what a rank keeps
+rather than ships: the build-time tables that are only gathered from
+(``DistGraph.ghost_in_adj``, ``DistGraph.send_rank_adj``) are stored at 4
+bytes when their values fit.
 """
 
 from __future__ import annotations
@@ -57,6 +62,18 @@ def _narrowest_int(max_value: int) -> np.dtype:
         if max_value <= np.iinfo(dt).max:
             return np.dtype(dt)
     return np.dtype(np.int64)  # pragma: no cover - >2B parts
+
+
+def stored_dtype(max_value: int) -> np.dtype:
+    """Dtype of a rank table that is stored and gathered *from*, never used
+    as an index: int32 when every value ``<= max_value`` fits, else int64.
+
+    Index arrays (``adj``, ``offsets``, ``l2g``, ``parts``) stay int64 —
+    NumPy casts an int32 index array to ``intp`` before every fancy gather.
+    """
+    if max_value <= np.iinfo(np.int32).max:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
 
 
 def make_wire_spec(max_ghost_global: int, num_parts: int) -> WireSpec:

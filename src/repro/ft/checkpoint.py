@@ -104,7 +104,10 @@ def checkpoint_after(plan: Sequence[Tuple[str, int, str]], idx: int,
 # -- signatures --------------------------------------------------------------
 
 
-def _sha(*chunks: bytes) -> str:
+def _sha(*chunks) -> str:
+    """sha256 of the concatenated chunks — bytes or C-contiguous arrays,
+    which hash through the buffer protocol without a ``tobytes()`` copy
+    (same digest)."""
     h = hashlib.sha256()
     for c in chunks:
         h.update(c)
@@ -115,29 +118,21 @@ def graph_signature(graph) -> str:
     """Content hash of the CSR structure a checkpoint belongs to."""
     return _sha(
         np.int64(graph.n).tobytes(),
-        np.ascontiguousarray(graph.offsets).tobytes(),
-        np.ascontiguousarray(graph.adj).tobytes(),
+        np.ascontiguousarray(graph.offsets),
+        np.ascontiguousarray(graph.adj),
     )
 
 
 def dist_signature(dist) -> str:
     """Content hash of the vertex-ownership map."""
-    return _sha(
-        np.int64(dist.nprocs).tobytes(),
-        np.ascontiguousarray(dist.owner(np.arange(dist.n))).tobytes(),
-    )
+    return _sha(np.int64(dist.nprocs).tobytes(), dist.owner_table)
 
 
 def inputs_signature(initial_parts: Optional[np.ndarray],
                      vertex_weights: Optional[np.ndarray]) -> str:
     """Content hash of the optional per-vertex inputs."""
-    chunks: List[bytes] = []
-    for arr in (initial_parts, vertex_weights):
-        if arr is None:
-            chunks.append(b"none")
-        else:
-            chunks.append(np.ascontiguousarray(arr).tobytes())
-    return _sha(*chunks)
+    return _sha(*(b"none" if arr is None else np.ascontiguousarray(arr)
+                  for arr in (initial_parts, vertex_weights)))
 
 
 # -- rank-side: depositing a snapshot ----------------------------------------

@@ -22,12 +22,19 @@ def _arc_keys(
     drop_self_loops: bool,
 ) -> np.ndarray:
     """Validate the endpoints and return every arc as ``src * n + dst`` in
-    one fresh int64 buffer (both directions unless ``directed``)."""
+    one fresh int64 buffer (both directions unless ``directed``).
+
+    int32 endpoints (``read_edge_list``'s parse) are read as they are: the
+    products are formed in int64 (``dtype=``), never in the input dtype.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     # reshape, not ravel: a strided column stays a view
-    src = np.asarray(src, dtype=np.int64).reshape(-1)
-    dst = np.asarray(dst, dtype=np.int64).reshape(-1)
+    src, dst = (
+        (e if isinstance(e, np.ndarray) and e.dtype == np.int32
+         else np.asarray(e, dtype=np.int64)).reshape(-1)
+        for e in (src, dst)
+    )
     if src.shape != dst.shape:
         raise ValueError("src and dst must have equal length")
     if src.size and (
@@ -35,10 +42,10 @@ def _arc_keys(
     ):
         raise ValueError(f"edge endpoints out of range for n={n}")
     arcs = np.empty((1 if directed else 2, src.size), dtype=np.int64)
-    np.multiply(src, n, out=arcs[0])
+    np.multiply(src, n, out=arcs[0], dtype=np.int64)
     arcs[0] += dst
     if not directed:
-        np.multiply(dst, n, out=arcs[1])
+        np.multiply(dst, n, out=arcs[1], dtype=np.int64)
         arcs[1] += src
     if drop_self_loops:
         arcs[:, src == dst] = _DROPPED

@@ -36,8 +36,14 @@ def read_edge_list(
     with open(path) as f:
         first = f.readline()
     header = first.split() if first.startswith("#") else []
-    # by path: loadtxt is ~1.6x faster when it opens the file itself
-    data = np.loadtxt(path, comments="#", dtype=np.int64, ndmin=2)
+    # by path: loadtxt is ~1.6x faster when it opens the file itself.  The
+    # block is parsed at half the bytes when every id fits int32; an id of
+    # 2**31 or more (or a malformed token, which the int64 parse reports as
+    # it always did) fails that parse and the file is read again as int64
+    try:
+        data = np.loadtxt(path, comments="#", dtype=np.int32, ndmin=2)
+    except (ValueError, OverflowError):
+        data = np.loadtxt(path, comments="#", dtype=np.int64, ndmin=2)
     if n is None:
         n = next((int(t[2:]) for t in header if t.startswith("n=")), None)
     if directed is None:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.dist import build_dist_graph, make_distribution
+from repro.dist import DistGraph, build_dist_graph, make_distribution
+from repro.dist import build as dist_build
 from repro.dist.build import _localize
 from repro.dist.distribution import (
     BlockDistribution, PartitionDistribution, RandomDistribution,
 )
+from repro.dist.wire import stored_dtype
 from repro.graph import from_edges, mesh3d, rmat, ring
 from repro.graph.gather import neighbor_gather, sorted_unique
 from repro.simmpi import run_spmd
@@ -192,13 +194,16 @@ def _two_cliques():
     return from_edges(8, np.concatenate([u, u + 4]), np.concatenate([v, v + 4]))
 
 
-@pytest.mark.parametrize("graph,dist", [
+CASES = pytest.mark.parametrize("graph,dist", [
     (rmat(9, 12, seed=3), RandomDistribution(512, 4, seed=1)),
     (mesh3d(7, 7, 7), BlockDistribution(343, 3)),
     (_two_cliques(), BlockDistribution(8, 2)),
     # rank 1 owns nothing (and rank 2 everything)
     (rmat(6, 6, seed=2), PartitionDistribution(np.full(64, 2), 3)),
 ], ids=["rmat-random", "mesh-block", "no-ghosts", "empty-rank"])
+
+
+@CASES
 def test_localize_matches_sort_and_search(graph, dist):
     for rank in range(dist.nprocs):
         owned = dist.owned(rank)
@@ -208,3 +213,36 @@ def test_localize_matches_sort_and_search(graph, dist):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+# -- dtype election: stored tables narrow, index arrays int64 ----------------
+
+def test_stored_dtype_elects_int32_while_values_fit():
+    assert stored_dtype(-1) == stored_dtype(2 ** 31 - 1) == np.int32
+    assert stored_dtype(2 ** 31) == np.int64
+
+
+@CASES
+def test_stored_tables_are_narrow_and_equal_an_int64_build(graph, dist,
+                                                           monkeypatch):
+    """``ghost_in_adj`` and ``send_rank_adj`` are only gathered from, so
+    they are stored in the elected int32 with the values of a build that
+    elects int64; every table used as an index stays int64 (a "narrow
+    everything" change fails here, not in a profile)."""
+    def build(comm):
+        return build_dist_graph(comm, graph, dist)
+
+    narrow = run_spmd(dist.nprocs, build)[0]
+    monkeypatch.setattr(dist_build, "stored_dtype",
+                        lambda max_value: np.dtype(np.int64))
+    wide = run_spmd(dist.nprocs, build)[0]
+    for a, b in zip(narrow, wide):
+        for name in ("ghost_in_adj", "send_rank_adj"):
+            assert getattr(a, name).dtype == np.int32
+            assert getattr(b, name).dtype == np.int64
+        for name in ("adj", "offsets", "l2g", "degrees_full"):
+            assert getattr(a, name).dtype == np.int64
+        for name in DistGraph.__slots__:
+            have, want = getattr(a, name), getattr(b, name)
+            if isinstance(have, np.ndarray):
+                np.testing.assert_array_equal(have, want)

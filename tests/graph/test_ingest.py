@@ -4,7 +4,10 @@
   ``tests/reference/clean_edges.py`` (the parent's ``_clean_edges``) bit for
   bit, on every option and input shape;
 - their transient memory stays within 3 x the CSR they return (the parent
-  read 4.8-6.0 x);
+  read 4.8-6.0 x), ``read_edge_list``'s within 1.6 x: it parses into an
+  int32 block when the ids fit (1.5 x; the int64 block read 2.0 x) and
+  falls back to int64 for ids of 2**31 and more;
+- int32 endpoint columns form their keys in int64, also near 2**31;
 - every generator returns the parent's graph on the seeds the suite and
   ``benchmarks/perf/workloads.py`` use (sha256 of ``directed`` + ``offsets``
   + ``adj``, taken on the parent commit).
@@ -21,7 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import from_edges, generators, io
-from tests.reference.clean_edges import reference_from_edges
+from repro.graph.builders import _DROPPED, _arc_keys
+from repro.graph.gather import sorted_unique
+from tests.reference.clean_edges import _clean_edges, reference_from_edges
 
 
 def same_graph(a, b):
@@ -124,7 +129,77 @@ def test_read_edge_list_transient_memory_is_bounded_by_the_csr(tmp_path):
     path = tmp_path / "g.el"
     io.write_edge_list(generators.rmat(13, 16, seed=3), path)
     g, peak = traced_peak(lambda: io.read_edge_list(path))
-    assert peak <= 3 * csr_bytes(g)
+    # int32 block (0.5 x) beside the int64 key buffer (1 x); an int64 parse
+    # or a widening copy of the columns would read 2 x
+    assert peak <= 1.6 * csr_bytes(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2 ** 31 - 64, max_value=2 ** 31), st.data(),
+       st.booleans(), st.booleans())
+def test_arc_keys_of_int32_columns_near_2_31(n, data, directed, drop):
+    """The keys of int32 columns equal those of the int64 columns the
+    replaced builder widened them to, and the ``src * n + dst`` of Python
+    integers: formed in int64, never overflowing in int32."""
+    ends = st.one_of(st.integers(0, 63), st.integers(n - 64, n - 1))
+    pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=30))
+    block = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    kwargs = dict(directed=directed, drop_self_loops=drop)
+    got = _arc_keys(n, block[:, 0].astype(np.int32),
+                    block[:, 1].astype(np.int32), **kwargs)
+    assert np.array_equal(got, _arc_keys(n, block[:, 0], block[:, 1],
+                                         **kwargs))
+    arcs = pairs if directed else pairs + [(v, u) for u, v in pairs]
+    want = [_DROPPED if drop and u == v else u * n + v for u, v in arcs]
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_read_edge_list_ids_past_int32_take_the_int64_parse(tmp_path,
+                                                             monkeypatch):
+    """ids of 2**31 and more fail the int32 parse and are read as int64.
+
+    A graph with such ids has a 16 GiB ``offsets``, so the builder is
+    stopped at the key buffer and compared with the reference builder's
+    edges (``_clean_edges``: sorted, deduplicated ``src * n + dst``)."""
+    big = 2 ** 31
+    src = np.array([0, big + 2, 5, big - 1, big, 3])
+    dst = np.array([big, 1, 5, big + 2, 0, 4])
+    path = tmp_path / "big.el"
+    path.write_text("".join(f"{u} {v}\n" for u, v in zip(src, dst)))
+    parsed = []
+    real_arc_keys = io._arc_keys
+
+    def arc_keys(n, s, d, **kwargs):
+        parsed.append(s.dtype)
+        return real_arc_keys(n, s, d, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(io, "_arc_keys", arc_keys)
+        m.setattr(io, "_csr_from_keys", lambda n, key, **kwargs: (n, key))
+        n, key = io.read_edge_list(path)
+    assert parsed == [np.int64] and n == big + 3
+    ref_src, ref_dst = _clean_edges(n, src, dst, symmetrize=True, dedup=True,
+                                    drop_self_loops=True)
+    assert np.array_equal(sorted_unique(key[key != _DROPPED]),
+                          ref_src * n + ref_dst)
+    # an extra column past int32 takes the same fallback to a whole graph
+    path.write_text(f"0 1 {big}\n1 2 7\n")
+    assert same_graph(io.read_edge_list(path),
+                      reference_from_edges(3, [0, 1], [1, 2]))
+
+
+def test_read_edge_list_malformed_token_raises_the_int64_parse_error(
+        tmp_path):
+    """The int32 parse fails on a malformed token too; the int64 re-parse
+    raises what the int64-only reader raised."""
+    path = tmp_path / "bad.el"
+    path.write_text("# n=4\n0 1\n2 x\n")
+    with pytest.raises(ValueError) as old:
+        np.loadtxt(path, comments="#", dtype=np.int64, ndmin=2)
+    with pytest.raises(ValueError) as new:
+        io.read_edge_list(path)
+    assert str(new.value) == str(old.value)
+    assert "int64" in str(new.value)
 
 
 #: sha256[:16] of every generator's output at the parent of PR 21
