@@ -8,8 +8,8 @@ pattern is fixed.  The partitioner itself uses the paper's dynamic
 ``ExchangeUpdates`` instead (:mod:`repro.core.exchange`), which ships
 (vertex, part) pairs for updated vertices only.
 
-All plan traffic funnels through ``SimComm.Alltoallv``/``Alltoall``, so
-exchange plans are communicator-strategy-agnostic: under a topology-aware
+All plan traffic funnels through ``SimComm.Alltoallv``, so exchange
+plans are communicator-strategy-agnostic: under a topology-aware
 strategy (:mod:`repro.simmpi.topology`) the very same exchanges are
 metered as two-level (intra-node gather, aggregated inter-node message,
 intra-node scatter) without any change here — values, counts, and the

@@ -38,8 +38,8 @@ byte-for-byte unchanged.
 
 from __future__ import annotations
 
+import logging
 import os
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -317,4 +317,4 @@ class Watchdog(threading.Thread):
     def _warn(self, message: str) -> None:
         line = f"[watchdog:{self.label}] {message}"
         self.warnings.append(line)
-        print(line, file=sys.stderr, flush=True)
+        logging.getLogger(__name__).warning(line)

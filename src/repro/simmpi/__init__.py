@@ -5,12 +5,15 @@ NCSA Blue Waters machine.  This package provides the stand-in transport: a
 deterministic, in-process bulk-synchronous runtime in which each simulated
 MPI rank executes the *same per-rank code* a real MPI program would, and all
 inter-rank interaction goes through metered collective operations on NumPy
-buffers (``Bcast``, ``Alltoall``, ``Alltoallv``, ``Allreduce``, ...).
+buffers — the three XtraPuLP talks through (``Bcast``, ``Alltoallv``,
+``Allreduce``) and what the multilevel path, analytics and checkpointing
+add (``Allgatherv``, ``allgather``, ``allreduce``, ``Checkpoint``,
+``barrier``); see :class:`~repro.simmpi.comm.SimComm`.
 
-How ranks execute is pluggable (:mod:`repro.simmpi.backends`): ``serial``
-runs them as a deterministic round-robin superstep interpreter, ``threads``
-runs one native thread per rank (NumPy releases the GIL), and ``procs``
-forks one process per rank and moves payloads through
+How ranks execute is selected by name (:mod:`repro.simmpi.backends`):
+``serial`` runs them as a deterministic round-robin superstep interpreter,
+``threads`` runs one native thread per rank (NumPy releases the GIL), and
+``procs`` forks one process per rank and moves payloads through
 ``multiprocessing.shared_memory``, escaping the GIL for pure-Python rank
 code.  The procs backend's data plane (:mod:`repro.simmpi.dataplane`)
 parks large NumPy buffers in long-lived arena segments and ships zero-copy
@@ -24,10 +27,10 @@ program produces bit-identical results and communication records on all
 backends — pick one with :func:`~repro.simmpi.backends.create_runtime` or
 the ``REPRO_BACKEND`` environment variable.
 
-How communication is *priced* is equally pluggable
-(:mod:`repro.simmpi.topology`): a ChainerMN-style communicator registry
+How communication is *priced* is selected the same way
+(:mod:`repro.simmpi.topology`): a ChainerMN-style ``create_communicator``
 maps ranks onto a machine topology (nodes, optionally racks).  The default
-``flat`` strategy keeps today's one-rank-per-node metering; the
+``flat`` metering (no strategy object) is one rank per node; the
 ``hierarchical`` strategy models a two-level exchange (intra-node gather
 to a per-node leader, one aggregated inter-node message per node pair,
 intra-node scatter) and splits every event's bytes/hops into intra- vs
@@ -56,7 +59,6 @@ from repro.simmpi.backends import (
     available_backends,
     create_runtime,
     default_backend,
-    register_backend,
 )
 from repro.simmpi.comm import SimComm
 from repro.simmpi.dataplane import materialize
@@ -81,11 +83,8 @@ from repro.simmpi.timing import (
 )
 from repro.simmpi.topology import (
     COMM_ENV_VAR,
-    Communicator,
-    FlatCommunicator,
     HierarchicalCommunicator,
     Topology,
-    available_communicators,
     create_communicator,
     default_comm,
     make_topology,
@@ -100,7 +99,6 @@ __all__ = [
     "ThreadsBackend",
     "ProcsBackend",
     "create_runtime",
-    "register_backend",
     "available_backends",
     "default_backend",
     "materialize",
@@ -115,11 +113,8 @@ __all__ = [
     "Topology",
     "make_topology",
     "parse_comm_spec",
-    "Communicator",
-    "FlatCommunicator",
     "HierarchicalCommunicator",
     "create_communicator",
-    "available_communicators",
     "default_comm",
     "COMM_ENV_VAR",
     "SimMPIError",

@@ -1,9 +1,9 @@
-"""Pluggable execution backends for the simulated MPI runtime.
+"""Execution backends for the simulated MPI runtime.
 
 Backends are interchangeable implementations of the
 :class:`~repro.simmpi.backends.base.Backend` interface (spawn ranks,
 rendezvous, collective compute, teardown), selected by name through a
-chainermn-style factory::
+chainermn-style factory over the three shipped classes::
 
     rt = create_runtime("procs", nprocs=8)
     out = rt.run(rank_fn)
@@ -28,8 +28,8 @@ program yields bit-identical results and
 
 The default backend (used when ``backend=None``) is ``threads``, overridable
 with the ``REPRO_BACKEND`` environment variable — which is how CI runs the
-whole backend-tagged test selection once per backend.  Third-party backends
-can be added with :func:`register_backend`.
+whole backend-tagged test selection once per backend.  A backend of your
+own is used by passing its instance to :func:`create_runtime`.
 
 The ``procs`` backend moves large payloads between its processes as
 zero-copy shared-memory descriptors (:mod:`repro.simmpi.dataplane`); the
@@ -40,12 +40,12 @@ sealed object (``Backend.shares_results``).
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Type, Union
+from typing import Any, List, Optional, Union
 
 from repro.simmpi.backends.base import Backend
 from repro.simmpi.backends.engine import SerialBackend, ThreadsBackend
 from repro.simmpi.backends.procs import ProcsBackend
-from repro.simmpi.topology import Communicator, create_communicator
+from repro.simmpi.topology import HierarchicalCommunicator, create_communicator
 
 #: Environment variable consulted when ``create_runtime(backend=None)``.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -53,19 +53,13 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 #: Fallback when neither the caller nor the environment picks a backend.
 DEFAULT_BACKEND = "threads"
 
-_REGISTRY: Dict[str, Type[Backend]] = {}
-
-
-def register_backend(name: str, cls: Type[Backend]) -> None:
-    """Register an execution backend class under ``name``."""
-    if not issubclass(cls, Backend):
-        raise TypeError(f"{cls!r} is not a Backend subclass")
-    _REGISTRY[name] = cls
+_BACKENDS = {cls.name: cls
+             for cls in (SerialBackend, ThreadsBackend, ProcsBackend)}
 
 
 def available_backends() -> List[str]:
     """Names accepted by :func:`create_runtime`, sorted."""
-    return sorted(_REGISTRY)
+    return sorted(_BACKENDS)
 
 
 def default_backend() -> str:
@@ -78,7 +72,7 @@ def create_runtime(
     *,
     nprocs: int,
     meter_compute: bool = True,
-    comm: Union[str, None, Communicator] = None,
+    comm: Union[str, None, HierarchicalCommunicator] = None,
     watchdog: Any = None,
     integrity: Optional[str] = None,
 ) -> Backend:
@@ -87,7 +81,7 @@ def create_runtime(
     Parameters
     ----------
     backend:
-        Registry name (``"serial"``, ``"threads"``, ``"procs"``, ...), an
+        Backend name (``"serial"``, ``"threads"``, ``"procs"``), an
         already-constructed :class:`Backend` (passed through after a rank
         count check), or None to use ``$REPRO_BACKEND`` falling back to
         ``"threads"``.
@@ -98,9 +92,9 @@ def create_runtime(
     comm:
         Communicator strategy for topology-aware metering — a spec string
         (``"flat"``, ``"hierarchical:8"``, ...), a
-        :class:`~repro.simmpi.topology.Communicator` instance, or None to
-        honor ``$REPRO_COMM`` falling back to ``"flat"``.  See
-        :mod:`repro.simmpi.topology`.
+        :class:`~repro.simmpi.topology.HierarchicalCommunicator`
+        instance, or None to honor ``$REPRO_COMM`` falling back to
+        ``"flat"``.  See :mod:`repro.simmpi.topology`.
     watchdog:
         Liveness deadline — seconds (a number), a
         :class:`~repro.ft.watchdog.WatchdogConfig`, or None to honor
@@ -134,7 +128,7 @@ def create_runtime(
         return backend
     name = backend if backend is not None else default_backend()
     try:
-        cls = _REGISTRY[name]
+        cls = _BACKENDS[name]
     except (KeyError, TypeError):
         raise ValueError(
             f"unknown execution backend {name!r}; "
@@ -149,17 +143,12 @@ def create_runtime(
     return rt
 
 
-register_backend(SerialBackend.name, SerialBackend)
-register_backend(ThreadsBackend.name, ThreadsBackend)
-register_backend(ProcsBackend.name, ProcsBackend)
-
 __all__ = [
     "Backend",
     "SerialBackend",
     "ThreadsBackend",
     "ProcsBackend",
     "create_runtime",
-    "register_backend",
     "available_backends",
     "default_backend",
     "BACKEND_ENV_VAR",

@@ -20,7 +20,7 @@ of them.  That invariant is the subsystem's correctness oracle and is
 enforced by ``tests/test_backends_conformance.py``.
 
 Concrete backends live next to this module and are selected by name via
-:func:`repro.simmpi.backends.create_runtime` (chainermn-style registry).
+:func:`repro.simmpi.backends.create_runtime` (chainermn-style factory).
 """
 
 from __future__ import annotations
@@ -90,16 +90,15 @@ def metered_rounds(
 
     Tiers are split here, once per round for all ranks, from the inputs
     the ranks deposited (``nbytes``, ``dest_rows``, ``root``); ``strategy``
-    None or flat leaves them None.
+    None (flat metering) leaves them None.
     """
     nprocs = len(nbytes)
-    tiered = strategy is not None and strategy.tiered
     rows = []
     if header_slot is not None:
         # one count entry from every rank to every other rank
         hdr = np.full(nprocs, (nprocs - 1) * header_slot, dtype=np.int64)
         tiers = None
-        if tiered:
+        if strategy is not None:
             hdr_dest = np.full((nprocs, nprocs), header_slot, dtype=np.int64)
             np.fill_diagonal(hdr_dest, 0)
             tiers = strategy.tier_matrix("alltoall", hdr, hdr_dest,
@@ -107,7 +106,7 @@ def metered_rounds(
         rows.append(("alltoall", hdr, compute, work, tiers))
         compute, work = np.zeros(nprocs), np.zeros(nprocs)
     tiers = None
-    if tiered:
+    if strategy is not None:
         dest = None
         if any(d is not None for d in dest_rows):
             dest = np.zeros((nprocs, nprocs), dtype=np.int64)
@@ -153,8 +152,8 @@ class Backend(ABC):
         self.fault_plan: Optional[Any] = None
         #: Communicator strategy (see :mod:`repro.simmpi.topology`) that
         #: classifies each collective's traffic into machine tiers.  None
-        #: or a non-tiered strategy keeps the historical flat metering;
-        #: set by :func:`repro.simmpi.backends.create_runtime`.
+        #: is flat metering; set by
+        #: :func:`repro.simmpi.backends.create_runtime`.
         self.comm_strategy: Optional[Any] = None
         #: Optional :class:`repro.ft.checkpoint.CkptCommitter` (duck-typed:
         #: ``commit(stats)``).  Invoked in the driver/parent process right
@@ -204,7 +203,7 @@ class Backend(ABC):
         convention documented in :mod:`repro.simmpi.metrics`.  The rest are
         the inputs of what is computed once, when the rendezvous is
         recorded (:func:`metered_rounds`): ``dest_bytes`` that payload per
-        destination (destination-addressed ops under a tiered strategy),
+        destination (pairwise ops under a tiered strategy),
         ``root`` the root of a rooted op, and ``header_slot`` the bytes of
         one entry of the count header this deposit also stands for — the
         last two are the same on every rank, and the executing rank's are
@@ -261,8 +260,8 @@ class Backend(ABC):
         tiers: Optional[np.ndarray] = None,
     ) -> None:
         tier_view: Optional[TierMetering] = None
-        strategy = self.comm_strategy
-        if tiers is not None and strategy is not None:
+        if tiers is not None:
+            strategy = self.comm_strategy
             # the byte columns then the wire columns, one of each per tier
             # (two tiers, three over racks), and one hop count per tier
             half = tiers.shape[1] // 2

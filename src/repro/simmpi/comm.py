@@ -1,16 +1,23 @@
 """Rank-side communicator API (the simulated ``MPI.COMM_WORLD``).
 
 Mirrors the mpi4py split between lowercase generic-object methods
-(``bcast``, ``allgather``, ``allreduce`` — pickled-object semantics, metered
-by pickled size) and uppercase NumPy-buffer methods (``Bcast``,
-``Alltoallv``, ``Allreduce``, ... — near-zero-copy, metered by ``nbytes``).
-All hot-path communication in the partitioner uses the buffer flavor, per
-the mpi4py guidance that buffer-provider objects are the fast path.
+(``allgather``, ``allreduce`` — pickled-object semantics, metered by
+pickled size) and uppercase NumPy-buffer methods (``Bcast``, ``Allreduce``,
+``Allgatherv``, ``Alltoallv`` / ``Alltoallv_fields`` — near-zero-copy,
+metered by ``nbytes``).  All hot-path communication in the partitioner
+uses the buffer flavor, per the mpi4py guidance that buffer-provider
+objects are the fast path.  The surface is what the callers call:
+XtraPuLP's ``Bcast`` of the roots, ``Alltoallv`` of ExchangeUpdates and
+``Allreduce`` of the size vectors, plus what the multilevel path,
+analytics, checkpointing and the perf probes add (``Allgatherv``,
+``allgather``, ``allreduce``, ``Checkpoint``, ``barrier``);
+``tests/test_simmpi_surface.py`` keeps it that way.
 
 Byte-accounting convention (see :mod:`repro.simmpi.metrics`): a rank's
 ``bytes_sent`` for an event is the payload it injects once — exact for
-Alltoall(v) (self-directed slices excluded), and the standard pipelined/
-butterfly bandwidth proxy for rooted and all- collectives.
+Alltoallv and its count header (self-directed slices excluded), and the
+standard pipelined/butterfly bandwidth proxy for rooted and all-
+collectives.
 
 Result allocation goes through :func:`repro.simmpi.dataplane.result_buffer`:
 inert ``np.empty`` on the in-process backends, but on the procs backend the
@@ -55,11 +62,17 @@ from repro.simmpi.backends.base import Backend
 _REDUCERS: dict[str, Callable[..., Any]] = {
     "sum": np.add.reduce,
     "max": np.maximum.reduce,
-    "min": np.minimum.reduce,
-    "prod": np.multiply.reduce,
-    "land": np.logical_and.reduce,
-    "lor": np.logical_or.reduce,
 }
+
+
+def _reducer(op: str) -> Callable[..., Any]:
+    """The reduction for ``op``, or a ValueError naming the valid ops."""
+    try:
+        return _REDUCERS[op]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"unknown reduction op {op!r}; valid ops: {sorted(_REDUCERS)}"
+        ) from None
 
 
 def _obj_nbytes(obj: Any) -> int:
@@ -81,25 +94,16 @@ def _common_dtype(bufs: Sequence[np.ndarray], what: str) -> Optional[np.dtype]:
     return dtypes.pop() if dtypes else None
 
 
-def _copy_result(array: np.ndarray) -> np.ndarray:
-    """A private copy of one rank's result — arena-backed when the shm
-    data plane is computing (so the copy is the *only* copy the result
-    pays), plain ``array.copy()`` semantics everywhere else."""
-    out = _dataplane.result_buffer(array.shape, array.dtype)
-    np.copyto(out, array)
-    return out
-
-
 def _merge_pieces(
     pieces: Sequence[np.ndarray], fallback: np.dtype
 ) -> np.ndarray:
     """Concatenate per-source slices, skipping empties so a zero-length
-    contribution's dtype never promotes the result."""
+    contribution's dtype never promotes the result.  The merge is the
+    only copy the result pays: arena-backed when the shm data plane is
+    computing, a plain private array everywhere else."""
     live = [p for p in pieces if p.size]
     if not live:
         return np.empty(0, dtype=fallback)
-    if len(live) == 1:
-        return _copy_result(live[0])
     out = _dataplane.result_buffer(
         (sum(p.shape[0] for p in live),), live[0].dtype
     )
@@ -158,15 +162,11 @@ class SimComm:
         self.size = runtime.nprocs
         self._tag = ""
         self._work = 0.0
-        #: Whether the communicator strategy (see
-        #: :mod:`repro.simmpi.topology`) splits traffic into tiers.  The
-        #: split itself happens where a round is recorded; a rank only
-        #: deposits its per-destination bytes for it, and under the flat
-        #: default not even that.
-        strategy = getattr(runtime, "comm_strategy", None)
-        self._tiered = bool(
-            strategy is not None and getattr(strategy, "tiered", False)
-        )
+        #: Whether a communicator strategy (see :mod:`repro.simmpi.topology`)
+        #: splits traffic into tiers; flat metering has none.  The split
+        #: itself happens where a round is recorded; a rank only deposits
+        #: its per-destination bytes for it, and under flat not even that.
+        self._tiered = getattr(runtime, "comm_strategy", None) is not None
         #: Shared read-only result delivery (see module docstring): True
         #: where the ranks share an address space, False on the procs
         #: backend's rank endpoints, whose results cross a process boundary.
@@ -244,16 +244,6 @@ class SimComm:
         finally:
             self._last_thread_time = time.thread_time()
 
-    def _dest_split(self, cts: np.ndarray, item_bytes: int) -> Optional[np.ndarray]:
-        """Per-destination payload bytes (self slot zeroed), the input of
-        the tier split of destination-addressed collectives; None when the
-        strategy is flat (nothing would read it)."""
-        if not self._tiered:
-            return None
-        dest = cts * np.int64(item_bytes)
-        dest[self.rank] = 0
-        return dest
-
     # -- synchronization ------------------------------------------------------
 
     def barrier(self) -> None:
@@ -290,18 +280,6 @@ class SimComm:
 
     # -- generic-object collectives -------------------------------------------
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Broadcast a picklable object from ``root`` to all ranks."""
-        mine = self.rank == root
-        nbytes = _obj_nbytes(obj) if mine else 0
-
-        def execute(contribs: List[Any]) -> List[Any]:
-            value = contribs[root]
-            return [value] * len(contribs)
-
-        return self._collective("bcast", obj if mine else None, nbytes,
-                                execute, root=root)
-
     def allgather(self, obj: Any) -> List[Any]:
         """Gather one picklable object per rank onto every rank."""
         nbytes = _obj_nbytes(obj)
@@ -312,42 +290,10 @@ class SimComm:
 
         return self._collective("allgather", obj, nbytes, execute)
 
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        nbytes = _obj_nbytes(obj) if self.rank != root else 0
-
-        def execute(contribs: List[Any]) -> List[Any]:
-            out: List[Any] = [None] * len(contribs)
-            out[root] = list(contribs)
-            return out
-
-        return self._collective("gather", obj, nbytes, execute, root=root)
-
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        dest = None
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(
-                    f"scatter at root needs exactly {self.size} items"
-                )
-            per_dest = np.array([_obj_nbytes(o) for o in objs], dtype=np.int64)
-            per_dest[root] = 0
-            nbytes = int(per_dest.sum())
-            if self._tiered:
-                dest = per_dest
-        else:
-            nbytes = 0
-
-        def execute(contribs: List[Any]) -> List[Any]:
-            return list(contribs[root])
-
-        return self._collective(
-            "scatter", list(objs) if self.rank == root else None, nbytes,
-            execute, dest_bytes=dest, root=root,
-        )
-
     def allreduce(self, value: Any, op: str = "sum") -> Any:
-        """All-reduce a scalar (or small object supporting the numpy ufunc)."""
-        reducer = _REDUCERS[op]
+        """All-reduce a scalar (or small object supporting the numpy ufunc)
+        with ``op`` ``"sum"`` or ``"max"``."""
+        reducer = _reducer(op)
         nbytes = _obj_nbytes(value)
 
         def execute(contribs: List[Any]) -> List[Any]:
@@ -383,9 +329,10 @@ class SimComm:
         return arr if mine else result
 
     def Allreduce(self, array: np.ndarray, op: str = "sum") -> np.ndarray:
-        """Element-wise all-reduce of equal-shape NumPy arrays."""
+        """Element-wise all-reduce of equal-shape NumPy arrays (``op``
+        ``"sum"`` or ``"max"``)."""
         arr = np.ascontiguousarray(array)
-        reducer = _REDUCERS[op]
+        reducer = _reducer(op)
         share = self._share_results
 
         def execute(contribs: List[Any]) -> List[Any]:
@@ -398,19 +345,6 @@ class SimComm:
             return [total] * len(contribs)
 
         return self._collective("allreduce", arr, arr.nbytes, execute)
-
-    def Reduce(self, array: np.ndarray, op: str = "sum", root: int = 0) -> Optional[np.ndarray]:
-        arr = np.ascontiguousarray(array)
-        reducer = _REDUCERS[op]
-        nbytes = arr.nbytes if self.rank != root else 0
-
-        def execute(contribs: List[Any]) -> List[Any]:
-            total = reducer(np.stack(contribs), axis=0)
-            out: List[Any] = [None] * len(contribs)
-            out[root] = total
-            return out
-
-        return self._collective("reduce", arr, nbytes, execute, root=root)
 
     def Allgatherv(
         self, array: np.ndarray, then: Optional[Callable[..., Any]] = None
@@ -455,97 +389,6 @@ class SimComm:
         if then is not None and not share:
             result = copy.deepcopy(result)  # ends the arena lease (if any)
         return result
-
-    def Gatherv(self, array: np.ndarray, root: int = 0) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Concatenate per-rank 1-D arrays at ``root`` (None elsewhere)."""
-        arr = np.ascontiguousarray(array)
-        if arr.ndim != 1:
-            raise ValueError("Gatherv expects 1-D arrays")
-        nbytes = arr.nbytes if self.rank != root else 0
-
-        def execute(contribs: List[Any]) -> List[Any]:
-            counts = np.array([c.shape[0] for c in contribs], dtype=np.int64)
-            total = int(counts.sum())
-            if total:
-                merged = _dataplane.result_buffer(
-                    (total,), np.result_type(*contribs)
-                )
-                np.concatenate(contribs, out=merged)
-            else:
-                merged = contribs[0][:0]
-            out: List[Any] = [None] * len(contribs)
-            out[root] = (merged, counts)
-            return out
-
-        return self._collective("gatherv", arr, nbytes, execute, root=root)
-
-    def Scatterv(
-        self, array: Optional[np.ndarray], counts: Optional[np.ndarray], root: int = 0
-    ) -> np.ndarray:
-        """Split ``array`` (at root) into ``counts[r]``-length pieces."""
-        if self.rank == root:
-            if array is None or counts is None:
-                raise ValueError("Scatterv at root requires array and counts")
-            arr = np.ascontiguousarray(array)
-            cts = np.asarray(counts, dtype=np.int64)
-            if cts.sum() != arr.shape[0]:
-                raise ValueError("Scatterv counts do not sum to array length")
-            nbytes = int(arr.nbytes - (cts[root] * arr.itemsize))
-            payload = (arr, cts)
-            dest = self._dest_split(cts, arr.itemsize)
-        else:
-            nbytes = 0
-            payload = None
-            dest = None
-
-        def execute(contribs: List[Any]) -> List[Any]:
-            arr_, cts_ = contribs[root]
-            offsets = np.zeros(len(contribs) + 1, dtype=np.int64)
-            np.cumsum(cts_, out=offsets[1:])
-            # the root's own piece stays a view of its input; other ranks
-            # get private copies (arena-backed under the shm data plane)
-            return [
-                _copy_result(arr_[offsets[r]:offsets[r + 1]]) if r != root
-                else arr_[offsets[r]:offsets[r + 1]]
-                for r in range(len(contribs))
-            ]
-
-        return self._collective("scatterv", payload, nbytes, execute,
-                                dest_bytes=dest, root=root)
-
-    def Alltoall(self, array: np.ndarray) -> np.ndarray:
-        """Exchange one item (or fixed-size row) per rank pair.
-
-        ``array`` must have leading dimension ``size``; returns an array of
-        the same shape whose ``r``-th slot is what rank ``r`` sent to us.
-        """
-        arr = np.ascontiguousarray(array)
-        if arr.shape[0] != self.size:
-            raise ValueError(
-                f"Alltoall expects leading dim {self.size}, got {arr.shape}"
-            )
-        slot = arr.nbytes // self.size if self.size else 0
-        nbytes = arr.nbytes - slot  # exclude the self-directed slot
-        dest = self._dest_split(
-            np.ones(self.size, dtype=np.int64), slot
-        ) if self._tiered else None
-        share = self._share_results
-
-        def execute(contribs: List[Any]) -> List[Any]:
-            stacked = np.stack(contribs)  # [src, dst, ...]
-            if share:
-                # one contiguous [dst, src, ...] transpose; each rank's
-                # result is a sealed row view — same values as the
-                # per-rank column copies, one vectorized copy total
-                axes = (1, 0) + tuple(range(2, stacked.ndim))
-                out = _dataplane.seal(
-                    np.ascontiguousarray(stacked.transpose(axes))
-                )
-                return [out[r] for r in range(len(contribs))]
-            return [_copy_result(stacked[:, r]) for r in range(len(contribs))]
-
-        return self._collective("alltoall", arr, nbytes, execute,
-                                dest_bytes=dest)
 
     def Alltoallv(
         self, sendbuf: np.ndarray, sendcounts: np.ndarray
@@ -612,7 +455,12 @@ class SimComm:
             )
         record_bytes = sum(b.itemsize for b in bufs)
         offrank = int((nrec - cts[self.rank]) * record_bytes)
-        dest = self._dest_split(cts, record_bytes)
+        dest = None
+        if self._tiered:
+            # per-destination payload bytes, self slot zeroed: the input of
+            # the tier split (flat metering would not read it)
+            dest = cts * np.int64(record_bytes)
+            dest[self.rank] = 0
         share = self._share_results
 
         def execute(contribs: List[Any]) -> List[Any]:
@@ -682,22 +530,3 @@ class SimComm:
             "alltoallv", (bufs, cts), offrank, execute, dest_bytes=dest,
             header_slot=cts.itemsize,
         )
-
-    # -- scans -----------------------------------------------------------------
-
-    def exscan(self, value: Any, op: str = "sum") -> Any:
-        """Exclusive prefix reduction; rank 0 receives the identity (0)."""
-        reducer = _REDUCERS[op]
-        nbytes = _obj_nbytes(value)
-
-        def execute(contribs: List[Any]) -> List[Any]:
-            out: List[Any] = []
-            for r in range(len(contribs)):
-                if r == 0:
-                    out.append(0)
-                else:
-                    red = reducer(np.asarray(contribs[:r], dtype=object), axis=0)
-                    out.append(red.item() if isinstance(red, np.generic) else red)
-            return out
-
-        return self._collective("exscan", value, nbytes, execute)

@@ -186,14 +186,14 @@ class CommStats:
     #: OS thread park/wake cycles the serial backend's executor-continue
     #: scheduling avoided (the last depositor of a superstep runs on with
     #: its result instead of parking and being re-woken).  Engine-side
-    #: bookkeeping only — excluded from :meth:`signature`, merged
-    #: additively, and always zero on the other backends.
+    #: bookkeeping only — excluded from :meth:`signature`, and always
+    #: zero on the other backends.
     saved_switches: int = 0
     #: Health counters of the failure-detection machinery
     #: (:mod:`repro.ft.watchdog` / :mod:`repro.ft.integrity`).  Like
     #: ``saved_switches`` they are engine-side observability only:
-    #: excluded from :meth:`signature`, merged additively, and zero when
-    #: the watchdog / integrity checking are off.
+    #: excluded from :meth:`signature`, and zero when the watchdog /
+    #: integrity checking are off.
     #:
     #: Heartbeat step increments the procs supervisor's watchdog observed.
     heartbeats_seen: int = 0
@@ -285,34 +285,14 @@ class CommStats:
         """True if any event carries two-level tier metering."""
         return any(e.tiers is not None for e in self.events)
 
-    def tier_bytes_by_op(self) -> Dict[str, tuple]:
-        """Per-op ``(intra, inter)`` classification of metered bytes.
-
-        Sum-preserving by construction: ``intra + inter`` equals the op's
-        :meth:`bytes_by_op` entry for tiered events; untiered events (flat
-        strategy, or merged foreign records) count fully as inter, matching
-        the flat model's one-rank-per-node assumption.  On rack topologies
-        the cross-rack bytes fold into ``inter`` here (everything off-node);
-        :meth:`rack_tier_bytes_by_op` keeps the three-way split.
-        """
-        out: Dict[str, tuple] = {}
-        for e in self.events:
-            intra, inter = out.get(e.op, (0, 0))
-            if e.tiers is not None:
-                intra += e.tiers.total_intra
-                inter += e.tiers.total_inter + e.tiers.total_xrack
-            else:
-                inter += e.total_bytes
-            out[e.op] = (intra, inter)
-        return out
-
     def rack_tier_bytes_by_op(self) -> Dict[str, tuple]:
         """Per-op ``(intra, inter, xrack)`` classification of metered bytes.
 
-        Sum-preserving like :meth:`tier_bytes_by_op` (the three components
-        add up to the op's :meth:`bytes_by_op` entry); untiered events
-        count fully as ``xrack`` — under ``flat`` every rank is its own
-        node *and* rack, so every metered byte crosses the widest tier.
+        Sum-preserving: the three components add up to the op's
+        :meth:`bytes_by_op` entry.  On rack-less topologies ``xrack`` is
+        zero; untiered events count fully as ``xrack`` — under ``flat``
+        every rank is its own node *and* rack, so every metered byte
+        crosses the widest tier.
         """
         out: Dict[str, tuple] = {}
         for e in self.events:
@@ -377,20 +357,6 @@ class CommStats:
         for e in self.events:
             total += e.bytes_sent
         return total
-
-    def merge(self, other: "CommStats") -> None:
-        """Fold another run's events into this record (e.g. across phases)."""
-        if other.nprocs != self.nprocs:
-            raise ValueError(
-                f"cannot merge stats for {other.nprocs} ranks into {self.nprocs}"
-            )
-        self.events.extend(other.events)
-        self.recoveries.extend(other.recoveries)
-        self.saved_switches += other.saved_switches
-        self.heartbeats_seen += other.heartbeats_seen
-        self.deadline_extensions += other.deadline_extensions
-        self.checksum_verifications += other.checksum_verifications
-        self.checksum_failures += other.checksum_failures
 
     def signature(self) -> List[tuple]:
         """A comparable, bit-exact digest of the event stream.

@@ -16,9 +16,9 @@ For an Alltoallv the protocol is:
 3. **intra-node scatter** — the receiving leader splits the aggregate and
    delivers each piece to its destination rank (shared-memory copy).
 
-Rooted and reduction collectives follow the same shape: reduce/gather to
-the leader inside the node, run the collective among leaders only, fan the
-result back out.
+Broadcasts and reductions follow the same shape: reduce to the leader
+inside the node, run the collective among leaders only, fan the result
+back out.
 
 Payload movement in the simulator is untouched — the rendezvous and its
 ``execute`` closure run exactly as under ``flat``, so partitions and the
@@ -30,29 +30,30 @@ two-level protocol itself would put on each wire.  The tiered machine
 models (:class:`repro.simmpi.timing.TieredMachineModel`) price the wire
 model per tier; the classification feeds the volume breakdowns.
 
-Per-op rules (``b`` = the rank's metered ``bytes_sent``):
+Per-op rules (``b`` = the rank's metered ``bytes_sent``), one for each op
+:class:`~repro.simmpi.comm.SimComm` emits:
 
-* **destination-addressed** (``alltoall``, ``alltoallv``, ``scatter``,
-  ``scatterv``): ``intra``/``inter`` split ``b`` by the destination's
-  node.  Wire: the intra bytes move once locally; a non-leader's inter
-  bytes pay an extra local gather hop to the leader; off-node bytes whose
-  destination is not its node's leader pay the remote scatter hop; count
-  headers (the ``Alltoall`` a payload exchange is prefixed with) cross
-  the network re-encoded at 4 bytes per off-node entry.
-* **reductions** (``allreduce``, ``reduce``, ``exscan``, ``barrier``):
-  non-leaders reduce onto their leader (intra); only leaders enter the
-  inter-node phase, so a node injects one contribution instead of
-  ``node_size`` — the classic hierarchical-allreduce saving.
+* **pairwise** (``alltoallv`` and its ``alltoall`` count header):
+  ``intra``/``inter`` split ``b`` by the destination's node.  Wire: the
+  intra bytes move once locally; a non-leader's inter bytes pay an extra
+  local gather hop to the leader; off-node bytes whose destination is not
+  its node's leader pay the remote scatter hop; count headers cross the
+  network re-encoded at 4 bytes per off-node entry.
+* **reductions** (``allreduce``, ``barrier``): non-leaders reduce onto
+  their leader (intra); only leaders enter the inter-node phase, so a
+  node injects one contribution instead of ``node_size`` — the classic
+  hierarchical-allreduce saving.
 * **concatenations** (``allgather``, ``allgatherv``): every rank's
   contribution must reach every node, so ``b`` is inter on multi-node
   topologies; non-leaders pay the local gather hop and leaders the local
   fan-out hop.
-* **rooted one-to-all / all-to-one** (``bcast``, ``gather``, ``gatherv``):
-  classified by whether the payload crosses the root's node boundary.
+* **``bcast``**: only the root's bytes count; intra on a single node,
+  else off-node (cross-rack over racks), with a local fan-out hop where
+  the root's node has peers.
 * **``checkpoint``**: always inter — snapshot payloads leave the node for
   stable storage regardless of topology (documented exception to the
   node-locality rules).
-* anything else (unknown/third-party ops): conservatively all-inter.
+* anything else (an op no rule names): conservatively all-inter.
 
 Latency hops per round: pairwise ops cost ``n_nodes - 1`` inter hops plus
 ``3 * (max_node_size - 1)`` intra hops (gather, local exchange, scatter);
@@ -74,7 +75,7 @@ two-tier form above, bit-identically.
 The split runs **once per metered round, for every rank at once**
 (:meth:`HierarchicalCommunicator.tier_matrix`), where the backend records
 the round — not once per rank at its deposit: the ranks deposit only what
-they hold (their metered bytes and, for destination-addressed ops, the
+they hold (their metered bytes and, for pairwise ops, the
 per-destination byte vector).  Ranks are packed node-major and nodes
 rack-major, so every locality class is a contiguous span of the
 destination axis and one ``np.add.reduceat`` over the stacked ``P x P``
@@ -90,17 +91,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.simmpi.topology.registry import Communicator, register_communicator
+from repro.simmpi.topology.model import Topology
 
-#: Ops whose payload is addressed to explicit destination ranks.
-_DEST_OPS = frozenset({"alltoall", "alltoallv", "scatter", "scatterv"})
+#: Pairwise exchanges: payload addressed to explicit destination ranks,
+#: latency scaling with the participant count.  ``alltoall`` is the count
+#: header an ``alltoallv`` round is prefixed with.
+_PAIRWISE_OPS = frozenset({"alltoall", "alltoallv"})
 #: Ops reduced to a single value (leaders-only inter phase).
-_REDUCE_OPS = frozenset({"allreduce", "reduce", "exscan", "barrier"})
+_REDUCE_OPS = frozenset({"allreduce", "barrier"})
 #: Ops concatenating every rank's contribution onto every rank.
 _CONCAT_OPS = frozenset({"allgather", "allgatherv"})
-_GATHER_OPS = frozenset({"gather", "gatherv"})
-#: Pairwise exchange patterns (latency scales with participant count).
-_PAIRWISE_OPS = frozenset({"alltoall", "alltoallv"})
 
 #: Wire bytes per count-header entry after uint32 re-encoding.  Ghost
 #: exchange counts are int64 rank-side, but no aggregated node-pair
@@ -109,14 +109,21 @@ _PAIRWISE_OPS = frozenset({"alltoall", "alltoallv"})
 COUNT_WIRE_BYTES = 4
 
 
-class HierarchicalCommunicator(Communicator):
-    """Node-aware two-level metering strategy."""
+class HierarchicalCommunicator:
+    """Node-aware two-level metering strategy.
+
+    :meth:`tier_matrix` classifies all ranks of one metered round at once
+    (called where the round is recorded) and :meth:`hops` gives each op's
+    latency structure.  Flat metering has no strategy object at all (see
+    :func:`repro.simmpi.topology.create_communicator`).
+    """
 
     name = "hierarchical"
-    tiered = True
 
-    def __init__(self, topology) -> None:
-        super().__init__(topology)
+    def __init__(self, topology: Topology) -> None:
+        self.topology = topology
+        #: Shared rank -> node map, reused by every event's TierMetering.
+        self.node_map = topology.node_of_ranks()
         #: Shared rank -> rack map (None without a rack tier), reused by
         #: every event's TierMetering like :attr:`node_map`.
         self.rack_map = (topology.rack_of_ranks()
@@ -162,12 +169,20 @@ class HierarchicalCommunicator(Communicator):
         root: Optional[int] = None,
         counts: bool = False,
     ) -> np.ndarray:
-        """Rack-less topologies fill the historical columns ``(intra,
-        inter, wire_intra, wire_inter)``; rack topologies six, with
-        ``xrack`` and ``wire_xrack`` after each pair: ``(intra, inter,
-        xrack, wire_intra, wire_inter, wire_xrack)``.  Conservation holds
-        per width: a row's classification entries sum to its ``nbytes``
-        either way."""
+        """Every rank's tier bytes for one metered round, as an int64
+        ``(nprocs, 4)`` matrix ``(intra, inter, wire_intra, wire_inter)``
+        on rack-less topologies, or ``(nprocs, 6)`` with ``xrack`` and
+        ``wire_xrack`` after each pair on rack topologies: ``(intra,
+        inter, xrack, wire_intra, wire_inter, wire_xrack)``.
+
+        Called once per round, where the backend records it, with the
+        metering inputs the ranks deposited: ``nbytes[r]`` is rank ``r``'s
+        metered payload, ``dest[r, d]`` its bytes addressed to rank ``d``
+        for pairwise ops (diagonal zero; None for every other op),
+        ``root`` the root of a ``bcast``, and ``counts`` flags the
+        count-header round of an Alltoallv.  The classification entries
+        of a row sum to its ``nbytes`` at either width; the ``wire_*``
+        columns are the separate protocol model and need not."""
         topo = self.topology
         b = np.asarray(nbytes, dtype=np.int64)
         multi = topo.multi_node
@@ -183,7 +198,7 @@ class HierarchicalCommunicator(Communicator):
                 matrix[:, j] = col
             return matrix
 
-        if op in _DEST_OPS and dest is not None:
+        if op in _PAIRWISE_OPS and dest is not None:
             dest = np.asarray(dest, dtype=np.int64)
             total, intra, in_rack = self._locality_sums(dest)  # self slot 0
             off_node = total - intra
@@ -243,18 +258,6 @@ class HierarchicalCommunicator(Communicator):
                 return out(0, 0, fanout, sent, sent, sent)
             return out(0, sent, fanout, sent)
 
-        if op in _GATHER_OPS:
-            if root is None:
-                return out(0, 0, 0, 0)
-            local = self.node_map == self.node_map[root]
-            off_node = np.where(local, 0, b)
-            wire_intra = np.where(local | ~leader, b, 0)  # the gather leg
-            if not multi_rack:
-                return out(b - off_node, off_node, wire_intra, off_node)
-            xrack = np.where(self.rack_map == self.rack_map[root], 0, b)
-            return out(b - off_node, off_node - xrack, wire_intra, off_node,
-                       xrack, xrack)
-
         if op == "checkpoint":
             # snapshots leave the node for stable storage regardless of
             # topology (documented exception: never charged to the rack
@@ -296,5 +299,3 @@ class HierarchicalCommunicator(Communicator):
             return intra, inter, xrack
         return intra, inter
 
-
-register_communicator(HierarchicalCommunicator.name, HierarchicalCommunicator)

@@ -43,7 +43,7 @@ def parse_comm_spec(spec: str) -> Tuple[str, Optional[int], Optional[int]]:
     """Split a communicator spec into ``(name, ranks_per_node, nodes_per_rack)``.
 
     Only the grammar is checked here (``name[:R[xK]]`` with positive
-    integer ``R``/``K``); whether ``name`` is registered is the registry's
+    integer ``R``/``K``); whether ``name`` is a strategy is the factory's
     concern, so specs can be validated by :class:`~repro.core.params.PulpParams`
     without importing the strategy implementations.
     """

@@ -7,6 +7,7 @@ bit-identically to the uninterrupted reference run — a detected hang is
 just another recoverable rank failure.
 """
 
+import logging
 import time
 
 import numpy as np
@@ -196,15 +197,21 @@ def test_serial_baton_holder_stall_blames_the_holder():
     assert "held the scheduling baton" in str(ei.value)
 
 
-def test_procs_watchdog_kills_the_hung_process(ft_graph, ft_params):
+def test_procs_watchdog_kills_the_hung_process(ft_graph, ft_params, caplog):
     """procs detection is a real kill: the HungRankError comes from the
-    supervisor-side watchdog, with the stall phase on it."""
-    with pytest.raises(HungRankError) as ei:
-        xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
-                 backend="procs", fault_plan=_hang_plan(), watchdog=1.0)
+    supervisor-side watchdog, with the stall phase on it — and the
+    declaration is a ``repro.ft.watchdog`` log record, not a print."""
+    with caplog.at_level(logging.WARNING, logger="repro.ft.watchdog"):
+        with pytest.raises(HungRankError) as ei:
+            xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
+                     backend="procs", fault_plan=_hang_plan(), watchdog=1.0)
     assert ei.value.ranks == (1,)
     assert ei.value.phase == "vertex_refine"
     assert "watchdog" in str(ei.value)
+    declared = [r for r in caplog.records if "declaring [1] hung" in r.message]
+    assert declared
+    assert all(r.name == "repro.ft.watchdog" and r.levelno == logging.WARNING
+               for r in declared)
 
 
 # -- containment: a detected hang is a recoverable failure -------------------

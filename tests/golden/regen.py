@@ -1,8 +1,11 @@
 """Absolute pins for the scoring kernels (first slice of ROADMAP 3a).
 
-``scoring.json`` holds, per case, the configuration and the sha256 of
-``parts`` and of ``CommStats.signature()``.  Regenerate — only for an
-*intended* change of partitions or of the communication record — with::
+``scoring.json`` holds, per case, the configuration, the sha256 of
+``parts`` and of ``CommStats.signature()``, and beside them the quality
+and modeled time those digests stand for (``cut_ratio``,
+``vertex_balance``, ``edge_balance``, ``modeled_s``), so a regeneration
+diff says *what* moved.  Regenerate — only for an *intended* change of
+partitions or of the communication record — with::
 
     PYTHONPATH=src python -m tests.golden.regen
 
@@ -53,9 +56,10 @@ def tiers_sha256(stats) -> str:
 
 
 def digests(case: dict, backend: str) -> Dict[str, str]:
-    """Run one pinned configuration; sha256 of its partition and record —
-    and, for a tiered communicator, of its tier metering, with the time
-    the tiered machine model prices it at (hops included)."""
+    """Run one pinned configuration; sha256 of its partition and record,
+    its quality and its modeled partitioning time — priced by the tiered
+    machine model (hops included) for a tiered communicator, whose tier
+    metering is pinned too, else by the run's own machine model."""
     # mesh3d takes no seed: a null graph_seed passes none
     seed = {} if case["graph_seed"] is None else {"seed": case["graph_seed"]}
     graph = getattr(generators, case["generator"])(*case["gen_args"], **seed)
@@ -72,15 +76,21 @@ def digests(case: dict, backend: str) -> Dict[str, str]:
         vertex_weights=weights,
         backend=backend,
     )
+    tiered = case["params"].get("comm", "flat") != "flat"
+    quality = result.quality()
+    machine = BLUE_WATERS_TIERED if tiered else result.machine
     out = {
         "parts_sha256": hashlib.sha256(result.parts.tobytes()).hexdigest(),
         "signature_sha256": hashlib.sha256(
             repr(result.stats.signature()).encode()
         ).hexdigest(),
+        "modeled_s": repr(TimeModel(machine).total_time(
+            result.stats.filtered(PARTITION_PHASES))),
+        "cut_ratio": repr(quality.cut_ratio),
+        "vertex_balance": repr(quality.vertex_balance),
+        "edge_balance": repr(quality.edge_balance),
     }
-    if case["params"].get("comm", "flat") != "flat":
-        out["modeled_s"] = repr(TimeModel(BLUE_WATERS_TIERED).total_time(
-            result.stats.filtered(PARTITION_PHASES)))
+    if tiered:
         out["tiers_sha256"] = tiers_sha256(result.stats)
     return out
 

@@ -19,7 +19,12 @@ PHASE_CASES = load_phase_cases()
 @pytest.mark.parametrize("backend", ["serial", "threads", "procs"])
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_pinned_digests(case, backend):
+    """The digests and, beside them, the quality and modeled time they
+    stand for (``cut_ratio``, ``vertex_balance``, ``edge_balance``,
+    ``modeled_s``)."""
     got = digests(case, backend)
+    assert {"cut_ratio", "vertex_balance", "edge_balance",
+            "modeled_s"} <= got.keys()
     assert got == {key: case[key] for key in got}
 
 

@@ -16,8 +16,7 @@ import numpy as np
 from repro.simmpi.topology import COUNT_WIRE_BYTES, Topology
 from repro.simmpi.topology.hierarchical import (
     _CONCAT_OPS,
-    _DEST_OPS,
-    _GATHER_OPS,
+    _PAIRWISE_OPS,
     _REDUCE_OPS,
 )
 
@@ -49,7 +48,7 @@ def tier_contribution(
             return intra, inter, xrack, wire_intra, wire_inter, wire_xrack
         return intra, inter, wire_intra, wire_inter
 
-    if op in _DEST_OPS and dest_bytes is not None:
+    if op in _PAIRWISE_OPS and dest_bytes is not None:
         # contiguous packing (ranks node-major, nodes rack-major) turns
         # every locality class into a slice sum — no O(P) boolean masks
         dest = np.asarray(dest_bytes, dtype=np.int64)
@@ -122,16 +121,6 @@ def tier_contribution(
         if multi_rack:
             return out(0, 0, fanout, b, b, b)
         return out(0, b, fanout, b)
-
-    if op in _GATHER_OPS:
-        if root is None or b == 0:
-            return out(0, 0, 0, 0)
-        if topo.same_node(rank, root):
-            return out(b, 0, b, 0)
-        gather_leg = 0 if leader else b
-        if multi_rack and not topo.same_rack(rank, root):
-            return out(0, 0, gather_leg, b, b, b)
-        return out(0, b, gather_leg, b)
 
     if op == "checkpoint":
         # snapshots leave the node for stable storage regardless of

@@ -30,11 +30,11 @@ def test_bcast_object(nprocs, root):
     root = root % nprocs
 
     def fn(comm):
-        obj = {"payload": [1, 2, 3]} if comm.rank == root else None
-        return comm.bcast(obj, root=root)
+        mine = np.array([1, 2, 3]) if comm.rank == root else np.empty(0)
+        return comm.Bcast(mine, root=root).tolist()
 
     out, _ = run_spmd(nprocs, fn)
-    assert all(o == {"payload": [1, 2, 3]} for o in out)
+    assert out == [[1, 2, 3]] * nprocs
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
@@ -79,23 +79,7 @@ def test_allgather(nprocs):
     assert all(o == expected for o in out)
 
 
-@pytest.mark.parametrize("nprocs", NPROCS)
-def test_gather_scatter_roundtrip(nprocs):
-    def fn(comm):
-        gathered = comm.gather(comm.rank + 1, root=0)
-        if comm.rank == 0:
-            assert gathered == [r + 1 for r in range(comm.size)]
-            objs = [g * 2 for g in gathered]
-        else:
-            assert gathered is None
-            objs = None
-        return comm.scatter(objs, root=0)
-
-    out, _ = run_spmd(nprocs, fn)
-    assert out == [(r + 1) * 2 for r in range(nprocs)]
-
-
-@pytest.mark.parametrize("op,ref", [("sum", sum), ("max", max), ("min", min)])
+@pytest.mark.parametrize("op,ref", [("sum", sum), ("max", max)])
 @pytest.mark.parametrize("nprocs", NPROCS)
 def test_allreduce_scalar(nprocs, op, ref):
     def fn(comm):
@@ -104,6 +88,15 @@ def test_allreduce_scalar(nprocs, op, ref):
     out, _ = run_spmd(nprocs, fn)
     expected = ref(range(1, nprocs + 1))
     assert out == [expected] * nprocs
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda comm: comm.allreduce(1, op="avg"),
+    lambda comm: comm.Allreduce(np.ones(2), op="min"),
+], ids=["allreduce", "Allreduce"])
+def test_unknown_reduction_op_names_the_valid_ops(reduce):
+    with pytest.raises(ValueError, match=r"valid ops: \['max', 'sum'\]"):
+        run_spmd(2, reduce)
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
@@ -126,16 +119,6 @@ def test_Allreduce_shape_mismatch_raises():
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
-def test_Reduce_root_only(nprocs):
-    def fn(comm):
-        return comm.Reduce(np.array([comm.rank, 1.0]), op="sum", root=0)
-
-    out, _ = run_spmd(nprocs, fn)
-    np.testing.assert_allclose(out[0], [sum(range(nprocs)), nprocs])
-    assert all(o is None for o in out[1:])
-
-
-@pytest.mark.parametrize("nprocs", NPROCS)
 def test_Allgatherv(nprocs):
     def fn(comm):
         mine = np.full(comm.rank + 1, comm.rank, dtype=np.int64)
@@ -152,30 +135,14 @@ def test_Allgatherv(nprocs):
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
-def test_Gatherv_and_Scatterv(nprocs):
-    def fn(comm):
-        mine = np.arange(comm.rank + 2, dtype=np.float64) + comm.rank
-        at_root = comm.Gatherv(mine, root=0)
-        if comm.rank == 0:
-            merged, counts = at_root
-            back = comm.Scatterv(merged, counts, root=0)
-        else:
-            assert at_root is None
-            back = comm.Scatterv(None, None, root=0)
-        np.testing.assert_array_equal(back, mine)
-        return True
-
-    out, _ = run_spmd(nprocs, fn)
-    assert all(out)
-
-
-@pytest.mark.parametrize("nprocs", NPROCS)
 def test_Alltoall_matrix_transpose_semantics(nprocs):
+    # one item per rank pair: the Alltoallv transposes the send matrix
     def fn(comm):
         sent = np.array(
             [comm.rank * 100 + dst for dst in range(comm.size)], dtype=np.int64
         )
-        return comm.Alltoall(sent)
+        recv, _ = comm.Alltoallv(sent, np.ones(comm.size, dtype=np.int64))
+        return recv
 
     out, _ = run_spmd(nprocs, fn)
     for dst, received in enumerate(out):
@@ -342,15 +309,6 @@ def test_Alltoallv_fields_validates():
 
     with pytest.raises(ValueError, match="equal-length"):
         run_spmd(2, fn)
-
-
-@pytest.mark.parametrize("nprocs", NPROCS)
-def test_exscan(nprocs):
-    def fn(comm):
-        return comm.exscan(comm.rank + 1, op="sum")
-
-    out, _ = run_spmd(nprocs, fn)
-    assert out == [sum(range(1, r + 1)) for r in range(nprocs)]
 
 
 def test_phase_tagging():

@@ -100,21 +100,3 @@ def test_Allgatherv_concatenates_in_rank_order(nprocs, data):
     for merged, counts in out:
         assert merged == expected
         assert counts == [p.size for p in pieces]
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    nprocs=st.integers(min_value=1, max_value=4),
-    values=st.data(),
-)
-def test_exscan_prefix_property(nprocs, values):
-    vals = [
-        values.draw(st.integers(min_value=-100, max_value=100))
-        for _ in range(nprocs)
-    ]
-
-    def fn(comm):
-        return comm.exscan(vals[comm.rank], op="sum")
-
-    out, _ = run_spmd(nprocs, fn)
-    assert out == [sum(vals[:r]) for r in range(nprocs)]

@@ -39,7 +39,7 @@ def _six_collectives(comm, log):
         lambda: comm.Allreduce(np.arange(3) + r, op="sum"),
         lambda: comm.Allgatherv(np.full(r + 1, r)),
         lambda: comm.Alltoallv(np.full(n, r), np.ones(n, dtype=np.int64)),
-        lambda: comm.bcast(r, root=2),
+        lambda: comm.Bcast(np.array([r]), root=2),
     ]
     for step, call in enumerate(calls):
         log.append((r, "in", step))

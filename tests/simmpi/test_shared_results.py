@@ -167,7 +167,7 @@ def _workout(comm):
     total = comm.allreduce(int(recv.sum()) + int(merged.sum()))
     red = comm.Allreduce(np.full(3, rank, dtype=np.float64), op="max")
     gathered = comm.allgather(rank * rank)
-    top = comm.bcast(total if rank == 0 else None, root=0)
+    top = int(comm.Bcast(np.array([total]), root=0)[0])
     return (total, tuple(gathered), top, int(rcts.sum()),
             mcts.tolist(), red.tolist())
 
