@@ -19,7 +19,6 @@ from repro.dist.build import build_dist_graph
 from repro.dist.distgraph import DistGraph
 from repro.dist.distribution import Distribution, make_distribution
 from repro.dist.ops import ExchangePlan
-from repro.graph.builders import symmetrize
 from repro.graph.csr import Graph
 from repro.simmpi.comm import SimComm
 from repro.simmpi.metrics import CommStats
@@ -120,7 +119,7 @@ def run_analytic(
         dist = make_distribution(distribution, graph.n, nprocs)
     else:
         dist = distribution
-    if directed is not None and symmetrize(directed).n != graph.n:
+    if directed is not None and directed.n != graph.n:
         raise ValueError("directed graph does not match the symmetric closure")
 
     def rank_main(comm: SimComm):

@@ -31,10 +31,6 @@ class ExperimentTable:
             )
         self.rows.append(list(values))
 
-    def column(self, name: str) -> List[Any]:
-        idx = list(self.columns).index(name)
-        return [r[idx] for r in self.rows]
-
     def formatted(self) -> str:
         return format_table(self)
 

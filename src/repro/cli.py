@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="declare a rank hung after SECONDS without "
                          "progress and kill it (procs backend) or fail it "
                          "in place (in-process backends); 0 or unset "
-                         "disables the watchdog ($REPRO_WATCHDOG_TIMEOUT); "
+                         "disables the watchdog; "
                          "with --checkpoint-dir a detected hang exits 5 "
                          "and is resumable like a crash")
     ft.add_argument("--integrity", choices=["crc", "off"], default=None,

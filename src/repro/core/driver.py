@@ -86,6 +86,7 @@ class PartitionResult:
     backend: str = "threads"
     comm: str = "flat"
     multilevel: Optional[MultilevelInfo] = None
+    #: the partitioned graph, so :meth:`quality` needs no argument
     _graph: Optional[Graph] = field(default=None, repr=False)
 
     @property
@@ -101,8 +102,6 @@ class PartitionResult:
 
     def quality(self, graph: Optional[Graph] = None) -> PartitionQuality:
         g = graph if graph is not None else self._graph
-        if g is None:
-            raise ValueError("pass the graph to quality() (not retained)")
         return partition_quality(g, self.parts, self.num_parts)
 
 
@@ -385,7 +384,7 @@ def _run(cfg: _RunConfig, graph: Graph, num_parts: int,
 
 def _assemble_result(
     cfg: _RunConfig, graph: Graph, num_parts: int, nprocs: int,
-    per_rank: list, wall: float, machine: MachineModel, keep_graph: bool,
+    per_rank: list, wall: float, machine: MachineModel,
 ) -> PartitionResult:
     """Gather the ranks' parts; on a resumed run splice the record."""
     parts = np.empty(graph.n, dtype=np.int64)
@@ -419,7 +418,7 @@ def _assemble_result(
         comm=(runtime.comm_strategy.name if runtime.comm_strategy is not None
               else "flat"),
         multilevel=ml_info,
-        _graph=graph if keep_graph else None,
+        _graph=graph,
     )
 
 
@@ -431,14 +430,13 @@ def xtrapulp(
     params: Optional[PulpParams] = None,
     distribution: Union[str, Distribution] = "random",
     machine: MachineModel = BLUE_WATERS_LIKE,
-    keep_graph: bool = True,
     initial_parts: Optional[np.ndarray] = None,
     vertex_weights: Optional[np.ndarray] = None,
     backend: Union[str, None, Backend] = None,
     checkpoint: Union[None, str, os.PathLike, CkptPolicy] = None,
     resume: Union[None, str, os.PathLike] = None,
     fault_plan: Any = None,
-    watchdog: Any = None,
+    watchdog: Optional[float] = None,
     integrity: Optional[str] = None,
 ) -> PartitionResult:
     """Partition ``graph`` into ``num_parts`` parts on ``nprocs`` simulated
@@ -460,9 +458,6 @@ def xtrapulp(
         pre-built :class:`~repro.dist.distribution.Distribution`.
     machine:
         Alpha-beta model used for modeled times in the result.
-    keep_graph:
-        Retain a graph reference on the result so ``result.quality()``
-        works without re-passing it.
     initial_parts:
         Optional existing assignment to *improve* instead of initializing
         from scratch (the paper's §V.E workflow); overrides
@@ -501,10 +496,9 @@ def xtrapulp(
         failures (testing/benchmarking; on the ``procs`` backend a ``die``
         fault hard-kills the rank's OS process mid-superstep).
     watchdog:
-        Liveness deadline for the run — seconds, a
-        :class:`~repro.ft.watchdog.WatchdogConfig`, or None to honor
-        ``$REPRO_WATCHDOG_TIMEOUT`` (default: no watchdog, unbounded
-        waits).  A rank that makes no progress for that long is killed
+        Liveness deadline for the run in seconds; None or 0 (default:
+        none) leaves every wait unbounded, a negative value is a
+        ``ValueError``.  A rank that makes no progress for that long is killed
         (``procs``) or failed in place (in-process backends) and surfaces
         as :class:`~repro.simmpi.errors.HungRankError` — which, combined
         with ``checkpoint``, makes a hang recoverable exactly like a
@@ -522,5 +516,5 @@ def xtrapulp(
     )
     per_rank, wall = _run(cfg, graph, num_parts, initial_parts)
     return _assemble_result(
-        cfg, graph, num_parts, nprocs, per_rank, wall, machine, keep_graph
+        cfg, graph, num_parts, nprocs, per_rank, wall, machine
     )

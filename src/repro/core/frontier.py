@@ -45,8 +45,8 @@ therefore yields the blocks — hence the moves — of
 ``RankState.iter_blocks`` exactly.
 
 Work model: scoring work is charged by ``RankState.gather_block`` only
-for blocks actually swept, so a shrinking active set shrinks
-``CommStats.work_by_tag()`` and the modeled gamma term directly;
+for blocks actually swept, so a shrinking active set shrinks the work
+units the phase records and the modeled gamma term directly;
 frontier maintenance charges the transpose edges it walks plus one
 O(n_local) mask pass per iteration (the same convention used for other
 full-vector passes, e.g. ``compute_vertex_sizes``).
@@ -125,40 +125,6 @@ class FrontierSweeper:
             # of the exhaustive iteration-0 sweep.  The cleanup pass still
             # catches anything the seed missed.
             self._frontier = sorted_unique(np.asarray(seed_lids, np.int64))
-
-    # -- checkpointing -------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """The sweeper's mid-phase position as plain data.
-
-        The driver checkpoints only at phase boundaries — where no sweeper
-        is live — so this is not on the checkpoint path; it exists so
-        finer-than-phase checkpointing (and tests) can capture an active
-        set mid-phase and resume it bit-identically via :meth:`restore`.
-        """
-        return {
-            "phase": self.phase,
-            "iter": int(self._iter),
-            "frontier": (
-                None if self._frontier is None else self._frontier.copy()
-            ),
-            "moved": [m.copy() for m in self._moved],
-            "dirt": self._dirt.copy(),
-            "edges_mark": float(self._edges_mark),
-        }
-
-    def restore(self, snap: dict) -> None:
-        if snap["phase"] != self.phase:
-            raise ValueError(
-                f"snapshot is for phase {snap['phase']!r}, "
-                f"this sweeper drives {self.phase!r}"
-            )
-        self._iter = int(snap["iter"])
-        fr = snap["frontier"]
-        self._frontier = None if fr is None else np.asarray(fr, dtype=np.int64)
-        self._moved = [np.asarray(m, dtype=np.int64) for m in snap["moved"]]
-        self._dirt[:] = snap["dirt"]
-        self._edges_mark = float(snap["edges_mark"])
 
     # -- iteration body ------------------------------------------------------
 

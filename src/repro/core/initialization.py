@@ -99,10 +99,8 @@ def initialize_hybrid(comm: SimComm, state: RankState) -> None:
         wire=state.wire,
     )
 
-    max_rounds = state.params.max_init_rounds
-    if max_rounds is None:
-        max_rounds = max(2 * dg.global_n, 64)  # diameter is a trivial upper bound
-    for _ in range(max_rounds):
+    # a safety bound: ≈ diameter rounds are needed, and 2n bounds that
+    for _ in range(max(2 * dg.global_n, 64)):
         unassigned = np.flatnonzero(state.parts[: dg.n_local] < 0).astype(np.int64)
         assigned_now = np.empty(0, dtype=np.int64)
         if unassigned.size:

@@ -172,6 +172,11 @@ SPECS = {s.tag: s for s in (
     ),
 )}
 
+#: The edge stage's bias schedule (§III.E): ``Re`` starts at ``RE_INIT``
+#: and grows by ``RE_STEP`` per iteration while the edge target is unmet;
+#: ``Rc`` starts at ``RC_INIT`` and grows by ``RC_STEP`` once it is met.
+RE_INIT = RE_STEP = RC_INIT = RC_STEP = 1.0
+
 
 def _attraction(target: float, est: np.ndarray) -> np.ndarray:
     """``max(target / est − 1, 0)``: zero once ``est`` reaches the target."""
@@ -245,7 +250,6 @@ def lp_phase(
             f"phase {spec.tag!r} tallies by {spec.tally!r}: arc_weights "
             f"must be given for an 'arc' spec and only for one")
     p = state.num_parts
-    params = state.params
     cons = spec.constraints
     d = len(cons)
     targets = (state.target_max_vertices, state.target_max_edges, 1.0)[:d]
@@ -260,7 +264,7 @@ def lp_phase(
         for i, c in enumerate(cons):
             S[i] = _TOTALS[c.total](state, comm)
         limits = [np.inf] * d
-        re_bias, rc_bias = params.re_init, params.rc_init
+        re_bias, rc_bias = RE_INIT, RC_INIT
         if d == 3:
             degrees = state.degrees_f64
         if spec.isolated:
@@ -281,9 +285,9 @@ def lp_phase(
             throttle = max(mult, 1e-12)
             if spec.part_weight == "edge_cut":
                 if tops[1] > targets[1]:
-                    re_bias += params.re_step
+                    re_bias += RE_STEP
                 else:
-                    rc_bias += params.rc_step
+                    rc_bias += RC_STEP
             # the deltas of this iteration, deposited as they are (a [p]
             # vector when only v is tracked)
             C = np.zeros((d, p), dtype=np.float64)

@@ -47,16 +47,9 @@ class PulpParams:
         (default) honors ``$REPRO_COMM``, falling back to ``flat``.
         Strategy choice never changes the partition or the communication
         record — only the tier metering the tiered machine models price.
-    re_init, re_step, rc_init, rc_step:
-        Schedule for the edge-balance bias factors (§III.E): ``Re`` grows by
-        ``re_step`` per iteration while the edge-balance constraint is
-        unmet, then freezes; ``Rc`` starts growing once balance is met.
     init_strategy:
         ``"hybrid"`` (Algorithm 2: BFS-growing + random neighbor-label
         adoption), ``"random"``, or ``"block"``.
-    max_init_rounds:
-        Safety bound on Algorithm 2's propagation loop (≈ graph diameter
-        rounds are needed; the bound only matters for pathological inputs).
     single_objective:
         If True, skip the edge balance/refinement stage entirely — the
         configuration the paper uses for the Fig. 6 comparison against
@@ -80,10 +73,6 @@ class PulpParams:
         size-constrained label propagation, clusters may span ranks) or
         ``"hem"`` (per-rank heavy-edge matching on the owned-induced
         subgraph — the shared-memory kernel reused verbatim).
-    ml_coarsest_factor:
-        Coarsening size target, in vertices per part: stop once the
-        level has at most ``ml_coarsest_factor * num_parts`` vertices
-        (never below ``2 * nprocs``).
     ml_refine_iters:
         Weighted refine sweeps per uncoarsening level.
     ml_imbalance_relax:
@@ -107,18 +96,12 @@ class PulpParams:
     edge_imbalance: float = 0.10
     block_size: int = 4096
     comm: Optional[str] = None
-    re_init: float = 1.0
-    re_step: float = 1.0
-    rc_init: float = 1.0
-    rc_step: float = 1.0
     init_strategy: str = "hybrid"
-    max_init_rounds: Optional[int] = None
     single_objective: bool = False
     shared_memory: bool = False
     multilevel: bool = False
     ml_levels: int = 8
     ml_coarsen: str = "lp"
-    ml_coarsest_factor: int = 30
     ml_refine_iters: int = 6
     ml_imbalance_relax: float = 2.0
     seed: int = 42
@@ -133,7 +116,7 @@ class PulpParams:
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.comm is not None:
-            # grammar check only (cheap, import-light); the registry
+            # grammar check only (cheap, import-light); create_communicator
             # validates the strategy name when the runtime is built
             from repro.simmpi.topology.model import parse_comm_spec
 
@@ -146,8 +129,6 @@ class PulpParams:
             )
         if self.ml_levels < 1:
             raise ValueError("ml_levels must be >= 1")
-        if self.ml_coarsest_factor < 1:
-            raise ValueError("ml_coarsest_factor must be >= 1")
         if self.ml_refine_iters < 1:
             raise ValueError("ml_refine_iters must be >= 1")
         if self.ml_imbalance_relax < 0:

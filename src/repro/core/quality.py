@@ -84,18 +84,6 @@ def edge_counts(graph: Graph, parts: np.ndarray, num_parts: int) -> np.ndarray:
     ).astype(np.int64)
 
 
-def interior_edge_counts(
-    graph: Graph, parts: np.ndarray, num_parts: int
-) -> np.ndarray:
-    """``|E(π_k)|`` per §II: edges with *both* endpoints in part k."""
-    parts = _check(graph, parts, num_parts)
-    src, dst = graph.edges()
-    same = parts[src] == parts[dst]
-    return (
-        np.bincount(parts[src][same], minlength=num_parts).astype(np.int64) // 2
-    )
-
-
 def vertex_balance(
     graph: Graph,
     parts: np.ndarray,

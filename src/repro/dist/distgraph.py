@@ -144,18 +144,6 @@ class DistGraph:
     def num_local_edges(self) -> int:
         return int(self.adj.size)
 
-    def neighbor_ranks(self, lid: int) -> np.ndarray:
-        """Unique off-rank owners among an owned vertex's neighbors (the
-        paper's per-vertex ``toSend`` set, precomputed at build time)."""
-        return self.send_rank_adj[
-            self.send_rank_offsets[lid]:self.send_rank_offsets[lid + 1]
-        ]
-
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        """Owned vertices with at least one off-rank neighbor."""
-        return np.diff(self.send_rank_offsets) > 0
-
     def ghost_touch_sources(self, ghost_lids: np.ndarray) -> np.ndarray:
         """Owned vertices adjacent to the given ghost local ids.
 

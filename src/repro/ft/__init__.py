@@ -9,9 +9,8 @@ of MPI:
   exact supersteps on every execution backend (raise / hard process death /
   injected latency / payload corruption);
 - :mod:`repro.ft.recovery` — a supervisor that relaunches a failed run from
-  its last committed epoch with capped (optionally jittered) exponential
-  backoff, classifying each absorbed failure (hang / corruption / crash /
-  exception);
+  its last committed epoch with capped exponential backoff, classifying
+  each absorbed failure (hang / corruption / crash / exception);
 - :mod:`repro.ft.watchdog` — active liveness detection: rank heartbeats,
   per-collective deadlines with escalation, and supervisor-side kills of
   hung rank processes;
@@ -40,12 +39,6 @@ from repro.ft.integrity import (
     validate_integrity,
 )
 from repro.ft.recovery import RetryPolicy, classify_failure, run_with_retries
-from repro.ft.watchdog import (
-    WATCHDOG_ENV_VAR,
-    WatchdogConfig,
-    as_watchdog_config,
-    default_watchdog,
-)
 
 __all__ = [
     "CheckpointError",
@@ -55,13 +48,9 @@ __all__ = [
     "INTEGRITY_ENV_VAR",
     "INTEGRITY_MODES",
     "RetryPolicy",
-    "WATCHDOG_ENV_VAR",
-    "WatchdogConfig",
-    "as_watchdog_config",
     "checksum_obj",
     "classify_failure",
     "default_integrity",
-    "default_watchdog",
     "find_latest_committed",
     "load_manifest",
     "parse_fault_spec",

@@ -111,11 +111,6 @@ class FaultPlan:
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def single(cls, rank: int, phase: str, step: int,
-               action: str = "raise") -> "FaultPlan":
-        return cls([FaultSpec(rank, phase, step, action)])
-
-    @classmethod
     def random(
         cls,
         seed: int,

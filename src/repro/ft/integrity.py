@@ -44,7 +44,7 @@ from typing import Any, Optional
 import numpy as np
 
 #: Environment variable consulted when no integrity mode is requested
-#: explicitly (CLI ``--integrity`` sets it for child processes).
+#: explicitly.
 INTEGRITY_ENV_VAR = "REPRO_INTEGRITY"
 
 #: Accepted integrity modes: ``crc`` verifies crc32 checksums on every
@@ -118,22 +118,3 @@ def corrupt_object(obj: Any, seed: int) -> Optional[str]:
             stack.extend(x.keys())
             stack.extend(x.values())
     return None
-
-
-def corrupt_buffer(buf: Any, seed: int, start: int = 0,
-                   length: Optional[int] = None) -> bool:
-    """Flip one byte in ``buf[start:start+length]`` (bytes-like, writable).
-
-    Used by the procs backend to corrupt a serialized message *after* its
-    checksum was computed — transport-level corruption, the case the slot
-    and descriptor crcs exist to catch.  Returns False when the region is
-    empty (nothing to corrupt).
-    """
-    view = memoryview(buf)
-    if length is None:
-        length = len(view) - start
-    if length <= 0:
-        return False
-    idx = start + (seed % length)
-    view[idx] ^= 0xFF
-    return True

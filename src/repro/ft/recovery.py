@@ -30,35 +30,25 @@ from repro.simmpi.errors import (
 )
 from repro.simmpi.metrics import RecoveryEvent
 
+#: Seconds slept before the first relaunch; each further one doubles it.
+BACKOFF_BASE = 0.05
+#: Upper bound on one backoff (seconds).
+BACKOFF_CAP = 2.0
+
+
+def backoff(attempt: int) -> float:
+    """Seconds to wait before relaunch ``attempt`` (0-based count of prior
+    failures): ``min(BACKOFF_BASE * 2**attempt, BACKOFF_CAP)``."""
+    return min(BACKOFF_BASE * (2.0 ** attempt), BACKOFF_CAP)
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Relaunch budget and backoff shape.
-
-    Backoff for attempt ``a`` (0-based count of prior failures) is
-    ``min(base * 2**a, cap)`` seconds; with a ``jitter_seed`` it becomes
-    full jitter over the top half of that envelope,
-    ``min(base * 2**a, cap) * U[0.5, 1)`` — the AWS-style decorrelation
-    that keeps simultaneously-failed supervisors from relaunching in
-    lockstep, drawn from ``default_rng((jitter_seed, a))`` so the whole
-    schedule is reproducible from the seed.  ``sleep`` is injectable so
-    tests can assert the schedule without waiting it out.
-    """
+    """Relaunch budget.  ``sleep`` waits out each :func:`backoff`; it is
+    injectable so tests can assert the schedule without waiting it out."""
 
     max_retries: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    jitter_seed: Optional[int] = None
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
-
-    def backoff(self, attempt: int) -> float:
-        envelope = min(self.backoff_base * (2.0 ** attempt), self.backoff_cap)
-        if self.jitter_seed is None:
-            return envelope
-        import numpy as np
-
-        rng = np.random.default_rng((self.jitter_seed, attempt))
-        return envelope * float(rng.uniform(0.5, 1.0))
 
 
 def classify_failure(exc: BaseException) -> str:
@@ -151,16 +141,16 @@ def run_with_retries(
                 if latest is not None:
                     epoch = int(load_manifest(latest)["epoch"])
                     resume = latest
-            backoff = policy.backoff(attempt)
+            wait = backoff(attempt)
             recoveries.append(RecoveryEvent(
                 attempt=attempt + 1,
                 epoch=epoch,
                 error=repr(exc.__cause__ if exc.__cause__ is not None else exc),
-                backoff_seconds=backoff,
+                backoff_seconds=wait,
                 failure_class=classify_failure(exc),
                 detection_seconds=_detection_seconds(exc),
             ))
-            policy.sleep(backoff)
+            policy.sleep(wait)
             continue
         for rec in recoveries:
             result.stats.record_recovery(rec)

@@ -7,137 +7,85 @@ backends would sleep a stalled rendezvous forever.  This module closes
 that gap with the standard HPC watchdog pattern:
 
 * **Heartbeats** (:class:`HeartbeatBoard`) — on the ``procs`` backend each
-  rank publishes ``(superstep, phase, monotonic clock)`` into a small
+  rank publishes ``(superstep, phase)`` into a small
   fork-shared health segment right before every rendezvous.  Writes are
   wait-free single-writer stores; the supervisor polls the board.
 * **Watchdog** (:class:`Watchdog`) — a supervisor-side daemon thread that
-  enforces the configured per-collective deadline with escalation: a soft
-  warning at ``warn_fraction`` of the deadline, a bounded number of probe
-  re-checks with exponentially growing spacing, then a declaration of
-  death — the laggard ranks (lowest heartbeat superstep) get ``SIGTERM``,
-  a grace period, then ``SIGKILL``.  The parent surfaces the kill as
-  :class:`~repro.simmpi.errors.HungRankError`, which
+  enforces the per-collective deadline with escalation: a soft warning at
+  :data:`WARN_FRACTION` of the deadline, :data:`PROBES` probe re-checks
+  with exponentially growing spacing, then a declaration of death — the
+  laggard ranks (lowest heartbeat superstep) get ``SIGTERM``,
+  :data:`GRACE` seconds, then ``SIGKILL``.  The parent surfaces the kill
+  as :class:`~repro.simmpi.errors.HungRankError`, which
   :func:`repro.ft.recovery.run_with_retries` treats exactly like a ``die``
   fault: relaunch from the last committed checkpoint epoch.
 * **In-process deadlines** — the serial/threads backends have no separate
   processes to kill; instead every rendezvous wait is sliced
-  (:meth:`WatchdogConfig.slice_seconds`) and a rank whose wait exceeds the
-  deadline raises :class:`~repro.simmpi.errors.HungRankError` itself,
-  releasing its peers.  A ``delay`` fault longer than the deadline
-  therefore *raises* after ``deadline`` seconds instead of sleeping the
-  whole run (see :meth:`repro.ft.faults.FaultPlan.check`).
+  (:func:`slice_seconds`) and a rank whose wait exceeds the deadline
+  raises :class:`~repro.simmpi.errors.HungRankError` itself, releasing
+  its peers.  A ``delay`` fault longer than the deadline therefore
+  *raises* after ``deadline`` seconds instead of sleeping the whole run
+  (see :meth:`repro.ft.faults.FaultPlan.check`).
 
-Deadline semantics: the timeout bounds the *stall*, i.e. the time since
-any rank last made progress, not a collective's total duration — a slow
-but advancing job never trips it.  On the serial backend (one rank runs
-at a time) a parked rank's wait spans the full scheduling round, so size
-the timeout to a round, not a single deposit.  With no watchdog
-configured (the default) every wait stays unbounded and behavior is
+The watchdog is its timeout: ``Backend.watchdog`` holds the seconds of
+global stall (no rank advancing its heartbeat) after which the laggard
+ranks are declared hung, or None.  The timeout bounds the *stall*, i.e.
+the time since any rank last made progress, not a collective's total
+duration — a slow but advancing job never trips it.  On the serial
+backend (one rank runs at a time) a parked rank's wait spans the full
+scheduling round, so size the timeout to a round, not a single deposit.
+With no watchdog (the default) every wait stays unbounded and behavior is
 byte-for-byte unchanged.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import threading
 import time
-from dataclasses import dataclass
 from multiprocessing import sharedctypes
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, List, Sequence
 
-#: Environment variable consulted when no watchdog is requested explicitly:
-#: a float timeout in seconds; unset, empty, or "0" disables the watchdog.
-WATCHDOG_ENV_VAR = "REPRO_WATCHDOG_TIMEOUT"
+#: Fraction of the timeout at which a soft warning is emitted.
+WARN_FRACTION = 0.5
+#: Probe re-checks between the warning and the deadline, spaced with
+#: exponential backoff; each one that still sees no progress counts as a
+#: deadline extension in the health counters.
+PROBES = 3
+#: Seconds between ``SIGTERM`` and ``SIGKILL`` when killing a hung rank
+#: process.
+GRACE = 1.0
+#: Supervisor-side heartbeat polling period (seconds).
+POLL_INTERVAL = 0.01
+#: Allowance before the *first* heartbeat of a run (fork + import + graph
+#: build happen before any rank beats): the deadline until then is
+#: ``max(timeout, STARTUP_GRACE)``.
+STARTUP_GRACE = 5.0
 
 #: Fixed width of a phase name in the heartbeat board (bytes, NUL-padded).
 _PHASE_CAP = 32
 
 
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Liveness policy: the per-collective deadline and escalation shape.
+def slice_seconds(timeout: float) -> float:
+    """Wait-slice for deadline-bounded in-process rendezvous: short enough
+    to notice a stall promptly, long enough that a generous timeout costs
+    almost no extra wakeups."""
+    return max(min(timeout / 4.0, 0.25), 0.002)
 
-    Attributes
-    ----------
-    timeout:
-        Seconds of global stall (no rank advancing its heartbeat) after
-        which the laggard ranks are declared hung.
-    warn_fraction:
-        Fraction of ``timeout`` at which a soft warning is emitted.
-    probes:
-        Number of probe re-checks between the warning and the deadline,
-        spaced with exponential backoff; each probe that still sees no
-        progress counts as a deadline extension in the health counters.
-    grace:
-        Seconds between ``SIGTERM`` and ``SIGKILL`` when killing a hung
-        rank process.
-    poll_interval:
-        Supervisor-side heartbeat polling period.
-    startup_grace:
-        Extra allowance before the *first* heartbeat of a run (fork +
-        import + graph build happen before any rank beats); the effective
-        deadline until then is ``max(timeout, startup_grace)``.
+
+def rank_barrier_timeout(timeout: float) -> float:
+    """Deadline for *child-side* barrier waits on the procs backend.
+
+    Deliberately much longer than the supervisor's deadline: the watchdog
+    kills hung peers first (which breaks the barrier and wakes the
+    waiters); this bound is only the last-ditch escape if the supervisor
+    itself is gone.
     """
-
-    timeout: float
-    warn_fraction: float = 0.5
-    probes: int = 3
-    grace: float = 1.0
-    poll_interval: float = 0.01
-    startup_grace: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError(f"watchdog timeout must be > 0, got {self.timeout}")
-        if not (0.0 < self.warn_fraction < 1.0):
-            raise ValueError("warn_fraction must be in (0, 1)")
-
-    def slice_seconds(self) -> float:
-        """Wait-slice for deadline-bounded in-process rendezvous: short
-        enough to notice a stall promptly, long enough that a generous
-        timeout costs almost no extra wakeups."""
-        return max(min(self.timeout / 4.0, 0.25), 0.002)
-
-    def rank_barrier_timeout(self) -> float:
-        """Deadline for *child-side* barrier waits on the procs backend.
-
-        Deliberately much longer than the supervisor's deadline: the
-        watchdog kills hung peers first (which breaks the barrier and
-        wakes the waiters); this bound is only the last-ditch escape if
-        the supervisor itself is gone.
-        """
-        return (self.timeout + self.grace) * 4.0 + 10.0
-
-
-def as_watchdog_config(
-    value: Union[None, int, float, WatchdogConfig],
-) -> Optional[WatchdogConfig]:
-    """Coerce a user-facing watchdog argument: None, seconds, or a config."""
-    if value is None or isinstance(value, WatchdogConfig):
-        return value
-    timeout = float(value)
-    if timeout == 0:
-        return None
-    return WatchdogConfig(timeout=timeout)
-
-
-def default_watchdog() -> Optional[WatchdogConfig]:
-    """The watchdog used when none is requested explicitly (env or off)."""
-    raw = os.environ.get(WATCHDOG_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    try:
-        timeout = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"${WATCHDOG_ENV_VAR}={raw!r} is not a number of seconds"
-        ) from None
-    return as_watchdog_config(timeout)
+    return (timeout + GRACE) * 4.0 + 10.0
 
 
 class HeartbeatBoard:
-    """Fork-shared per-rank health segment: (superstep, phase, clock).
+    """Fork-shared per-rank health segment: (superstep, phase).
 
     Built on ``multiprocessing.sharedctypes.RawArray`` like the session's
     release cursors: allocated in the parent before forking, so every rank
@@ -150,7 +98,6 @@ class HeartbeatBoard:
     def __init__(self, nprocs: int) -> None:
         self.nprocs = nprocs
         self._steps = sharedctypes.RawArray("q", [-1] * nprocs)
-        self._times = sharedctypes.RawArray("d", [0.0] * nprocs)
         self._phases = sharedctypes.RawArray("c", nprocs * _PHASE_CAP)
 
     def beat(self, rank: int, step: int, phase: str) -> None:
@@ -159,7 +106,6 @@ class HeartbeatBoard:
         base = rank * _PHASE_CAP
         self._phases[base:base + len(raw)] = raw
         self._phases[base + len(raw)] = b"\0"
-        self._times[rank] = time.monotonic()
         # the step store is the publication point: supervisor-side progress
         # detection reads only this word
         self._steps[rank] = step
@@ -171,11 +117,6 @@ class HeartbeatBoard:
         base = rank * _PHASE_CAP
         raw = bytes(self._phases[base:base + _PHASE_CAP])
         return raw.split(b"\0", 1)[0].decode("utf-8", "replace")
-
-    def age_of(self, rank: int) -> float:
-        """Seconds since ``rank`` last beat (0 if it never beat)."""
-        t = self._times[rank]
-        return time.monotonic() - t if t else 0.0
 
 
 class Watchdog(threading.Thread):
@@ -200,13 +141,12 @@ class Watchdog(threading.Thread):
         Stall duration at the first declaration of death (0.0 if none).
     """
 
-    def __init__(self, config: WatchdogConfig, board: HeartbeatBoard,
-                 procs: Sequence[Any], label: str = "procs") -> None:
+    def __init__(self, timeout: float, board: HeartbeatBoard,
+                 procs: Sequence[Any]) -> None:
         super().__init__(name="simmpi-watchdog", daemon=True)
-        self.config = config
+        self.timeout = timeout
         self.board = board
         self.procs = procs
-        self.label = label
         self.heartbeats_seen = 0
         self.deadline_extensions = 0
         self.killed: List[int] = []
@@ -217,27 +157,25 @@ class Watchdog(threading.Thread):
 
     def stop(self) -> None:
         self._stop_evt.set()
-        self.join(timeout=self.config.grace + 5.0)
+        self.join(timeout=GRACE + 5.0)
 
     # -- escalation timeline -----------------------------------------------
 
     def _probe_offsets(self, deadline: float) -> List[float]:
         """Stall offsets of the probe re-checks: exponential backoff from
         the warning point toward the deadline."""
-        cfg = self.config
-        warn_at = deadline * cfg.warn_fraction
+        warn_at = deadline * WARN_FRACTION
         span = deadline - warn_at
-        total = float(2 ** cfg.probes - 1) or 1.0
+        total = float(2 ** PROBES - 1)
         return [warn_at + span * (2 ** (i + 1) - 1) / total
-                for i in range(cfg.probes)]
+                for i in range(PROBES)]
 
     def run(self) -> None:  # pragma: no cover - exercised via procs runs
-        cfg = self.config
         last_steps = self.board.steps()
         last_progress = time.monotonic()
         warned = False
         probes_done = 0
-        while not self._stop_evt.wait(cfg.poll_interval):
+        while not self._stop_evt.wait(POLL_INTERVAL):
             steps = self.board.steps()
             alive = [p.is_alive() for p in self.procs]
             advanced = sum(
@@ -252,18 +190,18 @@ class Watchdog(threading.Thread):
                 continue
             # startup allowance: before any rank ever beat, forking and
             # prologue build time must not count as a stall
-            deadline = cfg.timeout
+            deadline = self.timeout
             if max(steps) < 0:
-                deadline = max(cfg.timeout, cfg.startup_grace)
+                deadline = max(self.timeout, STARTUP_GRACE)
             stalled = time.monotonic() - last_progress
-            if not warned and stalled >= deadline * cfg.warn_fraction:
+            if not warned and stalled >= deadline * WARN_FRACTION:
                 warned = True
                 self._warn(
                     f"no rank progress for {stalled:.2f}s "
                     f"(deadline {deadline:.2f}s); supersteps={steps}"
                 )
             offsets = self._probe_offsets(deadline)
-            while probes_done < cfg.probes and stalled >= offsets[probes_done]:
+            while probes_done < PROBES and stalled >= offsets[probes_done]:
                 probes_done += 1
                 self.deadline_extensions += 1
             if stalled < deadline:
@@ -277,7 +215,6 @@ class Watchdog(threading.Thread):
     def _declare_dead(self, steps: List[int], alive: List[bool],
                       stalled: float) -> None:
         """Kill the laggard ranks: SIGTERM, grace, SIGKILL."""
-        cfg = self.config
         live = [r for r in range(len(self.procs)) if alive[r]]
         if not live:
             return
@@ -301,11 +238,11 @@ class Watchdog(threading.Thread):
                 self.procs[r].terminate()
             except Exception:
                 pass
-        deadline = time.monotonic() + cfg.grace
+        deadline = time.monotonic() + GRACE
         while time.monotonic() < deadline:
             if not any(self.procs[r].is_alive() for r in victims):
                 break
-            time.sleep(min(cfg.poll_interval, 0.05))
+            time.sleep(POLL_INTERVAL)
         for r in victims:
             if self.procs[r].is_alive():  # pragma: no cover - SIGTERM masked
                 self._warn(f"rank {r} survived SIGTERM; sending SIGKILL")
@@ -315,6 +252,6 @@ class Watchdog(threading.Thread):
                     pass
 
     def _warn(self, message: str) -> None:
-        line = f"[watchdog:{self.label}] {message}"
+        line = f"[watchdog:procs] {message}"
         self.warnings.append(line)
         logging.getLogger(__name__).warning(line)

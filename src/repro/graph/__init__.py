@@ -9,61 +9,34 @@ the social-network and web-crawl suites (Table I).
 """
 
 from repro.graph.csr import Graph
-from repro.graph.builders import (
-    from_edges,
-    from_networkx,
-    from_scipy,
-    to_networkx,
-    to_scipy,
-)
+from repro.graph.builders import from_edges, to_scipy
 from repro.graph.generators import (
     barabasi_albert,
     erdos_renyi,
-    grid2d,
     mesh3d,
-    path_graph,
-    ring,
     rmat,
     rand_hd,
     social,
-    star,
     watts_strogatz,
     webcrawl,
 )
-from repro.graph.metrics import (
-    approximate_diameter,
-    bfs_levels,
-    connected_component_sizes,
-    degree_stats,
-    graph_stats_row,
-    largest_component,
-)
+from repro.graph.metrics import approximate_diameter, bfs_levels, graph_stats_row
 from repro.graph import io
 
 __all__ = [
     "Graph",
     "from_edges",
-    "from_scipy",
-    "from_networkx",
     "to_scipy",
-    "to_networkx",
     "rmat",
     "erdos_renyi",
     "watts_strogatz",
     "barabasi_albert",
     "rand_hd",
     "mesh3d",
-    "grid2d",
     "social",
     "webcrawl",
-    "ring",
-    "path_graph",
-    "star",
     "bfs_levels",
     "approximate_diameter",
-    "degree_stats",
-    "connected_component_sizes",
-    "largest_component",
     "graph_stats_row",
     "io",
 ]

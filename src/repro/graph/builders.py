@@ -1,8 +1,6 @@
-"""Builders: edge lists / scipy / networkx  →  :class:`~repro.graph.csr.Graph`."""
+"""Builders: edge lists  →  :class:`~repro.graph.csr.Graph`  →  scipy."""
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -91,16 +89,6 @@ def from_edges(
     return _csr_from_keys(n, key, directed=directed, dedup=dedup)
 
 
-def from_scipy(matrix, *, directed: bool = False) -> Graph:
-    """Build from a scipy sparse matrix (nonzero pattern = adjacency)."""
-    from scipy import sparse
-
-    m = sparse.coo_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("adjacency matrix must be square")
-    return from_edges(m.shape[0], m.row, m.col, directed=directed)
-
-
 def to_scipy(graph: Graph):
     """CSR graph → ``scipy.sparse.csr_matrix`` of the 0/1 adjacency."""
     from scipy import sparse
@@ -109,31 +97,6 @@ def to_scipy(graph: Graph):
     return sparse.csr_matrix(
         (data, graph.adj.copy(), graph.offsets.copy()), shape=(graph.n, graph.n)
     )
-
-
-def from_networkx(g, *, directed: Optional[bool] = None) -> Graph:
-    """Build from a networkx graph; node labels must be 0..n-1 integers or
-    they are relabeled in sorted order."""
-    import networkx as nx
-
-    if directed is None:
-        directed = g.is_directed()
-    nodes = sorted(g.nodes())
-    relabel = {u: i for i, u in enumerate(nodes)}
-    edges = np.array(
-        [(relabel[u], relabel[v]) for u, v in g.edges()], dtype=np.int64
-    ).reshape(-1, 2)
-    return from_edges(len(nodes), edges[:, 0], edges[:, 1], directed=directed)
-
-
-def to_networkx(graph: Graph):
-    import networkx as nx
-
-    g = nx.DiGraph() if graph.directed else nx.Graph()
-    g.add_nodes_from(range(graph.n))
-    src, dst = graph.unique_edges()
-    g.add_edges_from(zip(src.tolist(), dst.tolist()))
-    return g
 
 
 def symmetrize(graph: Graph) -> Graph:
@@ -147,21 +110,3 @@ def symmetrize(graph: Graph) -> Graph:
         return graph
     src, dst = graph.edges()
     return from_edges(graph.n, src, dst, directed=False)
-
-
-def relabel(graph: Graph, permutation: np.ndarray) -> Graph:
-    """Renumber vertices: new id of old vertex ``v`` is ``permutation[v]``.
-
-    Vertex order strongly affects block distributions (the paper notes
-    running times "depend on the initial vertex ordering"); this is the tool
-    benches use to scramble or localize orderings.
-    """
-    perm = np.asarray(permutation, dtype=np.int64)
-    if perm.shape != (graph.n,) or not np.array_equal(
-        np.sort(perm), np.arange(graph.n)
-    ):
-        raise ValueError("permutation must be a bijection on 0..n-1")
-    src, dst = graph.edges()
-    return from_edges(
-        graph.n, perm[src], perm[dst], directed=graph.directed, dedup=True
-    )

@@ -122,13 +122,6 @@ class Graph:
 
     # -- structure checks ------------------------------------------------------
 
-    def is_symmetric(self) -> bool:
-        """True iff every stored arc has its reverse stored too."""
-        src, dst = self.edges()
-        fwd = np.sort(src * np.int64(self.n) + dst)
-        rev = np.sort(dst * np.int64(self.n) + src)
-        return bool(np.array_equal(fwd, rev))
-
     def has_self_loops(self) -> bool:
         src, dst = self.edges()
         return bool(np.any(src == dst))
@@ -142,31 +135,6 @@ class Graph:
         offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(new_src, minlength=self.n), out=offsets[1:])
         return Graph(offsets, new_dst, directed=self.directed, validate=False)
-
-    def subgraph_mask(self, keep: np.ndarray) -> Tuple["Graph", np.ndarray]:
-        """Induced subgraph on vertices where ``keep`` is True.
-
-        Returns ``(subgraph, old_ids)`` where ``old_ids[new] = old``.
-        """
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != (self.n,):
-            raise ValueError("mask must have one entry per vertex")
-        old_ids = np.flatnonzero(keep)
-        remap = np.full(self.n, -1, dtype=np.int64)
-        remap[old_ids] = np.arange(old_ids.size, dtype=np.int64)
-        src, dst = self.edges()
-        ok = keep[src] & keep[dst]
-        new_src = remap[src[ok]]
-        new_dst = remap[dst[ok]]
-        order = np.argsort(new_src, kind="stable")
-        new_src = new_src[order]
-        new_dst = new_dst[order]
-        offsets = np.zeros(old_ids.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(new_src, minlength=old_ids.size), out=offsets[1:])
-        return (
-            Graph(offsets, new_dst, directed=self.directed, validate=False),
-            old_ids,
-        )
 
     # -- dunder conveniences -----------------------------------------------------
 

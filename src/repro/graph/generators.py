@@ -6,8 +6,8 @@
 * :func:`erdos_renyi` — the paper's ``RandER`` uniform random graphs.
 * :func:`rand_hd` — the paper's high-diameter random graph: vertex ``k``
   draws ``davg`` neighbors uniformly from ``(k - davg, k + davg)``.
-* :func:`mesh3d` / :func:`grid2d` — regular stencil meshes standing in for
-  ``nlpkkt*`` and the ``InternalMesh*`` inputs.
+* :func:`mesh3d` — a regular stencil mesh standing in for ``nlpkkt*`` and
+  the ``InternalMesh*`` inputs.
 * :func:`social` — a heavy-skew R-MAT whose vertex ids are randomly
   permuted, mimicking social-network snapshots (lj/orkut/twitter class).
 * :func:`webcrawl` — a community-blocked graph with crawl-ordered ids,
@@ -138,22 +138,6 @@ def rand_hd(n: int, avg_degree: int = 16, *, seed: Optional[int] = None) -> Grap
 # ---------------------------------------------------------------------------
 # Meshes
 # ---------------------------------------------------------------------------
-
-def grid2d(nx: int, ny: int, *, diagonals: bool = False) -> Graph:
-    """2-D grid mesh (5-point stencil; 9-point with ``diagonals``)."""
-    if nx < 1 or ny < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    ids = np.arange(nx * ny, dtype=np.int64).reshape(nx, ny)
-    pieces = []  # views; flattened straight into the endpoint arrays
-    pieces.append((ids[:-1, :], ids[1:, :]))    # down
-    pieces.append((ids[:, :-1], ids[:, 1:]))    # right
-    if diagonals:
-        pieces.append((ids[:-1, :-1], ids[1:, 1:]))
-        pieces.append((ids[:-1, 1:], ids[1:, :-1]))
-    src = np.concatenate([p[0] for p in pieces], axis=None)
-    dst = np.concatenate([p[1] for p in pieces], axis=None)
-    return from_edges(nx * ny, src, dst)
-
 
 def mesh3d(
     nx: int, ny: int, nz: int, *, stencil: int = 13
@@ -366,33 +350,3 @@ def barabasi_albert(
     return from_edges(
         n, np.concatenate(src_list), np.concatenate(dst_list)
     )
-
-
-# ---------------------------------------------------------------------------
-# Tiny deterministic shapes for tests
-# ---------------------------------------------------------------------------
-
-def ring(n: int) -> Graph:
-    """Cycle graph 0-1-2-...-(n-1)-0."""
-    if n < 3:
-        raise ValueError("ring needs n >= 3")
-    src = np.arange(n, dtype=np.int64)
-    dst = (src + 1) % n
-    return from_edges(n, src, dst)
-
-
-def path_graph(n: int) -> Graph:
-    """Path 0-1-...-(n-1)."""
-    if n < 2:
-        raise ValueError("path needs n >= 2")
-    src = np.arange(n - 1, dtype=np.int64)
-    return from_edges(n, src, src + 1)
-
-
-def star(n: int) -> Graph:
-    """Star with center 0 and n-1 leaves."""
-    if n < 2:
-        raise ValueError("star needs n >= 2")
-    dst = np.arange(1, n, dtype=np.int64)
-    src = np.zeros(n - 1, dtype=np.int64)
-    return from_edges(n, src, dst)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,59 +50,6 @@ def approximate_diameter(
             break
         source = int(rng.choice(farthest))
     return best
-
-
-def connected_component_sizes(graph: Graph) -> np.ndarray:
-    """Sizes of connected components, descending (undirected reachability)."""
-    seen = np.zeros(graph.n, dtype=bool)
-    sizes: List[int] = []
-    for v in range(graph.n):
-        if seen[v]:
-            continue
-        levels = bfs_levels(graph, v)
-        comp = levels >= 0
-        comp &= ~seen
-        seen |= comp
-        sizes.append(int(comp.sum()))
-    return np.array(sorted(sizes, reverse=True), dtype=np.int64)
-
-
-def largest_component(graph: Graph) -> "tuple[Graph, np.ndarray]":
-    """Induced subgraph on the largest connected component.
-
-    The standard preprocessing applied to the paper's real-world inputs
-    (isolated vertices and crumbs removed).  Returns ``(subgraph,
-    old_ids)`` with ``old_ids[new] = old``.
-    """
-    if graph.n == 0:
-        return graph, np.empty(0, dtype=np.int64)
-    seen = np.zeros(graph.n, dtype=bool)
-    best_mask = None
-    best_size = -1
-    for v in range(graph.n):
-        if seen[v]:
-            continue
-        levels = bfs_levels(graph, v)
-        comp = (levels >= 0) & ~seen
-        seen |= comp
-        size = int(comp.sum())
-        if size > best_size:
-            best_size = size
-            best_mask = comp
-    assert best_mask is not None
-    return graph.subgraph_mask(best_mask)
-
-
-def degree_stats(graph: Graph) -> Dict[str, float]:
-    d = graph.degrees
-    if graph.n == 0:
-        return {"avg": 0.0, "max": 0, "min": 0, "median": 0.0}
-    return {
-        "avg": float(d.mean()),
-        "max": int(d.max()),
-        "min": int(d.min()),
-        "median": float(np.median(d)),
-    }
 
 
 @dataclass(frozen=True)

@@ -19,19 +19,3 @@ V-cycle on the simmpi SPMD runtime:
   the per-level refinement is :func:`repro.core.lp.lp_phase` under its
   edge-weighted ``ml_refine`` spec.
 """
-
-from repro.multilevel.info import MultilevelInfo
-from repro.multilevel.kernels import (
-    contract,
-    heavy_edge_matching,
-    lp_clustering,
-    segment_best_label,
-)
-
-__all__ = [
-    "MultilevelInfo",
-    "contract",
-    "heavy_edge_matching",
-    "lp_clustering",
-    "segment_best_label",
-]

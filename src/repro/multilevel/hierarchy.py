@@ -3,7 +3,7 @@
 What the rank body (:func:`repro.core.driver._rank_main`) calls when
 ``params.multilevel`` is set, in the order of
 :func:`repro.core.driver.step_plan`: build the hierarchy — cluster +
-contract until the vertex count drops below ``max(ml_coarsest_factor *
+contract until the vertex count drops below ``max(COARSEST_FACTOR *
 num_parts, 2 * nprocs)``, ``ml_levels`` is reached, or coarsening
 stagnates; partition the coarsest level; per finer level, project the parts
 through the cluster map and hand back the state and refine seeds of that
@@ -33,6 +33,10 @@ from repro.multilevel.coarsen import (
 )
 from repro.simmpi.comm import SimComm
 
+#: Coarsening size target, in vertices per part: coarsening stops once a
+#: level has at most ``COARSEST_FACTOR * num_parts`` vertices.
+COARSEST_FACTOR = 30
+
 
 def build_hierarchy(
     comm: SimComm,
@@ -50,7 +54,7 @@ def build_hierarchy(
     is contracted from them: uncoarsening reads only the per-rank views.
     """
     levels = [make_level0(comm, graph, dist, vertex_weights)]
-    target = max(params.ml_coarsest_factor * num_parts, 2 * comm.size)
+    target = max(COARSEST_FACTOR * num_parts, 2 * comm.size)
     floor = max(num_parts, comm.size)
     while (
         len(levels) < params.ml_levels

@@ -40,7 +40,7 @@ sealed object (``Backend.shares_results``).
 from __future__ import annotations
 
 import os
-from typing import Any, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.simmpi.backends.base import Backend
 from repro.simmpi.backends.engine import SerialBackend, ThreadsBackend
@@ -73,7 +73,7 @@ def create_runtime(
     nprocs: int,
     meter_compute: bool = True,
     comm: Union[str, None, HierarchicalCommunicator] = None,
-    watchdog: Any = None,
+    watchdog: Optional[float] = None,
     integrity: Optional[str] = None,
 ) -> Backend:
     """Create an execution backend by name (chainermn-style factory).
@@ -96,12 +96,10 @@ def create_runtime(
         instance, or None to honor ``$REPRO_COMM`` falling back to
         ``"flat"``.  See :mod:`repro.simmpi.topology`.
     watchdog:
-        Liveness deadline — seconds (a number), a
-        :class:`~repro.ft.watchdog.WatchdogConfig`, or None to honor
-        ``$REPRO_WATCHDOG_TIMEOUT`` (unset/0 means no watchdog: every
-        wait is unbounded, the historical behavior).  A configured
-        watchdog kills/fails ranks that make no progress for that long
-        and surfaces them as
+        Liveness deadline in seconds (:mod:`repro.ft.watchdog`); 0 turns
+        the watchdog off, None leaves the backend's own (none on a new
+        one: every wait is unbounded).  A watchdog kills/fails ranks that
+        make no progress for that long and surfaces them as
         :class:`~repro.simmpi.errors.HungRankError`.
     integrity:
         Payload integrity mode (``"crc"`` checksums every payload and
@@ -109,35 +107,33 @@ def create_runtime(
         to honor ``$REPRO_INTEGRITY`` falling back to ``"off"``.
     """
     from repro.ft.integrity import validate_integrity
-    from repro.ft.watchdog import as_watchdog_config
 
     if integrity is not None:
         integrity = validate_integrity(integrity)
+    if watchdog is not None and watchdog < 0:
+        raise ValueError(f"watchdog timeout must be >= 0, got {watchdog}")
     if isinstance(backend, Backend):
         if backend.nprocs != nprocs:
             raise ValueError(
                 f"backend instance has nprocs={backend.nprocs}, "
                 f"requested {nprocs}"
             )
+        rt = backend
         if comm is not None:
-            backend.comm_strategy = create_communicator(comm, nprocs=nprocs)
-        if watchdog is not None:
-            backend.watchdog = as_watchdog_config(watchdog)
-        if integrity is not None:
-            backend.integrity = integrity
-        return backend
-    name = backend if backend is not None else default_backend()
-    try:
-        cls = _BACKENDS[name]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown execution backend {name!r}; "
-            f"valid choices: {available_backends()}"
-        ) from None
-    rt = cls(nprocs, meter_compute=meter_compute)
-    rt.comm_strategy = create_communicator(comm, nprocs=nprocs)
+            rt.comm_strategy = create_communicator(comm, nprocs=nprocs)
+    else:
+        name = backend if backend is not None else default_backend()
+        try:
+            cls = _BACKENDS[name]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"unknown execution backend {name!r}; "
+                f"valid choices: {available_backends()}"
+            ) from None
+        rt = cls(nprocs, meter_compute=meter_compute)
+        rt.comm_strategy = create_communicator(comm, nprocs=nprocs)
     if watchdog is not None:
-        rt.watchdog = as_watchdog_config(watchdog)
+        rt.watchdog = float(watchdog) or None
     if integrity is not None:
         rt.integrity = integrity
     return rt

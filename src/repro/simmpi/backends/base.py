@@ -34,8 +34,8 @@ from repro.simmpi.errors import RemoteRankError
 from repro.simmpi.metrics import CollectiveEvent, CommStats, TierMetering
 
 
-def fault_preamble(plan: Any, watchdog: Any, rank: int, op: str, tag: str,
-                   header_slot: Optional[int], *,
+def fault_preamble(plan: Any, deadline: Optional[float], rank: int, op: str,
+                   tag: str, header_slot: Optional[int], *,
                    can_die: bool) -> Optional[int]:
     """Give the fault plan its turn before a deposit, on every backend.
 
@@ -44,8 +44,8 @@ def fault_preamble(plan: Any, watchdog: Any, rank: int, op: str, tag: str,
     the header's, then the payload's — and a ``FaultSpec`` step means what
     it meant when the header was a rendezvous of its own.  ``can_die``
     says whether the rank is a killable process (``procs``); elsewhere
-    ``die`` is downgraded to a raised fault.  The watchdog deadline, if
-    any, is forwarded so injected delays past it surface as hangs.
+    ``die`` is downgraded to a raised fault.  The watchdog ``deadline``,
+    if any, is forwarded so injected delays past it surface as hangs.
 
     Returns the seed of the byte flip a matched ``corrupt`` spec (the
     header's first) asks for, or None; the caller applies it *after* the
@@ -53,7 +53,6 @@ def fault_preamble(plan: Any, watchdog: Any, rank: int, op: str, tag: str,
     """
     if plan is None:
         return None
-    deadline = watchdog.timeout if watchdog is not None else None
     header_spec = None
     if header_slot is not None:
         header_spec = plan.check(rank, "alltoall", tag, can_die=can_die,
@@ -163,16 +162,14 @@ class Backend(ABC):
         #: rank files were persisted by the collective's writer.
         self.ckpt_committer: Optional[Any] = None
         # deferred import: repro.ft sits above simmpi in the layering, but
-        # these two are leaf config modules (env parsing + dataclasses)
-        # with no backend dependency, so the cycle is only cosmetic
+        # this is a leaf config module (env parsing) with no backend
+        # dependency, so the cycle is only cosmetic
         from repro.ft.integrity import default_integrity
-        from repro.ft.watchdog import default_watchdog
 
-        #: Liveness policy (:class:`repro.ft.watchdog.WatchdogConfig`) or
-        #: None for unbounded waits (historical behavior).  Resolved from
-        #: ``$REPRO_WATCHDOG_TIMEOUT`` at construction; overridable via
+        #: Liveness deadline in seconds (:mod:`repro.ft.watchdog`), or None
+        #: for unbounded waits; set by
         #: :func:`repro.simmpi.backends.create_runtime`.
-        self.watchdog = default_watchdog()
+        self.watchdog: Optional[float] = None
         #: Payload integrity mode (``"crc"`` / ``"off"``), resolved from
         #: ``$REPRO_INTEGRITY`` at construction; overridable via
         #: :func:`repro.simmpi.backends.create_runtime`.  ``"crc"``

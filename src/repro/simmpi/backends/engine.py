@@ -50,6 +50,7 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.ft.watchdog import GRACE, PROBES, WARN_FRACTION, slice_seconds
 from repro.simmpi.backends.base import Backend, metered_rounds
 from repro.simmpi.errors import (
     CollectiveMismatchError,
@@ -147,20 +148,20 @@ class InProcessBackend(Backend):
         scheduling round by design — see the deadline semantics note in
         :mod:`repro.ft.watchdog`."""
         gate = self._gates[rank]
-        wd = self.watchdog
-        if wd is None:
+        timeout = self.watchdog
+        if timeout is None:
             gate.acquire()
             return
-        slice_s = wd.slice_seconds()
-        warn_at = wd.timeout * wd.warn_fraction
+        slice_s = slice_seconds(timeout)
+        warn_at = timeout * WARN_FRACTION
         start = time.monotonic()
         extensions = 0
         while not gate.acquire(timeout=slice_s):
             waited = time.monotonic() - start
-            if waited >= warn_at and extensions < wd.probes:
+            if waited >= warn_at and extensions < PROBES:
                 extensions += 1
                 self.stats.deadline_extensions += 1
-            if waited < wd.timeout:
+            if waited < timeout:
                 continue
             if self._failure is not None or (
                     self._pending is None and not self.baton):
@@ -174,7 +175,7 @@ class InProcessBackend(Backend):
         """The report of parked ``rank`` giving up after ``waited`` s: it
         blames who stopped advancing, not itself for noticing."""
         pending = self._pending
-        deadline = f"(deadline {self.watchdog.timeout:.3g}s)"
+        deadline = f"(deadline {self.watchdog:.3g}s)"
         if self.baton:
             stalled: tuple = (self._running,)
             text = (f"{format_ranks(stalled)} held the scheduling baton for "
@@ -372,9 +373,9 @@ class InProcessBackend(Backend):
                     errors[r] = HungRankError(
                         f"rank {r} never returned after the run failed; "
                         f"thread abandoned past the "
-                        f"{self.watchdog.timeout:.3g}s deadline",
+                        f"{self.watchdog:.3g}s deadline",
                         ranks=(r,),
-                        detection_seconds=self.watchdog.timeout,
+                        detection_seconds=self.watchdog,
                     )
 
         self._raise_collected(errors, self._failure)
@@ -390,8 +391,8 @@ class InProcessBackend(Backend):
         do not (they are daemons under a watchdog, so interpreter exit is
         not held hostage).  Returns the ranks abandoned ([] normally).
         """
-        wd = self.watchdog
-        slice_s = wd.slice_seconds()
+        timeout = self.watchdog
+        slice_s = slice_seconds(timeout)
         alive = dict(enumerate(threads))
         abandon_at: Optional[float] = None
         while alive:
@@ -402,7 +403,7 @@ class InProcessBackend(Backend):
             if alive and self._failure is not None:
                 now = time.monotonic()
                 if abandon_at is None:
-                    abandon_at = now + wd.timeout + wd.grace
+                    abandon_at = now + timeout + GRACE
                 elif now >= abandon_at:
                     return sorted(alive)
         return []

@@ -67,7 +67,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ft.watchdog import HeartbeatBoard, Watchdog, WatchdogConfig
+from repro.ft.watchdog import HeartbeatBoard, Watchdog, rank_barrier_timeout
 from repro.simmpi import dataplane
 from repro.simmpi.backends.base import (
     Backend,
@@ -413,7 +413,7 @@ class _Session:
     and the data plane's release cursors."""
 
     def __init__(self, ctx, nprocs: int, integrity: bool = False,
-                 watchdog: Optional[WatchdogConfig] = None) -> None:
+                 watchdog: Optional[float] = None) -> None:
         self.nprocs = nprocs
         self.integrity = integrity
         self.watchdog = watchdog
@@ -425,9 +425,9 @@ class _Session:
         self.response = [_Slot(f"{self.shm_prefix}rsp{r}", integrity)
                          for r in range(nprocs)]
         self.failure = _Slot(f"{self.shm_prefix}fail", integrity)
-        #: Fork-shared liveness board: each rank beats (superstep, phase,
-        #: clock) before every rendezvous; the supervisor-side Watchdog
-        #: polls it.  Allocated unconditionally (three tiny RawArrays) so
+        #: Fork-shared liveness board: each rank beats (superstep, phase)
+        #: before every rendezvous; the supervisor-side Watchdog polls
+        #: it.  Allocated unconditionally (two tiny RawArrays) so
         #: the session shape does not depend on the watchdog setting, but
         #: ranks only beat when a watchdog is configured.
         self.heartbeats = HeartbeatBoard(nprocs)
@@ -492,7 +492,7 @@ class _RankEndpoint:
         self._step = 0
         self._watchdog = session.watchdog
         self._barrier_timeout = (
-            session.watchdog.rank_barrier_timeout()
+            rank_barrier_timeout(session.watchdog)
             if session.watchdog is not None else None
         )
         self._cache = dataplane.SegmentCache()
@@ -555,7 +555,7 @@ class _RankEndpoint:
         try:
             # The child-side timeout is a last-ditch escape hatch only (the
             # watchdog kills hung peers first, which breaks the barrier and
-            # wakes everyone); see WatchdogConfig.rank_barrier_timeout.
+            # wakes everyone); see repro.ft.watchdog.rank_barrier_timeout.
             self._session.barrier.wait(timeout=self._barrier_timeout)
         except threading.BrokenBarrierError:
             raise RemoteRankError(
@@ -833,7 +833,7 @@ class ProcsBackend(Backend):
                     errors[r] = HungRankError(
                         f"rank {r} made no progress for "
                         f"{watchdog.detection_seconds:.3g}s (deadline "
-                        f"{watchdog.config.timeout:.3g}s) in phase "
+                        f"{watchdog.timeout:.3g}s) in phase "
                         f"{watchdog.killed_phase!r}; killed by the watchdog",
                         ranks=killed,
                         phase=watchdog.killed_phase,

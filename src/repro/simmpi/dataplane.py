@@ -290,10 +290,6 @@ class ResultArena:
         #: alive until the responses are written)
         self._issued: List[np.ndarray] = []
 
-    @property
-    def segment_names(self) -> List[str]:
-        return [s.seg.name for s in self._segments]
-
     def begin_step(self, step: int, min_released: int) -> None:
         """Open superstep ``step``; segments last written at or below
         ``min_released`` carry no live views on any rank."""

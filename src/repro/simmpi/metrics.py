@@ -342,15 +342,6 @@ class CommStats:
         superstep lasts as long as its busiest rank)."""
         return float(sum(e.max_work for e in self.events))
 
-    def work_by_tag(self) -> Dict[str, float]:
-        """Max-rank work units summed per phase tag.  The frontier sweeps
-        charge only the edges they actually touch, so shrinking active
-        sets show up directly in this breakdown."""
-        out: Dict[str, float] = {}
-        for e in self.events:
-            out[e.tag] = out.get(e.tag, 0.0) + e.max_work
-        return out
-
     def per_rank_bytes(self) -> np.ndarray:
         """Total off-rank bytes sent by each rank (shape ``(nprocs,)``)."""
         total = np.zeros(self.nprocs, dtype=np.int64)

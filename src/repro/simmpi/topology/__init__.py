@@ -96,12 +96,7 @@ def create_communicator(
             )
         return comm
     spec = comm if comm is not None else default_comm()
-    try:
-        name, rpn, npr = parse_comm_spec(spec)
-    except ValueError:
-        if not isinstance(spec, str):
-            raise
-        name, rpn, npr = spec, None, None
+    name, rpn, npr = parse_comm_spec(spec)
     if name == DEFAULT_COMM:
         return None
     if name != HierarchicalCommunicator.name:

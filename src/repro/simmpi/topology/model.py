@@ -184,25 +184,10 @@ class Topology:
             raise ValueError(f"no rack {rack} in {self}")
         return lo, min(lo + stride, self.nprocs)
 
-    def rack_leader_of(self, rank: int) -> int:
-        """The rack leader: lowest rank of ``rank``'s rack (the rank that
-        injects the rack's aggregated cross-rack traffic)."""
-        return self.rack_of(rank) * self.ranks_per_rack
-
     def is_rack_leader(self, rank: int) -> bool:
+        """Whether ``rank`` is its rack's lowest rank, the one that injects
+        the rack's aggregated cross-rack traffic."""
         return self.has_racks and rank % self.ranks_per_rack == 0
-
-    def same_node(self, a: int, b: int) -> bool:
-        return self.node_of(a) == self.node_of(b)
-
-    def same_rack(self, a: int, b: int) -> bool:
-        return self.rack_of(a) == self.rack_of(b)
-
-    def describe(self) -> str:
-        rack = (f" x {self.nodes_per_rack} nodes/rack ({self.n_racks} racks)"
-                if self.has_racks else "")
-        return (f"{self.nprocs} ranks = {self.n_nodes} nodes "
-                f"x {self.ranks_per_node} ranks/node{rack}")
 
 
 def make_topology(

@@ -122,7 +122,7 @@ def _rank_spmv_2d(
         fold_order, fold_counts = bucket_by_rank(
             comm.size, layout.y_owner[away]
         )
-        incoming_gids, in_counts = comm.Alltoallv(
+        incoming_gids, _ = comm.Alltoallv(
             layout.row_gids[away][fold_order], fold_counts
         )
         acc_idx = np.searchsorted(layout.owned_x, incoming_gids)
@@ -146,7 +146,6 @@ def _rank_spmv_2d(
                 np.add.at(y, home_dst, partial[home])
             if folded.size:
                 np.add.at(y, acc_idx, folded)
-            _ = in_counts
     return layout.owned_x, y
 
 

@@ -14,7 +14,8 @@ from repro.analytics import (
     weakly_connected_components,
 )
 from repro.graph import from_edges, rmat, webcrawl
-from repro.graph.builders import symmetrize, to_networkx
+from repro.graph.builders import symmetrize
+from tests.graphs import to_networkx
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from repro.analytics import (
     weakly_connected_components,
 )
 from repro.graph import from_edges
-from repro.graph.builders import to_networkx
+from tests.graphs import to_networkx
 
 
 @st.composite

@@ -10,8 +10,9 @@ from repro.baselines.multilevel import (
     _heavy_edge_matching,
 )
 from repro.core.quality import edge_cut_ratio, vertex_balance
-from repro.graph import from_edges, mesh3d, rmat, ring, rand_hd, webcrawl
+from repro.graph import from_edges, mesh3d, rmat, rand_hd, webcrawl
 from repro.graph.builders import to_scipy
+from tests.graphs import ring
 
 
 def test_partition_valid_and_balanced():

@@ -13,7 +13,8 @@ from repro.core.quality import (
     edge_cut_ratio,
     vertex_balance,
 )
-from repro.graph import rmat, star, webcrawl, ring
+from repro.graph import rmat, webcrawl
+from tests.graphs import ring, star
 
 
 def test_random_partition_range_and_seed():

@@ -12,8 +12,7 @@ def test_table_add_and_column():
     t = ExperimentTable("exp", ["a", "b"])
     t.add(1, 2.0)
     t.add(3, 4.0)
-    assert t.column("a") == [1, 3]
-    assert t.column("b") == [2.0, 4.0]
+    assert t.rows == [[1, 2.0], [3, 4.0]]
 
 
 def test_row_width_checked():

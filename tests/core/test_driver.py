@@ -140,14 +140,6 @@ def test_num_parts_independent_of_nprocs(small_rmat):
     assert res.quality().vertex_balance <= 1.5
 
 
-def test_quality_requires_graph_when_not_kept(small_rmat):
-    res = xtrapulp(small_rmat, 4, nprocs=2, keep_graph=False)
-    with pytest.raises(ValueError):
-        res.quality()
-    q = res.quality(small_rmat)
-    assert q.cut >= 0
-
-
 def test_er_graph_end_to_end():
     g = erdos_renyi(2048, 16, seed=6)
     res = xtrapulp(g, 8, nprocs=4)

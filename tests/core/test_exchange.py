@@ -7,8 +7,9 @@ from repro.core.exchange import exchange_updates
 from repro.dist import build_dist_graph, make_distribution
 from repro.dist.packing import bucket_by_rank, pack_fields_by_rank
 from repro.dist.wire import make_wire_spec
-from repro.graph import ring, rmat
+from repro.graph import rmat
 from repro.simmpi import run_spmd
+from tests.graphs import ring
 
 
 def test_bucket_by_rank_matches_stable_argsort():

@@ -7,8 +7,9 @@ from repro.core.initialization import initialize, reseed_dead_parts
 from repro.core.params import PulpParams
 from repro.core.state import RankState
 from repro.dist import build_dist_graph, make_distribution
-from repro.graph import from_edges, rmat, ring, rand_hd
+from repro.graph import from_edges, rmat, rand_hd
 from repro.simmpi import run_spmd
+from tests.graphs import ring
 
 
 def init_global(graph, p, nprocs, strategy="hybrid", seed=42):

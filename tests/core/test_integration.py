@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import PulpParams, xtrapulp
 from repro.core.quality import partition_quality
-from repro.graph import from_edges, ring, rmat
+from repro.graph import from_edges, rmat
+from tests.graphs import ring
 
 
 def test_ghost_consistency_after_full_pipeline():

@@ -9,14 +9,14 @@ from repro.core.quality import (
     edge_counts,
     edge_cut,
     edge_cut_ratio,
-    interior_edge_counts,
     partition_quality,
     performance_ratios,
     scaled_max_cut_ratio,
     vertex_balance,
     vertex_counts,
 )
-from repro.graph import from_edges, rmat, ring
+from repro.graph import from_edges, rmat
+from tests.graphs import ring
 
 
 def test_edge_cut_ring():
@@ -28,7 +28,7 @@ def test_edge_cut_ring():
 
 def test_edge_cut_matches_networkx():
     import networkx as nx
-    from repro.graph.builders import to_networkx
+    from tests.graphs import to_networkx
 
     g = rmat(9, 12, seed=8)
     rng = np.random.default_rng(0)
@@ -64,7 +64,6 @@ def test_vertex_and_edge_counts():
     parts = np.array([0, 0, 1, 1, 1, 1])
     np.testing.assert_array_equal(vertex_counts(g, parts, 2), [2, 4])
     np.testing.assert_array_equal(edge_counts(g, parts, 2), [4, 8])
-    np.testing.assert_array_equal(interior_edge_counts(g, parts, 2), [1, 3])
 
 
 def test_balance_metrics():

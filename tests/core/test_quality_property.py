@@ -7,10 +7,8 @@ from repro.core.quality import (
     cut_edges_per_part,
     edge_counts,
     edge_cut,
-    interior_edge_counts,
     vertex_counts,
 )
-from repro.core.analysis import ghost_counts, part_adjacency
 from repro.graph import from_edges
 
 
@@ -30,7 +28,8 @@ def partitioned_graphs(draw):
 @given(partitioned_graphs())
 def test_cut_plus_interior_equals_total(case):
     g, parts, p = case
-    interior = interior_edge_counts(g, parts, p).sum()
+    src, dst = g.unique_edges()
+    interior = int((parts[src] == parts[dst]).sum())
     cut = edge_cut(g, parts, p)
     assert interior + cut == g.num_edges
 
@@ -48,26 +47,3 @@ def test_vertex_and_edge_count_conservation(case):
     g, parts, p = case
     assert vertex_counts(g, parts, p).sum() == g.n
     assert edge_counts(g, parts, p).sum() == 2 * g.num_edges
-
-
-@settings(max_examples=60, deadline=None)
-@given(partitioned_graphs())
-def test_quotient_graph_consistent_with_metrics(case):
-    g, parts, p = case
-    q = part_adjacency(g, parts, p)
-    # diagonal = interior edges; off-diagonal total = cut
-    np.testing.assert_array_equal(np.diag(q), interior_edge_counts(g, parts, p))
-    assert np.triu(q, 1).sum() == edge_cut(g, parts, p)
-    # row sums relate to per-part incident cut
-    per_part_cut = q.sum(axis=0) - np.diag(q)
-    np.testing.assert_array_equal(per_part_cut, cut_edges_per_part(g, parts, p))
-
-
-@settings(max_examples=60, deadline=None)
-@given(partitioned_graphs())
-def test_ghost_counts_bounded_by_cut(case):
-    g, parts, p = case
-    ghosts = ghost_counts(g, parts, p)
-    per_cut = cut_edges_per_part(g, parts, p)
-    # distinct remote endpoints can never exceed incident cut edges
-    assert np.all(ghosts <= per_cut)

@@ -11,8 +11,9 @@ from repro.core import scoring
 from repro.core.params import PulpParams
 from repro.core.state import RankState
 from repro.dist import build_dist_graph, make_distribution
-from repro.graph import from_edges, ring, rmat
+from repro.graph import from_edges, rmat
 from repro.simmpi import create_runtime
+from tests.graphs import ring
 
 PHASES = ("vertex_balance", "vertex_refine", "edge_balance", "edge_refine",
           "ml_refine")

@@ -6,8 +6,9 @@ import pytest
 from repro.core.params import PulpParams
 from repro.core.state import UNASSIGNED, RankState
 from repro.dist import build_dist_graph, make_distribution
-from repro.graph import from_edges, rmat, ring
+from repro.graph import from_edges, rmat
 from repro.simmpi import run_spmd
+from tests.graphs import ring
 
 
 def make_state(graph, p, nprocs=2, params=None, seed=0):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import PulpParams, xtrapulp
 from repro.core.quality import vertex_balance, vertex_counts
-from repro.graph import mesh3d, ring, rmat
+from repro.graph import mesh3d, rmat
+from tests.graphs import ring
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,9 @@ import pytest
 
 from repro.dist import ExchangePlan, build_dist_graph, distributed_bfs_levels
 from repro.dist.distribution import make_distribution
-from repro.graph import bfs_levels, from_edges, rmat, ring, rand_hd
+from repro.graph import bfs_levels, from_edges, rmat, rand_hd
 from repro.simmpi import run_spmd
+from tests.graphs import ring
 
 
 def run_with_plan(graph, nprocs, fn, kind="random", seed=0):

@@ -347,29 +347,3 @@ def test_rank_state_restore_rejects_mismatch(ft_graph, ft_params):
             return True
 
     assert all(run_spmd(NPROCS, main)[0])
-
-
-def test_frontier_sweeper_snapshot_roundtrip(ft_graph, ft_params):
-    from repro.core.frontier import FrontierSweeper
-    from repro.core.initialization import initialize
-
-    dist = make_distribution("random", ft_graph.n, NPROCS, seed=1)
-
-    def main(comm):
-        dg = build_dist_graph(comm, ft_graph, dist)
-        state = RankState(dg=dg, num_parts=PARTS, params=ft_params)
-        initialize(comm, state)
-        sw = FrontierSweeper(state, phase="vertex_balance")
-        for lids in sw.blocks():
-            sw.note_moves(lids[:3])
-        sw.exchange(comm)
-        snap = sw.snapshot()
-        sw2 = FrontierSweeper(state, phase="vertex_balance")
-        sw2.restore(snap)
-        a = list(sw.blocks())
-        b = list(sw2.blocks())
-        assert len(a) == len(b)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        return True
-
-    assert all(run_spmd(NPROCS, main)[0])

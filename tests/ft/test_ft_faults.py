@@ -66,7 +66,7 @@ def test_parse_rejects_malformed(text):
 
 
 def test_fires_at_exact_superstep():
-    plan = FaultPlan.single(1, "vertex_refine", 2)
+    plan = FaultPlan([FaultSpec(1, "vertex_refine", 2)])
     # other ranks, other phases, earlier steps: quiet
     plan.check(0, "Allreduce", "vertex_refine")
     plan.check(1, "Allreduce", "vertex_balance")
@@ -79,16 +79,16 @@ def test_fires_at_exact_superstep():
 def test_wildcard_phase_matches_any_tag():
     """``phase="*"`` matches every tag; steps still count within each
     tag, so a step-1 spec fires at the second collective of any phase."""
-    plan = FaultPlan.single(0, "*", 1)
+    plan = FaultPlan([FaultSpec(0, "*", 1)])
     plan.check(0, "Allreduce", "edge_balance")  # step 0 of that tag
     with pytest.raises(InjectedFault):
         plan.check(0, "Barrier", "edge_balance")  # step 1
     with pytest.raises(InjectedFault):
-        FaultPlan.single(0, "*", 0).check(0, "Allreduce", "anything")
+        FaultPlan([FaultSpec(0, "*", 0)]).check(0, "Allreduce", "anything")
 
 
 def test_counters_are_per_rank_and_per_tag():
-    plan = FaultPlan.single(0, "init", 1)
+    plan = FaultPlan([FaultSpec(0, "init", 1)])
     for _ in range(5):
         plan.check(1, "Allreduce", "init")   # rank 1 never trips rank 0's bomb
         plan.check(0, "Allreduce", "other")  # other tags don't advance "init"
@@ -111,7 +111,7 @@ def test_attempt_gating():
 def test_die_downgrades_to_raise_without_can_die():
     """In-process backends pass can_die=False; the rank must not take the
     whole test process down."""
-    plan = FaultPlan.single(0, "init", 0, action="die")
+    plan = FaultPlan([FaultSpec(0, "init", 0, action="die")])
     with pytest.raises(InjectedFault):
         plan.check(0, "Allreduce", "init", can_die=False)
 
@@ -146,7 +146,7 @@ def test_raise_fault_surfaces_as_plain_injected_fault(ft_graph, ft_params,
                                                       backend):
     """Without checkpoint/resume requested, an injected fault propagates
     unwrapped (no RankFailure envelope)."""
-    plan = FaultPlan.single(1, "vertex_refine", 4)
+    plan = FaultPlan([FaultSpec(1, "vertex_refine", 4)])
     with pytest.raises(InjectedFault):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend=backend, fault_plan=plan)
@@ -154,7 +154,7 @@ def test_raise_fault_surfaces_as_plain_injected_fault(ft_graph, ft_params,
 
 def test_fault_wrapped_in_rank_failure_when_checkpointing(ft_graph, ft_params,
                                                           tmp_path):
-    plan = FaultPlan.single(1, "vertex_refine", 4)
+    plan = FaultPlan([FaultSpec(1, "vertex_refine", 4)])
     with pytest.raises(RankFailure) as ei:
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend="serial", fault_plan=plan,
@@ -185,7 +185,7 @@ def test_exchange_takes_two_steps_of_the_plan(backend, step, op):
     a spec aimed at the header, at the payload or past the exchange fires
     at the (phase, step) — and names the op — it always did."""
     rt = create_runtime(backend, nprocs=3)
-    rt.fault_plan = FaultPlan.single(1, "x", step)
+    rt.fault_plan = FaultPlan([FaultSpec(1, "x", step)])
     try:
         with pytest.raises(
                 InjectedFault,
@@ -222,10 +222,10 @@ def test_crash_inside_an_exchange_resumes_bit_identically(
     steps = dict(zip(("header", "payload"),
                      _second_exchange(reference, "edge_balance")))
     d = str(tmp_path / "run")
+    plan = FaultPlan([FaultSpec(2, "edge_balance", steps[which])])
     with pytest.raises(RankFailure):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
-                 backend=backend, checkpoint=d,
-                 fault_plan=FaultPlan.single(2, "edge_balance", steps[which]))
+                 backend=backend, checkpoint=d, fault_plan=plan)
     res = xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                    backend=backend, resume=d)
     assert np.array_equal(res.parts, reference.parts)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import xtrapulp
 from repro.ft import CkptPolicy, FaultPlan, FaultSpec
-from repro.ft.recovery import RetryPolicy, run_with_retries
+from repro.ft.recovery import RetryPolicy, backoff, run_with_retries
 from repro.simmpi.errors import InjectedFault, RankFailure
 
 from tests.ft.conftest import NPROCS, PARTS
@@ -31,7 +31,7 @@ def _no_sleep():
 def test_crash_resume_bit_identity(ft_graph, ft_params, reference, tmp_path,
                                    backend):
     d = str(tmp_path / "run")
-    plan = FaultPlan.single(1, "edge_balance", 7)
+    plan = FaultPlan([FaultSpec(1, "edge_balance", 7)])
     with pytest.raises(RankFailure) as ei:
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend=backend, checkpoint=CkptPolicy(dir=d),
@@ -55,7 +55,7 @@ def test_resumed_record_matches_checkpointed_run_exactly(
                    backend="serial",
                    checkpoint=CkptPolicy(dir=str(tmp_path / "ref")))
     d = str(tmp_path / "crash")
-    plan = FaultPlan.single(2, "vertex_refine", 12)
+    plan = FaultPlan([FaultSpec(2, "vertex_refine", 12)])
     with pytest.raises(RankFailure):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend="serial", checkpoint=CkptPolicy(dir=d),
@@ -72,7 +72,7 @@ def test_resume_from_midrun_epoch_not_just_init(ft_graph, ft_params,
     """A fault late in the run resumes from a mid-run epoch (not epoch 0),
     re-entering the outer loop mid-flight."""
     d = str(tmp_path / "run")
-    plan = FaultPlan.single(0, "edge_refine", 9)
+    plan = FaultPlan([FaultSpec(0, "edge_refine", 9)])
     with pytest.raises(RankFailure) as ei:
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend="serial",
@@ -111,7 +111,7 @@ def test_run_with_retries_recovers_bit_identically(ft_graph, ft_params,
     ev = res.stats.recoveries[0]
     assert ev.attempt == 1 and ev.epoch is not None
     assert "njected" in ev.error or "rank" in ev.error.lower()
-    assert slept == [retry.backoff(0)]
+    assert slept == [backoff(0)]
 
 
 def test_retry_budget_exhaustion_reraises(ft_graph, ft_params, tmp_path):
@@ -126,40 +126,12 @@ def test_retry_budget_exhaustion_reraises(ft_graph, ft_params, tmp_path):
             fault_plan=plan, retry=retry,
             nprocs=NPROCS, params=ft_params, backend="serial",
         )
-    assert slept == [retry.backoff(a) for a in range(retry.max_retries)]
+    assert slept == [backoff(a) for a in range(retry.max_retries)]
 
 
 def test_backoff_schedule_is_capped():
-    retry = RetryPolicy(max_retries=10, backoff_base=0.05, backoff_cap=0.4)
-    sched = [retry.backoff(a) for a in range(6)]
-    assert sched == [0.05, 0.1, 0.2, 0.4, 0.4, 0.4]
-
-
-def test_jittered_backoff_is_seeded_and_bounded():
-    """Full jitter decorrelates lockstep relaunches while staying
-    reproducible: the schedule is a pure function of (seed, attempt) and
-    lands in the top half of the deterministic envelope."""
-    base = RetryPolicy(max_retries=10, backoff_base=0.05, backoff_cap=0.4)
-    a = RetryPolicy(max_retries=10, backoff_base=0.05, backoff_cap=0.4,
-                    jitter_seed=7)
-    b = RetryPolicy(max_retries=10, backoff_base=0.05, backoff_cap=0.4,
-                    jitter_seed=7)
-    c = RetryPolicy(max_retries=10, backoff_base=0.05, backoff_cap=0.4,
-                    jitter_seed=8)
-    sched_a = [a.backoff(n) for n in range(6)]
-    assert sched_a == [b.backoff(n) for n in range(6)]  # same seed, same plan
-    assert sched_a != [c.backoff(n) for n in range(6)]  # decorrelated
-    for n, v in enumerate(sched_a):
-        envelope = base.backoff(n)
-        assert envelope * 0.5 <= v < envelope
-
-
-def test_unjittered_backoff_is_exact_legacy_schedule():
-    """jitter_seed=None keeps the historical deterministic schedule
-    byte-for-byte (existing tests assert slept == [backoff(a)])."""
-    retry = RetryPolicy(backoff_base=0.1, backoff_cap=1.0)
-    assert retry.jitter_seed is None
-    assert [retry.backoff(a) for a in range(4)] == [0.1, 0.2, 0.4, 0.8]
+    sched = [backoff(a) for a in range(8)]
+    assert sched == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
 
 
 def test_repeated_faults_consume_multiple_retries(ft_graph, ft_params,

@@ -22,7 +22,6 @@ from repro.ft import (
 )
 from repro.ft.integrity import (
     INTEGRITY_ENV_VAR,
-    corrupt_buffer,
     corrupt_object,
     corruption_seed,
 )
@@ -62,14 +61,6 @@ def test_corrupt_object_is_deterministic():
 def test_corrupt_object_skips_payload_free_messages():
     assert corrupt_object(None, seed=7) is None
     assert corrupt_object({"empty": np.empty(0)}, seed=7) is None
-
-
-def test_corrupt_buffer_flips_within_region():
-    buf = bytearray(b"\x00" * 64)
-    assert corrupt_buffer(buf, seed=5, start=8, length=16)
-    (idx,) = [i for i, v in enumerate(buf) if v]
-    assert 8 <= idx < 24
-    assert not corrupt_buffer(bytearray(), seed=5)
 
 
 def test_corruption_seeds_distinct_across_attempts():

@@ -14,16 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core import xtrapulp
-from repro.ft import (
-    CkptPolicy,
-    FaultPlan,
-    FaultSpec,
-    WatchdogConfig,
-    as_watchdog_config,
-    default_watchdog,
-)
+from repro.ft import CkptPolicy, FaultPlan, FaultSpec
 from repro.ft.recovery import RetryPolicy, run_with_retries
-from repro.ft.watchdog import WATCHDOG_ENV_VAR, HeartbeatBoard
+from repro.ft.watchdog import HeartbeatBoard, slice_seconds
 from repro.simmpi import create_runtime
 from repro.simmpi.errors import HungRankError
 
@@ -55,47 +48,38 @@ def _stall_one_rank(comm):
     return comm.allreduce(1)
 
 
-# -- config plumbing ---------------------------------------------------------
+# -- the watchdog is a number of seconds --------------------------------------
 
 
-def test_config_rejects_nonpositive_timeout():
+def test_negative_timeout_is_rejected(ft_graph):
     with pytest.raises(ValueError, match="timeout"):
-        WatchdogConfig(timeout=0.0)
+        create_runtime("serial", nprocs=2, watchdog=-1.0)
     with pytest.raises(ValueError, match="timeout"):
-        WatchdogConfig(timeout=-1.0)
-
-
-def test_config_rejects_bad_warn_fraction():
-    with pytest.raises(ValueError, match="warn_fraction"):
-        WatchdogConfig(timeout=1.0, warn_fraction=1.5)
+        xtrapulp(ft_graph, 2, nprocs=2, backend="serial", watchdog=-1)
 
 
 def test_slice_is_a_fraction_of_the_deadline():
-    assert WatchdogConfig(timeout=1.0).slice_seconds() == pytest.approx(0.25)
+    assert slice_seconds(1.0) == pytest.approx(0.25)
     # clamped at both ends: huge deadlines don't slow stall detection,
     # tiny ones don't busy-spin
-    assert WatchdogConfig(timeout=1000.0).slice_seconds() == 0.25
-    assert WatchdogConfig(timeout=0.004).slice_seconds() == 0.002
+    assert slice_seconds(1000.0) == 0.25
+    assert slice_seconds(0.004) == 0.002
 
 
-def test_as_watchdog_config_coercions():
-    assert as_watchdog_config(None) is None
-    assert as_watchdog_config(0) is None  # 0 = disabled, like the env var
-    cfg = as_watchdog_config(2.5)
-    assert isinstance(cfg, WatchdogConfig) and cfg.timeout == 2.5
-    assert as_watchdog_config(cfg) is cfg
-
-
-def test_default_watchdog_reads_environment(monkeypatch):
-    monkeypatch.delenv(WATCHDOG_ENV_VAR, raising=False)
-    assert default_watchdog() is None
-    monkeypatch.setenv(WATCHDOG_ENV_VAR, "3.5")
-    assert default_watchdog().timeout == 3.5
-    monkeypatch.setenv(WATCHDOG_ENV_VAR, "0")
-    assert default_watchdog() is None
-    monkeypatch.setenv(WATCHDOG_ENV_VAR, "soon")
-    with pytest.raises(ValueError, match=WATCHDOG_ENV_VAR):
-        default_watchdog()
+def test_watchdog_is_seconds_and_zero_turns_it_off():
+    rt = create_runtime("serial", nprocs=2, watchdog=2.5)
+    try:
+        assert rt.watchdog == 2.5
+        # None leaves a pre-built backend's watchdog as it is; 0 turns it off
+        assert create_runtime(rt, nprocs=2).watchdog == 2.5
+        assert create_runtime(rt, nprocs=2, watchdog=0).watchdog is None
+    finally:
+        rt.close()
+    rt = create_runtime("serial", nprocs=2, watchdog=0)
+    try:
+        assert rt.watchdog is None
+    finally:
+        rt.close()
 
 
 def test_backends_default_to_no_watchdog():
@@ -116,8 +100,6 @@ def test_heartbeat_board_round_trips():
     assert board.steps() == [-1, 7, -1]
     assert board.phase_of(1) == "vertex_refine"
     assert board.phase_of(0) == ""
-    assert board.age_of(1) < 1.0
-    assert board.age_of(0) == 0.0  # never beat
     board.beat(1, 8, "x" * 100)  # over-long phase names are truncated
     assert board.steps()[1] == 8
     assert len(board.phase_of(1)) < 100

@@ -1,13 +1,13 @@
-"""Builders: edges/scipy/networkx conversions, cleanup semantics."""
+"""Builders: edges/scipy conversions, cleanup semantics."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from repro.graph import from_edges, from_networkx, from_scipy, to_networkx, to_scipy
-from repro.graph.builders import relabel, symmetrize
-from repro.graph.generators import ring
+from repro.graph import from_edges, to_scipy
+from repro.graph.builders import symmetrize
+from tests.graphs import is_symmetric, ring, to_networkx
 
 
 def test_dedup_and_self_loops_removed():
@@ -51,13 +51,8 @@ def test_scipy_roundtrip():
     m = to_scipy(g)
     assert sparse.issparse(m)
     assert (m != m.T).nnz == 0  # symmetric
-    g2 = from_scipy(m)
-    assert g == g2
-
-
-def test_from_scipy_requires_square():
-    with pytest.raises(ValueError):
-        from_scipy(sparse.csr_matrix(np.ones((2, 3))))
+    coo = m.tocoo()
+    assert from_edges(g.n, coo.row, coo.col) == g
 
 
 def test_networkx_roundtrip():
@@ -66,17 +61,14 @@ def test_networkx_roundtrip():
     g = ring(7)
     nxg = to_networkx(g)
     assert nx.is_connected(nxg)
-    g2 = from_networkx(nxg)
-    assert g == g2
+    src, dst = np.array(list(nxg.edges())).T
+    assert from_edges(g.n, src, dst) == g
 
 
 def test_networkx_directed():
-    import networkx as nx
-
-    d = nx.DiGraph([(0, 1), (1, 2)])
-    g = from_networkx(d)
-    assert g.directed
-    back = to_networkx(g)
+    d = from_edges(3, np.array([0, 1]), np.array([1, 2]), directed=True)
+    back = to_networkx(d)
+    assert back.is_directed()
     assert set(back.edges()) == {(0, 1), (1, 2)}
 
 
@@ -84,26 +76,10 @@ def test_symmetrize():
     d = from_edges(3, np.array([0, 1]), np.array([1, 2]), directed=True)
     u = symmetrize(d)
     assert not u.directed
-    assert u.is_symmetric()
+    assert is_symmetric(u)
     assert u.num_edges == 2
     # idempotent on undirected inputs
     assert symmetrize(u) is u
-
-
-def test_relabel_preserves_structure():
-    g = ring(5)
-    perm = np.array([4, 3, 2, 1, 0])
-    g2 = relabel(g, perm)
-    assert g2.num_edges == g.num_edges
-    np.testing.assert_array_equal(np.sort(g2.degrees), np.sort(g.degrees))
-
-
-def test_relabel_validates_permutation():
-    g = ring(4)
-    with pytest.raises(ValueError):
-        relabel(g, np.array([0, 0, 1, 2]))
-    with pytest.raises(ValueError):
-        relabel(g, np.array([0, 1]))
 
 
 @settings(max_examples=60, deadline=None)

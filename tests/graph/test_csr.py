@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graph import Graph, from_edges, ring, star, path_graph
+from repro.graph import Graph, from_edges
+from tests.graphs import is_symmetric, path_graph, ring, star
 
 
 def triangle():
@@ -31,7 +32,7 @@ def test_empty_graph():
     g = from_edges(4, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     assert g.n == 4 and g.num_edges == 0
     assert g.max_degree == 0
-    assert g.is_symmetric()
+    assert is_symmetric(g)
 
 
 def test_validation_rejects_bad_offsets():
@@ -59,10 +60,10 @@ def test_unique_edges_each_once():
 
 def test_is_symmetric_and_self_loops():
     g = ring(4)
-    assert g.is_symmetric()
+    assert is_symmetric(g)
     assert not g.has_self_loops()
     d = from_edges(3, np.array([0]), np.array([1]), directed=True)
-    assert not d.is_symmetric()
+    assert not is_symmetric(d)
 
 
 def test_reversed_directed():
@@ -78,21 +79,6 @@ def test_reversed_undirected_is_same_edge_set():
     assert sorted(map(tuple, np.column_stack(g.edges()).tolist())) == sorted(
         map(tuple, np.column_stack(r.edges()).tolist())
     )
-
-
-def test_subgraph_mask():
-    g = ring(6)
-    keep = np.array([True, True, True, False, False, False])
-    sub, old_ids = g.subgraph_mask(keep)
-    np.testing.assert_array_equal(old_ids, [0, 1, 2])
-    assert sub.n == 3
-    assert sub.num_edges == 2  # path 0-1-2 (ring edge through 3..5 cut)
-
-
-def test_subgraph_mask_validates():
-    g = ring(4)
-    with pytest.raises(ValueError):
-        g.subgraph_mask(np.array([True]))
 
 
 def test_neighbor_block_matches_loop():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graph import from_edges, io, ring, rmat
+from repro.graph import from_edges, io, rmat
+from tests.graphs import ring
 
 
 def test_edge_list_roundtrip(tmp_path):

@@ -1,4 +1,4 @@
-"""BFS, diameter, components, Table I stats."""
+"""BFS, diameter, Table I stats."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,10 @@ import pytest
 from repro.graph import (
     bfs_levels,
     approximate_diameter,
-    connected_component_sizes,
-    degree_stats,
     from_edges,
     graph_stats_row,
-    path_graph,
-    ring,
-    star,
 )
+from tests.graphs import path_graph, ring, star
 
 
 def test_bfs_levels_path():
@@ -36,7 +32,7 @@ def test_bfs_validates_source():
 def test_bfs_matches_networkx():
     import networkx as nx
     from repro.graph import rmat
-    from repro.graph.builders import to_networkx
+    from tests.graphs import to_networkx
 
     g = rmat(9, 12, seed=2)
     nxg = to_networkx(g)
@@ -59,21 +55,6 @@ def test_approximate_diameter_ring():
 def test_approximate_diameter_empty():
     g = from_edges(0, np.array([], dtype=int), np.array([], dtype=int))
     assert approximate_diameter(g) == 0
-
-
-def test_connected_component_sizes():
-    # two components: triangle + edge, plus isolated vertex
-    g = from_edges(6, np.array([0, 1, 2, 3]), np.array([1, 2, 0, 4]))
-    sizes = connected_component_sizes(g)
-    np.testing.assert_array_equal(sizes, [3, 2, 1])
-
-
-def test_degree_stats():
-    g = star(5)
-    s = degree_stats(g)
-    assert s["max"] == 4
-    assert s["min"] == 1
-    assert s["avg"] == pytest.approx(8 / 5)
 
 
 def test_graph_stats_row():

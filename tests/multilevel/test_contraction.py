@@ -24,11 +24,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core import PulpParams, xtrapulp
 from repro.dist import make_distribution
 from repro.graph import mesh3d, rmat, webcrawl
-from repro.multilevel import coarsen
+from repro.multilevel import coarsen, hierarchy
 from repro.multilevel.coarsen import local_eweights
 from repro.multilevel.hierarchy import build_hierarchy
 from repro.simmpi import run_spmd
 from tests.reference.contraction import reference_contract
+
+#: a coarsening target below ``hierarchy.COARSEST_FACTOR``, so these small
+#: graphs still coarsen through several levels
+COARSEST_FACTOR = 8
 
 
 def _arc_sources(graph):
@@ -41,7 +45,7 @@ def walk_hierarchy(comm, graph, dist, num_parts, params):
     of each level's global ``graph`` / ``eweights``: the invariants below
     are stated on them.  Returns ``(levels, owned labels per contraction)``."""
     levels, labels = [coarsen.make_level0(comm, graph, dist, None)], []
-    target = max(params.ml_coarsest_factor * num_parts, 2 * comm.size)
+    target = max(COARSEST_FACTOR * num_parts, 2 * comm.size)
     while len(levels) < params.ml_levels and levels[-1].size[0] > target:
         lvl = len(levels) - 1
         if params.ml_coarsen == "lp":
@@ -72,8 +76,7 @@ def hierarchy_cases(draw):
 def _build(scale, deg, seed, nprocs, mode):
     g = rmat(scale, deg, seed=seed)
     params = PulpParams(
-        multilevel=True, ml_coarsen=mode, ml_levels=4,
-        ml_coarsest_factor=8, seed=seed,
+        multilevel=True, ml_coarsen=mode, ml_levels=4, seed=seed,
     )
     dist = make_distribution("random", g.n, nprocs, seed=seed % 97)
     per_rank = run_spmd(
@@ -168,8 +171,7 @@ def test_contract_level_matches_unique_reference(graph, mode):
     arrays of the ``np.unique``-based contraction they replaced."""
     nprocs = 3
     params = PulpParams(
-        multilevel=True, ml_coarsen=mode, ml_levels=4,
-        ml_coarsest_factor=8, seed=7,
+        multilevel=True, ml_coarsen=mode, ml_levels=4, seed=7,
     )
     dist = make_distribution("random", graph.n, nprocs, seed=7)
     per_rank = run_spmd(
@@ -237,15 +239,16 @@ def test_lost_edge_weight_names_the_level_and_both_sums(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["lp", "hem"])
-def test_build_hierarchy_keeps_only_what_uncoarsening_reads(mode):
+def test_build_hierarchy_keeps_only_what_uncoarsening_reads(
+        mode, monkeypatch):
     """``build_hierarchy`` is the walk above with every level's global
     ``graph`` / ``eweights`` released once contracted (level 0's ``Graph``
     stays the caller's); what uncoarsening reads is untouched."""
+    monkeypatch.setattr(hierarchy, "COARSEST_FACTOR", COARSEST_FACTOR)
     g = mesh3d(9, 9, 9)
     nprocs = 3
     params = PulpParams(
-        multilevel=True, ml_coarsen=mode, ml_levels=4,
-        ml_coarsest_factor=8, seed=7,
+        multilevel=True, ml_coarsen=mode, ml_levels=4, seed=7,
     )
     dist = make_distribution("random", g.n, nprocs, seed=7)
     built = run_spmd(

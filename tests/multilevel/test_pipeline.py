@@ -135,8 +135,6 @@ def test_param_validation():
     with pytest.raises(ValueError):
         PulpParams(ml_levels=0)
     with pytest.raises(ValueError):
-        PulpParams(ml_coarsest_factor=0)
-    with pytest.raises(ValueError):
         PulpParams(ml_refine_iters=0)
     with pytest.raises(ValueError):
         PulpParams(ml_imbalance_relax=-0.5)

@@ -29,6 +29,11 @@ pytestmark = pytest.mark.skipif(
 BIG = dataplane.DESCRIPTOR_MIN  # smallest descriptor-eligible payload
 
 
+def _segments(prefix):
+    """Names of the live shared-memory segments under ``prefix``."""
+    return sorted(os.path.basename(p) for p in glob.glob(f"/dev/shm/{prefix}*"))
+
+
 @pytest.fixture
 def prefix():
     """A unique arena/slot name prefix, swept clean afterwards."""
@@ -82,10 +87,7 @@ def test_result_arena_zero_copy_descriptor_for_own_blocks(prefix):
         raw = pickle.PickleBuffer(arr).raw()
         spec = arena.place(raw)
         # arena-resident result: descriptor points at the existing block
-        assert spec.segment in arena.segment_names
-        seg_file = os.path.join("/dev/shm", spec.segment)
-        assert os.path.exists(seg_file)
-        assert len(arena.segment_names) == 1
+        assert _segments(prefix) == [spec.segment]
         del arr, raw  # drop exported pointers before the segment closes
     finally:
         arena.close()
@@ -114,15 +116,15 @@ def test_result_arena_recycles_only_released_segments(prefix):
         big = 768 * 1024  # two don't fit one 1 MiB segment
         arena.begin_step(0, -1)
         arena.alloc_array((big,), np.uint8)
-        assert len(arena.segment_names) == 1
+        assert len(_segments(prefix)) == 1
         # step 1: step 0 NOT released -> must open a second segment
         arena.begin_step(1, -1)
         arena.alloc_array((big,), np.uint8)
-        assert len(arena.segment_names) == 2
+        assert len(_segments(prefix)) == 2
         # step 2: everything through step 1 released -> recycle, not grow
         arena.begin_step(2, 1)
         arena.alloc_array((big,), np.uint8)
-        assert len(arena.segment_names) == 2
+        assert len(_segments(prefix)) == 2
     finally:
         arena.close()
 
@@ -133,7 +135,7 @@ def test_result_arena_small_allocations_stay_on_heap(prefix):
         arena.begin_step(0, -1)
         small = arena.alloc_array((8,), np.int64)
         assert small.flags.writeable
-        assert arena.segment_names == []  # nothing was parked
+        assert _segments(prefix) == []  # nothing was parked
     finally:
         arena.close()
 

@@ -69,7 +69,7 @@ def test_topology_node_grouping():
     assert t.node_size(2) == 2  # short last node
     assert t.leader_of(6) == 4
     assert t.is_leader(4) and not t.is_leader(5)
-    assert t.same_node(4, 7) and not t.same_node(3, 4)
+    assert t.node_of(4) == t.node_of(7) != t.node_of(3)
 
 
 def test_topology_node_of_ranks_matches_scalar():
@@ -146,6 +146,28 @@ def test_unknown_strategy_raises_with_choices():
         create_communicator("smoke-signals", nprocs=4)
     assert "smoke-signals" in str(exc.value)
     assert "flat" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [
+    "hierarchical:8x", "hierarchical:0", "hierarchical: 8",
+])
+@pytest.mark.parametrize("entry", ["create_runtime", "run_spmd", "env"])
+def test_malformed_suffix_reports_the_grammar_error(bad, entry, monkeypatch):
+    """A valid strategy name with a bad ``:R[xK]`` suffix is a grammar
+    error, not an unknown strategy — through every front door."""
+    from repro.simmpi import create_runtime
+
+    monkeypatch.delenv(COMM_ENV_VAR, raising=False)
+    with pytest.raises(ValueError) as exc:
+        if entry == "create_runtime":
+            create_runtime("serial", nprocs=2, comm=bad)
+        elif entry == "run_spmd":
+            run_spmd(2, lambda comm: None, backend="serial", comm=bad)
+        else:
+            monkeypatch.setenv(COMM_ENV_VAR, bad)
+            create_runtime("serial", nprocs=2)
+    assert bad in str(exc.value)
+    assert "unknown communicator strategy" not in str(exc.value)
 
 
 def test_instance_passthrough_checks_nprocs():

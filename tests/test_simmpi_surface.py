@@ -1,28 +1,56 @@
-"""Guard: ``SimComm`` offers what its callers call, and the tier rules name
-only what it emits.
+"""Guard: every public name in ``src/repro`` has a caller, and the tier
+rules name only what ``SimComm`` emits.
 
-``SimComm`` once exported 17 collectives, eight of which (``bcast``,
-``gather``, ``scatter``, ``Reduce``, ``Gatherv``, ``Scatterv``,
-``Alltoall``, ``exscan``) nothing in ``src/`` or ``benchmarks/`` called,
-and ``topology/hierarchical.py`` carried metering rules for ops only those
-eight emitted.  A public method with no caller, or a tier rule for an op
-no collective emits, is that dead surface growing back: call it from the
-code that needs it, or do not add it.
+``SimComm`` once exported eight collectives nothing called, and the rest
+of the package carried about thirty public functions and methods (all of
+``core/analysis.py`` among them) that only their own tests reached.  A
+public name with no caller, or a tier rule for an op no collective
+emits, is that dead surface growing back: call it from the code that
+needs it, or do not add it.
+
+The caller rule: every public module-level function or class, and every
+public method or property of a module-level class, is referenced outside
+its own definition.  A reference is an AST ``Name`` or ``Attribute`` load
+in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/reference/`` (the
+oracles tests compare against), or in a fenced ``python`` block of
+README.md.  Comments, docstrings, ``__all__`` strings and re-export
+imports are not references.  Matching is by name, so a homonym can hide
+a dead name; it never flags a live one.
 """
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIMMPI = ROOT / "src" / "repro" / "simmpi"
+PACKAGE = ROOT / "src" / "repro"
+SIMMPI = PACKAGE / "simmpi"
 COMM = SIMMPI / "comm.py"
 HIERARCHICAL = SIMMPI / "topology" / "hierarchical.py"
-#: where a public method's callers must live
-CALLER_TREES = (ROOT / "src", ROOT / "benchmarks")
+#: where a public name's callers may live
+CALLER_TREES = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples",
+                ROOT / "tests" / "reference")
+README = ROOT / "README.md"
 #: the count header an Alltoallv deposit also stands for: metered as an
 #: ``alltoall`` round (``backends/base.py:metered_rounds``), never passed
 #: to ``_collective`` by name
 HEADER_OP = "alltoall"
+
+#: ``"module.py:Qual.name"`` -> why it needs no caller in the trees above.
+#: An entry for a name that has a caller fails the guard too.  (There is
+#: none for ``Watchdog.run``, which ``threading`` calls: by name, the
+#: many ``.run(...)`` calls already count for it.)
+EXEMPT = {
+    "simmpi/dataplane.py:materialize":
+        "README's copy-on-write escape hatch for mutating a sealed result",
+    "graph/io.py:save_npz": "writes the .npz input the CLI reads",
+    "graph/io.py:write_metis": "writes the METIS input the CLI reads",
+    "graph/generators.py:watts_strogatz":
+        "a graph model README lists among the package's features",
+    "graph/generators.py:barabasi_albert":
+        "a graph model README lists among the package's features",
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -35,23 +63,71 @@ def _simcomm() -> ast.ClassDef:
     return cls
 
 
-def _public_methods() -> set:
-    return {fn.name for fn in _simcomm().body
-            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
+def _span(node) -> range:
+    """Source lines of a definition, decorators included."""
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return range(first, node.end_lineno + 1)
 
 
-def _called_attributes() -> set:
-    """Every ``x.name(...)`` in the caller trees, outside comm.py itself."""
-    called = set()
-    for tree in CALLER_TREES:
-        for path in sorted(tree.rglob("*.py")):
-            if path == COMM:
+def _module_level(body):
+    """Statements at module level, looking into ``if`` / ``try`` blocks."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If):
+            yield from _module_level(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            yield from _module_level(
+                node.body + node.orelse + node.finalbody
+                + [s for h in node.handlers for s in h.body])
+
+
+def _public_definitions():
+    """``(key, name, path, span)`` for every public function, class,
+    method and property the caller rule covers."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        for node in _module_level(_parse(path).body):
+            if not isinstance(node, defs):
                 continue
-            called.update(
-                node.func.attr for node in ast.walk(_parse(path))
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute))
-    return called
+            if not node.name.startswith("_"):
+                yield f"{rel}:{node.name}", node.name, path, _span(node)
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not fn.name.startswith("_")):
+                        yield (f"{rel}:{node.name}.{fn.name}", fn.name, path,
+                               _span(fn))
+
+
+def _readme_python() -> str:
+    return "\n".join(re.findall(r"```python\n(.*?)```", README.read_text(),
+                                flags=re.S))
+
+
+def _references() -> dict:
+    """``{name: [(path, line), ...]}`` for every ``Name`` / ``Attribute``
+    load in the caller trees and README's python blocks."""
+    refs = defaultdict(list)
+    sources = [(p, _parse(p)) for tree in CALLER_TREES
+               for p in sorted(tree.rglob("*.py"))]
+    sources.append((README, ast.parse(_readme_python())))
+    for path, module in sources:
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs[node.id].append((path, node.lineno))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                refs[node.attr].append((path, node.lineno))
+    return refs
+
+
+def uncalled_public_names() -> set:
+    """Keys of the public definitions with no reference outside their own
+    source lines, exempt or not."""
+    refs = _references()
+    return {key for key, name, path, span in _public_definitions()
+            if not any(p != path or line not in span for p, line in refs[name])}
 
 
 def _emitted_ops() -> set:
@@ -86,14 +162,18 @@ def _ops_named_by_tier_rules() -> dict:
     return named
 
 
-def test_every_public_simcomm_method_has_a_caller():
-    methods = _public_methods()
-    # the guard sees what it guards
-    assert {"Alltoallv", "Allreduce", "Bcast"} <= methods
-    uncalled = methods - _called_attributes()
-    assert not uncalled, (
-        "SimComm methods nothing in src/ or benchmarks/ calls: "
-        f"{sorted(uncalled)}"
+def test_every_public_name_has_a_caller():
+    keys = {key for key, *_ in _public_definitions()}
+    # the guard sees what it guards: functions, classes, methods, properties
+    assert {"core/driver.py:xtrapulp", "simmpi/comm.py:SimComm.Alltoallv",
+            "core/params.py:PulpParams", "graph/csr.py:Graph.num_edges"} <= keys
+    uncalled = uncalled_public_names()
+    stale = sorted(set(EXEMPT) - uncalled)
+    assert not stale, f"exemptions for names with callers, or gone: {stale}"
+    dead = sorted(uncalled - set(EXEMPT))
+    assert not dead, (
+        "public names nothing in src/, benchmarks/, examples/, "
+        f"tests/reference/ or README.md references: {dead}"
     )
 
 
