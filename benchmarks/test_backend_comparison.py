@@ -3,8 +3,8 @@
 The backends trade scheduling strategy for speed — ``serial`` interleaves
 all ranks on one thread, ``threads`` overlaps ranks wherever NumPy drops
 the GIL, ``procs`` forks real processes and escapes the GIL entirely,
-moving payloads as zero-copy shm descriptors
-(:mod:`repro.simmpi.dataplane`).  Because the algorithm is bulk
+moving payloads through shared-memory rendezvous slots
+(:mod:`repro.simmpi.backends.procs`).  Because the algorithm is bulk
 synchronous, every backend must produce bit-identical partitions and byte
 counts; this bench records what each one costs in wall time (measured
 with ``time.perf_counter`` around the whole run) next to the

@@ -1,12 +1,12 @@
-"""Zero-copy data-plane check for the procs backend.
+"""Payload storm through the procs backend's rendezvous slots.
 
-The procs backend ships collective payloads between rank processes
-through its data plane (:mod:`repro.simmpi.dataplane`): large buffers are
-parked in long-lived arena segments and ranks exchange
-``(segment, offset, nbytes)`` descriptors.  This bench runs a
-collectives-heavy storm (the workload the plane exists for — payload
-movement, not rank compute): it must deliver the serial backend's
-checksums and leak nothing in /dev/shm.  Its wall is recorded, not gated:
+The procs backend ships collective payloads between rank processes inside
+its shared-memory rendezvous slots (:mod:`repro.simmpi.backends.procs`):
+each message is pickled into its slot with the NumPy buffers written raw
+after it, and every receiver copies its result out.  This bench runs a
+collectives-heavy storm (payload movement, not rank compute): it must
+deliver the serial backend's checksums and leak nothing in /dev/shm.  Its
+wall is recorded, not gated:
 the perf ledger's ``procs_guarded`` workload bounds ``partition_wall_s``
 (``benchmarks/perf``).
 
@@ -65,9 +65,9 @@ def _run_storm(backend):
     return rt, time.perf_counter() - t0, checksums
 
 
-def test_procs_zero_copy_storm(benchmark):
+def test_procs_storm(benchmark):
     table = ExperimentTable(
-        "procs_zero_copy",
+        "procs_storm",
         ["backend", "wall_s", "payload_MiB", "checksums_match", "shm_leaked"],
         notes=f"{ITERS} iters of Alltoallv+Allgatherv+Bcast on {NPROCS} "
               f"ranks, {WORDS * 8 / 2**20:.1f} MiB payloads; wall recorded, "

@@ -15,10 +15,8 @@ assignment — 4–8 B/record and no per-exchange gid lookup, against the
 (:mod:`repro.dist.wire`).
 
 Receive buffers are consumed read-only (indexed assignment *from* them
-into the rank-local ``parts`` array), which is what lets the procs
-backend's shm data plane deliver them as zero-copy shared-memory views:
-the hot-path exchange of the whole partitioner moves descriptors, not
-bytes (:mod:`repro.simmpi.dataplane`).
+into the rank-local ``parts`` array), so the in-process backends may
+hand them out as sealed views of one shared merge buffer.
 """
 
 from __future__ import annotations

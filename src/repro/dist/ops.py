@@ -15,12 +15,10 @@ metered as two-level (intra-node gather, aggregated inter-node message,
 intra-node scatter) without any change here — values, counts, and the
 communication record stay bit-identical.
 
-Zero-copy contract: both :meth:`ExchangePlan.pull` and
+Read-only contract: both :meth:`ExchangePlan.pull` and
 :meth:`ExchangePlan.push` consume their received buffer read-only (indexed
 assignment / ``ufunc.at`` reads *from* it into the caller's ``values``),
-so under the procs backend's shm data plane
-(:mod:`repro.simmpi.dataplane`) the receive side is a zero-copy shared
-view and every plan exchange moves descriptors, not payload bytes.
+so the receive side may be a sealed view shared across in-process ranks.
 """
 
 from __future__ import annotations

@@ -7,12 +7,11 @@ contiguous array in its own (narrowest sufficient) dtype, the layout
 :meth:`SimComm.Alltoallv_fields` ships as independently-typed planes.  It
 is built on :func:`bucket_by_rank`, an O(n) stable counting-sort bucketing.
 
-Zero-copy contract: the packer *produces* fresh buffers (fancy indexing
+Read-only contract: the packer *produces* fresh buffers (fancy indexing
 copies), so senders may hand them to a collective and forget them; the
-matching *received* buffers may be read-only shared-memory views under the
-procs backend's shm data plane (:mod:`repro.simmpi.dataplane`), so
-consumers must never write into them (slice/index/cast, or
-:func:`repro.simmpi.dataplane.materialize` first).
+matching *received* buffers may be sealed views shared across in-process
+ranks, so consumers must never write into them (slice/index/cast, or
+:func:`repro.simmpi.comm.materialize` first).
 """
 
 from __future__ import annotations

@@ -8,10 +8,9 @@ module supplies the checksum primitives the runtime wires in when
 ``--integrity crc`` is selected:
 
 * **transport checksums** (procs backend) — every rendezvous slot write
-  appends a crc32 over its serialized bytes, and every shared-memory
-  dataplane descriptor (:class:`~repro.simmpi.dataplane.ShmSpec`) carries
-  the crc32 of the arena window it names; both are verified on *every*
-  read, so a flip anywhere between serialize and deserialize raises
+  appends a crc32 over its serialized bytes (payload buffers included),
+  verified on *every* read, so a flip anywhere between serialize and
+  deserialize raises
   :class:`~repro.simmpi.errors.PayloadCorruptionError` instead of leaking
   into results.
 * **contribution checksums** (serial/threads backends) — there is no wire
@@ -23,7 +22,7 @@ module supplies the checksum primitives the runtime wires in when
   :meth:`FaultPlan's <repro.ft.faults.FaultPlan>` ``corrupt`` action) —
   the fault injector flips one byte of a target message/segment at an
   exact superstep, so tests can assert detection is 100%, on every
-  backend and data plane.
+  backend.
 
 Checksums are crc32 (:func:`zlib.crc32` — the same polynomial family real
 interconnects and filesystems use for lightweight end-to-end checks);

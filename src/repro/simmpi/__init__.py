@@ -15,11 +15,10 @@ How ranks execute is selected by name (:mod:`repro.simmpi.backends`):
 ``threads`` runs one native thread per rank (NumPy releases the GIL), and
 ``procs`` forks one process per rank and moves payloads through
 ``multiprocessing.shared_memory``, escaping the GIL for pure-Python rank
-code.  The procs backend's data plane (:mod:`repro.simmpi.dataplane`)
-parks large NumPy buffers in long-lived arena segments and ships zero-copy
-``(segment, offset, nbytes)`` descriptors — receivers get read-only
-shared views; :func:`~repro.simmpi.dataplane.materialize` is the
-copy-on-write escape hatch.
+code; each payload travels in the rendezvous slot that carries its
+message, and every rank receives its own copy.  The in-process backends
+hand every rank of a one-result collective the same read-only object;
+:func:`~repro.simmpi.comm.materialize` is the copy-on-write escape hatch.
 Collectives are rendezvous points in every backend; because the
 algorithms built on top are bulk-synchronous (all communication happens in
 collectives, ranks only mutate rank-local state in between), a fixed-seed
@@ -60,8 +59,7 @@ from repro.simmpi.backends import (
     create_runtime,
     default_backend,
 )
-from repro.simmpi.comm import SimComm
-from repro.simmpi.dataplane import materialize
+from repro.simmpi.comm import SimComm, materialize
 from repro.simmpi.errors import (
     CollectiveMismatchError,
     DeadlockError,

@@ -31,8 +31,8 @@ with the ``REPRO_BACKEND`` environment variable — which is how CI runs the
 whole backend-tagged test selection once per backend.  A backend of your
 own is used by passing its instance to :func:`create_runtime`.
 
-The ``procs`` backend moves large payloads between its processes as
-zero-copy shared-memory descriptors (:mod:`repro.simmpi.dataplane`); the
+The ``procs`` backend carries each payload inside the shared-memory
+rendezvous slot of its message, and every rank receives its own copy; the
 in-process backends hand every rank of a one-result collective the same
 sealed object (``Backend.shares_results``).
 """

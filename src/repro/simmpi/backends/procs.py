@@ -19,16 +19,14 @@ done/collective actions become a
 releases every rank with :class:`~repro.simmpi.errors.RemoteRankError`
 while the original exception is re-raised from :meth:`ProcsBackend.run`.
 
-How payload *bytes* move is the backend's **data plane**
-(:mod:`repro.simmpi.dataplane`): zero-copy descriptor passing.  Large NumPy
-buffers are parked in per-rank arena segments (send arenas for
-contributions, rank 0's result arena for results) and the slots carry
-compact ``(segment, offset, nbytes)`` descriptors; receivers materialize
-read-only ``np.frombuffer`` views and account for their lifetime with
-per-rank release cursors so result segments are recycled only once no
-rank still views them.  Buffers below
-:data:`~repro.simmpi.dataplane.DESCRIPTOR_MIN` bytes and control messages
-are written into the slot itself.
+Payload bytes travel in the slot that carries their message: the action
+is pickled with protocol 5 and its NumPy buffers are written raw after
+the pickle.  Rank 0 reads the request slots in place for one superstep
+(borrowed windows, dropped before the closing barrier lets their owners
+rewrite them); every other read — responses, the failure cell, exit
+payloads — copies the buffers out, so a rank owns everything it receives
+and a slot may be rewritten at the next superstep with no lifetime
+tracking.
 
 Shared-memory lifecycle: all slots are created by the parent **before**
 forking (so every process shares one resource tracker), a slot that outgrows
@@ -36,13 +34,13 @@ its segment creates a replacement and immediately unlinks the old one, and
 the parent unlinks whatever segment each slot currently names in a
 ``finally`` — on normal exit *and* when a rank raises — so no segment and no
 ``resource_tracker`` warning outlives a run.  Every segment of a session
-carries a unique session prefix in its (explicit) name — arena segments
-under the ``dp`` sub-prefix — so teardown sweeps the arenas (whose segments
-intentionally live until teardown) and then reclaims anything orphaned by a
-creator that died *mid-replacement* — the window where a freshly-grown
-segment exists but no live slot names it yet.  A child killed hard at any
-point (even ``os._exit`` inside a superstep, as the fault-injection tests
-do) therefore leaks nothing.  The parent also supervises the children: if
+carries a unique session prefix in its (explicit) name, so teardown — and a
+session that fails while creating its slots — sweeps the prefix for
+anything orphaned by a creator that died *mid-replacement* — the window
+where a freshly-grown segment exists but no live slot names it yet.  A
+child killed hard at any point (even ``os._exit`` inside a superstep, as
+the fault-injection tests do) therefore leaks nothing.  The parent also
+supervises the children: if
 one dies without reporting (hard crash), it breaks the barrier so the
 surviving ranks error out instead of hanging.
 
@@ -63,12 +61,11 @@ import traceback
 import uuid
 import zlib
 from multiprocessing import connection, shared_memory, sharedctypes
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.ft.watchdog import HeartbeatBoard, Watchdog, rank_barrier_timeout
-from repro.simmpi import dataplane
 from repro.simmpi.backends.base import (
     Backend,
     fault_preamble,
@@ -84,8 +81,8 @@ from repro.simmpi.errors import (
     format_ranks,
 )
 
-# (pickle length, buffer-spec length, inlined-buffer length, crc32).  The
-# crc is over the whole written region (payload + spec + inlined buffers);
+# (pickle length, buffer-size list length, buffer bytes length, crc32).  The
+# crc is over the whole written region (payload + sizes + buffers);
 # -1 means "no checksum" (integrity off), so the layout is shared by both
 # integrity modes and only the verification work is conditional.
 _HEADER = struct.Struct("<qqqq")
@@ -175,11 +172,8 @@ class _Slot:
     Writers and readers of one slot are separated by the superstep barriers,
     so the slot itself needs no locking.
 
-    Layout: the fixed header, the pickle of the object, the pickled
-    buffer-spec list (one entry per out-of-band buffer: an ``int`` byte
-    count for a buffer inlined after the spec, or a
-    :class:`~repro.simmpi.dataplane.ShmSpec` descriptor for a buffer parked
-    in an arena segment), then the inlined buffers in order.
+    Layout: the fixed header, the pickle of the object, the pickled list
+    of out-of-band buffer sizes, then those buffers in order.
     """
 
     INITIAL = 1 << 16
@@ -246,78 +240,44 @@ class _Slot:
         seg.unlink()
         return new
 
-    def write(self, obj: Any,
-              arena: Optional[dataplane.SendArena] = None) -> None:
-        """Serialize ``obj`` into the slot (NumPy buffers out-of-band).
-
-        With an ``arena``, out-of-band buffers of at least
-        :data:`~repro.simmpi.dataplane.DESCRIPTOR_MIN` bytes are placed
-        through the arena and only their descriptors enter the slot;
-        smaller buffers — and, without an arena, all buffers — are inlined.
-        """
+    def write(self, obj: Any) -> None:
+        """Serialize ``obj`` into the slot (NumPy buffers out-of-band)."""
         oob: List[pickle.PickleBuffer] = []
         payload = pickle.dumps(obj, protocol=5, buffer_callback=oob.append)
         raws = [b.raw() for b in oob]
-        entries: List[Any] = []
-        inline: List[memoryview] = []
-        if arena is not None:
-            arena.begin_write(sum(
-                r.nbytes for r in raws
-                if r.nbytes >= dataplane.DESCRIPTOR_MIN
-            ))
-            for r in raws:
-                if r.nbytes >= dataplane.DESCRIPTOR_MIN:
-                    entries.append(arena.place(r))
-                else:
-                    entries.append(r.nbytes)
-                    inline.append(r)
-        else:
-            for r in raws:
-                entries.append(r.nbytes)
-                inline.append(r)
-        spec = pickle.dumps(entries, protocol=5) if entries else b""
-        inline_len = sum(r.nbytes for r in inline)
-        total = _HEADER.size + len(payload) + len(spec) + inline_len
+        sizes = (pickle.dumps([r.nbytes for r in raws], protocol=5)
+                 if raws else b"")
+        raw_len = sum(r.nbytes for r in raws)
+        total = _HEADER.size + len(payload) + len(sizes) + raw_len
         buf = self._ensure(total).buf
         off = _HEADER.size
         buf[off:off + len(payload)] = payload
         off += len(payload)
-        buf[off:off + len(spec)] = spec
-        off += len(spec)
-        for r in inline:
+        buf[off:off + len(sizes)] = sizes
+        off += len(sizes)
+        for r in raws:
             buf[off:off + r.nbytes] = r
             off += r.nbytes
         # checksum the bytes as written to shared memory — the region a
         # flip between this write and the peer's read would damage
         crc = zlib.crc32(buf[_HEADER.size:off]) if self._integrity else -1
-        _HEADER.pack_into(buf, 0, len(payload), len(spec), inline_len, crc)
+        _HEADER.pack_into(buf, 0, len(payload), len(sizes), raw_len, crc)
 
-    def read(
-        self, mode: str, cache: Optional[dataplane.SegmentCache] = None,
-    ) -> Tuple[Any, List[Tuple[memoryview, int]]]:
-        """Deserialize the slot; returns ``(obj, leases)``.
+    def read(self, borrow: bool = False) -> Any:
+        """Deserialize the slot.
 
-        ``mode`` sets how out-of-band buffers materialize:
-
-        * ``"borrow"`` — zero-copy for everything (slot windows for inlined
-          buffers, arena views for descriptors).  Only safe for consumers
-          that drop every reference before the slot/arena is rewritten: the
-          designated computer reading contributions within one superstep.
-        * ``"view"`` — rank-facing zero-copy: descriptors become read-only
-          arena views, returned as ``(view, address)`` leases for the
-          caller's :class:`~repro.simmpi.dataplane.ViewLedger`; inlined
-          buffers are copied (small, and the copies stay privately
-          writable).
-        * ``"own"`` — every buffer is copied out, so returned arrays own
-          writable data (the failure cell, and the parent collecting exit
-          payloads after the children are gone).
+        Out-of-band buffers are copied out, so the returned arrays are
+        writable and survive the slot being rewritten.  ``borrow=True``
+        maps them as zero-copy windows onto the slot instead — only for a
+        reader that drops every reference before the slot is rewritten:
+        the designated computer reading contributions within one superstep.
         """
         buf = self._segment().buf
-        payload_len, spec_len, inline_len, crc = _HEADER.unpack_from(buf, 0)
+        payload_len, sizes_len, raw_len, crc = _HEADER.unpack_from(buf, 0)
         if crc != -1:
             # verify before any deserialization: a flipped byte must raise
             # the typed corruption error, never a garbled UnpicklingError
-            region = _HEADER.size + payload_len + spec_len + inline_len
+            region = _HEADER.size + payload_len + sizes_len + raw_len
             self.nchecks += 1
             actual = zlib.crc32(buf[_HEADER.size:region])
             if actual != crc:
@@ -330,61 +290,34 @@ class _Slot:
         off = _HEADER.size
         payload = bytes(buf[off:off + payload_len])
         off += payload_len
-        entries: List[Any] = (
-            pickle.loads(bytes(buf[off:off + spec_len])) if spec_len else []
+        sizes: List[int] = (
+            pickle.loads(bytes(buf[off:off + sizes_len])) if sizes_len else []
         )
-        off += spec_len
+        off += sizes_len
         buffers: List[Any] = []
-        leases: List[Tuple[memoryview, int]] = []
-        for e in entries:
-            if isinstance(e, dataplane.ShmSpec):
-                assert cache is not None, "descriptor read needs a cache"
-                view = cache.view(e)
-                if e.crc != -1:
-                    self.nchecks += 1
-                    actual = zlib.crc32(view)
-                    if actual != e.crc:
-                        self.nfailures += 1
-                        raise PayloadCorruptionError(
-                            f"arena descriptor checksum mismatch (expected "
-                            f"{e.crc:#010x}, got {actual:#010x}) for "
-                            f"{e.nbytes} bytes in segment {e.segment!r}",
-                            location=f"descriptor {e.segment!r}+{e.offset}",
-                        )
-                if mode == "own":
-                    buffers.append(bytearray(view))
-                else:
-                    buffers.append(view)
-                    if mode == "view":
-                        leases.append(
-                            (view, dataplane._buffer_address(view))
-                        )
-            else:  # inlined, e is the byte count
-                window = buf[off:off + e]
-                off += e
-                # bytearray, not bytes: rank-facing copies must be writable
-                buffers.append(window if mode == "borrow"
-                               else bytearray(window))
-        return pickle.loads(payload, buffers=buffers), leases
+        for n in sizes:
+            window = buf[off:off + n]
+            off += n
+            # bytearray, not bytes: rank-facing copies must be writable
+            buffers.append(window if borrow else bytearray(window))
+        return pickle.loads(payload, buffers=buffers)
 
-    def corrupt(self, seed: int) -> bool:
+    def corrupt(self, seed: int) -> None:
         """Flip one byte of the last written message (fault injection).
 
-        Targets the inlined-buffer region when there is one (numeric data —
-        the silent-corruption case crc exists to catch) and the pickle
-        region otherwise.  Runs *after* :meth:`write` sealed the header
-        crc, so the flip models damage in flight.
+        Targets the buffer region when there is one (numeric data — the
+        silent-corruption case crc exists to catch) and the pickle region
+        otherwise.  Runs *after* :meth:`write` sealed the header crc, so
+        the flip models damage in flight.
         """
         buf = self._segment().buf
-        payload_len, spec_len, inline_len, _ = _HEADER.unpack_from(buf, 0)
-        if inline_len > 0:
-            start, length = _HEADER.size + payload_len + spec_len, inline_len
+        payload_len, sizes_len, raw_len, _ = _HEADER.unpack_from(buf, 0)
+        if raw_len > 0:
+            start, length = _HEADER.size + payload_len + sizes_len, raw_len
         else:
-            start, length = _HEADER.size, payload_len + spec_len
-        if length <= 0:
-            return False
-        buf[start + seed % length] ^= 0xFF
-        return True
+            start, length = _HEADER.size, payload_len + sizes_len
+        if length > 0:
+            buf[start + seed % length] ^= 0xFF
 
     def close(self) -> None:
         """Drop this process's mapping (never destroys the segment)."""
@@ -409,15 +342,14 @@ class _Slot:
 
 
 class _Session:
-    """Per-run shared state: slots, barrier, failure cell, stats channel,
-    and the data plane's release cursors."""
+    """Per-run shared state: slots, barrier, failure cell, stats channel."""
 
-    def __init__(self, ctx, nprocs: int, integrity: bool = False,
+    def __init__(self, ctx, nprocs: int, shm_prefix: str,
+                 integrity: bool = False,
                  watchdog: Optional[float] = None) -> None:
         self.nprocs = nprocs
-        self.integrity = integrity
         self.watchdog = watchdog
-        self.shm_prefix = _session_prefix()
+        self.shm_prefix = shm_prefix
         self.barrier = ctx.Barrier(nprocs)
         self.fail_flag = sharedctypes.RawValue("i", 0)
         self.request = [_Slot(f"{self.shm_prefix}req{r}", integrity)
@@ -431,15 +363,6 @@ class _Session:
         #: the session shape does not depend on the watchdog setting, but
         #: ranks only beat when a watchdog is configured.
         self.heartbeats = HeartbeatBoard(nprocs)
-        #: per-rank release cursors: the highest superstep whose zero-copy
-        #: result views that rank has fully dropped.  Rank 0 recycles a
-        #: result-arena segment only when min(cursors) has passed its last
-        #: write (fork-shared; written by each rank pre-barrier, read by
-        #: rank 0 post-barrier, so no torn reads matter — stale values are
-        #: merely conservative).
-        self.release_cursors = sharedctypes.RawArray(
-            "q", [-1] * nprocs
-        )
         #: rank 0 (the one producer) → parent: the rounds of each superstep
         self.stats_recv, self.stats_send = ctx.Pipe(duplex=False)
 
@@ -447,35 +370,24 @@ class _Session:
         self.failure.write(_sanitize_exc(exc))
         self.fail_flag.value = 1
 
-    def get_failure(
-        self, cache: Optional[dataplane.SegmentCache] = None,
-    ) -> Optional[BaseException]:
-        if not self.fail_flag.value:
-            return None
-        exc, _ = self.failure.read("own", cache)
-        return exc
+    def get_failure(self) -> Optional[BaseException]:
+        return self.failure.read() if self.fail_flag.value else None
 
     def teardown(self) -> List[str]:
         """Parent-side: destroy every live segment (idempotent), then sweep
         the session prefix for segments orphaned by a hard-killed child.
-
-        Arena segments (the ``dp`` sub-prefix) intentionally live until
-        teardown — zero-copy views may reference them to the very end — so
-        they are swept first as *expected* cleanup; only what the second
-        sweep then finds is a true orphan.  Returns the orphaned names
-        (``[]`` for clean runs)."""
+        Returns the orphaned names (``[]`` for clean runs)."""
         for slot in (*self.request, *self.response, self.failure):
             slot.unlink()
-        _sweep_shm(f"{self.shm_prefix}dp")
         return _sweep_shm(self.shm_prefix)
 
 
 class _RankEndpoint:
     """Rank-side collective engine; satisfies SimComm's runtime protocol."""
 
-    #: Results cross a process boundary here (slots or shm descriptors):
-    #: sharing one object buys nothing and the sealed (read-only) flag
-    #: would leak through pickling.
+    #: Results cross a process boundary here (response slots): sharing
+    #: one object buys nothing and the sealed (read-only) flag would leak
+    #: through pickling.
     shares_results = False
 
     def __init__(self, session: _Session, rank: int, meter_compute: bool,
@@ -495,16 +407,6 @@ class _RankEndpoint:
             rank_barrier_timeout(session.watchdog)
             if session.watchdog is not None else None
         )
-        self._cache = dataplane.SegmentCache()
-        self._send_arena = dataplane.SendArena(
-            f"{session.shm_prefix}dps{rank}", integrity=session.integrity
-        )
-        self._result_arena = (
-            dataplane.ResultArena(f"{session.shm_prefix}dpr",
-                                  integrity=session.integrity)
-            if rank == 0 else None
-        )
-        self._ledger = dataplane.ViewLedger()
 
     # SimComm calls this with the same signature as Backend.collective.
     def collective(
@@ -565,19 +467,14 @@ class _RankEndpoint:
     def _superstep(self, action: tuple, execute: Optional[Callable],
                    corrupt_seed: Optional[int] = None) -> tuple:
         sess = self._session
-        step = self._step
-        # publish before the barrier so rank 0 reads it after: "every
-        # view of supersteps <= cursor is dead on this rank"
-        sess.release_cursors[self.rank] = self._ledger.released(step)
         if self._watchdog is not None:
             phase = action[2] if action[0] == "coll" else action[0]
-            sess.heartbeats.beat(self.rank, step, phase)
-        sess.request[self.rank].write(action, arena=self._send_arena)
+            sess.heartbeats.beat(self.rank, self._step, phase)
+        sess.request[self.rank].write(action)
         if corrupt_seed is not None:
             # in-flight corruption: flip one byte after the checksum (if
-            # any) was sealed — arena payload first, slot region otherwise
-            if not self._send_arena.corrupt(corrupt_seed):
-                sess.request[self.rank].corrupt(corrupt_seed)
+            # any) was sealed
+            sess.request[self.rank].corrupt(corrupt_seed)
         self._barrier()
         if self.rank == 0:
             try:
@@ -587,14 +484,12 @@ class _RankEndpoint:
         else:
             self._barrier()
         self._step += 1
-        failure = sess.get_failure(self._cache)
+        failure = sess.get_failure()
         if failure is not None:
             raise RemoteRankError(
                 f"rank {self.rank}: aborted"
             ) from failure
-        obj, leases = sess.response[self.rank].read("view", self._cache)
-        self._ledger.track(obj, leases, step)
-        return obj
+        return sess.response[self.rank].read()
 
     def _compute(self, execute: Optional[Callable]) -> None:
         """Designated-computer step (rank 0, between the two barriers).
@@ -615,13 +510,11 @@ class _RankEndpoint:
 
     def _compute_inner(self, execute: Optional[Callable]) -> None:
         sess = self._session
-        arena = self._result_arena
-        arena.begin_step(self._step, min(sess.release_cursors))
         nchecks0 = sum(s.nchecks for s in sess.request)
-        # "borrow": zero-copy contribution views, valid only inside this
-        # superstep — every reference is a local dropped on return, before
-        # the closing barrier lets the owning ranks overwrite their arenas
-        actions = [sess.request[r].read("borrow", self._cache)[0]
+        # borrowed contribution windows, valid only inside this superstep —
+        # every reference is a local dropped on return, before the closing
+        # barrier lets the owning ranks rewrite their slots
+        actions = [sess.request[r].read(borrow=True)
                    for r in range(self.nprocs)]
         kinds = [a[0] for a in actions]
         if "err" in kinds:
@@ -654,8 +547,7 @@ class _RankEndpoint:
         contribs = [a[6] for a in actions]
         try:
             assert execute is not None  # rank 0 posted "coll" too
-            with dataplane.compute_arena(arena):
-                results = execute(contribs)
+            results = execute(contribs)
         except BaseException as exc:
             sess.set_failure(_sanitize_exc(exc))
             return
@@ -673,16 +565,12 @@ class _RankEndpoint:
             sum(s.nchecks for s in sess.request) - nchecks0,
         ))
         for r, res in enumerate(results):
-            sess.response[r].write(("result", res), arena=arena)
+            sess.response[r].write(("result", res))
 
     def close(self) -> None:
         for slot in (*self._session.request, *self._session.response,
                      self._session.failure):
             slot.close()
-        self._send_arena.close()
-        if self._result_arena is not None:
-            self._result_arena.close()
-        self._cache.close()
 
 
 def _rank_process_main(
@@ -716,11 +604,9 @@ def _rank_process_main(
                 endpoint.drain()
             except RemoteRankError:
                 pass  # a peer failed while we drained; keep our result
-        # the exit payload may be large (per-rank partition arrays): ship
-        # it through the send arena too — the last superstep is over, the
-        # arena reset is safe, and its final segment lives until teardown
+        # the last superstep is over: the request slot carries the outcome
         try:
-            session.request[rank].write(final, arena=endpoint._send_arena)
+            session.request[rank].write(final)
         except Exception:
             session.request[rank].write(
                 ("exit-err",
@@ -756,10 +642,16 @@ class ProcsBackend(Backend):
         rank_args: Optional[Sequence[Sequence[Any]]],
         kwargs: dict,
     ) -> List[Any]:
-        session = _Session(self._ctx, self.nprocs,
-                           integrity=self.integrity == "crc",
-                           watchdog=self.watchdog)
-        self.last_shm_prefix = session.shm_prefix
+        # published before the first segment exists, so whatever a failed
+        # start leaves behind is findable (and swept) by name
+        self.last_shm_prefix = prefix = _session_prefix()
+        try:
+            session = _Session(self._ctx, self.nprocs, prefix,
+                               integrity=self.integrity == "crc",
+                               watchdog=self.watchdog)
+        except BaseException:
+            self.last_shm_reclaimed = _sweep_shm(prefix)
+            raise
         watchdog: Optional[Watchdog] = None
         try:
             procs = [
@@ -824,52 +716,48 @@ class ProcsBackend(Backend):
         results: List[Any] = [None] * self.nprocs
         errors: List[Optional[BaseException]] = [None] * self.nprocs
         killed = tuple(watchdog.killed) if watchdog is not None else ()
-        cache = dataplane.SegmentCache()
-        try:
-            for r in range(self.nprocs):
-                if r in killed:
-                    # watchdog kill: typed as a hang, not a generic remote
-                    # death, so the recovery supervisor can classify it
-                    errors[r] = HungRankError(
-                        f"rank {r} made no progress for "
-                        f"{watchdog.detection_seconds:.3g}s (deadline "
-                        f"{watchdog.timeout:.3g}s) in phase "
-                        f"{watchdog.killed_phase!r}; killed by the watchdog",
-                        ranks=killed,
-                        phase=watchdog.killed_phase,
-                        detection_seconds=watchdog.detection_seconds,
-                    )
+        for r in range(self.nprocs):
+            if r in killed:
+                # watchdog kill: typed as a hang, not a generic remote
+                # death, so the recovery supervisor can classify it
+                errors[r] = HungRankError(
+                    f"rank {r} made no progress for "
+                    f"{watchdog.detection_seconds:.3g}s (deadline "
+                    f"{watchdog.timeout:.3g}s) in phase "
+                    f"{watchdog.killed_phase!r}; killed by the watchdog",
+                    ranks=killed,
+                    phase=watchdog.killed_phase,
+                    detection_seconds=watchdog.detection_seconds,
+                )
+                continue
+            outcome: Any = None
+            if procs[r].exitcode == 0:
+                try:
+                    outcome = session.request[r].read()
+                except PayloadCorruptionError as exc:
+                    errors[r] = exc
                     continue
-                outcome: Any = None
-                if procs[r].exitcode == 0:
-                    try:
-                        outcome, _ = session.request[r].read("own", cache)
-                    except PayloadCorruptionError as exc:
-                        errors[r] = exc
-                        continue
-                    except Exception:
-                        outcome = None
-                if not (isinstance(outcome, tuple) and len(outcome) == 2
-                        and outcome[0] in ("exit-ok", "exit-err")):
-                    errors[r] = RemoteRankError(
-                        f"rank {r} process died without reporting "
-                        f"(exitcode {procs[r].exitcode})"
-                    )
-                elif outcome[0] == "exit-err":
-                    errors[r] = outcome[1]
-                else:
-                    results[r] = outcome[1]
-            failure = session.get_failure(cache)
-            # the parent's own slot reads above verified checksums too
-            self.stats.checksum_verifications += (
-                sum(s.nchecks for s in session.request)
-                + session.failure.nchecks
-            )
-            self.stats.checksum_failures += sum(
-                1 for e in (*errors, failure)
-                if isinstance(e, PayloadCorruptionError)
-            )
-            self._raise_collected(errors, failure)
-        finally:
-            cache.close()
+                except Exception:
+                    outcome = None
+            if not (isinstance(outcome, tuple) and len(outcome) == 2
+                    and outcome[0] in ("exit-ok", "exit-err")):
+                errors[r] = RemoteRankError(
+                    f"rank {r} process died without reporting "
+                    f"(exitcode {procs[r].exitcode})"
+                )
+            elif outcome[0] == "exit-err":
+                errors[r] = outcome[1]
+            else:
+                results[r] = outcome[1]
+        failure = session.get_failure()
+        # the parent's own slot reads above verified checksums too
+        self.stats.checksum_verifications += (
+            sum(s.nchecks for s in session.request)
+            + session.failure.nchecks
+        )
+        self.stats.checksum_failures += sum(
+            1 for e in (*errors, failure)
+            if isinstance(e, PayloadCorruptionError)
+        )
+        self._raise_collected(errors, failure)
         return results

@@ -19,36 +19,31 @@ Alltoallv and its count header (self-directed slices excluded), and the
 standard pipelined/butterfly bandwidth proxy for rooted and all-
 collectives.
 
-Result allocation goes through :func:`repro.simmpi.dataplane.result_buffer`:
-inert ``np.empty`` on the in-process backends, but on the procs backend the
-designated computer's merges land directly in the shared result arena, so
-receivers materialize them zero-copy.  Executes that deliver one result
-object to *several* ranks hand the same object to all of them there
-(receivers get independent read-only views — safe across processes).
+On the procs backend every rank's result is pickled into its response
+slot and copied back out, so each rank owns what it receives; executes
+that deliver one result object to *several* ranks hand the same object to
+all of them there.
 
 In-process backends (serial/threads) share an address space, so object
 sharing there needs the read-only contract instead
 (``Backend.shares_results``): the one-result collectives — ``Allreduce``,
 ``Bcast``, ``Allgatherv``, ``allgather`` — hand every rank the *same*
-sealed (non-writeable) array,
+sealed (non-writeable) array (:func:`seal`),
 turning O(P^2) result bytes per collective into O(P).  The all-to-all
 collectives keep **two merges for two regimes**, selected by the same
 flag: where results are shared, one vectorized destination bucketing
 (concatenate, an int64 permutation, one fancy scatter — three
 element-sized passes) whose per-rank results are sealed views of a single
 buffer, which is what many tiny pieces at hundreds of ranks need; on
-``procs``, one ``np.concatenate(out=arena)`` per destination — a single
-pass straight into shared memory, which is what a few large pieces at
-2–8 ranks need (routing ``procs`` through the bucketing read 0.70 / 0.83
-→ 1.50 / 1.51 s on ``benchmarks/test_procs_zero_copy.py``; see
-EXPERIMENTS.md).  A rank that must mutate a received result calls
-:func:`~repro.simmpi.dataplane.materialize` (copy-on-write).  The
-*values* are bit-identical on every backend.
+``procs``, one ``np.concatenate`` per destination — a single pass,
+which is what a few large pieces at 2–8 ranks need (see EXPERIMENTS.md,
+"procs through the vectorised merge").  A rank that must mutate a
+received result calls :func:`materialize` (copy-on-write).  The *values*
+are bit-identical on every backend.
 """
 
 from __future__ import annotations
 
-import copy
 import pickle
 import time
 from contextlib import contextmanager
@@ -56,13 +51,39 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simmpi import dataplane as _dataplane
 from repro.simmpi.backends.base import Backend
 
 _REDUCERS: dict[str, Callable[..., Any]] = {
     "sum": np.add.reduce,
     "max": np.maximum.reduce,
 }
+
+
+def materialize(arr: np.ndarray) -> np.ndarray:
+    """Copy-on-write helper: a writable version of a received buffer.
+
+    Zero-copy for arrays that are already writable; copies only the
+    in-process backends' shared (sealed) collective results.
+    """
+    if isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        return arr.copy()
+    return arr
+
+
+def seal(obj: Any) -> Any:
+    """Mark an array — or every array inside nested tuples / lists — read-
+    only, so it can be shared across in-process ranks.
+
+    A sealed result object is handed to *every* rank of a collective, and
+    any accidental in-place mutation raises instead of silently leaking
+    into other ranks.
+    """
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            seal(item)
+    return obj
 
 
 def _reducer(op: str) -> Callable[..., Any]:
@@ -98,17 +119,11 @@ def _merge_pieces(
     pieces: Sequence[np.ndarray], fallback: np.dtype
 ) -> np.ndarray:
     """Concatenate per-source slices, skipping empties so a zero-length
-    contribution's dtype never promotes the result.  The merge is the
-    only copy the result pays: arena-backed when the shm data plane is
-    computing, a plain private array everywhere else."""
+    contribution's dtype never promotes the result."""
     live = [p for p in pieces if p.size]
     if not live:
         return np.empty(0, dtype=fallback)
-    out = _dataplane.result_buffer(
-        (sum(p.shape[0] for p in live),), live[0].dtype
-    )
-    np.concatenate(live, out=out)
-    return out
+    return np.concatenate(live)
 
 
 def _dest_perm(cmat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -319,10 +334,9 @@ class SimComm:
             # one result object for every non-root rank (the root keeps its
             # own array and needs nothing back): a sealed copy where ranks
             # share an address space — the root's writable input is never
-            # sealed — else the value itself, copied into the arena once at
-            # descriptor-write time and descriptor-shared
+            # sealed — else the value itself, pickled into each response
             value = contribs[root]
-            out = _dataplane.seal(value.copy()) if share else value
+            out = seal(value.copy()) if share else value
             return [None if r == root else out for r in range(len(contribs))]
 
         result = self._collective("bcast", arr, nbytes, execute, root=root)
@@ -341,7 +355,7 @@ class SimComm:
                 raise ValueError(f"Allreduce shape mismatch across ranks: {shapes}")
             total = reducer(np.stack(contribs), axis=0)
             if share:
-                _dataplane.seal(total)
+                seal(total)
             return [total] * len(contribs)
 
         return self._collective("allreduce", arr, arr.nbytes, execute)
@@ -357,11 +371,11 @@ class SimComm:
         collective executes, so a pure function of replicated inputs costs
         one evaluation per address space, not one per rank.  It must return
         plain tuples / lists of arrays and scalars.  Ranks that share results
-        get the same sealed object; the others copy it out on return, so a
-        long-lived result holds no lease on the procs result arena.  Metered
-        as a plain ``Allgatherv``.  ``then`` runs while the peers wait at the
-        rendezvous — it counts against the watchdog deadline, like a
-        ``Checkpoint`` writer — and an exception it raises fails the run.
+        get the same sealed object; the others each receive a private copy.
+        Metered as a plain ``Allgatherv``.  ``then`` runs while the peers
+        wait at the rendezvous — it counts against the watchdog deadline,
+        like a ``Checkpoint`` writer — and an exception it raises fails the
+        run.
         """
         arr = np.ascontiguousarray(array)
         if arr.ndim != 1:
@@ -370,25 +384,14 @@ class SimComm:
 
         def execute(contribs: List[Any]) -> List[Any]:
             counts = np.array([c.shape[0] for c in contribs], dtype=np.int64)
-            total = int(counts.sum())
-            if total:
-                # same dtype promotion as np.concatenate (empties included),
-                # merged straight into the arena on the procs backend
-                merged = _dataplane.result_buffer(
-                    (total,), np.result_type(*contribs)
-                )
-                np.concatenate(contribs, out=merged)
-            else:
-                merged = contribs[0][:0]
+            merged = (np.concatenate(contribs) if counts.sum()
+                      else contribs[0][:0])
             result = (merged, counts) if then is None else then(merged, counts)
             if share:
-                _dataplane.seal(result)
+                seal(result)
             return [result] * len(contribs)
 
-        result = self._collective("allgatherv", arr, arr.nbytes, execute)
-        if then is not None and not share:
-            result = copy.deepcopy(result)  # ends the arena lease (if any)
-        return result
+        return self._collective("allgatherv", arr, arr.nbytes, execute)
 
     def Alltoallv(
         self, sendbuf: np.ndarray, sendcounts: np.ndarray
@@ -480,12 +483,12 @@ class SimComm:
             ]
             if share:
                 cmat = np.stack(counts)
-                rcmat = _dataplane.seal(np.ascontiguousarray(cmat.T))
+                rcmat = seal(np.ascontiguousarray(cmat.T))
                 if all(d is None for d in wire_dtypes):
                     # no records anywhere (fields are equal-length per
                     # source, so the dtypes are all-None together)
                     return [
-                        ([_dataplane.seal(np.empty(0, all_bufs[r][j].dtype))
+                        ([seal(np.empty(0, all_bufs[r][j].dtype))
                           for j in range(k)], rcmat[r])
                         for r in range(nprocs)
                     ]
@@ -494,7 +497,7 @@ class SimComm:
                 for j in range(k):
                     out = np.empty(perm.size, dtype=wire_dtypes[j])
                     out[perm] = _gather_live([b[j] for b in all_bufs])
-                    merged_fields.append(_dataplane.seal(out))
+                    merged_fields.append(seal(out))
                 return [
                     ([f[dst_starts[r]:dst_starts[r + 1]]
                       for f in merged_fields], rcmat[r])

@@ -138,9 +138,8 @@ class PayloadCorruptionError(SimMPIError):
     """A payload failed its end-to-end checksum at receive.
 
     Raised when integrity checking (:mod:`repro.ft.integrity`,
-    ``--integrity crc``) finds that a collective contribution, a rendezvous
-    slot, or a shared-memory dataplane descriptor no longer matches the
-    crc32 computed at send time — a flipped bit anywhere between serialize
+    ``--integrity crc``) finds that a collective contribution or a
+    rendezvous slot no longer matches the crc32 computed at send time — a flipped bit anywhere between serialize
     and deserialize.  The supervisor maps it to restart-from-checkpoint
     like any other rank failure.  Attributes:
 

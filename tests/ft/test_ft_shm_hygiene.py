@@ -1,10 +1,13 @@
 """Shared-memory hygiene on the procs backend's crash paths.
 
-Every run gets a unique /dev/shm name prefix; teardown sweeps the prefix
-so a rank process killed mid-superstep — before it can participate in
-orderly shutdown, possibly mid-growth of a segment — leaks nothing.
+Every run gets a unique /dev/shm name prefix, and its only segments are
+its rendezvous slots.  Teardown sweeps the prefix so a rank process killed
+mid-superstep — before it can participate in orderly shutdown, possibly
+mid-growth of a slot — leaks nothing; a session that fails while creating
+its slots sweeps it too.
 """
 
+import errno
 import glob
 import os
 
@@ -13,7 +16,7 @@ import pytest
 from repro.core import xtrapulp
 from repro.ft import CkptPolicy, FaultPlan, FaultSpec
 from repro.ft.recovery import RetryPolicy, run_with_retries
-from repro.simmpi.backends import create_runtime
+from repro.simmpi.backends import create_runtime, procs
 from repro.simmpi.backends.procs import _sweep_shm
 from repro.simmpi.errors import RankFailure
 
@@ -49,9 +52,9 @@ def test_killed_rank_leaves_no_segments(ft_graph, ft_params, tmp_path):
 
 
 def test_die_then_resume_leaves_no_segments(ft_graph, ft_params, tmp_path):
-    """Arena lifecycle across a crash: the killed session's arena segments
-    are reclaimed at teardown, and the resumed session (its own prefix,
-    its own arenas) exits clean too."""
+    """Slot lifecycle across a crash: the killed session's slots are
+    reclaimed at teardown, and the resumed session (its own prefix, its
+    own slots) exits clean too."""
     d = str(tmp_path / "run")
     crashed = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
     plan = FaultPlan([FaultSpec(1, "vertex_balance", 6, action="die")])
@@ -65,6 +68,28 @@ def test_die_then_resume_leaves_no_segments(ft_graph, ft_params, tmp_path):
              backend=resumed, resume=d)
     assert _leaked(resumed.last_shm_prefix) == []
     assert resumed.last_shm_reclaimed == []
+
+
+def test_failed_start_leaves_no_segments(monkeypatch):
+    """A session that fails while creating its slots — ``EMFILE`` under a
+    low ``ulimit -n``, here the fifth slot refusing — publishes its prefix,
+    sweeps what the first four created, and re-raises the original error."""
+    real_init = procs._Slot.__init__
+    made = []
+
+    def flaky(self, base, integrity=False):
+        if len(made) == 4:
+            raise OSError(errno.EMFILE, "Too many open files")
+        real_init(self, base, integrity)
+        made.append(base)
+
+    monkeypatch.setattr(procs._Slot, "__init__", flaky)
+    rt = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
+    with pytest.raises(OSError, match="Too many open files"):
+        rt.run(lambda comm: comm.barrier())
+    assert _leaked(rt.last_shm_prefix) == []
+    assert len(made) == 4
+    assert all(base.startswith(rt.last_shm_prefix) for base in made)
 
 
 def test_supervised_retries_leak_nothing(ft_graph, ft_params, tmp_path):

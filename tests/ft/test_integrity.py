@@ -3,9 +3,9 @@
 The detection oracle: a planted ``corrupt`` fault (one byte flipped in an
 outgoing payload, after its checksum was computed) is detected 100% of the
 time when ``integrity="crc"`` — typed as
-:class:`PayloadCorruptionError` — on every backend and at both procs
-checksum sites (slot and arena descriptor).  The purity oracle: with no fault injected, ``crc`` changes
-nothing but the verification counters.
+:class:`PayloadCorruptionError` — on every backend and for small and large
+procs payloads alike.  The purity oracle: with no fault injected, ``crc``
+changes nothing but the verification counters.
 """
 
 import numpy as np
@@ -90,16 +90,16 @@ def test_inprocess_corruption_detected(ft_graph, ft_params, backend):
     assert "crc" in str(ei.value).lower() or "checksum" in str(ei.value)
 
 
-@pytest.mark.parametrize("site", ["slot", "arena descriptor"])
-def test_procs_corruption_detected_at_both_sites(ft_graph, ft_params, site):
-    """Transport-level detection: the flip lands in the rendezvous slot or
-    the shared-memory arena after checksumming, and the receive-side crc
-    catches it before deserialization.  Every payload of the rmat(8) run is
-    below ``DESCRIPTOR_MIN``, so its flipped byte is an inlined slot byte;
-    a 32 KiB contribution is parked in the send arena."""
+@pytest.mark.parametrize("payload", ["small", "32 KiB"])
+def test_procs_corruption_detected_at_any_size(ft_graph, ft_params, payload):
+    """Transport-level detection: the flip lands in the rendezvous slot
+    after checksumming, and the receive-side crc catches it before
+    deserialization.  Every payload of the rmat(8) run is under 4 KiB; a
+    32 KiB ``Allgatherv`` contribution keeps a payload of 4 KiB or more
+    covered, so no payload size travels unchecked."""
     from repro.simmpi import create_runtime
 
-    if site == "slot":
+    if payload == "small":
         def run():
             xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                      backend="procs", fault_plan=_corrupt_plan(),
@@ -117,7 +117,7 @@ def test_procs_corruption_detected_at_both_sites(ft_graph, ft_params, site):
             rt.run(storm)
 
     with pytest.raises(PayloadCorruptionError,
-                       match=f"{site} checksum mismatch"):
+                       match="slot checksum mismatch"):
         run()
 
 

@@ -7,8 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.simmpi import run_spmd
-from repro.simmpi.dataplane import materialize
+from repro.simmpi import materialize, run_spmd
 
 NPROCS = [1, 2, 3, 4, 8]
 
@@ -339,8 +338,8 @@ def _mine(comm):
 
 
 def _then(merged, counts):
-    # plain containers of arrays and scalars; ``merged * 2`` is big enough
-    # to travel as a shared-memory view on procs
+    # plain containers of arrays and scalars; ``merged * 2`` is the large
+    # array the ranks receive
     return ((os.getpid(), time.perf_counter_ns()),
             [merged * 2, counts.copy()], int(merged.sum()))
 
@@ -386,8 +385,8 @@ def test_Allgatherv_then_result_is_one_sealed_object_when_shared(backend):
 def test_Allgatherv_then_result_is_a_private_copy_when_not_shared():
     def fn(comm):
         _, (big, _), _ = comm.Allgatherv(_mine(comm), then=_then)
-        assert big.flags.owndata  # not a lease on the result arena
-        big += comm.rank          # must not reach any other rank
+        assert big.flags.writeable  # this rank's own copy
+        big += comm.rank            # must not reach any other rank
         comm.barrier()
         return big
 

@@ -12,8 +12,7 @@ identical values and communication records on both sides.
 import numpy as np
 import pytest
 
-from repro.simmpi import run_spmd
-from repro.simmpi.dataplane import materialize
+from repro.simmpi import materialize, run_spmd
 
 BACKENDS = ("serial", "threads", "procs")
 INPROC = ("serial", "threads")

@@ -11,7 +11,6 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.simmpi.dataplane import materialize
 from repro.simmpi import (
     Backend,
     CollectiveMismatchError,
@@ -23,6 +22,7 @@ from repro.simmpi import (
     available_backends,
     create_runtime,
     default_backend,
+    materialize,
     run_spmd,
 )
 

@@ -1,5 +1,6 @@
-"""Guard: every public name in ``src/repro`` has a caller, and the tier
-rules name only what ``SimComm`` emits.
+"""Guard: every public name in ``src/repro`` has a caller, the tier rules
+name only what ``SimComm`` emits, and only the procs backend touches
+shared memory.
 
 ``SimComm`` once exported eight collectives nothing called, and the rest
 of the package carried about thirty public functions and methods (all of
@@ -36,13 +37,16 @@ README = ROOT / "README.md"
 #: ``alltoall`` round (``backends/base.py:metered_rounds``), never passed
 #: to ``_collective`` by name
 HEADER_OP = "alltoall"
+#: the one module allowed to use ``multiprocessing.shared_memory``
+SHM_MODULE = "multiprocessing.shared_memory"
+SHM_OWNER = "simmpi/backends/procs.py"
 
 #: ``"module.py:Qual.name"`` -> why it needs no caller in the trees above.
 #: An entry for a name that has a caller fails the guard too.  (There is
 #: none for ``Watchdog.run``, which ``threading`` calls: by name, the
 #: many ``.run(...)`` calls already count for it.)
 EXEMPT = {
-    "simmpi/dataplane.py:materialize":
+    "simmpi/comm.py:materialize":
         "README's copy-on-write escape hatch for mutating a sealed result",
     "graph/io.py:save_npz": "writes the .npz input the CLI reads",
     "graph/io.py:write_metis": "writes the METIS input the CLI reads",
@@ -175,6 +179,34 @@ def test_every_public_name_has_a_caller():
         "public names nothing in src/, benchmarks/, examples/, "
         f"tests/reference/ or README.md references: {dead}"
     )
+
+
+def _shared_memory_users() -> set:
+    """Modules under ``src/repro`` that import ``multiprocessing.
+    shared_memory`` or name its ``SharedMemory`` class."""
+    users = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                hit = any(a.name.startswith(SHM_MODULE) for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").startswith(SHM_MODULE) or (
+                    node.module == "multiprocessing"
+                    and any(a.name == "shared_memory" for a in node.names))
+            else:
+                hit = (isinstance(node, ast.Name) and node.id == "SharedMemory"
+                       or isinstance(node, ast.Attribute)
+                       and node.attr == "SharedMemory")
+            if hit:
+                users.add(path.relative_to(PACKAGE).as_posix())
+    return users
+
+
+def test_shared_memory_has_one_owner():
+    """Only the procs backend creates or attaches shared memory: every
+    segment is one of its rendezvous slots, and its teardown is the one
+    place that has to know about them all."""
+    assert _shared_memory_users() == {SHM_OWNER}
 
 
 def test_tier_rules_name_only_emitted_ops():
