@@ -40,7 +40,7 @@ def prefix():
 # -- slot wire format --------------------------------------------------------
 
 
-def test_slot_roundtrip_copies_out_and_borrows(prefix):
+def test_slot_roundtrip_copies_out(prefix):
     slot = _Slot(prefix + "req0")
     try:
         big = np.arange(BIG, dtype=np.int64)
@@ -51,6 +51,17 @@ def test_slot_roundtrip_copies_out_and_borrows(prefix):
         np.testing.assert_array_equal(rbig, big)
         np.testing.assert_array_equal(rsmall, small)
         assert rbig.flags.writeable and rsmall.flags.writeable
+    finally:
+        slot.unlink()
+
+
+def test_slot_borrowed_read_sees_next_write(prefix):
+    slot = _Slot(prefix + "req0")
+    try:
+        big = np.arange(BIG, dtype=np.int64)
+        small = np.arange(4, dtype=np.int32)
+        slot.write(("coll", big, small))
+        rbig = slot.read()[1]
         lent = slot.read(borrow=True)
         np.testing.assert_array_equal(lent[1], big)
         # the next write lands in the same segment: the borrowed window
