@@ -1,10 +1,11 @@
 """Runner and shared helpers for the distributed analytics.
 
 :func:`run_analytic` wires one kernel through the simulated-MPI runtime:
-distribute the graph by the chosen partition (or strategy), build the halo
-exchange plan, run the kernel SPMD, and assemble a global result plus the
-modeled end-to-end time — the quantity Fig. 8 compares across partitioning
-strategies.
+distribute the graph by the chosen partition (or strategy), build its halo
+plan (:func:`repro.dist.ops.ghost_plan`), run the kernel SPMD, and assemble
+a global result plus the modeled end-to-end time — the quantity Fig. 8
+compares across partitioning strategies.  :func:`segment_sums` is also the
+local multiply of Table III's 1-D SpMV.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from repro.dist.build import build_dist_graph
 from repro.dist.distgraph import DistGraph
 from repro.dist.distribution import Distribution, make_distribution
-from repro.dist.ops import ExchangePlan
+from repro.dist.ops import ghost_plan
 from repro.graph.csr import Graph
 from repro.simmpi.comm import SimComm
 from repro.simmpi.metrics import CommStats
@@ -127,7 +128,7 @@ def run_analytic(
         if directed is not None:
             with comm.phase("build"):
                 attach_directed(dg, directed)
-        plan = ExchangePlan(comm, dg)
+        plan = ghost_plan(comm, dg)
         with comm.phase(name or getattr(kernel, "__name__", "analytic")):
             values = kernel(comm, dg, plan, **kernel_kwargs)
         return dg.owned_gids, np.asarray(values)

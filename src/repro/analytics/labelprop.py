@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.dist.distgraph import DistGraph
 from repro.dist.ops import ExchangePlan
-from repro.graph.gather import neighbor_gather_with_sources
+from repro.multilevel.kernels import segment_best_label
 from repro.simmpi.comm import SimComm
 
 
@@ -16,51 +16,25 @@ def label_propagation_communities(
     plan: ExchangePlan,
     *,
     iters: int = 10,
-    seed: int = 1,
 ) -> np.ndarray:
     """Community label per owned vertex after ``iters`` sweeps.
 
     Each vertex adopts the most frequent label among its neighbors
-    (lowest label breaks ties); labels start as global ids.  Fixed sweep
-    count as in the paper's analytics suite — LP is used as a benchmark
-    kernel, not run to convergence.
+    (lowest label breaks ties) — the matcher's plurality kernel on unit
+    weights; labels start as global ids.  Fixed sweep count as in the
+    paper's analytics suite — LP is used as a benchmark kernel, not run to
+    convergence.
     """
-    labels = dg.l2g.astype(np.int64).copy()
-    rng = np.random.default_rng(seed + dg.rank)
-    _ = rng
-    all_owned = np.arange(dg.n_local, dtype=np.int64)
+    n = dg.n_local
+    labels = dg.l2g.copy()
+    srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
+    unit = np.ones(dg.adj.size)
     for _ in range(max(1, iters)):
-        changed = 0
-        if dg.n_local:
-            neigh, srcs, _c = neighbor_gather_with_sources(
-                dg.offsets, dg.adj, all_owned
-            )
-            comm.charge(2 * neigh.size)  # gather + sort-dominated sweep
-            nl = labels[neigh]
-            # plurality label per source: count (src, label) pairs
-            order = np.lexsort((nl, srcs))
-            s = srcs[order]
-            l = nl[order]
-            group = np.concatenate(
-                ([True], (s[1:] != s[:-1]) | (l[1:] != l[:-1]))
-            )
-            starts = np.flatnonzero(group)
-            sizes = np.diff(np.append(starts, s.size))
-            g_src = s[starts]
-            g_lab = l[starts]
-            # pick the largest group per source; ties → smaller label
-            pick_order = np.lexsort((g_lab, -sizes, g_src))
-            first = np.concatenate(
-                ([True], g_src[pick_order][1:] != g_src[pick_order][:-1])
-            )
-            sel = pick_order[first]
-            winner = np.full(dg.n_local, -1, dtype=np.int64)
-            winner[g_src[sel]] = g_lab[sel]
-            upd = (winner >= 0) & (winner != labels[: dg.n_local])
-            changed = int(upd.sum())
-            labels[: dg.n_local][upd] = winner[upd]
+        comm.charge(2 * dg.adj.size)  # gather + sort-dominated sweep
+        best, _w = segment_best_label(srcs, labels[dg.adj], unit, n)
+        upd = (best >= 0) & (best != labels[:n])
+        labels[:n][upd] = best[upd]
         plan.pull(comm, labels)
-        total = comm.allreduce(changed, op="sum")
-        if total == 0:
+        if comm.allreduce(int(upd.sum()), op="sum") == 0:
             break
-    return labels[: dg.n_local].copy()
+    return labels[:n].copy()

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.dist.distgraph import DistGraph
 from repro.dist.ops import ExchangePlan
-from repro.graph.gather import neighbor_gather
 from repro.simmpi.comm import SimComm
 
 
@@ -19,37 +18,19 @@ def weakly_connected_components(
     minimum label in its closed neighborhood; converges in O(component
     diameter) supersteps.
     """
-    labels = dg.l2g.astype(np.int64).copy()
-    active = np.arange(dg.n_local, dtype=np.int64)
+    n = dg.n_local
+    labels = dg.l2g.copy()
+    srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
     while True:
-        changed = np.empty(0, dtype=np.int64)
-        neigh = np.empty(0, dtype=np.int64)
-        if active.size:
-            neigh, counts = neighbor_gather(dg.offsets, dg.adj, active)
-            comm.charge(neigh.size + active.size)
-        if neigh.size:
-            src = np.repeat(active, counts)
-            nl = labels[neigh]
-            # per-source min of neighbor labels
-            order = np.argsort(src, kind="stable")
-            s_sorted = src[order]
-            v_sorted = nl[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], s_sorted[1:] != s_sorted[:-1]))
-            )
-            mins = np.minimum.reduceat(v_sorted, starts)
-            who = s_sorted[starts]
-            better = mins < labels[who]
-            changed = who[better]
-            labels[changed] = mins[better]
+        comm.charge(dg.adj.size + n)
+        mins = labels[:n].copy()
+        np.minimum.at(mins, srcs, labels[dg.adj])
+        changed = np.flatnonzero(mins < labels[:n])
+        labels[changed] = mins[changed]
         # owned labels are authoritative (each rank owns all incident edges
-        # of its vertices), so refreshing ghosts is the only traffic needed
+        # of its vertices), so refreshing ghosts is the only traffic needed;
+        # every owned vertex re-evaluates while any rank changed something
         plan.pull(comm, labels)
-        # vertices whose neighborhood may still improve: those adjacent to a
-        # change; conservatively re-activate all owned vertices while any
-        # rank changed something (simple and correct; converges fast)
-        total = comm.allreduce(int(changed.size), op="sum")
-        if total == 0:
+        if comm.allreduce(int(changed.size), op="sum") == 0:
             break
-        active = np.arange(dg.n_local, dtype=np.int64)
-    return labels[: dg.n_local].copy()
+    return labels[:n].copy()

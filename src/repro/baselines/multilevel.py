@@ -34,19 +34,7 @@ from scipy import sparse
 
 from repro.graph.builders import to_scipy
 from repro.graph.csr import Graph
-from repro.multilevel.kernels import (
-    contract,
-    heavy_edge_matching,
-    lp_clustering,
-    segment_best_label,
-)
-
-# the coarsening kernels live in repro.multilevel.kernels (shared with the
-# distributed coarsener); the historical underscore names stay importable
-_segment_best_label = segment_best_label
-_heavy_edge_matching = heavy_edge_matching
-_lp_clustering = lp_clustering
-_contract = contract
+from repro.multilevel.kernels import contract, heavy_edge_matching, lp_clustering
 
 
 class MultilevelResourceError(MemoryError):
@@ -334,12 +322,12 @@ def multilevel_partition(
             max_cluster = max(
                 cur.vweights.sum() / (2.0 * num_parts), cur.vweights.max()
             )
-            labels = _lp_clustering(cur.adj, cur.vweights, max_cluster, rng)
+            labels = lp_clustering(cur.adj, cur.vweights, max_cluster, rng)
             work += 3 * 3.0 * cur.adj.nnz  # lp iters x sort-heavy sweeps
         else:
-            labels = _heavy_edge_matching(cur.adj, rng)
+            labels = heavy_edge_matching(cur.adj, rng)
             work += 4 * 2.0 * cur.adj.nnz  # matching rounds
-        coarse, cvw, mapping = _contract(cur.adj, cur.vweights, labels)
+        coarse, cvw, mapping = contract(cur.adj, cur.vweights, labels)
         work += 2.0 * cur.adj.nnz  # contraction
         shrink = 1.0 - coarse.shape[0] / n_cur
         stored += coarse.nnz

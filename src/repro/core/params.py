@@ -75,14 +75,6 @@ class PulpParams:
         subgraph — the shared-memory kernel reused verbatim).
     ml_refine_iters:
         Weighted refine sweeps per uncoarsening level.
-    ml_imbalance_relax:
-        Adaptive balance schedule: level ``l`` (0 = finest) targets
-        ``Rat_v * (1 + relax * l / (n_levels - 1))`` — loose at the
-        coarsest level, where a handful of heavy clusters makes the
-        strict constraint block nearly every cut-improving move, then
-        tightened by a balance pass per uncoarsening level until the
-        finest level enforces exactly ``Rat_v``.  ``0`` disables the
-        relaxation.
     seed:
         Base RNG seed; rank r uses ``seed + r`` streams.
     """
@@ -103,7 +95,6 @@ class PulpParams:
     ml_levels: int = 8
     ml_coarsen: str = "lp"
     ml_refine_iters: int = 6
-    ml_imbalance_relax: float = 2.0
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -131,8 +122,6 @@ class PulpParams:
             raise ValueError("ml_levels must be >= 1")
         if self.ml_refine_iters < 1:
             raise ValueError("ml_refine_iters must be >= 1")
-        if self.ml_imbalance_relax < 0:
-            raise ValueError("ml_imbalance_relax must be non-negative")
 
     @property
     def total_iters(self) -> int:

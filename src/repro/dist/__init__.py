@@ -4,8 +4,8 @@ A :class:`~repro.dist.distgraph.DistGraph` is one rank's view of the global
 graph under a 1-D vertex distribution: the owned vertices' adjacency in
 local CSR form, a ghost layer (one-hop neighbors owned elsewhere), and the
 global↔local id maps.  :mod:`repro.dist.build` constructs it inside a
-simmpi SPMD program; :mod:`repro.dist.ops` provides halo exchange plans and
-distributed BFS on top.
+simmpi SPMD program; :mod:`repro.dist.ops` provides the static exchange plan
+and distributed BFS on top.
 """
 
 from repro.dist.distribution import (
@@ -17,7 +17,7 @@ from repro.dist.distribution import (
 )
 from repro.dist.distgraph import DistGraph
 from repro.dist.build import build_dist_graph
-from repro.dist.ops import ExchangePlan, distributed_bfs_levels
+from repro.dist.ops import ExchangePlan, distributed_bfs_levels, ghost_plan
 from repro.dist.wire import WireSpec, make_wire_spec
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "DistGraph",
     "build_dist_graph",
     "ExchangePlan",
+    "ghost_plan",
     "distributed_bfs_levels",
     "WireSpec",
     "make_wire_spec",

@@ -1,29 +1,26 @@
 """Distributed operations over a :class:`~repro.dist.distgraph.DistGraph`.
 
-:class:`ExchangePlan` is the static halo-exchange pattern (build once, reuse
-every superstep) used by the analytics engine and SpMV: after one gid
-round-trip at construction, each exchange moves *values only* — the
-optimization real codes (Zoltan, Trilinos) apply when the communication
-pattern is fixed.  The partitioner itself uses the paper's dynamic
-``ExchangeUpdates`` instead (:mod:`repro.core.exchange`), which ships
-(vertex, part) pairs for updated vertices only.
+:class:`ExchangePlan` is the package's one static owner → copy exchange
+(build once, reuse every superstep): after one gid round trip at
+construction each exchange moves values only, as Zoltan and Epetra do for
+a fixed pattern.  :func:`ghost_plan` is its halo case (the analytics, BFS,
+the multilevel LP coarsener); Table III's 1-D SpMV is the halo of a
+partition-placed DistGraph, and its 2-D expand and fold are a
+:meth:`~ExchangePlan.pull` and a ``push(op="sum")``.  The partitioner
+itself uses the paper's dynamic ``ExchangeUpdates``
+(:mod:`repro.core.exchange`), which ships (vertex, part) pairs for updated
+vertices only.
 
-All plan traffic funnels through ``SimComm.Alltoallv``, so exchange
-plans are communicator-strategy-agnostic: under a topology-aware
-strategy (:mod:`repro.simmpi.topology`) the very same exchanges are
-metered as two-level (intra-node gather, aggregated inter-node message,
-intra-node scatter) without any change here — values, counts, and the
-communication record stay bit-identical.
-
-Read-only contract: both :meth:`ExchangePlan.pull` and
-:meth:`ExchangePlan.push` consume their received buffer read-only (indexed
-assignment / ``ufunc.at`` reads *from* it into the caller's ``values``),
-so the receive side may be a sealed view shared across in-process ranks.
+All plan traffic funnels through ``SimComm.Alltoallv``, so a
+topology-aware communicator (:mod:`repro.simmpi.topology`) meters the very
+same exchanges as two-level with no change here.  :meth:`~ExchangePlan.pull`
+and :meth:`~ExchangePlan.push` only read their received buffer, so it may
+be a sealed view shared across in-process ranks.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -32,64 +29,81 @@ from repro.dist.packing import bucket_by_rank
 from repro.graph.gather import neighbor_gather
 from repro.simmpi.comm import SimComm
 
-_COMBINE = {
-    "replace": None,
-    "min": np.minimum,
-    "max": np.maximum,
-    "sum": np.add,
-}
+_COMBINE = {"min": np.minimum, "max": np.maximum, "sum": np.add}
 
 
 class ExchangePlan:
-    """Static owner↔ghost exchange plan for one DistGraph.
+    """Static owner → copy exchange plan.
 
-    * :meth:`pull` — owners push authoritative values to ghost copies
-      (ghost entries of ``values`` are overwritten).
-    * :meth:`push` — ghost contributions flow back to owners and are
-      combined (min/max/sum) into the owned entries.
+    This rank keeps copies of ``gids`` (ascending, owned by ``owners``) at
+    positions ``slots`` of a copy array; every owner holds its values at
+    the positions of its ascending ``owned_gids`` in an owner array.  The
+    two arrays may be one (the halo: owned entries, then ghosts).
+
+    * :meth:`pull` — owners' values overwrite the copies.
+    * :meth:`push` — copies flow back to their owners and are combined
+      (min/max/sum) into the owner array.
     """
 
-    def __init__(self, comm: SimComm, dg: DistGraph) -> None:
-        self.dg = dg
-        nprocs = comm.size
+    def __init__(
+        self, comm: SimComm, gids: np.ndarray, owners: np.ndarray,
+        slots: np.ndarray, owned_gids: np.ndarray,
+    ) -> None:
         with comm.phase("plan"):
-            # ghosts grouped by owner (owner-major, gid-minor: ghost gids
-            # are pre-sorted, so the stable O(n) bucketing reproduces the
-            # old lexsort order exactly)
-            order, self.recv_counts = bucket_by_rank(nprocs, dg.ghost_owners)
-            self.recv_lids = order + dg.n_local
-            gids_sorted = dg.ghost_gids[order]
-            # one-time gid round-trip tells each owner what to send where
-            requested, req_counts = comm.Alltoallv(gids_sorted, self.recv_counts)
-            self.send_lids = dg.owned_lids(requested)
-            self.send_counts = req_counts
+            # copies grouped owner-major, gid-minor (stable O(n) bucketing)
+            order, self.copy_counts = bucket_by_rank(comm.size, owners)
+            self.copy_slots = slots[order]
+            # one-time gid round trip tells each owner what to send where
+            asked, self.owned_counts = comm.Alltoallv(
+                gids[order], self.copy_counts
+            )
+            self.owned_slots = np.searchsorted(owned_gids, asked)
+            if asked.size and (
+                self.owned_slots.max() >= owned_gids.size
+                or np.any(owned_gids[self.owned_slots] != asked)
+            ):
+                raise ValueError(
+                    f"rank {comm.rank}: peers asked for gids it does not own"
+                )
 
-    def pull(self, comm: SimComm, values: np.ndarray) -> np.ndarray:
-        """Overwrite ghost entries of ``values`` with the owners' entries.
+    def pull(
+        self, comm: SimComm, owned: np.ndarray,
+        copies: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Overwrite the copies (in ``copies``, default ``owned``) with
+        the owners' entries of ``owned``; returns the copy array."""
+        copies = owned if copies is None else copies
+        recvbuf, _ = comm.Alltoallv(owned[self.owned_slots], self.owned_counts)
+        copies[self.copy_slots] = recvbuf
+        return copies
 
-        ``values`` has one entry per local vertex (owned then ghosts);
-        modified in place and returned.
+    def push(
+        self, comm: SimComm, copies: np.ndarray,
+        owned: Optional[np.ndarray] = None, op: str = "sum",
+    ) -> np.ndarray:
+        """Combine the copies of ``copies`` into their owners' entries of
+        ``owned`` (default ``copies``); returns the owner array.
+
+        With ``op="sum"`` owned entries accumulate all contributions; with
+        min/max they fold element-wise.  Copies are untouched (typically
+        re-synchronized with a following :meth:`pull`).
         """
-        sendbuf = np.ascontiguousarray(values[self.send_lids])
-        recvbuf, _ = comm.Alltoallv(sendbuf, self.send_counts)
-        values[self.recv_lids] = recvbuf
-        return values
-
-    def push(self, comm: SimComm, values: np.ndarray, op: str = "sum") -> np.ndarray:
-        """Combine ghost entries back into the owners' entries.
-
-        With ``op="sum"`` owned entries accumulate all ghost contributions;
-        with min/max they fold element-wise.  Ghost entries are untouched
-        (typically re-synchronized with a following :meth:`pull`).
-        """
-        combine = _COMBINE[op]
-        if combine is None:
+        if op not in _COMBINE:
             raise ValueError("push requires a combining op (min/max/sum)")
-        sendbuf = np.ascontiguousarray(values[self.recv_lids])
-        recvbuf, _ = comm.Alltoallv(sendbuf, self.recv_counts)
+        owned = copies if owned is None else owned
+        recvbuf, _ = comm.Alltoallv(copies[self.copy_slots], self.copy_counts)
         if recvbuf.size:
-            combine.at(values, self.send_lids, recvbuf)
-        return values
+            _COMBINE[op].at(owned, self.owned_slots, recvbuf)
+        return owned
+
+
+def ghost_plan(comm: SimComm, dg: DistGraph) -> ExchangePlan:
+    """The halo plan of ``dg``: ghosts are the copies (local ids
+    ``n_local ..``), owned vertices the owner entries."""
+    return ExchangePlan(
+        comm, dg.ghost_gids, dg.ghost_owners,
+        np.arange(dg.n_local, dg.n_total), dg.owned_gids,
+    )
 
 
 def distributed_bfs_levels(

@@ -6,8 +6,8 @@ Clustering (the "matcher") runs in one of two modes:
   every owned vertex adopts the cluster holding the heaviest share of its
   incident edge weight, subject to a cluster-mass cap.  Cluster ids are
   *global vertex ids* of the current level, so cross-rank membership needs
-  no negotiation; ghost labels are resolved through the existing
-  ghost-exchange machinery (:class:`repro.dist.ops.ExchangePlan`) and
+  no negotiation; ghost labels are resolved through the static
+  halo exchange (:func:`repro.dist.ops.ghost_plan`) and
   cluster masses through a sparse delta Allgatherv.  This is the
   coarsening of KaHIP/dKaMinPar adapted to the BSP skeleton.
 * ``"hem"`` — heavy-edge matching on each rank's owned-induced subgraph,
@@ -38,7 +38,7 @@ from scipy import sparse
 from repro.dist.build import build_dist_graph
 from repro.dist.distgraph import DistGraph
 from repro.dist.distribution import Distribution, RandomDistribution
-from repro.dist.ops import ExchangePlan
+from repro.dist.ops import ghost_plan
 from repro.graph.csr import Graph
 from repro.graph.gather import expand_ranges
 from repro.multilevel.kernels import (
@@ -155,7 +155,7 @@ def lp_cluster_labels(
     mass = vw_all.astype(np.float64).copy()
     srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
     with comm.phase("coarsen"):
-        plan = ExchangePlan(comm, dg)
+        plan = ghost_plan(comm, dg)
         for _ in range(LP_CLUSTER_ITERS):
             best, _bw = segment_best_label(
                 srcs, labels[dg.adj], level.ew_local, n

@@ -37,6 +37,10 @@ from repro.simmpi.comm import SimComm
 #: level has at most ``COARSEST_FACTOR * num_parts`` vertices.
 COARSEST_FACTOR = 30
 
+#: Adaptive balance schedule: level ``l`` (0 = finest) of ``n_levels``
+#: targets ``Rat_v * (1 + IMBALANCE_RELAX * l / (n_levels - 1))``.
+IMBALANCE_RELAX = 2.0
+
 
 def build_hierarchy(
     comm: SimComm,
@@ -89,10 +93,10 @@ def _level_params(params, lvl: int, n_levels: int):
     the standard multilevel remedy.  Level 0 gets ``params`` verbatim,
     so the finest refine and the edge stage enforce the user's bounds.
     """
-    if lvl == 0 or params.ml_imbalance_relax == 0:
+    if lvl == 0:
         return params
     eps = params.vert_imbalance * (
-        1.0 + params.ml_imbalance_relax * lvl / max(n_levels - 1, 1)
+        1.0 + IMBALANCE_RELAX * lvl / max(n_levels - 1, 1)
     )
     return params.with_(vert_imbalance=eps)
 

@@ -75,22 +75,6 @@ class UnpicklableRankError(SimMPIError):
         self.original_args = original_args
         self.original_traceback = original_traceback
 
-    def __reduce__(self):
-        return (
-            _rebuild_unpicklable,
-            (self.args[0], self.original_type, self.original_args,
-             self.original_traceback),
-        )
-
-
-def _rebuild_unpicklable(
-    message: str, original_type: str, original_args: tuple,
-    original_traceback: str,
-) -> "UnpicklableRankError":
-    return UnpicklableRankError(
-        message, original_type=original_type, original_args=original_args,
-        original_traceback=original_traceback)
-
 
 class HungRankError(SimMPIError):
     """A rank (or the whole job) stopped making progress past the liveness
@@ -121,18 +105,6 @@ class HungRankError(SimMPIError):
         self.phase = phase
         self.detection_seconds = float(detection_seconds)
 
-    def __reduce__(self):
-        return (
-            _rebuild_hung,
-            (self.args[0], self.ranks, self.phase, self.detection_seconds),
-        )
-
-
-def _rebuild_hung(message: str, ranks: tuple, phase: str,
-                  detection_seconds: float) -> "HungRankError":
-    return HungRankError(message, ranks=ranks, phase=phase,
-                         detection_seconds=detection_seconds)
-
 
 class PayloadCorruptionError(SimMPIError):
     """A payload failed its end-to-end checksum at receive.
@@ -155,14 +127,6 @@ class PayloadCorruptionError(SimMPIError):
         super().__init__(message)
         self.rank = rank
         self.location = location
-
-    def __reduce__(self):
-        return (_rebuild_corruption, (self.args[0], self.rank, self.location))
-
-
-def _rebuild_corruption(message: str, rank: "int | None",
-                        location: str) -> "PayloadCorruptionError":
-    return PayloadCorruptionError(message, rank=rank, location=location)
 
 
 class InjectedFault(SimMPIError):

@@ -10,7 +10,7 @@ the modeled time shows exactly the communication-volume effect the paper's
 table demonstrates.
 """
 
-from repro.spmv.layout import Layout1D, Layout2D, grid_shape
+from repro.spmv.layout import Layout2D, grid_shape
 from repro.spmv.dist_spmv import SpmvResult, run_spmv
 
-__all__ = ["Layout1D", "Layout2D", "grid_shape", "run_spmv", "SpmvResult"]
+__all__ = ["Layout2D", "grid_shape", "run_spmv", "SpmvResult"]

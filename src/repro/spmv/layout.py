@@ -1,8 +1,5 @@
-"""Matrix/vector layouts for distributed SpMV.
-
-``Layout1D`` — row distribution: rank r owns the rows (and the matching x/y
-entries) that a :class:`~repro.dist.distribution.Distribution` assigns it;
-each SpMV pulls the ghost x entries its rows' columns touch.
+"""The 2-D matrix layout for distributed SpMV (the 1-D layout is the
+partition-placed :class:`~repro.dist.distgraph.DistGraph` itself).
 
 ``Layout2D`` — the Boman–Devine–Rajamanickam SC'13 mapping [6] the paper
 uses to turn a 1-D vertex partition into a 2-D nonzero distribution:
@@ -17,7 +14,7 @@ Table III's 2-D columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import sparse
@@ -37,42 +34,6 @@ def grid_shape(p: int) -> Tuple[int, int]:
 
 
 @dataclass
-class Layout1D:
-    """Per-rank row block + the x entries it must fetch each SpMV."""
-
-    rank: int
-    nprocs: int
-    rows: np.ndarray          # global row ids owned (sorted)
-    matrix: sparse.csr_matrix  # local rows × compacted columns
-    col_gids: np.ndarray      # global id of each compacted column
-    col_owner: np.ndarray     # owning rank of each compacted column
-
-    @classmethod
-    def build(
-        cls, graph: Graph, owner: np.ndarray, rank: int, nprocs: int
-    ) -> "Layout1D":
-        rows = np.flatnonzero(owner == rank).astype(np.int64)
-        src, dst = graph.edges()
-        mine = owner[src] == rank
-        s, d = src[mine], dst[mine]
-        row_l = np.searchsorted(rows, s)
-        col_gids = sorted_unique(d)
-        col_l = np.searchsorted(col_gids, d)
-        mat = sparse.coo_matrix(
-            (np.ones(s.size), (row_l, col_l)),
-            shape=(rows.size, col_gids.size),
-        ).tocsr()
-        return cls(
-            rank=rank,
-            nprocs=nprocs,
-            rows=rows,
-            matrix=mat,
-            col_gids=col_gids,
-            col_owner=owner[col_gids].astype(np.int64),
-        )
-
-
-@dataclass
 class Layout2D:
     """Per-rank 2-D block under the [6] mapping."""
 
@@ -82,7 +43,6 @@ class Layout2D:
     pc: int
     grid_row: int
     grid_col: int
-    owned_x: np.ndarray        # global ids whose x/y this rank owns (1-D part)
     matrix: sparse.csr_matrix  # compacted local block
     row_gids: np.ndarray       # global row id per compacted local row
     col_gids: np.ndarray       # global col id per compacted local column
@@ -115,7 +75,6 @@ class Layout2D:
             pc=pc,
             grid_row=a,
             grid_col=b,
-            owned_x=np.flatnonzero(parts == rank).astype(np.int64),
             matrix=mat,
             row_gids=row_gids,
             col_gids=col_gids,

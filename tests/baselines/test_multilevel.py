@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import MultilevelResourceError, multilevel_partition
-from repro.baselines.multilevel import (
-    _contract,
-    _graph_growing,
-    _heavy_edge_matching,
-)
+from repro.baselines.multilevel import _graph_growing
 from repro.core.quality import edge_cut_ratio, vertex_balance
 from repro.graph import from_edges, mesh3d, rmat, rand_hd, webcrawl
 from repro.graph.builders import to_scipy
+from repro.multilevel.kernels import contract, heavy_edge_matching
 from tests.graphs import ring
 
 
@@ -105,21 +102,11 @@ def test_stagnation_error_reports_level_and_allocation():
     assert f"level {err.level}" in str(err)
 
 
-def test_kernels_are_shared_with_the_distributed_coarsener():
-    # the baseline's matching/contraction are re-exports of the kernels
-    # module the distributed subsystem uses — the same objects, so the
-    # two coarseners can never drift apart
-    from repro.multilevel import kernels
-
-    assert _heavy_edge_matching is kernels.heavy_edge_matching
-    assert _contract is kernels.contract
-
-
 def test_matching_produces_valid_pairing():
     g = mesh3d(6, 6, 6)
     adj = to_scipy(g)
     rng = np.random.default_rng(0)
-    labels = _heavy_edge_matching(adj, rng)
+    labels = heavy_edge_matching(adj, rng)
     # each label group has size 1 or 2
     _, counts = np.unique(labels, return_counts=True)
     assert counts.max() <= 2
@@ -132,7 +119,7 @@ def test_contract_preserves_total_vertex_weight():
     adj = to_scipy(g)
     vw = np.ones(10)
     labels = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
-    coarse, cvw, mapping = _contract(adj, vw, labels)
+    coarse, cvw, mapping = contract(adj, vw, labels)
     assert coarse.shape == (5, 5)
     assert cvw.sum() == 10
     np.testing.assert_array_equal(mapping, labels)

@@ -1,9 +1,12 @@
-"""Halo exchange plans and distributed BFS."""
+"""Static exchange plans (the halo and the general owner → copy case) and
+distributed BFS."""
 
 import numpy as np
 import pytest
 
-from repro.dist import ExchangePlan, build_dist_graph, distributed_bfs_levels
+from repro.dist import (
+    ExchangePlan, build_dist_graph, distributed_bfs_levels, ghost_plan,
+)
 from repro.dist.distribution import make_distribution
 from repro.graph import bfs_levels, from_edges, rmat, rand_hd
 from repro.simmpi import run_spmd
@@ -15,7 +18,7 @@ def run_with_plan(graph, nprocs, fn, kind="random", seed=0):
 
     def main(comm):
         dg = build_dist_graph(comm, graph, dist)
-        plan = ExchangePlan(comm, dg)
+        plan = ghost_plan(comm, dg)
         return fn(comm, dg, plan)
 
     return run_spmd(nprocs, main)[0]
@@ -94,6 +97,59 @@ def test_pull_float_payload():
         return True
 
     assert all(run_with_plan(g, 3, fn))
+
+
+N_GIDS = 12
+
+
+def run_general_plan(nprocs, fn, misroute=0):
+    """A plan between two arrays: rank ``r`` owns gids ``r, r + p, ...`` of
+    ``0 .. N_GIDS-1`` and keeps a copy of every other gid, in descending gid
+    order.  ``misroute`` shifts the owner every copy is requested from."""
+
+    def main(comm):
+        owned = np.arange(comm.rank, N_GIDS, nprocs)
+        gids = np.setdiff1d(np.arange(N_GIDS), owned)
+        slots = np.arange(gids.size)[::-1]
+        plan = ExchangePlan(comm, gids, (gids + misroute) % nprocs, slots,
+                            owned)
+        return fn(comm, plan, owned, gids, slots)
+
+    return run_spmd(nprocs, main)[0]
+
+
+def test_general_pull_fills_a_separate_copy_array():
+    def fn(comm, plan, owned, gids, slots):
+        values = 100.0 * owned
+        copies = np.full(gids.size, -1.0)
+        assert plan.pull(comm, values, copies) is copies
+        np.testing.assert_array_equal(copies[slots], 100.0 * gids)
+        np.testing.assert_array_equal(values, 100.0 * owned)
+        return True
+
+    assert all(run_general_plan(3, fn))
+
+
+def test_general_push_combines_into_a_separate_owner_array():
+    nprocs = 3
+
+    def fn(comm, plan, owned, gids, slots):
+        copies = np.empty(gids.size, dtype=np.int64)
+        copies[slots] = gids + 1000 * comm.rank
+        totals = np.zeros(owned.size, dtype=np.int64)
+        assert plan.push(comm, copies, totals, op="sum") is totals
+        others = nprocs * (nprocs - 1) // 2 - comm.rank
+        np.testing.assert_array_equal(
+            totals, (nprocs - 1) * owned + 1000 * others
+        )
+        return True
+
+    assert all(run_general_plan(nprocs, fn))
+
+
+def test_request_for_an_unowned_gid_raises():
+    with pytest.raises(ValueError, match="does not own"):
+        run_general_plan(3, lambda *args: True, misroute=1)
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 4])

@@ -47,7 +47,7 @@ def test_build_invariants(case):
 @given(dist_cases())
 def test_halo_pull_propagates_arbitrary_values(case):
     g, nprocs, kind, seed = case
-    from repro.dist import ExchangePlan
+    from repro.dist import ghost_plan
 
     dist = make_distribution(kind, g.n, nprocs, seed=seed)
     rng = np.random.default_rng(seed)
@@ -55,7 +55,7 @@ def test_halo_pull_propagates_arbitrary_values(case):
 
     def main(comm):
         dg = build_dist_graph(comm, g, dist)
-        plan = ExchangePlan(comm, dg)
+        plan = ghost_plan(comm, dg)
         vals = np.zeros(dg.n_total)
         vals[: dg.n_local] = truth[dg.owned_gids]
         plan.pull(comm, vals)

@@ -136,5 +136,3 @@ def test_param_validation():
         PulpParams(ml_levels=0)
     with pytest.raises(ValueError):
         PulpParams(ml_refine_iters=0)
-    with pytest.raises(ValueError):
-        PulpParams(ml_imbalance_relax=-0.5)

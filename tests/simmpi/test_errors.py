@@ -2,9 +2,10 @@
 formatting, and the diagnostic content of deadlock/mismatch messages.
 
 Every error the procs backend can ship from a rank process to the
-supervisor must survive a pickle round-trip with its attributes intact —
-the custom ``__reduce__`` implementations exist because keyword-only
-constructors break default exception pickling.
+supervisor must survive a pickle round-trip with its attributes intact.
+The keyword-only attributes need no custom ``__reduce__``:
+``BaseException.__reduce__`` returns ``(cls, args, __dict__)``, so the
+message rebuilds the instance and the attribute dict is restored onto it.
 """
 
 import pickle

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import random_partition, vertex_block_partition
 from repro.graph import mesh3d, rmat, webcrawl
 from repro.graph.builders import to_scipy
-from repro.spmv import Layout1D, Layout2D, grid_shape, run_spmv
+from repro.spmv import Layout2D, grid_shape, run_spmv
 from repro.spmv.dist_spmv import reference_x
 
 
@@ -93,16 +93,6 @@ def test_mesh_block_1d_already_cheap():
     vol = lambda r: r.stats.filtered(["spmv"]).total_bytes
     # "Regular meshes such as nlpkkt240 … 1D-Rand partitioning fares poorly"
     assert vol(rb) < 0.3 * vol(rr)
-
-
-def test_layout1d_block_structure(g):
-    owner = vertex_block_partition(g, 4)
-    lay = Layout1D.build(g, owner, rank=1, nprocs=4)
-    np.testing.assert_array_equal(lay.rows, np.flatnonzero(owner == 1))
-    assert lay.matrix.shape[0] == lay.rows.size
-    assert lay.matrix.shape[1] == lay.col_gids.size
-    # every column this rank touches appears in col_gids
-    assert lay.matrix.nnz == int(g.degrees[lay.rows].sum())
 
 
 def test_layout2d_covers_all_nonzeros(g):

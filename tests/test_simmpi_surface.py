@@ -1,6 +1,6 @@
 """Guard: every public name in ``src/repro`` has a caller, the tier rules
-name only what ``SimComm`` emits, and only the procs backend touches
-shared memory.
+name only what ``SimComm`` emits, only the procs backend touches shared
+memory, and only three modules outside ``simmpi/`` call ``Alltoallv``.
 
 ``SimComm`` once exported eight collectives nothing called, and the rest
 of the package carried about thirty public functions and methods (all of
@@ -40,6 +40,10 @@ HEADER_OP = "alltoall"
 #: the one module allowed to use ``multiprocessing.shared_memory``
 SHM_MODULE = "multiprocessing.shared_memory"
 SHM_OWNER = "simmpi/backends/procs.py"
+#: the modules outside ``simmpi/`` that may call ``Alltoallv`` /
+#: ``Alltoallv_fields``: ExchangeUpdates, the one-time ghost routing, and
+#: the static exchange plan every other owner → copy exchange goes through
+ALLTOALLV_CALLERS = {"core/exchange.py", "dist/build.py", "dist/ops.py"}
 
 #: ``"module.py:Qual.name"`` -> why it needs no caller in the trees above.
 #: An entry for a name that has a caller fails the guard too.  (There is
@@ -216,3 +220,27 @@ def test_tier_rules_name_only_emitted_ops():
     assert "alltoallv" in named.values()
     dead = sorted(where for where, op in named.items() if op not in emitted)
     assert not dead, f"tier rules for ops no SimComm collective emits: {dead}"
+
+
+def _alltoallv_callers() -> set:
+    """Modules under ``src/repro``, outside ``simmpi/``, that call a method
+    named ``Alltoallv`` or ``Alltoallv_fields``."""
+    callers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if SIMMPI in path.parents:
+            continue
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("Alltoallv", "Alltoallv_fields")):
+                callers.add(path.relative_to(PACKAGE).as_posix())
+    return callers
+
+
+def test_alltoallv_has_three_callers():
+    """A static exchange (a halo, SpMV's expand or fold) is an
+    ``ExchangePlan``, not another hand-rolled gid round trip."""
+    callers = _alltoallv_callers()
+    assert callers == ALLTOALLV_CALLERS, (
+        f"Alltoallv callers not allowed: {sorted(callers - ALLTOALLV_CALLERS)}"
+        f"; allowed but gone: {sorted(ALLTOALLV_CALLERS - callers)}")
