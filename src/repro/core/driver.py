@@ -51,6 +51,7 @@ from repro.simmpi.backends import Backend, create_runtime
 from repro.simmpi.comm import SimComm
 from repro.simmpi.errors import RankFailure
 from repro.simmpi.metrics import CommStats
+from repro.simmpi.stepping import Steps
 from repro.simmpi.timing import BLUE_WATERS_LIKE, MachineModel, TimeModel
 
 if TYPE_CHECKING:  # repro.multilevel loads scipy.sparse: flat runs never do
@@ -152,9 +153,11 @@ def _rank_main(
     vertex_weights: Optional[np.ndarray] = None,
     ckpt: Optional[CkptContext] = None,
     resume: Optional[Dict[str, Any]] = None,
-) -> Tuple[np.ndarray, np.ndarray, Optional[MultilevelInfo]]:
+) -> Steps[Tuple[np.ndarray, np.ndarray, Optional[MultilevelInfo]]]:
     """The SPMD body: returns ``(owned gids, owned parts, multilevel
-    info or None)`` per rank.
+    info or None)`` per rank.  A generator body: every collective it
+    reaches is a ``yield from``, so ``serial`` steps all ranks in the
+    calling thread (:mod:`repro.simmpi.stepping`).
 
     The loop executes :func:`step_plan`; a fresh run starts at step 0
     (initialization), a resumed run restores its rank snapshot after the
@@ -174,7 +177,7 @@ def _rank_main(
         from repro.multilevel import hierarchy
         from repro.multilevel.info import MultilevelInfo
 
-        levels = hierarchy.build_hierarchy(
+        levels = yield from hierarchy.build_hierarchy(
             comm, graph, dist, num_parts, params, vertex_weights
         )
         level_sizes = [lv.size for lv in levels]
@@ -182,7 +185,7 @@ def _rank_main(
         state = hierarchy.level_state(levels, num_parts, params, n_levels)
         cuts: List[float] = []
     else:
-        dg = build_dist_graph(comm, graph, dist)
+        dg = yield from build_dist_graph(comm, graph, dist)
         state = RankState(dg=dg, num_parts=num_parts, params=params)
         if vertex_weights is not None:
             state.set_vertex_weights(
@@ -205,7 +208,7 @@ def _rank_main(
     for idx in range(start, len(plan)):
         stage, _index, phase = plan[idx]
         if phase == "init":
-            initialize(comm, state, initial_parts)
+            yield from initialize(comm, state, initial_parts)
             state.iter_tot = 0
         else:
             if plan[idx - 1][0] != stage:
@@ -217,33 +220,37 @@ def _rank_main(
             seeds = None
             if stage == "uncoarsen":
                 if not cuts:  # coarsest partition settled: open the trajectory
-                    cuts.append(hierarchy.weighted_cut(comm, state, levels[-1]))
-                state, seeds = hierarchy.project(
+                    cuts.append((yield from hierarchy.weighted_cut(
+                        comm, state, levels[-1])))
+                state, seeds = yield from hierarchy.project(
                     comm, state, levels, num_parts, params, n_levels
                 )
                 # tighten toward this level's balance target before
                 # refining — the projected partition carries the coarser
                 # level's (looser) imbalance
-                lp_phase(comm, state, SPECS["vertex_balance"],
-                         params.balance_iters)
+                yield from lp_phase(comm, state, SPECS["vertex_balance"],
+                                    params.balance_iters)
                 iters = params.ml_refine_iters
             ew = levels[-1].ew_local if spec.tally == "arc" else None
-            lp_phase(comm, state, spec, iters, arc_weights=ew, seed_lids=seeds)
+            yield from lp_phase(comm, state, spec, iters, arc_weights=ew,
+                                seed_lids=seeds)
             if stage == "uncoarsen":
-                cuts.append(hierarchy.weighted_cut(comm, state, levels[-1]))
+                cuts.append((yield from hierarchy.weighted_cut(
+                    comm, state, levels[-1])))
         if ckpt is not None and checkpoint_after(plan, idx, ckpt.policy.every):
             snap = state.snapshot()
             if levels:
                 snap = {"ml_format": 1, "level": len(levels) - 1,
                         "cuts": [float(c) for c in cuts], "inner": snap}
-            write_checkpoint(
+            yield from write_checkpoint(
                 comm, snap, ckpt, epoch=idx, step=plan[idx], n_build=n_build
             )
     info = None
     if levels:
         # the trajectory closes with the final fine cut (after the edge
         # stage when it runs; for a single-level run this is the only entry)
-        cuts.append(hierarchy.weighted_cut(comm, state, levels[-1]))
+        cuts.append((yield from hierarchy.weighted_cut(
+            comm, state, levels[-1])))
         info = MultilevelInfo(
             levels=n_levels,
             coarsen_mode=params.ml_coarsen,

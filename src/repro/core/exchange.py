@@ -28,6 +28,7 @@ from repro.dist.packing import pack_fields_by_rank
 from repro.dist.wire import WireSpec
 from repro.graph.gather import expand_ranges
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 
 def idle_send(nprocs: int, wire: WireSpec):
@@ -40,6 +41,7 @@ def idle_send(nprocs: int, wire: WireSpec):
     return planes, np.zeros(nprocs, dtype=np.int64)
 
 
+@steppable
 def exchange_updates(
     comm: SimComm,
     dg: DistGraph,
@@ -47,7 +49,7 @@ def exchange_updates(
     updated_lids: np.ndarray,
     wire: WireSpec,
     idle=None,
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """Propagate part updates for ``updated_lids`` (owned local ids) and
     apply incoming updates to this rank's ghost entries of ``parts``.
 
@@ -74,7 +76,7 @@ def exchange_updates(
         planes, reccounts = pack_fields_by_rank(
             comm.size, dest, (slots, new_parts.astype(wire.part_dtype))
         )
-    recv, _ = comm.Alltoallv_fields(planes, reccounts)
+    recv, _ = yield from comm.Alltoallv_fields(planes, reccounts)
     rslots, rparts = recv
     if rslots.size == 0:
         return np.empty(0, dtype=np.int64)

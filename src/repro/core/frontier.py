@@ -62,6 +62,7 @@ from repro.core.exchange import exchange_updates, idle_send
 from repro.core.state import RankState
 from repro.graph.gather import sorted_unique
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 #: A vertex reactivates once touches-since-last-eval >= max(1, frac * deg).
 DIRT_FRACTION = 1.0 / 16.0
@@ -80,7 +81,7 @@ class FrontierSweeper:
             for lids in sweeper.blocks():
                 ...score block, admit moves...
                 sweeper.note_moves(moved)
-            sweeper.exchange(comm)       # flush work + ExchangeUpdates
+            yield from sweeper.exchange(comm)  # flush work + ExchangeUpdates
             ...Allreduce size deltas...
 
     ``blocks()`` yields the iteration's active lid chunks; ``note_moves``
@@ -161,7 +162,8 @@ class FrontierSweeper:
 
     # -- iteration boundary --------------------------------------------------
 
-    def exchange(self, comm: SimComm) -> np.ndarray:
+    @steppable
+    def exchange(self, comm: SimComm) -> Steps[np.ndarray]:
         """Finish the iteration: flush charged sweep work, run
         ``exchange_updates`` for every vertex moved this iteration, and
         seed the next iteration's frontier.  Returns the moved lids."""
@@ -181,7 +183,7 @@ class FrontierSweeper:
             state.edges_touched - self._edges_mark,
         ))
         state.flush_work(comm)
-        ghost_lids = exchange_updates(
+        ghost_lids = yield from exchange_updates(
             comm, self.dg, state.parts, moved, wire=state.wire,
             idle=self._idle,
         )

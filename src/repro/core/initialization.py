@@ -21,6 +21,7 @@ from repro.core.exchange import exchange_updates
 from repro.core.state import UNASSIGNED, RankState
 from repro.graph.gather import neighbor_gather_with_sources, sorted_unique
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 
 def _random_distinct_neighbor_parts(
@@ -59,7 +60,8 @@ def _random_distinct_neighbor_parts(
     return chosen, has
 
 
-def initialize_hybrid(comm: SimComm, state: RankState) -> None:
+@steppable
+def initialize_hybrid(comm: SimComm, state: RankState) -> Steps[None]:
     """Algorithm 2: root broadcast + random-label BFS growth."""
     dg, p = state.dg, state.num_parts
     if p > dg.global_n:
@@ -75,7 +77,8 @@ def initialize_hybrid(comm: SimComm, state: RankState) -> None:
     sample = dg.l2g[
         sample_rng.choice(candidates, size=take, replace=False)
     ] if take else np.empty(0, dtype=np.int64)
-    pool, _ = comm.Allgatherv(sample)  # O(p * nprocs) gids, not O(n)
+    # O(p * nprocs) gids, not O(n)
+    pool, _ = yield from comm.Allgatherv(sample)
     if comm.rank == 0:
         rng_root = np.random.default_rng(state.params.seed)
         if pool.size < p:
@@ -83,7 +86,8 @@ def initialize_hybrid(comm: SimComm, state: RankState) -> None:
         roots = rng_root.choice(pool, size=p, replace=False).astype(np.int64)
     else:
         roots = None
-    roots = comm.Bcast(roots if comm.rank == 0 else np.empty(p, dtype=np.int64))
+    roots = yield from comm.Bcast(
+        roots if comm.rank == 0 else np.empty(p, dtype=np.int64))
     state.parts[:] = UNASSIGNED
     # claim owned roots: part = order of selection
     owner = dg.dist.owner(roots)
@@ -93,7 +97,7 @@ def initialize_hybrid(comm: SimComm, state: RankState) -> None:
         lids = dg.owned_lids(roots[mine])
         state.parts[lids] = mine
         updates.append(lids)
-    exchange_updates(
+    yield from exchange_updates(
         comm, dg, state.parts,
         np.concatenate(updates) if updates else np.empty(0, dtype=np.int64),
         wire=state.wire,
@@ -108,8 +112,9 @@ def initialize_hybrid(comm: SimComm, state: RankState) -> None:
             assigned_now = unassigned[has]
             state.parts[assigned_now] = chosen[has]
         state.flush_work(comm)
-        n_updates = comm.allreduce(int(assigned_now.size), op="sum")
-        exchange_updates(comm, dg, state.parts, assigned_now, wire=state.wire)
+        n_updates = yield from comm.allreduce(int(assigned_now.size), op="sum")
+        yield from exchange_updates(comm, dg, state.parts, assigned_now,
+                                    wire=state.wire)
         if n_updates == 0:
             break
 
@@ -120,19 +125,23 @@ def initialize_hybrid(comm: SimComm, state: RankState) -> None:
             0, p, size=leftover.size, dtype=np.int64
         )
     # all ranks must join this exchange even with no leftovers
-    exchange_updates(comm, dg, state.parts, leftover, wire=state.wire)
+    yield from exchange_updates(comm, dg, state.parts, leftover,
+                                wire=state.wire)
 
 
-def initialize_random(comm: SimComm, state: RankState) -> None:
+@steppable
+def initialize_random(comm: SimComm, state: RankState) -> Steps[None]:
     """Uniform random part per owned vertex (high-diameter fallback)."""
     dg, p = state.dg, state.num_parts
     lids = np.arange(dg.n_local, dtype=np.int64)
     state.parts[:] = UNASSIGNED
     state.parts[lids] = state.rng.integers(0, p, size=dg.n_local, dtype=np.int64)
-    exchange_updates(comm, dg, state.parts, lids, wire=state.wire)
+    yield from exchange_updates(comm, dg, state.parts, lids,
+                                wire=state.wire)
 
 
-def initialize_block(comm: SimComm, state: RankState) -> None:
+@steppable
+def initialize_block(comm: SimComm, state: RankState) -> Steps[None]:
     """Contiguous global-id blocks → parts (vertex-block partitioning).
 
     The paper uses this as the analytics-experiment starting point
@@ -148,10 +157,12 @@ def initialize_block(comm: SimComm, state: RankState) -> None:
     )
     state.parts[:] = UNASSIGNED
     state.parts[lids] = np.searchsorted(bounds, gids, side="right")
-    exchange_updates(comm, dg, state.parts, lids, wire=state.wire)
+    yield from exchange_updates(comm, dg, state.parts, lids,
+                                wire=state.wire)
 
 
-def reseed_dead_parts(comm: SimComm, state: RankState) -> int:
+@steppable
+def reseed_dead_parts(comm: SimComm, state: RankState) -> Steps[int]:
     """Revive parts that have no connected members (collective).
 
     Label propagation can only move a vertex into a part that already owns
@@ -167,7 +178,7 @@ def reseed_dead_parts(comm: SimComm, state: RankState) -> int:
     deg = dg.degrees_full[: dg.n_local]
     owned = state.parts[: dg.n_local]
     conn = owned[(deg > 0) & (owned >= 0)]
-    alive = comm.Allreduce(
+    alive = yield from comm.Allreduce(
         np.bincount(conn, minlength=p).astype(np.int64), op="sum"
     )
     dead = np.flatnonzero(alive == 0)
@@ -183,7 +194,7 @@ def reseed_dead_parts(comm: SimComm, state: RankState) -> int:
         proposal = np.column_stack([dg.l2g[top], deg[top]]).ravel()
     else:
         proposal = np.empty(0, dtype=np.int64)
-    merged, _ = comm.Allgatherv(proposal.astype(np.int64))
+    merged, _ = yield from comm.Allgatherv(proposal.astype(np.int64))
     gids, degs = merged[0::2], merged[1::2]
     if gids.size == 0:
         return 0
@@ -198,13 +209,15 @@ def reseed_dead_parts(comm: SimComm, state: RankState) -> int:
         lids = dg.owned_lids(chosen[mine])
         state.parts[lids] = targets[mine]
         moved = lids
-    exchange_updates(comm, dg, state.parts, moved, wire=state.wire)
+    yield from exchange_updates(comm, dg, state.parts, moved,
+                                wire=state.wire)
     return int(targets.size)
 
 
+@steppable
 def initialize_from_parts(
     comm: SimComm, state: RankState, initial_parts: np.ndarray
-) -> None:
+) -> Steps[None]:
     """Adopt an existing global assignment as the starting point.
 
     The paper's §V.E workflow: "run the balancing stage of XTRAPULP after
@@ -225,29 +238,31 @@ def initialize_from_parts(
     lids = np.arange(dg.n_local, dtype=np.int64)
     state.parts[:] = UNASSIGNED
     state.parts[lids] = initial_parts[dg.owned_gids]
-    exchange_updates(comm, dg, state.parts, lids, wire=state.wire)
+    yield from exchange_updates(comm, dg, state.parts, lids,
+                                wire=state.wire)
 
 
+@steppable
 def initialize(
     comm: SimComm,
     state: RankState,
     initial_parts: "np.ndarray | None" = None,
-) -> None:
+) -> Steps[None]:
     """Dispatch on ``params.init_strategy`` (or adopt ``initial_parts``)."""
     with comm.phase("init"):
         strategy = state.params.init_strategy
         if initial_parts is not None:
-            initialize_from_parts(comm, state, initial_parts)
+            yield from initialize_from_parts(comm, state, initial_parts)
         elif strategy == "hybrid":
-            initialize_hybrid(comm, state)
+            yield from initialize_hybrid(comm, state)
         elif strategy == "random":
-            initialize_random(comm, state)
+            yield from initialize_random(comm, state)
         elif strategy == "block":
-            initialize_block(comm, state)
+            yield from initialize_block(comm, state)
         else:  # pragma: no cover - params validates
             raise ValueError(strategy)
         bad = int(np.count_nonzero(state.parts[: state.dg.n_local] < 0))
-        total_bad = comm.allreduce(bad, op="sum")
+        total_bad = yield from comm.allreduce(bad, op="sum")
         if total_bad:
             raise AssertionError(f"{total_bad} vertices left unassigned by init")
-        reseed_dead_parts(comm, state)
+        yield from reseed_dead_parts(comm, state)

@@ -34,6 +34,7 @@ from repro.core.params import PulpParams
 from repro.core.scoring import score_block
 from repro.core.state import RankState
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 _TOTALS = {
     "v": RankState.compute_vertex_sizes,
@@ -229,6 +230,7 @@ def _rebalance_isolated(
     return movers
 
 
+@steppable
 def lp_phase(
     comm: SimComm,
     state: RankState,
@@ -237,7 +239,7 @@ def lp_phase(
     *,
     arc_weights: Optional[np.ndarray] = None,
     seed_lids: Optional[np.ndarray] = None,
-) -> None:
+) -> Steps[None]:
     """Run ``iters`` iterations of the phase ``spec`` describes.
 
     ``arc_weights`` (aligned with ``state.dg.adj``) is the tally of an
@@ -259,10 +261,10 @@ def lp_phase(
     cut_rule = d == 3 and cons[2].cap == "gain"
     with comm.phase(spec.tag):
         if spec.reseed:
-            reseed_dead_parts(comm, state)
+            yield from reseed_dead_parts(comm, state)
         S = np.empty((d, p), dtype=np.float64)
         for i, c in enumerate(cons):
-            S[i] = _TOTALS[c.total](state, comm)
+            S[i] = yield from _TOTALS[c.total](state, comm)
         limits = [np.inf] * d
         re_bias, rc_bias = RE_INIT, RC_INIT
         if d == 3:
@@ -345,8 +347,8 @@ def lp_phase(
                     C[2] += np.bincount(
                         new, weights=deg - 2.0 * n_w[keep], minlength=p)
                 sweeper.note_moves(moved)
-            sweeper.exchange(comm)
-            S += comm.Allreduce(C if d > 1 else C[0], op="sum")
+            yield from sweeper.exchange(comm)
+            S += yield from comm.Allreduce(C if d > 1 else C[0], op="sum")
             state.iter_tot += 1
         # the last agreed totals, for phase-boundary snapshots
         state.Sv = S[0]

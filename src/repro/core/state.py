@@ -13,6 +13,7 @@ from repro.dist.distgraph import DistGraph
 from repro.dist.wire import WireSpec, make_wire_spec
 from repro.graph.gather import expand_ranges
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 UNASSIGNED = np.int64(-1)
 
@@ -166,7 +167,8 @@ class RankState:
             comm.charge(self.work_pending)
             self.work_pending = 0.0
 
-    def compute_vertex_sizes(self, comm: SimComm) -> np.ndarray:
+    @steppable
+    def compute_vertex_sizes(self, comm: SimComm) -> Steps[np.ndarray]:
         """Global per-part vertex weight ``Sv`` (Allreduce of local sums;
         plain counts when weights are the default units)."""
         comm.charge(self.dg.n_local)
@@ -175,9 +177,10 @@ class RankState:
         local = np.bincount(
             owned[ok], weights=self.vweights[ok], minlength=self.num_parts
         )
-        return comm.Allreduce(local, op="sum")
+        return (yield from comm.Allreduce(local, op="sum"))
 
-    def compute_edge_sizes(self, comm: SimComm) -> np.ndarray:
+    @steppable
+    def compute_edge_sizes(self, comm: SimComm) -> Steps[np.ndarray]:
         """Global per-part edge sizes ``Se`` = sum of member degrees."""
         comm.charge(self.dg.n_local)
         owned = self.parts[: self.dg.n_local]
@@ -186,9 +189,10 @@ class RankState:
             owned[ok], weights=self.dg.local_degrees[ok],
             minlength=self.num_parts,
         ).astype(np.int64)
-        return comm.Allreduce(local, op="sum")
+        return (yield from comm.Allreduce(local, op="sum"))
 
-    def compute_cut_sizes(self, comm: SimComm) -> np.ndarray:
+    @steppable
+    def compute_cut_sizes(self, comm: SimComm) -> Steps[np.ndarray]:
         """Global per-part cut sizes ``Sc``: cut edges touching each part.
 
         Counting from the owned endpoint of every stored arc credits each
@@ -203,7 +207,7 @@ class RankState:
             p_src = np.repeat(self.parts[rows], dg.local_degrees[rows])
             cut = p_src != self.parts[dg.adj[arcs]]
             local += np.bincount(p_src[cut], minlength=self.num_parts)
-        return comm.Allreduce(local, op="sum")
+        return (yield from comm.Allreduce(local, op="sum"))
 
     # -- block iteration -----------------------------------------------------
 

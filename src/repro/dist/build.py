@@ -29,6 +29,7 @@ from repro.dist.wire import stored_dtype
 from repro.graph.csr import Graph
 from repro.graph.gather import neighbor_gather, sorted_unique
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 
 def _localize(
@@ -80,12 +81,13 @@ def _send_rank_lists(
     return sr_offsets, (key % nprocs).astype(stored_dtype(nprocs - 1))
 
 
+@steppable
 def _ghost_routing(
     comm: SimComm,
     ghost_gids: np.ndarray,
     ghost_owners: np.ndarray,
     sr_adj: np.ndarray,
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """One-time collective: learn each send pair's destination ghost slot.
 
     Every rank tells each ghost's owner *where in its own ghost array* that
@@ -98,7 +100,7 @@ def _ghost_routing(
     """
     order, gcounts = bucket_by_rank(comm.size, ghost_owners)
     # order[i] is the ghost-array position of the i-th outgoing entry
-    slots_in, _ = comm.Alltoallv(order, gcounts)
+    slots_in, _ = yield from comm.Alltoallv(order, gcounts)
     if slots_in.size != sr_adj.size:
         raise AssertionError(
             f"rank {comm.rank}: ghost routing received {slots_in.size} "
@@ -128,9 +130,10 @@ def _ghost_incidence(
     return gin_offsets, sources[order]
 
 
+@steppable
 def build_dist_graph(
     comm: SimComm, graph: Graph, dist: Distribution
-) -> DistGraph:
+) -> Steps[DistGraph]:
     """SPMD: build this rank's local view of ``graph`` under ``dist``.
 
     Must be called collectively (all ranks).  ``graph`` must be undirected
@@ -164,13 +167,16 @@ def build_dist_graph(
         sr_offsets, sr_adj = _send_rank_lists(
             comm.size, owned_gids.size, sources, targets, ghost_owners
         )
-        send_ghost_slot = _ghost_routing(comm, ghost_gids, ghost_owners, sr_adj)
-        max_ghost_global = comm.allreduce(int(ghost_gids.size), op="max")
+        send_ghost_slot = yield from _ghost_routing(
+            comm, ghost_gids, ghost_owners, sr_adj)
+        max_ghost_global = yield from comm.allreduce(
+            int(ghost_gids.size), op="max")
         gin_offsets, gin_adj = _ghost_incidence(
             sources, targets, ghost_gids.size
         )
         # sanity rendezvous: global edge count must be conserved
-        total_local = comm.allreduce(int(local_adj.size), op="sum")
+        total_local = yield from comm.allreduce(int(local_adj.size),
+                                                op="sum")
         if total_local != graph.num_directed_edges:
             raise AssertionError(
                 f"edge conservation violated: {total_local} != "

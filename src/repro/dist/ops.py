@@ -28,6 +28,7 @@ from repro.dist.distgraph import DistGraph
 from repro.dist.packing import bucket_by_rank
 from repro.graph.gather import neighbor_gather
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 _COMBINE = {"min": np.minimum, "max": np.maximum, "sum": np.add}
 
@@ -43,18 +44,28 @@ class ExchangePlan:
     * :meth:`pull` — owners' values overwrite the copies.
     * :meth:`push` — copies flow back to their owners and are combined
       (min/max/sum) into the owner array.
+
+    Constructing one is collective (a gid round trip); generator rank code
+    gets its plan from :func:`ghost_plan`.
     """
 
     def __init__(
         self, comm: SimComm, gids: np.ndarray, owners: np.ndarray,
         slots: np.ndarray, owned_gids: np.ndarray,
     ) -> None:
+        self._connect(comm, gids, owners, slots, owned_gids)
+
+    @steppable
+    def _connect(
+        self, comm: SimComm, gids: np.ndarray, owners: np.ndarray,
+        slots: np.ndarray, owned_gids: np.ndarray,
+    ) -> Steps[None]:
         with comm.phase("plan"):
             # copies grouped owner-major, gid-minor (stable O(n) bucketing)
             order, self.copy_counts = bucket_by_rank(comm.size, owners)
             self.copy_slots = slots[order]
             # one-time gid round trip tells each owner what to send where
-            asked, self.owned_counts = comm.Alltoallv(
+            asked, self.owned_counts = yield from comm.Alltoallv(
                 gids[order], self.copy_counts
             )
             self.owned_slots = np.searchsorted(owned_gids, asked)
@@ -66,21 +77,24 @@ class ExchangePlan:
                     f"rank {comm.rank}: peers asked for gids it does not own"
                 )
 
+    @steppable
     def pull(
         self, comm: SimComm, owned: np.ndarray,
         copies: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    ) -> Steps[np.ndarray]:
         """Overwrite the copies (in ``copies``, default ``owned``) with
         the owners' entries of ``owned``; returns the copy array."""
         copies = owned if copies is None else copies
-        recvbuf, _ = comm.Alltoallv(owned[self.owned_slots], self.owned_counts)
+        recvbuf, _ = yield from comm.Alltoallv(owned[self.owned_slots],
+                                               self.owned_counts)
         copies[self.copy_slots] = recvbuf
         return copies
 
+    @steppable
     def push(
         self, comm: SimComm, copies: np.ndarray,
         owned: Optional[np.ndarray] = None, op: str = "sum",
-    ) -> np.ndarray:
+    ) -> Steps[np.ndarray]:
         """Combine the copies of ``copies`` into their owners' entries of
         ``owned`` (default ``copies``); returns the owner array.
 
@@ -91,24 +105,29 @@ class ExchangePlan:
         if op not in _COMBINE:
             raise ValueError("push requires a combining op (min/max/sum)")
         owned = copies if owned is None else owned
-        recvbuf, _ = comm.Alltoallv(copies[self.copy_slots], self.copy_counts)
+        recvbuf, _ = yield from comm.Alltoallv(copies[self.copy_slots],
+                                               self.copy_counts)
         if recvbuf.size:
             _COMBINE[op].at(owned, self.owned_slots, recvbuf)
         return owned
 
 
-def ghost_plan(comm: SimComm, dg: DistGraph) -> ExchangePlan:
+@steppable
+def ghost_plan(comm: SimComm, dg: DistGraph) -> Steps[ExchangePlan]:
     """The halo plan of ``dg``: ghosts are the copies (local ids
     ``n_local ..``), owned vertices the owner entries."""
-    return ExchangePlan(
+    plan = object.__new__(ExchangePlan)  # connected here, step by step
+    yield from plan._connect(
         comm, dg.ghost_gids, dg.ghost_owners,
         np.arange(dg.n_local, dg.n_total), dg.owned_gids,
     )
+    return plan
 
 
+@steppable
 def distributed_bfs_levels(
     comm: SimComm, dg: DistGraph, plan: ExchangePlan, source_gid: int
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """Level-synchronous distributed BFS; returns levels of *owned*
     vertices (-1 if unreachable)."""
     INF = np.int64(np.iinfo(np.int64).max // 2)
@@ -118,7 +137,7 @@ def distributed_bfs_levels(
         lid = int(dg.owned_lids(np.array([source_gid]))[0])
         levels[lid] = 0
         frontier = np.array([lid], dtype=np.int64)
-    plan.pull(comm, levels)
+    yield from plan.pull(comm, levels)
     depth = 0
     while True:
         depth += 1
@@ -127,14 +146,14 @@ def distributed_bfs_levels(
             comm.charge(neigh.size)
             levels[neigh[levels[neigh] > depth]] = depth
         # fold ghost discoveries to owners, then re-broadcast to ghosts
-        plan.push(comm, levels, op="min")
-        plan.pull(comm, levels)
+        yield from plan.push(comm, levels, op="min")
+        yield from plan.pull(comm, levels)
         # Only owned vertices expand: a rank owns every edge incident to its
         # owned vertices, so cross-rank steps surface as ghost updates at the
         # neighbor's owner, which expands them on its own side.
         owned = levels[: dg.n_local]
         frontier = np.flatnonzero(owned == depth).astype(np.int64)
-        total = comm.allreduce(int(frontier.size), op="sum")
+        total = yield from comm.allreduce(int(frontier.size), op="sum")
         if total == 0:
             break
     owned = levels[: dg.n_local].copy()

@@ -58,6 +58,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.simmpi.stepping import Steps, steppable
+
 FORMAT_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_TMP = "MANIFEST.tmp"
@@ -220,8 +222,9 @@ def make_context(
     return CkptContext(policy, base)
 
 
+@steppable
 def write_checkpoint(comm, snapshot: dict, ctx: CkptContext, *, epoch: int,
-                     step: Tuple[str, int, str], n_build: int) -> None:
+                     step: Tuple[str, int, str], n_build: int) -> Steps[None]:
     """Collective: deposit this rank's ``snapshot`` into epoch ``epoch``.
 
     Tagged ``checkpoint`` so the event is excluded from the modeled
@@ -232,7 +235,8 @@ def write_checkpoint(comm, snapshot: dict, ctx: CkptContext, *, epoch: int,
     payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
     meta = {"n_build": int(n_build), "epoch": int(epoch)}
     with comm.phase("checkpoint"):
-        comm.Checkpoint(payload, meta, ctx.epoch_writer(epoch, step))
+        yield from comm.Checkpoint(payload, meta,
+                                   ctx.epoch_writer(epoch, step))
 
 
 # -- driver-side: committing an epoch ----------------------------------------

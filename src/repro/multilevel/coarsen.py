@@ -47,6 +47,7 @@ from repro.multilevel.kernels import (
     segment_best_label,
 )
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 #: Label-propagation clustering rounds per level (the KaHIP default, same
 #: as the shared-memory kernel's ``iters``).
@@ -94,14 +95,15 @@ def local_eweights(graph: Graph, eweights: np.ndarray, dg: DistGraph) -> np.ndar
     return eweights[expand_ranges(starts, counts)]
 
 
+@steppable
 def make_level0(
     comm: SimComm,
     graph: Graph,
     dist: Distribution,
     vertex_weights: Optional[np.ndarray],
-) -> MLLevel:
+) -> Steps[MLLevel]:
     """The finest level: unit edge weights, given (or unit) vertex weights."""
-    dg = build_dist_graph(comm, graph, dist)
+    dg = yield from build_dist_graph(comm, graph, dist)
     # 0-stride views: every consumer indexes or sums them, none writes
     eweights = np.broadcast_to(np.float64(1.0), (graph.adj.size,))
     vweights = (
@@ -124,13 +126,14 @@ def _cluster_rng(params, rank: int, level: int) -> np.random.Generator:
     return np.random.default_rng(params.seed + 7919 * rank + 131 * (level + 1))
 
 
+@steppable
 def lp_cluster_labels(
     comm: SimComm,
     level: MLLevel,
     num_parts: int,
     params,
     level_index: int,
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """Distributed size-constrained LP clustering; returns owned labels.
 
     Labels are global vertex ids of the current level (initially every
@@ -155,7 +158,7 @@ def lp_cluster_labels(
     mass = vw_all.astype(np.float64).copy()
     srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
     with comm.phase("coarsen"):
-        plan = ghost_plan(comm, dg)
+        plan = yield from ghost_plan(comm, dg)
         for _ in range(LP_CLUSTER_ITERS):
             best, _bw = segment_best_label(
                 srcs, labels[dg.adj], level.ew_local, n
@@ -184,22 +187,23 @@ def lp_cluster_labels(
                 if uid.size else np.empty(0, dtype=np.float64)
             )
             comm.charge(2.0 * delta_ids.size)
-            all_ids, _ = comm.Allgatherv(uid.astype(np.int64))
-            all_w, _ = comm.Allgatherv(usum)
+            all_ids, _ = yield from comm.Allgatherv(uid.astype(np.int64))
+            all_w, _ = yield from comm.Allgatherv(usum)
             np.add.at(mass, all_ids, all_w)
-            plan.pull(comm, labels)
-            moved_total = comm.allreduce(int(cand.size), op="sum")
+            yield from plan.pull(comm, labels)
+            moved_total = yield from comm.allreduce(int(cand.size), op="sum")
             if moved_total == 0:
                 break
     return labels[:n].copy()
 
 
+@steppable
 def hem_cluster_labels(
     comm: SimComm,
     level: MLLevel,
     params,
     level_index: int,
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """Heavy-edge matching on the owned-induced subgraph; returns owned
     labels (global ids; matched pairs share the lower partner's gid).
 
@@ -225,7 +229,7 @@ def hem_cluster_labels(
         labels = dg.owned_gids[match] if n else np.empty(0, dtype=np.int64)
         # rendezvous so every rank advances in lockstep (and the charge
         # above lands on a coarsen-tagged collective)
-        comm.allreduce(int(n), op="max")
+        yield from comm.allreduce(int(n), op="max")
     return labels
 
 
@@ -233,10 +237,11 @@ def hem_cluster_labels(
 # contraction
 # ---------------------------------------------------------------------------
 
+@steppable
 def allgather_owned(
     comm: SimComm, dist: Distribution, owned_values: np.ndarray,
     then: Optional[Callable[[np.ndarray], Any]] = None,
-) -> Any:
+) -> Steps[Any]:
     """Allgatherv one int64 per owned vertex; returns the values of all
     ``dist.n`` vertices indexed by global id (read-only where ranks share
     results) — or ``then`` of it, evaluated once where the collective
@@ -247,7 +252,8 @@ def allgather_owned(
         full[np.concatenate([dist.owned(r) for r in range(comm.size)])] = chunks
         return full if then is None else then(full)
 
-    return comm.Allgatherv(owned_values.astype(np.int64), then=scatter)
+    return (yield from comm.Allgatherv(owned_values.astype(np.int64),
+                                       then=scatter))
 
 
 def _contract(
@@ -286,6 +292,7 @@ def _contract(
                 csr.data, cvw, fine2coarse)
 
 
+@steppable
 def contract_level(
     comm: SimComm,
     level: MLLevel,
@@ -293,7 +300,7 @@ def contract_level(
     params,
     level_index: int,
     min_vertices: int,
-) -> Optional[MLLevel]:
+) -> Steps[Optional[MLLevel]]:
     """Contract the clustering into the next coarser level.
 
     Allgathers owned labels; :func:`_contract` (clusters relabelled
@@ -309,13 +316,13 @@ def contract_level(
         # each rank contributes the labels of its owned vertices and is
         # charged its share of the aggregation, which executes once
         comm.charge(2.0 * dg.adj.size + float(dg.n_local))
-        nc, arrays = allgather_owned(
+        nc, arrays = yield from allgather_owned(
             comm, level.dist, owned_labels,
             then=lambda full: _contract(level, level_index, min_vertices, full),
         )
         # collective agreement on the stop decision (inputs are identical,
         # so this is a cheap cross-rank sanity rendezvous, not a vote)
-        agreed = comm.allreduce(int(nc), op="max")
+        agreed = yield from comm.allreduce(int(nc), op="max")
         if agreed != nc:  # pragma: no cover - determinism violation
             raise AssertionError(
                 f"ranks disagree on coarse size: {agreed} != {nc}"
@@ -327,7 +334,7 @@ def contract_level(
     cdist = RandomDistribution(
         nc, comm.size, seed=params.seed + 211 * (level_index + 1)
     )
-    cdg = build_dist_graph(comm, coarse, cdist)
+    cdg = yield from build_dist_graph(comm, coarse, cdist)
     return MLLevel(
         graph=coarse, dist=cdist, dg=cdg, eweights=cw,
         ew_local=local_eweights(coarse, cw, cdg),

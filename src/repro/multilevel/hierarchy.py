@@ -32,6 +32,7 @@ from repro.multilevel.coarsen import (
     make_level0,
 )
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 #: Coarsening size target, in vertices per part: coarsening stops once a
 #: level has at most ``COARSEST_FACTOR * num_parts`` vertices.
@@ -42,6 +43,7 @@ COARSEST_FACTOR = 30
 IMBALANCE_RELAX = 2.0
 
 
+@steppable
 def build_hierarchy(
     comm: SimComm,
     graph: Graph,
@@ -49,7 +51,7 @@ def build_hierarchy(
     num_parts: int,
     params,
     vertex_weights: Optional[np.ndarray],
-) -> List[MLLevel]:
+) -> Steps[List[MLLevel]]:
     """Coarsen until the target size, the level cap, or stagnation.
 
     Purely a function of the inputs — no partition state — which is what
@@ -57,7 +59,7 @@ def build_hierarchy(
     global ``graph`` / ``eweights`` are released as soon as the next level
     is contracted from them: uncoarsening reads only the per-rank views.
     """
-    levels = [make_level0(comm, graph, dist, vertex_weights)]
+    levels = [(yield from make_level0(comm, graph, dist, vertex_weights))]
     target = max(COARSEST_FACTOR * num_parts, 2 * comm.size)
     floor = max(num_parts, comm.size)
     while (
@@ -67,12 +69,13 @@ def build_hierarchy(
         cur = levels[-1]
         level_index = len(levels) - 1
         if params.ml_coarsen == "lp":
-            labels = lp_cluster_labels(
+            labels = yield from lp_cluster_labels(
                 comm, cur, num_parts, params, level_index
             )
         else:
-            labels = hem_cluster_labels(comm, cur, params, level_index)
-        nxt = contract_level(
+            labels = yield from hem_cluster_labels(comm, cur, params,
+                                                   level_index)
+        nxt = yield from contract_level(
             comm, cur, labels, params, level_index, min_vertices=floor
         )
         if nxt is None:
@@ -117,6 +120,7 @@ def level_state(
     return state
 
 
+@steppable
 def project(
     comm: SimComm,
     coarse_state: RankState,
@@ -124,7 +128,7 @@ def project(
     num_parts: int,
     params,
     n_levels: int,
-) -> Tuple[RankState, np.ndarray]:
+) -> Steps[Tuple[RankState, np.ndarray]]:
     """Project the partition of the coarsest level in ``levels`` onto the
     next finer one, and release the coarse level (a resumed run rebuilds
     the hierarchy).
@@ -141,7 +145,7 @@ def project(
     fdg = levels[-1].dg
     f2c = coarse_level.fine2coarse
     with comm.phase("project"):
-        gparts = allgather_owned(
+        gparts = yield from allgather_owned(
             comm, coarse_level.dist, coarse_state.parts[: cdg.n_local]
         )
         # scatter + two gather passes over this rank's fine view
@@ -163,7 +167,9 @@ def project(
     return state, seeds
 
 
-def weighted_cut(comm: SimComm, state: RankState, level: MLLevel) -> float:
+@steppable
+def weighted_cut(comm: SimComm, state: RankState,
+                 level: MLLevel) -> Steps[float]:
     """Global edge-weighted cut at ``level`` (each undirected edge counted
     once), metered as ``project`` work.
 
@@ -179,4 +185,4 @@ def weighted_cut(comm: SimComm, state: RankState, level: MLLevel) -> float:
     with comm.phase("project"):
         comm.charge(2.0 * level.ew_local.size)
         local = float(level.ew_local[cut_arcs].sum())
-        return comm.allreduce(local, op="sum") / 2.0
+        return (yield from comm.allreduce(local, op="sum")) / 2.0

@@ -10,8 +10,14 @@ buffers — the three XtraPuLP talks through (``Bcast``, ``Alltoallv``,
 add (``Allgatherv``, ``allgather``, ``allreduce``, ``Checkpoint``,
 ``barrier``); see :class:`~repro.simmpi.comm.SimComm`.
 
-How ranks execute is selected by name (:mod:`repro.simmpi.backends`):
-``serial`` runs them as a deterministic round-robin superstep interpreter,
+A rank body is a plain function or a generator function whose collectives
+are ``yield from`` expressions, so that a deposit is a ``yield``
+(:mod:`repro.simmpi.stepping`); communicating routines are written once,
+as generators behind :func:`~repro.simmpi.stepping.steppable`, and serve
+both kinds of body.  How ranks execute is selected by name
+(:mod:`repro.simmpi.backends`): ``serial`` runs them as a deterministic
+round-robin superstep interpreter — generator bodies as one trampoline in
+the calling thread, plain bodies on parked threads handing a baton —
 ``threads`` runs one native thread per rank (NumPy releases the GIL), and
 ``procs`` forks one process per rank and moves payloads through
 ``multiprocessing.shared_memory``, escaping the GIL for pure-Python rank

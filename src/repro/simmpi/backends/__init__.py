@@ -14,8 +14,11 @@ Shipped backends:
 =========  ===========================  ======================  =====================================
 name       parallelism                  determinism             recommended use
 =========  ===========================  ======================  =====================================
-serial     none (parked rank threads,   results *and* schedule  debugging rank code, minimal repros,
-           one round-robin baton)                               thousands of ranks
+serial     none (generator bodies: one  results *and* schedule  debugging rank code, minimal repros,
+           trampoline in the caller's                           thousands of ranks
+           thread; plain bodies: parked
+           threads, one round-robin
+           baton)
 threads    rank threads, all running    results                 default; NumPy-heavy kernels
 procs      forked processes + shm       results                 pure-Python rank code, strong scaling
 =========  ===========================  ======================  =====================================

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.simmpi.errors import RemoteRankError
 from repro.simmpi.metrics import CollectiveEvent, CommStats, TierMetering
+from repro.simmpi.stepping import run_body
 
 
 def fault_preamble(plan: Any, deadline: Optional[float], rank: int, op: str,
@@ -229,19 +230,27 @@ class Backend(ABC):
                 header_slot=header_slot,
             ))
             return results[0]
-        checksum: Optional[int] = None
-        if self.integrity == "crc" or corrupt_seed is not None:
-            from repro.ft import integrity
-
-            if self.integrity == "crc":
-                checksum = integrity.checksum_obj(contribution)
-            if corrupt_seed is not None:
-                integrity.corrupt_object(contribution, corrupt_seed)
         return self._rendezvous(
             rank, op, tag, contribution, nbytes_sent, execute,
             compute_seconds, work_units, dest_bytes, root, header_slot,
-            checksum,
+            self._send_checksum(contribution, corrupt_seed),
         )
+
+    def _send_checksum(self, contribution: Any,
+                       corrupt_seed: Optional[int]) -> Optional[int]:
+        """The send side of a deposit with peers: its crc under
+        ``integrity == "crc"`` (else None), then the in-flight damage a
+        ``corrupt`` fault asked for."""
+        if self.integrity != "crc" and corrupt_seed is None:
+            return None
+        from repro.ft import integrity
+
+        checksum = None
+        if self.integrity == "crc":
+            checksum = integrity.checksum_obj(contribution)
+        if corrupt_seed is not None:
+            integrity.corrupt_object(contribution, corrupt_seed)
+        return checksum
 
     def _record_rounds(self, tag: str, rounds: Sequence[tuple]) -> None:
         for op, nbytes, compute, work, tiers in rounds:
@@ -291,7 +300,10 @@ class Backend(ABC):
 
         Returns the list of per-rank return values.  ``args``/``kwargs`` are
         shared across ranks (treat them as read-only inside ``fn``);
-        ``rank_args`` supplies per-rank positional arguments.
+        ``rank_args`` supplies per-rank positional arguments.  ``fn`` is a
+        plain function or a generator function whose collectives are
+        ``yield from`` expressions (:mod:`repro.simmpi.stepping`); a plain
+        function that returns a generator is a TypeError.
         """
         from repro.simmpi.comm import SimComm
 
@@ -302,7 +314,7 @@ class Backend(ABC):
         if self.nprocs == 1:
             comm = SimComm(self, 0)
             extra = tuple(rank_args[0]) if rank_args is not None else ()
-            return [fn(comm, *extra, *args, **kwargs)]
+            return [run_body(fn, comm, *extra, *args, **kwargs)]
         return self._run_parallel(fn, args, rank_args, kwargs)
 
     @abstractmethod

@@ -1,17 +1,20 @@
 """The in-process rendezvous engine and its two schedules.
 
-Every rank is carried by a worker thread, and every inter-rank interaction
-is a *collective*: each rank deposits its contribution into the rendezvous
-being assembled, the last depositor executes the collective once (pure
-NumPy, no further synchronization) and records its metered rounds, and
-every rank picks up its slice of the result.  Ranks only mutate rank-local
-state between rendezvous, so results are independent of thread scheduling.
+Every inter-rank interaction is a *collective*: each rank deposits its
+contribution into the rendezvous being assembled, the last depositor
+executes the collective once (pure NumPy, no further synchronization) and
+records its metered rounds, and every rank picks up its slice of the
+result.  Ranks only mutate rank-local state between rendezvous, so results
+are independent of scheduling.
 
-A rank that is not the last depositor *parks* on its own gate — a raw
-``threading.Lock`` it holds while it runs, allocated once per run: parking
-is one C-level ``acquire``, waking one ``release``, with no per-wait
-allocation.  Who may run, and who opens which gate, is the **schedule**,
-and it is all that tells the two backends apart:
+A rank body is a plain function or a generator function whose collectives
+are ``yield from`` expressions (:mod:`repro.simmpi.stepping`).  Plain
+bodies run on worker threads: a rank that is not the last depositor
+*parks* on its own gate — a raw ``threading.Lock`` it holds while it runs,
+allocated once per run: parking is one C-level ``acquire``, waking one
+``release``, with no per-wait allocation.  Who may run, and who opens
+which gate, is the **schedule**, and it is all that tells the two backends
+apart:
 
 ``serial`` — the baton
     Exactly one rank runs at any instant.  Rank 0 runs until its first
@@ -23,35 +26,42 @@ and it is all that tells the two backends apart:
     resume one by one as the baton comes round.  The schedule is a pure
     function of the program — prints, breakpoints and profiles repeat
     run to run — which makes it the backend for debugging rank code and for
-    thousands of ranks (nothing contends).
+    thousands of ranks (nothing contends).  A generator body runs the same
+    schedule with no rank threads at all: one trampoline in the calling
+    thread resumes rank ``r`` until its next deposit, so handing the baton
+    is a generator switch instead of an OS thread hand-off.
 
 ``threads`` — everyone runs
     Every rank runs from the start; the last depositor opens every other
     gate.  NumPy-heavy rank code overlaps for real (NumPy releases the
     GIL); pure-Python rank code serializes on it — use ``procs`` for that.
+    A generator body is driven on its rank's thread.
 
 Misuse that would hang or corrupt a real MPI job is an error on both: ranks
 in different collectives at one superstep raise
 :class:`~repro.simmpi.errors.CollectiveMismatchError`, a rank returning
 while others wait (or entering after one returned)
 :class:`~repro.simmpi.errors.DeadlockError`; a failing rank releases the
-others with :class:`~repro.simmpi.errors.RemoteRankError` and its own
-exception is re-raised from :meth:`Backend.run`.  Under a watchdog a parked
-rank slices its wait and reports a stalled run as
-:class:`~repro.simmpi.errors.HungRankError` — blaming the baton holder on
-``serial``, the ranks missing from the rendezvous on ``threads``.
+others with :class:`~repro.simmpi.errors.RemoteRankError` (a stepped
+rank's peers are closed instead) and its own exception is re-raised from
+:meth:`Backend.run`.  Under a watchdog a parked rank slices its wait and
+reports a stalled run as :class:`~repro.simmpi.errors.HungRankError` —
+blaming the baton holder on ``serial``, the ranks missing from the
+rendezvous on ``threads``; the trampoline then runs on one daemon thread,
+and the caller fails a step that overruns the deadline the same way.
 """
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ft.watchdog import GRACE, PROBES, WARN_FRACTION, slice_seconds
-from repro.simmpi.backends.base import Backend, metered_rounds
+from repro.simmpi.backends.base import Backend, fault_preamble, metered_rounds
 from repro.simmpi.errors import (
     CollectiveMismatchError,
     DeadlockError,
@@ -60,6 +70,7 @@ from repro.simmpi.errors import (
     RemoteRankError,
     format_ranks,
 )
+from repro.simmpi.stepping import generator_body, run_body
 
 
 class _Pending:
@@ -92,8 +103,8 @@ class _Pending:
 
 
 class InProcessBackend(Backend):
-    """Thread-carried ranks and one rendezvous; subclasses pick the
-    schedule by setting :attr:`baton`."""
+    """In-process ranks and one rendezvous; subclasses pick the schedule
+    by setting :attr:`baton`."""
 
     #: True: one rank runs at a time and the baton is handed round robin
     #: (``serial``).  False: every rank runs and the last depositor wakes
@@ -113,6 +124,8 @@ class InProcessBackend(Backend):
         self._failure: Optional[BaseException] = None
         #: Rank most recently handed the baton — the one actually running.
         self._running = 0
+        #: When the running stepped rank was last resumed (monotonic s).
+        self._step_start = 0.0
 
     def _at(self, op: str, tag: str) -> str:
         return (f"collective {op!r} (tag {tag!r}, "
@@ -128,17 +141,23 @@ class InProcessBackend(Backend):
         except RuntimeError:
             pass  # already open — the wake is already in flight
 
-    def _pass_baton(self, from_rank: int) -> None:
-        """Hand execution to the next rank after ``from_rank`` that has
-        neither returned nor deposited into the pending rendezvous."""
+    def _next_runner(self, from_rank: int) -> Optional[int]:
+        """The next rank after ``from_rank``, round robin, that has neither
+        returned nor deposited into the pending rendezvous (None: none)."""
         pending = self._pending
         for offset in range(1, self.nprocs + 1):
             r = (from_rank + offset) % self.nprocs
             if not self._finished[r] and not (
                     pending is not None and pending.deposited[r]):
-                self._running = r
-                self._open(r)
-                return
+                return r
+        return None
+
+    def _pass_baton(self, from_rank: int) -> None:
+        """Hand execution to the next runner after ``from_rank``."""
+        r = self._next_runner(from_rank)
+        if r is not None:
+            self._running = r
+            self._open(r)
 
     def _park(self, rank: int) -> None:
         """Block until this rank's gate opens.  Under a watchdog the wait
@@ -169,18 +188,22 @@ class InProcessBackend(Backend):
                 # second hang) or, where everyone runs, completed the
                 # rendezvous as this slice ran out: the gate is opening
                 continue
-            raise self._fail(self._hung(rank, waited))
+            raise self._fail(self._hung(waited, rank))
 
-    def _hung(self, rank: int, waited: float) -> HungRankError:
-        """The report of parked ``rank`` giving up after ``waited`` s: it
-        blames who stopped advancing, not itself for noticing."""
+    def _hung(self, waited: float,
+              rank: Optional[int] = None) -> HungRankError:
+        """The report of a stall of ``waited`` s, noticed by parked
+        ``rank`` (None: by the caller watching the trampoline): it blames
+        who stopped advancing, not whoever noticed."""
         pending = self._pending
         deadline = f"(deadline {self.watchdog:.3g}s)"
         if self.baton:
             stalled: tuple = (self._running,)
             text = (f"{format_ranks(stalled)} held the scheduling baton for "
                     f"{waited:.3g}s without progress {deadline} at superstep "
-                    f"{self.stats.rounds}; rank {rank} gave up waiting")
+                    f"{self.stats.rounds}")
+            if rank is not None:
+                text += f"; rank {rank} gave up waiting"
         else:
             stalled = tuple(pending.ranks(deposited=False)) or (rank,)
             text = (f"{format_ranks(stalled)} made no progress for "
@@ -198,13 +221,29 @@ class InProcessBackend(Backend):
         if self._failure is None:
             self._failure = exc
         self._pending = None
-        for r in range(self.nprocs):
+        for r in range(len(self._gates)):
             self._open(r)
         return exc
 
+    def _finish(self, rank: int) -> None:
+        """``rank`` returned (or raised): ranks still waiting in the
+        rendezvous can no longer complete it."""
+        with self._mutex:
+            self._finished[rank] = True
+            self._n_finished += 1
+            pending = self._pending
+            if (pending is not None and self._failure is None
+                    and pending.arrived + self._n_finished >= self.nprocs):
+                self._fail(DeadlockError(
+                    f"{pending.arrived} rank(s) "
+                    f"({format_ranks(pending.ranks())}) stuck in "
+                    f"{self._at(pending.op, pending.tag)} after other "
+                    f"ranks returned"
+                ))
+
     # -- the rendezvous ------------------------------------------------------
 
-    def _rendezvous(
+    def _deposit(
         self,
         rank: int,
         op: str,
@@ -218,7 +257,10 @@ class InProcessBackend(Backend):
         root: Optional[int],
         header_slot: Optional[int],
         checksum: Optional[int],
-    ) -> Any:
+    ) -> Tuple[_Pending, bool]:
+        """Deposit ``rank``'s contribution; the last depositor verifies,
+        executes and records the rendezvous.  Returns the rendezvous and
+        whether this deposit completed it (its results are then ready)."""
         with self._mutex:
             if self._failure is not None:
                 raise RemoteRankError(f"rank {rank}: aborted") from self._failure
@@ -249,37 +291,42 @@ class InProcessBackend(Backend):
                 if pending.checksums is None:
                     pending.checksums = [None] * self.nprocs
                 pending.checksums[rank] = checksum
+            if pending.arrived < self.nprocs:
+                return pending, False
 
-            if pending.arrived == self.nprocs:
-                try:
-                    if pending.checksums is not None:
-                        self._verify_checksums(pending)
-                    pending.results = execute(pending.contribs)
-                except BaseException as exc:  # propagate to all ranks
-                    self._fail(exc)
-                    raise
-                self._record_rounds(tag, metered_rounds(
-                    self.comm_strategy, op, pending.nbytes, pending.compute,
-                    pending.work, pending.dest, root, header_slot,
-                ))
-                self._pending = None
-                if self.baton:
-                    # executor-continue: this rank is the one running, so
-                    # it proceeds with its result instead of parking and
-                    # being re-woken; the others resume one by one as it
-                    # passes the baton at its next deposit (or on return)
-                    self.stats.saved_switches += 1
-                else:
-                    for r in range(self.nprocs):
-                        if r != rank:
-                            self._open(r)
-                return pending.results[rank]
+            try:
+                if pending.checksums is not None:
+                    self._verify_checksums(pending)
+                pending.results = execute(pending.contribs)
+            except BaseException as exc:  # propagate to all ranks
+                self._fail(exc)
+                raise
+            self._record_rounds(tag, metered_rounds(
+                self.comm_strategy, op, pending.nbytes, pending.compute,
+                pending.work, pending.dest, root, header_slot,
+            ))
+            self._pending = None
+            if self.baton:
+                # executor-continue: this rank is the one running, so it
+                # proceeds with its result instead of parking and being
+                # re-woken; the others resume one by one as it passes the
+                # baton at its next deposit (or on return)
+                self.stats.saved_switches += 1
+            else:
+                for r in range(self.nprocs):
+                    if r != rank:
+                        self._open(r)
+            return pending, True
 
-        if self.baton:
-            self._pass_baton(rank)
-        self._park(rank)
-        if self._failure is not None:
-            raise RemoteRankError(f"rank {rank}: aborted") from self._failure
+    def _rendezvous(self, rank: int, op: str, tag: str, *deposit: Any) -> Any:
+        """A blocking deposit: park until the rendezvous completes."""
+        pending, executed = self._deposit(rank, op, tag, *deposit)
+        if not executed:
+            if self.baton:
+                self._pass_baton(rank)
+            self._park(rank)
+            if self._failure is not None:
+                raise RemoteRankError(f"rank {rank}: aborted") from self._failure
         return pending.results[rank]
 
     def _verify_checksums(self, pending: _Pending) -> None:
@@ -309,22 +356,177 @@ class InProcessBackend(Backend):
         rank_args: Optional[Sequence[Sequence[Any]]],
         kwargs: dict,
     ) -> List[Any]:
-        from repro.simmpi.comm import SimComm
-
         n = self.nprocs
-        # one reusable gate per rank, held from the start so a rank's first
-        # park blocks until somebody opens it
-        self._gates = [threading.Lock() for _ in range(n)]
-        for gate in self._gates:
-            gate.acquire()
+        self._gates = []
         self._finished = [False] * n
         self._n_finished = 0
         self._pending = None
         self._failure = None
         self._running = 0
-
         results: List[Any] = [None] * n
         errors: List[Optional[BaseException]] = [None] * n
+        if self.baton and inspect.isgeneratorfunction(fn):
+            if self.watchdog is None:
+                with generator_body():
+                    self._step_ranks(fn, args, rank_args, kwargs, results,
+                                     errors)
+            else:
+                self._step_ranks_watched(fn, args, rank_args, kwargs,
+                                         results, errors)
+        else:
+            self._run_threads(fn, args, rank_args, kwargs, results, errors)
+        self._raise_collected(errors, self._failure)
+        return results
+
+    def _step_ranks(self, fn, args, rank_args, kwargs,
+                    results: List[Any],
+                    errors: List[Optional[BaseException]]) -> None:
+        """The baton's schedule as a trampoline: resume rank ``r`` (its
+        last result left in its SimComm) until its next deposit, deposit
+        that through the rendezvous, and hand on round robin; the last
+        depositor executes and keeps running.  A rank's SimComm is made
+        when it first runs, so compute metering starts there.  When a rank
+        fails, the stepped peers are closed (their ``finally`` blocks run)
+        instead of raising RemoteRankError."""
+        from repro.simmpi.comm import SimComm
+
+        comms: List[Any] = [None] * self.nprocs
+        gens: List[Any] = [None] * self.nprocs
+        # the rendezvous each rank deposited into and waits on
+        parked: List[Optional[_Pending]] = [None] * self.nprocs
+        r, throw = 0, None
+        try:
+            while True:
+                self._running, self._step_start = r, time.monotonic()
+                try:
+                    gen = gens[r]
+                    if gen is None:
+                        extra = (tuple(rank_args[r])
+                                 if rank_args is not None else ())
+                        comms[r] = SimComm(self, r)
+                        gen = gens[r] = fn(comms[r], *extra, *args, **kwargs)
+                    request = (gen.send(None) if throw is None
+                               else gen.throw(throw))
+                except StopIteration as stop:
+                    results[r], gens[r] = stop.value, None
+                    self._finish(r)
+                except BaseException as exc:
+                    errors[r], gens[r] = exc, None
+                    if not isinstance(exc, RemoteRankError):
+                        with self._mutex:
+                            self._fail(exc)
+                    self._finish(r)
+                else:
+                    try:
+                        pending, executed = self._deposit_step(*request[1:])
+                    except BaseException as exc:
+                        throw = exc  # raised at r's collective
+                        continue
+                    finally:
+                        request = None
+                    throw = None
+                    if executed:
+                        comms[r]._received = pending.results[r]
+                        pending = None
+                        continue
+                    parked[r] = pending
+                if self._failure is not None:
+                    return
+                r = self._next_runner(r)
+                if r is None:
+                    return
+                pending, parked[r] = parked[r], None
+                if pending is not None:
+                    comms[r]._received = pending.results[r]
+                pending = None
+        finally:
+            for rank, gen in enumerate(gens):
+                if gen is not None:
+                    try:
+                        gen.close()
+                    except Exception as exc:  # raised by its ``finally``
+                        errors[rank] = errors[rank] or exc
+
+    def _deposit_step(
+        self, rank: int, op: str, tag: str, contribution: Any,
+        nbytes_sent: int, execute: Callable[[List[Any]], List[Any]],
+        compute_seconds: float, work_units: float,
+        dest_bytes: Optional[np.ndarray], root: Optional[int],
+        header_slot: Optional[int],
+    ) -> Tuple[_Pending, bool]:
+        """A stepped rank's deposit: :meth:`Backend.collective`'s send side
+        (fault plan, crc), then :meth:`_deposit` without the park."""
+        corrupt_seed = fault_preamble(self.fault_plan, self.watchdog, rank,
+                                      op, tag, header_slot, can_die=False)
+        return self._deposit(
+            rank, op, tag, contribution, nbytes_sent, execute,
+            compute_seconds, work_units, dest_bytes, root, header_slot,
+            self._send_checksum(contribution, corrupt_seed),
+        )
+
+    def _step_ranks_watched(self, fn, args, rank_args, kwargs,
+                            results: List[Any],
+                            errors: List[Optional[BaseException]]) -> None:
+        """The trampoline on one daemon thread, watched from this one: a
+        step (one rank's run between two deposits) that overruns the
+        deadline fails the run with a HungRankError naming that rank.  A
+        single thread cannot pre-empt the step; once the run failed the
+        trampoline gets ``timeout + grace`` to unwind and is abandoned
+        after that."""
+        done = threading.Event()
+
+        def trampoline() -> None:
+            try:
+                with generator_body():
+                    self._step_ranks(fn, args, rank_args, kwargs, results,
+                                     errors)
+            except BaseException as exc:  # the caller re-raises it
+                self._fail(exc)
+            finally:
+                done.set()
+
+        threading.Thread(target=trampoline, name=f"simmpi-{self.name}-ranks",
+                         daemon=True).start()
+        timeout = self.watchdog
+        slice_s = slice_seconds(timeout)
+        warn_at = timeout * WARN_FRACTION
+        seen, extensions, abandon_at = None, 0, None
+        while not done.wait(slice_s):
+            now = time.monotonic()
+            if self._failure is not None:
+                if abandon_at is None:
+                    abandon_at = now + timeout + GRACE
+                elif now >= abandon_at:
+                    r = self._running
+                    errors[r] = errors[r] or HungRankError(
+                        f"rank {r} never returned after the run failed; "
+                        f"trampoline thread abandoned past the "
+                        f"{timeout:.3g}s deadline",
+                        ranks=(r,), detection_seconds=timeout,
+                    )
+                    return
+                continue
+            start = self._step_start
+            if start != seen:
+                seen, extensions = start, 0
+            waited = now - start
+            if waited >= warn_at and extensions < PROBES:
+                extensions += 1
+                self.stats.deadline_extensions += 1
+            if waited >= timeout:
+                self._fail(self._hung(waited))
+
+    def _run_threads(self, fn, args, rank_args, kwargs,
+                     results: List[Any],
+                     errors: List[Optional[BaseException]]) -> None:
+        """One worker thread per rank, parked on its gate between deposits."""
+        from repro.simmpi.comm import SimComm
+
+        # one reusable gate per rank, held from the start so a rank's first
+        # park blocks until somebody opens it
+        self._gates = [threading.Lock() for _ in range(self.nprocs)]
+        for gate in self._gates:
+            gate.acquire()
 
         def worker(rank: int) -> None:
             if self.baton:
@@ -333,24 +535,13 @@ class InProcessBackend(Backend):
                 comm = SimComm(self, rank)
                 extra = tuple(rank_args[rank]) if rank_args is not None else ()
                 try:
-                    results[rank] = fn(comm, *extra, *args, **kwargs)
+                    results[rank] = run_body(fn, comm, *extra, *args, **kwargs)
                 except BaseException as exc:
                     errors[rank] = exc
                     if not isinstance(exc, RemoteRankError):
                         with self._mutex:
                             self._fail(exc)
-            with self._mutex:
-                self._finished[rank] = True
-                self._n_finished += 1
-                pending = self._pending
-                if (pending is not None and self._failure is None
-                        and pending.arrived + self._n_finished >= n):
-                    self._fail(DeadlockError(
-                        f"{pending.arrived} rank(s) "
-                        f"({format_ranks(pending.ranks())}) stuck in "
-                        f"{self._at(pending.op, pending.tag)} after other "
-                        f"ranks returned"
-                    ))
+            self._finish(rank)
             if self.baton and self._failure is None:
                 self._pass_baton(rank)
 
@@ -358,7 +549,7 @@ class InProcessBackend(Backend):
             threading.Thread(target=worker, args=(r,),
                              name=f"simmpi-{self.name}-rank-{r}",
                              daemon=self.watchdog is not None)
-            for r in range(n)
+            for r in range(self.nprocs)
         ]
         for t in threads:
             t.start()
@@ -377,9 +568,6 @@ class InProcessBackend(Backend):
                         ranks=(r,),
                         detection_seconds=self.watchdog,
                     )
-
-        self._raise_collected(errors, self._failure)
-        return results
 
     def _join_bounded(self, threads: Sequence[threading.Thread]) -> List[int]:
         """Join the rank threads under the watchdog deadline.

@@ -80,6 +80,7 @@ from repro.simmpi.errors import (
     UnpicklableRankError,
     format_ranks,
 )
+from repro.simmpi.stepping import run_body
 
 # (pickle length, buffer-size list length, buffer bytes length, crc32).  The
 # crc is over the whole written region (payload + sizes + buffers);
@@ -592,7 +593,7 @@ def _rank_process_main(
         comm = SimComm(endpoint, rank)
         extra = tuple(rank_args[rank]) if rank_args is not None else ()
         try:
-            result = fn(comm, *extra, *args, **kwargs)
+            result = run_body(fn, comm, *extra, *args, **kwargs)
         except RemoteRankError as exc:
             final = ("exit-err", _sanitize_exc(exc))
         except BaseException as exc:

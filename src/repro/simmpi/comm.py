@@ -13,6 +13,11 @@ analytics, checkpointing and the perf probes add (``Allgatherv``,
 ``allgather``, ``allreduce``, ``Checkpoint``, ``barrier``);
 ``tests/test_simmpi_surface.py`` keeps it that way.
 
+Each of the nine is a stepped routine (:mod:`repro.simmpi.stepping`): its
+deposit is a ``yield`` of the request to the runtime, so a generator rank
+body writes ``total = yield from comm.Allreduce(x)`` and a plain one
+``total = comm.Allreduce(x)``.
+
 Byte-accounting convention (see :mod:`repro.simmpi.metrics`): a rank's
 ``bytes_sent`` for an event is the payload it injects once — exact for
 Alltoallv and its count header (self-directed slices excluded), and the
@@ -34,12 +39,13 @@ collectives keep **two merges for two regimes**, selected by the same
 flag: where results are shared, one vectorized destination bucketing
 (concatenate, an int64 permutation, one fancy scatter — three
 element-sized passes) whose per-rank results are sealed views of a single
-buffer, which is what many tiny pieces at hundreds of ranks need; on
-``procs``, one ``np.concatenate`` per destination — a single pass,
-which is what a few large pieces at 2–8 ranks need (see EXPERIMENTS.md,
-"procs through the vectorised merge").  A rank that must mutate a
-received result calls :func:`materialize` (copy-on-write).  The *values*
-are bit-identical on every backend.
+buffer, which is what many tiny pieces at hundreds of ranks need (and an
+exchange with no records anywhere hands every rank one sealed empty plane
+per field); on ``procs``, one ``np.concatenate`` per destination — a
+single pass, which is what a few large pieces at 2–8 ranks need (see
+EXPERIMENTS.md, "procs through the vectorised merge").  A rank that must
+mutate a received result calls :func:`materialize` (copy-on-write).  The
+*values* are bit-identical on every backend.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.simmpi.backends.base import Backend
+from repro.simmpi.stepping import Steps, steppable
 
 _REDUCERS: dict[str, Callable[..., Any]] = {
     "sum": np.add.reduce,
@@ -197,6 +204,11 @@ class SimComm:
         self._last_thread_time: float = (
             time.thread_time() if self._meter else 0.0
         )
+        #: The result of this rank's pending deposit, left here by whoever
+        #: carried the deposit out and taken when the rank resumes.  (Not
+        #: ``gen.send(result)``: its caller would hold the result for the
+        #: rank's whole next step, and so would peak memory.)
+        self._received: Any = None
 
     # -- deterministic work metering ----------------------------------------
 
@@ -231,47 +243,56 @@ class SimComm:
         dest_bytes: Optional[np.ndarray] = None,
         root: Optional[int] = None,
         header_slot: Optional[int] = None,
-    ) -> Any:
-        """One deposit.  ``dest_bytes`` / ``root`` / ``header_slot`` are
-        metering inputs the backend reads once per rendezvous (see
+    ) -> Steps[Any]:
+        """One deposit, yielded as the request
+        ``(self, *Backend.collective arguments)`` that the rank's driver
+        carries out (:mod:`repro.simmpi.stepping`), leaving the result in
+        ``self._received``.  ``dest_bytes`` / ``root`` / ``header_slot``
+        are metering inputs the backend reads once per rendezvous (see
         :meth:`Backend.collective`); with ``header_slot`` the deposit
-        stands for two metered rounds."""
+        stands for two metered rounds.
+
+        With compute metering the deposit bills the ``thread_time`` since
+        this rank last *resumed* — from a collective here, or from its
+        first step, when its SimComm was made — so a trampoline that runs
+        every rank on one thread still bills each rank its own segments."""
         work = self._work
         self._work = 0.0
         rounds = 1 if header_slot is None else 2
         if not self._meter:
             # unmetered fast path: no clock reads, no try frame — at
             # thousands of ranks this per-deposit overhead adds up
-            result = self._runtime.collective(
-                self.rank, op, self._tag, contribution, nbytes_sent, execute,
-                0.0, work, dest_bytes, root, header_slot,
-            )
+            yield (self, self.rank, op, self._tag, contribution, nbytes_sent,
+                   execute, 0.0, work, dest_bytes, root, header_slot)
             self.event_count += rounds
+            result, self._received = self._received, None
             return result
         delta = max(time.thread_time() - self._last_thread_time, 0.0)
         try:
-            result = self._runtime.collective(
-                self.rank, op, self._tag, contribution, nbytes_sent, execute,
-                delta, work, dest_bytes, root, header_slot,
-            )
+            yield (self, self.rank, op, self._tag, contribution, nbytes_sent,
+                   execute, delta, work, dest_bytes, root, header_slot)
             self.event_count += rounds
+            result, self._received = self._received, None
             return result
         finally:
             self._last_thread_time = time.thread_time()
 
     # -- synchronization ------------------------------------------------------
 
-    def barrier(self) -> None:
-        self._collective("barrier", None, 0, lambda c: [None] * len(c))
+    @steppable
+    def barrier(self) -> Steps[None]:
+        yield from self._collective("barrier", None, 0,
+                                    lambda c: [None] * len(c))
 
     # -- checkpoint rendezvous -------------------------------------------------
 
+    @steppable
     def Checkpoint(
         self,
         payload: bytes,
         meta: dict,
         writer: Callable[[List[Tuple[bytes, dict]]], Any],
-    ) -> Any:
+    ) -> Steps[Any]:
         """Collective checkpoint: every rank deposits its state ``payload``
         (plus a small ``meta`` dict, identical across ranks), ``writer``
         runs exactly once with the full per-rank list and persists it, and
@@ -289,13 +310,14 @@ class SimComm:
             result = writer(contribs)
             return [result] * len(contribs)
 
-        return self._collective(
+        return (yield from self._collective(
             "checkpoint", (bytes(payload), dict(meta)), len(payload), execute
-        )
+        ))
 
     # -- generic-object collectives -------------------------------------------
 
-    def allgather(self, obj: Any) -> List[Any]:
+    @steppable
+    def allgather(self, obj: Any) -> Steps[List[Any]]:
         """Gather one picklable object per rank onto every rank."""
         nbytes = _obj_nbytes(obj)
 
@@ -303,9 +325,10 @@ class SimComm:
             gathered = list(contribs)
             return [gathered] * len(contribs)
 
-        return self._collective("allgather", obj, nbytes, execute)
+        return (yield from self._collective("allgather", obj, nbytes, execute))
 
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
+    @steppable
+    def allreduce(self, value: Any, op: str = "sum") -> Steps[Any]:
         """All-reduce a scalar (or small object supporting the numpy ufunc)
         with ``op`` ``"sum"`` or ``"max"``."""
         reducer = _reducer(op)
@@ -318,11 +341,13 @@ class SimComm:
                 result = result.item()
             return [result] * len(contribs)
 
-        return self._collective("allreduce", value, nbytes, execute)
+        return (yield from self._collective("allreduce", value, nbytes,
+                                            execute))
 
     # -- NumPy-buffer collectives ----------------------------------------------
 
-    def Bcast(self, array: np.ndarray, root: int = 0) -> np.ndarray:
+    @steppable
+    def Bcast(self, array: np.ndarray, root: int = 0) -> Steps[np.ndarray]:
         """Broadcast a NumPy array from ``root``; returns the array on every
         rank (the root's own array object is returned unchanged at root)."""
         mine = self.rank == root
@@ -339,10 +364,13 @@ class SimComm:
             out = seal(value.copy()) if share else value
             return [None if r == root else out for r in range(len(contribs))]
 
-        result = self._collective("bcast", arr, nbytes, execute, root=root)
+        result = yield from self._collective("bcast", arr, nbytes, execute,
+                                             root=root)
         return arr if mine else result
 
-    def Allreduce(self, array: np.ndarray, op: str = "sum") -> np.ndarray:
+    @steppable
+    def Allreduce(self, array: np.ndarray,
+                  op: str = "sum") -> Steps[np.ndarray]:
         """Element-wise all-reduce of equal-shape NumPy arrays (``op``
         ``"sum"`` or ``"max"``)."""
         arr = np.ascontiguousarray(array)
@@ -358,11 +386,13 @@ class SimComm:
                 seal(total)
             return [total] * len(contribs)
 
-        return self._collective("allreduce", arr, arr.nbytes, execute)
+        return (yield from self._collective("allreduce", arr, arr.nbytes,
+                                            execute))
 
+    @steppable
     def Allgatherv(
         self, array: np.ndarray, then: Optional[Callable[..., Any]] = None
-    ) -> Any:
+    ) -> Steps[Any]:
         """Concatenate per-rank 1-D arrays onto every rank.
 
         Returns ``(concatenated, counts)`` where ``counts[r]`` is rank ``r``'s
@@ -391,11 +421,13 @@ class SimComm:
                 seal(result)
             return [result] * len(contribs)
 
-        return self._collective("allgatherv", arr, arr.nbytes, execute)
+        return (yield from self._collective("allgatherv", arr, arr.nbytes,
+                                            execute))
 
+    @steppable
     def Alltoallv(
         self, sendbuf: np.ndarray, sendcounts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Steps[Tuple[np.ndarray, np.ndarray]]:
         """Variable-count all-to-all of a 1-D buffer.
 
         ``sendbuf`` holds the data destined for rank 0, then rank 1, etc.;
@@ -409,12 +441,14 @@ class SimComm:
         """
         if np.ndim(sendbuf) != 1:
             raise ValueError("Alltoallv expects a 1-D send buffer")
-        (recvbuf,), recvcounts = self.Alltoallv_fields((sendbuf,), sendcounts)
+        (recvbuf,), recvcounts = yield from self.Alltoallv_fields(
+            (sendbuf,), sendcounts)
         return recvbuf, recvcounts
 
+    @steppable
     def Alltoallv_fields(
         self, fields: Sequence[np.ndarray], sendcounts: np.ndarray
-    ) -> Tuple[List[np.ndarray], np.ndarray]:
+    ) -> Steps[Tuple[List[np.ndarray], np.ndarray]]:
         """Variable-count all-to-all of a multi-field record batch.
 
         The wire primitive: a record is one entry from each array
@@ -486,12 +520,21 @@ class SimComm:
                 rcmat = seal(np.ascontiguousarray(cmat.T))
                 if all(d is None for d in wire_dtypes):
                     # no records anywhere (fields are equal-length per
-                    # source, so the dtypes are all-None together)
-                    return [
-                        ([seal(np.empty(0, all_bufs[r][j].dtype))
-                          for j in range(k)], rcmat[r])
-                        for r in range(nprocs)
-                    ]
+                    # source, so the dtypes are all-None together): every
+                    # rank gets one sealed empty plane per field, in the
+                    # dtype it deposited that field in
+                    planes: dict = {}
+                    results = []
+                    for r in range(nprocs):
+                        row = []
+                        for j, buf in enumerate(all_bufs[r]):
+                            plane = planes.get((j, buf.dtype))
+                            if plane is None:
+                                plane = planes[j, buf.dtype] = seal(
+                                    np.empty(0, buf.dtype))
+                            row.append(plane)
+                        results.append((row, rcmat[r]))
+                    return results
                 perm, dst_starts = _dest_perm(cmat)
                 merged_fields = []
                 for j in range(k):
@@ -529,7 +572,7 @@ class SimComm:
                 results.append((merged, rc))
             return results
 
-        return self._collective(
+        return (yield from self._collective(
             "alltoallv", (bufs, cts), offrank, execute, dest_bytes=dest,
             header_slot=cts.itemsize,
-        )
+        ))

@@ -179,6 +179,34 @@ def test_serial_baton_holder_stall_blames_the_holder():
     assert "held the scheduling baton" in str(ei.value)
 
 
+def test_serial_stepped_stall_blames_the_running_rank():
+    """The same nap in a generator body: the trampoline runs on one daemon
+    thread, and the caller fails the step that overran the deadline with
+    the rank that was running it."""
+    def fn(comm):
+        with comm.phase("warmup"):
+            yield from comm.barrier()
+        with comm.phase("napping"):
+            yield from comm.barrier()
+            if comm.rank == 0:
+                time.sleep(1.25)  # resumed by the trampoline, parks nobody
+            return (yield from comm.allreduce(1))
+
+    rt = create_runtime("serial", nprocs=3, watchdog=0.5)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(HungRankError) as ei:
+            rt.run(fn)
+    finally:
+        rt.close()
+    assert time.monotonic() - t0 < 4.0
+    assert ei.value.ranks == (0,)
+    assert ei.value.phase == "napping"
+    assert ei.value.detection_seconds >= 0.5
+    assert "held the scheduling baton" in str(ei.value)
+    assert rt.stats.deadline_extensions > 0
+
+
 def test_procs_watchdog_kills_the_hung_process(ft_graph, ft_params, caplog):
     """procs detection is a real kill: the HungRankError comes from the
     supervisor-side watchdog, with the stall phase on it — and the

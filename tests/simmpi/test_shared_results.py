@@ -116,6 +116,32 @@ def test_alltoallv_shared_rows_are_sealed_and_correct(backend):
         assert rcts == [0 if src == rank else 1 for src in range(3)]
 
 
+def _idle_exchange(comm):
+    """An Alltoallv_fields with no records anywhere (most exchanges at
+    high rank counts): what each rank receives per field."""
+    planes = [np.empty(0, dtype=np.uint16), np.empty(0, dtype=np.int8)]
+    recv, rcts = comm.Alltoallv_fields(planes, np.zeros(comm.size, np.int64))
+    return ([(id(f), bool(f.flags.writeable), f.dtype, f.size) for f in recv],
+            rcts.tolist())
+
+
+@backends
+def test_all_idle_exchange_hands_one_empty_plane_per_field(backend):
+    out, _ = run_spmd(4, _idle_exchange, backend=backend, meter_compute=False)
+    planes = [p for p, _ in out]
+    assert all(rcts == [0] * 4 for _, rcts in out)
+    for field, dtype in enumerate((np.uint16, np.int8)):
+        assert {p[field][2:] for p in planes} == {(np.dtype(dtype), 0)}
+        ids = {p[field][0] for p in planes}
+        writable = {p[field][1] for p in planes}
+        if backend == "procs":
+            assert writable == {True}  # each rank's own copy
+        else:
+            assert len(ids) == 1 and writable == {False}
+    if backend != "procs":
+        assert planes[0][0][0] != planes[0][1][0]  # one plane per field
+
+
 @backends
 def test_procs_results_stay_writable_under_shared(backend):
     """Results crossing the process boundary must never arrive sealed

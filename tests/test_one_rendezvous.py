@@ -8,6 +8,12 @@ base class's preamble.  It now lives in ``backends/engine.py`` alone, and
 ``serial`` / ``threads`` are two schedules of that one class: a module that
 constructs a ``_Pending``, or a class that defines its own ``collective``,
 is growing the second engine — add a schedule to the engine instead.
+Generator rank bodies on ``serial`` deposit through that same function
+from a trampoline, so it stays the one depositor.
+
+Communicating code is written once, as generators behind
+``repro.simmpi.stepping.steppable``; inside a generator every call of
+such a routine must be ``yield from``-ed, or the rank skips a collective.
 """
 
 import ast
@@ -70,6 +76,57 @@ def test_exactly_one_function_deposits_into_a_pending():
     ]
     assert len(depositors) == 1, depositors
     assert depositors[0].startswith("engine.py:"), depositors
+
+
+SRC = BACKENDS.parent.parent
+#: the decorator that makes a generator a stepped routine
+STEPPABLE = "steppable"
+
+
+def _is_steppable(fn: ast.FunctionDef) -> bool:
+    return any(getattr(d, "id", getattr(d, "attr", "")) == STEPPABLE
+               for d in fn.decorator_list)
+
+
+def _own_nodes(fn: ast.FunctionDef):
+    """The nodes of ``fn``'s body, not of the functions nested in it."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _functions():
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                yield path, fn
+
+
+def test_stepped_calls_in_generators_are_yielded_from():
+    """Inside a generator function, a call to a stepped routine (every
+    ``SimComm`` collective is one) must be the operand of ``yield from``:
+    a bare call returns an un-driven generator, and the rank silently skips
+    a collective until a peer raises ``CollectiveMismatchError``."""
+    routines = {fn.name for _, fn in _functions() if _is_steppable(fn)}
+    assert {"Allreduce", "Alltoallv_fields", "barrier", "Checkpoint",
+            "build_dist_graph", "lp_phase"} <= routines
+    bare = []
+    for path, fn in _functions():
+        nodes = list(_own_nodes(fn))
+        if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in nodes):
+            continue
+        yielded = {id(n.value) for n in nodes if isinstance(n, ast.YieldFrom)}
+        bare += [
+            f"{path.relative_to(SRC)}:{n.lineno} {fn.name}"
+            for n in nodes if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", "")) in routines
+            and id(n) not in yielded
+        ]
+    assert not bare, "stepped calls without 'yield from': " + ", ".join(bare)
 
 
 def test_the_two_schedules_are_the_engine():
