@@ -17,7 +17,12 @@ from repro.dist.distribution import (
 )
 from repro.dist.distgraph import DistGraph
 from repro.dist.build import build_dist_graph
-from repro.dist.ops import ExchangePlan, distributed_bfs_levels, ghost_plan
+from repro.dist.ops import (
+    ExchangePlan,
+    connect_plan,
+    distributed_bfs_levels,
+    ghost_plan,
+)
 from repro.dist.wire import WireSpec, make_wire_spec
 
 __all__ = [
@@ -29,6 +34,7 @@ __all__ = [
     "DistGraph",
     "build_dist_graph",
     "ExchangePlan",
+    "connect_plan",
     "ghost_plan",
     "distributed_bfs_levels",
     "WireSpec",

@@ -1,8 +1,8 @@
 """Distributed operations over a :class:`~repro.dist.distgraph.DistGraph`.
 
 :class:`ExchangePlan` is the package's one static owner → copy exchange
-(build once, reuse every superstep): after one gid round trip at
-construction each exchange moves values only, as Zoltan and Epetra do for
+(build once, reuse every superstep): after one gid round trip in
+:func:`connect_plan` each exchange moves values only, as Zoltan and Epetra do for
 a fixed pattern.  :func:`ghost_plan` is its halo case (the analytics, BFS,
 the multilevel LP coarsener); Table III's 1-D SpMV is the halo of a
 partition-placed DistGraph, and its 2-D expand and fold are a
@@ -45,37 +45,19 @@ class ExchangePlan:
     * :meth:`push` — copies flow back to their owners and are combined
       (min/max/sum) into the owner array.
 
-    Constructing one is collective (a gid round trip); generator rank code
-    gets its plan from :func:`ghost_plan`.
+    Connecting one is collective (a gid round trip), so plans come from
+    :func:`connect_plan` or, for a halo, :func:`ghost_plan`; the
+    constructor only stores what the round trip computed.
     """
 
     def __init__(
-        self, comm: SimComm, gids: np.ndarray, owners: np.ndarray,
-        slots: np.ndarray, owned_gids: np.ndarray,
+        self, copy_slots: np.ndarray, copy_counts: np.ndarray,
+        owned_slots: np.ndarray, owned_counts: np.ndarray,
     ) -> None:
-        self._connect(comm, gids, owners, slots, owned_gids)
-
-    @steppable
-    def _connect(
-        self, comm: SimComm, gids: np.ndarray, owners: np.ndarray,
-        slots: np.ndarray, owned_gids: np.ndarray,
-    ) -> Steps[None]:
-        with comm.phase("plan"):
-            # copies grouped owner-major, gid-minor (stable O(n) bucketing)
-            order, self.copy_counts = bucket_by_rank(comm.size, owners)
-            self.copy_slots = slots[order]
-            # one-time gid round trip tells each owner what to send where
-            asked, self.owned_counts = yield from comm.Alltoallv(
-                gids[order], self.copy_counts
-            )
-            self.owned_slots = np.searchsorted(owned_gids, asked)
-            if asked.size and (
-                self.owned_slots.max() >= owned_gids.size
-                or np.any(owned_gids[self.owned_slots] != asked)
-            ):
-                raise ValueError(
-                    f"rank {comm.rank}: peers asked for gids it does not own"
-                )
+        self.copy_slots = copy_slots
+        self.copy_counts = copy_counts
+        self.owned_slots = owned_slots
+        self.owned_counts = owned_counts
 
     @steppable
     def pull(
@@ -113,15 +95,38 @@ class ExchangePlan:
 
 
 @steppable
+def connect_plan(
+    comm: SimComm, gids: np.ndarray, owners: np.ndarray, slots: np.ndarray,
+    owned_gids: np.ndarray,
+) -> Steps[ExchangePlan]:
+    """The plan by which this rank keeps copies of ``gids`` (ascending,
+    owned by ``owners``) at ``slots`` of its copy array, while it owns
+    ``owned_gids`` (ascending).  Collective: one gid round trip tells each
+    owner what to send where."""
+    with comm.phase("plan"):
+        # copies grouped owner-major, gid-minor (stable O(n) bucketing)
+        order, copy_counts = bucket_by_rank(comm.size, owners)
+        asked, owned_counts = yield from comm.Alltoallv(gids[order],
+                                                        copy_counts)
+        owned_slots = np.searchsorted(owned_gids, asked)
+        if asked.size and (
+            owned_slots.max() >= owned_gids.size
+            or np.any(owned_gids[owned_slots] != asked)
+        ):
+            raise ValueError(
+                f"rank {comm.rank}: peers asked for gids it does not own"
+            )
+    return ExchangePlan(slots[order], copy_counts, owned_slots, owned_counts)
+
+
+@steppable
 def ghost_plan(comm: SimComm, dg: DistGraph) -> Steps[ExchangePlan]:
     """The halo plan of ``dg``: ghosts are the copies (local ids
     ``n_local ..``), owned vertices the owner entries."""
-    plan = object.__new__(ExchangePlan)  # connected here, step by step
-    yield from plan._connect(
+    return (yield from connect_plan(
         comm, dg.ghost_gids, dg.ghost_owners,
         np.arange(dg.n_local, dg.n_total), dg.owned_gids,
-    )
-    return plan
+    ))
 
 
 @steppable

@@ -23,13 +23,9 @@ that gap with the standard HPC watchdog pattern:
   processes to kill; instead every rendezvous wait is sliced
   (:func:`slice_seconds`) and a rank whose wait exceeds the deadline
   raises :class:`~repro.simmpi.errors.HungRankError` itself, releasing
-  its peers.  Generator rank bodies on ``serial`` have no parked ranks:
-  their trampoline runs on one daemon thread and the caller fails a
-  *step* (one rank's run between two deposits) that overruns the
-  deadline, blaming that rank; it cannot pre-empt the step.  A ``delay``
-  fault longer than the deadline therefore *raises* after ``deadline``
-  seconds instead of sleeping the whole run (see
-  :meth:`repro.ft.faults.FaultPlan.check`).
+  its peers.  A ``delay`` fault longer than the deadline therefore
+  *raises* after ``deadline`` seconds instead of sleeping the whole run
+  (see :meth:`repro.ft.faults.FaultPlan.check`).
 
 The watchdog is its timeout: ``Backend.watchdog`` holds the seconds of
 global stall (no rank advancing its heartbeat) after which the laggard
@@ -37,8 +33,7 @@ ranks are declared hung, or None.  The timeout bounds the *stall*, i.e.
 the time since any rank last made progress, not a collective's total
 duration — a slow but advancing job never trips it.  On the serial
 backend (one rank runs at a time) a parked rank's wait spans the full
-scheduling round, so size the timeout to a round, not a single deposit
-(a stepped body's deadline bounds one step instead).
+scheduling round, so size the timeout to a round, not a single deposit.
 With no watchdog (the default) every wait stays unbounded and behavior is
 byte-for-byte unchanged.
 """

@@ -218,8 +218,7 @@ class Backend(ABC):
         in-process engine's — ``procs`` ranks deposit through their own
         endpoints, never through the parent's backend object).
         """
-        corrupt_seed = fault_preamble(self.fault_plan, self.watchdog, rank,
-                                      op, tag, header_slot, can_die=False)
+        checksum = self._send_side(rank, op, tag, contribution, header_slot)
         if self.nprocs == 1:
             # nobody to wait for, and zero off-rank bytes, so there is no
             # traffic to classify into tiers either
@@ -233,15 +232,19 @@ class Backend(ABC):
         return self._rendezvous(
             rank, op, tag, contribution, nbytes_sent, execute,
             compute_seconds, work_units, dest_bytes, root, header_slot,
-            self._send_checksum(contribution, corrupt_seed),
+            checksum,
         )
 
-    def _send_checksum(self, contribution: Any,
-                       corrupt_seed: Optional[int]) -> Optional[int]:
-        """The send side of a deposit with peers: its crc under
-        ``integrity == "crc"`` (else None), then the in-flight damage a
-        ``corrupt`` fault asked for."""
-        if self.integrity != "crc" and corrupt_seed is None:
+    def _send_side(self, rank: int, op: str, tag: str, contribution: Any,
+                   header_slot: Optional[int]) -> Optional[int]:
+        """The send side of a deposit: the fault plan's turn, then, with
+        peers to send to, the contribution's crc under ``integrity ==
+        "crc"`` (else None) and the in-flight damage a ``corrupt`` fault
+        asked for.  Returns the crc."""
+        corrupt_seed = fault_preamble(self.fault_plan, self.watchdog, rank,
+                                      op, tag, header_slot, can_die=False)
+        if self.nprocs == 1 or (
+                self.integrity != "crc" and corrupt_seed is None):
             return None
         from repro.ft import integrity
 

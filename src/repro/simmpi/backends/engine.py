@@ -26,10 +26,10 @@ apart:
     resume one by one as the baton comes round.  The schedule is a pure
     function of the program — prints, breakpoints and profiles repeat
     run to run — which makes it the backend for debugging rank code and for
-    thousands of ranks (nothing contends).  A generator body runs the same
-    schedule with no rank threads at all: one trampoline in the calling
-    thread resumes rank ``r`` until its next deposit, so handing the baton
-    is a generator switch instead of an OS thread hand-off.
+    thousands of ranks (nothing contends).  An unwatched generator body
+    runs the same schedule with no rank threads: one trampoline in the
+    calling thread resumes rank ``r`` until its next deposit, so handing
+    the baton is a generator switch instead of an OS thread hand-off.
 
 ``threads`` — everyone runs
     Every rank runs from the start; the last depositor opens every other
@@ -47,8 +47,8 @@ rank's peers are closed instead) and its own exception is re-raised from
 :meth:`Backend.run`.  Under a watchdog a parked rank slices its wait and
 reports a stalled run as :class:`~repro.simmpi.errors.HungRankError` —
 blaming the baton holder on ``serial``, the ranks missing from the
-rendezvous on ``threads``; the trampoline then runs on one daemon thread,
-and the caller fails a step that overruns the deadline the same way.
+rendezvous on ``threads``.  A watched generator body therefore runs on
+rank threads too, driven per rank; only unwatched ones are stepped.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ft.watchdog import GRACE, PROBES, WARN_FRACTION, slice_seconds
-from repro.simmpi.backends.base import Backend, fault_preamble, metered_rounds
+from repro.simmpi.backends.base import Backend, metered_rounds
 from repro.simmpi.errors import (
     CollectiveMismatchError,
     DeadlockError,
@@ -124,8 +124,6 @@ class InProcessBackend(Backend):
         self._failure: Optional[BaseException] = None
         #: Rank most recently handed the baton — the one actually running.
         self._running = 0
-        #: When the running stepped rank was last resumed (monotonic s).
-        self._step_start = 0.0
 
     def _at(self, op: str, tag: str) -> str:
         return (f"collective {op!r} (tag {tag!r}, "
@@ -188,22 +186,18 @@ class InProcessBackend(Backend):
                 # second hang) or, where everyone runs, completed the
                 # rendezvous as this slice ran out: the gate is opening
                 continue
-            raise self._fail(self._hung(waited, rank))
+            raise self._fail(self._hung(rank, waited))
 
-    def _hung(self, waited: float,
-              rank: Optional[int] = None) -> HungRankError:
-        """The report of a stall of ``waited`` s, noticed by parked
-        ``rank`` (None: by the caller watching the trampoline): it blames
-        who stopped advancing, not whoever noticed."""
+    def _hung(self, rank: int, waited: float) -> HungRankError:
+        """The report of parked ``rank`` giving up after ``waited`` s: it
+        blames who stopped advancing, not itself for noticing."""
         pending = self._pending
         deadline = f"(deadline {self.watchdog:.3g}s)"
         if self.baton:
             stalled: tuple = (self._running,)
             text = (f"{format_ranks(stalled)} held the scheduling baton for "
                     f"{waited:.3g}s without progress {deadline} at superstep "
-                    f"{self.stats.rounds}")
-            if rank is not None:
-                text += f"; rank {rank} gave up waiting"
+                    f"{self.stats.rounds}; rank {rank} gave up waiting")
         else:
             stalled = tuple(pending.ranks(deposited=False)) or (rank,)
             text = (f"{format_ranks(stalled)} made no progress for "
@@ -365,15 +359,13 @@ class InProcessBackend(Backend):
         self._running = 0
         results: List[Any] = [None] * n
         errors: List[Optional[BaseException]] = [None] * n
-        if self.baton and inspect.isgeneratorfunction(fn):
-            if self.watchdog is None:
-                with generator_body():
-                    self._step_ranks(fn, args, rank_args, kwargs, results,
-                                     errors)
-            else:
-                self._step_ranks_watched(fn, args, rank_args, kwargs,
-                                         results, errors)
+        if (self.baton and self.watchdog is None
+                and inspect.isgeneratorfunction(fn)):
+            with generator_body():
+                self._step_ranks(fn, args, rank_args, kwargs, results, errors)
         else:
+            # a watched run needs a thread per rank: a parked rank is what
+            # notices a stall, and the baton then blames its holder
             self._run_threads(fn, args, rank_args, kwargs, results, errors)
         self._raise_collected(errors, self._failure)
         return results
@@ -397,7 +389,7 @@ class InProcessBackend(Backend):
         r, throw = 0, None
         try:
             while True:
-                self._running, self._step_start = r, time.monotonic()
+                self._running = r
                 try:
                     gen = gens[r]
                     if gen is None:
@@ -454,67 +446,13 @@ class InProcessBackend(Backend):
         dest_bytes: Optional[np.ndarray], root: Optional[int],
         header_slot: Optional[int],
     ) -> Tuple[_Pending, bool]:
-        """A stepped rank's deposit: :meth:`Backend.collective`'s send side
-        (fault plan, crc), then :meth:`_deposit` without the park."""
-        corrupt_seed = fault_preamble(self.fault_plan, self.watchdog, rank,
-                                      op, tag, header_slot, can_die=False)
+        """A stepped rank's deposit: :meth:`Backend.collective`'s send side,
+        then :meth:`_deposit` without the park."""
         return self._deposit(
             rank, op, tag, contribution, nbytes_sent, execute,
             compute_seconds, work_units, dest_bytes, root, header_slot,
-            self._send_checksum(contribution, corrupt_seed),
+            self._send_side(rank, op, tag, contribution, header_slot),
         )
-
-    def _step_ranks_watched(self, fn, args, rank_args, kwargs,
-                            results: List[Any],
-                            errors: List[Optional[BaseException]]) -> None:
-        """The trampoline on one daemon thread, watched from this one: a
-        step (one rank's run between two deposits) that overruns the
-        deadline fails the run with a HungRankError naming that rank.  A
-        single thread cannot pre-empt the step; once the run failed the
-        trampoline gets ``timeout + grace`` to unwind and is abandoned
-        after that."""
-        done = threading.Event()
-
-        def trampoline() -> None:
-            try:
-                with generator_body():
-                    self._step_ranks(fn, args, rank_args, kwargs, results,
-                                     errors)
-            except BaseException as exc:  # the caller re-raises it
-                self._fail(exc)
-            finally:
-                done.set()
-
-        threading.Thread(target=trampoline, name=f"simmpi-{self.name}-ranks",
-                         daemon=True).start()
-        timeout = self.watchdog
-        slice_s = slice_seconds(timeout)
-        warn_at = timeout * WARN_FRACTION
-        seen, extensions, abandon_at = None, 0, None
-        while not done.wait(slice_s):
-            now = time.monotonic()
-            if self._failure is not None:
-                if abandon_at is None:
-                    abandon_at = now + timeout + GRACE
-                elif now >= abandon_at:
-                    r = self._running
-                    errors[r] = errors[r] or HungRankError(
-                        f"rank {r} never returned after the run failed; "
-                        f"trampoline thread abandoned past the "
-                        f"{timeout:.3g}s deadline",
-                        ranks=(r,), detection_seconds=timeout,
-                    )
-                    return
-                continue
-            start = self._step_start
-            if start != seen:
-                seen, extensions = start, 0
-            waited = now - start
-            if waited >= warn_at and extensions < PROBES:
-                extensions += 1
-                self.stats.deadline_extensions += 1
-            if waited >= timeout:
-                self._fail(self._hung(waited))
 
     def _run_threads(self, fn, args, rank_args, kwargs,
                      results: List[Any],

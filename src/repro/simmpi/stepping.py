@@ -7,8 +7,9 @@ runtime behind ``comm``, and the rank resumes with the collective's result
 left in the communicator, or with the exception the collective raised
 thrown in at the ``yield``.  Such a body needs no OS thread of its own:
 the ``serial`` backend steps every rank of one as a trampoline in a single
-thread, while ``threads`` and ``procs`` run each rank's generator through
-:func:`drive`, one blocking ``collective`` per request.
+thread, while ``threads``, ``procs`` and a watched ``serial`` run each
+rank's generator through :func:`drive`, one blocking ``collective`` per
+request.
 
 :func:`steppable` lets one generator serve both kinds of caller, so
 communicating code is written once.  While a thread steps a generator —

@@ -25,7 +25,7 @@ import numpy as np
 from repro.analytics.engine import segment_sums
 from repro.dist.build import build_dist_graph
 from repro.dist.distribution import Distribution, PartitionDistribution
-from repro.dist.ops import ExchangePlan, ghost_plan
+from repro.dist.ops import connect_plan, ghost_plan
 from repro.graph.csr import Graph
 from repro.simmpi.comm import SimComm
 from repro.simmpi.metrics import CommStats
@@ -87,10 +87,10 @@ def _rank_spmv_2d(
     # expand: x of my block's columns from their 1-D owners; fold: my
     # partial rows to their y owners.  Entries this rank owns stay local.
     ghost = np.flatnonzero(layout.x_owner != comm.rank)
-    expand = ExchangePlan(comm, layout.col_gids[ghost],
+    expand = connect_plan(comm, layout.col_gids[ghost],
                           layout.x_owner[ghost], ghost, owned)
     away = np.flatnonzero(layout.y_owner != comm.rank)
-    fold = ExchangePlan(comm, layout.row_gids[away],
+    fold = connect_plan(comm, layout.row_gids[away],
                         layout.y_owner[away], away, owned)
     local_cols = np.flatnonzero(layout.x_owner == comm.rank)
     local_src = np.searchsorted(owned, layout.col_gids[local_cols])

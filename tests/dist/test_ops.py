@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.dist import (
-    ExchangePlan, build_dist_graph, distributed_bfs_levels, ghost_plan,
+    build_dist_graph, connect_plan, distributed_bfs_levels, ghost_plan,
 )
 from repro.dist.distribution import make_distribution
 from repro.graph import bfs_levels, from_edges, rmat, rand_hd
@@ -111,7 +111,7 @@ def run_general_plan(nprocs, fn, misroute=0):
         owned = np.arange(comm.rank, N_GIDS, nprocs)
         gids = np.setdiff1d(np.arange(N_GIDS), owned)
         slots = np.arange(gids.size)[::-1]
-        plan = ExchangePlan(comm, gids, (gids + misroute) % nprocs, slots,
+        plan = connect_plan(comm, gids, (gids + misroute) % nprocs, slots,
                             owned)
         return fn(comm, plan, owned, gids, slots)
 

@@ -180,16 +180,16 @@ def test_serial_baton_holder_stall_blames_the_holder():
 
 
 def test_serial_stepped_stall_blames_the_running_rank():
-    """The same nap in a generator body: the trampoline runs on one daemon
-    thread, and the caller fails the step that overran the deadline with
-    the rank that was running it."""
+    """The same nap in a generator body: a watched generator body runs on
+    the baton's rank threads, so the parked peers blame the rank holding
+    the baton."""
     def fn(comm):
         with comm.phase("warmup"):
             yield from comm.barrier()
         with comm.phase("napping"):
             yield from comm.barrier()
             if comm.rank == 0:
-                time.sleep(1.25)  # resumed by the trampoline, parks nobody
+                time.sleep(1.25)  # holds the baton, parks nobody
             return (yield from comm.allreduce(1))
 
     rt = create_runtime("serial", nprocs=3, watchdog=0.5)

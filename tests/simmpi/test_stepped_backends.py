@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import PulpParams, driver, xtrapulp
+from repro.dist import connect_plan
 from repro.graph import rmat
 from repro.simmpi import (
     CollectiveMismatchError,
@@ -131,6 +132,22 @@ def test_xtrapulp_on_serial_runs_every_rank_on_the_callers_thread(
              params=PulpParams(seed=1))
     assert set(seen) == set(range(6))
     assert set(seen.values()) == {threading.get_ident()}
+
+
+@backends
+def test_generator_body_connects_an_exchange_plan(backend):
+    """Connecting a plan is a collective, so a generator body gets its
+    plan through ``yield from`` like any other."""
+    def fn(comm):
+        owned = np.arange(comm.rank, 12, comm.size)
+        gids = np.setdiff1d(np.arange(12), owned)
+        plan = yield from connect_plan(comm, gids, gids % comm.size,
+                                       np.arange(gids.size), owned)
+        copies = yield from plan.pull(comm, 10.0 * owned,
+                                      np.zeros(gids.size))
+        return copies.tolist() == (10.0 * gids).tolist()
+
+    assert all(run_spmd(3, fn, backend=backend)[0])
 
 
 # -- the three misuse errors, with the texts the plain bodies get -----------
