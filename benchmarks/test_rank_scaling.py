@@ -4,8 +4,10 @@ At hundreds-to-thousands of simulated ranks the partitioner's wall clock is
 dominated by the simulator itself: result delivery, park/wake scheduling
 cycles, and per-deposit metering.  This bench runs the full pipeline at
 512, 1024 and 2048 ranks on the serial backend and records wall, modeled
-time, cut and traffic.  Its wall is not gated here: the perf ledger's
-``ranks256`` workload bounds ``partition_wall_s`` (``benchmarks/perf``).
+time, cut and traffic, plus 512 ranks on ``threads``, whose generator
+ranks share one worker per usable CPU instead of a thread each.  Its wall
+is not gated here: the perf ledger's ``ranks256`` workload bounds
+``partition_wall_s`` (``benchmarks/perf``).
 
 Also recorded: cross-backend bit-identity (partitions and
 `CommStats.signature()`), and a rack-tier (``hierarchical:16x4``) run with
@@ -73,6 +75,12 @@ def test_rank_scaling(benchmark, suite_graph):
     )
     _row(table, BASE_RANKS, "serial", None, "rmat/tiny", wall_512, flat_512)
     assert flat_512.stats.saved_switches > 0  # serial executor-continue
+
+    # -- the same 512 ranks stepped on the threads backend's worker pool ----
+    wall_pool, pool_512 = _run(tiny, BASE_RANKS, backend="threads")
+    np.testing.assert_array_equal(pool_512.parts, flat_512.parts)
+    assert pool_512.stats.signature() == flat_512.stats.signature()
+    _row(table, BASE_RANKS, "threads", None, "rmat/tiny", wall_pool, pool_512)
 
     # -- bit-identity: every backend ----------------------------------------
     _, serial_8 = _run(tiny, 8)

@@ -15,11 +15,14 @@ Shipped backends:
 name       parallelism                  determinism             recommended use
 =========  ===========================  ======================  =====================================
 serial     none (generator bodies: one  results *and* schedule  debugging rank code, minimal repros,
-           trampoline in the caller's                           thousands of ranks
-           thread; plain bodies: parked
-           threads, one round-robin
-           baton)
-threads    rank threads, all running    results                 default; NumPy-heavy kernels
+           stepping worker, the                                 thousands of ranks
+           caller's thread; plain
+           bodies: parked threads, one
+           round-robin baton)
+threads    generator bodies: one        results                 default; NumPy-heavy kernels
+           stepping worker per usable
+           CPU; plain bodies: rank
+           threads, all running
 procs      forked processes + shm       results                 pure-Python rank code, strong scaling
 =========  ===========================  ======================  =====================================
 

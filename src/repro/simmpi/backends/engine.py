@@ -8,42 +8,43 @@ result.  Ranks only mutate rank-local state between rendezvous, so results
 are independent of scheduling.
 
 A rank body is a plain function or a generator function whose collectives
-are ``yield from`` expressions (:mod:`repro.simmpi.stepping`).  Plain
-bodies run on worker threads: a rank that is not the last depositor
-*parks* on its own gate — a raw ``threading.Lock`` it holds while it runs,
-allocated once per run: parking is one C-level ``acquire``, waking one
-``release``, with no per-wait allocation.  Who may run, and who opens
-which gate, is the **schedule**, and it is all that tells the two backends
-apart:
+are ``yield from`` expressions (:mod:`repro.simmpi.stepping`).  An
+unwatched generator body is *stepped* by W workers — the calling thread
+and W - 1 threads started for the run — that share one ready queue, filled
+under the engine's mutex: a worker pops a rank and resumes it until its
+next deposit.  The last depositor executes the collective and, holding
+the mutex, leaves every rank's result in its communicator and queues the
+others round robin from itself, so none resumes before its result is in
+place; then it *keeps running* with its own (executor-continue).  Plain
+bodies, and watched runs, get a thread per rank instead: a rank that is
+not the last depositor *parks* on its own gate, a raw ``threading.Lock``
+it holds while it runs.  Who may run, and who wakes whom, is the
+**schedule**, and it is all that tells the two backends apart:
 
 ``serial`` — the baton
-    Exactly one rank runs at any instant.  Rank 0 runs until its first
-    deposit, then hands the baton (opens the gate of) the next rank round
-    robin that has neither returned nor deposited.  The last depositor
-    executes the collective and *keeps running* with its own result
-    (executor-continue: one park/wake cycle saved per collective, counted in
-    :attr:`~repro.simmpi.metrics.CommStats.saved_switches`); the others
-    resume one by one as the baton comes round.  The schedule is a pure
-    function of the program — prints, breakpoints and profiles repeat
-    run to run — which makes it the backend for debugging rank code and for
-    thousands of ranks (nothing contends).  An unwatched generator body
-    runs the same schedule with no rank threads: one trampoline in the
-    calling thread resumes rank ``r`` until its next deposit, so handing
-    the baton is a generator switch instead of an OS thread hand-off.
+    Exactly one rank runs at any instant.  Stepped, W = 1 and the queue
+    order *is* the baton's; with rank threads, rank 0 runs until its first
+    deposit, then opens the gate of the next rank round robin that has
+    neither returned nor deposited, and the last depositor keeps running
+    (a park/wake saved, counted in ``CommStats.saved_switches``).
+    The schedule is a pure function of the program — prints, breakpoints
+    and profiles repeat run to run — which makes it the backend for
+    debugging rank code and for thousands of ranks (nothing contends).
 
-``threads`` — everyone runs
-    Every rank runs from the start; the last depositor opens every other
-    gate.  NumPy-heavy rank code overlaps for real (NumPy releases the
-    GIL); pure-Python rank code serializes on it — use ``procs`` for that.
-    A generator body is driven on its rank's thread.
+``threads`` — a worker per core
+    Stepped, W is the number of CPUs the process may run on (at most the
+    rank count), one thread per core as in the paper.  Plain bodies run
+    every rank thread from the start; the last depositor opens every
+    other gate.  NumPy-heavy rank code overlaps for real (NumPy releases
+    the GIL); pure-Python rank code serializes on it — use ``procs``.
 
 Misuse that would hang or corrupt a real MPI job is an error on both: ranks
 in different collectives at one superstep raise
 :class:`~repro.simmpi.errors.CollectiveMismatchError`, a rank returning
 while others wait (or entering after one returned)
 :class:`~repro.simmpi.errors.DeadlockError`; a failing rank releases the
-others with :class:`~repro.simmpi.errors.RemoteRankError` (a stepped
-rank's peers are closed instead) and its own exception is re-raised from
+others with :class:`~repro.simmpi.errors.RemoteRankError` (stepped peers
+still waiting are closed instead) and its own exception is re-raised from
 :meth:`Backend.run`.  Under a watchdog a parked rank slices its wait and
 reports a stalled run as :class:`~repro.simmpi.errors.HungRankError` —
 blaming the baton holder on ``serial``, the ranks missing from the
@@ -54,8 +55,10 @@ rank threads too, driven per rank; only unwatched ones are stepped.
 from __future__ import annotations
 
 import inspect
+import os
 import threading
 import time
+from collections import deque
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,9 +109,9 @@ class InProcessBackend(Backend):
     """In-process ranks and one rendezvous; subclasses pick the schedule
     by setting :attr:`baton`."""
 
-    #: True: one rank runs at a time and the baton is handed round robin
-    #: (``serial``).  False: every rank runs and the last depositor wakes
-    #: the rest (``threads``).
+    #: True: one rank runs at a time — one stepping worker, or the baton
+    #: handed round robin between rank threads (``serial``).  False: a
+    #: worker per CPU, or the last depositor wakes the rest (``threads``).
     baton: bool = False
 
     def __init__(self, nprocs: int, *, meter_compute: bool = True) -> None:
@@ -117,6 +120,11 @@ class InProcessBackend(Backend):
         #: (only its holder runs); never taken by a parked rank reporting a
         #: hang, so a rank wedged inside ``execute`` cannot hide itself.
         self._mutex = threading.Lock()
+        #: Stepping: idle workers wait on ``_wake`` for a rank in ``_ready``
+        #: (else None), its result left in its SimComm in ``_comms``.
+        self._wake = threading.Condition(self._mutex)
+        self._ready: Optional[deque] = None
+        self._comms: List[Any] = []
         self._gates: List[threading.Lock] = []
         self._finished: List[bool] = []
         self._n_finished = 0
@@ -217,6 +225,8 @@ class InProcessBackend(Backend):
         self._pending = None
         for r in range(len(self._gates)):
             self._open(r)
+        if self._ready is not None:  # stepping: the mutex is held
+            self._wake.notify_all()
         return exc
 
     def _finish(self, rank: int) -> None:
@@ -225,6 +235,8 @@ class InProcessBackend(Backend):
         with self._mutex:
             self._finished[rank] = True
             self._n_finished += 1
+            if self._n_finished == self.nprocs and self._ready is not None:
+                self._wake.notify_all()  # idle stepping workers: the end
             pending = self._pending
             if (pending is not None and self._failure is None
                     and pending.arrived + self._n_finished >= self.nprocs):
@@ -306,7 +318,15 @@ class InProcessBackend(Backend):
                 # re-woken; the others resume one by one as it passes the
                 # baton at its next deposit (or on return)
                 self.stats.saved_switches += 1
-            else:
+            if self._ready is not None:
+                # stepped: each result is in place before a worker can pop
+                # its rank; the others queue round robin from this one
+                for comm, result in zip(self._comms, pending.results):
+                    comm._received = result
+                self._ready.extend(range(rank + 1, self.nprocs))
+                self._ready.extend(range(rank))
+                self._wake.notify(self.nprocs - 1)
+            elif not self.baton:
                 for r in range(self.nprocs):
                     if r != rank:
                         self._open(r)
@@ -359,10 +379,10 @@ class InProcessBackend(Backend):
         self._running = 0
         results: List[Any] = [None] * n
         errors: List[Optional[BaseException]] = [None] * n
-        if (self.baton and self.watchdog is None
-                and inspect.isgeneratorfunction(fn)):
+        if self.watchdog is None and inspect.isgeneratorfunction(fn):
             with generator_body():
-                self._step_ranks(fn, args, rank_args, kwargs, results, errors)
+                self._run_stepped(fn, args, rank_args, kwargs, results,
+                                  errors)
         else:
             # a watched run needs a thread per rank: a parked rank is what
             # notices a stall, and the baton then blames its holder
@@ -370,89 +390,90 @@ class InProcessBackend(Backend):
         self._raise_collected(errors, self._failure)
         return results
 
-    def _step_ranks(self, fn, args, rank_args, kwargs,
-                    results: List[Any],
-                    errors: List[Optional[BaseException]]) -> None:
-        """The baton's schedule as a trampoline: resume rank ``r`` (its
-        last result left in its SimComm) until its next deposit, deposit
-        that through the rendezvous, and hand on round robin; the last
-        depositor executes and keeps running.  A rank's SimComm is made
-        when it first runs, so compute metering starts there.  When a rank
-        fails, the stepped peers are closed (their ``finally`` blocks run)
-        instead of raising RemoteRankError."""
+    def _run_stepped(self, fn, args, rank_args, kwargs,
+                     results: List[Any],
+                     errors: List[Optional[BaseException]]) -> None:
+        """The stepped schedule (module docstring) on this thread and the
+        W - 1 workers started here.  A rank's SimComm is made when it first
+        runs, so compute metering starts there.  When a rank fails, the
+        peers left waiting are closed (their ``finally`` blocks run)."""
         from repro.simmpi.comm import SimComm
 
-        comms: List[Any] = [None] * self.nprocs
-        gens: List[Any] = [None] * self.nprocs
-        # the rendezvous each rank deposited into and waits on
-        parked: List[Optional[_Pending]] = [None] * self.nprocs
-        r, throw = 0, None
-        try:
+        n = self.nprocs
+        gens: List[Any] = [None] * n
+        self._comms = [None] * n
+        ready = self._ready = deque(range(n))
+        extras = rank_args if rank_args is not None else [()] * n
+
+        def step(r: int) -> None:
+            """Run rank ``r`` until it waits in a rendezvous, or ends."""
+            throw = None
             while True:
-                self._running = r
                 try:
                     gen = gens[r]
                     if gen is None:
-                        extra = (tuple(rank_args[r])
-                                 if rank_args is not None else ())
-                        comms[r] = SimComm(self, r)
-                        gen = gens[r] = fn(comms[r], *extra, *args, **kwargs)
+                        comm = self._comms[r] = SimComm(self, r)
+                        gen = gens[r] = fn(comm, *extras[r], *args, **kwargs)
                     request = (gen.send(None) if throw is None
                                else gen.throw(throw))
                 except StopIteration as stop:
                     results[r], gens[r] = stop.value, None
-                    self._finish(r)
+                    return self._finish(r)
                 except BaseException as exc:
                     errors[r], gens[r] = exc, None
                     if not isinstance(exc, RemoteRankError):
                         with self._mutex:
                             self._fail(exc)
-                    self._finish(r)
-                else:
-                    try:
-                        pending, executed = self._deposit_step(*request[1:])
-                    except BaseException as exc:
-                        throw = exc  # raised at r's collective
-                        continue
-                    finally:
-                        request = None
+                    return self._finish(r)
+                try:
+                    # Backend.collective's send side (rank, op, tag,
+                    # contribution, header_slot), then an unparked deposit
+                    crc = self._send_side(*request[1:5], request[-1])
+                    if not self._deposit(*request[1:], crc)[1]:
+                        return  # its executor queues it, result in place
                     throw = None
-                    if executed:
-                        comms[r]._received = pending.results[r]
-                        pending = None
+                except BaseException as exc:
+                    throw = exc  # raised at r's collective
+                finally:
+                    request = None
+
+        def work() -> None:
+            with generator_body():
+                while self._failure is None:
+                    try:  # deque pops are atomic; only executors append
+                        r = ready.popleft()
+                    except IndexError:
+                        with self._wake:
+                            while not (ready or self._failure is not None
+                                       or self._n_finished == n):
+                                self._wake.wait()
+                            if not ready:
+                                return
                         continue
-                    parked[r] = pending
-                if self._failure is not None:
-                    return
-                r = self._next_runner(r)
-                if r is None:
-                    return
-                pending, parked[r] = parked[r], None
-                if pending is not None:
-                    comms[r]._received = pending.results[r]
-                pending = None
+                    step(r)
+
+        # the baton's one worker, else one per CPU this process may use
+        workers = 1 if self.baton else min(n, len(os.sched_getaffinity(0)))
+        threads = [threading.Thread(target=work, name=f"simmpi-worker-{w}")
+                   for w in range(1, workers)]
+        for t in threads:
+            t.start()
+        try:
+            work()
+        except BaseException as exc:  # an interrupt: stop the others too
+            with self._mutex:
+                self._fail(exc)
+            raise
         finally:
+            for t in threads:
+                t.join()
+            self._ready, self._comms = None, []
             for rank, gen in enumerate(gens):
                 if gen is not None:
                     try:
                         gen.close()
                     except Exception as exc:  # raised by its ``finally``
                         errors[rank] = errors[rank] or exc
-
-    def _deposit_step(
-        self, rank: int, op: str, tag: str, contribution: Any,
-        nbytes_sent: int, execute: Callable[[List[Any]], List[Any]],
-        compute_seconds: float, work_units: float,
-        dest_bytes: Optional[np.ndarray], root: Optional[int],
-        header_slot: Optional[int],
-    ) -> Tuple[_Pending, bool]:
-        """A stepped rank's deposit: :meth:`Backend.collective`'s send side,
-        then :meth:`_deposit` without the park."""
-        return self._deposit(
-            rank, op, tag, contribution, nbytes_sent, execute,
-            compute_seconds, work_units, dest_bytes, root, header_slot,
-            self._send_side(rank, op, tag, contribution, header_slot),
-        )
 
     def _run_threads(self, fn, args, rank_args, kwargs,
                      results: List[Any],

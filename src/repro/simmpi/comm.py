@@ -254,8 +254,9 @@ class SimComm:
 
         With compute metering the deposit bills the ``thread_time`` since
         this rank last *resumed* — from a collective here, or from its
-        first step, when its SimComm was made — so a trampoline that runs
-        every rank on one thread still bills each rank its own segments."""
+        first step, when its SimComm was made — so a stepping worker that
+        runs many ranks on one thread still bills each rank its own
+        segments, and a rank never moves between workers mid-segment."""
         work = self._work
         self._work = 0.0
         rounds = 1 if header_slot is None else 2

@@ -30,6 +30,7 @@ from repro.graph.csr import Graph
 from repro.simmpi.comm import SimComm
 from repro.simmpi.metrics import CommStats
 from repro.simmpi.backends import Backend, create_runtime
+from repro.simmpi.stepping import Steps
 from repro.simmpi.timing import CLUSTER_LIKE, MachineModel, TimeModel
 from repro.spmv.layout import Layout2D
 
@@ -62,24 +63,24 @@ class SpmvResult:
 
 def _rank_spmv_1d(
     comm: SimComm, graph: Graph, dist: Distribution, iters: int
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Steps[Tuple[np.ndarray, np.ndarray]]:
     # rows are the owned vertices' adjacency, x's ghosts their halo
-    dg = build_dist_graph(comm, graph, dist)
+    dg = yield from build_dist_graph(comm, graph, dist)
     x = np.zeros(dg.n_total, dtype=np.float64)
     x[: dg.n_local] = reference_x(graph.n)[dg.owned_gids]
-    plan = ghost_plan(comm, dg)
+    plan = yield from ghost_plan(comm, dg)
     y = np.zeros(dg.n_local, dtype=np.float64)
     for _ in range(iters):
         with comm.phase("spmv"):
             comm.charge(dg.adj.size)
-            plan.pull(comm, x)
+            yield from plan.pull(comm, x)
             y = segment_sums(dg, x[dg.adj])
     return dg.owned_gids, y
 
 
 def _rank_spmv_2d(
     comm: SimComm, graph: Graph, dist: Distribution, iters: int
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Steps[Tuple[np.ndarray, np.ndarray]]:
     owned = dist.owned(comm.rank)
     with comm.phase("build"):
         layout = Layout2D.build(graph, dist.owner_table, comm.rank, comm.size)
@@ -87,11 +88,11 @@ def _rank_spmv_2d(
     # expand: x of my block's columns from their 1-D owners; fold: my
     # partial rows to their y owners.  Entries this rank owns stay local.
     ghost = np.flatnonzero(layout.x_owner != comm.rank)
-    expand = connect_plan(comm, layout.col_gids[ghost],
-                          layout.x_owner[ghost], ghost, owned)
+    expand = yield from connect_plan(comm, layout.col_gids[ghost],
+                                     layout.x_owner[ghost], ghost, owned)
     away = np.flatnonzero(layout.y_owner != comm.rank)
-    fold = connect_plan(comm, layout.row_gids[away],
-                        layout.y_owner[away], away, owned)
+    fold = yield from connect_plan(comm, layout.row_gids[away],
+                                   layout.y_owner[away], away, owned)
     local_cols = np.flatnonzero(layout.x_owner == comm.rank)
     local_src = np.searchsorted(owned, layout.col_gids[local_cols])
     home = np.flatnonzero(layout.y_owner == comm.rank)
@@ -102,11 +103,11 @@ def _rank_spmv_2d(
         with comm.phase("spmv"):
             comm.charge(layout.matrix.nnz)
             x_compact[local_cols] = x_owned[local_src]
-            expand.pull(comm, x_owned, x_compact)
+            yield from expand.pull(comm, x_owned, x_compact)
             partial = layout.matrix @ x_compact
             y[:] = 0.0
             np.add.at(y, home_dst, partial[home])
-            fold.push(comm, partial, y, op="sum")
+            yield from fold.push(comm, partial, y, op="sum")
     return owned, y
 
 

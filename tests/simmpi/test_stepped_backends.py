@@ -2,11 +2,12 @@
 
 A rank body may be a generator function whose collectives are ``yield
 from`` expressions (:mod:`repro.simmpi.stepping`).  On ``serial`` every rank
-of such a body is stepped by one trampoline in the calling thread; on
-``threads`` and ``procs`` each rank drives its own generator through the
-blocking collective.  The stepped form must be the plain form: the same
-values and communication record, the same serial schedule, the same misuse
-errors, and per-rank compute metering although one thread runs every rank.
+of such a body is stepped by one worker, the calling thread; on ``threads``
+by one worker per usable CPU; on ``procs`` each rank drives its own
+generator through the blocking collective.  The stepped form must be the
+plain form: the same values and communication record, the same serial
+schedule, the same misuse errors, and per-rank compute metering although
+one thread runs many ranks.
 """
 
 import re

@@ -8,8 +8,8 @@ base class's preamble.  It now lives in ``backends/engine.py`` alone, and
 ``serial`` / ``threads`` are two schedules of that one class: a module that
 constructs a ``_Pending``, or a class that defines its own ``collective``,
 is growing the second engine — add a schedule to the engine instead.
-Generator rank bodies on ``serial`` deposit through that same function
-from a trampoline, so it stays the one depositor.
+Stepped generator ranks deposit through that same function from their
+workers, so it stays the one depositor.
 
 Communicating code is written once, as generators behind
 ``repro.simmpi.stepping.steppable``; inside a generator every call of
