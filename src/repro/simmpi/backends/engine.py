@@ -564,7 +564,7 @@ class SerialBackend(InProcessBackend):
 
 
 class ThreadsBackend(InProcessBackend):
-    """Every rank thread runs; the last depositor wakes the rest."""
+    """Everyone runs: a stepping worker per CPU, or every rank thread."""
 
     name = "threads"
     baton = False
