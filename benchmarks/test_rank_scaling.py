@@ -1,8 +1,8 @@
 """Thousands-of-ranks scaling rows on the shared-result engine.
 
 At hundreds-to-thousands of simulated ranks the partitioner's wall clock is
-dominated by the simulator itself: result delivery, park/wake scheduling
-cycles, and per-deposit metering.  This bench runs the full pipeline at
+dominated by the simulator itself: result delivery, rank scheduling and
+per-deposit metering.  This bench runs the full pipeline at
 512, 1024 and 2048 ranks on the serial backend and records wall, modeled
 time, cut and traffic, plus 512 ranks on ``threads``, whose generator
 ranks share one worker per usable CPU instead of a thread each.  Its wall
@@ -54,7 +54,6 @@ def _row(table, ranks, backend, comm, graph_name, wall, result):
         int(result.quality().cut),
         round(st.total_bytes / 2**20, 2),
         round(st.modeled_xrack_bytes() / 2**20, 2),
-        st.saved_switches,
     )
 
 
@@ -62,7 +61,7 @@ def test_rank_scaling(benchmark, suite_graph):
     table = ExperimentTable(
         "rank_scaling",
         ["ranks", "backend", "comm", "graph", "wall_s", "model_s",
-         "cutsize", "MiB_sent", "xrack_MiB", "saved_switches"],
+         "cutsize", "MiB_sent", "xrack_MiB"],
         notes=f"full pipeline, {PARTS} parts, outer_iters=1; wall_s is "
               "single-shot perf_counter, not gated (the perf ledger's "
               "ranks256 workload bounds the wall)",
@@ -74,7 +73,6 @@ def test_rank_scaling(benchmark, suite_graph):
         lambda: _run(tiny, BASE_RANKS), rounds=1, iterations=1
     )
     _row(table, BASE_RANKS, "serial", None, "rmat/tiny", wall_512, flat_512)
-    assert flat_512.stats.saved_switches > 0  # serial executor-continue
 
     # -- the same 512 ranks stepped on the threads backend's worker pool ----
     wall_pool, pool_512 = _run(tiny, BASE_RANKS, backend="threads")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.graph.csr import Graph
 from repro.simmpi.comm import SimComm
 from repro.simmpi.metrics import CommStats
 from repro.simmpi.backends import Backend, create_runtime
+from repro.simmpi.stepping import Steps
 from repro.simmpi.timing import BLUE_WATERS_LIKE, MachineModel, TimeModel
 
 
@@ -105,9 +106,11 @@ def run_analytic(
 ) -> AnalyticResult:
     """Run ``kernel(comm, dg, plan, **kwargs)`` SPMD and gather its output.
 
-    ``kernel`` returns one value per *owned* vertex; the runner reassembles
-    the global array.  ``distribution`` may be a strategy name, a
-    Distribution, or a partition array (parts == ranks, the Fig. 8 setup).
+    ``kernel`` is a :func:`~repro.simmpi.stepping.steppable` routine, as
+    every kernel of this package is, and returns one value per *owned*
+    vertex; the runner reassembles the global array.  ``distribution`` may
+    be a strategy name, a Distribution, or a partition array (parts ==
+    ranks, the Fig. 8 setup).
     ``directed`` optionally supplies the directed original whose in/out
     adjacency SCC-style kernels need; ``graph`` must then be its symmetric
     closure.
@@ -123,14 +126,14 @@ def run_analytic(
     if directed is not None and directed.n != graph.n:
         raise ValueError("directed graph does not match the symmetric closure")
 
-    def rank_main(comm: SimComm):
-        dg = build_dist_graph(comm, graph, dist)
+    def rank_main(comm: SimComm) -> Steps[Tuple[np.ndarray, np.ndarray]]:
+        dg = yield from build_dist_graph(comm, graph, dist)
         if directed is not None:
             with comm.phase("build"):
                 attach_directed(dg, directed)
-        plan = ghost_plan(comm, dg)
+        plan = yield from ghost_plan(comm, dg)
         with comm.phase(name or getattr(kernel, "__name__", "analytic")):
-            values = kernel(comm, dg, plan, **kernel_kwargs)
+            values = yield from kernel(comm, dg, plan, **kernel_kwargs)
         return dg.owned_gids, np.asarray(values)
 
     # kernels charge deterministic work units; disable the noisy

@@ -11,8 +11,10 @@ import numpy as np
 from repro.dist.distgraph import DistGraph
 from repro.dist.ops import ExchangePlan, distributed_bfs_levels
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 
+@steppable
 def harmonic_centrality(
     comm: SimComm,
     dg: DistGraph,
@@ -20,7 +22,7 @@ def harmonic_centrality(
     *,
     num_sources: int = 100,
     seed: int = 7,
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """Per owned vertex: its harmonic centrality if it is one of the
     ``num_sources`` sampled vertices, else 0.
 
@@ -32,10 +34,10 @@ def harmonic_centrality(
     sources = rng.choice(dg.global_n, size=k, replace=False)
     out = np.zeros(dg.n_local, dtype=np.float64)
     for s in sources:
-        levels = distributed_bfs_levels(comm, dg, plan, int(s))
+        levels = yield from distributed_bfs_levels(comm, dg, plan, int(s))
         reached = levels > 0
         local_hc = float((1.0 / levels[reached]).sum()) if np.any(reached) else 0.0
-        hc = comm.allreduce(local_hc, op="sum")
+        hc = yield from comm.allreduce(local_hc, op="sum")
         owner = dg.dist.owner(int(s))
         if owner == dg.rank:
             lid = int(dg.owned_lids(np.array([s]))[0])

@@ -13,6 +13,7 @@ from repro.dist.distgraph import DistGraph
 from repro.dist.ops import ExchangePlan
 from repro.graph.gather import neighbor_gather_with_sources
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 
 def _segment_h_index(
@@ -40,13 +41,14 @@ def _segment_h_index(
     return out
 
 
+@steppable
 def kcore_decomposition(
     comm: SimComm,
     dg: DistGraph,
     plan: ExchangePlan,
     *,
     max_rounds: int = 50,
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """Core number per owned vertex (exact at convergence; ``max_rounds``
     bounds the superstep count like the paper's approximate variant)."""
     core = dg.degrees_full.astype(np.int64).copy()
@@ -62,8 +64,8 @@ def kcore_decomposition(
             new = np.minimum(core[: dg.n_local], h)
             changed = int(np.count_nonzero(new != core[: dg.n_local]))
             core[: dg.n_local] = new
-        plan.pull(comm, core)
-        total = comm.allreduce(changed, op="sum")
+        yield from plan.pull(comm, core)
+        total = yield from comm.allreduce(changed, op="sum")
         if total == 0:
             break
     return core[: dg.n_local].copy()

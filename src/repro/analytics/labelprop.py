@@ -8,15 +8,17 @@ from repro.dist.distgraph import DistGraph
 from repro.dist.ops import ExchangePlan
 from repro.multilevel.kernels import segment_best_label
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 
+@steppable
 def label_propagation_communities(
     comm: SimComm,
     dg: DistGraph,
     plan: ExchangePlan,
     *,
     iters: int = 10,
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """Community label per owned vertex after ``iters`` sweeps.
 
     Each vertex adopts the most frequent label among its neighbors
@@ -34,7 +36,7 @@ def label_propagation_communities(
         best, _w = segment_best_label(srcs, labels[dg.adj], unit, n)
         upd = (best >= 0) & (best != labels[:n])
         labels[:n][upd] = best[upd]
-        plan.pull(comm, labels)
-        if comm.allreduce(int(upd.sum()), op="sum") == 0:
+        yield from plan.pull(comm, labels)
+        if (yield from comm.allreduce(int(upd.sum()), op="sum")) == 0:
             break
     return labels[:n].copy()

@@ -8,8 +8,10 @@ from repro.analytics.engine import segment_sums
 from repro.dist.distgraph import DistGraph
 from repro.dist.ops import ExchangePlan
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 
+@steppable
 def pagerank(
     comm: SimComm,
     dg: DistGraph,
@@ -17,7 +19,7 @@ def pagerank(
     *,
     iters: int = 20,
     damping: float = 0.85,
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """SPMD PageRank; returns the owned vertices' scores (summing to ~1
     globally, with dangling mass redistributed uniformly).
 
@@ -35,15 +37,15 @@ def pagerank(
         comm.charge(dg.adj.size + 2 * dg.n_local)
         np.divide(x, np.maximum(deg, 1.0), out=contrib)
         contrib[: dg.n_local][dg.local_degrees == 0] = 0.0
-        plan.pull(comm, contrib)
+        yield from plan.pull(comm, contrib)
         sums = segment_sums(dg, contrib[dg.adj])
         # dangling vertices spread their mass uniformly
         local_dangling = float(
             x[: dg.n_local][dg.local_degrees == 0].sum()
         )
-        dangling = comm.allreduce(local_dangling, op="sum")
+        dangling = yield from comm.allreduce(local_dangling, op="sum")
         x[: dg.n_local] = (
             (1.0 - damping) / n + damping * (sums + dangling / n)
         )
-        plan.pull(comm, x)
+        yield from plan.pull(comm, x)
     return x[: dg.n_local].copy()

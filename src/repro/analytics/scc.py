@@ -24,8 +24,10 @@ from repro.dist.distgraph import DistGraph
 from repro.dist.ops import ExchangePlan
 from repro.graph.gather import neighbor_gather
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 
+@steppable
 def _directed_reach(
     comm: SimComm,
     dg: DistGraph,
@@ -34,19 +36,19 @@ def _directed_reach(
     adj: np.ndarray,
     start_owned: np.ndarray,
     alive: np.ndarray,
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """Mask (owned+ghost) of vertices reachable from ``start_owned`` along
     the given local arcs, restricted to ``alive`` vertices."""
     reach = np.zeros(dg.n_total, dtype=np.int64)
     reach[start_owned] = 1
-    plan.pull(comm, reach)
+    yield from plan.pull(comm, reach)
     expanded = np.zeros(dg.n_local, dtype=bool)
     owned_alive = alive[: dg.n_local]
     while True:
         frontier = np.flatnonzero(
             (reach[: dg.n_local] == 1) & ~expanded & owned_alive
         )
-        total = comm.allreduce(int(frontier.size), op="sum")
+        total = yield from comm.allreduce(int(frontier.size), op="sum")
         if total == 0:
             break
         expanded[frontier] = True
@@ -56,18 +58,19 @@ def _directed_reach(
             reach[neigh[(reach[neigh] == 0) & alive[neigh]]] = 1
         # ghost discoveries fold back to their owners, then owners'
         # authoritative state refreshes every ghost copy
-        plan.push(comm, reach, op="max")
-        plan.pull(comm, reach)
+        yield from plan.push(comm, reach, op="max")
+        yield from plan.pull(comm, reach)
     return reach.astype(bool)
 
 
+@steppable
 def largest_scc(
     comm: SimComm,
     dg: DistGraph,
     plan: ExchangePlan,
     *,
     max_trim_rounds: int = 30,
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """Per owned vertex: 1 if in the largest SCC, else 0."""
     if dg.dir_out_offsets is None or dg.dir_in_offsets is None:
         raise ValueError(
@@ -100,9 +103,9 @@ def largest_scc(
             dropped = trim.size
             alive[trim] = False
         alive_f = alive.astype(np.int64)
-        plan.pull(comm, alive_f)
+        yield from plan.pull(comm, alive_f)
         alive = alive_f.astype(bool)
-        total = comm.allreduce(int(dropped), op="sum")
+        total = yield from comm.allreduce(int(dropped), op="sum")
         if total == 0:
             break
 
@@ -116,7 +119,7 @@ def largest_scc(
         local_best = (float(score[best]), int(dg.l2g[owned_alive[best]]))
     else:
         local_best = (-1.0, -1)
-    candidates = comm.allgather(local_best)
+    candidates = yield from comm.allgather(local_best)
     pivot_gid = max(candidates)[1]
     if pivot_gid < 0:
         return np.zeros(dg.n_local, dtype=np.int64)
@@ -125,7 +128,9 @@ def largest_scc(
     if dg.dist.owner(pivot_gid) == dg.rank:
         start = dg.owned_lids(np.array([pivot_gid]))
 
-    fwd = _directed_reach(comm, dg, plan, out_off, out_adj, start, alive)
-    bwd = _directed_reach(comm, dg, plan, in_off, in_adj, start, alive)
+    fwd = yield from _directed_reach(comm, dg, plan, out_off, out_adj,
+                                     start, alive)
+    bwd = yield from _directed_reach(comm, dg, plan, in_off, in_adj,
+                                     start, alive)
     scc = fwd & bwd & alive
     return scc[: dg.n_local].astype(np.int64)

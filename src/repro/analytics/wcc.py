@@ -7,11 +7,13 @@ import numpy as np
 from repro.dist.distgraph import DistGraph
 from repro.dist.ops import ExchangePlan
 from repro.simmpi.comm import SimComm
+from repro.simmpi.stepping import Steps, steppable
 
 
+@steppable
 def weakly_connected_components(
     comm: SimComm, dg: DistGraph, plan: ExchangePlan
-) -> np.ndarray:
+) -> Steps[np.ndarray]:
     """Component id (= minimum member gid) per owned vertex.
 
     Classic hook-free label propagation: every vertex repeatedly adopts the
@@ -30,7 +32,7 @@ def weakly_connected_components(
         # owned labels are authoritative (each rank owns all incident edges
         # of its vertices), so refreshing ghosts is the only traffic needed;
         # every owned vertex re-evaluates while any rank changed something
-        plan.pull(comm, labels)
-        if comm.allreduce(int(changed.size), op="sum") == 0:
+        yield from plan.pull(comm, labels)
+        if (yield from comm.allreduce(int(changed.size), op="sum")) == 0:
             break
     return labels[:n].copy()

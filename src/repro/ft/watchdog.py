@@ -31,9 +31,10 @@ The watchdog is its timeout: ``Backend.watchdog`` holds the seconds of
 global stall (no rank advancing its heartbeat) after which the laggard
 ranks are declared hung, or None.  The timeout bounds the *stall*, i.e.
 the time since any rank last made progress, not a collective's total
-duration — a slow but advancing job never trips it.  On the serial
-backend (one rank runs at a time) a parked rank's wait spans the full
-scheduling round, so size the timeout to a round, not a single deposit.
+duration — a slow but advancing job never trips it.  In process a
+watched rank runs on its own thread, and its parked wait spans the time
+its slowest peer takes to reach the rendezvous on either backend, so size
+the timeout to a superstep, not a single deposit.
 With no watchdog (the default) every wait stays unbounded and behavior is
 byte-for-byte unchanged.
 """

@@ -15,18 +15,18 @@ are ``yield from`` expressions, so that a deposit is a ``yield``
 (:mod:`repro.simmpi.stepping`); communicating routines are written once,
 as generators behind :func:`~repro.simmpi.stepping.steppable`, and serve
 both kinds of body.  How ranks execute is selected by name
-(:mod:`repro.simmpi.backends`): ``serial`` runs them as a deterministic
-round-robin superstep interpreter — generator bodies stepped in the
-calling thread, plain bodies on parked threads handing a baton —
-``threads`` steps generator bodies on one worker thread per usable CPU
-and runs plain bodies on one native thread per rank (NumPy releases the
-GIL either way), and ``procs`` forks one process per rank and moves
-payloads through ``multiprocessing.shared_memory``, escaping the GIL for
-pure-Python rank code; each payload travels in the rendezvous slot that
-carries its message, and every rank receives its own copy.  The
-in-process backends hand every rank of a one-result collective the same
-read-only object; :func:`~repro.simmpi.comm.materialize` is the
-copy-on-write escape hatch.
+(:mod:`repro.simmpi.backends`): ``serial`` steps generator bodies in the
+calling thread, a round-robin superstep interpreter whose schedule is
+deterministic for unwatched bodies (every one this package ships), and
+``threads`` steps them on one worker thread per usable CPU (NumPy
+releases the GIL); plain or watched bodies run one native thread per rank
+on both, interleaving as the OS schedules them.  ``procs`` forks one
+process per rank and moves payloads through
+``multiprocessing.shared_memory``, escaping the GIL for pure-Python rank
+code; each payload travels in the rendezvous slot that carries its
+message, and every rank receives its own copy.  The in-process backends
+hand every rank of a one-result collective the same read-only object;
+:func:`~repro.simmpi.comm.materialize` is the copy-on-write escape hatch.
 Collectives are rendezvous points in every backend; because the
 algorithms built on top are bulk-synchronous (all communication happens in
 collectives, ranks only mutate rank-local state in between), a fixed-seed

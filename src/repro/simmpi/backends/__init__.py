@@ -14,22 +14,20 @@ Shipped backends:
 =========  ===========================  ======================  =====================================
 name       parallelism                  determinism             recommended use
 =========  ===========================  ======================  =====================================
-serial     none (generator bodies: one  results *and* schedule  debugging rank code, minimal repros,
-           stepping worker, the                                 thousands of ranks
-           caller's thread; plain
-           bodies: parked threads, one
-           round-robin baton)
-threads    generator bodies: one        results                 default; NumPy-heavy kernels
-           stepping worker per usable
-           CPU; plain bodies: rank
-           threads, all running
+serial     none (one stepping worker,   results; schedule for   debugging rank code, minimal repros,
+           the caller's thread)         unwatched generator     thousands of ranks
+                                        bodies
+threads    one stepping worker per      results                 default; NumPy-heavy kernels
+           usable CPU
 procs      forked processes + shm       results                 pure-Python rank code, strong scaling
 =========  ===========================  ======================  =====================================
 
-``serial`` and ``threads`` are the two schedules of one in-process
-rendezvous engine (:mod:`repro.simmpi.backends.engine`).  All backends
-execute identical collective semantics and metering, so a fixed-seed
-program yields bit-identical results and
+``serial`` and ``threads`` are one in-process rendezvous engine
+(:mod:`repro.simmpi.backends.engine`) that differs only in its number of
+stepping workers.  Every rank body this package ships is a generator
+body; plain or watched bodies run a thread per rank on both, interleaving
+as on ``threads``.  All backends execute identical collective semantics
+and metering, so a fixed-seed program yields bit-identical results and
 :class:`~repro.simmpi.metrics.CommStats` on every backend.
 
 The default backend (used when ``backend=None``) is ``threads``, overridable

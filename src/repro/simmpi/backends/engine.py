@@ -1,4 +1,4 @@
-"""The in-process rendezvous engine and its two schedules.
+"""The in-process rendezvous engine behind ``serial`` and ``threads``.
 
 Every inter-rank interaction is a *collective*: each rank deposits its
 contribution into the rendezvous being assembled, the last depositor
@@ -18,25 +18,22 @@ others round robin from itself, so none resumes before its result is in
 place; then it *keeps running* with its own (executor-continue).  Plain
 bodies, and watched runs, get a thread per rank instead: a rank that is
 not the last depositor *parks* on its own gate, a raw ``threading.Lock``
-it holds while it runs.  Who may run, and who wakes whom, is the
-**schedule**, and it is all that tells the two backends apart:
+it holds while it runs; every rank runs from the start, and the last
+depositor opens every other gate.  The backends differ only in W:
 
-``serial`` — the baton
-    Exactly one rank runs at any instant.  Stepped, W = 1 and the queue
-    order *is* the baton's; with rank threads, rank 0 runs until its first
-    deposit, then opens the gate of the next rank round robin that has
-    neither returned nor deposited, and the last depositor keeps running
-    (a park/wake saved, counted in ``CommStats.saved_switches``).
-    The schedule is a pure function of the program — prints, breakpoints
-    and profiles repeat run to run — which makes it the backend for
-    debugging rank code and for thousands of ranks (nothing contends).
+``serial`` — one worker
+    W = 1: exactly one rank runs at any instant, and the queue order is a
+    pure function of the program — prints, breakpoints and profiles of an
+    unwatched generator body (every one this package ships) repeat run to
+    run, which makes it the backend for debugging rank code and for
+    thousands of ranks (nothing contends).  Plain or watched bodies
+    interleave as on ``threads``.
 
 ``threads`` — a worker per core
-    Stepped, W is the number of CPUs the process may run on (at most the
-    rank count), one thread per core as in the paper.  Plain bodies run
-    every rank thread from the start; the last depositor opens every
-    other gate.  NumPy-heavy rank code overlaps for real (NumPy releases
-    the GIL); pure-Python rank code serializes on it — use ``procs``.
+    W is the number of CPUs the process may run on (at most the rank
+    count), one thread per core as in the paper.  NumPy-heavy rank code
+    overlaps for real (NumPy releases the GIL); pure-Python rank code
+    serializes on it — use ``procs``.
 
 Misuse that would hang or corrupt a real MPI job is an error on both: ranks
 in different collectives at one superstep raise
@@ -46,10 +43,10 @@ while others wait (or entering after one returned)
 others with :class:`~repro.simmpi.errors.RemoteRankError` (stepped peers
 still waiting are closed instead) and its own exception is re-raised from
 :meth:`Backend.run`.  Under a watchdog a parked rank slices its wait and
-reports a stalled run as :class:`~repro.simmpi.errors.HungRankError` —
-blaming the baton holder on ``serial``, the ranks missing from the
-rendezvous on ``threads``.  A watched generator body therefore runs on
-rank threads too, driven per rank; only unwatched ones are stepped.
+reports a stalled run as :class:`~repro.simmpi.errors.HungRankError`
+blaming the ranks missing from the rendezvous.  A watched generator body
+therefore runs on rank threads too, driven per rank; only unwatched ones
+are stepped.
 """
 
 from __future__ import annotations
@@ -95,8 +92,7 @@ class _Pending:
         self.dest: List[Optional[np.ndarray]] = [None] * nprocs
         self.arrived = 0
         self.results: Optional[List[Any]] = None
-        #: Which ranks have deposited: the baton skips them, and the misuse
-        #: errors name them.
+        #: Which ranks have deposited: the misuse and hang errors name them.
         self.deposited: List[bool] = [False] * nprocs
         #: Per-rank contribution crc32s (integrity mode only, else None).
         self.checksums: Optional[List[Optional[int]]] = None
@@ -106,19 +102,18 @@ class _Pending:
 
 
 class InProcessBackend(Backend):
-    """In-process ranks and one rendezvous; subclasses pick the schedule
-    by setting :attr:`baton`."""
+    """In-process ranks and one rendezvous; subclasses pick the number of
+    stepping workers by setting :attr:`workers`."""
 
-    #: True: one rank runs at a time — one stepping worker, or the baton
-    #: handed round robin between rank threads (``serial``).  False: a
-    #: worker per CPU, or the last depositor wakes the rest (``threads``).
-    baton: bool = False
+    #: Stepping workers: 1 on ``serial``; None for one per CPU the process
+    #: may run on, at most the rank count (``threads``).
+    workers: Optional[int] = None
 
     def __init__(self, nprocs: int, *, meter_compute: bool = True) -> None:
         super().__init__(nprocs, meter_compute=meter_compute)
-        #: Guards the rendezvous state.  Never contended under the baton
-        #: (only its holder runs); never taken by a parked rank reporting a
-        #: hang, so a rank wedged inside ``execute`` cannot hide itself.
+        #: Guards the rendezvous state.  Never taken by a parked rank
+        #: reporting a hang, so a rank wedged inside ``execute`` cannot
+        #: hide itself.
         self._mutex = threading.Lock()
         #: Stepping: idle workers wait on ``_wake`` for a rank in ``_ready``
         #: (else None), its result left in its SimComm in ``_comms``.
@@ -126,12 +121,9 @@ class InProcessBackend(Backend):
         self._ready: Optional[deque] = None
         self._comms: List[Any] = []
         self._gates: List[threading.Lock] = []
-        self._finished: List[bool] = []
         self._n_finished = 0
         self._pending: Optional[_Pending] = None
         self._failure: Optional[BaseException] = None
-        #: Rank most recently handed the baton — the one actually running.
-        self._running = 0
 
     def _at(self, op: str, tag: str) -> str:
         return (f"collective {op!r} (tag {tag!r}, "
@@ -147,30 +139,12 @@ class InProcessBackend(Backend):
         except RuntimeError:
             pass  # already open — the wake is already in flight
 
-    def _next_runner(self, from_rank: int) -> Optional[int]:
-        """The next rank after ``from_rank``, round robin, that has neither
-        returned nor deposited into the pending rendezvous (None: none)."""
-        pending = self._pending
-        for offset in range(1, self.nprocs + 1):
-            r = (from_rank + offset) % self.nprocs
-            if not self._finished[r] and not (
-                    pending is not None and pending.deposited[r]):
-                return r
-        return None
-
-    def _pass_baton(self, from_rank: int) -> None:
-        """Hand execution to the next runner after ``from_rank``."""
-        r = self._next_runner(from_rank)
-        if r is not None:
-            self._running = r
-            self._open(r)
-
-    def _park(self, rank: int) -> None:
-        """Block until this rank's gate opens.  Under a watchdog the wait
-        is sliced, so a run that stopped advancing (a peer wedged outside
-        any fault hook) surfaces as a HungRankError after the deadline
-        instead of blocking forever; under the baton the wait spans a full
-        scheduling round by design — see the deadline semantics note in
+    def _park(self, rank: int, pending: _Pending) -> None:
+        """Block until this rank's gate opens on ``pending``, the
+        rendezvous it deposited into.  Under a watchdog the wait is sliced,
+        so a run that stopped advancing (a peer wedged outside any fault
+        hook) surfaces as a HungRankError after the deadline instead of
+        blocking forever — see the deadline semantics note in
         :mod:`repro.ft.watchdog`."""
         gate = self._gates[rank]
         timeout = self.watchdog
@@ -188,33 +162,25 @@ class InProcessBackend(Backend):
                 self.stats.deadline_extensions += 1
             if waited < timeout:
                 continue
-            if self._failure is not None or (
-                    self._pending is None and not self.baton):
+            if self._failure is not None or pending.results is not None:
                 # a peer failed the run (that failure is the report, not a
-                # second hang) or, where everyone runs, completed the
-                # rendezvous as this slice ran out: the gate is opening
+                # second hang) or completed this rank's rendezvous as the
+                # slice ran out: the gate is opening
                 continue
-            raise self._fail(self._hung(rank, waited))
+            raise self._fail(self._hung(rank, waited, pending))
 
-    def _hung(self, rank: int, waited: float) -> HungRankError:
-        """The report of parked ``rank`` giving up after ``waited`` s: it
-        blames who stopped advancing, not itself for noticing."""
-        pending = self._pending
-        deadline = f"(deadline {self.watchdog:.3g}s)"
-        if self.baton:
-            stalled: tuple = (self._running,)
-            text = (f"{format_ranks(stalled)} held the scheduling baton for "
-                    f"{waited:.3g}s without progress {deadline} at superstep "
-                    f"{self.stats.rounds}; rank {rank} gave up waiting")
-        else:
-            stalled = tuple(pending.ranks(deposited=False)) or (rank,)
-            text = (f"{format_ranks(stalled)} made no progress for "
-                    f"{waited:.3g}s {deadline}: missing from "
-                    f"{self._at(pending.op, pending.tag)} with "
-                    f"{format_ranks(pending.ranks())} deposited and waiting")
+    def _hung(self, rank: int, waited: float,
+              pending: _Pending) -> HungRankError:
+        """The report of ``rank``, parked on ``pending``, giving up after
+        ``waited`` s: it blames the ranks missing from the rendezvous, not
+        itself for noticing."""
+        stalled = tuple(pending.ranks(deposited=False)) or (rank,)
         return HungRankError(
-            text, ranks=stalled, detection_seconds=waited,
-            phase=pending.tag if pending is not None else "",
+            f"{format_ranks(stalled)} made no progress for {waited:.3g}s "
+            f"(deadline {self.watchdog:.3g}s): missing from "
+            f"{self._at(pending.op, pending.tag)} with "
+            f"{format_ranks(pending.ranks())} deposited and waiting",
+            ranks=stalled, detection_seconds=waited, phase=pending.tag,
         )
 
     def _fail(self, exc: BaseException) -> BaseException:
@@ -233,7 +199,6 @@ class InProcessBackend(Backend):
         """``rank`` returned (or raised): ranks still waiting in the
         rendezvous can no longer complete it."""
         with self._mutex:
-            self._finished[rank] = True
             self._n_finished += 1
             if self._n_finished == self.nprocs and self._ready is not None:
                 self._wake.notify_all()  # idle stepping workers: the end
@@ -312,12 +277,6 @@ class InProcessBackend(Backend):
                 pending.work, pending.dest, root, header_slot,
             ))
             self._pending = None
-            if self.baton:
-                # executor-continue: this rank is the one running, so it
-                # proceeds with its result instead of parking and being
-                # re-woken; the others resume one by one as it passes the
-                # baton at its next deposit (or on return)
-                self.stats.saved_switches += 1
             if self._ready is not None:
                 # stepped: each result is in place before a worker can pop
                 # its rank; the others queue round robin from this one
@@ -326,7 +285,7 @@ class InProcessBackend(Backend):
                 self._ready.extend(range(rank + 1, self.nprocs))
                 self._ready.extend(range(rank))
                 self._wake.notify(self.nprocs - 1)
-            elif not self.baton:
+            else:
                 for r in range(self.nprocs):
                     if r != rank:
                         self._open(r)
@@ -336,9 +295,7 @@ class InProcessBackend(Backend):
         """A blocking deposit: park until the rendezvous completes."""
         pending, executed = self._deposit(rank, op, tag, *deposit)
         if not executed:
-            if self.baton:
-                self._pass_baton(rank)
-            self._park(rank)
+            self._park(rank, pending)
             if self._failure is not None:
                 raise RemoteRankError(f"rank {rank}: aborted") from self._failure
         return pending.results[rank]
@@ -372,11 +329,9 @@ class InProcessBackend(Backend):
     ) -> List[Any]:
         n = self.nprocs
         self._gates = []
-        self._finished = [False] * n
         self._n_finished = 0
         self._pending = None
         self._failure = None
-        self._running = 0
         results: List[Any] = [None] * n
         errors: List[Optional[BaseException]] = [None] * n
         if self.watchdog is None and inspect.isgeneratorfunction(fn):
@@ -385,7 +340,7 @@ class InProcessBackend(Backend):
                                   errors)
         else:
             # a watched run needs a thread per rank: a parked rank is what
-            # notices a stall, and the baton then blames its holder
+            # notices a stall
             self._run_threads(fn, args, rank_args, kwargs, results, errors)
         self._raise_collected(errors, self._failure)
         return results
@@ -452,8 +407,7 @@ class InProcessBackend(Backend):
                         continue
                     step(r)
 
-        # the baton's one worker, else one per CPU this process may use
-        workers = 1 if self.baton else min(n, len(os.sched_getaffinity(0)))
+        workers = min(n, self.workers or len(os.sched_getaffinity(0)))
         threads = [threading.Thread(target=work, name=f"simmpi-worker-{w}")
                    for w in range(1, workers)]
         for t in threads:
@@ -488,8 +442,6 @@ class InProcessBackend(Backend):
             gate.acquire()
 
         def worker(rank: int) -> None:
-            if self.baton:
-                self._park(rank)  # until the baton first comes round
             if self._failure is None:
                 comm = SimComm(self, rank)
                 extra = tuple(rank_args[rank]) if rank_args is not None else ()
@@ -501,8 +453,6 @@ class InProcessBackend(Backend):
                         with self._mutex:
                             self._fail(exc)
             self._finish(rank)
-            if self.baton and self._failure is None:
-                self._pass_baton(rank)
 
         threads = [
             threading.Thread(target=worker, args=(r,),
@@ -512,8 +462,6 @@ class InProcessBackend(Backend):
         ]
         for t in threads:
             t.start()
-        if self.baton:
-            self._open(0)  # rank 0 opens the round robin
         if self.watchdog is None:
             for t in threads:
                 t.join()
@@ -557,14 +505,14 @@ class InProcessBackend(Backend):
 
 
 class SerialBackend(InProcessBackend):
-    """Deterministic single-runner backend: the round-robin baton."""
+    """One stepping worker: a deterministic schedule for generator bodies."""
 
     name = "serial"
-    baton = True
+    workers = 1
 
 
 class ThreadsBackend(InProcessBackend):
-    """Everyone runs: a stepping worker per CPU, or every rank thread."""
+    """A stepping worker per CPU."""
 
     name = "threads"
-    baton = False
+    workers = None

@@ -183,17 +183,10 @@ class CommStats:
     nprocs: int
     events: List[CollectiveEvent] = field(default_factory=list)
     recoveries: List[RecoveryEvent] = field(default_factory=list)
-    #: OS thread park/wake cycles the serial backend's executor-continue
-    #: scheduling avoided (the last depositor of a superstep runs on with
-    #: its result instead of parking and being re-woken).  Engine-side
-    #: bookkeeping only — excluded from :meth:`signature`, and always
-    #: zero on the other backends.
-    saved_switches: int = 0
     #: Health counters of the failure-detection machinery
-    #: (:mod:`repro.ft.watchdog` / :mod:`repro.ft.integrity`).  Like
-    #: ``saved_switches`` they are engine-side observability only:
-    #: excluded from :meth:`signature`, and zero when the watchdog /
-    #: integrity checking are off.
+    #: (:mod:`repro.ft.watchdog` / :mod:`repro.ft.integrity`).  They are
+    #: engine-side observability only: excluded from :meth:`signature`,
+    #: and zero when the watchdog / integrity checking are off.
     #:
     #: Heartbeat step increments the procs supervisor's watchdog observed.
     heartbeats_seen: int = 0
@@ -393,10 +386,6 @@ class CommStats:
             lines.append(
                 f"  recovery     attempt={rec.attempt} "
                 f"resumed_from_epoch={rec.epoch}{cls}{det} after {rec.error}"
-            )
-        if self.saved_switches:
-            lines.append(
-                f"  scheduler    saved_switches={self.saved_switches}"
             )
         if self.heartbeats_seen or self.deadline_extensions:
             lines.append(

@@ -150,61 +150,81 @@ def test_threads_peer_stall_detected_by_waiters():
     assert 0 in ei.value.ranks  # the napper is blamed, not the waiters
 
 
-def test_serial_baton_holder_stall_blames_the_holder():
-    """A genuine stall on ``serial``: rank 0 naps while it holds the baton,
-    so nobody else can run; the parked ranks' sliced waits trip the deadline
-    and blame the holder, not themselves.  The nap ends inside the abandon
-    window (timeout + grace after the failure), so the report is the parked
-    rank's, not the join's "thread abandoned"."""
-    def fn(comm):
-        with comm.phase("warmup"):
-            comm.barrier()
-        with comm.phase("napping"):
-            comm.barrier()  # rank 2 executes it and runs on to its return
-            if comm.rank == 0:
-                time.sleep(1.25)  # woken with the baton, parks nobody
-            return comm.allreduce(1)
+def _nap_plain(comm):
+    with comm.phase("warmup"):
+        comm.barrier()
+    with comm.phase("napping"):
+        comm.barrier()
+        if comm.rank == 0:
+            time.sleep(1.25)
+        return comm.allreduce(1)
 
+
+def _nap_generator(comm):
+    with comm.phase("warmup"):
+        yield from comm.barrier()
+    with comm.phase("napping"):
+        yield from comm.barrier()
+        if comm.rank == 0:
+            time.sleep(1.25)
+        return (yield from comm.allreduce(1))
+
+
+@pytest.mark.parametrize("body", [_nap_plain, _nap_generator],
+                         ids=["plain", "generator"])
+def test_serial_stall_blames_the_missing_rank(body):
+    """A genuine stall on ``serial``: rank 0 naps before the last
+    rendezvous.  A watched body, plain or generator, runs on rank threads,
+    so the parked peers' sliced waits trip the deadline and blame the rank
+    missing from the rendezvous, not themselves.  The nap ends inside the
+    abandon window (timeout + grace after the failure), so the report is
+    the parked rank's, not the join's "thread abandoned"."""
     rt = create_runtime("serial", nprocs=3, watchdog=0.5)
     t0 = time.monotonic()
     try:
         with pytest.raises(HungRankError) as ei:
-            rt.run(fn)
+            rt.run(body)
     finally:
         rt.close()
     assert time.monotonic() - t0 < 4.0
     assert ei.value.ranks == (0,)
     assert ei.value.phase == "napping"
     assert ei.value.detection_seconds >= 0.5
-    assert "held the scheduling baton" in str(ei.value)
-
-
-def test_serial_stepped_stall_blames_the_running_rank():
-    """The same nap in a generator body: a watched generator body runs on
-    the baton's rank threads, so the parked peers blame the rank holding
-    the baton."""
-    def fn(comm):
-        with comm.phase("warmup"):
-            yield from comm.barrier()
-        with comm.phase("napping"):
-            yield from comm.barrier()
-            if comm.rank == 0:
-                time.sleep(1.25)  # holds the baton, parks nobody
-            return (yield from comm.allreduce(1))
-
-    rt = create_runtime("serial", nprocs=3, watchdog=0.5)
-    t0 = time.monotonic()
-    try:
-        with pytest.raises(HungRankError) as ei:
-            rt.run(fn)
-    finally:
-        rt.close()
-    assert time.monotonic() - t0 < 4.0
-    assert ei.value.ranks == (0,)
-    assert ei.value.phase == "napping"
-    assert ei.value.detection_seconds >= 0.5
-    assert "held the scheduling baton" in str(ei.value)
+    assert "missing from collective 'allreduce'" in str(ei.value)
     assert rt.stats.deadline_extensions > 0
+
+
+def test_park_takes_a_gate_opening_past_the_deadline():
+    """A parked rank's slice runs out just as the executor completes its
+    rendezvous and a peer opens the next one: the rank must take its
+    opening gate, not report a hang against a rendezvous it was released
+    from."""
+    from repro.simmpi.backends.engine import _Pending
+
+    rt = create_runtime("threads", nprocs=2, watchdog=0.05)
+
+    class Gate:
+        timed_out = False
+
+        def acquire(self, timeout=None):
+            if self.timed_out:
+                return True
+            self.timed_out = True
+            time.sleep(0.06)  # past the deadline
+            rt._pending.results = ["rank 0", "rank 1"]  # the executor ...
+            rt._pending = _Pending(2, "allreduce", "next")  # ... a peer
+            return False
+
+        def release(self):
+            pass
+
+    rt._gates = [Gate(), Gate()]
+    try:
+        out = rt._rendezvous(0, "barrier", "", None, 0, list, 0.0, 0.0,
+                             None, None, None, None)
+    finally:
+        rt.close()
+    assert out == "rank 0"
 
 
 def test_procs_watchdog_kills_the_hung_process(ft_graph, ft_params, caplog):

@@ -96,8 +96,8 @@ def test_deadlock_when_rank_enters_extra_collective():
 
 
 # The three misuse errors of the in-process rendezvous, with the rank lists
-# they name.  A short nap makes the arrival order the same on ``threads`` as
-# the baton makes it on ``serial``.
+# they name.  Plain bodies run on rank threads on both backends; a short nap
+# fixes the arrival order the texts name.
 _IN_PROCESS = pytest.mark.parametrize("backend", ["serial", "threads"])
 
 

@@ -159,25 +159,6 @@ def test_procs_results_stay_writable_under_shared(backend):
     assert out == [3, 3]
 
 
-# -- scheduling: the serial executor-continue counter ------------------------
-
-def test_serial_counts_saved_switches():
-    def fn(comm):
-        for _ in range(5):
-            comm.barrier()
-        return comm.rank
-
-    _, st = run_spmd(4, fn, backend="serial", meter_compute=False)
-    # one park/wake cycle saved per multi-rank collective
-    assert st.saved_switches == 5
-
-
-def test_threads_backend_reports_no_saved_switches():
-    _, st = run_spmd(4, lambda comm: comm.barrier(), backend="threads",
-                     meter_compute=False)
-    assert st.saved_switches == 0
-
-
 # -- bit-identity: shared (in-process) vs private copies (procs) -------------
 
 def _workout(comm):

@@ -8,6 +8,12 @@ generator through the blocking collective.  The stepped form must be the
 plain form: the same values and communication record, the same serial
 schedule, the same misuse errors, and per-rank compute metering although
 one thread runs many ranks.
+
+``serial`` also pins the order in which it steps the ranks, as a literal:
+the goldens see what a run computes and meters, not that order.  Deposits
+rotate round robin, the last depositor executes the collective and keeps
+running (executor-continue), and the executor of superstep ``s`` deposits
+first at superstep ``s + 1``.
 """
 
 import re
@@ -17,23 +23,44 @@ import time
 import numpy as np
 import pytest
 
+from repro import analytics
 from repro.core import PulpParams, driver, xtrapulp
 from repro.dist import connect_plan
-from repro.graph import rmat
+from repro.graph import rmat, webcrawl
+from repro.graph.builders import symmetrize
 from repro.simmpi import (
     CollectiveMismatchError,
     DeadlockError,
     create_runtime,
     run_spmd,
 )
-
-from tests.simmpi.test_serial_schedule import NPROCS, SCHEDULE
+from repro.simmpi.backends.engine import InProcessBackend
+from repro.spmv import run_spmv
 
 BACKENDS = ("serial", "threads", "procs")
 IN_PROCESS = ("serial", "threads")
 
 backends = pytest.mark.parametrize("backend", BACKENDS)
 in_process = pytest.mark.parametrize("backend", IN_PROCESS)
+
+NPROCS = 5
+
+# (rank, "in" | "out", step) around every collective call, in the order the
+# ranks appended them
+SCHEDULE = [
+    (0, 'in', 0), (1, 'in', 0), (2, 'in', 0), (3, 'in', 0), (4, 'in', 0),
+    (4, 'out', 0), (4, 'in', 1), (0, 'out', 0), (0, 'in', 1), (1, 'out', 0),
+    (1, 'in', 1), (2, 'out', 0), (2, 'in', 1), (3, 'out', 0), (3, 'in', 1),
+    (3, 'out', 1), (3, 'in', 2), (4, 'out', 1), (4, 'in', 2), (0, 'out', 1),
+    (0, 'in', 2), (1, 'out', 1), (1, 'in', 2), (2, 'out', 1), (2, 'in', 2),
+    (2, 'out', 2), (2, 'in', 3), (3, 'out', 2), (3, 'in', 3), (4, 'out', 2),
+    (4, 'in', 3), (0, 'out', 2), (0, 'in', 3), (1, 'out', 2), (1, 'in', 3),
+    (1, 'out', 3), (1, 'in', 4), (2, 'out', 3), (2, 'in', 4), (3, 'out', 3),
+    (3, 'in', 4), (4, 'out', 3), (4, 'in', 4), (0, 'out', 3), (0, 'in', 4),
+    (0, 'out', 4), (0, 'in', 5), (1, 'out', 4), (1, 'in', 5), (2, 'out', 4),
+    (2, 'in', 5), (3, 'out', 4), (3, 'in', 5), (4, 'out', 4), (4, 'in', 5),
+    (4, 'out', 5), (0, 'out', 5), (1, 'out', 5), (2, 'out', 5), (3, 'out', 5),
+]
 
 
 def _workout(comm):
@@ -93,7 +120,7 @@ def test_one_rank_generator_body(backend):
 
 
 def _six_collectives(comm, log):
-    """``test_serial_schedule._six_collectives`` as a generator body."""
+    """Six collective families, logged around every call."""
     r, n = comm.rank, comm.size
     calls = [
         (comm.barrier, ()),
@@ -115,7 +142,8 @@ def test_stepped_serial_schedule_is_the_pinned_literal():
         log = []
         rt.run(_six_collectives, log)
         assert log == SCHEDULE
-    assert rt.stats.saved_switches == 2 * 6
+    # the Alltoallv's count header is a second metered round of the same
+    # rendezvous
     assert rt.stats.rounds == 2 * 7
 
 
@@ -133,6 +161,33 @@ def test_xtrapulp_on_serial_runs_every_rank_on_the_callers_thread(
              params=PulpParams(seed=1))
     assert set(seen) == set(range(6))
     assert set(seen.values()) == {threading.get_ident()}
+
+
+@in_process
+def test_shipped_rank_bodies_never_run_on_rank_threads(backend, monkeypatch):
+    """Every rank body ``src/`` ships is a generator body, so an unwatched
+    run of the partitioner, either SpMV layout or any of the six analytics
+    is stepped: a plain body coming back would reach ``_run_threads``."""
+    def rank_threads(*args, **kwargs):
+        raise AssertionError("a shipped rank body ran on rank threads")
+
+    monkeypatch.setattr(InProcessBackend, "_run_threads", rank_threads)
+    g = rmat(7, 8, seed=1)
+    parts = xtrapulp(g, 3, nprocs=3, backend=backend,
+                     params=PulpParams(seed=1)).parts
+    for layout in ("1d", "2d"):
+        run_spmv(g, parts, layout=layout, nprocs=3, iters=1, backend=backend)
+    gd = webcrawl(128, 6, seed=9, directed=True)
+    for kernel, graph, kwargs in (
+        (analytics.harmonic_centrality, g, {"num_sources": 2}),
+        (analytics.kcore_decomposition, g, {}),
+        (analytics.label_propagation_communities, g, {}),
+        (analytics.pagerank, g, {}),
+        (analytics.largest_scc, symmetrize(gd), {"directed": gd}),
+        (analytics.weakly_connected_components, g, {}),
+    ):
+        analytics.run_analytic(graph, kernel, nprocs=3, backend=backend,
+                               **kwargs)
 
 
 @backends

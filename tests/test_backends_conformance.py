@@ -385,11 +385,11 @@ def test_procs_runs_rank_code_in_separate_processes():
 def test_serial_schedules_round_robin_deterministically():
     order = []
 
-    def fn(comm):
+    def fn(comm):  # a generator body: serial steps it on one worker
         order.append(("a", comm.rank))
-        comm.barrier()
+        yield from comm.barrier()
         order.append(("b", comm.rank))
-        comm.barrier()
+        yield from comm.barrier()
         return comm.rank
 
     run_on("serial", 3, fn)

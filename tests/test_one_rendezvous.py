@@ -135,6 +135,7 @@ def test_the_two_schedules_are_the_engine():
 
     for cls in (SerialBackend, ThreadsBackend):
         assert issubclass(cls, InProcessBackend)
-        # a schedule is a name and a flag, not code
+        # a schedule is a name and one class-level value, not code
         assert not [k for k, v in vars(cls).items() if callable(v)]
-    assert SerialBackend.baton and not ThreadsBackend.baton
+    # one stepping worker, or one per usable CPU
+    assert SerialBackend.workers == 1 and ThreadsBackend.workers is None
