@@ -8,8 +8,10 @@ the ``mult`` throttle.  PuLP is therefore run here as the same engine in
 shared-memory mode:
 
 * ``threads`` ranks model OpenMP threads of one address space;
-* size updates are exact (``mult == 1``, no throttle — threads share the
-  counters through atomics);
+* size updates are exact (no throttle — threads share the counters
+  through atomics): with per-rank *local* deltas, exactness means each
+  rank gets precisely its 1/nprocs share, ``mult == nprocs``, which is
+  :meth:`PulpParams.mult` at ``x == y == 1``;
 * the machine model has no network: thread synchronization latency only,
   memory-bus bandwidth, so modeled time ≈ parallel compute time.
 
@@ -54,7 +56,7 @@ def pulp(
     """
     base = params or PulpParams(seed=seed)
     p = base.with_(
-        shared_memory=True,
+        x=1.0, y=1.0,
         single_objective=single_objective or base.single_objective,
     )
     return xtrapulp(

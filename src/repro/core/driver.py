@@ -504,8 +504,7 @@ def xtrapulp(
         fault hard-kills the rank's OS process mid-superstep).
     watchdog:
         Liveness deadline for the run in seconds; None or 0 (default:
-        none) leaves every wait unbounded, a negative value is a
-        ``ValueError``.  A rank that makes no progress for that long is killed
+        none) turns it off, a negative value is a ``ValueError``.  A rank that makes no progress for that long is killed
         (``procs``) or failed in place (in-process backends) and surfaces
         as :class:`~repro.simmpi.errors.HungRankError` — which, combined
         with ``checkpoint``, makes a hang recoverable exactly like a

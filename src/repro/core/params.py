@@ -54,11 +54,6 @@ class PulpParams:
         If True, skip the edge balance/refinement stage entirely — the
         configuration the paper uses for the Fig. 6 comparison against
         single-constraint partitioners (KaHIP et al.).
-    shared_memory:
-        PuLP mode: treat the ranks as threads of one address space — size
-        updates are exact (``mult == 1`` always, no distributed throttle).
-        Used by :func:`repro.baselines.pulp_shared.pulp` together with a
-        zero-latency machine model.
     multilevel:
         Run the multilevel V-cycle (:mod:`repro.multilevel`) instead of
         the flat pipeline: coarsen to a small graph, partition it with
@@ -90,7 +85,6 @@ class PulpParams:
     comm: Optional[str] = None
     init_strategy: str = "hybrid"
     single_objective: bool = False
-    shared_memory: bool = False
     multilevel: bool = False
     ml_levels: int = 8
     ml_coarsen: str = "lp"
@@ -142,11 +136,5 @@ class PulpParams:
         which would let a single rank overshoot a part's capacity by
         ``1/(nprocs*Y)``; the clamp is inactive at the paper's scale.
         """
-        if self.shared_memory:
-            # PuLP-mode: atomics make every thread's updates globally
-            # visible, i.e. the collective estimate is exact.  With
-            # per-rank *local* deltas, exactness means each rank gets
-            # precisely its 1/nprocs share: mult == nprocs.
-            return float(nprocs)
         frac = min(iter_tot / max(self.total_iters, 1), 1.0)
         return max(nprocs * ((self.x - self.y) * frac + self.y), 1.0)

@@ -11,9 +11,9 @@ of MPI:
 - :mod:`repro.ft.recovery` — a supervisor that relaunches a failed run from
   its last committed epoch with capped exponential backoff, classifying
   each absorbed failure (hang / corruption / crash / exception);
-- :mod:`repro.ft.watchdog` — active liveness detection: rank heartbeats,
-  per-collective deadlines with escalation, and supervisor-side kills of
-  hung rank processes;
+- :mod:`repro.ft.watchdog` — active liveness detection: one stall clock
+  the run's supervisor feeds progress, escalation, and kills of hung rank
+  processes;
 - :mod:`repro.ft.integrity` — end-to-end crc32 payload checksums, verified
   at every receive when ``--integrity crc`` is selected, plus the
   deterministic corruption primitives the ``corrupt`` fault uses.

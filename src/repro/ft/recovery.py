@@ -55,7 +55,7 @@ def classify_failure(exc: BaseException) -> str:
     """Name the failure class of a rank failure's cause chain.
 
     Walks ``__cause__``/``__context__`` looking for the most specific
-    typed failure: ``"hang"`` (watchdog kill / deadline-exceeded wait),
+    typed failure: ``"hang"`` (a stall the supervisor declared),
     ``"corruption"`` (checksum mismatch), ``"crash"`` (a rank process
     died or a peer observed the failure remotely), else ``"exception"``
     (an ordinary error raised by rank code).

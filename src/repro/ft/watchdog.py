@@ -1,51 +1,39 @@
-"""Active liveness detection: heartbeats, collective deadlines, escalation.
+"""Active liveness detection: progress, one stall clock, escalation.
 
 The ft subsystem (:mod:`repro.ft.recovery`) can *recover* from any failure
-it is told about, but a rank that silently hangs tells nobody: the procs
-supervisor would block unbounded on its children, and the in-process
-backends would sleep a stalled rendezvous forever.  This module closes
-that gap with the standard HPC watchdog pattern:
+it is told about, but a rank that silently hangs tells nobody.  The
+algorithms are bulk-synchronous, so progress shows in one place — every
+rank interaction is a collective — and the thread or process that
+started the ranks supervises them on every backend.  It polls the run's
+progress (on ``procs`` every :data:`POLL_INTERVAL`, the heartbeats each
+rank publishes into a fork-shared :class:`HeartbeatBoard` before every
+rendezvous; in process every :func:`slice_seconds`, the engine's deposit
+count) into a :class:`StallClock`, and handles each stall it declares:
 
-* **Heartbeats** (:class:`HeartbeatBoard`) — on the ``procs`` backend each
-  rank publishes ``(superstep, phase)`` into a small
-  fork-shared health segment right before every rendezvous.  Writes are
-  wait-free single-writer stores; the supervisor polls the board.
-* **Watchdog** (:class:`Watchdog`) — a supervisor-side daemon thread that
-  enforces the per-collective deadline with escalation: a soft warning at
-  :data:`WARN_FRACTION` of the deadline, :data:`PROBES` probe re-checks
-  with exponentially growing spacing, then a declaration of death — the
-  laggard ranks (lowest heartbeat superstep) get ``SIGTERM``,
-  :data:`GRACE` seconds, then ``SIGKILL``.  The parent surfaces the kill
-  as :class:`~repro.simmpi.errors.HungRankError`, which
-  :func:`repro.ft.recovery.run_with_retries` treats exactly like a ``die``
-  fault: relaunch from the last committed checkpoint epoch.
-* **In-process deadlines** — the serial/threads backends have no separate
-  processes to kill; instead every rendezvous wait is sliced
-  (:func:`slice_seconds`) and a rank whose wait exceeds the deadline
-  raises :class:`~repro.simmpi.errors.HungRankError` itself, releasing
-  its peers.  A ``delay`` fault longer than the deadline therefore
-  *raises* after ``deadline`` seconds instead of sleeping the whole run
-  (see :meth:`repro.ft.faults.FaultPlan.check`).
+* ``procs`` sends ``SIGTERM`` to the live ranks with the lowest
+  heartbeat, ``SIGKILL`` to any left after :data:`GRACE`, and keeps
+  watching;
+* in process the run fails, blaming the ranks that are running, and a
+  thread that does not unwind within ``timeout + GRACE`` is abandoned.
+
+Either way the run raises :class:`~repro.simmpi.errors.HungRankError`,
+which :func:`repro.ft.recovery.run_with_retries` treats like a ``die``
+fault: relaunch from the last committed checkpoint epoch.  An in-process
+``delay`` fault past the deadline sleeps it out and raises
+(:meth:`repro.ft.faults.FaultPlan.check`).
 
 The watchdog is its timeout: ``Backend.watchdog`` holds the seconds of
-global stall (no rank advancing its heartbeat) after which the laggard
-ranks are declared hung, or None.  The timeout bounds the *stall*, i.e.
-the time since any rank last made progress, not a collective's total
-duration — a slow but advancing job never trips it.  In process a
-watched rank runs on its own thread, and its parked wait spans the time
-its slowest peer takes to reach the rendezvous on either backend, so size
-the timeout to a superstep, not a single deposit.
-With no watchdog (the default) every wait stays unbounded and behavior is
-byte-for-byte unchanged.
+global stall — no rank reaching a rendezvous — after which a run is
+declared hung, or None.  It bounds the stall, not a collective's
+duration, so size it to the longest computation between two collectives.
+With no watchdog (the default) nobody polls.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
-import time
 from multiprocessing import sharedctypes
-from typing import Any, List, Sequence
+from typing import List, Optional, Sequence
 
 #: Fraction of the timeout at which a soft warning is emitted.
 WARN_FRACTION = 0.5
@@ -68,9 +56,9 @@ _PHASE_CAP = 32
 
 
 def slice_seconds(timeout: float) -> float:
-    """Wait-slice for deadline-bounded in-process rendezvous: short enough
-    to notice a stall promptly, long enough that a generous timeout costs
-    almost no extra wakeups."""
+    """Polling period of the in-process supervisor: short enough to notice
+    a stall promptly, long enough that a generous timeout costs almost no
+    extra wakeups."""
     return max(min(timeout / 4.0, 0.25), 0.002)
 
 
@@ -120,49 +108,32 @@ class HeartbeatBoard:
         return raw.split(b"\0", 1)[0].decode("utf-8", "replace")
 
 
-class Watchdog(threading.Thread):
-    """Supervisor-side liveness enforcement for the procs backend.
 
-    Polls the heartbeat board; whenever *global* progress stalls past the
-    deadline, the laggard rank processes (lowest heartbeat superstep) are
-    terminated with escalation.  Runs as a daemon thread next to the
-    supervisor's stats-draining loop and keeps watching after a kill — if
-    further ranks stay wedged (e.g. two independent hangs), subsequent
-    stalls are escalated the same way until every child is gone.
 
-    Health counters (read by the backend after the run):
+class StallClock:
+    """Decides, from the progress counts its caller feeds it, when a run
+    has stopped advancing; it owns no thread.
 
-    ``heartbeats_seen``
-        Total heartbeat step increments observed across all ranks.
-    ``deadline_extensions``
-        Probe re-checks that still saw no progress (warn → deadline span).
-    ``killed``
-        Ranks declared hung and killed, in kill order.
-    ``detection_seconds``
-        Stall duration at the first declaration of death (0.0 if none).
+    Once the count stops growing the clock warns at :data:`WARN_FRACTION`
+    of the deadline, counts :data:`PROBES` exponentially spaced re-checks
+    in ``deadline_extensions``, and declares the run stalled at the
+    deadline (at least :data:`STARTUP_GRACE` before the first progress:
+    forking and the graph build precede it), then restarts — a further
+    stall is timed from the declaration.  ``heartbeats_seen`` is the last
+    count fed, ``detection_seconds`` the first declaration's stall.  The
+    caller handles the hung ranks and names them in :meth:`declare`.
     """
 
-    def __init__(self, timeout: float, board: HeartbeatBoard,
-                 procs: Sequence[Any]) -> None:
-        super().__init__(name="simmpi-watchdog", daemon=True)
+    def __init__(self, timeout: float, now: float, scope: str) -> None:
         self.timeout = timeout
-        self.board = board
-        self.procs = procs
+        self.scope = scope
         self.heartbeats_seen = 0
         self.deadline_extensions = 0
-        self.killed: List[int] = []
-        self.killed_phase = ""
         self.detection_seconds = 0.0
-        self.warnings: List[str] = []
-        self._stop_evt = threading.Event()
+        self._since, self._warned, self._probes = now, False, 0
 
-    def stop(self) -> None:
-        self._stop_evt.set()
-        self.join(timeout=GRACE + 5.0)
-
-    # -- escalation timeline -----------------------------------------------
-
-    def _probe_offsets(self, deadline: float) -> List[float]:
+    @staticmethod
+    def _probe_offsets(deadline: float) -> List[float]:
         """Stall offsets of the probe re-checks: exponential backoff from
         the warning point toward the deadline."""
         warn_at = deadline * WARN_FRACTION
@@ -171,88 +142,37 @@ class Watchdog(threading.Thread):
         return [warn_at + span * (2 ** (i + 1) - 1) / total
                 for i in range(PROBES)]
 
-    def run(self) -> None:  # pragma: no cover - exercised via procs runs
-        last_steps = self.board.steps()
-        last_progress = time.monotonic()
-        warned = False
-        probes_done = 0
-        while not self._stop_evt.wait(POLL_INTERVAL):
-            steps = self.board.steps()
-            alive = [p.is_alive() for p in self.procs]
-            advanced = sum(
-                max(0, s - t) for s, t in zip(steps, last_steps)
-            )
-            self.heartbeats_seen += advanced
-            if advanced or not any(alive):
-                last_steps = steps
-                last_progress = time.monotonic()
-                warned = False
-                probes_done = 0
-                continue
-            # startup allowance: before any rank ever beat, forking and
-            # prologue build time must not count as a stall
-            deadline = self.timeout
-            if max(steps) < 0:
-                deadline = max(self.timeout, STARTUP_GRACE)
-            stalled = time.monotonic() - last_progress
-            if not warned and stalled >= deadline * WARN_FRACTION:
-                warned = True
-                self._warn(
-                    f"no rank progress for {stalled:.2f}s "
-                    f"(deadline {deadline:.2f}s); supersteps={steps}"
-                )
-            offsets = self._probe_offsets(deadline)
-            while probes_done < PROBES and stalled >= offsets[probes_done]:
-                probes_done += 1
-                self.deadline_extensions += 1
-            if stalled < deadline:
-                continue
-            self._declare_dead(steps, alive, stalled)
-            last_steps = self.board.steps()
-            last_progress = time.monotonic()
-            warned = False
-            probes_done = 0
+    def tick(self, progress: int, now: float) -> Optional[float]:
+        """Feed the run's progress count (never decreasing) at ``now``.
+        Returns the stall in seconds when this tick declares the run
+        stalled, else None."""
+        if progress > self.heartbeats_seen:
+            self.heartbeats_seen = progress
+            self._since, self._warned, self._probes = now, False, 0
+            return None
+        stalled = now - self._since
+        deadline = (self.timeout if self.heartbeats_seen
+                    else max(self.timeout, STARTUP_GRACE))
+        if not self._warned and stalled >= deadline * WARN_FRACTION:
+            self._warned = True
+            self.warn(f"no rank progress for {stalled:.2f}s (deadline "
+                      f"{deadline:.2f}s) after {progress} steps")
+        offsets = self._probe_offsets(deadline)
+        while self._probes < PROBES and stalled >= offsets[self._probes]:
+            self._probes += 1
+            self.deadline_extensions += 1
+        if stalled < deadline:
+            return None
+        self.detection_seconds = self.detection_seconds or stalled
+        self._since, self._warned, self._probes = now, False, 0
+        return stalled
 
-    def _declare_dead(self, steps: List[int], alive: List[bool],
-                      stalled: float) -> None:
-        """Kill the laggard ranks: SIGTERM, grace, SIGKILL."""
-        live = [r for r in range(len(self.procs)) if alive[r]]
-        if not live:
-            return
-        floor = min(steps[r] for r in live)
-        victims = [r for r in live if steps[r] == floor]
-        if not self.killed:
-            self.detection_seconds = stalled
-            self.killed_phase = self.board.phase_of(victims[0])
-        phase = self.board.phase_of(victims[0])
-        # record the declaration *before* signalling: SIGTERM breaks the
-        # rendezvous barrier, peers exit, and the supervisor may collect
-        # results before the grace wait below finishes
-        self.killed.extend(victims)
-        self._warn(
-            f"declaring {victims} hung at superstep {floor} "
-            f"(phase {phase!r}) after {stalled:.2f}s without progress; "
-            f"sending SIGTERM"
-        )
-        for r in victims:
-            try:
-                self.procs[r].terminate()
-            except Exception:
-                pass
-        deadline = time.monotonic() + GRACE
-        while time.monotonic() < deadline:
-            if not any(self.procs[r].is_alive() for r in victims):
-                break
-            time.sleep(POLL_INTERVAL)
-        for r in victims:
-            if self.procs[r].is_alive():  # pragma: no cover - SIGTERM masked
-                self._warn(f"rank {r} survived SIGTERM; sending SIGKILL")
-                try:
-                    self.procs[r].kill()
-                except Exception:
-                    pass
+    def declare(self, ranks: Sequence[int], where: str,
+                stalled: float) -> None:
+        """Log the ranks a declaration blames, and where they stalled."""
+        self.warn(f"declaring {list(ranks)} hung {where} after "
+                  f"{stalled:.2f}s without progress")
 
-    def _warn(self, message: str) -> None:
-        line = f"[watchdog:procs] {message}"
-        self.warnings.append(line)
-        logging.getLogger(__name__).warning(line)
+    def warn(self, message: str) -> None:
+        logging.getLogger(__name__).warning(
+            f"[watchdog:{self.scope}] {message}")

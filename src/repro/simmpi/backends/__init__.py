@@ -14,9 +14,8 @@ Shipped backends:
 =========  ===========================  ======================  =====================================
 name       parallelism                  determinism             recommended use
 =========  ===========================  ======================  =====================================
-serial     none (one stepping worker,   results; schedule for   debugging rank code, minimal repros,
-           the caller's thread)         unwatched generator     thousands of ranks
-                                        bodies
+serial     none (one stepping worker)   results; schedule for   debugging rank code, minimal repros,
+                                        generator bodies        thousands of ranks
 threads    one stepping worker per      results                 default; NumPy-heavy kernels
            usable CPU
 procs      forked processes + shm       results                 pure-Python rank code, strong scaling
@@ -25,9 +24,11 @@ procs      forked processes + shm       results                 pure-Python rank
 ``serial`` and ``threads`` are one in-process rendezvous engine
 (:mod:`repro.simmpi.backends.engine`) that differs only in its number of
 stepping workers.  Every rank body this package ships is a generator
-body; plain or watched bodies run a thread per rank on both, interleaving
-as on ``threads``.  All backends execute identical collective semantics
-and metering, so a fixed-seed program yields bit-identical results and
+body; a plain body runs a thread per rank on both, interleaving as on
+``threads``.  Under a watchdog the calling thread supervises the ranks
+on every backend (:mod:`repro.ft.watchdog`).  All backends execute
+identical collective semantics and metering, so a fixed-seed program
+yields bit-identical results and
 :class:`~repro.simmpi.metrics.CommStats` on every backend.
 
 The default backend (used when ``backend=None``) is ``threads``, overridable
@@ -102,8 +103,8 @@ def create_runtime(
     watchdog:
         Liveness deadline in seconds (:mod:`repro.ft.watchdog`); 0 turns
         the watchdog off, None leaves the backend's own (none on a new
-        one: every wait is unbounded).  A watchdog kills/fails ranks that
-        make no progress for that long and surfaces them as
+        one).  The run's supervisor kills/fails ranks that make no
+        progress for that long and surfaces them as
         :class:`~repro.simmpi.errors.HungRankError`.
     integrity:
         Payload integrity mode (``"crc"`` checksums every payload and

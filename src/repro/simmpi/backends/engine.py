@@ -8,26 +8,25 @@ result.  Ranks only mutate rank-local state between rendezvous, so results
 are independent of scheduling.
 
 A rank body is a plain function or a generator function whose collectives
-are ``yield from`` expressions (:mod:`repro.simmpi.stepping`).  An
-unwatched generator body is *stepped* by W workers — the calling thread
-and W - 1 threads started for the run — that share one ready queue, filled
-under the engine's mutex: a worker pops a rank and resumes it until its
-next deposit.  The last depositor executes the collective and, holding
+are ``yield from`` expressions (:mod:`repro.simmpi.stepping`).  A
+generator body is *stepped* by W workers that share one ready queue,
+filled under the engine's mutex: a worker pops a rank and resumes it until
+its next deposit.  The last depositor executes the collective and, holding
 the mutex, leaves every rank's result in its communicator and queues the
 others round robin from itself, so none resumes before its result is in
-place; then it *keeps running* with its own (executor-continue).  Plain
-bodies, and watched runs, get a thread per rank instead: a rank that is
-not the last depositor *parks* on its own gate, a raw ``threading.Lock``
-it holds while it runs; every rank runs from the start, and the last
-depositor opens every other gate.  The backends differ only in W:
+place; then it *keeps running* with its own (executor-continue).  A plain
+body gets a thread per rank instead: a rank that is not the last
+depositor *parks* on its own gate, a raw ``threading.Lock`` it holds while
+it runs; every rank runs from the start, and the last depositor opens
+every other gate.  The backends differ only in W:
 
 ``serial`` — one worker
     W = 1: exactly one rank runs at any instant, and the queue order is a
-    pure function of the program — prints, breakpoints and profiles of an
-    unwatched generator body (every one this package ships) repeat run to
-    run, which makes it the backend for debugging rank code and for
-    thousands of ranks (nothing contends).  Plain or watched bodies
-    interleave as on ``threads``.
+    pure function of the program — prints, breakpoints and profiles of a
+    generator body (every one this package ships) repeat run to run,
+    which makes it the backend for debugging rank code and for thousands
+    of ranks (nothing contends).  Plain bodies interleave as on
+    ``threads``.
 
 ``threads`` — a worker per core
     W is the number of CPUs the process may run on (at most the rank
@@ -42,11 +41,14 @@ while others wait (or entering after one returned)
 :class:`~repro.simmpi.errors.DeadlockError`; a failing rank releases the
 others with :class:`~repro.simmpi.errors.RemoteRankError` (stepped peers
 still waiting are closed instead) and its own exception is re-raised from
-:meth:`Backend.run`.  Under a watchdog a parked rank slices its wait and
-reports a stalled run as :class:`~repro.simmpi.errors.HungRankError`
-blaming the ranks missing from the rendezvous.  A watched generator body
-therefore runs on rank threads too, driven per rank; only unwatched ones
-are stepped.
+:meth:`Backend.run`.
+
+The calling thread is the first stepping worker.  Under a watchdog it
+steps nothing: it starts all W workers (or the rank threads) and
+supervises them — once per slice it feeds the engine's deposit count to
+a :class:`~repro.ft.watchdog.StallClock` and fails a run that stopped
+advancing with a :class:`~repro.simmpi.errors.HungRankError` blaming the
+running ranks.  Waits stay untimed, so a watched run keeps the schedule.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ft.watchdog import GRACE, PROBES, WARN_FRACTION, slice_seconds
+from repro.ft.watchdog import GRACE, StallClock, slice_seconds
 from repro.simmpi.backends.base import Backend, metered_rounds
 from repro.simmpi.errors import (
     CollectiveMismatchError,
@@ -111,9 +113,9 @@ class InProcessBackend(Backend):
 
     def __init__(self, nprocs: int, *, meter_compute: bool = True) -> None:
         super().__init__(nprocs, meter_compute=meter_compute)
-        #: Guards the rendezvous state.  Never taken by a parked rank
-        #: reporting a hang, so a rank wedged inside ``execute`` cannot
-        #: hide itself.
+        #: Guards the rendezvous state.  Never waited on by the supervisor
+        #: of a watched run, so a rank wedged inside ``execute`` cannot
+        #: hide a hang.
         self._mutex = threading.Lock()
         #: Stepping: idle workers wait on ``_wake`` for a rank in ``_ready``
         #: (else None), its result left in its SimComm in ``_comms``.
@@ -121,7 +123,10 @@ class InProcessBackend(Backend):
         self._ready: Optional[deque] = None
         self._comms: List[Any] = []
         self._gates: List[threading.Lock] = []
-        self._n_finished = 0
+        #: Ranks that returned or raised, and the deposits so far (the
+        #: progress a watched run's supervisor feeds its stall clock).
+        self._finished: List[int] = []
+        self._deposits = 0
         self._pending: Optional[_Pending] = None
         self._failure: Optional[BaseException] = None
 
@@ -139,72 +144,30 @@ class InProcessBackend(Backend):
         except RuntimeError:
             pass  # already open — the wake is already in flight
 
-    def _park(self, rank: int, pending: _Pending) -> None:
-        """Block until this rank's gate opens on ``pending``, the
-        rendezvous it deposited into.  Under a watchdog the wait is sliced,
-        so a run that stopped advancing (a peer wedged outside any fault
-        hook) surfaces as a HungRankError after the deadline instead of
-        blocking forever — see the deadline semantics note in
-        :mod:`repro.ft.watchdog`."""
-        gate = self._gates[rank]
-        timeout = self.watchdog
-        if timeout is None:
-            gate.acquire()
-            return
-        slice_s = slice_seconds(timeout)
-        warn_at = timeout * WARN_FRACTION
-        start = time.monotonic()
-        extensions = 0
-        while not gate.acquire(timeout=slice_s):
-            waited = time.monotonic() - start
-            if waited >= warn_at and extensions < PROBES:
-                extensions += 1
-                self.stats.deadline_extensions += 1
-            if waited < timeout:
-                continue
-            if self._failure is not None or pending.results is not None:
-                # a peer failed the run (that failure is the report, not a
-                # second hang) or completed this rank's rendezvous as the
-                # slice ran out: the gate is opening
-                continue
-            raise self._fail(self._hung(rank, waited, pending))
-
-    def _hung(self, rank: int, waited: float,
-              pending: _Pending) -> HungRankError:
-        """The report of ``rank``, parked on ``pending``, giving up after
-        ``waited`` s: it blames the ranks missing from the rendezvous, not
-        itself for noticing."""
-        stalled = tuple(pending.ranks(deposited=False)) or (rank,)
-        return HungRankError(
-            f"{format_ranks(stalled)} made no progress for {waited:.3g}s "
-            f"(deadline {self.watchdog:.3g}s): missing from "
-            f"{self._at(pending.op, pending.tag)} with "
-            f"{format_ranks(pending.ranks())} deposited and waiting",
-            ranks=stalled, detection_seconds=waited, phase=pending.tag,
-        )
-
     def _fail(self, exc: BaseException) -> BaseException:
-        """Record the first failure and release every rank; returns
-        ``exc`` for the caller to raise."""
+        """Record the first failure and release every parked rank; returns
+        ``exc`` for the caller to raise.  Idle stepping workers are woken
+        by the worker that sees the failure next (``_run_stepped``).  The
+        supervisor calls this without the mutex, which a wedged executor
+        may hold; racing a rank's failure, either is kept, and a rank's
+        own error outranks both when the run raises."""
         if self._failure is None:
             self._failure = exc
         self._pending = None
         for r in range(len(self._gates)):
             self._open(r)
-        if self._ready is not None:  # stepping: the mutex is held
-            self._wake.notify_all()
         return exc
 
     def _finish(self, rank: int) -> None:
         """``rank`` returned (or raised): ranks still waiting in the
         rendezvous can no longer complete it."""
         with self._mutex:
-            self._n_finished += 1
-            if self._n_finished == self.nprocs and self._ready is not None:
+            self._finished.append(rank)
+            if len(self._finished) == self.nprocs and self._ready is not None:
                 self._wake.notify_all()  # idle stepping workers: the end
             pending = self._pending
             if (pending is not None and self._failure is None
-                    and pending.arrived + self._n_finished >= self.nprocs):
+                    and pending.arrived + len(self._finished) >= self.nprocs):
                 self._fail(DeadlockError(
                     f"{pending.arrived} rank(s) "
                     f"({format_ranks(pending.ranks())}) stuck in "
@@ -235,10 +198,10 @@ class InProcessBackend(Backend):
         with self._mutex:
             if self._failure is not None:
                 raise RemoteRankError(f"rank {rank}: aborted") from self._failure
-            if self._n_finished > 0:
+            if self._finished:
                 raise self._fail(DeadlockError(
                     f"rank {rank} entered {self._at(op, tag)} but "
-                    f"{self._n_finished} rank(s) already returned"
+                    f"{len(self._finished)} rank(s) already returned"
                 ))
             pending = self._pending
             if pending is None:
@@ -258,6 +221,7 @@ class InProcessBackend(Backend):
             pending.dest[rank] = dest_bytes
             pending.arrived += 1
             pending.deposited[rank] = True
+            self._deposits += 1
             if checksum is not None:
                 if pending.checksums is None:
                     pending.checksums = [None] * self.nprocs
@@ -295,7 +259,7 @@ class InProcessBackend(Backend):
         """A blocking deposit: park until the rendezvous completes."""
         pending, executed = self._deposit(rank, op, tag, *deposit)
         if not executed:
-            self._park(rank, pending)
+            self._gates[rank].acquire()  # parked until its gate opens
             if self._failure is not None:
                 raise RemoteRankError(f"rank {rank}: aborted") from self._failure
         return pending.results[rank]
@@ -329,18 +293,17 @@ class InProcessBackend(Backend):
     ) -> List[Any]:
         n = self.nprocs
         self._gates = []
-        self._n_finished = 0
+        self._finished = []
+        self._deposits = 0
         self._pending = None
         self._failure = None
         results: List[Any] = [None] * n
         errors: List[Optional[BaseException]] = [None] * n
-        if self.watchdog is None and inspect.isgeneratorfunction(fn):
+        if inspect.isgeneratorfunction(fn):
             with generator_body():
                 self._run_stepped(fn, args, rank_args, kwargs, results,
                                   errors)
         else:
-            # a watched run needs a thread per rank: a parked rank is what
-            # notices a stall
             self._run_threads(fn, args, rank_args, kwargs, results, errors)
         self._raise_collected(errors, self._failure)
         return results
@@ -348,10 +311,11 @@ class InProcessBackend(Backend):
     def _run_stepped(self, fn, args, rank_args, kwargs,
                      results: List[Any],
                      errors: List[Optional[BaseException]]) -> None:
-        """The stepped schedule (module docstring) on this thread and the
-        W - 1 workers started here.  A rank's SimComm is made when it first
-        runs, so compute metering starts there.  When a rank fails, the
-        peers left waiting are closed (their ``finally`` blocks run)."""
+        """The stepped schedule (module docstring) on W workers.  A rank's
+        SimComm is made when it first runs, so compute metering starts
+        there.  When a rank fails, the peers left waiting are closed
+        (their ``finally`` blocks run) — unless a worker was abandoned: it
+        may still resume the rank it holds."""
         from repro.simmpi.comm import SimComm
 
         n = self.nprocs
@@ -400,30 +364,39 @@ class InProcessBackend(Backend):
                     except IndexError:
                         with self._wake:
                             while not (ready or self._failure is not None
-                                       or self._n_finished == n):
+                                       or len(self._finished) == n):
                                 self._wake.wait()
                             if not ready:
                                 return
                         continue
                     step(r)
+            with self._wake:  # the run failed: the idle workers leave too
+                self._wake.notify_all()
 
+        watched = self.watchdog is not None
         workers = min(n, self.workers or len(os.sched_getaffinity(0)))
-        threads = [threading.Thread(target=work, name=f"simmpi-worker-{w}")
-                   for w in range(1, workers)]
+        threads = [threading.Thread(target=work, name=f"simmpi-worker-{w}",
+                                    daemon=watched)
+                   for w in range(0 if watched else 1, workers)]
         for t in threads:
             t.start()
+        ended = not watched
         try:
-            work()
+            if watched:
+                ended = self._join(threads)
+            else:
+                work()
         except BaseException as exc:  # an interrupt: stop the others too
-            with self._mutex:
+            with self._wake:
                 self._fail(exc)
+                self._wake.notify_all()
             raise
         finally:
-            for t in threads:
-                t.join()
+            if not watched:
+                self._join(threads)
             self._ready, self._comms = None, []
             for rank, gen in enumerate(gens):
-                if gen is not None:
+                if gen is not None and ended:
                     try:
                         gen.close()
                     except Exception as exc:  # raised by its ``finally``
@@ -432,7 +405,7 @@ class InProcessBackend(Backend):
     def _run_threads(self, fn, args, rank_args, kwargs,
                      results: List[Any],
                      errors: List[Optional[BaseException]]) -> None:
-        """One worker thread per rank, parked on its gate between deposits."""
+        """One thread per rank, parked on its gate between deposits."""
         from repro.simmpi.comm import SimComm
 
         # one reusable gate per rank, held from the start so a rank's first
@@ -462,46 +435,67 @@ class InProcessBackend(Backend):
         ]
         for t in threads:
             t.start()
-        if self.watchdog is None:
+        self._join(threads)
+
+    def _join(self, threads: Sequence[threading.Thread]) -> bool:
+        """Join the workers or rank threads.  Under a watchdog this thread
+        supervises them: it feeds the deposit count to a stall clock once
+        per slice and fails a stalled run (module docstring).  It cannot
+        kill a wedged rank: threads that do not unwind within ``timeout +
+        GRACE`` of a failure are abandoned (daemons, so interpreter exit
+        is not held hostage).  Nothing here waits on the mutex, so a rank
+        wedged inside ``execute`` still surfaces.  Returns whether every
+        thread ended."""
+        timeout = self.watchdog
+        if timeout is None:
             for t in threads:
                 t.join()
-        else:
-            for r in self._join_bounded(threads):
-                if errors[r] is None:
-                    errors[r] = HungRankError(
-                        f"rank {r} never returned after the run failed; "
-                        f"thread abandoned past the "
-                        f"{self.watchdog:.3g}s deadline",
-                        ranks=(r,),
-                        detection_seconds=self.watchdog,
-                    )
-
-    def _join_bounded(self, threads: Sequence[threading.Thread]) -> List[int]:
-        """Join the rank threads under the watchdog deadline.
-
-        Unlike the procs supervisor this backend cannot kill a wedged rank:
-        the sliced parks guarantee that every *parked* rank self-detects a
-        stall and fails the run; this join then gives the remaining threads
-        one ``timeout + grace`` window to unwind and **abandons** any that
-        do not (they are daemons under a watchdog, so interpreter exit is
-        not held hostage).  Returns the ranks abandoned ([] normally).
-        """
-        timeout = self.watchdog
+            return True
         slice_s = slice_seconds(timeout)
-        alive = dict(enumerate(threads))
+        clock = StallClock(timeout, time.monotonic(), self.name)
         abandon_at: Optional[float] = None
-        while alive:
-            for r, t in list(alive.items()):
-                t.join(timeout=slice_s)
-                if not t.is_alive():
-                    del alive[r]
-            if alive and self._failure is not None:
-                now = time.monotonic()
-                if abandon_at is None:
-                    abandon_at = now + timeout + GRACE
-                elif now >= abandon_at:
-                    return sorted(alive)
-        return []
+        try:
+            for t in threads:
+                t.join(slice_s)
+                while t.is_alive():
+                    now = time.monotonic()
+                    if self._failure is None:
+                        stalled = clock.tick(self._deposits, now)
+                        if stalled is not None:
+                            self._fail(self._stall(clock, stalled))
+                    elif abandon_at is None:
+                        abandon_at = now + timeout + GRACE
+                    elif now >= abandon_at:
+                        return False
+                    t.join(slice_s)
+            return True
+        finally:
+            self.stats.deadline_extensions += clock.deadline_extensions
+
+    def _stall(self, clock: StallClock, stalled: float) -> HungRankError:
+        """The report of a run stalled for ``stalled`` s, read without the
+        mutex.  It blames the ranks running: not finished, not deposited
+        into the rendezvous being assembled, not queued to resume."""
+        pending = self._pending
+        waiting = {*(self._ready or ()), *(pending.ranks() if pending else ())}
+        unfinished = [r for r in range(self.nprocs) if r not in self._finished]
+        running = tuple(r for r in unfinished if r not in waiting)
+        blamed = running or tuple(unfinished)
+        if pending is None:
+            where = "between collectives"
+        elif running:
+            where = (f"missing from {self._at(pending.op, pending.tag)} "
+                     f"with {format_ranks(pending.ranks())} deposited and "
+                     f"waiting")
+        else:  # every rank deposited: the executor is wedged inside it
+            where = f"executing {self._at(pending.op, pending.tag)}"
+        clock.declare(blamed, where, stalled)
+        return HungRankError(
+            f"{format_ranks(blamed)} made no progress for {stalled:.3g}s "
+            f"(deadline {self.watchdog:.3g}s): {where}",
+            ranks=blamed, detection_seconds=stalled,
+            phase=pending.tag if pending else "",
+        )
 
 
 class SerialBackend(InProcessBackend):

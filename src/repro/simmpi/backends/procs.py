@@ -42,7 +42,8 @@ child killed hard at any point (even ``os._exit`` inside a superstep, as
 the fault-injection tests do) therefore leaks nothing.  The parent also
 supervises the children: if
 one dies without reporting (hard crash), it breaks the barrier so the
-surviving ranks error out instead of hanging.
+surviving ranks error out instead of hanging, and under a watchdog it
+kills the laggards of a stalled run (:mod:`repro.ft.watchdog`).
 
 Requires the ``fork`` start method (fork is what lets closures and
 unpicklable shared arguments reach the ranks), so this backend is
@@ -57,6 +58,7 @@ import os
 import pickle
 import struct
 import threading
+import time
 import traceback
 import uuid
 import zlib
@@ -65,7 +67,13 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ft.watchdog import HeartbeatBoard, Watchdog, rank_barrier_timeout
+from repro.ft.watchdog import (
+    GRACE,
+    POLL_INTERVAL,
+    HeartbeatBoard,
+    StallClock,
+    rank_barrier_timeout,
+)
 from repro.simmpi.backends.base import (
     Backend,
     fault_preamble,
@@ -359,8 +367,8 @@ class _Session:
                          for r in range(nprocs)]
         self.failure = _Slot(f"{self.shm_prefix}fail", integrity)
         #: Fork-shared liveness board: each rank beats (superstep, phase)
-        #: before every rendezvous; the supervisor-side Watchdog polls
-        #: it.  Allocated unconditionally (two tiny RawArrays) so
+        #: before every rendezvous; the parent's supervisor polls it.
+        #: Allocated unconditionally (two tiny RawArrays) so
         #: the session shape does not depend on the watchdog setting, but
         #: ranks only beat when a watchdog is configured.
         self.heartbeats = HeartbeatBoard(nprocs)
@@ -653,7 +661,6 @@ class ProcsBackend(Backend):
         except BaseException:
             self.last_shm_reclaimed = _sweep_shm(prefix)
             raise
-        watchdog: Optional[Watchdog] = None
         try:
             procs = [
                 self._ctx.Process(
@@ -667,23 +674,22 @@ class ProcsBackend(Backend):
             ]
             for p in procs:
                 p.start()
-            if self.watchdog is not None:
-                watchdog = Watchdog(self.watchdog, session.heartbeats, procs)
-                watchdog.start()
-            self._supervise(session, procs)
+            hung = self._supervise(session, procs)
             for p in procs:
                 p.join()
-            return self._collect(session, procs, watchdog)
+            return self._collect(session, procs, hung)
         finally:
-            if watchdog is not None:
-                watchdog.stop()
-                self.stats.heartbeats_seen += watchdog.heartbeats_seen
-                self.stats.deadline_extensions += watchdog.deadline_extensions
             self.last_shm_reclaimed = session.teardown()
 
-    def _supervise(self, session: _Session, procs: list) -> None:
+    def _supervise(self, session: _Session,
+                   procs: list) -> Optional[HungRankError]:
         """Drain the stats channel while children run; break the barrier if
         a child dies without reporting (so peers error out, not hang).
+        Under a watchdog also feed the heartbeats to a
+        :class:`~repro.ft.watchdog.StallClock` every
+        :data:`~repro.ft.watchdog.POLL_INTERVAL` and kill the laggards of
+        each stall it declares.  Returns the hang of the killed ranks, or
+        None.
 
         Events are **recorded as they drain**: the pipe has a single
         producer (rank 0, the designated computer) that enqueues in
@@ -698,11 +704,16 @@ class ProcsBackend(Backend):
                 self._record_rounds(tag, rounds)
                 self.stats.checksum_verifications += nchecks
 
+        clock = hung = None
+        if self.watchdog is not None:
+            clock = StallClock(self.watchdog, time.monotonic(), self.name)
         aborted = False
         live = list(procs)
         while live:
-            # asleep until rank 0 reports a superstep or a child exits
-            connection.wait([session.stats_recv] + [p.sentinel for p in live])
+            # asleep until rank 0 reports a superstep, a child exits or,
+            # under a watchdog, the next poll is due
+            connection.wait([session.stats_recv] + [p.sentinel for p in live],
+                            timeout=None if clock is None else POLL_INTERVAL)
             drain()
             live = [p for p in live if p.is_alive()]
             if not aborted and any(
@@ -710,26 +721,60 @@ class ProcsBackend(Backend):
             ):
                 session.barrier.abort()
                 aborted = True
+            if clock is not None:
+                beats = sum(s + 1 for s in session.heartbeats.steps())
+                stalled = clock.tick(beats, time.monotonic())
+                if stalled is not None and live:
+                    hung = self._kill_laggards(clock, session, procs, live,
+                                               stalled, hung)
         drain()
+        if clock is not None:
+            self.stats.heartbeats_seen += clock.heartbeats_seen
+            self.stats.deadline_extensions += clock.deadline_extensions
+        return hung
+
+    @staticmethod
+    def _kill_laggards(clock: StallClock, session: _Session, procs: list,
+                       alive: list, stalled: float,
+                       hung: Optional[HungRankError]) -> HungRankError:
+        """Kill the ranks of the ``alive`` processes with the lowest
+        heartbeat: ``SIGTERM``, then ``SIGKILL`` after
+        :data:`~repro.ft.watchdog.GRACE`.  Returns ``hung``, the run's
+        hang so far (or None), extended by them."""
+        steps = session.heartbeats.steps()
+        live = [r for r, p in enumerate(procs) if p in alive]
+        floor = min(steps[r] for r in live)
+        victims = [r for r in live if steps[r] == floor]
+        phase = session.heartbeats.phase_of(victims[0])
+        clock.declare(victims, f"at superstep {floor} (phase {phase!r}); "
+                               f"sending SIGTERM", stalled)
+        for r in victims:
+            procs[r].terminate()
+        deadline = time.monotonic() + GRACE
+        for r in victims:
+            procs[r].join(max(0.0, deadline - time.monotonic()))
+            if procs[r].is_alive():  # pragma: no cover - SIGTERM masked
+                clock.warn(f"rank {r} survived SIGTERM; sending SIGKILL")
+                procs[r].kill()
+        ranks = (hung.ranks if hung else ()) + tuple(victims)
+        phase = hung.phase if hung else phase
+        return HungRankError(
+            f"{format_ranks(ranks)} made no progress for "
+            f"{clock.detection_seconds:.3g}s (deadline {clock.timeout:.3g}s) "
+            f"in phase {phase!r}; killed by the watchdog",
+            ranks=ranks, phase=phase,
+            detection_seconds=clock.detection_seconds,
+        )
 
     def _collect(self, session: _Session, procs: list,
-                 watchdog: Optional[Watchdog] = None) -> List[Any]:
+                 hung: Optional[HungRankError]) -> List[Any]:
         results: List[Any] = [None] * self.nprocs
         errors: List[Optional[BaseException]] = [None] * self.nprocs
-        killed = tuple(watchdog.killed) if watchdog is not None else ()
         for r in range(self.nprocs):
-            if r in killed:
+            if hung is not None and r in hung.ranks:
                 # watchdog kill: typed as a hang, not a generic remote
                 # death, so the recovery supervisor can classify it
-                errors[r] = HungRankError(
-                    f"rank {r} made no progress for "
-                    f"{watchdog.detection_seconds:.3g}s (deadline "
-                    f"{watchdog.timeout:.3g}s) in phase "
-                    f"{watchdog.killed_phase!r}; killed by the watchdog",
-                    ranks=killed,
-                    phase=watchdog.killed_phase,
-                    detection_seconds=watchdog.detection_seconds,
-                )
+                errors[r] = hung
                 continue
             outcome: Any = None
             if procs[r].exitcode == 0:

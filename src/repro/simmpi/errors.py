@@ -80,11 +80,10 @@ class HungRankError(SimMPIError):
     """A rank (or the whole job) stopped making progress past the liveness
     deadline.
 
-    Raised by the watchdog machinery (:mod:`repro.ft.watchdog`): on the
-    ``procs`` backend the supervisor-side watchdog thread declares the
-    laggard rank processes dead (``SIGTERM`` then ``SIGKILL``) and the
-    parent surfaces this error; on the in-process backends a rank whose
-    rendezvous wait exceeds the deadline raises it directly.  Unlike
+    Raised when the run's supervisor declares a stall
+    (:mod:`repro.ft.watchdog`): on ``procs`` for the laggard rank
+    processes it killed, in process for the ranks that were running; an
+    in-process ``delay`` fault past the deadline raises it too.  Unlike
     :class:`RemoteRankError` it represents the *originating* failure, so
     :meth:`Backend._raise_collected` re-raises it with full priority and
     :func:`repro.ft.recovery.run_with_retries` treats it exactly like a

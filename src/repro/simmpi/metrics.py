@@ -188,11 +188,9 @@ class CommStats:
     #: engine-side observability only: excluded from :meth:`signature`,
     #: and zero when the watchdog / integrity checking are off.
     #:
-    #: Heartbeat step increments the procs supervisor's watchdog observed.
+    #: Heartbeats the ``procs`` supervisor's stall clock saw.
     heartbeats_seen: int = 0
-    #: Deadline probe re-checks (watchdog escalation) that still saw no
-    #: progress, plus in-process wait slices past the first on a bounded
-    #: rendezvous wait.
+    #: Stall-clock probe re-checks that still saw no progress.
     deadline_extensions: int = 0
     #: Payload checksum verifications performed at receive
     #: (``--integrity crc``).

@@ -7,9 +7,9 @@ runtime behind ``comm``, and the rank resumes with the collective's result
 left in the communicator, or with the exception the collective raised
 thrown in at the ``yield``.  Such a body needs no OS thread of its own:
 the in-process backends step its ranks on a few shared workers — one for
-``serial``, one per usable CPU for ``threads`` — while ``procs`` and a
-watched run drive each rank's generator through :func:`drive`, one
-blocking ``collective`` per request.
+``serial``, one per usable CPU for ``threads`` — while ``procs`` drives
+each rank's generator through :func:`drive`, one blocking ``collective``
+per request.
 
 :func:`steppable` lets one generator serve both kinds of caller, so
 communicating code is written once.  While a thread steps a generator —

@@ -24,7 +24,7 @@ def test_pulp_valid_partition(g):
 def test_pulp_uses_shared_memory_machine(g):
     res = pulp(g, 4, threads=4)
     assert res.machine is SHARED_MEMORY_NODE
-    assert res.params.shared_memory
+    assert res.params.x == res.params.y == 1.0  # exact size updates
 
 
 def test_pulp_no_network_cheaper_than_distributed(g):
@@ -55,6 +55,9 @@ def test_pulp_deterministic(g):
 
 def test_pulp_custom_params():
     g2 = webcrawl(1024, 12, seed=2)
-    res = pulp(g2, 4, params=PulpParams(outer_iters=1, seed=0), threads=2)
-    assert res.params.shared_memory  # flag forced on despite custom params
+    res = pulp(g2, 4, params=PulpParams(outer_iters=1, x=3.0, y=0.25,
+                                        seed=0), threads=2)
+    # exact size updates despite custom params
+    assert res.params.x == res.params.y == 1.0
+    assert res.params.outer_iters == 1
     assert res.parts.min() >= 0

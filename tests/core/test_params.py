@@ -56,9 +56,12 @@ def test_mult_clamped_at_schedule_end():
 
 
 def test_shared_memory_mult_is_exact_share():
-    p = PulpParams(shared_memory=True)
+    """PuLP's exact size updates (``x == y == 1``): every rank gets its
+    1/nprocs share at every schedule position."""
+    p = PulpParams(x=1.0, y=1.0)
     assert p.mult(16, 0) == 16.0
     assert p.mult(16, 45) == 16.0
+    assert p.mult(16, 10_000) == 16.0
 
 
 def test_frozen():

@@ -16,7 +16,14 @@ import pytest
 from repro.core import xtrapulp
 from repro.ft import CkptPolicy, FaultPlan, FaultSpec
 from repro.ft.recovery import RetryPolicy, run_with_retries
-from repro.ft.watchdog import HeartbeatBoard, slice_seconds
+from repro.ft.watchdog import (
+    PROBES,
+    STARTUP_GRACE,
+    WARN_FRACTION,
+    HeartbeatBoard,
+    StallClock,
+    slice_seconds,
+)
 from repro.simmpi import create_runtime
 from repro.simmpi.errors import HungRankError
 
@@ -105,6 +112,90 @@ def test_heartbeat_board_round_trips():
     assert len(board.phase_of(1)) < 100
 
 
+# -- the stall clock, on an injected time source -----------------------------
+
+
+def _started_clock(timeout=1.0):
+    """A clock whose run made its first progress at t = 0."""
+    clock = StallClock(timeout, now=-1.0, scope="test")
+    assert clock.tick(1, 0.0) is None
+    return clock
+
+
+def test_clock_warns_at_the_warn_fraction(caplog):
+    clock = _started_clock()
+    with caplog.at_level(logging.WARNING, logger="repro.ft.watchdog"):
+        clock.tick(1, WARN_FRACTION - 0.01)
+        assert not caplog.records
+        clock.tick(1, WARN_FRACTION)
+        clock.tick(1, WARN_FRACTION + 0.01)  # once per stall
+    (warning,) = caplog.records
+    assert "[watchdog:test] no rank progress for 0.50s" in warning.message
+
+
+def test_clock_probes_back_off_toward_the_deadline():
+    clock = _started_clock()
+    offsets = clock._probe_offsets(1.0)
+    assert len(offsets) == PROBES
+    assert offsets[0] > WARN_FRACTION and offsets[-1] == 1.0
+    gaps = [b - a for a, b in zip([WARN_FRACTION] + offsets, offsets)]
+    assert gaps == sorted(gaps)  # each wait doubles the last
+    for count, offset in enumerate(offsets[:-1], start=1):
+        assert clock.tick(1, offset - 1e-9) is None
+        assert clock.deadline_extensions == count - 1
+        assert clock.tick(1, offset) is None
+        assert clock.deadline_extensions == count
+
+
+def test_clock_declares_at_the_deadline_and_resets():
+    clock = _started_clock()
+    assert clock.tick(1, 0.999) is None
+    assert clock.tick(1, 1.0) == 1.0
+    assert clock.deadline_extensions == PROBES
+    assert clock.detection_seconds == 1.0
+    # timed again from the declaration: the next one is a deadline later
+    assert clock.tick(1, 1.999) is None
+    assert clock.tick(1, 2.25) == pytest.approx(1.25)
+    assert clock.deadline_extensions == 2 * PROBES
+    assert clock.detection_seconds == 1.0  # the first declaration's
+
+
+def test_clock_allows_startup_grace_before_the_first_progress():
+    clock = StallClock(1.0, now=0.0, scope="test")
+    assert clock.tick(0, 1.0) is None
+    assert clock.tick(0, STARTUP_GRACE - 0.01) is None
+    assert clock.tick(0, STARTUP_GRACE) == STARTUP_GRACE
+    # after the first progress the deadline is the timeout again
+    assert clock.tick(3, 6.0) is None
+    assert clock.tick(3, 7.0) == 1.0
+
+
+def test_clock_progress_between_probes_restarts_the_timeline():
+    clock = _started_clock()
+    first, second = clock._probe_offsets(1.0)[:2]
+    clock.tick(1, first)
+    assert clock.deadline_extensions == 1
+    assert clock.tick(4, (first + second) / 2) is None
+    assert clock.heartbeats_seen == 4
+    restart = (first + second) / 2
+    # no probe is due until the new stall reaches the first offset
+    assert clock.tick(4, restart + first - 0.01) is None
+    assert clock.deadline_extensions == 1
+    assert clock.tick(4, restart + second) is None
+    assert clock.deadline_extensions == 3
+    assert clock.tick(4, restart + 0.999) is None
+    assert clock.tick(4, restart + 1.0) == pytest.approx(1.0)
+
+
+def test_clock_declaration_is_a_watchdog_log_record(caplog):
+    clock = _started_clock()
+    with caplog.at_level(logging.WARNING, logger="repro.ft.watchdog"):
+        clock.declare([2], "at superstep 7", 1.5)
+    (record,) = caplog.records
+    assert record.name == "repro.ft.watchdog"
+    assert "declaring [2] hung at superstep 7 after 1.50s" in record.message
+
+
 # -- detection: the stall surfaces as a typed hang, fast ---------------------
 
 
@@ -134,7 +225,8 @@ def test_stall_without_watchdog_would_wait(ft_graph, ft_params, reference):
 
 def test_threads_peer_stall_detected_by_waiters():
     """A genuine stall (no fault machinery): one rank naps before the
-    rendezvous, its peers' sliced waits trip the deadline."""
+    rendezvous its peers wait in, and the supervisor's stall clock trips
+    the deadline."""
     def fn(comm):
         if comm.rank == 0:
             time.sleep(5.0)
@@ -174,11 +266,12 @@ def _nap_generator(comm):
                          ids=["plain", "generator"])
 def test_serial_stall_blames_the_missing_rank(body):
     """A genuine stall on ``serial``: rank 0 naps before the last
-    rendezvous.  A watched body, plain or generator, runs on rank threads,
-    so the parked peers' sliced waits trip the deadline and blame the rank
-    missing from the rendezvous, not themselves.  The nap ends inside the
-    abandon window (timeout + grace after the failure), so the report is
-    the parked rank's, not the join's "thread abandoned"."""
+    rendezvous.  Whether its body is plain (rank threads) or a generator
+    (one stepping worker), the calling thread supervises: the stall clock
+    trips the deadline and the report blames the rank missing from the
+    rendezvous, not the ranks waiting in it.  The nap ends inside the
+    abandon window (timeout + grace after the failure), so every thread
+    ends and the run raises the supervisor's report."""
     rt = create_runtime("serial", nprocs=3, watchdog=0.5)
     t0 = time.monotonic()
     try:
@@ -194,37 +287,29 @@ def test_serial_stall_blames_the_missing_rank(body):
     assert rt.stats.deadline_extensions > 0
 
 
-def test_park_takes_a_gate_opening_past_the_deadline():
-    """A parked rank's slice runs out just as the executor completes its
-    rendezvous and a peer opens the next one: the rank must take its
-    opening gate, not report a hang against a rendezvous it was released
-    from."""
-    from repro.simmpi.backends.engine import _Pending
+def test_a_rank_wedged_inside_execute_still_surfaces():
+    """The executor sleeps inside the collective it executes, holding the
+    engine's mutex: the supervisor never waits on it, so the stall is
+    still reported, against every rank, since all of them deposited."""
+    def wedge(merged, counts):
+        time.sleep(1.25)
+        return merged, counts
 
-    rt = create_runtime("threads", nprocs=2, watchdog=0.05)
+    def body(comm):
+        yield from comm.barrier()
+        return (yield from comm.Allgatherv(np.arange(2), then=wedge))
 
-    class Gate:
-        timed_out = False
-
-        def acquire(self, timeout=None):
-            if self.timed_out:
-                return True
-            self.timed_out = True
-            time.sleep(0.06)  # past the deadline
-            rt._pending.results = ["rank 0", "rank 1"]  # the executor ...
-            rt._pending = _Pending(2, "allreduce", "next")  # ... a peer
-            return False
-
-        def release(self):
-            pass
-
-    rt._gates = [Gate(), Gate()]
+    rt = create_runtime("serial", nprocs=3, watchdog=0.5)
+    t0 = time.monotonic()
     try:
-        out = rt._rendezvous(0, "barrier", "", None, 0, list, 0.0, 0.0,
-                             None, None, None, None)
+        with pytest.raises(HungRankError) as ei:
+            rt.run(body)
     finally:
         rt.close()
-    assert out == "rank 0"
+    assert time.monotonic() - t0 < 4.0
+    assert ei.value.ranks == (0, 1, 2)
+    assert ei.value.detection_seconds >= 0.5
+    assert "executing collective 'allgatherv'" in str(ei.value)
 
 
 def test_procs_watchdog_kills_the_hung_process(ft_graph, ft_params, caplog):

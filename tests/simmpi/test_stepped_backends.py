@@ -2,8 +2,9 @@
 
 A rank body may be a generator function whose collectives are ``yield
 from`` expressions (:mod:`repro.simmpi.stepping`).  On ``serial`` every rank
-of such a body is stepped by one worker, the calling thread; on ``threads``
-by one worker per usable CPU; on ``procs`` each rank drives its own
+of such a body is stepped by one worker (the calling thread, or, under a
+watchdog, a thread it supervises); on ``threads`` by one worker per usable
+CPU; on ``procs`` each rank drives its own
 generator through the blocking collective.  The stepped form must be the
 plain form: the same values and communication record, the same serial
 schedule, the same misuse errors, and per-rank compute metering although
@@ -146,6 +147,16 @@ def test_stepped_serial_schedule_is_the_pinned_literal():
     assert rt.stats.rounds == 7
 
 
+def test_watched_serial_schedule_is_the_pinned_literal():
+    """An armed watchdog only adds a supervisor: the one worker steps the
+    ranks in the same order."""
+    log = []
+    rt = create_runtime("serial", nprocs=NPROCS, watchdog=60)
+    rt.run(_six_collectives, log)
+    assert log == SCHEDULE
+    assert rt.stats.rounds == 7
+
+
 def test_xtrapulp_on_serial_runs_every_rank_on_the_callers_thread(
         monkeypatch):
     seen = {}
@@ -164,9 +175,10 @@ def test_xtrapulp_on_serial_runs_every_rank_on_the_callers_thread(
 
 @in_process
 def test_shipped_rank_bodies_never_run_on_rank_threads(backend, monkeypatch):
-    """Every rank body ``src/`` ships is a generator body, so an unwatched
-    run of the partitioner, either SpMV layout or any of the six analytics
-    is stepped: a plain body coming back would reach ``_run_threads``."""
+    """Every rank body ``src/`` ships is a generator body, so a run of the
+    partitioner, watched or not, either SpMV layout or any of the six
+    analytics is stepped: a plain body coming back would reach
+    ``_run_threads``."""
     def rank_threads(*args, **kwargs):
         raise AssertionError("a shipped rank body ran on rank threads")
 
@@ -174,6 +186,9 @@ def test_shipped_rank_bodies_never_run_on_rank_threads(backend, monkeypatch):
     g = rmat(7, 8, seed=1)
     parts = xtrapulp(g, 3, nprocs=3, backend=backend,
                      params=PulpParams(seed=1)).parts
+    watched = xtrapulp(g, 3, nprocs=3, backend=backend,
+                       params=PulpParams(seed=1), watchdog=60).parts
+    assert np.array_equal(watched, parts)
     for layout in ("1d", "2d"):
         run_spmv(g, parts, layout=layout, nprocs=3, iters=1, backend=backend)
     gd = webcrawl(128, 6, seed=9, directed=True)

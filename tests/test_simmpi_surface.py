@@ -46,9 +46,7 @@ SHM_OWNER = "simmpi/backends/procs.py"
 ALLTOALLV_CALLERS = {"core/exchange.py", "dist/build.py", "dist/ops.py"}
 
 #: ``"module.py:Qual.name"`` -> why it needs no caller in the trees above.
-#: An entry for a name that has a caller fails the guard too.  (There is
-#: none for ``Watchdog.run``, which ``threading`` calls: by name, the
-#: many ``.run(...)`` calls already count for it.)
+#: An entry for a name that has a caller fails the guard too.
 EXEMPT = {
     "simmpi/comm.py:materialize":
         "README's copy-on-write escape hatch for mutating a sealed result",
