@@ -35,8 +35,8 @@ from repro.simmpi.timing import MachineModel
 #: "XtraPuLP on 16 nodes" compares 16 cores against 256, exactly the
 #: paper's Table II configuration.
 SHARED_MEMORY_NODE = MachineModel(
-    alpha=1.0e-7, beta=1.0 / 40.0e9, compute_scale=1.0,
-    gamma=4.0e-9, name="shared-memory-node",
+    alpha=1.0e-7, beta=1.0 / 40.0e9, gamma=4.0e-9,
+    name="shared-memory-node",
 )
 
 

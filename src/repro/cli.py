@@ -102,10 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "metering: 'flat' (one rank = one node) or "
                              "'hierarchical[:R[xK]]' "
                              "(hierarchical exchange, R ranks/node, default "
-                             "8; K nodes/rack adds a third cross-rack tier, "
-                             "e.g. hierarchical:16x4). Default: $REPRO_COMM "
-                             "or 'flat'. Strategy choice never changes the "
-                             "partition, only the modeled tier traffic")
+                             "8; K nodes/rack, default one rack, e.g. "
+                             "hierarchical:16x4). Default: 'flat'. Strategy "
+                             "choice never changes the partition, only the "
+                             "modeled tier traffic")
     ft = parser.add_argument_group("fault tolerance")
     ft.add_argument("--checkpoint-dir", metavar="DIR",
                     help="checkpoint the run into DIR at phase boundaries; "

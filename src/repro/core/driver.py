@@ -481,7 +481,7 @@ def xtrapulp(
         ``$REPRO_BACKEND`` and defaults to ``"threads"``.  Identical
         partitions and communication stats are produced on every backend.
         The communicator strategy (``params.comm``, else a pre-built
-        backend's own, else ``$REPRO_COMM``) independently selects
+        backend's own, else ``flat``) independently selects
         topology-aware metering — again without changing partitions or
         the communication record (see :mod:`repro.simmpi.topology`).
     checkpoint:

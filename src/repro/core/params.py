@@ -43,8 +43,9 @@ class PulpParams:
         Communicator strategy spec (:mod:`repro.simmpi.topology`), the
         ChainerMN-style ``name[:ranks_per_node[xnodes_per_rack]]`` grammar:
         ``"flat"`` (one rank = one node) or ``"hierarchical[:R[xK]]"``
-        (two-level exchange metering with ``R`` ranks/node).  None
-        (default) honors ``$REPRO_COMM``, falling back to ``flat``.
+        (node-aggregated exchange metering with ``R`` ranks/node and
+        ``K`` nodes/rack, one rack without ``xK``).  None (default)
+        leaves a pre-built backend's strategy, else meters ``flat``.
         Strategy choice never changes the partition or the communication
         record — only the tier metering the tiered machine models price.
     init_strategy:

@@ -60,7 +60,9 @@ import numpy as np
 
 from repro.simmpi.stepping import Steps, steppable
 
-FORMAT_VERSION = 1
+#: Bumped whenever a pickled record changes shape, so that an older
+#: epoch is refused at load instead of failing later.
+FORMAT_VERSION = 2
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_TMP = "MANIFEST.tmp"
 STATS_NAME = "stats.pkl"

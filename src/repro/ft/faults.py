@@ -25,6 +25,7 @@ so a supervised retry of the same program does not re-trip the same bomb.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -88,6 +89,9 @@ class FaultSpec:
             )
         if self.step < 0 or self.rank < 0 or self.attempt < 0:
             raise ValueError(f"negative field in {self!r}")
+        if not 0 <= self.delay < math.inf:
+            raise ValueError(
+                f"fault delay must be finite and >= 0, got {self.delay}")
 
 
 class FaultPlan:

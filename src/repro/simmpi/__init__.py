@@ -36,17 +36,17 @@ the ``REPRO_BACKEND`` environment variable.
 
 How communication is *priced* is selected the same way
 (:mod:`repro.simmpi.topology`): a ChainerMN-style ``create_communicator``
-maps ranks onto a machine topology (nodes, optionally racks).  The default
-``flat`` metering (no strategy object) is one rank per node; the
-``hierarchical`` strategy models a two-level exchange (intra-node gather
-to a per-node leader, one aggregated inter-node message per node pair,
-intra-node scatter) and splits every event's bytes/hops into intra- vs
-inter-node tiers — without touching payload movement, so results and
+maps ranks onto a machine topology (nodes grouped into racks).  The
+default ``flat`` metering (no strategy object) is one rank per node; the
+``hierarchical`` strategy models a node-aggregated exchange (intra-node
+gather to a per-node leader, one aggregated inter-node message per node
+pair, intra-node scatter) and splits every event's bytes/hops into
+intra-node, inter-node and cross-rack tiers (the last zero on one rack,
+the default) — without touching payload movement, so results and
 communication records stay bit-identical across strategies.  Pick one with
-the ``comm=`` argument of ``create_runtime``/``run_spmd`` or the
-``REPRO_COMM`` environment variable; tiered machine flavors
-(:data:`~repro.simmpi.timing.BLUE_WATERS_TIERED`) price each tier with its
-own alpha/beta constants.
+the ``comm=`` spec argument of ``create_runtime``/``run_spmd``; tiered
+machine flavors (:data:`~repro.simmpi.timing.BLUE_WATERS_TIERED`) price
+each tier with its own alpha/beta constants.
 
 Every byte that crosses a rank boundary is accounted by
 :class:`~repro.simmpi.metrics.CommStats`, and
@@ -88,11 +88,9 @@ from repro.simmpi.timing import (
     TimeModel,
 )
 from repro.simmpi.topology import (
-    COMM_ENV_VAR,
     HierarchicalCommunicator,
     Topology,
     create_communicator,
-    default_comm,
     make_topology,
     parse_comm_spec,
 )
@@ -121,8 +119,6 @@ __all__ = [
     "parse_comm_spec",
     "HierarchicalCommunicator",
     "create_communicator",
-    "default_comm",
-    "COMM_ENV_VAR",
     "SimMPIError",
     "CollectiveMismatchError",
     "DeadlockError",

@@ -44,13 +44,14 @@ sealed object (``Backend.shares_results``).
 
 from __future__ import annotations
 
+import math
 import os
 from typing import List, Optional, Union
 
 from repro.simmpi.backends.base import Backend
 from repro.simmpi.backends.engine import SerialBackend, ThreadsBackend
 from repro.simmpi.backends.procs import ProcsBackend
-from repro.simmpi.topology import HierarchicalCommunicator, create_communicator
+from repro.simmpi.topology import create_communicator
 
 #: Environment variable consulted when ``create_runtime(backend=None)``.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -77,7 +78,7 @@ def create_runtime(
     *,
     nprocs: int,
     meter_compute: bool = True,
-    comm: Union[str, None, HierarchicalCommunicator] = None,
+    comm: Optional[str] = None,
     watchdog: Optional[float] = None,
     integrity: Optional[str] = None,
 ) -> Backend:
@@ -95,15 +96,14 @@ def create_runtime(
     meter_compute:
         Forwarded to the backend; see :class:`Backend`.
     comm:
-        Communicator strategy for topology-aware metering — a spec string
-        (``"flat"``, ``"hierarchical:8"``, ...), a
-        :class:`~repro.simmpi.topology.HierarchicalCommunicator`
-        instance, or None to honor ``$REPRO_COMM`` falling back to
-        ``"flat"``.  See :mod:`repro.simmpi.topology`.
+        Communicator strategy spec for topology-aware metering
+        (``"flat"``, ``"hierarchical:8"``, ``"hierarchical:8x4"``, ...;
+        see :mod:`repro.simmpi.topology`), or None to leave the
+        backend's own (``flat`` on a new one).
     watchdog:
-        Liveness deadline in seconds (:mod:`repro.ft.watchdog`); 0 turns
-        the watchdog off, None leaves the backend's own (none on a new
-        one).  The run's supervisor kills/fails ranks that make no
+        Finite liveness deadline in seconds (:mod:`repro.ft.watchdog`);
+        0 turns the watchdog off, None leaves the backend's own (none on
+        a new one).  The run's supervisor kills/fails ranks that make no
         progress for that long and surfaces them as
         :class:`~repro.simmpi.errors.HungRankError`.
     integrity:
@@ -115,8 +115,9 @@ def create_runtime(
 
     if integrity is not None:
         integrity = validate_integrity(integrity)
-    if watchdog is not None and watchdog < 0:
-        raise ValueError(f"watchdog timeout must be >= 0, got {watchdog}")
+    if watchdog is not None and not 0 <= watchdog < math.inf:
+        raise ValueError(
+            f"watchdog timeout must be finite and >= 0, got {watchdog}")
     if isinstance(backend, Backend):
         if backend.nprocs != nprocs:
             raise ValueError(
@@ -124,8 +125,6 @@ def create_runtime(
                 f"requested {nprocs}"
             )
         rt = backend
-        if comm is not None:
-            rt.comm_strategy = create_communicator(comm, nprocs=nprocs)
     else:
         name = backend if backend is not None else default_backend()
         try:
@@ -136,6 +135,7 @@ def create_runtime(
                 f"valid choices: {available_backends()}"
             ) from None
         rt = cls(nprocs, meter_compute=meter_compute)
+    if comm is not None:
         rt.comm_strategy = create_communicator(comm, nprocs=nprocs)
     if watchdog is not None:
         rt.watchdog = float(watchdog) or None

@@ -271,16 +271,11 @@ class Backend(ABC):
         tier_view: Optional[TierMetering] = None
         if tiers is not None:
             strategy = self.comm_strategy
-            # the byte columns then the wire columns, one of each per tier
-            # (two tiers, three over racks), and one hop count per tier
-            half = tiers.shape[1] // 2
-            names = (("intra_bytes", "inter_bytes", "xrack_bytes")[:half]
-                     + ("wire_intra", "wire_inter", "wire_xrack")[:half])
+            # tier_matrix's columns and the hops are in TierMetering's
+            # field order: bytes, wire, hops — each intra, inter, xrack
             tier_view = TierMetering(
+                *tiers.T, *strategy.hops(op),
                 node_of=strategy.node_map, rack_of=strategy.rack_map,
-                **dict(zip(names, tiers.T)),
-                **dict(zip(("intra_hops", "inter_hops", "xrack_hops"),
-                           strategy.hops(op))),
             )
         self.stats.record(CollectiveEvent(
             op=op, tag=tag, bytes_sent=bytes_sent,

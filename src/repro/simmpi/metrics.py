@@ -20,37 +20,32 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TierMetering:
-    """Two-level (node-aware) view of one collective's traffic.
+    """Node- and rack-aware view of one collective's traffic.
 
     Attached to a :class:`CollectiveEvent` by tiered communicator
     strategies (see :mod:`repro.simmpi.topology`); ``None`` under the
-    default ``flat`` strategy.  Two distinct models live here:
+    default ``flat`` strategy.  Two distinct models live here, each with
+    one entry per tier — same node, off-node in the same rack, off-rack:
 
-    * ``intra_bytes`` / ``inter_bytes`` — a **sum-preserving
-      classification** of the event's metered payload by destination
-      locality: ``intra_bytes + inter_bytes == bytes_sent`` per rank, so
-      every existing byte total still adds up and the split can be read as
-      "of the bytes we already count, how many stay on-node".
-    * ``wire_intra`` / ``wire_inter`` — the **two-level protocol's wire
-      model**: what the hierarchical exchange itself would move over
-      shared memory (gather/scatter legs included) and over the network
-      (leaders-only reductions, aggregated node-pair messages, narrowed
-      count headers).  These need *not* sum to ``bytes_sent`` — they are
-      the quantities the tiered machine models price.
+    * ``intra_bytes`` / ``inter_bytes`` / ``xrack_bytes`` — a
+      **sum-preserving classification** of the event's metered payload
+      by destination locality: ``intra + inter + xrack == bytes_sent``
+      per rank, so every existing byte total still adds up and the split
+      can be read as "of the bytes we already count, how many stay
+      on-node, or in the rack".
+    * ``wire_intra`` / ``wire_inter`` / ``wire_xrack`` — the
+      **hierarchical protocol's wire model**: what the exchange itself
+      would move over shared memory (gather/scatter legs included), over
+      the network inside a rack (leaders-only reductions, aggregated
+      node-pair messages, narrowed count headers) and across racks
+      (rack-leader injected).  These need *not* sum to ``bytes_sent`` —
+      they are the quantities the tiered machine models price.
 
-    ``intra_hops`` / ``inter_hops`` carry the round's latency structure,
-    and ``node_of`` maps each rank to its node (shared across events of a
-    run) so per-node wire aggregates can be formed.
-
-    On rack-structured topologies (``hierarchical:RxK``) a third tier
-    appears: ``xrack_bytes`` classifies the payload that leaves the rack
-    (conservation becomes ``intra + inter + xrack == bytes_sent``, with
-    ``inter_bytes`` narrowing to *off-node, same-rack*), ``wire_xrack``
-    is the three-level protocol's cross-rack wire traffic (rack-leader
-    injected), ``xrack_hops`` the cross-rack latency legs, and
-    ``rack_of`` maps each rank to its rack.  All four default to
-    zero/None on rack-less topologies, where the two-tier view is
-    byte-identical to what it always was.
+    ``intra_hops`` / ``inter_hops`` / ``xrack_hops`` carry the round's
+    latency structure, and ``node_of`` / ``rack_of`` map each rank to its
+    node and rack (shared across events of a run) so per-node and
+    per-rack wire aggregates can be formed.  On a topology of one rack
+    the ``xrack`` entries are zero.
 
     Deliberately **excluded** from :meth:`CommStats.signature`: tier
     metering is supplementary, so ``flat`` and ``hierarchical`` runs of
@@ -59,15 +54,15 @@ class TierMetering:
 
     intra_bytes: np.ndarray
     inter_bytes: np.ndarray
+    xrack_bytes: np.ndarray
     wire_intra: np.ndarray
     wire_inter: np.ndarray
+    wire_xrack: np.ndarray
     intra_hops: int
     inter_hops: int
+    xrack_hops: int
     node_of: np.ndarray
-    xrack_bytes: Optional[np.ndarray] = None
-    wire_xrack: Optional[np.ndarray] = None
-    xrack_hops: int = 0
-    rack_of: Optional[np.ndarray] = None
+    rack_of: np.ndarray
 
     @property
     def total_intra(self) -> int:
@@ -78,6 +73,10 @@ class TierMetering:
         return int(self.inter_bytes.sum())
 
     @property
+    def total_xrack(self) -> int:
+        return int(self.xrack_bytes.sum())
+
+    @property
     def total_wire_intra(self) -> int:
         return int(self.wire_intra.sum())
 
@@ -86,12 +85,8 @@ class TierMetering:
         return int(self.wire_inter.sum())
 
     @property
-    def total_xrack(self) -> int:
-        return int(self.xrack_bytes.sum()) if self.xrack_bytes is not None else 0
-
-    @property
     def total_wire_xrack(self) -> int:
-        return int(self.wire_xrack.sum()) if self.wire_xrack is not None else 0
+        return int(self.wire_xrack.sum())
 
 
 @dataclass(frozen=True)
@@ -273,15 +268,15 @@ class CommStats:
 
     @property
     def tiered(self) -> bool:
-        """True if any event carries two-level tier metering."""
+        """True if any event carries tier metering."""
         return any(e.tiers is not None for e in self.events)
 
     def rack_tier_bytes_by_op(self) -> Dict[str, tuple]:
         """Per-op ``(intra, inter, xrack)`` classification of metered bytes.
 
         Sum-preserving: the three components add up to the op's
-        :meth:`bytes_by_op` entry.  On rack-less topologies ``xrack`` is
-        zero; untiered events count fully as ``xrack`` — under ``flat``
+        :meth:`bytes_by_op` entry.  On one rack ``xrack`` is zero;
+        untiered events count fully as ``xrack`` — under ``flat``
         every rank is its own node *and* rack, so every metered byte
         crosses the widest tier.
         """
@@ -300,8 +295,8 @@ class CommStats:
     def modeled_inter_bytes(self) -> int:
         """Total modeled inter-node **wire** bytes of the run.
 
-        For tiered events this is the two-level protocol's network
-        traffic (aggregated node-pair messages, leaders-only reductions,
+        For tiered events this is the hierarchical protocol's in-rack
+        network traffic (aggregated node-pair messages, leaders-only reductions,
         narrowed count headers); untiered events contribute their full
         payload — under ``flat`` every rank is its own node, so every
         metered byte crosses the network.  The benchmark headline
@@ -320,7 +315,7 @@ class CommStats:
         )
 
     def modeled_xrack_bytes(self) -> int:
-        """Total modeled cross-rack wire bytes (zero without a rack tier)."""
+        """Total modeled cross-rack wire bytes (zero on one rack)."""
         return sum(
             e.tiers.total_wire_xrack for e in self.events
             if e.tiers is not None

@@ -16,7 +16,7 @@ def run_spmd(
     rank_args: Optional[Sequence[Sequence[Any]]] = None,
     meter_compute: bool = True,
     backend: Union[str, None, Backend] = None,
-    comm: Any = None,
+    comm: Optional[str] = None,
     **kwargs: Any,
 ) -> tuple[List[Any], CommStats]:
     """One-shot convenience: run ``fn`` on ``nprocs`` ranks, return results
@@ -26,7 +26,7 @@ def run_spmd(
     ``threads`` / ``procs``); None honors ``$REPRO_BACKEND`` and defaults
     to ``threads``.  ``comm`` selects the communicator strategy for
     topology-aware metering (``flat`` / ``hierarchical[:R[xK]]``); None
-    honors ``$REPRO_COMM`` and defaults to ``flat``.
+    meters ``flat``.
     """
     rt = create_runtime(backend, nprocs=nprocs, meter_compute=meter_compute,
                         comm=comm)

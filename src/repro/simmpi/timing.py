@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -48,11 +48,6 @@ class MachineModel:
     beta:
         Seconds per byte of the busiest rank's payload (inverse of per-node
         injection bandwidth).
-    compute_scale:
-        Multiplier applied to measured Python/NumPy compute seconds.  The
-        paper's partitioner is optimized C; calibrating the compute term with
-        a scale < 1 maps our measured time onto a C-like budget without
-        changing any relative comparison (all competitors are scaled alike).
     gamma:
         Seconds per deterministic work unit (one adjacency entry touched)
         charged via :meth:`repro.simmpi.comm.SimComm.charge`.  Default
@@ -63,7 +58,6 @@ class MachineModel:
 
     alpha: float
     beta: float
-    compute_scale: float = 1.0
     gamma: float = 4.0e-9
     name: str = "generic"
 
@@ -96,27 +90,27 @@ class MachineModel:
 #: "one MPI task per compute node ... OpenMP threads = shared-memory
 #: cores"), so the per-edge work rate is 16 threads x ~250 M edges/s.
 BLUE_WATERS_LIKE = MachineModel(
-    alpha=1.5e-6, beta=1.0 / 6.0e9, compute_scale=1.0,
-    gamma=4.0e-9 / 16.0, name="blue-waters-like",
+    alpha=1.5e-6, beta=1.0 / 6.0e9, gamma=4.0e-9 / 16.0,
+    name="blue-waters-like",
 )
 
 #: A commodity-cluster flavor (Cluster-1 in the paper: 16 Sandy Bridge
 #: nodes, QDR-IB-era network ~1 GB/s effective, Epetra-grade ~2 ns/nnz).
 CLUSTER_LIKE = MachineModel(
-    alpha=2.5e-6, beta=1.0 / 1.0e9, compute_scale=1.0, gamma=2.0e-9,
+    alpha=2.5e-6, beta=1.0 / 1.0e9, gamma=2.0e-9,
     name="cluster-like",
 )
 
 #: MPI ranks sharing one node (the paper's Fig. 6 "16-way parallelism"
 #: setting): shared-memory transport latency, one core per rank.
 SINGLE_NODE_MPI = MachineModel(
-    alpha=5.0e-7, beta=1.0 / 10.0e9, compute_scale=1.0, gamma=4.0e-9,
+    alpha=5.0e-7, beta=1.0 / 10.0e9, gamma=4.0e-9,
     name="single-node-mpi",
 )
 
 
 def _grouped_max(
-    wires: List[np.ndarray], groups: List[Optional[np.ndarray]]
+    wires: List[np.ndarray], groups: List[np.ndarray]
 ) -> np.ndarray:
     """Per-event busiest-group injected bytes: ``max_g sum_{r in g} wire(r)``.
 
@@ -131,17 +125,14 @@ def _grouped_max(
     n = len(wires)
     out = np.empty(n)
     g0 = groups[0]
-    if g0 is not None and all(g is g0 for g in groups):
+    if all(g is g0 for g in groups):
         mat = np.stack(wires).astype(np.float64)
         starts = np.concatenate(([0], np.flatnonzero(np.diff(g0)) + 1))
         out[:] = np.add.reduceat(mat, starts, axis=1).max(axis=1)
         return out
     for i, (w, g) in enumerate(zip(wires, groups)):
-        if g is None:
-            out[i] = float(w.sum())
-        else:
-            per = np.bincount(g, weights=w)
-            out[i] = float(per.max()) if per.size else 0.0
+        per = np.bincount(g, weights=w)
+        out[i] = float(per.max()) if per.size else 0.0
     return out
 
 
@@ -167,11 +158,10 @@ class TieredMachineModel(MachineModel):
     (under two-level exchange a node's network traffic is leader-injected,
     so summing the node's ranks is exact), and the rack term by the
     busiest *rack's* uplink (cross-rack traffic is rack-leader injected).
-    On rack-less topologies ``xrack_hops`` and ``wire_xrack`` are zero,
-    so the rack terms vanish and the formula is bit-identical to the
-    historical two-tier one.  Events without tier metering (``flat``
-    strategy, barrier-only rounds) fall back to the single-tier formula
-    at the inter-node constants, which is exactly the base
+    On a topology of one rack ``xrack_hops`` and ``wire_xrack`` are zero,
+    so the rack terms add exactly 0.0.  Events without tier metering
+    (``flat`` strategy, barrier-only rounds) fall back to the single-tier
+    formula at the inter-node constants, which is exactly the base
     :class:`MachineModel` behavior — so a tiered flavor is a drop-in
     replacement.
     """
@@ -218,13 +208,9 @@ class TieredMachineModel(MachineModel):
         bw += self.beta * _grouped_max(
             [t.wire_inter for t in tiers], [t.node_of for t in tiers]
         )
-        racked = [t for t in tiers if t.wire_xrack is not None]
-        if racked:
-            bw += self.beta_rack * _grouped_max(
-                [t.wire_xrack if t.wire_xrack is not None
-                 else np.zeros_like(t.wire_inter) for t in tiers],
-                [t.rack_of for t in tiers],
-            )
+        bw += self.beta_rack * _grouped_max(
+            [t.wire_xrack for t in tiers], [t.rack_of for t in tiers]
+        )
         bandwidth[tiered_idx] = bw
         return latency, bandwidth
 
@@ -238,10 +224,10 @@ class TieredMachineModel(MachineModel):
 #: ``gamma`` is per-rank single-core (ranks no longer bundle 16 threads).
 #: The rack tier models the Gemini torus's longer routes between cabinet
 #: groups: a couple of extra switch traversals of latency and a tapered
-#: (~half-injection) per-rack uplink.  It prices nothing unless the
-#: communicator spec names racks (``hierarchical:RxK``).
+#: (~half-injection) per-rack uplink.  It prices nothing on one rack,
+#: which is what a communicator spec without ``xK`` asks for.
 BLUE_WATERS_TIERED = TieredMachineModel(
-    alpha=1.5e-6, beta=1.0 / 6.0e9, compute_scale=1.0, gamma=4.0e-9,
+    alpha=1.5e-6, beta=1.0 / 6.0e9, gamma=4.0e-9,
     alpha_intra=5.0e-7, beta_intra=1.0 / 80.0e9,
     alpha_rack=2.5e-6, beta_rack=1.0 / 3.0e9,
     name="blue-waters-tiered",
@@ -272,9 +258,7 @@ class TimeModel:
             z = np.zeros(0)
             return z, z, z, z
         m = self.machine
-        compute = m.compute_scale * np.stack(
-            [e.compute_seconds for e in events]
-        ).max(axis=1)
+        compute = np.stack([e.compute_seconds for e in events]).max(axis=1)
         p = len(events[0].compute_seconds)
         work = m.gamma * np.stack(
             [e.work_units if e.work_units is not None

@@ -1,4 +1,4 @@
-"""Two-level (node-aware) communicator strategy.
+"""Hierarchical (node- and rack-aware) communicator strategy.
 
 Models the hierarchical exchange every scalable distributed partitioner
 implements (dKaMinPar's node-aggregated message queues, ChainerMN's
@@ -48,8 +48,8 @@ Per-op rules (``b`` = the rank's metered ``bytes_sent``), one for each op
   topologies; non-leaders pay the local gather hop and leaders the local
   fan-out hop.
 * **``bcast``**: only the root's bytes count; intra on a single node,
-  else off-node (cross-rack over racks), with a local fan-out hop where
-  the root's node has peers.
+  else off-node (cross-rack over several racks), with a local fan-out
+  hop where the root's node has peers.
 * **``checkpoint``**: always inter — snapshot payloads leave the node for
   stable storage regardless of topology (documented exception to the
   node-locality rules).
@@ -61,16 +61,18 @@ tree ops cost ``ceil(log2 n_nodes)`` inter plus ``2 * ceil(log2
 max_node_size)`` intra (reduce up, broadcast down).  A single-node
 topology degenerates to all-intra; one-rank nodes degenerate to ``flat``.
 
-Rack topologies (``hierarchical:RxK``) add a third tier: payload is
+Nodes are grouped into racks (``hierarchical:RxK``; one rack holding
+every node when the spec names no ``K``), a third tier: payload is
 classified ``intra`` (same node) / ``inter`` (off-node, same rack) /
 ``xrack`` (off-rack), still summing to the rank's metered bytes, and the
-wire model grows a ``wire_xrack`` leg — cross-rack traffic is
+wire model has a ``wire_xrack`` leg — cross-rack traffic is
 *rack-leader* injected (the lowest rank of a rack aggregates its nodes'
 off-rack messages), so the rack tier's bandwidth bound is the busiest
 rack's uplink.  Latency adds ``n_racks - 1`` (pairwise) or ``ceil(log2
-n_racks)`` (tree) cross-rack hops while the inter hop count narrows to
-the within-rack node count.  Without racks every formula reduces to the
-two-tier form above, bit-identically.
+n_racks)`` (tree) cross-rack hops, and the inter hop count is the
+within-rack node count.  On one rack nothing leaves the rack: the
+``xrack`` and ``wire_xrack`` columns and the cross-rack hops are zero,
+and the inter tier spans every node.
 
 The split runs **once per metered round, for every rank at once**
 (:meth:`HierarchicalCommunicator.tier_matrix`), where the backend records
@@ -110,7 +112,7 @@ COUNT_WIRE_BYTES = 4
 
 
 class HierarchicalCommunicator:
-    """Node-aware two-level metering strategy.
+    """Node- and rack-aware metering strategy.
 
     :meth:`tier_matrix` classifies all ranks of one metered round at once
     (called where the round is recorded) and :meth:`hops` gives each op's
@@ -124,10 +126,8 @@ class HierarchicalCommunicator:
         self.topology = topology
         #: Shared rank -> node map, reused by every event's TierMetering.
         self.node_map = topology.node_of_ranks()
-        #: Shared rank -> rack map (None without a rack tier), reused by
-        #: every event's TierMetering like :attr:`node_map`.
-        self.rack_map = (topology.rack_of_ranks()
-                         if topology.has_racks else None)
+        #: Shared rank -> rack map, reused like :attr:`node_map`.
+        self.rack_map = topology.rack_of_ranks()
         # what tier_matrix reads of the topology, once per run: ranks are
         # packed node-major and nodes rack-major, so a node / rack is one
         # slice of the rank / node axis and reduceat sums it
@@ -139,14 +139,13 @@ class HierarchicalCommunicator:
         self._leader = ranks % rpn == 0
         #: ranks whose node holds more than one rank (a leader fans out)
         self._has_peers = np.minimum(rpn, n - self._leader_of) > 1
-        if topology.multi_rack:
-            stride = topology.ranks_per_rack
-            self._rack_node_starts = np.arange(
-                0, topology.n_nodes, topology.nodes_per_rack)
-            self._rack_leader = ranks % stride == 0
-            #: ranks whose rack holds more than one node
-            self._rack_has_peers = np.minimum(
-                stride, n - (ranks - ranks % stride)) > rpn
+        stride = topology.ranks_per_rack
+        self._rack_node_starts = np.arange(
+            0, topology.n_nodes, topology.nodes_per_rack)
+        self._rack_leader = ranks % stride == 0
+        #: ranks whose rack holds more than one node
+        self._rack_has_peers = np.minimum(
+            stride, n - (ranks - ranks % stride)) > rpn
 
     def _locality_sums(self, m: np.ndarray):
         """Per source rank, the sum of ``m[src, dst]`` over every
@@ -156,8 +155,6 @@ class HierarchicalCommunicator:
                                    dtype=np.int64)
         total = per_node.sum(axis=1)
         node = per_node[self._ranks, self.node_map]
-        if not self.topology.multi_rack:
-            return total, node, total
         per_rack = np.add.reduceat(per_node, self._rack_node_starts, axis=1)
         return total, node, per_rack[self._ranks, self.rack_map]
 
@@ -170,10 +167,8 @@ class HierarchicalCommunicator:
         counts: bool = False,
     ) -> np.ndarray:
         """Every rank's tier bytes for one metered round, as an int64
-        ``(nprocs, 4)`` matrix ``(intra, inter, wire_intra, wire_inter)``
-        on rack-less topologies, or ``(nprocs, 6)`` with ``xrack`` and
-        ``wire_xrack`` after each pair on rack topologies: ``(intra,
-        inter, xrack, wire_intra, wire_inter, wire_xrack)``.
+        ``(nprocs, 6)`` matrix ``(intra, inter, xrack, wire_intra,
+        wire_inter, wire_xrack)``.
 
         Called once per round, where the backend records it, with the
         metering inputs the ranks deposited: ``nbytes[r]`` is rank ``r``'s
@@ -181,8 +176,8 @@ class HierarchicalCommunicator:
         for pairwise ops (diagonal zero; None for every other op),
         ``root`` the root of a ``bcast``, and ``counts`` flags the
         count-header round of an Alltoallv.  The classification entries
-        of a row sum to its ``nbytes`` at either width; the ``wire_*``
-        columns are the separate protocol model and need not."""
+        of a row sum to its ``nbytes``; the ``wire_*`` columns are the
+        separate protocol model and need not."""
         topo = self.topology
         b = np.asarray(nbytes, dtype=np.int64)
         multi = topo.multi_node
@@ -190,11 +185,9 @@ class HierarchicalCommunicator:
         leader = self._leader
 
         def out(intra, inter, wire_intra, wire_inter, xrack=0, wire_xrack=0):
-            cols = ((intra, inter, xrack, wire_intra, wire_inter, wire_xrack)
-                    if topo.has_racks
-                    else (intra, inter, wire_intra, wire_inter))
-            matrix = np.empty((topo.nprocs, len(cols)), dtype=np.int64)
-            for j, col in enumerate(cols):
+            matrix = np.empty((topo.nprocs, 6), dtype=np.int64)
+            for j, col in enumerate((intra, inter, xrack, wire_intra,
+                                     wire_inter, wire_xrack)):
                 matrix[:, j] = col
             return matrix
 
@@ -272,16 +265,13 @@ class HierarchicalCommunicator:
             return out(0, 0, 0, 0, b, b)
         return out(0, b, 0, b)
 
-    def hops(self, op: str) -> Tuple[int, ...]:
-        """``(intra, inter)`` latency hops, with a third cross-rack entry
-        appended on rack topologies (legacy values preserved otherwise:
-        on a rack topology the inter entry narrows to the within-rack
-        node count)."""
+    def hops(self, op: str) -> Tuple[int, int, int]:
+        """``(intra, inter, xrack)`` latency hops; the inter entry counts
+        the nodes of the fullest rack."""
         topo = self.topology
         n_nodes = topo.n_nodes
         width = topo.max_node_size
-        racked = topo.has_racks
-        peers = topo.max_nodes_per_rack if racked else n_nodes
+        peers = topo.nodes_per_rack
         n_racks = topo.n_racks
         if op in _PAIRWISE_OPS:
             intra = 3 * (width - 1)
@@ -295,7 +285,5 @@ class HierarchicalCommunicator:
             xrack = ceil(log2(n_racks)) if n_racks > 1 else 0
             if n_nodes == 1:
                 intra = ceil(log2(width)) if width > 1 else 0
-        if racked:
-            return intra, inter, xrack
-        return intra, inter
+        return intra, inter, xrack
 

@@ -1,4 +1,4 @@
-"""Machine topology model: simulated ranks grouped into nodes (and racks).
+"""Machine topology model: simulated ranks grouped into nodes and racks.
 
 The paper's runs place one MPI task per Blue Waters node, so the flat
 simulator historically equated *rank* with *node* — every pair of ranks
@@ -10,18 +10,20 @@ aggregation to reach their scaling regime.
 
 :class:`Topology` captures that structure for the simulator: ``nprocs``
 simulated ranks packed into nodes of ``ranks_per_node`` (the last node may
-be short), optionally grouped further into racks of ``nodes_per_rack``
-nodes.  Rank 0 of each node is its *leader* — the rank that injects the
-node's aggregated traffic into the inter-node network under the two-level
-exchange protocol (see :mod:`repro.simmpi.topology.hierarchical`).
+be short), and nodes packed into racks of ``nodes_per_rack`` nodes — one
+rack holding every node unless the spec names a rack width.  Rank 0 of
+each node is its *leader* — the rank that injects the node's aggregated
+traffic into the inter-node network under the hierarchical exchange
+protocol (see :mod:`repro.simmpi.topology.hierarchical`); the lowest rank
+of a rack likewise injects the rack's cross-rack traffic.
 
 A topology-aware communicator is requested with a compact spec string
-(``PulpParams.comm`` / ``--comm`` / ``$REPRO_COMM``)::
+(``PulpParams.comm`` / ``--comm`` / ``create_runtime(comm=)``)::
 
     flat                    today's single-tier behavior (default)
-    hierarchical            two-level, 8 ranks/node
-    hierarchical:16         two-level, 16 ranks/node
-    hierarchical:8x4        two-level, 8 ranks/node, 4 nodes/rack
+    hierarchical            8 ranks/node, one rack
+    hierarchical:16         16 ranks/node, one rack
+    hierarchical:8x4        8 ranks/node, 4 nodes/rack
 
 :func:`parse_comm_spec` validates the grammar without needing a rank
 count; :func:`make_topology` instantiates the concrete grouping.
@@ -29,6 +31,7 @@ count; :func:`make_topology` instantiates the concrete grouping.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -76,15 +79,19 @@ def parse_comm_spec(spec: str) -> Tuple[str, Optional[int], Optional[int]]:
 
 @dataclass(frozen=True)
 class Topology:
-    """Ranks packed into nodes of ``ranks_per_node`` (last node may be
-    short), nodes optionally packed into racks of ``nodes_per_rack``.
+    """Ranks packed into nodes of ``ranks_per_node`` (the last node may be
+    short), nodes packed into racks of ``nodes_per_rack`` (the last rack
+    may be short).
 
-    ``nodes_per_rack=0`` means no rack tier (one flat sea of nodes).
+    A rack at least as wide as the run is the one rack holding every
+    node, and ``nodes_per_rack`` is clamped to ``n_nodes``: the default
+    (what a spec without an ``xK`` suffix asks for) and an oversized
+    width are the same topology.
     """
 
     nprocs: int
     ranks_per_node: int
-    nodes_per_rack: int = 0
+    nodes_per_rack: int = sys.maxsize
 
     def __post_init__(self) -> None:
         if self.nprocs < 1:
@@ -93,10 +100,12 @@ class Topology:
             raise ValueError(
                 f"ranks_per_node must be >= 1, got {self.ranks_per_node}"
             )
-        if self.nodes_per_rack < 0:
+        if self.nodes_per_rack < 1:
             raise ValueError(
-                f"nodes_per_rack must be >= 0, got {self.nodes_per_rack}"
+                f"nodes_per_rack must be >= 1, got {self.nodes_per_rack}"
             )
+        object.__setattr__(self, "nodes_per_rack",
+                           min(self.nodes_per_rack, self.n_nodes))
 
     # -- node tier ---------------------------------------------------------
 
@@ -137,42 +146,23 @@ class Topology:
     # -- rack tier ---------------------------------------------------------
 
     @property
-    def has_racks(self) -> bool:
-        return self.nodes_per_rack > 0
-
-    @property
     def n_racks(self) -> int:
-        if not self.has_racks:
-            return 1
         return -(-self.n_nodes // self.nodes_per_rack)
 
     @property
     def multi_rack(self) -> bool:
-        return self.has_racks and self.n_racks > 1
+        return self.n_racks > 1
 
     @property
     def ranks_per_rack(self) -> int:
         """Rank stride of one rack (full racks; the last may be short)."""
-        if not self.has_racks:
-            return self.nprocs
         return self.ranks_per_node * self.nodes_per_rack
 
-    @property
-    def max_nodes_per_rack(self) -> int:
-        """Nodes in the fullest rack (the rack tier's fan-in bound)."""
-        if not self.has_racks:
-            return self.n_nodes
-        return min(self.nodes_per_rack, self.n_nodes)
-
     def rack_of(self, rank: int) -> int:
-        if not self.has_racks:
-            return 0
         return self.node_of(rank) // self.nodes_per_rack
 
     def rack_of_ranks(self) -> np.ndarray:
-        """``(nprocs,)`` int32 map rank -> rack id (all zero without racks)."""
-        if not self.has_racks:
-            return np.zeros(self.nprocs, dtype=np.int32)
+        """``(nprocs,)`` int32 map rank -> rack id."""
         return self.node_of_ranks() // np.int32(self.nodes_per_rack)
 
     def rack_span(self, rack: int) -> Tuple[int, int]:
@@ -187,7 +177,7 @@ class Topology:
     def is_rack_leader(self, rank: int) -> bool:
         """Whether ``rank`` is its rack's lowest rank, the one that injects
         the rack's aggregated cross-rack traffic."""
-        return self.has_racks and rank % self.ranks_per_rack == 0
+        return rank % self.ranks_per_rack == 0
 
 
 def make_topology(
@@ -195,11 +185,12 @@ def make_topology(
     ranks_per_node: Optional[int] = None,
     nodes_per_rack: Optional[int] = None,
 ) -> Topology:
-    """Build a :class:`Topology`, defaulting to 8-wide nodes (clamped so a
-    tiny run is still one full node rather than an error)."""
+    """Build a :class:`Topology` from a spec's widths: 8-wide nodes when it
+    names none (clamped so a tiny run is still one full node rather than
+    an error), one rack when it names no rack width."""
     rpn = ranks_per_node if ranks_per_node is not None else DEFAULT_RANKS_PER_NODE
     return Topology(
         nprocs=nprocs,
         ranks_per_node=min(rpn, max(nprocs, 1)),
-        nodes_per_rack=nodes_per_rack or 0,
+        nodes_per_rack=nodes_per_rack or sys.maxsize,
     )

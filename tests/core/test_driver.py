@@ -115,12 +115,11 @@ def test_comm_volume_scales_with_ranks(small_rmat):
     assert r8.stats.total_bytes > r2.stats.total_bytes
 
 
-def test_prebuilt_backend_keeps_its_communicator(small_rmat, monkeypatch):
+def test_prebuilt_backend_keeps_its_communicator(small_rmat):
     """``params.comm=None`` means "not chosen here": a backend built with a
     communicator keeps it; an explicit ``params.comm`` still wins."""
     from repro.simmpi import create_runtime
 
-    monkeypatch.delenv("REPRO_COMM", raising=False)
     rt = create_runtime("serial", nprocs=4, comm="hierarchical:2")
     res = xtrapulp(small_rmat, 4, nprocs=4, backend=rt)
     assert rt.comm_strategy.name == res.comm == "hierarchical"

@@ -56,6 +56,7 @@ def test_parse_delay_with_seconds():
 @pytest.mark.parametrize("text", [
     "", "2", "2:phase", "a:phase:0", "2:phase:b", "2:phase:0:die:extra",
     "2:phase:0:explode", "2:phase:0:delay:soon", "2:phase:0:die:5",
+    "0:*:0:delay:-1", "0:*:0:delay:inf", "0:*:0:delay:nan",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):

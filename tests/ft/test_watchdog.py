@@ -65,6 +65,18 @@ def test_negative_timeout_is_rejected(ft_graph):
         xtrapulp(ft_graph, 2, nprocs=2, backend="serial", watchdog=-1)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_non_finite_timeout_is_rejected(ft_graph, backend):
+    """An infinite or NaN deadline is refused up front, as a negative one
+    is, instead of failing inside the run's waits."""
+    for timeout in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="timeout"):
+            create_runtime(backend, nprocs=2, watchdog=timeout)
+        with pytest.raises(ValueError, match="timeout"):
+            xtrapulp(ft_graph, 2, nprocs=2, backend=backend,
+                     watchdog=timeout)
+
+
 def test_slice_is_a_fraction_of_the_deadline():
     assert slice_seconds(1.0) == pytest.approx(0.25)
     # clamped at both ends: huge deadlines don't slow stall detection,

@@ -50,8 +50,7 @@ def tiers_sha256(stats) -> str:
         for col in (() if t is None else (
                 t.intra_bytes, t.inter_bytes, t.xrack_bytes,
                 t.wire_intra, t.wire_inter, t.wire_xrack)):
-            h.update(b"-" if col is None
-                     else np.ascontiguousarray(col, dtype=np.int64).tobytes())
+            h.update(np.ascontiguousarray(col, dtype=np.int64).tobytes())
     return h.hexdigest()
 
 

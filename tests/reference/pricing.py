@@ -35,9 +35,7 @@ def max_rack_wire_xrack(tiers: TierMetering) -> int:
     """Busiest *rack's* injected cross-rack wire bytes — the bandwidth
     bound of the rack tier (cross-rack traffic is rack-leader injected, so
     a rack's uplink carries the sum of its ranks' ``wire_xrack``).  Zero on
-    rack-less topologies."""
-    if tiers.wire_xrack is None or tiers.rack_of is None:
-        return 0
+    one rack."""
     if tiers.wire_xrack.size == 0:
         return 0
     per_rack = np.bincount(tiers.rack_of, weights=tiers.wire_xrack)
@@ -75,7 +73,7 @@ def collective_cost(machine: MachineModel, event: CollectiveEvent,
 def superstep_time(model: TimeModel, event: CollectiveEvent,
                    nprocs: int) -> float:
     return (
-        model.machine.compute_scale * event.max_compute
+        event.max_compute
         + model.machine.gamma * event.max_work
         + collective_cost(model.machine, event, nprocs)
     )

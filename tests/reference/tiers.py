@@ -30,13 +30,8 @@ def tier_contribution(
     root: Optional[int] = None,
     counts: bool = False,
 ) -> Tuple[int, ...]:
-    """Rack-less topologies return the historical 4-tuple ``(intra,
-    inter, wire_intra, wire_inter)``; rack topologies return a 6-tuple
-    with ``xrack`` and ``wire_xrack`` appended after each pair:
-    ``(intra, inter, xrack, wire_intra, wire_inter, wire_xrack)``.
-    Conservation holds per width: the classification entries sum to
-    ``nbytes`` either way."""
-    racked = topo.has_racks
+    """The 6-tuple ``(intra, inter, xrack, wire_intra, wire_inter,
+    wire_xrack)``; the classification entries sum to ``nbytes``."""
     b = int(nbytes)
     multi = topo.multi_node
     multi_rack = topo.multi_rack
@@ -44,9 +39,7 @@ def tier_contribution(
     my_node = topo.node_of(rank)
 
     def out(intra, inter, wire_intra, wire_inter, xrack=0, wire_xrack=0):
-        if racked:
-            return intra, inter, xrack, wire_intra, wire_inter, wire_xrack
-        return intra, inter, wire_intra, wire_inter
+        return intra, inter, xrack, wire_intra, wire_inter, wire_xrack
 
     if op in _PAIRWISE_OPS and dest_bytes is not None:
         # contiguous packing (ranks node-major, nodes rack-major) turns

@@ -2,7 +2,9 @@
 classification on the :class:`Topology`, three-tier byte conservation
 (``intra + inter + xrack == bytes_sent``), and rack-aware pricing by
 :class:`~repro.simmpi.timing.TieredMachineModel` — including the guarantee
-that rack-less records price exactly as before the tier existed."""
+that a spec naming no rack is one rack, whose rack tier prices nothing."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -60,11 +62,36 @@ def test_params_accept_and_validate_rack_spec():
 
 def test_oversized_rack_spec_is_one_rack():
     """More nodes/rack than nodes exist: everything lands in rack 0 (same
-    clamping stance as a ranks/node wider than the run)."""
+    clamping stance as a ranks/node wider than the run) — the topology a
+    spec naming no rack asks for, metered and priced identically on
+    every backend."""
     c = create_communicator("hierarchical:2x64", nprocs=8)
     t = c.topology
-    assert t.has_racks and t.n_racks == 1 and not t.multi_rack
-    assert t.max_nodes_per_rack == t.n_nodes == 4
+    assert t.n_racks == 1 and not t.multi_rack
+    assert t.nodes_per_rack == t.n_nodes == 4
+    assert t == create_communicator("hierarchical:2", nprocs=8).topology
+    columns = ("intra_bytes", "inter_bytes", "xrack_bytes",
+               "wire_intra", "wire_inter", "wire_xrack")
+    for backend in BACKENDS:
+        plain, oversized = (
+            run_spmd(8, _workout, backend=backend, meter_compute=False,
+                     comm=spec)[1]
+            for spec in ("hierarchical:2", "hierarchical:2x64"))
+        assert len(plain.events) == len(oversized.events) > 0
+        for a, b in zip(plain.events, oversized.events):
+            for tiers in (a.tiers, b.tiers):
+                assert [getattr(tiers, col).shape for col in columns] == [
+                    (8,)] * 6
+                assert not tiers.xrack_bytes.any()
+                assert not tiers.wire_xrack.any()
+                assert tiers.xrack_hops == 0
+            for f in dataclasses.fields(a.tiers):
+                np.testing.assert_array_equal(getattr(a.tiers, f.name),
+                                              getattr(b.tiers, f.name))
+        for x, y in zip(
+                BLUE_WATERS_TIERED.cost_parts_batch(plain.events, 8),
+                BLUE_WATERS_TIERED.cost_parts_batch(oversized.events, 8)):
+            np.testing.assert_array_equal(x, y)
 
 
 # -- rack classification -----------------------------------------------------
@@ -93,14 +120,17 @@ def test_rack_leaders():
     assert [r for r in range(16) if t.is_rack_leader(r)] == [0, 4, 8, 12]
     assert t.is_rack_leader(0) and t.is_rack_leader(4)
     assert not t.is_rack_leader(2)  # node leader, but not rack leader
-    flat = Topology(nprocs=16, ranks_per_node=2)
-    assert not flat.is_rack_leader(0)  # no rack tier, no rack leaders
+    one_rack = Topology(nprocs=16, ranks_per_node=2)
+    # one rack, one rack leader: rank 0
+    assert [r for r in range(16) if one_rack.is_rack_leader(r)] == [0]
 
 
 def test_make_topology_threads_rack_width_through():
     t = make_topology(32, ranks_per_node=4, nodes_per_rack=2)
-    assert t.has_racks and t.n_racks == 4
-    assert make_topology(32, ranks_per_node=4).nodes_per_rack == 0
+    assert t.nodes_per_rack == 2 and t.n_racks == 4
+    one_rack = make_topology(32, ranks_per_node=4)
+    assert one_rack.nodes_per_rack == one_rack.n_nodes == 8
+    assert one_rack.n_racks == 1
 
 
 def test_degenerate_one_rank_racks():
@@ -205,9 +235,8 @@ def test_three_tier_split_sums_to_bytes_sent(backend):
                      meter_compute=False, comm="hierarchical:2x2")
     tiered = [e for e in st.events if e.tiers is not None]
     assert tiered
-    racked = [e for e in tiered if e.tiers.xrack_bytes is not None]
-    assert racked  # the rack tier actually engaged
-    for e in racked:
+    assert any(e.tiers.xrack_bytes.any() for e in tiered)  # rack tier engaged
+    for e in tiered:
         np.testing.assert_array_equal(
             e.tiers.intra_bytes + e.tiers.inter_bytes + e.tiers.xrack_bytes,
             e.bytes_sent)
@@ -260,8 +289,8 @@ def test_rack_terms_price_rack_traffic():
 
 
 def test_rackless_records_price_independent_of_rack_constants():
-    """Without racks the xrack meters are zero, so the rack constants must
-    be inert — the tiered model stays bit-identical to its two-tier self."""
+    """On one rack the xrack meters are zero, so the rack constants must
+    be inert."""
     for spec in ("flat", "hierarchical:2"):
         st = _stats(spec)
         base = TimeModel(machine=BLUE_WATERS_TIERED).total_time(st)

@@ -1,4 +1,4 @@
-"""Alpha-beta machine-model math (single-tier and two-tier flavors)."""
+"""Alpha-beta machine-model math (single-tier and tiered flavors)."""
 
 import numpy as np
 import pytest
@@ -27,14 +27,20 @@ def _event(op, nbytes, compute, tag="", tiers=None):
 
 def _tiers(intra, inter, wire_intra, wire_inter, *, intra_hops, inter_hops,
            node_of):
+    """Metering of a one-rack topology: the rack tier is all zero."""
+    none_leave = np.zeros(len(node_of), dtype=np.int64)
     return TierMetering(
         intra_bytes=np.asarray(intra, dtype=np.int64),
         inter_bytes=np.asarray(inter, dtype=np.int64),
+        xrack_bytes=none_leave,
         wire_intra=np.asarray(wire_intra, dtype=np.int64),
         wire_inter=np.asarray(wire_inter, dtype=np.int64),
+        wire_xrack=none_leave,
         intra_hops=intra_hops,
         inter_hops=inter_hops,
+        xrack_hops=0,
         node_of=np.asarray(node_of, dtype=np.int32),
+        rack_of=np.zeros(len(node_of), dtype=np.int32),
     )
 
 
@@ -86,16 +92,10 @@ def test_single_rank_comm_is_free():
 
 
 def test_superstep_time_is_compute_plus_comm():
-    model = TimeModel(MachineModel(alpha=1.0, beta=2.0, compute_scale=1.0))
+    model = TimeModel(MachineModel(alpha=1.0, beta=2.0))
     e = _event("allreduce", [4, 8], [0.5, 0.25])
     # compute 0.5 + latency 1*log2(2) + bandwidth 2*8
     assert superstep_time(model, e, 2) == pytest.approx(0.5 + 1.0 + 16.0)
-
-
-def test_compute_scale():
-    model = TimeModel(MachineModel(alpha=0.0, beta=0.0, compute_scale=0.5))
-    e = _event("barrier", [0, 0], [2.0, 1.0])
-    assert superstep_time(model, e, 2) == pytest.approx(1.0)
 
 
 def test_total_and_breakdown_consistent():
@@ -155,7 +155,7 @@ def test_tiered_breakdown_consistent():
 
 
 def test_blue_waters_tiered_constants_realistic():
-    """The two-tier flavor keeps the paper-calibrated network constants and
+    """The tiered flavor keeps the paper-calibrated network constants and
     adds a shared-memory tier in the realistic 10-20x bandwidth range."""
     m = BLUE_WATERS_TIERED
     assert m.name == "blue-waters-tiered"

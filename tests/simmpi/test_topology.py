@@ -9,15 +9,13 @@ import pytest
 from repro.core import PulpParams, xtrapulp
 from repro.graph import generators
 from repro.simmpi import run_spmd
+from repro.simmpi import create_runtime
 from repro.simmpi.topology import (
-    COMM_ENV_VAR,
     COUNT_WIRE_BYTES,
-    DEFAULT_COMM,
     DEFAULT_RANKS_PER_NODE,
     HierarchicalCommunicator,
     Topology,
     create_communicator,
-    default_comm,
     make_topology,
     parse_comm_spec,
 )
@@ -82,12 +80,14 @@ def test_topology_node_of_ranks_matches_scalar():
 
 def test_topology_rack_tier():
     t = Topology(nprocs=32, ranks_per_node=4, nodes_per_rack=2)
-    assert t.has_racks
+    assert t.nodes_per_rack == 2 and t.multi_rack
     assert t.n_racks == 4
     assert t.rack_of(0) == 0 and t.rack_of(8) == 1 and t.rack_of(31) == 3
-    flat_racks = Topology(nprocs=32, ranks_per_node=4)
-    assert not flat_racks.has_racks and flat_racks.n_racks == 1
-    assert flat_racks.rack_of(31) == 0
+    # no rack width: one rack holding every node
+    one_rack = Topology(nprocs=32, ranks_per_node=4)
+    assert one_rack.nodes_per_rack == one_rack.n_nodes == 8
+    assert one_rack.n_racks == 1 and not one_rack.multi_rack
+    assert one_rack.rack_of(31) == 0
 
 
 def test_topology_validates():
@@ -95,6 +95,8 @@ def test_topology_validates():
         Topology(nprocs=0, ranks_per_node=4)
     with pytest.raises(ValueError):
         Topology(nprocs=4, ranks_per_node=0)
+    with pytest.raises(ValueError):
+        Topology(nprocs=8, ranks_per_node=4, nodes_per_rack=0)
     with pytest.raises(ValueError):
         Topology(nprocs=8, ranks_per_node=4).node_size(2)
 
@@ -118,27 +120,15 @@ def test_create_by_name_and_spec():
     assert create_communicator("flat:4", nprocs=16) is None
 
 
-def test_spec_suffix_wins_over_kwargs():
-    c = create_communicator("hierarchical:4x2", nprocs=16,
-                            ranks_per_node=8, nodes_per_rack=9)
-    assert c.topology.ranks_per_node == 4
-    assert c.topology.nodes_per_rack == 2
-
-
-def test_default_is_flat(monkeypatch):
-    monkeypatch.delenv(COMM_ENV_VAR, raising=False)
-    assert default_comm() == DEFAULT_COMM == "flat"
-    assert create_communicator(None, nprocs=4) is None
-
-
-def test_env_override_honored(monkeypatch):
-    monkeypatch.setenv(COMM_ENV_VAR, "hierarchical:2")
-    assert default_comm() == "hierarchical:2"
-    c = create_communicator(None, nprocs=4)
-    assert isinstance(c, HierarchicalCommunicator)
-    assert c.topology.ranks_per_node == 2
-    monkeypatch.delenv(COMM_ENV_VAR)
-    assert default_comm() == "flat"
+def test_default_is_flat():
+    """A runtime meters flat unless a strategy is asked for, and None
+    leaves a pre-built runtime's strategy as it is."""
+    rt = create_runtime("serial", nprocs=4)
+    assert rt.comm_strategy is None
+    assert PulpParams().comm is None
+    rt = create_runtime("serial", nprocs=4, comm="hierarchical:2")
+    assert create_runtime(rt, nprocs=4).comm_strategy is rt.comm_strategy
+    assert create_runtime(rt, nprocs=4, comm="flat").comm_strategy is None
 
 
 def test_unknown_strategy_raises_with_choices():
@@ -151,30 +141,19 @@ def test_unknown_strategy_raises_with_choices():
 @pytest.mark.parametrize("bad", [
     "hierarchical:8x", "hierarchical:0", "hierarchical: 8",
 ])
-@pytest.mark.parametrize("entry", ["create_runtime", "run_spmd", "env"])
-def test_malformed_suffix_reports_the_grammar_error(bad, entry, monkeypatch):
+@pytest.mark.parametrize("entry", ["create_runtime", "run_spmd", "params"])
+def test_malformed_suffix_reports_the_grammar_error(bad, entry):
     """A valid strategy name with a bad ``:R[xK]`` suffix is a grammar
     error, not an unknown strategy — through every front door."""
-    from repro.simmpi import create_runtime
-
-    monkeypatch.delenv(COMM_ENV_VAR, raising=False)
     with pytest.raises(ValueError) as exc:
         if entry == "create_runtime":
             create_runtime("serial", nprocs=2, comm=bad)
         elif entry == "run_spmd":
             run_spmd(2, lambda comm: None, backend="serial", comm=bad)
         else:
-            monkeypatch.setenv(COMM_ENV_VAR, bad)
-            create_runtime("serial", nprocs=2)
+            PulpParams(comm=bad)
     assert bad in str(exc.value)
     assert "unknown communicator strategy" not in str(exc.value)
-
-
-def test_instance_passthrough_checks_nprocs():
-    c = create_communicator("hierarchical:2", nprocs=4)
-    assert create_communicator(c, nprocs=4) is c
-    with pytest.raises(ValueError, match="nprocs|ranks"):
-        create_communicator(c, nprocs=8)
 
 
 # -- hierarchical metering rules ---------------------------------------------
@@ -186,10 +165,11 @@ def _hier(nprocs, rpn):
 def test_dest_split_is_sum_preserving():
     c = _hier(8, 4)  # nodes {0..3}, {4..7}
     dest = np.array([0, 10, 20, 30, 40, 50, 60, 70], dtype=np.int64)
-    intra, inter, wire_intra, wire_inter = tier_row(
+    intra, inter, xrack, wire_intra, wire_inter, wire_xrack = tier_row(
         c, "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
     assert intra == 10 + 20 + 30
     assert inter == 40 + 50 + 60 + 70
+    assert xrack == wire_xrack == 0  # one rack: nothing leaves it
     assert intra + inter == dest.sum()
     # payload exchange ships the off-node bytes on the network unchanged
     assert wire_inter == inter
@@ -202,16 +182,16 @@ def test_dest_wire_legs():
     # rank 1 (non-leader): local delivery (200 to ranks 0,2... minus self)
     # + gather-to-leader of its 400 inter bytes + remote scatter of the
     # 300 off-node bytes not addressed to the remote leader (rank 4)
-    intra, inter, wire_intra, _ = tier_row(
+    intra, inter, xrack, wire_intra, _, _ = tier_row(
         c, "alltoallv", 1, int(dest.sum()), dest_bytes=dest)
-    assert (intra, inter) == (300, 400)
+    assert (intra, inter, xrack) == (300, 400, 0)
     assert wire_intra == 300 + 400 + 300
     # the leader skips the gather leg
     dest0 = np.full(8, 100, dtype=np.int64)
     dest0[0] = 0
-    intra0, inter0, wire_intra0, _ = tier_row(
+    intra0, inter0, xrack0, wire_intra0, _, _ = tier_row(
         c, "alltoallv", 0, int(dest0.sum()), dest_bytes=dest0)
-    assert (intra0, inter0) == (300, 400)
+    assert (intra0, inter0, xrack0) == (300, 400, 0)
     assert wire_intra0 == 300 + 300
 
 
@@ -219,8 +199,9 @@ def test_count_headers_reencoded_uint32():
     c = _hier(8, 4)
     dest = np.full(8, 8, dtype=np.int64)  # int64 count slots per dest
     dest[0] = 0
-    _, _, _, wire_inter = tier_row(
+    _, _, _, _, wire_inter, wire_xrack = tier_row(
         c, "alltoall", 0, int(dest.sum()), dest_bytes=dest, counts=True)
+    assert wire_xrack == 0
     # 4 off-node destinations (ranks 4-7) at 4 wire bytes each, instead of
     # the 4 * 8 int64 bytes the flat exchange would ship
     assert wire_inter == 4 * COUNT_WIRE_BYTES
@@ -231,12 +212,12 @@ def test_reduce_leaders_only():
     c = _hier(8, 4)
     b = 64
     # non-leader: reduces onto its leader over shared memory
-    assert tier_row(c, "allreduce", 1, b) == (b, 0, b, 0)
+    assert tier_row(c, "allreduce", 1, b) == (b, 0, 0, b, 0, 0)
     # leader: injects one value inter-node, fans the result back down
-    assert tier_row(c, "allreduce", 0, b) == (0, b, b, b)
+    assert tier_row(c, "allreduce", 0, b) == (0, b, 0, b, b, 0)
     # single node: everything is intra
     single = _hier(4, 4)
-    assert tier_row(single, "allreduce", 0, b) == (b, 0, b, 0)
+    assert tier_row(single, "allreduce", 0, b) == (b, 0, 0, b, 0, 0)
 
 
 def test_reduce_inter_wire_is_leaders_count():
@@ -245,46 +226,49 @@ def test_reduce_inter_wire_is_leaders_count():
     c = _hier(16, 8)
     b = 8
     wire_inter = sum(
-        tier_row(c, "allreduce", r, b)[3] for r in range(16))
+        tier_row(c, "allreduce", r, b)[4] for r in range(16))
     assert wire_inter == c.topology.n_nodes * b  # 2*8, not 16*8
 
 
 def test_concat_all_inter_on_multi_node():
     c = _hier(8, 4)
-    intra, inter, wire_intra, wire_inter = tier_row(c, "allgatherv", 1, 32)
-    assert (intra, inter) == (0, 32)
+    intra, inter, xrack, wire_intra, wire_inter, wire_xrack = tier_row(
+        c, "allgatherv", 1, 32)
+    assert (intra, inter, xrack) == (0, 32, 0)
     assert wire_intra == 32 and wire_inter == 32  # local gather leg
+    assert wire_xrack == 0
 
 
 def test_bcast_classified_by_root():
     c = _hier(8, 4)
-    assert tier_row(c, "bcast", 1, 64, root=0) == (0, 0, 0, 0)
-    assert tier_row(c, "bcast", 0, 64, root=0) == (0, 64, 64, 64)
+    assert tier_row(c, "bcast", 1, 64, root=0) == (0, 0, 0, 0, 0, 0)
+    assert tier_row(c, "bcast", 0, 64, root=0) == (0, 64, 0, 64, 64, 0)
     single = _hier(4, 4)
-    assert tier_row(single, "bcast", 0, 64, root=0) == (64, 0, 64, 0)
+    assert tier_row(single, "bcast", 0, 64, root=0) == (64, 0, 0, 64, 0, 0)
 
 
 def test_checkpoint_always_inter():
     c = _hier(8, 4)
     single = _hier(4, 4)
-    assert tier_row(c, "checkpoint", 1, 128)[:2] == (0, 128)
-    assert tier_row(single, "checkpoint", 0, 128)[:2] == (0, 128)
+    assert tier_row(c, "checkpoint", 1, 128)[:3] == (0, 128, 0)
+    assert tier_row(single, "checkpoint", 0, 128)[:3] == (0, 128, 0)
 
 
 def test_unknown_op_conservatively_inter():
     c = _hier(8, 4)
-    assert tier_row(c, "teleport", 3, 9) == (0, 9, 0, 9)
+    assert tier_row(c, "teleport", 3, 9) == (0, 9, 0, 0, 9, 0)
     single = _hier(4, 4)
-    assert tier_row(single, "teleport", 3, 9) == (9, 0, 9, 0)
+    assert tier_row(single, "teleport", 3, 9) == (9, 0, 0, 9, 0, 0)
 
 
 def test_hops_structure():
     c = _hier(32, 8)  # 4 nodes x 8
-    assert c.hops("alltoallv") == (3 * 7, 3)  # gather+exchange+scatter, n-1
-    assert c.hops("allreduce") == (2 * 3, 2)  # up+down log2(8), log2(4)
+    # gather+exchange+scatter, n-1, no other rack
+    assert c.hops("alltoallv") == (3 * 7, 3, 0)
+    assert c.hops("allreduce") == (2 * 3, 2, 0)  # up+down log2(8), log2(4)
     single = _hier(8, 8)
-    assert single.hops("alltoallv") == (7, 0)  # degenerates to flat
-    assert single.hops("allreduce") == (3, 0)
+    assert single.hops("alltoallv") == (7, 0, 0)  # degenerates to flat
+    assert single.hops("allreduce") == (3, 0, 0)
 
 
 # -- cross-strategy bit-identity ---------------------------------------------
@@ -324,8 +308,8 @@ def test_tier_split_sums_to_bytes_sent(backend):
     for e in tiered_events:
         np.testing.assert_array_equal(
             e.tiers.intra_bytes + e.tiers.inter_bytes, e.bytes_sent)
-    # and the per-op rollup agrees with the untiered byte totals (no racks:
-    # the cross-rack column stays empty)
+        assert not e.tiers.xrack_bytes.any()  # one rack: nothing leaves it
+    # and the per-op rollup agrees with the untiered byte totals
     by_op = st.bytes_by_op()
     for op, (intra, inter, xrack) in st.rack_tier_bytes_by_op().items():
         assert intra + inter == by_op[op] and xrack == 0
@@ -390,14 +374,6 @@ def test_xtrapulp_partition_invariant_under_comm(small_rmat, backend):
     assert flat.comm == "flat" and hier.comm == "hierarchical"
     assert not flat.stats.tiered
     assert hier.stats.tiered
-
-
-def test_xtrapulp_honors_comm_env(small_rmat, monkeypatch):
-    monkeypatch.setenv(COMM_ENV_VAR, "hierarchical:2")
-    res = xtrapulp(small_rmat, 4, nprocs=4, params=PulpParams(seed=123),
-                   backend="serial")
-    assert res.comm == "hierarchical"
-    assert res.stats.tiered
 
 
 def test_params_validate_comm_spec():

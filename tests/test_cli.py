@@ -130,6 +130,9 @@ def test_cli_malformed_inject_fault_is_usage_error(graph_file, capsys):
     path, _ = graph_file
     assert main([path, *FT, "--inject-fault", "not-a-spec"]) == 2
     assert "RANK:PHASE:STEP" in capsys.readouterr().err
+    # a negative delay is refused at parse time, not by the planted rank
+    assert main([path, *FT, "--inject-fault", "0:*:0:delay:-1"]) == 2
+    assert "delay" in capsys.readouterr().err
 
 
 def test_cli_resume_against_wrong_graph_is_usage_error(graph_file, tmp_path,

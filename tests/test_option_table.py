@@ -69,5 +69,4 @@ def test_table_lists_every_cli_flag():
 
 def test_table_lists_every_environment_variable():
     _, _, env = _table_columns()
-    assert env == _env_vars() == {"REPRO_BACKEND", "REPRO_COMM",
-                                  "REPRO_INTEGRITY"}
+    assert env == _env_vars() == {"REPRO_BACKEND", "REPRO_INTEGRITY"}
