@@ -33,8 +33,7 @@ def test_fig1_strong_scaling(benchmark, suite_graph):
             g = suite_graph(name, "medium")
             times = {}
             for nprocs in RANKS:
-                run = run_xtrapulp(g, name, PARTS, nprocs)
-                times[nprocs] = run.modeled_seconds
+                times[nprocs] = run_xtrapulp(g, name, PARTS, nprocs).modeled_seconds
             out[name] = times
         return out
 

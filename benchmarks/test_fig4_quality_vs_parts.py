@@ -7,10 +7,11 @@ XtraPuLP tracks PuLP closely; ParMETIS fails on some irregular inputs but
 is clearly best on the mesh class.
 """
 
+from functools import partial
+
 from repro.baselines import MultilevelResourceError, multilevel_partition, pulp
 from repro.bench import ExperimentTable
 from repro.bench.harness import run_xtrapulp
-from repro.core.quality import partition_quality
 from repro.suite import REPRESENTATIVE_SIX
 
 PART_COUNTS = [2, 8, 32, 128]
@@ -27,18 +28,18 @@ def test_fig4_quality_vs_parts(benchmark, suite_graph):
         out = {}
         for name in REPRESENTATIVE_SIX:
             g = suite_graph(name, "small")
+            methods = {
+                "XtraPuLP": partial(run_xtrapulp, graph_name=name, nprocs=4),
+                "PuLP": partial(pulp, threads=4),
+                "Multilevel": partial(multilevel_partition, seed=0),
+            }
             for p in PART_COUNTS:
-                run = run_xtrapulp(g, name, p, 4)
-                out[(name, "XtraPuLP", p)] = run.quality
-                q = pulp(g, p, threads=4).quality(g)
-                out[(name, "PuLP", p)] = q
-                try:
-                    ml = multilevel_partition(g, p, seed=0)
-                    out[(name, "Multilevel", p)] = partition_quality(
-                        g, ml.parts, p
-                    )
-                except MultilevelResourceError:
-                    out[(name, "Multilevel", p)] = None
+                for label, partition in methods.items():
+                    try:
+                        q = partition(g, num_parts=p).quality(g)
+                    except MultilevelResourceError:
+                        q = None
+                    out[(name, label, p)] = q
         return out
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)

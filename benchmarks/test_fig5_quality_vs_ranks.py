@@ -29,7 +29,7 @@ def test_fig5_quality_vs_ranks(benchmark, suite_graph):
     def experiment():
         g = suite_graph("webcrawl", "medium")
         runs = {
-            nprocs: run_xtrapulp(g, "webcrawl", PARTS, nprocs).quality
+            nprocs: run_xtrapulp(g, "webcrawl", PARTS, nprocs).quality(g)
             for nprocs in RANKS
         }
         block = vertex_block_partition(g, PARTS)

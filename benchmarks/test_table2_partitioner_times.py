@@ -16,6 +16,8 @@ reproduced invariant is the *relative* ordering across classes (multilevel
 is closest to label propagation on meshes, furthest on small-world).
 """
 
+from functools import partial
+
 from repro.baselines import MultilevelResourceError, multilevel_partition, pulp
 from repro.bench import ExperimentTable
 from repro.bench.harness import run_xtrapulp
@@ -36,17 +38,24 @@ def test_table2_partitioner_times(benchmark, suite_graph):
         out = {}
         for name in REPRESENTATIVE_SIX:
             g = suite_graph(name, "small")
-            xtra = run_xtrapulp(g, name, PARTS, 16).modeled_seconds
-            p = pulp(g, PARTS, threads=16)
-            # wall-to-wall comparison runs both engines sequentially (one
-            # python thread each) so neither pays simulation rendezvous
-            # overhead the other does not
-            p_seq = pulp(g, PARTS, threads=1)
-            try:
-                ml = multilevel_partition(g, PARTS, seed=0).seconds
-            except MultilevelResourceError:
-                ml = None
-            out[name] = (xtra, p.modeled_seconds, p_seq.wall_seconds, ml)
+            # the wall-to-wall comparison runs PuLP sequentially (one python
+            # thread, like the multilevel code) so neither pays simulation
+            # rendezvous overhead the other does not
+            methods = {
+                "xtra": partial(run_xtrapulp, graph_name=name, nprocs=16),
+                "pulp": partial(pulp, threads=16),
+                "pulp_seq": partial(pulp, threads=1),
+                "ml": partial(multilevel_partition, seed=0),
+            }
+            r = {}
+            for label, partition in methods.items():
+                try:
+                    r[label] = partition(g, num_parts=PARTS)
+                except MultilevelResourceError:
+                    r[label] = None
+            out[name] = (r["xtra"].modeled_seconds, r["pulp"].modeled_seconds,
+                         r["pulp_seq"].wall_seconds,
+                         None if r["ml"] is None else r["ml"].wall_seconds)
         return out
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
+from repro.core.quality import Partition
 from repro.graph.builders import to_scipy
 from repro.graph.csr import Graph
 from repro.multilevel.kernels import contract, heavy_edge_matching, lp_clustering
@@ -63,27 +64,12 @@ class _Level:
 
 
 @dataclass
-class MultilevelResult:
-    parts: np.ndarray
-    num_parts: int
-    seconds: float
+class MultilevelResult(Partition):
+    wall_seconds: float
     levels: int
     coarsest_n: int
     quality_mode: str
     history: List[Tuple[int, int]] = field(default_factory=list)  # (n, nnz)
-    work_units: float = 0.0
-
-    def modeled_seconds(
-        self, gamma: float = 4.0e-9, parallel_speedup: float = 8.0
-    ) -> float:
-        """Deterministic modeled time, comparable with the label-propagation
-        partitioners' gamma-priced modeled times.
-
-        ``parallel_speedup`` maps the inherently sequential hierarchy walk
-        onto the paper's 16-256-way ParMETIS runs; multilevel methods scale
-        notoriously poorly on irregular inputs, hence the conservative 8x
-        default (documented in EXPERIMENTS.md)."""
-        return gamma * self.work_units / max(parallel_speedup, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +287,10 @@ def multilevel_partition(
         raise ValueError("num_parts must be >= 1")
     if num_parts > graph.n:
         raise ValueError(f"cannot cut {graph.n} vertices into {num_parts} parts")
+    if graph.directed:
+        raise ValueError("multilevel partitions undirected (symmetric) graphs")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    work = 0.0
 
     adj = to_scipy(graph)
     adj.setdiag(0)
@@ -323,12 +310,9 @@ def multilevel_partition(
                 cur.vweights.sum() / (2.0 * num_parts), cur.vweights.max()
             )
             labels = lp_clustering(cur.adj, cur.vweights, max_cluster, rng)
-            work += 3 * 3.0 * cur.adj.nnz  # lp iters x sort-heavy sweeps
         else:
             labels = heavy_edge_matching(cur.adj, rng)
-            work += 4 * 2.0 * cur.adj.nnz  # matching rounds
         coarse, cvw, mapping = contract(cur.adj, cur.vweights, labels)
-        work += 2.0 * cur.adj.nnz  # contraction
         shrink = 1.0 - coarse.shape[0] / n_cur
         stored += coarse.nnz
         if stored > budget:
@@ -355,7 +339,6 @@ def multilevel_partition(
 
     coarsest = levels[-1]
     parts = _graph_growing(coarsest.adj, coarsest.vweights, num_parts, rng)
-    work += 4 * 2.0 * coarsest.adj.nnz  # growing restarts
 
     total_vw = float(vweights.sum())
     max_load = (1.0 + balance) * total_vw / num_parts
@@ -366,7 +349,6 @@ def multilevel_partition(
     parts = _refine_level(
         coarsest.adj, coarsest.vweights, parts, num_parts, max_load, passes
     )
-    work += (passes + 1) * 2.0 * coarsest.adj.nnz
     for i in range(len(levels) - 1, 0, -1):
         mapping = levels[i].mapping
         assert mapping is not None
@@ -378,14 +360,12 @@ def multilevel_partition(
         parts = _refine_level(
             fine.adj, fine.vweights, parts, num_parts, max_load, passes
         )
-        work += (passes + 1) * 2.0 * fine.adj.nnz
     return MultilevelResult(
         parts=parts.astype(np.int64),
         num_parts=num_parts,
-        seconds=time.perf_counter() - t0,
+        wall_seconds=time.perf_counter() - t0,
         levels=len(levels),
         coarsest_n=coarsest.adj.shape[0],
         quality_mode=quality,
         history=history,
-        work_units=work,
     )

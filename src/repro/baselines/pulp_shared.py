@@ -47,17 +47,18 @@ def pulp(
     threads: int = 16,
     params: Optional[PulpParams] = None,
     single_objective: bool = False,
-    seed: int = 42,
+    seed: Optional[int] = None,
 ) -> PartitionResult:
     """Partition with shared-memory PuLP-MM semantics.
 
     ``threads`` plays the role of the paper's 16-way OpenMP threading on a
-    Cluster-1 node.
+    Cluster-1 node.  ``seed``, when given, overrides ``params.seed``.
     """
-    base = params or PulpParams(seed=seed)
+    base = params or PulpParams()
     p = base.with_(
         x=1.0, y=1.0,
         single_objective=single_objective or base.single_objective,
+        seed=base.seed if seed is None else seed,
     )
     return xtrapulp(
         graph,

@@ -2,31 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core import PulpParams, xtrapulp
 from repro.core.driver import PartitionResult
-from repro.core.quality import PartitionQuality
 from repro.graph.csr import Graph
 from repro.simmpi.timing import BLUE_WATERS_LIKE, MachineModel
 from repro.suite import SUITE
-
-
-@dataclass
-class PartitionRun:
-    """One partitioner invocation with everything the benches report."""
-
-    graph_name: str
-    partitioner: str
-    num_parts: int
-    nprocs: int
-    modeled_seconds: float
-    wall_seconds: float
-    quality: PartitionQuality
-    comm_bytes: int
 
 
 def run_xtrapulp(
@@ -38,28 +22,21 @@ def run_xtrapulp(
     params: Optional[PulpParams] = None,
     machine: MachineModel = BLUE_WATERS_LIKE,
     single_objective: bool = False,
-    seed: int = 42,
-) -> PartitionRun:
-    """Run XtraPuLP with the suite-recommended init for the graph family."""
+    seed: Optional[int] = None,
+) -> PartitionResult:
+    """Run XtraPuLP with the suite-recommended init for the graph family;
+    ``seed``, when given, overrides ``params.seed``."""
     if params is None:
         init = (
             SUITE[graph_name].recommended_init if graph_name in SUITE else "hybrid"
         )
-        params = PulpParams(init_strategy=init, seed=seed)
+        params = PulpParams(init_strategy=init)
+    if seed is not None:
+        params = params.with_(seed=seed)
     if single_objective:
         params = params.with_(single_objective=True)
-    res: PartitionResult = xtrapulp(
+    return xtrapulp(
         graph, num_parts, nprocs=nprocs, params=params, machine=machine
-    )
-    return PartitionRun(
-        graph_name=graph_name,
-        partitioner="XtraPuLP",
-        num_parts=num_parts,
-        nprocs=nprocs,
-        modeled_seconds=res.modeled_seconds,
-        wall_seconds=res.wall_seconds,
-        quality=res.quality(graph),
-        comm_bytes=res.stats.total_bytes,
     )
 
 

@@ -6,6 +6,9 @@ Public entry points:
 * :func:`~repro.core.driver.xtrapulp` — partition a
   :class:`~repro.graph.csr.Graph` into ``p`` parts on ``nprocs`` simulated
   ranks, returning a :class:`~repro.core.driver.PartitionResult`.
+* :class:`~repro.core.quality.Partition` — the validated label vector
+  every partitioner the figures compare returns (``PartitionResult``, the
+  PuLP and multilevel baselines' results); ``quality(graph)`` scores it.
 * :mod:`~repro.core.quality` — the paper's quality metrics (edge cut ratio,
   scaled max per-part cut, vertex/edge imbalance, performance ratios).
 * :class:`~repro.core.params.PulpParams` — all tunables, including the
@@ -15,6 +18,7 @@ Public entry points:
 from repro.core.params import PulpParams
 from repro.core.driver import PartitionResult, xtrapulp
 from repro.core.quality import (
+    Partition,
     cut_edges_per_part,
     edge_balance,
     edge_cut,
@@ -29,6 +33,7 @@ __all__ = [
     "PulpParams",
     "xtrapulp",
     "PartitionResult",
+    "Partition",
     "edge_cut",
     "edge_cut_ratio",
     "cut_edges_per_part",

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.initialization import initialize
 from repro.core.lp import SPECS, lp_phase
 from repro.core.params import PulpParams
-from repro.core.quality import PartitionQuality, partition_quality
+from repro.core.quality import Partition, PartitionQuality
 from repro.core.state import RankState
 from repro.dist.build import build_dist_graph
 from repro.dist.distribution import Distribution, make_distribution
@@ -74,11 +74,9 @@ PARTITION_PHASES = (
 
 
 @dataclass
-class PartitionResult:
+class PartitionResult(Partition):
     """Output of one :func:`xtrapulp` run."""
 
-    parts: np.ndarray
-    num_parts: int
     nprocs: int
     params: PulpParams
     stats: CommStats
@@ -102,8 +100,7 @@ class PartitionResult:
         return {k: times.get(k, 0.0) for k in PARTITION_PHASES}
 
     def quality(self, graph: Optional[Graph] = None) -> PartitionQuality:
-        g = graph if graph is not None else self._graph
-        return partition_quality(g, self.parts, self.num_parts)
+        return super().quality(graph if graph is not None else self._graph)
 
 
 def step_plan(

@@ -2,7 +2,8 @@
 
 All metrics operate on the full graph plus a global part assignment, so
 they are usable on any partitioner's output (XtraPuLP, baselines,
-ParMETIS-like) for apples-to-apples comparison.
+ParMETIS-like) for apples-to-apples comparison.  :class:`Partition` is
+that assignment as the partitioners the figures compare return it.
 """
 
 from __future__ import annotations
@@ -15,12 +16,31 @@ import numpy as np
 from repro.graph.csr import Graph
 
 
+@dataclass
+class Partition:
+    """A label vector with ``parts[v]`` in ``[0, num_parts)`` for every
+    vertex ``v``; construction rejects anything else."""
+
+    parts: np.ndarray
+    num_parts: int
+
+    def __post_init__(self) -> None:
+        self.parts = parts = np.asarray(self.parts)
+        if self.num_parts < 1:
+            raise ValueError(f"num_parts must be >= 1, got {self.num_parts}")
+        if parts.ndim != 1:
+            raise ValueError(f"parts must be 1-D, got shape {parts.shape}")
+        if parts.size and (parts.min() < 0 or parts.max() >= self.num_parts):
+            raise ValueError("part labels out of range")
+
+    def quality(self, graph: Graph) -> "PartitionQuality":
+        return partition_quality(graph, self.parts, self.num_parts)
+
+
 def _check(graph: Graph, parts: np.ndarray, num_parts: int) -> np.ndarray:
-    parts = np.asarray(parts)
+    parts = Partition(parts, num_parts).parts
     if parts.shape != (graph.n,):
         raise ValueError(f"parts must have shape ({graph.n},), got {parts.shape}")
-    if parts.size and (parts.min() < 0 or parts.max() >= num_parts):
-        raise ValueError("part labels out of range")
     return parts
 
 

@@ -64,6 +64,10 @@ def test_validation():
         multilevel_partition(g, 9)
     with pytest.raises(ValueError):
         multilevel_partition(g, 2, quality="ultra")
+    src = np.arange(8)
+    directed = from_edges(8, src, (src + 1) % 8, directed=True)
+    with pytest.raises(ValueError, match="undirected"):
+        multilevel_partition(directed, 2)
 
 
 def test_memory_budget_failure():

@@ -53,6 +53,15 @@ def test_pulp_deterministic(g):
     np.testing.assert_array_equal(a.parts, b.parts)
 
 
+def test_pulp_seed_overrides_params_seed():
+    g2 = rmat(9, 8, seed=1)
+    params = PulpParams(outer_iters=1)
+    res = pulp(g2, 4, threads=2, params=params, seed=3)
+    assert res.params.seed == 3
+    same = pulp(g2, 4, threads=2, params=params.with_(seed=3))
+    np.testing.assert_array_equal(res.parts, same.parts)
+
+
 def test_pulp_custom_params():
     g2 = webcrawl(1024, 12, seed=2)
     res = pulp(g2, 4, params=PulpParams(outer_iters=1, x=3.0, y=0.25,
