@@ -37,11 +37,14 @@ class Distribution:
         self._owner.setflags(write=False)
         self.n = int(owner.size)
         self.nprocs = int(nprocs)
-        self._owned: List[np.ndarray] = [
-            np.flatnonzero(owner == r).astype(np.int64) for r in range(nprocs)
-        ]
-        for arr in self._owned:
-            arr.setflags(write=False)
+        # one stable sort of the owner table (on 1- or 2-byte keys where
+        # they fit: a radix sort) lists every rank's gids ascending, split by
+        # the owned counts — O(n) instead of one O(n) mask per rank
+        key = owner.astype(np.min_scalar_type(nprocs - 1), copy=False)
+        by_rank = np.argsort(key, kind="stable").astype(np.int64, copy=False)
+        by_rank.setflags(write=False)
+        ends = np.cumsum(np.bincount(owner, minlength=nprocs))
+        self._owned: List[np.ndarray] = np.split(by_rank, ends[:-1])
 
     # -- queries ---------------------------------------------------------------
 

@@ -39,6 +39,7 @@ from repro.dist.build import build_dist_graph
 from repro.dist.distgraph import DistGraph
 from repro.dist.distribution import Distribution, RandomDistribution
 from repro.dist.ops import ghost_plan
+from repro.dist.wire import stored_dtype
 from repro.graph.csr import Graph
 from repro.graph.gather import expand_ranges
 from repro.multilevel.kernels import (
@@ -66,6 +67,9 @@ class MLLevel:
     read-only and shared by the ranks of an address space (the simulator's
     shared-input convention); ``dg`` and ``ew_local`` are this rank's view.
     ``fine2coarse`` maps the *finer* level's gids onto this level's.
+    Edge weights count fine edges, so ``eweights`` and ``ew_local`` are
+    integers in :func:`~repro.dist.wire.stored_dtype` of the level's total
+    weight: every partial sum fits.
 
     ``graph`` and ``eweights`` exist to be contracted: ``build_hierarchy``
     sets them to None once the next level is made (or coarsening stops), and
@@ -102,10 +106,13 @@ def make_level0(
     dist: Distribution,
     vertex_weights: Optional[np.ndarray],
 ) -> Steps[MLLevel]:
-    """The finest level: unit edge weights, given (or unit) vertex weights."""
+    """The finest level: unit (integer) edge weights, given (or unit)
+    vertex weights."""
     dg = yield from build_dist_graph(comm, graph, dist)
     # 0-stride views: every consumer indexes or sums them, none writes
-    eweights = np.broadcast_to(np.float64(1.0), (graph.adj.size,))
+    eweights = np.broadcast_to(
+        stored_dtype(graph.adj.size).type(1), (graph.adj.size,)
+    )
     vweights = (
         np.asarray(vertex_weights, dtype=np.float64)
         if vertex_weights is not None
@@ -262,7 +269,12 @@ def _contract(
     """The replicated half of a contraction, a pure function of the level
     and the Allgathered labels: ``(nc, None)`` to stop coarsening here, else
     ``(nc, (offsets, adj, eweights, vweights, fine2coarse))`` of the coarse
-    level — plain arrays, which the comm layer can seal or copy."""
+    level — plain arrays, which the comm layer can seal or copy.
+
+    One live copy per array: the coarse endpoints are built with 4-byte ids
+    (the index dtype scipy keeps, so it copies neither), self-arcs are
+    compacted away once before aggregation, and each temporary is dropped
+    as soon as its successor exists."""
     g = level.graph
     # labels are gids of this level, so a presence bitmap + prefix sum
     # numbers the surviving clusters ascending without a sort
@@ -271,25 +283,40 @@ def _contract(
     nc = int(np.count_nonzero(present))
     if nc < min_vertices or 1.0 - nc / max(g.n, 1) < MIN_SHRINK:
         return nc, None
-    fine2coarse = (np.cumsum(present) - 1)[full]
+    fine2coarse = np.cumsum(present)
+    fine2coarse -= 1
+    fine2coarse = fine2coarse[full]
     # weighted coarse arcs: one arc per (coarse src, coarse dst) pair,
     # in CSR order, via the kernel the shared-memory baseline uses
-    cs = np.repeat(fine2coarse, g.degrees)
-    cd = fine2coarse[g.adj]
-    csr = aggregate_coarse_arcs(cs, cd, level.eweights, nc)
+    ids = fine2coarse.astype(stored_dtype(nc - 1))
+    cd = ids[g.adj]
+    cs = np.repeat(ids, g.degrees)
+    del ids
+    inter = cs != cd
+    cs = cs[inter]
+    cd = cd[inter]
+    w = level.eweights[inter]
+    del inter
+    # edge weights are integer counts of fine edges, so both totals and
+    # the check below are exact
+    fine_ew, kept_in = int(level.eweights.sum()), int(w.sum())
+    csr = aggregate_coarse_arcs(cs, cd, w, nc)
+    del cs, cd, w
     cvw = np.bincount(fine2coarse, weights=level.vweights, minlength=nc)
-    # conservation invariants: vertex mass exactly, edge weight up to
-    # the intra-cluster weight folded away by the contraction
+    # conservation invariants: vertex mass (maybe float) to rounding, edge
+    # weight exactly, up to the intra-cluster weight folded away
     kept_vw, fine_vw = float(cvw.sum()), float(level.vweights.sum())
-    kept_ew = float(csr.data.sum() + level.eweights[cs == cd].sum())
-    fine_ew = float(level.eweights.sum())
-    for what, kept, fine in (("vertex", kept_vw, fine_vw),
-                             ("edge", kept_ew, fine_ew)):
-        if not np.isclose(kept, fine):
+    kept_ew = int(csr.data.sum()) + fine_ew - kept_in
+    for what, ok, kept, fine in (
+        ("vertex", np.isclose(kept_vw, fine_vw), kept_vw, fine_vw),
+        ("edge", kept_ew == fine_ew, float(kept_ew), float(fine_ew)),
+    ):
+        if not ok:
             raise AssertionError(f"contraction of level {level_index} lost "
                                  f"{what} weight: {fine!r} -> {kept!r}")
+    # fresh copies: the CSR's arrays may be views of the pre-dedup buffers
     return nc, (csr.indptr.astype(np.int64), csr.indices.astype(np.int64),
-                csr.data, cvw, fine2coarse)
+                csr.data.astype(stored_dtype(kept_in)), cvw, fine2coarse)
 
 
 @steppable

@@ -184,11 +184,15 @@ def aggregate_coarse_arcs(
     """Sum the fine arcs ``(cs[i], cd[i], weights[i])`` into one weighted
     arc per coarse ``(src, dst)`` pair, dropping self-arcs.  COO → CSR
     bucketing, not a global key sort; returns canonical CSR (arcs in
-    ascending ``(src, dst)`` order)."""
+    ascending ``(src, dst)`` order) whose data keeps ``weights``' dtype.
+
+    Inputs without self-arcs are used as given: a caller that compacted
+    them, in the index dtype scipy keeps, holds the only copy."""
     off_diag = cs != cd
-    coarse = sparse.coo_matrix(
-        (weights[off_diag], (cs[off_diag], cd[off_diag])), shape=(nc, nc)
-    ).tocsr()
+    if not off_diag.all():
+        cs, cd, weights = cs[off_diag], cd[off_diag], weights[off_diag]
+    del off_diag
+    coarse = sparse.coo_matrix((weights, (cs, cd)), shape=(nc, nc)).tocsr()
     coarse.sum_duplicates()
     return coarse
 

@@ -102,3 +102,20 @@ def test_owner_array_read_only():
         d._owner[0] = 1
     with pytest.raises(ValueError):
         d.owned(0)[0] = 5
+
+
+@pytest.mark.parametrize("kind", ["block", "random", "partition"])
+@pytest.mark.parametrize("n,p", [(1000, 7), (5, 8), (0, 3), (700, 300)])
+def test_owned_lists_equal_the_mask_built_ones(kind, n, p):
+    """The owned lists come from one sort of the owner table; they are the
+    per-rank masks' gids exactly, empty for ranks that own nothing (n < p),
+    and on 2-byte keys once p > 256."""
+    parts = np.random.default_rng(n + p).integers(0, p, n)
+    d = make_distribution(kind, n, p, seed=5, parts=parts)
+    for r in range(p):
+        want = np.flatnonzero(d.owner_table == r)
+        got = d.owned(r)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+    assert d.counts().tolist() == np.bincount(
+        d.owner_table, minlength=p).tolist()

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import PulpParams, xtrapulp
 from repro.dist import make_distribution
+from repro.dist.wire import stored_dtype
 from repro.graph import mesh3d, rmat, webcrawl
 from repro.multilevel import coarsen, hierarchy
 from repro.multilevel.coarsen import local_eweights
@@ -168,7 +169,9 @@ def test_hierarchy_is_deterministic():
 )
 def test_contract_level_matches_unique_reference(graph, mode):
     """The shared COO -> CSR aggregation + bitmap relabel yield exactly the
-    arrays of the ``np.unique``-based contraction they replaced."""
+    arrays of the ``np.unique``-based contraction they replaced; the edge
+    weights are stored under the ``stored_dtype`` rule of the level's
+    total weight instead of the oracle's float64."""
     nprocs = 3
     params = PulpParams(
         multilevel=True, ml_coarsen=mode, ml_levels=4, seed=7,
@@ -192,7 +195,11 @@ def test_contract_level_matches_unique_reference(graph, mode):
             (coarse.eweights, cw), (coarse.vweights, cvw),
             (coarse.fine2coarse, f2c),
         ]:
-            assert got.dtype == want.dtype
+            if got is coarse.eweights:
+                want_dtype = stored_dtype(int(want.sum()))
+            else:
+                want_dtype = want.dtype
+            assert got.dtype == want_dtype
             np.testing.assert_array_equal(got, want)
 
 
@@ -236,6 +243,27 @@ def test_lost_edge_weight_names_the_level_and_both_sums(monkeypatch):
     assert "level 0 lost edge weight" in msg
     assert repr(float(g.adj.size)) in msg            # the fine total
     assert repr(float(g.adj.size) + 64.0) in msg     # what was kept
+
+
+def test_one_lost_unit_of_edge_weight_fails_its_own_level(monkeypatch):
+    """Edge weights are integer counts of fine edges, so conservation is
+    checked exactly: one unit lost out of 155 664 arcs, inside a relative
+    tolerance of 1e-5, is caught at the level that lost it."""
+    real = coarsen.aggregate_coarse_arcs
+
+    def lossy(cs, cd, weights, nc):
+        csr = real(cs, cd, weights, nc)
+        csr.data[0] -= 1
+        return csr
+
+    monkeypatch.setattr(coarsen, "aggregate_coarse_arcs", lossy)
+    g = mesh3d(24, 24, 24)
+    with pytest.raises(AssertionError) as info:
+        xtrapulp(g, 2, nprocs=2, backend="serial",
+                 params=PulpParams(seed=5, multilevel=True, ml_coarsen="hem"))
+    msg = str(info.value)
+    assert "level 0 lost edge weight" in msg
+    assert f"{float(g.adj.size)!r} -> {float(g.adj.size - 1)!r}" in msg
 
 
 @pytest.mark.parametrize("mode", ["lp", "hem"])

@@ -1,15 +1,19 @@
-"""What a V-cycle keeps alive (ISSUE 21): a level's global ``Graph`` and
-``eweights`` live until the next level is contracted from them, a level
-until the partition has been projected through it."""
+"""What a V-cycle keeps alive: a level's global ``Graph`` and ``eweights``
+live until the next level is contracted from them, a level until the
+partition has been projected through it; a contraction holds one live copy
+of each of its working arrays."""
 
 import gc
 import tracemalloc
 
 from repro.core import PulpParams, xtrapulp
+from repro.dist import make_distribution
 from repro.graph import mesh3d
 from repro.graph.csr import Graph
 from repro.core import driver
 from repro.core.lp import SPECS
+from repro.multilevel import coarsen
+from repro.simmpi import run_spmd
 
 
 def live_graphs():
@@ -45,5 +49,31 @@ def test_uncoarsening_holds_no_coarse_graph_and_the_peak_is_pinned(monkeypatch):
         tracemalloc.stop()
     assert result.multilevel.levels == 8
     assert seen == [before]  # the input graph and nothing coarser
-    # 12.7 x the CSR; 20.2 x when every level kept its graph to the end
-    assert peak <= 16 * (g.offsets.nbytes + g.adj.nbytes)
+    # 10.27 x the CSR with a lean contraction and 4-byte edge weights
+    # (11.76 x before them; 20.2 x when every level kept its graph to the end)
+    assert peak <= 10.75 * (g.offsets.nbytes + g.adj.nbytes)
+
+
+def test_contraction_transient_peak_per_fine_arc():
+    """``_contract`` on level 0 of ``mesh3d(24, 24, 24)`` peaks at 20.0
+    bytes per fine arc (47.6 with 8-byte endpoints and weights and three
+    masked copies), its outputs included."""
+    g = mesh3d(24, 24, 24)
+    params = PulpParams(seed=7, multilevel=True, ml_coarsen="hem")
+    dist = make_distribution("random", g.n, 1, seed=7)
+
+    def cluster(comm):
+        level = yield from coarsen.make_level0(comm, g, dist, None)
+        labels = yield from coarsen.hem_cluster_labels(comm, level, params, 0)
+        return level, labels
+
+    level, labels = run_spmd(1, cluster, backend="serial")[0][0]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        nc, arrays = coarsen._contract(level, 0, 16, labels)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert arrays is not None and nc < g.n
+    assert peak <= 24 * g.adj.size
