@@ -42,15 +42,14 @@ def test_backend_comparison(benchmark, suite_graph, scale_ranks):
     def experiment():
         runs = {}
         for b in backends:
-            rt = create_runtime(b, nprocs=NPROCS, meter_compute=False)
+            rt = create_runtime(b, nprocs=NPROCS)
             t0 = time.perf_counter()
             result = xtrapulp(g, PARTS, nprocs=NPROCS,
                               params=PulpParams(seed=42), backend=rt)
             runs[b] = (time.perf_counter() - t0, result)
         # large-P row: only the serial backend schedules hundreds of
         # ranks in reasonable wall time (see DESIGN.md on backend choice)
-        rt = create_runtime("serial", nprocs=scale_ranks,
-                            meter_compute=False)
+        rt = create_runtime("serial", nprocs=scale_ranks)
         t0 = time.perf_counter()
         result = xtrapulp(g, PARTS, nprocs=scale_ranks,
                           params=PulpParams(seed=42), backend=rt)

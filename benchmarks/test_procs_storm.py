@@ -59,7 +59,7 @@ def _storm(comm):
 
 
 def _run_storm(backend):
-    rt = create_runtime(backend, nprocs=NPROCS, meter_compute=False)
+    rt = create_runtime(backend, nprocs=NPROCS)
     t0 = time.perf_counter()
     checksums = rt.run(_storm)
     return rt, time.perf_counter() - t0, checksums
@@ -101,7 +101,7 @@ def test_partitions_identical_across_comms():
         params = PulpParams(seed=11, outer_iters=2, comm=comm)
         ref = xtrapulp(g, parts, nprocs=NPROCS, params=params,
                        backend="serial")
-        rt = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
+        rt = create_runtime("procs", nprocs=NPROCS)
         r = xtrapulp(g, parts, nprocs=NPROCS, params=params, backend=rt)
         np.testing.assert_array_equal(r.parts, ref.parts)
         assert r.stats.signature() == ref.stats.signature()

@@ -34,8 +34,7 @@ PARAMS = dict(seed=42, outer_iters=1, balance_iters=2, refine_iters=3)
 
 
 def _run(graph, nprocs, backend="serial", comm=None):
-    rt = create_runtime(backend, nprocs=nprocs, meter_compute=False,
-                        comm=comm)
+    rt = create_runtime(backend, nprocs=nprocs, comm=comm)
     t0 = time.perf_counter()
     result = xtrapulp(graph, PARTS, nprocs=nprocs,
                       params=PulpParams(**PARAMS), backend=rt)

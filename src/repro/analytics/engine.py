@@ -136,9 +136,7 @@ def run_analytic(
             values = yield from kernel(comm, dg, plan, **kernel_kwargs)
         return dg.owned_gids, np.asarray(values)
 
-    # kernels charge deterministic work units; disable the noisy
-    # thread-time metering so modeled times are exactly reproducible
-    runtime = create_runtime(backend, nprocs=nprocs, meter_compute=False)
+    runtime = create_runtime(backend, nprocs=nprocs)
     try:
         t0 = time.perf_counter()
         per_rank = runtime.run(rank_main)

@@ -159,6 +159,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: cannot cut {graph.n} vertices into {args.parts} parts",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.ranks < 1:
+        print(f"error: --ranks must be >= 1, got {args.ranks}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         params = PulpParams(
             init_strategy=args.init,

@@ -291,10 +291,17 @@ def _resolve_config(
         raise ValueError("num_parts must be >= 1")
     if num_parts > graph.n:
         raise ValueError(f"cannot cut {graph.n} vertices into {num_parts} parts")
+    if nprocs < 1:
+        raise ValueError(f"nprocs must be >= 1, got {nprocs}")
     if vertex_weights is not None:
         vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
         if vertex_weights.shape != (graph.n,):
             raise ValueError("vertex_weights must have one entry per vertex")
+        bad = np.flatnonzero(~np.isfinite(vertex_weights))
+        if bad.size:
+            raise ValueError(
+                f"vertex_weights must be finite; {bad.size} are not, the "
+                f"first {vertex_weights[bad[0]]} at vertex {bad[0]}")
         if vertex_weights.size and vertex_weights.min() <= 0:
             raise ValueError("vertex_weights must be positive")
     params = params or PulpParams()
@@ -331,11 +338,8 @@ def _resolve_config(
         if policy.every != "off":
             cfg.ckpt_ctx = make_context(policy, **identity)
 
-    # all phases charge deterministic work units (priced by the machine
-    # model's gamma), so modeled times are exactly reproducible
     cfg.runtime = runtime = create_runtime(
-        backend, nprocs=nprocs, meter_compute=False,
-        comm=params.comm,
+        backend, nprocs=nprocs, comm=params.comm,
         watchdog=watchdog, integrity=integrity,
     )
     if cfg.run_dir is not None and runtime.stats.rounds:

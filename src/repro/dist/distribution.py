@@ -105,6 +105,8 @@ class RandomDistribution(Distribution):
     """Seeded random assignment, balanced to within one vertex per rank."""
 
     def __init__(self, n: int, nprocs: int, *, seed: int = 0) -> None:
+        if nprocs < 1:
+            raise ValueError("nprocs must be >= 1")
         rng = np.random.default_rng(seed)
         base, extra = divmod(n, nprocs)
         sizes = np.full(nprocs, base, dtype=np.int64)

@@ -51,11 +51,12 @@ each tier with its own alpha/beta constants.
 Every byte that crosses a rank boundary is accounted by
 :class:`~repro.simmpi.metrics.CommStats`, and
 :class:`~repro.simmpi.timing.TimeModel` turns the per-superstep record of
-(max-rank compute time, collective payload sizes) into a modeled parallel
-execution time using an alpha-beta (latency/bandwidth) machine model.  The
-benchmark harness reports this modeled time alongside wall time; scaling
-*shapes* in the paper's figures are driven by per-rank work and message
-volume, both of which are measured exactly here.
+(max-rank charged work units, collective payload sizes) into a modeled
+parallel execution time using an alpha-beta-gamma (latency / bandwidth /
+work) machine model; no wall clock enters it.  The benchmark harness
+reports this modeled time alongside wall time; scaling *shapes* in the
+paper's figures are driven by per-rank work and message volume, both of
+which are metered exactly here.
 """
 
 from repro.simmpi.backends import (

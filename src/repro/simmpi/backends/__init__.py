@@ -77,7 +77,7 @@ def create_runtime(
     backend: Union[str, None, Backend] = None,
     *,
     nprocs: int,
-    meter_compute: bool = True,
+    meter_compute: Optional[bool] = None,
     comm: Optional[str] = None,
     watchdog: Optional[float] = None,
     integrity: Optional[str] = None,
@@ -94,7 +94,11 @@ def create_runtime(
     nprocs:
         Number of simulated MPI ranks.
     meter_compute:
-        Forwarded to the backend; see :class:`Backend`.
+        True stamps each rank's measured ``thread_time`` between
+        collectives into the events' ``compute_seconds`` (a profiling
+        instrument: the machine model prices charged work units, never
+        this); False turns it off; None leaves the backend's own (off on
+        a new one).
     comm:
         Communicator strategy spec for topology-aware metering
         (``"flat"``, ``"hierarchical:8"``, ``"hierarchical:8x4"``, ...;
@@ -134,7 +138,9 @@ def create_runtime(
                 f"unknown execution backend {name!r}; "
                 f"valid choices: {available_backends()}"
             ) from None
-        rt = cls(nprocs, meter_compute=meter_compute)
+        rt = cls(nprocs)
+    if meter_compute is not None:
+        rt.meter_compute = bool(meter_compute)
     if comm is not None:
         rt.comm_strategy = create_communicator(comm, nprocs=nprocs)
     if watchdog is not None:

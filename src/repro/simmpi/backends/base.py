@@ -125,10 +125,6 @@ class Backend(ABC):
     ----------
     nprocs:
         Number of simulated MPI ranks.
-    meter_compute:
-        If False, skip the per-rank ``thread_time`` calls (slightly faster;
-        modeled times then contain only communication and charged-work
-        terms).  Deterministic kernels run with this off.
     """
 
     #: Registry name of the backend (set by each subclass).
@@ -139,12 +135,16 @@ class Backend(ABC):
     #: collective hands them all the same sealed (read-only) object.
     shares_results = True
 
-    def __init__(self, nprocs: int, *, meter_compute: bool = True) -> None:
+    def __init__(self, nprocs: int) -> None:
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
         self.nprocs = int(nprocs)
-        self.meter_compute = bool(meter_compute)
         self.stats = CommStats(self.nprocs)
+        #: Whether each rank stamps the ``thread_time`` it spent between
+        #: collectives into the events' ``compute_seconds`` — a profiling
+        #: instrument the machine model never prices.  Off unless
+        #: :func:`repro.simmpi.backends.create_runtime` turns it on.
+        self.meter_compute = False
         #: Optional :class:`repro.ft.faults.FaultPlan` (duck-typed: anything
         #: with ``check(rank, op, tag, can_die=...)``).  Consulted rank-side
         #: before every collective deposit so deterministic crashes/delays
@@ -358,5 +358,4 @@ class Backend(ABC):
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"{type(self).__name__}(nprocs={self.nprocs}, "
-                f"meter_compute={self.meter_compute})")
+        return f"{type(self).__name__}(nprocs={self.nprocs})"

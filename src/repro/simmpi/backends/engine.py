@@ -111,8 +111,8 @@ class InProcessBackend(Backend):
     #: may run on, at most the rank count (``threads``).
     workers: Optional[int] = None
 
-    def __init__(self, nprocs: int, *, meter_compute: bool = True) -> None:
-        super().__init__(nprocs, meter_compute=meter_compute)
+    def __init__(self, nprocs: int) -> None:
+        super().__init__(nprocs)
         #: Guards the rendezvous state.  Never waited on by the supervisor
         #: of a watched run, so a rank wedged inside ``execute`` cannot
         #: hide a hang.

@@ -351,13 +351,14 @@ class _Slot:
 
 
 class _Session:
-    """Per-run shared state: slots, barrier, failure cell, stats channel."""
+    """Per-run shared state: slots, barrier, failure cell, stats channel,
+    and the backend's settings the rank processes read."""
 
-    def __init__(self, ctx, nprocs: int, shm_prefix: str,
-                 integrity: bool = False,
-                 watchdog: Optional[float] = None) -> None:
-        self.nprocs = nprocs
-        self.watchdog = watchdog
+    def __init__(self, ctx, backend: Backend, shm_prefix: str) -> None:
+        self.nprocs = nprocs = backend.nprocs
+        self.watchdog = backend.watchdog
+        self.meter_compute = backend.meter_compute
+        integrity = backend.integrity == "crc"
         self.shm_prefix = shm_prefix
         self.barrier = ctx.Barrier(nprocs)
         self.fail_flag = sharedctypes.RawValue("i", 0)
@@ -399,12 +400,12 @@ class _RankEndpoint:
     #: through pickling.
     shares_results = False
 
-    def __init__(self, session: _Session, rank: int, meter_compute: bool,
+    def __init__(self, session: _Session, rank: int,
                  fault_plan: Any = None, comm_strategy: Any = None) -> None:
         self._session = session
         self.rank = rank
         self.nprocs = session.nprocs
-        self.meter_compute = meter_compute
+        self.meter_compute = session.meter_compute
         self._fault_plan = fault_plan
         #: SimComm reads this to decide whether to deposit per-destination
         #: bytes, and the designated computer splits the tiers with it —
@@ -585,7 +586,6 @@ class _RankEndpoint:
 def _rank_process_main(
     session: _Session,
     rank: int,
-    meter_compute: bool,
     fault_plan: Any,
     comm_strategy: Any,
     fn: Callable[..., Any],
@@ -595,8 +595,7 @@ def _rank_process_main(
 ) -> None:
     from repro.simmpi.comm import SimComm
 
-    endpoint = _RankEndpoint(session, rank, meter_compute, fault_plan,
-                             comm_strategy)
+    endpoint = _RankEndpoint(session, rank, fault_plan, comm_strategy)
     try:
         comm = SimComm(endpoint, rank)
         extra = tuple(rank_args[rank]) if rank_args is not None else ()
@@ -630,8 +629,8 @@ class ProcsBackend(Backend):
 
     name = "procs"
 
-    def __init__(self, nprocs: int, *, meter_compute: bool = True) -> None:
-        super().__init__(nprocs, meter_compute=meter_compute)
+    def __init__(self, nprocs: int) -> None:
+        super().__init__(nprocs)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ValueError(
                 "the 'procs' backend requires the 'fork' start method "
@@ -655,9 +654,7 @@ class ProcsBackend(Backend):
         # start leaves behind is findable (and swept) by name
         self.last_shm_prefix = prefix = _session_prefix()
         try:
-            session = _Session(self._ctx, self.nprocs, prefix,
-                               integrity=self.integrity == "crc",
-                               watchdog=self.watchdog)
+            session = _Session(self._ctx, self, prefix)
         except BaseException:
             self.last_shm_reclaimed = _sweep_shm(prefix)
             raise
@@ -665,8 +662,8 @@ class ProcsBackend(Backend):
             procs = [
                 self._ctx.Process(
                     target=_rank_process_main,
-                    args=(session, r, self.meter_compute, self.fault_plan,
-                          self.comm_strategy, fn, args, rank_args, kwargs),
+                    args=(session, r, self.fault_plan, self.comm_strategy,
+                          fn, args, rank_args, kwargs),
                     daemon=True,
                     name=f"simmpi-proc-{r}",
                 )

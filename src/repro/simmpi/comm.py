@@ -197,9 +197,9 @@ class SimComm:
         #: this identical across ranks; checkpoints record it so a resumed
         #: run knows where its re-executed prologue (graph build) ends.
         self.event_count = 0
-        #: thread_time bookkeeping is skipped wholesale when compute
-        #: metering is off — at thousands of ranks the two clock reads per
-        #: deposit are measurable pure overhead.
+        #: thread_time bookkeeping is skipped wholesale unless a profiling
+        #: harness turned compute metering on — at thousands of ranks the
+        #: two clock reads per deposit are measurable pure overhead.
         self._meter = bool(runtime.meter_compute)
         self._last_thread_time: float = (
             time.thread_time() if self._meter else 0.0
@@ -214,9 +214,8 @@ class SimComm:
 
     def charge(self, units: float) -> None:
         """Charge deterministic work (e.g. edges touched) to this rank's
-        current superstep.  Priced by the machine model's ``gamma``;
-        kernels that charge work should run with ``meter_compute=False`` so
-        modeled times are exactly reproducible."""
+        current superstep — the compute the machine model prices, via
+        ``gamma``, so modeled times are exactly reproducible."""
         self._work += float(units)
 
     # -- phase tagging -----------------------------------------------------

@@ -3,7 +3,7 @@
 Every collective executed by a
 :class:`repro.simmpi.backends.base.Backend` appends a
 :class:`CollectiveEvent` carrying, for each rank, the payload bytes it sent
-off-rank and the compute time it spent since the previous rendezvous.  The
+off-rank and the work units it charged since the previous rendezvous.  The
 aggregate view (:class:`CommStats`) answers the questions the paper's
 evaluation asks: how much traffic did the partitioner generate, how many
 rounds, and what does an alpha-beta machine model say the parallel runtime
@@ -107,13 +107,16 @@ class CollectiveEvent:
     compute_seconds:
         Per-rank CPU time spent between the previous rendezvous and this
         one, measured with ``time.thread_time`` so that GIL waits and other
-        ranks' work are not charged to this rank.
+        ranks' work are not charged to this rank.  An instrument, not a
+        cost: zero unless the runtime's ``meter_compute`` is on (only a
+        profiling harness turns it on), and never priced by
+        :class:`~repro.simmpi.timing.TimeModel`.
     work_units:
         Per-rank *deterministic* work charged via
         :meth:`repro.simmpi.comm.SimComm.charge` since the previous
-        rendezvous (e.g. edges touched).  Kernels that charge work run with
-        compute metering off, making their modeled times exactly
-        reproducible; the machine model prices a unit via ``gamma``.
+        rendezvous (e.g. edges touched) — the compute the machine model
+        prices, a unit via ``gamma``, so modeled times are exactly
+        reproducible.
     tiers:
         Optional :class:`TierMetering` attached by a tiered communicator
         strategy (``None`` under ``flat``).  Supplementary — excluded from
@@ -124,7 +127,7 @@ class CollectiveEvent:
     tag: str
     bytes_sent: np.ndarray
     compute_seconds: np.ndarray
-    work_units: Optional[np.ndarray] = None
+    work_units: np.ndarray
     tiers: Optional[TierMetering] = None
 
     @property
@@ -141,9 +144,7 @@ class CollectiveEvent:
 
     @property
     def max_work(self) -> float:
-        if self.work_units is None or self.work_units.size == 0:
-            return 0.0
-        return float(self.work_units.max())
+        return float(self.work_units.max()) if self.work_units.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -216,11 +217,10 @@ class CommStats:
 
     @property
     def total_compute_seconds(self) -> float:
-        """Sum over supersteps of the *max* per-rank compute time.
-
-        This is the compute term of a bulk-synchronous execution: each
-        superstep lasts as long as its slowest rank.
-        """
+        """Sum over supersteps of the *max* per-rank measured compute time
+        (each superstep lasts as long as its slowest rank); 0.0 unless
+        compute metering was on.  A profiling figure, not part of the
+        modeled time."""
         return float(sum(e.max_compute for e in self.events))
 
     def bytes_by_op(self) -> Dict[str, int]:
@@ -341,15 +341,10 @@ class CommStats:
         Two runs with equal signatures moved the same bytes and charged the
         same work in the same collectives in the same order — the record
         half of the determinism/recovery oracle (``compute_seconds`` is
-        excluded: it is wall-clock noise unless ``meter_compute`` is off).
+        excluded: it is a wall-clock measurement, not part of the record).
         """
         return [
-            (
-                e.op,
-                e.tag,
-                e.bytes_sent.tolist(),
-                e.work_units.tolist() if e.work_units is not None else None,
-            )
+            (e.op, e.tag, e.bytes_sent.tolist(), e.work_units.tolist())
             for e in self.events
         ]
 
@@ -364,8 +359,7 @@ class CommStats:
         by_op = self.bytes_by_op()
         lines = [
             f"CommStats(nprocs={self.nprocs}, rounds={self.rounds}, "
-            f"total={self.total_bytes/2**20:.2f} MiB, "
-            f"compute={self.total_compute_seconds:.3f} s)"
+            f"total={self.total_bytes/2**20:.2f} MiB)"
         ]
         for op, nbytes in sorted(by_op.items()):
             lines.append(

@@ -14,7 +14,6 @@ def run_spmd(
     fn: Callable[..., Any],
     *args: Any,
     rank_args: Optional[Sequence[Sequence[Any]]] = None,
-    meter_compute: bool = True,
     backend: Union[str, None, Backend] = None,
     comm: Optional[str] = None,
     **kwargs: Any,
@@ -28,8 +27,7 @@ def run_spmd(
     topology-aware metering (``flat`` / ``hierarchical[:R[xK]]``); None
     meters ``flat``.
     """
-    rt = create_runtime(backend, nprocs=nprocs, meter_compute=meter_compute,
-                        comm=comm)
+    rt = create_runtime(backend, nprocs=nprocs, comm=comm)
     try:
         out = rt.run(fn, *args, rank_args=rank_args, **kwargs)
     finally:

@@ -3,14 +3,16 @@
 The paper reports wall-clock partitioning times on Blue Waters (Cray XE6,
 Gemini interconnect).  We cannot run on that machine; instead every
 experiment reports a *modeled* execution time assembled from quantities the
-simulator measures exactly:
+simulator meters exactly:
 
-``T = sum over supersteps s of [ max_r compute(s, r)
+``T = sum over supersteps s of [ gamma * max_r work(s, r)
                                  + alpha * hops(op_s)
                                  + beta  * max_r bytes(s, r) ]``
 
-* the compute term is bulk-synchronous: a superstep lasts as long as its
-  slowest rank (measured per-rank with ``thread_time``);
+* the work term is bulk-synchronous: a superstep lasts as long as its
+  busiest rank, in deterministic work units charged via
+  :meth:`repro.simmpi.comm.SimComm.charge` (no wall clock is read, so a
+  fixed-seed run prices the same on every machine and every rerun);
 * ``alpha`` is per-message latency; collectives pay ``ceil(log2 p)`` latency
   hops (tree/butterfly algorithms) except Alltoall(v), which pays ``p - 1``
   pairwise exchanges;
@@ -18,7 +20,7 @@ simulator measures exactly:
 
 The default constants (:data:`BLUE_WATERS_LIKE`) are Gemini-flavored
 (~1.5 us latency, ~6 GB/s per-node injection).  Absolute numbers are not the
-point — the *shape* of the paper's scaling curves comes out of how compute
+point — the *shape* of the paper's scaling curves comes out of how work
 and volume move with rank count, degree, and graph structure.
 """
 
@@ -250,34 +252,26 @@ class TimeModel:
 
     def _batched_parts(
         self, stats: CommStats
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-        """Per-event ``(compute, work, latency, bandwidth)`` seconds."""
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Per-event ``(work, latency, bandwidth)`` seconds."""
         events = stats.events
-        n = len(events)
-        if n == 0:
+        if not events:
             z = np.zeros(0)
-            return z, z, z, z
+            return z, z, z
         m = self.machine
-        compute = np.stack([e.compute_seconds for e in events]).max(axis=1)
-        p = len(events[0].compute_seconds)
-        work = m.gamma * np.stack(
-            [e.work_units if e.work_units is not None
-             else np.zeros(p) for e in events]
-        ).max(axis=1)
+        work = m.gamma * np.stack([e.work_units for e in events]).max(axis=1)
         latency, bandwidth = m.cost_parts_batch(events, stats.nprocs)
-        return compute, work, latency, bandwidth
+        return work, latency, bandwidth
 
     def total_time(self, stats: CommStats) -> float:
         """Modeled wall time of the whole SPMD run (seconds)."""
-        compute, work, latency, bandwidth = self._batched_parts(stats)
-        return float(compute.sum() + work.sum()
-                     + latency.sum() + bandwidth.sum())
+        work, latency, bandwidth = self._batched_parts(stats)
+        return float(work.sum() + latency.sum() + bandwidth.sum())
 
     def breakdown(self, stats: CommStats) -> Dict[str, float]:
-        """Compute vs. latency vs. bandwidth decomposition of total time."""
-        compute, work, latency, bandwidth = self._batched_parts(stats)
+        """Work vs. latency vs. bandwidth decomposition of total time."""
+        work, latency, bandwidth = self._batched_parts(stats)
         parts = {
-            "compute": float(compute.sum()),
             "work": float(work.sum()),
             "latency": float(latency.sum()),
             "bandwidth": float(bandwidth.sum()),
@@ -287,8 +281,8 @@ class TimeModel:
 
     def time_by_tag(self, stats: CommStats) -> Dict[str, float]:
         """Modeled time attributed to each phase tag."""
-        compute, work, latency, bandwidth = self._batched_parts(stats)
-        per_event = compute + work + latency + bandwidth
+        work, latency, bandwidth = self._batched_parts(stats)
+        per_event = work + latency + bandwidth
         out: Dict[str, float] = {}
         for e, t in zip(stats.events, per_event):
             out[e.tag] = out.get(e.tag, 0.0) + float(t)

@@ -134,7 +134,7 @@ def run_spmv(
         raise ValueError("layout must be '1d' or '2d'")
     dist = PartitionDistribution(distribution, nprocs)
 
-    runtime = create_runtime(backend, nprocs=nprocs, meter_compute=False)
+    runtime = create_runtime(backend, nprocs=nprocs)
     try:
         t0 = time.perf_counter()
         rank_spmv = _rank_spmv_1d if layout == "1d" else _rank_spmv_2d

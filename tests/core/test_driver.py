@@ -95,6 +95,12 @@ def test_input_validation(small_rmat):
         xtrapulp(directed, 4, nprocs=2)
 
 
+@pytest.mark.parametrize("nprocs", [0, -1])
+def test_rank_count_below_one_rejected(small_rmat, nprocs):
+    with pytest.raises(ValueError, match=f"nprocs must be >= 1, got {nprocs}"):
+        xtrapulp(small_rmat, 4, nprocs=nprocs)
+
+
 def test_modeled_time_positive_and_phased(small_rmat):
     res = xtrapulp(small_rmat, 8, nprocs=4)
     assert res.modeled_seconds > 0

@@ -63,7 +63,7 @@ def test_spec(spec):
         return [None if s is None else s.shape
                 for s in (state.Sv, state.Se, state.Sc)]
 
-    out, stats = run_spmd(2, main, meter_compute=False)
+    out, stats = run_spmd(2, main)
     d = len(spec.totals)
     reduces = [e for e in stats.events
                if e.tag == spec.tag and e.op == "allreduce"]

@@ -74,6 +74,16 @@ def test_weight_validation(g):
         xtrapulp(g, 4, nprocs=2, vertex_weights=-np.ones(g.n))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_weights_rejected(g, value):
+    w = np.ones(g.n)
+    w[5] = value
+    with pytest.raises(ValueError,
+                       match=f"must be finite; 1 are not, the first "
+                             f"{value} at vertex 5"):
+        xtrapulp(g, 4, nprocs=2, vertex_weights=w)
+
+
 def test_weighted_deterministic(g):
     w = heavy_weights(g.n)
     a = xtrapulp(g, 4, nprocs=3, vertex_weights=w)

@@ -52,7 +52,7 @@ def test_exchange_payload_is_whole_records():
         lp_phase(comm, state, SPECS["edge_refine"], 10)
         return state.wire.bytes_per_record
 
-    out, stats = run_spmd(4, main, meter_compute=False)
+    out, stats = run_spmd(4, main)
     record = out[0]
     assert out == [record] * 4
     # at least 3x below the 16-byte record of the paper's listing

@@ -46,6 +46,11 @@ def test_random_balanced_and_seeded():
     )
 
 
+def test_random_rejects_no_ranks():
+    with pytest.raises(ValueError, match="nprocs must be >= 1"):
+        RandomDistribution(10, 0)
+
+
 def test_random_actually_shuffles():
     d = RandomDistribution(1000, 4, seed=0)
     block = BlockDistribution(1000, 4)

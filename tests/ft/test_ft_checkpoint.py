@@ -247,7 +247,7 @@ def test_stale_runtime_rejected(ft_graph, ft_params, tmp_path):
     """Checkpointing needs a fresh CommStats or splicing would corrupt."""
     from repro.simmpi.backends import create_runtime
 
-    rt = create_runtime("serial", nprocs=NPROCS, meter_compute=False)
+    rt = create_runtime("serial", nprocs=NPROCS)
     rt.run(lambda comm: comm.barrier())
     with pytest.raises(ValueError, match="fresh runtime"):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,

@@ -33,7 +33,7 @@ def _leaked(prefix):
 
 
 def test_clean_run_leaves_no_segments(ft_graph, ft_params):
-    rt = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
+    rt = create_runtime("procs", nprocs=NPROCS)
     xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params, backend=rt)
     assert _leaked(rt.last_shm_prefix) == []
     # nothing was left for the sweep to reclaim on the clean path
@@ -43,7 +43,7 @@ def test_clean_run_leaves_no_segments(ft_graph, ft_params):
 def test_killed_rank_leaves_no_segments(ft_graph, ft_params, tmp_path):
     """Hard-kill a rank mid-superstep (os._exit, no unwinding): teardown
     must still unlink every segment of the session."""
-    rt = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
+    rt = create_runtime("procs", nprocs=NPROCS)
     plan = FaultPlan([FaultSpec(1, "vertex_balance", 6, action="die")])
     with pytest.raises(RankFailure):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
@@ -56,14 +56,14 @@ def test_die_then_resume_leaves_no_segments(ft_graph, ft_params, tmp_path):
     reclaimed at teardown, and the resumed session (its own prefix, its
     own slots) exits clean too."""
     d = str(tmp_path / "run")
-    crashed = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
+    crashed = create_runtime("procs", nprocs=NPROCS)
     plan = FaultPlan([FaultSpec(1, "vertex_balance", 6, action="die")])
     with pytest.raises(RankFailure):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend=crashed, fault_plan=plan,
                  checkpoint=CkptPolicy(dir=d))
     assert _leaked(crashed.last_shm_prefix) == []
-    resumed = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
+    resumed = create_runtime("procs", nprocs=NPROCS)
     xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
              backend=resumed, resume=d)
     assert _leaked(resumed.last_shm_prefix) == []
@@ -84,7 +84,7 @@ def test_failed_start_leaves_no_segments(monkeypatch):
         made.append(base)
 
     monkeypatch.setattr(procs._Slot, "__init__", flaky)
-    rt = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
+    rt = create_runtime("procs", nprocs=NPROCS)
     with pytest.raises(OSError, match="Too many open files"):
         rt.run(lambda comm: comm.barrier())
     assert _leaked(rt.last_shm_prefix) == []

@@ -5,7 +5,8 @@ cost_parts_batch`, which price every event of a run at once.
 These are the scalar ``cost_parts`` / ``collective_cost`` /
 ``superstep_time`` methods and the ``TierMetering.max_*`` accessors as the
 models used to carry them, moved here verbatim (``self`` became the first
-argument): nothing in ``src/`` priced one event at a time.
+argument; ``superstep_time`` has since lost the measured-compute term the
+model no longer prices): nothing in ``src/`` priced one event at a time.
 """
 
 from math import ceil, log2
@@ -73,7 +74,6 @@ def collective_cost(machine: MachineModel, event: CollectiveEvent,
 def superstep_time(model: TimeModel, event: CollectiveEvent,
                    nprocs: int) -> float:
     return (
-        event.max_compute
-        + model.machine.gamma * event.max_work
+        model.machine.gamma * event.max_work
         + collective_cost(model.machine, event, nprocs)
     )

@@ -283,8 +283,7 @@ def test_Alltoallv_fields_is_two_metered_rounds(nprocs):
     same record on every backend."""
     signatures = []
     for backend in ("serial", "threads", "procs"):
-        advanced, stats = run_spmd(nprocs, _charged_exchange,
-                                   meter_compute=False, backend=backend)
+        advanced, stats = run_spmd(nprocs, _charged_exchange, backend=backend)
         assert advanced == [2] * nprocs
         header, payload = stats.events
         assert (header.op, payload.op) == ("alltoall", "alltoallv")
@@ -330,7 +329,7 @@ BACKENDS = ["serial", "threads", "procs"]
 
 
 def _run(backend, nprocs, fn):
-    return run_spmd(nprocs, fn, meter_compute=False, backend=backend)
+    return run_spmd(nprocs, fn, backend=backend)
 
 
 def _mine(comm):

@@ -56,7 +56,7 @@ def test_alltoallv_empty_contributions_dtype_exempt(backend):
         recv, rcounts = comm.Alltoallv(buf, counts)
         return recv.dtype, recv.copy(), rcounts.copy()
 
-    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False)
+    out, _ = run_spmd(3, fn, backend=backend)
     for rank, (dtype, recv, rcounts) in enumerate(out):
         assert dtype == np.float64
         np.testing.assert_array_equal(
@@ -73,7 +73,7 @@ def test_alltoallv_all_empty_keeps_own_dtype(backend):
         )
         return recv.dtype == np.uint16 and recv.size == 0
 
-    out, _ = run_spmd(2, fn, backend=backend, meter_compute=False)
+    out, _ = run_spmd(2, fn, backend=backend)
     assert all(out)
 
 
@@ -93,7 +93,7 @@ def test_alltoallv_fields_empty_contributions_dtype_exempt(backend):
         )
         return rslots.copy(), rparts.copy(), rcounts.copy()
 
-    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False)
+    out, _ = run_spmd(3, fn, backend=backend)
     for rank, (rslots, rparts, rcounts) in enumerate(out):
         assert rslots.dtype == np.uint16 and rparts.dtype == np.int16
         np.testing.assert_array_equal(rslots, [rank])

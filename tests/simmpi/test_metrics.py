@@ -12,6 +12,7 @@ def _event(op="barrier", tag="", nbytes=(0, 0), compute=(0.0, 0.0)):
         tag=tag,
         bytes_sent=np.array(nbytes, dtype=np.int64),
         compute_seconds=np.array(compute, dtype=np.float64),
+        work_units=np.zeros(len(nbytes)),
     )
 
 

@@ -107,7 +107,7 @@ def test_unpicklable_rank_exception_reaches_parent_with_context():
             raise RuntimeError("details", lambda: None)
         comm.barrier()
 
-    rt = create_runtime("procs", nprocs=2, meter_compute=False)
+    rt = create_runtime("procs", nprocs=2)
     with pytest.raises(Exception) as info:
         rt.run(fail)
     chain = []
@@ -156,9 +156,9 @@ def _collective_program(comm):
 
 
 def test_procs_collectives_match_serial():
-    rt = create_runtime("procs", nprocs=3, meter_compute=False)
+    rt = create_runtime("procs", nprocs=3)
     got = rt.run(_collective_program)
-    ref = create_runtime("serial", nprocs=3, meter_compute=False).run(
+    ref = create_runtime("serial", nprocs=3).run(
         _collective_program
     )
     assert got == ref
@@ -180,9 +180,9 @@ def test_results_survive_across_supersteps():
             comm.Alltoallv(buf, cts)
         return int(keep.sum())
 
-    rt = create_runtime("procs", nprocs=2, meter_compute=False)
+    rt = create_runtime("procs", nprocs=2)
     got = rt.run(program)
-    ref = create_runtime("serial", nprocs=2, meter_compute=False).run(program)
+    ref = create_runtime("serial", nprocs=2).run(program)
     assert got == ref
 
 

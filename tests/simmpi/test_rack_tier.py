@@ -74,8 +74,7 @@ def test_oversized_rack_spec_is_one_rack():
                "wire_intra", "wire_inter", "wire_xrack")
     for backend in BACKENDS:
         plain, oversized = (
-            run_spmd(8, _workout, backend=backend, meter_compute=False,
-                     comm=spec)[1]
+            run_spmd(8, _workout, backend=backend, comm=spec)[1]
             for spec in ("hierarchical:2", "hierarchical:2x64"))
         assert len(plain.events) == len(oversized.events) > 0
         for a, b in zip(plain.events, oversized.events):
@@ -231,8 +230,7 @@ def _workout(comm):
 
 @backends
 def test_three_tier_split_sums_to_bytes_sent(backend):
-    _, st = run_spmd(8, _workout, backend=backend,
-                     meter_compute=False, comm="hierarchical:2x2")
+    _, st = run_spmd(8, _workout, backend=backend, comm="hierarchical:2x2")
     tiered = [e for e in st.events if e.tiers is not None]
     assert tiered
     assert any(e.tiers.xrack_bytes.any() for e in tiered)  # rack tier engaged
@@ -249,8 +247,7 @@ def test_three_tier_split_sums_to_bytes_sent(backend):
 def test_flat_records_classify_as_xrack():
     """Under flat metering every rank is its own node and rack, so the
     three-way rollup puts every byte in the widest tier."""
-    _, st = run_spmd(4, _workout, backend="serial",
-                     meter_compute=False, comm="flat")
+    _, st = run_spmd(4, _workout, backend="serial", comm="flat")
     by_op = st.bytes_by_op()
     for op, (intra, inter, xrack) in st.rack_tier_bytes_by_op().items():
         assert intra == 0 and inter == 0 and xrack == by_op[op]
@@ -259,10 +256,9 @@ def test_flat_records_classify_as_xrack():
 
 @backends
 def test_rack_tier_never_changes_results(backend):
-    out_h, st_h = run_spmd(8, _workout, backend=backend,
-                           meter_compute=False, comm="hierarchical:2")
+    out_h, st_h = run_spmd(8, _workout, backend=backend, comm="hierarchical:2")
     out_r, st_r = run_spmd(8, _workout, backend=backend,
-                           meter_compute=False, comm="hierarchical:2x2")
+                           comm="hierarchical:2x2")
     assert out_h == out_r
     assert st_h.signature() == st_r.signature()
 
@@ -270,8 +266,7 @@ def test_rack_tier_never_changes_results(backend):
 # -- pricing -----------------------------------------------------------------
 
 def _stats(comm_spec):
-    _, st = run_spmd(8, _workout, backend="serial",
-                     meter_compute=False, comm=comm_spec)
+    _, st = run_spmd(8, _workout, backend="serial", comm=comm_spec)
     return st
 
 

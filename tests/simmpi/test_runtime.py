@@ -178,9 +178,33 @@ def test_many_ranks():
     assert out == [sum(range(32))] * 32
 
 
+@pytest.mark.parametrize("backend", ["serial", "threads", "procs"])
+def test_create_runtime_sets_compute_metering_on_instances(backend):
+    """``meter_compute`` follows the rule of ``comm`` and ``watchdog``: a
+    value is set on the runtime, new or given, and None leaves it be."""
+    def fn(comm):
+        if comm.rank == 0:
+            t0 = time.thread_time()
+            while time.thread_time() - t0 < 0.05:
+                pass
+        comm.barrier()
+
+    rt = create_runtime(backend, nprocs=2, meter_compute=False)
+    try:
+        assert create_runtime(rt, nprocs=2, meter_compute=True) is rt
+        assert rt.meter_compute
+        assert create_runtime(rt, nprocs=2).meter_compute
+        rt.run(fn)
+    finally:
+        rt.close()
+    spun = rt.stats.events[0].compute_seconds
+    assert spun[0] >= 0.04 and spun[1] < 0.04
+    assert not create_runtime(backend, nprocs=2).meter_compute
+
+
 def test_compute_metering_disabled():
     def fn(comm):
         comm.barrier()
 
-    _, stats = run_spmd(2, fn, meter_compute=False)
+    _, stats = run_spmd(2, fn)
     assert stats.events[0].compute_seconds.sum() == 0.0

@@ -31,8 +31,7 @@ def _inspect_allreduce(comm):
 
 @inproc
 def test_allreduce_shared_hands_one_sealed_array(backend):
-    out, _ = run_spmd(4, _inspect_allreduce, backend=backend,
-                      meter_compute=False)
+    out, _ = run_spmd(4, _inspect_allreduce, backend=backend)
     ids = {i for i, _, _ in out}
     assert len(ids) == 1  # literally the same object on every rank
     assert all(not writable for _, writable, _ in out)
@@ -50,7 +49,7 @@ def test_sealed_result_refuses_inplace_mutation(backend):
             return "sealed"
         return "mutable"
 
-    out, _ = run_spmd(2, fn, backend=backend, meter_compute=False)
+    out, _ = run_spmd(2, fn, backend=backend)
     assert out == ["sealed", "sealed"]
 
 
@@ -62,7 +61,7 @@ def test_materialize_gives_private_writable_copy(backend):
         peek = comm.allgather(int(total[0]))
         return tuple(peek)
 
-    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False)
+    out, _ = run_spmd(3, fn, backend=backend)
     assert out == [(3, 4, 5)] * 3
 
 
@@ -74,7 +73,7 @@ def test_bcast_root_keeps_own_array_receivers_sealed(backend):
         got = comm.Bcast(arr, root=0)
         return got is arr, bool(got.flags.writeable), got.tolist()
 
-    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False)
+    out, _ = run_spmd(3, fn, backend=backend)
     assert out[0] == (True, True, [0, 1, 2, 3, 4])  # root: its own buffer
     for mine, writable, vals in out[1:]:
         assert not mine and not writable and vals == [0, 1, 2, 3, 4]
@@ -88,7 +87,7 @@ def test_allgatherv_shared_result_is_one_sealed_array(backend):
         return (id(merged), bool(merged.flags.writeable),
                 merged.tolist(), counts.tolist())
 
-    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False)
+    out, _ = run_spmd(3, fn, backend=backend)
     assert len({i for i, _, _, _ in out}) == 1
     for _, writable, vals, counts in out:
         assert not writable
@@ -108,7 +107,7 @@ def test_alltoallv_shared_rows_are_sealed_and_correct(backend):
         recv, rcts = comm.Alltoallv(payload, cts)
         return bool(recv.flags.writeable), recv.tolist(), rcts.tolist()
 
-    out, _ = run_spmd(3, fn, backend=backend, meter_compute=False)
+    out, _ = run_spmd(3, fn, backend=backend)
     for rank, (writable, vals, rcts) in enumerate(out):
         assert not writable
         expect = [src * 10 + rank for src in range(3) if src != rank]
@@ -127,7 +126,7 @@ def _idle_exchange(comm):
 
 @backends
 def test_all_idle_exchange_hands_one_empty_plane_per_field(backend):
-    out, _ = run_spmd(4, _idle_exchange, backend=backend, meter_compute=False)
+    out, _ = run_spmd(4, _idle_exchange, backend=backend)
     planes = [p for p, _ in out]
     assert all(rcts == [0] * 4 for _, rcts in out)
     for field, dtype in enumerate((np.uint16, np.int8)):
@@ -155,7 +154,7 @@ def test_procs_results_stay_writable_under_shared(backend):
         total += 1  # must be writable in every mode
         return int(total[0])
 
-    out, _ = run_spmd(2, fn, backend=backend, meter_compute=False)
+    out, _ = run_spmd(2, fn, backend=backend)
     assert out == [3, 3]
 
 
@@ -180,7 +179,7 @@ def _workout(comm):
 
 @inproc
 def test_shared_vs_copy_bit_identical(backend):
-    out_s, st_s = run_spmd(8, _workout, backend=backend, meter_compute=False)
-    out_c, st_c = run_spmd(8, _workout, backend="procs", meter_compute=False)
+    out_s, st_s = run_spmd(8, _workout, backend=backend)
+    out_c, st_c = run_spmd(8, _workout, backend="procs")
     assert out_s == out_c
     assert st_s.signature() == st_c.signature()

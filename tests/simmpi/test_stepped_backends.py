@@ -105,10 +105,9 @@ def _stepped_workout(comm):
 @backends
 @pytest.mark.parametrize("comm", ["flat", "hierarchical:2"])
 def test_generator_body_is_the_plain_body(backend, comm):
-    plain, plain_stats = run_spmd(6, _workout, backend=backend, comm=comm,
-                                  meter_compute=False)
+    plain, plain_stats = run_spmd(6, _workout, backend=backend, comm=comm)
     stepped, stepped_stats = run_spmd(6, _stepped_workout, backend=backend,
-                                      comm=comm, meter_compute=False)
+                                      comm=comm)
     assert stepped == plain
     assert stepped_stats.signature() == plain_stats.signature()
 
@@ -306,7 +305,11 @@ def test_compute_is_billed_per_rank_on_one_thread(backend):
                 pass
         yield from comm.barrier()
 
-    _, stats = run_spmd(4, fn, backend=backend, meter_compute=True)
-    spun = stats.events[1].compute_seconds
+    rt = create_runtime(backend, nprocs=4, meter_compute=True)
+    try:
+        rt.run(fn)
+    finally:
+        rt.close()
+    spun = rt.stats.events[1].compute_seconds
     assert spun[0] >= 0.04
     assert (spun[1:] < 0.01).all()

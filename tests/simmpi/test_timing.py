@@ -15,12 +15,16 @@ from repro.simmpi.metrics import CollectiveEvent, TierMetering
 from tests.reference import pricing
 
 
-def _event(op, nbytes, compute, tag="", tiers=None):
+def _event(op, nbytes, compute, tag="", tiers=None, work=None):
+    """One event; ``compute`` is the measured (never priced) thread time,
+    ``work`` the charged work units (none by default)."""
     return CollectiveEvent(
         op=op,
         tag=tag,
         bytes_sent=np.asarray(nbytes, dtype=np.int64),
         compute_seconds=np.asarray(compute, dtype=np.float64),
+        work_units=np.asarray(
+            np.zeros(len(nbytes)) if work is None else work, dtype=np.float64),
         tiers=tiers,
     )
 
@@ -92,22 +96,35 @@ def test_single_rank_comm_is_free():
 
 
 def test_superstep_time_is_compute_plus_comm():
-    model = TimeModel(MachineModel(alpha=1.0, beta=2.0))
-    e = _event("allreduce", [4, 8], [0.5, 0.25])
-    # compute 0.5 + latency 1*log2(2) + bandwidth 2*8
-    assert superstep_time(model, e, 2) == pytest.approx(0.5 + 1.0 + 16.0)
+    model = TimeModel(MachineModel(alpha=1.0, beta=2.0, gamma=0.5))
+    e = _event("allreduce", [4, 8], [0.5, 0.25], work=[2, 3])
+    # work 0.5*3 + latency 1*log2(2) + bandwidth 2*8; the measured
+    # compute seconds are not priced
+    assert superstep_time(model, e, 2) == pytest.approx(1.5 + 1.0 + 16.0)
 
 
 def test_total_and_breakdown_consistent():
     stats = CommStats(2)
-    stats.record(_event("allreduce", [8, 8], [0.1, 0.2]))
-    stats.record(_event("alltoallv", [100, 50], [0.3, 0.1]))
-    model = TimeModel(MachineModel(alpha=1e-3, beta=1e-6))
+    stats.record(_event("allreduce", [8, 8], [0.1, 0.2], work=[10, 20]))
+    stats.record(_event("alltoallv", [100, 50], [0.3, 0.1], work=[30, 10]))
+    model = TimeModel(MachineModel(alpha=1e-3, beta=1e-6, gamma=1e-2))
     breakdown = model.breakdown(stats)
     assert breakdown["total"] == pytest.approx(model.total_time(stats))
-    assert breakdown["compute"] == pytest.approx(0.2 + 0.3)
+    assert breakdown["work"] == pytest.approx(1e-2 * (20 + 30))
     assert breakdown["latency"] == pytest.approx(1e-3 * (1 + 1))
     assert breakdown["bandwidth"] == pytest.approx(1e-6 * (8 + 100))
+
+
+def test_breakdown_has_no_measured_compute_term():
+    stats = CommStats(2)
+    stats.record(_event("allreduce", [8, 8], [0.5, 0.25], work=[3, 1]))
+    stats.record(_event("barrier", [0, 0], [2.0, 1.0]))
+    model = TimeModel(MachineModel(alpha=1e-3, beta=1e-6, gamma=1e-2))
+    breakdown = model.breakdown(stats)
+    assert set(breakdown) == {"work", "latency", "bandwidth", "total"}
+    assert breakdown["total"] == (breakdown["work"] + breakdown["latency"]
+                                  + breakdown["bandwidth"])
+    assert breakdown["total"] == model.total_time(stats)
 
 
 def test_tiered_model_prices_each_tier():
@@ -166,10 +183,11 @@ def test_blue_waters_tiered_constants_realistic():
 
 def test_time_by_tag():
     stats = CommStats(2)
-    stats.record(_event("barrier", [0, 0], [1.0, 0.0], tag="a"))
-    stats.record(_event("barrier", [0, 0], [2.0, 0.0], tag="b"))
-    stats.record(_event("barrier", [0, 0], [3.0, 0.0], tag="a"))
-    model = TimeModel(MachineModel(alpha=0.0, beta=0.0))
+    for tag, units in (("a", 1.0), ("b", 2.0), ("a", 3.0)):
+        # measured compute equal to the work: priced, it would double
+        stats.record(_event("barrier", [0, 0], [units, 0.0], tag=tag,
+                            work=[units, 0.0]))
+    model = TimeModel(MachineModel(alpha=0.0, beta=0.0, gamma=1.0))
     by_tag = model.time_by_tag(stats)
     assert by_tag["a"] == pytest.approx(4.0)
     assert by_tag["b"] == pytest.approx(2.0)

@@ -289,10 +289,8 @@ def _workout(comm):
 
 @backends
 def test_flat_vs_hierarchical_bit_identical(backend):
-    out_f, st_f = run_spmd(8, _workout, backend=backend,
-                           meter_compute=False, comm="flat")
-    out_h, st_h = run_spmd(8, _workout, backend=backend,
-                           meter_compute=False, comm="hierarchical:4")
+    out_f, st_f = run_spmd(8, _workout, backend=backend, comm="flat")
+    out_h, st_h = run_spmd(8, _workout, backend=backend, comm="hierarchical:4")
     assert out_f == out_h
     assert st_f.signature() == st_h.signature()
     assert not st_f.tiered
@@ -301,8 +299,7 @@ def test_flat_vs_hierarchical_bit_identical(backend):
 
 @backends
 def test_tier_split_sums_to_bytes_sent(backend):
-    _, st = run_spmd(8, _workout, backend=backend,
-                     meter_compute=False, comm="hierarchical:4")
+    _, st = run_spmd(8, _workout, backend=backend, comm="hierarchical:4")
     tiered_events = [e for e in st.events if e.tiers is not None]
     assert tiered_events
     for e in tiered_events:
@@ -317,10 +314,8 @@ def test_tier_split_sums_to_bytes_sent(backend):
 
 @backends
 def test_hierarchical_cuts_modeled_inter_bytes(backend):
-    _, st_f = run_spmd(8, _workout, backend=backend,
-                       meter_compute=False, comm="flat")
-    _, st_h = run_spmd(8, _workout, backend=backend,
-                       meter_compute=False, comm="hierarchical:4")
+    _, st_f = run_spmd(8, _workout, backend=backend, comm="flat")
+    _, st_h = run_spmd(8, _workout, backend=backend, comm="hierarchical:4")
     assert st_f.modeled_inter_bytes() == st_f.total_bytes
     assert st_h.modeled_inter_bytes() < st_f.modeled_inter_bytes()
     assert st_h.modeled_intra_bytes() > 0
@@ -348,8 +343,7 @@ def test_zero_length_contributions_stay_dtype_exempt(backend):
         recv, _ = comm.Alltoallv(send, cts)
         return recv.dtype.str, recv.tolist()
 
-    out, st = run_spmd(4, fn, backend=backend, meter_compute=False,
-                       comm="hierarchical:2")
+    out, st = run_spmd(4, fn, backend=backend, comm="hierarchical:2")
     assert out[1] == ("<i4", [1])
     assert st.tiered
 

@@ -57,7 +57,7 @@ def _bounded(call, seconds=BOUND_S):
 
 def _run(backend, fn, *args, nprocs=RANKS):
     """Run ``fn`` and return ``(per-rank results, signature)``."""
-    rt = create_runtime(backend, nprocs=nprocs, meter_compute=False)
+    rt = create_runtime(backend, nprocs=nprocs)
     try:
         out = _bounded(lambda: rt.run(fn, *args))
     finally:

@@ -32,8 +32,7 @@ backends = pytest.mark.parametrize("backend", BACKENDS)
 
 
 def run_on(backend, nprocs, fn, **kwargs):
-    return run_spmd(nprocs, fn, backend=backend, meter_compute=False,
-                    **kwargs)
+    return run_spmd(nprocs, fn, backend=backend, **kwargs)
 
 
 # -- registry / factory ------------------------------------------------------
@@ -295,7 +294,7 @@ def test_error_inside_execute_propagates(backend):
 
 @backends
 def test_reusable_after_run_and_stats_accumulate(backend):
-    rt = create_runtime(backend, nprocs=2, meter_compute=False)
+    rt = create_runtime(backend, nprocs=2)
     try:
         assert rt.run(lambda comm: comm.allreduce(1)) == [2, 2]
         assert rt.run(lambda comm: comm.allreduce(2)) == [4, 4]

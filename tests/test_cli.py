@@ -52,6 +52,13 @@ def test_cli_too_many_parts(graph_file, capsys):
     assert "cannot cut" in capsys.readouterr().err
 
 
+def test_cli_zero_ranks_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "ring.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n")
+    assert main([str(path), "-p", "2", "-r", "0"]) == 2
+    assert "--ranks must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_cli_options(graph_file):
     path, _ = graph_file
     assert main([

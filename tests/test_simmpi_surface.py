@@ -1,6 +1,7 @@
 """Guard: every public name in ``src/repro`` has a caller, the tier rules
 name only what ``SimComm`` emits, only the procs backend touches shared
-memory, and only three modules outside ``simmpi/`` call ``Alltoallv``.
+memory, only three modules outside ``simmpi/`` call ``Alltoallv``, and
+only ``simmpi/`` names the compute-metering switch.
 
 ``SimComm`` once exported eight collectives nothing called, and the rest
 of the package carried about thirty public functions and methods (all of
@@ -44,6 +45,13 @@ SHM_OWNER = "simmpi/backends/procs.py"
 #: ``Alltoallv_fields``: ExchangeUpdates, the one-time ghost routing, and
 #: the static exchange plan every other owner → copy exchange goes through
 ALLTOALLV_CALLERS = {"core/exchange.py", "dist/build.py", "dist/ops.py"}
+#: the profiling-only compute-metering switch, and the modules that may
+#: name it: ``create_runtime`` (its one parameter), the ``Backend``
+#: attribute, the ``procs`` session that hands it to the rank processes,
+#: and ``SimComm``'s read
+METER_SWITCH = "meter_compute"
+METER_MODULES = {"simmpi/backends/__init__.py", "simmpi/backends/base.py",
+                 "simmpi/backends/procs.py", "simmpi/comm.py"}
 
 #: ``"module.py:Qual.name"`` -> why it needs no caller in the trees above.
 #: An entry for a name that has a caller fails the guard too.
@@ -242,3 +250,35 @@ def test_alltoallv_has_three_callers():
     assert callers == ALLTOALLV_CALLERS, (
         f"Alltoallv callers not allowed: {sorted(callers - ALLTOALLV_CALLERS)}"
         f"; allowed but gone: {sorted(ALLTOALLV_CALLERS - callers)}")
+
+
+def _meter_switch_uses() -> "tuple[set, set]":
+    """Modules under ``src/repro`` that name ``meter_compute`` in code (a
+    name, attribute, parameter or keyword argument), and the functions
+    that take it as a parameter."""
+    modules, takers = set(), set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                if any(a.arg == METER_SWITCH for a in
+                       args.posonlyargs + args.args + args.kwonlyargs):
+                    takers.add(f"{rel}:{node.name}")
+            named = (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "arg", None))
+            if METER_SWITCH in named:
+                modules.add(rel)
+    return modules, takers
+
+
+def test_compute_metering_switch_stays_in_simmpi():
+    """Compute metering is an instrument a profiling harness turns on
+    through ``create_runtime``; the machine model never prices it, so no
+    entry point above ``simmpi/`` has a reason to name it."""
+    modules, takers = _meter_switch_uses()
+    assert modules == METER_MODULES, (
+        f"{METER_SWITCH} named outside its modules: "
+        f"{sorted(modules - METER_MODULES)}; gone from: "
+        f"{sorted(METER_MODULES - modules)}")
+    assert takers == {"simmpi/backends/__init__.py:create_runtime"}
