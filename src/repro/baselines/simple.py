@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.dist.distribution import block_sizes
 from repro.graph.csr import Graph
 
 
@@ -38,10 +39,8 @@ def vertex_block_partition(graph: Graph, num_parts: int) -> np.ndarray:
     """
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
-    base, extra = divmod(graph.n, num_parts)
-    sizes = np.full(num_parts, base, dtype=np.int64)
-    sizes[:extra] += 1
-    return np.repeat(np.arange(num_parts, dtype=np.int64), sizes)
+    return np.repeat(np.arange(num_parts, dtype=np.int64),
+                     block_sizes(graph.n, num_parts))
 
 
 def edge_block_partition(graph: Graph, num_parts: int) -> np.ndarray:

@@ -49,7 +49,7 @@ for blocks actually swept, so a shrinking active set shrinks the work
 units the phase records and the modeled gamma term directly;
 frontier maintenance charges the transpose edges it walks plus one
 O(n_local) mask pass per iteration (the same convention used for other
-full-vector passes, e.g. ``compute_vertex_sizes``).
+full-vector passes, e.g. the vertex row of ``RankState.part_totals``).
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.exchange import exchange_updates
 from repro.core.state import UNASSIGNED, RankState
+from repro.dist.distribution import block_sizes
 from repro.graph.gather import neighbor_gather_with_sources, sorted_unique
 from repro.simmpi.comm import SimComm
 from repro.simmpi.stepping import Steps, steppable
@@ -149,14 +150,10 @@ def initialize_block(comm: SimComm, state: RankState) -> Steps[None]:
     """
     dg, p = state.dg, state.num_parts
     lids = np.arange(dg.n_local, dtype=np.int64)
-    gids = dg.owned_gids
-    base, extra = divmod(dg.global_n, p)
-    # part k owns [k*base + min(k, extra) + ..., ...); invert by search
-    bounds = np.arange(1, p + 1, dtype=np.int64) * base + np.minimum(
-        np.arange(1, p + 1), extra
-    )
+    # part k ends where the first k + 1 blocks do; invert by search
+    bounds = np.cumsum(block_sizes(dg.global_n, p))
     state.parts[:] = UNASSIGNED
-    state.parts[lids] = np.searchsorted(bounds, gids, side="right")
+    state.parts[lids] = np.searchsorted(bounds, dg.owned_gids, side="right")
     yield from exchange_updates(comm, dg, state.parts, lids,
                                 wire=state.wire)
 

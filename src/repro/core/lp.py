@@ -36,11 +36,6 @@ from repro.core.state import RankState
 from repro.simmpi.comm import SimComm
 from repro.simmpi.stepping import Steps, steppable
 
-_TOTALS = {
-    "v": RankState.compute_vertex_sizes,
-    "e": RankState.compute_edge_sizes,
-    "c": RankState.compute_cut_sizes,
-}
 _LIMITS = ("recompute", "ratchet")
 _CAPS = (None, "target", "limit", "two_tier", "gain")
 _TALLIES = ("unit", "degree", "arc")
@@ -208,9 +203,11 @@ def _rebalance_isolated(
         return movers
     vw = state.vweights
     gaps = np.maximum((imb_v - est) / max(mult, 1e-12), 0.0)
-    # fill the most-underweight parts first; one slot per mean mover weight
+    # fill the most-underweight parts first; one slot per mean mover
+    # weight, at most one per mover (the same prefix is taken below)
     mean_w = float(vw[movers].mean())
-    slot_counts = np.ceil(gaps / max(mean_w, 1e-12)).astype(np.int64)
+    slot_counts = np.ceil(
+        np.minimum(gaps / max(mean_w, 1e-12), movers.size)).astype(np.int64)
     # descending by gap with *ascending part id* breaking ties — the
     # reversed ascending argsort put the highest part id first among equal
     # gaps, making slot order depend on how many parts happened to tie
@@ -262,9 +259,7 @@ def lp_phase(
     with comm.phase(spec.tag):
         if spec.reseed:
             yield from reseed_dead_parts(comm, state)
-        S = np.empty((d, p), dtype=np.float64)
-        for i, c in enumerate(cons):
-            S[i] = yield from _TOTALS[c.total](state, comm)
+        S = (yield from state.part_totals(comm, spec.totals)).copy()
         limits = [np.inf] * d
         re_bias, rc_bias = RE_INIT, RC_INIT
         if d == 3:
@@ -350,7 +345,3 @@ def lp_phase(
             yield from sweeper.exchange(comm)
             S += yield from comm.Allreduce(C if d > 1 else C[0], op="sum")
             state.iter_tot += 1
-        # the last agreed totals, for phase-boundary snapshots
-        state.Sv = S[0]
-        if d == 3:
-            state.Se, state.Sc = S[1], S[2]

@@ -23,10 +23,11 @@ class RankState:
     """One rank's partitioning state.
 
     ``parts`` covers owned + ghost vertices (local-id indexed).  Global
-    per-part totals ``Sv``/``Se``/``Sc`` are kept consistent across ranks by
-    Allreduce at iteration boundaries; within an iteration each rank tracks
-    its local deltas ``Cv``/``Ce``/``Cc`` and *estimates* global sizes as
-    ``S + mult * C`` (the paper's distributed-update throttle, §III.C).
+    per-part totals ``Sv``/``Se``/``Sc`` (:meth:`part_totals`) are kept
+    consistent across ranks by Allreduce at iteration boundaries; within an
+    iteration each rank tracks its local deltas ``Cv``/``Ce``/``Cc`` and
+    *estimates* global sizes as ``S + mult * C`` (the paper's
+    distributed-update throttle, §III.C).
     """
 
     dg: DistGraph
@@ -43,13 +44,6 @@ class RankState:
     vweights: np.ndarray = field(init=False)
     global_vweight: float = field(init=False)
     wire: WireSpec = field(init=False)
-    #: Last Allreduced global per-part totals, stored by each phase at its
-    #: end.  Phases re-Allreduce at entry, so these are *not* read on the
-    #: hot path — they exist so a phase-boundary checkpoint captures the
-    #: totals the run had agreed on (diagnostics + snapshot fidelity).
-    Sv: Optional[np.ndarray] = None
-    Se: Optional[np.ndarray] = None
-    Sc: Optional[np.ndarray] = None
     #: Frontier activation thresholds: a function of the graph alone, so
     #: the first phase's FrontierSweeper leaves them here for the others.
     dirt_thresholds: Optional[np.ndarray] = None
@@ -99,7 +93,7 @@ class RankState:
         communication record.
         """
         return {
-            "format": 1,
+            "format": 2,
             "rank": int(self.dg.rank),
             "n_local": int(self.dg.n_local),
             "n_total": int(self.dg.n_total),
@@ -109,9 +103,6 @@ class RankState:
             "work_pending": float(self.work_pending),
             "edges_touched": float(self.edges_touched),
             "sweep_log": list(self.sweep_log),
-            "Sv": None if self.Sv is None else np.asarray(self.Sv).copy(),
-            "Se": None if self.Se is None else np.asarray(self.Se).copy(),
-            "Sc": None if self.Sc is None else np.asarray(self.Sc).copy(),
         }
 
     def restore(self, snap: dict) -> None:
@@ -136,9 +127,6 @@ class RankState:
         self.work_pending = float(snap["work_pending"])
         self.edges_touched = float(snap["edges_touched"])
         self.sweep_log = list(snap["sweep_log"])
-        self.Sv = snap["Sv"]
-        self.Se = snap["Se"]
-        self.Sc = snap["Sc"]
 
     # -- targets -------------------------------------------------------------
 
@@ -168,45 +156,36 @@ class RankState:
             self.work_pending = 0.0
 
     @steppable
-    def compute_vertex_sizes(self, comm: SimComm) -> Steps[np.ndarray]:
-        """Global per-part vertex weight ``Sv`` (Allreduce of local sums;
-        plain counts when weights are the default units)."""
-        comm.charge(self.dg.n_local)
-        owned = self.parts[: self.dg.n_local]
-        ok = owned >= 0
-        local = np.bincount(
-            owned[ok], weights=self.vweights[ok], minlength=self.num_parts
-        )
-        return (yield from comm.Allreduce(local, op="sum"))
+    def part_totals(
+        self, comm: SimComm, rows: Tuple[str, ...] = ("v", "e", "c")
+    ) -> Steps[np.ndarray]:
+        """Global per-part totals, one float64 row per name in ``rows``,
+        in one Allreduce of the stacked local sums.
 
-    @steppable
-    def compute_edge_sizes(self, comm: SimComm) -> Steps[np.ndarray]:
-        """Global per-part edge sizes ``Se`` = sum of member degrees."""
-        comm.charge(self.dg.n_local)
-        owned = self.parts[: self.dg.n_local]
-        ok = owned >= 0
-        local = np.bincount(
-            owned[ok], weights=self.dg.local_degrees[ok],
-            minlength=self.num_parts,
-        ).astype(np.int64)
-        return (yield from comm.Allreduce(local, op="sum"))
-
-    @steppable
-    def compute_cut_sizes(self, comm: SimComm) -> Steps[np.ndarray]:
-        """Global per-part cut sizes ``Sc``: cut edges touching each part.
-
-        Counting from the owned endpoint of every stored arc credits each
-        undirected cut edge once to each of its two endpoint parts.
+        ``"v"``: vertex weight ``Sv`` (plain counts under unit weights);
+        ``"e"``: member degrees ``Se``; ``"c"``: cut edges touching the
+        part ``Sc`` — counting from the owned endpoint of every stored arc
+        credits each undirected cut edge once to each of its two endpoint
+        parts.  ``e`` and ``c`` are integer-valued, so their float sums
+        are exact.
         """
-        dg = self.dg
-        comm.charge(dg.adj.size)
-        local = np.zeros(self.num_parts, dtype=np.int64)
-        for _, rows in self.iter_blocks():
-            # consecutive rows: their arcs are one slice of the CSR
-            arcs = slice(dg.offsets[rows.start], dg.offsets[rows.stop])
-            p_src = np.repeat(self.parts[rows], dg.local_degrees[rows])
-            cut = p_src != self.parts[dg.adj[arcs]]
-            local += np.bincount(p_src[cut], minlength=self.num_parts)
+        dg, p = self.dg, self.num_parts
+        owned = self.parts[: dg.n_local]
+        ok = owned >= 0
+        local = np.zeros((len(rows), p), dtype=np.float64)
+        for i, row in enumerate(rows):
+            if row != "c":
+                comm.charge(dg.n_local)
+                w = {"v": self.vweights, "e": dg.local_degrees}[row]
+                local[i] = np.bincount(owned[ok], weights=w[ok], minlength=p)
+                continue
+            comm.charge(dg.adj.size)
+            for _, span in self.iter_blocks():
+                # consecutive rows: their arcs are one slice of the CSR
+                arcs = slice(dg.offsets[span.start], dg.offsets[span.stop])
+                p_src = np.repeat(self.parts[span], dg.local_degrees[span])
+                cut = p_src != self.parts[dg.adj[arcs]]
+                local[i] += np.bincount(p_src[cut], minlength=p)
         return (yield from comm.Allreduce(local, op="sum"))
 
     # -- block iteration -----------------------------------------------------

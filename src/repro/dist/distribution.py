@@ -22,6 +22,15 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 
+def block_sizes(n: int, k: int) -> np.ndarray:
+    """Sizes of ``n`` items cut into ``k`` contiguous blocks of near-equal
+    size, the remainder spread one each over the first blocks (int64)."""
+    base, extra = divmod(n, k)
+    sizes = np.full(k, base, dtype=np.int64)
+    sizes[:extra] += 1
+    return sizes
+
+
 class Distribution:
     """Base: ownership map from an explicit owner array."""
 
@@ -94,10 +103,8 @@ class BlockDistribution(Distribution):
     def __init__(self, n: int, nprocs: int) -> None:
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        base, extra = divmod(n, nprocs)
-        sizes = np.full(nprocs, base, dtype=np.int64)
-        sizes[:extra] += 1
-        owner = np.repeat(np.arange(nprocs, dtype=np.int32), sizes)
+        owner = np.repeat(np.arange(nprocs, dtype=np.int32),
+                          block_sizes(n, nprocs))
         super().__init__(owner, nprocs)
 
 
@@ -107,12 +114,9 @@ class RandomDistribution(Distribution):
     def __init__(self, n: int, nprocs: int, *, seed: int = 0) -> None:
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        rng = np.random.default_rng(seed)
-        base, extra = divmod(n, nprocs)
-        sizes = np.full(nprocs, base, dtype=np.int64)
-        sizes[:extra] += 1
-        owner = np.repeat(np.arange(nprocs, dtype=np.int32), sizes)
-        rng.shuffle(owner)
+        owner = np.repeat(np.arange(nprocs, dtype=np.int32),
+                          block_sizes(n, nprocs))
+        np.random.default_rng(seed).shuffle(owner)
         super().__init__(owner, nprocs)
         self.seed = seed
 

@@ -11,12 +11,13 @@ The partitioner's outer loop is a fixed **step plan**
 
 A checkpoint at step ``k`` captures the cross-phase state every rank
 carries *between* steps — the part assignment over owned + ghost vertices,
-``iter_tot``, the RNG bit-generator state, the work/sweep accounting, and
-the last Allreduced ``Sv``/``Se``/``Sc`` totals.  Everything else is
-phase-local: each phase re-Allreduces its size vector at entry and builds a
-fresh :class:`~repro.core.frontier.FrontierSweeper` whose iteration 0 is a
-full sweep, which is exactly why phase boundaries are sufficient cut
-points for bit-identical resumption.
+``iter_tot``, the RNG bit-generator state and the work/sweep accounting.
+Everything else is phase-local: each phase recounts its per-part totals
+``Sv``/``Se``/``Sc`` in one Allreduce at entry
+(:meth:`~repro.core.state.RankState.part_totals`) and builds a fresh
+:class:`~repro.core.frontier.FrontierSweeper` whose iteration 0 is a full
+sweep, which is exactly why phase boundaries are sufficient cut points for
+bit-identical resumption.
 
 Epoch-commit protocol (who writes what, in happens-before order):
 
@@ -62,7 +63,7 @@ from repro.simmpi.stepping import Steps, steppable
 
 #: Bumped whenever a pickled record changes shape, so that an older
 #: epoch is refused at load instead of failing later.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_TMP = "MANIFEST.tmp"
 STATS_NAME = "stats.pkl"

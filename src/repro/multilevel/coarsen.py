@@ -184,60 +184,52 @@ def lp_cluster_labels(
             old = labels[cand]
             labels[cand] = tgt
             # reconcile cluster masses: aggregate this rank's deltas
-            # sparsely, Allgatherv, apply everywhere (deterministic order:
-            # rank-major concatenation)
+            # sparsely into (cluster id, weight bits) pairs, Allgatherv,
+            # apply everywhere (deterministic order: rank-major
+            # concatenation)
             delta_ids = np.concatenate([tgt, old])
             delta_w = np.concatenate([vw[cand], -vw[cand]])
             uid, uinv = np.unique(delta_ids, return_inverse=True)
-            usum = (
-                np.bincount(uinv, weights=delta_w, minlength=uid.size)
-                if uid.size else np.empty(0, dtype=np.float64)
-            )
+            usum = np.bincount(uinv, weights=delta_w, minlength=uid.size)
+            pairs = np.column_stack([uid, usum.view(np.int64)])
             comm.charge(2.0 * delta_ids.size)
-            all_ids, _ = yield from comm.Allgatherv(uid.astype(np.int64))
-            all_w, _ = yield from comm.Allgatherv(usum)
-            np.add.at(mass, all_ids, all_w)
+            merged, _ = yield from comm.Allgatherv(pairs.reshape(-1))
+            np.add.at(mass, merged[0::2], merged[1::2].view(np.float64))
             yield from plan.pull(comm, labels)
-            moved_total = yield from comm.allreduce(int(cand.size), op="sum")
-            if moved_total == 0:
+            # a rank that moved a vertex sent a pair: none arrived, no move
+            if merged.size == 0:
                 break
     return labels[:n].copy()
 
 
-@steppable
 def hem_cluster_labels(
     comm: SimComm,
     level: MLLevel,
     params,
     level_index: int,
-) -> Steps[np.ndarray]:
+) -> np.ndarray:
     """Heavy-edge matching on the owned-induced subgraph; returns owned
     labels (global ids; matched pairs share the lower partner's gid).
 
     Cross-rank edges are never matched — the standard local-matching
     compromise of distributed multilevel partitioners — so the result
-    needs no ghost resolution.  Runs the exact shared-memory matcher the
-    baseline uses, once per rank on its own subgraph.
+    needs no collective (the work charged here rides the contraction's
+    Allgatherv).  Runs the shared-memory matcher the baseline uses, once
+    per rank on its own subgraph.
     """
     dg = level.dg
     n = dg.n_local
-    with comm.phase("coarsen"):
-        srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
-        owned_arc = dg.adj < n
-        sub = sparse.csr_matrix(
-            (level.ew_local[owned_arc],
-             (srcs[owned_arc], dg.adj[owned_arc])),
-            shape=(n, n),
-        )
-        rng = _cluster_rng(params, dg.rank, level_index)
-        match = heavy_edge_matching(sub, rng)
-        # 4 proposal rounds + claim/two-hop passes over the local subgraph
-        comm.charge(4 * 2.0 * sub.nnz + float(n))
-        labels = dg.owned_gids[match] if n else np.empty(0, dtype=np.int64)
-        # rendezvous so every rank advances in lockstep (and the charge
-        # above lands on a coarsen-tagged collective)
-        yield from comm.allreduce(int(n), op="max")
-    return labels
+    srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
+    owned_arc = dg.adj < n
+    sub = sparse.csr_matrix(
+        (level.ew_local[owned_arc], (srcs[owned_arc], dg.adj[owned_arc])),
+        shape=(n, n),
+    )
+    rng = _cluster_rng(params, dg.rank, level_index)
+    match = heavy_edge_matching(sub, rng)
+    # 4 proposal rounds + claim/two-hop passes over the local subgraph
+    comm.charge(4 * 2.0 * sub.nnz + float(n))
+    return dg.owned_gids[match] if n else np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +335,12 @@ def contract_level(
         # each rank contributes the labels of its owned vertices and is
         # charged its share of the aggregation, which executes once
         comm.charge(2.0 * dg.adj.size + float(dg.n_local))
+        # every rank receives the one evaluation's result, so the stop
+        # decision is already collective
         nc, arrays = yield from allgather_owned(
             comm, level.dist, owned_labels,
             then=lambda full: _contract(level, level_index, min_vertices, full),
         )
-        # collective agreement on the stop decision (inputs are identical,
-        # so this is a cheap cross-rank sanity rendezvous, not a vote)
-        agreed = yield from comm.allreduce(int(nc), op="max")
-        if agreed != nc:  # pragma: no cover - determinism violation
-            raise AssertionError(
-                f"ranks disagree on coarse size: {agreed} != {nc}"
-            )
         if arrays is None:
             return None
     offsets, adj, cw, cvw, fine2coarse = arrays

@@ -73,8 +73,7 @@ def build_hierarchy(
                 comm, cur, num_parts, params, level_index
             )
         else:
-            labels = yield from hem_cluster_labels(comm, cur, params,
-                                                   level_index)
+            labels = hem_cluster_labels(comm, cur, params, level_index)
         nxt = yield from contract_level(
             comm, cur, labels, params, level_index, min_vertices=floor
         )

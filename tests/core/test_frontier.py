@@ -48,8 +48,8 @@ def test_exhaustive_sweeps_pinned_digests():
     assert hashlib.sha256(
         repr(r.stats.signature()).encode()
     ).hexdigest() == (
-        "b7a03831ad5de85f07f9568c433c83e756553aba5cdc823afc92064121e0294b")
-    assert r.modeled_seconds == 0.0011026835833333332
+        "2fa0870b0de51872c295c0733e8aa6a531bfe6717d9fc4e1721ef36f44cab372")
+    assert r.modeled_seconds == 0.0010666805833333334
 
 
 def test_frontier_modes_are_deterministic():

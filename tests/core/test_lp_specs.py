@@ -46,7 +46,8 @@ def test_spec(spec):
     assert getattr(PulpParams(), spec.iters) > 0
     assert design_row(spec) in DESIGN.read_text(), design_row(spec)
 
-    # totals tracked == rows of the delta block every iteration Allreduces
+    # totals tracked == rows of the one Allreduce at entry == rows of the
+    # delta block every iteration Allreduces
     g = rmat(8, 8, seed=3)
     dist = make_distribution("random", g.n, 2, seed=1)
 
@@ -60,17 +61,16 @@ def test_spec(spec):
             with pytest.raises(ValueError, match="arc_weights"):
                 lp_phase(comm, state, spec, ITERS)
         lp_phase(comm, state, spec, ITERS, **kwargs)
-        return [None if s is None else s.shape
-                for s in (state.Sv, state.Se, state.Sc)]
 
-    out, stats = run_spmd(2, main)
+    _, stats = run_spmd(2, main)
     d = len(spec.totals)
     reduces = [e for e in stats.events
                if e.tag == spec.tag and e.op == "allreduce"]
-    # a [p] vector when only v is tracked, else the [d × p] block as it is
-    for event in reduces[-ITERS:]:
+    # reseed's alive count, then the entry totals and the deltas: a [p]
+    # vector when only v is tracked, else the [d × p] block as it is
+    assert len(reduces) == spec.reseed + 1 + ITERS
+    for event in reduces[-ITERS - 1:]:
         assert event.bytes_sent.tolist() == [d * PARTS * 8] * 2
-    assert out[0] == [(PARTS,)] * d + [None] * (3 - d)
 
 
 @pytest.mark.parametrize("change", [

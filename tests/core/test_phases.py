@@ -22,10 +22,10 @@ def run_phases(graph, p, nprocs, steps, params=None, seed=42):
         dg = build_dist_graph(comm, graph, dist)
         state = RankState(dg=dg, num_parts=p, params=params)
         initialize(comm, state)
-        snaps = [state.compute_vertex_sizes(comm).copy()]
+        snaps = [state.part_totals(comm, ("v",))[0].copy()]
         for step in steps:
             step(comm, state)
-            snaps.append(state.compute_vertex_sizes(comm).copy())
+            snaps.append(state.part_totals(comm, ("v",))[0].copy())
         return dg.owned_gids.copy(), state.parts[: dg.n_local].copy(), snaps
 
     results = run_spmd(nprocs, main)[0]
@@ -78,11 +78,11 @@ def test_refinement_reduces_cut_without_worsening_balance():
         state = RankState(dg=dg, num_parts=p, params=params)
         initialize(comm, state)
         lp_phase(comm, state, SPECS["vertex_balance"], 5)
-        sv_before = state.compute_vertex_sizes(comm)
+        sv_before = state.part_totals(comm, ("v",))[0]
         gids = dg.owned_gids.copy()
         before = state.parts[: dg.n_local].copy()
         lp_phase(comm, state, SPECS["vertex_refine"], 10)
-        sv_after = state.compute_vertex_sizes(comm)
+        sv_after = state.part_totals(comm, ("v",))[0]
         after = state.parts[: dg.n_local].copy()
         return gids, before, after, sv_before, sv_after
 
@@ -112,11 +112,11 @@ def test_edge_balance_phase_improves_edge_balance():
         initialize(comm, state)
         lp_phase(comm, state, SPECS["vertex_balance"], 5)
         lp_phase(comm, state, SPECS["vertex_refine"], 10)
-        se_before = state.compute_edge_sizes(comm)
+        se_before = state.part_totals(comm, ("e",))[0]
         state.iter_tot = 0
         lp_phase(comm, state, SPECS["edge_balance"], 5)
         lp_phase(comm, state, SPECS["edge_refine"], 10)
-        se_after = state.compute_edge_sizes(comm)
+        se_after = state.part_totals(comm, ("e",))[0]
         return se_before, se_after
 
     se_before, se_after = run_spmd(2, main)[0][0]
@@ -135,11 +135,11 @@ def test_tracked_edge_and_cut_sizes_match_recount():
         initialize(comm, state)
         lp_phase(comm, state, SPECS["edge_balance"], 3)
         # recompute from scratch and compare with a second recompute —
-        # compute_* methods must be pure
-        a = state.compute_cut_sizes(comm)
-        b = state.compute_cut_sizes(comm)
+        # part_totals must be pure
+        a = state.part_totals(comm, ("c",))[0]
+        b = state.part_totals(comm, ("c",))[0]
         np.testing.assert_array_equal(a, b)
-        se = state.compute_edge_sizes(comm)
+        se = state.part_totals(comm, ("e",))[0]
         return state.parts[: dg.n_local].copy(), dg.owned_gids.copy(), se, a
 
     results = run_spmd(2, main)[0]

@@ -95,12 +95,12 @@ def test_compute_sizes_cross_check():
         global_parts = rng.integers(0, p, g.n)
         state.parts[: dg.n_local] = global_parts[dg.owned_gids]
         state.parts[dg.n_local:] = global_parts[dg.ghost_gids]
-        return (
-            state.compute_vertex_sizes(comm),
-            state.compute_edge_sizes(comm),
-            state.compute_cut_sizes(comm),
-            global_parts,
-        )
+        # the stacked rows equal the rows recounted one at a time
+        stacked = state.part_totals(comm)
+        for i, row in enumerate("vec"):
+            np.testing.assert_array_equal(
+                stacked[i], state.part_totals(comm, (row,))[0])
+        return (*stacked, global_parts)
 
     sv, se, sc, parts = run_spmd(3, main)[0][0]
     np.testing.assert_array_equal(sv, np.bincount(parts, minlength=p))

@@ -145,3 +145,24 @@ def test_edge_balance_blocks_targets_by_vertex_weight():
         rt.close()
     assert parts[0] == 2
     assert np.bincount(parts, weights=weights).max() <= 7.0
+
+
+def test_tiny_isolated_weights_stay_small():
+    """Degree-0 vertices weighing 1e-12 beside unit-weight connected ones:
+    the degree-0 rebalance sized its slot list by gap ÷ mean mover weight,
+    ~10^14 slots here (878 TiB, a ``MemoryError``; `rmat(16, 16)` with
+    1e-6 asked for 45 GiB).  Capped at the mover count, the run completes
+    in well under a MiB of traced allocation."""
+    import tracemalloc
+
+    g2 = rmat(8, 8, seed=1)
+    w = np.where(g2.degrees > 0, 1.0, 1e-12)
+    tracemalloc.start()
+    try:
+        res = xtrapulp(g2, 8, nprocs=1, params=PulpParams(seed=3),
+                       vertex_weights=w, backend="serial")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert res.parts.min() >= 0 and res.parts.max() < 8

@@ -124,3 +124,23 @@ def test_owned_lists_equal_the_mask_built_ones(kind, n, p):
         np.testing.assert_array_equal(got, want)
     assert d.counts().tolist() == np.bincount(
         d.owner_table, minlength=p).tolist()
+
+
+@pytest.mark.parametrize("n,k", [(10, 3), (7, 7), (5, 8), (0, 2), (1000, 64)])
+def test_block_sizes_is_the_one_block_layout(n, k):
+    """``block_sizes``: near-equal contiguous blocks, the remainder one each
+    over the first; block distributions and partitions are laid out by it."""
+    from repro.baselines.simple import vertex_block_partition
+    from repro.dist.distribution import block_sizes
+    from repro.graph.builders import from_edges
+
+    sizes = block_sizes(n, k)
+    assert sizes.dtype == np.int64 and sizes.size == k and sizes.sum() == n
+    assert sizes.max() - sizes.min() <= 1 and (np.diff(sizes) <= 0).all()
+    blocks = np.repeat(np.arange(k), sizes)
+    np.testing.assert_array_equal(BlockDistribution(n, k).owner_table, blocks)
+    np.testing.assert_array_equal(
+        np.sort(RandomDistribution(n, k, seed=3).owner_table), blocks)
+    none = np.empty(0, dtype=np.int64)
+    graph = from_edges(n, none, none)
+    np.testing.assert_array_equal(vertex_block_partition(graph, k), blocks)

@@ -15,6 +15,7 @@ from repro.core.state import RankState
 from repro.dist import build_dist_graph, make_distribution
 from repro.ft import CheckpointError, CkptPolicy, find_latest_committed
 from repro.ft.checkpoint import (
+    FORMAT_VERSION,
     MANIFEST_NAME,
     MANIFEST_TMP,
     STATS_NAME,
@@ -240,6 +241,24 @@ def test_unsupported_format_version_rejected(run_dir, tmp_path):
     m["format_version"] = 99
     json.dump(m, open(mpath, "w"))
     with pytest.raises(CheckpointError, match="format"):
+        load_checkpoint(latest)
+
+
+def test_version_2_epoch_rejected(run_dir, tmp_path):
+    """Version 2 rank snapshots carried ``Sv`` / ``Se`` / ``Sc``; version 3
+    recounts them at phase entry and refuses the older epochs."""
+    import shutil
+
+    assert FORMAT_VERSION == 3
+    d = tmp_path / "v2"
+    shutil.copytree(run_dir, d)
+    latest = find_latest_committed(str(d))
+    assert not {"Sv", "Se", "Sc"} & load_checkpoint(latest).snapshots[0].keys()
+    mpath = os.path.join(latest, MANIFEST_NAME)
+    m = json.load(open(mpath))
+    m["format_version"] = 2
+    json.dump(m, open(mpath, "w"))
+    with pytest.raises(CheckpointError, match="format 2 is not supported"):
         load_checkpoint(latest)
 
 

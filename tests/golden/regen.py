@@ -9,7 +9,10 @@ partitions or of the communication record — with::
 
     PYTHONPATH=src python -m tests.golden.regen
 
-and say in the PR why the digests moved.
+and say in the PR why the digests moved.  It prints one line per case:
+the pins that moved (``parts``, ``signature``, ``modeled``, ``tiers``,
+``steps``, ``ckpt_bytes``) or ``unmoved``, and, for an end-to-end case
+with a moved pin, its quality and ``modeled_s`` old → new.
 """
 
 from __future__ import annotations
@@ -126,13 +129,36 @@ def phase_pins(case: dict) -> Dict[str, object]:
     return {"steps": steps, "ckpt_bytes": nbytes}
 
 
+#: The pinned fields a regeneration reports, by the name it prints.
+PINS = {"parts": "parts_sha256", "signature": "signature_sha256",
+        "modeled": "modeled_s", "tiers": "tiers_sha256",
+        "steps": "steps", "ckpt_bytes": "ckpt_bytes"}
+#: Printed old → new beside the moved fields of an end-to-end case.
+FIGURES = ("cut_ratio", "vertex_balance", "edge_balance", "modeled_s")
+
+
+def moved(old: dict, new: dict) -> str:
+    """One line naming the pins that differ between two versions of a
+    case, with its figures old → new (or ``unmoved``)."""
+    names = [name for name, key in PINS.items()
+             if old.get(key) != new.get(key)]
+    line = f"{new['name']}: " + (", ".join(names) or "unmoved")
+    figures = [f"{key} {old.get(key)} -> {new[key]}"
+               for key in FIGURES if key in new and names]
+    return "; ".join([line, *figures])
+
+
 def main() -> None:
     cases = load_cases()
-    for case in cases:
-        case.update(digests(case, "serial"))
     phase_cases = load_phase_cases()
+    for case in cases:
+        old = dict(case)
+        case.update(digests(case, "serial"))
+        print(moved(old, case))
     for case in phase_cases:
+        old = dict(case)
         case.update(phase_pins(case))
+        print(moved(old, case))
     GOLDEN.write_text(json.dumps(
         {"cases": cases, "phase_cases": phase_cases}, indent=2) + "\n")
 

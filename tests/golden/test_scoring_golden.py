@@ -9,6 +9,7 @@ from tests.golden.regen import (
     digests,
     load_cases,
     load_phase_cases,
+    moved,
     phase_pins,
 )
 
@@ -35,3 +36,15 @@ def test_pinned_phases(case):
     of the plan, and the bytes a checkpointed run writes."""
     got = phase_pins(case)
     assert got == {key: case[key] for key in got}
+
+
+def test_regen_names_the_moved_pins():
+    """A regeneration says which pins moved, with the figures old → new."""
+    old = {"name": "c", "parts_sha256": "a", "signature_sha256": "b",
+           "modeled_s": "2.0", "cut_ratio": "0.5"}
+    assert moved(old, dict(old)) == "c: unmoved"
+    new = dict(old, signature_sha256="x", modeled_s="1.0")
+    assert moved(old, new) == (
+        "c: signature, modeled; cut_ratio 0.5 -> 0.5; modeled_s 2.0 -> 1.0")
+    phase = {"name": "p", "steps": ["s"], "ckpt_bytes": 2}
+    assert moved(phase, dict(phase, ckpt_bytes=1)) == "p: ckpt_bytes"

@@ -64,7 +64,7 @@ def test_contraction_transient_peak_per_fine_arc():
 
     def cluster(comm):
         level = yield from coarsen.make_level0(comm, g, dist, None)
-        labels = yield from coarsen.hem_cluster_labels(comm, level, params, 0)
+        labels = coarsen.hem_cluster_labels(comm, level, params, 0)
         return level, labels
 
     level, labels = run_spmd(1, cluster, backend="serial")[0][0]
