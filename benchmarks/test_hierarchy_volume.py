@@ -6,8 +6,8 @@ ranks/node) on every execution backend, and compares the *modeled
 inter-node wire bytes* — what each strategy would put on the network.
 Under ``flat`` every rank is its own node, so all metered bytes cross the
 network; the two-level protocol keeps node-local payload in shared
-memory, injects one aggregated message per node pair, runs reductions
-leaders-only, and narrows count headers to ``uint32``.
+memory, injects one aggregated message per node pair, and runs
+reductions leaders-only.
 
 Acceptance: >= 2x reduction in modeled inter-node bytes overall, with the
 hierarchical run bit-identical to flat in partition and communication

@@ -2,9 +2,9 @@
 
 After a propagation sweep, each rank ships the updates of its *updated*
 owned vertices to every rank holding a ghost copy (the vertex's off-rank
-neighbor owners), via a counts Alltoall followed by a payload Alltoallv —
-exactly the paper's two-step exchange, with the per-vertex ``toSend`` rank
-sets precomputed at DistGraph build time.
+neighbor owners), via one neighbourhood-pruned Alltoallv — each rank
+messages only the ranks it has updates for, with the per-vertex ``toSend``
+rank sets precomputed at DistGraph build time.
 
 Each record is the destination rank's ghost slot index
 (``DistGraph.send_ghost_slot``, narrowest unsigned dtype) plus the part

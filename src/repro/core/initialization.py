@@ -262,4 +262,3 @@ def initialize(
         total_bad = yield from comm.allreduce(bad, op="sum")
         if total_bad:
             raise AssertionError(f"{total_bad} vertices left unassigned by init")
-        yield from reseed_dead_parts(comm, state)

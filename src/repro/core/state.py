@@ -93,7 +93,6 @@ class RankState:
         communication record.
         """
         return {
-            "format": 2,
             "rank": int(self.dg.rank),
             "n_local": int(self.dg.n_local),
             "n_total": int(self.dg.n_total),

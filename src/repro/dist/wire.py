@@ -16,8 +16,7 @@ The wire format is orthogonal to the *communicator strategy*
 (:mod:`repro.simmpi.topology`): records route through
 ``SimComm.Alltoallv_fields``, so under the ``hierarchical`` strategy they
 are additionally metered as a two-level exchange (aggregated per node
-pair, count headers narrowed to ``uint32`` on the inter-node wire) —
-compounding with the 2-4x record shrink rather than replacing it.
+pair) — compounding with the 2-4x record shrink rather than replacing it.
 
 :func:`stored_dtype` makes the same kind of election for what a rank keeps
 rather than ships: the build-time tables that are only gathered from

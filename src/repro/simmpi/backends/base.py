@@ -36,30 +36,22 @@ from repro.simmpi.stepping import run_body
 
 
 def fault_preamble(plan: Any, deadline: Optional[float], rank: int, op: str,
-                   tag: str, header_slot: Optional[int], *,
-                   can_die: bool) -> Optional[int]:
+                   tag: str, *, can_die: bool) -> Optional[int]:
     """Give the fault plan its turn before a deposit, on every backend.
 
-    One consultation per *metered round*, so a deposit that also stands
-    for its count header (``header_slot``) takes two steps of the plan —
-    the header's, then the payload's — and a ``FaultSpec`` step means what
-    it meant when the header was a rendezvous of its own.  ``can_die``
-    says whether the rank is a killable process (``procs``); elsewhere
-    ``die`` is downgraded to a raised fault.  The watchdog ``deadline``,
-    if any, is forwarded so injected delays past it surface as hangs.
+    One consultation per deposit, and so per metered round: a
+    ``FaultSpec`` step counts the rank's collectives.  ``can_die`` says
+    whether the rank is a killable process (``procs``); elsewhere ``die``
+    is downgraded to a raised fault.  The watchdog ``deadline``, if any, is
+    forwarded so injected delays past it surface as hangs.
 
-    Returns the seed of the byte flip a matched ``corrupt`` spec (the
-    header's first) asks for, or None; the caller applies it *after* the
-    send-side checksum is taken, modeling damage in flight.
+    Returns the seed of the byte flip a matched ``corrupt`` spec asks for,
+    or None; the caller applies it *after* the send-side checksum is
+    taken, modeling damage in flight.
     """
     if plan is None:
         return None
-    header_spec = None
-    if header_slot is not None:
-        header_spec = plan.check(rank, "alltoall", tag, can_die=can_die,
-                                 deadline=deadline)
     spec = plan.check(rank, op, tag, can_die=can_die, deadline=deadline)
-    spec = header_spec or spec
     if spec is None:
         return None
     from repro.ft.integrity import corruption_seed
@@ -67,44 +59,30 @@ def fault_preamble(plan: Any, deadline: Optional[float], rank: int, op: str,
     return corruption_seed(rank, spec.step, spec.attempt)
 
 
-def metered_rounds(
+def metered_round(
     strategy: Optional[Any],
     op: str,
     nbytes: np.ndarray,
     compute: np.ndarray,
     work: np.ndarray,
+    messages: Sequence[Optional[int]],
     dest_rows: Sequence[Optional[np.ndarray]] = (),
     root: Optional[int] = None,
-    header_slot: Optional[int] = None,
-) -> List[tuple]:
-    """The ``(op, bytes, compute, work, tiers)`` rows one completed
-    rendezvous records, in event order.
+) -> tuple:
+    """The ``(op, bytes, compute, work, messages, tiers)`` row one
+    completed rendezvous records: one rendezvous is one metered round.
 
-    A *rendezvous* is the simulator's unit (every rank parks once); a
-    *metered round* is the modeled machine's.  They differ for an
-    Alltoallv: Algorithm 3 exchanges the counts (an ``alltoall`` of one
-    ``header_slot``-byte entry per rank pair), then the payload, and both
-    rounds are metered, but the ranks deposit once — the payload deposit
-    carries the counts.  The header row comes first and takes the
-    superstep's compute and work; the payload row has none.
-
-    Tiers are split here, once per round for all ranks, from the inputs
-    the ranks deposited (``nbytes``, ``dest_rows``, ``root``); ``strategy``
-    None (flat metering) leaves them None.
+    ``messages`` holds what each rank deposited for it: its count of
+    non-empty off-rank destinations for an ``alltoallv`` (the sparse
+    exchange's message count), None for every other op, which meters
+    none.  Tiers are split here, once per round for all ranks, from the
+    inputs the ranks deposited (``nbytes``, ``dest_rows``, ``root``);
+    ``strategy`` None (flat metering) leaves them None.
     """
     nprocs = len(nbytes)
-    rows = []
-    if header_slot is not None:
-        # one count entry from every rank to every other rank
-        hdr = np.full(nprocs, (nprocs - 1) * header_slot, dtype=np.int64)
-        tiers = None
-        if strategy is not None:
-            hdr_dest = np.full((nprocs, nprocs), header_slot, dtype=np.int64)
-            np.fill_diagonal(hdr_dest, 0)
-            tiers = strategy.tier_matrix("alltoall", hdr, hdr_dest,
-                                         counts=True)
-        rows.append(("alltoall", hdr, compute, work, tiers))
-        compute, work = np.zeros(nprocs), np.zeros(nprocs)
+    sends = None
+    if messages[0] is not None:
+        sends = np.array(messages, dtype=np.int64)
     tiers = None
     if strategy is not None:
         dest = None
@@ -114,8 +92,7 @@ def metered_rounds(
                 if d is not None:
                     dest[r] = d
         tiers = strategy.tier_matrix(op, nbytes, dest, root)
-    rows.append((op, nbytes, compute, work, tiers))
-    return rows
+    return op, nbytes, compute, work, sends, tiers
 
 
 class Backend(ABC):
@@ -191,7 +168,7 @@ class Backend(ABC):
         work_units: float = 0.0,
         dest_bytes: Optional[np.ndarray] = None,
         root: Optional[int] = None,
-        header_slot: Optional[int] = None,
+        messages: Optional[int] = None,
     ) -> Any:
         """Deposit ``contribution`` for ``op``; block until all ranks match.
 
@@ -200,12 +177,11 @@ class Backend(ABC):
         ``nbytes_sent`` is this rank's off-rank payload for the metering
         convention documented in :mod:`repro.simmpi.metrics`.  The rest are
         the inputs of what is computed once, when the rendezvous is
-        recorded (:func:`metered_rounds`): ``dest_bytes`` that payload per
-        destination (pairwise ops under a tiered strategy),
-        ``root`` the root of a rooted op, and ``header_slot`` the bytes of
-        one entry of the count header this deposit also stands for — the
-        last two are the same on every rank, and the executing rank's are
-        used.
+        recorded (:func:`metered_round`): ``dest_bytes`` that payload per
+        destination (pairwise ops under a tiered strategy), ``root`` the
+        root of a rooted op — the same on every rank, and the executing
+        rank's is used — and ``messages`` this rank's count of non-empty
+        off-rank destinations (``alltoallv`` only).
 
         Under ``integrity == "crc"`` the contribution is checksummed here
         (at "send time") and the checksum rides along to the rendezvous,
@@ -218,31 +194,31 @@ class Backend(ABC):
         in-process engine's — ``procs`` ranks deposit through their own
         endpoints, never through the parent's backend object).
         """
-        checksum = self._send_side(rank, op, tag, contribution, header_slot)
+        checksum = self._send_side(rank, op, tag, contribution)
         if self.nprocs == 1:
             # nobody to wait for, and zero off-rank bytes, so there is no
             # traffic to classify into tiers either
             results = execute([contribution])
-            self._record_rounds(tag, metered_rounds(
+            self._record(tag, metered_round(
                 None, op, np.zeros(1, dtype=np.int64),
                 np.array([compute_seconds]), np.array([work_units]),
-                header_slot=header_slot,
+                [messages],
             ))
             return results[0]
         return self._rendezvous(
             rank, op, tag, contribution, nbytes_sent, execute,
-            compute_seconds, work_units, dest_bytes, root, header_slot,
+            compute_seconds, work_units, dest_bytes, root, messages,
             checksum,
         )
 
-    def _send_side(self, rank: int, op: str, tag: str, contribution: Any,
-                   header_slot: Optional[int]) -> Optional[int]:
+    def _send_side(self, rank: int, op: str, tag: str,
+                   contribution: Any) -> Optional[int]:
         """The send side of a deposit: the fault plan's turn, then, with
         peers to send to, the contribution's crc under ``integrity ==
         "crc"`` (else None) and the in-flight damage a ``corrupt`` fault
         asked for.  Returns the crc."""
         corrupt_seed = fault_preamble(self.fault_plan, self.watchdog, rank,
-                                      op, tag, header_slot, can_die=False)
+                                      op, tag, can_die=False)
         if self.nprocs == 1 or (
                 self.integrity != "crc" and corrupt_seed is None):
             return None
@@ -255,19 +231,9 @@ class Backend(ABC):
             integrity.corrupt_object(contribution, corrupt_seed)
         return checksum
 
-    def _record_rounds(self, tag: str, rounds: Sequence[tuple]) -> None:
-        for op, nbytes, compute, work, tiers in rounds:
-            self._record(op, tag, nbytes, compute, work, tiers=tiers)
-
-    def _record(
-        self,
-        op: str,
-        tag: str,
-        bytes_sent: np.ndarray,
-        compute_seconds: np.ndarray,
-        work_units: np.ndarray,
-        tiers: Optional[np.ndarray] = None,
-    ) -> None:
+    def _record(self, tag: str, row: tuple) -> None:
+        """Record one :func:`metered_round` row under ``tag``."""
+        op, bytes_sent, compute_seconds, work_units, messages, tiers = row
         tier_view: Optional[TierMetering] = None
         if tiers is not None:
             strategy = self.comm_strategy
@@ -280,7 +246,7 @@ class Backend(ABC):
         self.stats.record(CollectiveEvent(
             op=op, tag=tag, bytes_sent=bytes_sent,
             compute_seconds=compute_seconds, work_units=work_units,
-            tiers=tier_view,
+            messages=messages, tiers=tier_view,
         ))
         if op == "checkpoint" and self.ckpt_committer is not None:
             self.ckpt_committer.commit(self.stats)

@@ -63,7 +63,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ft.watchdog import GRACE, StallClock, slice_seconds
-from repro.simmpi.backends.base import Backend, metered_rounds
+from repro.simmpi.backends.base import Backend, metered_round
 from repro.simmpi.errors import (
     CollectiveMismatchError,
     DeadlockError,
@@ -79,7 +79,8 @@ class _Pending:
     """The rendezvous currently being assembled."""
 
     __slots__ = ("op", "tag", "contribs", "nbytes", "compute", "work",
-                 "dest", "arrived", "results", "deposited", "checksums")
+                 "messages", "dest", "arrived", "results", "deposited",
+                 "checksums")
 
     def __init__(self, nprocs: int, op: str, tag: str) -> None:
         self.op = op
@@ -88,6 +89,8 @@ class _Pending:
         self.nbytes = np.zeros(nprocs, dtype=np.int64)
         self.compute = np.zeros(nprocs, dtype=np.float64)
         self.work = np.zeros(nprocs, dtype=np.float64)
+        #: Per-rank message counts of an ``alltoallv``; None elsewhere.
+        self.messages: List[Optional[int]] = [None] * nprocs
         #: Per-rank per-destination byte vectors of destination-addressed
         #: ops under a tiered communicator strategy (the tier split's
         #: input); None everywhere else.
@@ -189,7 +192,7 @@ class InProcessBackend(Backend):
         work_units: float,
         dest_bytes: Optional[np.ndarray],
         root: Optional[int],
-        header_slot: Optional[int],
+        messages: Optional[int],
         checksum: Optional[int],
     ) -> Tuple[_Pending, bool]:
         """Deposit ``rank``'s contribution; the last depositor verifies,
@@ -218,6 +221,7 @@ class InProcessBackend(Backend):
             pending.nbytes[rank] = nbytes_sent
             pending.compute[rank] = compute_seconds
             pending.work[rank] = work_units
+            pending.messages[rank] = messages
             pending.dest[rank] = dest_bytes
             pending.arrived += 1
             pending.deposited[rank] = True
@@ -236,9 +240,9 @@ class InProcessBackend(Backend):
             except BaseException as exc:  # propagate to all ranks
                 self._fail(exc)
                 raise
-            self._record_rounds(tag, metered_rounds(
+            self._record(tag, metered_round(
                 self.comm_strategy, op, pending.nbytes, pending.compute,
-                pending.work, pending.dest, root, header_slot,
+                pending.work, pending.messages, pending.dest, root,
             ))
             self._pending = None
             if self._ready is not None:
@@ -346,8 +350,8 @@ class InProcessBackend(Backend):
                     return self._finish(r)
                 try:
                     # Backend.collective's send side (rank, op, tag,
-                    # contribution, header_slot), then an unparked deposit
-                    crc = self._send_side(*request[1:5], request[-1])
+                    # contribution), then an unparked deposit
+                    crc = self._send_side(*request[1:5])
                     if not self._deposit(*request[1:], crc)[1]:
                         return  # its executor queues it, result in place
                     throw = None

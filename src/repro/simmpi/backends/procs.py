@@ -77,7 +77,7 @@ from repro.ft.watchdog import (
 from repro.simmpi.backends.base import (
     Backend,
     fault_preamble,
-    metered_rounds,
+    metered_round,
 )
 from repro.simmpi.errors import (
     CollectiveMismatchError,
@@ -431,17 +431,16 @@ class _RankEndpoint:
         work_units: float = 0.0,
         dest_bytes: Optional[np.ndarray] = None,
         root: Optional[int] = None,
-        header_slot: Optional[int] = None,
+        messages: Optional[int] = None,
     ) -> Any:
         # can_die=True: ranks are real processes here, so a "die" fault is
         # an actual os._exit mid-superstep, and a long "delay" is a real
         # stall for the supervisor-side watchdog to detect
         corrupt_seed = fault_preamble(self._fault_plan, self._watchdog,
-                                      self.rank, op, tag, header_slot,
-                                      can_die=True)
+                                      self.rank, op, tag, can_die=True)
         action = ("coll", op, tag, int(nbytes_sent), float(compute_seconds),
                   float(work_units), contribution, dest_bytes, root,
-                  header_slot)
+                  messages)
         kind, value = self._superstep(action, execute,
                                       corrupt_seed=corrupt_seed)
         assert kind == "result"
@@ -564,13 +563,13 @@ class _RankEndpoint:
         mine = actions[0]  # SPMD programs tag (and root) uniformly
         sess.stats_send.send((
             mine[2],
-            metered_rounds(
+            metered_round(
                 self.comm_strategy,
                 mine[1],
                 np.array([a[3] for a in actions], dtype=np.int64),
                 np.array([a[4] for a in actions], dtype=np.float64),
                 np.array([a[5] for a in actions], dtype=np.float64),
-                [a[7] for a in actions], mine[8], mine[9],
+                [a[9] for a in actions], [a[7] for a in actions], mine[8],
             ),
             sum(s.nchecks for s in sess.request) - nchecks0,
         ))
@@ -697,8 +696,8 @@ class ProcsBackend(Backend):
 
         def drain() -> None:
             while session.stats_recv.poll():
-                tag, rounds, nchecks = session.stats_recv.recv()
-                self._record_rounds(tag, rounds)
+                tag, row, nchecks = session.stats_recv.recv()
+                self._record(tag, row)
                 self.stats.checksum_verifications += nchecks
 
         clock = hung = None

@@ -20,9 +20,10 @@ body writes ``total = yield from comm.Allreduce(x)`` and a plain one
 
 Byte-accounting convention (see :mod:`repro.simmpi.metrics`): a rank's
 ``bytes_sent`` for an event is the payload it injects once — exact for
-Alltoallv and its count header (self-directed slices excluded), and the
-standard pipelined/butterfly bandwidth proxy for rooted and all-
-collectives.
+Alltoallv (self-directed slices excluded), and the standard
+pipelined/butterfly bandwidth proxy for rooted and all-collectives.  An
+Alltoallv event also meters each rank's ``messages``, its count of
+non-empty off-rank destinations, which prices the exchange's latency.
 
 On the procs backend every rank's result is pickled into its response
 slot and copied back out, so each rank owns what it receives; executes
@@ -241,15 +242,14 @@ class SimComm:
         *,
         dest_bytes: Optional[np.ndarray] = None,
         root: Optional[int] = None,
-        header_slot: Optional[int] = None,
+        messages: Optional[int] = None,
     ) -> Steps[Any]:
         """One deposit, yielded as the request
         ``(self, *Backend.collective arguments)`` that the rank's driver
         carries out (:mod:`repro.simmpi.stepping`), leaving the result in
-        ``self._received``.  ``dest_bytes`` / ``root`` / ``header_slot``
-        are metering inputs the backend reads once per rendezvous (see
-        :meth:`Backend.collective`); with ``header_slot`` the deposit
-        stands for two metered rounds.
+        ``self._received``.  ``dest_bytes`` / ``root`` / ``messages`` are
+        metering inputs the backend reads once per rendezvous (see
+        :meth:`Backend.collective`); every deposit is one metered round.
 
         With compute metering the deposit bills the ``thread_time`` since
         this rank last *resumed* — from a collective here, or from its
@@ -258,20 +258,19 @@ class SimComm:
         segments, and a rank never moves between workers mid-segment."""
         work = self._work
         self._work = 0.0
-        rounds = 1 if header_slot is None else 2
         if not self._meter:
             # unmetered fast path: no clock reads, no try frame — at
             # thousands of ranks this per-deposit overhead adds up
             yield (self, self.rank, op, self._tag, contribution, nbytes_sent,
-                   execute, 0.0, work, dest_bytes, root, header_slot)
-            self.event_count += rounds
+                   execute, 0.0, work, dest_bytes, root, messages)
+            self.event_count += 1
             result, self._received = self._received, None
             return result
         delta = max(time.thread_time() - self._last_thread_time, 0.0)
         try:
             yield (self, self.rank, op, self._tag, contribution, nbytes_sent,
-                   execute, delta, work, dest_bytes, root, header_slot)
-            self.event_count += rounds
+                   execute, delta, work, dest_bytes, root, messages)
+            self.event_count += 1
             result, self._received = self._received, None
             return result
         finally:
@@ -434,10 +433,9 @@ class SimComm:
         ``sendcounts[r]`` items go to rank ``r``.  Returns
         ``(recvbuf, recvcounts)`` with the pieces ordered by source rank.
 
-        Mirrors Algorithm 3's two-step pattern: real MPI first Alltoalls the
-        counts, then Alltoallvs the payload; both rounds are metered here
-        (an ``alltoall`` event, then an ``alltoallv`` event).  The
-        one-field case of :meth:`Alltoallv_fields`.
+        Mirrors Algorithm 3's neighbourhood-pruned exchange: one metered
+        ``alltoallv`` round in which each rank messages only the ranks it
+        sends to.  The one-field case of :meth:`Alltoallv_fields`.
         """
         if np.ndim(sendbuf) != 1:
             raise ValueError("Alltoallv expects a 1-D send buffer")
@@ -459,18 +457,17 @@ class SimComm:
         ``(recv_fields, recvcounts)`` with each field's pieces ordered by
         source rank and ``recvcounts`` in records.
 
-        Two metered rounds, one rendezvous.  The modeled machine runs
-        Algorithm 3: an Alltoall of the counts — an ``alltoall`` event of
-        ``(size - 1) * sendcounts.itemsize`` bytes per rank, which also
-        carries the work and compute charged since the last collective and
-        whose inter-node wire bytes the hierarchical strategy models as
-        re-encoded ``uint32`` entries — then the payload, an ``alltoallv``
-        event of the *true* wire size: the off-rank record count times the
-        summed field itemsizes, no int64 inflation of narrow fields.  The
-        simulator parks the ranks once: the deposit that carries the
-        payload carries the counts, so ``event_count`` advances by two and
-        a fault plan takes two steps per call.  Zero-length contributions
-        are dtype-exempt (see :func:`_common_dtype`).
+        One metered round, one rendezvous.  The modeled machine runs the
+        exchange as a non-blocking-consensus sparse exchange (NBX: Hoefler,
+        Siebert and Lumsdaine, PPoPP 2010): a rank sends one message to
+        each non-empty off-rank destination, receivers learn the counts
+        from the messages themselves, and a consensus barrier ends the
+        round, so no count header crosses the wire.  The ``alltoallv``
+        event meters the *true* wire size — the off-rank record count
+        times the summed field itemsizes, no int64 inflation of narrow
+        fields — and each rank's ``messages``, its count of non-empty
+        off-rank destinations.  Zero-length contributions are
+        dtype-exempt (see :func:`_common_dtype`).
         """
         bufs = tuple(np.ascontiguousarray(f) for f in fields)
         if not bufs:
@@ -492,6 +489,7 @@ class SimComm:
             )
         record_bytes = sum(b.itemsize for b in bufs)
         offrank = int((nrec - cts[self.rank]) * record_bytes)
+        messages = int(np.count_nonzero(cts)) - int(cts[self.rank] != 0)
         dest = None
         if self._tiered:
             # per-destination payload bytes, self slot zeroed: the input of
@@ -574,5 +572,5 @@ class SimComm:
 
         return (yield from self._collective(
             "alltoallv", (bufs, cts), offrank, execute, dest_bytes=dest,
-            header_slot=cts.itemsize,
+            messages=messages,
         ))

@@ -37,9 +37,9 @@ class TierMetering:
       **hierarchical protocol's wire model**: what the exchange itself
       would move over shared memory (gather/scatter legs included), over
       the network inside a rack (leaders-only reductions, aggregated
-      node-pair messages, narrowed count headers) and across racks
-      (rack-leader injected).  These need *not* sum to ``bytes_sent`` —
-      they are the quantities the tiered machine models price.
+      node-pair messages) and across racks (rack-leader injected).
+      These need *not* sum to ``bytes_sent`` — they are the quantities
+      the tiered machine models price.
 
     ``intra_hops`` / ``inter_hops`` / ``xrack_hops`` carry the round's
     latency structure, and ``node_of`` / ``rack_of`` map each rank to its
@@ -117,6 +117,10 @@ class CollectiveEvent:
         rendezvous (e.g. edges touched) — the compute the machine model
         prices, a unit via ``gamma``, so modeled times are exactly
         reproducible.
+    messages:
+        Per-rank count of non-empty off-rank destinations of an
+        ``alltoallv`` — the messages its sparse exchange sends, which the
+        machine model prices in latency; None for every other op.
     tiers:
         Optional :class:`TierMetering` attached by a tiered communicator
         strategy (``None`` under ``flat``).  Supplementary — excluded from
@@ -128,6 +132,7 @@ class CollectiveEvent:
     bytes_sent: np.ndarray
     compute_seconds: np.ndarray
     work_units: np.ndarray
+    messages: Optional[np.ndarray] = None
     tiers: Optional[TierMetering] = None
 
     @property
@@ -205,9 +210,7 @@ class CommStats:
 
     @property
     def rounds(self) -> int:
-        """Number of metered rounds of the modeled machine (events).  Not
-        the simulator's rendezvous count: an Alltoallv is two rounds — the
-        counts, then the payload — deposited in one rendezvous."""
+        """Number of metered rounds (events): one per rendezvous."""
         return len(self.events)
 
     @property
@@ -247,21 +250,12 @@ class CommStats:
         The wire-format work lives here: the ghost-update payloads are the
         ``alltoallv`` entries of the balance/refine tags, so a format
         change shows up directly in this view while the (format-invariant)
-        count exchanges and size Allreduces stay put in theirs.
+        size Allreduces stay put in theirs.
         """
         out: Dict[str, Dict[str, int]] = {}
         for e in self.events:
             per_op = out.setdefault(e.tag, {})
             per_op[e.op] = per_op.get(e.op, 0) + e.total_bytes
-        return out
-
-    def exchange_bytes_by_tag(self) -> Dict[str, int]:
-        """Per-phase bytes of the data-exchange collectives only
-        (``alltoall`` + ``alltoallv`` — Algorithm 3's two rounds)."""
-        out: Dict[str, int] = {}
-        for e in self.events:
-            if e.op in ("alltoall", "alltoallv"):
-                out[e.tag] = out.get(e.tag, 0) + e.total_bytes
         return out
 
     # -- tiered views (topology-aware strategies) --------------------------
@@ -296,8 +290,8 @@ class CommStats:
         """Total modeled inter-node **wire** bytes of the run.
 
         For tiered events this is the hierarchical protocol's in-rack
-        network traffic (aggregated node-pair messages, leaders-only reductions,
-        narrowed count headers); untiered events contribute their full
+        network traffic (aggregated node-pair messages, leaders-only
+        reductions); untiered events contribute their full
         payload — under ``flat`` every rank is its own node, so every
         metered byte crosses the network.  The benchmark headline
         (``hierarchy_volume``) compares this quantity across strategies.
@@ -338,13 +332,15 @@ class CommStats:
     def signature(self) -> List[tuple]:
         """A comparable, bit-exact digest of the event stream.
 
-        Two runs with equal signatures moved the same bytes and charged the
-        same work in the same collectives in the same order — the record
-        half of the determinism/recovery oracle (``compute_seconds`` is
-        excluded: it is a wall-clock measurement, not part of the record).
+        Two runs with equal signatures moved the same bytes in the same
+        messages and charged the same work in the same collectives in the
+        same order — the record half of the determinism/recovery oracle
+        (``compute_seconds`` is excluded: it is a wall-clock measurement,
+        not part of the record).
         """
         return [
-            (e.op, e.tag, e.bytes_sent.tolist(), e.work_units.tolist())
+            (e.op, e.tag, e.bytes_sent.tolist(), e.work_units.tolist(),
+             None if e.messages is None else e.messages.tolist())
             for e in self.events
         ]
 

@@ -14,8 +14,11 @@ simulator meters exactly:
   :meth:`repro.simmpi.comm.SimComm.charge` (no wall clock is read, so a
   fixed-seed run prices the same on every machine and every rerun);
 * ``alpha`` is per-message latency; collectives pay ``ceil(log2 p)`` latency
-  hops (tree/butterfly algorithms) except Alltoall(v), which pays ``p - 1``
-  pairwise exchanges;
+  hops (tree/butterfly algorithms).  An Alltoallv is a sparse exchange
+  (NBX: Hoefler, Siebert and Lumsdaine, PPoPP 2010) and pays the busiest
+  rank's messages — its non-empty off-rank destinations — on top of the
+  ``ceil(log2 p)`` hops of its consensus barrier: ``ceil(log2 p)`` when
+  nobody sends, ``p - 1 + ceil(log2 p)`` when everyone sends to everyone;
 * ``beta`` is inverse bandwidth applied to the busiest rank's payload.
 
 The default constants (:data:`BLUE_WATERS_LIKE`) are Gemini-flavored
@@ -33,10 +36,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.simmpi.metrics import CollectiveEvent, CommStats
-
-#: Collectives whose latency cost scales with the full rank count (pairwise
-#: exchange pattern) rather than logarithmically (tree/butterfly).
-_PAIRWISE_OPS = frozenset({"alltoall", "alltoallv"})
 
 
 @dataclass(frozen=True)
@@ -66,21 +65,22 @@ class MachineModel:
     def cost_parts_batch(
         self, events: Sequence[CollectiveEvent], nprocs: int
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Per-event ``(latency, bandwidth)`` arrays: tree collectives pay
-        ``ceil(log2 p)`` latency hops, pairwise ones ``p - 1``, and the
-        bandwidth term is the busiest rank's payload.  One stacked max
-        over an ``(events, ranks)`` matrix instead of per-event Python
-        reductions keeps :class:`TimeModel` evaluation flat in the event
-        count at thousands of ranks (the per-event rule is the oracle in
-        ``tests/reference/pricing.py``)."""
+        """Per-event ``(latency, bandwidth)`` arrays: every collective pays
+        ``ceil(log2 p)`` latency hops, and an event that meters
+        ``messages`` (an ``alltoallv``) adds its busiest rank's message
+        count; the bandwidth term is the busiest rank's payload.  One
+        stacked max over an ``(events, ranks)`` matrix instead of
+        per-event Python reductions keeps :class:`TimeModel` evaluation
+        flat in the event count at thousands of ranks (the per-event rule
+        is the oracle in ``tests/reference/pricing.py``)."""
         n = len(events)
         if n == 0 or nprocs <= 1:
             return np.zeros(n), np.zeros(n)
-        pairwise = np.fromiter(
-            (e.op in _PAIRWISE_OPS for e in events), dtype=bool, count=n
+        sends = np.fromiter(
+            (0 if e.messages is None else e.messages.max() for e in events),
+            dtype=np.float64, count=n,
         )
-        tree_hops = max(1, ceil(log2(nprocs)))
-        latency = self.alpha * np.where(pairwise, nprocs - 1, tree_hops)
+        latency = self.alpha * (max(1, ceil(log2(nprocs))) + sends)
         max_bytes = np.stack(
             [e.bytes_sent for e in events]
         ).max(axis=1).astype(np.float64)

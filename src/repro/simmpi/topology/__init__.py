@@ -42,10 +42,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.simmpi.topology.hierarchical import (
-    COUNT_WIRE_BYTES,
-    HierarchicalCommunicator,
-)
+from repro.simmpi.topology.hierarchical import HierarchicalCommunicator
 from repro.simmpi.topology.model import (
     DEFAULT_RANKS_PER_NODE,
     Topology,
@@ -81,5 +78,4 @@ __all__ = [
     "DEFAULT_RANKS_PER_NODE",
     "HierarchicalCommunicator",
     "create_communicator",
-    "COUNT_WIRE_BYTES",
 ]

@@ -11,8 +11,7 @@ For an Alltoallv the protocol is:
 1. **intra-node gather** — every rank hands its off-node payload to its
    node leader (shared-memory copy);
 2. **inter-node exchange** — each leader sends one aggregated message per
-   remote node, carrying all rank-pair payloads between the two nodes,
-   with the per-rank-pair sub-counts re-encoded as ``uint32`` headers;
+   remote node, carrying all rank-pair payloads between the two nodes;
 3. **intra-node scatter** — the receiving leader splits the aggregate and
    delivers each piece to its destination rank (shared-memory copy).
 
@@ -33,12 +32,11 @@ model per tier; the classification feeds the volume breakdowns.
 Per-op rules (``b`` = the rank's metered ``bytes_sent``), one for each op
 :class:`~repro.simmpi.comm.SimComm` emits:
 
-* **pairwise** (``alltoallv`` and its ``alltoall`` count header):
+* **pairwise** (``alltoallv``):
   ``intra``/``inter`` split ``b`` by the destination's node.  Wire: the
   intra bytes move once locally; a non-leader's inter bytes pay an extra
   local gather hop to the leader; off-node bytes whose destination is not
-  its node's leader pay the remote scatter hop; count headers cross the
-  network re-encoded at 4 bytes per off-node entry.
+  its node's leader pay the remote scatter hop.
 * **reductions** (``allreduce``, ``barrier``): non-leaders reduce onto
   their leader (intra); only leaders enter the inter-node phase, so a
   node injects one contribution instead of ``node_size`` — the classic
@@ -56,7 +54,9 @@ Per-op rules (``b`` = the rank's metered ``bytes_sent``), one for each op
 * anything else (an op no rule names): conservatively all-inter.
 
 Latency hops per round: pairwise ops cost ``n_nodes - 1`` inter hops plus
-``3 * (max_node_size - 1)`` intra hops (gather, local exchange, scatter);
+``3 * (max_node_size - 1)`` intra hops (gather, local exchange, scatter) —
+the leader-level rule, which does not read the flat model's per-rank
+``messages``;
 tree ops cost ``ceil(log2 n_nodes)`` inter plus ``2 * ceil(log2
 max_node_size)`` intra (reduce up, broadcast down).  A single-node
 topology degenerates to all-intra; one-rank nodes degenerate to ``flat``.
@@ -96,19 +96,12 @@ import numpy as np
 from repro.simmpi.topology.model import Topology
 
 #: Pairwise exchanges: payload addressed to explicit destination ranks,
-#: latency scaling with the participant count.  ``alltoall`` is the count
-#: header an ``alltoallv`` round is prefixed with.
-_PAIRWISE_OPS = frozenset({"alltoall", "alltoallv"})
+#: latency scaling with the participant count.
+_PAIRWISE_OPS = frozenset({"alltoallv"})
 #: Ops reduced to a single value (leaders-only inter phase).
 _REDUCE_OPS = frozenset({"allreduce", "barrier"})
 #: Ops concatenating every rank's contribution onto every rank.
 _CONCAT_OPS = frozenset({"allgather", "allgatherv"})
-
-#: Wire bytes per count-header entry after uint32 re-encoding.  Ghost
-#: exchange counts are int64 rank-side, but no aggregated node-pair
-#: message carries anywhere near 2**32 records, so the two-level protocol
-#: ships the sub-counts narrowed — half the header traffic.
-COUNT_WIRE_BYTES = 4
 
 
 class HierarchicalCommunicator:
@@ -164,7 +157,6 @@ class HierarchicalCommunicator:
         nbytes: np.ndarray,
         dest: Optional[np.ndarray] = None,
         root: Optional[int] = None,
-        counts: bool = False,
     ) -> np.ndarray:
         """Every rank's tier bytes for one metered round, as an int64
         ``(nprocs, 6)`` matrix ``(intra, inter, xrack, wire_intra,
@@ -173,10 +165,9 @@ class HierarchicalCommunicator:
         Called once per round, where the backend records it, with the
         metering inputs the ranks deposited: ``nbytes[r]`` is rank ``r``'s
         metered payload, ``dest[r, d]`` its bytes addressed to rank ``d``
-        for pairwise ops (diagonal zero; None for every other op),
-        ``root`` the root of a ``bcast``, and ``counts`` flags the
-        count-header round of an Alltoallv.  The classification entries
-        of a row sum to its ``nbytes``; the ``wire_*`` columns are the
+        for pairwise ops (diagonal zero; None for every other op) and
+        ``root`` the root of a ``bcast``.  The classification entries of
+        a row sum to its ``nbytes``; the ``wire_*`` columns are the
         separate protocol model and need not."""
         topo = self.topology
         b = np.asarray(nbytes, dtype=np.int64)
@@ -206,12 +197,7 @@ class HierarchicalCommunicator:
             wire_intra = intra + gather_leg + scatter_leg
             inter = in_rack - intra
             xrack = total - in_rack
-            if not counts:
-                return out(intra, inter, wire_intra, inter, xrack, xrack)
-            nnz_total, nnz_node, nnz_rack = self._locality_sums(dest != 0)
-            return out(intra, inter, wire_intra,
-                       COUNT_WIRE_BYTES * (nnz_rack - nnz_node), xrack,
-                       COUNT_WIRE_BYTES * (nnz_total - nnz_rack))
+            return out(intra, inter, wire_intra, inter, xrack, xrack)
 
         if op in _REDUCE_OPS:
             if not multi:

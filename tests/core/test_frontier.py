@@ -48,8 +48,8 @@ def test_exhaustive_sweeps_pinned_digests():
     assert hashlib.sha256(
         repr(r.stats.signature()).encode()
     ).hexdigest() == (
-        "2fa0870b0de51872c295c0733e8aa6a531bfe6717d9fc4e1721ef36f44cab372")
-    assert r.modeled_seconds == 0.0010666805833333334
+        "6637a8d001595abe2818125d5e252b24797d9c085e0f90e4bbf5a5a1ada415d3")
+    assert r.modeled_seconds == 0.00099441125
 
 
 def test_frontier_modes_are_deterministic():

@@ -244,21 +244,27 @@ def test_unsupported_format_version_rejected(run_dir, tmp_path):
         load_checkpoint(latest)
 
 
-def test_version_2_epoch_rejected(run_dir, tmp_path):
-    """Version 2 rank snapshots carried ``Sv`` / ``Se`` / ``Sc``; version 3
-    recounts them at phase entry and refuses the older epochs."""
+@pytest.mark.parametrize("version", [2, 3])
+def test_version_2_epoch_rejected(run_dir, tmp_path, version):
+    """Version 2 rank snapshots carried ``Sv`` / ``Se`` / ``Sc`` (version 3
+    recounts them at phase entry); version 3's ``stats.pkl`` pickled events
+    without the exchange's per-rank ``messages`` and its snapshots a
+    ``"format"`` key.  Version 4 refuses both older epochs: the manifest's
+    ``format_version`` is the one version a checkpoint carries."""
     import shutil
 
-    assert FORMAT_VERSION == 3
-    d = tmp_path / "v2"
+    assert FORMAT_VERSION == 4
+    d = tmp_path / f"v{version}"
     shutil.copytree(run_dir, d)
     latest = find_latest_committed(str(d))
-    assert not {"Sv", "Se", "Sc"} & load_checkpoint(latest).snapshots[0].keys()
+    snap = load_checkpoint(latest).snapshots[0]
+    assert not {"Sv", "Se", "Sc", "format"} & snap.keys()
     mpath = os.path.join(latest, MANIFEST_NAME)
     m = json.load(open(mpath))
-    m["format_version"] = 2
+    m["format_version"] = version
     json.dump(m, open(mpath, "w"))
-    with pytest.raises(CheckpointError, match="format 2 is not supported"):
+    with pytest.raises(CheckpointError,
+                       match=f"format {version} is not supported"):
         load_checkpoint(latest)
 
 

@@ -165,13 +165,13 @@ def test_fault_wrapped_in_rank_failure_when_checkpointing(ft_graph, ft_params,
     assert isinstance(ei.value.__cause__, InjectedFault)
 
 
-# -- an exchange is one rendezvous and two steps of the plan -----------------
+# -- an exchange is one rendezvous and one step of the plan -----------------
 
 BACKENDS = ("serial", "threads", "procs")
 
 
 def _exchange_then_reduce(comm):
-    """Steps of phase "x": 0 header, 1 payload, 2 the Allreduce."""
+    """Steps of phase "x": 0 the exchange, 1 the Allreduce."""
     with comm.phase("x"):
         cts = np.ones(comm.size, dtype=np.int64)
         comm.Alltoallv(np.arange(comm.size, dtype=np.int64), cts)
@@ -179,12 +179,10 @@ def _exchange_then_reduce(comm):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("step,op", [(0, "alltoall"), (1, "alltoallv"),
-                                     (2, "allreduce")])
-def test_exchange_takes_two_steps_of_the_plan(backend, step, op):
-    """The count header no longer parks the ranks, but it is still a step:
-    a spec aimed at the header, at the payload or past the exchange fires
-    at the (phase, step) — and names the op — it always did."""
+@pytest.mark.parametrize("step,op", [(0, "alltoallv"), (1, "allreduce")])
+def test_exchange_takes_one_step_of_the_plan(backend, step, op):
+    """An exchange is one metered round, so one step: a spec aimed at the
+    exchange or past it fires at the (phase, step) — and names the op."""
     rt = create_runtime(backend, nprocs=3)
     rt.fault_plan = FaultPlan([FaultSpec(1, "x", step)])
     try:
@@ -197,19 +195,20 @@ def test_exchange_takes_two_steps_of_the_plan(backend, step, op):
 
 
 def _second_exchange(reference, phase):
-    """``(header step, payload step)`` of ``phase``'s second exchange."""
+    """``(exchange step, next step)`` of ``phase``'s second exchange."""
     ops = [e.op for e in reference.stats.events if e.tag == phase]
-    header = ops.index("alltoall", ops.index("alltoall") + 1)
-    assert ops[header + 1] == "alltoallv"
-    return header, header + 1
+    step = ops.index("alltoallv", ops.index("alltoallv") + 1)
+    assert ops[step + 1] == "allreduce"
+    return step, step + 1
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_corrupt_at_the_header_step_is_detected(ft_graph, ft_params,
                                                 reference, backend):
-    """The counts ride in the payload deposit, under its checksum."""
-    header, _ = _second_exchange(reference, "vertex_balance")
-    plan = FaultPlan([FaultSpec(1, "vertex_balance", header,
+    """The counts ride in the exchange's one deposit, under its checksum:
+    corruption aimed at the exchange's step is detected."""
+    step, _ = _second_exchange(reference, "vertex_balance")
+    plan = FaultPlan([FaultSpec(1, "vertex_balance", step,
                                 action="corrupt")])
     with pytest.raises(PayloadCorruptionError):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
@@ -217,10 +216,11 @@ def test_corrupt_at_the_header_step_is_detected(ft_graph, ft_params,
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("which", ["header", "payload"])
+@pytest.mark.parametrize("which", ["payload", "after"])
 def test_crash_inside_an_exchange_resumes_bit_identically(
         ft_graph, ft_params, reference, tmp_path, backend, which):
-    steps = dict(zip(("header", "payload"),
+    """A crash at an exchange's step, or at the Allreduce right after it."""
+    steps = dict(zip(("payload", "after"),
                      _second_exchange(reference, "edge_balance")))
     d = str(tmp_path / "run")
     plan = FaultPlan([FaultSpec(2, "edge_balance", steps[which])])

@@ -6,7 +6,9 @@ These are the scalar ``cost_parts`` / ``collective_cost`` /
 ``superstep_time`` methods and the ``TierMetering.max_*`` accessors as the
 models used to carry them, moved here verbatim (``self`` became the first
 argument; ``superstep_time`` has since lost the measured-compute term the
-model no longer prices): nothing in ``src/`` priced one event at a time.
+model no longer prices, and ``cost_parts`` prices an exchange as the
+sparse NBX round it became): nothing in ``src/`` priced one event at a
+time.
 """
 
 from math import ceil, log2
@@ -15,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.simmpi.metrics import CollectiveEvent, TierMetering
-from repro.simmpi.timing import _PAIRWISE_OPS, MachineModel, TimeModel
+from repro.simmpi.timing import MachineModel, TimeModel
 
 
 def max_wire_intra(tiers: TierMetering) -> int:
@@ -57,10 +59,12 @@ def cost_parts(machine: MachineModel, event: CollectiveEvent,
         return latency, bandwidth
     if nprocs <= 1:
         return 0.0, 0.0
-    if event.op in _PAIRWISE_OPS:
-        hops = nprocs - 1
-    else:
-        hops = max(1, ceil(log2(nprocs)))
+    # every round ends in a log-depth tree (an exchange's consensus
+    # barrier); an exchange first sends one message per non-empty
+    # off-rank destination, so its busiest sender adds its count
+    hops = max(1, ceil(log2(nprocs)))
+    if event.messages is not None:
+        hops += int(event.messages.max())
     return machine.alpha * hops, machine.beta * event.max_bytes
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.simmpi.topology import COUNT_WIRE_BYTES, Topology
+from repro.simmpi.topology import Topology
 from repro.simmpi.topology.hierarchical import (
     _CONCAT_OPS,
     _PAIRWISE_OPS,
@@ -28,7 +28,6 @@ def tier_contribution(
     nbytes: int,
     dest_bytes: Optional[np.ndarray] = None,
     root: Optional[int] = None,
-    counts: bool = False,
 ) -> Tuple[int, ...]:
     """The 6-tuple ``(intra, inter, xrack, wire_intra, wire_inter,
     wire_xrack)``; the classification entries sum to ``nbytes``."""
@@ -64,19 +63,7 @@ def tier_contribution(
             xrack = total - in_rack
         else:
             inter, xrack = off_node, 0
-        if counts:
-            nnz_total = int(np.count_nonzero(dest))
-            nnz_node = int(np.count_nonzero(dest[node_lo:node_hi]))
-            if multi_rack:
-                nnz_rack = int(np.count_nonzero(dest[rack_lo:rack_hi]))
-                wire_inter = COUNT_WIRE_BYTES * (nnz_rack - nnz_node)
-                wire_xrack = COUNT_WIRE_BYTES * (nnz_total - nnz_rack)
-            else:
-                wire_inter = COUNT_WIRE_BYTES * (nnz_total - nnz_node)
-                wire_xrack = 0
-        else:
-            wire_inter, wire_xrack = inter, xrack
-        return out(intra, inter, wire_intra, wire_inter, xrack, wire_xrack)
+        return out(intra, inter, wire_intra, inter, xrack, xrack)
 
     if op in _REDUCE_OPS:
         if not multi:
@@ -131,8 +118,8 @@ def tier_contribution(
     return out(0, b, 0, b)
 
 
-def tier_row(comm, op, rank, nbytes, dest_bytes=None, root=None,
-             counts=False) -> Tuple[int, ...]:
+def tier_row(comm, op, rank, nbytes, dest_bytes=None,
+             root=None) -> Tuple[int, ...]:
     """Row ``rank`` of ``comm.tier_matrix`` when that rank meters
     ``nbytes`` (and ``dest_bytes``, if given) and its peers nothing."""
     nprocs = comm.topology.nprocs
@@ -142,5 +129,5 @@ def tier_row(comm, op, rank, nbytes, dest_bytes=None, root=None,
     if dest_bytes is not None:
         dest = np.zeros((nprocs, nprocs), dtype=np.int64)
         dest[rank] = dest_bytes
-    matrix = comm.tier_matrix(op, per_rank, dest, root, counts)
+    matrix = comm.tier_matrix(op, per_rank, dest, root)
     return tuple(int(v) for v in matrix[rank])

@@ -257,11 +257,8 @@ def test_Alltoallv_fields_meters_true_wire_bytes():
     np.testing.assert_array_equal(
         payload[0].bytes_sent, np.full(nprocs, 12)
     )
-    per_op = stats.bytes_by_tag_op()["payload"]
-    assert per_op["alltoallv"] == 4 * 12
-    assert stats.exchange_bytes_by_tag()["payload"] == (
-        per_op["alltoallv"] + per_op["alltoall"]
-    )
+    # the payload is the exchange's whole record: no count header
+    assert stats.bytes_by_tag_op()["payload"] == {"alltoallv": 4 * 12}
 
 
 def _charged_exchange(comm):
@@ -277,24 +274,22 @@ def _charged_exchange(comm):
 
 
 @pytest.mark.parametrize("nprocs", [1, 3])
-def test_Alltoallv_fields_is_two_metered_rounds(nprocs):
-    """Algorithm 3's counts Alltoall, then the payload: two events in that
-    order from the one rendezvous, the charged work on the first, and the
-    same record on every backend."""
+def test_Alltoallv_fields_is_one_metered_round(nprocs):
+    """The sparse exchange: one event from the one rendezvous, carrying
+    the charged work and each rank's message count, and the same record
+    on every backend."""
     signatures = []
     for backend in ("serial", "threads", "procs"):
         advanced, stats = run_spmd(nprocs, _charged_exchange, backend=backend)
-        assert advanced == [2] * nprocs
-        header, payload = stats.events
-        assert (header.op, payload.op) == ("alltoall", "alltoallv")
-        assert header.tag == payload.tag == "x"
-        np.testing.assert_array_equal(
-            header.bytes_sent, np.full(nprocs, (nprocs - 1) * 8))
-        np.testing.assert_array_equal(
-            header.work_units, 7.0 + np.arange(nprocs))
+        assert advanced == [1] * nprocs
+        (payload,) = stats.events
+        assert (payload.op, payload.tag) == ("alltoallv", "x")
         np.testing.assert_array_equal(
             payload.bytes_sent, np.full(nprocs, (nprocs - 1) * 4))
-        assert not payload.work_units.any()
+        np.testing.assert_array_equal(
+            payload.messages, np.full(nprocs, nprocs - 1))
+        np.testing.assert_array_equal(
+            payload.work_units, 7.0 + np.arange(nprocs))
         signatures.append(stats.signature())
     assert signatures[0] == signatures[1] == signatures[2]
 

@@ -61,11 +61,12 @@ def test_alltoall_excludes_self_slot():
                        np.ones(comm.size, dtype=np.int64))
 
     _, stats = run_spmd(4, fn)
-    header, payload = stats.events
-    assert header.op == "alltoall"
-    # the count header: 4 int64 slots of 8 bytes each, minus the self slot
-    np.testing.assert_array_equal(header.bytes_sent, [24] * 4)
+    # one round, no count header: the payload alone, minus the self slot,
+    # in one message to each of the 3 peers
+    (payload,) = stats.events
+    assert payload.op == "alltoallv"
     np.testing.assert_array_equal(payload.bytes_sent, [24] * 4)
+    np.testing.assert_array_equal(payload.messages, [3] * 4)
 
 
 def test_alltoallv_offrank_bytes_exact():
@@ -76,11 +77,26 @@ def test_alltoallv_offrank_bytes_exact():
         comm.Alltoallv(buf, counts)
 
     _, stats = run_spmd(3, fn)
-    counts_event, payload_event = stats.events
-    assert counts_event.op == "alltoall"
+    (payload_event,) = stats.events
     assert payload_event.op == "alltoallv"
     # 6 items * 8 bytes minus self-directed 2 * 8
     np.testing.assert_array_equal(payload_event.bytes_sent, [32] * 3)
+
+
+def test_alltoallv_messages_count_nonempty_offrank_destinations():
+    def fn(comm):
+        # rank r sends r records to rank 0 and one to itself
+        counts = np.zeros(comm.size, dtype=np.int64)
+        counts[0] += comm.rank
+        counts[comm.rank] += 1
+        comm.Alltoallv(np.zeros(int(counts.sum()), dtype=np.int32), counts)
+
+    _, stats = run_spmd(4, fn)
+    (event,) = stats.events
+    # rank 0 sends only to itself; the others one message each, to rank 0
+    np.testing.assert_array_equal(event.messages, [0, 1, 1, 1])
+    np.testing.assert_array_equal(event.bytes_sent, [0, 4, 8, 12])
+    assert stats.signature()[0][4] == [0, 1, 1, 1]
 
 
 def test_barrier_is_free():

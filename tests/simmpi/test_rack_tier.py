@@ -156,11 +156,11 @@ def test_tier_contribution_rack_split():
 
 # -- the matrix is the scalar rule, row by row --------------------------------
 
-#: every op SimComm emits (the count header included), "teleport" for an
+#: every op SimComm emits, "teleport" for an
 #: op no rule names
-_OPS = ("alltoall", "alltoallv", "allreduce", "barrier", "allgather",
-        "allgatherv", "bcast", "checkpoint", "teleport")
-_DEST_ADDRESSED = _OPS[:2]
+_OPS = ("alltoallv", "allreduce", "barrier", "allgather", "allgatherv",
+        "bcast", "checkpoint", "teleport")
+_DEST_ADDRESSED = _OPS[:1]
 
 
 #: (nprocs, ranks/node, nodes/rack): a single node, one rank per node, a
@@ -182,10 +182,9 @@ def _topologies(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(comm=_topologies(), op=st.sampled_from(_OPS), counts=st.booleans(),
+@given(comm=_topologies(), op=st.sampled_from(_OPS),
        with_dest=st.booleans(), data=st.data())
-def test_tier_matrix_rows_are_the_scalar_rule(comm, op, counts, with_dest,
-                                              data):
+def test_tier_matrix_rows_are_the_scalar_rule(comm, op, with_dest, data):
     """Every rank of a round classified at once == the rule the ranks used
     to evaluate one deposit at a time (``tests/reference/tiers.py``)."""
     nprocs = comm.topology.nprocs
@@ -193,7 +192,7 @@ def test_tier_matrix_rows_are_the_scalar_rule(comm, op, counts, with_dest,
     root = data.draw(st.one_of(st.none(), st.sampled_from(ranks)))
     dest = None
     if op in _DEST_ADDRESSED and with_dest:
-        # sparse, so the count-header rule sees zero and non-zero slots
+        # sparse, so the rule sees zero and non-zero slots
         dest = np.array(data.draw(st.lists(
             st.lists(st.sampled_from([0, 0, 1, 8, 1000]),
                      min_size=nprocs, max_size=nprocs),
@@ -204,13 +203,12 @@ def test_tier_matrix_rows_are_the_scalar_rule(comm, op, counts, with_dest,
         nbytes = np.array(data.draw(st.lists(
             st.sampled_from([0, 8, 1000]),
             min_size=nprocs, max_size=nprocs)), dtype=np.int64)
-    matrix = comm.tier_matrix(op, nbytes, dest, root, counts)
+    matrix = comm.tier_matrix(op, nbytes, dest, root)
     assert matrix.dtype == np.int64
     for r in ranks:
         assert tuple(matrix[r]) == tier_contribution(
             comm.topology, op, r, nbytes[r],
-            dest_bytes=None if dest is None else dest[r],
-            root=root, counts=counts)
+            dest_bytes=None if dest is None else dest[r], root=root)
 
 
 # -- three-tier conservation on live runs ------------------------------------

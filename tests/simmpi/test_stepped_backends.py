@@ -116,7 +116,7 @@ def test_generator_body_is_the_plain_body(backend, comm):
 def test_one_rank_generator_body(backend):
     out, stats = run_spmd(1, _stepped_workout, backend=backend)
     assert out == run_spmd(1, _workout, backend=backend)[0]
-    assert stats.rounds == 8
+    assert stats.rounds == 7
 
 
 def _six_collectives(comm, log):
@@ -141,9 +141,8 @@ def test_stepped_serial_schedule_is_the_pinned_literal():
     rt = create_runtime("serial", nprocs=NPROCS)
     rt.run(_six_collectives, log)
     assert log == SCHEDULE
-    # the Alltoallv's count header is a second metered round of the same
-    # rendezvous
-    assert rt.stats.rounds == 7
+    # one metered round per rendezvous, the Alltoallv's included
+    assert rt.stats.rounds == 6
 
 
 def test_watched_serial_schedule_is_the_pinned_literal():
@@ -153,7 +152,7 @@ def test_watched_serial_schedule_is_the_pinned_literal():
     rt = create_runtime("serial", nprocs=NPROCS, watchdog=60)
     rt.run(_six_collectives, log)
     assert log == SCHEDULE
-    assert rt.stats.rounds == 7
+    assert rt.stats.rounds == 6
 
 
 def test_xtrapulp_on_serial_runs_every_rank_on_the_callers_thread(

@@ -1,23 +1,31 @@
 """Alpha-beta machine-model math (single-tier and tiered flavors)."""
 
+from math import ceil, log2
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simmpi import (
+    BLUE_WATERS_LIKE,
     BLUE_WATERS_TIERED,
     CommStats,
     MachineModel,
     TieredMachineModel,
     TimeModel,
+    run_spmd,
 )
 from repro.simmpi.metrics import CollectiveEvent, TierMetering
 
 from tests.reference import pricing
 
 
-def _event(op, nbytes, compute, tag="", tiers=None, work=None):
+def _event(op, nbytes, compute, tag="", tiers=None, work=None,
+           messages=None):
     """One event; ``compute`` is the measured (never priced) thread time,
-    ``work`` the charged work units (none by default)."""
+    ``work`` the charged work units (none by default), ``messages`` an
+    exchange's per-rank sends."""
     return CollectiveEvent(
         op=op,
         tag=tag,
@@ -25,6 +33,8 @@ def _event(op, nbytes, compute, tag="", tiers=None, work=None):
         compute_seconds=np.asarray(compute, dtype=np.float64),
         work_units=np.asarray(
             np.zeros(len(nbytes)) if work is None else work, dtype=np.float64),
+        messages=(None if messages is None
+                  else np.asarray(messages, dtype=np.int64)),
         tiers=tiers,
     )
 
@@ -78,9 +88,64 @@ def test_tree_collective_cost_log_hops():
 
 
 def test_pairwise_collective_cost_p_minus_1():
+    """A full exchange: every rank messages its p - 1 peers, then the
+    consensus barrier's log2(p) hops."""
     m = MachineModel(alpha=1.0, beta=0.0)
-    e = _event("alltoallv", [0, 0, 0, 0], [0, 0, 0, 0])
-    assert collective_cost(m, e, 4) == pytest.approx(3.0)
+    for p in (2, 4, 5, 16):
+        e = _event("alltoallv", [0] * p, [0] * p, messages=[p - 1] * p)
+        assert collective_cost(m, e, p) == (p - 1) + ceil(log2(p))
+
+
+def test_exchange_nobody_sends_costs_the_barrier():
+    """An exchange with no records anywhere pays the barrier alone."""
+    m = MachineModel(alpha=1.0, beta=1.0)
+    for p in (2, 4, 5, 256):
+        e = _event("alltoallv", [0] * p, [0] * p, messages=[0] * p)
+        assert cost_parts(m, e, p) == (ceil(log2(p)), 0.0)
+
+
+def test_exchange_latency_is_the_busiest_sender():
+    m = MachineModel(alpha=1.0, beta=0.0)
+    e = _event("alltoallv", [8, 0, 16, 0], [0] * 4, messages=[1, 0, 2, 0])
+    assert collective_cost(m, e, 4) == 2 + 2
+
+
+def _two_round_price(machine, cmat, record_bytes):
+    """What an exchange cost when it was metered as two dense rounds: an
+    8-byte-per-peer count ``alltoall``, then the payload, each paying
+    ``p - 1`` latency hops."""
+    p = cmat.shape[0]
+    off = cmat.copy()
+    np.fill_diagonal(off, 0)
+    payload = off.sum(axis=1) * record_bytes
+    return (2 * (p - 1) * machine.alpha
+            + machine.beta * (p - 1) * 8 + machine.beta * payload.max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.integers(2, 12),
+       record_bytes=st.sampled_from([1, 6, 16]))
+def test_exchange_price_is_the_oracle_and_never_above_two_rounds(
+        data, p, record_bytes):
+    """Random count matrices through a real exchange: the batched price
+    equals the per-event oracle and never exceeds the two-round price."""
+    cmat = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, 3]), min_size=p, max_size=p),
+        min_size=p, max_size=p)), dtype=np.int64)
+
+    def body(comm):
+        cts = cmat[comm.rank]
+        comm.Alltoallv(np.zeros(int(cts.sum()), dtype=f"V{record_bytes}"),
+                       cts)
+
+    _, stats = run_spmd(p, body, backend="serial")
+    (event,) = stats.events
+    off = cmat.copy()
+    np.fill_diagonal(off, 0)
+    assert event.messages.tolist() == np.count_nonzero(off, axis=1).tolist()
+    m = BLUE_WATERS_LIKE
+    latency, bandwidth = cost_parts(m, event, p)
+    assert latency + bandwidth <= _two_round_price(m, cmat, record_bytes)
 
 
 def test_bandwidth_term_uses_max_rank():
@@ -106,12 +171,14 @@ def test_superstep_time_is_compute_plus_comm():
 def test_total_and_breakdown_consistent():
     stats = CommStats(2)
     stats.record(_event("allreduce", [8, 8], [0.1, 0.2], work=[10, 20]))
-    stats.record(_event("alltoallv", [100, 50], [0.3, 0.1], work=[30, 10]))
+    stats.record(_event("alltoallv", [100, 50], [0.3, 0.1], work=[30, 10],
+                        messages=[1, 1]))
     model = TimeModel(MachineModel(alpha=1e-3, beta=1e-6, gamma=1e-2))
     breakdown = model.breakdown(stats)
     assert breakdown["total"] == pytest.approx(model.total_time(stats))
     assert breakdown["work"] == pytest.approx(1e-2 * (20 + 30))
-    assert breakdown["latency"] == pytest.approx(1e-3 * (1 + 1))
+    # the allreduce's log2(2) hop; the exchange's one message + barrier
+    assert breakdown["latency"] == pytest.approx(1e-3 * (1 + 2))
     assert breakdown["bandwidth"] == pytest.approx(1e-6 * (8 + 100))
 
 

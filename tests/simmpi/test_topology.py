@@ -11,7 +11,6 @@ from repro.graph import generators
 from repro.simmpi import run_spmd
 from repro.simmpi import create_runtime
 from repro.simmpi.topology import (
-    COUNT_WIRE_BYTES,
     DEFAULT_RANKS_PER_NODE,
     HierarchicalCommunicator,
     Topology,
@@ -195,17 +194,19 @@ def test_dest_wire_legs():
     assert wire_intra0 == 300 + 300
 
 
-def test_count_headers_reencoded_uint32():
-    c = _hier(8, 4)
-    dest = np.full(8, 8, dtype=np.int64)  # int64 count slots per dest
-    dest[0] = 0
-    _, _, _, _, wire_inter, wire_xrack = tier_row(
-        c, "alltoall", 0, int(dest.sum()), dest_bytes=dest, counts=True)
-    assert wire_xrack == 0
-    # 4 off-node destinations (ranks 4-7) at 4 wire bytes each, instead of
-    # the 4 * 8 int64 bytes the flat exchange would ship
-    assert wire_inter == 4 * COUNT_WIRE_BYTES
-    assert wire_inter < int(dest[4:].sum())
+def test_exchange_wire_carries_no_count_header():
+    """An exchange is one round: under the hierarchical strategy its
+    network wire carries the payload's off-node bytes and nothing else."""
+    def fn(comm):
+        cts = np.arange(comm.size, dtype=np.int64) % 3
+        comm.Alltoallv(np.zeros(int(cts.sum()), dtype=np.int64), cts)
+
+    _, stats = run_spmd(8, fn, backend="serial", comm="hierarchical:4")
+    (event,) = stats.events
+    assert event.op == "alltoallv"
+    t = event.tiers
+    np.testing.assert_array_equal(t.wire_inter, t.inter_bytes)
+    assert t.total_inter == stats.modeled_inter_bytes() > 0
 
 
 def test_reduce_leaders_only():

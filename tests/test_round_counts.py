@@ -4,7 +4,9 @@ On the paper's rank axis a round is priced almost entirely in latency, so
 a round whose content every rank already has is pure cost.  These counts
 are exact: an ``edge_refine`` phase of ``k`` iterations is one Allreduce
 of its stacked ``v`` / ``e`` / ``c`` totals at entry, then per iteration
-the ExchangeUpdates count header, its payload and the delta Allreduce;
+the ExchangeUpdates round (one sparse exchange, no count header) and the
+delta Allreduce; initialization's dead-part check is one alive-count
+Allreduce, taken by the first ``vertex_balance`` and not repeated by init;
 V-cycle coarsening takes no Allreduce at all — heavy-edge matching is
 rank-local, the contraction's stop decision arrives with its Allgatherv,
 and an LP-clustering round's one ``(cluster id, weight delta)``
@@ -39,7 +41,7 @@ def test_edge_refine_records_one_entry_round(iters):
 
     _, stats = run_spmd(3, main)
     ops = [e.op for e in stats.events if e.tag == "edge_refine"]
-    assert ops == ["allreduce"] + ["alltoall", "alltoallv", "allreduce"] * iters
+    assert ops == ["allreduce"] + ["alltoallv", "allreduce"] * iters
     entry = next(e for e in stats.events if e.tag == "edge_refine")
     assert entry.bytes_sent.tolist() == [3 * PARTS * 8] * 3
 
@@ -56,3 +58,21 @@ def test_coarsening_records_no_allreduce(coarsen):
     if coarsen == "hem":
         # one contraction Allgatherv per level made, and nothing else
         assert ops == {"allgatherv": result.multilevel.levels - 1}
+
+
+def test_flat_run_records_one_alive_count_before_the_first_totals():
+    """Init's dead-part check is the first ``vertex_balance``'s: a flat run
+    records exactly one alive-count Allreduce (``p`` int64 counts) before
+    the phase's first stacked entry totals."""
+    result = xtrapulp(rmat(9, 8, seed=3), PARTS, nprocs=3, backend="serial",
+                      params=PulpParams(seed=1))
+    events = result.stats.events
+    first_vb = next(i for i, e in enumerate(events)
+                    if e.tag == "vertex_balance")
+    # before the entry totals, the only Allreduce of p counts is the
+    # phase's own alive count: init takes none
+    alive = [e for e in events[:first_vb + 1]
+             if e.op == "allreduce" and e.max_bytes == PARTS * 8]
+    assert len(alive) == 1 and alive[0] is events[first_vb]
+    entry = events[first_vb + 1]
+    assert (entry.op, entry.tag) == ("allreduce", "vertex_balance")

@@ -34,10 +34,6 @@ HIERARCHICAL = SIMMPI / "topology" / "hierarchical.py"
 CALLER_TREES = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples",
                 ROOT / "tests" / "reference")
 README = ROOT / "README.md"
-#: the count header an Alltoallv deposit also stands for: metered as an
-#: ``alltoall`` round (``backends/base.py:metered_rounds``), never passed
-#: to ``_collective`` by name
-HEADER_OP = "alltoall"
 #: the one module allowed to use ``multiprocessing.shared_memory``
 SHM_MODULE = "multiprocessing.shared_memory"
 SHM_OWNER = "simmpi/backends/procs.py"
@@ -220,7 +216,7 @@ def test_shared_memory_has_one_owner():
 
 
 def test_tier_rules_name_only_emitted_ops():
-    emitted = _emitted_ops() | {HEADER_OP}
+    emitted = _emitted_ops()
     assert {"alltoallv", "allreduce", "bcast", "barrier"} <= emitted
     named = _ops_named_by_tier_rules()
     assert "alltoallv" in named.values()
