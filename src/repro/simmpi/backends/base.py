@@ -7,17 +7,20 @@ A *backend* owns the four mechanics every SPMD execution needs:
 2. **rendezvous** — block each rank at a collective until all ranks have
    deposited a matching contribution (`:meth:`Backend.collective``);
 3. **collective compute** — apply the collective's ``execute`` function to
-   the full contribution list exactly once and hand each rank its slice;
+   the full contribution list exactly once, hand each rank its slice and
+   record the round's traffic, which ``execute`` reads off the
+   contributions (`:meth:`Backend._record``, the one record path);
 4. **teardown** — release any OS resources (threads, processes, shared
    memory) the backend acquired (`:meth:`Backend.close``).
 
 Everything *above* this interface — :class:`repro.simmpi.comm.SimComm`,
 the partitioner, the analytics engine — is backend-agnostic: the same rank
-code runs unmodified on every backend, and because metering happens at the
-rendezvous (op, tag, per-rank bytes/work), a fixed-seed program produces
-bit-identical results and :class:`~repro.simmpi.metrics.CommStats` on all
-of them.  That invariant is the subsystem's correctness oracle and is
-enforced by ``tests/test_backends_conformance.py``.
+code runs unmodified on every backend, and because a round meters itself
+where it executes (op, tag, traffic, per-rank work), a fixed-seed program
+produces bit-identical results and
+:class:`~repro.simmpi.metrics.CommStats` on all of them.  That invariant
+is the subsystem's correctness oracle and is enforced by
+``tests/test_backends_conformance.py``.
 
 Concrete backends live next to this module and are selected by name via
 :func:`repro.simmpi.backends.create_runtime` (chainermn-style factory).
@@ -31,7 +34,7 @@ from typing import Any, Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.simmpi.errors import RemoteRankError
-from repro.simmpi.metrics import CollectiveEvent, CommStats, TierMetering
+from repro.simmpi.metrics import CollectiveEvent, CommStats
 from repro.simmpi.stepping import run_body
 
 
@@ -57,42 +60,6 @@ def fault_preamble(plan: Any, deadline: Optional[float], rank: int, op: str,
     from repro.ft.integrity import corruption_seed
 
     return corruption_seed(rank, spec.step, spec.attempt)
-
-
-def metered_round(
-    strategy: Optional[Any],
-    op: str,
-    nbytes: np.ndarray,
-    compute: np.ndarray,
-    work: np.ndarray,
-    messages: Sequence[Optional[int]],
-    dest_rows: Sequence[Optional[np.ndarray]] = (),
-    root: Optional[int] = None,
-) -> tuple:
-    """The ``(op, bytes, compute, work, messages, tiers)`` row one
-    completed rendezvous records: one rendezvous is one metered round.
-
-    ``messages`` holds what each rank deposited for it: its count of
-    non-empty off-rank destinations for an ``alltoallv`` (the sparse
-    exchange's message count), None for every other op, which meters
-    none.  Tiers are split here, once per round for all ranks, from the
-    inputs the ranks deposited (``nbytes``, ``dest_rows``, ``root``);
-    ``strategy`` None (flat metering) leaves them None.
-    """
-    nprocs = len(nbytes)
-    sends = None
-    if messages[0] is not None:
-        sends = np.array(messages, dtype=np.int64)
-    tiers = None
-    if strategy is not None:
-        dest = None
-        if any(d is not None for d in dest_rows):
-            dest = np.zeros((nprocs, nprocs), dtype=np.int64)
-            for r, d in enumerate(dest_rows):
-                if d is not None:
-                    dest[r] = d
-        tiers = strategy.tier_matrix(op, nbytes, dest, root)
-    return op, nbytes, compute, work, sends, tiers
 
 
 class Backend(ABC):
@@ -162,26 +129,17 @@ class Backend(ABC):
         op: str,
         tag: str,
         contribution: Any,
-        nbytes_sent: int,
-        execute: Callable[[List[Any]], List[Any]],
+        execute: Callable[[List[Any]], Any],
         compute_seconds: float,
         work_units: float = 0.0,
-        dest_bytes: Optional[np.ndarray] = None,
-        root: Optional[int] = None,
-        messages: Optional[int] = None,
     ) -> Any:
         """Deposit ``contribution`` for ``op``; block until all ranks match.
 
         ``execute`` maps the full list of contributions (indexed by rank) to
-        a list of per-rank results; it runs exactly once per superstep.
-        ``nbytes_sent`` is this rank's off-rank payload for the metering
-        convention documented in :mod:`repro.simmpi.metrics`.  The rest are
-        the inputs of what is computed once, when the rendezvous is
-        recorded (:func:`metered_round`): ``dest_bytes`` that payload per
-        destination (pairwise ops under a tiered strategy), ``root`` the
-        root of a rooted op — the same on every rank, and the executing
-        rank's is used — and ``messages`` this rank's count of non-empty
-        off-rank destinations (``alltoallv`` only).
+        the per-rank results and the round's traffic (see
+        :mod:`repro.simmpi.comm`); it runs exactly once per superstep, and
+        :meth:`_record` meters the round from that traffic.  A deposit
+        carries no metering input of its own.
 
         Under ``integrity == "crc"`` the contribution is checksummed here
         (at "send time") and the checksum rides along to the rendezvous,
@@ -196,20 +154,12 @@ class Backend(ABC):
         """
         checksum = self._send_side(rank, op, tag, contribution)
         if self.nprocs == 1:
-            # nobody to wait for, and zero off-rank bytes, so there is no
-            # traffic to classify into tiers either
-            results = execute([contribution])
-            self._record(tag, metered_round(
-                None, op, np.zeros(1, dtype=np.int64),
-                np.array([compute_seconds]), np.array([work_units]),
-                [messages],
-            ))
+            results, traffic = execute([contribution])
+            self._record(tag, op, traffic, np.array([compute_seconds]),
+                         np.array([work_units]))
             return results[0]
-        return self._rendezvous(
-            rank, op, tag, contribution, nbytes_sent, execute,
-            compute_seconds, work_units, dest_bytes, root, messages,
-            checksum,
-        )
+        return self._rendezvous(rank, op, tag, contribution, execute,
+                                compute_seconds, work_units, checksum)
 
     def _send_side(self, rank: int, op: str, tag: str,
                    contribution: Any) -> Optional[int]:
@@ -231,22 +181,33 @@ class Backend(ABC):
             integrity.corrupt_object(contribution, corrupt_seed)
         return checksum
 
-    def _record(self, tag: str, row: tuple) -> None:
-        """Record one :func:`metered_round` row under ``tag``."""
-        op, bytes_sent, compute_seconds, work_units, messages, tiers = row
-        tier_view: Optional[TierMetering] = None
-        if tiers is not None:
-            strategy = self.comm_strategy
-            # tier_matrix's columns and the hops are in TierMetering's
-            # field order: bytes, wire, hops — each intra, inter, xrack
-            tier_view = TierMetering(
-                *tiers.T, *strategy.hops(op),
-                node_of=strategy.node_map, rack_of=strategy.rack_map,
-            )
+    def _record(self, tag: str, op: str, traffic: np.ndarray,
+                compute_seconds: np.ndarray, work_units: np.ndarray) -> None:
+        """Record one completed rendezvous — one metered round — under
+        ``tag``, on every backend and the one-rank path alike.
+
+        ``traffic`` is what the round's ``execute`` read off the
+        contributions: each rank's bytes, or for an exchange the per-
+        destination byte matrix (diagonal zero), whose row sums are
+        ``bytes_sent`` and non-zero counts each rank's ``messages``.  A
+        lone rank sends nothing off-rank and has no tier to send it over;
+        otherwise a tiered strategy splits the traffic here, once for all
+        ranks."""
+        if self.nprocs == 1:
+            traffic = np.zeros_like(traffic)
+        bytes_sent, messages, tiers = traffic, None, None
+        if self.comm_strategy is not None and self.nprocs > 1:
+            tiers = self.comm_strategy.tiers(op, traffic)
+        if traffic.ndim == 2:
+            bytes_sent = traffic.sum(axis=1)
+            # counted in place — the matrix is this round's alone, and a
+            # P x P boolean temporary would raise peak memory at
+            # thousands of ranks
+            messages = np.minimum(traffic, 1, out=traffic).sum(axis=1)
         self.stats.record(CollectiveEvent(
             op=op, tag=tag, bytes_sent=bytes_sent,
             compute_seconds=compute_seconds, work_units=work_units,
-            messages=messages, tiers=tier_view,
+            messages=messages, tiers=tiers,
         ))
         if op == "checkpoint" and self.ckpt_committer is not None:
             self.ckpt_committer.commit(self.stats)

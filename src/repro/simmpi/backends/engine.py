@@ -3,9 +3,9 @@
 Every inter-rank interaction is a *collective*: each rank deposits its
 contribution into the rendezvous being assembled, the last depositor
 executes the collective once (pure NumPy, no further synchronization) and
-records its metered rounds, and every rank picks up its slice of the
-result.  Ranks only mutate rank-local state between rendezvous, so results
-are independent of scheduling.
+records the metered round it reports, and every rank picks up its slice
+of the result.  Ranks only mutate rank-local state between rendezvous, so
+results are independent of scheduling.
 
 A rank body is a plain function or a generator function whose collectives
 are ``yield from`` expressions (:mod:`repro.simmpi.stepping`).  A
@@ -63,7 +63,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ft.watchdog import GRACE, StallClock, slice_seconds
-from repro.simmpi.backends.base import Backend, metered_round
+from repro.simmpi.backends.base import Backend
 from repro.simmpi.errors import (
     CollectiveMismatchError,
     DeadlockError,
@@ -78,23 +78,15 @@ from repro.simmpi.stepping import generator_body, run_body
 class _Pending:
     """The rendezvous currently being assembled."""
 
-    __slots__ = ("op", "tag", "contribs", "nbytes", "compute", "work",
-                 "messages", "dest", "arrived", "results", "deposited",
-                 "checksums")
+    __slots__ = ("op", "tag", "contribs", "compute", "work", "arrived",
+                 "results", "deposited", "checksums")
 
     def __init__(self, nprocs: int, op: str, tag: str) -> None:
         self.op = op
         self.tag = tag
         self.contribs: List[Any] = [None] * nprocs
-        self.nbytes = np.zeros(nprocs, dtype=np.int64)
         self.compute = np.zeros(nprocs, dtype=np.float64)
         self.work = np.zeros(nprocs, dtype=np.float64)
-        #: Per-rank message counts of an ``alltoallv``; None elsewhere.
-        self.messages: List[Optional[int]] = [None] * nprocs
-        #: Per-rank per-destination byte vectors of destination-addressed
-        #: ops under a tiered communicator strategy (the tier split's
-        #: input); None everywhere else.
-        self.dest: List[Optional[np.ndarray]] = [None] * nprocs
         self.arrived = 0
         self.results: Optional[List[Any]] = None
         #: Which ranks have deposited: the misuse and hang errors name them.
@@ -186,13 +178,9 @@ class InProcessBackend(Backend):
         op: str,
         tag: str,
         contribution: Any,
-        nbytes_sent: int,
-        execute: Callable[[List[Any]], List[Any]],
+        execute: Callable[[List[Any]], Any],
         compute_seconds: float,
         work_units: float,
-        dest_bytes: Optional[np.ndarray],
-        root: Optional[int],
-        messages: Optional[int],
         checksum: Optional[int],
     ) -> Tuple[_Pending, bool]:
         """Deposit ``rank``'s contribution; the last depositor verifies,
@@ -218,11 +206,8 @@ class InProcessBackend(Backend):
                 ))
 
             pending.contribs[rank] = contribution
-            pending.nbytes[rank] = nbytes_sent
             pending.compute[rank] = compute_seconds
             pending.work[rank] = work_units
-            pending.messages[rank] = messages
-            pending.dest[rank] = dest_bytes
             pending.arrived += 1
             pending.deposited[rank] = True
             self._deposits += 1
@@ -236,14 +221,11 @@ class InProcessBackend(Backend):
             try:
                 if pending.checksums is not None:
                     self._verify_checksums(pending)
-                pending.results = execute(pending.contribs)
+                pending.results, traffic = execute(pending.contribs)
             except BaseException as exc:  # propagate to all ranks
                 self._fail(exc)
                 raise
-            self._record(tag, metered_round(
-                self.comm_strategy, op, pending.nbytes, pending.compute,
-                pending.work, pending.messages, pending.dest, root,
-            ))
+            self._record(tag, op, traffic, pending.compute, pending.work)
             self._pending = None
             if self._ready is not None:
                 # stepped: each result is in place before a worker can pop

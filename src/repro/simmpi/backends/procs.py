@@ -12,7 +12,9 @@ returned, or an "err" marker carrying an exception — and enters a barrier.
 Between the two barrier phases rank 0 (the designated computer) reads all
 request slots, checks that the actions agree, executes the collective with
 its own ``execute`` closure, writes each rank's result into that rank's
-response slot, and ships the metering record to the parent.  Mixed
+response slot, and ships the round's traffic (what ``execute`` read off
+the contributions) with the ranks' work to the parent, whose
+:meth:`~repro.simmpi.backends.base.Backend._record` meters it.  Mixed
 done/collective actions become a
 :class:`~repro.simmpi.errors.DeadlockError`, disagreeing collectives a
 :class:`~repro.simmpi.errors.CollectiveMismatchError`, and an "err" marker
@@ -74,11 +76,7 @@ from repro.ft.watchdog import (
     StallClock,
     rank_barrier_timeout,
 )
-from repro.simmpi.backends.base import (
-    Backend,
-    fault_preamble,
-    metered_round,
-)
+from repro.simmpi.backends.base import Backend, fault_preamble
 from repro.simmpi.errors import (
     CollectiveMismatchError,
     DeadlockError,
@@ -373,7 +371,7 @@ class _Session:
         #: the session shape does not depend on the watchdog setting, but
         #: ranks only beat when a watchdog is configured.
         self.heartbeats = HeartbeatBoard(nprocs)
-        #: rank 0 (the one producer) → parent: the rounds of each superstep
+        #: rank 0 (the one producer) → parent: each superstep's round
         self.stats_recv, self.stats_send = ctx.Pipe(duplex=False)
 
     def set_failure(self, exc: BaseException) -> None:
@@ -401,16 +399,12 @@ class _RankEndpoint:
     shares_results = False
 
     def __init__(self, session: _Session, rank: int,
-                 fault_plan: Any = None, comm_strategy: Any = None) -> None:
+                 fault_plan: Any = None) -> None:
         self._session = session
         self.rank = rank
         self.nprocs = session.nprocs
         self.meter_compute = session.meter_compute
         self._fault_plan = fault_plan
-        #: SimComm reads this to decide whether to deposit per-destination
-        #: bytes, and the designated computer splits the tiers with it —
-        #: exactly as off the in-process backends.
-        self.comm_strategy = comm_strategy
         self._step = 0
         self._watchdog = session.watchdog
         self._barrier_timeout = (
@@ -425,22 +419,17 @@ class _RankEndpoint:
         op: str,
         tag: str,
         contribution: Any,
-        nbytes_sent: int,
-        execute: Callable[[List[Any]], List[Any]],
+        execute: Callable[[List[Any]], Any],
         compute_seconds: float,
         work_units: float = 0.0,
-        dest_bytes: Optional[np.ndarray] = None,
-        root: Optional[int] = None,
-        messages: Optional[int] = None,
     ) -> Any:
         # can_die=True: ranks are real processes here, so a "die" fault is
         # an actual os._exit mid-superstep, and a long "delay" is a real
         # stall for the supervisor-side watchdog to detect
         corrupt_seed = fault_preamble(self._fault_plan, self._watchdog,
                                       self.rank, op, tag, can_die=True)
-        action = ("coll", op, tag, int(nbytes_sent), float(compute_seconds),
-                  float(work_units), contribution, dest_bytes, root,
-                  messages)
+        action = ("coll", op, tag, float(compute_seconds), float(work_units),
+                  contribution)
         kind, value = self._superstep(action, execute,
                                       corrupt_seed=corrupt_seed)
         assert kind == "result"
@@ -553,24 +542,19 @@ class _RankEndpoint:
                 f"{self._step}: {per_rank}"
             ))
             return
-        contribs = [a[6] for a in actions]
+        contribs = [a[5] for a in actions]
         try:
             assert execute is not None  # rank 0 posted "coll" too
-            results = execute(contribs)
+            results, traffic = execute(contribs)
         except BaseException as exc:
             sess.set_failure(_sanitize_exc(exc))
             return
-        mine = actions[0]  # SPMD programs tag (and root) uniformly
+        _, op, tag = actions[0][:3]  # SPMD programs tag uniformly
+        # the parent records the round (Backend._record), tiers included
         sess.stats_send.send((
-            mine[2],
-            metered_round(
-                self.comm_strategy,
-                mine[1],
-                np.array([a[3] for a in actions], dtype=np.int64),
-                np.array([a[4] for a in actions], dtype=np.float64),
-                np.array([a[5] for a in actions], dtype=np.float64),
-                [a[9] for a in actions], [a[7] for a in actions], mine[8],
-            ),
+            (tag, op, traffic,
+             np.array([a[3] for a in actions], dtype=np.float64),
+             np.array([a[4] for a in actions], dtype=np.float64)),
             sum(s.nchecks for s in sess.request) - nchecks0,
         ))
         for r, res in enumerate(results):
@@ -586,7 +570,6 @@ def _rank_process_main(
     session: _Session,
     rank: int,
     fault_plan: Any,
-    comm_strategy: Any,
     fn: Callable[..., Any],
     args: tuple,
     rank_args: Optional[Sequence[Sequence[Any]]],
@@ -594,7 +577,7 @@ def _rank_process_main(
 ) -> None:
     from repro.simmpi.comm import SimComm
 
-    endpoint = _RankEndpoint(session, rank, fault_plan, comm_strategy)
+    endpoint = _RankEndpoint(session, rank, fault_plan)
     try:
         comm = SimComm(endpoint, rank)
         extra = tuple(rank_args[rank]) if rank_args is not None else ()
@@ -661,8 +644,8 @@ class ProcsBackend(Backend):
             procs = [
                 self._ctx.Process(
                     target=_rank_process_main,
-                    args=(session, r, self.fault_plan, self.comm_strategy,
-                          fn, args, rank_args, kwargs),
+                    args=(session, r, self.fault_plan, fn, args, rank_args,
+                          kwargs),
                     daemon=True,
                     name=f"simmpi-proc-{r}",
                 )
@@ -696,8 +679,8 @@ class ProcsBackend(Backend):
 
         def drain() -> None:
             while session.stats_recv.poll():
-                tag, row, nchecks = session.stats_recv.recv()
-                self._record(tag, row)
+                row, nchecks = session.stats_recv.recv()
+                self._record(*row)
                 self.stats.checksum_verifications += nchecks
 
         clock = hung = None

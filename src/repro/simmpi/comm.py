@@ -18,12 +18,19 @@ deposit is a ``yield`` of the request to the runtime, so a generator rank
 body writes ``total = yield from comm.Allreduce(x)`` and a plain one
 ``total = comm.Allreduce(x)``.
 
-Byte-accounting convention (see :mod:`repro.simmpi.metrics`): a rank's
-``bytes_sent`` for an event is the payload it injects once — exact for
-Alltoallv (self-directed slices excluded), and the standard
-pipelined/butterfly bandwidth proxy for rooted and all-collectives.  An
-Alltoallv event also meters each rank's ``messages``, its count of
-non-empty off-rank destinations, which prices the exchange's latency.
+Byte-accounting convention (see :mod:`repro.simmpi.metrics`): a round
+meters itself where it executes.  Each ``execute`` returns the per-rank
+results *and* the round's traffic, read off the contributions it already
+holds: a rank's bytes for most ops — the payload it injects once, the
+standard pipelined/butterfly bandwidth proxy for rooted and
+all-collectives (a ``Bcast`` meters its root's array, every other rank
+0) — and for an Alltoallv the ``P x P`` per-destination byte matrix,
+diagonal zero, priced at each source's own record size (zero-length
+contributions are dtype-exempt).  The backend records it
+(:meth:`~repro.simmpi.backends.base.Backend._record`): a matrix's row
+sums are ``bytes_sent`` and its non-zero counts each rank's
+``messages``, which price the exchange's latency.  A deposit carries no
+metering input of its own.
 
 On the procs backend every rank's result is pickled into its response
 slot and copied back out, so each rank owns what it receives; executes
@@ -51,6 +58,7 @@ mutate a received result calls :func:`materialize` (copy-on-write).  The
 
 from __future__ import annotations
 
+import operator
 import pickle
 import time
 from contextlib import contextmanager
@@ -60,6 +68,13 @@ import numpy as np
 
 from repro.simmpi.backends.base import Backend
 from repro.simmpi.stepping import Steps, steppable
+
+_nbytes = operator.attrgetter("nbytes")
+
+#: What a collective's ``execute`` returns: the per-rank results and the
+#: round's traffic (module docstring).
+Executed = Tuple[List[Any], np.ndarray]
+Execute = Callable[[List[Any]], Executed]
 
 _REDUCERS: dict[str, Callable[..., Any]] = {
     "sum": np.add.reduce,
@@ -110,6 +125,13 @@ def _obj_nbytes(obj: Any) -> int:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:
         return 64  # unpicklable oddity; charge a token amount
+
+
+def _per_rank(contribs: Sequence[Any], nbytes: Callable[[Any], int]
+              ) -> np.ndarray:
+    """Each rank's metered bytes, ``nbytes`` of its contribution."""
+    return np.fromiter(map(nbytes, contribs), dtype=np.int64,
+                       count=len(contribs))
 
 
 def _common_dtype(bufs: Sequence[np.ndarray], what: str) -> Optional[np.dtype]:
@@ -168,6 +190,61 @@ def _gather_live(bufs: Sequence[np.ndarray]) -> np.ndarray:
     return live[0] if len(live) == 1 else np.concatenate(live)
 
 
+def _merge_shared(all_bufs: List[Sequence[np.ndarray]],
+                  wire_dtypes: List[Optional[np.dtype]],
+                  cmat: np.ndarray) -> List[Any]:
+    """The all-to-all merge where results are shared (module docstring):
+    one vectorized destination bucketing whose per-rank results are
+    sealed views of a single buffer per field, with ``cmat[src, dst]``
+    the records ``src`` sends ``dst``."""
+    # a copy, never a view (a 1 x 1 transpose is contiguous already): the
+    # caller turns cmat into the round's traffic in place
+    rcmat = seal(cmat.T.copy())
+    if all(d is None for d in wire_dtypes):
+        # no records anywhere (fields are equal-length per source, so the
+        # dtypes are all-None together): every rank gets one sealed empty
+        # plane per field, in the dtype it deposited that field in
+        planes: dict = {}
+        results = []
+        for r, bufs in enumerate(all_bufs):
+            row = []
+            for j, buf in enumerate(bufs):
+                plane = planes.get((j, buf.dtype))
+                if plane is None:
+                    plane = planes[j, buf.dtype] = seal(np.empty(0, buf.dtype))
+                row.append(plane)
+            results.append((row, rcmat[r]))
+        return results
+    perm, dst_starts = _dest_perm(cmat)
+    merged_fields = []
+    for j, dtype in enumerate(wire_dtypes):
+        out = np.empty(perm.size, dtype=dtype)
+        out[perm] = _gather_live([b[j] for b in all_bufs])
+        merged_fields.append(seal(out))
+    return [([f[dst_starts[r]:dst_starts[r + 1]] for f in merged_fields],
+             rcmat[r]) for r in range(len(all_bufs))]
+
+
+def _merge_each(all_bufs: List[Sequence[np.ndarray]],
+                wire_dtypes: List[Optional[np.dtype]],
+                cmat: np.ndarray) -> List[Any]:
+    """The all-to-all merge where each rank owns its results (``procs``):
+    one concatenation per destination and field."""
+    nprocs = len(all_bufs)
+    offsets = np.zeros((nprocs, nprocs + 1), dtype=np.int64)
+    np.cumsum(cmat, axis=1, out=offsets[:, 1:])
+    results = []
+    for dst in range(nprocs):
+        lo, hi = offsets[:, dst], offsets[:, dst + 1]
+        results.append(([
+            _merge_pieces(
+                [all_bufs[src][j][lo[src]:hi[src]] for src in range(nprocs)],
+                all_bufs[dst][j].dtype if dtype is None else dtype)
+            for j, dtype in enumerate(wire_dtypes)
+        ], hi - lo))
+    return results
+
+
 class SimComm:
     """Communicator handle passed to every rank function.
 
@@ -185,11 +262,6 @@ class SimComm:
         self.size = runtime.nprocs
         self._tag = ""
         self._work = 0.0
-        #: Whether a communicator strategy (see :mod:`repro.simmpi.topology`)
-        #: splits traffic into tiers; flat metering has none.  The split
-        #: itself happens where a round is recorded; a rank only deposits
-        #: its per-destination bytes for it, and under flat not even that.
-        self._tiered = getattr(runtime, "comm_strategy", None) is not None
         #: Shared read-only result delivery (see module docstring): True
         #: where the ranks share an address space, False on the procs
         #: backend's rank endpoints, whose results cross a process boundary.
@@ -234,22 +306,13 @@ class SimComm:
     # -- internals -----------------------------------------------------------
 
     def _collective(
-        self,
-        op: str,
-        contribution: Any,
-        nbytes_sent: int,
-        execute: Callable[[List[Any]], List[Any]],
-        *,
-        dest_bytes: Optional[np.ndarray] = None,
-        root: Optional[int] = None,
-        messages: Optional[int] = None,
+        self, op: str, contribution: Any, execute: Execute
     ) -> Steps[Any]:
         """One deposit, yielded as the request
         ``(self, *Backend.collective arguments)`` that the rank's driver
         carries out (:mod:`repro.simmpi.stepping`), leaving the result in
-        ``self._received``.  ``dest_bytes`` / ``root`` / ``messages`` are
-        metering inputs the backend reads once per rendezvous (see
-        :meth:`Backend.collective`); every deposit is one metered round.
+        ``self._received``.  Every deposit is one metered round, and what
+        it meters is ``execute``'s to say (module docstring).
 
         With compute metering the deposit bills the ``thread_time`` since
         this rank last *resumed* — from a collective here, or from its
@@ -261,15 +324,15 @@ class SimComm:
         if not self._meter:
             # unmetered fast path: no clock reads, no try frame — at
             # thousands of ranks this per-deposit overhead adds up
-            yield (self, self.rank, op, self._tag, contribution, nbytes_sent,
-                   execute, 0.0, work, dest_bytes, root, messages)
+            yield (self, self.rank, op, self._tag, contribution, execute,
+                   0.0, work)
             self.event_count += 1
             result, self._received = self._received, None
             return result
         delta = max(time.thread_time() - self._last_thread_time, 0.0)
         try:
-            yield (self, self.rank, op, self._tag, contribution, nbytes_sent,
-                   execute, delta, work, dest_bytes, root, messages)
+            yield (self, self.rank, op, self._tag, contribution, execute,
+                   delta, work)
             self.event_count += 1
             result, self._received = self._received, None
             return result
@@ -280,8 +343,9 @@ class SimComm:
 
     @steppable
     def barrier(self) -> Steps[None]:
-        yield from self._collective("barrier", None, 0,
-                                    lambda c: [None] * len(c))
+        yield from self._collective(
+            "barrier", None,
+            lambda c: ([None] * len(c), np.zeros(len(c), dtype=np.int64)))
 
     # -- checkpoint rendezvous -------------------------------------------------
 
@@ -298,73 +362,75 @@ class SimComm:
         its return value is delivered to every rank.
 
         Metered as one ``checkpoint`` event whose per-rank bytes are the
-        payload sizes — deterministic for deterministic snapshots, so
+        payload lengths — deterministic for deterministic snapshots, so
         checkpointing leaves the communication record bit-reproducible.
         The backend's driver-side hook (:attr:`Backend.ckpt_committer`)
         fires when this event is recorded, which is what turns the written
         files into a *committed* epoch (see :mod:`repro.ft.checkpoint`).
         """
 
-        def execute(contribs: List[Any]) -> List[Any]:
+        def execute(contribs: List[Any]) -> Executed:
             result = writer(contribs)
-            return [result] * len(contribs)
+            return [result] * len(contribs), _per_rank(
+                contribs, lambda c: len(c[0]))
 
         return (yield from self._collective(
-            "checkpoint", (bytes(payload), dict(meta)), len(payload), execute
-        ))
+            "checkpoint", (bytes(payload), dict(meta)), execute))
 
     # -- generic-object collectives -------------------------------------------
 
     @steppable
     def allgather(self, obj: Any) -> Steps[List[Any]]:
-        """Gather one picklable object per rank onto every rank."""
-        nbytes = _obj_nbytes(obj)
+        """Gather one picklable object per rank onto every rank, metered
+        by each object's pickled size."""
 
-        def execute(contribs: List[Any]) -> List[Any]:
+        def execute(contribs: List[Any]) -> Executed:
             gathered = list(contribs)
-            return [gathered] * len(contribs)
+            return [gathered] * len(contribs), _per_rank(contribs,
+                                                         _obj_nbytes)
 
-        return (yield from self._collective("allgather", obj, nbytes, execute))
+        return (yield from self._collective("allgather", obj, execute))
 
     @steppable
     def allreduce(self, value: Any, op: str = "sum") -> Steps[Any]:
         """All-reduce a scalar (or small object supporting the numpy ufunc)
-        with ``op`` ``"sum"`` or ``"max"``."""
+        with ``op`` ``"sum"`` or ``"max"``, metered by pickled size."""
         reducer = _reducer(op)
-        nbytes = _obj_nbytes(value)
 
-        def execute(contribs: List[Any]) -> List[Any]:
+        def execute(contribs: List[Any]) -> Executed:
             result = reducer(np.asarray(contribs, dtype=object), axis=0)
             # unbox numpy scalars back to Python for ergonomic comparisons
             if isinstance(result, np.generic):
                 result = result.item()
-            return [result] * len(contribs)
+            return [result] * len(contribs), _per_rank(contribs,
+                                                       _obj_nbytes)
 
-        return (yield from self._collective("allreduce", value, nbytes,
-                                            execute))
+        return (yield from self._collective("allreduce", value, execute))
 
     # -- NumPy-buffer collectives ----------------------------------------------
 
     @steppable
     def Bcast(self, array: np.ndarray, root: int = 0) -> Steps[np.ndarray]:
         """Broadcast a NumPy array from ``root``; returns the array on every
-        rank (the root's own array object is returned unchanged at root)."""
+        rank (the root's own array object is returned unchanged at root).
+        Only the root meters bytes: the other ranks contribute nothing."""
         mine = self.rank == root
         arr = np.ascontiguousarray(array) if mine else None
-        nbytes = arr.nbytes if mine else 0
         share = self._share_results
 
-        def execute(contribs: List[Any]) -> List[Any]:
+        def execute(contribs: List[Any]) -> Executed:
             # one result object for every non-root rank (the root keeps its
             # own array and needs nothing back): a sealed copy where ranks
             # share an address space — the root's writable input is never
             # sealed — else the value itself, pickled into each response
             value = contribs[root]
             out = seal(value.copy()) if share else value
-            return [None if r == root else out for r in range(len(contribs))]
+            traffic = np.zeros(len(contribs), dtype=np.int64)
+            traffic[root] = value.nbytes
+            return ([None if r == root else out
+                     for r in range(len(contribs))], traffic)
 
-        result = yield from self._collective("bcast", arr, nbytes, execute,
-                                             root=root)
+        result = yield from self._collective("bcast", arr, execute)
         return arr if mine else result
 
     @steppable
@@ -376,17 +442,16 @@ class SimComm:
         reducer = _reducer(op)
         share = self._share_results
 
-        def execute(contribs: List[Any]) -> List[Any]:
+        def execute(contribs: List[Any]) -> Executed:
             shapes = {c.shape for c in contribs}
             if len(shapes) != 1:
                 raise ValueError(f"Allreduce shape mismatch across ranks: {shapes}")
             total = reducer(np.stack(contribs), axis=0)
             if share:
                 seal(total)
-            return [total] * len(contribs)
+            return [total] * len(contribs), _per_rank(contribs, _nbytes)
 
-        return (yield from self._collective("allreduce", arr, arr.nbytes,
-                                            execute))
+        return (yield from self._collective("allreduce", arr, execute))
 
     @steppable
     def Allgatherv(
@@ -405,23 +470,28 @@ class SimComm:
         wait at the rendezvous — it counts against the watchdog deadline,
         like a ``Checkpoint`` writer — and an exception it raises fails the
         run.
+
+        The non-empty contributions must share one dtype (else
+        ``ValueError``), which the result keeps; zero-length ones are
+        dtype-exempt (see :func:`_common_dtype`), and with none non-empty
+        the result is empty in rank 0's dtype.
         """
         arr = np.ascontiguousarray(array)
         if arr.ndim != 1:
             raise ValueError("Allgatherv expects 1-D arrays")
         share = self._share_results
 
-        def execute(contribs: List[Any]) -> List[Any]:
+        def execute(contribs: List[Any]) -> Executed:
+            dtype = _common_dtype(contribs, "Allgatherv")
             counts = np.array([c.shape[0] for c in contribs], dtype=np.int64)
-            merged = (np.concatenate(contribs) if counts.sum()
-                      else contribs[0][:0])
+            merged = _merge_pieces(
+                contribs, contribs[0].dtype if dtype is None else dtype)
             result = (merged, counts) if then is None else then(merged, counts)
             if share:
                 seal(result)
-            return [result] * len(contribs)
+            return [result] * len(contribs), _per_rank(contribs, _nbytes)
 
-        return (yield from self._collective("allgatherv", arr, arr.nbytes,
-                                            execute))
+        return (yield from self._collective("allgatherv", arr, execute))
 
     @steppable
     def Alltoallv(
@@ -462,10 +532,11 @@ class SimComm:
         Siebert and Lumsdaine, PPoPP 2010): a rank sends one message to
         each non-empty off-rank destination, receivers learn the counts
         from the messages themselves, and a consensus barrier ends the
-        round, so no count header crosses the wire.  The ``alltoallv``
-        event meters the *true* wire size — the off-rank record count
-        times the summed field itemsizes, no int64 inflation of narrow
-        fields — and each rank's ``messages``, its count of non-empty
+        round, so no count header crosses the wire.  The round meters
+        the *true* wire size per destination — records times the source's
+        summed field itemsizes, no int64 inflation of narrow fields — so
+        the ``alltoallv`` event's ``bytes_sent`` is each rank's off-rank
+        payload and its ``messages`` each rank's count of non-empty
         off-rank destinations.  Zero-length contributions are
         dtype-exempt (see :func:`_common_dtype`).
         """
@@ -487,21 +558,10 @@ class SimComm:
             raise ValueError(
                 f"sendcounts sum {cts.sum()} != record count {nrec}"
             )
-        record_bytes = sum(b.itemsize for b in bufs)
-        offrank = int((nrec - cts[self.rank]) * record_bytes)
-        messages = int(np.count_nonzero(cts)) - int(cts[self.rank] != 0)
-        dest = None
-        if self._tiered:
-            # per-destination payload bytes, self slot zeroed: the input of
-            # the tier split (flat metering would not read it)
-            dest = cts * np.int64(record_bytes)
-            dest[self.rank] = 0
         share = self._share_results
 
-        def execute(contribs: List[Any]) -> List[Any]:
-            nprocs = len(contribs)
+        def execute(contribs: List[Any]) -> Executed:
             all_bufs = [c[0] for c in contribs]
-            counts = [c[1] for c in contribs]
             widths = {len(b) for b in all_bufs}
             if len(widths) > 1:
                 raise ValueError(
@@ -513,64 +573,16 @@ class SimComm:
                 _common_dtype([b[j] for b in all_bufs], "Alltoallv_fields")
                 for j in range(k)
             ]
-            if share:
-                cmat = np.stack(counts)
-                rcmat = seal(np.ascontiguousarray(cmat.T))
-                if all(d is None for d in wire_dtypes):
-                    # no records anywhere (fields are equal-length per
-                    # source, so the dtypes are all-None together): every
-                    # rank gets one sealed empty plane per field, in the
-                    # dtype it deposited that field in
-                    planes: dict = {}
-                    results = []
-                    for r in range(nprocs):
-                        row = []
-                        for j, buf in enumerate(all_bufs[r]):
-                            plane = planes.get((j, buf.dtype))
-                            if plane is None:
-                                plane = planes[j, buf.dtype] = seal(
-                                    np.empty(0, buf.dtype))
-                            row.append(plane)
-                        results.append((row, rcmat[r]))
-                    return results
-                perm, dst_starts = _dest_perm(cmat)
-                merged_fields = []
-                for j in range(k):
-                    out = np.empty(perm.size, dtype=wire_dtypes[j])
-                    out[perm] = _gather_live([b[j] for b in all_bufs])
-                    merged_fields.append(seal(out))
-                return [
-                    ([f[dst_starts[r]:dst_starts[r + 1]]
-                      for f in merged_fields], rcmat[r])
-                    for r in range(nprocs)
-                ]
-            send_offsets = []
-            for c in counts:
-                off = np.zeros(nprocs + 1, dtype=np.int64)
-                np.cumsum(c, out=off[1:])
-                send_offsets.append(off)
-            results = []
-            for dst in range(nprocs):
-                lo = [send_offsets[src][dst] for src in range(nprocs)]
-                hi = [send_offsets[src][dst + 1] for src in range(nprocs)]
-                rc = np.array(
-                    [h - l for l, h in zip(lo, hi)], dtype=np.int64
-                )
-                merged = []
-                for j in range(k):
-                    fallback = (
-                        wire_dtypes[j] if wire_dtypes[j] is not None
-                        else all_bufs[dst][j].dtype
-                    )
-                    merged.append(_merge_pieces(
-                        [all_bufs[src][j][lo[src]:hi[src]]
-                         for src in range(nprocs)],
-                        fallback,
-                    ))
-                results.append((merged, rc))
-            return results
+            cmat = np.stack([c[1] for c in contribs])
+            merge = _merge_shared if share else _merge_each
+            results = merge(all_bufs, wire_dtypes, cmat)
+            # the round's traffic, in place of the counts: each source's
+            # records at its own record size (an empty contribution's
+            # dtype is exempt, so sizes may differ by row), self slot zero
+            cmat *= np.array([sum(b.itemsize for b in bufs)
+                              for bufs in all_bufs], dtype=np.int64)[:, None]
+            np.fill_diagonal(cmat, 0)
+            return results, cmat
 
-        return (yield from self._collective(
-            "alltoallv", (bufs, cts), offrank, execute, dest_bytes=dest,
-            messages=messages,
-        ))
+        return (yield from self._collective("alltoallv", (bufs, cts),
+                                            execute))

@@ -3,7 +3,11 @@
 Every collective executed by a
 :class:`repro.simmpi.backends.base.Backend` appends a
 :class:`CollectiveEvent` carrying, for each rank, the payload bytes it sent
-off-rank and the work units it charged since the previous rendezvous.  The
+off-rank and the work units it charged since the previous rendezvous.  A
+round meters itself: its ``execute`` reads the traffic off the
+contributions where the collective runs, and ``Backend._record`` — one
+path on every backend — derives the bytes, an exchange's message counts
+and, under a tiered strategy, the :class:`TierMetering` from it.  The
 aggregate view (:class:`CommStats`) answers the questions the paper's
 evaluation asks: how much traffic did the partitioner generate, how many
 rounds, and what does an alpha-beta machine model say the parallel runtime

@@ -162,7 +162,7 @@ class TieredMachineModel(MachineModel):
     busiest *rack's* uplink (cross-rack traffic is rack-leader injected).
     On a topology of one rack ``xrack_hops`` and ``wire_xrack`` are zero,
     so the rack terms add exactly 0.0.  Events without tier metering
-    (``flat`` strategy, barrier-only rounds) fall back to the single-tier
+    (``flat`` strategy, one-rank runs) fall back to the single-tier
     formula at the inter-node constants, which is exactly the base
     :class:`MachineModel` behavior — so a tiered flavor is a drop-in
     replacement.

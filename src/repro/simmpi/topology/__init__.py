@@ -19,8 +19,7 @@ hierarchical   ranks grouped into nodes,   three tiers: intra-node / inter-node
 =============  ==========================  =====================================
 
 ``flat`` is the absence of a strategy: :func:`create_communicator` returns
-None, ranks deposit no per-destination vectors and events carry
-``tiers=None``.  ``hierarchical[:R[xK]]`` returns a
+None and events carry ``tiers=None``.  ``hierarchical[:R[xK]]`` returns a
 :class:`~repro.simmpi.topology.hierarchical.HierarchicalCommunicator` over
 ``R`` ranks per node and ``K`` nodes per rack — one rack when the spec
 names no ``K``, where nothing leaves a rack and the rack tier meters zero

@@ -30,10 +30,11 @@ models (:class:`repro.simmpi.timing.TieredMachineModel`) price the wire
 model per tier; the classification feeds the volume breakdowns.
 
 Per-op rules (``b`` = the rank's metered ``bytes_sent``), one for each op
-:class:`~repro.simmpi.comm.SimComm` emits:
+:class:`~repro.simmpi.comm.SimComm` emits, and none for anything else:
 
 * **pairwise** (``alltoallv``):
-  ``intra``/``inter`` split ``b`` by the destination's node.  Wire: the
+  ``intra``/``inter`` split ``b`` by the destination's node, read off the
+  round's per-destination byte matrix.  Wire: the
   intra bytes move once locally; a non-leader's inter bytes pay an extra
   local gather hop to the leader; off-node bytes whose destination is not
   its node's leader pay the remote scatter hop.
@@ -45,21 +46,22 @@ Per-op rules (``b`` = the rank's metered ``bytes_sent``), one for each op
   contribution must reach every node, so ``b`` is inter on multi-node
   topologies; non-leaders pay the local gather hop and leaders the local
   fan-out hop.
-* **``bcast``**: only the root's bytes count; intra on a single node,
-  else off-node (cross-rack over several racks), with a local fan-out
-  hop where the root's node has peers.
+* **``bcast``**: ``b`` is the root's array (every other rank meters 0);
+  intra on a single node, else off-node (cross-rack over several racks),
+  with a local fan-out hop where the root's node has peers.
 * **``checkpoint``**: always inter — snapshot payloads leave the node for
   stable storage regardless of topology (documented exception to the
   node-locality rules).
-* anything else (an op no rule names): conservatively all-inter.
 
-Latency hops per round: pairwise ops cost ``n_nodes - 1`` inter hops plus
-``3 * (max_node_size - 1)`` intra hops (gather, local exchange, scatter) —
-the leader-level rule, which does not read the flat model's per-rank
-``messages``;
-tree ops cost ``ceil(log2 n_nodes)`` inter plus ``2 * ceil(log2
-max_node_size)`` intra (reduce up, broadcast down).  A single-node
-topology degenerates to all-intra; one-rank nodes degenerate to ``flat``.
+Latency hops per round: an exchange in which some rank sends costs
+``n_nodes - 1`` inter hops plus ``3 * (max_node_size - 1)`` intra hops
+(gather, local exchange, scatter) — the leader-level rule, which does
+not read the flat model's per-rank ``messages``; every other round,
+including an exchange in which nobody sends (its consensus barrier, as
+under the flat model), costs the tree's ``ceil(log2 n_nodes)`` inter
+plus ``2 * ceil(log2 max_node_size)`` intra (reduce up, broadcast down).
+A single-node topology degenerates to all-intra; one-rank nodes
+degenerate to ``flat``.
 
 Nodes are grouped into racks (``hierarchical:RxK``; one rack holding
 every node when the spec names no ``K``), a third tier: payload is
@@ -75,24 +77,22 @@ within-rack node count.  On one rack nothing leaves the rack: the
 and the inter tier spans every node.
 
 The split runs **once per metered round, for every rank at once**
-(:meth:`HierarchicalCommunicator.tier_matrix`), where the backend records
-the round — not once per rank at its deposit: the ranks deposit only what
-they hold (their metered bytes and, for pairwise ops, the
-per-destination byte vector).  Ranks are packed node-major and nodes
-rack-major, so every locality class is a contiguous span of the
-destination axis and one ``np.add.reduceat`` over the stacked ``P x P``
-matrix sums it for all sources.  The rule one rank at a time — what the
-ranks used to evaluate — is the test oracle
-(``tests/reference/tiers.py``).
+(:meth:`HierarchicalCommunicator.tiers`), where the backend records the
+round, from the traffic the round's ``execute`` read off the
+contributions — the ranks deposit no metering input.  Ranks are packed
+node-major and nodes rack-major, so every locality class is a contiguous
+span of the destination axis and one ``np.add.reduceat`` over the
+exchange's ``P x P`` byte matrix sums it for all sources.  The rule one
+rank at a time is the test oracle (``tests/reference/tiers.py``).
 """
 
 from __future__ import annotations
 
 from math import ceil, log2
-from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.simmpi.metrics import TierMetering
 from repro.simmpi.topology.model import Topology
 
 #: Pairwise exchanges: payload addressed to explicit destination ranks,
@@ -107,9 +107,9 @@ _CONCAT_OPS = frozenset({"allgather", "allgatherv"})
 class HierarchicalCommunicator:
     """Node- and rack-aware metering strategy.
 
-    :meth:`tier_matrix` classifies all ranks of one metered round at once
-    (called where the round is recorded) and :meth:`hops` gives each op's
-    latency structure.  Flat metering has no strategy object at all (see
+    :meth:`tiers` classifies all ranks of one metered round at once and
+    gives its latency structure (called where the round is recorded).
+    Flat metering has no strategy object at all (see
     :func:`repro.simmpi.topology.create_communicator`).
     """
 
@@ -121,7 +121,7 @@ class HierarchicalCommunicator:
         self.node_map = topology.node_of_ranks()
         #: Shared rank -> rack map, reused like :attr:`node_map`.
         self.rack_map = topology.rack_of_ranks()
-        # what tier_matrix reads of the topology, once per run: ranks are
+        # what tiers reads of the topology, once per run: ranks are
         # packed node-major and nodes rack-major, so a node / rack is one
         # slice of the rank / node axis and reduceat sums it
         n, rpn = topology.nprocs, topology.ranks_per_node
@@ -139,6 +139,19 @@ class HierarchicalCommunicator:
         #: ranks whose rack holds more than one node
         self._rack_has_peers = np.minimum(
             stride, n - (ranks - ranks % stride)) > rpn
+        # latency hops; the inter entry counts the nodes of the fullest
+        # rack, and a single node runs its rounds locally, one way
+        width, peers = topology.max_node_size, topology.nodes_per_rack
+        one_node = topology.n_nodes == 1
+        #: an exchange in which some rank sends: gather, local exchange and
+        #: scatter in the node, a message per peer node and remote rack
+        self._exchange_hops = dict(
+            intra_hops=(1 if one_node else 3) * (width - 1),
+            inter_hops=peers - 1, xrack_hops=topology.n_racks - 1)
+        #: every other round: a tree, reduce up and broadcast down
+        self._tree_hops = dict(
+            intra_hops=(1 if one_node else 2) * _depth(width),
+            inter_hops=_depth(peers), xrack_hops=_depth(topology.n_racks))
 
     def _locality_sums(self, m: np.ndarray):
         """Per source rank, the sum of ``m[src, dst]`` over every
@@ -151,39 +164,33 @@ class HierarchicalCommunicator:
         per_rack = np.add.reduceat(per_node, self._rack_node_starts, axis=1)
         return total, node, per_rack[self._ranks, self.rack_map]
 
-    def tier_matrix(
-        self,
-        op: str,
-        nbytes: np.ndarray,
-        dest: Optional[np.ndarray] = None,
-        root: Optional[int] = None,
-    ) -> np.ndarray:
-        """Every rank's tier bytes for one metered round, as an int64
-        ``(nprocs, 6)`` matrix ``(intra, inter, xrack, wire_intra,
-        wire_inter, wire_xrack)``.
+    def tiers(self, op: str, traffic: np.ndarray) -> TierMetering:
+        """The tier view of one metered round, every rank at once.
 
         Called once per round, where the backend records it, with the
-        metering inputs the ranks deposited: ``nbytes[r]`` is rank ``r``'s
-        metered payload, ``dest[r, d]`` its bytes addressed to rank ``d``
-        for pairwise ops (diagonal zero; None for every other op) and
-        ``root`` the root of a ``bcast``.  The classification entries of
-        a row sum to its ``nbytes``; the ``wire_*`` columns are the
-        separate protocol model and need not."""
+        round's ``traffic``: each rank's metered bytes ``b``, or for an
+        ``alltoallv`` its ``P x P`` per-destination bytes (diagonal zero).
+        A rank's classification entries sum to its metered bytes; the
+        ``wire_*`` entries are the separate protocol model and need not.
+        An op no rule names is a ``ValueError``."""
         topo = self.topology
-        b = np.asarray(nbytes, dtype=np.int64)
         multi = topo.multi_node
         multi_rack = topo.multi_rack
         leader = self._leader
 
-        def out(intra, inter, wire_intra, wire_inter, xrack=0, wire_xrack=0):
-            matrix = np.empty((topo.nprocs, 6), dtype=np.int64)
-            for j, col in enumerate((intra, inter, xrack, wire_intra,
-                                     wire_inter, wire_xrack)):
-                matrix[:, j] = col
-            return matrix
+        def out(intra, inter, wire_intra, wire_inter, xrack=0, wire_xrack=0,
+                hops=self._tree_hops):
+            def col(v):
+                return np.full(topo.nprocs, v, dtype=np.int64)
 
-        if op in _PAIRWISE_OPS and dest is not None:
-            dest = np.asarray(dest, dtype=np.int64)
+            return TierMetering(
+                intra_bytes=col(intra), inter_bytes=col(inter),
+                xrack_bytes=col(xrack), wire_intra=col(wire_intra),
+                wire_inter=col(wire_inter), wire_xrack=col(wire_xrack),
+                node_of=self.node_map, rack_of=self.rack_map, **hops)
+
+        if op in _PAIRWISE_OPS:
+            dest = traffic
             total, intra, in_rack = self._locality_sums(dest)  # self slot 0
             off_node = total - intra
             # wire model: local delivery + gather-to-leader for a
@@ -197,8 +204,11 @@ class HierarchicalCommunicator:
             wire_intra = intra + gather_leg + scatter_leg
             inter = in_rack - intra
             xrack = total - in_rack
-            return out(intra, inter, wire_intra, inter, xrack, xrack)
+            # an exchange in which nobody sends is its consensus barrier
+            hops = self._exchange_hops if total.any() else self._tree_hops
+            return out(intra, inter, wire_intra, inter, xrack, xrack, hops)
 
+        b = traffic
         if op in _REDUCE_OPS:
             if not multi:
                 return out(b, 0, b, 0)
@@ -227,15 +237,13 @@ class HierarchicalCommunicator:
             return out(0, b, local_leg, b)
 
         if op == "bcast":
-            if root is None:
-                return out(0, 0, 0, 0)
-            sent = np.where(self._ranks == root, b, 0)
+            # only the root meters bytes
             if not multi:
-                return out(sent, 0, sent, 0)
-            fanout = np.where(self._has_peers, sent, 0)
+                return out(b, 0, b, 0)
+            fanout = np.where(self._has_peers, b, 0)
             if multi_rack:
-                return out(0, 0, fanout, sent, sent, sent)
-            return out(0, sent, fanout, sent)
+                return out(0, 0, fanout, b, b, b)
+            return out(0, b, fanout, b)
 
         if op == "checkpoint":
             # snapshots leave the node for stable storage regardless of
@@ -243,33 +251,9 @@ class HierarchicalCommunicator:
             # tier); non-leaders stage through the leader's writer
             return out(0, b, np.where(leader, 0, b) if multi else 0, b)
 
-        # unknown op: conservatively charge every metered byte to the
-        # widest tier the topology has
-        if not multi:
-            return out(b, 0, b, 0)
-        if multi_rack:
-            return out(0, 0, 0, 0, b, b)
-        return out(0, b, 0, b)
+        raise ValueError(f"no tier rule for op {op!r}")
 
-    def hops(self, op: str) -> Tuple[int, int, int]:
-        """``(intra, inter, xrack)`` latency hops; the inter entry counts
-        the nodes of the fullest rack."""
-        topo = self.topology
-        n_nodes = topo.n_nodes
-        width = topo.max_node_size
-        peers = topo.nodes_per_rack
-        n_racks = topo.n_racks
-        if op in _PAIRWISE_OPS:
-            intra = 3 * (width - 1)
-            inter = peers - 1
-            xrack = n_racks - 1
-            if n_nodes == 1:
-                intra = width - 1  # no gather/scatter legs, plain local
-        else:
-            intra = 2 * (ceil(log2(width)) if width > 1 else 0)
-            inter = ceil(log2(peers)) if peers > 1 else 0
-            xrack = ceil(log2(n_racks)) if n_racks > 1 else 0
-            if n_nodes == 1:
-                intra = ceil(log2(width)) if width > 1 else 0
-        return intra, inter, xrack
 
+def _depth(width: int) -> int:
+    """Levels of a binary tree over ``width`` members."""
+    return ceil(log2(width)) if width > 1 else 0

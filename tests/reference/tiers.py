@@ -1,15 +1,19 @@
 """The hierarchical strategy's tier rule, one rank at a time — the oracle
-for :meth:`HierarchicalCommunicator.tier_matrix`, which classifies every
-rank of a collective at once.
+for :meth:`HierarchicalCommunicator.tiers`, which classifies every rank
+of a collective at once.
 
 :func:`tier_contribution` is the rule as the ranks used to evaluate it at
 every deposit, moved here verbatim (``self.topology`` became the first
-argument).  :func:`tier_row` asks the production matrix for one rank's
-row, so the hand-computed tuples of ``test_topology.py`` /
+argument; a ``bcast``'s non-root ranks meter 0 bytes, so it needs no
+root).  :func:`tier_hops` is the latency rule the strategy's ``hops``
+method carried, amended so that an exchange in which nobody sends pays
+the tree.  :func:`tier_row` asks the production code for one rank's row,
+so the hand-computed tuples of ``test_topology.py`` /
 ``test_rack_tier.py`` read the code that runs.
 """
 
-from typing import Optional, Tuple
+from math import ceil, log2
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -27,10 +31,10 @@ def tier_contribution(
     rank: int,
     nbytes: int,
     dest_bytes: Optional[np.ndarray] = None,
-    root: Optional[int] = None,
 ) -> Tuple[int, ...]:
     """The 6-tuple ``(intra, inter, xrack, wire_intra, wire_inter,
-    wire_xrack)``; the classification entries sum to ``nbytes``."""
+    wire_xrack)``; the classification entries sum to ``nbytes``.  A
+    pairwise op reads ``dest_bytes``, the rank's bytes per destination."""
     b = int(nbytes)
     multi = topo.multi_node
     multi_rack = topo.multi_rack
@@ -40,7 +44,7 @@ def tier_contribution(
     def out(intra, inter, wire_intra, wire_inter, xrack=0, wire_xrack=0):
         return intra, inter, xrack, wire_intra, wire_inter, wire_xrack
 
-    if op in _PAIRWISE_OPS and dest_bytes is not None:
+    if op in _PAIRWISE_OPS:
         # contiguous packing (ranks node-major, nodes rack-major) turns
         # every locality class into a slice sum — no O(P) boolean masks
         dest = np.asarray(dest_bytes, dtype=np.int64)
@@ -93,7 +97,7 @@ def tier_contribution(
         return out(0, b, local_leg, b)
 
     if op == "bcast":
-        if root is None or rank != root or b == 0:
+        if b == 0:  # every rank but the root
             return out(0, 0, 0, 0)
         if not multi:
             return out(b, 0, b, 0)
@@ -109,25 +113,53 @@ def tier_contribution(
         gather_leg = 0 if (leader or not multi) else b
         return out(0, b, gather_leg, b)
 
-    # unknown op: conservatively charge every metered byte to the
-    # widest tier the topology has
-    if not multi:
-        return out(b, 0, b, 0)
-    if multi_rack:
-        return out(0, 0, 0, 0, b, b)
-    return out(0, b, 0, b)
+    raise ValueError(f"no tier rule for op {op!r}")
 
 
-def tier_row(comm, op, rank, nbytes, dest_bytes=None,
-             root=None) -> Tuple[int, ...]:
-    """Row ``rank`` of ``comm.tier_matrix`` when that rank meters
-    ``nbytes`` (and ``dest_bytes``, if given) and its peers nothing."""
+def tier_hops(topo: Topology, op: str, sends: bool) -> Tuple[int, int, int]:
+    """``(intra, inter, xrack)`` latency hops of a round; ``sends`` says
+    whether any rank sends off-rank in it.  The inter entry counts the
+    nodes of the fullest rack."""
+    n_nodes = topo.n_nodes
+    width = topo.max_node_size
+    peers = topo.nodes_per_rack
+    n_racks = topo.n_racks
+    if op in _PAIRWISE_OPS and sends:
+        intra = 3 * (width - 1)
+        inter = peers - 1
+        xrack = n_racks - 1
+        if n_nodes == 1:
+            intra = width - 1  # no gather/scatter legs, plain local
+    else:
+        intra = 2 * (ceil(log2(width)) if width > 1 else 0)
+        inter = ceil(log2(peers)) if peers > 1 else 0
+        xrack = ceil(log2(n_racks)) if n_racks > 1 else 0
+        if n_nodes == 1:
+            intra = ceil(log2(width)) if width > 1 else 0
+    return intra, inter, xrack
+
+
+#: The per-rank columns of a ``TierMetering``, in ``tier_contribution``'s
+#: tuple order.
+COLUMNS = ("intra_bytes", "inter_bytes", "xrack_bytes", "wire_intra",
+           "wire_inter", "wire_xrack")
+
+
+def tier_rows(tiers) -> List[Tuple[int, ...]]:
+    """Each rank's ``tier_contribution``-ordered 6-tuple of ``tiers``."""
+    return [tuple(int(v) for v in row)
+            for row in zip(*(getattr(tiers, c) for c in COLUMNS))]
+
+
+def tier_row(comm, op, rank, nbytes, dest_bytes=None) -> Tuple[int, ...]:
+    """Row ``rank`` of ``comm.tiers`` when that rank meters ``nbytes``
+    (for a pairwise op: ``dest_bytes`` per destination) and its peers
+    nothing."""
     nprocs = comm.topology.nprocs
-    per_rank = np.zeros(nprocs, dtype=np.int64)
-    per_rank[rank] = nbytes
-    dest = None
-    if dest_bytes is not None:
-        dest = np.zeros((nprocs, nprocs), dtype=np.int64)
-        dest[rank] = dest_bytes
-    matrix = comm.tier_matrix(op, per_rank, dest, root)
-    return tuple(int(v) for v in matrix[rank])
+    if dest_bytes is None:
+        traffic = np.zeros(nprocs, dtype=np.int64)
+        traffic[rank] = nbytes
+    else:
+        traffic = np.zeros((nprocs, nprocs), dtype=np.int64)
+        traffic[rank] = dest_bytes
+    return tier_rows(comm.tiers(op, traffic))[rank]

@@ -111,3 +111,31 @@ def test_alltoallv_fields_nonempty_dtype_mismatch_raises():
 
     with pytest.raises(ValueError, match="dtype mismatch"):
         run_spmd(2, fn)
+
+
+# -- Allgatherv keeps the same contract ---------------------------------------
+
+@backends
+def test_allgatherv_empty_contributions_dtype_exempt(backend):
+    """An idle rank's zero-length float64 buffer must not turn rank 0's
+    int64 data into float64 (2**60 + 1 has no float64 image)."""
+    def fn(comm):
+        if comm.rank == 0:
+            arr = np.array([2**60 + 1, 3], dtype=np.int64)
+        else:
+            arr = np.empty(0, dtype=np.float64)
+        merged, counts = comm.Allgatherv(arr)
+        return merged.dtype.str, merged.tolist(), counts.tolist()
+
+    out, _ = run_spmd(3, fn, backend=backend)
+    assert out == [("<i8", [2**60 + 1, 3], [2, 0, 0])] * 3
+
+
+@backends
+def test_allgatherv_nonempty_dtype_mismatch_raises(backend):
+    def fn(comm):
+        dtype = np.float64 if comm.rank == 0 else np.int64
+        comm.Allgatherv(np.ones(2, dtype=dtype))
+
+    with pytest.raises(ValueError, match="Allgatherv dtype mismatch"):
+        run_spmd(2, fn, backend=backend)

@@ -24,7 +24,12 @@ from repro.simmpi.topology import (
     parse_comm_spec,
 )
 from tests.reference import pricing
-from tests.reference.tiers import tier_contribution, tier_row
+from tests.reference.tiers import (
+    tier_contribution,
+    tier_hops,
+    tier_row,
+    tier_rows,
+)
 
 BACKENDS = ("serial", "threads", "procs")
 
@@ -156,11 +161,9 @@ def test_tier_contribution_rack_split():
 
 # -- the matrix is the scalar rule, row by row --------------------------------
 
-#: every op SimComm emits, "teleport" for an
-#: op no rule names
+#: every op SimComm emits
 _OPS = ("alltoallv", "allreduce", "barrier", "allgather", "allgatherv",
-        "bcast", "checkpoint", "teleport")
-_DEST_ADDRESSED = _OPS[:1]
+        "bcast", "checkpoint")
 
 
 #: (nprocs, ranks/node, nodes/rack): a single node, one rank per node, a
@@ -182,33 +185,35 @@ def _topologies(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(comm=_topologies(), op=st.sampled_from(_OPS),
-       with_dest=st.booleans(), data=st.data())
-def test_tier_matrix_rows_are_the_scalar_rule(comm, op, with_dest, data):
+@given(comm=_topologies(), op=st.sampled_from(_OPS), data=st.data())
+def test_tier_rows_are_the_scalar_rule(comm, op, data):
     """Every rank of a round classified at once == the rule the ranks used
     to evaluate one deposit at a time (``tests/reference/tiers.py``)."""
     nprocs = comm.topology.nprocs
-    ranks = range(nprocs)
-    root = data.draw(st.one_of(st.none(), st.sampled_from(ranks)))
-    dest = None
-    if op in _DEST_ADDRESSED and with_dest:
+    if op == "alltoallv":
         # sparse, so the rule sees zero and non-zero slots
-        dest = np.array(data.draw(st.lists(
+        traffic = np.array(data.draw(st.lists(
             st.lists(st.sampled_from([0, 0, 1, 8, 1000]),
                      min_size=nprocs, max_size=nprocs),
             min_size=nprocs, max_size=nprocs)), dtype=np.int64)
-        np.fill_diagonal(dest, 0)
-        nbytes = dest.sum(axis=1)
+        np.fill_diagonal(traffic, 0)
+        nbytes = traffic.sum(axis=1)
     else:
-        nbytes = np.array(data.draw(st.lists(
+        nbytes = traffic = np.array(data.draw(st.lists(
             st.sampled_from([0, 8, 1000]),
             min_size=nprocs, max_size=nprocs)), dtype=np.int64)
-    matrix = comm.tier_matrix(op, nbytes, dest, root)
-    assert matrix.dtype == np.int64
-    for r in ranks:
-        assert tuple(matrix[r]) == tier_contribution(
+        if op == "bcast":  # only the root meters bytes
+            root = data.draw(st.sampled_from(range(nprocs)))
+            traffic[np.arange(nprocs) != root] = 0
+    tiers = comm.tiers(op, traffic)
+    assert tiers.intra_bytes.dtype == np.int64
+    assert tier_rows(tiers) == [
+        tier_contribution(
             comm.topology, op, r, nbytes[r],
-            dest_bytes=None if dest is None else dest[r], root=root)
+            dest_bytes=traffic[r] if traffic.ndim == 2 else None)
+        for r in range(nprocs)]
+    assert (tiers.intra_hops, tiers.inter_hops, tiers.xrack_hops) == \
+        tier_hops(comm.topology, op, bool(nbytes.any()))
 
 
 # -- three-tier conservation on live runs ------------------------------------

@@ -8,8 +8,12 @@ import pytest
 
 from repro.core import PulpParams, xtrapulp
 from repro.graph import generators
-from repro.simmpi import run_spmd
-from repro.simmpi import create_runtime
+from repro.simmpi import (
+    BLUE_WATERS_LIKE,
+    BLUE_WATERS_TIERED,
+    create_runtime,
+    run_spmd,
+)
 from repro.simmpi.topology import (
     DEFAULT_RANKS_PER_NODE,
     HierarchicalCommunicator,
@@ -18,7 +22,7 @@ from repro.simmpi.topology import (
     make_topology,
     parse_comm_spec,
 )
-from tests.reference.tiers import tier_row
+from tests.reference.tiers import tier_row, tier_rows
 
 BACKENDS = ("serial", "threads", "procs")
 
@@ -241,11 +245,25 @@ def test_concat_all_inter_on_multi_node():
 
 
 def test_bcast_classified_by_root():
-    c = _hier(8, 4)
-    assert tier_row(c, "bcast", 1, 64, root=0) == (0, 0, 0, 0, 0, 0)
-    assert tier_row(c, "bcast", 0, 64, root=0) == (0, 64, 0, 64, 64, 0)
-    single = _hier(4, 4)
-    assert tier_row(single, "bcast", 0, 64, root=0) == (64, 0, 0, 64, 0, 0)
+    """A ``Bcast``'s non-root ranks meter nothing, so the root's row is
+    the whole round: off-node with a local fan-out on two nodes, local on
+    one."""
+    expected = {2: (0, 64, 0, 64, 64, 0), 1: (64, 0, 0, 64, 0, 0)}
+    for root, nprocs, spec in ((r, 8, s) for r in (0, 5)
+                               for s in ("hierarchical:4", "hierarchical:8")):
+        def fn(comm):
+            comm.Bcast(np.zeros(8, dtype=np.float64), root=root)
+
+        _, stats = run_spmd(nprocs, fn, backend="serial", comm=spec)
+        (event,) = stats.events
+        sent = np.zeros(nprocs, dtype=np.int64)
+        sent[root] = 64
+        np.testing.assert_array_equal(event.bytes_sent, sent)
+        rows = tier_rows(event.tiers)
+        n_nodes = create_communicator(spec, nprocs=nprocs).topology.n_nodes
+        assert rows[root] == expected[n_nodes]
+        assert all(row == (0,) * 6 for r, row in enumerate(rows)
+                   if r != root)
 
 
 def test_checkpoint_always_inter():
@@ -255,21 +273,51 @@ def test_checkpoint_always_inter():
     assert tier_row(single, "checkpoint", 0, 128)[:3] == (0, 128, 0)
 
 
-def test_unknown_op_conservatively_inter():
-    c = _hier(8, 4)
-    assert tier_row(c, "teleport", 3, 9) == (0, 9, 0, 0, 9, 0)
-    single = _hier(4, 4)
-    assert tier_row(single, "teleport", 3, 9) == (9, 0, 0, 9, 0, 0)
+def test_unknown_op_has_no_tier_rule():
+    """Every op SimComm emits has a rule (``test_simmpi_surface.py``), so
+    an op without one is an error, not a guess."""
+    with pytest.raises(ValueError, match="no tier rule"):
+        tier_row(_hier(8, 4), "teleport", 3, 9)
+
+
+def _hops(comm, op, traffic):
+    t = comm.tiers(op, traffic)
+    return t.intra_hops, t.inter_hops, t.xrack_hops
 
 
 def test_hops_structure():
     c = _hier(32, 8)  # 4 nodes x 8
+    sends = np.ones((32, 32), dtype=np.int64)
+    np.fill_diagonal(sends, 0)
     # gather+exchange+scatter, n-1, no other rack
-    assert c.hops("alltoallv") == (3 * 7, 3, 0)
-    assert c.hops("allreduce") == (2 * 3, 2, 0)  # up+down log2(8), log2(4)
+    assert _hops(c, "alltoallv", sends) == (3 * 7, 3, 0)
+    # up+down log2(8), log2(4)
+    assert _hops(c, "allreduce", np.zeros(32, np.int64)) == (2 * 3, 2, 0)
     single = _hier(8, 8)
-    assert single.hops("alltoallv") == (7, 0, 0)  # degenerates to flat
-    assert single.hops("allreduce") == (3, 0, 0)
+    sends = np.ones((8, 8), dtype=np.int64)
+    np.fill_diagonal(sends, 0)
+    assert _hops(single, "alltoallv", sends) == (7, 0, 0)  # plain local
+    assert _hops(single, "allreduce", np.zeros(8, np.int64)) == (3, 0, 0)
+
+
+def test_exchange_in_which_nobody_sends_pays_the_tree():
+    """An exchange with no off-rank record is its consensus barrier: the
+    tree's hops, as under the flat model, not the leader-level exchange
+    (45 intra + 3 inter hops, 27 us, on 64 ranks of 16 per node)."""
+    def fn(comm):
+        cts = np.zeros(comm.size, dtype=np.int64)
+        cts[comm.rank] = 2  # self-only: nothing leaves the rank
+        comm.Alltoallv(np.zeros(2, dtype=np.int64), cts)
+
+    _, stats = run_spmd(64, fn, backend="serial", comm="hierarchical:16")
+    (event,) = stats.events
+    assert not event.bytes_sent.any() and not event.messages.any()
+    t = event.tiers
+    assert (t.intra_hops, t.inter_hops, t.xrack_hops) == (2 * 4, 2, 0)
+    latency, _ = BLUE_WATERS_TIERED.cost_parts_batch(stats.events, 64)
+    assert latency[0] == pytest.approx(7e-6)  # 8 x 0.5 us + 2 x 1.5 us
+    flat, _ = BLUE_WATERS_LIKE.cost_parts_batch(stats.events, 64)
+    assert flat[0] == pytest.approx(9e-6)  # the 6-hop barrier
 
 
 # -- cross-strategy bit-identity ---------------------------------------------

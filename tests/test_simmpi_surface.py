@@ -1,7 +1,8 @@
 """Guard: every public name in ``src/repro`` has a caller, the tier rules
-name only what ``SimComm`` emits, only the procs backend touches shared
-memory, only three modules outside ``simmpi/`` call ``Alltoallv``, and
-only ``simmpi/`` names the compute-metering switch.
+name exactly what ``SimComm`` emits, a deposit carries no metering input,
+only the procs backend touches shared memory, only three modules outside
+``simmpi/`` call ``Alltoallv``, and only ``simmpi/`` names the
+compute-metering switch.
 
 ``SimComm`` once exported eight collectives nothing called, and the rest
 of the package carried about thirty public functions and methods (all of
@@ -30,6 +31,19 @@ PACKAGE = ROOT / "src" / "repro"
 SIMMPI = PACKAGE / "simmpi"
 COMM = SIMMPI / "comm.py"
 HIERARCHICAL = SIMMPI / "topology" / "hierarchical.py"
+#: ``(module, class, function)`` of every step a deposit passes through:
+#: the request a rank yields, the front door, the rank-side endpoint of
+#: ``procs`` and the in-process rendezvous
+DEPOSIT_PATH = (
+    (COMM, "SimComm", "_collective"),
+    (SIMMPI / "backends" / "base.py", "Backend", "collective"),
+    (SIMMPI / "backends" / "procs.py", "_RankEndpoint", "collective"),
+    (SIMMPI / "backends" / "engine.py", "InProcessBackend", "_deposit"),
+)
+#: what a round meters, which its ``execute`` reads off the contributions:
+#: no deposit may carry it
+METERING_INPUTS = {"nbytes_sent", "nbytes", "dest_bytes", "dest", "root",
+                   "messages", "traffic"}
 #: where a public name's callers may live
 CALLER_TREES = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples",
                 ROOT / "tests" / "reference")
@@ -222,6 +236,42 @@ def test_tier_rules_name_only_emitted_ops():
     assert "alltoallv" in named.values()
     dead = sorted(where for where, op in named.items() if op not in emitted)
     assert not dead, f"tier rules for ops no SimComm collective emits: {dead}"
+
+
+def test_every_emitted_op_has_a_tier_rule():
+    """The converse, which lets the strategy raise on an op it has no rule
+    for instead of guessing a tier."""
+    missing = sorted(_emitted_ops() - set(_ops_named_by_tier_rules().values()))
+    assert not missing, f"ops SimComm emits with no tier rule: {missing}"
+
+
+def _function(path: Path, cls: str, name: str) -> ast.FunctionDef:
+    (fn,) = [f for c in _parse(path).body
+             if isinstance(c, ast.ClassDef) and c.name == cls
+             for f in c.body
+             if isinstance(f, ast.FunctionDef) and f.name == name]
+    return fn
+
+
+def test_deposits_carry_no_metering_input():
+    """A round meters itself where it executes: no step of a deposit takes
+    a metering argument, and the request a rank yields names none."""
+    found = []
+    for path, cls, name in DEPOSIT_PATH:
+        fn = _function(path, cls, name)
+        args = fn.args
+        params = {a.arg for a in
+                  args.posonlyargs + args.args + args.kwonlyargs}
+        assert {"op", "contribution"} <= params, (cls, name)
+        found += [f"{cls}.{name}({p})" for p in params & METERING_INPUTS]
+    requests = [node.value for node in ast.walk(
+        _function(COMM, "SimComm", "_collective"))
+        if isinstance(node, ast.Yield)]
+    assert requests  # the guard sees the request it guards
+    found += [f"SimComm._collective yields {n.id}" for request in requests
+              for n in ast.walk(request)
+              if isinstance(n, ast.Name) and n.id in METERING_INPUTS]
+    assert not found, f"metering inputs on the deposit path: {found}"
 
 
 def _alltoallv_callers() -> set:
