@@ -38,7 +38,7 @@ WORDS = 1_500_000  # int64 words per payload ≈ 11.4 MiB
 
 def _storm(comm):
     """Collectives-heavy per-rank program: big Alltoallv + Allgatherv +
-    Bcast every iteration, trivial compute.  Returns a checksum that
+    Allreduce every iteration, trivial compute.  Returns a checksum that
     folds every received buffer, so both backends must deliver identical
     bytes to pass."""
     rng = np.random.default_rng(1000 + comm.rank)
@@ -49,12 +49,11 @@ def _storm(comm):
     for _ in range(ITERS):
         recv, _ = comm.Alltoallv(payload, counts)
         merged, _ = comm.Allgatherv(payload[: WORDS // comm.size])
-        root = comm.Bcast(payload if comm.rank == 0 else
-                          np.empty(WORDS, dtype=np.int64))
+        total = comm.Allreduce(payload)
         acc = (acc
                ^ np.bitwise_xor.reduce(recv)
                ^ np.bitwise_xor.reduce(merged)
-               ^ root[comm.rank])
+               ^ total[comm.rank])
     return int(acc)
 
 
@@ -69,7 +68,7 @@ def test_procs_storm(benchmark):
     table = ExperimentTable(
         "procs_storm",
         ["backend", "wall_s", "payload_MiB", "checksums_match", "shm_leaked"],
-        notes=f"{ITERS} iters of Alltoallv+Allgatherv+Bcast on {NPROCS} "
+        notes=f"{ITERS} iters of Alltoallv+Allgatherv+Allreduce on {NPROCS} "
               f"ranks, {WORDS * 8 / 2**20:.1f} MiB payloads; wall recorded, "
               "not gated (the perf ledger's procs_guarded workload bounds "
               "the wall)",

@@ -4,10 +4,17 @@ At hundreds-to-thousands of simulated ranks the partitioner's wall clock is
 dominated by the simulator itself: result delivery, rank scheduling and
 per-deposit metering.  This bench runs the full pipeline at
 512, 1024 and 2048 ranks on the serial backend and records wall, modeled
-time, cut and traffic, plus 512 ranks on ``threads``, whose generator
-ranks share one worker per usable CPU instead of a thread each.  Its wall
-is not gated here: the perf ledger's ``ranks256`` workload bounds
-``partition_wall_s`` (``benchmarks/perf``).
+time, cut, traffic, rounds and peak RSS, plus 512 ranks on ``threads``,
+whose generator ranks share one worker per usable CPU instead of a thread
+each.  Its wall is not gated here: the perf ledger's ``ranks256`` workload
+bounds ``partition_wall_s`` (``benchmarks/perf``).
+
+Every row runs in a fresh interpreter started with the perf harness's
+glibc malloc settings (``MALLOC_ENV``), so its ``peak_rss_MiB``
+(``ru_maxrss``) is that row's alone and does not move with a freed
+transient the allocator happens to hand back or keep.  Run one row by
+hand with ``PYTHONPATH=src python benchmarks/test_rank_scaling.py
+'{"ranks": 2048, "scale": "small"}'``.
 
 Also recorded: cross-backend bit-identity (partitions and
 `CommStats.signature()`), and a rack-tier (``hierarchical:16x4``) run with
@@ -15,14 +22,27 @@ three-way byte conservation asserted and priced by the tiered machine
 model.
 """
 
+import hashlib
+import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.bench import ExperimentTable
-from repro.core import PulpParams, xtrapulp
-from repro.simmpi import BLUE_WATERS_TIERED, TimeModel
-from repro.simmpi.backends import create_runtime
+ROOT = Path(__file__).resolve().parents[1]
+if __name__ == "__main__":  # a row's own interpreter
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from benchmarks.perf.run import MALLOC_ENV  # noqa: E402
+from repro.bench import ExperimentTable  # noqa: E402
+from repro.core import PulpParams, xtrapulp  # noqa: E402
+from repro.simmpi import BLUE_WATERS_TIERED, TimeModel  # noqa: E402
+from repro.simmpi.backends import create_runtime  # noqa: E402
+from repro.suite import get_graph  # noqa: E402
 
 BASE_RANKS = 512
 PARTS = 16
@@ -31,80 +51,119 @@ RACK_COMM = "hierarchical:16x4"
 #: One outer iteration keeps a 512-rank full-pipeline run in seconds while
 #: still exercising every phase (init, balance, refine, edge stage).
 PARAMS = dict(seed=42, outer_iters=1, balance_iters=2, refine_iters=3)
+#: Seconds one row may take (the 2 048-rank row takes about ten).
+ROW_TIMEOUT_S = 600
 
 
-def _run(graph, nprocs, backend="serial", comm=None):
-    rt = create_runtime(backend, nprocs=nprocs, comm=comm)
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _row(spec: dict) -> dict:
+    """Run one row in this process: ``spec`` names the ranks, the suite
+    graph scale, the backend and the communicator."""
+    ranks, comm = spec["ranks"], spec.get("comm")
+    graph = get_graph("rmat", spec["scale"])
+    rt = create_runtime(spec.get("backend", "serial"), nprocs=ranks,
+                        comm=comm)
     t0 = time.perf_counter()
-    result = xtrapulp(graph, PARTS, nprocs=nprocs,
+    result = xtrapulp(graph, PARTS, nprocs=ranks,
                       params=PulpParams(**PARAMS), backend=rt)
-    return time.perf_counter() - t0, result
-
-
-def _row(table, ranks, backend, comm, graph_name, wall, result):
+    wall = time.perf_counter() - t0
     st = result.stats
-    table.add(
-        ranks,
-        backend,
-        comm or "flat",
-        graph_name,
-        round(wall, 3),
-        round(TimeModel(machine=BLUE_WATERS_TIERED).total_time(st), 4),
-        int(result.quality().cut),
-        round(st.total_bytes / 2**20, 2),
-        round(st.modeled_xrack_bytes() / 2**20, 2),
-    )
+    # three-way byte conservation of every tiered event, and per op
+    by_op = st.bytes_by_op()
+    conserved = all(
+        np.array_equal(e.tiers.intra_bytes + e.tiers.inter_bytes
+                       + e.tiers.xrack_bytes, e.bytes_sent)
+        for e in st.events if e.tiers is not None
+    ) and all(sum(split) == by_op[op]
+              for op, split in st.rack_tier_bytes_by_op().items())
+    return {
+        "parts_sha256": _sha(result.parts.tobytes()),
+        "signature_sha256": _sha(repr(st.signature()).encode()),
+        "tiered": any(e.tiers is not None for e in st.events),
+        "conserved": conserved,
+        "wall_s": wall,
+        "model_s": TimeModel(machine=BLUE_WATERS_TIERED).total_time(st),
+        "cutsize": int(result.quality().cut),
+        "MiB_sent": st.total_bytes / 2**20,
+        "xrack_MiB": st.modeled_xrack_bytes() / 2**20,
+        "rounds": st.rounds,
+        "peak_rss_MiB":
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
 
 
-def test_rank_scaling(benchmark, suite_graph):
+def _fresh(**spec) -> dict:
+    """:func:`_row` in a fresh interpreter with the perf harness's malloc
+    settings."""
+    env = dict(os.environ, **MALLOC_ENV)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, __file__, json.dumps(spec)], env=env,
+        capture_output=True, text=True, timeout=ROW_TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _add(table, ranks, backend, comm, graph_name, row):
+    table.add(ranks, backend, comm or "flat", graph_name,
+              round(row["wall_s"], 3), round(row["model_s"], 4),
+              row["cutsize"], round(row["MiB_sent"], 2),
+              round(row["xrack_MiB"], 2), row["rounds"],
+              round(row["peak_rss_MiB"], 1))
+
+
+def _same_run(a: dict, b: dict) -> bool:
+    return (a["parts_sha256"], a["signature_sha256"]) == (
+        b["parts_sha256"], b["signature_sha256"])
+
+
+def test_rank_scaling(benchmark):
     table = ExperimentTable(
         "rank_scaling",
         ["ranks", "backend", "comm", "graph", "wall_s", "model_s",
-         "cutsize", "MiB_sent", "xrack_MiB"],
-        notes=f"full pipeline, {PARTS} parts, outer_iters=1; wall_s is "
-              "single-shot perf_counter, not gated (the perf ledger's "
-              "ranks256 workload bounds the wall)",
+         "cutsize", "MiB_sent", "xrack_MiB", "rounds", "peak_rss_MiB"],
+        notes=f"full pipeline, {PARTS} parts, outer_iters=1, one fresh "
+              "interpreter per row with the perf harness's malloc "
+              "settings; wall_s is single-shot perf_counter, not gated "
+              "(the perf ledger's ranks256 workload bounds the wall); "
+              "peak_rss_MiB is the row's ru_maxrss",
     )
-    tiny = suite_graph("rmat", "tiny")
-    small = suite_graph("rmat", "small")
 
-    wall_512, flat_512 = benchmark.pedantic(
-        lambda: _run(tiny, BASE_RANKS), rounds=1, iterations=1
-    )
-    _row(table, BASE_RANKS, "serial", None, "rmat/tiny", wall_512, flat_512)
+    flat_512 = benchmark.pedantic(
+        lambda: _fresh(ranks=BASE_RANKS, scale="tiny"),
+        rounds=1, iterations=1)
+    _add(table, BASE_RANKS, "serial", None, "rmat/tiny", flat_512)
 
     # -- the same 512 ranks stepped on the threads backend's worker pool ----
-    wall_pool, pool_512 = _run(tiny, BASE_RANKS, backend="threads")
-    np.testing.assert_array_equal(pool_512.parts, flat_512.parts)
-    assert pool_512.stats.signature() == flat_512.stats.signature()
-    _row(table, BASE_RANKS, "threads", None, "rmat/tiny", wall_pool, pool_512)
+    pool_512 = _fresh(ranks=BASE_RANKS, scale="tiny", backend="threads")
+    assert _same_run(pool_512, flat_512)
+    _add(table, BASE_RANKS, "threads", None, "rmat/tiny", pool_512)
 
     # -- bit-identity: every backend ----------------------------------------
-    _, serial_8 = _run(tiny, 8)
+    serial_8 = _fresh(ranks=8, scale="tiny")
     for backend in ("threads", "procs"):
-        _, other = _run(tiny, 8, backend=backend)
-        np.testing.assert_array_equal(other.parts, serial_8.parts)
-        assert other.stats.signature() == serial_8.stats.signature()
+        assert _same_run(_fresh(ranks=8, scale="tiny", backend=backend),
+                         serial_8), backend
 
     # -- rack tier: conservation + pricing ----------------------------------
-    wall_rack, rack = _run(tiny, BASE_RANKS, comm=RACK_COMM)
-    np.testing.assert_array_equal(rack.parts, flat_512.parts)
-    racked = [e for e in rack.stats.events if e.tiers is not None]
-    assert racked
-    for e in racked:
-        np.testing.assert_array_equal(
-            e.tiers.intra_bytes + e.tiers.inter_bytes + e.tiers.xrack_bytes,
-            e.bytes_sent)
-    by_op = rack.stats.bytes_by_op()
-    for op, (intra, inter, xrack) in rack.stats.rack_tier_bytes_by_op().items():
-        assert intra + inter + xrack == by_op[op]
-    assert rack.stats.modeled_xrack_bytes() > 0
-    assert TimeModel(machine=BLUE_WATERS_TIERED).total_time(rack.stats) > 0
-    _row(table, BASE_RANKS, "serial", RACK_COMM, "rmat/tiny", wall_rack, rack)
+    rack = _fresh(ranks=BASE_RANKS, scale="tiny", comm=RACK_COMM)
+    assert rack["parts_sha256"] == flat_512["parts_sha256"]
+    assert rack["tiered"] and rack["conserved"]
+    assert rack["xrack_MiB"] > 0 and rack["model_s"] > 0
+    _add(table, BASE_RANKS, "serial", RACK_COMM, "rmat/tiny", rack)
 
     # -- rows past 512 ranks -------------------------------------------------
     for ranks in (1024, 2048):
-        wall, result = _run(small, ranks)
-        _row(table, ranks, "serial", None, "rmat/small", wall, result)
+        _add(table, ranks, "serial", None, "rmat/small",
+             _fresh(ranks=ranks, scale="small"))
 
     table.emit()
+
+
+if __name__ == "__main__":
+    print(json.dumps(_row(json.loads(sys.argv[1]))))

@@ -40,11 +40,9 @@ class AnalyticResult:
 
     @property
     def modeled_seconds(self) -> float:
-        """Modeled parallel time of the kernel itself (build/plan excluded)."""
+        """Modeled parallel time of the kernel itself (the build excluded)."""
         model = TimeModel(self.machine)
-        keep = [
-            e.tag for e in self.stats.events if e.tag not in ("build", "plan")
-        ]
+        keep = [e.tag for e in self.stats.events if e.tag != "build"]
         return model.total_time(self.stats.filtered(keep))
 
 
@@ -131,7 +129,7 @@ def run_analytic(
         if directed is not None:
             with comm.phase("build"):
                 attach_directed(dg, directed)
-        plan = yield from ghost_plan(comm, dg)
+        plan = ghost_plan(dg)
         with comm.phase(name or getattr(kernel, "__name__", "analytic")):
             values = yield from kernel(comm, dg, plan, **kernel_kwargs)
         return dg.owned_gids, np.asarray(values)

@@ -8,6 +8,17 @@ the maximal-count label — "doing so tends to result in slightly more
 balanced partitions").  Vertices never reached (disconnected from all
 roots) are assigned random parts at the end.
 
+Algorithm 2 has a master draw the roots and broadcast them.  Here every
+rank holds the gathered candidate pool and the shared seed, so every rank
+draws the same roots and labels its owned roots and its ghost copies of
+roots itself: no broadcast, no claim exchange.  A BFS round is one
+reduction of [vertices assigned, connected owned vertices still
+unassigned], and its ExchangeUpdates round is taken only if something was
+assigned; the loop ends when no connected vertex is waiting or none was
+reached, and the leftovers are exchanged only if a connected one is among
+them (an isolated vertex has no ghost copy).  Every strategy labels every
+owned vertex, so no rank needs a collective check of that.
+
 The paper notes the number of rounds is on the order of the graph
 diameter, and that for high-diameter graph classes random or block
 initialization should be used instead — both provided here.
@@ -63,71 +74,70 @@ def _random_distinct_neighbor_parts(
 
 @steppable
 def initialize_hybrid(comm: SimComm, state: RankState) -> Steps[None]:
-    """Algorithm 2: root broadcast + random-label BFS growth."""
+    """Algorithm 2: p shared roots + random-label BFS growth."""
     dg, p = state.dg, state.num_parts
     if p > dg.global_n:
         raise ValueError(f"cannot cut {dg.global_n} vertices into {p} parts")
-    # Master draws p unique roots and broadcasts.  Roots are drawn among
-    # *connected* (degree >= 1) vertices when possible: a root that is an
-    # isolated vertex can never grow its part through label propagation
-    # (minor robustness deviation from Algorithm 2's uniform draw; identical
-    # on component-preprocessed inputs like the paper's).
+    # Roots are drawn among *connected* (degree >= 1) vertices when
+    # possible: a root that is an isolated vertex can never grow its part
+    # through label propagation (minor robustness deviation from Algorithm
+    # 2's uniform draw; identical on component-preprocessed inputs like the
+    # paper's).
     candidates = np.flatnonzero(dg.degrees_full[: dg.n_local] > 0).astype(np.int64)
     sample_rng = np.random.default_rng(state.params.seed + 31 * comm.rank)
     take = min(candidates.size, 4 * p)
     sample = dg.l2g[
         sample_rng.choice(candidates, size=take, replace=False)
     ] if take else np.empty(0, dtype=np.int64)
-    # O(p * nprocs) gids, not O(n)
+    # O(p * nprocs) gids, not O(n); every rank draws the same roots from it
     pool, _ = yield from comm.Allgatherv(sample)
-    if comm.rank == 0:
-        rng_root = np.random.default_rng(state.params.seed)
-        if pool.size < p:
-            pool = np.arange(dg.global_n, dtype=np.int64)
-        roots = rng_root.choice(pool, size=p, replace=False).astype(np.int64)
-    else:
-        roots = None
-    roots = yield from comm.Bcast(
-        roots if comm.rank == 0 else np.empty(p, dtype=np.int64))
+    if pool.size < p:
+        pool = np.arange(dg.global_n, dtype=np.int64)
+    roots = np.random.default_rng(state.params.seed).choice(
+        pool, size=p, replace=False).astype(np.int64)
+    # part = order of selection, on the owned roots and on this rank's
+    # ghost copies of roots alike: no claim has to be exchanged
     state.parts[:] = UNASSIGNED
-    # claim owned roots: part = order of selection
-    owner = dg.dist.owner(roots)
-    mine = np.flatnonzero(owner == comm.rank)
-    updates: list[np.ndarray] = []
-    if mine.size:
-        lids = dg.owned_lids(roots[mine])
-        state.parts[lids] = mine
-        updates.append(lids)
-    yield from exchange_updates(
-        comm, dg, state.parts,
-        np.concatenate(updates) if updates else np.empty(0, dtype=np.int64),
-        wire=state.wire,
-    )
+    mine = np.flatnonzero(dg.dist.owner(roots) == comm.rank)
+    state.parts[dg.owned_lids(roots[mine])] = mine
+    pos = np.searchsorted(dg.ghost_gids, roots)
+    ghost = pos < dg.n_ghost
+    ghost[ghost] = dg.ghost_gids[pos[ghost]] == roots[ghost]
+    state.parts[dg.n_local + pos[ghost]] = np.flatnonzero(ghost)
 
+    connected = dg.degrees_full[: dg.n_local] > 0
+    left = 1
     # a safety bound: ≈ diameter rounds are needed, and 2n bounds that
     for _ in range(max(2 * dg.global_n, 64)):
         unassigned = np.flatnonzero(state.parts[: dg.n_local] < 0).astype(np.int64)
         assigned_now = np.empty(0, dtype=np.int64)
+        waiting = 0
         if unassigned.size:
             chosen, has = _random_distinct_neighbor_parts(state, unassigned)
             assigned_now = unassigned[has]
             state.parts[assigned_now] = chosen[has]
+            waiting = np.count_nonzero(connected[unassigned[~has]])
         state.flush_work(comm)
-        n_updates = yield from comm.allreduce(int(assigned_now.size), op="sum")
-        yield from exchange_updates(comm, dg, state.parts, assigned_now,
-                                    wire=state.wire)
-        if n_updates == 0:
+        # [assigned this round, connected owned vertices still unassigned]
+        n_updates, left = (yield from comm.Allreduce(np.array(
+            [assigned_now.size, waiting], dtype=np.int64))).tolist()
+        if n_updates:
+            yield from exchange_updates(comm, dg, state.parts, assigned_now,
+                                        wire=state.wire)
+        # nothing left to reach, or nothing reachable left
+        if left == 0 or n_updates == 0:
             break
 
-    # leftovers (unreached components): random parts
+    # leftovers (unreached components, isolated vertices): random parts;
+    # only a connected one has ghost copies to update
     leftover = np.flatnonzero(state.parts[: dg.n_local] < 0).astype(np.int64)
     if leftover.size:
         state.parts[leftover] = state.rng.integers(
             0, p, size=leftover.size, dtype=np.int64
         )
-    # all ranks must join this exchange even with no leftovers
-    yield from exchange_updates(comm, dg, state.parts, leftover,
-                                wire=state.wire)
+    if left:
+        yield from exchange_updates(comm, dg, state.parts, leftover,
+                                    wire=state.wire)
 
 
 @steppable
@@ -258,7 +268,8 @@ def initialize(
             yield from initialize_block(comm, state)
         else:  # pragma: no cover - params validates
             raise ValueError(strategy)
+        # every strategy labels every owned vertex, so a rank checks its own
         bad = int(np.count_nonzero(state.parts[: state.dg.n_local] < 0))
-        total_bad = yield from comm.allreduce(bad, op="sum")
-        if total_bad:
-            raise AssertionError(f"{total_bad} vertices left unassigned by init")
+        if bad:
+            raise AssertionError(
+                f"rank {comm.rank}: {bad} vertices left unassigned by init")

@@ -96,7 +96,8 @@ def _ghost_routing(
     that are ghosts on ``r`` — exactly its ``(vertex, r)`` send pairs in
     vertex order — so one stable bucketing of ``sr_adj`` aligns the slots
     with ``send_rank_adj``.  Compact-wire sends then address ghost copies
-    by these precomputed slots instead of 64-bit gids.
+    by these precomputed slots instead of 64-bit gids, and the same two
+    bucketings are the halo plan (:func:`repro.dist.ops.ghost_plan`).
     """
     order, gcounts = bucket_by_rank(comm.size, ghost_owners)
     # order[i] is the ghost-array position of the i-th outgoing entry

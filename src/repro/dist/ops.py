@@ -2,14 +2,15 @@
 
 :class:`ExchangePlan` is the package's one static owner → copy exchange
 (build once, reuse every superstep): after one gid round trip in
-:func:`connect_plan` each exchange moves values only, as Zoltan and Epetra do for
-a fixed pattern.  :func:`ghost_plan` is its halo case (the analytics, BFS,
-the multilevel LP coarsener); Table III's 1-D SpMV is the halo of a
-partition-placed DistGraph, and its 2-D expand and fold are a
-:meth:`~ExchangePlan.pull` and a ``push(op="sum")``.  The partitioner
-itself uses the paper's dynamic ``ExchangeUpdates``
-(:mod:`repro.core.exchange`), which ships (vertex, part) pairs for updated
-vertices only.
+:func:`connect_plan` each exchange moves values only, as Zoltan and Epetra
+do for a fixed pattern.  :func:`ghost_plan` is its halo case (the
+analytics, BFS, the multilevel LP coarsener), and takes no round: the
+build's ghost routing already made that round trip.  Table III's 1-D SpMV
+is the halo of a partition-placed DistGraph, and its 2-D expand and fold
+are a :meth:`~ExchangePlan.pull` and a ``push(op="sum")`` of connected
+plans.  The partitioner itself uses the paper's dynamic
+``ExchangeUpdates`` (:mod:`repro.core.exchange`), which ships (vertex,
+part) pairs for updated vertices only.
 
 All plan traffic funnels through ``SimComm.Alltoallv``, so a
 topology-aware communicator (:mod:`repro.simmpi.topology`) meters the very
@@ -45,9 +46,9 @@ class ExchangePlan:
     * :meth:`push` — copies flow back to their owners and are combined
       (min/max/sum) into the owner array.
 
-    Connecting one is collective (a gid round trip), so plans come from
-    :func:`connect_plan` or, for a halo, :func:`ghost_plan`; the
-    constructor only stores what the round trip computed.
+    Plans come from :func:`connect_plan` (collective: a gid round trip)
+    or, for a halo, :func:`ghost_plan` (read off the build); the
+    constructor only stores what they computed.
     """
 
     def __init__(
@@ -119,14 +120,23 @@ def connect_plan(
     return ExchangePlan(slots[order], copy_counts, owned_slots, owned_counts)
 
 
-@steppable
-def ghost_plan(comm: SimComm, dg: DistGraph) -> Steps[ExchangePlan]:
+def ghost_plan(dg: DistGraph) -> ExchangePlan:
     """The halo plan of ``dg``: ghosts are the copies (local ids
-    ``n_local ..``), owned vertices the owner entries."""
-    return (yield from connect_plan(
-        comm, dg.ghost_gids, dg.ghost_owners,
-        np.arange(dg.n_local, dg.n_total), dg.owned_gids,
-    ))
+    ``n_local ..``), owned vertices the owner entries.
+
+    Read off the build, with no round: the ghost routing of
+    :func:`~repro.dist.build.build_dist_graph` already told each owner
+    which of its vertices every peer keeps, as the ``(vertex, rank)`` send
+    pairs.  Both sides are owner-major, gid-minor: the ghosts bucketed by
+    owner, and the send pairs' vertices bucketed by destination — the
+    very order in which :func:`connect_plan`'s round trip would ask."""
+    nprocs = dg.dist.nprocs
+    order, copy_counts = bucket_by_rank(nprocs, dg.ghost_owners)
+    pairs, owned_counts = bucket_by_rank(nprocs, dg.send_rank_adj)
+    sources = np.repeat(np.arange(dg.n_local, dtype=np.int64),
+                        np.diff(dg.send_rank_offsets))
+    return ExchangePlan(order + dg.n_local, copy_counts, sources[pairs],
+                        owned_counts)
 
 
 @steppable

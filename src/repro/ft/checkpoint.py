@@ -155,9 +155,6 @@ class CkptContext:
         self.policy = policy
         self.manifest_base = manifest_base
 
-    def epoch_dir(self, epoch: int) -> str:
-        return os.path.join(self.policy.dir, f"epoch_{epoch:04d}")
-
     def epoch_writer(self, epoch: int, step: Tuple[str, int, str]):
         """The ``checkpoint`` collective's writer: persist every rank's
         payload plus ``MANIFEST.tmp``.  Runs exactly once, on the computing
@@ -165,7 +162,7 @@ class CkptContext:
         :class:`CkptCommitter`)."""
 
         def writer(contribs: List[Tuple[bytes, dict]]) -> int:
-            edir = self.epoch_dir(epoch)
+            edir = epoch_dir(self.policy.dir, epoch)
             os.makedirs(edir, exist_ok=True)
             n_build = {int(m["n_build"]) for _, m in contribs}
             if len(n_build) != 1:  # pragma: no cover - BSP invariant
@@ -328,6 +325,11 @@ class CheckpointData:
     def n_build(self) -> int:
         """Collectives the (deterministic, re-executed) build consumes."""
         return int(self.manifest["n_build"])
+
+
+def epoch_dir(run_dir: str, epoch: int) -> str:
+    """Where epoch ``epoch`` of the run in ``run_dir`` is written."""
+    return os.path.join(run_dir, f"epoch_{epoch:04d}")
 
 
 def find_latest_committed(run_dir: str) -> Optional[str]:

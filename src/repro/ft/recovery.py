@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
-from repro.ft.checkpoint import find_latest_committed, load_manifest
+from repro.ft.checkpoint import epoch_dir
 from repro.simmpi.errors import (
     HungRankError,
     PayloadCorruptionError,
@@ -51,6 +51,20 @@ class RetryPolicy:
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
 
+def _causes(exc: BaseException) -> Iterator[BaseException]:
+    """Each exception of ``exc``'s ``__cause__`` / ``__context__`` chain,
+    once, breadth first from ``exc``."""
+    seen = set()
+    queue = [exc]
+    while queue:
+        e = queue.pop(0)
+        if e is None or id(e) in seen:
+            continue
+        seen.add(id(e))
+        yield e
+        queue.extend((e.__cause__, e.__context__))
+
+
 def classify_failure(exc: BaseException) -> str:
     """Name the failure class of a rank failure's cause chain.
 
@@ -60,38 +74,21 @@ def classify_failure(exc: BaseException) -> str:
     died or a peer observed the failure remotely), else ``"exception"``
     (an ordinary error raised by rank code).
     """
-    seen = set()
-    queue = [exc]
     fallback = "exception"
-    while queue:
-        e = queue.pop(0)
-        if e is None or id(e) in seen:
-            continue
-        seen.add(id(e))
+    for e in _causes(exc):
         if isinstance(e, HungRankError):
             return "hang"
         if isinstance(e, PayloadCorruptionError):
             return "corruption"
         if isinstance(e, RemoteRankError):
             fallback = "crash"
-        queue.extend((e.__cause__, e.__context__))
     return fallback
 
 
 def _detection_seconds(exc: BaseException) -> float:
     """Detection latency carried by the cause chain (0.0 if none)."""
-    seen = set()
-    queue = [exc]
-    while queue:
-        e = queue.pop(0)
-        if e is None or id(e) in seen:
-            continue
-        seen.add(id(e))
-        detected = getattr(e, "detection_seconds", 0.0)
-        if detected:
-            return float(detected)
-        queue.extend((e.__cause__, e.__context__))
-    return 0.0
+    return next((float(e.detection_seconds) for e in _causes(exc)
+                 if getattr(e, "detection_seconds", 0.0)), 0.0)
 
 
 def run_with_retries(
@@ -134,17 +131,13 @@ def run_with_retries(
         except RankFailure as exc:
             if attempt >= policy.max_retries:
                 raise
-            epoch: Optional[int] = None
-            resume = None
-            if exc.run_dir is not None:
-                latest = find_latest_committed(exc.run_dir)
-                if latest is not None:
-                    epoch = int(load_manifest(latest)["epoch"])
-                    resume = latest
+            # the failure names the epoch xtrapulp found committed
+            resume = (None if exc.epoch is None
+                      else epoch_dir(exc.run_dir, exc.epoch))
             wait = backoff(attempt)
             recoveries.append(RecoveryEvent(
                 attempt=attempt + 1,
-                epoch=epoch,
+                epoch=exc.epoch,
                 error=repr(exc.__cause__ if exc.__cause__ is not None else exc),
                 backoff_seconds=wait,
                 failure_class=classify_failure(exc),

@@ -165,7 +165,7 @@ def lp_cluster_labels(
     mass = vw_all.astype(np.float64).copy()
     srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
     with comm.phase("coarsen"):
-        plan = yield from ghost_plan(comm, dg)
+        plan = ghost_plan(dg)
         for _ in range(LP_CLUSTER_ITERS):
             best, _bw = segment_best_label(
                 srcs, labels[dg.adj], level.ew_local, n

@@ -2,18 +2,20 @@
 
 Mirrors the mpi4py split between lowercase generic-object methods
 (``allgather``, ``allreduce`` — pickled-object semantics, metered by
-pickled size) and uppercase NumPy-buffer methods (``Bcast``, ``Allreduce``,
+pickled size) and uppercase NumPy-buffer methods (``Allreduce``,
 ``Allgatherv``, ``Alltoallv`` / ``Alltoallv_fields`` — near-zero-copy,
 metered by ``nbytes``).  All hot-path communication in the partitioner
 uses the buffer flavor, per the mpi4py guidance that buffer-provider
 objects are the fast path.  The surface is what the callers call:
-XtraPuLP's ``Bcast`` of the roots, ``Alltoallv`` of ExchangeUpdates and
-``Allreduce`` of the size vectors, plus what the multilevel path,
-analytics, checkpointing and the perf probes add (``Allgatherv``,
-``allgather``, ``allreduce``, ``Checkpoint``, ``barrier``);
-``tests/test_simmpi_surface.py`` keeps it that way.
+XtraPuLP's ``Allgatherv`` of the root candidates, ``Alltoallv`` of
+ExchangeUpdates and ``Allreduce`` of the size vectors, plus what the
+multilevel path, analytics, checkpointing and the perf probes add
+(``allgather``, ``allreduce``, ``Checkpoint``, ``barrier``);
+``tests/test_simmpi_surface.py`` keeps it that way.  There is no
+``Bcast``: the one value a master once sent, Algorithm 2's roots, every
+rank now draws itself from the gathered pool.
 
-Each of the nine is a stepped routine (:mod:`repro.simmpi.stepping`): its
+Each of the eight is a stepped routine (:mod:`repro.simmpi.stepping`): its
 deposit is a ``yield`` of the request to the runtime, so a generator rank
 body writes ``total = yield from comm.Allreduce(x)`` and a plain one
 ``total = comm.Allreduce(x)``.
@@ -22,9 +24,8 @@ Byte-accounting convention (see :mod:`repro.simmpi.metrics`): a round
 meters itself where it executes.  Each ``execute`` returns the per-rank
 results *and* the round's traffic, read off the contributions it already
 holds: a rank's bytes for most ops — the payload it injects once, the
-standard pipelined/butterfly bandwidth proxy for rooted and
-all-collectives (a ``Bcast`` meters its root's array, every other rank
-0) — and for an Alltoallv the ``P x P`` per-destination byte matrix,
+standard pipelined/butterfly bandwidth proxy for all-collectives — and
+for an Alltoallv the ``P x P`` per-destination byte matrix,
 diagonal zero, priced at each source's own record size (zero-length
 contributions are dtype-exempt).  The backend records it
 (:meth:`~repro.simmpi.backends.base.Backend._record`): a matrix's row
@@ -40,7 +41,7 @@ all of them there.
 In-process backends (serial/threads) share an address space, so object
 sharing there needs the read-only contract instead
 (``Backend.shares_results``): the one-result collectives — ``Allreduce``,
-``Bcast``, ``Allgatherv``, ``allgather`` — hand every rank the *same*
+``Allgatherv``, ``allgather`` — hand every rank the *same*
 sealed (non-writeable) array (:func:`seal`),
 turning O(P^2) result bytes per collective into O(P).  The all-to-all
 collectives keep **two merges for two regimes**, selected by the same
@@ -408,30 +409,6 @@ class SimComm:
         return (yield from self._collective("allreduce", value, execute))
 
     # -- NumPy-buffer collectives ----------------------------------------------
-
-    @steppable
-    def Bcast(self, array: np.ndarray, root: int = 0) -> Steps[np.ndarray]:
-        """Broadcast a NumPy array from ``root``; returns the array on every
-        rank (the root's own array object is returned unchanged at root).
-        Only the root meters bytes: the other ranks contribute nothing."""
-        mine = self.rank == root
-        arr = np.ascontiguousarray(array) if mine else None
-        share = self._share_results
-
-        def execute(contribs: List[Any]) -> Executed:
-            # one result object for every non-root rank (the root keeps its
-            # own array and needs nothing back): a sealed copy where ranks
-            # share an address space — the root's writable input is never
-            # sealed — else the value itself, pickled into each response
-            value = contribs[root]
-            out = seal(value.copy()) if share else value
-            traffic = np.zeros(len(contribs), dtype=np.int64)
-            traffic[root] = value.nbytes
-            return ([None if r == root else out
-                     for r in range(len(contribs))], traffic)
-
-        result = yield from self._collective("bcast", arr, execute)
-        return arr if mine else result
 
     @steppable
     def Allreduce(self, array: np.ndarray,

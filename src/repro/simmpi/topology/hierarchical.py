@@ -46,9 +46,6 @@ Per-op rules (``b`` = the rank's metered ``bytes_sent``), one for each op
   contribution must reach every node, so ``b`` is inter on multi-node
   topologies; non-leaders pay the local gather hop and leaders the local
   fan-out hop.
-* **``bcast``**: ``b`` is the root's array (every other rank meters 0);
-  intra on a single node, else off-node (cross-rack over several racks),
-  with a local fan-out hop where the root's node has peers.
 * **``checkpoint``**: always inter — snapshot payloads leave the node for
   stable storage regardless of topology (documented exception to the
   node-locality rules).
@@ -235,15 +232,6 @@ class HierarchicalCommunicator:
             if multi_rack:
                 return out(0, 0, local_leg, b, b, b)
             return out(0, b, local_leg, b)
-
-        if op == "bcast":
-            # only the root meters bytes
-            if not multi:
-                return out(b, 0, b, 0)
-            fanout = np.where(self._has_peers, b, 0)
-            if multi_rack:
-                return out(0, 0, fanout, b, b, b)
-            return out(0, b, fanout, b)
 
         if op == "checkpoint":
             # snapshots leave the node for stable storage regardless of

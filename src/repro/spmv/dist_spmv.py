@@ -68,7 +68,7 @@ def _rank_spmv_1d(
     dg = yield from build_dist_graph(comm, graph, dist)
     x = np.zeros(dg.n_total, dtype=np.float64)
     x[: dg.n_local] = reference_x(graph.n)[dg.owned_gids]
-    plan = yield from ghost_plan(comm, dg)
+    plan = ghost_plan(dg)
     y = np.zeros(dg.n_local, dtype=np.float64)
     for _ in range(iters):
         with comm.phase("spmv"):

@@ -18,7 +18,7 @@ def run_with_plan(graph, nprocs, fn, kind="random", seed=0):
 
     def main(comm):
         dg = build_dist_graph(comm, graph, dist)
-        plan = ghost_plan(comm, dg)
+        plan = ghost_plan(dg)
         return fn(comm, dg, plan)
 
     return run_spmd(nprocs, main)[0]

@@ -55,7 +55,7 @@ def test_halo_pull_propagates_arbitrary_values(case):
 
     def main(comm):
         dg = build_dist_graph(comm, g, dist)
-        plan = ghost_plan(comm, dg)
+        plan = ghost_plan(dg)
         vals = np.zeros(dg.n_total)
         vals[: dg.n_local] = truth[dg.owned_gids]
         plan.pull(comm, vals)

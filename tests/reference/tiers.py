@@ -4,8 +4,7 @@ of a collective at once.
 
 :func:`tier_contribution` is the rule as the ranks used to evaluate it at
 every deposit, moved here verbatim (``self.topology`` became the first
-argument; a ``bcast``'s non-root ranks meter 0 bytes, so it needs no
-root).  :func:`tier_hops` is the latency rule the strategy's ``hops``
+argument).  :func:`tier_hops` is the latency rule the strategy's ``hops``
 method carried, amended so that an exchange in which nobody sends pays
 the tree.  :func:`tier_row` asks the production code for one rank's row,
 so the hand-computed tuples of ``test_topology.py`` /
@@ -95,16 +94,6 @@ def tier_contribution(
         if multi_rack:
             return out(0, 0, local_leg, b, b, b)
         return out(0, b, local_leg, b)
-
-    if op == "bcast":
-        if b == 0:  # every rank but the root
-            return out(0, 0, 0, 0)
-        if not multi:
-            return out(b, 0, b, 0)
-        fanout = b if topo.node_size(my_node) > 1 else 0
-        if multi_rack:
-            return out(0, 0, fanout, b, b, b)
-        return out(0, b, fanout, b)
 
     if op == "checkpoint":
         # snapshots leave the node for stable storage regardless of

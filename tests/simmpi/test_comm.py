@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.simmpi import materialize, run_spmd
+from repro.simmpi import run_spmd
 
 NPROCS = [1, 2, 3, 4, 8]
 
@@ -21,51 +21,6 @@ def test_barrier_runs(nprocs):
     out, stats = run_spmd(nprocs, fn)
     assert out == list(range(nprocs))
     assert stats.rounds == 1
-
-
-@pytest.mark.parametrize("nprocs", NPROCS)
-@pytest.mark.parametrize("root", [0, -1])
-def test_bcast_object(nprocs, root):
-    root = root % nprocs
-
-    def fn(comm):
-        mine = np.array([1, 2, 3]) if comm.rank == root else np.empty(0)
-        return comm.Bcast(mine, root=root).tolist()
-
-    out, _ = run_spmd(nprocs, fn)
-    assert out == [[1, 2, 3]] * nprocs
-
-
-@pytest.mark.parametrize("nprocs", NPROCS)
-def test_Bcast_array(nprocs):
-    def fn(comm):
-        arr = (
-            np.arange(10, dtype=np.int64) * 3
-            if comm.rank == 0
-            else np.empty(10, dtype=np.int64)
-        )
-        return comm.Bcast(arr, root=0)
-
-    out, _ = run_spmd(nprocs, fn)
-    for o in out:
-        np.testing.assert_array_equal(o, np.arange(10) * 3)
-
-
-def test_Bcast_receivers_get_isolated_results():
-    # In the default shared mode receivers hold one sealed result, so a
-    # rank that wants to mutate materializes a private copy first — and
-    # those copies stay isolated across ranks, same as the historical
-    # per-rank private copies.
-    def fn(comm):
-        arr = np.zeros(4) if comm.rank == 0 else np.empty(4)
-        got = materialize(comm.Bcast(arr, root=0))
-        got += comm.rank  # must not affect other ranks
-        comm.barrier()
-        return got.copy()
-
-    out, _ = run_spmd(4, fn)
-    for r, o in enumerate(out):
-        np.testing.assert_allclose(o, r)
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)

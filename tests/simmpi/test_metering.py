@@ -5,10 +5,9 @@ Each collective's ``execute`` reads the round's traffic off the
 contributions, and ``Backend._record`` turns it into the event.  This
 property test drives every collective ``SimComm`` emits through random
 programs — irregular ``sendcounts`` with all-zero and self-only rows,
-zero-length contributions in other dtypes, a ``Bcast`` from any root, one
-rank and several, flat and ``hierarchical:2`` — and holds each event to
-the rule written out one rank at a time below, and its tiers to
-``tests/reference/tiers.py``.
+zero-length contributions in other dtypes, one rank and several, flat
+and ``hierarchical:2`` — and holds each event to the rule written out one
+rank at a time below, and its tiers to ``tests/reference/tiers.py``.
 """
 
 import pickle
@@ -26,7 +25,7 @@ EXAMPLES = {"serial": 40, "threads": 25, "procs": 10}
 DTYPES = (np.int64, np.int32, np.uint16, np.float64, np.float32)
 #: the event op of each step kind
 OPS = {"barrier": "barrier", "checkpoint": "checkpoint",
-       "allgather": "allgather", "allreduce": "allreduce", "bcast": "bcast",
+       "allgather": "allgather", "allreduce": "allreduce",
        "Allreduce": "allreduce", "Allgatherv": "allgatherv",
        "Alltoallv": "alltoallv"}
 
@@ -69,9 +68,6 @@ def _steps(draw, nprocs):
     if kind in ("allgather", "allreduce"):
         values = st.integers(-99, 99) if kind == "allreduce" else _objects
         return kind, draw(per_rank(values, min_size=nprocs, max_size=nprocs))
-    if kind == "bcast":
-        return (kind, draw(st.integers(0, nprocs - 1)),
-                draw(st.integers(0, 5)), draw(st.sampled_from(DTYPES)))
     if kind == "Allreduce":
         return kind, draw(st.integers(0, 5)), draw(st.sampled_from(DTYPES))
     if kind == "Allgatherv":
@@ -104,9 +100,6 @@ def _body(comm, steps):
             comm.allgather(data[0][r])
         elif kind == "allreduce":
             comm.allreduce(data[0][r])
-        elif kind == "bcast":
-            root, length, dtype = data
-            comm.Bcast(np.zeros(length, dtype=dtype), root=root)
         elif kind == "Allreduce":
             comm.Allreduce(np.ones(data[0], dtype=data[1]))
         elif kind == "Allgatherv":
@@ -130,10 +123,6 @@ def _rule(step, nprocs):
     elif kind in ("allgather", "allreduce"):
         sent = [len(pickle.dumps(v, protocol=pickle.HIGHEST_PROTOCOL))
                 for v in data[0]]
-    elif kind == "bcast":
-        root, length, dtype = data
-        sent = [length * np.dtype(dtype).itemsize if r == root else 0
-                for r in range(nprocs)]
     elif kind == "Allreduce":
         sent = [data[0] * np.dtype(data[1]).itemsize] * nprocs
     elif kind == "Allgatherv":

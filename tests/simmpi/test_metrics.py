@@ -25,13 +25,13 @@ def test_event_properties():
 
 def test_stats_aggregation():
     s = CommStats(2)
-    s.record(_event(op="bcast", tag="a", nbytes=(8, 0)))
+    s.record(_event(op="allgatherv", tag="a", nbytes=(8, 0)))
     s.record(_event(op="alltoallv", tag="b", nbytes=(16, 24)))
-    s.record(_event(op="bcast", tag="a", nbytes=(4, 0)))
+    s.record(_event(op="allgatherv", tag="a", nbytes=(4, 0)))
     assert s.rounds == 3
     assert s.total_bytes == 52
-    assert s.bytes_by_op() == {"bcast": 12, "alltoallv": 40}
-    assert s.rounds_by_op() == {"bcast": 2, "alltoallv": 1}
+    assert s.bytes_by_op() == {"allgatherv": 12, "alltoallv": 40}
+    assert s.rounds_by_op() == {"allgatherv": 2, "alltoallv": 1}
     assert s.bytes_by_tag() == {"a": 12, "b": 40}
     np.testing.assert_array_equal(s.per_rank_bytes(), [28, 24])
 
@@ -43,16 +43,6 @@ def test_filtered_view():
     sub = s.filtered(["keep"])
     assert sub.total_bytes == 16
     assert s.total_bytes == 216  # original untouched
-
-
-def test_bcast_bytes_charged_to_root_only():
-    def fn(comm):
-        arr = np.zeros(100, dtype=np.float64) if comm.rank == 1 else np.empty(100)
-        comm.Bcast(arr, root=1)
-
-    _, stats = run_spmd(3, fn)
-    (event,) = stats.events
-    np.testing.assert_array_equal(event.bytes_sent, [0, 800, 0])
 
 
 def test_alltoall_excludes_self_slot():

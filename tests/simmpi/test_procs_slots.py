@@ -148,8 +148,7 @@ def _collective_program(comm):
     cts[-1] += big.size - int(cts.sum())
     recv, rc = comm.Alltoallv(big, cts)
     merged, counts = comm.Allgatherv(big[:BIG])
-    root_val = comm.Bcast(big if comm.rank == 0 else
-                          np.empty(big.size, dtype=np.int64))
+    root_val = comm.Allreduce(big, op="max")
     total = comm.Allreduce(np.arange(BIG, dtype=np.int64))
     return (int(recv.sum()), int(rc.sum()), int(merged.sum()),
             int(counts.sum()), int(root_val.sum()), int(total.sum()))

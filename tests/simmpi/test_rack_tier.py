@@ -163,7 +163,7 @@ def test_tier_contribution_rack_split():
 
 #: every op SimComm emits
 _OPS = ("alltoallv", "allreduce", "barrier", "allgather", "allgatherv",
-        "bcast", "checkpoint")
+        "checkpoint")
 
 
 #: (nprocs, ranks/node, nodes/rack): a single node, one rank per node, a
@@ -202,9 +202,6 @@ def test_tier_rows_are_the_scalar_rule(comm, op, data):
         nbytes = traffic = np.array(data.draw(st.lists(
             st.sampled_from([0, 8, 1000]),
             min_size=nprocs, max_size=nprocs)), dtype=np.int64)
-        if op == "bcast":  # only the root meters bytes
-            root = data.draw(st.sampled_from(range(nprocs)))
-            traffic[np.arange(nprocs) != root] = 0
     tiers = comm.tiers(op, traffic)
     assert tiers.intra_bytes.dtype == np.int64
     assert tier_rows(tiers) == [
@@ -227,7 +224,7 @@ def _workout(comm):
     recv, rcts = comm.Alltoallv(payload, cts)
     total = comm.allreduce(int(recv.sum()))
     gathered = comm.allgather(rank * rank)
-    top = int(comm.Bcast(np.array([total]), root=0)[0])
+    top = int(comm.Allreduce(np.array([total]), op="max")[0])
     return total, tuple(gathered), top, int(rcts.sum())
 
 

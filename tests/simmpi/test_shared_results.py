@@ -66,20 +66,6 @@ def test_materialize_gives_private_writable_copy(backend):
 
 
 @inproc
-def test_bcast_root_keeps_own_array_receivers_sealed(backend):
-    def fn(comm):
-        arr = np.arange(5, dtype=np.int64) if comm.rank == 0 else np.empty(
-            5, dtype=np.int64)
-        got = comm.Bcast(arr, root=0)
-        return got is arr, bool(got.flags.writeable), got.tolist()
-
-    out, _ = run_spmd(3, fn, backend=backend)
-    assert out[0] == (True, True, [0, 1, 2, 3, 4])  # root: its own buffer
-    for mine, writable, vals in out[1:]:
-        assert not mine and not writable and vals == [0, 1, 2, 3, 4]
-
-
-@inproc
 def test_allgatherv_shared_result_is_one_sealed_array(backend):
     def fn(comm):
         arr = np.full(comm.rank + 1, comm.rank, dtype=np.int64)
@@ -172,7 +158,7 @@ def _workout(comm):
     total = comm.allreduce(int(recv.sum()) + int(merged.sum()))
     red = comm.Allreduce(np.full(3, rank, dtype=np.float64), op="max")
     gathered = comm.allgather(rank * rank)
-    top = int(comm.Bcast(np.array([total]), root=0)[0])
+    top = int(comm.Allreduce(np.array([total]), op="max")[0])
     return (total, tuple(gathered), top, int(rcts.sum()),
             mcts.tolist(), red.tolist())
 

@@ -76,7 +76,7 @@ def _workout(comm):
     total = comm.allreduce(int(recv.sum()) + int(merged.sum()))
     red = comm.Allreduce(np.full(3, rank, dtype=np.float64), op="max")
     gathered = comm.allgather(rank * rank)
-    top = int(comm.Bcast(np.array([total]), root=0)[0])
+    top = int(comm.Allreduce(np.array([total]), op="max")[0])
     comm.barrier()
     return (total, tuple(gathered), top, int(rcts.sum()),
             mcts.tolist(), red.tolist())
@@ -96,7 +96,8 @@ def _stepped_workout(comm):
     red = yield from comm.Allreduce(np.full(3, rank, dtype=np.float64),
                                     op="max")
     gathered = yield from comm.allgather(rank * rank)
-    top = int((yield from comm.Bcast(np.array([total]), root=0))[0])
+    top = int((yield from comm.Allreduce(np.array([total]),
+                                          op="max"))[0])
     yield from comm.barrier()
     return (total, tuple(gathered), top, int(rcts.sum()),
             mcts.tolist(), red.tolist())
@@ -128,7 +129,7 @@ def _six_collectives(comm, log):
         (comm.Allreduce, (np.arange(3) + r,)),
         (comm.Allgatherv, (np.full(r + 1, r),)),
         (comm.Alltoallv, (np.full(n, r), np.ones(n, dtype=np.int64))),
-        (comm.Bcast, (np.array([r]), 2)),
+        (comm.allgather, (r,)),
     ]
     for step, (call, args) in enumerate(calls):
         log.append((r, "in", step))

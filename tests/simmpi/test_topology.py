@@ -244,28 +244,6 @@ def test_concat_all_inter_on_multi_node():
     assert wire_xrack == 0
 
 
-def test_bcast_classified_by_root():
-    """A ``Bcast``'s non-root ranks meter nothing, so the root's row is
-    the whole round: off-node with a local fan-out on two nodes, local on
-    one."""
-    expected = {2: (0, 64, 0, 64, 64, 0), 1: (64, 0, 0, 64, 0, 0)}
-    for root, nprocs, spec in ((r, 8, s) for r in (0, 5)
-                               for s in ("hierarchical:4", "hierarchical:8")):
-        def fn(comm):
-            comm.Bcast(np.zeros(8, dtype=np.float64), root=root)
-
-        _, stats = run_spmd(nprocs, fn, backend="serial", comm=spec)
-        (event,) = stats.events
-        sent = np.zeros(nprocs, dtype=np.int64)
-        sent[root] = 64
-        np.testing.assert_array_equal(event.bytes_sent, sent)
-        rows = tier_rows(event.tiers)
-        n_nodes = create_communicator(spec, nprocs=nprocs).topology.n_nodes
-        assert rows[root] == expected[n_nodes]
-        assert all(row == (0,) * 6 for r, row in enumerate(rows)
-                   if r != root)
-
-
 def test_checkpoint_always_inter():
     c = _hier(8, 4)
     single = _hier(4, 4)
@@ -332,7 +310,7 @@ def _workout(comm):
     recv, rcts = comm.Alltoallv(payload, cts)
     total = comm.allreduce(int(recv.sum()))
     gathered = comm.allgather(rank * rank)
-    top = int(comm.Bcast(np.array([total]), root=0)[0])
+    top = int(comm.Allreduce(np.array([total]), op="max")[0])
     return total, tuple(gathered), top, int(rcts.sum())
 
 

@@ -80,30 +80,6 @@ def test_backend_classes_exported():
 # -- collectives -------------------------------------------------------------
 
 @backends
-def test_bcast_object(backend):
-    def fn(comm):
-        mine = np.array([1, 2, 3]) if comm.rank == 0 else np.empty(0)
-        return comm.Bcast(mine).tolist()  # root 0 by default
-
-    out, stats = run_on(backend, 3, fn)
-    assert out == [[1, 2, 3]] * 3
-    assert stats.events[0].op == "bcast"
-
-
-@backends
-def test_Bcast_array(backend):
-    def fn(comm):
-        arr = np.arange(5) * 7 if comm.rank == 1 else np.empty(0)
-        got = materialize(comm.Bcast(arr, root=1))
-        got_sum = int(got.sum())
-        got[:] = comm.rank  # materialized buffers must be rank-private
-        return got_sum
-
-    out, _ = run_on(backend, 3, fn)
-    assert out == [70, 70, 70]
-
-
-@backends
 def test_allreduce_scalar_ops(backend):
     def fn(comm):
         return (comm.allreduce(comm.rank + 1, op="sum"),

@@ -32,32 +32,34 @@ STRATEGIES = ("block", "random", "xtrapulp")
 #: ``"<kind>/<strategy>/<ranks>"`` -> sha256, taken before the SpMV and
 #: analytics layers were moved onto the one static exchange plan; the
 #: records retaken, with every output array unchanged, when an exchange
-#: became one metered round carrying its per-rank message counts
+#: became one metered round carrying its per-rank message counts, and
+#: again when the halo plan began to be read off the build (no ``plan``
+#: round: the 1-D SpMV and analytics records only)
 DIGESTS = {
-    "lp/block/4": "07177fcc07b439cca4910a03a40ea65a1f331ea4824e7c5bfbb37748775d2958",
-    "lp/block/6": "7116e7ca9be81f85827b6c26ba4613a18eb3ed1f01868f046ba21909da11379a",
-    "lp/random/4": "1d2fcdfeb47ceb25c797c844e8f6abecf59a290a520d3720284128fc94c8fa1e",
-    "lp/random/6": "f7aa058753a1c239784d74fa47976ff125aecca64c98f35cfd21fd2fa54c71a6",
-    "lp/xtrapulp/4": "94bd6810636c396995e3e82156c7797b47ce0cbb05ff8fd903f2093421bfac48",
-    "lp/xtrapulp/6": "9c257a1f2e9cbcb99908008845c1ea55cf85fcd8eb2669239e2ec64d98c72a1d",
-    "spmv1d/block/4": "aa327f007049517e096bd20c4193749ccb7d1c3f66d273d8e34ff481419d9ca4",
-    "spmv1d/block/6": "e86b6ca9cfbd5380fc61448520a5398cace00268a0098602e85085e573594905",
-    "spmv1d/random/4": "b5dfb6049b686d845a1f201367d5afa0513018a49ec6fa8370fa8ede3d316ac6",
-    "spmv1d/random/6": "007adec773df8c3bbcb7bed91ee610eeadb22865c62d6b699c4a20299f09dd7b",
-    "spmv1d/xtrapulp/4": "6b1afa119507362b3ecb0b9b13eec5869a760e06adf9179f28d6feb838d252b4",
-    "spmv1d/xtrapulp/6": "01d6fa15a9a9d34902401e216a60c9e38eea555a4156cff25f1a70bd4b44a680",
+    "lp/block/4": "eae193575f9c0b4585f2591c16e578bf1869c0c927d77d7961b2c71d4baaf60a",
+    "lp/block/6": "34e6cf21bd99f0f8384c8fcca963effad64eef0305829dd0159cab6da25af430",
+    "lp/random/4": "416bd2971b272cefbf8b4a667d46f0beb00580df11f533eaa5e5a085cbebbcb5",
+    "lp/random/6": "1e1f29138bc44b9d6794df754f8dbc99001443dbef4aba9823d9accd82b0e7e0",
+    "lp/xtrapulp/4": "25f4bafcaaf986c173909cd0eb32d4065c9392b299300641d5b6f908e9c99668",
+    "lp/xtrapulp/6": "e63a9d8ca837088c250a3109bdccd6b294c60cafbc8990114c05542be6082923",
+    "spmv1d/block/4": "3fce6f10523a655ac2606231190fe6ce2654492ff4fafb90bb7a953ef1a6deed",
+    "spmv1d/block/6": "5fa9205e94b5eded6bb3b9a75a443eaa0f5bd81963ac7cd7537d58c6f4e45877",
+    "spmv1d/random/4": "fdea1ad8a7923f6c2c8f323df395093b5801358b041017b2fa585d3f5c668df7",
+    "spmv1d/random/6": "17da07beeb248c221bfd4a1dfc25d9080b93b54ce3b099a632e6c11c7f1a2bdd",
+    "spmv1d/xtrapulp/4": "03f08a24aa2b4f56a078ada7978ef7052ff994327eda77fce80e75ad265e84d2",
+    "spmv1d/xtrapulp/6": "aa107f5eed576089a6348de98251b5f4903cb55f0be8f23b57f2a289c62604ef",
     "spmv2d/block/4": "26ae5c3989b5e917a42e14330f00aa0d6716beb31000102adc65b64a23bc390c",
     "spmv2d/block/6": "8a9b37534044d054f0f9df76a29b67f734059d5103b7f5d8e360b2e53e225415",
     "spmv2d/random/4": "a8135509d06965a1d46147b3d74bbdf23208aedd99c25a2f6dbd7f40a3ea78da",
     "spmv2d/random/6": "3b7968a8609cec727c1449dbf203b98f0122da6436e1ca93ed4cafb50633a302",
     "spmv2d/xtrapulp/4": "8a02dea38768b3736bd737cbda3a9fa4f45d1e5ea90cc80c4aea1f921e08cfe9",
     "spmv2d/xtrapulp/6": "621e952ff111c3ef03b2396ea47e2f058929ee865693df34ff1343a6579a6666",
-    "wcc/block/4": "acf8c1a5ab3d5b78cb5f2e4ab8ff7ffc11d3dc2d04b594bcfa2b56d1ae5fe205",
-    "wcc/block/6": "b298211d64828e37a53bbbc8b6732cc67158403fc28e7ee0d6bd32d0ee5dd5bc",
-    "wcc/random/4": "b42294c77a7c8e0668e523489de0269b84400b2781c212295f0d5894e85d4a81",
-    "wcc/random/6": "85f0c0249e868cb8bfcfaa2e5e88bf6b715540656e2f80d89321d4a77963f58c",
-    "wcc/xtrapulp/4": "f9dff7aa64340fbba015459ec4dc5161381a7ab8933c0b491287a4733c32c837",
-    "wcc/xtrapulp/6": "018a20b603b74af9d25cda010d71345ce9cb08faa58fd628ac13af46e3f62afc",
+    "wcc/block/4": "6916300906da20f8c494345ccb17fabb0c388058ad0b4ac239bcd0958552be02",
+    "wcc/block/6": "d2e5ce248e3df4ffa85d299a11cb1d05b679d80e57dc5d057c2e3c16537b10f7",
+    "wcc/random/4": "2665c44ba64834e5a4809e1d7b0d46de70af0be181d42c4b38a36c1bcd90574d",
+    "wcc/random/6": "1ec2d5d0529b7e670b7b281cf90a40e00f057cac38235d1dbedd8603da89b69a",
+    "wcc/xtrapulp/4": "c27c2e602e7c78cd378290f868cf08ce046730fb946f5608ba29d3b9abe4db05",
+    "wcc/xtrapulp/6": "88a1d4ebed329b7166597328a0201572caf3567f31318ed1a67213968afdc16f",
 }
 
 

@@ -11,19 +11,36 @@ V-cycle coarsening takes no Allreduce at all — heavy-edge matching is
 rank-local, the contraction's stop decision arrives with its Allgatherv,
 and an LP-clustering round's one ``(cluster id, weight delta)``
 Allgatherv already says whether any rank moved.
+
+No round tells a rank what it already holds.  Hybrid initialization is
+the candidates' Allgatherv — every rank then draws the same roots and
+labels its owned roots and its ghost copies of roots itself — and then,
+per BFS round, one Allreduce of ``[assigned this round, connected owned
+vertices still unassigned]`` followed by the ExchangeUpdates round only
+if something was assigned; the loop stops when no connected vertex is
+left, or none was reached, and the leftovers are exchanged only when a
+connected one is among them.  Random and block initialization are one
+exchange each; nothing checks the assignment collectively.  The halo
+plan is read off the build, so an analytics run's setup is the build's
+three rounds and no record holds a ``plan``-tagged halo round or a
+``bcast``.
 """
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from repro.analytics import run_analytic, weakly_connected_components
+from repro.baselines import vertex_block_partition
 from repro.core import PulpParams, xtrapulp
 from repro.core.initialization import initialize
 from repro.core.lp import SPECS, lp_phase
 from repro.core.state import RankState
 from repro.dist import build_dist_graph, make_distribution
-from repro.graph import rmat
+from repro.graph import from_edges, rmat
 from repro.simmpi import run_spmd
+from repro.spmv import run_spmv
 
 PARTS = 8
 
@@ -76,3 +93,76 @@ def test_flat_run_records_one_alive_count_before_the_first_totals():
     assert len(alive) == 1 and alive[0] is events[first_vb]
     entry = events[first_vb + 1]
     assert (entry.op, entry.tag) == ("allreduce", "vertex_balance")
+
+
+def _ring_with(n_ring: int, pairs: int, isolated: int):
+    """A ring of ``n_ring`` vertices, then ``pairs`` disjoint edges, then
+    ``isolated`` degree-0 vertices."""
+    src = list(range(n_ring)) + [n_ring + 2 * k for k in range(pairs)]
+    dst = [(i + 1) % n_ring for i in range(n_ring)] + [
+        n_ring + 2 * k + 1 for k in range(pairs)]
+    return from_edges(n_ring + 2 * pairs + isolated, np.array(src),
+                      np.array(dst))
+
+
+def _init_ops(graph, strategy="hybrid", parts=4):
+    dist = make_distribution("random", graph.n, 3, seed=1)
+
+    def main(comm):
+        dg = build_dist_graph(comm, graph, dist)
+        state = RankState(dg=dg, num_parts=parts, params=PulpParams(
+            seed=1, init_strategy=strategy))
+        initialize(comm, state)
+
+    _, stats = run_spmd(3, main)
+    return [e.op for e in stats.events if e.tag == "init"]
+
+
+def test_hybrid_init_on_a_connected_graph():
+    """Every connected vertex is reached in the fourth BFS round, so its
+    reduction ends the loop: no fifth round assigns nothing, and the
+    isolated leftovers, which no rank holds a copy of, are not
+    exchanged."""
+    assert _init_ops(_ring_with(24, 0, 5)) == (
+        ["allgatherv"] + ["allreduce", "alltoallv"] * 4)
+
+
+def test_hybrid_init_with_unreached_components():
+    """The seventh BFS round assigns nothing while connected vertices are
+    still unassigned (pairs no root landed in): its reduction ends the
+    loop with no exchange, and the one exchange after it carries the
+    leftovers' random labels."""
+    assert _init_ops(_ring_with(12, 30, 0)) == (
+        ["allgatherv"] + ["allreduce", "alltoallv"] * 6
+        + ["allreduce", "alltoallv"])
+
+
+@pytest.mark.parametrize("strategy", ["random", "block"])
+def test_random_and_block_init_are_one_exchange(strategy):
+    assert _init_ops(_ring_with(24, 0, 5), strategy) == ["alltoallv"]
+
+
+def _no_told_rounds(stats):
+    return [(e.op, e.tag) for e in stats.events
+            if e.op == "bcast" or e.tag == "plan"]
+
+
+@pytest.mark.parametrize("multilevel", [False, True])
+def test_partitioner_records_no_bcast_or_plan_round(multilevel):
+    result = xtrapulp(rmat(9, 8, seed=3), PARTS, nprocs=3,
+                      params=PulpParams(seed=1, multilevel=multilevel))
+    assert not _no_told_rounds(result.stats)
+
+
+def test_halo_users_take_no_plan_round():
+    """The analytics and the 1-D SpMV read their halo plan off the build:
+    an analytics run's setup is the build's three rounds."""
+    g = rmat(9, 8, seed=3)
+    parts = vertex_block_partition(g, 3)
+    analytic = run_analytic(g, weakly_connected_components, nprocs=3,
+                            distribution=parts)
+    spmv = run_spmv(g, parts, layout="1d", nprocs=3, iters=2)
+    assert not _no_told_rounds(analytic.stats)
+    assert not _no_told_rounds(spmv.stats)
+    tags = [e.tag for e in analytic.stats.events]
+    assert tags[:4] == ["build"] * 3 + ["weakly_connected_components"]

@@ -229,9 +229,27 @@ def test_shared_memory_has_one_owner():
     assert _shared_memory_users() == {SHM_OWNER}
 
 
+def _collectives() -> set:
+    """The public stepped methods of ``SimComm``: its collectives."""
+    return {fn.name for fn in _simcomm().body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and any(isinstance(d, ast.Name) and d.id == "steppable"
+                    for d in fn.decorator_list)}
+
+
+def test_simcomm_has_eight_collectives():
+    """No ``Bcast``: the one value a master once broadcast, Algorithm 2's
+    roots, every rank draws itself, and a round that tells a rank what it
+    already holds is pure latency."""
+    assert _collectives() == {
+        "barrier", "Checkpoint", "allgather", "allreduce", "Allreduce",
+        "Allgatherv", "Alltoallv", "Alltoallv_fields"}
+    assert "bcast" not in _emitted_ops()
+
+
 def test_tier_rules_name_only_emitted_ops():
     emitted = _emitted_ops()
-    assert {"alltoallv", "allreduce", "bcast", "barrier"} <= emitted
+    assert {"alltoallv", "allreduce", "barrier"} <= emitted
     named = _ops_named_by_tier_rules()
     assert "alltoallv" in named.values()
     dead = sorted(where for where, op in named.items() if op not in emitted)
