@@ -39,7 +39,7 @@ def _inter_by_op(stats):
     full payload: one rank per node under flat)."""
     out = {}
     for e in stats.events:
-        inter = (e.tiers.total_wire_inter if e.tiers is not None
+        inter = (e.tiers.wire_inter if e.tiers is not None
                  else e.total_bytes)
         out[e.op] = out.get(e.op, 0) + inter
     return out

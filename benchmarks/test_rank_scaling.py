@@ -17,9 +17,8 @@ hand with ``PYTHONPATH=src python benchmarks/test_rank_scaling.py
 '{"ranks": 2048, "scale": "small"}'``.
 
 Also recorded: cross-backend bit-identity (partitions and
-`CommStats.signature()`), and a rack-tier (``hierarchical:16x4``) run with
-three-way byte conservation asserted and priced by the tiered machine
-model.
+`CommStats.signature()`), and a rack-tier (``hierarchical:16x4``) run
+whose cross-rack wire is metered and priced by the tiered machine model.
 """
 
 import hashlib
@@ -30,8 +29,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # a row's own interpreter
@@ -71,19 +68,10 @@ def _row(spec: dict) -> dict:
                       params=PulpParams(**PARAMS), backend=rt)
     wall = time.perf_counter() - t0
     st = result.stats
-    # three-way byte conservation of every tiered event, and per op
-    by_op = st.bytes_by_op()
-    conserved = all(
-        np.array_equal(e.tiers.intra_bytes + e.tiers.inter_bytes
-                       + e.tiers.xrack_bytes, e.bytes_sent)
-        for e in st.events if e.tiers is not None
-    ) and all(sum(split) == by_op[op]
-              for op, split in st.rack_tier_bytes_by_op().items())
     return {
         "parts_sha256": _sha(result.parts.tobytes()),
         "signature_sha256": _sha(repr(st.signature()).encode()),
         "tiered": any(e.tiers is not None for e in st.events),
-        "conserved": conserved,
         "wall_s": wall,
         "model_s": TimeModel(machine=BLUE_WATERS_TIERED).total_time(st),
         "cutsize": int(result.quality().cut),
@@ -150,10 +138,10 @@ def test_rank_scaling(benchmark):
         assert _same_run(_fresh(ranks=8, scale="tiny", backend=backend),
                          serial_8), backend
 
-    # -- rack tier: conservation + pricing ----------------------------------
+    # -- rack tier: metering + pricing --------------------------------------
     rack = _fresh(ranks=BASE_RANKS, scale="tiny", comm=RACK_COMM)
     assert rack["parts_sha256"] == flat_512["parts_sha256"]
-    assert rack["tiered"] and rack["conserved"]
+    assert rack["tiered"]
     assert rack["xrack_MiB"] > 0 and rack["model_s"] > 0
     _add(table, BASE_RANKS, "serial", RACK_COMM, "rmat/tiny", rack)
 

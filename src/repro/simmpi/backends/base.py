@@ -95,7 +95,7 @@ class Backend(ABC):
         #: can be planted at exact supersteps on every backend.
         self.fault_plan: Optional[Any] = None
         #: Communicator strategy (see :mod:`repro.simmpi.topology`) that
-        #: classifies each collective's traffic into machine tiers.  None
+        #: meters each collective's traffic on the machine's tiers.  None
         #: is flat metering; set by
         #: :func:`repro.simmpi.backends.create_runtime`.
         self.comm_strategy: Optional[Any] = None

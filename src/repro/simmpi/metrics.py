@@ -7,7 +7,10 @@ off-rank and the work units it charged since the previous rendezvous.  A
 round meters itself: its ``execute`` reads the traffic off the
 contributions where the collective runs, and ``Backend._record`` — one
 path on every backend — derives the bytes, an exchange's message counts
-and, under a tiered strategy, the :class:`TierMetering` from it.  The
+and, under a tiered strategy, the :class:`TierMetering` from it: nine
+integers per round (per-tier wire totals, the busiest rank / node / rack
+loads the tiered model prices, and hop counts), never a per-rank column,
+so the tiered record does not grow with the rank count.  The
 aggregate view (:class:`CommStats`) answers the questions the paper's
 evaluation asks: how much traffic did the partitioner generate, how many
 rounds, and what does an alpha-beta machine model say the parallel runtime
@@ -24,73 +27,45 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TierMetering:
-    """Node- and rack-aware view of one collective's traffic.
+    """Node- and rack-aware view of one collective's traffic: the nine
+    numbers the tiered machine model prices and the reports read.
 
     Attached to a :class:`CollectiveEvent` by tiered communicator
     strategies (see :mod:`repro.simmpi.topology`); ``None`` under the
-    default ``flat`` strategy.  Two distinct models live here, each with
-    one entry per tier — same node, off-node in the same rack, off-rack:
+    default ``flat`` strategy.  The hierarchical protocol's **wire
+    model** — what the exchange itself would move over shared memory
+    (gather/scatter legs included), over the network inside a rack
+    (leaders-only reductions, aggregated node-pair messages) and across
+    racks (rack-leader injected) — is formed per rank where the round is
+    recorded and reduced there, once, to:
 
-    * ``intra_bytes`` / ``inter_bytes`` / ``xrack_bytes`` — a
-      **sum-preserving classification** of the event's metered payload
-      by destination locality: ``intra + inter + xrack == bytes_sent``
-      per rank, so every existing byte total still adds up and the split
-      can be read as "of the bytes we already count, how many stay
-      on-node, or in the rack".
-    * ``wire_intra`` / ``wire_inter`` / ``wire_xrack`` — the
-      **hierarchical protocol's wire model**: what the exchange itself
-      would move over shared memory (gather/scatter legs included), over
-      the network inside a rack (leaders-only reductions, aggregated
-      node-pair messages) and across racks (rack-leader injected).
-      These need *not* sum to ``bytes_sent`` — they are the quantities
-      the tiered machine models price.
+    * ``wire_intra`` / ``wire_inter`` / ``wire_xrack`` — the round's
+      total wire bytes on each tier (these need *not* sum to the
+      event's ``bytes_sent``);
+    * ``max_wire_intra`` — the busiest rank's shared-memory bytes,
+      ``max_node_wire_inter`` — the busiest node's network injection
+      (its ranks' ``wire_inter`` summed: a node's traffic is
+      leader-injected) and ``max_rack_wire_xrack`` — the busiest rack's
+      uplink (its ranks' ``wire_xrack`` summed);
+    * ``intra_hops`` / ``inter_hops`` / ``xrack_hops`` — the round's
+      latency structure.
 
-    ``intra_hops`` / ``inter_hops`` / ``xrack_hops`` carry the round's
-    latency structure, and ``node_of`` / ``rack_of`` map each rank to its
-    node and rack (shared across events of a run) so per-node and
-    per-rack wire aggregates can be formed.  On a topology of one rack
-    the ``xrack`` entries are zero.
+    On a topology of one rack the ``xrack`` entries are zero.
 
     Deliberately **excluded** from :meth:`CommStats.signature`: tier
     metering is supplementary, so ``flat`` and ``hierarchical`` runs of
     the same program keep bit-identical communication records.
     """
 
-    intra_bytes: np.ndarray
-    inter_bytes: np.ndarray
-    xrack_bytes: np.ndarray
-    wire_intra: np.ndarray
-    wire_inter: np.ndarray
-    wire_xrack: np.ndarray
+    wire_intra: int
+    wire_inter: int
+    wire_xrack: int
+    max_wire_intra: int
+    max_node_wire_inter: int
+    max_rack_wire_xrack: int
     intra_hops: int
     inter_hops: int
     xrack_hops: int
-    node_of: np.ndarray
-    rack_of: np.ndarray
-
-    @property
-    def total_intra(self) -> int:
-        return int(self.intra_bytes.sum())
-
-    @property
-    def total_inter(self) -> int:
-        return int(self.inter_bytes.sum())
-
-    @property
-    def total_xrack(self) -> int:
-        return int(self.xrack_bytes.sum())
-
-    @property
-    def total_wire_intra(self) -> int:
-        return int(self.wire_intra.sum())
-
-    @property
-    def total_wire_inter(self) -> int:
-        return int(self.wire_inter.sum())
-
-    @property
-    def total_wire_xrack(self) -> int:
-        return int(self.wire_xrack.sum())
 
 
 @dataclass(frozen=True)
@@ -269,27 +244,6 @@ class CommStats:
         """True if any event carries tier metering."""
         return any(e.tiers is not None for e in self.events)
 
-    def rack_tier_bytes_by_op(self) -> Dict[str, tuple]:
-        """Per-op ``(intra, inter, xrack)`` classification of metered bytes.
-
-        Sum-preserving: the three components add up to the op's
-        :meth:`bytes_by_op` entry.  On one rack ``xrack`` is zero;
-        untiered events count fully as ``xrack`` — under ``flat``
-        every rank is its own node *and* rack, so every metered byte
-        crosses the widest tier.
-        """
-        out: Dict[str, tuple] = {}
-        for e in self.events:
-            intra, inter, xrack = out.get(e.op, (0, 0, 0))
-            if e.tiers is not None:
-                intra += e.tiers.total_intra
-                inter += e.tiers.total_inter
-                xrack += e.tiers.total_xrack
-            else:
-                xrack += e.total_bytes
-            out[e.op] = (intra, inter, xrack)
-        return out
-
     def modeled_inter_bytes(self) -> int:
         """Total modeled inter-node **wire** bytes of the run.
 
@@ -301,21 +255,21 @@ class CommStats:
         (``hierarchy_volume``) compares this quantity across strategies.
         """
         return sum(
-            e.tiers.total_wire_inter if e.tiers is not None else e.total_bytes
+            e.tiers.wire_inter if e.tiers is not None else e.total_bytes
             for e in self.events
         )
 
     def modeled_intra_bytes(self) -> int:
         """Total modeled intra-node (shared-memory) wire bytes."""
         return sum(
-            e.tiers.total_wire_intra for e in self.events
+            e.tiers.wire_intra for e in self.events
             if e.tiers is not None
         )
 
     def modeled_xrack_bytes(self) -> int:
         """Total modeled cross-rack wire bytes (zero on one rack)."""
         return sum(
-            e.tiers.total_wire_xrack for e in self.events
+            e.tiers.wire_xrack for e in self.events
             if e.tiers is not None
         )
 

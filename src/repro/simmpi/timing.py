@@ -21,6 +21,14 @@ simulator meters exactly:
   nobody sends, ``p - 1 + ceil(log2 p)`` when everyone sends to everyone;
 * ``beta`` is inverse bandwidth applied to the busiest rank's payload.
 
+Under a tiered communicator (``hierarchical:R[xK]``) each event carries a
+:class:`~repro.simmpi.metrics.TierMetering`, and
+:class:`TieredMachineModel` prices it per tier instead: its three hop
+counts at per-tier ``alpha`` and, at per-tier ``beta``, the busiest
+rank's shared-memory bytes, the busiest node's network injection and the
+busiest rack's uplink — scalars the strategy reduced where the round was
+recorded, so pricing a tiered run reads six numbers per event.
+
 The default constants (:data:`BLUE_WATERS_LIKE`) are Gemini-flavored
 (~1.5 us latency, ~6 GB/s per-node injection).  Absolute numbers are not the
 point — the *shape* of the paper's scaling curves comes out of how work
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -111,33 +119,6 @@ SINGLE_NODE_MPI = MachineModel(
 )
 
 
-def _grouped_max(
-    wires: List[np.ndarray], groups: List[np.ndarray]
-) -> np.ndarray:
-    """Per-event busiest-group injected bytes: ``max_g sum_{r in g} wire(r)``.
-
-    When every event shares one group map (the common case — one topology
-    per run), a single ``np.add.reduceat`` over the stacked
-    ``(events, ranks)`` matrix replaces per-event ``bincount`` calls;
-    group maps are contiguous ascending by construction
-    (:meth:`~repro.simmpi.topology.Topology.node_of_ranks`).  Values are
-    integral, so both paths are exact and agree bit-for-bit with the
-    per-event rule.
-    """
-    n = len(wires)
-    out = np.empty(n)
-    g0 = groups[0]
-    if all(g is g0 for g in groups):
-        mat = np.stack(wires).astype(np.float64)
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(g0)) + 1))
-        out[:] = np.add.reduceat(mat, starts, axis=1).max(axis=1)
-        return out
-    for i, (w, g) in enumerate(zip(wires, groups)):
-        per = np.bincount(g, weights=w)
-        out[i] = float(per.max()) if per.size else 0.0
-    return out
-
-
 @dataclass(frozen=True)
 class TieredMachineModel(MachineModel):
     """Multi-tier alpha-beta constants for topology-aware metering.
@@ -151,11 +132,12 @@ class TieredMachineModel(MachineModel):
 
     ``cost = alpha_intra * intra_hops + alpha * inter_hops
            + alpha_rack * xrack_hops
-           + beta_intra * max_r wire_intra(r)
-           + beta * max_n sum_{r in node n} wire_inter(r)
-           + beta_rack * max_k sum_{r in rack k} wire_xrack(r)``
+           + beta_intra * max_wire_intra          (max_r wire_intra(r))
+           + beta * max_node_wire_inter   (max_n sum_{r in n} wire_inter(r))
+           + beta_rack * max_rack_wire_xrack (max_k sum_{r in k} wire_xrack(r))``
 
-    — the intra bandwidth term is bound by the busiest *rank's*
+    — six numbers the strategy reduced when it recorded the round, so
+    pricing is vector arithmetic over them.  The intra bandwidth term is bound by the busiest *rank's*
     shared-memory traffic, the inter term by the busiest *node's* NIC
     (under two-level exchange a node's network traffic is leader-injected,
     so summing the node's ranks is exact), and the rack term by the
@@ -197,22 +179,21 @@ class TieredMachineModel(MachineModel):
         tiered_idx = [i for i, e in enumerate(events) if e.tiers is not None]
         if not tiered_idx:
             return latency, bandwidth
-        tiers = [events[i].tiers for i in tiered_idx]
-        hops = np.array(
-            [(t.intra_hops, t.inter_hops, t.xrack_hops) for t in tiers],
+        # one row per tiered event: the three hop counts, then the
+        # busiest rank's intra, node's inter and rack's xrack bytes
+        t = np.array(
+            [(e.tiers.intra_hops, e.tiers.inter_hops, e.tiers.xrack_hops,
+              e.tiers.max_wire_intra, e.tiers.max_node_wire_inter,
+              e.tiers.max_rack_wire_xrack)
+             for e in (events[i] for i in tiered_idx)],
             dtype=np.float64,
         )
-        latency[tiered_idx] = (self.alpha_intra * hops[:, 0]
-                               + self.alpha * hops[:, 1]
-                               + self.alpha_rack * hops[:, 2])
-        wire_intra = np.stack([t.wire_intra for t in tiers])
-        bw = self.beta_intra * wire_intra.max(axis=1).astype(np.float64)
-        bw += self.beta * _grouped_max(
-            [t.wire_inter for t in tiers], [t.node_of for t in tiers]
-        )
-        bw += self.beta_rack * _grouped_max(
-            [t.wire_xrack for t in tiers], [t.rack_of for t in tiers]
-        )
+        latency[tiered_idx] = (self.alpha_intra * t[:, 0]
+                               + self.alpha * t[:, 1]
+                               + self.alpha_rack * t[:, 2])
+        bw = self.beta_intra * t[:, 3]
+        bw += self.beta * t[:, 4]
+        bw += self.beta_rack * t[:, 5]
         bandwidth[tiered_idx] = bw
         return latency, bandwidth
 

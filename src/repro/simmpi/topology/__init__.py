@@ -1,9 +1,9 @@
 """Topology-aware communication metering for the simulated MPI runtime.
 
 A *communicator strategy* decides how the simulator's collectives map onto
-a machine topology: which bytes stay inside a node, which cross the
-network, and what the two-level exchange protocol would actually put on
-each wire.  There are two, requested by a spec string that
+a machine topology: what the two-level exchange protocol would actually
+put on each wire — shared memory inside a node, the network inside a
+rack, the spine between racks.  There are two, requested by a spec string that
 :func:`create_communicator` (ChainerMN's ``create_communicator`` factory
 shape) turns into the runtime's strategy::
 
@@ -15,7 +15,7 @@ spec           topology                    metering
 =============  ==========================  =====================================
 flat           one rank = one node         single tier: no strategy object
 hierarchical   ranks grouped into nodes,   three tiers: intra-node / inter-node
-               nodes into racks            / cross-rack split + wire model
+               nodes into racks            / cross-rack wire model
 =============  ==========================  =====================================
 
 ``flat`` is the absence of a strategy: :func:`create_communicator` returns

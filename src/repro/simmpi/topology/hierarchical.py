@@ -22,30 +22,33 @@ back out.
 Payload movement in the simulator is untouched — the rendezvous and its
 ``execute`` closure run exactly as under ``flat``, so partitions and the
 :meth:`~repro.simmpi.metrics.CommStats.signature` record stay
-bit-identical.  What this class computes is the *metering*: a
-sum-preserving intra/inter classification of each rank's metered bytes,
-plus the separate ``wire_intra``/``wire_inter`` model of what the
-two-level protocol itself would put on each wire.  The tiered machine
-models (:class:`repro.simmpi.timing.TieredMachineModel`) price the wire
-model per tier; the classification feeds the volume breakdowns.
+bit-identical.  What this class computes is the *metering*: the
+``wire_intra``/``wire_inter``/``wire_xrack`` model of what the
+hierarchical protocol itself would put on each wire, per rank, reduced
+where the round is recorded to the nine numbers of a
+:class:`~repro.simmpi.metrics.TierMetering` — the per-tier totals the
+reports read, the busiest rank / node / rack loads and the hop counts the
+tiered machine models (:class:`repro.simmpi.timing.TieredMachineModel`)
+price.
 
-Per-op rules (``b`` = the rank's metered ``bytes_sent``), one for each op
-:class:`~repro.simmpi.comm.SimComm` emits, and none for anything else:
+Per-op wire rules (``b`` = the rank's metered ``bytes_sent``), one for
+each op :class:`~repro.simmpi.comm.SimComm` emits, and none for anything
+else:
 
-* **pairwise** (``alltoallv``):
-  ``intra``/``inter`` split ``b`` by the destination's node, read off the
-  round's per-destination byte matrix.  Wire: the
-  intra bytes move once locally; a non-leader's inter bytes pay an extra
-  local gather hop to the leader; off-node bytes whose destination is not
-  its node's leader pay the remote scatter hop.
+* **pairwise** (``alltoallv``): read off the round's per-destination
+  byte matrix.  Bytes to the rank's own node move once locally; a
+  non-leader's off-node bytes pay an extra local gather hop to the
+  leader; off-node bytes whose destination is not its node's leader pay
+  the remote scatter hop.  Off-node bytes cross the rack's network
+  (``wire_inter``) or the racks' (``wire_xrack``) unchanged.
 * **reductions** (``allreduce``, ``barrier``): non-leaders reduce onto
   their leader (intra); only leaders enter the inter-node phase, so a
   node injects one contribution instead of ``node_size`` — the classic
   hierarchical-allreduce saving.
 * **concatenations** (``allgather``, ``allgatherv``): every rank's
-  contribution must reach every node, so ``b`` is inter on multi-node
-  topologies; non-leaders pay the local gather hop and leaders the local
-  fan-out hop.
+  contribution must reach every node, so ``b`` is on the network on
+  multi-node topologies; non-leaders pay the local gather hop and leaders
+  the local fan-out hop.
 * **``checkpoint``**: always inter — snapshot payloads leave the node for
   stable storage regardless of topology (documented exception to the
   node-locality rules).
@@ -61,26 +64,27 @@ A single-node topology degenerates to all-intra; one-rank nodes
 degenerate to ``flat``.
 
 Nodes are grouped into racks (``hierarchical:RxK``; one rack holding
-every node when the spec names no ``K``), a third tier: payload is
-classified ``intra`` (same node) / ``inter`` (off-node, same rack) /
-``xrack`` (off-rack), still summing to the rank's metered bytes, and the
-wire model has a ``wire_xrack`` leg — cross-rack traffic is
-*rack-leader* injected (the lowest rank of a rack aggregates its nodes'
-off-rack messages), so the rack tier's bandwidth bound is the busiest
-rack's uplink.  Latency adds ``n_racks - 1`` (pairwise) or ``ceil(log2
-n_racks)`` (tree) cross-rack hops, and the inter hop count is the
-within-rack node count.  On one rack nothing leaves the rack: the
-``xrack`` and ``wire_xrack`` columns and the cross-rack hops are zero,
-and the inter tier spans every node.
+every node when the spec names no ``K``), a third tier: the wire model
+has a ``wire_xrack`` leg — cross-rack traffic is *rack-leader* injected
+(the lowest rank of a rack aggregates its nodes' off-rack messages), so
+the rack tier's bandwidth bound is the busiest rack's uplink.  Latency
+adds ``n_racks - 1`` (pairwise) or ``ceil(log2 n_racks)`` (tree)
+cross-rack hops, and the inter hop count is the within-rack node count.
+On one rack nothing leaves the rack: ``wire_xrack`` and the cross-rack
+hops are zero, and the inter tier spans every node.
 
-The split runs **once per metered round, for every rank at once**
-(:meth:`HierarchicalCommunicator.tiers`), where the backend records the
-round, from the traffic the round's ``execute`` read off the
+The rules run **once per metered round, for every rank at once**
+(:meth:`HierarchicalCommunicator.wire_columns`), where the backend
+records the round, from the traffic the round's ``execute`` read off the
 contributions — the ranks deposit no metering input.  Ranks are packed
 node-major and nodes rack-major, so every locality class is a contiguous
 span of the destination axis and one ``np.add.reduceat`` over the
-exchange's ``P x P`` byte matrix sums it for all sources.  The rule one
-rank at a time is the test oracle (``tests/reference/tiers.py``).
+exchange's ``P x P`` byte matrix sums it for all sources; the same
+packing makes the busiest node's and rack's loads one ``reduceat`` of a
+column each (:meth:`HierarchicalCommunicator.tiers`).  The per-rank
+columns live only for that reduction, so a round's record is nine
+integers whatever the rank count.  The rule one rank at a time is the
+test oracle (``tests/reference/tiers.py``).
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ _CONCAT_OPS = frozenset({"allgather", "allgatherv"})
 class HierarchicalCommunicator:
     """Node- and rack-aware metering strategy.
 
-    :meth:`tiers` classifies all ranks of one metered round at once and
+    :meth:`tiers` meters all ranks of one metered round at once and
     gives its latency structure (called where the round is recorded).
     Flat metering has no strategy object at all (see
     :func:`repro.simmpi.topology.create_communicator`).
@@ -114,22 +118,21 @@ class HierarchicalCommunicator:
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        #: Shared rank -> node map, reused by every event's TierMetering.
-        self.node_map = topology.node_of_ranks()
-        #: Shared rank -> rack map, reused like :attr:`node_map`.
-        self.rack_map = topology.rack_of_ranks()
         # what tiers reads of the topology, once per run: ranks are
         # packed node-major and nodes rack-major, so a node / rack is one
         # slice of the rank / node axis and reduceat sums it
         n, rpn = topology.nprocs, topology.ranks_per_node
         ranks = np.arange(n)
         self._ranks = ranks
+        self._node_of = topology.node_of_ranks()
+        self._rack_of = topology.rack_of_ranks()
         self._node_starts = np.arange(0, n, rpn)
         self._leader_of = ranks - ranks % rpn
         self._leader = ranks % rpn == 0
         #: ranks whose node holds more than one rank (a leader fans out)
         self._has_peers = np.minimum(rpn, n - self._leader_of) > 1
         stride = topology.ranks_per_rack
+        self._rack_starts = np.arange(0, n, stride)
         self._rack_node_starts = np.arange(
             0, topology.n_nodes, topology.nodes_per_rack)
         self._rack_leader = ranks % stride == 0
@@ -157,87 +160,92 @@ class HierarchicalCommunicator:
         per_node = np.add.reduceat(m, self._node_starts, axis=1,
                                    dtype=np.int64)
         total = per_node.sum(axis=1)
-        node = per_node[self._ranks, self.node_map]
+        node = per_node[self._ranks, self._node_of]
         per_rack = np.add.reduceat(per_node, self._rack_node_starts, axis=1)
-        return total, node, per_rack[self._ranks, self.rack_map]
+        return total, node, per_rack[self._ranks, self._rack_of]
 
     def tiers(self, op: str, traffic: np.ndarray) -> TierMetering:
-        """The tier view of one metered round, every rank at once.
+        """The tier view of one metered round: :meth:`wire_columns`
+        reduced to per-tier totals and busiest rank / node / rack, and
+        the round's hops.
 
         Called once per round, where the backend records it, with the
         round's ``traffic``: each rank's metered bytes ``b``, or for an
-        ``alltoallv`` its ``P x P`` per-destination bytes (diagonal zero).
-        A rank's classification entries sum to its metered bytes; the
-        ``wire_*`` entries are the separate protocol model and need not.
-        An op no rule names is a ``ValueError``."""
+        ``alltoallv`` its ``P x P`` per-destination bytes (diagonal
+        zero).  An exchange in which nobody sends is its consensus
+        barrier and pays the tree's hops."""
+        intra, inter, xrack = self.wire_columns(op, traffic)
+        sends = op in _PAIRWISE_OPS and traffic.any()
+        return TierMetering(
+            wire_intra=int(intra.sum()), wire_inter=int(inter.sum()),
+            wire_xrack=int(xrack.sum()), max_wire_intra=int(intra.max()),
+            max_node_wire_inter=int(
+                np.add.reduceat(inter, self._node_starts).max()),
+            max_rack_wire_xrack=int(
+                np.add.reduceat(xrack, self._rack_starts).max()),
+            **(self._exchange_hops if sends else self._tree_hops))
+
+    def wire_columns(self, op: str, traffic: np.ndarray):
+        """Each rank's ``(wire_intra, wire_inter, wire_xrack)`` bytes of
+        one round, as three ``(nprocs,)`` int64 columns — the protocol's
+        wire model, which need not sum to the metered bytes.  An op no
+        rule names is a ``ValueError``."""
         topo = self.topology
         multi = topo.multi_node
         multi_rack = topo.multi_rack
         leader = self._leader
 
-        def out(intra, inter, wire_intra, wire_inter, xrack=0, wire_xrack=0,
-                hops=self._tree_hops):
-            def col(v):
-                return np.full(topo.nprocs, v, dtype=np.int64)
-
-            return TierMetering(
-                intra_bytes=col(intra), inter_bytes=col(inter),
-                xrack_bytes=col(xrack), wire_intra=col(wire_intra),
-                wire_inter=col(wire_inter), wire_xrack=col(wire_xrack),
-                node_of=self.node_map, rack_of=self.rack_map, **hops)
+        def out(wire_intra, wire_inter, wire_xrack=0):
+            return tuple(np.broadcast_to(np.asarray(v, dtype=np.int64),
+                                         (topo.nprocs,))
+                         for v in (wire_intra, wire_inter, wire_xrack))
 
         if op in _PAIRWISE_OPS:
             dest = traffic
             total, intra, in_rack = self._locality_sums(dest)  # self slot 0
             off_node = total - intra
-            # wire model: local delivery + gather-to-leader for a
-            # non-leader's outbound off-node bytes + remote scatter for
-            # off-node bytes not addressed to the remote leader
+            # local delivery + gather-to-leader for a non-leader's
+            # outbound off-node bytes + remote scatter for off-node bytes
+            # not addressed to the remote leader; the off-node bytes go
+            # on the rack's network or across racks unchanged
             gather_leg = np.where(leader, 0, off_node)
             remote_leaders = (
                 dest[:, ::topo.ranks_per_node].sum(axis=1)
                 - dest[self._ranks, self._leader_of])
             scatter_leg = off_node - remote_leaders
-            wire_intra = intra + gather_leg + scatter_leg
-            inter = in_rack - intra
-            xrack = total - in_rack
-            # an exchange in which nobody sends is its consensus barrier
-            hops = self._exchange_hops if total.any() else self._tree_hops
-            return out(intra, inter, wire_intra, inter, xrack, xrack, hops)
+            return out(intra + gather_leg + scatter_leg, in_rack - intra,
+                       total - in_rack)
 
         b = traffic
         if op in _REDUCE_OPS:
             if not multi:
-                return out(b, 0, b, 0)
+                return out(b, 0)
             # non-leaders reduce onto their leader; a leader injects the
             # node's reduced value upward and fans the result back down
             # if the node has peers
             up = np.where(leader, b, 0)
             wire_intra = np.where(leader & ~self._has_peers, 0, b)
             if not multi_rack:
-                return out(b - up, up, wire_intra, up)
+                return out(wire_intra, up)
             # a rack leader carries the rack's value across racks and
             # redistributes the global result to its peer node leaders
             xrack = np.where(self._rack_leader, b, 0)
             rack_fanout = np.where(self._rack_has_peers, xrack, 0)
-            return out(b - up, up - xrack, wire_intra,
-                       up - xrack + rack_fanout, xrack, xrack)
+            return out(wire_intra, up - xrack + rack_fanout, xrack)
 
         if op in _CONCAT_OPS:
             if not multi:
-                return out(b, 0, b, 0)
+                return out(b, 0)
             # the contribution must reach every node: inter by nature;
             # non-leaders also pay the local gather, leaders the fan-out
             local_leg = np.where(~leader | self._has_peers, b, 0)
-            if multi_rack:
-                return out(0, 0, local_leg, b, b, b)
-            return out(0, b, local_leg, b)
+            return out(local_leg, b, b if multi_rack else 0)
 
         if op == "checkpoint":
             # snapshots leave the node for stable storage regardless of
             # topology (documented exception: never charged to the rack
             # tier); non-leaders stage through the leader's writer
-            return out(0, b, np.where(leader, 0, b) if multi else 0, b)
+            return out(np.where(leader, 0, b) if multi else 0, b)
 
         raise ValueError(f"no tier rule for op {op!r}")
 

@@ -17,6 +17,7 @@ with a moved pin, its quality and ``modeled_s`` old → new.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -44,16 +45,13 @@ def load_phase_cases() -> list:
 
 
 def tiers_sha256(stats) -> str:
-    """sha256 over every event's tier byte and wire columns, in event
-    order — the metering ``signature()`` leaves out."""
+    """sha256 over every event's op and the nine numbers of its tier
+    metering, in event order — the metering ``signature()`` leaves out."""
     h = hashlib.sha256()
     for e in stats.events:
-        t = e.tiers
         h.update(e.op.encode())
-        for col in (() if t is None else (
-                t.intra_bytes, t.inter_bytes, t.xrack_bytes,
-                t.wire_intra, t.wire_inter, t.wire_xrack)):
-            h.update(np.ascontiguousarray(col, dtype=np.int64).tobytes())
+        if e.tiers is not None:
+            h.update(repr(dataclasses.astuple(e.tiers)).encode())
     return h.hexdigest()
 
 

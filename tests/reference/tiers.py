@@ -1,10 +1,13 @@
 """The hierarchical strategy's tier rule, one rank at a time — the oracle
-for :meth:`HierarchicalCommunicator.tiers`, which classifies every rank
-of a collective at once.
+for :meth:`HierarchicalCommunicator.wire_columns`, which meters every
+rank of a collective at once, and for :meth:`HierarchicalCommunicator.
+tiers`, which reduces those columns to a ``TierMetering``'s nine numbers.
 
-:func:`tier_contribution` is the rule as the ranks used to evaluate it at
-every deposit, moved here verbatim (``self.topology`` became the first
-argument).  :func:`tier_hops` is the latency rule the strategy's ``hops``
+:func:`tier_contribution` is the wire rule as the ranks used to evaluate
+it at every deposit (``self.topology`` became the first argument; the
+byte classification that rode beside it left with the record's per-rank
+columns).  :func:`tier_metering` reduces its rows the slow way, rank by
+rank with dicts.  :func:`tier_hops` is the latency rule the strategy's ``hops``
 method carried, amended so that an exchange in which nobody sends pays
 the tree.  :func:`tier_row` asks the production code for one rank's row,
 so the hand-computed tuples of ``test_topology.py`` /
@@ -31,17 +34,14 @@ def tier_contribution(
     nbytes: int,
     dest_bytes: Optional[np.ndarray] = None,
 ) -> Tuple[int, ...]:
-    """The 6-tuple ``(intra, inter, xrack, wire_intra, wire_inter,
-    wire_xrack)``; the classification entries sum to ``nbytes``.  A
-    pairwise op reads ``dest_bytes``, the rank's bytes per destination."""
+    """The wire 3-tuple ``(wire_intra, wire_inter, wire_xrack)`` of one
+    rank.  A pairwise op reads ``dest_bytes``, the rank's bytes per
+    destination."""
     b = int(nbytes)
     multi = topo.multi_node
     multi_rack = topo.multi_rack
     leader = topo.is_leader(rank)
     my_node = topo.node_of(rank)
-
-    def out(intra, inter, wire_intra, wire_inter, xrack=0, wire_xrack=0):
-        return intra, inter, xrack, wire_intra, wire_inter, wire_xrack
 
     if op in _PAIRWISE_OPS:
         # contiguous packing (ranks node-major, nodes rack-major) turns
@@ -52,9 +52,9 @@ def tier_contribution(
         total = int(dest.sum())
         intra = int(dest[node_lo:node_hi].sum())  # self slot is zero
         off_node = total - intra
-        # wire model: local delivery + gather-to-leader for a
-        # non-leader's outbound off-node bytes + remote scatter for
-        # off-node bytes not addressed to the remote leader
+        # local delivery + gather-to-leader for a non-leader's outbound
+        # off-node bytes + remote scatter for off-node bytes not
+        # addressed to the remote leader
         gather_leg = 0 if leader else off_node
         leaders_total = int(dest[::topo.ranks_per_node].sum())
         scatter_leg = off_node - (leaders_total - int(dest[node_lo]))
@@ -62,17 +62,12 @@ def tier_contribution(
         if multi_rack:
             rack_lo, rack_hi = topo.rack_span(topo.rack_of(rank))
             in_rack = int(dest[rack_lo:rack_hi].sum())
-            inter = in_rack - intra
-            xrack = total - in_rack
-        else:
-            inter, xrack = off_node, 0
-        return out(intra, inter, wire_intra, inter, xrack, xrack)
+            return wire_intra, in_rack - intra, total - in_rack
+        return wire_intra, off_node, 0
 
     if op in _REDUCE_OPS:
-        if not multi:
-            return out(b, 0, b, 0)
-        if not leader:
-            return out(b, 0, b, 0)
+        if not multi or not leader:
+            return b, 0, 0
         # leader injects the node's reduced value upward and fans the
         # result back down if the node has peers
         fanout = b if topo.node_size(my_node) > 1 else 0
@@ -82,25 +77,24 @@ def tier_contribution(
             rack_lo, rack_hi = topo.rack_span(topo.rack_of(rank))
             rack_nodes = -(-(rack_hi - rack_lo) // topo.ranks_per_node)
             rack_fanout = b if rack_nodes > 1 else 0
-            return out(0, 0, fanout, rack_fanout, b, b)
-        return out(0, b, fanout, b)
+            return fanout, rack_fanout, b
+        return fanout, b, 0
 
     if op in _CONCAT_OPS:
         if not multi:
-            return out(b, 0, b, 0)
-        # the contribution must reach every node: inter by nature;
-        # non-leaders also pay the local gather, leaders the fan-out
+            return b, 0, 0
+        # the contribution must reach every node: on the network by
+        # nature; non-leaders also pay the local gather, leaders the
+        # fan-out
         local_leg = b if (not leader or topo.node_size(my_node) > 1) else 0
-        if multi_rack:
-            return out(0, 0, local_leg, b, b, b)
-        return out(0, b, local_leg, b)
+        return local_leg, b, b if multi_rack else 0
 
     if op == "checkpoint":
         # snapshots leave the node for stable storage regardless of
         # topology (documented exception: never charged to the rack
         # tier); non-leaders stage through the leader's writer
         gather_leg = 0 if (leader or not multi) else b
-        return out(0, b, gather_leg, b)
+        return gather_leg, b, 0
 
     raise ValueError(f"no tier rule for op {op!r}")
 
@@ -128,22 +122,43 @@ def tier_hops(topo: Topology, op: str, sends: bool) -> Tuple[int, int, int]:
     return intra, inter, xrack
 
 
-#: The per-rank columns of a ``TierMetering``, in ``tier_contribution``'s
-#: tuple order.
-COLUMNS = ("intra_bytes", "inter_bytes", "xrack_bytes", "wire_intra",
-           "wire_inter", "wire_xrack")
+def tier_rows(columns) -> List[Tuple[int, ...]]:
+    """Each rank's ``tier_contribution``-ordered 3-tuple of
+    :meth:`HierarchicalCommunicator.wire_columns`' ``columns``."""
+    return [tuple(int(v) for v in row) for row in zip(*columns)]
 
 
-def tier_rows(tiers) -> List[Tuple[int, ...]]:
-    """Each rank's ``tier_contribution``-ordered 6-tuple of ``tiers``."""
-    return [tuple(int(v) for v in row)
-            for row in zip(*(getattr(tiers, c) for c in COLUMNS))]
+def tier_metering(topo: Topology, op: str, traffic: np.ndarray):
+    """The nine numbers a ``TierMetering`` of the round holds, as a dict,
+    from :func:`tier_contribution` rank by rank: per-tier totals, the
+    busiest rank's ``wire_intra``, the busiest node's and rack's summed
+    ``wire_inter`` / ``wire_xrack``, and :func:`tier_hops`."""
+    nbytes = traffic.sum(axis=1) if traffic.ndim == 2 else traffic
+    rows = [tier_contribution(
+                topo, op, r, nbytes[r],
+                dest_bytes=traffic[r] if traffic.ndim == 2 else None)
+            for r in range(topo.nprocs)]
+    per_node: dict = {}
+    per_rack: dict = {}
+    for r, (_, inter, xrack) in enumerate(rows):
+        node, rack = topo.node_of(r), topo.rack_of(r)
+        per_node[node] = per_node.get(node, 0) + inter
+        per_rack[rack] = per_rack.get(rack, 0) + xrack
+    hops = tier_hops(topo, op, bool(np.asarray(nbytes).any()))
+    return dict(
+        wire_intra=sum(row[0] for row in rows),
+        wire_inter=sum(row[1] for row in rows),
+        wire_xrack=sum(row[2] for row in rows),
+        max_wire_intra=max(row[0] for row in rows),
+        max_node_wire_inter=max(per_node.values()),
+        max_rack_wire_xrack=max(per_rack.values()),
+        intra_hops=hops[0], inter_hops=hops[1], xrack_hops=hops[2])
 
 
 def tier_row(comm, op, rank, nbytes, dest_bytes=None) -> Tuple[int, ...]:
-    """Row ``rank`` of ``comm.tiers`` when that rank meters ``nbytes``
-    (for a pairwise op: ``dest_bytes`` per destination) and its peers
-    nothing."""
+    """Row ``rank`` of ``comm.wire_columns`` when that rank meters
+    ``nbytes`` (for a pairwise op: ``dest_bytes`` per destination) and its
+    peers nothing."""
     nprocs = comm.topology.nprocs
     if dest_bytes is None:
         traffic = np.zeros(nprocs, dtype=np.int64)
@@ -151,4 +166,4 @@ def tier_row(comm, op, rank, nbytes, dest_bytes=None) -> Tuple[int, ...]:
     else:
         traffic = np.zeros((nprocs, nprocs), dtype=np.int64)
         traffic[rank] = dest_bytes
-    return tier_rows(comm.tiers(op, traffic))[rank]
+    return tier_rows(comm.wire_columns(op, traffic))[rank]

@@ -1,4 +1,4 @@
-"""A round meters itself: every event's bytes, messages and tier columns
+"""A round meters itself: every event's bytes, messages and tier metering
 are the per-rank rule, on every backend.
 
 Each collective's ``execute`` reads the round's traffic off the
@@ -10,6 +10,7 @@ and ``hierarchical:2`` — and holds each event to the rule written out one
 rank at a time below, and its tiers to ``tests/reference/tiers.py``.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simmpi import run_spmd
 from repro.simmpi.topology import create_communicator
-from tests.reference.tiers import tier_contribution, tier_hops, tier_rows
+from tests.reference.tiers import tier_metering
 
 #: Examples per backend: ``procs`` forks every rank of every example.
 EXAMPLES = {"serial": 40, "threads": 25, "procs": 10}
@@ -160,13 +161,9 @@ def test_every_round_meters_the_per_rank_rule(backend):
             if topo is None or nprocs == 1:
                 assert event.tiers is None
                 continue
-            assert tier_rows(event.tiers) == [
-                tier_contribution(topo.topology, event.op, r, sent[r],
-                                  dest_bytes=None if dest is None
-                                  else np.array(dest[r]))
-                for r in range(nprocs)]
-            t = event.tiers
-            assert (t.intra_hops, t.inter_hops, t.xrack_hops) == tier_hops(
-                topo.topology, event.op, any(sent))
+            traffic = np.array(sent if dest is None else dest,
+                               dtype=np.int64)
+            assert dataclasses.asdict(event.tiers) == tier_metering(
+                topo.topology, event.op, traffic)
 
     check()

@@ -1,6 +1,7 @@
 """The rack tier: ``hierarchical:RxK`` grammar edge cases, rack
-classification on the :class:`Topology`, three-tier byte conservation
-(``intra + inter + xrack == bytes_sent``), and rack-aware pricing by
+grouping on the :class:`Topology`, the three-tier wire rule (every rank at
+once == one rank at a time, and the nine numbers a round records), and
+rack-aware pricing by
 :class:`~repro.simmpi.timing.TieredMachineModel` — including the guarantee
 that a spec naming no rack is one rack, whose rack tier prices nothing."""
 
@@ -26,10 +27,11 @@ from repro.simmpi.topology import (
 from tests.reference import pricing
 from tests.reference.tiers import (
     tier_contribution,
-    tier_hops,
+    tier_metering,
     tier_row,
     tier_rows,
 )
+from tests.simmpi.test_topology import _workout, check_live_tiers
 
 BACKENDS = ("serial", "threads", "procs")
 
@@ -75,23 +77,15 @@ def test_oversized_rack_spec_is_one_rack():
     assert t.n_racks == 1 and not t.multi_rack
     assert t.nodes_per_rack == t.n_nodes == 4
     assert t == create_communicator("hierarchical:2", nprocs=8).topology
-    columns = ("intra_bytes", "inter_bytes", "xrack_bytes",
-               "wire_intra", "wire_inter", "wire_xrack")
     for backend in BACKENDS:
         plain, oversized = (
             run_spmd(8, _workout, backend=backend, comm=spec)[1]
             for spec in ("hierarchical:2", "hierarchical:2x64"))
         assert len(plain.events) == len(oversized.events) > 0
         for a, b in zip(plain.events, oversized.events):
-            for tiers in (a.tiers, b.tiers):
-                assert [getattr(tiers, col).shape for col in columns] == [
-                    (8,)] * 6
-                assert not tiers.xrack_bytes.any()
-                assert not tiers.wire_xrack.any()
-                assert tiers.xrack_hops == 0
-            for f in dataclasses.fields(a.tiers):
-                np.testing.assert_array_equal(getattr(a.tiers, f.name),
-                                              getattr(b.tiers, f.name))
+            assert a.tiers.wire_xrack == a.tiers.max_rack_wire_xrack == 0
+            assert a.tiers.xrack_hops == 0
+            assert a.tiers == b.tiers
         for x, y in zip(
                 BLUE_WATERS_TIERED.cost_parts_batch(plain.events, 8),
                 BLUE_WATERS_TIERED.cost_parts_batch(oversized.events, 8)):
@@ -138,25 +132,26 @@ def test_make_topology_threads_rack_width_through():
 
 
 def test_degenerate_one_rank_racks():
-    """hierarchical:1x1 — every rank its own node *and* rack: nothing is
-    intra or in-rack, so every metered byte classifies cross-rack."""
+    """hierarchical:1x1 — every rank its own node *and* rack: nothing
+    moves locally or inside a rack, so every metered byte crosses racks."""
     c = create_communicator("hierarchical:1x1", nprocs=4)
     dest = np.array([0, 10, 20, 30], dtype=np.int64)
-    intra, inter, xrack, *_ = tier_row(
-        c, "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
-    assert (intra, inter, xrack) == (0, 0, 60)
+    assert tier_row(c, "alltoallv", 0, int(dest.sum()),
+                    dest_bytes=dest) == (0, 0, 60)
 
 
 def test_tier_contribution_rack_split():
     # 8 ranks: nodes {0,1} {2,3} {4,5} {6,7}; racks {0..3} {4..7}
     c = create_communicator("hierarchical:2x2", nprocs=8)
     dest = np.array([0, 1, 2, 4, 8, 16, 32, 64], dtype=np.int64)
-    intra, inter, xrack, wi, we, wx = tier_row(
+    wire_intra, wire_inter, wire_xrack = tier_row(
         c, "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
-    assert intra == 1            # rank 1: same node
-    assert inter == 2 + 4        # ranks 2,3: off-node, same rack
-    assert xrack == 8 + 16 + 32 + 64
-    assert intra + inter + xrack == dest.sum()
+    assert wire_inter == 2 + 4        # ranks 2,3: off-node, same rack
+    assert wire_xrack == 8 + 16 + 32 + 64
+    # rank 1 (same node) locally, then the remote scatter of the off-node
+    # bytes not addressed to a node leader (ranks 3, 5, 7)
+    assert wire_intra == 1 + (4 + 16 + 64)
+    assert 1 + wire_inter + wire_xrack == dest.sum()
 
 
 # -- the matrix is the scalar rule, row by row --------------------------------
@@ -187,8 +182,9 @@ def _topologies(draw):
 @settings(max_examples=300, deadline=None)
 @given(comm=_topologies(), op=st.sampled_from(_OPS), data=st.data())
 def test_tier_rows_are_the_scalar_rule(comm, op, data):
-    """Every rank of a round classified at once == the rule the ranks used
-    to evaluate one deposit at a time (``tests/reference/tiers.py``)."""
+    """Every rank of a round metered at once == the rule the ranks used
+    to evaluate one deposit at a time (``tests/reference/tiers.py``), and
+    the round's nine numbers == that rule's rows reduced rank by rank."""
     nprocs = comm.topology.nprocs
     if op == "alltoallv":
         # sparse, so the rule sees zero and non-zero slots
@@ -202,56 +198,37 @@ def test_tier_rows_are_the_scalar_rule(comm, op, data):
         nbytes = traffic = np.array(data.draw(st.lists(
             st.sampled_from([0, 8, 1000]),
             min_size=nprocs, max_size=nprocs)), dtype=np.int64)
-    tiers = comm.tiers(op, traffic)
-    assert tiers.intra_bytes.dtype == np.int64
-    assert tier_rows(tiers) == [
+    columns = comm.wire_columns(op, traffic)
+    assert [c.dtype for c in columns] == [np.int64] * 3
+    assert tier_rows(columns) == [
         tier_contribution(
             comm.topology, op, r, nbytes[r],
             dest_bytes=traffic[r] if traffic.ndim == 2 else None)
         for r in range(nprocs)]
-    assert (tiers.intra_hops, tiers.inter_hops, tiers.xrack_hops) == \
-        tier_hops(comm.topology, op, bool(nbytes.any()))
+    tiers = dataclasses.asdict(comm.tiers(op, traffic))
+    assert all(type(v) is int for v in tiers.values())
+    assert tiers == tier_metering(comm.topology, op, traffic)
 
 
-# -- three-tier conservation on live runs ------------------------------------
-
-def _workout(comm):
-    rank, size = comm.rank, comm.size
-    rng = np.random.default_rng(rank)
-    cts = rng.integers(0, 5, size=size).astype(np.int64)
-    cts[rank] = 0
-    payload = np.arange(int(cts.sum()), dtype=np.int64) + 100 * rank
-    recv, rcts = comm.Alltoallv(payload, cts)
-    total = comm.allreduce(int(recv.sum()))
-    gathered = comm.allgather(rank * rank)
-    top = int(comm.Allreduce(np.array([total]), op="max")[0])
-    return total, tuple(gathered), top, int(rcts.sum())
-
+# -- the live record ----------------------------------------------------------
 
 @backends
 def test_three_tier_split_sums_to_bytes_sent(backend):
     _, st = run_spmd(8, _workout, backend=backend, comm="hierarchical:2x2")
-    tiered = [e for e in st.events if e.tiers is not None]
-    assert tiered
-    assert any(e.tiers.xrack_bytes.any() for e in tiered)  # rack tier engaged
-    for e in tiered:
-        np.testing.assert_array_equal(
-            e.tiers.intra_bytes + e.tiers.inter_bytes + e.tiers.xrack_bytes,
-            e.bytes_sent)
-    by_op = st.bytes_by_op()
-    for op, (intra, inter, xrack) in st.rack_tier_bytes_by_op().items():
-        assert intra + inter + xrack == by_op[op]
+    tiered = check_live_tiers(
+        st, create_communicator("hierarchical:2x2", nprocs=8).topology)
+    assert any(e.tiers.wire_xrack for e in tiered)  # rack tier engaged
     assert st.modeled_xrack_bytes() > 0
 
 
-def test_flat_records_classify_as_xrack():
-    """Under flat metering every rank is its own node and rack, so the
-    three-way rollup puts every byte in the widest tier."""
+def test_flat_records_price_every_byte_on_the_network():
+    """Under flat metering every rank is its own node and rack and no
+    event carries a wire model: every metered byte counts as network
+    traffic, none as shared-memory or cross-rack."""
     _, st = run_spmd(4, _workout, backend="serial", comm="flat")
-    by_op = st.bytes_by_op()
-    for op, (intra, inter, xrack) in st.rack_tier_bytes_by_op().items():
-        assert intra == 0 and inter == 0 and xrack == by_op[op]
-    assert st.modeled_xrack_bytes() == 0  # no *wire* model without tiers
+    assert not st.tiered
+    assert st.modeled_inter_bytes() == st.total_bytes > 0
+    assert st.modeled_intra_bytes() == st.modeled_xrack_bytes() == 0
 
 
 @backends

@@ -39,22 +39,15 @@ def _event(op, nbytes, compute, tag="", tiers=None, work=None,
     )
 
 
-def _tiers(intra, inter, wire_intra, wire_inter, *, intra_hops, inter_hops,
-           node_of):
-    """Metering of a one-rack topology: the rack tier is all zero."""
-    none_leave = np.zeros(len(node_of), dtype=np.int64)
+def _tiers(wire_intra, wire_inter, *, intra_hops, inter_hops, node_of):
+    """Metering of a one-rack topology (the rack tier is all zero) from
+    per-rank wire columns: per-tier totals, busiest rank and node."""
+    per_node = np.bincount(node_of, weights=wire_inter)
     return TierMetering(
-        intra_bytes=np.asarray(intra, dtype=np.int64),
-        inter_bytes=np.asarray(inter, dtype=np.int64),
-        xrack_bytes=none_leave,
-        wire_intra=np.asarray(wire_intra, dtype=np.int64),
-        wire_inter=np.asarray(wire_inter, dtype=np.int64),
-        wire_xrack=none_leave,
-        intra_hops=intra_hops,
-        inter_hops=inter_hops,
-        xrack_hops=0,
-        node_of=np.asarray(node_of, dtype=np.int32),
-        rack_of=np.zeros(len(node_of), dtype=np.int32),
+        wire_intra=sum(wire_intra), wire_inter=sum(wire_inter),
+        wire_xrack=0, max_wire_intra=max(wire_intra),
+        max_node_wire_inter=int(per_node.max()), max_rack_wire_xrack=0,
+        intra_hops=intra_hops, inter_hops=inter_hops, xrack_hops=0,
     )
 
 
@@ -198,7 +191,6 @@ def test_tiered_model_prices_each_tier():
     m = TieredMachineModel(alpha=10.0, beta=2.0, alpha_intra=1.0,
                            beta_intra=0.5)
     tiers = _tiers(
-        intra=[4, 4, 0, 0], inter=[0, 0, 8, 8],
         wire_intra=[6, 2, 0, 0], wire_inter=[0, 0, 8, 16],
         intra_hops=3, inter_hops=2, node_of=[0, 0, 1, 1],
     )
@@ -222,7 +214,7 @@ def test_tiered_model_falls_back_untiered():
 
 def test_tiered_breakdown_consistent():
     tiers = _tiers(
-        intra=[8, 0], inter=[0, 8], wire_intra=[8, 0], wire_inter=[0, 8],
+        wire_intra=[8, 0], wire_inter=[0, 8],
         intra_hops=1, inter_hops=1, node_of=[0, 1],
     )
     stats = CommStats(2)

@@ -3,6 +3,8 @@ model, the ``create_communicator`` factory, the hierarchical two-level
 metering rules, and — the load-bearing guarantee — flat vs hierarchical
 bit-identity of results and communication records on every backend."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from repro.simmpi.topology import (
     make_topology,
     parse_comm_spec,
 )
-from tests.reference.tiers import tier_row, tier_rows
+from tests.reference.tiers import tier_metering, tier_row
 
 BACKENDS = ("serial", "threads", "procs")
 
@@ -168,14 +170,16 @@ def _hier(nprocs, rpn):
 def test_dest_split_is_sum_preserving():
     c = _hier(8, 4)  # nodes {0..3}, {4..7}
     dest = np.array([0, 10, 20, 30, 40, 50, 60, 70], dtype=np.int64)
-    intra, inter, xrack, wire_intra, wire_inter, wire_xrack = tier_row(
+    wire_intra, wire_inter, wire_xrack = tier_row(
         c, "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
-    assert intra == 10 + 20 + 30
-    assert inter == 40 + 50 + 60 + 70
-    assert xrack == wire_xrack == 0  # one rack: nothing leaves it
-    assert intra + inter == dest.sum()
     # payload exchange ships the off-node bytes on the network unchanged
-    assert wire_inter == inter
+    assert wire_inter == 40 + 50 + 60 + 70
+    assert wire_xrack == 0  # one rack: nothing leaves it
+    # local delivery, then the remote scatter of the off-node bytes not
+    # addressed to the remote leader (rank 4)
+    assert wire_intra == (10 + 20 + 30) + (50 + 60 + 70)
+    # the node-local bytes and the network's are the whole payload
+    assert (10 + 20 + 30) + wire_inter == dest.sum()
 
 
 def test_dest_wire_legs():
@@ -185,17 +189,15 @@ def test_dest_wire_legs():
     # rank 1 (non-leader): local delivery (200 to ranks 0,2... minus self)
     # + gather-to-leader of its 400 inter bytes + remote scatter of the
     # 300 off-node bytes not addressed to the remote leader (rank 4)
-    intra, inter, xrack, wire_intra, _, _ = tier_row(
+    wire_intra, wire_inter, wire_xrack = tier_row(
         c, "alltoallv", 1, int(dest.sum()), dest_bytes=dest)
-    assert (intra, inter, xrack) == (300, 400, 0)
+    assert (wire_inter, wire_xrack) == (400, 0)
     assert wire_intra == 300 + 400 + 300
     # the leader skips the gather leg
     dest0 = np.full(8, 100, dtype=np.int64)
     dest0[0] = 0
-    intra0, inter0, xrack0, wire_intra0, _, _ = tier_row(
-        c, "alltoallv", 0, int(dest0.sum()), dest_bytes=dest0)
-    assert (intra0, inter0, xrack0) == (300, 400, 0)
-    assert wire_intra0 == 300 + 300
+    assert tier_row(c, "alltoallv", 0, int(dest0.sum()),
+                    dest_bytes=dest0) == (300 + 300, 400, 0)
 
 
 def test_exchange_wire_carries_no_count_header():
@@ -208,21 +210,23 @@ def test_exchange_wire_carries_no_count_header():
     _, stats = run_spmd(8, fn, backend="serial", comm="hierarchical:4")
     (event,) = stats.events
     assert event.op == "alltoallv"
-    t = event.tiers
-    np.testing.assert_array_equal(t.wire_inter, t.inter_bytes)
-    assert t.total_inter == stats.modeled_inter_bytes() > 0
+    # rank r sends r' % 3 int64 words to every r'; nodes {0..3}, {4..7}
+    sends = 8 * (np.arange(8) % 3)
+    off_node = 4 * sends[4:].sum() + 4 * sends[:4].sum()
+    assert event.tiers.wire_inter == off_node == stats.modeled_inter_bytes()
+    assert off_node > 0
 
 
 def test_reduce_leaders_only():
     c = _hier(8, 4)
     b = 64
     # non-leader: reduces onto its leader over shared memory
-    assert tier_row(c, "allreduce", 1, b) == (b, 0, 0, b, 0, 0)
+    assert tier_row(c, "allreduce", 1, b) == (b, 0, 0)
     # leader: injects one value inter-node, fans the result back down
-    assert tier_row(c, "allreduce", 0, b) == (0, b, 0, b, b, 0)
+    assert tier_row(c, "allreduce", 0, b) == (b, b, 0)
     # single node: everything is intra
     single = _hier(4, 4)
-    assert tier_row(single, "allreduce", 0, b) == (b, 0, 0, b, 0, 0)
+    assert tier_row(single, "allreduce", 0, b) == (b, 0, 0)
 
 
 def test_reduce_inter_wire_is_leaders_count():
@@ -231,24 +235,24 @@ def test_reduce_inter_wire_is_leaders_count():
     c = _hier(16, 8)
     b = 8
     wire_inter = sum(
-        tier_row(c, "allreduce", r, b)[4] for r in range(16))
+        tier_row(c, "allreduce", r, b)[1] for r in range(16))
     assert wire_inter == c.topology.n_nodes * b  # 2*8, not 16*8
 
 
 def test_concat_all_inter_on_multi_node():
     c = _hier(8, 4)
-    intra, inter, xrack, wire_intra, wire_inter, wire_xrack = tier_row(
-        c, "allgatherv", 1, 32)
-    assert (intra, inter, xrack) == (0, 32, 0)
-    assert wire_intra == 32 and wire_inter == 32  # local gather leg
+    wire_intra, wire_inter, wire_xrack = tier_row(c, "allgatherv", 1, 32)
+    assert wire_inter == 32
+    assert wire_intra == 32  # local gather leg
     assert wire_xrack == 0
 
 
 def test_checkpoint_always_inter():
     c = _hier(8, 4)
     single = _hier(4, 4)
-    assert tier_row(c, "checkpoint", 1, 128)[:3] == (0, 128, 0)
-    assert tier_row(single, "checkpoint", 0, 128)[:3] == (0, 128, 0)
+    # a non-leader stages through its leader's writer
+    assert tier_row(c, "checkpoint", 1, 128) == (128, 128, 0)
+    assert tier_row(single, "checkpoint", 0, 128) == (0, 128, 0)
 
 
 def test_unknown_op_has_no_tier_rule():
@@ -301,7 +305,8 @@ def test_exchange_in_which_nobody_sends_pays_the_tree():
 # -- cross-strategy bit-identity ---------------------------------------------
 
 def _workout(comm):
-    """Touch every collective family with rank-dependent data."""
+    """Touch every collective family with rank-dependent data (the
+    exchange's bytes are :func:`_workout_traffic`)."""
     rank, size = comm.rank, comm.size
     rng = np.random.default_rng(rank)
     cts = rng.integers(0, 5, size=size).astype(np.int64)
@@ -312,6 +317,38 @@ def _workout(comm):
     gathered = comm.allgather(rank * rank)
     top = int(comm.Allreduce(np.array([total]), op="max")[0])
     return total, tuple(gathered), top, int(rcts.sum())
+
+
+def _workout_traffic(size):
+    """The ``P x P`` bytes :func:`_workout`'s exchange sends."""
+    traffic = np.stack([
+        8 * np.random.default_rng(rank).integers(0, 5, size=size)
+        for rank in range(size)]).astype(np.int64)
+    np.fill_diagonal(traffic, 0)
+    return traffic
+
+
+def check_live_tiers(stats, topo):
+    """Every tiered event of a :func:`_workout` run holds the nine numbers
+    the one-rank-at-a-time rule gives, and the exchange's node-local
+    bytes, in-rack network wire and cross-rack wire sum to its
+    ``bytes_sent``."""
+    tiered = [e for e in stats.events if e.tiers is not None]
+    assert len(tiered) == len(stats.events) > 0
+    traffic = _workout_traffic(topo.nprocs)
+    for e in tiered:
+        got = dataclasses.asdict(e.tiers)
+        assert all(type(v) is int for v in got.values())
+        assert got == tier_metering(
+            topo, e.op, traffic if e.op == "alltoallv" else e.bytes_sent)
+        if e.op == "alltoallv":
+            local = sum(
+                int(traffic[lo:lo + topo.ranks_per_node,
+                            lo:lo + topo.ranks_per_node].sum())
+                for lo in range(0, topo.nprocs, topo.ranks_per_node))
+            assert (local + e.tiers.wire_inter + e.tiers.wire_xrack
+                    == e.total_bytes)
+    return tiered
 
 
 @backends
@@ -327,16 +364,8 @@ def test_flat_vs_hierarchical_bit_identical(backend):
 @backends
 def test_tier_split_sums_to_bytes_sent(backend):
     _, st = run_spmd(8, _workout, backend=backend, comm="hierarchical:4")
-    tiered_events = [e for e in st.events if e.tiers is not None]
-    assert tiered_events
-    for e in tiered_events:
-        np.testing.assert_array_equal(
-            e.tiers.intra_bytes + e.tiers.inter_bytes, e.bytes_sent)
-        assert not e.tiers.xrack_bytes.any()  # one rack: nothing leaves it
-    # and the per-op rollup agrees with the untiered byte totals
-    by_op = st.bytes_by_op()
-    for op, (intra, inter, xrack) in st.rack_tier_bytes_by_op().items():
-        assert intra + inter == by_op[op] and xrack == 0
+    for e in check_live_tiers(st, _hier(8, 4).topology):
+        assert e.tiers.wire_xrack == 0  # one rack: nothing leaves it
 
 
 @backends
