@@ -12,6 +12,7 @@ import pytest
 from repro.core import xtrapulp
 from repro.ft import CkptPolicy, FaultPlan, FaultSpec
 from repro.ft.recovery import RetryPolicy, backoff, run_with_retries
+from repro.simmpi import BLUE_WATERS_TIERED, TimeModel
 from repro.simmpi.errors import InjectedFault, RankFailure
 
 from tests.ft.conftest import NPROCS, PARTS
@@ -65,6 +66,33 @@ def test_resumed_record_matches_checkpointed_run_exactly(
                    checkpoint=CkptPolicy(dir=d))
     assert np.array_equal(res.parts, ref.parts)
     assert res.stats.signature() == ref.stats.signature()
+
+
+def test_resumed_tier_record_matches_uninterrupted_run(ft_graph, ft_params,
+                                                       tmp_path):
+    """``signature()`` leaves tier metering out, so hold it directly: a
+    ``hierarchical:2`` run killed at a fault and resumed splices the same
+    ``TierMetering`` per event as one that never crashed, and the tiered
+    machine model prices both the same.  On the default backend, so the
+    ft job runs it on every backend of its matrix."""
+    params = ft_params.with_(comm="hierarchical:2")
+    ref = xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=params,
+                   checkpoint=CkptPolicy(dir=str(tmp_path / "ref")))
+    d = str(tmp_path / "crash")
+    plan = FaultPlan([FaultSpec(2, "vertex_refine", 12)])
+    with pytest.raises(RankFailure) as ei:
+        xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=params,
+                 checkpoint=CkptPolicy(dir=d), fault_plan=plan)
+    assert ei.value.epoch is not None
+    res = xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=params,
+                   resume=d, checkpoint=CkptPolicy(dir=d))
+    assert np.array_equal(res.parts, ref.parts)
+    assert res.stats.signature() == ref.stats.signature()
+    assert res.stats.tiered
+    assert ([e.tiers for e in res.stats.events]
+            == [e.tiers for e in ref.stats.events])
+    model = TimeModel(BLUE_WATERS_TIERED)
+    assert repr(model.breakdown(res.stats)) == repr(model.breakdown(ref.stats))
 
 
 def test_resume_from_midrun_epoch_not_just_init(ft_graph, ft_params,

@@ -5,7 +5,11 @@ Each case hashes its output array's bytes together with its metered
 records — ``y`` and the ``spmv`` / ``plan``-tagged event stream (plus the
 modeled time) of a 1-D or 2-D SpMV, the values and the whole
 ``signature()`` of an analytic — under block, random and XtraPuLP
-partitions on 4 and 6 ranks.  Every backend must reproduce every digest:
+partitions on 4 and 6 ranks.  On ``rmat(9, 8, seed=3)`` label propagation
+converges to the weakly connected components, so ``lp/mesh3d-block/4``
+pins it where it does not: ``mesh3d(6, 6, 6)`` on 4 block ranks, 14
+communities in one component (asserted).  Every backend must reproduce
+every digest:
 a rewrite of the exchange layer beneath them that changes a single byte
 moved, a unit of work charged or a bit of a result fails here.
 """
@@ -22,7 +26,7 @@ from repro.analytics import (
 )
 from repro.baselines import random_partition, vertex_block_partition
 from repro.core import xtrapulp
-from repro.graph import rmat
+from repro.graph import mesh3d, rmat
 from repro.spmv import run_spmv
 
 BACKENDS = ("serial", "threads", "procs")
@@ -36,6 +40,7 @@ STRATEGIES = ("block", "random", "xtrapulp")
 #: again when the halo plan began to be read off the build (no ``plan``
 #: round: the 1-D SpMV and analytics records only)
 DIGESTS = {
+    "lp/mesh3d-block/4": "498ed26a62ebca520b95e7205871ec1ca6a17c675d5cbf044573b86c1e82fb81",
     "lp/block/4": "eae193575f9c0b4585f2591c16e578bf1869c0c927d77d7961b2c71d4baaf60a",
     "lp/block/6": "34e6cf21bd99f0f8384c8fcca963effad64eef0305829dd0159cab6da25af430",
     "lp/random/4": "416bd2971b272cefbf8b4a667d46f0beb00580df11f533eaa5e5a085cbebbcb5",
@@ -104,6 +109,17 @@ def digests(graph, partitions, backend):
             r = run_analytic(graph, kernel, nprocs=p, distribution=parts,
                              backend=backend, **kwargs)
             out[f"{name}/{strategy}/{p}"] = _sha(r.values, r.stats.signature())
+    # where label propagation is not the components
+    mesh = mesh3d(6, 6, 6)
+    lp, wcc = (
+        run_analytic(mesh, kernel, nprocs=4,
+                     distribution=vertex_block_partition(mesh, 4),
+                     backend=backend, **kwargs)
+        for kernel, kwargs in ((label_propagation_communities, {"iters": 5}),
+                               (weakly_connected_components, {})))
+    assert len(np.unique(wcc.values)) == 1
+    assert len(np.unique(lp.values)) > 1
+    out["lp/mesh3d-block/4"] = _sha(lp.values, lp.stats.signature())
     return out
 
 
