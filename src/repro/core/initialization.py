@@ -11,10 +11,11 @@ roots) are assigned random parts at the end.
 Algorithm 2 has a master draw the roots and broadcast them.  Here every
 rank holds the gathered candidate pool and the shared seed, so every rank
 draws the same roots and labels its owned roots and its ghost copies of
-roots itself: no broadcast, no claim exchange.  A BFS round is one
-reduction of [vertices assigned, connected owned vertices still
-unassigned], and its ExchangeUpdates round is taken only if something was
-assigned; the loop ends when no connected vertex is waiting or none was
+roots itself: no broadcast, no claim exchange.  A BFS round scans (and
+charges work for) the connected unassigned owned vertices only — an
+isolated vertex can never be reached — and is one reduction of
+[vertices assigned, connected owned vertices still unassigned]; its
+ExchangeUpdates round is taken only if something was assigned; the loop ends when no connected vertex is waiting or none was
 reached, and the leftovers are exchanged only if a connected one is among
 them (an isolated vertex has no ghost copy).  Every strategy labels every
 owned vertex, so no rank needs a collective check of that.
@@ -83,7 +84,8 @@ def initialize_hybrid(comm: SimComm, state: RankState) -> Steps[None]:
     # through label propagation (minor robustness deviation from Algorithm
     # 2's uniform draw; identical on component-preprocessed inputs like the
     # paper's).
-    candidates = np.flatnonzero(dg.degrees_full[: dg.n_local] > 0).astype(np.int64)
+    connected = dg.degrees_full[: dg.n_local] > 0
+    candidates = np.flatnonzero(connected).astype(np.int64)
     sample_rng = np.random.default_rng(state.params.seed + 31 * comm.rank)
     take = min(candidates.size, 4 * p)
     sample = dg.l2g[
@@ -105,18 +107,20 @@ def initialize_hybrid(comm: SimComm, state: RankState) -> Steps[None]:
     ghost[ghost] = dg.ghost_gids[pos[ghost]] == roots[ghost]
     state.parts[dg.n_local + pos[ghost]] = np.flatnonzero(ghost)
 
-    connected = dg.degrees_full[: dg.n_local] > 0
     left = 1
     # a safety bound: ≈ diameter rounds are needed, and 2n bounds that
     for _ in range(max(2 * dg.global_n, 64)):
-        unassigned = np.flatnonzero(state.parts[: dg.n_local] < 0).astype(np.int64)
+        # an isolated vertex has no neighbor to adopt a part from (and
+        # draws no random number): only the connected ones are scanned
+        unassigned = np.flatnonzero(
+            (state.parts[: dg.n_local] < 0) & connected).astype(np.int64)
         assigned_now = np.empty(0, dtype=np.int64)
         waiting = 0
         if unassigned.size:
             chosen, has = _random_distinct_neighbor_parts(state, unassigned)
             assigned_now = unassigned[has]
             state.parts[assigned_now] = chosen[has]
-            waiting = np.count_nonzero(connected[unassigned[~has]])
+            waiting = unassigned.size - assigned_now.size
         state.flush_work(comm)
         # [assigned this round, connected owned vertices still unassigned]
         n_updates, left = (yield from comm.Allreduce(np.array(

@@ -81,6 +81,28 @@ def test_hybrid_handles_disconnected_leftovers():
     assert parts.min() >= 0
 
 
+def test_isolated_vertices_charge_no_bfs_work():
+    """A rank owning only isolated vertices has nothing a BFS round can
+    reach: it scans nothing and charges no work in any init round (its
+    leftovers take random parts without a scan)."""
+    src = np.arange(19)
+    g = from_edges(40, src, src + 1)  # a path on 0..19; 20..39 isolated
+    dist = make_distribution("block", g.n, 2)  # rank 1 owns 20..39
+
+    def main(comm):
+        dg = build_dist_graph(comm, g, dist)
+        state = RankState(dg=dg, num_parts=4, params=PulpParams(seed=3))
+        initialize(comm, state)
+        return state.parts[: dg.n_local].copy()
+
+    parts, stats = run_spmd(2, main)
+    assert np.concatenate(parts).min() >= 0
+    init = [e for e in stats.events if e.tag == "init"]
+    assert len(init) > 2  # roots, then BFS rounds
+    assert sum(e.work_units[0] for e in init) > 0
+    assert all(e.work_units[1] == 0 for e in init)
+
+
 def test_more_parts_than_vertices_rejected():
     g = ring(4)
     with pytest.raises(ValueError):
