@@ -15,9 +15,10 @@ roots itself: no broadcast, no claim exchange.  A BFS round scans (and
 charges work for) the connected unassigned owned vertices only — an
 isolated vertex can never be reached — and is one reduction of
 [vertices assigned, connected owned vertices still unassigned]; its
-ExchangeUpdates round is taken only if something was assigned; the loop ends when no connected vertex is waiting or none was
-reached, and the leftovers are exchanged only if a connected one is among
-them (an isolated vertex has no ghost copy).  Every strategy labels every
+ExchangeUpdates round is taken only if something was assigned; the loop
+ends when no connected vertex is waiting or none was reached, and the
+leftovers are exchanged only if a connected one is among them (an
+isolated vertex has no ghost copy).  Every strategy labels every
 owned vertex, so no rank needs a collective check of that.
 
 The paper notes the number of rounds is on the order of the graph
