@@ -17,8 +17,7 @@ hand with ``PYTHONPATH=src python benchmarks/test_rank_scaling.py
 '{"ranks": 2048, "scale": "small"}'``.
 
 Also recorded: cross-backend bit-identity (partitions and
-`CommStats.signature()`), and a rack-tier (``hierarchical:16x4``) run
-whose cross-rack wire is metered and priced by the tiered machine model.
+`CommStats.signature()`).
 """
 
 import hashlib
@@ -43,8 +42,6 @@ from repro.suite import get_graph  # noqa: E402
 
 BASE_RANKS = 512
 PARTS = 16
-#: 512 ranks = 32 nodes x 16 ranks/node = 8 racks x 4 nodes/rack.
-RACK_COMM = "hierarchical:16x4"
 #: One outer iteration keeps a 512-rank full-pipeline run in seconds while
 #: still exercising every phase (init, balance, refine, edge stage).
 PARAMS = dict(seed=42, outer_iters=1, balance_iters=2, refine_iters=3)
@@ -71,12 +68,10 @@ def _row(spec: dict) -> dict:
     return {
         "parts_sha256": _sha(result.parts.tobytes()),
         "signature_sha256": _sha(repr(st.signature()).encode()),
-        "tiered": any(e.tiers is not None for e in st.events),
         "wall_s": wall,
         "model_s": TimeModel(machine=BLUE_WATERS_TIERED).total_time(st),
         "cutsize": int(result.quality().cut),
         "MiB_sent": st.total_bytes / 2**20,
-        "xrack_MiB": st.modeled_xrack_bytes() / 2**20,
         "rounds": st.rounds,
         "peak_rss_MiB":
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -100,8 +95,7 @@ def _fresh(**spec) -> dict:
 def _add(table, ranks, backend, comm, graph_name, row):
     table.add(ranks, backend, comm or "flat", graph_name,
               round(row["wall_s"], 3), round(row["model_s"], 4),
-              row["cutsize"], round(row["MiB_sent"], 2),
-              round(row["xrack_MiB"], 2), row["rounds"],
+              row["cutsize"], round(row["MiB_sent"], 2), row["rounds"],
               round(row["peak_rss_MiB"], 1))
 
 
@@ -114,7 +108,7 @@ def test_rank_scaling(benchmark):
     table = ExperimentTable(
         "rank_scaling",
         ["ranks", "backend", "comm", "graph", "wall_s", "model_s",
-         "cutsize", "MiB_sent", "xrack_MiB", "rounds", "peak_rss_MiB"],
+         "cutsize", "MiB_sent", "rounds", "peak_rss_MiB"],
         notes=f"full pipeline, {PARTS} parts, outer_iters=1, one fresh "
               "interpreter per row with the perf harness's malloc "
               "settings; wall_s is single-shot perf_counter, not gated "
@@ -137,13 +131,6 @@ def test_rank_scaling(benchmark):
     for backend in ("threads", "procs"):
         assert _same_run(_fresh(ranks=8, scale="tiny", backend=backend),
                          serial_8), backend
-
-    # -- rack tier: metering + pricing --------------------------------------
-    rack = _fresh(ranks=BASE_RANKS, scale="tiny", comm=RACK_COMM)
-    assert rack["parts_sha256"] == flat_512["parts_sha256"]
-    assert rack["tiered"]
-    assert rack["xrack_MiB"] > 0 and rack["model_s"] > 0
-    _add(table, BASE_RANKS, "serial", RACK_COMM, "rmat/tiny", rack)
 
     # -- rows past 512 ranks -------------------------------------------------
     for ranks in (1024, 2048):

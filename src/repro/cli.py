@@ -96,14 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution backend for the simulated ranks "
                              "(default: $REPRO_BACKEND or 'threads'); all "
                              "backends produce identical partitions")
-    parser.add_argument("--comm", metavar="STRATEGY[:R[xK]]",
+    parser.add_argument("--comm", metavar="STRATEGY[:R]",
                         default=None,
                         help="communicator strategy for topology-aware "
                              "metering: 'flat' (one rank = one node) or "
-                             "'hierarchical[:R[xK]]' "
+                             "'hierarchical[:R]' "
                              "(hierarchical exchange, R ranks/node, default "
-                             "8; K nodes/rack, default one rack, e.g. "
-                             "hierarchical:16x4). Default: 'flat'. Strategy "
+                             "8, e.g. hierarchical:16). Default: 'flat'. "
+                             "Strategy "
                              "choice never changes the partition, only the "
                              "modeled tier traffic")
     ft = parser.add_argument_group("fault tolerance")
@@ -235,14 +235,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if result.stats.tiered:
         intra = result.stats.modeled_intra_bytes()
         inter = result.stats.modeled_inter_bytes()
-        xrack = result.stats.modeled_xrack_bytes()
-        if xrack:
-            print(f"three-level wire model: {intra / 2**20:.2f} MiB "
-                  f"intra-node, {inter / 2**20:.2f} MiB inter-node, "
-                  f"{xrack / 2**20:.2f} MiB cross-rack")
-        else:
-            print(f"two-level wire model: {intra / 2**20:.2f} MiB "
-                  f"intra-node, {inter / 2**20:.2f} MiB inter-node")
+        print(f"two-level wire model: {intra / 2**20:.2f} MiB "
+              f"intra-node, {inter / 2**20:.2f} MiB inter-node")
     if args.output:
         np.savetxt(args.output, result.parts, fmt="%d")
         print(f"wrote {args.output}")

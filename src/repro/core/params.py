@@ -41,10 +41,9 @@ class PulpParams:
         asynchrony (ablation bench).
     comm:
         Communicator strategy spec (:mod:`repro.simmpi.topology`), the
-        ChainerMN-style ``name[:ranks_per_node[xnodes_per_rack]]`` grammar:
-        ``"flat"`` (one rank = one node) or ``"hierarchical[:R[xK]]"``
-        (node-aggregated exchange metering with ``R`` ranks/node and
-        ``K`` nodes/rack, one rack without ``xK``).  None (default)
+        ChainerMN-style ``name[:ranks_per_node]`` grammar: ``"flat"``
+        (one rank = one node) or ``"hierarchical[:R]"`` (node-aggregated
+        exchange metering with ``R`` ranks/node).  None (default)
         leaves a pre-built backend's strategy, else meters ``flat``.
         Strategy choice never changes the partition or the communication
         record — only the tier metering the tiered machine models price.

@@ -63,7 +63,7 @@ from repro.simmpi.stepping import Steps, steppable
 
 #: Bumped whenever a pickled record changes shape, so that an older
 #: epoch is refused at load instead of failing later.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_TMP = "MANIFEST.tmp"
 STATS_NAME = "stats.pkl"

@@ -36,13 +36,13 @@ the ``REPRO_BACKEND`` environment variable.
 
 How communication is *priced* is selected the same way
 (:mod:`repro.simmpi.topology`): a ChainerMN-style ``create_communicator``
-maps ranks onto a machine topology (nodes grouped into racks).  The
+maps ranks onto a machine topology (ranks grouped into nodes).  The
 default ``flat`` metering (no strategy object) is one rank per node; the
 ``hierarchical`` strategy models a node-aggregated exchange (intra-node
 gather to a per-node leader, one aggregated inter-node message per node
 pair, intra-node scatter) and splits every event's bytes/hops into
-intra-node, inter-node and cross-rack tiers (the last zero on one rack,
-the default) — without touching payload movement, so results and
+intra-node and inter-node tiers — without touching payload movement, so
+results and
 communication records stay bit-identical across strategies.  Pick one with
 the ``comm=`` spec argument of ``create_runtime``/``run_spmd``; tiered
 machine flavors (:data:`~repro.simmpi.timing.BLUE_WATERS_TIERED`) price

@@ -101,7 +101,7 @@ def create_runtime(
         a new one).
     comm:
         Communicator strategy spec for topology-aware metering
-        (``"flat"``, ``"hierarchical:8"``, ``"hierarchical:8x4"``, ...;
+        (``"flat"``, ``"hierarchical"``, ``"hierarchical:16"``, ...;
         see :mod:`repro.simmpi.topology`), or None to leave the
         backend's own (``flat`` on a new one).
     watchdog:

@@ -7,9 +7,9 @@ off-rank and the work units it charged since the previous rendezvous.  A
 round meters itself: its ``execute`` reads the traffic off the
 contributions where the collective runs, and ``Backend._record`` — one
 path on every backend — derives the bytes, an exchange's message counts
-and, under a tiered strategy, the :class:`TierMetering` from it: nine
-integers per round (per-tier wire totals, the busiest rank / node / rack
-loads the tiered model prices, and hop counts), never a per-rank column,
+and, under a tiered strategy, the :class:`TierMetering` from it: six
+integers per round (per-tier wire totals, the busiest rank / node loads
+the tiered model prices, and hop counts), never a per-rank column,
 so the tiered record does not grow with the rank count.  The
 aggregate view (:class:`CommStats`) answers the questions the paper's
 evaluation asks: how much traffic did the partitioner generate, how many
@@ -27,30 +27,24 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TierMetering:
-    """Node- and rack-aware view of one collective's traffic: the nine
-    numbers the tiered machine model prices and the reports read.
+    """Node-aware view of one collective's traffic: the six numbers the
+    tiered machine model prices and the reports read.
 
     Attached to a :class:`CollectiveEvent` by tiered communicator
     strategies (see :mod:`repro.simmpi.topology`); ``None`` under the
     default ``flat`` strategy.  The hierarchical protocol's **wire
     model** — what the exchange itself would move over shared memory
-    (gather/scatter legs included), over the network inside a rack
-    (leaders-only reductions, aggregated node-pair messages) and across
-    racks (rack-leader injected) — is formed per rank where the round is
-    recorded and reduced there, once, to:
+    (gather/scatter legs included) and over the network (leaders-only
+    reductions, aggregated node-pair messages) — is formed per rank where
+    the round is recorded and reduced there, once, to:
 
-    * ``wire_intra`` / ``wire_inter`` / ``wire_xrack`` — the round's
-      total wire bytes on each tier (these need *not* sum to the
-      event's ``bytes_sent``);
-    * ``max_wire_intra`` — the busiest rank's shared-memory bytes,
+    * ``wire_intra`` / ``wire_inter`` — the round's total wire bytes on
+      each tier (these need *not* sum to the event's ``bytes_sent``);
+    * ``max_wire_intra`` — the busiest rank's shared-memory bytes and
       ``max_node_wire_inter`` — the busiest node's network injection
       (its ranks' ``wire_inter`` summed: a node's traffic is
-      leader-injected) and ``max_rack_wire_xrack`` — the busiest rack's
-      uplink (its ranks' ``wire_xrack`` summed);
-    * ``intra_hops`` / ``inter_hops`` / ``xrack_hops`` — the round's
-      latency structure.
-
-    On a topology of one rack the ``xrack`` entries are zero.
+      leader-injected);
+    * ``intra_hops`` / ``inter_hops`` — the round's latency structure.
 
     Deliberately **excluded** from :meth:`CommStats.signature`: tier
     metering is supplementary, so ``flat`` and ``hierarchical`` runs of
@@ -59,13 +53,10 @@ class TierMetering:
 
     wire_intra: int
     wire_inter: int
-    wire_xrack: int
     max_wire_intra: int
     max_node_wire_inter: int
-    max_rack_wire_xrack: int
     intra_hops: int
     inter_hops: int
-    xrack_hops: int
 
 
 @dataclass(frozen=True)
@@ -247,8 +238,8 @@ class CommStats:
     def modeled_inter_bytes(self) -> int:
         """Total modeled inter-node **wire** bytes of the run.
 
-        For tiered events this is the hierarchical protocol's in-rack
-        network traffic (aggregated node-pair messages, leaders-only
+        For tiered events this is the hierarchical protocol's network
+        traffic (aggregated node-pair messages, leaders-only
         reductions); untiered events contribute their full
         payload — under ``flat`` every rank is its own node, so every
         metered byte crosses the network.  The benchmark headline
@@ -263,13 +254,6 @@ class CommStats:
         """Total modeled intra-node (shared-memory) wire bytes."""
         return sum(
             e.tiers.wire_intra for e in self.events
-            if e.tiers is not None
-        )
-
-    def modeled_xrack_bytes(self) -> int:
-        """Total modeled cross-rack wire bytes (zero on one rack)."""
-        return sum(
-            e.tiers.wire_xrack for e in self.events
             if e.tiers is not None
         )
 

@@ -24,7 +24,7 @@ def run_spmd(
     ``backend`` selects the execution backend by name (``serial`` /
     ``threads`` / ``procs``); None honors ``$REPRO_BACKEND`` and defaults
     to ``threads``.  ``comm`` selects the communicator strategy for
-    topology-aware metering (``flat`` / ``hierarchical[:R[xK]]``); None
+    topology-aware metering (``flat`` / ``hierarchical[:R]``); None
     meters ``flat``.
     """
     rt = create_runtime(backend, nprocs=nprocs, comm=comm)

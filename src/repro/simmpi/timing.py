@@ -21,13 +21,13 @@ simulator meters exactly:
   nobody sends, ``p - 1 + ceil(log2 p)`` when everyone sends to everyone;
 * ``beta`` is inverse bandwidth applied to the busiest rank's payload.
 
-Under a tiered communicator (``hierarchical:R[xK]``) each event carries a
+Under a tiered communicator (``hierarchical:R``) each event carries a
 :class:`~repro.simmpi.metrics.TierMetering`, and
-:class:`TieredMachineModel` prices it per tier instead: its three hop
+:class:`TieredMachineModel` prices it per tier instead: its two hop
 counts at per-tier ``alpha`` and, at per-tier ``beta``, the busiest
-rank's shared-memory bytes, the busiest node's network injection and the
-busiest rack's uplink — scalars the strategy reduced where the round was
-recorded, so pricing a tiered run reads six numbers per event.
+rank's shared-memory bytes and the busiest node's network injection —
+scalars the strategy reduced where the round was recorded, so pricing a
+tiered run reads four numbers per event.
 
 The default constants (:data:`BLUE_WATERS_LIKE`) are Gemini-flavored
 (~1.5 us latency, ~6 GB/s per-node injection).  Absolute numbers are not the
@@ -125,25 +125,20 @@ class TieredMachineModel(MachineModel):
 
     The inherited ``alpha``/``beta`` are the **inter-node** (network)
     constants; ``alpha_intra``/``beta_intra`` price the intra-node
-    (shared-memory) tier and ``alpha_rack``/``beta_rack`` the cross-rack
-    (network-stage) tier.  Events carrying
+    (shared-memory) tier.  Events carrying
     :class:`~repro.simmpi.metrics.TierMetering` (produced by the
     ``hierarchical`` communicator strategy) are priced per tier:
 
     ``cost = alpha_intra * intra_hops + alpha * inter_hops
-           + alpha_rack * xrack_hops
            + beta_intra * max_wire_intra          (max_r wire_intra(r))
-           + beta * max_node_wire_inter   (max_n sum_{r in n} wire_inter(r))
-           + beta_rack * max_rack_wire_xrack (max_k sum_{r in k} wire_xrack(r))``
+           + beta * max_node_wire_inter   (max_n sum_{r in n} wire_inter(r))``
 
-    — six numbers the strategy reduced when it recorded the round, so
-    pricing is vector arithmetic over them.  The intra bandwidth term is bound by the busiest *rank's*
-    shared-memory traffic, the inter term by the busiest *node's* NIC
-    (under two-level exchange a node's network traffic is leader-injected,
-    so summing the node's ranks is exact), and the rack term by the
-    busiest *rack's* uplink (cross-rack traffic is rack-leader injected).
-    On a topology of one rack ``xrack_hops`` and ``wire_xrack`` are zero,
-    so the rack terms add exactly 0.0.  Events without tier metering
+    — four numbers the strategy reduced when it recorded the round, so
+    pricing is vector arithmetic over them.  The intra bandwidth term is
+    bound by the busiest *rank's* shared-memory traffic, the inter term
+    by the busiest *node's* NIC (under two-level exchange a node's
+    network traffic is leader-injected, so summing the node's ranks is
+    exact).  Events without tier metering
     (``flat`` strategy, one-rank runs) fall back to the single-tier
     formula at the inter-node constants, which is exactly the base
     :class:`MachineModel` behavior — so a tiered flavor is a drop-in
@@ -154,12 +149,6 @@ class TieredMachineModel(MachineModel):
     alpha_intra: float = 5.0e-7
     #: Seconds per byte of the busiest rank's intra-node wire traffic.
     beta_intra: float = 1.0 / 80.0e9
-    #: Per-hop latency of a cross-rack network stage (seconds) — an extra
-    #: switch traversal on top of the in-rack network.
-    alpha_rack: float = 2.5e-6
-    #: Seconds per byte of the busiest rack's cross-rack uplink (oversubscribed
-    #: spine: a fraction of the in-rack injection bandwidth).
-    beta_rack: float = 1.0 / 3.0e9
 
     def cost_parts_batch(
         self, events: Sequence[CollectiveEvent], nprocs: int
@@ -179,21 +168,18 @@ class TieredMachineModel(MachineModel):
         tiered_idx = [i for i, e in enumerate(events) if e.tiers is not None]
         if not tiered_idx:
             return latency, bandwidth
-        # one row per tiered event: the three hop counts, then the
-        # busiest rank's intra, node's inter and rack's xrack bytes
+        # one row per tiered event: the two hop counts, then the busiest
+        # rank's intra and node's inter bytes
         t = np.array(
-            [(e.tiers.intra_hops, e.tiers.inter_hops, e.tiers.xrack_hops,
-              e.tiers.max_wire_intra, e.tiers.max_node_wire_inter,
-              e.tiers.max_rack_wire_xrack)
+            [(e.tiers.intra_hops, e.tiers.inter_hops,
+              e.tiers.max_wire_intra, e.tiers.max_node_wire_inter)
              for e in (events[i] for i in tiered_idx)],
             dtype=np.float64,
         )
         latency[tiered_idx] = (self.alpha_intra * t[:, 0]
-                               + self.alpha * t[:, 1]
-                               + self.alpha_rack * t[:, 2])
-        bw = self.beta_intra * t[:, 3]
-        bw += self.beta * t[:, 4]
-        bw += self.beta_rack * t[:, 5]
+                               + self.alpha * t[:, 1])
+        bw = self.beta_intra * t[:, 2]
+        bw += self.beta * t[:, 3]
         bandwidth[tiered_idx] = bw
         return latency, bandwidth
 
@@ -205,14 +191,9 @@ class TieredMachineModel(MachineModel):
 #: ~80 GB/s — HyperTransport-era socket bandwidth), giving the realistic
 #: ~13x bandwidth gap between tiers (10-20x is typical across machines).
 #: ``gamma`` is per-rank single-core (ranks no longer bundle 16 threads).
-#: The rack tier models the Gemini torus's longer routes between cabinet
-#: groups: a couple of extra switch traversals of latency and a tapered
-#: (~half-injection) per-rack uplink.  It prices nothing on one rack,
-#: which is what a communicator spec without ``xK`` asks for.
 BLUE_WATERS_TIERED = TieredMachineModel(
     alpha=1.5e-6, beta=1.0 / 6.0e9, gamma=4.0e-9,
     alpha_intra=5.0e-7, beta_intra=1.0 / 80.0e9,
-    alpha_rack=2.5e-6, beta_rack=1.0 / 3.0e9,
     name="blue-waters-tiered",
 )
 

@@ -2,27 +2,26 @@
 
 A *communicator strategy* decides how the simulator's collectives map onto
 a machine topology: what the two-level exchange protocol would actually
-put on each wire — shared memory inside a node, the network inside a
-rack, the spine between racks.  There are two, requested by a spec string that
+put on each wire — shared memory inside a node, the network between
+nodes.  There are two, requested by a spec string that
 :func:`create_communicator` (ChainerMN's ``create_communicator`` factory
 shape) turns into the runtime's strategy::
 
     rt = create_runtime("threads", nprocs=64, comm="hierarchical:8")
-    rt.comm_strategy  # HierarchicalCommunicator: 8 nodes of 8, one rack
+    rt.comm_strategy  # HierarchicalCommunicator: 8 nodes of 8
 
 =============  ==========================  =====================================
 spec           topology                    metering
 =============  ==========================  =====================================
 flat           one rank = one node         single tier: no strategy object
-hierarchical   ranks grouped into nodes,   three tiers: intra-node / inter-node
-               nodes into racks            / cross-rack wire model
+hierarchical   ranks grouped into nodes    two tiers: intra-node / inter-node
+                                           wire model
 =============  ==========================  =====================================
 
 ``flat`` is the absence of a strategy: :func:`create_communicator` returns
-None and events carry ``tiers=None``.  ``hierarchical[:R[xK]]`` returns a
+None and events carry ``tiers=None``.  ``hierarchical[:R]`` returns a
 :class:`~repro.simmpi.topology.hierarchical.HierarchicalCommunicator` over
-``R`` ranks per node and ``K`` nodes per rack — one rack when the spec
-names no ``K``, where nothing leaves a rack and the rack tier meters zero
+``R`` ranks per node, every node on one network
 (:class:`~repro.simmpi.topology.model.Topology`, parsed by
 :func:`~repro.simmpi.topology.model.parse_comm_spec`).
 
@@ -56,10 +55,10 @@ def create_communicator(
     """The metering strategy for a spec over ``nprocs`` simulated ranks:
     None for ``flat``, else a :class:`HierarchicalCommunicator`.
 
-    ``spec`` is ``"flat"`` or ``"hierarchical[:R[xK]]"`` (``R`` ranks per
-    node, default 8; ``K`` nodes per rack, default one rack).
+    ``spec`` is ``"flat"`` or ``"hierarchical[:R]"`` (``R`` ranks per
+    node, default 8).
     """
-    name, rpn, npr = parse_comm_spec(spec)
+    name, rpn = parse_comm_spec(spec)
     if name == "flat":
         return None
     if name != HierarchicalCommunicator.name:
@@ -67,7 +66,7 @@ def create_communicator(
             f"unknown communicator strategy {spec!r}; valid choices: "
             f"{sorted(('flat', HierarchicalCommunicator.name))}"
         )
-    return HierarchicalCommunicator(make_topology(nprocs, rpn, npr))
+    return HierarchicalCommunicator(make_topology(nprocs, rpn))
 
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Hierarchical (node- and rack-aware) communicator strategy.
+"""Hierarchical (node-aware) communicator strategy.
 
 Models the hierarchical exchange every scalable distributed partitioner
 implements (dKaMinPar's node-aggregated message queues, ChainerMN's
@@ -23,11 +23,11 @@ Payload movement in the simulator is untouched — the rendezvous and its
 ``execute`` closure run exactly as under ``flat``, so partitions and the
 :meth:`~repro.simmpi.metrics.CommStats.signature` record stay
 bit-identical.  What this class computes is the *metering*: the
-``wire_intra``/``wire_inter``/``wire_xrack`` model of what the
-hierarchical protocol itself would put on each wire, per rank, reduced
-where the round is recorded to the nine numbers of a
+``wire_intra``/``wire_inter`` model of what the hierarchical protocol
+itself would put on each wire, per rank, reduced where the round is
+recorded to the six numbers of a
 :class:`~repro.simmpi.metrics.TierMetering` — the per-tier totals the
-reports read, the busiest rank / node / rack loads and the hop counts the
+reports read, the busiest rank / node loads and the hop counts the
 tiered machine models (:class:`repro.simmpi.timing.TieredMachineModel`)
 price.
 
@@ -39,8 +39,8 @@ else:
   byte matrix.  Bytes to the rank's own node move once locally; a
   non-leader's off-node bytes pay an extra local gather hop to the
   leader; off-node bytes whose destination is not its node's leader pay
-  the remote scatter hop.  Off-node bytes cross the rack's network
-  (``wire_inter``) or the racks' (``wire_xrack``) unchanged.
+  the remote scatter hop.  Off-node bytes cross the network
+  (``wire_inter``) unchanged.
 * **reductions** (``allreduce``, ``barrier``): non-leaders reduce onto
   their leader (intra); only leaders enter the inter-node phase, so a
   node injects one contribution instead of ``node_size`` — the classic
@@ -61,29 +61,19 @@ including an exchange in which nobody sends (its consensus barrier, as
 under the flat model), costs the tree's ``ceil(log2 n_nodes)`` inter
 plus ``2 * ceil(log2 max_node_size)`` intra (reduce up, broadcast down).
 A single-node topology degenerates to all-intra; one-rank nodes
-degenerate to ``flat``.
-
-Nodes are grouped into racks (``hierarchical:RxK``; one rack holding
-every node when the spec names no ``K``), a third tier: the wire model
-has a ``wire_xrack`` leg — cross-rack traffic is *rack-leader* injected
-(the lowest rank of a rack aggregates its nodes' off-rack messages), so
-the rack tier's bandwidth bound is the busiest rack's uplink.  Latency
-adds ``n_racks - 1`` (pairwise) or ``ceil(log2 n_racks)`` (tree)
-cross-rack hops, and the inter hop count is the within-rack node count.
-On one rack nothing leaves the rack: ``wire_xrack`` and the cross-rack
-hops are zero, and the inter tier spans every node.
+degenerate to ``flat``.  The inter tier is one network spanning every
+node, as the paper's machine (one Gemini torus) has.
 
 The rules run **once per metered round, for every rank at once**
 (:meth:`HierarchicalCommunicator.wire_columns`), where the backend
 records the round, from the traffic the round's ``execute`` read off the
 contributions — the ranks deposit no metering input.  Ranks are packed
-node-major and nodes rack-major, so every locality class is a contiguous
-span of the destination axis and one ``np.add.reduceat`` over the
-exchange's ``P x P`` byte matrix sums it for all sources; the same
-packing makes the busiest node's and rack's loads one ``reduceat`` of a
-column each (:meth:`HierarchicalCommunicator.tiers`).  The per-rank
-columns live only for that reduction, so a round's record is nine
-integers whatever the rank count.  The rule one rank at a time is the
+node-major, so a node is a contiguous span of the destination axis and
+one ``np.add.reduceat`` over the exchange's ``P x P`` byte matrix sums
+it for all sources; the same packing makes the busiest node's load one
+``reduceat`` of a column (:meth:`HierarchicalCommunicator.tiers`).  The
+per-rank columns live only for that reduction, so a round's record is
+six integers whatever the rank count.  The rule one rank at a time is the
 test oracle (``tests/reference/tiers.py``).
 """
 
@@ -106,7 +96,7 @@ _CONCAT_OPS = frozenset({"allgather", "allgatherv"})
 
 
 class HierarchicalCommunicator:
-    """Node- and rack-aware metering strategy.
+    """Node-aware metering strategy.
 
     :meth:`tiers` meters all ranks of one metered round at once and
     gives its latency structure (called where the round is recorded).
@@ -119,102 +109,84 @@ class HierarchicalCommunicator:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         # what tiers reads of the topology, once per run: ranks are
-        # packed node-major and nodes rack-major, so a node / rack is one
-        # slice of the rank / node axis and reduceat sums it
+        # packed node-major, so a node is one slice of the rank axis and
+        # reduceat sums it
         n, rpn = topology.nprocs, topology.ranks_per_node
         ranks = np.arange(n)
         self._ranks = ranks
         self._node_of = topology.node_of_ranks()
-        self._rack_of = topology.rack_of_ranks()
         self._node_starts = np.arange(0, n, rpn)
         self._leader_of = ranks - ranks % rpn
         self._leader = ranks % rpn == 0
         #: ranks whose node holds more than one rank (a leader fans out)
         self._has_peers = np.minimum(rpn, n - self._leader_of) > 1
-        stride = topology.ranks_per_rack
-        self._rack_starts = np.arange(0, n, stride)
-        self._rack_node_starts = np.arange(
-            0, topology.n_nodes, topology.nodes_per_rack)
-        self._rack_leader = ranks % stride == 0
-        #: ranks whose rack holds more than one node
-        self._rack_has_peers = np.minimum(
-            stride, n - (ranks - ranks % stride)) > rpn
-        # latency hops; the inter entry counts the nodes of the fullest
-        # rack, and a single node runs its rounds locally, one way
-        width, peers = topology.max_node_size, topology.nodes_per_rack
-        one_node = topology.n_nodes == 1
+        # latency hops; a single node runs its rounds locally, one way
+        width, nodes = topology.max_node_size, topology.n_nodes
+        one_node = nodes == 1
         #: an exchange in which some rank sends: gather, local exchange and
-        #: scatter in the node, a message per peer node and remote rack
+        #: scatter in the node, a message per peer node
         self._exchange_hops = dict(
             intra_hops=(1 if one_node else 3) * (width - 1),
-            inter_hops=peers - 1, xrack_hops=topology.n_racks - 1)
+            inter_hops=nodes - 1)
         #: every other round: a tree, reduce up and broadcast down
         self._tree_hops = dict(
             intra_hops=(1 if one_node else 2) * _depth(width),
-            inter_hops=_depth(peers), xrack_hops=_depth(topology.n_racks))
+            inter_hops=_depth(nodes))
 
     def _locality_sums(self, m: np.ndarray):
         """Per source rank, the sum of ``m[src, dst]`` over every
-        destination, over the source's own node and over its own rack
-        (= every destination when there is one rack)."""
+        destination and over the source's own node."""
         per_node = np.add.reduceat(m, self._node_starts, axis=1,
                                    dtype=np.int64)
-        total = per_node.sum(axis=1)
-        node = per_node[self._ranks, self._node_of]
-        per_rack = np.add.reduceat(per_node, self._rack_node_starts, axis=1)
-        return total, node, per_rack[self._ranks, self._rack_of]
+        return per_node.sum(axis=1), per_node[self._ranks, self._node_of]
 
     def tiers(self, op: str, traffic: np.ndarray) -> TierMetering:
         """The tier view of one metered round: :meth:`wire_columns`
-        reduced to per-tier totals and busiest rank / node / rack, and
-        the round's hops.
+        reduced to per-tier totals and busiest rank / node, and the
+        round's hops.
 
         Called once per round, where the backend records it, with the
         round's ``traffic``: each rank's metered bytes ``b``, or for an
         ``alltoallv`` its ``P x P`` per-destination bytes (diagonal
         zero).  An exchange in which nobody sends is its consensus
         barrier and pays the tree's hops."""
-        intra, inter, xrack = self.wire_columns(op, traffic)
+        intra, inter = self.wire_columns(op, traffic)
         sends = op in _PAIRWISE_OPS and traffic.any()
         return TierMetering(
             wire_intra=int(intra.sum()), wire_inter=int(inter.sum()),
-            wire_xrack=int(xrack.sum()), max_wire_intra=int(intra.max()),
+            max_wire_intra=int(intra.max()),
             max_node_wire_inter=int(
                 np.add.reduceat(inter, self._node_starts).max()),
-            max_rack_wire_xrack=int(
-                np.add.reduceat(xrack, self._rack_starts).max()),
             **(self._exchange_hops if sends else self._tree_hops))
 
     def wire_columns(self, op: str, traffic: np.ndarray):
-        """Each rank's ``(wire_intra, wire_inter, wire_xrack)`` bytes of
-        one round, as three ``(nprocs,)`` int64 columns — the protocol's
+        """Each rank's ``(wire_intra, wire_inter)`` bytes of one round,
+        as two ``(nprocs,)`` int64 columns — the protocol's
         wire model, which need not sum to the metered bytes.  An op no
         rule names is a ``ValueError``."""
         topo = self.topology
         multi = topo.multi_node
-        multi_rack = topo.multi_rack
         leader = self._leader
 
-        def out(wire_intra, wire_inter, wire_xrack=0):
+        def out(wire_intra, wire_inter):
             return tuple(np.broadcast_to(np.asarray(v, dtype=np.int64),
                                          (topo.nprocs,))
-                         for v in (wire_intra, wire_inter, wire_xrack))
+                         for v in (wire_intra, wire_inter))
 
         if op in _PAIRWISE_OPS:
             dest = traffic
-            total, intra, in_rack = self._locality_sums(dest)  # self slot 0
+            total, intra = self._locality_sums(dest)  # self slot 0
             off_node = total - intra
             # local delivery + gather-to-leader for a non-leader's
             # outbound off-node bytes + remote scatter for off-node bytes
             # not addressed to the remote leader; the off-node bytes go
-            # on the rack's network or across racks unchanged
+            # on the network unchanged
             gather_leg = np.where(leader, 0, off_node)
             remote_leaders = (
                 dest[:, ::topo.ranks_per_node].sum(axis=1)
                 - dest[self._ranks, self._leader_of])
             scatter_leg = off_node - remote_leaders
-            return out(intra + gather_leg + scatter_leg, in_rack - intra,
-                       total - in_rack)
+            return out(intra + gather_leg + scatter_leg, off_node)
 
         b = traffic
         if op in _REDUCE_OPS:
@@ -223,15 +195,8 @@ class HierarchicalCommunicator:
             # non-leaders reduce onto their leader; a leader injects the
             # node's reduced value upward and fans the result back down
             # if the node has peers
-            up = np.where(leader, b, 0)
-            wire_intra = np.where(leader & ~self._has_peers, 0, b)
-            if not multi_rack:
-                return out(wire_intra, up)
-            # a rack leader carries the rack's value across racks and
-            # redistributes the global result to its peer node leaders
-            xrack = np.where(self._rack_leader, b, 0)
-            rack_fanout = np.where(self._rack_has_peers, xrack, 0)
-            return out(wire_intra, up - xrack + rack_fanout, xrack)
+            return out(np.where(leader & ~self._has_peers, 0, b),
+                       np.where(leader, b, 0))
 
         if op in _CONCAT_OPS:
             if not multi:
@@ -239,12 +204,12 @@ class HierarchicalCommunicator:
             # the contribution must reach every node: inter by nature;
             # non-leaders also pay the local gather, leaders the fan-out
             local_leg = np.where(~leader | self._has_peers, b, 0)
-            return out(local_leg, b, b if multi_rack else 0)
+            return out(local_leg, b)
 
         if op == "checkpoint":
             # snapshots leave the node for stable storage regardless of
-            # topology (documented exception: never charged to the rack
-            # tier); non-leaders stage through the leader's writer
+            # topology (documented exception); non-leaders stage through
+            # the leader's writer
             return out(np.where(leader, 0, b) if multi else 0, b)
 
         raise ValueError(f"no tier rule for op {op!r}")

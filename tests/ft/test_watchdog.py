@@ -390,25 +390,52 @@ def test_procs_stalled_run_counts_probes():
 # -- chaos matrix: every fault action contained on the CI backend ------------
 
 
-@pytest.mark.parametrize("action", ["raise", "die", "delay", "corrupt"])
+#: The V-cycle under a tiered strategy, its fault planted in the
+#: uncoarsening sweep (the flat arm's is in the flat pipeline).
+ML_HIER = {"multilevel": True, "comm": "hierarchical:2"}
+
+_ACTIONS = ("raise", "die", "delay", "corrupt")
+
+
+@pytest.fixture(scope="module")
+def ml_hier_reference(ft_graph, ft_params):
+    """Uninterrupted, checkpoint-free run of the V-cycle arm (serial)."""
+    return xtrapulp(ft_graph, PARTS, nprocs=NPROCS,
+                    params=ft_params.with_(**ML_HIER), backend="serial")
+
+
+@pytest.mark.parametrize("action,arm", [
+    *[pytest.param(a, "flat", id=a) for a in _ACTIONS],
+    *[pytest.param(a, "ml-hier", id=f"{a}-ml-hier") for a in _ACTIONS],
+])
 def test_chaos_every_action_recovers_bit_identically(ft_graph, ft_params,
                                                      reference, tmp_path,
-                                                     action):
+                                                     request, action, arm):
     """One supervised run per fault action on the environment-selected
     backend (CI exports REPRO_BACKEND per job): all four failure modes
-    end in the same partition and record as the fault-free run."""
+    end in the same partition and record as the fault-free run — on the
+    flat pipeline, and on the V-cycle under ``hierarchical:2`` with the
+    fault in ``ml_refine``, whose tier metering must splice back the
+    same per event too (``signature()`` leaves it out)."""
+    params, phase = ft_params, "vertex_refine"
+    if arm == "ml-hier":
+        params, phase = ft_params.with_(**ML_HIER), "ml_refine"
+        reference = request.getfixturevalue("ml_hier_reference")
     delay = STALL if action == "delay" else 0.0
-    plan = FaultPlan([FaultSpec(1, "vertex_refine", 4, action=action,
-                                delay=delay)])
+    plan = FaultPlan([FaultSpec(1, phase, 4, action=action, delay=delay)])
     _, retry = _no_sleep()
     res = run_with_retries(
         ft_graph, PARTS, checkpoint=CkptPolicy(dir=str(tmp_path / "run")),
         fault_plan=plan, retry=retry,
-        nprocs=NPROCS, params=ft_params, watchdog=1.0, integrity="crc",
+        nprocs=NPROCS, params=params, watchdog=1.0, integrity="crc",
     )
     assert np.array_equal(res.parts, reference.parts)
     res_part = [s for s in res.stats.signature() if s[1] != "checkpoint"]
     assert res_part == reference.stats.signature()
+    assert ([e.tiers for e in res.stats.events if e.tag != "checkpoint"]
+            == [e.tiers for e in reference.stats.events])
+    if arm == "ml-hier":
+        assert reference.stats.tiered and reference.multilevel is not None
     assert len(res.stats.recoveries) == 1
     assert res.stats.recoveries[0].failure_class in (
         "hang", "corruption", "crash", "exception"

@@ -45,7 +45,7 @@ def load_phase_cases() -> list:
 
 
 def tiers_sha256(stats) -> str:
-    """sha256 over every event's op and the nine numbers of its tier
+    """sha256 over every event's op and the six numbers of its tier
     metering, in event order — the metering ``signature()`` leaves out."""
     h = hashlib.sha256()
     for e in stats.events:

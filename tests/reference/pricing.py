@@ -7,7 +7,7 @@ These are the scalar ``cost_parts`` / ``collective_cost`` /
 verbatim (``self`` became the first argument; ``superstep_time`` has
 since lost the measured-compute term the model no longer prices,
 ``cost_parts`` prices an exchange as the sparse NBX round it became, and
-reads a tiered event's busiest rank / node / rack loads off its
+reads a tiered event's busiest rank / node loads off its
 ``TierMetering``, which the strategy reduced at record time — that
 reduction's oracle is ``tests/reference/tiers.py``): nothing in ``src/``
 priced one event at a time.
@@ -27,11 +27,9 @@ def cost_parts(machine: MachineModel, event: CollectiveEvent,
     tiers = event.tiers
     if tiers is not None and hasattr(machine, "alpha_intra"):
         latency = (machine.alpha_intra * tiers.intra_hops
-                   + machine.alpha * tiers.inter_hops
-                   + machine.alpha_rack * tiers.xrack_hops)
+                   + machine.alpha * tiers.inter_hops)
         bandwidth = (machine.beta_intra * tiers.max_wire_intra
-                     + machine.beta * tiers.max_node_wire_inter
-                     + machine.beta_rack * tiers.max_rack_wire_xrack)
+                     + machine.beta * tiers.max_node_wire_inter)
         return latency, bandwidth
     if nprocs <= 1:
         return 0.0, 0.0

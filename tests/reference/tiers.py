@@ -1,7 +1,7 @@
 """The hierarchical strategy's tier rule, one rank at a time — the oracle
 for :meth:`HierarchicalCommunicator.wire_columns`, which meters every
 rank of a collective at once, and for :meth:`HierarchicalCommunicator.
-tiers`, which reduces those columns to a ``TierMetering``'s nine numbers.
+tiers`, which reduces those columns to a ``TierMetering``'s six numbers.
 
 :func:`tier_contribution` is the wire rule as the ranks used to evaluate
 it at every deposit (``self.topology`` became the first argument; the
@@ -10,8 +10,8 @@ columns).  :func:`tier_metering` reduces its rows the slow way, rank by
 rank with dicts.  :func:`tier_hops` is the latency rule the strategy's ``hops``
 method carried, amended so that an exchange in which nobody sends pays
 the tree.  :func:`tier_row` asks the production code for one rank's row,
-so the hand-computed tuples of ``test_topology.py`` /
-``test_rack_tier.py`` read the code that runs.
+so the hand-computed tuples of ``test_topology.py`` read the code that
+runs.
 """
 
 from math import ceil, log2
@@ -34,18 +34,16 @@ def tier_contribution(
     nbytes: int,
     dest_bytes: Optional[np.ndarray] = None,
 ) -> Tuple[int, ...]:
-    """The wire 3-tuple ``(wire_intra, wire_inter, wire_xrack)`` of one
-    rank.  A pairwise op reads ``dest_bytes``, the rank's bytes per
-    destination."""
+    """The wire pair ``(wire_intra, wire_inter)`` of one rank.  A
+    pairwise op reads ``dest_bytes``, the rank's bytes per destination."""
     b = int(nbytes)
     multi = topo.multi_node
-    multi_rack = topo.multi_rack
     leader = topo.is_leader(rank)
     my_node = topo.node_of(rank)
 
     if op in _PAIRWISE_OPS:
-        # contiguous packing (ranks node-major, nodes rack-major) turns
-        # every locality class into a slice sum — no O(P) boolean masks
+        # contiguous packing (ranks node-major) turns a node into a slice
+        # sum — no O(P) boolean mask
         dest = np.asarray(dest_bytes, dtype=np.int64)
         node_lo = topo.leader_of(rank)
         node_hi = node_lo + topo.node_size(my_node)
@@ -58,101 +56,80 @@ def tier_contribution(
         gather_leg = 0 if leader else off_node
         leaders_total = int(dest[::topo.ranks_per_node].sum())
         scatter_leg = off_node - (leaders_total - int(dest[node_lo]))
-        wire_intra = intra + gather_leg + scatter_leg
-        if multi_rack:
-            rack_lo, rack_hi = topo.rack_span(topo.rack_of(rank))
-            in_rack = int(dest[rack_lo:rack_hi].sum())
-            return wire_intra, in_rack - intra, total - in_rack
-        return wire_intra, off_node, 0
+        return intra + gather_leg + scatter_leg, off_node
 
     if op in _REDUCE_OPS:
         if not multi or not leader:
-            return b, 0, 0
+            return b, 0
         # leader injects the node's reduced value upward and fans the
         # result back down if the node has peers
         fanout = b if topo.node_size(my_node) > 1 else 0
-        if multi_rack and topo.is_rack_leader(rank):
-            # rack leader carries the rack's value across racks and
-            # redistributes the global result to its peer node leaders
-            rack_lo, rack_hi = topo.rack_span(topo.rack_of(rank))
-            rack_nodes = -(-(rack_hi - rack_lo) // topo.ranks_per_node)
-            rack_fanout = b if rack_nodes > 1 else 0
-            return fanout, rack_fanout, b
-        return fanout, b, 0
+        return fanout, b
 
     if op in _CONCAT_OPS:
         if not multi:
-            return b, 0, 0
+            return b, 0
         # the contribution must reach every node: on the network by
         # nature; non-leaders also pay the local gather, leaders the
         # fan-out
         local_leg = b if (not leader or topo.node_size(my_node) > 1) else 0
-        return local_leg, b, b if multi_rack else 0
+        return local_leg, b
 
     if op == "checkpoint":
         # snapshots leave the node for stable storage regardless of
-        # topology (documented exception: never charged to the rack
-        # tier); non-leaders stage through the leader's writer
+        # topology (documented exception); non-leaders stage through the
+        # leader's writer
         gather_leg = 0 if (leader or not multi) else b
-        return gather_leg, b, 0
+        return gather_leg, b
 
     raise ValueError(f"no tier rule for op {op!r}")
 
 
-def tier_hops(topo: Topology, op: str, sends: bool) -> Tuple[int, int, int]:
-    """``(intra, inter, xrack)`` latency hops of a round; ``sends`` says
-    whether any rank sends off-rank in it.  The inter entry counts the
-    nodes of the fullest rack."""
+def tier_hops(topo: Topology, op: str, sends: bool) -> Tuple[int, int]:
+    """``(intra, inter)`` latency hops of a round; ``sends`` says whether
+    any rank sends off-rank in it."""
     n_nodes = topo.n_nodes
     width = topo.max_node_size
-    peers = topo.nodes_per_rack
-    n_racks = topo.n_racks
     if op in _PAIRWISE_OPS and sends:
         intra = 3 * (width - 1)
-        inter = peers - 1
-        xrack = n_racks - 1
+        inter = n_nodes - 1
         if n_nodes == 1:
             intra = width - 1  # no gather/scatter legs, plain local
     else:
         intra = 2 * (ceil(log2(width)) if width > 1 else 0)
-        inter = ceil(log2(peers)) if peers > 1 else 0
-        xrack = ceil(log2(n_racks)) if n_racks > 1 else 0
+        inter = ceil(log2(n_nodes)) if n_nodes > 1 else 0
         if n_nodes == 1:
             intra = ceil(log2(width)) if width > 1 else 0
-    return intra, inter, xrack
+    return intra, inter
 
 
 def tier_rows(columns) -> List[Tuple[int, ...]]:
-    """Each rank's ``tier_contribution``-ordered 3-tuple of
+    """Each rank's ``tier_contribution``-ordered pair of
     :meth:`HierarchicalCommunicator.wire_columns`' ``columns``."""
     return [tuple(int(v) for v in row) for row in zip(*columns)]
 
 
 def tier_metering(topo: Topology, op: str, traffic: np.ndarray):
-    """The nine numbers a ``TierMetering`` of the round holds, as a dict,
+    """The six numbers a ``TierMetering`` of the round holds, as a dict,
     from :func:`tier_contribution` rank by rank: per-tier totals, the
-    busiest rank's ``wire_intra``, the busiest node's and rack's summed
-    ``wire_inter`` / ``wire_xrack``, and :func:`tier_hops`."""
+    busiest rank's ``wire_intra``, the busiest node's summed
+    ``wire_inter``, and :func:`tier_hops`."""
     nbytes = traffic.sum(axis=1) if traffic.ndim == 2 else traffic
     rows = [tier_contribution(
                 topo, op, r, nbytes[r],
                 dest_bytes=traffic[r] if traffic.ndim == 2 else None)
             for r in range(topo.nprocs)]
     per_node: dict = {}
-    per_rack: dict = {}
-    for r, (_, inter, xrack) in enumerate(rows):
-        node, rack = topo.node_of(r), topo.rack_of(r)
+    for r, (_, inter) in enumerate(rows):
+        node = topo.node_of(r)
         per_node[node] = per_node.get(node, 0) + inter
-        per_rack[rack] = per_rack.get(rack, 0) + xrack
     hops = tier_hops(topo, op, bool(np.asarray(nbytes).any()))
     return dict(
         wire_intra=sum(row[0] for row in rows),
         wire_inter=sum(row[1] for row in rows),
-        wire_xrack=sum(row[2] for row in rows),
         max_wire_intra=max(row[0] for row in rows),
         max_node_wire_inter=max(per_node.values()),
-        max_rack_wire_xrack=max(per_rack.values()),
-        intra_hops=hops[0], inter_hops=hops[1], xrack_hops=hops[2])
+        intra_hops=hops[0], inter_hops=hops[1])
 
 
 def tier_row(comm, op, rank, nbytes, dest_bytes=None) -> Tuple[int, ...]:

@@ -19,6 +19,7 @@ from repro.simmpi import (
 from repro.simmpi.metrics import CollectiveEvent, TierMetering
 
 from tests.reference import pricing
+from tests.simmpi.test_topology import _workout
 
 
 def _event(op, nbytes, compute, tag="", tiers=None, work=None,
@@ -40,14 +41,14 @@ def _event(op, nbytes, compute, tag="", tiers=None, work=None,
 
 
 def _tiers(wire_intra, wire_inter, *, intra_hops, inter_hops, node_of):
-    """Metering of a one-rack topology (the rack tier is all zero) from
-    per-rank wire columns: per-tier totals, busiest rank and node."""
+    """Metering from per-rank wire columns: per-tier totals, busiest
+    rank and node."""
     per_node = np.bincount(node_of, weights=wire_inter)
     return TierMetering(
         wire_intra=sum(wire_intra), wire_inter=sum(wire_inter),
-        wire_xrack=0, max_wire_intra=max(wire_intra),
-        max_node_wire_inter=int(per_node.max()), max_rack_wire_xrack=0,
-        intra_hops=intra_hops, inter_hops=inter_hops, xrack_hops=0,
+        max_wire_intra=max(wire_intra),
+        max_node_wire_inter=int(per_node.max()),
+        intra_hops=intra_hops, inter_hops=inter_hops,
     )
 
 
@@ -238,6 +239,31 @@ def test_blue_waters_tiered_constants_realistic():
     ratio = m.beta / m.beta_intra  # inter-node seconds/byte premium
     assert 10.0 <= ratio <= 20.0
     assert m.alpha > m.alpha_intra
+
+
+def test_batched_pricing_matches_scalar():
+    """The NumPy-batched cost path must agree bit-for-bit with the
+    per-event rule (``tests/reference/pricing.py``) on a live tiered
+    record."""
+    _, stats = run_spmd(8, _workout, backend="serial",
+                        comm="hierarchical:2")
+    assert stats.tiered
+    m = BLUE_WATERS_TIERED
+    lat_b, bw_b = m.cost_parts_batch(stats.events, stats.nprocs)
+    for i, e in enumerate(stats.events):
+        lat_s, bw_s = pricing.cost_parts(m, e, stats.nprocs)
+        assert lat_b[i] == lat_s
+        assert bw_b[i] == bw_s
+
+
+def test_flat_records_price_every_byte_on_the_network():
+    """Under flat metering every rank is its own node and no event
+    carries a wire model: every metered byte counts as network traffic,
+    none as shared-memory."""
+    _, stats = run_spmd(4, _workout, backend="serial", comm="flat")
+    assert not stats.tiered
+    assert stats.modeled_inter_bytes() == stats.total_bytes > 0
+    assert stats.modeled_intra_bytes() == 0
 
 
 def test_time_by_tag():

@@ -1,12 +1,14 @@
-"""Topology-aware communication subsystem: spec grammar, the node/rack
+"""Topology-aware communication subsystem: spec grammar, the node
 model, the ``create_communicator`` factory, the hierarchical two-level
-metering rules, and — the load-bearing guarantee — flat vs hierarchical
-bit-identity of results and communication records on every backend."""
+metering rules (every rank at once == one rank at a time), and — the
+load-bearing guarantee — flat vs hierarchical bit-identity of results
+and communication records on every backend."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import PulpParams, xtrapulp
 from repro.graph import generators
@@ -24,7 +26,12 @@ from repro.simmpi.topology import (
     make_topology,
     parse_comm_spec,
 )
-from tests.reference.tiers import tier_metering, tier_row
+from tests.reference.tiers import (
+    tier_contribution,
+    tier_metering,
+    tier_row,
+    tier_rows,
+)
 
 BACKENDS = ("serial", "threads", "procs")
 
@@ -34,16 +41,19 @@ backends = pytest.mark.parametrize("backend", BACKENDS)
 # -- spec grammar ------------------------------------------------------------
 
 def test_parse_comm_spec_name_only():
-    assert parse_comm_spec("flat") == ("flat", None, None)
-    assert parse_comm_spec("hierarchical") == ("hierarchical", None, None)
+    assert parse_comm_spec("flat") == ("flat", None)
+    assert parse_comm_spec("hierarchical") == ("hierarchical", None)
 
 
 def test_parse_comm_spec_ranks_per_node():
-    assert parse_comm_spec("hierarchical:16") == ("hierarchical", 16, None)
+    assert parse_comm_spec("hierarchical:16") == ("hierarchical", 16)
 
 
 def test_parse_comm_spec_full():
-    assert parse_comm_spec("hierarchical:8x4") == ("hierarchical", 8, 4)
+    """``NAME[:R]`` is the whole grammar: a rack width is a typed error
+    that names it."""
+    with pytest.raises(ValueError, match=r"NAME\[:R\]"):
+        parse_comm_spec("hierarchical:8x4")
 
 
 @pytest.mark.parametrize("bad", [
@@ -83,25 +93,11 @@ def test_topology_node_of_ranks_matches_scalar():
         node_map, [t.node_of(r) for r in range(10)])
 
 
-def test_topology_rack_tier():
-    t = Topology(nprocs=32, ranks_per_node=4, nodes_per_rack=2)
-    assert t.nodes_per_rack == 2 and t.multi_rack
-    assert t.n_racks == 4
-    assert t.rack_of(0) == 0 and t.rack_of(8) == 1 and t.rack_of(31) == 3
-    # no rack width: one rack holding every node
-    one_rack = Topology(nprocs=32, ranks_per_node=4)
-    assert one_rack.nodes_per_rack == one_rack.n_nodes == 8
-    assert one_rack.n_racks == 1 and not one_rack.multi_rack
-    assert one_rack.rack_of(31) == 0
-
-
 def test_topology_validates():
     with pytest.raises(ValueError):
         Topology(nprocs=0, ranks_per_node=4)
     with pytest.raises(ValueError):
         Topology(nprocs=4, ranks_per_node=0)
-    with pytest.raises(ValueError):
-        Topology(nprocs=8, ranks_per_node=4, nodes_per_rack=0)
     with pytest.raises(ValueError):
         Topology(nprocs=8, ranks_per_node=4).node_size(2)
 
@@ -145,11 +141,13 @@ def test_unknown_strategy_raises_with_choices():
 
 @pytest.mark.parametrize("bad", [
     "hierarchical:8x", "hierarchical:0", "hierarchical: 8",
+    "hierarchical:8x4",  # a rack width: no topology has racks
 ])
 @pytest.mark.parametrize("entry", ["create_runtime", "run_spmd", "params"])
 def test_malformed_suffix_reports_the_grammar_error(bad, entry):
-    """A valid strategy name with a bad ``:R[xK]`` suffix is a grammar
-    error, not an unknown strategy — through every front door."""
+    """A valid strategy name with a bad ``:R`` suffix is a grammar
+    error naming ``NAME[:R]``, not an unknown strategy — through every
+    front door (the CLI's is in ``tests/test_cli.py``)."""
     with pytest.raises(ValueError) as exc:
         if entry == "create_runtime":
             create_runtime("serial", nprocs=2, comm=bad)
@@ -157,7 +155,7 @@ def test_malformed_suffix_reports_the_grammar_error(bad, entry):
             run_spmd(2, lambda comm: None, backend="serial", comm=bad)
         else:
             PulpParams(comm=bad)
-    assert bad in str(exc.value)
+    assert bad in str(exc.value) and "NAME[:R]" in str(exc.value)
     assert "unknown communicator strategy" not in str(exc.value)
 
 
@@ -170,11 +168,10 @@ def _hier(nprocs, rpn):
 def test_dest_split_is_sum_preserving():
     c = _hier(8, 4)  # nodes {0..3}, {4..7}
     dest = np.array([0, 10, 20, 30, 40, 50, 60, 70], dtype=np.int64)
-    wire_intra, wire_inter, wire_xrack = tier_row(
+    wire_intra, wire_inter = tier_row(
         c, "alltoallv", 0, int(dest.sum()), dest_bytes=dest)
     # payload exchange ships the off-node bytes on the network unchanged
     assert wire_inter == 40 + 50 + 60 + 70
-    assert wire_xrack == 0  # one rack: nothing leaves it
     # local delivery, then the remote scatter of the off-node bytes not
     # addressed to the remote leader (rank 4)
     assert wire_intra == (10 + 20 + 30) + (50 + 60 + 70)
@@ -189,15 +186,15 @@ def test_dest_wire_legs():
     # rank 1 (non-leader): local delivery (200 to ranks 0,2... minus self)
     # + gather-to-leader of its 400 inter bytes + remote scatter of the
     # 300 off-node bytes not addressed to the remote leader (rank 4)
-    wire_intra, wire_inter, wire_xrack = tier_row(
+    wire_intra, wire_inter = tier_row(
         c, "alltoallv", 1, int(dest.sum()), dest_bytes=dest)
-    assert (wire_inter, wire_xrack) == (400, 0)
+    assert wire_inter == 400
     assert wire_intra == 300 + 400 + 300
     # the leader skips the gather leg
     dest0 = np.full(8, 100, dtype=np.int64)
     dest0[0] = 0
     assert tier_row(c, "alltoallv", 0, int(dest0.sum()),
-                    dest_bytes=dest0) == (300 + 300, 400, 0)
+                    dest_bytes=dest0) == (300 + 300, 400)
 
 
 def test_exchange_wire_carries_no_count_header():
@@ -221,12 +218,12 @@ def test_reduce_leaders_only():
     c = _hier(8, 4)
     b = 64
     # non-leader: reduces onto its leader over shared memory
-    assert tier_row(c, "allreduce", 1, b) == (b, 0, 0)
+    assert tier_row(c, "allreduce", 1, b) == (b, 0)
     # leader: injects one value inter-node, fans the result back down
-    assert tier_row(c, "allreduce", 0, b) == (b, b, 0)
+    assert tier_row(c, "allreduce", 0, b) == (b, b)
     # single node: everything is intra
     single = _hier(4, 4)
-    assert tier_row(single, "allreduce", 0, b) == (b, 0, 0)
+    assert tier_row(single, "allreduce", 0, b) == (b, 0)
 
 
 def test_reduce_inter_wire_is_leaders_count():
@@ -241,18 +238,17 @@ def test_reduce_inter_wire_is_leaders_count():
 
 def test_concat_all_inter_on_multi_node():
     c = _hier(8, 4)
-    wire_intra, wire_inter, wire_xrack = tier_row(c, "allgatherv", 1, 32)
+    wire_intra, wire_inter = tier_row(c, "allgatherv", 1, 32)
     assert wire_inter == 32
     assert wire_intra == 32  # local gather leg
-    assert wire_xrack == 0
 
 
 def test_checkpoint_always_inter():
     c = _hier(8, 4)
     single = _hier(4, 4)
     # a non-leader stages through its leader's writer
-    assert tier_row(c, "checkpoint", 1, 128) == (128, 128, 0)
-    assert tier_row(single, "checkpoint", 0, 128) == (0, 128, 0)
+    assert tier_row(c, "checkpoint", 1, 128) == (128, 128)
+    assert tier_row(single, "checkpoint", 0, 128) == (0, 128)
 
 
 def test_unknown_op_has_no_tier_rule():
@@ -262,24 +258,76 @@ def test_unknown_op_has_no_tier_rule():
         tier_row(_hier(8, 4), "teleport", 3, 9)
 
 
+# -- the matrix is the scalar rule, row by row --------------------------------
+
+#: every op SimComm emits
+_OPS = ("alltoallv", "allreduce", "barrier", "allgather", "allgatherv",
+        "checkpoint")
+
+#: (nprocs, ranks/node): a single node, one rank per node, a short last
+#: node, a short last node of many, full nodes
+_SHAPES = [(4, 4), (5, 1), (10, 4), (22, 4), (8, 2)]
+
+
+@st.composite
+def _topologies(draw):
+    """The named shapes, and random ones."""
+    nprocs, rpn = draw(st.one_of(
+        st.sampled_from(_SHAPES),
+        st.integers(1, 24).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, n + 1)))))
+    return _hier(nprocs, rpn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(comm=_topologies(), op=st.sampled_from(_OPS), data=st.data())
+def test_tier_rows_are_the_scalar_rule(comm, op, data):
+    """Every rank of a round metered at once == the rule the ranks used
+    to evaluate one deposit at a time (``tests/reference/tiers.py``), and
+    the round's six numbers == that rule's rows reduced rank by rank."""
+    nprocs = comm.topology.nprocs
+    if op == "alltoallv":
+        # sparse, so the rule sees zero and non-zero slots
+        traffic = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0, 0, 1, 8, 1000]),
+                     min_size=nprocs, max_size=nprocs),
+            min_size=nprocs, max_size=nprocs)), dtype=np.int64)
+        np.fill_diagonal(traffic, 0)
+        nbytes = traffic.sum(axis=1)
+    else:
+        nbytes = traffic = np.array(data.draw(st.lists(
+            st.sampled_from([0, 8, 1000]),
+            min_size=nprocs, max_size=nprocs)), dtype=np.int64)
+    columns = comm.wire_columns(op, traffic)
+    assert [c.dtype for c in columns] == [np.int64] * 2
+    assert tier_rows(columns) == [
+        tier_contribution(
+            comm.topology, op, r, nbytes[r],
+            dest_bytes=traffic[r] if traffic.ndim == 2 else None)
+        for r in range(nprocs)]
+    tiers = dataclasses.asdict(comm.tiers(op, traffic))
+    assert all(type(v) is int for v in tiers.values())
+    assert tiers == tier_metering(comm.topology, op, traffic)
+
+
 def _hops(comm, op, traffic):
     t = comm.tiers(op, traffic)
-    return t.intra_hops, t.inter_hops, t.xrack_hops
+    return t.intra_hops, t.inter_hops
 
 
 def test_hops_structure():
     c = _hier(32, 8)  # 4 nodes x 8
     sends = np.ones((32, 32), dtype=np.int64)
     np.fill_diagonal(sends, 0)
-    # gather+exchange+scatter, n-1, no other rack
-    assert _hops(c, "alltoallv", sends) == (3 * 7, 3, 0)
+    # gather+exchange+scatter, n-1
+    assert _hops(c, "alltoallv", sends) == (3 * 7, 3)
     # up+down log2(8), log2(4)
-    assert _hops(c, "allreduce", np.zeros(32, np.int64)) == (2 * 3, 2, 0)
+    assert _hops(c, "allreduce", np.zeros(32, np.int64)) == (2 * 3, 2)
     single = _hier(8, 8)
     sends = np.ones((8, 8), dtype=np.int64)
     np.fill_diagonal(sends, 0)
-    assert _hops(single, "alltoallv", sends) == (7, 0, 0)  # plain local
-    assert _hops(single, "allreduce", np.zeros(8, np.int64)) == (3, 0, 0)
+    assert _hops(single, "alltoallv", sends) == (7, 0)  # plain local
+    assert _hops(single, "allreduce", np.zeros(8, np.int64)) == (3, 0)
 
 
 def test_exchange_in_which_nobody_sends_pays_the_tree():
@@ -295,7 +343,7 @@ def test_exchange_in_which_nobody_sends_pays_the_tree():
     (event,) = stats.events
     assert not event.bytes_sent.any() and not event.messages.any()
     t = event.tiers
-    assert (t.intra_hops, t.inter_hops, t.xrack_hops) == (2 * 4, 2, 0)
+    assert (t.intra_hops, t.inter_hops) == (2 * 4, 2)
     latency, _ = BLUE_WATERS_TIERED.cost_parts_batch(stats.events, 64)
     assert latency[0] == pytest.approx(7e-6)  # 8 x 0.5 us + 2 x 1.5 us
     flat, _ = BLUE_WATERS_LIKE.cost_parts_batch(stats.events, 64)
@@ -329,10 +377,9 @@ def _workout_traffic(size):
 
 
 def check_live_tiers(stats, topo):
-    """Every tiered event of a :func:`_workout` run holds the nine numbers
+    """Every tiered event of a :func:`_workout` run holds the six numbers
     the one-rank-at-a-time rule gives, and the exchange's node-local
-    bytes, in-rack network wire and cross-rack wire sum to its
-    ``bytes_sent``."""
+    bytes and network wire sum to its ``bytes_sent``."""
     tiered = [e for e in stats.events if e.tiers is not None]
     assert len(tiered) == len(stats.events) > 0
     traffic = _workout_traffic(topo.nprocs)
@@ -346,8 +393,7 @@ def check_live_tiers(stats, topo):
                 int(traffic[lo:lo + topo.ranks_per_node,
                             lo:lo + topo.ranks_per_node].sum())
                 for lo in range(0, topo.nprocs, topo.ranks_per_node))
-            assert (local + e.tiers.wire_inter + e.tiers.wire_xrack
-                    == e.total_bytes)
+            assert local + e.tiers.wire_inter == e.total_bytes
     return tiered
 
 
@@ -364,8 +410,7 @@ def test_flat_vs_hierarchical_bit_identical(backend):
 @backends
 def test_tier_split_sums_to_bytes_sent(backend):
     _, st = run_spmd(8, _workout, backend=backend, comm="hierarchical:4")
-    for e in check_live_tiers(st, _hier(8, 4).topology):
-        assert e.tiers.wire_xrack == 0  # one rack: nothing leaves it
+    check_live_tiers(st, _hier(8, 4).topology)
 
 
 @backends
@@ -427,6 +472,8 @@ def test_xtrapulp_partition_invariant_under_comm(small_rmat, backend):
 
 
 def test_params_validate_comm_spec():
-    PulpParams(comm="hierarchical:8x4")  # grammar ok, lazy name check
+    PulpParams(comm="hierarchical:8")  # grammar ok, lazy name check
+    with pytest.raises(ValueError, match=r"NAME\[:R\]"):
+        PulpParams(comm="hierarchical:8x4")
     with pytest.raises(ValueError):
         PulpParams(comm="hierarchical:0")

@@ -59,6 +59,17 @@ def test_cli_zero_ranks_is_usage_error(tmp_path, capsys):
     assert "--ranks must be >= 1, got 0" in capsys.readouterr().err
 
 
+def test_cli_rack_comm_spec_is_usage_error(graph_file, capsys):
+    """A rack width is not in the ``NAME[:R]`` grammar: exit 2 with the
+    grammar named, no traceback."""
+    path, _ = graph_file
+    assert main([path, "-p", "4", "-r", "2",
+                 "--comm", "hierarchical:16x4"]) == 2
+    err = capsys.readouterr().err
+    assert "NAME[:R]" in err and "hierarchical:16x4" in err
+    assert "Traceback" not in err
+
+
 def test_cli_options(graph_file):
     path, _ = graph_file
     assert main([
