@@ -108,7 +108,7 @@ def test_watchdog_overhead(benchmark, suite_graph):
     g = suite_graph(GRAPHS[0], "small")
     params = PulpParams(seed=42)
     base = xtrapulp(g, PARTS, nprocs=NPROCS, params=params, backend="serial")
-    plan = FaultPlan([FaultSpec(1, "vertex_refine", 4, action="delay",
+    plan = FaultPlan([FaultSpec(1, "vertex_refine", 2, action="delay",
                                 delay=STALL)])
     with tempfile.TemporaryDirectory() as d:
         t0 = time.perf_counter()

@@ -14,12 +14,20 @@ assignment — 4–8 B/record and no per-exchange gid lookup, against the
 16 B ``(vertex gid, new part)`` pair of the paper's listing
 (:mod:`repro.dist.wire`).
 
+The same round may carry a sum-reduction operand (the paper's
+``AllReduce(C)`` that follows every ExchangeUpdates): the sparse
+exchange ends in a consensus over all ranks, and the operand's sum rides
+it (:meth:`~repro.simmpi.comm.SimComm.Alltoallv_fields`), so an
+iteration is one round.
+
 Receive buffers are consumed read-only (indexed assignment *from* them
 into the rank-local ``parts`` array), so the in-process backends may
 hand them out as sealed views of one shared merge buffer.
 """
 
 from __future__ import annotations
+
+from typing import Any, Optional
 
 import numpy as np
 
@@ -49,7 +57,8 @@ def exchange_updates(
     updated_lids: np.ndarray,
     wire: WireSpec,
     idle=None,
-) -> Steps[np.ndarray]:
+    operand: Optional[np.ndarray] = None,
+) -> Steps[Any]:
     """Propagate part updates for ``updated_lids`` (owned local ids) and
     apply incoming updates to this rank's ghost entries of ``parts``.
 
@@ -57,8 +66,12 @@ def exchange_updates(
     kept :func:`idle_send`, shipped when there are no updates.  Returns the
     local ids of the ghost entries that were updated (each ghost has one
     owner, so the ids are unique) — the frontier engine seeds the next
-    active set from them.  Collective: all ranks must call it each sweep
-    (possibly with empty updates).
+    active set from them.  Given an ``operand`` (every rank or none), the
+    round's consensus also sums it over the ranks and the return is
+    ``(ghost_lids, total)``: an LP iteration's size deltas, or a BFS
+    round's counts, ride the exchange instead of a round of their own.
+    Collective: all ranks must call it each sweep (possibly with empty
+    updates).
     """
     updated_lids = np.asarray(updated_lids, dtype=np.int64)
     if updated_lids.size == 0:
@@ -76,10 +89,11 @@ def exchange_updates(
         planes, reccounts = pack_fields_by_rank(
             comm.size, dest, (slots, new_parts.astype(wire.part_dtype))
         )
-    recv, _ = yield from comm.Alltoallv_fields(planes, reccounts)
-    rslots, rparts = recv
+    (rslots, rparts), _, *total = yield from comm.Alltoallv_fields(
+        planes, reccounts, operand)
     if rslots.size == 0:
-        return np.empty(0, dtype=np.int64)
-    ghost_lids = rslots.astype(np.int64) + dg.n_local
-    parts[ghost_lids] = rparts
-    return ghost_lids
+        ghost_lids = np.empty(0, dtype=np.int64)
+    else:
+        ghost_lids = rslots.astype(np.int64) + dg.n_local
+        parts[ghost_lids] = rparts
+    return ghost_lids if operand is None else (ghost_lids, total[0])

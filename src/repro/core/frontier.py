@@ -48,8 +48,10 @@ Work model: scoring work is charged by ``RankState.gather_block`` only
 for blocks actually swept, so a shrinking active set shrinks the work
 units the phase records and the modeled gamma term directly;
 frontier maintenance charges the transpose edges it walks plus one
-O(n_local) mask pass per iteration (the same convention used for other
-full-vector passes, e.g. the vertex row of ``RankState.part_totals``).
+O(n_local) mask pass per iteration that another follows (the same
+convention used for other full-vector passes, e.g. the vertex row of
+``RankState.part_totals``), billed to the next iteration's exchange
+round; a phase's last iteration seeds nothing.
 """
 
 from __future__ import annotations
@@ -77,17 +79,18 @@ class FrontierSweeper:
     Usage::
 
         sweeper = FrontierSweeper(state, phase="vertex_balance")
-        for _ in range(iters):
+        for it in range(iters):
             for lids in sweeper.blocks():
-                ...score block, admit moves...
+                ...score block, admit moves, add them to the deltas C...
                 sweeper.note_moves(moved)
-            yield from sweeper.exchange(comm)  # flush work + ExchangeUpdates
-            ...Allreduce size deltas...
+            # flush work + ExchangeUpdates, C's sum riding its consensus
+            S += yield from sweeper.exchange(comm, C, last=it == iters - 1)
 
     ``blocks()`` yields the iteration's active lid chunks; ``note_moves``
     feeds admitted moves back; ``exchange`` runs the collective update
-    exchange (all moved vertices) and seeds the next iteration's frontier
-    from local and ghost touches.
+    exchange (all moved vertices), which also sums the iteration's size
+    deltas over the ranks, and — unless no iteration follows — seeds the
+    next iteration's frontier from local and ghost touches.
     """
 
     def __init__(
@@ -163,10 +166,15 @@ class FrontierSweeper:
     # -- iteration boundary --------------------------------------------------
 
     @steppable
-    def exchange(self, comm: SimComm) -> Steps[np.ndarray]:
+    def exchange(self, comm: SimComm, deltas: np.ndarray,
+                 last: bool = False) -> Steps[np.ndarray]:
         """Finish the iteration: flush charged sweep work, run
-        ``exchange_updates`` for every vertex moved this iteration, and
-        seed the next iteration's frontier.  Returns the moved lids."""
+        ``exchange_updates`` for every vertex moved this iteration with
+        the iteration's ``deltas`` riding its consensus, and, unless this
+        is the phase's ``last`` iteration, seed the next iteration's
+        frontier (no sweep would read it, and its work would be billed to
+        whatever round comes next).  Returns the deltas summed over the
+        ranks."""
         state = self.state
         if self._moved:
             moved = np.concatenate(self._moved)
@@ -183,16 +191,16 @@ class FrontierSweeper:
             state.edges_touched - self._edges_mark,
         ))
         state.flush_work(comm)
-        ghost_lids = yield from exchange_updates(
+        ghost_lids, total = yield from exchange_updates(
             comm, self.dg, state.parts, moved, wire=state.wire,
-            idle=self._idle,
+            idle=self._idle, operand=deltas,
         )
         self._iter += 1
-        self._seed_next(moved, ghost_lids)
-        # frontier-maintenance work rides the iteration's trailing
-        # collective (every phase Allreduces its size deltas next)
-        state.flush_work(comm)
-        return moved
+        if not last:
+            # its maintenance work stays pending: the next iteration's
+            # exchange flushes it with that iteration's sweep work
+            self._seed_next(moved, ghost_lids)
+        return total
 
     def _seed_next(self, moved: np.ndarray, ghost_lids: np.ndarray) -> None:
         """Next active set = moved ∪ {touched vertices over their

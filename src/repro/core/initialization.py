@@ -13,13 +13,13 @@ rank holds the gathered candidate pool and the shared seed, so every rank
 draws the same roots and labels its owned roots and its ghost copies of
 roots itself: no broadcast, no claim exchange.  A BFS round scans (and
 charges work for) the connected unassigned owned vertices only — an
-isolated vertex can never be reached — and is one reduction of
-[vertices assigned, connected owned vertices still unassigned]; its
-ExchangeUpdates round is taken only if something was assigned; the loop
-ends when no connected vertex is waiting or none was reached, and the
-leftovers are exchanged only if a connected one is among them (an
-isolated vertex has no ghost copy).  Every strategy labels every
-owned vertex, so no rank needs a collective check of that.
+isolated vertex can never be reached — and is one ExchangeUpdates round
+whose consensus also sums [vertices assigned, connected owned vertices
+still unassigned]; the loop ends when no connected vertex is waiting or
+none was reached, and the leftovers are exchanged only if a connected
+one is among them (an isolated vertex has no ghost copy).  Every
+strategy labels every owned vertex, so no rank needs a collective check
+of that.
 
 The paper notes the number of rounds is on the order of the graph
 diameter, and that for high-diameter graph classes random or block
@@ -123,12 +123,12 @@ def initialize_hybrid(comm: SimComm, state: RankState) -> Steps[None]:
             state.parts[assigned_now] = chosen[has]
             waiting = unassigned.size - assigned_now.size
         state.flush_work(comm)
-        # [assigned this round, connected owned vertices still unassigned]
-        n_updates, left = (yield from comm.Allreduce(np.array(
-            [assigned_now.size, waiting], dtype=np.int64))).tolist()
-        if n_updates:
-            yield from exchange_updates(comm, dg, state.parts, assigned_now,
-                                        wire=state.wire)
+        # the round's labels, and the sum of [assigned this round,
+        # connected owned vertices still unassigned] on its consensus
+        _, counts = yield from exchange_updates(
+            comm, dg, state.parts, assigned_now, wire=state.wire,
+            operand=np.array([assigned_now.size, waiting], dtype=np.int64))
+        n_updates, left = counts.tolist()
         # nothing left to reach, or nothing reachable left
         if left == 0 or n_updates == 0:
             break

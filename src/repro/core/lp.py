@@ -8,7 +8,9 @@ by the dynamic multiplier of §III.C), score the block
 within each part's throttled capacity ``(bound − est) / mult``
 (:mod:`repro.core.capacity`: the paper's per-move atomic updates,
 recovered for vectorized blocks), commit them into ``C`` — then
-ExchangeUpdates and Allreduce the ``[d × p]`` delta block into the totals.
+ExchangeUpdates, whose closing consensus also sums the ``[d × p]`` delta
+block into the totals: the paper's exchange and ``AllReduce(C)`` are one
+round.
 What differs between phases is a rule set, a :class:`PhaseSpec`;
 :data:`SPECS` holds the five the pipeline runs (tabulated in DESIGN.md
 §4), and a sixth is one more literal, not one more loop.
@@ -271,7 +273,7 @@ def lp_phase(
             cleanup_iter=(None if spec.cleanup is None
                           else max(0, iters - spec.cleanup)),
         )
-        for _ in range(iters):
+        for it in range(iters):
             tops = [float(row.max()) for row in S]
             for i, c in enumerate(cons):
                 top = tops[i]
@@ -342,6 +344,6 @@ def lp_phase(
                     C[2] += np.bincount(
                         new, weights=deg - 2.0 * n_w[keep], minlength=p)
                 sweeper.note_moves(moved)
-            yield from sweeper.exchange(comm)
-            S += yield from comm.Allreduce(C if d > 1 else C[0], op="sum")
+            S += yield from sweeper.exchange(comm, C if d > 1 else C[0],
+                                             last=it == iters - 1)
             state.iter_tot += 1

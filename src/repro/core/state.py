@@ -24,7 +24,8 @@ class RankState:
 
     ``parts`` covers owned + ghost vertices (local-id indexed).  Global
     per-part totals ``Sv``/``Se``/``Sc`` (:meth:`part_totals`) are kept
-    consistent across ranks by Allreduce at iteration boundaries; within an
+    consistent across ranks by the sum each iteration's exchange carries on
+    its consensus (an Allreduce at phase entry); within an
     iteration each rank tracks its local deltas ``Cv``/``Ce``/``Cc`` and
     *estimates* global sizes as ``S + mult * C`` (the paper's
     distributed-update throttle, §III.C).

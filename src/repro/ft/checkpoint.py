@@ -62,8 +62,11 @@ import numpy as np
 from repro.simmpi.stepping import Steps, steppable
 
 #: Bumped whenever a pickled record changes shape, so that an older
-#: epoch is refused at load instead of failing later.
-FORMAT_VERSION = 6
+#: epoch is refused at load instead of failing later — or changes
+#: meaning: a version-6 ``stats.pkl`` holds two rounds per LP iteration
+#: (the exchange, then the delta Allreduce) where version 7 holds one,
+#: so a spliced record would mix the two schedules.
+FORMAT_VERSION = 7
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_TMP = "MANIFEST.tmp"
 STATS_NAME = "stats.pkl"

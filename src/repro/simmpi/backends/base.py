@@ -189,17 +189,23 @@ class Backend(ABC):
         ``traffic`` is what the round's ``execute`` read off the
         contributions: each rank's bytes, or for an exchange the per-
         destination byte matrix (diagonal zero), whose row sums are
-        ``bytes_sent`` and non-zero counts each rank's ``messages``.  A
-        lone rank sends nothing off-rank and has no tier to send it over;
-        otherwise a tiered strategy splits the traffic here, once for all
-        ranks."""
+        ``bytes_sent`` and non-zero counts each rank's ``messages`` — paired,
+        when the exchange carries a reduction, with each rank's operand
+        bytes, which ``bytes_sent`` adds and ``messages`` does not count.
+        A lone rank sends nothing off-rank and has no tier to send it
+        over; otherwise a tiered strategy splits the traffic here, once
+        for all ranks."""
+        traffic, reduced = (traffic if isinstance(traffic, tuple)
+                            else (traffic, None))
         if self.nprocs == 1:
-            traffic = np.zeros_like(traffic)
+            traffic, reduced = np.zeros_like(traffic), None
         bytes_sent, messages, tiers = traffic, None, None
         if self.comm_strategy is not None and self.nprocs > 1:
-            tiers = self.comm_strategy.tiers(op, traffic)
+            tiers = self.comm_strategy.tiers(op, traffic, reduced)
         if traffic.ndim == 2:
             bytes_sent = traffic.sum(axis=1)
+            if reduced is not None:
+                bytes_sent += reduced
             # counted in place — the matrix is this round's alone, and a
             # P x P boolean temporary would raise peak memory at
             # thousands of ranks

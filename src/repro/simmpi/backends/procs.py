@@ -13,7 +13,8 @@ Between the two barrier phases rank 0 (the designated computer) reads all
 request slots, checks that the actions agree, executes the collective with
 its own ``execute`` closure, writes each rank's result into that rank's
 response slot, and ships the round's traffic (what ``execute`` read off
-the contributions) with the ranks' work to the parent, whose
+the contributions: a byte array, or an exchange's byte matrix with its
+operand bytes beside it) with the ranks' work to the parent, whose
 :meth:`~repro.simmpi.backends.base.Backend._record` meters it.  Mixed
 done/collective actions become a
 :class:`~repro.simmpi.errors.DeadlockError`, disagreeing collectives a

@@ -8,7 +8,9 @@ metered by ``nbytes``).  All hot-path communication in the partitioner
 uses the buffer flavor, per the mpi4py guidance that buffer-provider
 objects are the fast path.  The surface is what the callers call:
 XtraPuLP's ``Allgatherv`` of the root candidates, ``Alltoallv`` of
-ExchangeUpdates and ``Allreduce`` of the size vectors, plus what the
+ExchangeUpdates — whose consensus also sums an iteration's size deltas,
+the operand an ``Alltoallv_fields`` may carry beside its records — and
+``Allreduce`` of the entry totals, plus what the
 multilevel path, analytics, checkpointing and the perf probes add
 (``allgather``, ``allreduce``, ``Checkpoint``, ``barrier``);
 ``tests/test_simmpi_surface.py`` keeps it that way.  There is no
@@ -27,11 +29,12 @@ holds: a rank's bytes for most ops — the payload it injects once, the
 standard pipelined/butterfly bandwidth proxy for all-collectives — and
 for an Alltoallv the ``P x P`` per-destination byte matrix,
 diagonal zero, priced at each source's own record size (zero-length
-contributions are dtype-exempt).  The backend records it
+contributions are dtype-exempt), paired with each rank's operand bytes
+when the exchange carries a reduction.  The backend records it
 (:meth:`~repro.simmpi.backends.base.Backend._record`): a matrix's row
-sums are ``bytes_sent`` and its non-zero counts each rank's
-``messages``, which price the exchange's latency.  A deposit carries no
-metering input of its own.
+sums, plus the operand bytes, are ``bytes_sent`` and its non-zero counts
+each rank's ``messages``, which price the exchange's latency.  A deposit
+carries no metering input of its own.
 
 On the procs backend every rank's result is pickled into its response
 slot and copied back out, so each rank owns what it receives; executes
@@ -73,8 +76,9 @@ from repro.simmpi.stepping import Steps, steppable
 _nbytes = operator.attrgetter("nbytes")
 
 #: What a collective's ``execute`` returns: the per-rank results and the
-#: round's traffic (module docstring).
-Executed = Tuple[List[Any], np.ndarray]
+#: round's traffic — an array, or an exchange's ``(byte matrix, operand
+#: bytes)`` pair (module docstring).
+Executed = Tuple[List[Any], Any]
 Execute = Callable[[List[Any]], Executed]
 
 _REDUCERS: dict[str, Callable[..., Any]] = {
@@ -133,6 +137,19 @@ def _per_rank(contribs: Sequence[Any], nbytes: Callable[[Any], int]
     """Each rank's metered bytes, ``nbytes`` of its contribution."""
     return np.fromiter(map(nbytes, contribs), dtype=np.int64,
                        count=len(contribs))
+
+
+def _reduce(arrays: Sequence[np.ndarray], reducer: Callable[..., Any],
+            share: bool, what: str) -> np.ndarray:
+    """The element-wise reduction of equal-shape per-rank arrays, in rank
+    order — one result, sealed where ranks share results."""
+    shapes = {a.shape for a in arrays}
+    if len(shapes) != 1:
+        raise ValueError(f"{what} shape mismatch across ranks: {shapes}")
+    total = reducer(np.stack(arrays), axis=0)
+    if share:
+        seal(total)
+    return total
 
 
 def _common_dtype(bufs: Sequence[np.ndarray], what: str) -> Optional[np.dtype]:
@@ -420,12 +437,7 @@ class SimComm:
         share = self._share_results
 
         def execute(contribs: List[Any]) -> Executed:
-            shapes = {c.shape for c in contribs}
-            if len(shapes) != 1:
-                raise ValueError(f"Allreduce shape mismatch across ranks: {shapes}")
-            total = reducer(np.stack(contribs), axis=0)
-            if share:
-                seal(total)
+            total = _reduce(contribs, reducer, share, "Allreduce")
             return [total] * len(contribs), _per_rank(contribs, _nbytes)
 
         return (yield from self._collective("allreduce", arr, execute))
@@ -492,9 +504,11 @@ class SimComm:
 
     @steppable
     def Alltoallv_fields(
-        self, fields: Sequence[np.ndarray], sendcounts: np.ndarray
-    ) -> Steps[Tuple[List[np.ndarray], np.ndarray]]:
-        """Variable-count all-to-all of a multi-field record batch.
+        self, fields: Sequence[np.ndarray], sendcounts: np.ndarray,
+        operand: Optional[np.ndarray] = None,
+    ) -> Steps[Tuple[Any, ...]]:
+        """Variable-count all-to-all of a multi-field record batch, with an
+        optional sum-reduction riding the same round.
 
         The wire primitive: a record is one entry from each array
         in ``fields`` (struct-of-arrays — every field keeps its own,
@@ -502,18 +516,25 @@ class SimComm:
         ``r``, and all fields share the destination grouping (use
         :func:`repro.dist.packing.pack_fields_by_rank`).  Returns
         ``(recv_fields, recvcounts)`` with each field's pieces ordered by
-        source rank and ``recvcounts`` in records.
+        source rank and ``recvcounts`` in records — and, given an
+        ``operand``, ``(recv_fields, recvcounts, total)`` with ``total``
+        the element-wise sum of every rank's equal-shape operand, in rank
+        order, bit for bit what :meth:`Allreduce` of them returns.  Every
+        rank passes an operand or none does.
 
         One metered round, one rendezvous.  The modeled machine runs the
         exchange as a non-blocking-consensus sparse exchange (NBX: Hoefler,
         Siebert and Lumsdaine, PPoPP 2010): a rank sends one message to
         each non-empty off-rank destination, receivers learn the counts
-        from the messages themselves, and a consensus barrier ends the
-        round, so no count header crosses the wire.  The round meters
-        the *true* wire size per destination — records times the source's
-        summed field itemsizes, no int64 inflation of narrow fields — so
-        the ``alltoallv`` event's ``bytes_sent`` is each rank's off-rank
-        payload and its ``messages`` each rank's count of non-empty
+        from the messages themselves, and a consensus ends the round, so
+        no count header crosses the wire.  The operand's reduction is that
+        consensus — a nonblocking allreduce that cannot complete on any
+        rank before every rank's sends are matched — so it costs no round
+        of its own.  The round meters the *true* wire size per
+        destination — records times the source's summed field itemsizes,
+        no int64 inflation of narrow fields — so the ``alltoallv`` event's
+        ``bytes_sent`` is each rank's off-rank payload plus its operand's
+        ``nbytes``, and its ``messages`` each rank's count of non-empty
         off-rank destinations.  Zero-length contributions are
         dtype-exempt (see :func:`_common_dtype`).
         """
@@ -535,6 +556,8 @@ class SimComm:
             raise ValueError(
                 f"sendcounts sum {cts.sum()} != record count {nrec}"
             )
+        if operand is not None:
+            operand = np.ascontiguousarray(operand)
         share = self._share_results
 
         def execute(contribs: List[Any]) -> Executed:
@@ -545,6 +568,11 @@ class SimComm:
                     f"Alltoallv_fields field-count mismatch across ranks: "
                     f"{sorted(widths)}"
                 )
+            operands = [c[2] for c in contribs]
+            reduces = {o is not None for o in operands}
+            if len(reduces) > 1:
+                raise ValueError(
+                    "Alltoallv_fields operand given on some ranks only")
             k = widths.pop()
             wire_dtypes = [
                 _common_dtype([b[j] for b in all_bufs], "Alltoallv_fields")
@@ -559,7 +587,12 @@ class SimComm:
             cmat *= np.array([sum(b.itemsize for b in bufs)
                               for bufs in all_bufs], dtype=np.int64)[:, None]
             np.fill_diagonal(cmat, 0)
+            if reduces.pop():
+                total = _reduce(operands, np.add.reduce, share,
+                                "Alltoallv_fields operand")
+                return ([(*res, total) for res in results],
+                        (cmat, _per_rank(operands, _nbytes)))
             return results, cmat
 
-        return (yield from self._collective("alltoallv", (bufs, cts),
-                                            execute))
+        return (yield from self._collective("alltoallv",
+                                            (bufs, cts, operand), execute))

@@ -73,7 +73,8 @@ class CollectiveEvent:
     bytes_sent:
         Per-rank off-rank payload in bytes (``shape == (nprocs,)``).
         Self-directed portions of Alltoall(v) payloads are excluded — they
-        never cross a network link.
+        never cross a network link; an exchange that carries a reduction
+        operand counts the operand's bytes too.
     compute_seconds:
         Per-rank CPU time spent between the previous rendezvous and this
         one, measured with ``time.thread_time`` so that GIL waits and other
@@ -218,9 +219,10 @@ class CommStats:
         """Per-phase wire-byte breakdown: ``{tag: {op: bytes}}``.
 
         The wire-format work lives here: the ghost-update payloads are the
-        ``alltoallv`` entries of the balance/refine tags, so a format
-        change shows up directly in this view while the (format-invariant)
-        size Allreduces stay put in theirs.
+        ``alltoallv`` entries of the balance/refine tags (with the size
+        deltas each exchange sums on its consensus), so a format change
+        shows up directly in this view while the (format-invariant)
+        entry-total Allreduces stay put in theirs.
         """
         out: Dict[str, Dict[str, int]] = {}
         for e in self.events:

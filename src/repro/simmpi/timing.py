@@ -18,8 +18,12 @@ simulator meters exactly:
   (NBX: Hoefler, Siebert and Lumsdaine, PPoPP 2010) and pays the busiest
   rank's messages — its non-empty off-rank destinations — on top of the
   ``ceil(log2 p)`` hops of its consensus barrier: ``ceil(log2 p)`` when
-  nobody sends, ``p - 1 + ceil(log2 p)`` when everyone sends to everyone;
-* ``beta`` is inverse bandwidth applied to the busiest rank's payload.
+  nobody sends, ``p - 1 + ceil(log2 p)`` when everyone sends to everyone.
+  An LP iteration's size-delta sum rides that consensus (the paper's
+  exchange and ``AllReduce(C)`` are one round): its operand adds bytes,
+  not messages or hops;
+* ``beta`` is inverse bandwidth applied to the busiest rank's payload
+  (an exchange's records plus any reduction operand it carries).
 
 Under a tiered communicator (``hierarchical:R``) each event carries a
 :class:`~repro.simmpi.metrics.TierMetering`, and

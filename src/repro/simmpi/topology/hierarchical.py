@@ -40,7 +40,8 @@ else:
   non-leader's off-node bytes pay an extra local gather hop to the
   leader; off-node bytes whose destination is not its node's leader pay
   the remote scatter hop.  Off-node bytes cross the network
-  (``wire_inter``) unchanged.
+  (``wire_inter``) unchanged.  An exchange that carries a reduction
+  operand adds the reduction rule's wires for the operand bytes.
 * **reductions** (``allreduce``, ``barrier``): non-leaders reduce onto
   their leader (intra); only leaders enter the inter-node phase, so a
   node injects one contribution instead of ``node_size`` — the classic
@@ -53,13 +54,15 @@ else:
   stable storage regardless of topology (documented exception to the
   node-locality rules).
 
-Latency hops per round: an exchange in which some rank sends costs
-``n_nodes - 1`` inter hops plus ``3 * (max_node_size - 1)`` intra hops
-(gather, local exchange, scatter) — the leader-level rule, which does
-not read the flat model's per-rank ``messages``; every other round,
-including an exchange in which nobody sends (its consensus barrier, as
-under the flat model), costs the tree's ``ceil(log2 n_nodes)`` inter
-plus ``2 * ceil(log2 max_node_size)`` intra (reduce up, broadcast down).
+Latency hops per round: an exchange in which some rank sends records
+costs ``n_nodes - 1`` inter hops plus ``3 * (max_node_size - 1)`` intra
+hops (gather, local exchange, scatter) — the leader-level rule, which
+does not read the flat model's per-rank ``messages``, and which a
+carried reduction does not add to (it is the exchange's consensus);
+every other round, including an exchange in which nobody sends records
+(its consensus alone, as under the flat model), costs the tree's
+``ceil(log2 n_nodes)`` inter plus ``2 * ceil(log2 max_node_size)`` intra
+(reduce up, broadcast down).
 A single-node topology degenerates to all-intra; one-rank nodes
 degenerate to ``flat``.  The inter tier is one network spanning every
 node, as the paper's machine (one Gemini torus) has.
@@ -80,6 +83,7 @@ test oracle (``tests/reference/tiers.py``).
 from __future__ import annotations
 
 from math import ceil, log2
+from typing import Optional
 
 import numpy as np
 
@@ -140,7 +144,8 @@ class HierarchicalCommunicator:
                                    dtype=np.int64)
         return per_node.sum(axis=1), per_node[self._ranks, self._node_of]
 
-    def tiers(self, op: str, traffic: np.ndarray) -> TierMetering:
+    def tiers(self, op: str, traffic: np.ndarray,
+              reduced: Optional[np.ndarray] = None) -> TierMetering:
         """The tier view of one metered round: :meth:`wire_columns`
         reduced to per-tier totals and busiest rank / node, and the
         round's hops.
@@ -148,9 +153,10 @@ class HierarchicalCommunicator:
         Called once per round, where the backend records it, with the
         round's ``traffic``: each rank's metered bytes ``b``, or for an
         ``alltoallv`` its ``P x P`` per-destination bytes (diagonal
-        zero).  An exchange in which nobody sends is its consensus
-        barrier and pays the tree's hops."""
-        intra, inter = self.wire_columns(op, traffic)
+        zero) and, if the exchange carries a reduction, each rank's
+        operand bytes ``reduced``.  An exchange in which nobody sends
+        records is its consensus and pays the tree's hops."""
+        intra, inter = self.wire_columns(op, traffic, reduced)
         sends = op in _PAIRWISE_OPS and traffic.any()
         return TierMetering(
             wire_intra=int(intra.sum()), wire_inter=int(inter.sum()),
@@ -159,11 +165,14 @@ class HierarchicalCommunicator:
                 np.add.reduceat(inter, self._node_starts).max()),
             **(self._exchange_hops if sends else self._tree_hops))
 
-    def wire_columns(self, op: str, traffic: np.ndarray):
+    def wire_columns(self, op: str, traffic: np.ndarray,
+                     reduced: Optional[np.ndarray] = None):
         """Each rank's ``(wire_intra, wire_inter)`` bytes of one round,
         as two ``(nprocs,)`` int64 columns — the protocol's
-        wire model, which need not sum to the metered bytes.  An op no
-        rule names is a ``ValueError``."""
+        wire model, which need not sum to the metered bytes.  An
+        exchange's ``reduced`` operand bytes add the reduction rule's
+        columns to the exchange's.  An op no rule names is a
+        ``ValueError``."""
         topo = self.topology
         multi = topo.multi_node
         leader = self._leader
@@ -186,7 +195,11 @@ class HierarchicalCommunicator:
                 dest[:, ::topo.ranks_per_node].sum(axis=1)
                 - dest[self._ranks, self._leader_of])
             scatter_leg = off_node - remote_leaders
-            return out(intra + gather_leg + scatter_leg, off_node)
+            wires = out(intra + gather_leg + scatter_leg, off_node)
+            if reduced is None:
+                return wires
+            return tuple(a + b for a, b in zip(
+                wires, self.wire_columns("allreduce", reduced)))
 
         b = traffic
         if op in _REDUCE_OPS:

@@ -92,26 +92,10 @@ class Topology:
         """Ranks on the fullest node (the intra-tier fan-in bound)."""
         return min(self.ranks_per_node, self.nprocs)
 
-    def node_of(self, rank: int) -> int:
-        return rank // self.ranks_per_node
-
     def node_of_ranks(self) -> np.ndarray:
         """``(nprocs,)`` int32 map rank -> node id."""
         return (np.arange(self.nprocs, dtype=np.int32)
                 // np.int32(self.ranks_per_node))
-
-    def node_size(self, node: int) -> int:
-        lo = node * self.ranks_per_node
-        if not 0 <= lo < self.nprocs:
-            raise ValueError(f"no node {node} in {self}")
-        return min(self.ranks_per_node, self.nprocs - lo)
-
-    def leader_of(self, rank: int) -> int:
-        """The node leader: lowest rank of ``rank``'s node."""
-        return (rank // self.ranks_per_node) * self.ranks_per_node
-
-    def is_leader(self, rank: int) -> bool:
-        return rank % self.ranks_per_node == 0
 
 
 def make_topology(

@@ -47,7 +47,7 @@ def test_spec(spec):
     assert design_row(spec) in DESIGN.read_text(), design_row(spec)
 
     # totals tracked == rows of the one Allreduce at entry == rows of the
-    # delta block every iteration Allreduces
+    # delta block every iteration's exchange sums on its consensus
     g = rmat(8, 8, seed=3)
     dist = make_distribution("random", g.n, 2, seed=1)
 
@@ -66,11 +66,19 @@ def test_spec(spec):
     d = len(spec.totals)
     reduces = [e for e in stats.events
                if e.tag == spec.tag and e.op == "allreduce"]
-    # reseed's alive count, then the entry totals and the deltas: a [p]
-    # vector when only v is tracked, else the [d × p] block as it is
-    assert len(reduces) == spec.reseed + 1 + ITERS
-    for event in reduces[-ITERS - 1:]:
-        assert event.bytes_sent.tolist() == [d * PARTS * 8] * 2
+    # reseed's alive count, then the entry totals; the deltas — a [p]
+    # vector when only v is tracked, else the [d × p] block as it is —
+    # ride each iteration's exchange: a rank that sends no records meters
+    # the operand alone
+    assert len(reduces) == spec.reseed + 1
+    assert reduces[-1].bytes_sent.tolist() == [d * PARTS * 8] * 2
+    exchanges = [e for e in stats.events
+                 if e.tag == spec.tag and e.op == "alltoallv"][-ITERS:]
+    assert len(exchanges) == ITERS
+    for event in exchanges:
+        assert (event.bytes_sent >= d * PARTS * 8).all()
+        idle = event.messages == 0
+        assert (event.bytes_sent[idle] == d * PARTS * 8).all()
 
 
 @pytest.mark.parametrize("change", [

@@ -134,7 +134,7 @@ def test_delay_fault_does_not_change_the_record(ft_graph, ft_params,
     """Latency injection perturbs wall time only — parts and the metered
     record stay bit-identical to the fault-free run, on every backend
     (the procs leg exercises a real sleeping child process)."""
-    plan = FaultPlan([FaultSpec(1, "vertex_balance", 3, action="delay",
+    plan = FaultPlan([FaultSpec(1, "vertex_balance", 2, action="delay",
                                 delay=0.01)])
     res = xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                    backend=backend, fault_plan=plan)
@@ -147,7 +147,7 @@ def test_raise_fault_surfaces_as_plain_injected_fault(ft_graph, ft_params,
                                                       backend):
     """Without checkpoint/resume requested, an injected fault propagates
     unwrapped (no RankFailure envelope)."""
-    plan = FaultPlan([FaultSpec(1, "vertex_refine", 4)])
+    plan = FaultPlan([FaultSpec(1, "vertex_refine", 2)])
     with pytest.raises(InjectedFault):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend=backend, fault_plan=plan)
@@ -155,7 +155,7 @@ def test_raise_fault_surfaces_as_plain_injected_fault(ft_graph, ft_params,
 
 def test_fault_wrapped_in_rank_failure_when_checkpointing(ft_graph, ft_params,
                                                           tmp_path):
-    plan = FaultPlan([FaultSpec(1, "vertex_refine", 4)])
+    plan = FaultPlan([FaultSpec(1, "vertex_refine", 2)])
     with pytest.raises(RankFailure) as ei:
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend="serial", fault_plan=plan,
@@ -195,10 +195,12 @@ def test_exchange_takes_one_step_of_the_plan(backend, step, op):
 
 
 def _second_exchange(reference, phase):
-    """``(exchange step, next step)`` of ``phase``'s second exchange."""
+    """``(exchange step, next step)`` of ``phase``'s second exchange —
+    an iteration's one round, its delta sum riding it, so the next step
+    is the following iteration's exchange."""
     ops = [e.op for e in reference.stats.events if e.tag == phase]
     step = ops.index("alltoallv", ops.index("alltoallv") + 1)
-    assert ops[step + 1] == "allreduce"
+    assert ops[step + 1] == "alltoallv"
     return step, step + 1
 
 
@@ -219,7 +221,7 @@ def test_corrupt_at_the_header_step_is_detected(ft_graph, ft_params,
 @pytest.mark.parametrize("which", ["payload", "after"])
 def test_crash_inside_an_exchange_resumes_bit_identically(
         ft_graph, ft_params, reference, tmp_path, backend, which):
-    """A crash at an exchange's step, or at the Allreduce right after it."""
+    """A crash at an exchange's step, or at the exchange right after it."""
     steps = dict(zip(("payload", "after"),
                      _second_exchange(reference, "edge_balance")))
     d = str(tmp_path / "run")

@@ -32,7 +32,7 @@ def _no_sleep():
 def test_crash_resume_bit_identity(ft_graph, ft_params, reference, tmp_path,
                                    backend):
     d = str(tmp_path / "run")
-    plan = FaultPlan([FaultSpec(1, "edge_balance", 7)])
+    plan = FaultPlan([FaultSpec(1, "edge_balance", 5)])
     with pytest.raises(RankFailure) as ei:
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend=backend, checkpoint=CkptPolicy(dir=d),
@@ -56,7 +56,7 @@ def test_resumed_record_matches_checkpointed_run_exactly(
                    backend="serial",
                    checkpoint=CkptPolicy(dir=str(tmp_path / "ref")))
     d = str(tmp_path / "crash")
-    plan = FaultPlan([FaultSpec(2, "vertex_refine", 12)])
+    plan = FaultPlan([FaultSpec(2, "vertex_refine", 6)])
     with pytest.raises(RankFailure):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend="serial", checkpoint=CkptPolicy(dir=d),
@@ -79,7 +79,7 @@ def test_resumed_tier_record_matches_uninterrupted_run(ft_graph, ft_params,
     ref = xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=params,
                    checkpoint=CkptPolicy(dir=str(tmp_path / "ref")))
     d = str(tmp_path / "crash")
-    plan = FaultPlan([FaultSpec(2, "vertex_refine", 12)])
+    plan = FaultPlan([FaultSpec(2, "vertex_refine", 6)])
     with pytest.raises(RankFailure) as ei:
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=params,
                  checkpoint=CkptPolicy(dir=d), fault_plan=plan)
@@ -100,7 +100,7 @@ def test_resume_from_midrun_epoch_not_just_init(ft_graph, ft_params,
     """A fault late in the run resumes from a mid-run epoch (not epoch 0),
     re-entering the outer loop mid-flight."""
     d = str(tmp_path / "run")
-    plan = FaultPlan([FaultSpec(0, "edge_refine", 9)])
+    plan = FaultPlan([FaultSpec(0, "edge_refine", 5)])
     with pytest.raises(RankFailure) as ei:
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend="serial",
@@ -125,7 +125,7 @@ def test_run_with_retries_recovers_bit_identically(ft_graph, ft_params,
                                                    reference, tmp_path,
                                                    backend, action):
     slept, retry = _no_sleep()
-    plan = FaultPlan([FaultSpec(1, "edge_balance", 7, action=action)])
+    plan = FaultPlan([FaultSpec(1, "edge_balance", 5, action=action)])
     res = run_with_retries(
         ft_graph, PARTS, checkpoint=CkptPolicy(dir=str(tmp_path / "run")),
         fault_plan=plan, retry=retry,
@@ -146,7 +146,7 @@ def test_retry_budget_exhaustion_reraises(ft_graph, ft_params, tmp_path):
     """Faults armed on every attempt exhaust the budget; the last failure
     propagates as RankFailure."""
     slept, retry = _no_sleep()
-    plan = FaultPlan([FaultSpec(1, "vertex_refine", 4, attempt=a)
+    plan = FaultPlan([FaultSpec(1, "vertex_refine", 2, attempt=a)
                       for a in range(retry.max_retries + 1)])
     with pytest.raises(RankFailure):
         run_with_retries(
@@ -168,8 +168,8 @@ def test_repeated_faults_consume_multiple_retries(ft_graph, ft_params,
     recoveries are recorded in order."""
     slept, retry = _no_sleep()
     plan = FaultPlan([
-        FaultSpec(0, "vertex_balance", 5, attempt=0),
-        FaultSpec(2, "edge_refine", 3, attempt=1),
+        FaultSpec(0, "vertex_balance", 3, attempt=0),
+        FaultSpec(2, "edge_refine", 2, attempt=1),
     ])
     res = run_with_retries(
         ft_graph, PARTS, checkpoint=CkptPolicy(dir=str(tmp_path / "run")),
@@ -186,7 +186,7 @@ def test_retries_without_committed_epoch_restart_from_scratch(
     """A fault during init — before any epoch commits — recovers by plain
     re-execution (resume=None), still bit-identically."""
     slept, retry = _no_sleep()
-    plan = FaultPlan([FaultSpec(1, "init", 2)])
+    plan = FaultPlan([FaultSpec(1, "init", 1)])
     res = run_with_retries(
         ft_graph, PARTS, checkpoint=CkptPolicy(dir=str(tmp_path / "run")),
         fault_plan=plan, retry=retry,

@@ -44,7 +44,7 @@ def test_killed_rank_leaves_no_segments(ft_graph, ft_params, tmp_path):
     """Hard-kill a rank mid-superstep (os._exit, no unwinding): teardown
     must still unlink every segment of the session."""
     rt = create_runtime("procs", nprocs=NPROCS)
-    plan = FaultPlan([FaultSpec(1, "vertex_balance", 6, action="die")])
+    plan = FaultPlan([FaultSpec(1, "vertex_balance", 4, action="die")])
     with pytest.raises(RankFailure):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend=rt, fault_plan=plan, checkpoint=str(tmp_path))
@@ -57,7 +57,7 @@ def test_die_then_resume_leaves_no_segments(ft_graph, ft_params, tmp_path):
     own slots) exits clean too."""
     d = str(tmp_path / "run")
     crashed = create_runtime("procs", nprocs=NPROCS)
-    plan = FaultPlan([FaultSpec(1, "vertex_balance", 6, action="die")])
+    plan = FaultPlan([FaultSpec(1, "vertex_balance", 4, action="die")])
     with pytest.raises(RankFailure):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend=crashed, fault_plan=plan,
@@ -96,7 +96,7 @@ def test_supervised_retries_leak_nothing(ft_graph, ft_params, tmp_path):
     """Each supervised attempt is its own session; after kill + resume the
     whole /dev/shm footprint of this process is gone."""
     before = set(glob.glob("/dev/shm/simmpi*"))
-    plan = FaultPlan([FaultSpec(2, "edge_refine", 2, action="die")])
+    plan = FaultPlan([FaultSpec(2, "edge_refine", 1, action="die")])
     run_with_retries(
         ft_graph, PARTS, checkpoint=CkptPolicy(dir=str(tmp_path / "run")),
         fault_plan=plan,

@@ -32,7 +32,7 @@ from tests.ft.conftest import NPROCS, PARTS
 
 
 def _corrupt_plan():
-    return FaultPlan([FaultSpec(1, "vertex_balance", 3, action="corrupt")])
+    return FaultPlan([FaultSpec(1, "vertex_balance", 2, action="corrupt")])
 
 
 # -- checksum and corruption primitives --------------------------------------
@@ -119,6 +119,63 @@ def test_procs_corruption_detected_at_any_size(ft_graph, ft_params, payload):
     with pytest.raises(PayloadCorruptionError,
                        match="slot checksum mismatch"):
         run()
+
+
+#: Bytes of the large field of :func:`_fused_exchange`; the others are a
+#: few bytes, so on ``procs`` (where the flip lands at ``seed % raw_len``
+#: of the slot's buffer region) the flip is in the large one.
+_BIG = 4096
+
+
+def _fused_exchange(comm, target, sent):
+    """One exchange carrying a reduction operand in phase ``"x"``: rank 1
+    ships ``_BIG`` int64 records to rank 2 when ``target`` is the record
+    plane, else none and a ``_BIG``-float operand.  Everything but the
+    target is read-only, so an in-process flip — the first writable
+    array of the deposit — lands in the target."""
+    records = _BIG if target == "plane" and comm.rank == 1 else 0
+    cts = np.zeros(comm.size, dtype=np.int64)
+    cts[2] = records
+    plane = np.arange(records, dtype=np.int64)
+    operand = np.full(_BIG if target == "operand" else 1, comm.rank + 0.5)
+    for arr in (cts, plane, operand):
+        arr.flags.writeable = False
+    (plane if target == "plane" else operand).flags.writeable = True
+    sent[comm.rank] = (plane.copy(), operand.copy(), plane, operand)
+    with comm.phase("x"):
+        comm.Alltoallv_fields([plane], cts, operand)
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads", "procs"])
+@pytest.mark.parametrize("target", ["operand", "plane"])
+def test_crc_catches_a_flip_in_the_operand_or_a_record_plane(backend,
+                                                             target):
+    """The reduction operand rides the exchange's deposit, under its
+    checksum: a byte flipped in it is caught like one in a record plane."""
+    from repro.simmpi import create_runtime
+
+    rt = create_runtime(backend, nprocs=3, integrity="crc")
+    rt.fault_plan = FaultPlan([FaultSpec(1, "x", 0, action="corrupt")])
+    sent: dict = {}
+    try:
+        with pytest.raises(PayloadCorruptionError):
+            rt.run(_fused_exchange, target, sent)
+    finally:
+        rt.close()
+    if backend == "procs":
+        # the slot's buffers are the plane, the counts, the operand, in
+        # that order; the flip's offset falls in the target's span
+        seed = corruption_seed(1, 0)
+        nplane = _BIG * 8 if target == "plane" else 0
+        noperand = (_BIG if target == "operand" else 1) * 8
+        offset = seed % (nplane + 3 * 8 + noperand)
+        lo = 0 if target == "plane" else nplane + 3 * 8
+        assert lo <= offset < lo + (nplane or noperand)
+        return
+    # in process the flip mutated rank 1's own array: the target alone
+    plane0, operand0, plane, operand = sent[1]
+    assert np.array_equal(plane, plane0) == (target != "plane")
+    assert np.array_equal(operand, operand0) == (target != "operand")
 
 
 def test_corruption_is_undetected_without_integrity(ft_graph, ft_params):

@@ -42,7 +42,7 @@ def _no_sleep():
 
 
 def _hang_plan(delay=STALL):
-    return FaultPlan([FaultSpec(1, "vertex_refine", 4, action="delay",
+    return FaultPlan([FaultSpec(1, "vertex_refine", 2, action="delay",
                                 delay=delay)])
 
 
@@ -422,7 +422,7 @@ def test_chaos_every_action_recovers_bit_identically(ft_graph, ft_params,
         params, phase = ft_params.with_(**ML_HIER), "ml_refine"
         reference = request.getfixturevalue("ml_hier_reference")
     delay = STALL if action == "delay" else 0.0
-    plan = FaultPlan([FaultSpec(1, phase, 4, action=action, delay=delay)])
+    plan = FaultPlan([FaultSpec(1, phase, 2, action=action, delay=delay)])
     _, retry = _no_sleep()
     res = run_with_retries(
         ft_graph, PARTS, checkpoint=CkptPolicy(dir=str(tmp_path / "run")),

@@ -1,18 +1,20 @@
 """Absolute pins for the scoring kernels (first slice of ROADMAP 3a).
 
 ``scoring.json`` holds, per case, the configuration, the sha256 of
-``parts`` and of ``CommStats.signature()``, and beside them the quality
-and modeled time those digests stand for (``cut_ratio``,
-``vertex_balance``, ``edge_balance``, ``modeled_s``), so a regeneration
-diff says *what* moved.  Regenerate — only for an *intended* change of
-partitions or of the communication record — with::
+``parts`` and of ``CommStats.signature()``, and beside them the quality,
+modeled time and partition-phase round count those digests stand for
+(``cut_ratio``, ``vertex_balance``, ``edge_balance``, ``modeled_s``,
+``rounds``), so a regeneration diff says *what* moved.  Regenerate —
+only for an *intended* change of partitions or of the communication
+record — with::
 
     PYTHONPATH=src python -m tests.golden.regen
 
 and say in the PR why the digests moved.  It prints one line per case:
-the pins that moved (``parts``, ``signature``, ``modeled``, ``tiers``,
-``steps``, ``ckpt_bytes``) or ``unmoved``, and, for an end-to-end case
-with a moved pin, its quality and ``modeled_s`` old → new.
+the pins that moved (``parts``, ``signature``, ``modeled``, ``rounds``,
+``tiers``, ``steps``, ``ckpt_bytes``) or ``unmoved``, and, for an
+end-to-end case with a moved pin, its quality, ``modeled_s`` and
+``rounds`` old → new.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def tiers_sha256(stats) -> str:
 
 def digests(case: dict, backend: str) -> Dict[str, str]:
     """Run one pinned configuration; sha256 of its partition and record,
-    its quality and its modeled partitioning time — priced by the tiered
+    its quality, its partition phases' round count and their modeled
+    time — priced by the tiered
     machine model (hops included) for a tiered communicator, whose tier
     metering is pinned too, else by the run's own machine model."""
     # mesh3d takes no seed: a null graph_seed passes none
@@ -79,13 +82,14 @@ def digests(case: dict, backend: str) -> Dict[str, str]:
     tiered = case["params"].get("comm", "flat") != "flat"
     quality = result.quality()
     machine = BLUE_WATERS_TIERED if tiered else result.machine
+    partition = result.stats.filtered(PARTITION_PHASES)
     out = {
         "parts_sha256": hashlib.sha256(result.parts.tobytes()).hexdigest(),
         "signature_sha256": hashlib.sha256(
             repr(result.stats.signature()).encode()
         ).hexdigest(),
-        "modeled_s": repr(TimeModel(machine).total_time(
-            result.stats.filtered(PARTITION_PHASES))),
+        "modeled_s": repr(TimeModel(machine).total_time(partition)),
+        "rounds": partition.rounds,
         "cut_ratio": repr(quality.cut_ratio),
         "vertex_balance": repr(quality.vertex_balance),
         "edge_balance": repr(quality.edge_balance),
@@ -129,10 +133,11 @@ def phase_pins(case: dict) -> Dict[str, object]:
 
 #: The pinned fields a regeneration reports, by the name it prints.
 PINS = {"parts": "parts_sha256", "signature": "signature_sha256",
-        "modeled": "modeled_s", "tiers": "tiers_sha256",
+        "modeled": "modeled_s", "rounds": "rounds", "tiers": "tiers_sha256",
         "steps": "steps", "ckpt_bytes": "ckpt_bytes"}
 #: Printed old → new beside the moved fields of an end-to-end case.
-FIGURES = ("cut_ratio", "vertex_balance", "edge_balance", "modeled_s")
+FIGURES = ("cut_ratio", "vertex_balance", "edge_balance", "modeled_s",
+           "rounds")
 
 
 def moved(old: dict, new: dict) -> str:

@@ -20,12 +20,12 @@ PHASE_CASES = load_phase_cases()
 @pytest.mark.parametrize("backend", ["serial", "threads", "procs"])
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_pinned_digests(case, backend):
-    """The digests and, beside them, the quality and modeled time they
-    stand for (``cut_ratio``, ``vertex_balance``, ``edge_balance``,
-    ``modeled_s``)."""
+    """The digests and, beside them, the quality, modeled time and
+    partition-phase round count they stand for (``cut_ratio``,
+    ``vertex_balance``, ``edge_balance``, ``modeled_s``, ``rounds``)."""
     got = digests(case, backend)
     assert {"cut_ratio", "vertex_balance", "edge_balance",
-            "modeled_s"} <= got.keys()
+            "modeled_s", "rounds"} <= got.keys()
     assert got == {key: case[key] for key in got}
 
 
@@ -46,5 +46,9 @@ def test_regen_names_the_moved_pins():
     new = dict(old, signature_sha256="x", modeled_s="1.0")
     assert moved(old, new) == (
         "c: signature, modeled; cut_ratio 0.5 -> 0.5; modeled_s 2.0 -> 1.0")
+    old["rounds"] = 9
+    assert moved(old, dict(new, rounds=5)) == (
+        "c: signature, modeled, rounds; cut_ratio 0.5 -> 0.5; "
+        "modeled_s 2.0 -> 1.0; rounds 9 -> 5")
     phase = {"name": "p", "steps": ["s"], "ckpt_bytes": 2}
     assert moved(phase, dict(phase, ckpt_bytes=1)) == "p: ckpt_bytes"

@@ -11,11 +11,17 @@ reads a tiered event's busiest rank / node loads off its
 ``TierMetering``, which the strategy reduced at record time — that
 reduction's oracle is ``tests/reference/tiers.py``): nothing in ``src/``
 priced one event at a time.
+
+An exchange that carries a reduction operand is priced by the same rule:
+its ``bytes_sent`` hold the operand's bytes beside the records', and its
+``messages`` the records' destinations only.  :func:`merged` is that
+round written as the pair it replaces — the exchange's event and the
+separate Allreduce's, summed per rank.
 """
 
+import dataclasses
 from math import ceil, log2
 from typing import Tuple
-
 
 from repro.simmpi.metrics import CollectiveEvent
 from repro.simmpi.timing import MachineModel, TimeModel
@@ -55,3 +61,17 @@ def superstep_time(model: TimeModel, event: CollectiveEvent,
         model.machine.gamma * event.max_work
         + collective_cost(model.machine, event, nprocs)
     )
+
+
+def merged(exchange: CollectiveEvent,
+           reduction: CollectiveEvent) -> CollectiveEvent:
+    """The one flat event of an exchange whose consensus carries the
+    operand of ``reduction``, a separate Allreduce that followed it: bytes
+    and work summed per rank, the exchange's messages.  (A tiered round's
+    busiest-rank / node loads are not sums of the pair's; its oracle is
+    ``tests/reference/tiers.py``.)"""
+    return dataclasses.replace(
+        exchange,
+        bytes_sent=exchange.bytes_sent + reduction.bytes_sent,
+        work_units=exchange.work_units + reduction.work_units,
+        compute_seconds=exchange.compute_seconds + reduction.compute_seconds)

@@ -1,12 +1,16 @@
 """The hierarchical strategy's tier rule, one rank at a time — the oracle
 for :meth:`HierarchicalCommunicator.wire_columns`, which meters every
 rank of a collective at once, and for :meth:`HierarchicalCommunicator.
-tiers`, which reduces those columns to a ``TierMetering``'s six numbers.
+tiers`, which reduces those columns to a ``TierMetering``'s six numbers
+— an exchange's row plus, where it carries a reduction operand, that
+operand's ``allreduce`` row.
 
 :func:`tier_contribution` is the wire rule as the ranks used to evaluate
 it at every deposit (``self.topology`` became the first argument; the
 byte classification that rode beside it left with the record's per-rank
-columns).  :func:`tier_metering` reduces its rows the slow way, rank by
+columns; the node, its leader and its span are derived here from
+``ranks_per_node``, as :class:`Topology` no longer answers them one rank
+at a time).  :func:`tier_metering` reduces its rows the slow way, rank by
 rank with dicts.  :func:`tier_hops` is the latency rule the strategy's ``hops``
 method carried, amended so that an exchange in which nobody sends pays
 the tree.  :func:`tier_row` asks the production code for one rank's row,
@@ -38,15 +42,18 @@ def tier_contribution(
     pairwise op reads ``dest_bytes``, the rank's bytes per destination."""
     b = int(nbytes)
     multi = topo.multi_node
-    leader = topo.is_leader(rank)
-    my_node = topo.node_of(rank)
+    # ranks are packed node-major: the node's leader is its lowest rank,
+    # and the node spans up to ranks_per_node ranks from there
+    rpn = topo.ranks_per_node
+    node_lo = rank - rank % rpn
+    node_hi = min(node_lo + rpn, topo.nprocs)
+    leader = rank == node_lo
+    has_peers = node_hi - node_lo > 1
 
     if op in _PAIRWISE_OPS:
-        # contiguous packing (ranks node-major) turns a node into a slice
-        # sum — no O(P) boolean mask
+        # contiguous packing turns a node into a slice sum — no O(P)
+        # boolean mask
         dest = np.asarray(dest_bytes, dtype=np.int64)
-        node_lo = topo.leader_of(rank)
-        node_hi = node_lo + topo.node_size(my_node)
         total = int(dest.sum())
         intra = int(dest[node_lo:node_hi].sum())  # self slot is zero
         off_node = total - intra
@@ -54,7 +61,7 @@ def tier_contribution(
         # off-node bytes + remote scatter for off-node bytes not
         # addressed to the remote leader
         gather_leg = 0 if leader else off_node
-        leaders_total = int(dest[::topo.ranks_per_node].sum())
+        leaders_total = int(dest[::rpn].sum())
         scatter_leg = off_node - (leaders_total - int(dest[node_lo]))
         return intra + gather_leg + scatter_leg, off_node
 
@@ -63,7 +70,7 @@ def tier_contribution(
             return b, 0
         # leader injects the node's reduced value upward and fans the
         # result back down if the node has peers
-        fanout = b if topo.node_size(my_node) > 1 else 0
+        fanout = b if has_peers else 0
         return fanout, b
 
     if op in _CONCAT_OPS:
@@ -72,7 +79,7 @@ def tier_contribution(
         # the contribution must reach every node: on the network by
         # nature; non-leaders also pay the local gather, leaders the
         # fan-out
-        local_leg = b if (not leader or topo.node_size(my_node) > 1) else 0
+        local_leg = b if (not leader or has_peers) else 0
         return local_leg, b
 
     if op == "checkpoint":
@@ -109,19 +116,27 @@ def tier_rows(columns) -> List[Tuple[int, ...]]:
     return [tuple(int(v) for v in row) for row in zip(*columns)]
 
 
-def tier_metering(topo: Topology, op: str, traffic: np.ndarray):
+def tier_metering(topo: Topology, op: str, traffic: np.ndarray,
+                  reduced: Optional[np.ndarray] = None):
     """The six numbers a ``TierMetering`` of the round holds, as a dict,
     from :func:`tier_contribution` rank by rank: per-tier totals, the
     busiest rank's ``wire_intra``, the busiest node's summed
-    ``wire_inter``, and :func:`tier_hops`."""
+    ``wire_inter``, and :func:`tier_hops`.  An exchange's ``reduced``
+    operand bytes add each rank's ``allreduce`` row to its exchange row;
+    the hops stay the exchange's, the tree's when no rank sends a
+    record."""
     nbytes = traffic.sum(axis=1) if traffic.ndim == 2 else traffic
     rows = [tier_contribution(
                 topo, op, r, nbytes[r],
                 dest_bytes=traffic[r] if traffic.ndim == 2 else None)
             for r in range(topo.nprocs)]
+    if reduced is not None:
+        rows = [tuple(a + b for a, b in zip(
+                    row, tier_contribution(topo, "allreduce", r, reduced[r])))
+                for r, row in enumerate(rows)]
     per_node: dict = {}
     for r, (_, inter) in enumerate(rows):
-        node = topo.node_of(r)
+        node = r // topo.ranks_per_node
         per_node[node] = per_node.get(node, 0) + inter
     hops = tier_hops(topo, op, bool(np.asarray(nbytes).any()))
     return dict(

@@ -5,9 +5,11 @@ Each collective's ``execute`` reads the round's traffic off the
 contributions, and ``Backend._record`` turns it into the event.  This
 property test drives every collective ``SimComm`` emits through random
 programs — irregular ``sendcounts`` with all-zero and self-only rows,
-zero-length contributions in other dtypes, one rank and several, flat
-and ``hierarchical:2`` — and holds each event to the rule written out one
-rank at a time below, and its tiers to ``tests/reference/tiers.py``.
+zero-length contributions in other dtypes, exchanges that carry a
+reduction operand (all idle, or with records), one rank and several,
+flat and ``hierarchical:2`` — and holds each event to the rule written
+out one rank at a time below, and its tiers to
+``tests/reference/tiers.py``.
 """
 
 import dataclasses
@@ -28,7 +30,7 @@ DTYPES = (np.int64, np.int32, np.uint16, np.float64, np.float32)
 OPS = {"barrier": "barrier", "checkpoint": "checkpoint",
        "allgather": "allgather", "allreduce": "allreduce",
        "Allreduce": "allreduce", "Allgatherv": "allgatherv",
-       "Alltoallv": "alltoallv"}
+       "Alltoallv": "alltoallv", "Alltoallv+sum": "alltoallv"}
 
 _objects = st.one_of(st.integers(-2**40, 2**40), st.text(max_size=6),
                      st.tuples(st.integers(0, 9), st.booleans()), st.none())
@@ -75,12 +77,18 @@ def _steps(draw, nprocs):
         lengths = draw(per_rank(st.integers(0, 3), min_size=nprocs,
                                 max_size=nprocs))
         return kind, lengths, draw(_dtypes_for(lengths))
-    if kind == "Alltoallv":
+    if kind in ("Alltoallv", "Alltoallv+sum"):
         counts = draw(_sendcounts(nprocs))
+        if kind == "Alltoallv+sum" and draw(st.booleans()):
+            counts = [[0] * nprocs] * nprocs  # all idle: the operand alone
         nfields = draw(st.integers(1, 2))
         records = [sum(row) for row in counts]
         fields = [draw(_dtypes_for(records)) for _ in range(nfields)]
-        return kind, counts, [list(ds) for ds in zip(*fields)]
+        step = [kind, counts, [list(ds) for ds in zip(*fields)]]
+        if kind == "Alltoallv+sum":
+            # every rank's operand: one shape and dtype, possibly empty
+            step += [draw(st.integers(0, 5)), draw(st.sampled_from(DTYPES))]
+        return tuple(step)
     return (kind,)
 
 
@@ -106,17 +114,19 @@ def _body(comm, steps):
         elif kind == "Allgatherv":
             comm.Allgatherv(np.arange(data[0][r], dtype=data[1][r]))
         else:
-            counts, dtypes = data
+            counts, dtypes, *operand = data
             cts = np.array(counts[r], dtype=np.int64)
             comm.Alltoallv_fields(
-                [np.zeros(int(cts.sum()), dtype=d) for d in dtypes[r]], cts)
+                [np.zeros(int(cts.sum()), dtype=d) for d in dtypes[r]], cts,
+                np.ones(*operand) if operand else None)
 
 
 def _rule(step, nprocs):
     """``(bytes per rank, messages per rank or None, bytes per
-    destination or None)`` of one step, rank by rank."""
+    destination or None, operand bytes per rank or None)`` of one step,
+    rank by rank."""
     kind, *data = step
-    dest = messages = None
+    dest = messages = reduced = None
     if kind == "barrier":
         sent = [0] * nprocs
     elif kind == "checkpoint":
@@ -129,18 +139,22 @@ def _rule(step, nprocs):
     elif kind == "Allgatherv":
         sent = [n * np.dtype(d).itemsize for n, d in zip(*data)]
     else:
-        counts, dtypes = data
+        counts, dtypes, *operand = data
         dest = []
         for r in range(nprocs):
             record = sum(np.dtype(d).itemsize for d in dtypes[r])
             dest.append([0 if d == r else c * record
                          for d, c in enumerate(counts[r])])
-        sent = [sum(row) for row in dest]
+        # the operand adds its bytes, and no message
+        if operand:
+            reduced = [operand[0] * np.dtype(operand[1]).itemsize] * nprocs
+        sent = [sum(row) + (reduced[r] if reduced else 0)
+                for r, row in enumerate(dest)]
         messages = [sum(1 for b in row if b) for row in dest]
     if nprocs == 1:  # a lone rank sends nothing off-rank
         sent = [0]
         messages = None if messages is None else [0]
-    return sent, messages, dest
+    return sent, messages, dest, reduced
 
 
 @pytest.mark.parametrize("backend", sorted(EXAMPLES))
@@ -154,7 +168,7 @@ def test_every_round_meters_the_per_rank_rule(backend):
         assert [e.op for e in stats.events] == [OPS[s[0]] for s in steps]
         topo = create_communicator(spec, nprocs=nprocs)
         for event, step in zip(stats.events, steps):
-            sent, messages, dest = _rule(step, nprocs)
+            sent, messages, dest, reduced = _rule(step, nprocs)
             assert event.bytes_sent.tolist() == sent
             assert (None if event.messages is None
                     else event.messages.tolist()) == messages
@@ -164,6 +178,49 @@ def test_every_round_meters_the_per_rank_rule(backend):
             traffic = np.array(sent if dest is None else dest,
                                dtype=np.int64)
             assert dataclasses.asdict(event.tiers) == tier_metering(
-                topo.topology, event.op, traffic)
+                topo.topology, event.op, traffic,
+                None if reduced is None else np.array(reduced))
 
     check()
+
+
+@pytest.mark.parametrize("backend", sorted(EXAMPLES))
+@pytest.mark.parametrize("records", [0, 2], ids=["idle", "records"])
+@pytest.mark.parametrize("length", [0, 3], ids=["empty", "operand"])
+def test_exchange_with_an_operand_meters_records_plus_operand(
+        backend, records, length):
+    """The two edge rounds the property may draw rarely, always held: an
+    all-idle exchange, and one with no records but a non-empty operand,
+    beside the ordinary ones — on every backend, flat and tiered.  The
+    sum is what an Allreduce of the operands returns."""
+    nprocs = 3
+    counts = [[0, records, 0], [0, 0, records], [records, 0, 0]]
+    step = ("Alltoallv+sum", counts, [[np.int32]] * nprocs,
+            length, np.float64)
+
+    def body(comm):
+        _body(comm, [step])
+        return comm.Alltoallv_fields(
+            [np.zeros(records, np.int32)],
+            np.array(counts[comm.rank], dtype=np.int64),
+            np.full(length, comm.rank + 0.5))[2]
+
+    for spec in ("flat", "hierarchical:2"):
+        totals, stats = run_spmd(nprocs, body, backend=backend, comm=spec)
+        for total in totals:
+            assert total.tolist() == [4.5] * length
+        sent, messages, dest, reduced = _rule(step, nprocs)
+        for event in stats.events:
+            assert event.op == "alltoallv"
+            assert event.bytes_sent.tolist() == sent
+            assert event.messages.tolist() == messages
+        if spec == "flat":
+            continue
+        topo = create_communicator(spec, nprocs=nprocs).topology
+        want = tier_metering(topo, "alltoallv", np.array(dest),
+                             np.array(reduced))
+        tiers = dataclasses.asdict(stats.events[0].tiers)
+        assert tiers == want
+        if not records:
+            # nobody sends a record: the consensus alone, the tree's hops
+            assert (tiers["intra_hops"], tiers["inter_hops"]) == (2, 1)

@@ -142,6 +142,45 @@ def test_exchange_price_is_the_oracle_and_never_above_two_rounds(
     assert latency + bandwidth <= _two_round_price(m, cmat, record_bytes)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.integers(2, 9), length=st.integers(0, 6))
+def test_fused_round_is_the_merged_pair(data, p, length):
+    """An exchange carrying a reduction operand records the separate
+    (exchange, Allreduce) pair merged (``pricing.merged``): bytes and work
+    summed per rank, the exchange's messages — and is priced below the
+    pair by at least the reduction's tree."""
+    cmat = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, 3]), min_size=p, max_size=p),
+        min_size=p, max_size=p)), dtype=np.int64)
+    work = data.draw(st.lists(st.integers(0, 50), min_size=p, max_size=p))
+
+    def body(comm, fused):
+        cts = cmat[comm.rank]
+        comm.charge(work[comm.rank])
+        operand = np.full(length, comm.rank + 0.25)
+        send = np.zeros(int(cts.sum()), dtype="V6")
+        if fused:
+            return comm.Alltoallv_fields([send], cts, operand)[2]
+        comm.Alltoallv(send, cts)
+        return comm.Allreduce(operand)
+
+    apart, pair = run_spmd(p, body, False, backend="serial")
+    one, fused = run_spmd(p, body, True, backend="serial")
+    assert [a.tobytes() for a in apart] == [o.tobytes() for o in one]
+    (event,) = fused.events
+    want = pricing.merged(*pair.events)
+    assert (event.op, event.bytes_sent.tolist(), event.messages.tolist(),
+            event.work_units.tolist()) == (
+        want.op, want.bytes_sent.tolist(), want.messages.tolist(),
+        want.work_units.tolist())
+    m = BLUE_WATERS_LIKE
+    assert cost_parts(m, event, p) == cost_parts(m, want, p)
+    separate = sum(collective_cost(m, e, p) for e in pair.events)
+    # (up to the float rounding of re-associating the sum)
+    assert collective_cost(m, event, p) <= (
+        separate - m.alpha * ceil(log2(p)) + 1e-15)
+
+
 def test_bandwidth_term_uses_max_rank():
     m = MachineModel(alpha=0.0, beta=1.0)
     e = _event("allreduce", [10, 50, 20], [0, 0, 0])

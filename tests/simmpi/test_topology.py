@@ -78,11 +78,7 @@ def test_topology_node_grouping():
     assert t.n_nodes == 3  # 4 + 4 + 2
     assert t.multi_node
     assert t.max_node_size == 4
-    assert [t.node_of(r) for r in range(10)] == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
-    assert t.node_size(2) == 2  # short last node
-    assert t.leader_of(6) == 4
-    assert t.is_leader(4) and not t.is_leader(5)
-    assert t.node_of(4) == t.node_of(7) != t.node_of(3)
+    assert t.node_of_ranks().tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
 
 
 def test_topology_node_of_ranks_matches_scalar():
@@ -90,7 +86,7 @@ def test_topology_node_of_ranks_matches_scalar():
     node_map = t.node_of_ranks()
     assert node_map.dtype == np.int32
     np.testing.assert_array_equal(
-        node_map, [t.node_of(r) for r in range(10)])
+        node_map, [r // t.ranks_per_node for r in range(10)])
 
 
 def test_topology_validates():
@@ -98,8 +94,6 @@ def test_topology_validates():
         Topology(nprocs=0, ranks_per_node=4)
     with pytest.raises(ValueError):
         Topology(nprocs=4, ranks_per_node=0)
-    with pytest.raises(ValueError):
-        Topology(nprocs=8, ranks_per_node=4).node_size(2)
 
 
 def test_make_topology_defaults_and_clamps():
@@ -284,8 +278,10 @@ def _topologies(draw):
 def test_tier_rows_are_the_scalar_rule(comm, op, data):
     """Every rank of a round metered at once == the rule the ranks used
     to evaluate one deposit at a time (``tests/reference/tiers.py``), and
-    the round's six numbers == that rule's rows reduced rank by rank."""
+    the round's six numbers == that rule's rows reduced rank by rank —
+    for an exchange, with or without a reduction operand riding it."""
     nprocs = comm.topology.nprocs
+    reduced = None
     if op == "alltoallv":
         # sparse, so the rule sees zero and non-zero slots
         traffic = np.array(data.draw(st.lists(
@@ -294,20 +290,27 @@ def test_tier_rows_are_the_scalar_rule(comm, op, data):
             min_size=nprocs, max_size=nprocs)), dtype=np.int64)
         np.fill_diagonal(traffic, 0)
         nbytes = traffic.sum(axis=1)
+        if data.draw(st.booleans()):
+            reduced = np.full(nprocs, data.draw(st.sampled_from([0, 8, 24])),
+                              dtype=np.int64)
     else:
         nbytes = traffic = np.array(data.draw(st.lists(
             st.sampled_from([0, 8, 1000]),
             min_size=nprocs, max_size=nprocs)), dtype=np.int64)
-    columns = comm.wire_columns(op, traffic)
+    columns = comm.wire_columns(op, traffic, reduced)
     assert [c.dtype for c in columns] == [np.int64] * 2
-    assert tier_rows(columns) == [
-        tier_contribution(
-            comm.topology, op, r, nbytes[r],
-            dest_bytes=traffic[r] if traffic.ndim == 2 else None)
-        for r in range(nprocs)]
-    tiers = dataclasses.asdict(comm.tiers(op, traffic))
+    rows = [tier_contribution(
+                comm.topology, op, r, nbytes[r],
+                dest_bytes=traffic[r] if traffic.ndim == 2 else None)
+            for r in range(nprocs)]
+    if reduced is not None:
+        rows = [tuple(a + b for a, b in zip(row, tier_contribution(
+                    comm.topology, "allreduce", r, reduced[r])))
+                for r, row in enumerate(rows)]
+    assert tier_rows(columns) == rows
+    tiers = dataclasses.asdict(comm.tiers(op, traffic, reduced))
     assert all(type(v) is int for v in tiers.values())
-    assert tiers == tier_metering(comm.topology, op, traffic)
+    assert tiers == tier_metering(comm.topology, op, traffic, reduced)
 
 
 def _hops(comm, op, traffic):

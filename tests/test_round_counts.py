@@ -1,29 +1,31 @@
-"""Guard: every round carries information.
+"""Guard: every round carries information, and an LP iteration is one.
 
 On the paper's rank axis a round is priced almost entirely in latency, so
-a round whose content every rank already has is pure cost.  These counts
-are exact: an ``edge_refine`` phase of ``k`` iterations is one Allreduce
-of its stacked ``v`` / ``e`` / ``c`` totals at entry, then per iteration
-the ExchangeUpdates round (one sparse exchange, no count header) and the
-delta Allreduce; initialization's dead-part check is one alive-count
-Allreduce, taken by the first ``vertex_balance`` and not repeated by init;
-V-cycle coarsening takes no Allreduce at all — heavy-edge matching is
-rank-local, the contraction's stop decision arrives with its Allgatherv,
-and an LP-clustering round's one ``(cluster id, weight delta)``
-Allgatherv already says whether any rank moved.
+a round whose content every rank already has is pure cost, and so is a
+round that could have ridden another.  These counts are exact: an
+``edge_refine`` phase of ``k`` iterations is one Allreduce of its stacked
+``v`` / ``e`` / ``c`` totals at entry, then per iteration one
+ExchangeUpdates round — a sparse exchange with no count header, whose
+closing consensus also sums the iteration's delta block (the paper's
+``AllReduce(C)``), bit for bit what a separate Allreduce returns;
+initialization's dead-part check is one alive-count Allreduce, taken by
+the first ``vertex_balance`` and not repeated by init; V-cycle coarsening
+takes no Allreduce at all — heavy-edge matching is rank-local, the
+contraction's stop decision arrives with its Allgatherv, and an
+LP-clustering round's one ``(cluster id, weight delta)`` Allgatherv
+already says whether any rank moved.
 
 No round tells a rank what it already holds.  Hybrid initialization is
 the candidates' Allgatherv — every rank then draws the same roots and
 labels its owned roots and its ghost copies of roots itself — and then,
-per BFS round, one Allreduce of ``[assigned this round, connected owned
-vertices still unassigned]`` followed by the ExchangeUpdates round only
-if something was assigned; the loop stops when no connected vertex is
-left, or none was reached, and the leftovers are exchanged only when a
-connected one is among them.  Random and block initialization are one
-exchange each; nothing checks the assignment collectively.  The halo
-plan is read off the build, so an analytics run's setup is the build's
-three rounds and no record holds a ``plan``-tagged halo round or a
-``bcast``.
+per BFS round, one ExchangeUpdates round whose consensus sums
+``[assigned this round, connected owned vertices still unassigned]``;
+the loop stops when no connected vertex is left, or none was reached,
+and the leftovers are exchanged only when a connected one is among them.
+Random and block initialization are one exchange each; nothing checks
+the assignment collectively.  The halo plan is read off the build, so an
+analytics run's setup is the build's three rounds and no record holds a
+``plan``-tagged halo round or a ``bcast``.
 """
 
 from collections import Counter
@@ -58,9 +60,48 @@ def test_edge_refine_records_one_entry_round(iters):
 
     _, stats = run_spmd(3, main)
     ops = [e.op for e in stats.events if e.tag == "edge_refine"]
-    assert ops == ["allreduce"] + ["alltoallv", "allreduce"] * iters
+    assert ops == ["allreduce"] + ["alltoallv"] * iters
     entry = next(e for e in stats.events if e.tag == "edge_refine")
     assert entry.bytes_sent.tolist() == [3 * PARTS * 8] * 3
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads", "procs"])
+def test_fused_delta_totals_equal_a_separate_allreduce(monkeypatch, backend):
+    """Non-integer vertex weights make the delta sums order-sensitive: the
+    totals each iteration's exchange returns are, bit for bit, what an
+    Allreduce of the same deltas returns."""
+    from repro.core import frontier
+    from repro.simmpi.stepping import steppable
+
+    exchange = frontier.exchange_updates
+
+    @steppable
+    def checked(comm, *args, operand=None, **kwargs):
+        ghost_lids, total = yield from exchange.__wrapped__(
+            comm, *args, operand=operand, **kwargs)
+        alone = yield from comm.Allreduce(operand)
+        seen.setdefault(comm.rank, []).append(
+            (total.dtype, total.tobytes()) == (alone.dtype, alone.tobytes()))
+        return ghost_lids, total
+
+    seen = {}
+    monkeypatch.setattr(frontier, "exchange_updates", checked)
+    g = rmat(9, 8, seed=3)
+    weights = np.random.default_rng(5).random(g.n) * 3.0 + 0.1
+    dist = make_distribution("random", g.n, 3, seed=1)
+
+    def main(comm):
+        dg = build_dist_graph(comm, g, dist)
+        state = RankState(dg=dg, num_parts=PARTS, params=PulpParams(seed=1))
+        state.set_vertex_weights(weights[dg.owned_gids], weights.sum())
+        initialize(comm, state)
+        for tag in ("vertex_balance", "vertex_refine"):
+            lp_phase(comm, state, SPECS[tag], 3)
+        return seen[comm.rank]
+
+    checks, _ = run_spmd(3, main, backend=backend)
+    assert [len(c) for c in checks] == [6] * 3  # every iteration and rank
+    assert all(all(c) for c in checks)
 
 
 @pytest.mark.parametrize("coarsen", ["hem", "lp"])
@@ -119,22 +160,21 @@ def _init_ops(graph, strategy="hybrid", parts=4):
 
 
 def test_hybrid_init_on_a_connected_graph():
-    """Every connected vertex is reached in the fourth BFS round, so its
-    reduction ends the loop: no fifth round assigns nothing, and the
-    isolated leftovers, which no rank holds a copy of, are not
-    exchanged."""
+    """Every connected vertex is reached in the fourth BFS round, so the
+    counts its exchange sums end the loop: no fifth round assigns
+    nothing, and the isolated leftovers, which no rank holds a copy of,
+    are not exchanged."""
     assert _init_ops(_ring_with(24, 0, 5)) == (
-        ["allgatherv"] + ["allreduce", "alltoallv"] * 4)
+        ["allgatherv"] + ["alltoallv"] * 4)
 
 
 def test_hybrid_init_with_unreached_components():
     """The seventh BFS round assigns nothing while connected vertices are
-    still unassigned (pairs no root landed in): its reduction ends the
-    loop with no exchange, and the one exchange after it carries the
-    leftovers' random labels."""
+    still unassigned (pairs no root landed in): its exchange moves no
+    record and its counts end the loop, and the one exchange after it
+    carries the leftovers' random labels."""
     assert _init_ops(_ring_with(12, 30, 0)) == (
-        ["allgatherv"] + ["allreduce", "alltoallv"] * 6
-        + ["allreduce", "alltoallv"])
+        ["allgatherv"] + ["alltoallv"] * 7 + ["alltoallv"])
 
 
 @pytest.mark.parametrize("strategy", ["random", "block"])
