@@ -36,8 +36,8 @@ def harmonic_centrality(
     for s in sources:
         levels = yield from distributed_bfs_levels(comm, dg, plan, int(s))
         reached = levels > 0
-        local_hc = float((1.0 / levels[reached]).sum()) if np.any(reached) else 0.0
-        hc = yield from comm.allreduce(local_hc, op="sum")
+        local_hc = (1.0 / levels[reached]).sum() if np.any(reached) else 0.0
+        hc = (yield from comm.Allreduce(np.array([local_hc])))[0]
         owner = dg.dist.owner(int(s))
         if owner == dg.rank:
             lid = int(dg.owned_lids(np.array([s]))[0])

@@ -65,7 +65,7 @@ def kcore_decomposition(
             changed = int(np.count_nonzero(new != core[: dg.n_local]))
             core[: dg.n_local] = new
         yield from plan.pull(comm, core)
-        total = yield from comm.allreduce(changed, op="sum")
-        if total == 0:
+        total = yield from comm.Allreduce(np.array([changed]))
+        if total[0] == 0:
             break
     return core[: dg.n_local].copy()

@@ -37,6 +37,6 @@ def label_propagation_communities(
         upd = (best >= 0) & (best != labels[:n])
         labels[:n][upd] = best[upd]
         yield from plan.pull(comm, labels)
-        if (yield from comm.allreduce(int(upd.sum()), op="sum")) == 0:
+        if (yield from comm.Allreduce(np.array([upd.sum()])))[0] == 0:
             break
     return labels[:n].copy()

@@ -40,10 +40,9 @@ def pagerank(
         yield from plan.pull(comm, contrib)
         sums = segment_sums(dg, contrib[dg.adj])
         # dangling vertices spread their mass uniformly
-        local_dangling = float(
-            x[: dg.n_local][dg.local_degrees == 0].sum()
-        )
-        dangling = yield from comm.allreduce(local_dangling, op="sum")
+        local_dangling = np.array(
+            [x[: dg.n_local][dg.local_degrees == 0].sum()])
+        dangling = (yield from comm.Allreduce(local_dangling))[0]
         x[: dg.n_local] = (
             (1.0 - damping) / n + damping * (sums + dangling / n)
         )

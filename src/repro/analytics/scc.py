@@ -48,8 +48,8 @@ def _directed_reach(
         frontier = np.flatnonzero(
             (reach[: dg.n_local] == 1) & ~expanded & owned_alive
         )
-        total = yield from comm.allreduce(int(frontier.size), op="sum")
-        if total == 0:
+        total = yield from comm.Allreduce(np.array([frontier.size]))
+        if total[0] == 0:
             break
         expanded[frontier] = True
         if frontier.size:
@@ -105,22 +105,26 @@ def largest_scc(
         alive_f = alive.astype(np.int64)
         yield from plan.pull(comm, alive_f)
         alive = alive_f.astype(bool)
-        total = yield from comm.allreduce(int(dropped), op="sum")
-        if total == 0:
+        total = yield from comm.Allreduce(np.array([dropped]))
+        if total[0] == 0:
             break
 
-    # --- pivot: max alive in*out degree product, gid tiebreak
+    # --- pivot: max alive in*out degree product, gid tiebreak; each rank
+    # offers its best as a float64 (score, gid) pair (gids < 2**53 are
+    # exact in float64)
     owned_alive = np.flatnonzero(alive[: dg.n_local])
     if owned_alive.size:
         o_deg = np.diff(out_off)[owned_alive]
         i_deg = np.diff(in_off)[owned_alive]
         score = (o_deg.astype(np.float64) + 1) * (i_deg.astype(np.float64) + 1)
         best = int(np.argmax(score))
-        local_best = (float(score[best]), int(dg.l2g[owned_alive[best]]))
+        local_best = [score[best], dg.l2g[owned_alive[best]]]
     else:
-        local_best = (-1.0, -1)
-    candidates = yield from comm.allgather(local_best)
-    pivot_gid = max(candidates)[1]
+        local_best = [-1.0, -1.0]
+    pairs, _ = yield from comm.Allgatherv(
+        np.array(local_best, dtype=np.float64))
+    scores, gids = pairs[0::2], pairs[1::2]
+    pivot_gid = int(gids[np.lexsort((gids, scores))[-1]])
     if pivot_gid < 0:
         return np.zeros(dg.n_local, dtype=np.int64)
 

@@ -33,6 +33,6 @@ def weakly_connected_components(
         # of its vertices), so refreshing ghosts is the only traffic needed;
         # every owned vertex re-evaluates while any rank changed something
         yield from plan.pull(comm, labels)
-        if (yield from comm.allreduce(int(changed.size), op="sum")) == 0:
+        if (yield from comm.Allreduce(np.array([changed.size])))[0] == 0:
             break
     return labels[:n].copy()

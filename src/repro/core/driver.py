@@ -237,7 +237,7 @@ def _rank_main(
         if ckpt is not None and checkpoint_after(plan, idx, ckpt.policy.every):
             snap = state.snapshot()
             if levels:
-                snap = {"ml_format": 1, "level": len(levels) - 1,
+                snap = {"level": len(levels) - 1,
                         "cuts": [float(c) for c in cuts], "inner": snap}
             yield from write_checkpoint(
                 comm, snap, ckpt, epoch=idx, step=plan[idx], n_build=n_build

@@ -146,34 +146,6 @@ def initialize_hybrid(comm: SimComm, state: RankState) -> Steps[None]:
 
 
 @steppable
-def initialize_random(comm: SimComm, state: RankState) -> Steps[None]:
-    """Uniform random part per owned vertex (high-diameter fallback)."""
-    dg, p = state.dg, state.num_parts
-    lids = np.arange(dg.n_local, dtype=np.int64)
-    state.parts[:] = UNASSIGNED
-    state.parts[lids] = state.rng.integers(0, p, size=dg.n_local, dtype=np.int64)
-    yield from exchange_updates(comm, dg, state.parts, lids,
-                                wire=state.wire)
-
-
-@steppable
-def initialize_block(comm: SimComm, state: RankState) -> Steps[None]:
-    """Contiguous global-id blocks → parts (vertex-block partitioning).
-
-    The paper uses this as the analytics-experiment starting point
-    ("first initializing with vertex block partitioning", §V.E).
-    """
-    dg, p = state.dg, state.num_parts
-    lids = np.arange(dg.n_local, dtype=np.int64)
-    # part k ends where the first k + 1 blocks do; invert by search
-    bounds = np.cumsum(block_sizes(dg.global_n, p))
-    state.parts[:] = UNASSIGNED
-    state.parts[lids] = np.searchsorted(bounds, dg.owned_gids, side="right")
-    yield from exchange_updates(comm, dg, state.parts, lids,
-                                wire=state.wire)
-
-
-@steppable
 def reseed_dead_parts(comm: SimComm, state: RankState) -> Steps[int]:
     """Revive parts that have no connected members (collective).
 
@@ -226,32 +198,38 @@ def reseed_dead_parts(comm: SimComm, state: RankState) -> Steps[int]:
     return int(targets.size)
 
 
-@steppable
-def initialize_from_parts(
-    comm: SimComm, state: RankState, initial_parts: np.ndarray
-) -> Steps[None]:
-    """Adopt an existing global assignment as the starting point.
+def _owned_labels(state: RankState,
+                  initial_parts: "np.ndarray | None") -> np.ndarray:
+    """Every owned vertex's starting part under the strategies that label
+    each vertex on its own, with no BFS.
 
-    The paper's §V.E workflow: "run the balancing stage of XTRAPULP after
-    first initializing with vertex block partitioning" — i.e. XtraPuLP as
-    a partition *improver*.  ``initial_parts`` is a full global array
-    (identical on every rank, read-only).
+    ``initial_parts`` (a full global array, identical on every rank,
+    read-only) is the paper's §V.E workflow: "run the balancing stage of
+    XTRAPULP after first initializing with vertex block partitioning" —
+    XtraPuLP as a partition *improver*.  ``"random"`` is a uniform random
+    part (the high-diameter fallback); ``"block"`` maps contiguous
+    global-id blocks to parts, the analytics experiments' starting point.
     """
     dg, p = state.dg, state.num_parts
-    initial_parts = np.asarray(initial_parts)
-    if initial_parts.shape != (dg.global_n,):
-        raise ValueError(
-            f"initial_parts must cover all {dg.global_n} vertices"
-        )
-    if initial_parts.size and (
-        initial_parts.min() < 0 or initial_parts.max() >= p
-    ):
-        raise ValueError("initial part labels out of range")
-    lids = np.arange(dg.n_local, dtype=np.int64)
-    state.parts[:] = UNASSIGNED
-    state.parts[lids] = initial_parts[dg.owned_gids]
-    yield from exchange_updates(comm, dg, state.parts, lids,
-                                wire=state.wire)
+    if initial_parts is not None:
+        initial_parts = np.asarray(initial_parts)
+        if initial_parts.shape != (dg.global_n,):
+            raise ValueError(
+                f"initial_parts must cover all {dg.global_n} vertices"
+            )
+        if initial_parts.size and (
+            initial_parts.min() < 0 or initial_parts.max() >= p
+        ):
+            raise ValueError("initial part labels out of range")
+        return initial_parts[dg.owned_gids]
+    strategy = state.params.init_strategy
+    if strategy == "random":
+        return state.rng.integers(0, p, size=dg.n_local, dtype=np.int64)
+    if strategy == "block":
+        # part k ends where the first k + 1 blocks do; invert by search
+        bounds = np.cumsum(block_sizes(dg.global_n, p))
+        return np.searchsorted(bounds, dg.owned_gids, side="right")
+    raise ValueError(strategy)  # pragma: no cover - params validates
 
 
 @steppable
@@ -262,17 +240,16 @@ def initialize(
 ) -> Steps[None]:
     """Dispatch on ``params.init_strategy`` (or adopt ``initial_parts``)."""
     with comm.phase("init"):
-        strategy = state.params.init_strategy
-        if initial_parts is not None:
-            yield from initialize_from_parts(comm, state, initial_parts)
-        elif strategy == "hybrid":
+        if initial_parts is None and state.params.init_strategy == "hybrid":
             yield from initialize_hybrid(comm, state)
-        elif strategy == "random":
-            yield from initialize_random(comm, state)
-        elif strategy == "block":
-            yield from initialize_block(comm, state)
-        else:  # pragma: no cover - params validates
-            raise ValueError(strategy)
+        else:
+            # label every owned vertex, then exchange all of them
+            dg = state.dg
+            state.parts[:] = UNASSIGNED
+            state.parts[: dg.n_local] = _owned_labels(state, initial_parts)
+            yield from exchange_updates(
+                comm, dg, state.parts, np.arange(dg.n_local, dtype=np.int64),
+                wire=state.wire)
         # every strategy labels every owned vertex, so a rank checks its own
         bad = int(np.count_nonzero(state.parts[: state.dg.n_local] < 0))
         if bad:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, List, Optional, Tuple, Union
@@ -126,7 +127,10 @@ class RankState:
         self.rng.bit_generator.state = snap["rng_state"]
         self.work_pending = float(snap["work_pending"])
         self.edges_touched = float(snap["edges_touched"])
-        self.sweep_log = list(snap["sweep_log"])
+        # the phase tags as the interned objects live entries share, so a
+        # later snapshot pickles each tag once, as an uninterrupted run's
+        self.sweep_log = [(sys.intern(tag), *rest)
+                          for tag, *rest in snap["sweep_log"]]
 
     # -- targets -------------------------------------------------------------
 

@@ -170,14 +170,14 @@ def build_dist_graph(
         )
         send_ghost_slot = yield from _ghost_routing(
             comm, ghost_gids, ghost_owners, sr_adj)
-        max_ghost_global = yield from comm.allreduce(
-            int(ghost_gids.size), op="max")
+        (max_ghost_global,) = (yield from comm.Allreduce(
+            np.array([ghost_gids.size]), op="max")).tolist()
         gin_offsets, gin_adj = _ghost_incidence(
             sources, targets, ghost_gids.size
         )
         # sanity rendezvous: global edge count must be conserved
-        total_local = yield from comm.allreduce(int(local_adj.size),
-                                                op="sum")
+        (total_local,) = (yield from comm.Allreduce(
+            np.array([local_adj.size]), op="sum")).tolist()
         if total_local != graph.num_directed_edges:
             raise AssertionError(
                 f"edge conservation violated: {total_local} != "

@@ -168,8 +168,8 @@ def distributed_bfs_levels(
         # neighbor's owner, which expands them on its own side.
         owned = levels[: dg.n_local]
         frontier = np.flatnonzero(owned == depth).astype(np.int64)
-        total = yield from comm.allreduce(int(frontier.size), op="sum")
-        if total == 0:
+        total = yield from comm.Allreduce(np.array([frontier.size]))
+        if total[0] == 0:
             break
     owned = levels[: dg.n_local].copy()
     owned[owned >= INF] = -1

@@ -63,10 +63,10 @@ from repro.simmpi.stepping import Steps, steppable
 
 #: Bumped whenever a pickled record changes shape, so that an older
 #: epoch is refused at load instead of failing later — or changes
-#: meaning: a version-6 ``stats.pkl`` holds two rounds per LP iteration
-#: (the exchange, then the delta Allreduce) where version 7 holds one,
-#: so a spliced record would mix the two schedules.
-FORMAT_VERSION = 7
+#: meaning: a version-7 ``stats.pkl`` meters a scalar round by its
+#: pickle length where version 8 meters every round by ``nbytes``, so a
+#: spliced record would mix the two metering rules.
+FORMAT_VERSION = 8
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_TMP = "MANIFEST.tmp"
 STATS_NAME = "stats.pkl"
@@ -217,7 +217,6 @@ def make_context(
         "nprocs": int(nprocs),
         "num_parts": int(num_parts),
         "params_repr": repr(params),
-        "params_sha": _sha(repr(params).encode()),
         "graph_signature": graph_signature(graph),
         "dist_signature": dist_signature(dist),
         "inputs_signature": inputs_signature(initial_parts, vertex_weights),

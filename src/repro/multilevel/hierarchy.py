@@ -183,5 +183,5 @@ def weighted_cut(comm: SimComm, state: RankState,
     cut_arcs = state.parts[srcs] != state.parts[dg.adj]
     with comm.phase("project"):
         comm.charge(2.0 * level.ew_local.size)
-        local = float(level.ew_local[cut_arcs].sum())
-        return (yield from comm.allreduce(local, op="sum")) / 2.0
+        local = np.array([level.ew_local[cut_arcs].sum()], dtype=np.float64)
+        return float((yield from comm.Allreduce(local))[0]) / 2.0

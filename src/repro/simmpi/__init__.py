@@ -5,10 +5,10 @@ NCSA Blue Waters machine.  This package provides the stand-in transport: a
 deterministic, in-process bulk-synchronous runtime in which each simulated
 MPI rank executes the *same per-rank code* a real MPI program would, and all
 inter-rank interaction goes through metered collective operations on NumPy
-buffers — the three XtraPuLP talks through (``Allgatherv`` of the root
-candidates, ``Alltoallv``, ``Allreduce``) and what the multilevel path,
-analytics and checkpointing add (``allgather``, ``allreduce``,
-``Checkpoint``, ``barrier``); see :class:`~repro.simmpi.comm.SimComm`.
+buffers, each metered by the ``nbytes`` it puts on the wire — the three
+XtraPuLP talks through (``Allgatherv`` of the root candidates,
+``Alltoallv``, ``Allreduce``) and what checkpointing adds
+(``Checkpoint``, ``barrier``); see :class:`~repro.simmpi.comm.SimComm`.
 
 A rank body is a plain function or a generator function whose collectives
 are ``yield from`` expressions, so that a deposit is a ``yield``

@@ -1,33 +1,29 @@
 """Rank-side communicator API (the simulated ``MPI.COMM_WORLD``).
 
-Mirrors the mpi4py split between lowercase generic-object methods
-(``allgather``, ``allreduce`` — pickled-object semantics, metered by
-pickled size) and uppercase NumPy-buffer methods (``Allreduce``,
-``Allgatherv``, ``Alltoallv`` / ``Alltoallv_fields`` — near-zero-copy,
-metered by ``nbytes``).  All hot-path communication in the partitioner
-uses the buffer flavor, per the mpi4py guidance that buffer-provider
-objects are the fast path.  The surface is what the callers call:
-XtraPuLP's ``Allgatherv`` of the root candidates, ``Alltoallv`` of
-ExchangeUpdates — whose consensus also sums an iteration's size deltas,
-the operand an ``Alltoallv_fields`` may carry beside its records — and
-``Allreduce`` of the entry totals, plus what the
-multilevel path, analytics, checkpointing and the perf probes add
-(``allgather``, ``allreduce``, ``Checkpoint``, ``barrier``);
-``tests/test_simmpi_surface.py`` keeps it that way.  There is no
-``Bcast``: the one value a master once sent, Algorithm 2's roots, every
-rank now draws itself from the gathered pool.
+Every collective moves NumPy buffers, as XtraPuLP's MPI calls do: the
+surface is what the callers call — XtraPuLP's ``Allgatherv`` of the root
+candidates, ``Alltoallv`` of ExchangeUpdates (whose consensus also sums an
+iteration's size deltas, the operand an ``Alltoallv_fields`` may carry
+beside its records) and ``Allreduce`` of the entry totals, plus what
+checkpointing and the perf probes add (``Checkpoint``, ``barrier``).  The
+multilevel path and the analytics kernels speak the same buffers: a
+scalar is reduced as a one-element array.  ``tests/test_simmpi_surface.py``
+keeps the surface to these six.  There is no ``Bcast``: the one value a
+master once sent, Algorithm 2's roots, every rank now draws itself from
+the gathered pool.
 
-Each of the eight is a stepped routine (:mod:`repro.simmpi.stepping`): its
+Each of the six is a stepped routine (:mod:`repro.simmpi.stepping`): its
 deposit is a ``yield`` of the request to the runtime, so a generator rank
 body writes ``total = yield from comm.Allreduce(x)`` and a plain one
 ``total = comm.Allreduce(x)``.
 
 Byte-accounting convention (see :mod:`repro.simmpi.metrics`): a round
-meters itself where it executes.  Each ``execute`` returns the per-rank
-results *and* the round's traffic, read off the contributions it already
-holds: a rank's bytes for most ops — the payload it injects once, the
-standard pipelined/butterfly bandwidth proxy for all-collectives — and
-for an Alltoallv the ``P x P`` per-destination byte matrix,
+meters itself where it executes, by the ``nbytes`` its contributions put
+on the wire.  Each ``execute`` returns the per-rank results *and* the
+round's traffic, read off the contributions it already holds: a rank's
+bytes for most ops — the payload it injects once, the standard
+pipelined/butterfly bandwidth proxy for all-collectives — and for an
+Alltoallv the ``P x P`` per-destination byte matrix,
 diagonal zero, priced at each source's own record size (zero-length
 contributions are dtype-exempt), paired with each rank's operand bytes
 when the exchange carries a reduction.  The backend records it
@@ -36,6 +32,11 @@ sums, plus the operand bytes, are ``bytes_sent`` and its non-zero counts
 each rank's ``messages``, which price the exchange's latency.  A deposit
 carries no metering input of its own.
 
+Reductions sum in rank order — a left fold over the ranks, whatever the
+operand's shape — so a total is the same bit pattern however many ranks
+contribute, and a fused operand's total is bit for bit an
+``Allreduce``'s.
+
 On the procs backend every rank's result is pickled into its response
 slot and copied back out, so each rank owns what it receives; executes
 that deliver one result object to *several* ranks hand the same object to
@@ -43,8 +44,8 @@ all of them there.
 
 In-process backends (serial/threads) share an address space, so object
 sharing there needs the read-only contract instead
-(``Backend.shares_results``): the one-result collectives — ``Allreduce``,
-``Allgatherv``, ``allgather`` — hand every rank the *same*
+(``Backend.shares_results``): the one-result collectives — ``Allreduce``
+and ``Allgatherv`` — hand every rank the *same*
 sealed (non-writeable) array (:func:`seal`),
 turning O(P^2) result bytes per collective into O(P).  The all-to-all
 collectives keep **two merges for two regimes**, selected by the same
@@ -63,7 +64,6 @@ mutate a received result calls :func:`materialize` (copy-on-write).  The
 from __future__ import annotations
 
 import operator
-import pickle
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
@@ -81,10 +81,7 @@ _nbytes = operator.attrgetter("nbytes")
 Executed = Tuple[List[Any], Any]
 Execute = Callable[[List[Any]], Executed]
 
-_REDUCERS: dict[str, Callable[..., Any]] = {
-    "sum": np.add.reduce,
-    "max": np.maximum.reduce,
-}
+_REDUCERS: dict[str, np.ufunc] = {"sum": np.add, "max": np.maximum}
 
 
 def materialize(arr: np.ndarray) -> np.ndarray:
@@ -114,7 +111,7 @@ def seal(obj: Any) -> Any:
     return obj
 
 
-def _reducer(op: str) -> Callable[..., Any]:
+def _reducer(op: str) -> np.ufunc:
     """The reduction for ``op``, or a ValueError naming the valid ops."""
     try:
         return _REDUCERS[op]
@@ -124,14 +121,6 @@ def _reducer(op: str) -> Callable[..., Any]:
         ) from None
 
 
-def _obj_nbytes(obj: Any) -> int:
-    """Metering size of a generic Python object (pickle length)."""
-    try:
-        return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return 64  # unpicklable oddity; charge a token amount
-
-
 def _per_rank(contribs: Sequence[Any], nbytes: Callable[[Any], int]
               ) -> np.ndarray:
     """Each rank's metered bytes, ``nbytes`` of its contribution."""
@@ -139,14 +128,18 @@ def _per_rank(contribs: Sequence[Any], nbytes: Callable[[Any], int]
                        count=len(contribs))
 
 
-def _reduce(arrays: Sequence[np.ndarray], reducer: Callable[..., Any],
+def _reduce(arrays: Sequence[np.ndarray], reducer: np.ufunc,
             share: bool, what: str) -> np.ndarray:
     """The element-wise reduction of equal-shape per-rank arrays, in rank
-    order — one result, sealed where ranks share results."""
+    order — one result, sealed where ranks share results.
+
+    ``accumulate``, not ``reduce``: NumPy reduces a contiguous axis
+    pairwise, so the sum of one-element operands over 8 or more ranks
+    would not be the left fold; ``accumulate`` is, for every shape."""
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise ValueError(f"{what} shape mismatch across ranks: {shapes}")
-    total = reducer(np.stack(arrays), axis=0)
+    total = reducer.accumulate(np.stack(arrays), axis=0)[-1]
     if share:
         seal(total)
     return total
@@ -395,43 +388,14 @@ class SimComm:
         return (yield from self._collective(
             "checkpoint", (bytes(payload), dict(meta)), execute))
 
-    # -- generic-object collectives -------------------------------------------
-
-    @steppable
-    def allgather(self, obj: Any) -> Steps[List[Any]]:
-        """Gather one picklable object per rank onto every rank, metered
-        by each object's pickled size."""
-
-        def execute(contribs: List[Any]) -> Executed:
-            gathered = list(contribs)
-            return [gathered] * len(contribs), _per_rank(contribs,
-                                                         _obj_nbytes)
-
-        return (yield from self._collective("allgather", obj, execute))
-
-    @steppable
-    def allreduce(self, value: Any, op: str = "sum") -> Steps[Any]:
-        """All-reduce a scalar (or small object supporting the numpy ufunc)
-        with ``op`` ``"sum"`` or ``"max"``, metered by pickled size."""
-        reducer = _reducer(op)
-
-        def execute(contribs: List[Any]) -> Executed:
-            result = reducer(np.asarray(contribs, dtype=object), axis=0)
-            # unbox numpy scalars back to Python for ergonomic comparisons
-            if isinstance(result, np.generic):
-                result = result.item()
-            return [result] * len(contribs), _per_rank(contribs,
-                                                       _obj_nbytes)
-
-        return (yield from self._collective("allreduce", value, execute))
-
     # -- NumPy-buffer collectives ----------------------------------------------
 
     @steppable
     def Allreduce(self, array: np.ndarray,
                   op: str = "sum") -> Steps[np.ndarray]:
         """Element-wise all-reduce of equal-shape NumPy arrays (``op``
-        ``"sum"`` or ``"max"``)."""
+        ``"sum"`` or ``"max"``), in rank order.  A scalar travels as a
+        one-element array: a 0-d operand comes back with shape ``(1,)``."""
         arr = np.ascontiguousarray(array)
         reducer = _reducer(op)
         share = self._share_results
@@ -588,7 +552,7 @@ class SimComm:
                               for bufs in all_bufs], dtype=np.int64)[:, None]
             np.fill_diagonal(cmat, 0)
             if reduces.pop():
-                total = _reduce(operands, np.add.reduce, share,
+                total = _reduce(operands, np.add, share,
                                 "Alltoallv_fields operand")
                 return ([(*res, total) for res in results],
                         (cmat, _per_rank(operands, _nbytes)))

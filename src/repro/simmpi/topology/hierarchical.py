@@ -46,7 +46,7 @@ else:
   their leader (intra); only leaders enter the inter-node phase, so a
   node injects one contribution instead of ``node_size`` — the classic
   hierarchical-allreduce saving.
-* **concatenations** (``allgather``, ``allgatherv``): every rank's
+* **concatenations** (``allgatherv``): every rank's
   contribution must reach every node, so ``b`` is on the network on
   multi-node topologies; non-leaders pay the local gather hop and leaders
   the local fan-out hop.
@@ -96,7 +96,7 @@ _PAIRWISE_OPS = frozenset({"alltoallv"})
 #: Ops reduced to a single value (leaders-only inter phase).
 _REDUCE_OPS = frozenset({"allreduce", "barrier"})
 #: Ops concatenating every rank's contribution onto every rank.
-_CONCAT_OPS = frozenset({"allgather", "allgatherv"})
+_CONCAT_OPS = frozenset({"allgatherv"})
 
 
 class HierarchicalCommunicator:

@@ -37,10 +37,8 @@ def test_attach_directed_localizes_all_arcs():
         dg = build_dist_graph(comm, gs, dist)
         attach_directed(dg, gd)
         # out-arc count conservation
-        local_out = int(dg.dir_out_adj.size)
-        local_in = int(dg.dir_in_adj.size)
-        total_out = comm.allreduce(local_out)
-        total_in = comm.allreduce(local_in)
+        total_out, total_in = comm.Allreduce(
+            np.array([dg.dir_out_adj.size, dg.dir_in_adj.size]))
         assert total_out == gd.num_directed_edges
         assert total_in == gd.num_directed_edges
         # spot-check: localized out-neighbors match global ids

@@ -44,15 +44,17 @@ def test_exhaustive_sweeps_pinned_digests():
     # exhaustive-sweep comparison in this file is made against (the record
     # and its modeled time retaken, parts unmoved, when initialization
     # stopped broadcasting roots and exchanging what every rank knew,
-    # again when its BFS rounds stopped scanning isolated vertices, and
-    # again when each LP iteration's delta sum began riding its exchange)
+    # again when its BFS rounds stopped scanning isolated vertices, again
+    # when each LP iteration's delta sum began riding its exchange, and
+    # again when the build's two scalar rounds began to be metered by
+    # their nbytes)
     r = _run(generators.rmat(10, avg_degree=8, seed=11), exhaustive=True)
     assert hashlib.sha256(r.parts.tobytes()).hexdigest() == (
         "75b64793dd0b730115f110e4cc3f33ad0864b1d35c6b7b5c512a20554fe3da7b")
     assert hashlib.sha256(
         repr(r.stats.signature()).encode()
     ).hexdigest() == (
-        "c2f0dc6c82136e32c70cc6baccf65535e2edde2928bd06477814cd8a189b8c8e")
+        "374eefb358d14eeab4d7d78028a12b630a95d5be6a44179a77a92fa5204f92ef")
     assert r.modeled_seconds == 0.0006972716666666666
 
 

@@ -244,7 +244,7 @@ def test_unsupported_format_version_rejected(run_dir, tmp_path):
         load_checkpoint(latest)
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7])
 def test_version_2_epoch_rejected(run_dir, tmp_path, version):
     """Version 2 rank snapshots carried ``Sv`` / ``Se`` / ``Sc`` (version 3
     recounts them at phase entry); version 3's ``stats.pkl`` pickled events
@@ -254,11 +254,13 @@ def test_version_2_epoch_rejected(run_dir, tmp_path, version):
     5's nine include three rack-tier fields where version 6 pickles six;
     version 6's event prefix holds an exchange and a delta Allreduce per
     LP iteration where version 7's holds the one exchange that carries
-    the sum.  Version 7 refuses every older epoch: the manifest's
-    ``format_version`` is the one version a checkpoint carries."""
+    the sum; version 7 meters a scalar round by its pickle length where
+    version 8 meters every round by ``nbytes``.  Version 8 refuses every
+    older epoch: the manifest's ``format_version`` is the one version a
+    checkpoint carries."""
     import shutil
 
-    assert FORMAT_VERSION == 7
+    assert FORMAT_VERSION == 8
     d = tmp_path / f"v{version}"
     shutil.copytree(run_dir, d)
     latest = find_latest_committed(str(d))

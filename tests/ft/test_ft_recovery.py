@@ -51,21 +51,25 @@ def test_crash_resume_bit_identity(ft_graph, ft_params, reference, tmp_path,
 def test_resumed_record_matches_checkpointed_run_exactly(
         ft_graph, ft_params, tmp_path):
     """Including the checkpoint events themselves: the spliced record of a
-    resumed run is indistinguishable from one that never crashed."""
+    resumed run is indistinguishable from one that never crashed — from
+    epoch 0 (step 6), and from epoch 2 (step 14), whose snapshots already
+    hold sweep-log entries, so every later snapshot pickles restored and
+    live entries together."""
     ref = xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                    backend="serial",
                    checkpoint=CkptPolicy(dir=str(tmp_path / "ref")))
-    d = str(tmp_path / "crash")
-    plan = FaultPlan([FaultSpec(2, "vertex_refine", 6)])
-    with pytest.raises(RankFailure):
-        xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
-                 backend="serial", checkpoint=CkptPolicy(dir=d),
-                 fault_plan=plan)
-    res = xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
-                   backend="serial", resume=d,
-                   checkpoint=CkptPolicy(dir=d))
-    assert np.array_equal(res.parts, ref.parts)
-    assert res.stats.signature() == ref.stats.signature()
+    for step in (6, 14):
+        d = str(tmp_path / f"crash{step}")
+        plan = FaultPlan([FaultSpec(2, "vertex_refine", step)])
+        with pytest.raises(RankFailure):
+            xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
+                     backend="serial", checkpoint=CkptPolicy(dir=d),
+                     fault_plan=plan)
+        res = xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
+                       backend="serial", resume=d,
+                       checkpoint=CkptPolicy(dir=d))
+        assert np.array_equal(res.parts, ref.parts)
+        assert res.stats.signature() == ref.stats.signature(), step
 
 
 def test_resumed_tier_record_matches_uninterrupted_run(ft_graph, ft_params,

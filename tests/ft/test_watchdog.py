@@ -49,10 +49,10 @@ def _hang_plan(delay=STALL):
 def _stall_one_rank(comm):
     """Rank function with a genuine (non-fault-machinery) stall."""
     for _ in range(3):
-        comm.allreduce(1)
+        comm.Allreduce(np.ones(1))
     if comm.rank == 1:
         time.sleep(STALL)
-    return comm.allreduce(1)
+    return comm.Allreduce(np.ones(1))
 
 
 # -- the watchdog is a number of seconds --------------------------------------
@@ -242,7 +242,7 @@ def test_threads_peer_stall_detected_by_waiters():
     def fn(comm):
         if comm.rank == 0:
             time.sleep(5.0)
-        return comm.allreduce(1)
+        return comm.Allreduce(np.ones(1))
 
     rt = create_runtime("threads", nprocs=3, watchdog=0.5)
     try:
@@ -261,7 +261,7 @@ def _nap_plain(comm):
         comm.barrier()
         if comm.rank == 0:
             time.sleep(1.25)
-        return comm.allreduce(1)
+        return comm.Allreduce(np.ones(1))
 
 
 def _nap_generator(comm):
@@ -271,7 +271,7 @@ def _nap_generator(comm):
         yield from comm.barrier()
         if comm.rank == 0:
             time.sleep(1.25)
-        return (yield from comm.allreduce(1))
+        return (yield from comm.Allreduce(np.ones(1)))
 
 
 @pytest.mark.parametrize("body", [_nap_plain, _nap_generator],

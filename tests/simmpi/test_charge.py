@@ -44,7 +44,7 @@ def test_gamma_prices_work():
 def test_work_in_breakdown():
     def fn(comm):
         comm.charge(500)
-        comm.allreduce(1)
+        comm.Allreduce(np.ones(1))
 
     _, stats = run_spmd(2, fn)
     model = TimeModel(MachineModel(alpha=1e-6, beta=1e-9, gamma=2e-6))

@@ -25,8 +25,9 @@ def test_barrier_runs(nprocs):
 
 @pytest.mark.parametrize("nprocs", NPROCS)
 def test_allgather(nprocs):
+    """A scalar per rank gathers as a one-element buffer per rank."""
     def fn(comm):
-        return comm.allgather(comm.rank * 10)
+        return comm.Allgatherv(np.array([comm.rank * 10]))[0].tolist()
 
     out, _ = run_spmd(nprocs, fn)
     expected = [r * 10 for r in range(nprocs)]
@@ -36,16 +37,19 @@ def test_allgather(nprocs):
 @pytest.mark.parametrize("op,ref", [("sum", sum), ("max", max)])
 @pytest.mark.parametrize("nprocs", NPROCS)
 def test_allreduce_scalar(nprocs, op, ref):
+    """A scalar reduces as a one-element buffer, metered by its nbytes."""
     def fn(comm):
-        return comm.allreduce(comm.rank + 1, op=op)
+        return comm.Allreduce(np.array([comm.rank + 1]), op=op).tolist()
 
-    out, _ = run_spmd(nprocs, fn)
+    out, stats = run_spmd(nprocs, fn)
     expected = ref(range(1, nprocs + 1))
-    assert out == [expected] * nprocs
+    assert out == [[expected]] * nprocs
+    (event,) = stats.events
+    assert event.bytes_sent.tolist() == [8 if nprocs > 1 else 0] * nprocs
 
 
 @pytest.mark.parametrize("reduce", [
-    lambda comm: comm.allreduce(1, op="avg"),
+    lambda comm: comm.Allreduce(np.float64(1), op="avg"),
     lambda comm: comm.Allreduce(np.ones(2), op="min"),
 ], ids=["allreduce", "Allreduce"])
 def test_unknown_reduction_op_names_the_valid_ops(reduce):
@@ -264,7 +268,7 @@ def test_phase_tagging():
         with comm.phase("alpha"):
             comm.barrier()
             with comm.phase("beta"):
-                comm.allreduce(1)
+                comm.Allreduce(np.ones(1))
         comm.barrier()
         return True
 

@@ -28,7 +28,7 @@ def test_alltoall_requires_leading_dim():
 def test_mismatch_error_names_both_ops():
     def fn(comm):
         if comm.rank == 0:
-            comm.allreduce(1)
+            comm.Allreduce(np.ones(1))
         else:
             comm.barrier()
 

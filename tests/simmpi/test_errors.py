@@ -90,7 +90,7 @@ def test_deadlock_message_names_blocked_ranks(backend):
     def fn(comm):
         if comm.rank == 0:
             return None  # leaves without the collective
-        return comm.allreduce(np.array([1.0]))
+        return comm.Allreduce(np.array([1.0]))
 
     with pytest.raises(DeadlockError) as ei:
         run_spmd(3, fn, backend=backend)
@@ -104,7 +104,7 @@ def test_mismatch_message_names_both_ops_and_superstep(backend):
     def fn(comm):
         comm.barrier()  # one aligned superstep first
         if comm.rank == 0:
-            comm.allreduce(1)
+            comm.Allreduce(np.ones(1))
         else:
             comm.barrier()
 

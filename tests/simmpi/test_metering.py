@@ -13,7 +13,6 @@ out one rank at a time below, and its tiers to
 """
 
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
@@ -28,12 +27,8 @@ EXAMPLES = {"serial": 40, "threads": 25, "procs": 10}
 DTYPES = (np.int64, np.int32, np.uint16, np.float64, np.float32)
 #: the event op of each step kind
 OPS = {"barrier": "barrier", "checkpoint": "checkpoint",
-       "allgather": "allgather", "allreduce": "allreduce",
        "Allreduce": "allreduce", "Allgatherv": "allgatherv",
        "Alltoallv": "alltoallv", "Alltoallv+sum": "alltoallv"}
-
-_objects = st.one_of(st.integers(-2**40, 2**40), st.text(max_size=6),
-                     st.tuples(st.integers(0, 9), st.booleans()), st.none())
 
 
 @st.composite
@@ -68,9 +63,6 @@ def _steps(draw, nprocs):
     if kind == "checkpoint":
         return kind, draw(per_rank(st.integers(0, 40), min_size=nprocs,
                                    max_size=nprocs))
-    if kind in ("allgather", "allreduce"):
-        values = st.integers(-99, 99) if kind == "allreduce" else _objects
-        return kind, draw(per_rank(values, min_size=nprocs, max_size=nprocs))
     if kind == "Allreduce":
         return kind, draw(st.integers(0, 5)), draw(st.sampled_from(DTYPES))
     if kind == "Allgatherv":
@@ -105,10 +97,6 @@ def _body(comm, steps):
             comm.barrier()
         elif kind == "checkpoint":
             comm.Checkpoint(b"x" * data[0][r], {}, lambda contribs: None)
-        elif kind == "allgather":
-            comm.allgather(data[0][r])
-        elif kind == "allreduce":
-            comm.allreduce(data[0][r])
         elif kind == "Allreduce":
             comm.Allreduce(np.ones(data[0], dtype=data[1]))
         elif kind == "Allgatherv":
@@ -131,9 +119,6 @@ def _rule(step, nprocs):
         sent = [0] * nprocs
     elif kind == "checkpoint":
         sent = list(data[0])
-    elif kind in ("allgather", "allreduce"):
-        sent = [len(pickle.dumps(v, protocol=pickle.HIGHEST_PROTOCOL))
-                for v in data[0]]
     elif kind == "Allreduce":
         sent = [data[0] * np.dtype(data[1]).itemsize] * nprocs
     elif kind == "Allgatherv":

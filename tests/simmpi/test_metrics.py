@@ -98,6 +98,6 @@ def test_barrier_is_free():
 
 
 def test_summary_smoke():
-    _, stats = run_spmd(2, lambda comm: comm.allreduce(1))
+    _, stats = run_spmd(2, lambda comm: comm.Allreduce(np.ones(1)))
     text = stats.summary()
     assert "allreduce" in text and "rounds" in text

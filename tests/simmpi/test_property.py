@@ -1,7 +1,11 @@
 """Property-based tests: collective results equal a sequential reference
 for arbitrary payloads."""
 
+import functools
+import operator
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simmpi import run_spmd
@@ -100,3 +104,48 @@ def test_Allgatherv_concatenates_in_rank_order(nprocs, data):
     for merged, counts in out:
         assert merged == expected
         assert counts == [p.size for p in pieces]
+
+
+#: (ranks, backend): both sides of the 8-element block at which NumPy
+#: starts to sum a contiguous axis pairwise, on every backend, and
+#: hundreds of ranks where they are not processes
+_FOLD_CASES = [(p, b) for p in (8, 9) for b in ("serial", "threads", "procs")]
+_FOLD_CASES += [(64, "serial"), (256, "serial")]
+
+
+def _fold_body(comm, values, shape):
+    """Each draw's value, reduced by an ``Allreduce`` and as the operand of
+    an idle exchange; the bytes of both totals."""
+    idle = np.zeros(comm.size, dtype=np.int64)
+    out = []
+    for v in values[:, comm.rank]:
+        x = np.full(shape, v)
+        total = yield from comm.Allreduce(x)
+        *_, fused = yield from comm.Alltoallv_fields(
+            (np.empty(0, np.int64),), idle, x)
+        out.append((total.tobytes(), fused.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (1,)], ids=["0d", "one"])
+@pytest.mark.parametrize("nprocs,backend", _FOLD_CASES)
+def test_scalar_sums_are_the_left_fold(nprocs, backend, shape):
+    """A sum over the ranks is the left fold in rank order, bit for bit,
+    however many ranks there are: a one-element or 0-d float64 operand
+    comes back from ``Allreduce`` and from a fused exchange operand as
+    the Python ``((x0 + x1) + x2) + ...``."""
+    @settings(max_examples=3 if backend == "procs" else 6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        # magnitudes twelve decades apart, so the order of the sum shows
+        values = rng.standard_normal((8, nprocs)) * 10.0 ** rng.integers(
+            -6, 7, size=(8, nprocs))
+        out, _ = run_spmd(nprocs, _fold_body, values, shape,
+                          backend=backend)
+        for i, row in enumerate(values):
+            fold = functools.reduce(operator.add, map(float, row))
+            want = np.float64(fold).tobytes()
+            assert {rank[i] for rank in out} == {(want, want)}, (i, seed)
+
+    check()

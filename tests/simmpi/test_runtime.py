@@ -18,7 +18,7 @@ def test_single_rank_runs_inline():
     def fn(comm):
         assert comm.size == 1 and comm.rank == 0
         comm.barrier()
-        return comm.allreduce(5)
+        return int(comm.Allreduce(np.array([5]))[0])
 
     out, stats = run_spmd(1, fn)
     assert out == [5]
@@ -69,7 +69,7 @@ def test_collective_mismatch_detected():
         if comm.rank == 0:
             comm.barrier()
         else:
-            comm.allreduce(1)
+            comm.Allreduce(np.ones(1))
 
     with pytest.raises(CollectiveMismatchError):
         run_spmd(2, fn)
@@ -106,7 +106,7 @@ def test_mismatch_names_caller_and_deposited_ranks(backend):
     def fn(comm):
         if comm.rank == 2:
             time.sleep(0.3)
-            comm.allreduce(1)
+            comm.Allreduce(np.ones(1))
         else:
             comm.barrier()
 
@@ -159,9 +159,9 @@ def test_deterministic_results_across_runs():
 
 def test_runtime_reusable_after_success():
     rt = create_runtime("threads", nprocs=2)
-    out1 = rt.run(lambda comm: comm.allreduce(1))
-    out2 = rt.run(lambda comm: comm.allreduce(2))
-    assert out1 == [2, 2] and out2 == [4, 4]
+    out1 = rt.run(lambda comm: comm.Allreduce(np.array([1])).tolist())
+    out2 = rt.run(lambda comm: comm.Allreduce(np.array([2])).tolist())
+    assert out1 == [[2], [2]] and out2 == [[4], [4]]
     assert rt.stats.rounds == 2  # stats accumulate across runs
 
 
@@ -172,7 +172,7 @@ def test_invalid_nprocs_rejected():
 
 def test_many_ranks():
     def fn(comm):
-        return comm.allreduce(comm.rank, op="sum")
+        return int(comm.Allreduce(np.array([comm.rank]), op="sum")[0])
 
     out, _ = run_spmd(32, fn)
     assert out == [sum(range(32))] * 32

@@ -58,8 +58,8 @@ def test_materialize_gives_private_writable_copy(backend):
     def fn(comm):
         total = materialize(comm.Allreduce(np.ones(4, dtype=np.int64)))
         total += comm.rank  # must not raise, must not leak to peers
-        peek = comm.allgather(int(total[0]))
-        return tuple(peek)
+        peek, _ = comm.Allgatherv(total[:1])
+        return tuple(peek.tolist())
 
     out, _ = run_spmd(3, fn, backend=backend)
     assert out == [(3, 4, 5)] * 3
@@ -155,11 +155,11 @@ def _workout(comm):
     payload = np.arange(int(cts.sum()), dtype=np.int64) + 100 * rank
     recv, rcts = comm.Alltoallv(payload, cts)
     merged, mcts = comm.Allgatherv(np.full(rank, rank, dtype=np.int64))
-    total = comm.allreduce(int(recv.sum()) + int(merged.sum()))
+    total = int(comm.Allreduce(np.array([recv.sum() + merged.sum()]))[0])
     red = comm.Allreduce(np.full(3, rank, dtype=np.float64), op="max")
-    gathered = comm.allgather(rank * rank)
+    gathered, _ = comm.Allgatherv(np.array([rank * rank]))
     top = int(comm.Allreduce(np.array([total]), op="max")[0])
-    return (total, tuple(gathered), top, int(rcts.sum()),
+    return (total, tuple(gathered.tolist()), top, int(rcts.sum()),
             mcts.tolist(), red.tolist())
 
 

@@ -73,12 +73,12 @@ def _workout(comm):
     payload = np.arange(int(cts.sum()), dtype=np.int64) + 100 * rank
     recv, rcts = comm.Alltoallv(payload, cts)
     merged, mcts = comm.Allgatherv(np.full(rank, rank, dtype=np.int64))
-    total = comm.allreduce(int(recv.sum()) + int(merged.sum()))
+    total = int(comm.Allreduce(np.array([recv.sum() + merged.sum()]))[0])
     red = comm.Allreduce(np.full(3, rank, dtype=np.float64), op="max")
-    gathered = comm.allgather(rank * rank)
+    gathered, _ = comm.Allgatherv(np.array([rank * rank]))
     top = int(comm.Allreduce(np.array([total]), op="max")[0])
     comm.barrier()
-    return (total, tuple(gathered), top, int(rcts.sum()),
+    return (total, tuple(gathered.tolist()), top, int(rcts.sum()),
             mcts.tolist(), red.tolist())
 
 
@@ -92,14 +92,15 @@ def _stepped_workout(comm):
     recv, rcts = yield from comm.Alltoallv(payload, cts)
     merged, mcts = yield from comm.Allgatherv(
         np.full(rank, rank, dtype=np.int64))
-    total = yield from comm.allreduce(int(recv.sum()) + int(merged.sum()))
+    total = int((yield from comm.Allreduce(
+        np.array([recv.sum() + merged.sum()])))[0])
     red = yield from comm.Allreduce(np.full(3, rank, dtype=np.float64),
                                     op="max")
-    gathered = yield from comm.allgather(rank * rank)
+    gathered, _ = yield from comm.Allgatherv(np.array([rank * rank]))
     top = int((yield from comm.Allreduce(np.array([total]),
                                           op="max"))[0])
     yield from comm.barrier()
-    return (total, tuple(gathered), top, int(rcts.sum()),
+    return (total, tuple(gathered.tolist()), top, int(rcts.sum()),
             mcts.tolist(), red.tolist())
 
 
@@ -121,15 +122,16 @@ def test_one_rank_generator_body(backend):
 
 
 def _six_collectives(comm, log):
-    """Six collective families, logged around every call."""
+    """The six collectives, logged around every call."""
     r, n = comm.rank, comm.size
     calls = [
         (comm.barrier, ()),
-        (comm.allreduce, (r,)),
+        (comm.Checkpoint, (bytes(r), {}, lambda contribs: None)),
         (comm.Allreduce, (np.arange(3) + r,)),
         (comm.Allgatherv, (np.full(r + 1, r),)),
         (comm.Alltoallv, (np.full(n, r), np.ones(n, dtype=np.int64))),
-        (comm.allgather, (r,)),
+        (comm.Alltoallv_fields, ((np.full(n, r), np.zeros(n, np.int32)),
+                                 np.ones(n, dtype=np.int64))),
     ]
     for step, (call, args) in enumerate(calls):
         log.append((r, "in", step))
@@ -228,7 +230,7 @@ def test_mismatch_names_caller_and_deposited_ranks(backend):
     def fn(comm):
         if comm.rank == 2:
             time.sleep(0.3)
-            yield from comm.allreduce(1)
+            yield from comm.Allreduce(np.ones(1))
         else:
             yield from comm.barrier()
 

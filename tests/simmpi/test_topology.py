@@ -255,8 +255,7 @@ def test_unknown_op_has_no_tier_rule():
 # -- the matrix is the scalar rule, row by row --------------------------------
 
 #: every op SimComm emits
-_OPS = ("alltoallv", "allreduce", "barrier", "allgather", "allgatherv",
-        "checkpoint")
+_OPS = ("alltoallv", "allreduce", "barrier", "allgatherv", "checkpoint")
 
 #: (nprocs, ranks/node): a single node, one rank per node, a short last
 #: node, a short last node of many, full nodes
@@ -364,10 +363,10 @@ def _workout(comm):
     cts[rank] = 0
     payload = np.arange(int(cts.sum()), dtype=np.int64) + 100 * rank
     recv, rcts = comm.Alltoallv(payload, cts)
-    total = comm.allreduce(int(recv.sum()))
-    gathered = comm.allgather(rank * rank)
+    total = int(comm.Allreduce(np.array([recv.sum()]))[0])
+    gathered, _ = comm.Allgatherv(np.array([rank * rank]))
     top = int(comm.Allreduce(np.array([total]), op="max")[0])
-    return total, tuple(gathered), top, int(rcts.sum())
+    return total, tuple(gathered.tolist()), top, int(rcts.sum())
 
 
 def _workout_traffic(size):
@@ -426,9 +425,9 @@ def test_hierarchical_cuts_modeled_inter_bytes(backend):
 
 
 def test_single_rank_run_has_no_tiers():
-    out, st = run_spmd(1, lambda comm: comm.allreduce(1),
+    out, st = run_spmd(1, lambda comm: comm.Allreduce(np.ones(1)).tolist(),
                        comm="hierarchical:4")
-    assert out == [1]
+    assert out == [[1.0]]
     assert not st.tiered
 
 

@@ -139,7 +139,7 @@ def _raises_on_rank_1(comm, closed):
 
 def _mismatch(comm):
     if comm.rank == comm.size - 1:
-        yield from comm.allreduce(1)
+        yield from comm.Allreduce(np.ones(1))
     else:
         yield from comm.barrier()
 

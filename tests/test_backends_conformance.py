@@ -82,8 +82,8 @@ def test_backend_classes_exported():
 @backends
 def test_allreduce_scalar_ops(backend):
     def fn(comm):
-        return (comm.allreduce(comm.rank + 1, op="sum"),
-                comm.allreduce(comm.rank, op="max"))
+        return (int(comm.Allreduce(np.array([comm.rank + 1]), op="sum")[0]),
+                int(comm.Allreduce(np.int64(comm.rank), op="max")[0]))
 
     out, _ = run_on(backend, 3, fn)
     assert out == [(6, 2)] * 3
@@ -103,10 +103,11 @@ def test_Allreduce_array(backend):
 @backends
 def test_allgather(backend):
     def fn(comm):
-        return comm.allgather(("rank", comm.rank))
+        gathered, counts = comm.Allgatherv(np.array([comm.rank]))
+        return gathered.tolist(), counts.tolist()
 
     out, _ = run_on(backend, 4, fn)
-    assert out == [[("rank", r) for r in range(4)]] * 4
+    assert out == [([0, 1, 2, 3], [1, 1, 1, 1])] * 4
 
 
 @backends
@@ -175,7 +176,7 @@ def test_identical_stats_across_backends(backend):
 @backends
 def test_rank_args_and_shared_kwargs(backend):
     def fn(comm, bonus, base=0):
-        return comm.allreduce(base + bonus)
+        return int(comm.Allreduce(np.array([base + bonus]))[0])
 
     out, _ = run_on(backend, 3, fn, rank_args=[(1,), (2,), (3,)], base=10)
     assert out == [36] * 3
@@ -185,7 +186,7 @@ def test_rank_args_and_shared_kwargs(backend):
 def test_single_rank_inline(backend):
     def fn(comm):
         comm.barrier()
-        return comm.allreduce(5)
+        return int(comm.Allreduce(np.array([5]))[0])
 
     out, stats = run_on(backend, 1, fn)
     assert out == [5]
@@ -200,7 +201,7 @@ def test_collective_mismatch(backend):
         if comm.rank == 0:
             comm.barrier()
         else:
-            comm.allreduce(1)
+            comm.Allreduce(np.ones(1))
 
     # in-process: whoever arrives second names the rank already deposited;
     # procs: the designated computer lists every rank's op
@@ -272,8 +273,9 @@ def test_error_inside_execute_propagates(backend):
 def test_reusable_after_run_and_stats_accumulate(backend):
     rt = create_runtime(backend, nprocs=2)
     try:
-        assert rt.run(lambda comm: comm.allreduce(1)) == [2, 2]
-        assert rt.run(lambda comm: comm.allreduce(2)) == [4, 4]
+        for value in (1, 2):
+            out = rt.run(lambda comm: comm.Allreduce(np.array([value])))
+            assert [o.tolist() for o in out] == [[2 * value]] * 2
         assert rt.stats.rounds == 2
     finally:
         rt.close()

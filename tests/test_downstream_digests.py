@@ -36,17 +36,20 @@ STRATEGIES = ("block", "random", "xtrapulp")
 #: ``"<kind>/<strategy>/<ranks>"`` -> sha256, taken before the SpMV and
 #: analytics layers were moved onto the one static exchange plan; the
 #: records retaken, with every output array unchanged, when an exchange
-#: became one metered round carrying its per-rank message counts, and
-#: again when the halo plan began to be read off the build (no ``plan``
-#: round: the 1-D SpMV and analytics records only)
+#: became one metered round carrying its per-rank message counts, again
+#: when the halo plan began to be read off the build (no ``plan`` round:
+#: the 1-D SpMV and analytics records only), and again when every scalar
+#: round began to be metered by its ``nbytes`` instead of its pickle
+#: length (the build's two rounds and each analytic's convergence sum:
+#: the LP and WCC records only)
 DIGESTS = {
-    "lp/mesh3d-block/4": "498ed26a62ebca520b95e7205871ec1ca6a17c675d5cbf044573b86c1e82fb81",
-    "lp/block/4": "eae193575f9c0b4585f2591c16e578bf1869c0c927d77d7961b2c71d4baaf60a",
-    "lp/block/6": "34e6cf21bd99f0f8384c8fcca963effad64eef0305829dd0159cab6da25af430",
-    "lp/random/4": "416bd2971b272cefbf8b4a667d46f0beb00580df11f533eaa5e5a085cbebbcb5",
-    "lp/random/6": "1e1f29138bc44b9d6794df754f8dbc99001443dbef4aba9823d9accd82b0e7e0",
-    "lp/xtrapulp/4": "25f4bafcaaf986c173909cd0eb32d4065c9392b299300641d5b6f908e9c99668",
-    "lp/xtrapulp/6": "e63a9d8ca837088c250a3109bdccd6b294c60cafbc8990114c05542be6082923",
+    "lp/mesh3d-block/4": "c5ede28322f455be915b9dfd058974bdc2e9481e15a569e524a340cf21c565b1",
+    "lp/block/4": "e4a0073a06ffa184bf569d9985ecfdb172160de3a7295f0dffcac75a0a8abd94",
+    "lp/block/6": "39040fcb67b643731288c0b32a2aa07125f694231d3c1c723330308d950a41ec",
+    "lp/random/4": "44808532d1afed918c84a8602e4bdb7f545333fad3e7e0613d4e3466e4bc74d0",
+    "lp/random/6": "2a618e8ef4bff23f18c0212fe2aae33df86395f1eb51320d39e1758e1e86b6e8",
+    "lp/xtrapulp/4": "f76ae57c32274081978a3c5ff7d3d0b60bd3a88172876e05ad4e227408507383",
+    "lp/xtrapulp/6": "666246484c423c37735e3b76cc9614992f3b1aa00e6afbb8b5cb628b10884972",
     "spmv1d/block/4": "3fce6f10523a655ac2606231190fe6ce2654492ff4fafb90bb7a953ef1a6deed",
     "spmv1d/block/6": "5fa9205e94b5eded6bb3b9a75a443eaa0f5bd81963ac7cd7537d58c6f4e45877",
     "spmv1d/random/4": "fdea1ad8a7923f6c2c8f323df395093b5801358b041017b2fa585d3f5c668df7",
@@ -59,12 +62,12 @@ DIGESTS = {
     "spmv2d/random/6": "3b7968a8609cec727c1449dbf203b98f0122da6436e1ca93ed4cafb50633a302",
     "spmv2d/xtrapulp/4": "8a02dea38768b3736bd737cbda3a9fa4f45d1e5ea90cc80c4aea1f921e08cfe9",
     "spmv2d/xtrapulp/6": "621e952ff111c3ef03b2396ea47e2f058929ee865693df34ff1343a6579a6666",
-    "wcc/block/4": "6916300906da20f8c494345ccb17fabb0c388058ad0b4ac239bcd0958552be02",
-    "wcc/block/6": "d2e5ce248e3df4ffa85d299a11cb1d05b679d80e57dc5d057c2e3c16537b10f7",
-    "wcc/random/4": "2665c44ba64834e5a4809e1d7b0d46de70af0be181d42c4b38a36c1bcd90574d",
-    "wcc/random/6": "1ec2d5d0529b7e670b7b281cf90a40e00f057cac38235d1dbedd8603da89b69a",
-    "wcc/xtrapulp/4": "c27c2e602e7c78cd378290f868cf08ce046730fb946f5608ba29d3b9abe4db05",
-    "wcc/xtrapulp/6": "88a1d4ebed329b7166597328a0201572caf3567f31318ed1a67213968afdc16f",
+    "wcc/block/4": "8a690be693b4717b0f28035eb3b7941f93d7b68ac6bc74328c1db4fabce6cd19",
+    "wcc/block/6": "c753444b1844f3cc749866a98f11f41ec44f1f724358aa3d609295f8bffae4c7",
+    "wcc/random/4": "5728bad5d5f611fa051f8fffc302403a8af0b459a2f93e0f2230f379cae24341",
+    "wcc/random/6": "abf515f2438d83c68873fd16aff80c09d2eaf50d40290381134be604e01e20b9",
+    "wcc/xtrapulp/4": "dd3027474ec5734c098b26e5b9e9bdbce2433a99a823c199202145e5b65ef3b5",
+    "wcc/xtrapulp/6": "825ded8a4d703c20108cd2a4b961668764940dd83a509c64abab67008b92eefc",
 }
 
 
