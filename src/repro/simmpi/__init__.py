@@ -15,12 +15,15 @@ are ``yield from`` expressions, so that a deposit is a ``yield``
 (:mod:`repro.simmpi.stepping`); communicating routines are written once,
 as generators behind :func:`~repro.simmpi.stepping.steppable`, and serve
 both kinds of body.  How ranks execute is selected by name
-(:mod:`repro.simmpi.backends`): ``serial`` steps generator bodies in the
-calling thread, a round-robin superstep interpreter whose schedule is
-deterministic for unwatched bodies (every one this package ships), and
-``threads`` steps them on one worker thread per usable CPU (NumPy
-releases the GIL); plain or watched bodies run one native thread per rank
-on both, interleaving as the OS schedules them.  ``procs`` forks one
+(:mod:`repro.simmpi.backends`): ``serial`` steps generator bodies on one
+worker, a round-robin superstep interpreter whose schedule is
+deterministic (every body this package ships is a generator), and
+``threads`` steps them on one worker per usable CPU (NumPy releases the
+GIL).  Unwatched, the calling thread is one of the workers; under a
+watchdog every worker is a daemon thread and the calling thread
+supervises them, and a watched ``serial`` run keeps its deterministic
+schedule.  Plain bodies run one native thread per rank on both,
+interleaving as the OS schedules them.  ``procs`` forks one
 process per rank and moves payloads through
 ``multiprocessing.shared_memory``, escaping the GIL for pure-Python rank
 code; each payload travels in the rendezvous slot that carries its
