@@ -10,10 +10,12 @@ each.  Its wall is not gated here: the perf ledger's ``ranks256`` workload
 bounds ``partition_wall_s`` (``benchmarks/perf``).
 
 Every row runs in a fresh interpreter started with the perf harness's
-glibc malloc settings (``MALLOC_ENV``), so its ``peak_rss_MiB``
-(``ru_maxrss``) is that row's alone and does not move with a freed
-transient the allocator happens to hand back or keep.  Run one row by
-hand with ``PYTHONPATH=src python benchmarks/test_rank_scaling.py
+glibc malloc settings (``MALLOC_ENV``), so a freed transient the
+allocator happens to hand back or keep does not move its
+``peak_rss_MiB``.  That figure is the row interpreter's ``VmHWM``
+(:func:`benchmarks.perf.child.peak_rss_mb`), not ``ru_maxrss``: on Linux
+``ru_maxrss`` survives ``exec`` and starts at the peak of the pytest
+process that spawned the row.  Run one row by hand with ``PYTHONPATH=src python benchmarks/test_rank_scaling.py
 '{"ranks": 2048, "scale": "small"}'``.
 
 Also recorded: cross-backend bit-identity (partitions and
@@ -23,7 +25,6 @@ Also recorded: cross-backend bit-identity (partitions and
 import hashlib
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -33,10 +34,11 @@ ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # a row's own interpreter
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from benchmarks.perf.child import peak_rss_mb  # noqa: E402
 from benchmarks.perf.run import MALLOC_ENV  # noqa: E402
 from repro.bench import ExperimentTable  # noqa: E402
 from repro.core import PulpParams, xtrapulp  # noqa: E402
-from repro.simmpi import BLUE_WATERS_TIERED, TimeModel  # noqa: E402
+from repro.simmpi import MachineModel, TimeModel  # noqa: E402
 from repro.simmpi.backends import create_runtime  # noqa: E402
 from repro.suite import get_graph  # noqa: E402
 
@@ -47,6 +49,10 @@ PARTS = 16
 PARAMS = dict(seed=42, outer_iters=1, balance_iters=2, refine_iters=3)
 #: Seconds one row may take (the 2 048-rank row takes about ten).
 ROW_TIMEOUT_S = 600
+#: Blue Waters' network constants at one core per rank: a 2 048-rank row
+#: is 2 048 cores, not 2 048 of the paper's 16-core nodes, so ``gamma``
+#: is a single core's 4 ns per work unit, not ``BLUE_WATERS_LIKE``'s.
+MACHINE = MachineModel(alpha=1.5e-6, beta=1.0 / 6.0e9, gamma=4.0e-9)
 
 
 def _sha(data: bytes) -> str:
@@ -69,12 +75,11 @@ def _row(spec: dict) -> dict:
         "parts_sha256": _sha(result.parts.tobytes()),
         "signature_sha256": _sha(repr(st.signature()).encode()),
         "wall_s": wall,
-        "model_s": TimeModel(machine=BLUE_WATERS_TIERED).total_time(st),
+        "model_s": TimeModel(machine=MACHINE).total_time(st),
         "cutsize": int(result.quality().cut),
         "MiB_sent": st.total_bytes / 2**20,
         "rounds": st.rounds,
-        "peak_rss_MiB":
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_MiB": peak_rss_mb(),
     }
 
 
@@ -113,7 +118,7 @@ def test_rank_scaling(benchmark):
               "interpreter per row with the perf harness's malloc "
               "settings; wall_s is single-shot perf_counter, not gated "
               "(the perf ledger's ranks256 workload bounds the wall); "
-              "peak_rss_MiB is the row's ru_maxrss",
+              "peak_rss_MiB is the row's VmHWM",
     )
 
     flat_512 = benchmark.pedantic(

@@ -111,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="checkpoint the run into DIR at phase boundaries; "
                          "each epoch is committed atomically and a crashed "
                          "run exits 3 when one is available to --resume")
-    ft.add_argument("--checkpoint-every", choices=["outer", "phase", "off"],
+    ft.add_argument("--checkpoint-every", choices=["outer", "phase"],
                     default="outer",
                     help="checkpoint granularity: after each outer "
-                         "iteration (default), after every phase, or off")
+                         "iteration (default) or after every phase")
     ft.add_argument("--resume", metavar="PATH",
                     help="resume from a run directory (latest committed "
                          "epoch) or a specific epoch_NNNN directory; the "

@@ -335,8 +335,7 @@ def _resolve_config(
             else CkptPolicy(dir=os.fspath(checkpoint))
         )
         cfg.run_dir = policy.dir
-        if policy.every != "off":
-            cfg.ckpt_ctx = make_context(policy, **identity)
+        cfg.ckpt_ctx = make_context(policy, **identity)
 
     cfg.runtime = runtime = create_runtime(
         backend, nprocs=nprocs, comm=params.comm,

@@ -63,15 +63,14 @@ from repro.simmpi.stepping import Steps, steppable
 
 #: Bumped whenever a pickled record changes shape, so that an older
 #: epoch is refused at load instead of failing later — or changes
-#: meaning: a version-7 ``stats.pkl`` meters a scalar round by its
-#: pickle length where version 8 meters every round by ``nbytes``, so a
-#: spliced record would mix the two metering rules.
-FORMAT_VERSION = 8
+#: meaning: a version-8 ``stats.pkl`` pickles a tiered event's
+#: ``TierMetering`` with six fields where version 9 pickles two.
+FORMAT_VERSION = 9
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_TMP = "MANIFEST.tmp"
 STATS_NAME = "stats.pkl"
 
-_EVERY = ("outer", "phase", "off")
+_EVERY = ("outer", "phase")
 
 
 class CheckpointError(RuntimeError):
@@ -84,8 +83,8 @@ class CkptPolicy:
 
     ``every="outer"`` snapshots after initialization and after each outer
     iteration's refine step (the paper's natural unit of progress);
-    ``"phase"`` snapshots after every phase; ``"off"`` disables writing
-    (resume still works against an existing run directory).
+    ``"phase"`` snapshots after every phase.  (Resuming without writing
+    is a resume with no checkpoint policy.)
     """
 
     dir: str
@@ -101,8 +100,6 @@ class CkptPolicy:
 def checkpoint_after(plan: Sequence[Tuple[str, int, str]], idx: int,
                      every: str) -> bool:
     """Does ``every`` place a checkpoint after completing step ``idx``?"""
-    if every == "off":
-        return False
     if every == "phase":
         return True
     return plan[idx][2] in ("init", "vertex_refine", "edge_refine",

@@ -37,19 +37,17 @@ program produces bit-identical results and communication records on all
 backends — pick one with :func:`~repro.simmpi.backends.create_runtime` or
 the ``REPRO_BACKEND`` environment variable.
 
-How communication is *priced* is selected the same way
+How communication is *metered* is selected the same way
 (:mod:`repro.simmpi.topology`): a ChainerMN-style ``create_communicator``
 maps ranks onto a machine topology (ranks grouped into nodes).  The
 default ``flat`` metering (no strategy object) is one rank per node; the
 ``hierarchical`` strategy models a node-aggregated exchange (intra-node
 gather to a per-node leader, one aggregated inter-node message per node
-pair, intra-node scatter) and splits every event's bytes/hops into
+pair, intra-node scatter) and reports every event's wire bytes on the
 intra-node and inter-node tiers — without touching payload movement, so
-results and
-communication records stay bit-identical across strategies.  Pick one with
-the ``comm=`` spec argument of ``create_runtime``/``run_spmd``; tiered
-machine flavors (:data:`~repro.simmpi.timing.BLUE_WATERS_TIERED`) price
-each tier with its own alpha/beta constants.
+results, communication records and modeled times stay bit-identical
+across strategies.  Pick one with the ``comm=`` spec argument of
+``create_runtime``/``run_spmd``.
 
 Every byte that crosses a rank boundary is accounted by
 :class:`~repro.simmpi.metrics.CommStats`, and
@@ -86,9 +84,7 @@ from repro.simmpi.metrics import CommStats, CollectiveEvent, TierMetering
 from repro.simmpi.runtime import run_spmd
 from repro.simmpi.timing import (
     BLUE_WATERS_LIKE,
-    BLUE_WATERS_TIERED,
     MachineModel,
-    TieredMachineModel,
     TimeModel,
 )
 from repro.simmpi.topology import (
@@ -114,10 +110,8 @@ __all__ = [
     "CollectiveEvent",
     "TierMetering",
     "MachineModel",
-    "TieredMachineModel",
     "TimeModel",
     "BLUE_WATERS_LIKE",
-    "BLUE_WATERS_TIERED",
     "Topology",
     "make_topology",
     "parse_comm_spec",

@@ -7,9 +7,8 @@ off-rank and the work units it charged since the previous rendezvous.  A
 round meters itself: its ``execute`` reads the traffic off the
 contributions where the collective runs, and ``Backend._record`` — one
 path on every backend — derives the bytes, an exchange's message counts
-and, under a tiered strategy, the :class:`TierMetering` from it: six
-integers per round (per-tier wire totals, the busiest rank / node loads
-the tiered model prices, and hop counts), never a per-rank column,
+and, under a tiered strategy, the :class:`TierMetering` from it: two
+integers per round (the per-tier wire totals), never a per-rank column,
 so the tiered record does not grow with the rank count.  The
 aggregate view (:class:`CommStats`) answers the questions the paper's
 evaluation asks: how much traffic did the partitioner generate, how many
@@ -27,8 +26,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TierMetering:
-    """Node-aware view of one collective's traffic: the six numbers the
-    tiered machine model prices and the reports read.
+    """Node-aware view of one collective's traffic: the round's total wire
+    bytes on each tier.
 
     Attached to a :class:`CollectiveEvent` by tiered communicator
     strategies (see :mod:`repro.simmpi.topology`); ``None`` under the
@@ -36,15 +35,11 @@ class TierMetering:
     model** — what the exchange itself would move over shared memory
     (gather/scatter legs included) and over the network (leaders-only
     reductions, aggregated node-pair messages) — is formed per rank where
-    the round is recorded and reduced there, once, to:
-
-    * ``wire_intra`` / ``wire_inter`` — the round's total wire bytes on
-      each tier (these need *not* sum to the event's ``bytes_sent``);
-    * ``max_wire_intra`` — the busiest rank's shared-memory bytes and
-      ``max_node_wire_inter`` — the busiest node's network injection
-      (its ranks' ``wire_inter`` summed: a node's traffic is
-      leader-injected);
-    * ``intra_hops`` / ``inter_hops`` — the round's latency structure.
+    the round is recorded and summed there, once, to ``wire_intra`` and
+    ``wire_inter`` (these need *not* sum to the event's ``bytes_sent``).
+    No machine model prices them: they are read by
+    :meth:`CommStats.modeled_inter_bytes` / :meth:`CommStats.
+    modeled_intra_bytes` and the reports built on those.
 
     Deliberately **excluded** from :meth:`CommStats.signature`: tier
     metering is supplementary, so ``flat`` and ``hierarchical`` runs of
@@ -53,10 +48,6 @@ class TierMetering:
 
     wire_intra: int
     wire_inter: int
-    max_wire_intra: int
-    max_node_wire_inter: int
-    intra_hops: int
-    inter_hops: int
 
 
 @dataclass(frozen=True)

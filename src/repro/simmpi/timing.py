@@ -25,13 +25,11 @@ simulator meters exactly:
 * ``beta`` is inverse bandwidth applied to the busiest rank's payload
   (an exchange's records plus any reduction operand it carries).
 
-Under a tiered communicator (``hierarchical:R``) each event carries a
-:class:`~repro.simmpi.metrics.TierMetering`, and
-:class:`TieredMachineModel` prices it per tier instead: its two hop
-counts at per-tier ``alpha`` and, at per-tier ``beta``, the busiest
-rank's shared-memory bytes and the busiest node's network injection —
-scalars the strategy reduced where the round was recorded, so pricing a
-tiered run reads four numbers per event.
+Every event is priced this one way, whatever communicator strategy
+metered it: a ``hierarchical:R`` run's
+:class:`~repro.simmpi.metrics.TierMetering` is a wire-byte report, not
+an input to the price, because the paper's runs place one MPI task per
+node and so never put two ranks on one node.
 
 The default constants (:data:`BLUE_WATERS_LIKE`) are Gemini-flavored
 (~1.5 us latency, ~6 GB/s per-node injection).  Absolute numbers are not the
@@ -120,85 +118,6 @@ CLUSTER_LIKE = MachineModel(
 SINGLE_NODE_MPI = MachineModel(
     alpha=5.0e-7, beta=1.0 / 10.0e9, gamma=4.0e-9,
     name="single-node-mpi",
-)
-
-
-@dataclass(frozen=True)
-class TieredMachineModel(MachineModel):
-    """Multi-tier alpha-beta constants for topology-aware metering.
-
-    The inherited ``alpha``/``beta`` are the **inter-node** (network)
-    constants; ``alpha_intra``/``beta_intra`` price the intra-node
-    (shared-memory) tier.  Events carrying
-    :class:`~repro.simmpi.metrics.TierMetering` (produced by the
-    ``hierarchical`` communicator strategy) are priced per tier:
-
-    ``cost = alpha_intra * intra_hops + alpha * inter_hops
-           + beta_intra * max_wire_intra          (max_r wire_intra(r))
-           + beta * max_node_wire_inter   (max_n sum_{r in n} wire_inter(r))``
-
-    — four numbers the strategy reduced when it recorded the round, so
-    pricing is vector arithmetic over them.  The intra bandwidth term is
-    bound by the busiest *rank's* shared-memory traffic, the inter term
-    by the busiest *node's* NIC (under two-level exchange a node's
-    network traffic is leader-injected, so summing the node's ranks is
-    exact).  Events without tier metering
-    (``flat`` strategy, one-rank runs) fall back to the single-tier
-    formula at the inter-node constants, which is exactly the base
-    :class:`MachineModel` behavior — so a tiered flavor is a drop-in
-    replacement.
-    """
-
-    #: Per-hop latency of the shared-memory tier (seconds).
-    alpha_intra: float = 5.0e-7
-    #: Seconds per byte of the busiest rank's intra-node wire traffic.
-    beta_intra: float = 1.0 / 80.0e9
-
-    def cost_parts_batch(
-        self, events: Sequence[CollectiveEvent], nprocs: int
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        n = len(events)
-        latency = np.zeros(n)
-        bandwidth = np.zeros(n)
-        if n == 0:
-            return latency, bandwidth
-        flat_idx = [i for i, e in enumerate(events) if e.tiers is None]
-        if flat_idx:
-            lat_f, bw_f = super().cost_parts_batch(
-                [events[i] for i in flat_idx], nprocs
-            )
-            latency[flat_idx] = lat_f
-            bandwidth[flat_idx] = bw_f
-        tiered_idx = [i for i, e in enumerate(events) if e.tiers is not None]
-        if not tiered_idx:
-            return latency, bandwidth
-        # one row per tiered event: the two hop counts, then the busiest
-        # rank's intra and node's inter bytes
-        t = np.array(
-            [(e.tiers.intra_hops, e.tiers.inter_hops,
-              e.tiers.max_wire_intra, e.tiers.max_node_wire_inter)
-             for e in (events[i] for i in tiered_idx)],
-            dtype=np.float64,
-        )
-        latency[tiered_idx] = (self.alpha_intra * t[:, 0]
-                               + self.alpha * t[:, 1])
-        bw = self.beta_intra * t[:, 2]
-        bw += self.beta * t[:, 3]
-        bandwidth[tiered_idx] = bw
-        return latency, bandwidth
-
-
-#: Blue Waters analog with the node structure made explicit: one simulated
-#: rank = one core-group of an XE6 node rather than a whole node.  The
-#: inter-node constants match :data:`BLUE_WATERS_LIKE` (Gemini: ~1.5 us,
-#: ~6 GB/s injection); the intra-node tier is shared memory (~0.5 us,
-#: ~80 GB/s — HyperTransport-era socket bandwidth), giving the realistic
-#: ~13x bandwidth gap between tiers (10-20x is typical across machines).
-#: ``gamma`` is per-rank single-core (ranks no longer bundle 16 threads).
-BLUE_WATERS_TIERED = TieredMachineModel(
-    alpha=1.5e-6, beta=1.0 / 6.0e9, gamma=4.0e-9,
-    alpha_intra=5.0e-7, beta_intra=1.0 / 80.0e9,
-    name="blue-waters-tiered",
 )
 
 

@@ -29,8 +29,8 @@ The strategy never touches payload movement: every collective still runs as
 one rendezvous with the exact same ``execute`` closure, so results and the
 :meth:`~repro.simmpi.metrics.CommStats.signature` record are bit-identical
 across strategies.  What changes is *supplementary* metering — the
-:class:`~repro.simmpi.metrics.TierMetering` attached to each event — which
-the tiered machine models price per tier.
+:class:`~repro.simmpi.metrics.TierMetering` attached to each event, two
+wire-byte totals that the reports read and no machine model prices.
 
 A runtime meters ``flat`` unless a strategy is asked for, through
 ``PulpParams.comm``, ``--comm`` or ``create_runtime(comm=)``.

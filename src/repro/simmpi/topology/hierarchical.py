@@ -24,12 +24,11 @@ Payload movement in the simulator is untouched — the rendezvous and its
 :meth:`~repro.simmpi.metrics.CommStats.signature` record stay
 bit-identical.  What this class computes is the *metering*: the
 ``wire_intra``/``wire_inter`` model of what the hierarchical protocol
-itself would put on each wire, per rank, reduced where the round is
-recorded to the six numbers of a
+itself would put on each wire, per rank, summed where the round is
+recorded to the two numbers of a
 :class:`~repro.simmpi.metrics.TierMetering` — the per-tier totals the
-reports read, the busiest rank / node loads and the hop counts the
-tiered machine models (:class:`repro.simmpi.timing.TieredMachineModel`)
-price.
+reports read.  No machine model prices them: every modeled time is the
+flat model's (:mod:`repro.simmpi.timing`).
 
 Per-op wire rules (``b`` = the rank's metered ``bytes_sent``), one for
 each op :class:`~repro.simmpi.comm.SimComm` emits, and none for anything
@@ -54,15 +53,6 @@ else:
   stable storage regardless of topology (documented exception to the
   node-locality rules).
 
-Latency hops per round: an exchange in which some rank sends records
-costs ``n_nodes - 1`` inter hops plus ``3 * (max_node_size - 1)`` intra
-hops (gather, local exchange, scatter) — the leader-level rule, which
-does not read the flat model's per-rank ``messages``, and which a
-carried reduction does not add to (it is the exchange's consensus);
-every other round, including an exchange in which nobody sends records
-(its consensus alone, as under the flat model), costs the tree's
-``ceil(log2 n_nodes)`` inter plus ``2 * ceil(log2 max_node_size)`` intra
-(reduce up, broadcast down).
 A single-node topology degenerates to all-intra; one-rank nodes
 degenerate to ``flat``.  The inter tier is one network spanning every
 node, as the paper's machine (one Gemini torus) has.
@@ -73,16 +63,14 @@ records the round, from the traffic the round's ``execute`` read off the
 contributions — the ranks deposit no metering input.  Ranks are packed
 node-major, so a node is a contiguous span of the destination axis and
 one ``np.add.reduceat`` over the exchange's ``P x P`` byte matrix sums
-it for all sources; the same packing makes the busiest node's load one
-``reduceat`` of a column (:meth:`HierarchicalCommunicator.tiers`).  The
-per-rank columns live only for that reduction, so a round's record is
-six integers whatever the rank count.  The rule one rank at a time is the
+it for all sources.  The per-rank columns live only until
+:meth:`HierarchicalCommunicator.tiers` sums them, so a round's record is
+two integers whatever the rank count.  The rule one rank at a time is the
 test oracle (``tests/reference/tiers.py``).
 """
 
 from __future__ import annotations
 
-from math import ceil, log2
 from typing import Optional
 
 import numpy as np
@@ -90,8 +78,7 @@ import numpy as np
 from repro.simmpi.metrics import TierMetering
 from repro.simmpi.topology.model import Topology
 
-#: Pairwise exchanges: payload addressed to explicit destination ranks,
-#: latency scaling with the participant count.
+#: Pairwise exchanges: payload addressed to explicit destination ranks.
 _PAIRWISE_OPS = frozenset({"alltoallv"})
 #: Ops reduced to a single value (leaders-only inter phase).
 _REDUCE_OPS = frozenset({"allreduce", "barrier"})
@@ -102,10 +89,9 @@ _CONCAT_OPS = frozenset({"allgatherv"})
 class HierarchicalCommunicator:
     """Node-aware metering strategy.
 
-    :meth:`tiers` meters all ranks of one metered round at once and
-    gives its latency structure (called where the round is recorded).
-    Flat metering has no strategy object at all (see
-    :func:`repro.simmpi.topology.create_communicator`).
+    :meth:`tiers` meters all ranks of one metered round at once (called
+    where the round is recorded).  Flat metering has no strategy object
+    at all (see :func:`repro.simmpi.topology.create_communicator`).
     """
 
     name = "hierarchical"
@@ -124,18 +110,6 @@ class HierarchicalCommunicator:
         self._leader = ranks % rpn == 0
         #: ranks whose node holds more than one rank (a leader fans out)
         self._has_peers = np.minimum(rpn, n - self._leader_of) > 1
-        # latency hops; a single node runs its rounds locally, one way
-        width, nodes = topology.max_node_size, topology.n_nodes
-        one_node = nodes == 1
-        #: an exchange in which some rank sends: gather, local exchange and
-        #: scatter in the node, a message per peer node
-        self._exchange_hops = dict(
-            intra_hops=(1 if one_node else 3) * (width - 1),
-            inter_hops=nodes - 1)
-        #: every other round: a tree, reduce up and broadcast down
-        self._tree_hops = dict(
-            intra_hops=(1 if one_node else 2) * _depth(width),
-            inter_hops=_depth(nodes))
 
     def _locality_sums(self, m: np.ndarray):
         """Per source rank, the sum of ``m[src, dst]`` over every
@@ -147,23 +121,16 @@ class HierarchicalCommunicator:
     def tiers(self, op: str, traffic: np.ndarray,
               reduced: Optional[np.ndarray] = None) -> TierMetering:
         """The tier view of one metered round: :meth:`wire_columns`
-        reduced to per-tier totals and busiest rank / node, and the
-        round's hops.
+        summed to per-tier totals.
 
         Called once per round, where the backend records it, with the
         round's ``traffic``: each rank's metered bytes ``b``, or for an
         ``alltoallv`` its ``P x P`` per-destination bytes (diagonal
         zero) and, if the exchange carries a reduction, each rank's
-        operand bytes ``reduced``.  An exchange in which nobody sends
-        records is its consensus and pays the tree's hops."""
+        operand bytes ``reduced``."""
         intra, inter = self.wire_columns(op, traffic, reduced)
-        sends = op in _PAIRWISE_OPS and traffic.any()
-        return TierMetering(
-            wire_intra=int(intra.sum()), wire_inter=int(inter.sum()),
-            max_wire_intra=int(intra.max()),
-            max_node_wire_inter=int(
-                np.add.reduceat(inter, self._node_starts).max()),
-            **(self._exchange_hops if sends else self._tree_hops))
+        return TierMetering(wire_intra=int(intra.sum()),
+                            wire_inter=int(inter.sum()))
 
     def wire_columns(self, op: str, traffic: np.ndarray,
                      reduced: Optional[np.ndarray] = None):
@@ -226,8 +193,3 @@ class HierarchicalCommunicator:
             return out(np.where(leader, 0, b) if multi else 0, b)
 
         raise ValueError(f"no tier rule for op {op!r}")
-
-
-def _depth(width: int) -> int:
-    """Levels of a binary tree over ``width`` members."""
-    return ceil(log2(width)) if width > 1 else 0

@@ -87,11 +87,6 @@ class Topology:
     def multi_node(self) -> bool:
         return self.n_nodes > 1
 
-    @property
-    def max_node_size(self) -> int:
-        """Ranks on the fullest node (the intra-tier fan-in bound)."""
-        return min(self.ranks_per_node, self.nprocs)
-
     def node_of_ranks(self) -> np.ndarray:
         """``(nprocs,)`` int32 map rank -> node id."""
         return (np.arange(self.nprocs, dtype=np.int32)

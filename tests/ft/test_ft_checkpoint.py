@@ -59,13 +59,13 @@ def test_checkpoint_after_granularities():
     assert outer == [0, 2, 4, 6, 8]
     assert [i for i in range(len(plan))
             if checkpoint_after(plan, i, "phase")] == list(range(len(plan)))
-    assert not any(checkpoint_after(plan, i, "off")
-                   for i in range(len(plan)))
 
 
 def test_policy_rejects_unknown_granularity(tmp_path):
     with pytest.raises(ValueError, match="every"):
         CkptPolicy(dir=str(tmp_path), every="sometimes")
+    with pytest.raises(ValueError, match="every"):
+        CkptPolicy(dir=str(tmp_path), every="off")
 
 
 # -- epoch layout + commit protocol ------------------------------------------
@@ -244,7 +244,7 @@ def test_unsupported_format_version_rejected(run_dir, tmp_path):
         load_checkpoint(latest)
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8])
 def test_version_2_epoch_rejected(run_dir, tmp_path, version):
     """Version 2 rank snapshots carried ``Sv`` / ``Se`` / ``Sc`` (version 3
     recounts them at phase entry); version 3's ``stats.pkl`` pickled events
@@ -255,12 +255,13 @@ def test_version_2_epoch_rejected(run_dir, tmp_path, version):
     version 6's event prefix holds an exchange and a delta Allreduce per
     LP iteration where version 7's holds the one exchange that carries
     the sum; version 7 meters a scalar round by its pickle length where
-    version 8 meters every round by ``nbytes``.  Version 8 refuses every
-    older epoch: the manifest's ``format_version`` is the one version a
-    checkpoint carries."""
+    version 8 meters every round by ``nbytes``; version 8 pickles a tiered
+    event's ``TierMetering`` with six fields where version 9 pickles two.
+    Version 9 refuses every older epoch: the manifest's
+    ``format_version`` is the one version a checkpoint carries."""
     import shutil
 
-    assert FORMAT_VERSION == 8
+    assert FORMAT_VERSION == 9
     d = tmp_path / f"v{version}"
     shutil.copytree(run_dir, d)
     latest = find_latest_committed(str(d))

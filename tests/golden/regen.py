@@ -33,7 +33,7 @@ from repro.core import PulpParams, xtrapulp
 from repro.core.driver import PARTITION_PHASES
 from repro.ft.checkpoint import CkptPolicy, load_checkpoint
 from repro.graph import generators
-from repro.simmpi import BLUE_WATERS_TIERED, TimeModel
+from repro.simmpi import TimeModel
 
 GOLDEN = Path(__file__).with_name("scoring.json")
 
@@ -47,7 +47,7 @@ def load_phase_cases() -> list:
 
 
 def tiers_sha256(stats) -> str:
-    """sha256 over every event's op and the six numbers of its tier
+    """sha256 over every event's op and the two numbers of its tier
     metering, in event order — the metering ``signature()`` leaves out."""
     h = hashlib.sha256()
     for e in stats.events:
@@ -60,9 +60,8 @@ def tiers_sha256(stats) -> str:
 def digests(case: dict, backend: str) -> Dict[str, str]:
     """Run one pinned configuration; sha256 of its partition and record,
     its quality, its partition phases' round count and their modeled
-    time — priced by the tiered
-    machine model (hops included) for a tiered communicator, whose tier
-    metering is pinned too, else by the run's own machine model."""
+    time, priced by the run's own machine model — and, for a tiered
+    communicator, its tier metering."""
     # mesh3d takes no seed: a null graph_seed passes none
     seed = {} if case["graph_seed"] is None else {"seed": case["graph_seed"]}
     graph = getattr(generators, case["generator"])(*case["gen_args"], **seed)
@@ -81,14 +80,13 @@ def digests(case: dict, backend: str) -> Dict[str, str]:
     )
     tiered = case["params"].get("comm", "flat") != "flat"
     quality = result.quality()
-    machine = BLUE_WATERS_TIERED if tiered else result.machine
     partition = result.stats.filtered(PARTITION_PHASES)
     out = {
         "parts_sha256": hashlib.sha256(result.parts.tobytes()).hexdigest(),
         "signature_sha256": hashlib.sha256(
             repr(result.stats.signature()).encode()
         ).hexdigest(),
-        "modeled_s": repr(TimeModel(machine).total_time(partition)),
+        "modeled_s": repr(TimeModel(result.machine).total_time(partition)),
         "rounds": partition.rounds,
         "cut_ratio": repr(quality.cut_ratio),
         "vertex_balance": repr(quality.vertex_balance),

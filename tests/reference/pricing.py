@@ -1,16 +1,13 @@
-"""The machine models' pricing rule, one event at a time — the oracle for
-:meth:`MachineModel.cost_parts_batch` / :meth:`TieredMachineModel.
-cost_parts_batch`, which price every event of a run at once.
+"""The machine model's pricing rule, one event at a time — the oracle for
+:meth:`MachineModel.cost_parts_batch`, which prices every event of a run
+at once.
 
 These are the scalar ``cost_parts`` / ``collective_cost`` /
 ``superstep_time`` methods as the models used to carry them, moved here
 verbatim (``self`` became the first argument; ``superstep_time`` has
-since lost the measured-compute term the model no longer prices,
-``cost_parts`` prices an exchange as the sparse NBX round it became, and
-reads a tiered event's busiest rank / node loads off its
-``TierMetering``, which the strategy reduced at record time — that
-reduction's oracle is ``tests/reference/tiers.py``): nothing in ``src/``
-priced one event at a time.
+since lost the measured-compute term the model no longer prices, and
+``cost_parts`` prices an exchange as the sparse NBX round it became):
+nothing in ``src/`` priced one event at a time.
 
 An exchange that carries a reduction operand is priced by the same rule:
 its ``bytes_sent`` hold the operand's bytes beside the records', and its
@@ -30,13 +27,6 @@ from repro.simmpi.timing import MachineModel, TimeModel
 def cost_parts(machine: MachineModel, event: CollectiveEvent,
                nprocs: int) -> Tuple[float, float]:
     """``(latency, bandwidth)`` cost components of one collective."""
-    tiers = event.tiers
-    if tiers is not None and hasattr(machine, "alpha_intra"):
-        latency = (machine.alpha_intra * tiers.intra_hops
-                   + machine.alpha * tiers.inter_hops)
-        bandwidth = (machine.beta_intra * tiers.max_wire_intra
-                     + machine.beta * tiers.max_node_wire_inter)
-        return latency, bandwidth
     if nprocs <= 1:
         return 0.0, 0.0
     # every round ends in a log-depth tree (an exchange's consensus
@@ -67,9 +57,7 @@ def merged(exchange: CollectiveEvent,
            reduction: CollectiveEvent) -> CollectiveEvent:
     """The one flat event of an exchange whose consensus carries the
     operand of ``reduction``, a separate Allreduce that followed it: bytes
-    and work summed per rank, the exchange's messages.  (A tiered round's
-    busiest-rank / node loads are not sums of the pair's; its oracle is
-    ``tests/reference/tiers.py``.)"""
+    and work summed per rank, the exchange's messages."""
     return dataclasses.replace(
         exchange,
         bytes_sent=exchange.bytes_sent + reduction.bytes_sent,

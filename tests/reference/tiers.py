@@ -1,8 +1,8 @@
 """The hierarchical strategy's tier rule, one rank at a time — the oracle
 for :meth:`HierarchicalCommunicator.wire_columns`, which meters every
 rank of a collective at once, and for :meth:`HierarchicalCommunicator.
-tiers`, which reduces those columns to a ``TierMetering``'s six numbers
-— an exchange's row plus, where it carries a reduction operand, that
+tiers`, which sums those columns to a ``TierMetering``'s two numbers —
+an exchange's row plus, where it carries a reduction operand, that
 operand's ``allreduce`` row.
 
 :func:`tier_contribution` is the wire rule as the ranks used to evaluate
@@ -10,15 +10,12 @@ it at every deposit (``self.topology`` became the first argument; the
 byte classification that rode beside it left with the record's per-rank
 columns; the node, its leader and its span are derived here from
 ``ranks_per_node``, as :class:`Topology` no longer answers them one rank
-at a time).  :func:`tier_metering` reduces its rows the slow way, rank by
-rank with dicts.  :func:`tier_hops` is the latency rule the strategy's ``hops``
-method carried, amended so that an exchange in which nobody sends pays
-the tree.  :func:`tier_row` asks the production code for one rank's row,
+at a time).  :func:`tier_metering` sums its rows the slow way, rank by
+rank.  :func:`tier_row` asks the production code for one rank's row,
 so the hand-computed tuples of ``test_topology.py`` read the code that
 runs.
 """
 
-from math import ceil, log2
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -92,24 +89,6 @@ def tier_contribution(
     raise ValueError(f"no tier rule for op {op!r}")
 
 
-def tier_hops(topo: Topology, op: str, sends: bool) -> Tuple[int, int]:
-    """``(intra, inter)`` latency hops of a round; ``sends`` says whether
-    any rank sends off-rank in it."""
-    n_nodes = topo.n_nodes
-    width = topo.max_node_size
-    if op in _PAIRWISE_OPS and sends:
-        intra = 3 * (width - 1)
-        inter = n_nodes - 1
-        if n_nodes == 1:
-            intra = width - 1  # no gather/scatter legs, plain local
-    else:
-        intra = 2 * (ceil(log2(width)) if width > 1 else 0)
-        inter = ceil(log2(n_nodes)) if n_nodes > 1 else 0
-        if n_nodes == 1:
-            intra = ceil(log2(width)) if width > 1 else 0
-    return intra, inter
-
-
 def tier_rows(columns) -> List[Tuple[int, ...]]:
     """Each rank's ``tier_contribution``-ordered pair of
     :meth:`HierarchicalCommunicator.wire_columns`' ``columns``."""
@@ -118,13 +97,10 @@ def tier_rows(columns) -> List[Tuple[int, ...]]:
 
 def tier_metering(topo: Topology, op: str, traffic: np.ndarray,
                   reduced: Optional[np.ndarray] = None):
-    """The six numbers a ``TierMetering`` of the round holds, as a dict,
-    from :func:`tier_contribution` rank by rank: per-tier totals, the
-    busiest rank's ``wire_intra``, the busiest node's summed
-    ``wire_inter``, and :func:`tier_hops`.  An exchange's ``reduced``
-    operand bytes add each rank's ``allreduce`` row to its exchange row;
-    the hops stay the exchange's, the tree's when no rank sends a
-    record."""
+    """The two numbers a ``TierMetering`` of the round holds, as a dict,
+    from :func:`tier_contribution` rank by rank: the per-tier totals.  An
+    exchange's ``reduced`` operand bytes add each rank's ``allreduce``
+    row to its exchange row."""
     nbytes = traffic.sum(axis=1) if traffic.ndim == 2 else traffic
     rows = [tier_contribution(
                 topo, op, r, nbytes[r],
@@ -134,17 +110,8 @@ def tier_metering(topo: Topology, op: str, traffic: np.ndarray,
         rows = [tuple(a + b for a, b in zip(
                     row, tier_contribution(topo, "allreduce", r, reduced[r])))
                 for r, row in enumerate(rows)]
-    per_node: dict = {}
-    for r, (_, inter) in enumerate(rows):
-        node = r // topo.ranks_per_node
-        per_node[node] = per_node.get(node, 0) + inter
-    hops = tier_hops(topo, op, bool(np.asarray(nbytes).any()))
-    return dict(
-        wire_intra=sum(row[0] for row in rows),
-        wire_inter=sum(row[1] for row in rows),
-        max_wire_intra=max(row[0] for row in rows),
-        max_node_wire_inter=max(per_node.values()),
-        intra_hops=hops[0], inter_hops=hops[1])
+    return dict(wire_intra=sum(row[0] for row in rows),
+                wire_inter=sum(row[1] for row in rows))
 
 
 def tier_row(comm, op, rank, nbytes, dest_bytes=None) -> Tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Alpha-beta machine-model math (single-tier and tiered flavors)."""
+"""Alpha-beta machine-model math: one pricing rule for every event."""
 
 from math import ceil, log2
 
@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 
 from repro.simmpi import (
     BLUE_WATERS_LIKE,
-    BLUE_WATERS_TIERED,
     CommStats,
     MachineModel,
-    TieredMachineModel,
     TimeModel,
     run_spmd,
 )
-from repro.simmpi.metrics import CollectiveEvent, TierMetering
+from repro.simmpi.metrics import CollectiveEvent
 
 from tests.reference import pricing
 from tests.simmpi.test_topology import _workout
 
 
-def _event(op, nbytes, compute, tag="", tiers=None, work=None,
-           messages=None):
+def _event(op, nbytes, compute, tag="", work=None, messages=None):
     """One event; ``compute`` is the measured (never priced) thread time,
     ``work`` the charged work units (none by default), ``messages`` an
     exchange's per-rank sends."""
@@ -36,19 +33,6 @@ def _event(op, nbytes, compute, tag="", tiers=None, work=None,
             np.zeros(len(nbytes)) if work is None else work, dtype=np.float64),
         messages=(None if messages is None
                   else np.asarray(messages, dtype=np.int64)),
-        tiers=tiers,
-    )
-
-
-def _tiers(wire_intra, wire_inter, *, intra_hops, inter_hops, node_of):
-    """Metering from per-rank wire columns: per-tier totals, busiest
-    rank and node."""
-    per_node = np.bincount(node_of, weights=wire_inter)
-    return TierMetering(
-        wire_intra=sum(wire_intra), wire_inter=sum(wire_inter),
-        max_wire_intra=max(wire_intra),
-        max_node_wire_inter=int(per_node.max()),
-        intra_hops=intra_hops, inter_hops=inter_hops,
     )
 
 
@@ -227,67 +211,14 @@ def test_breakdown_has_no_measured_compute_term():
     assert breakdown["total"] == model.total_time(stats)
 
 
-def test_tiered_model_prices_each_tier():
-    m = TieredMachineModel(alpha=10.0, beta=2.0, alpha_intra=1.0,
-                           beta_intra=0.5)
-    tiers = _tiers(
-        wire_intra=[6, 2, 0, 0], wire_inter=[0, 0, 8, 16],
-        intra_hops=3, inter_hops=2, node_of=[0, 0, 1, 1],
-    )
-    e = _event("alltoallv", [4, 4, 8, 8], [0, 0, 0, 0], tiers=tiers)
-    latency, bandwidth = cost_parts(m, e, 4)
-    # latency: 1.0 * 3 intra hops + 10.0 * 2 inter hops
-    assert latency == pytest.approx(1.0 * 3 + 10.0 * 2)
-    # bandwidth: busiest rank's shared-memory wire (6) at beta_intra,
-    # busiest node's injected network wire (node 1: 8 + 16) at beta
-    assert bandwidth == pytest.approx(0.5 * 6 + 2.0 * 24)
-    assert collective_cost(m, e, 4) == pytest.approx(latency + bandwidth)
-
-
-def test_tiered_model_falls_back_untiered():
-    base = MachineModel(alpha=10.0, beta=2.0)
-    tiered = TieredMachineModel(alpha=10.0, beta=2.0, alpha_intra=1.0,
-                                beta_intra=0.5)
-    e = _event("allreduce", [8, 16], [0, 0])  # no TierMetering attached
-    assert cost_parts(tiered, e, 2) == cost_parts(base, e, 2)
-
-
-def test_tiered_breakdown_consistent():
-    tiers = _tiers(
-        wire_intra=[8, 0], wire_inter=[0, 8],
-        intra_hops=1, inter_hops=1, node_of=[0, 1],
-    )
-    stats = CommStats(2)
-    stats.record(_event("allreduce", [8, 8], [0.1, 0.2], tiers=tiers))
-    stats.record(_event("allreduce", [8, 8], [0.1, 0.2]))  # untiered round
-    model = TimeModel(TieredMachineModel(alpha=1e-3, beta=1e-6,
-                                         alpha_intra=1e-4, beta_intra=1e-7))
-    breakdown = model.breakdown(stats)
-    assert breakdown["total"] == pytest.approx(model.total_time(stats))
-    assert breakdown["latency"] == pytest.approx(
-        (1e-4 + 1e-3) + 1e-3)  # tiered round + untiered log2(2) hop
-    assert breakdown["bandwidth"] == pytest.approx(
-        (1e-7 * 8 + 1e-6 * 8) + 1e-6 * 8)
-
-
-def test_blue_waters_tiered_constants_realistic():
-    """The tiered flavor keeps the paper-calibrated network constants and
-    adds a shared-memory tier in the realistic 10-20x bandwidth range."""
-    m = BLUE_WATERS_TIERED
-    assert m.name == "blue-waters-tiered"
-    ratio = m.beta / m.beta_intra  # inter-node seconds/byte premium
-    assert 10.0 <= ratio <= 20.0
-    assert m.alpha > m.alpha_intra
-
-
 def test_batched_pricing_matches_scalar():
     """The NumPy-batched cost path must agree bit-for-bit with the
-    per-event rule (``tests/reference/pricing.py``) on a live tiered
-    record."""
-    _, stats = run_spmd(8, _workout, backend="serial",
-                        comm="hierarchical:2")
-    assert stats.tiered
-    m = BLUE_WATERS_TIERED
+    per-event rule (``tests/reference/pricing.py``) on a live record of
+    every collective family."""
+    _, stats = run_spmd(8, _workout, backend="serial")
+    assert {e.op for e in stats.events} == {
+        "alltoallv", "allreduce", "allgatherv"}
+    m = BLUE_WATERS_LIKE
     lat_b, bw_b = m.cost_parts_batch(stats.events, stats.nprocs)
     for i, e in enumerate(stats.events):
         lat_s, bw_s = pricing.cost_parts(m, e, stats.nprocs)

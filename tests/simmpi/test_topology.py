@@ -12,12 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import PulpParams, xtrapulp
 from repro.graph import generators
-from repro.simmpi import (
-    BLUE_WATERS_LIKE,
-    BLUE_WATERS_TIERED,
-    create_runtime,
-    run_spmd,
-)
+from repro.simmpi import TimeModel, create_runtime, run_spmd
 from repro.simmpi.topology import (
     DEFAULT_RANKS_PER_NODE,
     HierarchicalCommunicator,
@@ -77,7 +72,6 @@ def test_topology_node_grouping():
     t = Topology(nprocs=10, ranks_per_node=4)
     assert t.n_nodes == 3  # 4 + 4 + 2
     assert t.multi_node
-    assert t.max_node_size == 4
     assert t.node_of_ranks().tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
 
 
@@ -277,7 +271,7 @@ def _topologies(draw):
 def test_tier_rows_are_the_scalar_rule(comm, op, data):
     """Every rank of a round metered at once == the rule the ranks used
     to evaluate one deposit at a time (``tests/reference/tiers.py``), and
-    the round's six numbers == that rule's rows reduced rank by rank —
+    the round's two numbers == that rule's rows summed rank by rank —
     for an exchange, with or without a reduction operand riding it."""
     nprocs = comm.topology.nprocs
     reduced = None
@@ -312,46 +306,6 @@ def test_tier_rows_are_the_scalar_rule(comm, op, data):
     assert tiers == tier_metering(comm.topology, op, traffic, reduced)
 
 
-def _hops(comm, op, traffic):
-    t = comm.tiers(op, traffic)
-    return t.intra_hops, t.inter_hops
-
-
-def test_hops_structure():
-    c = _hier(32, 8)  # 4 nodes x 8
-    sends = np.ones((32, 32), dtype=np.int64)
-    np.fill_diagonal(sends, 0)
-    # gather+exchange+scatter, n-1
-    assert _hops(c, "alltoallv", sends) == (3 * 7, 3)
-    # up+down log2(8), log2(4)
-    assert _hops(c, "allreduce", np.zeros(32, np.int64)) == (2 * 3, 2)
-    single = _hier(8, 8)
-    sends = np.ones((8, 8), dtype=np.int64)
-    np.fill_diagonal(sends, 0)
-    assert _hops(single, "alltoallv", sends) == (7, 0)  # plain local
-    assert _hops(single, "allreduce", np.zeros(8, np.int64)) == (3, 0)
-
-
-def test_exchange_in_which_nobody_sends_pays_the_tree():
-    """An exchange with no off-rank record is its consensus barrier: the
-    tree's hops, as under the flat model, not the leader-level exchange
-    (45 intra + 3 inter hops, 27 us, on 64 ranks of 16 per node)."""
-    def fn(comm):
-        cts = np.zeros(comm.size, dtype=np.int64)
-        cts[comm.rank] = 2  # self-only: nothing leaves the rank
-        comm.Alltoallv(np.zeros(2, dtype=np.int64), cts)
-
-    _, stats = run_spmd(64, fn, backend="serial", comm="hierarchical:16")
-    (event,) = stats.events
-    assert not event.bytes_sent.any() and not event.messages.any()
-    t = event.tiers
-    assert (t.intra_hops, t.inter_hops) == (2 * 4, 2)
-    latency, _ = BLUE_WATERS_TIERED.cost_parts_batch(stats.events, 64)
-    assert latency[0] == pytest.approx(7e-6)  # 8 x 0.5 us + 2 x 1.5 us
-    flat, _ = BLUE_WATERS_LIKE.cost_parts_batch(stats.events, 64)
-    assert flat[0] == pytest.approx(9e-6)  # the 6-hop barrier
-
-
 # -- cross-strategy bit-identity ---------------------------------------------
 
 def _workout(comm):
@@ -379,7 +333,7 @@ def _workout_traffic(size):
 
 
 def check_live_tiers(stats, topo):
-    """Every tiered event of a :func:`_workout` run holds the six numbers
+    """Every tiered event of a :func:`_workout` run holds the two numbers
     the one-rank-at-a-time rule gives, and the exchange's node-local
     bytes and network wire sum to its ``bytes_sent``."""
     tiered = [e for e in stats.events if e.tiers is not None]
@@ -407,6 +361,9 @@ def test_flat_vs_hierarchical_bit_identical(backend):
     assert st_f.signature() == st_h.signature()
     assert not st_f.tiered
     assert st_h.tiered
+    # one machine model: the tier report never enters the price
+    assert (repr(TimeModel().breakdown(st_f))
+            == repr(TimeModel().breakdown(st_h)))
 
 
 @backends

@@ -153,6 +153,18 @@ def test_cli_malformed_inject_fault_is_usage_error(graph_file, capsys):
     assert "delay" in capsys.readouterr().err
 
 
+def test_cli_checkpoint_every_off_is_usage_error(graph_file, tmp_path,
+                                                capsys):
+    """``off`` is not a granularity: resuming without writing is
+    ``--resume`` without ``--checkpoint-dir``."""
+    path, _ = graph_file
+    with pytest.raises(SystemExit) as exc:
+        main([path, *FT, "--checkpoint-dir", str(tmp_path / "ckpt"),
+              "--checkpoint-every", "off"])
+    assert exc.value.code == 2
+    assert "--checkpoint-every" in capsys.readouterr().err
+
+
 def test_cli_resume_against_wrong_graph_is_usage_error(graph_file, tmp_path,
                                                        capsys):
     path, _ = graph_file
