@@ -19,6 +19,7 @@ committed checkpoint available for ``--resume``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -162,6 +163,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.ranks < 1:
         print(f"error: --ranks must be >= 1, got {args.ranks}",
               file=sys.stderr)
+        return EXIT_USAGE
+    if args.watchdog_timeout is not None and not (
+            0 <= args.watchdog_timeout < math.inf):
+        print("error: --watchdog-timeout must be finite and >= 0, got "
+              f"{args.watchdog_timeout}", file=sys.stderr)
         return EXIT_USAGE
     try:
         params = PulpParams(

@@ -320,14 +320,15 @@ def _resolve_config(
             raise ValueError("distribution does not match graph/nprocs")
     cfg = _RunConfig(params, dist, vertex_weights)
 
-    # fault tolerance: a no-op unless requested
-    identity = dict(
+    # fault tolerance: a no-op unless requested; ``run`` is what
+    # ft.checkpoint.run_identity reads to tell this run's checkpoints apart
+    run = dict(
         graph=graph, dist=dist, params=params, nprocs=nprocs,
         num_parts=num_parts, initial_parts=initial_parts,
         vertex_weights=vertex_weights,
     )
     if resume is not None:
-        cfg.resumed = load_for_run(os.fspath(resume), **identity)
+        cfg.resumed = load_for_run(os.fspath(resume), **run)
         cfg.run_dir = os.path.dirname(os.path.abspath(cfg.resumed.epoch_dir))
     if checkpoint is not None:
         policy = (
@@ -335,7 +336,7 @@ def _resolve_config(
             else CkptPolicy(dir=os.fspath(checkpoint))
         )
         cfg.run_dir = policy.dir
-        cfg.ckpt_ctx = make_context(policy, **identity)
+        cfg.ckpt_ctx = make_context(policy, **run)
 
     cfg.runtime = runtime = create_runtime(
         backend, nprocs=nprocs, comm=params.comm,

@@ -116,6 +116,8 @@ class PulpParams:
             raise ValueError("ml_levels must be >= 1")
         if self.ml_refine_iters < 1:
             raise ValueError("ml_refine_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def total_iters(self) -> int:

@@ -21,24 +21,28 @@ bit-identical resumption.
 
 Epoch-commit protocol (who writes what, in happens-before order):
 
-1. every rank deposits its pickled snapshot into a ``checkpoint``
-   collective (:meth:`repro.simmpi.comm.SimComm.Checkpoint`);
-2. the collective's writer (running on the computing rank) persists each
-   payload to ``epoch_NNNN/rankRR.ckpt`` (write + rename) and writes
+1. every rank deposits its pickled snapshot, as a ``uint8`` buffer, into
+   an :meth:`~repro.simmpi.comm.SimComm.Allgatherv` under the
+   ``checkpoint`` tag;
+2. its ``then`` callback (:meth:`CkptContext.epoch_writer`, running once
+   where the round executes) splits the gathered bytes by rank, persists
+   each payload to ``epoch_NNNN/rankRR.ckpt`` (write + rename) and writes
    ``MANIFEST.tmp`` — the epoch now exists but is **not committed**;
-3. the collective's event reaches :meth:`Backend._record` in the process
-   that owns the run's :class:`~repro.simmpi.metrics.CommStats` (the
-   driver for in-process backends, the parent for ``procs``), which fires
-   :meth:`CkptCommitter.commit`: the event-stream prefix is pickled to
-   ``stats.pkl`` and ``MANIFEST.tmp`` is atomically renamed to
-   ``MANIFEST.json`` — the commit point.
+3. the round reaches :meth:`Backend._record` in the process that owns the
+   run's :class:`~repro.simmpi.metrics.CommStats` (the driver for
+   in-process backends, the parent for ``procs``), which hands it to
+   :meth:`CkptCommitter.commit`; a round recorded under the
+   ``checkpoint`` tag pickles the event-stream prefix to ``stats.pkl``
+   and atomically renames ``MANIFEST.tmp`` to ``MANIFEST.json`` — the
+   commit point.
 
 A crash anywhere before the rename leaves at most a torn epoch that
 :func:`find_latest_committed` ignores; a crash after it leaves a fully
-validated restart point.  The manifest carries the graph/distribution/
-params/input signatures and per-rank content checksums, so resuming
-against the wrong inputs — or from a truncated rank file — fails loudly
-instead of silently diverging.
+validated restart point.  The manifest carries the run's identity
+(:func:`run_identity`: rank and part counts, params, graph/distribution/
+input signatures) and per-rank content checksums, so resuming against the
+wrong inputs — or from a truncated rank file — fails loudly instead of
+silently diverging.
 
 The ``stats.pkl`` sidecar is what makes the *communication record* (not
 just the partition) bit-identical across a crash: a resumed run re-executes
@@ -63,9 +67,9 @@ from repro.simmpi.stepping import Steps, steppable
 
 #: Bumped whenever a pickled record changes shape, so that an older
 #: epoch is refused at load instead of failing later — or changes
-#: meaning: a version-8 ``stats.pkl`` pickles a tiered event's
-#: ``TierMetering`` with six fields where version 9 pickles two.
-FORMAT_VERSION = 9
+#: meaning: a version-9 ``stats.pkl`` records each epoch as a
+#: ``checkpoint`` round where version 10 records an ``allgatherv``.
+FORMAT_VERSION = 10
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_TMP = "MANIFEST.tmp"
 STATS_NAME = "stats.pkl"
@@ -140,6 +144,21 @@ def inputs_signature(initial_parts: Optional[np.ndarray],
                   for arr in (initial_parts, vertex_weights)))
 
 
+def run_identity(*, graph, dist, params, nprocs: int, num_parts: int,
+                 initial_parts: Optional[np.ndarray],
+                 vertex_weights: Optional[np.ndarray]) -> Dict[str, Any]:
+    """Which run a checkpoint belongs to: the fields its manifest stores
+    and a resume compares, in the order a mismatch is reported."""
+    return {
+        "nprocs": int(nprocs),
+        "num_parts": int(num_parts),
+        "graph_signature": graph_signature(graph),
+        "dist_signature": dist_signature(dist),
+        "params": repr(params),
+        "inputs_signature": inputs_signature(initial_parts, vertex_weights),
+    }
+
+
 # -- rank-side: depositing a snapshot ----------------------------------------
 
 
@@ -147,30 +166,28 @@ class CkptContext:
     """Everything a rank needs to write checkpoints for one run.
 
     Built once in the driver (:func:`make_context`) and shipped to every
-    rank; holds the policy plus the manifest template (signatures, shapes)
-    that identifies which run a checkpoint belongs to.
+    rank; holds the policy plus the :func:`run_identity` every manifest
+    of the run stores.
     """
 
-    def __init__(self, policy: CkptPolicy, manifest_base: Dict[str, Any]) -> None:
+    def __init__(self, policy: CkptPolicy, identity: Dict[str, Any]) -> None:
         self.policy = policy
-        self.manifest_base = manifest_base
+        self.identity = identity
 
-    def epoch_writer(self, epoch: int, step: Tuple[str, int, str]):
-        """The ``checkpoint`` collective's writer: persist every rank's
-        payload plus ``MANIFEST.tmp``.  Runs exactly once, on the computing
-        rank; the atomic commit happens later, driver-side (see
-        :class:`CkptCommitter`)."""
+    def epoch_writer(self, epoch: int, step: Tuple[str, int, str],
+                     n_build: int):
+        """The checkpoint ``Allgatherv``'s ``then``: split the gathered
+        bytes by rank, persist every rank's payload plus ``MANIFEST.tmp``.
+        Runs exactly once, where the round executes; the atomic commit
+        happens later, driver-side (see :class:`CkptCommitter`)."""
 
-        def writer(contribs: List[Tuple[bytes, dict]]) -> int:
+        def writer(gathered: np.ndarray, counts: np.ndarray) -> int:
             edir = epoch_dir(self.policy.dir, epoch)
             os.makedirs(edir, exist_ok=True)
-            n_build = {int(m["n_build"]) for _, m in contribs}
-            if len(n_build) != 1:  # pragma: no cover - BSP invariant
-                raise CheckpointError(
-                    f"ranks disagree on build length: {sorted(n_build)}"
-                )
             rank_files: Dict[str, Any] = {}
-            for r, (payload, _meta) in enumerate(contribs):
+            ends = np.cumsum(counts)
+            for r, (lo, hi) in enumerate(zip(ends - counts, ends)):
+                payload = gathered[lo:hi]
                 fname = f"rank{r:02d}.ckpt"
                 tmp = os.path.join(edir, fname + ".tmp")
                 with open(tmp, "wb") as f:
@@ -181,12 +198,13 @@ class CkptContext:
                     "sha256": _sha(payload),
                     "bytes": len(payload),
                 }
-            manifest = dict(self.manifest_base)
-            manifest.update(
+            manifest = dict(
+                self.identity,
+                format_version=FORMAT_VERSION,
                 epoch=int(epoch),
                 next_step=int(epoch) + 1,
                 step=list(step),
-                n_build=n_build.pop(),
+                n_build=int(n_build),
                 rank_files=rank_files,
                 stats_file=STATS_NAME,
             )
@@ -198,27 +216,10 @@ class CkptContext:
         return writer
 
 
-def make_context(
-    policy: CkptPolicy,
-    *,
-    graph,
-    dist,
-    params,
-    nprocs: int,
-    num_parts: int,
-    initial_parts: Optional[np.ndarray],
-    vertex_weights: Optional[np.ndarray],
-) -> CkptContext:
-    base = {
-        "format_version": FORMAT_VERSION,
-        "nprocs": int(nprocs),
-        "num_parts": int(num_parts),
-        "params_repr": repr(params),
-        "graph_signature": graph_signature(graph),
-        "dist_signature": dist_signature(dist),
-        "inputs_signature": inputs_signature(initial_parts, vertex_weights),
-    }
-    return CkptContext(policy, base)
+def make_context(policy: CkptPolicy, **run: Any) -> CkptContext:
+    """The context of the run described by :func:`run_identity`'s
+    keywords."""
+    return CkptContext(policy, run_identity(**run))
 
 
 @steppable
@@ -226,16 +227,18 @@ def write_checkpoint(comm, snapshot: dict, ctx: CkptContext, *, epoch: int,
                      step: Tuple[str, int, str], n_build: int) -> Steps[None]:
     """Collective: deposit this rank's ``snapshot`` into epoch ``epoch``.
 
-    Tagged ``checkpoint`` so the event is excluded from the modeled
-    partitioning time (``PARTITION_PHASES``) and visible as its own line in
-    per-tag breakdowns; the payload is a deterministic pickle, so the event
-    is bit-reproducible run-to-run.
+    One ``Allgatherv`` of the pickled snapshot, tagged ``checkpoint`` so
+    the round is excluded from the modeled partitioning time
+    (``PARTITION_PHASES``), visible as its own line in per-tag breakdowns
+    and committed when recorded; the payload is a deterministic pickle, so
+    the round is bit-reproducible run-to-run.
     """
-    payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-    meta = {"n_build": int(n_build), "epoch": int(epoch)}
+    payload = np.frombuffer(
+        pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL),
+        dtype=np.uint8)
     with comm.phase("checkpoint"):
-        yield from comm.Checkpoint(payload, meta,
-                                   ctx.epoch_writer(epoch, step))
+        yield from comm.Allgatherv(
+            payload, then=ctx.epoch_writer(epoch, step, n_build))
 
 
 # -- driver-side: committing an epoch ----------------------------------------
@@ -251,12 +254,13 @@ def _atomic_write(path: str, data: bytes) -> None:
 class CkptCommitter:
     """Turns written epochs into *committed* epochs (driver/parent-side).
 
-    Wired onto :attr:`Backend.ckpt_committer`; fires from
-    :meth:`Backend._record` for each ``checkpoint`` event, in the process
+    Wired onto :attr:`Backend.ckpt_committer`, which
+    :meth:`Backend._record` hands every recorded round, in the process
     that owns the run's ``CommStats`` — on the ``procs`` backend that is
     the parent, which drains metering events in superstep order, so the
     commit of epoch ``k`` happens strictly after its rank files and
-    ``MANIFEST.tmp`` were persisted by the collective's writer.
+    ``MANIFEST.tmp`` were persisted by the round's writer.  A round
+    recorded under any tag but ``checkpoint`` commits nothing.
 
     ``base_events``/``n_skip`` splice resumed runs: the sidecar written at
     each commit is ``base_events + live_events[n_skip:]`` — the full
@@ -271,14 +275,12 @@ class CkptCommitter:
         self.committed: List[int] = []
 
     def commit(self, stats) -> None:
+        if stats.events[-1].tag != "checkpoint":
+            return
         edir = self._oldest_uncommitted()
         if edir is None:  # pragma: no cover - defensive
             return
         events = self.base_events + stats.events[self.n_skip:]
-        if not events or events[-1].op != "checkpoint":  # pragma: no cover
-            raise CheckpointError(
-                "commit fired but the record does not end in a checkpoint"
-            )
         _atomic_write(
             os.path.join(edir, STATS_NAME),
             pickle.dumps(events, protocol=pickle.HIGHEST_PROTOCOL),
@@ -411,47 +413,17 @@ def load_checkpoint(path: str) -> CheckpointData:
     return CheckpointData(edir, manifest, snapshots, base_events)
 
 
-def validate_manifest(
-    manifest: Dict[str, Any],
-    *,
-    nprocs: int,
-    num_parts: int,
-    graph_sig: str,
-    dist_sig: str,
-    params_repr: str,
-    inputs_sig: str,
-) -> None:
-    """Reject resumption against a different run configuration, naming the
-    mismatched field — resuming silently with changed inputs would produce
-    a partition belonging to neither run."""
-    checks = [
-        ("nprocs", int(manifest["nprocs"]), int(nprocs)),
-        ("num_parts", int(manifest["num_parts"]), int(num_parts)),
-        ("graph_signature", manifest["graph_signature"], graph_sig),
-        ("dist_signature", manifest["dist_signature"], dist_sig),
-        ("params", manifest["params_repr"], params_repr),
-        ("inputs_signature", manifest["inputs_signature"], inputs_sig),
-    ]
-    for field_name, have, want in checks:
+def load_for_run(path: str, **run: Any) -> CheckpointData:
+    """:func:`load_checkpoint`, validated against the run described by
+    :func:`run_identity`'s keywords: a field that differs is named —
+    resuming silently with changed inputs would produce a partition
+    belonging to neither run."""
+    data = load_checkpoint(path)
+    for key, want in run_identity(**run).items():
+        have = data.manifest.get(key)
         if have != want:
             raise CheckpointError(
-                f"checkpoint was written for a different {field_name}: "
+                f"checkpoint was written for a different {key}: "
                 f"checkpoint has {have!r}, this run has {want!r}"
             )
-
-
-def load_for_run(path: str, *, graph, dist, params, nprocs: int,
-                 num_parts: int, initial_parts, vertex_weights) -> CheckpointData:
-    """:func:`load_checkpoint`, validated against the run described by the
-    keywords of :func:`make_context`."""
-    data = load_checkpoint(path)
-    validate_manifest(
-        data.manifest,
-        nprocs=nprocs,
-        num_parts=num_parts,
-        graph_sig=graph_signature(graph),
-        dist_sig=dist_signature(dist),
-        params_repr=repr(params),
-        inputs_sig=inputs_signature(initial_parts, vertex_weights),
-    )
     return data

@@ -7,8 +7,8 @@ MPI rank executes the *same per-rank code* a real MPI program would, and all
 inter-rank interaction goes through metered collective operations on NumPy
 buffers, each metered by the ``nbytes`` it puts on the wire — the three
 XtraPuLP talks through (``Allgatherv`` of the root candidates,
-``Alltoallv``, ``Allreduce``) and what checkpointing adds
-(``Checkpoint``, ``barrier``); see :class:`~repro.simmpi.comm.SimComm`.
+``Alltoallv``, ``Allreduce``) and a ``barrier``; a checkpoint epoch is an
+``Allgatherv`` too; see :class:`~repro.simmpi.comm.SimComm`.
 
 A rank body is a plain function or a generator function whose collectives
 are ``yield from`` expressions, so that a deposit is a ``yield``

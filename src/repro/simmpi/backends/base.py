@@ -101,10 +101,11 @@ class Backend(ABC):
         self.comm_strategy: Optional[Any] = None
         #: Optional :class:`repro.ft.checkpoint.CkptCommitter` (duck-typed:
         #: ``commit(stats)``).  Invoked in the driver/parent process right
-        #: after a ``checkpoint`` collective is recorded — the process that
-        #: owns ``stats`` is the only one that can write the epoch's event
-        #: prefix, and running commit at record time orders it after the
-        #: rank files were persisted by the collective's writer.
+        #: after each round is recorded, and commits the epoch a checkpoint
+        #: round wrote — the process that owns ``stats`` is the only one
+        #: that can write the epoch's event prefix, and running commit at
+        #: record time orders it after the rank files were persisted by
+        #: the round's writer.
         self.ckpt_committer: Optional[Any] = None
         # deferred import: repro.ft sits above simmpi in the layering, but
         # this is a leaf config module (env parsing) with no backend
@@ -215,45 +216,33 @@ class Backend(ABC):
             compute_seconds=compute_seconds, work_units=work_units,
             messages=messages, tiers=tiers,
         ))
-        if op == "checkpoint" and self.ckpt_committer is not None:
+        if self.ckpt_committer is not None:
             self.ckpt_committer.commit(self.stats)
 
     # -- spawning SPMD programs --------------------------------------------
 
-    def run(
-        self,
-        fn: Callable[..., Any],
-        *args: Any,
-        rank_args: Optional[Sequence[Sequence[Any]]] = None,
-        **kwargs: Any,
-    ) -> List[Any]:
-        """Run ``fn(comm, *rank_args[r], *args, **kwargs)`` on every rank.
+    def run(self, fn: Callable[..., Any], *args: Any,
+            **kwargs: Any) -> List[Any]:
+        """Run ``fn(comm, *args, **kwargs)`` on every rank.
 
         Returns the list of per-rank return values.  ``args``/``kwargs`` are
-        shared across ranks (treat them as read-only inside ``fn``);
-        ``rank_args`` supplies per-rank positional arguments.  ``fn`` is a
+        shared across ranks (treat them as read-only inside ``fn``; a rank
+        tells itself apart by ``comm.rank``).  ``fn`` is a
         plain function or a generator function whose collectives are
         ``yield from`` expressions (:mod:`repro.simmpi.stepping`); a plain
         function that returns a generator is a TypeError.
         """
         from repro.simmpi.comm import SimComm
 
-        if rank_args is not None and len(rank_args) != self.nprocs:
-            raise ValueError(
-                f"rank_args has {len(rank_args)} entries for {self.nprocs} ranks"
-            )
         if self.nprocs == 1:
-            comm = SimComm(self, 0)
-            extra = tuple(rank_args[0]) if rank_args is not None else ()
-            return [run_body(fn, comm, *extra, *args, **kwargs)]
-        return self._run_parallel(fn, args, rank_args, kwargs)
+            return [run_body(fn, SimComm(self, 0), *args, **kwargs)]
+        return self._run_parallel(fn, args, kwargs)
 
     @abstractmethod
     def _run_parallel(
         self,
         fn: Callable[..., Any],
         args: tuple,
-        rank_args: Optional[Sequence[Sequence[Any]]],
         kwargs: dict,
     ) -> List[Any]:
         """Run the SPMD program with ``nprocs >= 2`` ranks."""

@@ -274,7 +274,6 @@ class InProcessBackend(Backend):
         self,
         fn: Callable[..., Any],
         args: tuple,
-        rank_args: Optional[Sequence[Sequence[Any]]],
         kwargs: dict,
     ) -> List[Any]:
         n = self.nprocs
@@ -287,15 +286,13 @@ class InProcessBackend(Backend):
         errors: List[Optional[BaseException]] = [None] * n
         if inspect.isgeneratorfunction(fn):
             with generator_body():
-                self._run_stepped(fn, args, rank_args, kwargs, results,
-                                  errors)
+                self._run_stepped(fn, args, kwargs, results, errors)
         else:
-            self._run_threads(fn, args, rank_args, kwargs, results, errors)
+            self._run_threads(fn, args, kwargs, results, errors)
         self._raise_collected(errors, self._failure)
         return results
 
-    def _run_stepped(self, fn, args, rank_args, kwargs,
-                     results: List[Any],
+    def _run_stepped(self, fn, args, kwargs, results: List[Any],
                      errors: List[Optional[BaseException]]) -> None:
         """The stepped schedule (module docstring) on W workers.  A rank's
         SimComm is made when it first runs, so compute metering starts
@@ -308,7 +305,6 @@ class InProcessBackend(Backend):
         gens: List[Any] = [None] * n
         self._comms = [None] * n
         ready = self._ready = deque(range(n))
-        extras = rank_args if rank_args is not None else [()] * n
 
         def step(r: int) -> None:
             """Run rank ``r`` until it waits in a rendezvous, or ends."""
@@ -318,7 +314,7 @@ class InProcessBackend(Backend):
                     gen = gens[r]
                     if gen is None:
                         comm = self._comms[r] = SimComm(self, r)
-                        gen = gens[r] = fn(comm, *extras[r], *args, **kwargs)
+                        gen = gens[r] = fn(comm, *args, **kwargs)
                     request = (gen.send(None) if throw is None
                                else gen.throw(throw))
                 except StopIteration as stop:
@@ -388,8 +384,7 @@ class InProcessBackend(Backend):
                     except Exception as exc:  # raised by its ``finally``
                         errors[rank] = errors[rank] or exc
 
-    def _run_threads(self, fn, args, rank_args, kwargs,
-                     results: List[Any],
+    def _run_threads(self, fn, args, kwargs, results: List[Any],
                      errors: List[Optional[BaseException]]) -> None:
         """One thread per rank, parked on its gate between deposits."""
         from repro.simmpi.comm import SimComm
@@ -403,9 +398,8 @@ class InProcessBackend(Backend):
         def worker(rank: int) -> None:
             if self._failure is None:
                 comm = SimComm(self, rank)
-                extra = tuple(rank_args[rank]) if rank_args is not None else ()
                 try:
-                    results[rank] = run_body(fn, comm, *extra, *args, **kwargs)
+                    results[rank] = run_body(fn, comm, *args, **kwargs)
                 except BaseException as exc:
                     errors[rank] = exc
                     if not isinstance(exc, RemoteRankError):

@@ -66,7 +66,7 @@ import traceback
 import uuid
 import zlib
 from multiprocessing import connection, shared_memory, sharedctypes
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
@@ -573,7 +573,6 @@ def _rank_process_main(
     fault_plan: Any,
     fn: Callable[..., Any],
     args: tuple,
-    rank_args: Optional[Sequence[Sequence[Any]]],
     kwargs: dict,
 ) -> None:
     from repro.simmpi.comm import SimComm
@@ -581,9 +580,8 @@ def _rank_process_main(
     endpoint = _RankEndpoint(session, rank, fault_plan)
     try:
         comm = SimComm(endpoint, rank)
-        extra = tuple(rank_args[rank]) if rank_args is not None else ()
         try:
-            result = run_body(fn, comm, *extra, *args, **kwargs)
+            result = run_body(fn, comm, *args, **kwargs)
         except RemoteRankError as exc:
             final = ("exit-err", _sanitize_exc(exc))
         except BaseException as exc:
@@ -630,7 +628,6 @@ class ProcsBackend(Backend):
         self,
         fn: Callable[..., Any],
         args: tuple,
-        rank_args: Optional[Sequence[Sequence[Any]]],
         kwargs: dict,
     ) -> List[Any]:
         # published before the first segment exists, so whatever a failed
@@ -645,8 +642,7 @@ class ProcsBackend(Backend):
             procs = [
                 self._ctx.Process(
                     target=_rank_process_main,
-                    args=(session, r, self.fault_plan, fn, args, rank_args,
-                          kwargs),
+                    args=(session, r, self.fault_plan, fn, args, kwargs),
                     daemon=True,
                     name=f"simmpi-proc-{r}",
                 )

@@ -4,15 +4,17 @@ Every collective moves NumPy buffers, as XtraPuLP's MPI calls do: the
 surface is what the callers call — XtraPuLP's ``Allgatherv`` of the root
 candidates, ``Alltoallv`` of ExchangeUpdates (whose consensus also sums an
 iteration's size deltas, the operand an ``Alltoallv_fields`` may carry
-beside its records) and ``Allreduce`` of the entry totals, plus what
-checkpointing and the perf probes add (``Checkpoint``, ``barrier``).  The
-multilevel path and the analytics kernels speak the same buffers: a
-scalar is reduced as a one-element array.  ``tests/test_simmpi_surface.py``
-keeps the surface to these six.  There is no ``Bcast``: the one value a
-master once sent, Algorithm 2's roots, every rank now draws itself from
-the gathered pool.
+beside its records) and ``Allreduce`` of the entry totals, plus the
+perf probes' ``barrier``.  The multilevel path, the analytics kernels and
+checkpointing speak the same buffers: a scalar is reduced as a
+one-element array, and a checkpoint epoch is an ``Allgatherv`` of the
+ranks' pickled snapshots whose ``then`` writes them
+(:mod:`repro.ft.checkpoint`).  ``tests/test_simmpi_surface.py`` keeps the
+surface to these five.  There is no ``Bcast``: the one value a master
+once sent, Algorithm 2's roots, every rank now draws itself from the
+gathered pool.
 
-Each of the six is a stepped routine (:mod:`repro.simmpi.stepping`): its
+Each of the five is a stepped routine (:mod:`repro.simmpi.stepping`): its
 deposit is a ``yield`` of the request to the runtime, so a generator rank
 body writes ``total = yield from comm.Allreduce(x)`` and a plain one
 ``total = comm.Allreduce(x)``.
@@ -358,36 +360,6 @@ class SimComm:
             "barrier", None,
             lambda c: ([None] * len(c), np.zeros(len(c), dtype=np.int64)))
 
-    # -- checkpoint rendezvous -------------------------------------------------
-
-    @steppable
-    def Checkpoint(
-        self,
-        payload: bytes,
-        meta: dict,
-        writer: Callable[[List[Tuple[bytes, dict]]], Any],
-    ) -> Steps[Any]:
-        """Collective checkpoint: every rank deposits its state ``payload``
-        (plus a small ``meta`` dict, identical across ranks), ``writer``
-        runs exactly once with the full per-rank list and persists it, and
-        its return value is delivered to every rank.
-
-        Metered as one ``checkpoint`` event whose per-rank bytes are the
-        payload lengths — deterministic for deterministic snapshots, so
-        checkpointing leaves the communication record bit-reproducible.
-        The backend's driver-side hook (:attr:`Backend.ckpt_committer`)
-        fires when this event is recorded, which is what turns the written
-        files into a *committed* epoch (see :mod:`repro.ft.checkpoint`).
-        """
-
-        def execute(contribs: List[Any]) -> Executed:
-            result = writer(contribs)
-            return [result] * len(contribs), _per_rank(
-                contribs, lambda c: len(c[0]))
-
-        return (yield from self._collective(
-            "checkpoint", (bytes(payload), dict(meta)), execute))
-
     # -- NumPy-buffer collectives ----------------------------------------------
 
     @steppable
@@ -420,9 +392,8 @@ class SimComm:
         plain tuples / lists of arrays and scalars.  Ranks that share results
         get the same sealed object; the others each receive a private copy.
         Metered as a plain ``Allgatherv``.  ``then`` runs while the peers
-        wait at the rendezvous — it counts against the watchdog deadline,
-        like a ``Checkpoint`` writer — and an exception it raises fails the
-        run.
+        wait at the rendezvous — it counts against the watchdog deadline —
+        and an exception it raises fails the run.
 
         The non-empty contributions must share one dtype (else
         ``ValueError``), which the result keeps; zero-length ones are

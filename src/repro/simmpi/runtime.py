@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Union
 
 from repro.simmpi.backends import Backend, create_runtime
 from repro.simmpi.metrics import CommStats
@@ -13,7 +13,6 @@ def run_spmd(
     nprocs: int,
     fn: Callable[..., Any],
     *args: Any,
-    rank_args: Optional[Sequence[Sequence[Any]]] = None,
     backend: Union[str, None, Backend] = None,
     comm: Optional[str] = None,
     **kwargs: Any,
@@ -29,7 +28,7 @@ def run_spmd(
     """
     rt = create_runtime(backend, nprocs=nprocs, comm=comm)
     try:
-        out = rt.run(fn, *args, rank_args=rank_args, **kwargs)
+        out = rt.run(fn, *args, **kwargs)
     finally:
         rt.close()
     return out, rt.stats

@@ -49,9 +49,6 @@ else:
   contribution must reach every node, so ``b`` is on the network on
   multi-node topologies; non-leaders pay the local gather hop and leaders
   the local fan-out hop.
-* **``checkpoint``**: always inter — snapshot payloads leave the node for
-  stable storage regardless of topology (documented exception to the
-  node-locality rules).
 
 A single-node topology degenerates to all-intra; one-rank nodes
 degenerate to ``flat``.  The inter tier is one network spanning every
@@ -185,11 +182,5 @@ class HierarchicalCommunicator:
             # non-leaders also pay the local gather, leaders the fan-out
             local_leg = np.where(~leader | self._has_peers, b, 0)
             return out(local_leg, b)
-
-        if op == "checkpoint":
-            # snapshots leave the node for stable storage regardless of
-            # topology (documented exception); non-leaders stage through
-            # the leader's writer
-            return out(np.where(leader, 0, b) if multi else 0, b)
 
         raise ValueError(f"no tier rule for op {op!r}")

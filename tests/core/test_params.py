@@ -24,6 +24,8 @@ def test_validation():
         PulpParams(block_size=0)
     with pytest.raises(ValueError):
         PulpParams(init_strategy="bogus")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        PulpParams(seed=-1)
 
 
 def test_with_functional_update():

@@ -24,8 +24,8 @@ from repro.ft.checkpoint import (
     graph_signature,
     inputs_signature,
     load_checkpoint,
+    load_for_run,
     load_manifest,
-    validate_manifest,
 )
 from repro.graph import generators
 from repro.simmpi import run_spmd
@@ -110,7 +110,7 @@ def test_stats_sidecar_is_record_prefix(run_dir, ft_graph, ft_params,
     latest = find_latest_committed(run_dir)
     data = load_checkpoint(latest)
     assert len(data.base_events) == data.manifest["base_events"]
-    assert data.base_events[-1].op == "checkpoint"
+    assert data.base_events[-1].tag == "checkpoint"
     # the prefix must agree with a fresh identical run's record
     fresh = xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                      backend="serial",
@@ -144,35 +144,38 @@ def test_no_epochs_raises(tmp_path):
 # -- validation negatives ----------------------------------------------------
 
 
-def _kwargs_from(manifest):
+def _run_kwargs(graph, params):
+    """The run the ``run_dir`` fixture checkpointed, as
+    :func:`load_for_run` takes it."""
     return dict(
-        nprocs=manifest["nprocs"],
-        num_parts=manifest["num_parts"],
-        graph_sig=manifest["graph_signature"],
-        dist_sig=manifest["dist_signature"],
-        params_repr=manifest["params_repr"],
-        inputs_sig=manifest["inputs_signature"],
+        graph=graph,
+        dist=make_distribution("random", graph.n, NPROCS, seed=params.seed),
+        params=params, nprocs=NPROCS, num_parts=PARTS,
+        initial_parts=None, vertex_weights=None,
     )
 
 
-def test_validate_accepts_matching(run_dir):
-    m = load_manifest(find_latest_committed(run_dir))
-    validate_manifest(m, **_kwargs_from(m))
+def test_validate_accepts_matching(run_dir, ft_graph, ft_params):
+    data = load_for_run(run_dir, **_run_kwargs(ft_graph, ft_params))
+    assert data.epoch == 8
+
+
+N = 2 ** 8  # ft_graph's vertex count
 
 
 @pytest.mark.parametrize("field_name,patch", [
     ("nprocs", dict(nprocs=5)),
     ("num_parts", dict(num_parts=7)),
-    ("graph_signature", dict(graph_sig="deadbeef")),
-    ("dist_signature", dict(dist_sig="deadbeef")),
-    ("params", dict(params_repr="PulpParams(other)")),
-    ("inputs_signature", dict(inputs_sig="deadbeef")),
+    ("graph_signature", dict(graph=generators.rmat(8, avg_degree=8, seed=99))),
+    ("dist_signature", dict(dist=make_distribution("block", N, NPROCS))),
+    ("params", dict(params=PulpParams(seed=124, outer_iters=2))),
+    ("inputs_signature", dict(vertex_weights=np.full(N, 2.0))),
 ])
-def test_validate_rejects_mismatch(run_dir, field_name, patch):
-    m = load_manifest(find_latest_committed(run_dir))
-    kwargs = {**_kwargs_from(m), **patch}
-    with pytest.raises(CheckpointError, match=field_name):
-        validate_manifest(m, **kwargs)
+def test_validate_rejects_mismatch(run_dir, ft_graph, ft_params, field_name,
+                                   patch):
+    kwargs = {**_run_kwargs(ft_graph, ft_params), **patch}
+    with pytest.raises(CheckpointError, match=f"different {field_name}:"):
+        load_for_run(run_dir, **kwargs)
 
 
 def test_resume_rejects_wrong_graph(run_dir, ft_params):
@@ -244,7 +247,7 @@ def test_unsupported_format_version_rejected(run_dir, tmp_path):
         load_checkpoint(latest)
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9])
 def test_version_2_epoch_rejected(run_dir, tmp_path, version):
     """Version 2 rank snapshots carried ``Sv`` / ``Se`` / ``Sc`` (version 3
     recounts them at phase entry); version 3's ``stats.pkl`` pickled events
@@ -256,12 +259,14 @@ def test_version_2_epoch_rejected(run_dir, tmp_path, version):
     LP iteration where version 7's holds the one exchange that carries
     the sum; version 7 meters a scalar round by its pickle length where
     version 8 meters every round by ``nbytes``; version 8 pickles a tiered
-    event's ``TierMetering`` with six fields where version 9 pickles two.
-    Version 9 refuses every older epoch: the manifest's
-    ``format_version`` is the one version a checkpoint carries."""
+    event's ``TierMetering`` with six fields where version 9 pickles two;
+    version 9 records each epoch as a ``checkpoint`` round where version
+    10 records an ``allgatherv``.  Version 10 refuses every older epoch:
+    the manifest's ``format_version`` is the one version a checkpoint
+    carries."""
     import shutil
 
-    assert FORMAT_VERSION == 9
+    assert FORMAT_VERSION == 10
     d = tmp_path / f"v{version}"
     shutil.copytree(run_dir, d)
     latest = find_latest_committed(str(d))

@@ -79,13 +79,6 @@ def tier_contribution(
         local_leg = b if (not leader or has_peers) else 0
         return local_leg, b
 
-    if op == "checkpoint":
-        # snapshots leave the node for stable storage regardless of
-        # topology (documented exception); non-leaders stage through the
-        # leader's writer
-        gather_leg = 0 if (leader or not multi) else b
-        return gather_leg, b
-
     raise ValueError(f"no tier rule for op {op!r}")
 
 

@@ -26,9 +26,9 @@ from tests.reference.tiers import tier_metering
 EXAMPLES = {"serial": 40, "threads": 25, "procs": 10}
 DTYPES = (np.int64, np.int32, np.uint16, np.float64, np.float32)
 #: the event op of each step kind
-OPS = {"barrier": "barrier", "checkpoint": "checkpoint",
-       "Allreduce": "allreduce", "Allgatherv": "allgatherv",
-       "Alltoallv": "alltoallv", "Alltoallv+sum": "alltoallv"}
+OPS = {"barrier": "barrier", "Allreduce": "allreduce",
+       "Allgatherv": "allgatherv", "Alltoallv": "alltoallv",
+       "Alltoallv+sum": "alltoallv"}
 
 
 @st.composite
@@ -60,9 +60,6 @@ def _sendcounts(draw, nprocs):
 def _steps(draw, nprocs):
     kind = draw(st.sampled_from(sorted(OPS)))
     per_rank = st.lists  # one entry per rank
-    if kind == "checkpoint":
-        return kind, draw(per_rank(st.integers(0, 40), min_size=nprocs,
-                                   max_size=nprocs))
     if kind == "Allreduce":
         return kind, draw(st.integers(0, 5)), draw(st.sampled_from(DTYPES))
     if kind == "Allgatherv":
@@ -95,8 +92,6 @@ def _body(comm, steps):
     for kind, *data in steps:
         if kind == "barrier":
             comm.barrier()
-        elif kind == "checkpoint":
-            comm.Checkpoint(b"x" * data[0][r], {}, lambda contribs: None)
         elif kind == "Allreduce":
             comm.Allreduce(np.ones(data[0], dtype=data[1]))
         elif kind == "Allgatherv":
@@ -117,8 +112,6 @@ def _rule(step, nprocs):
     dest = messages = reduced = None
     if kind == "barrier":
         sent = [0] * nprocs
-    elif kind == "checkpoint":
-        sent = list(data[0])
     elif kind == "Allreduce":
         sent = [data[0] * np.dtype(data[1]).itemsize] * nprocs
     elif kind == "Allgatherv":

@@ -25,19 +25,6 @@ def test_single_rank_runs_inline():
     assert stats.rounds == 2
 
 
-def test_rank_args():
-    def fn(comm, bonus):
-        return comm.rank + bonus
-
-    out, _ = run_spmd(3, fn, rank_args=[(10,), (20,), (30,)])
-    assert out == [10, 21, 32]
-
-
-def test_rank_args_length_checked():
-    with pytest.raises(ValueError, match="rank_args"):
-        run_spmd(3, lambda comm: None, rank_args=[(1,)])
-
-
 def test_shared_args_and_kwargs():
     def fn(comm, a, b=0):
         return a + b + comm.rank

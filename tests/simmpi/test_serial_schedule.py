@@ -9,15 +9,15 @@ from repro.simmpi import create_runtime
 from tests.simmpi.test_stepped_backends import (
     NPROCS,
     SCHEDULE,
-    _six_collectives,
+    _five_collectives,
 )
 
 
 def test_serial_schedule_repeats_on_a_reused_runtime():
     rt = create_runtime("serial", nprocs=NPROCS)
     first, second = [], []
-    rt.run(_six_collectives, first)
-    rt.run(_six_collectives, second)
+    rt.run(_five_collectives, first)
+    rt.run(_five_collectives, second)
     assert first == second == SCHEDULE
     # one metered round per rendezvous, the Alltoallv's included
-    assert rt.stats.rounds == 2 * 6
+    assert rt.stats.rounds == 2 * 5

@@ -58,9 +58,7 @@ SCHEDULE = [
     (4, 'in', 3), (0, 'out', 2), (0, 'in', 3), (1, 'out', 2), (1, 'in', 3),
     (1, 'out', 3), (1, 'in', 4), (2, 'out', 3), (2, 'in', 4), (3, 'out', 3),
     (3, 'in', 4), (4, 'out', 3), (4, 'in', 4), (0, 'out', 3), (0, 'in', 4),
-    (0, 'out', 4), (0, 'in', 5), (1, 'out', 4), (1, 'in', 5), (2, 'out', 4),
-    (2, 'in', 5), (3, 'out', 4), (3, 'in', 5), (4, 'out', 4), (4, 'in', 5),
-    (4, 'out', 5), (0, 'out', 5), (1, 'out', 5), (2, 'out', 5), (3, 'out', 5),
+    (0, 'out', 4), (1, 'out', 4), (2, 'out', 4), (3, 'out', 4), (4, 'out', 4),
 ]
 
 
@@ -121,12 +119,11 @@ def test_one_rank_generator_body(backend):
     assert stats.rounds == 7
 
 
-def _six_collectives(comm, log):
-    """The six collectives, logged around every call."""
+def _five_collectives(comm, log):
+    """The five collectives, logged around every call."""
     r, n = comm.rank, comm.size
     calls = [
         (comm.barrier, ()),
-        (comm.Checkpoint, (bytes(r), {}, lambda contribs: None)),
         (comm.Allreduce, (np.arange(3) + r,)),
         (comm.Allgatherv, (np.full(r + 1, r),)),
         (comm.Alltoallv, (np.full(n, r), np.ones(n, dtype=np.int64))),
@@ -142,10 +139,10 @@ def _six_collectives(comm, log):
 def test_stepped_serial_schedule_is_the_pinned_literal():
     log = []
     rt = create_runtime("serial", nprocs=NPROCS)
-    rt.run(_six_collectives, log)
+    rt.run(_five_collectives, log)
     assert log == SCHEDULE
     # one metered round per rendezvous, the Alltoallv's included
-    assert rt.stats.rounds == 6
+    assert rt.stats.rounds == 5
 
 
 def test_watched_serial_schedule_is_the_pinned_literal():
@@ -153,9 +150,9 @@ def test_watched_serial_schedule_is_the_pinned_literal():
     ranks in the same order."""
     log = []
     rt = create_runtime("serial", nprocs=NPROCS, watchdog=60)
-    rt.run(_six_collectives, log)
+    rt.run(_five_collectives, log)
     assert log == SCHEDULE
-    assert rt.stats.rounds == 6
+    assert rt.stats.rounds == 5
 
 
 def test_xtrapulp_on_serial_runs_every_rank_on_the_callers_thread(

@@ -231,14 +231,6 @@ def test_concat_all_inter_on_multi_node():
     assert wire_intra == 32  # local gather leg
 
 
-def test_checkpoint_always_inter():
-    c = _hier(8, 4)
-    single = _hier(4, 4)
-    # a non-leader stages through its leader's writer
-    assert tier_row(c, "checkpoint", 1, 128) == (128, 128)
-    assert tier_row(single, "checkpoint", 0, 128) == (0, 128)
-
-
 def test_unknown_op_has_no_tier_rule():
     """Every op SimComm emits has a rule (``test_simmpi_surface.py``), so
     an op without one is an error, not a guess."""
@@ -249,7 +241,7 @@ def test_unknown_op_has_no_tier_rule():
 # -- the matrix is the scalar rule, row by row --------------------------------
 
 #: every op SimComm emits
-_OPS = ("alltoallv", "allreduce", "barrier", "allgatherv", "checkpoint")
+_OPS = ("alltoallv", "allreduce", "barrier", "allgatherv")
 
 #: (nprocs, ranks/node): a single node, one rank per node, a short last
 #: node, a short last node of many, full nodes

@@ -175,10 +175,10 @@ def test_identical_stats_across_backends(backend):
 
 @backends
 def test_rank_args_and_shared_kwargs(backend):
-    def fn(comm, bonus, base=0):
-        return int(comm.Allreduce(np.array([base + bonus]))[0])
+    def fn(comm, base=0):
+        return int(comm.Allreduce(np.array([base + comm.rank + 1]))[0])
 
-    out, _ = run_on(backend, 3, fn, rank_args=[(1,), (2,), (3,)], base=10)
+    out, _ = run_on(backend, 3, fn, base=10)
     assert out == [36] * 3
 
 

@@ -59,6 +59,22 @@ def test_cli_zero_ranks_is_usage_error(tmp_path, capsys):
     assert "--ranks must be >= 1, got 0" in capsys.readouterr().err
 
 
+def test_cli_negative_seed_is_usage_error(graph_file, capsys):
+    path, _ = graph_file
+    assert main([path, "-p", "4", "-r", "2", "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seconds", ["-1", "nan", "inf"])
+def test_cli_bad_watchdog_timeout_is_usage_error(graph_file, capsys,
+                                                 seconds):
+    path, _ = graph_file
+    assert main([path, "-p", "4", "-r", "2",
+                 "--watchdog-timeout", seconds]) == 2
+    assert "--watchdog-timeout must be finite and >= 0" in (
+        capsys.readouterr().err)
+
+
 def test_cli_rack_comm_spec_is_usage_error(graph_file, capsys):
     """A rack width is not in the ``NAME[:R]`` grammar: exit 2 with the
     grammar named, no traceback."""

@@ -112,8 +112,8 @@ def test_stepped_calls_in_generators_are_yielded_from():
     a bare call returns an un-driven generator, and the rank silently skips
     a collective until a peer raises ``CollectiveMismatchError``."""
     routines = {fn.name for _, fn in _functions() if _is_steppable(fn)}
-    assert {"Allreduce", "Alltoallv_fields", "barrier", "Checkpoint",
-            "build_dist_graph", "lp_phase"} <= routines
+    assert {"Allreduce", "Alltoallv_fields", "barrier", "build_dist_graph",
+            "lp_phase", "write_checkpoint"} <= routines
     bare = []
     for path, fn in _functions():
         nodes = list(_own_nodes(fn))

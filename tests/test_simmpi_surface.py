@@ -237,15 +237,15 @@ def _collectives() -> set:
                     for d in fn.decorator_list)}
 
 
-def test_simcomm_has_six_collectives():
+def test_simcomm_has_five_collectives():
     """Buffers only: no generic-object ``allgather`` / ``allreduce``, whose
     pickled contributions would be metered by a second rule.  No
     ``Bcast``: the one value a master once broadcast, Algorithm 2's
     roots, every rank draws itself, and a round that tells a rank what it
-    already holds is pure latency."""
+    already holds is pure latency.  No ``Checkpoint``: an epoch is an
+    ``Allgatherv`` whose ``then`` writes it."""
     assert _collectives() == {
-        "barrier", "Checkpoint", "Allreduce", "Allgatherv", "Alltoallv",
-        "Alltoallv_fields"}
+        "barrier", "Allreduce", "Allgatherv", "Alltoallv", "Alltoallv_fields"}
     assert "bcast" not in _emitted_ops()
 
 
