@@ -231,8 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         info = result.multilevel
         sizes = " > ".join(str(n) for n, _ in info.level_sizes)
         print(f"multilevel: {info.levels} levels ({info.coarsen_mode} "
-              f"coarsening), vertices {sizes}; cut trajectory "
-              + " -> ".join(f"{c:.0f}" for c in info.cut_trajectory))
+              f"coarsening), vertices {sizes}")
     print(f"modeled parallel time: {result.modeled_seconds * 1e3:.1f} ms on "
           f"{args.ranks} ranks ({result.backend} backend, "
           f"{result.comm} comm); "

@@ -43,7 +43,7 @@ from repro.ft.checkpoint import (
     find_latest_committed,
     load_for_run,
     load_manifest,
-    make_context,
+    run_identity,
     write_checkpoint,
 )
 from repro.graph.csr import Graph
@@ -164,9 +164,10 @@ def _rank_main(
 
     ``levels`` is the part of the hierarchy not yet projected through,
     finest first — None on a flat run, whose state sits on the one
-    ``DistGraph``.  A multilevel snapshot wraps the rank's with the level
-    and the cut trajectory, so a resume rebuilds the state on the right
-    level.  ``repro.multilevel`` is imported here, not at the top, to keep
+    ``DistGraph``.  A multilevel snapshot is the flat one: a resume reads
+    the level it re-enters from the plan's last ``uncoarsen`` step before
+    ``next_step`` (the coarsest level when there is none).
+    ``repro.multilevel`` is imported here, not at the top, to keep
     ``core`` ↔ ``multilevel`` imports acyclic and scipy out of flat runs.
     """
     levels, n_levels = None, 1
@@ -180,7 +181,6 @@ def _rank_main(
         level_sizes = [lv.size for lv in levels]
         n_levels = len(levels)
         state = hierarchy.level_state(levels, num_parts, params, n_levels)
-        cuts: List[float] = []
     else:
         dg = yield from build_dist_graph(comm, graph, dist)
         state = RankState(dg=dg, num_parts=num_parts, params=params)
@@ -194,14 +194,13 @@ def _rank_main(
     plan = step_plan(params, n_levels)
     start = 0
     if resume is not None:
-        snap = resume["snapshots"][comm.rank]
-        if levels:
-            del levels[int(snap["level"]) + 1:]  # already projected through
-            state = hierarchy.level_state(levels, num_parts, params, n_levels)
-            cuts = [float(c) for c in snap["cuts"]]
-            snap = snap["inner"]
-        state.restore(snap)
         start = int(resume["next_step"])
+        projected = [lvl for stage, lvl, _ in plan[:start]
+                     if stage == "uncoarsen"]
+        if projected:  # re-enter the level the last projection reached
+            del levels[projected[-1] + 1:]
+            state = hierarchy.level_state(levels, num_parts, params, n_levels)
+        state.restore(resume["snapshots"][comm.rank])
     for idx in range(start, len(plan)):
         stage, _index, phase = plan[idx]
         if phase == "init":
@@ -216,9 +215,6 @@ def _rank_main(
             iters = getattr(params, spec.iters)
             seeds = None
             if stage == "uncoarsen":
-                if not cuts:  # coarsest partition settled: open the trajectory
-                    cuts.append((yield from hierarchy.weighted_cut(
-                        comm, state, levels[-1])))
                 state, seeds = yield from hierarchy.project(
                     comm, state, levels, num_parts, params, n_levels
                 )
@@ -231,28 +227,17 @@ def _rank_main(
             ew = levels[-1].ew_local if spec.tally == "arc" else None
             yield from lp_phase(comm, state, spec, iters, arc_weights=ew,
                                 seed_lids=seeds)
-            if stage == "uncoarsen":
-                cuts.append((yield from hierarchy.weighted_cut(
-                    comm, state, levels[-1])))
         if ckpt is not None and checkpoint_after(plan, idx, ckpt.policy.every):
-            snap = state.snapshot()
-            if levels:
-                snap = {"level": len(levels) - 1,
-                        "cuts": [float(c) for c in cuts], "inner": snap}
             yield from write_checkpoint(
-                comm, snap, ckpt, epoch=idx, step=plan[idx], n_build=n_build
+                comm, state.snapshot(), ckpt, epoch=idx, step=plan[idx],
+                n_build=n_build,
             )
     info = None
     if levels:
-        # the trajectory closes with the final fine cut (after the edge
-        # stage when it runs; for a single-level run this is the only entry)
-        cuts.append((yield from hierarchy.weighted_cut(
-            comm, state, levels[-1])))
         info = MultilevelInfo(
             levels=n_levels,
             coarsen_mode=params.ml_coarsen,
             level_sizes=level_sizes,
-            cut_trajectory=cuts,
             coarsest_n=level_sizes[-1][0],
         )
     dg = state.dg
@@ -320,15 +305,16 @@ def _resolve_config(
             raise ValueError("distribution does not match graph/nprocs")
     cfg = _RunConfig(params, dist, vertex_weights)
 
-    # fault tolerance: a no-op unless requested; ``run`` is what
-    # ft.checkpoint.run_identity reads to tell this run's checkpoints apart
-    run = dict(
-        graph=graph, dist=dist, params=params, nprocs=nprocs,
-        num_parts=num_parts, initial_parts=initial_parts,
-        vertex_weights=vertex_weights,
-    )
+    # fault tolerance: a no-op unless requested; the identity tells this
+    # run's checkpoints apart (hashed once: it reads the whole CSR)
+    if resume is not None or checkpoint is not None:
+        identity = run_identity(
+            graph=graph, dist=dist, params=params, nprocs=nprocs,
+            num_parts=num_parts, initial_parts=initial_parts,
+            vertex_weights=vertex_weights,
+        )
     if resume is not None:
-        cfg.resumed = load_for_run(os.fspath(resume), **run)
+        cfg.resumed = load_for_run(os.fspath(resume), identity)
         cfg.run_dir = os.path.dirname(os.path.abspath(cfg.resumed.epoch_dir))
     if checkpoint is not None:
         policy = (
@@ -336,7 +322,7 @@ def _resolve_config(
             else CkptPolicy(dir=os.fspath(checkpoint))
         )
         cfg.run_dir = policy.dir
-        cfg.ckpt_ctx = make_context(policy, **run)
+        cfg.ckpt_ctx = CkptContext(policy, identity)
 
     cfg.runtime = runtime = create_runtime(
         backend, nprocs=nprocs, comm=params.comm,

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -67,9 +68,9 @@ from repro.simmpi.stepping import Steps, steppable
 
 #: Bumped whenever a pickled record changes shape, so that an older
 #: epoch is refused at load instead of failing later — or changes
-#: meaning: a version-9 ``stats.pkl`` records each epoch as a
-#: ``checkpoint`` round where version 10 records an ``allgatherv``.
-FORMAT_VERSION = 10
+#: meaning: a version-10 multilevel rank file wraps the snapshot with its
+#: level and cut trajectory, and its ``stats.pkl`` holds the cut rounds.
+FORMAT_VERSION = 11
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_TMP = "MANIFEST.tmp"
 STATS_NAME = "stats.pkl"
@@ -165,9 +166,8 @@ def run_identity(*, graph, dist, params, nprocs: int, num_parts: int,
 class CkptContext:
     """Everything a rank needs to write checkpoints for one run.
 
-    Built once in the driver (:func:`make_context`) and shipped to every
-    rank; holds the policy plus the :func:`run_identity` every manifest
-    of the run stores.
+    Built once in the driver and shipped to every rank; holds the policy
+    plus the :func:`run_identity` every manifest of the run stores.
     """
 
     def __init__(self, policy: CkptPolicy, identity: Dict[str, Any]) -> None:
@@ -216,12 +216,6 @@ class CkptContext:
         return writer
 
 
-def make_context(policy: CkptPolicy, **run: Any) -> CkptContext:
-    """The context of the run described by :func:`run_identity`'s
-    keywords."""
-    return CkptContext(policy, run_identity(**run))
-
-
 @steppable
 def write_checkpoint(comm, snapshot: dict, ctx: CkptContext, *, epoch: int,
                      step: Tuple[str, int, str], n_build: int) -> Steps[None]:
@@ -231,11 +225,12 @@ def write_checkpoint(comm, snapshot: dict, ctx: CkptContext, *, epoch: int,
     the round is excluded from the modeled partitioning time
     (``PARTITION_PHASES``), visible as its own line in per-tag breakdowns
     and committed when recorded; the payload is a deterministic pickle, so
-    the round is bit-reproducible run-to-run.
+    the round is bit-reproducible run-to-run.  It is a writable view of
+    the pickle's one buffer, so a planted ``corrupt`` fault can flip it.
     """
-    payload = np.frombuffer(
-        pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL),
-        dtype=np.uint8)
+    buf = io.BytesIO()
+    pickle.dump(snapshot, buf, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = np.frombuffer(buf.getbuffer(), dtype=np.uint8)
     with comm.phase("checkpoint"):
         yield from comm.Allgatherv(
             payload, then=ctx.epoch_writer(epoch, step, n_build))
@@ -413,13 +408,13 @@ def load_checkpoint(path: str) -> CheckpointData:
     return CheckpointData(edir, manifest, snapshots, base_events)
 
 
-def load_for_run(path: str, **run: Any) -> CheckpointData:
-    """:func:`load_checkpoint`, validated against the run described by
-    :func:`run_identity`'s keywords: a field that differs is named —
-    resuming silently with changed inputs would produce a partition
-    belonging to neither run."""
+def load_for_run(path: str, identity: Dict[str, Any]) -> CheckpointData:
+    """:func:`load_checkpoint`, validated against the run's
+    :func:`run_identity`: a field that differs is named — resuming
+    silently with changed inputs would produce a partition belonging to
+    neither run."""
     data = load_checkpoint(path)
-    for key, want in run_identity(**run).items():
+    for key, want in identity.items():
         have = data.manifest.get(key)
         if have != want:
             raise CheckpointError(

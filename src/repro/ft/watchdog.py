@@ -37,10 +37,6 @@ from typing import List, Optional, Sequence
 
 #: Fraction of the timeout at which a soft warning is emitted.
 WARN_FRACTION = 0.5
-#: Probe re-checks between the warning and the deadline, spaced with
-#: exponential backoff; each one that still sees no progress counts as a
-#: deadline extension in the health counters.
-PROBES = 3
 #: Seconds between ``SIGTERM`` and ``SIGKILL`` when killing a hung rank
 #: process.
 GRACE = 1.0
@@ -115,32 +111,20 @@ class StallClock:
     has stopped advancing; it owns no thread.
 
     Once the count stops growing the clock warns at :data:`WARN_FRACTION`
-    of the deadline, counts :data:`PROBES` exponentially spaced re-checks
-    in ``deadline_extensions``, and declares the run stalled at the
-    deadline (at least :data:`STARTUP_GRACE` before the first progress:
-    forking and the graph build precede it), then restarts — a further
-    stall is timed from the declaration.  ``heartbeats_seen`` is the last
-    count fed, ``detection_seconds`` the first declaration's stall.  The
-    caller handles the hung ranks and names them in :meth:`declare`.
+    of the deadline and declares the run stalled at the deadline (at
+    least :data:`STARTUP_GRACE` before the first progress: forking and the
+    graph build precede it), then restarts — a further stall is timed
+    from the declaration.  ``heartbeats_seen`` is the last count fed,
+    ``detection_seconds`` the first declaration's stall.  The caller
+    handles the hung ranks and names them in :meth:`declare`.
     """
 
     def __init__(self, timeout: float, now: float, scope: str) -> None:
         self.timeout = timeout
         self.scope = scope
         self.heartbeats_seen = 0
-        self.deadline_extensions = 0
         self.detection_seconds = 0.0
-        self._since, self._warned, self._probes = now, False, 0
-
-    @staticmethod
-    def _probe_offsets(deadline: float) -> List[float]:
-        """Stall offsets of the probe re-checks: exponential backoff from
-        the warning point toward the deadline."""
-        warn_at = deadline * WARN_FRACTION
-        span = deadline - warn_at
-        total = float(2 ** PROBES - 1)
-        return [warn_at + span * (2 ** (i + 1) - 1) / total
-                for i in range(PROBES)]
+        self._since, self._warned = now, False
 
     def tick(self, progress: int, now: float) -> Optional[float]:
         """Feed the run's progress count (never decreasing) at ``now``.
@@ -148,7 +132,7 @@ class StallClock:
         stalled, else None."""
         if progress > self.heartbeats_seen:
             self.heartbeats_seen = progress
-            self._since, self._warned, self._probes = now, False, 0
+            self._since, self._warned = now, False
             return None
         stalled = now - self._since
         deadline = (self.timeout if self.heartbeats_seen
@@ -157,14 +141,10 @@ class StallClock:
             self._warned = True
             self.warn(f"no rank progress for {stalled:.2f}s (deadline "
                       f"{deadline:.2f}s) after {progress} steps")
-        offsets = self._probe_offsets(deadline)
-        while self._probes < PROBES and stalled >= offsets[self._probes]:
-            self._probes += 1
-            self.deadline_extensions += 1
         if stalled < deadline:
             return None
         self.detection_seconds = self.detection_seconds or stalled
-        self._since, self._warned, self._probes = now, False, 0
+        self._since, self._warned = now, False
         return stalled
 
     def declare(self, ranks: Sequence[int], where: str,

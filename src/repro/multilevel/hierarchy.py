@@ -164,24 +164,3 @@ def project(
         boundary = cluster_of[srcs] != cluster_of[fdg.adj]
         seeds = sorted_unique(srcs[boundary])
     return state, seeds
-
-
-@steppable
-def weighted_cut(comm: SimComm, state: RankState,
-                 level: MLLevel) -> Steps[float]:
-    """Global edge-weighted cut at ``level`` (each undirected edge counted
-    once), metered as ``project`` work.
-
-    Every arc of an owned vertex is stored locally and each undirected
-    edge has exactly two owned endpoints across all ranks, so summing the
-    cut arcs rank-wise double-counts every cut edge exactly once.
-    """
-    dg = state.dg
-    srcs = np.repeat(
-        np.arange(dg.n_local, dtype=np.int64), dg.local_degrees
-    )
-    cut_arcs = state.parts[srcs] != state.parts[dg.adj]
-    with comm.phase("project"):
-        comm.charge(2.0 * level.ew_local.size)
-        local = np.array([level.ew_local[cut_arcs].sum()], dtype=np.float64)
-        return float((yield from comm.Allreduce(local))[0]) / 2.0

@@ -25,10 +25,6 @@ class MultilevelInfo:
         ``"lp"`` or ``"hem"`` — the clustering used by the coarsener.
     level_sizes:
         ``(n_vertices, n_undirected_edges)`` per level, finest first.
-    cut_trajectory:
-        Edge-weighted global cut after the partitioning/refinement work at
-        each level, coarsest first.  Weights are conserved by contraction,
-        so every entry is directly comparable to the final fine cut.
     coarsest_n:
         Vertex count of the level handed to the flat pipeline.
     """
@@ -36,5 +32,4 @@ class MultilevelInfo:
     levels: int
     coarsen_mode: str
     level_sizes: List[Tuple[int, int]] = field(default_factory=list)
-    cut_trajectory: List[float] = field(default_factory=list)
     coarsest_n: int = 0

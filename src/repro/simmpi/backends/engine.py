@@ -434,23 +434,20 @@ class InProcessBackend(Backend):
         slice_s = slice_seconds(timeout)
         clock = StallClock(timeout, time.monotonic(), self.name)
         abandon_at: Optional[float] = None
-        try:
-            for t in threads:
+        for t in threads:
+            t.join(slice_s)
+            while t.is_alive():
+                now = time.monotonic()
+                if self._failure is None:
+                    stalled = clock.tick(self._deposits, now)
+                    if stalled is not None:
+                        self._fail(self._stall(clock, stalled))
+                elif abandon_at is None:
+                    abandon_at = now + timeout + GRACE
+                elif now >= abandon_at:
+                    return False
                 t.join(slice_s)
-                while t.is_alive():
-                    now = time.monotonic()
-                    if self._failure is None:
-                        stalled = clock.tick(self._deposits, now)
-                        if stalled is not None:
-                            self._fail(self._stall(clock, stalled))
-                    elif abandon_at is None:
-                        abandon_at = now + timeout + GRACE
-                    elif now >= abandon_at:
-                        return False
-                    t.join(slice_s)
-            return True
-        finally:
-            self.stats.deadline_extensions += clock.deadline_extensions
+        return True
 
     def _stall(self, clock: StallClock, stalled: float) -> HungRankError:
         """The report of a run stalled for ``stalled`` s, read without the

@@ -706,7 +706,6 @@ class ProcsBackend(Backend):
         drain()
         if clock is not None:
             self.stats.heartbeats_seen += clock.heartbeats_seen
-            self.stats.deadline_extensions += clock.deadline_extensions
         return hung
 
     @staticmethod

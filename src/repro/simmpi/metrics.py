@@ -153,8 +153,6 @@ class CommStats:
     #:
     #: Heartbeats the ``procs`` supervisor's stall clock saw.
     heartbeats_seen: int = 0
-    #: Stall-clock probe re-checks that still saw no progress.
-    deadline_extensions: int = 0
     #: Payload checksum verifications performed at receive
     #: (``--integrity crc``).
     checksum_verifications: int = 0
@@ -305,11 +303,9 @@ class CommStats:
                 f"  recovery     attempt={rec.attempt} "
                 f"resumed_from_epoch={rec.epoch}{cls}{det} after {rec.error}"
             )
-        if self.heartbeats_seen or self.deadline_extensions:
+        if self.heartbeats_seen:
             lines.append(
-                f"  watchdog     heartbeats_seen={self.heartbeats_seen} "
-                f"deadline_extensions={self.deadline_extensions}"
-            )
+                f"  watchdog     heartbeats_seen={self.heartbeats_seen}")
         if self.checksum_verifications or self.checksum_failures:
             lines.append(
                 f"  integrity    checksum_verifications="

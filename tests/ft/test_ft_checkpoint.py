@@ -26,6 +26,7 @@ from repro.ft.checkpoint import (
     load_checkpoint,
     load_for_run,
     load_manifest,
+    run_identity,
 )
 from repro.graph import generators
 from repro.simmpi import run_spmd
@@ -146,7 +147,7 @@ def test_no_epochs_raises(tmp_path):
 
 def _run_kwargs(graph, params):
     """The run the ``run_dir`` fixture checkpointed, as
-    :func:`load_for_run` takes it."""
+    :func:`run_identity` takes it."""
     return dict(
         graph=graph,
         dist=make_distribution("random", graph.n, NPROCS, seed=params.seed),
@@ -156,7 +157,8 @@ def _run_kwargs(graph, params):
 
 
 def test_validate_accepts_matching(run_dir, ft_graph, ft_params):
-    data = load_for_run(run_dir, **_run_kwargs(ft_graph, ft_params))
+    data = load_for_run(run_dir,
+                        run_identity(**_run_kwargs(ft_graph, ft_params)))
     assert data.epoch == 8
 
 
@@ -175,7 +177,26 @@ def test_validate_rejects_mismatch(run_dir, ft_graph, ft_params, field_name,
                                    patch):
     kwargs = {**_run_kwargs(ft_graph, ft_params), **patch}
     with pytest.raises(CheckpointError, match=f"different {field_name}:"):
-        load_for_run(run_dir, **kwargs)
+        load_for_run(run_dir, run_identity(**kwargs))
+
+
+def test_resume_with_checkpoint_hashes_the_graph_once(
+        run_dir, ft_graph, ft_params, tmp_path, monkeypatch):
+    """The run identity a resume checks is the one its new epochs store:
+    one sha256 over the CSR per run, not one per use."""
+    from repro.ft import checkpoint
+
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return graph_signature(graph)
+
+    monkeypatch.setattr(checkpoint, "graph_signature", counting)
+    xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
+             backend="serial", resume=run_dir,
+             checkpoint=CkptPolicy(dir=str(tmp_path)))
+    assert len(calls) == 1
 
 
 def test_resume_rejects_wrong_graph(run_dir, ft_params):
@@ -247,7 +268,7 @@ def test_unsupported_format_version_rejected(run_dir, tmp_path):
         load_checkpoint(latest)
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_version_2_epoch_rejected(run_dir, tmp_path, version):
     """Version 2 rank snapshots carried ``Sv`` / ``Se`` / ``Sc`` (version 3
     recounts them at phase entry); version 3's ``stats.pkl`` pickled events
@@ -261,12 +282,13 @@ def test_version_2_epoch_rejected(run_dir, tmp_path, version):
     version 8 meters every round by ``nbytes``; version 8 pickles a tiered
     event's ``TierMetering`` with six fields where version 9 pickles two;
     version 9 records each epoch as a ``checkpoint`` round where version
-    10 records an ``allgatherv``.  Version 10 refuses every older epoch:
-    the manifest's ``format_version`` is the one version a checkpoint
-    carries."""
+    10 records an ``allgatherv``; version 10 wraps a multilevel snapshot
+    with its level and cut trajectory where version 11 stores the flat
+    one.  Version 11 refuses every older epoch: the manifest's
+    ``format_version`` is the one version a checkpoint carries."""
     import shutil
 
-    assert FORMAT_VERSION == 10
+    assert FORMAT_VERSION == 11
     d = tmp_path / f"v{version}"
     shutil.copytree(run_dir, d)
     latest = find_latest_committed(str(d))

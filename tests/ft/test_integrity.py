@@ -26,13 +26,13 @@ from repro.ft.integrity import (
     corruption_seed,
 )
 from repro.ft.recovery import RetryPolicy, run_with_retries
-from repro.simmpi.errors import PayloadCorruptionError
+from repro.simmpi.errors import PayloadCorruptionError, RankFailure
 
 from tests.ft.conftest import NPROCS, PARTS
 
 
-def _corrupt_plan():
-    return FaultPlan([FaultSpec(1, "vertex_balance", 2, action="corrupt")])
+def _corrupt_plan(phase="vertex_balance", step=2):
+    return FaultPlan([FaultSpec(1, phase, step, action="corrupt")])
 
 
 # -- checksum and corruption primitives --------------------------------------
@@ -81,13 +81,26 @@ def test_integrity_mode_validation(monkeypatch):
 # -- detection: a flipped byte never reaches the partition -------------------
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads"])
-def test_inprocess_corruption_detected(ft_graph, ft_params, backend):
-    with pytest.raises(PayloadCorruptionError) as ei:
+@pytest.mark.parametrize(
+    "backend,phase",
+    [("serial", "vertex_balance"), ("threads", "vertex_balance"),
+     ("serial", "checkpoint"), ("threads", "checkpoint")],
+    ids=["serial", "threads", "serial-checkpoint", "threads-checkpoint"],
+)
+def test_inprocess_corruption_detected(ft_graph, ft_params, backend, phase,
+                                       tmp_path):
+    """A flip in a checkpoint round's deposit (the pickled snapshot) is
+    caught like one in a partitioning round's; a checkpointed run reports
+    it as the cause of its :class:`RankFailure`."""
+    ckpt = CkptPolicy(str(tmp_path)) if phase == "checkpoint" else None
+    with pytest.raises((PayloadCorruptionError, RankFailure)) as ei:
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
-                 backend=backend, fault_plan=_corrupt_plan(),
+                 backend=backend, checkpoint=ckpt,
+                 fault_plan=_corrupt_plan(phase, 2 if ckpt is None else 0),
                  integrity="crc")
-    assert "crc" in str(ei.value).lower() or "checksum" in str(ei.value)
+    err = ei.value if ckpt is None else ei.value.__cause__
+    assert isinstance(err, PayloadCorruptionError)
+    assert "crc" in str(err).lower() or "checksum" in str(err)
 
 
 @pytest.mark.parametrize("payload", ["small", "32 KiB"])

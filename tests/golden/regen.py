@@ -117,7 +117,6 @@ def phase_pins(case: dict) -> Dict[str, object]:
             data = load_checkpoint(os.path.join(run_dir, epoch))
             h = hashlib.sha256()
             for snap in data.snapshots:
-                snap = snap.get("inner", snap)  # multilevel wraps the rank's
                 h.update(snap["parts"][: snap["n_local"]].tobytes())
                 h.update(repr(snap["sweep_log"]).encode())
             steps.append(" ".join(

@@ -1,8 +1,8 @@
 """Checkpoint/resume at multilevel level boundaries.
 
 The hierarchy is rebuilt deterministically on resume (it is a pure
-function of the inputs), then the saved ``(level, cuts, inner state)``
-snapshot is restored and the plan re-entered mid-V-cycle.  The oracle is
+function of the inputs), then the level the step plan reached is
+re-entered, its rank snapshot restored and the plan resumed mid-V-cycle.  The oracle is
 the uninterrupted run: resuming from ANY committed epoch — including one
 inside the uncoarsening sweep — must reproduce its partition, its
 communication record (modulo the prefix's checkpoint events, same

@@ -102,7 +102,7 @@ def test_cli_multilevel_reports_hierarchy(graph_file, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "multilevel:" in out and "hem coarsening" in out
-    assert "cut trajectory" in out
+    assert "vertices " in out
 
 
 def test_cli_multilevel_matches_library(graph_file, tmp_path):

@@ -111,11 +111,15 @@ def test_coarsening_records_no_allreduce(coarsen):
         params=PulpParams(seed=123, multilevel=True, ml_coarsen=coarsen),
     )
     ops = Counter(e.op for e in result.stats.events if e.tag == "coarsen")
-    assert result.multilevel.levels >= 2
+    levels = result.multilevel.levels
+    assert levels >= 2
     assert "allreduce" not in ops, ops
     if coarsen == "hem":
         # one contraction Allgatherv per level made, and nothing else
-        assert ops == {"allgatherv": result.multilevel.levels - 1}
+        assert ops == {"allgatherv": levels - 1}
+    # uncoarsening: one projection Allgatherv per level, and nothing else
+    project = Counter(e.op for e in result.stats.events if e.tag == "project")
+    assert project == {"allgatherv": levels - 1}, project
 
 
 def test_flat_run_records_one_alive_count_before_the_first_totals():
