@@ -22,7 +22,7 @@ Seeding rules, per phase iteration:
   adjacency restricted to targets ``< n_local``;
 * owned neighbors of every ghost copy rewritten by ``exchange_updates``
   enter the frontier, via the ghost→owned reverse incidence
-  (``DistGraph.ghost_touch_sources``) built once at construction time —
+  (``DistGraph.ghost_touch_sources``), built once on its first call —
   ghosts own no forward CSR row, so the reverse structure is required;
 * neighbor touches *accumulate* rather than activate immediately: a
   vertex re-enters the frontier once its touch count since its last

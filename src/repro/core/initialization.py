@@ -174,7 +174,9 @@ def reseed_dead_parts(comm: SimComm, state: RankState) -> Steps[int]:
     cand = np.flatnonzero(donor_mask)
     take = min(cand.size, 2 * dead.size)
     if take:
-        top = cand[np.argsort(deg[cand])[::-1][:take]]
+        # an unstable sort's tie order may depend on the key's dtype, and
+        # degrees_full is stored narrow: sort int64 keys, as before
+        top = cand[np.argsort(deg[cand].astype(np.int64))[::-1][:take]]
         proposal = np.column_stack([dg.l2g[top], deg[top]]).ravel()
     else:
         proposal = np.empty(0, dtype=np.int64)

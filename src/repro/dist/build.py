@@ -12,17 +12,20 @@ slice from parallel I/O) and is excluded from partitioning-time metering
 via the ``"build"`` phase tag.
 
 Dtypes follow one rule (:func:`repro.dist.wire.stored_dtype`): the tables
-that are only gathered from — ``ghost_in_adj`` (owned lids) and
-``send_rank_adj`` (ranks) — are stored at 4 bytes when their values fit;
-everything used as an index (``offsets``, ``adj``, ``l2g``,
-``degrees_full``) stays int64.
+that are only gathered from — ``ghost_in_adj`` (owned lids),
+``send_rank_adj`` (ranks) and ``degrees_full`` — are stored at 4 bytes when
+their values fit; the index arrays ``offsets`` and ``l2g`` stay int64, and
+the local ``adj`` takes the width of the input's adjacency: int64 for an
+input graph, 4 bytes for a V-cycle's coarse level (whose ids all fit).
+The ghost → owned incidence is built on first use
+(:meth:`DistGraph.ghost_touch_sources`), not here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dist.distgraph import DistGraph
+from repro.dist.distgraph import DistGraph, ghost_arcs
 from repro.dist.distribution import Distribution
 from repro.dist.packing import bucket_by_rank
 from repro.dist.wire import stored_dtype
@@ -45,22 +48,13 @@ def _localize(
     present[neighbor_gids] = True
     present[owned_gids] = False
     ghost_gids = np.flatnonzero(present)
-    table = np.cumsum(present) + (owned_gids.size - 1)
+    # local ids are below the level's vertex count: they fit the width of
+    # the gids they replace
+    table = np.cumsum(present, dtype=neighbor_gids.dtype)
+    table += owned_gids.size - 1
     table[owned_gids] = np.arange(owned_gids.size)
     local_adj = table[neighbor_gids]
     return local_adj, ghost_gids, dist.owner(ghost_gids).astype(np.int32)
-
-
-def _ghost_arcs(
-    offsets: np.ndarray, local_adj: np.ndarray, n_local: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(source lid, ghost index) of every arc that leaves the rank, in CSR
-    order — so the sources are non-decreasing.  The sources are stored
-    (as ``ghost_in_adj``), so they come in the elected dtype."""
-    src = np.repeat(np.arange(n_local, dtype=stored_dtype(n_local - 1)),
-                    np.diff(offsets))
-    is_ghost = local_adj >= n_local
-    return src[is_ghost], local_adj[is_ghost] - n_local
 
 
 def _send_rank_lists(
@@ -113,24 +107,6 @@ def _ghost_routing(
     return send_ghost_slot
 
 
-def _ghost_incidence(
-    sources: np.ndarray, targets: np.ndarray, n_ghost: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR transpose of the ghost columns: for each ghost lid, the owned
-    vertices adjacent to it (sorted ascending within each ghost's slice).
-
-    The frontier engine uses this to turn an incoming ghost part update
-    into the set of owned vertices that must re-evaluate their scores —
-    ghosts own no forward CSR row, so the reverse structure is required.
-    """
-    # ``sources`` is non-decreasing, so a stable sort on ``targets`` alone
-    # is the ``lexsort((sources, targets))`` order at half the cost
-    order = np.argsort(targets, kind="stable")
-    gin_offsets = np.zeros(n_ghost + 1, dtype=np.int64)
-    np.cumsum(np.bincount(targets, minlength=n_ghost), out=gin_offsets[1:])
-    return gin_offsets, sources[order]
-
-
 @steppable
 def build_dist_graph(
     comm: SimComm, graph: Graph, dist: Distribution
@@ -163,18 +139,17 @@ def build_dist_graph(
         l2g = np.concatenate([owned_gids, ghost_gids])
         # ghost degrees read from the shared input (static data; a real MPI
         # build exchanges them once — volume negligible and one-time)
-        degrees_full = graph.degrees[l2g].astype(np.int64)
-        sources, targets = _ghost_arcs(offsets, local_adj, owned_gids.size)
+        degrees_full = graph.degrees[l2g].astype(
+            stored_dtype(graph.num_directed_edges))
+        sources, targets = ghost_arcs(offsets, local_adj, owned_gids.size)
         sr_offsets, sr_adj = _send_rank_lists(
             comm.size, owned_gids.size, sources, targets, ghost_owners
         )
+        del sources, targets
         send_ghost_slot = yield from _ghost_routing(
             comm, ghost_gids, ghost_owners, sr_adj)
         (max_ghost_global,) = (yield from comm.Allreduce(
             np.array([ghost_gids.size]), op="max")).tolist()
-        gin_offsets, gin_adj = _ghost_incidence(
-            sources, targets, ghost_gids.size
-        )
         # sanity rendezvous: global edge count must be conserved
         (total_local,) = (yield from comm.Allreduce(
             np.array([local_adj.size]), op="sum")).tolist()
@@ -195,8 +170,6 @@ def build_dist_graph(
             send_rank_adj=sr_adj,
             send_ghost_slot=send_ghost_slot,
             max_ghost_global=max_ghost_global,
-            ghost_in_offsets=gin_offsets,
-            ghost_in_adj=gin_adj,
             global_n=graph.n,
             global_m=graph.num_edges,
         )

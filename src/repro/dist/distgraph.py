@@ -16,7 +16,42 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.dist.distribution import Distribution
+from repro.dist.wire import stored_dtype
 from repro.graph.gather import expand_ranges, neighbor_gather
+
+
+def ghost_arcs(
+    offsets: np.ndarray, adj: np.ndarray, n_local: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(source lid, ghost index) of every arc that leaves the rank, in CSR
+    order — so the sources are non-decreasing.  The sources are stored
+    (as ``ghost_in_adj``), so they come in the elected dtype."""
+    src = np.repeat(np.arange(n_local, dtype=stored_dtype(n_local - 1)),
+                    np.diff(offsets))
+    is_ghost = adj >= n_local
+    return src[is_ghost], adj[is_ghost] - n_local
+
+
+def ghost_incidence(
+    sources: np.ndarray, targets: np.ndarray, n_ghost: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR transpose of the ghost columns: for each ghost lid, the owned
+    vertices adjacent to it (sorted ascending within each ghost's slice).
+
+    ``sources`` is non-decreasing, so the ``lexsort((sources, targets))``
+    order is one value sort of ``target << bits | source`` keys, unpacked
+    after (a stable argsort on ``targets`` where the keys pass 63 bits)."""
+    gin_offsets = np.zeros(n_ghost + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n_ghost), out=gin_offsets[1:])
+    bits = int(sources.max(initial=0)).bit_length()
+    if max(n_ghost - 1, 0).bit_length() + bits > 63:
+        return gin_offsets, sources[np.argsort(targets, kind="stable")]
+    key = targets.astype(np.int64)
+    key <<= bits
+    key |= sources
+    key.sort()
+    key &= (1 << bits) - 1
+    return gin_offsets, key.astype(sources.dtype)
 
 
 class DistGraph:
@@ -37,8 +72,7 @@ class DistGraph:
         "send_rank_adj",
         "send_ghost_slot",
         "max_ghost_global",
-        "ghost_in_offsets",
-        "ghost_in_adj",
+        "_ghost_in",
         "global_n",
         "global_m",
         "dir_out_offsets",
@@ -60,8 +94,6 @@ class DistGraph:
         send_rank_adj: np.ndarray,
         send_ghost_slot: np.ndarray,
         max_ghost_global: int,
-        ghost_in_offsets: np.ndarray,
-        ghost_in_adj: np.ndarray,
         global_n: int,
         global_m: int,
     ) -> None:
@@ -88,8 +120,9 @@ class DistGraph:
         #: Max ghost count over all ranks (Allreduced once at build);
         #: bounds every slot index, so it fixes the compact slot dtype.
         self.max_ghost_global = int(max_ghost_global)
-        self.ghost_in_offsets = ghost_in_offsets
-        self.ghost_in_adj = ghost_in_adj
+        #: ghost -> owned incidence, built on first use (see
+        #: :meth:`ghost_touch_sources`)
+        self._ghost_in: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.global_n = int(global_n)
         self.global_m = int(global_m)
         # directed views (filled by repro.analytics.engine.attach_directed)
@@ -99,7 +132,7 @@ class DistGraph:
         self.dir_in_adj: Optional[np.ndarray] = None
         for arr in (offsets, adj, l2g, ghost_owners, degrees_full,
                     self.local_degrees, send_rank_offsets, send_rank_adj,
-                    send_ghost_slot, ghost_in_offsets, ghost_in_adj):
+                    send_ghost_slot):
             arr.setflags(write=False)
 
     # -- id mapping ---------------------------------------------------------
@@ -144,14 +177,33 @@ class DistGraph:
     def num_local_edges(self) -> int:
         return int(self.adj.size)
 
+    def _incidence(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._ghost_in is None:
+            sources, targets = ghost_arcs(self.offsets, self.adj, self.n_local)
+            self._ghost_in = ghost_incidence(sources, targets, self.n_ghost)
+            for arr in self._ghost_in:
+                arr.setflags(write=False)
+        return self._ghost_in
+
+    @property
+    def ghost_in_offsets(self) -> np.ndarray:
+        """CSR offsets of the ghost → owned incidence, one row per ghost."""
+        return self._incidence()[0]
+
+    @property
+    def ghost_in_adj(self) -> np.ndarray:
+        """Owned lids of the ghost → owned incidence (stored dtype)."""
+        return self._incidence()[1]
+
     def ghost_touch_sources(self, ghost_lids: np.ndarray) -> np.ndarray:
         """Owned vertices adjacent to the given ghost local ids.
 
         The local CSR has rows only for owned vertices, so reacting to a
         ghost part update ("which owned vertices must re-evaluate?") needs
-        this reverse ghost→owned incidence, built once at construction
-        time.  Returns the concatenated owned lids (ascending within each
-        ghost's slice; may repeat across ghosts — callers dedupe via masks).
+        this reverse ghost→owned incidence, built on the first call: a
+        level of a V-cycle holds it only once it is refined.  Returns the
+        concatenated owned lids (ascending within each ghost's slice; may
+        repeat across ghosts — callers dedupe via masks).
         """
         idx = np.asarray(ghost_lids, dtype=np.int64) - self.n_local
         starts = self.ghost_in_offsets[idx]

@@ -31,10 +31,34 @@ def block_sizes(n: int, k: int) -> np.ndarray:
     return sizes
 
 
-class Distribution:
-    """Base: ownership map from an explicit owner array."""
+def random_owner(n: int, nprocs: int, seed: int) -> np.ndarray:
+    """Owner table of :class:`RandomDistribution`: the balanced block owner
+    table shuffled by ``seed`` (int32)."""
+    owner = np.repeat(np.arange(nprocs, dtype=np.int32), block_sizes(n, nprocs))
+    np.random.default_rng(seed).shuffle(owner)
+    return owner
 
-    def __init__(self, owner_array: np.ndarray, nprocs: int) -> None:
+
+def rank_order(owner: np.ndarray, nprocs: int) -> np.ndarray:
+    """Every rank's gids ascending, rank-major (int64).
+
+    One stable sort of the owner table (on 1- or 2-byte keys where they
+    fit: a radix sort) — O(n) instead of one O(n) mask per rank."""
+    key = owner.astype(np.min_scalar_type(nprocs - 1), copy=False)
+    return np.argsort(key, kind="stable").astype(np.int64, copy=False)
+
+
+class Distribution:
+    """Base: ownership map from an explicit owner array.
+
+    ``by_rank`` is :func:`rank_order` of the owner table when the caller
+    has it already — ranks that share one table then share its order too,
+    and none sorts again."""
+
+    def __init__(
+        self, owner_array: np.ndarray, nprocs: int,
+        by_rank: Optional[np.ndarray] = None,
+    ) -> None:
         owner = np.ascontiguousarray(owner_array, dtype=np.int32)
         if owner.ndim != 1:
             raise ValueError("owner array must be 1-D")
@@ -46,11 +70,8 @@ class Distribution:
         self._owner.setflags(write=False)
         self.n = int(owner.size)
         self.nprocs = int(nprocs)
-        # one stable sort of the owner table (on 1- or 2-byte keys where
-        # they fit: a radix sort) lists every rank's gids ascending, split by
-        # the owned counts — O(n) instead of one O(n) mask per rank
-        key = owner.astype(np.min_scalar_type(nprocs - 1), copy=False)
-        by_rank = np.argsort(key, kind="stable").astype(np.int64, copy=False)
+        if by_rank is None:
+            by_rank = rank_order(owner, nprocs)
         by_rank.setflags(write=False)
         ends = np.cumsum(np.bincount(owner, minlength=nprocs))
         self._owned: List[np.ndarray] = np.split(by_rank, ends[:-1])
@@ -114,10 +135,7 @@ class RandomDistribution(Distribution):
     def __init__(self, n: int, nprocs: int, *, seed: int = 0) -> None:
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        owner = np.repeat(np.arange(nprocs, dtype=np.int32),
-                          block_sizes(n, nprocs))
-        np.random.default_rng(seed).shuffle(owner)
-        super().__init__(owner, nprocs)
+        super().__init__(random_owner(n, nprocs, seed), nprocs)
         self.seed = seed
 
 

@@ -20,8 +20,8 @@ pair) — compounding with the 2-4x record shrink rather than replacing it.
 
 :func:`stored_dtype` makes the same kind of election for what a rank keeps
 rather than ships: the build-time tables that are only gathered from
-(``DistGraph.ghost_in_adj``, ``DistGraph.send_rank_adj``) are stored at 4
-bytes when their values fit.
+(``DistGraph.ghost_in_adj``, ``DistGraph.send_rank_adj``,
+``DistGraph.degrees_full``) are stored at 4 bytes when their values fit.
 """
 
 from __future__ import annotations
@@ -67,8 +67,12 @@ def stored_dtype(max_value: int) -> np.dtype:
     """Dtype of a rank table that is stored and gathered *from*, never used
     as an index: int32 when every value ``<= max_value`` fits, else int64.
 
-    Index arrays (``adj``, ``offsets``, ``l2g``, ``parts``) stay int64 —
-    NumPy casts an int32 index array to ``intp`` before every fancy gather.
+    Index arrays (``offsets``, ``l2g``, ``parts``) stay int64 — NumPy casts
+    an int32 index array to ``intp`` before every fancy gather.  A coarse
+    V-cycle level is the exception that pays for itself: its ids are
+    elected here once (the cluster map), and its ``Graph.adj`` and local
+    ``DistGraph.adj`` keep their input's width, which halves the largest
+    arrays a hierarchy holds.
     """
     if max_value <= np.iinfo(np.int32).max:
         return np.dtype(np.int32)

@@ -6,7 +6,9 @@ compressed sparse row-like representation"; this class is the single-address
 
 Conventions
 -----------
-* Vertices are ``0 .. n-1`` (int64 ids).
+* Vertices are ``0 .. n-1``.  ``offsets`` is int64; ``adj`` is int64,
+  unless it is handed in as int32: a V-cycle's coarse levels store their
+  ids at 4 bytes end to end (:mod:`repro.multilevel.coarsen`).
 * The adjacency is *directed storage*: ``adj[offsets[v]:offsets[v+1]]`` are
   the out-neighbors of ``v``.  An **undirected** graph stores each edge in
   both directions (symmetric CSR), which is how every partitioning algorithm
@@ -41,7 +43,9 @@ class Graph:
         validate: bool = True,
     ) -> None:
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        adj = np.ascontiguousarray(adj, dtype=np.int64)
+        adj = np.asarray(adj)
+        adj = np.ascontiguousarray(
+            adj, dtype=np.int32 if adj.dtype == np.int32 else np.int64)
         if validate:
             if offsets.ndim != 1 or adj.ndim != 1:
                 raise ValueError("offsets and adj must be 1-D")

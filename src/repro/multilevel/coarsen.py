@@ -37,7 +37,7 @@ from scipy import sparse
 
 from repro.dist.build import build_dist_graph
 from repro.dist.distgraph import DistGraph
-from repro.dist.distribution import Distribution, RandomDistribution
+from repro.dist.distribution import Distribution, random_owner, rank_order
 from repro.dist.ops import ghost_plan
 from repro.dist.wire import stored_dtype
 from repro.graph.csr import Graph
@@ -66,10 +66,12 @@ class MLLevel:
     The global ``graph``/``eweights``/``vweights``/``fine2coarse`` arrays are
     read-only and shared by the ranks of an address space (the simulator's
     shared-input convention); ``dg`` and ``ew_local`` are this rank's view.
-    ``fine2coarse`` maps the *finer* level's gids onto this level's.
-    Edge weights count fine edges, so ``eweights`` and ``ew_local`` are
-    integers in :func:`~repro.dist.wire.stored_dtype` of the level's total
-    weight: every partial sum fits.
+    ``fine2coarse`` maps the *finer* level's gids onto this level's, in
+    :func:`~repro.dist.wire.stored_dtype` of this level's largest id, as
+    this level's ``graph.adj`` and ``dg.adj`` are.  Edge weights count fine
+    edges, so they are integers: ``eweights`` and ``ew_local`` are stored at
+    ``np.min_scalar_type`` of the largest one (one byte on a mesh) and
+    widened only where they are summed.
 
     ``graph`` and ``eweights`` exist to be contracted: ``build_hierarchy``
     sets them to None once the next level is made (or coarsening stops), and
@@ -116,7 +118,7 @@ def make_level0(
     vweights = (
         np.asarray(vertex_weights, dtype=np.float64)
         if vertex_weights is not None
-        else np.ones(graph.n, dtype=np.float64)
+        else np.broadcast_to(np.float64(1.0), (graph.n,))
     )
     return MLLevel(
         graph=graph, dist=dist, dg=dg, eweights=eweights,
@@ -162,7 +164,7 @@ def lp_cluster_labels(
     labels = dg.l2g.copy()
     vw = vw_all[dg.owned_gids]
     # cluster mass, dense over this level's global ids (cluster id == gid)
-    mass = vw_all.astype(np.float64).copy()
+    mass = vw_all.astype(np.float64)  # a fresh, writable copy
     srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
     with comm.phase("coarsen"):
         plan = ghost_plan(dg)
@@ -219,12 +221,21 @@ def hem_cluster_labels(
     """
     dg = level.dg
     n = dg.n_local
-    srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
+    # the owned-induced subgraph is a compaction of the local rows: owned
+    # lids ascend with gids, so each row stays sorted and duplicate-free
+    # (unless the input graph's rows were not: then scipy canonicalises)
     owned_arc = dg.adj < n
+    kept = np.zeros(owned_arc.size + 1, dtype=stored_dtype(owned_arc.size))
+    np.cumsum(owned_arc, out=kept[1:])
     sub = sparse.csr_matrix(
-        (level.ew_local[owned_arc], (srcs[owned_arc], dg.adj[owned_arc])),
+        (level.ew_local[owned_arc],
+         dg.adj[owned_arc].astype(stored_dtype(n - 1), copy=False),
+         kept[dg.offsets]),
         shape=(n, n),
     )
+    del kept, owned_arc
+    if not sub.has_canonical_format:
+        sub.sum_duplicates()
     rng = _cluster_rng(params, dg.rank, level_index)
     match = heavy_edge_matching(sub, rng)
     # 4 proposal rounds + claim/two-hop passes over the local subgraph
@@ -263,10 +274,10 @@ def _contract(
     ``(nc, (offsets, adj, eweights, vweights, fine2coarse))`` of the coarse
     level — plain arrays, which the comm layer can seal or copy.
 
-    One live copy per array: the coarse endpoints are built with 4-byte ids
-    (the index dtype scipy keeps, so it copies neither), self-arcs are
-    compacted away once before aggregation, and each temporary is dropped
-    as soon as its successor exists."""
+    One live copy per array: the coarse ids are 4 bytes from the cluster
+    map on (the index dtype scipy keeps, so it copies neither endpoint),
+    self-arcs are compacted away once before aggregation, and each
+    temporary is dropped as soon as its successor exists."""
     g = level.graph
     # labels are gids of this level, so a presence bitmap + prefix sum
     # numbers the surviving clusters ascending without a sort
@@ -275,23 +286,23 @@ def _contract(
     nc = int(np.count_nonzero(present))
     if nc < min_vertices or 1.0 - nc / max(g.n, 1) < MIN_SHRINK:
         return nc, None
-    fine2coarse = np.cumsum(present)
+    fine2coarse = np.cumsum(present, dtype=stored_dtype(nc - 1))
+    del present
     fine2coarse -= 1
     fine2coarse = fine2coarse[full]
     # weighted coarse arcs: one arc per (coarse src, coarse dst) pair,
     # in CSR order, via the kernel the shared-memory baseline uses
-    ids = fine2coarse.astype(stored_dtype(nc - 1))
-    cd = ids[g.adj]
-    cs = np.repeat(ids, g.degrees)
-    del ids
+    cd = fine2coarse[g.adj]
+    cs = np.repeat(fine2coarse, g.degrees)
     inter = cs != cd
     cs = cs[inter]
     cd = cd[inter]
-    w = level.eweights[inter]
-    del inter
     # edge weights are integer counts of fine edges, so both totals and
-    # the check below are exact
-    fine_ew, kept_in = int(level.eweights.sum()), int(w.sum())
+    # the check below are exact; they are summed in the width of the total
+    fine_ew = int(level.eweights.sum())
+    w = level.eweights[inter].astype(stored_dtype(fine_ew), copy=False)
+    del inter
+    kept_in = int(w.sum())
     csr = aggregate_coarse_arcs(cs, cd, w, nc)
     del cs, cd, w
     cvw = np.bincount(fine2coarse, weights=level.vweights, minlength=nc)
@@ -306,9 +317,11 @@ def _contract(
         if not ok:
             raise AssertionError(f"contraction of level {level_index} lost "
                                  f"{what} weight: {fine!r} -> {kept!r}")
-    # fresh copies: the CSR's arrays may be views of the pre-dedup buffers
-    return nc, (csr.indptr.astype(np.int64), csr.indices.astype(np.int64),
-                csr.data.astype(stored_dtype(kept_in)), cvw, fine2coarse)
+    # exact-size copies: the CSR's arrays may be views of the pre-dedup
+    # buffers; the weights take the width of the largest
+    return nc, (csr.indptr.astype(np.int64), csr.indices.copy(),
+                csr.data.astype(np.min_scalar_type(csr.data.max(initial=0))),
+                cvw, fine2coarse)
 
 
 @steppable
@@ -323,14 +336,27 @@ def contract_level(
     """Contract the clustering into the next coarser level.
 
     Allgathers owned labels; :func:`_contract` (clusters relabelled
-    ``0..nc-1``, duplicate arcs dedup-summed, self-arcs dropped) runs once
-    where that collective executes, and each rank wraps the shared arrays and
-    rebuilds its distributed view through :func:`build_dist_graph`.  Returns
-    None — collectively, all ranks agree — when the clustering stagnated or
-    the coarse graph would drop below ``min_vertices``; the caller then stops
-    coarsening and uses the current level as the coarsest.
+    ``0..nc-1``, duplicate arcs dedup-summed, self-arcs dropped) and the
+    coarse level's distribution run once where that collective executes,
+    and each rank wraps the shared arrays — the distribution without sorting
+    again — and rebuilds its distributed view through
+    :func:`build_dist_graph`.  Returns None — collectively, all ranks agree
+    — when the clustering stagnated or the coarse graph would drop below
+    ``min_vertices``; the caller then stops coarsening and uses the current
+    level as the coarsest.
     """
     dg = level.dg
+    seed = params.seed + 211 * (level_index + 1)
+
+    def contract(full: np.ndarray) -> Tuple[int, Optional[Tuple]]:
+        nc, arrays = _contract(level, level_index, min_vertices, full)
+        if arrays is None:
+            return nc, None
+        # the coarse level's random distribution, made once here too: its
+        # owner table and rank order, which every rank wraps
+        owner = random_owner(nc, comm.size, seed)
+        return nc, arrays + (owner, rank_order(owner, comm.size))
+
     with comm.phase("coarsen"):
         # each rank contributes the labels of its owned vertices and is
         # charged its share of the aggregation, which executes once
@@ -338,16 +364,12 @@ def contract_level(
         # every rank receives the one evaluation's result, so the stop
         # decision is already collective
         nc, arrays = yield from allgather_owned(
-            comm, level.dist, owned_labels,
-            then=lambda full: _contract(level, level_index, min_vertices, full),
-        )
+            comm, level.dist, owned_labels, then=contract)
         if arrays is None:
             return None
-    offsets, adj, cw, cvw, fine2coarse = arrays
+    offsets, adj, cw, cvw, fine2coarse, owner, by_rank = arrays
     coarse = Graph(offsets, adj, directed=False, validate=False)
-    cdist = RandomDistribution(
-        nc, comm.size, seed=params.seed + 211 * (level_index + 1)
-    )
+    cdist = Distribution(owner, comm.size, by_rank=by_rank)
     cdg = yield from build_dist_graph(comm, coarse, cdist)
     return MLLevel(
         graph=coarse, dist=cdist, dg=cdg, eweights=cw,

@@ -44,11 +44,14 @@ def segment_best_label(
     # the ``lexsort((lab, src))`` permutation: equal keys keep input order in
     # both, so a group's weights add in the same order; arcs in CSR order
     # cost one verification pass
-    key = src * np.int64(span) + lab
+    key = np.multiply(src, span, dtype=np.int64)
+    key += lab
     order = np.argsort(key, kind="stable")
     key = key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    sums = np.add.reduceat(w[order], starts)
+    # integer weights may be one byte wide: sum them in int64
+    sums = np.add.reduceat(
+        w[order], starts, dtype=np.int64 if w.dtype.kind in "iu" else None)
     first_arc = order[starts]
     g_src = src[first_arc]
     # per source, the first group that attains the segment maximum — the one
@@ -74,7 +77,7 @@ def heavy_edge_matching(
     """Parallel-style heavy-edge matching: propose → accept mutual."""
     n = adj.shape[0]
     coo = adj.tocoo()
-    src, dst, w = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
+    src, dst, w = coo.row, coo.col, coo.data
     match = np.full(n, -1, dtype=np.int64)
     for _ in range(rounds):
         free = match < 0

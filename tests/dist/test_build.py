@@ -5,12 +5,15 @@ import pytest
 
 from repro.dist import DistGraph, build_dist_graph, make_distribution
 from repro.dist import build as dist_build
+from repro.dist import distgraph as dist_graph
 from repro.dist.build import _localize
+from repro.dist.distgraph import ghost_incidence
 from repro.dist.distribution import (
     BlockDistribution, PartitionDistribution, RandomDistribution,
 )
 from repro.dist.wire import stored_dtype
 from repro.graph import from_edges, mesh3d, rmat
+from repro.graph.csr import Graph
 from repro.graph.gather import neighbor_gather, sorted_unique
 from repro.simmpi import run_spmd
 from tests.graphs import ring
@@ -159,12 +162,14 @@ def test_max_ghost_global_is_global_max():
 
 @pytest.mark.parametrize("kind", ["block", "random"])
 def test_ghost_incidence_equals_lexsort_form(kind):
-    """``_ghost_incidence`` stable-sorts on the ghost target alone; that is
-    the ``lexsort((sources, targets))`` transpose because arc sources come
-    out of the local CSR already non-decreasing."""
+    """``ghost_incidence`` value-sorts packed ``(ghost, source)`` keys; that
+    is the ``lexsort((sources, targets))`` transpose because arc sources
+    come out of the local CSR already non-decreasing.  It is built on the
+    first read, so reading it through the properties builds it."""
     g = rmat(9, 12, seed=3)
     dgs, _ = build_all(g, 4, kind, seed=2)
     for dg in dgs:
+        assert dg._ghost_in is None
         src = np.repeat(np.arange(dg.n_local), dg.local_degrees)
         is_ghost = dg.adj >= dg.n_local
         targets = dg.adj[is_ghost] - dg.n_local
@@ -176,6 +181,23 @@ def test_ghost_incidence_equals_lexsort_form(kind):
             np.diff(dg.ghost_in_offsets),
             np.bincount(targets, minlength=dg.n_ghost),
         )
+        assert not dg.ghost_in_adj.flags.writeable
+
+
+@pytest.mark.parametrize("top_source", [5, 2 ** 40])
+def test_ghost_incidence_packed_and_argsort_forms_agree(top_source):
+    """Keys past 63 bits (here 41 source bits + 24 ghost bits) take the
+    stable argsort; both forms equal the lexsort transpose."""
+    rng = np.random.default_rng(1)
+    sources = np.sort(rng.integers(0, top_source + 1, 500))
+    targets = rng.integers(0, 2 ** 24, 500)
+    targets[:3] = 2 ** 24 - 1
+    offsets, adj = ghost_incidence(sources, targets, 2 ** 24)
+    np.testing.assert_array_equal(
+        adj, sources[np.lexsort((sources, targets))])
+    assert adj.dtype == sources.dtype
+    np.testing.assert_array_equal(
+        np.diff(offsets), np.bincount(targets, minlength=2 ** 24))
 
 
 # -- _localize: one gid -> lid table against the sort + binary searches ------
@@ -229,24 +251,49 @@ def test_stored_dtype_elects_int32_while_values_fit():
 @CASES
 def test_stored_tables_are_narrow_and_equal_an_int64_build(graph, dist,
                                                            monkeypatch):
-    """``ghost_in_adj`` and ``send_rank_adj`` are only gathered from, so
-    they are stored in the elected int32 with the values of a build that
-    elects int64; every table used as an index stays int64 (a "narrow
-    everything" change fails here, not in a profile)."""
+    """``ghost_in_adj``, ``send_rank_adj`` and ``degrees_full`` are only
+    gathered from, so they are stored in the elected int32 with the values
+    of a build that elects int64; the index tables of an int64 input stay
+    int64 (a "narrow everything" change fails here, not in a profile)."""
     def build(comm):
         return build_dist_graph(comm, graph, dist)
 
     narrow = run_spmd(dist.nprocs, build)[0]
-    monkeypatch.setattr(dist_build, "stored_dtype",
-                        lambda max_value: np.dtype(np.int64))
+    for dg in narrow:
+        dg.ghost_in_adj  # built on first read: under the elected dtype
+    for module in (dist_build, dist_graph):
+        monkeypatch.setattr(module, "stored_dtype",
+                            lambda max_value: np.dtype(np.int64))
     wide = run_spmd(dist.nprocs, build)[0]
     for a, b in zip(narrow, wide):
-        for name in ("ghost_in_adj", "send_rank_adj"):
+        for name in ("ghost_in_adj", "send_rank_adj", "degrees_full"):
             assert getattr(a, name).dtype == np.int32
             assert getattr(b, name).dtype == np.int64
-        for name in ("adj", "offsets", "l2g", "degrees_full"):
+        for name in ("adj", "offsets", "l2g"):
             assert getattr(a, name).dtype == np.int64
-        for name in DistGraph.__slots__:
+        for name in DistGraph.__slots__ + ("ghost_in_offsets", "ghost_in_adj"):
+            have, want = getattr(a, name), getattr(b, name)
+            if isinstance(have, np.ndarray):
+                np.testing.assert_array_equal(have, want)
+
+
+@CASES
+def test_local_adjacency_takes_the_input_width(graph, dist):
+    """A 4-byte input adjacency (a coarse V-cycle level's) gives a 4-byte
+    local ``adj`` with the values of the int64 build; the other index
+    tables stay int64."""
+    narrow_graph = Graph(graph.offsets, graph.adj.astype(np.int32))
+    assert narrow_graph.adj.dtype == np.int32
+
+    def build(g):
+        return run_spmd(dist.nprocs,
+                        lambda comm: build_dist_graph(comm, g, dist))[0]
+
+    for a, b in zip(build(narrow_graph), build(graph)):
+        assert a.adj.dtype == np.int32 and b.adj.dtype == np.int64
+        for name in ("offsets", "l2g"):
+            assert getattr(a, name).dtype == np.int64
+        for name in DistGraph.__slots__ + ("ghost_in_offsets", "ghost_in_adj"):
             have, want = getattr(a, name), getattr(b, name)
             if isinstance(have, np.ndarray):
                 np.testing.assert_array_equal(have, want)

@@ -20,13 +20,15 @@ what makes checkpoint resume re-execute it deterministically.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from repro.core import PulpParams, xtrapulp
 from repro.dist import make_distribution
 from repro.dist.wire import stored_dtype
-from repro.graph import mesh3d, rmat, webcrawl
+from repro.graph import from_edges, mesh3d, rmat, webcrawl
 from repro.multilevel import coarsen, hierarchy
 from repro.multilevel.coarsen import local_eweights
+from repro.multilevel.kernels import heavy_edge_matching
 from repro.multilevel.hierarchy import build_hierarchy
 from repro.simmpi import run_spmd
 from tests.reference.contraction import reference_contract
@@ -169,9 +171,11 @@ def test_hierarchy_is_deterministic():
 )
 def test_contract_level_matches_unique_reference(graph, mode):
     """The shared COO -> CSR aggregation + bitmap relabel yield exactly the
-    arrays of the ``np.unique``-based contraction they replaced; the edge
-    weights are stored under the ``stored_dtype`` rule of the level's
-    total weight instead of the oracle's float64."""
+    values of the ``np.unique``-based contraction they replaced, at the
+    coarse level's widths: ids (``adj``, ``fine2coarse``, the local
+    ``adj``) in ``stored_dtype`` of the largest id, and edge weights at
+    ``np.min_scalar_type`` of the largest weight, not the oracle's int64 /
+    float64."""
     nprocs = 3
     params = PulpParams(
         multilevel=True, ml_coarsen=mode, ml_levels=4, seed=7,
@@ -190,17 +194,20 @@ def test_contract_level_matches_unique_reference(graph, mode):
         offsets, adj, cw, cvw, f2c = reference_contract(
             fine.graph, fine.eweights, fine.vweights, full
         )
-        for got, want in [
-            (coarse.graph.offsets, offsets), (coarse.graph.adj, adj),
-            (coarse.eweights, cw), (coarse.vweights, cvw),
-            (coarse.fine2coarse, f2c),
+        id_dtype = stored_dtype(coarse.graph.n - 1)
+        for got, want, want_dtype in [
+            (coarse.graph.offsets, offsets, np.int64),
+            (coarse.graph.adj, adj, id_dtype),
+            (coarse.eweights, cw, np.min_scalar_type(int(cw.max()))),
+            (coarse.vweights, cvw, np.float64),
+            (coarse.fine2coarse, f2c, id_dtype),
         ]:
-            if got is coarse.eweights:
-                want_dtype = stored_dtype(int(want.sum()))
-            else:
-                want_dtype = want.dtype
             assert got.dtype == want_dtype
             np.testing.assert_array_equal(got, want)
+        for r in range(nprocs):
+            mine = per_rank[r][0][i]
+            assert mine.dg.adj.dtype == id_dtype
+            assert mine.ew_local.dtype == coarse.eweights.dtype
 
 
 @pytest.mark.parametrize("backend", ["serial", "threads"])
@@ -296,3 +303,43 @@ def test_build_hierarchy_keeps_only_what_uncoarsening_reads(
             np.testing.assert_array_equal(a.vweights, b.vweights)
             if b.fine2coarse is not None:
                 np.testing.assert_array_equal(a.fine2coarse, b.fine2coarse)
+
+
+def _hem_by_coo(level, params, level_index):
+    """``hem_cluster_labels`` as it built its subgraph until the row
+    compaction: a COO -> CSR rebuild (``tocsr`` sorts and sums duplicate
+    arcs) from int64 endpoints."""
+    dg, n = level.dg, level.dg.n_local
+    srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
+    owned_arc = dg.adj < n
+    sub = sparse.csr_matrix(
+        (level.ew_local[owned_arc].astype(np.int64),
+         (srcs[owned_arc], dg.adj[owned_arc].astype(np.int64))),
+        shape=(n, n),
+    )
+    match = heavy_edge_matching(
+        sub, coarsen._cluster_rng(params, dg.rank, level_index))
+    return dg.owned_gids[match] if n else np.empty(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("graph", [
+    mesh3d(9, 9, 9),
+    # parallel arcs: the compacted rows are not canonical, scipy sums them
+    from_edges(300, *np.random.default_rng(3).integers(0, 300, (2, 2400)),
+               dedup=False),
+], ids=["mesh", "multigraph"])
+def test_hem_row_compaction_matches_the_coo_route(graph):
+    """The owned subgraph compacted from the local rows (4-byte indices,
+    the level's weight width) matches every level's COO rebuild."""
+    nprocs = 3
+    params = PulpParams(multilevel=True, ml_coarsen="hem", ml_levels=4,
+                        seed=7)
+    dist = make_distribution("random", graph.n, nprocs, seed=7)
+    per_rank = run_spmd(
+        nprocs, lambda comm: walk_hierarchy(comm, graph, dist, 2, params),
+    )[0]
+    assert len(per_rank[0][0]) >= 2
+    for levels, labels in per_rank:
+        for i, owned in enumerate(labels):
+            np.testing.assert_array_equal(
+                owned, _hem_by_coo(levels[i], params, i))

@@ -1,10 +1,13 @@
 """What a V-cycle keeps alive: a level's global ``Graph`` and ``eweights``
 live until the next level is contracted from them, a level until the
 partition has been projected through it; a contraction holds one live copy
-of each of its working arrays."""
+of each of its working arrays.  A coarse level is held once per address
+space where it can be, and at the width of its values."""
 
 import gc
 import tracemalloc
+
+import numpy as np
 
 from repro.core import PulpParams, xtrapulp
 from repro.dist import make_distribution
@@ -12,7 +15,7 @@ from repro.graph import mesh3d
 from repro.graph.csr import Graph
 from repro.core import driver
 from repro.core.lp import SPECS
-from repro.multilevel import coarsen
+from repro.multilevel import coarsen, hierarchy
 from repro.simmpi import run_spmd
 
 
@@ -27,8 +30,13 @@ def test_uncoarsening_holds_no_coarse_graph_and_the_peak_is_pinned(monkeypatch):
     run = lambda graph: xtrapulp(  # noqa: E731
         graph, 16, nprocs=4, backend="serial", params=params)
     run(mesh3d(6, 6, 6))  # imports and caches are not the run's memory
-    seen = []
-    real = driver.lp_phase
+    seen, built = [], []
+    real, real_build = driver.lp_phase, hierarchy.build_hierarchy
+
+    def keep(*args, **kwargs):
+        levels = yield from real_build(*args, **kwargs)
+        built.append(levels)
+        return levels
 
     def spy(comm, state, spec, iters, **kwargs):
         # first call: every rank has left build_hierarchy (initialize, just
@@ -36,8 +44,19 @@ def test_uncoarsening_holds_no_coarse_graph_and_the_peak_is_pinned(monkeypatch):
         if not seen:
             assert spec is SPECS["vertex_balance"]
             seen.append(live_graphs())
+            assert len(built) == 4
+            for i in range(1, len(built[0])):
+                coarse = [levels[i] for levels in built]
+                # nothing has entered a coarse level yet: no incidence
+                assert all(lv.dg._ghost_in is None for lv in coarse)
+                # one owner table per level, not one per rank
+                assert all(np.shares_memory(lv.dist.owner_table,
+                                            coarse[0].dist.owner_table)
+                           for lv in coarse)
+                assert all(lv.ew_local.dtype.itemsize == 1 for lv in coarse)
         return real(comm, state, spec, iters, **kwargs)
 
+    monkeypatch.setattr(hierarchy, "build_hierarchy", keep)
     monkeypatch.setattr(driver, "lp_phase", spy)
     before = live_graphs()
     tracemalloc.start()
@@ -49,9 +68,11 @@ def test_uncoarsening_holds_no_coarse_graph_and_the_peak_is_pinned(monkeypatch):
         tracemalloc.stop()
     assert result.multilevel.levels == 8
     assert seen == [before]  # the input graph and nothing coarser
-    # 10.27 x the CSR with a lean contraction and 4-byte edge weights
-    # (11.76 x before them; 20.2 x when every level kept its graph to the end)
-    assert peak <= 10.75 * (g.offsets.nbytes + g.adj.nbytes)
+    # 5.89 x the CSR with coarse levels held once, at the width of their
+    # values, and no ghost incidence before a level is entered (10.26 x
+    # before that; 11.76 x before a lean contraction and 4-byte edge
+    # weights; 20.2 x when every level kept its graph to the end)
+    assert peak <= 6.5 * (g.offsets.nbytes + g.adj.nbytes)
 
 
 def test_contraction_transient_peak_per_fine_arc():
