@@ -35,7 +35,15 @@ from scipy import sparse
 from repro.core.quality import Partition
 from repro.graph.builders import to_scipy
 from repro.graph.csr import Graph
-from repro.multilevel.kernels import contract, heavy_edge_matching, lp_clustering
+from repro.multilevel.kernels import (
+    COARSEST_FACTOR, MIN_SHRINK, cluster_map, contract, heavy_edge_matching,
+    lp_clustering)
+
+#: Allowed vertex imbalance (the ParMETIS default, 3 %).
+BALANCE = 0.03
+
+#: Hierarchy depth cap, the finest level included.
+MAX_LEVELS = 40
 
 
 class MultilevelResourceError(MemoryError):
@@ -71,10 +79,6 @@ class MultilevelResult(Partition):
     quality_mode: str
     history: List[Tuple[int, int]] = field(default_factory=list)  # (n, nnz)
 
-
-# ---------------------------------------------------------------------------
-# segment utilities (per-vertex aggregation over sorted edge arrays)
-# ---------------------------------------------------------------------------
 
 def _part_weight_sums(
     src: np.ndarray, part_of_dst: np.ndarray, w: np.ndarray, n: int, p: int
@@ -259,13 +263,11 @@ def multilevel_partition(
     num_parts: int,
     *,
     quality: str = "default",
-    balance: float = 0.03,
     seed: int = 0,
-    coarsest_factor: int = 30,
     memory_budget_factor: float = 8.0,
-    max_levels: int = 40,
 ) -> MultilevelResult:
-    """Partition with the multilevel scheme.
+    """Partition with the multilevel scheme under :data:`BALANCE`, coarsening
+    to ``max(COARSEST_FACTOR * num_parts, 256)`` vertices (or stagnation).
 
     Parameters
     ----------
@@ -273,8 +275,6 @@ def multilevel_partition(
         ``"default"`` — matching coarsening + 3 refinement passes/level
         (ParMETIS-like); ``"high"`` — label-propagation coarsening + 8
         passes (KaHIP-like: better cut, slower).
-    balance:
-        Allowed vertex imbalance (ParMETIS default 3%).
     memory_budget_factor:
         The hierarchy (sum of nnz over all levels) may not exceed this
         multiple of the input nnz; violating it raises
@@ -301,19 +301,20 @@ def multilevel_partition(
     stored = adj.nnz
     history = [(graph.n, adj.nnz)]
 
-    coarsest_target = max(coarsest_factor * num_parts, 256)
-    while levels[-1].adj.shape[0] > coarsest_target and len(levels) < max_levels:
+    coarsest_target = max(COARSEST_FACTOR * num_parts, 256)
+    while levels[-1].adj.shape[0] > coarsest_target and len(levels) < MAX_LEVELS:
         cur = levels[-1]
         n_cur = cur.adj.shape[0]
         if quality == "high":
-            max_cluster = max(
-                cur.vweights.sum() / (2.0 * num_parts), cur.vweights.max()
-            )
-            labels = lp_clustering(cur.adj, cur.vweights, max_cluster, rng)
+            labels = lp_clustering(cur.adj, cur.vweights, num_parts, rng)
         else:
             labels = heavy_edge_matching(cur.adj, rng)
-        coarse, cvw, mapping = contract(cur.adj, cur.vweights, labels)
-        shrink = 1.0 - coarse.shape[0] / n_cur
+        nc, mapping = cluster_map(labels, n_cur)
+        offsets, cadj, cw, cvw = contract(
+            cur.adj.indptr, cur.adj.indices, cur.adj.data, cur.vweights,
+            mapping, nc, len(levels) - 1)
+        coarse = sparse.csr_matrix((cw, cadj, offsets), shape=(nc, nc))
+        shrink = 1.0 - nc / n_cur
         stored += coarse.nnz
         if stored > budget:
             raise MultilevelResourceError(
@@ -323,7 +324,7 @@ def multilevel_partition(
                 level=len(levels),
                 requested=int(coarse.nnz),
             )
-        if shrink < 0.02:  # stagnation (hub-dominated graphs resist matching)
+        if shrink < MIN_SHRINK:  # hub-dominated graphs resist matching
             if coarse.shape[0] > 8 * coarsest_target:
                 raise MultilevelResourceError(
                     f"level {len(levels)}: coarsening stagnated at "
@@ -341,7 +342,7 @@ def multilevel_partition(
     parts = _graph_growing(coarsest.adj, coarsest.vweights, num_parts, rng)
 
     total_vw = float(vweights.sum())
-    max_load = (1.0 + balance) * total_vw / num_parts
+    max_load = (1.0 + BALANCE) * total_vw / num_parts
     passes = 8 if quality == "high" else 3
     parts = _rebalance_level(
         coarsest.adj, coarsest.vweights, parts, num_parts, max_load

@@ -25,7 +25,6 @@ from repro.core.quality import (
     edge_cut_ratio,
     partition_quality,
     performance_ratios,
-    scaled_max_cut_ratio,
     vertex_balance,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "edge_cut",
     "edge_cut_ratio",
     "cut_edges_per_part",
-    "scaled_max_cut_ratio",
     "vertex_balance",
     "edge_balance",
     "partition_quality",

@@ -9,7 +9,7 @@ that assignment as the partitioners the figures compare return it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -47,9 +47,7 @@ def _check(graph: Graph, parts: np.ndarray, num_parts: int) -> np.ndarray:
 def edge_cut(graph: Graph, parts: np.ndarray, num_parts: int) -> int:
     """``|C(G, Π)|``: number of undirected edges with endpoints in
     different parts."""
-    parts = _check(graph, parts, num_parts)
-    src, dst = graph.edges()
-    return int(np.count_nonzero(parts[src] != parts[dst]) // 2)
+    return int(cut_edges_per_part(graph, parts, num_parts).sum()) // 2
 
 
 def edge_cut_ratio(graph: Graph, parts: np.ndarray, num_parts: int) -> float:
@@ -65,19 +63,11 @@ def cut_edges_per_part(graph: Graph, parts: np.ndarray, num_parts: int) -> np.nd
     """
     parts = _check(graph, parts, num_parts)
     src, dst = graph.edges()
-    cut = parts[src] != parts[dst]
+    src_parts = parts[src]
     # every undirected cut edge appears twice (both directions); counting
     # the src side of each stored arc hits each (edge, endpoint-part) once
-    return np.bincount(parts[src][cut], minlength=num_parts).astype(np.int64)
-
-
-def scaled_max_cut_ratio(graph: Graph, parts: np.ndarray, num_parts: int) -> float:
-    """max_k |C(G, π_k)| / (m / p) — Fig. 4's second metric."""
-    m = graph.num_edges
-    if m == 0:
-        return 0.0
-    per_part = cut_edges_per_part(graph, parts, num_parts)
-    return float(per_part.max() / (m / num_parts))
+    return np.bincount(src_parts[src_parts != parts[dst]],
+                       minlength=num_parts).astype(np.int64)
 
 
 def vertex_counts(
@@ -146,11 +136,16 @@ class PartitionQuality:
 def partition_quality(
     graph: Graph, parts: np.ndarray, num_parts: int
 ) -> PartitionQuality:
+    """The §V.B metrics of one partition, the cut ones from one pass over
+    the arcs; ``max_cut_ratio`` is Fig. 4's ``max_k |C(G, π_k)| / (m / p)``."""
+    per_part = cut_edges_per_part(graph, parts, num_parts)
+    cut = int(per_part.sum()) // 2
+    m = graph.num_edges
     return PartitionQuality(
         num_parts=num_parts,
-        cut=edge_cut(graph, parts, num_parts),
-        cut_ratio=edge_cut_ratio(graph, parts, num_parts),
-        max_cut_ratio=scaled_max_cut_ratio(graph, parts, num_parts),
+        cut=cut,
+        cut_ratio=cut / m if m else 0.0,
+        max_cut_ratio=float(per_part.max() / (m / num_parts)) if m else 0.0,
         vertex_balance=vertex_balance(graph, parts, num_parts),
         edge_balance=edge_balance(graph, parts, num_parts),
     )

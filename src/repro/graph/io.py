@@ -7,7 +7,8 @@ from typing import Union
 
 import numpy as np
 
-from repro.graph.builders import _arc_keys, _csr_from_keys, from_edges
+from repro.graph.builders import (
+    _arc_keys, _csr_from_keys, from_edges, to_scipy)
 from repro.graph.csr import Graph
 
 PathLike = Union[str, os.PathLike]
@@ -76,7 +77,8 @@ def write_metis(graph: Graph, path: PathLike) -> None:
 
 
 def read_metis(path: PathLike) -> Graph:
-    """Read a METIS/Chaco ascii graph (plain, unweighted flavor)."""
+    """Read a METIS/Chaco ascii graph (plain, unweighted flavor); a header
+    declaring weights (a nonzero ``fmt``, or ``ncon``) is a ValueError."""
     with open(path) as f:
         lines = [ln for ln in (raw.rstrip("\n") for raw in f)
                  if not ln.lstrip().startswith("%")]
@@ -84,6 +86,9 @@ def read_metis(path: PathLike) -> Graph:
         raise ValueError("empty METIS file")
     head = lines[0].split()
     n, m = int(head[0]), int(head[1])
+    if len(head) > 3 or (len(head) == 3 and head[2].strip("0")):
+        raise ValueError(f"unsupported METIS format {' '.join(head[2:])!r} "
+                         f"(fmt, ncon): only the unweighted format is read")
     # isolated vertices appear as empty adjacency lines; trailing blanks
     # beyond the declared n (or a missing final newline) are tolerated
     while len(lines) - 1 > n and not lines[-1].strip():
@@ -118,8 +123,16 @@ def save_npz(graph: Graph, path: PathLike) -> None:
 
 
 def load_npz(path: PathLike) -> Graph:
+    """Binary load.  An undirected file must store every arc in both
+    directions (symmetric CSR), or it is a ValueError."""
     with np.load(path) as data:
         # each access decompresses into a fresh array: nothing to copy
-        return Graph(
+        graph = Graph(
             data["offsets"], data["adj"], directed=bool(data["directed"])
         )
+    if not graph.directed:
+        adj = to_scipy(graph)  # arc multiplicities, compared with the reverse
+        if (adj != adj.T).nnz:
+            raise ValueError(f"{os.fspath(path)}: an undirected CSR must "
+                             f"store every arc in both directions")
+    return graph

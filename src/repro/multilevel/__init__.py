@@ -7,10 +7,10 @@ partition the coarse graph, then project up and refine per level — beats
 flat partitioners on quality at comparable time.  This package is that
 V-cycle on the simmpi SPMD runtime:
 
-* :mod:`~repro.multilevel.kernels` — the shared-memory coarsening kernels
-  (heavy-edge matching, size-constrained LP clustering, contraction),
-  factored out of :mod:`repro.baselines.multilevel` and reused by both the
-  baseline and the distributed coarsener;
+* :mod:`~repro.multilevel.kernels` — the multilevel rules, each defined
+  once (matching, the LP admission round, cluster map, contraction,
+  coarsening constants), run by both the shared-memory baseline
+  (:mod:`repro.baselines.multilevel`) and the distributed coarsener;
 * :mod:`~repro.multilevel.coarsen` — distributed clustering + contraction
   producing a smaller :class:`~repro.dist.distgraph.DistGraph` per level;
 * :mod:`~repro.multilevel.hierarchy` — hierarchy construction, per-level

@@ -43,20 +43,17 @@ from repro.dist.wire import stored_dtype
 from repro.graph.csr import Graph
 from repro.graph.gather import expand_ranges
 from repro.multilevel.kernels import (
-    aggregate_coarse_arcs,
+    HEM_ROUNDS,
+    LP_CLUSTER_ITERS,
+    MIN_SHRINK,
+    cluster_cap,
+    cluster_map,
+    contract,
     heavy_edge_matching,
-    segment_best_label,
+    lp_admission_round,
 )
 from repro.simmpi.comm import SimComm
 from repro.simmpi.stepping import Steps, steppable
-
-#: Label-propagation clustering rounds per level (the KaHIP default, same
-#: as the shared-memory kernel's ``iters``).
-LP_CLUSTER_ITERS = 3
-
-#: A level whose clustering shrinks the vertex count by less than this
-#: fraction has stagnated; coarsening stops there (hub-dominated graphs).
-MIN_SHRINK = 0.02
 
 
 @dataclass
@@ -146,45 +143,30 @@ def lp_cluster_labels(
     """Distributed size-constrained LP clustering; returns owned labels.
 
     Labels are global vertex ids of the current level (initially every
-    vertex is its own singleton cluster).  Each round every owned vertex
-    computes its heaviest-incident-weight neighboring cluster, moves are
-    admitted in per-rank random order while the target cluster's mass stays
-    under the cap, mass deltas are reconciled by a sparse Allgatherv, and
-    ghost labels are re-pulled through the exchange plan.  The cap —
-    ``max(W(V)/(2p), max vertex mass)``, the KaHIP rule shared with the
-    baseline — guarantees at least ``2p`` clusters survive, so the coarse
-    graph always admits a ``p``-way partition.
+    vertex is its own singleton cluster).  Each round runs the shared
+    :func:`~repro.multilevel.kernels.lp_admission_round` over the owned
+    vertices, under :func:`~repro.multilevel.kernels.cluster_cap`;
+    then mass deltas are reconciled by a sparse Allgatherv, and ghost
+    labels are re-pulled through the exchange plan.
     """
     dg = level.dg
     n = dg.n_local
-    vw_all = level.vweights
-    total_vw = float(vw_all.sum())
-    max_cluster = max(total_vw / (2.0 * num_parts), float(vw_all.max()))
+    max_cluster = cluster_cap(level.vweights, num_parts)
     rng = _cluster_rng(params, dg.rank, level_index)
     labels = dg.l2g.copy()
-    vw = vw_all[dg.owned_gids]
+    vw = level.vweights[dg.owned_gids]
     # cluster mass, dense over this level's global ids (cluster id == gid)
-    mass = vw_all.astype(np.float64)  # a fresh, writable copy
+    mass = level.vweights.astype(np.float64)  # a fresh, writable copy
     srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
     with comm.phase("coarsen"):
         plan = ghost_plan(dg)
         for _ in range(LP_CLUSTER_ITERS):
-            best, _bw = segment_best_label(
-                srcs, labels[dg.adj], level.ew_local, n
-            )
+            cand, old, tgt = lp_admission_round(
+                srcs, dg.adj, level.ew_local, labels, vw, mass, max_cluster,
+                rng)
             # scoring: key sort + reduceat over local arcs, plus the
             # per-vertex selection passes
             comm.charge(3.0 * level.ew_local.size + float(n))
-            cand = np.flatnonzero((best >= 0) & (best != labels[:n]))
-            if cand.size:
-                cand = cand[rng.permutation(cand.size)]
-                tgt = best[cand]
-                room = mass[tgt] + vw[cand] <= max_cluster
-                cand, tgt = cand[room], tgt[room]
-            else:
-                tgt = np.empty(0, dtype=np.int64)
-            old = labels[cand]
-            labels[cand] = tgt
             # reconcile cluster masses: aggregate this rank's deltas
             # sparsely into (cluster id, weight bits) pairs, Allgatherv,
             # apply everywhere (deterministic order: rank-major
@@ -238,8 +220,8 @@ def hem_cluster_labels(
         sub.sum_duplicates()
     rng = _cluster_rng(params, dg.rank, level_index)
     match = heavy_edge_matching(sub, rng)
-    # 4 proposal rounds + claim/two-hop passes over the local subgraph
-    comm.charge(4 * 2.0 * sub.nnz + float(n))
+    # the proposal rounds + claim/two-hop passes over the local subgraph
+    comm.charge(HEM_ROUNDS * 2.0 * sub.nnz + float(n))
     return dg.owned_gids[match] if n else np.empty(0, dtype=np.int64)
 
 
@@ -266,64 +248,6 @@ def allgather_owned(
                                        then=scatter))
 
 
-def _contract(
-    level: MLLevel, level_index: int, min_vertices: int, full: np.ndarray
-) -> Tuple[int, Optional[Tuple[np.ndarray, ...]]]:
-    """The replicated half of a contraction, a pure function of the level
-    and the Allgathered labels: ``(nc, None)`` to stop coarsening here, else
-    ``(nc, (offsets, adj, eweights, vweights, fine2coarse))`` of the coarse
-    level — plain arrays, which the comm layer can seal or copy.
-
-    One live copy per array: the coarse ids are 4 bytes from the cluster
-    map on (the index dtype scipy keeps, so it copies neither endpoint),
-    self-arcs are compacted away once before aggregation, and each
-    temporary is dropped as soon as its successor exists."""
-    g = level.graph
-    # labels are gids of this level, so a presence bitmap + prefix sum
-    # numbers the surviving clusters ascending without a sort
-    present = np.zeros(g.n, dtype=bool)
-    present[full] = True
-    nc = int(np.count_nonzero(present))
-    if nc < min_vertices or 1.0 - nc / max(g.n, 1) < MIN_SHRINK:
-        return nc, None
-    fine2coarse = np.cumsum(present, dtype=stored_dtype(nc - 1))
-    del present
-    fine2coarse -= 1
-    fine2coarse = fine2coarse[full]
-    # weighted coarse arcs: one arc per (coarse src, coarse dst) pair,
-    # in CSR order, via the kernel the shared-memory baseline uses
-    cd = fine2coarse[g.adj]
-    cs = np.repeat(fine2coarse, g.degrees)
-    inter = cs != cd
-    cs = cs[inter]
-    cd = cd[inter]
-    # edge weights are integer counts of fine edges, so both totals and
-    # the check below are exact; they are summed in the width of the total
-    fine_ew = int(level.eweights.sum())
-    w = level.eweights[inter].astype(stored_dtype(fine_ew), copy=False)
-    del inter
-    kept_in = int(w.sum())
-    csr = aggregate_coarse_arcs(cs, cd, w, nc)
-    del cs, cd, w
-    cvw = np.bincount(fine2coarse, weights=level.vweights, minlength=nc)
-    # conservation invariants: vertex mass (maybe float) to rounding, edge
-    # weight exactly, up to the intra-cluster weight folded away
-    kept_vw, fine_vw = float(cvw.sum()), float(level.vweights.sum())
-    kept_ew = int(csr.data.sum()) + fine_ew - kept_in
-    for what, ok, kept, fine in (
-        ("vertex", np.isclose(kept_vw, fine_vw), kept_vw, fine_vw),
-        ("edge", kept_ew == fine_ew, float(kept_ew), float(fine_ew)),
-    ):
-        if not ok:
-            raise AssertionError(f"contraction of level {level_index} lost "
-                                 f"{what} weight: {fine!r} -> {kept!r}")
-    # exact-size copies: the CSR's arrays may be views of the pre-dedup
-    # buffers; the weights take the width of the largest
-    return nc, (csr.indptr.astype(np.int64), csr.indices.copy(),
-                csr.data.astype(np.min_scalar_type(csr.data.max(initial=0))),
-                cvw, fine2coarse)
-
-
 @steppable
 def contract_level(
     comm: SimComm,
@@ -335,27 +259,29 @@ def contract_level(
 ) -> Steps[Optional[MLLevel]]:
     """Contract the clustering into the next coarser level.
 
-    Allgathers owned labels; :func:`_contract` (clusters relabelled
-    ``0..nc-1``, duplicate arcs dedup-summed, self-arcs dropped) and the
-    coarse level's distribution run once where that collective executes,
-    and each rank wraps the shared arrays — the distribution without sorting
-    again — and rebuilds its distributed view through
-    :func:`build_dist_graph`.  Returns None — collectively, all ranks agree
-    — when the clustering stagnated or the coarse graph would drop below
-    ``min_vertices``; the caller then stops coarsening and uses the current
-    level as the coarsest.
+    Allgathers owned labels; the kernels' cluster map and contraction and
+    the coarse level's distribution run once where that collective
+    executes, and each rank wraps the shared arrays and rebuilds its view
+    through :func:`build_dist_graph`.  Returns None on every rank when the
+    clustering stagnated or the coarse graph would drop below
+    ``min_vertices``: the current level is then the coarsest.
     """
     dg = level.dg
     seed = params.seed + 211 * (level_index + 1)
 
-    def contract(full: np.ndarray) -> Tuple[int, Optional[Tuple]]:
-        nc, arrays = _contract(level, level_index, min_vertices, full)
-        if arrays is None:
+    def contract_once(full: np.ndarray) -> Tuple[int, Optional[Tuple]]:
+        # the replicated half: a pure function of the level and the labels,
+        # returning plain arrays, which the comm layer can seal or copy
+        g = level.graph
+        nc, fine2coarse = cluster_map(full, g.n)
+        if nc < min_vertices or 1.0 - nc / max(g.n, 1) < MIN_SHRINK:
             return nc, None
+        arrays = contract(g.offsets, g.adj, level.eweights, level.vweights,
+                          fine2coarse, nc, level_index)
         # the coarse level's random distribution, made once here too: its
         # owner table and rank order, which every rank wraps
         owner = random_owner(nc, comm.size, seed)
-        return nc, arrays + (owner, rank_order(owner, comm.size))
+        return nc, arrays + (fine2coarse, owner, rank_order(owner, comm.size))
 
     with comm.phase("coarsen"):
         # each rank contributes the labels of its owned vertices and is
@@ -364,7 +290,7 @@ def contract_level(
         # every rank receives the one evaluation's result, so the stop
         # decision is already collective
         nc, arrays = yield from allgather_owned(
-            comm, level.dist, owned_labels, then=contract)
+            comm, level.dist, owned_labels, then=contract_once)
         if arrays is None:
             return None
     offsets, adj, cw, cvw, fine2coarse, owner, by_rank = arrays

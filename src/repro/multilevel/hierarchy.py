@@ -31,12 +31,9 @@ from repro.multilevel.coarsen import (
     lp_cluster_labels,
     make_level0,
 )
+from repro.multilevel.kernels import COARSEST_FACTOR
 from repro.simmpi.comm import SimComm
 from repro.simmpi.stepping import Steps, steppable
-
-#: Coarsening size target, in vertices per part: coarsening stops once a
-#: level has at most ``COARSEST_FACTOR * num_parts`` vertices.
-COARSEST_FACTOR = 30
 
 #: Adaptive balance schedule: level ``l`` (0 = finest) of ``n_levels``
 #: targets ``Rat_v * (1 + IMBALANCE_RELAX * l / (n_levels - 1))``.

@@ -1,14 +1,12 @@
-"""Shared-memory coarsening kernels (matching, clustering, contraction).
+"""The multilevel rules, each defined once: heavy-edge matching, the
+size-constrained LP admission round, the cluster map and the contraction.
 
-These are the per-address-space building blocks of the multilevel family,
-factored out of :mod:`repro.baselines.multilevel` so the distributed
-coarsener (:mod:`repro.multilevel.coarsen`) reuses the exact same kernels:
-the baseline applies them to the whole graph, a simulated rank applies
-them to its owned subgraph.  Their outputs are pinned — the baseline's
-partitions stay bit-identical (enforced by its tests and the goldens).
-
-All kernels operate on a SciPy CSR adjacency with positive edge weights
-and no diagonal.
+The baseline (:mod:`repro.baselines.multilevel`) applies them to the whole
+graph; the V-cycle (:mod:`repro.multilevel.coarsen`) matches and clusters
+each rank's owned vertices and contracts once per level.  The baseline's
+partitions are pinned by ``tests/baselines/test_pin.py``, the V-cycle's
+by the goldens.  Matching and clustering take a SciPy CSR adjacency with
+positive edge weights and no diagonal.
 """
 
 from __future__ import annotations
@@ -17,6 +15,22 @@ from typing import Tuple
 
 import numpy as np
 from scipy import sparse
+
+from repro.dist.wire import stored_dtype
+
+#: Label-propagation clustering rounds per level (the KaHIP default).
+LP_CLUSTER_ITERS = 3
+
+#: Heavy-edge matching's propose / accept-mutual rounds.
+HEM_ROUNDS = 4
+
+#: A level whose clustering shrinks the vertex count by less than this
+#: fraction has stagnated; coarsening stops there (hub-dominated graphs).
+MIN_SHRINK = 0.02
+
+#: Coarsening size target, in vertices per part: coarsening stops once a
+#: level has at most ``COARSEST_FACTOR * num_parts`` vertices.
+COARSEST_FACTOR = 30
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +86,14 @@ def segment_best_label(
 # ---------------------------------------------------------------------------
 
 def heavy_edge_matching(
-    adj: sparse.csr_matrix, rng: np.random.Generator, rounds: int = 4
+    adj: sparse.csr_matrix, rng: np.random.Generator
 ) -> np.ndarray:
     """Parallel-style heavy-edge matching: propose → accept mutual."""
     n = adj.shape[0]
     coo = adj.tocoo()
     src, dst, w = coo.row, coo.col, coo.data
     match = np.full(n, -1, dtype=np.int64)
-    for _ in range(rounds):
+    for _ in range(HEM_ROUNDS):
         free = match < 0
         keep = free[src] & free[dst]
         if not np.any(keep):
@@ -150,66 +164,119 @@ def heavy_edge_matching(
     return np.minimum(np.arange(match.size, dtype=np.int64), match)
 
 
-def lp_clustering(
-    adj: sparse.csr_matrix,
-    vweights: np.ndarray,
-    max_cluster: float,
+def cluster_cap(vweights: np.ndarray, num_parts: int) -> float:
+    """KaHIP's cluster-mass cap ``max(W / (2p), max vertex weight)``: at
+    least ``2p`` clusters survive, so a ``p``-way partition exists."""
+    return max(float(vweights.sum()) / (2 * num_parts), float(vweights.max()))
+
+
+def lp_admission_round(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, labels: np.ndarray,
+    vweights: np.ndarray, mass: np.ndarray, max_cluster: float,
     rng: np.random.Generator,
-    iters: int = 3,
-) -> np.ndarray:
-    """Size-constrained label propagation clustering (KaHIP coarsening)."""
-    n = adj.shape[0]
-    coo = adj.tocoo()
-    src, dst, w = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
-    labels = np.arange(n, dtype=np.int64)
-    weight_of = vweights.astype(np.float64).copy()  # per-label mass
-    for _ in range(iters):
-        lab = labels[dst]
-        best, _ = segment_best_label(src, lab, w, n)
-        movable = (best >= 0) & (best != labels)
-        cand = np.flatnonzero(movable)
-        if cand.size == 0:
-            break
-        # admit in random order while the target cluster has headroom
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round of size-constrained LP clustering (KaHIP's coarsening):
+    each of the ``n = vweights.size`` sources of ``(src, dst, w)`` picks its
+    heaviest neighbouring cluster (``labels``: these ``n``, then any ghosts);
+    movers, in one random order (no draw if none), are admitted while the
+    target's ``mass`` plus theirs stays within ``max_cluster``.  Applies the
+    moves to ``labels``; returns ``(moved, old, new)`` for the caller to
+    update ``mass``."""
+    n = vweights.size
+    best, _ = segment_best_label(src, labels[dst], w, n)
+    cand = np.flatnonzero((best >= 0) & (best != labels[:n]))
+    if cand.size:
         cand = cand[rng.permutation(cand.size)]
-        tgt = best[cand]
-        room = weight_of[tgt] + vweights[cand] <= max_cluster
-        cand, tgt = cand[room], tgt[room]
-        np.subtract.at(weight_of, labels[cand], vweights[cand])
-        np.add.at(weight_of, tgt, vweights[cand])
-        labels[cand] = tgt
+        room = mass[best[cand]] + vweights[cand] <= max_cluster
+        cand = cand[room]
+    tgt = best[cand]
+    old = labels[cand]
+    labels[cand] = tgt
+    return cand, old, tgt
+
+
+def lp_clustering(
+    adj: sparse.csr_matrix, vweights: np.ndarray, num_parts: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Size-constrained label propagation clustering of the whole graph:
+    :data:`LP_CLUSTER_ITERS` admission rounds under :func:`cluster_cap`."""
+    coo = adj.tocoo()
+    labels = np.arange(adj.shape[0], dtype=np.int64)
+    mass = vweights.astype(np.float64)  # per-label mass, a fresh copy
+    max_cluster = cluster_cap(vweights, num_parts)
+    for _ in range(LP_CLUSTER_ITERS):
+        moved, old, new = lp_admission_round(
+            coo.row, coo.col, coo.data, labels, vweights, mass, max_cluster,
+            rng)
+        np.subtract.at(mass, old, vweights[moved])
+        np.add.at(mass, new, vweights[moved])
     return labels
+
+
+def cluster_map(labels: np.ndarray, n: int) -> Tuple[int, np.ndarray]:
+    """Number the clusters of ``labels`` (ids in ``[0, n)``) ``0 .. nc-1``
+    in label order by a presence bitmap's prefix sum; returns ``(nc, fine →
+    coarse map)``, the map in ``stored_dtype(nc - 1)``: the index dtype
+    scipy keeps, so :func:`contract` copies no endpoint."""
+    present = np.zeros(n, dtype=bool)
+    present[labels] = True
+    nc = int(np.count_nonzero(present))
+    fine2coarse = np.cumsum(present, dtype=stored_dtype(nc - 1))
+    del present
+    fine2coarse -= 1
+    return nc, fine2coarse[labels]
 
 
 def aggregate_coarse_arcs(
     cs: np.ndarray, cd: np.ndarray, weights: np.ndarray, nc: int
 ) -> sparse.csr_matrix:
-    """Sum the fine arcs ``(cs[i], cd[i], weights[i])`` into one weighted
-    arc per coarse ``(src, dst)`` pair, dropping self-arcs.  COO → CSR
-    bucketing, not a global key sort; returns canonical CSR (arcs in
-    ascending ``(src, dst)`` order) whose data keeps ``weights``' dtype.
-
-    Inputs without self-arcs are used as given: a caller that compacted
-    them, in the index dtype scipy keeps, holds the only copy."""
-    off_diag = cs != cd
-    if not off_diag.all():
-        cs, cd, weights = cs[off_diag], cd[off_diag], weights[off_diag]
-    del off_diag
+    """Sum the fine arcs ``(cs[i], cd[i], weights[i])``, none of them a
+    self-arc, into one weighted arc per coarse ``(src, dst)`` pair.  COO →
+    CSR bucketing, not a global key sort; returns canonical CSR (arcs in
+    ascending ``(src, dst)`` order) whose data keeps ``weights``' dtype."""
     coarse = sparse.coo_matrix((weights, (cs, cd)), shape=(nc, nc)).tocsr()
     coarse.sum_duplicates()
     return coarse
 
 
 def contract(
-    adj: sparse.csr_matrix, vweights: np.ndarray, labels: np.ndarray
-) -> Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """Contract label groups into coarse vertices; returns
-    (coarse adj, coarse vweights, fine→coarse mapping)."""
-    uniq, mapping = np.unique(labels, return_inverse=True)
-    nc = uniq.size
-    coo = adj.tocoo()
-    coarse = aggregate_coarse_arcs(
-        mapping[coo.row], mapping[coo.col], coo.data, nc
-    )
-    cvw = np.bincount(mapping, weights=vweights.astype(np.float64), minlength=nc)
-    return coarse, cvw, mapping.astype(np.int64)
+    offsets: np.ndarray, adj: np.ndarray, eweights: np.ndarray,
+    vweights: np.ndarray, fine2coarse: np.ndarray, nc: int, level: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Contract the CSR ``(offsets, adj)``, with integer-valued per-arc
+    ``eweights`` and per-vertex ``vweights``, through :func:`cluster_map`'s
+    ``(nc, fine2coarse)`` into the coarse ``(offsets, adj, eweights,
+    vweights)``: ids in ``fine2coarse``'s dtype, edge weights at
+    ``np.min_scalar_type`` of the largest, one live copy per array.  An
+    AssertionError names ``level`` if vertex or edge weight is lost."""
+    cd = fine2coarse[adj]
+    cs = np.repeat(fine2coarse, np.diff(offsets))
+    inter = cs != cd
+    cs = cs[inter]
+    cd = cd[inter]
+    # edge weights are integer counts of fine edges, so both totals and
+    # the check below are exact; they are summed in the width of the total
+    fine_ew = int(eweights.sum())
+    w = eweights[inter].astype(stored_dtype(fine_ew), copy=False)
+    del inter
+    kept_in = int(w.sum())
+    csr = aggregate_coarse_arcs(cs, cd, w, nc)
+    del cs, cd, w
+    cvw = np.bincount(fine2coarse, weights=vweights, minlength=nc)
+    # conservation invariants: vertex mass (maybe float) to rounding, edge
+    # weight exactly, up to the intra-cluster weight folded away
+    kept_vw, fine_vw = float(cvw.sum()), float(vweights.sum())
+    kept_ew = int(csr.data.sum()) + fine_ew - kept_in
+    for what, ok, kept, fine in (
+        ("vertex", np.isclose(kept_vw, fine_vw), kept_vw, fine_vw),
+        ("edge", kept_ew == fine_ew, float(kept_ew), float(fine_ew)),
+    ):
+        if not ok:
+            raise AssertionError(f"contraction of level {level} lost "
+                                 f"{what} weight: {fine!r} -> {kept!r}")
+    # exact-size copies: the CSR's arrays may be views of the pre-dedup
+    # buffers; the weights take the width of the largest
+    return (csr.indptr.astype(np.int64), csr.indices.copy(),
+            csr.data.astype(np.min_scalar_type(csr.data.max(initial=0))),
+            cvw)

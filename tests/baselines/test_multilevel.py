@@ -8,7 +8,7 @@ from repro.baselines.multilevel import _graph_growing
 from repro.core.quality import edge_cut_ratio, vertex_balance
 from repro.graph import from_edges, mesh3d, rmat, rand_hd, webcrawl
 from repro.graph.builders import to_scipy
-from repro.multilevel.kernels import contract, heavy_edge_matching
+from repro.multilevel.kernels import cluster_map, contract, heavy_edge_matching
 from tests.graphs import ring
 
 
@@ -123,12 +123,15 @@ def test_contract_preserves_total_vertex_weight():
     adj = to_scipy(g)
     vw = np.ones(10)
     labels = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
-    coarse, cvw, mapping = contract(adj, vw, labels)
-    assert coarse.shape == (5, 5)
+    nc, mapping = cluster_map(labels, 10)
+    offsets, cadj, cw, cvw = contract(
+        adj.indptr, adj.indices, adj.data, vw, mapping, nc, 0)
+    assert nc == 5 and offsets.size == 6
     assert cvw.sum() == 10
     np.testing.assert_array_equal(mapping, labels)
     # contracted ring of pairs is a 5-ring with edge weight 1 per side
-    assert coarse.nnz == 10
+    assert cadj.size == 10
+    np.testing.assert_array_equal(cw, 1)
 
 
 def test_graph_growing_covers_all():

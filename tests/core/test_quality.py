@@ -11,7 +11,6 @@ from repro.core.quality import (
     edge_cut_ratio,
     partition_quality,
     performance_ratios,
-    scaled_max_cut_ratio,
     vertex_balance,
     vertex_counts,
 )
@@ -48,7 +47,8 @@ def test_cut_edges_per_part():
     parts = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     np.testing.assert_array_equal(cut_edges_per_part(g, parts, 2), [2, 2])
     # each cut edge counted once per endpoint part
-    assert scaled_max_cut_ratio(g, parts, 2) == pytest.approx(2 / (8 / 2))
+    assert partition_quality(g, parts, 2).max_cut_ratio == pytest.approx(
+        2 / (8 / 2))
 
 
 def test_cut_per_part_sums():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import from_edges, io, rmat
+from repro.graph.csr import Graph
 from tests.graphs import ring
 
 
@@ -86,6 +87,21 @@ def test_metis_header_validation(tmp_path):
         io.read_metis(path)
 
 
+@pytest.mark.parametrize("text", [
+    "2 1 1\n2 1\n1 1\n",          # edge weights: loaded as one edge
+    "3 2 1\n2 1\n1 1 3 1\n2 1\n",  # edge weights: an edge-count mismatch
+    "2 1 0 1\n2\n1\n",            # an ncon field
+], ids=["fmt1-two-vertices", "fmt1-path", "ncon"])
+def test_metis_rejects_weighted_formats(tmp_path, text):
+    path = tmp_path / "weighted.metis"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="unsupported METIS format"):
+        io.read_metis(path)
+    # a zero fmt field declares no weights
+    path.write_text("2 1 000\n2\n1\n")
+    assert io.read_metis(path).num_edges == 1
+
+
 def test_metis_trailing_isolated_vertices(tmp_path):
     # vertex 3 (1-indexed) isolated: blank line may be present or absent
     path = tmp_path / "iso.metis"
@@ -109,3 +125,15 @@ def test_npz_preserves_directed_flag(tmp_path):
     path = tmp_path / "d.npz"
     io.save_npz(d, path)
     assert io.load_npz(path).directed
+
+
+def test_npz_rejects_an_asymmetric_undirected_csr(tmp_path):
+    # the 4-cycle stored in one direction only (0->1->2->3->0)
+    one_way = Graph(np.arange(5), np.array([1, 2, 3, 0]), directed=False)
+    path = tmp_path / "one_way.npz"
+    io.save_npz(one_way, path)
+    with pytest.raises(ValueError, match="in both directions"):
+        io.load_npz(path)
+    # the same arcs are a valid directed graph
+    io.save_npz(Graph(one_way.offsets, one_way.adj, directed=True), path)
+    assert io.load_npz(path).num_edges == 4

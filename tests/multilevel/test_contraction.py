@@ -26,7 +26,7 @@ from repro.core import PulpParams, xtrapulp
 from repro.dist import make_distribution
 from repro.dist.wire import stored_dtype
 from repro.graph import from_edges, mesh3d, rmat, webcrawl
-from repro.multilevel import coarsen, hierarchy
+from repro.multilevel import coarsen, hierarchy, kernels
 from repro.multilevel.coarsen import local_eweights
 from repro.multilevel.kernels import heavy_edge_matching
 from repro.multilevel.hierarchy import build_hierarchy
@@ -215,13 +215,13 @@ def test_coarse_arcs_are_aggregated_once_per_level(monkeypatch, backend):
     """The replicated half of a contraction runs where the label Allgatherv
     executes — once per level per address space, not once per rank."""
     calls = []
-    real = coarsen.aggregate_coarse_arcs
+    real = kernels.aggregate_coarse_arcs
 
     def counting(cs, cd, weights, nc):
         calls.append(nc)
         return real(cs, cd, weights, nc)
 
-    monkeypatch.setattr(coarsen, "aggregate_coarse_arcs", counting)
+    monkeypatch.setattr(kernels, "aggregate_coarse_arcs", counting)
     result = xtrapulp(
         mesh3d(16, 16, 16), 4, nprocs=4, backend=backend,
         params=PulpParams(seed=5, multilevel=True, ml_coarsen="hem"),
@@ -234,14 +234,14 @@ def test_coarse_arcs_are_aggregated_once_per_level(monkeypatch, backend):
 def test_lost_edge_weight_names_the_level_and_both_sums(monkeypatch):
     """A conservation failure now surfaces from inside a collective; it
     must say where and by how much."""
-    real = coarsen.aggregate_coarse_arcs
+    real = kernels.aggregate_coarse_arcs
 
     def lossy(cs, cd, weights, nc):
         csr = real(cs, cd, weights, nc)
         csr.data[0] += 64.0
         return csr
 
-    monkeypatch.setattr(coarsen, "aggregate_coarse_arcs", lossy)
+    monkeypatch.setattr(kernels, "aggregate_coarse_arcs", lossy)
     g = mesh3d(6, 6, 6)
     with pytest.raises(AssertionError) as info:
         xtrapulp(g, 2, nprocs=2, backend="serial",
@@ -256,14 +256,14 @@ def test_one_lost_unit_of_edge_weight_fails_its_own_level(monkeypatch):
     """Edge weights are integer counts of fine edges, so conservation is
     checked exactly: one unit lost out of 155 664 arcs, inside a relative
     tolerance of 1e-5, is caught at the level that lost it."""
-    real = coarsen.aggregate_coarse_arcs
+    real = kernels.aggregate_coarse_arcs
 
     def lossy(cs, cd, weights, nc):
         csr = real(cs, cd, weights, nc)
         csr.data[0] -= 1
         return csr
 
-    monkeypatch.setattr(coarsen, "aggregate_coarse_arcs", lossy)
+    monkeypatch.setattr(kernels, "aggregate_coarse_arcs", lossy)
     g = mesh3d(24, 24, 24)
     with pytest.raises(AssertionError) as info:
         xtrapulp(g, 2, nprocs=2, backend="serial",

@@ -15,7 +15,7 @@ from repro.graph import mesh3d
 from repro.graph.csr import Graph
 from repro.core import driver
 from repro.core.lp import SPECS
-from repro.multilevel import coarsen, hierarchy
+from repro.multilevel import coarsen, hierarchy, kernels
 from repro.simmpi import run_spmd
 
 
@@ -76,9 +76,9 @@ def test_uncoarsening_holds_no_coarse_graph_and_the_peak_is_pinned(monkeypatch):
 
 
 def test_contraction_transient_peak_per_fine_arc():
-    """``_contract`` on level 0 of ``mesh3d(24, 24, 24)`` peaks at 20.0
-    bytes per fine arc (47.6 with 8-byte endpoints and weights and three
-    masked copies), its outputs included."""
+    """The cluster map and contraction on level 0 of ``mesh3d(24, 24, 24)``
+    peak at 19.5 bytes per fine arc (47.6 with 8-byte endpoints and
+    weights and three masked copies), their outputs included."""
     g = mesh3d(24, 24, 24)
     params = PulpParams(seed=7, multilevel=True, ml_coarsen="hem")
     dist = make_distribution("random", g.n, 1, seed=7)
@@ -92,9 +92,11 @@ def test_contraction_transient_peak_per_fine_arc():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        nc, arrays = coarsen._contract(level, 0, 16, labels)
+        nc, fine2coarse = kernels.cluster_map(labels, g.n)
+        arrays = kernels.contract(g.offsets, g.adj, level.eweights,
+                                  level.vweights, fine2coarse, nc, 0)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert arrays is not None and nc < g.n
+    assert arrays[0].size == nc + 1 and nc < g.n
     assert peak <= 24 * g.adj.size
